@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke warm soak tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,7 @@ race:
 
 # bench runs every benchmark once with allocation stats; for stable
 # numbers (e.g. the SearchCold / SearchCached / SearchWarmed trio in
-# EXPERIMENTS.md and BENCH_4.json) drop -benchtime 1x.
+# EXPERIMENTS.md) drop -benchtime 1x.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -run '^$$' ./...
 
@@ -41,50 +41,19 @@ warm:
 # bench-dispatch runs the fan-out benchmarks at full benchtime: the
 # dispatched fan-out (concurrent identical queries coalescing at the
 # dispatch layer) next to the warm-start trio it is compared against in
-# BENCH_5.json.
+# EXPERIMENTS.md X11.
 bench-dispatch:
 	$(GO) test -bench 'BenchmarkFanoutDispatched' -benchmem -run '^$$' .
 
-# bench-wire runs the multiplexed-transport benchmark (X12: distinct
-# concurrent queries, 2ms simulated RTT, one BatchConn wire call per
-# queue drain) at full benchtime and regenerates BENCH_7.json from the
-# run via tools/benchwire.
-bench-wire:
-	$(GO) test -bench 'BenchmarkFanoutMultiplexed' -benchmem -run '^$$' . > /tmp/benchwire.out
-	$(GO) run ./tools/benchwire < /tmp/benchwire.out > BENCH_7.json
-	@cat /tmp/benchwire.out
-
-# bench-peer runs the distributed-cache-tier benchmark (X13: cold
-# pipeline vs node-local hit vs cross-peer remote hit over loopback
-# HTTP, all at the 2ms simulated source RTT) at full benchtime and
-# regenerates BENCH_8.json from the run via tools/benchpeer.
-bench-peer:
-	$(GO) test -bench 'BenchmarkPeerCluster' -benchmem -run '^$$' . > /tmp/benchpeer.out
-	$(GO) run ./tools/benchpeer < /tmp/benchpeer.out > BENCH_8.json
-	@cat /tmp/benchpeer.out
-
-# bench-engine runs the engine-scaling benchmarks (X14: block-pruned
-# top-k ranked queries at 100k vs 1m docs per source, the exhaustive
-# path at 1m as the pruning reference, and heap-vs-full-sort answer
-# assembly on a 1m scored set) and regenerates BENCH_9.json from the
-# run via tools/benchengine. Building the 1m-doc index dominates setup;
-# allow several minutes on a small machine.
-bench-engine:
-	$(GO) test -bench 'BenchmarkEngine(Scale|Sort)' -benchmem -run '^$$' -timeout 45m ./internal/engine > /tmp/benchengine.out
-	$(GO) run ./tools/benchengine < /tmp/benchengine.out > BENCH_9.json
-	@cat /tmp/benchengine.out
-
-# bench-load runs the open-loop load harness (X15: streamed TTFR vs
-# time-to-last under load, one 500ms-slow source in a 5-source fleet,
-# in-process and over loopback HTTP) and regenerates BENCH_10.json.
-bench-load:
-	$(GO) run ./tools/benchload -out BENCH_10.json
-
-# bench-load-smoke is the CI-sized run: a second of tiny offered load,
-# result discarded — it proves the harness, fleet wiring and streamed
-# HTTP path still work end to end, not the numbers.
-bench-load-smoke:
-	$(GO) run ./tools/benchload -rate 10 -duration 1s -docs 40 -queries 8 -out /tmp/bench_load_smoke.json
+# bench-smoke builds and smokes the repository's one benchmark (bench/,
+# its own module, which `go build ./... && go test ./...` at the root
+# skips): vet proves an internal/ signature change did not break it, and
+# the 2-second-phase run proves all four workloads still answer every
+# query correctly. The numbers are discarded; `bash bench/run.sh` is the
+# measuring run (see bench/README.md).
+bench-smoke:
+	$(GO) -C bench vet ./...
+	bash bench/run.sh -smoke
 
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, adaptive-admission overload) under the race detector.
@@ -94,9 +63,9 @@ soak:
 # tier1 is the repo's baseline gate: everything must always pass.
 tier1: build test
 
-# tier2 adds static analysis (lint = gofmt + vet), the race detector and
-# the overload soak scenarios.
-tier2: lint race soak
+# tier2 adds static analysis (lint = gofmt + vet), the race detector, the
+# overload soak scenarios and the benchmark module's build + smoke run.
+tier2: lint race soak bench-smoke
 
 check: tier1 tier2
 

@@ -421,11 +421,7 @@ func BenchmarkFanoutMultiplexed(b *testing.B) {
 			MaxBatchWire:      32,
 		})
 		for _, s := range srcs {
-			conn, ok := starts.ChainBatchConn(starts.NewLocalConn(s, nil), mw...)
-			if !ok {
-				b.Fatal("middleware chain dropped the batch capability")
-			}
-			ms.Add(conn)
+			ms.Add(starts.ChainConn(starts.NewLocalConn(s, nil), mw...))
 		}
 		ctx := context.Background()
 		if err := ms.Harvest(ctx); err != nil {

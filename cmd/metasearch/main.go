@@ -68,7 +68,7 @@ func main() {
 		faultSeed       = flag.Int64("fault-seed", 1, "fault-injection seed")
 		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source (0 = default 4)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
-		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per batch-capable source (0 = default 16)")
+		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per source (0 = default 16)")
 		adaptiveLimits  = flag.Bool("adaptive-limits", false, "self-tune per-source concurrency and queue depth: AIMD on observed latency and breaker state")
 		latencySLO      = flag.Duration("latency-slo", 0, "per-source latency objective driving -adaptive-limits decreases (0 = default 2s)")
 		adaptInterval   = flag.Duration("adaptive-interval", 0, "control-loop period for -adaptive-limits (0 = default 1s)")

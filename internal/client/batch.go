@@ -25,24 +25,50 @@ import (
 // the others: transport-level breakage fills every still-unresolved
 // slot, but per-item errors stay per-item.
 //
-// Capability assertion: middlewares that wrap a BatchConn should
-// implement QueryBatch themselves (delegating per item or per batch) —
-// a wrapper that only implements Conn silently downgrades the whole
-// chain to per-item calls. ChainBatch reports whether the capability
-// survived.
+// The batch call is the one shape inside a conn chain: every middleware
+// and the metasearch core call Batched on what they wrap, so a single
+// query is a batch of one and nothing above the leaf asks whether a
+// conn is batch-capable.
 type BatchConn interface {
 	Conn
 	// QueryBatch evaluates qs at the source in one wire call.
 	QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error)
 }
 
-// ChainBatch wraps conn like Chain and additionally reports whether the
-// resulting chain still exposes the batch capability — i.e. the leaf is
-// a BatchConn and every middleware passed it through.
-func ChainBatch(conn Conn, mw ...Middleware) (Conn, bool) {
-	conn = Chain(conn, mw...)
-	_, ok := conn.(BatchConn)
-	return conn, ok
+// Batched returns c as a BatchConn: c itself when it already has
+// QueryBatch, otherwise an adapter whose QueryBatch runs the items as
+// concurrent Query calls. It is the only place that asks whether a conn
+// is batch-capable.
+func Batched(c Conn) BatchConn {
+	if bc, ok := c.(BatchConn); ok {
+		return bc
+	}
+	return eachConn{c}
+}
+
+// eachConn adapts a plain Conn to BatchConn.
+type eachConn struct{ Conn }
+
+// QueryBatch implements BatchConn.
+func (e eachConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	return queryEach(ctx, e.Conn, qs)
+}
+
+// queryEach answers a batch with one concurrent c.Query per item; the
+// caller's batch size bounds the goroutines.
+func queryEach(ctx context.Context, c Conn, qs []*query.Query) ([]*result.Results, []error) {
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func(i int, q *query.Query) {
+			defer wg.Done()
+			results[i], errs[i] = c.Query(ctx, q)
+		}(i, q)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 // splitBatchErr fills every still-unresolved slot with err. It is the
@@ -162,16 +188,5 @@ func BatchURL(queryURL string) string { return queryURL + "-batch" }
 // QueryBatch implements BatchConn for in-process sources: items run
 // concurrently, mirroring the server-side batch handler.
 func (l *LocalConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i, q := range qs {
-		wg.Add(1)
-		go func(i int, q *query.Query) {
-			defer wg.Done()
-			results[i], errs[i] = l.Query(ctx, q)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
+	return queryEach(ctx, l, qs)
 }

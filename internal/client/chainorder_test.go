@@ -1,17 +1,22 @@
 // Chain-composition tests live in an external test package: they compose
-// the caching, retrying and observing middlewares, and resilient imports
-// client (an internal test file would cycle).
+// the caching, retrying and observing middlewares under the metasearch
+// core, and all of those import client (an internal test file would
+// cycle).
 package client_test
 
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"starts/internal/client"
+	"starts/internal/core"
 	"starts/internal/dispatch"
+	"starts/internal/engine"
+	"starts/internal/index"
 	"starts/internal/meta"
 	"starts/internal/obs"
 	"starts/internal/qcache"
@@ -145,291 +150,227 @@ func TestChainOrderWithCache(t *testing.T) {
 	}
 }
 
-// batchLeaf is a batch-capable leaf conn: QueryBatch counts wire calls
-// and items and can park until release closes (nil release = no gate).
-type batchLeaf struct {
-	flakyConn
+// wireLeaf is a batch-native leaf over a real in-process source, counting
+// what reaches it. The first failFirst wire calls fail every item with a
+// retryable error; the first wire call parks until release closes when
+// release is non-nil, holding the single dispatch worker so later
+// searches pile into one drain.
+type wireLeaf struct {
+	client.BatchConn
 	wireCalls atomic.Int64
 	wireItems atomic.Int64
 	maxItems  atomic.Int64
+	failFirst int64
 	release   chan struct{}
+	parked    chan struct{}
+	parkOnce  sync.Once
 }
 
-func (b *batchLeaf) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
-	rs, errs := b.QueryBatch(ctx, []*query.Query{q})
-	return rs[0], errs[0]
-}
-
-func (b *batchLeaf) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	b.wireCalls.Add(1)
-	b.wireItems.Add(int64(len(qs)))
+func (l *wireLeaf) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	call := l.wireCalls.Add(1)
+	l.wireItems.Add(int64(len(qs)))
 	for {
-		old := b.maxItems.Load()
-		if int64(len(qs)) <= old || b.maxItems.CompareAndSwap(old, int64(len(qs))) {
+		old := l.maxItems.Load()
+		if int64(len(qs)) <= old || l.maxItems.CompareAndSwap(old, int64(len(qs))) {
 			break
 		}
 	}
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	if b.release != nil {
+	if l.release != nil {
+		l.parkOnce.Do(func() {
+			close(l.parked)
+			select {
+			case <-l.release:
+			case <-ctx.Done():
+			}
+		})
+	}
+	if call <= l.failFirst {
+		errs := make([]error, len(qs))
+		for i := range errs {
+			errs[i] = errors.New("transient network failure")
+		}
+		return make([]*result.Results, len(qs)), errs
+	}
+	return l.BatchConn.QueryBatch(ctx, qs)
+}
+
+// deployed builds the only arrangement there is now: a metasearcher
+// whose own dispatcher sits over the recommended chain
+// observe(cache(retry(leaf))).
+func deployed(t *testing.T, leaf *wireLeaf, reg *obs.Registry, cache *qcache.Cache) *core.Metasearcher {
+	t.Helper()
+	eng, err := engine.New(engine.NewVectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := source.New("S", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(&index.Document{
+		Linkage: "http://s/1", Title: "everything",
+		Body: "databases decoy alpha beta gamma",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	leaf.BatchConn = client.NewLocalConn(s, nil)
+	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
+	ms := core.New(core.Options{SourceConcurrency: 1, QueueDepth: 16, Metrics: reg, Timeout: 5 * time.Second})
+	t.Cleanup(ms.Close)
+	ms.Add(client.Chain(leaf,
+		func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
+		func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
+		func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
+	))
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+func termQuery(t *testing.T, term string) *query.Query {
+	t.Helper()
+	q := query.New()
+	r, err := query.ParseRanking(`list((body-of-text "` + term + `"))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Ranking = r
+	return q
+}
+
+// queueStat reads S's dispatch counters. The harvest in deployed already
+// went through the dispatcher as one submission and one wire call, so
+// tests compare against the stat they took before searching.
+func queueStat(ms *core.Metasearcher) dispatch.QueueStat {
+	for _, st := range ms.DispatchStats() {
+		if st.Source == "S" {
+			return st
+		}
+	}
+	return dispatch.QueueStat{}
+}
+
+func batchCalls(reg *obs.Registry) int64 {
+	return reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query-batch")).Value()
+}
+
+// TestDeployedChainOrder pins the order that is deployed: core's
+// dispatcher over observe(cache(retry(leaf))). The dispatcher is the only
+// layer that queues and coalesces, every layer below it sees one
+// QueryBatch per queue drain, retries happen inside one cache fill, and a
+// cache hit is observed but never reaches the source.
+func TestDeployedChainOrder(t *testing.T) {
+	ctx := context.Background()
+
+	// Park the single worker on a decoy search, queue three distinct
+	// searches behind it, then open the gate: the freed worker drains all
+	// three into ONE leaf wire call.
+	t.Run("one-wire-call-per-drain", func(t *testing.T) {
+		leaf := &wireLeaf{release: make(chan struct{}), parked: make(chan struct{})}
+		reg := obs.NewRegistry()
+		ms := deployed(t, leaf, reg, qcache.New(qcache.Config{Metrics: reg}))
+		base := queueStat(ms)
+		var wg sync.WaitGroup
+		search := func(term string) {
+			defer wg.Done()
+			if _, err := ms.Search(ctx, termQuery(t, term)); err != nil {
+				t.Errorf("search %q: %v", term, err)
+			}
+		}
+		wg.Add(1)
+		go search("decoy")
 		select {
-		case <-b.release:
-		case <-ctx.Done():
-			for i := range errs {
-				errs[i] = ctx.Err()
-			}
-			return results, errs
+		case <-leaf.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("decoy search never reached the leaf")
 		}
-	}
-	for i := range qs {
-		results[i] = &result.Results{Sources: []string{"S"}}
-	}
-	return results, errs
-}
-
-// TestChainOrderBatchCapability pins the capability-assertion rule on
-// the recommended chain observe(dispatch(cache(retry(conn)))): with a
-// BatchConn leaf every exported middleware passes QueryBatch through,
-// so the fully wrapped conn still multiplexes — and one queue drain of
-// distinct queries reaches the leaf as ONE wire call. A batch-blind
-// middleware anywhere in the chain downgrades it, which ChainBatch
-// reports.
-func TestChainOrderBatchCapability(t *testing.T) {
-	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
-	mkQuery := func(term string) *query.Query {
-		q := query.New()
-		r, err := query.ParseRanking(`list((any "` + term + `"))`)
-		if err != nil {
-			t.Fatal(err)
+		for _, term := range []string{"alpha", "beta", "gamma"} {
+			wg.Add(1)
+			go search(term)
 		}
-		q.Ranking = r
-		return q
-	}
-
-	t.Run("capability-survives-chain", func(t *testing.T) {
-		src := &batchLeaf{release: make(chan struct{})}
-		reg := obs.NewRegistry()
-		cache := qcache.New(qcache.Config{Metrics: reg})
-		d := dispatch.New(dispatch.Config{Limits: dispatch.Limits{Concurrency: 1}})
-		defer d.Close()
-		conn, ok := client.ChainBatch(src,
-			func(c client.Conn) client.Conn {
-				if bc, isBatch := c.(client.BatchConn); isBatch {
-					return resilient.WrapBatch(bc, policy, nil)
-				}
-				return resilient.Wrap(c, policy, nil)
-			},
-			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{Concurrency: 1}) },
-			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
-		)
-		if !ok {
-			t.Fatal("ChainBatch reports the batch capability was dropped")
-		}
-		bc := conn.(client.BatchConn)
-
-		// Park the single worker on a decoy query, queue three distinct
-		// queries behind it, then open the gate: the freed worker drains
-		// all three into one leaf wire call.
-		decoyDone := make(chan struct{})
-		go func() {
-			defer close(decoyDone)
-			if _, err := conn.Query(context.Background(), mkQuery("decoy")); err != nil {
-				t.Errorf("decoy query: %v", err)
-			}
-		}()
-		deadline := time.Now().Add(2 * time.Second)
-		for src.wireCalls.Load() == 0 && time.Now().Before(deadline) {
+		for deadline := time.Now().Add(5 * time.Second); queueStat(ms).Depth < 3 && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		if src.wireCalls.Load() == 0 {
-			t.Fatal("decoy query never reached the leaf")
-		}
+		close(leaf.release)
+		wg.Wait()
 
-		qs := []*query.Query{mkQuery("alpha"), mkQuery("beta"), mkQuery("gamma")}
-		batchDone := make(chan struct{})
-		var results []*result.Results
-		var errs []error
-		go func() {
-			defer close(batchDone)
-			results, errs = bc.QueryBatch(context.Background(), qs)
-		}()
-		// Wait until all three sit in the source queue before releasing
-		// the worker.
-		for time.Now().Before(deadline) {
-			depth := int64(0)
-			for _, st := range d.Snapshot() {
-				if st.Source == "S" {
-					depth = st.Depth
-				}
-			}
-			if depth >= 3 {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if calls, max := leaf.wireCalls.Load(), leaf.maxItems.Load(); calls != 2 || max != 3 {
+			t.Errorf("leaf saw %d wire calls, largest %d items; want 2 calls (decoy + one drain of 3)", calls, max)
 		}
-		close(src.release)
-		<-decoyDone
-		<-batchDone
-
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("batch item %d: %v", i, err)
-			}
-			if results[i] == nil {
-				t.Fatalf("batch item %d: nil result", i)
-			}
+		if got := batchCalls(reg); got != 2 {
+			t.Errorf("observed query-batch calls = %d, want 2 (the observer sees drains, not items)", got)
 		}
-		if got := src.maxItems.Load(); got != 3 {
-			t.Errorf("largest leaf wire call carried %d items, want 3 (one call per drain)", got)
-		}
-		if got := src.wireCalls.Load(); got != 2 {
-			t.Errorf("leaf wire calls = %d, want 2 (decoy + one drained batch)", got)
-		}
-		// The observer saw the batch as a batch: one query-batch op and a
-		// recorded wire batch size.
-		if got := reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query-batch")).Value(); got != 1 {
-			t.Errorf("observed query-batch calls = %d, want 1", got)
-		}
-		for _, st := range d.Snapshot() {
-			if st.Source == "S" {
-				if st.WireCalls != 2 || st.WireItems != 4 {
-					t.Errorf("dispatch wire stats = %d calls / %d items, want 2/4", st.WireCalls, st.WireItems)
-				}
-			}
+		if st := queueStat(ms); st.WireCalls-base.WireCalls != 2 || st.WireItems-base.WireItems != 4 {
+			t.Errorf("dispatch wire stats = %d calls / %d items, want 2/4",
+				st.WireCalls-base.WireCalls, st.WireItems-base.WireItems)
 		}
 	})
 
-	t.Run("batch-blind-middleware-downgrades", func(t *testing.T) {
-		src := &batchLeaf{}
-		var n atomic.Int64
-		_, ok := client.ChainBatch(src, countingMW(&n))
-		if ok {
-			t.Error("ChainBatch must report a downgrade through a batch-blind middleware")
-		}
-	})
-}
-
-// gatedConn parks every Query until release closes, counting the calls
-// that reach it — the knob for holding a dispatch batch open while more
-// callers join it.
-type gatedConn struct {
-	flakyConn
-	calls   atomic.Int64
-	release chan struct{}
-}
-
-func (g *gatedConn) Query(ctx context.Context, _ *query.Query) (*result.Results, error) {
-	g.calls.Add(1)
-	select {
-	case <-g.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return &result.Results{}, nil
-}
-
-// TestChainOrderWithDispatch pins where the dispatching middleware
-// belongs: OUTSIDE the cache (so concurrent identical misses coalesce
-// into one batch before they can stampede the fill) and INSIDE the
-// observer (so coalesced calls still count). It also pins — by compiling
-// — that dispatch.WrapConn satisfies client.Conn structurally.
-func TestChainOrderWithDispatch(t *testing.T) {
-	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
-
-	// observe(dispatch(cache(retry(conn)))): sequential traffic behaves
-	// exactly as without dispatch — batches of one, retries inside one
-	// cache entry, the hit never reaching the source.
-	t.Run("sequential", func(t *testing.T) {
-		src := &flakyConn{}
+	// The same search twice against a leaf whose first wire call fails
+	// retryably: search 1 misses and retries inside one cache fill,
+	// search 2 is a hit the observer still sees and the leaf never does.
+	t.Run("retry-inside-fill-hit-skips-source", func(t *testing.T) {
+		leaf := &wireLeaf{failFirst: 1}
 		reg := obs.NewRegistry()
 		cache := qcache.New(qcache.Config{Metrics: reg})
-		d := dispatch.New(dispatch.Config{})
-		defer d.Close()
-		conn := client.Chain(src,
-			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
-			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) },
-			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
-		)
-		q := query.New()
-		r, err := query.ParseRanking(`list((any "databases"))`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.Ranking = r
+		ms := deployed(t, leaf, reg, cache)
+		base := queueStat(ms)
 		for i := 0; i < 2; i++ {
-			if _, err := conn.Query(context.Background(), q); err != nil {
-				t.Fatalf("query %d: %v", i+1, err)
+			ans, err := ms.Search(ctx, termQuery(t, "databases"))
+			if err != nil || len(ans.Documents) != 1 {
+				t.Fatalf("search %d = %v, %v; want one document", i+1, ans, err)
 			}
 		}
-		if got := src.attempts.Load(); got != 2 {
-			t.Errorf("source attempts = %d, want 2 (one retried miss, one cache hit)", got)
+		if got := leaf.wireCalls.Load(); got != 2 {
+			t.Errorf("leaf wire calls = %d, want 2 (one failed attempt + its retry; the hit stays out)", got)
 		}
-		if got := reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query")).Value(); got != 2 {
-			t.Errorf("observed queries = %d, want 2", got)
+		if got := cache.Len(); got != 1 {
+			t.Errorf("cache entries = %d, want 1 (the retry did not re-enter the cache)", got)
 		}
-		for _, st := range d.Snapshot() {
-			if st.Source == "S" && st.Batched != 0 {
-				t.Errorf("sequential traffic batched %d calls, want 0", st.Batched)
-			}
+		if got := batchCalls(reg); got != 2 {
+			t.Errorf("observed query-batch calls = %d, want 2 (hits still count)", got)
+		}
+		if got := queueStat(ms).WireCalls - base.WireCalls; got != 2 {
+			t.Errorf("dispatch wire calls = %d, want 2 (one per search)", got)
 		}
 	})
 
-	// The payoff: N concurrent identical queries coalesce into ONE wire
-	// call (and one cache fill) at the dispatch layer.
-	t.Run("concurrent-coalescing", func(t *testing.T) {
+	// N concurrent identical searches coalesce at the dispatcher into ONE
+	// call down the chain — one observation, one cache fill, one leaf
+	// wire call.
+	t.Run("identical-searches-coalesce-above-the-chain", func(t *testing.T) {
 		const callers = 8
-		src := &gatedConn{release: make(chan struct{})}
+		leaf := &wireLeaf{release: make(chan struct{}), parked: make(chan struct{})}
 		reg := obs.NewRegistry()
-		cache := qcache.New(qcache.Config{Metrics: reg})
-		d := dispatch.New(dispatch.Config{})
-		defer d.Close()
-		conn := client.Chain(src,
-			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
-			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) },
-			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
-		)
-		q := query.New()
-		r, err := query.ParseRanking(`list((any "databases"))`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.Ranking = r
-
+		ms := deployed(t, leaf, reg, qcache.New(qcache.Config{Metrics: reg}))
+		base := queueStat(ms)
 		errs := make(chan error, callers)
 		for i := 0; i < callers; i++ {
 			go func() {
-				_, err := conn.Query(context.Background(), q)
+				_, err := ms.Search(ctx, termQuery(t, "databases"))
 				errs <- err
 			}()
 		}
-		// Release the gate only once all callers sit on the batch: one led,
-		// the rest joined while its wire call was parked.
-		deadline := time.Now().Add(2 * time.Second)
-		for submitted := int64(0); submitted < callers && time.Now().Before(deadline); {
-			submitted = 0
-			for _, st := range d.Snapshot() {
-				if st.Source == "S" {
-					submitted = st.Submitted
-				}
-			}
+		// Release the gate only once all callers sit on the batch: one
+		// led, the rest joined while its wire call was parked.
+		for deadline := time.Now().Add(5 * time.Second); queueStat(ms).Submitted-base.Submitted < callers && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		close(src.release)
+		close(leaf.release)
 		for i := 0; i < callers; i++ {
 			if err := <-errs; err != nil {
 				t.Fatalf("caller %d: %v", i, err)
 			}
 		}
-		if got := src.calls.Load(); got != 1 {
-			t.Errorf("wire calls = %d, want 1 for %d concurrent identical queries", got, callers)
+		if got := leaf.wireCalls.Load(); got != 1 {
+			t.Errorf("leaf wire calls = %d, want 1 for %d concurrent identical searches", got, callers)
 		}
-		for _, st := range d.Snapshot() {
-			if st.Source == "S" && st.Batched != callers-1 {
-				t.Errorf("batched = %d, want %d", st.Batched, callers-1)
-			}
+		if got := batchCalls(reg); got != 1 {
+			t.Errorf("observed query-batch calls = %d, want 1", got)
+		}
+		if got := queueStat(ms).Batched - base.Batched; got != callers-1 {
+			t.Errorf("batched = %d, want %d", got, callers-1)
 		}
 	})
 }

@@ -21,9 +21,10 @@ import (
 // returns that error (the final answer, when already decoded, comes
 // with it).
 //
-// Capability assertion: like BatchConn, middlewares that wrap a
-// StreamConn should implement QueryStream themselves, or the chain
-// silently downgrades to buffered queries.
+// StreamConn is a leaf capability: HTTPConn, LocalConn and core.Broker
+// implement it and server.ConnServer consumes it. The conn middlewares
+// do not forward it, so a wrapped conn answers ?stream=1 with a single
+// terminal frame.
 type StreamConn interface {
 	Conn
 	// QueryStream evaluates q, delivering frames to sink as they arrive.

@@ -210,3 +210,46 @@ func TestBatchPartialFailureBreakerAccounting(t *testing.T) {
 		t.Errorf("breaker success records = %d, want 2 (decoy + healthy member)", oks)
 	}
 }
+
+// lyingBatchConn is a BatchConn whose QueryBatch breaks the
+// index-aligned contract the way lie says.
+type lyingBatchConn struct {
+	client.BatchConn
+	lie func(rs []*result.Results, errs []error) ([]*result.Results, []error)
+}
+
+func (c lyingBatchConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	return c.lie(c.BatchConn.QueryBatch(ctx, qs))
+}
+
+// TestBatchContractViolationIsPerSourceError: a conn that returns a slot
+// with neither a result nor an error, or slices of the wrong length,
+// fails as that source's outcome — the fan-out goroutine must not meet
+// the nil result — while the other sources still answer.
+func TestBatchContractViolationIsPerSourceError(t *testing.T) {
+	lies := map[string]func([]*result.Results, []error) ([]*result.Results, []error){
+		"nil-nil-slot":  func(rs []*result.Results, errs []error) ([]*result.Results, []error) { rs[0] = nil; return rs, errs },
+		"short-results": func(rs []*result.Results, errs []error) ([]*result.Results, []error) { return rs[:0], errs },
+		"short-errors":  func(rs []*result.Results, errs []error) ([]*result.Results, []error) { return rs, nil },
+		"long-both": func(rs []*result.Results, errs []error) ([]*result.Results, []error) {
+			return append(rs, rs[0]), append(errs, nil)
+		},
+	}
+	for name, lie := range lies {
+		t.Run(name, func(t *testing.T) {
+			ms, srcs := fleet(t)
+			defer ms.Close()
+			ms.Add(lyingBatchConn{BatchConn: client.NewLocalConn(srcs["cs"], nil), lie: lie})
+			ans, err := ms.Search(context.Background(), rankingQuery(t, `list((body-of-text "databases"))`))
+			if err != nil {
+				t.Fatalf("search failed outright: %v", err)
+			}
+			if oc := ans.PerSource["cs"]; oc == nil || oc.Err == nil {
+				t.Errorf("cs outcome = %+v, want a per-source error", oc)
+			}
+			if oc := ans.PerSource["archive"]; oc == nil || oc.Err != nil || len(ans.Documents) == 0 {
+				t.Errorf("archive outcome = %+v with %d merged documents, want a clean answer", oc, len(ans.Documents))
+			}
+		})
+	}
+}

@@ -121,16 +121,19 @@ func TestQueueFullSurfacesInOutcome(t *testing.T) {
 	}
 
 	// Two distinct queries: one occupies the single worker, one fills the
-	// single queue slot.
+	// single queue slot. The second is submitted only once the first is
+	// in flight — queued together, one drain would carry both in a single
+	// wire call and leave the queue empty.
 	var wg sync.WaitGroup
-	for _, text := range []string{"databases", "metasearch"} {
-		text := text
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = ms.Search(context.Background(), ms.mustQuery(t, text))
-		}()
+	search := func(text string) {
+		defer wg.Done()
+		_, _ = ms.Search(context.Background(), ms.mustQuery(t, text))
 	}
+	wg.Add(1)
+	go search("databases")
+	waitForStat(t, ms, "g", func(st dispatch.QueueStat) bool { return st.Inflight == 1 })
+	wg.Add(1)
+	go search("metasearch")
 	waitForStat(t, ms, "g", func(st dispatch.QueueStat) bool {
 		return st.Inflight == 1 && st.Depth == 1
 	})

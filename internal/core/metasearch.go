@@ -80,10 +80,8 @@ type Options struct {
 	// in the per-source outcome). 0 takes dispatch.DefaultQueueDepth.
 	QueueDepth int
 	// MaxBatchWire bounds how many distinct queued queries a dispatch
-	// worker multiplexes into one wire call when a source's connection is
-	// batch-capable (client.BatchConn). 0 takes
-	// dispatch.DefaultMaxBatchWire; connections without batch support
-	// ignore it and keep one wire call per query.
+	// worker multiplexes into one QueryBatch wire call. 0 takes
+	// dispatch.DefaultMaxBatchWire.
 	MaxBatchWire int
 	// Adaptive, when set, builds a self-tuning admission controller over
 	// the dispatch layer: an AIMD loop that grows each source's
@@ -104,7 +102,7 @@ type Metasearcher struct {
 	opts Options
 
 	mu      sync.RWMutex
-	conns   map[string]client.Conn
+	conns   map[string]client.BatchConn
 	order   []string
 	entries map[string]*entry
 
@@ -170,7 +168,7 @@ func New(opts Options) *Metasearcher {
 	}
 	m := &Metasearcher{
 		opts:     opts,
-		conns:    map[string]client.Conn{},
+		conns:    map[string]client.BatchConn{},
 		entries:  map[string]*entry{},
 		stats:    newStatsBook(),
 		metrics:  opts.Metrics,
@@ -236,7 +234,9 @@ func (m *Metasearcher) Close() { m.dispatcher.Close() }
 func (m *Metasearcher) Metrics() *obs.Registry { return m.metrics }
 
 // Add registers a source connection. Re-adding an ID replaces the
-// connection and invalidates its harvested state.
+// connection and invalidates its harvested state. Every connection is
+// held as a client.BatchConn (a plain Conn through client.Batched), so
+// the fan-out has one way to query a source.
 func (m *Metasearcher) Add(c client.Conn) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -244,7 +244,7 @@ func (m *Metasearcher) Add(c client.Conn) {
 	if _, known := m.conns[id]; !known {
 		m.order = append(m.order, id)
 	}
-	m.conns[id] = c
+	m.conns[id] = client.Batched(c)
 	delete(m.entries, id)
 	m.metrics.Gauge("starts_sources_registered").Set(int64(len(m.conns)))
 }
@@ -1012,7 +1012,7 @@ func pick(ranked []gloss.Ranked, maxSources int) []string {
 // connection, harvested state and translated query — or the reason it
 // cannot be queried at all.
 type sourcePlan struct {
-	conn   client.Conn
+	conn   client.BatchConn
 	stale  bool
 	sent   *query.Query
 	report *translate.Report
@@ -1026,7 +1026,7 @@ func (m *Metasearcher) translateAll(tr *obs.Trace, q *query.Query, ids []string)
 	tsp := tr.StartSpan("translate")
 	defer tsp.End(nil)
 	m.mu.RLock()
-	conns := make(map[string]client.Conn, len(ids))
+	conns := make(map[string]client.BatchConn, len(ids))
 	entries := make(map[string]*entry, len(ids))
 	for _, id := range ids {
 		conns[id] = m.conns[id]
@@ -1106,6 +1106,40 @@ func batchKey(id string, sent *query.Query) string {
 	return qcache.Keyer{Scope: "dispatch/" + id}.Key(sent)
 }
 
+// queryBatch is the dispatcher's group executor: one QueryBatch wire
+// call for a drained group of queued queries. It is where a conn chain's
+// reply leaves the chain, and the one place QueryBatch's index-aligned
+// contract is enforced: a reply of the wrong length fails every item,
+// and a slot with neither a result nor an error fails that item, so
+// nothing past this point meets a nil result without an error.
+func queryBatch(ctx context.Context, conn client.BatchConn, items []any) ([]any, []error) {
+	qs := make([]*query.Query, len(items))
+	for i, it := range items {
+		qs[i] = it.(*query.Query)
+	}
+	rs, es := conn.QueryBatch(ctx, qs)
+	vals := make([]any, len(items))
+	errs := make([]error, len(items))
+	if len(rs) != len(items) || len(es) != len(items) {
+		werr := fmt.Errorf("batch returned %d results, %d errors for %d queries", len(rs), len(es), len(items))
+		for i := range errs {
+			errs[i] = werr
+		}
+		return vals, errs
+	}
+	for i := range items {
+		switch {
+		case es[i] != nil:
+			errs[i] = es[i]
+		case rs[i] == nil:
+			errs[i] = fmt.Errorf("batch item %d of %d returned neither a result nor an error", i, len(items))
+		default:
+			vals[i] = rs[i]
+		}
+	}
+	return vals, errs
+}
+
 func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan, opts Options) *SourceOutcome {
 	oc := &SourceOutcome{Stale: plan.stale, Sent: plan.sent, Report: plan.report}
 	if plan.err != nil {
@@ -1133,54 +1167,19 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	lim := dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire}
-	var ticket *dispatch.Ticket
-	var err error
-	if bconn, ok := conn.(client.BatchConn); ok {
-		// A batch-capable connection submits multiplexable work: the
-		// dispatch worker drains queued sub-queries for this source and
-		// issues them as ONE wire call, so a fan-out burst pays one round
-		// trip per drain instead of one per query. Per-item errors come
-		// back index-aligned, and the breaker gating below uses
-		// Ticket.FaultPrimary so a shared wire failure counts once.
-		ticket, err = m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
-			sent, func(gctx context.Context, items []any) ([]any, []error) {
-				qs := make([]*query.Query, len(items))
-				for i, it := range items {
-					qs[i] = it.(*query.Query)
-				}
-				// The per-source Timeout bounds the wire call itself; the
-				// waiters' contexts only bound their willingness to wait.
-				qctx, cancel := context.WithTimeout(gctx, timeout)
-				defer cancel()
-				rs, es := bconn.QueryBatch(qctx, qs)
-				vals := make([]any, len(items))
-				errs := make([]error, len(items))
-				if len(rs) != len(items) || len(es) != len(items) {
-					werr := fmt.Errorf("core: querying %s: batch returned %d results, %d errors for %d queries",
-						id, len(rs), len(es), len(items))
-					for i := range errs {
-						errs[i] = werr
-					}
-					return vals, errs
-				}
-				for i := range items {
-					if rs[i] != nil {
-						vals[i] = rs[i]
-					}
-					errs[i] = es[i]
-				}
-				return vals, errs
-			})
-	} else {
-		ticket, err = m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
-			func(tctx context.Context) (any, error) {
-				// The per-source Timeout bounds the wire call itself; the
-				// waiters' contexts only bound their willingness to wait.
-				qctx, cancel := context.WithTimeout(tctx, timeout)
-				defer cancel()
-				return conn.Query(qctx, sent)
-			})
-	}
+	// The dispatch worker drains queued sub-queries for this source and
+	// issues them as ONE wire call, so a fan-out burst pays one round
+	// trip per drain instead of one per query. Per-item errors come
+	// back index-aligned, and the breaker gating below uses
+	// Ticket.FaultPrimary so a shared wire failure counts once.
+	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
+		sent, func(gctx context.Context, items []any) ([]any, []error) {
+			// The per-source Timeout bounds the wire call itself; the
+			// waiters' contexts only bound their willingness to wait.
+			qctx, cancel := context.WithTimeout(gctx, timeout)
+			defer cancel()
+			return queryBatch(qctx, conn, items)
+		})
 	var res *result.Results
 	led := true
 	if err == nil {

@@ -107,8 +107,7 @@ func WithQueueDepth(n int) SearchOption {
 }
 
 // WithMaxBatchWire bounds how many distinct queued queries one wire call
-// multiplexes for this search's batch-capable sources (0 = the
-// dispatcher default). Like WithSourceConcurrency, it applies only to
+// multiplexes for this search's sources (0 = the dispatcher default). Like WithSourceConcurrency, it applies only to
 // queues first touched by this search.
 func WithMaxBatchWire(n int) SearchOption {
 	return func(c *searchConfig) {

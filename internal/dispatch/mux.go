@@ -10,7 +10,7 @@ import (
 // (exactly one of vals[i], errs[i] meaningful per item — a nil errs[i]
 // means vals[i] is the item's result). The items are whatever the
 // submitters passed to SubmitMux, so the dispatcher stays agnostic of
-// the wire payload; the conn middleware passes queries and gets results.
+// the wire payload; core passes queries and gets results.
 //
 // One group runs one exec — the leader batch's — under a merged context
 // that stays live while any member still has a waiter, so per-item

@@ -5,23 +5,12 @@ import (
 	"sync"
 	"time"
 
+	"starts/internal/client"
 	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
 	"starts/internal/source"
 )
-
-// SourceConn mirrors client.Conn method-for-method, declared here (like
-// obs.SourceConn) so qcache never imports the client package and the
-// dependency keeps pointing outward. Go interfaces are structural: any
-// client.Conn satisfies SourceConn and vice versa.
-type SourceConn interface {
-	SourceID() string
-	Metadata(ctx context.Context) (*meta.SourceMeta, error)
-	Summary(ctx context.Context) (*meta.ContentSummary, error)
-	Sample(ctx context.Context) ([]*source.SampleEntry, error)
-	Query(ctx context.Context, q *query.Query) (*result.Results, error)
-}
 
 // Conn caches a source connection's Query results independently of any
 // merged-answer cache: repeated per-source queries — from different
@@ -41,6 +30,13 @@ type SourceConn interface {
 // Cached results are shared between callers and must be treated as
 // read-only.
 //
+// A QueryBatch serves what it can from cache and forwards only the
+// misses — still as one inner wire call — then fills the cache with each
+// successful miss under the same freshness-derived TTL. Unlike Query,
+// batch lookups do not coalesce with in-flight fills or serve stale
+// (Get is strict); the dispatcher above already coalesces identical
+// in-flight queries by fingerprint.
+//
 // Each cached result's lifetime comes from the source's own freshness
 // metadata: the Metadata pass-through remembers the latest DateChanged /
 // DateExpires, and Query derives a per-entry TTL from them with FreshFor
@@ -48,7 +44,7 @@ type SourceConn interface {
 // — or when the source declares neither date — entries fall back to the
 // cache's Config.TTL.
 type Conn struct {
-	inner SourceConn
+	inner client.BatchConn
 	cache *Cache
 	keyer Keyer
 
@@ -58,22 +54,13 @@ type Conn struct {
 	expires time.Time
 }
 
-var _ SourceConn = (*Conn)(nil)
+var _ client.BatchConn = (*Conn)(nil)
 
 // WrapConn returns a caching wrapper for inner backed by cache. Keys are
 // scoped by the source ID, so sources sharing one cache never collide. A
-// nil cache passes everything through. A batch-capable inner
-// (BatchSourceConn) gets the batch-capable wrapper, so the capability
-// passes through the chain instead of silently downgrading.
-func WrapConn(inner SourceConn, cache *Cache) SourceConn {
-	if bi, ok := inner.(BatchSourceConn); ok {
-		return WrapBatchConn(bi, cache)
-	}
-	return newConn(inner, cache)
-}
-
-func newConn(inner SourceConn, cache *Cache) *Conn {
-	return &Conn{inner: inner, cache: cache, keyer: Keyer{Scope: "conn/" + inner.SourceID()}}
+// nil cache passes everything through.
+func WrapConn(inner client.Conn, cache *Cache) *Conn {
+	return &Conn{inner: client.Batched(inner), cache: cache, keyer: Keyer{Scope: "conn/" + inner.SourceID()}}
 }
 
 // SourceID implements client.Conn.
@@ -118,6 +105,38 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 		return nil, err
 	}
 	return v.(*result.Results), nil
+}
+
+// QueryBatch implements client.BatchConn: hits cost no wire traffic, and
+// the shrunken miss batch still amortizes one round trip.
+func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	if c.cache == nil {
+		return c.inner.QueryBatch(ctx, qs)
+	}
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	var missIdx []int
+	var missQs []*query.Query
+	for i, q := range qs {
+		if v, ok := c.cache.Get(c.keyer.Key(q)); ok {
+			results[i] = v.(*result.Results)
+			continue
+		}
+		missIdx = append(missIdx, i)
+		missQs = append(missQs, q)
+	}
+	if len(missQs) == 0 {
+		return results, errs
+	}
+	mres, merrs := c.inner.QueryBatch(ctx, missQs)
+	ttl := c.freshTTL()
+	for j, i := range missIdx {
+		results[i], errs[i] = mres[j], merrs[j]
+		if merrs[j] == nil && mres[j] != nil {
+			c.cache.PutTTL(c.keyer.Key(missQs[j]), mres[j], ttl)
+		}
+	}
+	return results, errs
 }
 
 // freshTTL derives the entry lifetime from the last harvested freshness

@@ -150,8 +150,15 @@ func Retryable(err error) bool {
 }
 
 // Conn wraps a client.Conn with retries under a RetryPolicy.
+//
+// A QueryBatch's failed-but-retryable items are re-sent as a smaller
+// batch on the next attempt — the shrunken retry still amortizes one
+// round trip — while items that already succeeded (or failed
+// permanently) keep their outcome. The budget charges what actually hits
+// the wire: one deposit per fresh call, one withdrawal per retry wire
+// call, regardless of how many items ride it.
 type Conn struct {
-	inner  client.Conn
+	inner  client.BatchConn
 	policy RetryPolicy
 	budget *Budget
 
@@ -162,13 +169,13 @@ type Conn struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-var _ client.Conn = (*Conn)(nil)
+var _ client.BatchConn = (*Conn)(nil)
 
 // Wrap returns a retrying wrapper around inner. budget may be nil
 // (unlimited retries within the policy) or shared across many conns.
 func Wrap(inner client.Conn, policy RetryPolicy, budget *Budget) *Conn {
 	return &Conn{
-		inner:  inner,
+		inner:  client.Batched(inner),
 		policy: policy.withDefaults(),
 		budget: budget,
 		rnd:    rand.New(rand.NewSource(policy.Seed)),
@@ -196,11 +203,48 @@ func (c *Conn) jitter() float64 {
 	return c.rnd.Float64()
 }
 
+// backoff is everything between a failed attempt and the next one
+// (attempt, 0-based, is the one about to run): it withdraws a budget
+// token, draws the jittered delay, refuses to sleep past a deadline that
+// dooms the retry, sleeps, and makes the retry observable — the
+// context's current span (the per-source span core opened, when the call
+// runs inside a traced search) gets a "retry" annotation and the
+// context's metrics registry counts starts_retries_total{source}, both
+// no-ops on a bare context. A non-nil return is why the retry must not
+// happen.
+func (c *Conn) backoff(ctx context.Context, what string, attempt int, last error) error {
+	if c.budget != nil && !c.budget.withdraw() {
+		return ErrBudgetExhausted
+	}
+	delay := c.policy.backoff(attempt-1, c.jitter())
+	// Never sleep past a deadline that dooms the attempt: if the
+	// remaining context budget is spent by the backoff itself, the
+	// retry could only time out — fail fast with the last real error
+	// instead of burning the caller's budget in a sleep.
+	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= delay {
+		return fmt.Errorf("backoff %v exceeds remaining deadline: %w", delay, context.DeadlineExceeded)
+	}
+	if err := c.sleep(ctx, delay); err != nil {
+		return fmt.Errorf("interrupted during backoff: %w", err)
+	}
+	obs.MetricsFrom(ctx).Counter(obs.L("starts_retries_total", "source", c.inner.SourceID())).Inc()
+	obs.Annotate(ctx, "retry", fmt.Sprintf("%s attempt %d after: %v", what, attempt+1, last))
+	return nil
+}
+
+// gaveUp words a call's final error: why retrying stopped, and the last
+// error the source itself returned.
+func (c *Conn) gaveUp(what string, why, last error) error {
+	return fmt.Errorf("resilient: %s of %s: %w (last error: %w)", what, c.inner.SourceID(), why, last)
+}
+
+// exhausted words the error of a call that used all its attempts.
+func (c *Conn) exhausted(what string, last error) error {
+	return fmt.Errorf("resilient: %s of %s failed after %d attempts: %w",
+		what, c.inner.SourceID(), c.policy.MaxAttempts, last)
+}
+
 // retryDo runs f up to MaxAttempts times, backing off between tries.
-// Each retry is observable: the context's current span (the per-source
-// span core opened, when the call runs inside a traced search) gets a
-// "retry" annotation and the context's metrics registry counts
-// starts_retries_total{source} — both no-ops on a bare context.
 func retryDo[T any](c *Conn, ctx context.Context, what string, f func(context.Context) (T, error)) (T, error) {
 	var zero T
 	if c.budget != nil {
@@ -209,25 +253,9 @@ func retryDo[T any](c *Conn, ctx context.Context, what string, f func(context.Co
 	var last error
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if c.budget != nil && !c.budget.withdraw() {
-				return zero, fmt.Errorf("resilient: %s of %s: %w (last error: %w)",
-					what, c.inner.SourceID(), ErrBudgetExhausted, last)
+			if why := c.backoff(ctx, what, attempt, last); why != nil {
+				return zero, c.gaveUp(what, why, last)
 			}
-			delay := c.policy.backoff(attempt-1, c.jitter())
-			// Never sleep past a deadline that dooms the attempt: if the
-			// remaining context budget is spent by the backoff itself, the
-			// retry could only time out — fail fast with the last real
-			// error instead of burning the caller's budget in a sleep.
-			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= delay {
-				return zero, fmt.Errorf("resilient: %s of %s: backoff %v exceeds remaining deadline: %w (last error: %w)",
-					what, c.inner.SourceID(), delay, context.DeadlineExceeded, last)
-			}
-			if err := c.sleep(ctx, delay); err != nil {
-				return zero, fmt.Errorf("resilient: %s of %s interrupted during backoff: %w (last error: %w)",
-					what, c.inner.SourceID(), err, last)
-			}
-			obs.MetricsFrom(ctx).Counter(obs.L("starts_retries_total", "source", c.inner.SourceID())).Inc()
-			obs.Annotate(ctx, "retry", fmt.Sprintf("%s attempt %d after: %v", what, attempt+1, last))
 		}
 		v, err := f(ctx)
 		if err == nil {
@@ -238,8 +266,7 @@ func retryDo[T any](c *Conn, ctx context.Context, what string, f func(context.Co
 			return zero, err
 		}
 	}
-	return zero, fmt.Errorf("resilient: %s of %s failed after %d attempts: %w",
-		what, c.inner.SourceID(), c.policy.MaxAttempts, last)
+	return zero, c.exhausted(what, last)
 }
 
 // SourceID implements client.Conn.
@@ -265,4 +292,49 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 	return retryDo(c, ctx, "query", func(ctx context.Context) (*result.Results, error) {
 		return c.inner.Query(ctx, q)
 	})
+}
+
+// QueryBatch implements client.BatchConn.
+func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	const what = "query-batch"
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	if c.budget != nil {
+		c.budget.deposit()
+	}
+	// pending maps the positions still unresolved into the original
+	// slices; each attempt re-sends exactly those.
+	pending := make([]int, len(qs))
+	for i := range qs {
+		pending[i] = i
+	}
+	pendQs := qs
+	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			if why := c.backoff(ctx, what, attempt, errs[pending[0]]); why != nil {
+				for _, i := range pending {
+					errs[i] = c.gaveUp(what, why, errs[i])
+				}
+				return results, errs
+			}
+		}
+		rs, es := c.inner.QueryBatch(ctx, pendQs)
+		var nextIdx []int
+		var nextQs []*query.Query
+		for j, i := range pending {
+			results[i], errs[i] = rs[j], es[j]
+			if es[j] != nil && Retryable(es[j]) && ctx.Err() == nil {
+				nextIdx = append(nextIdx, i)
+				nextQs = append(nextQs, pendQs[j])
+			}
+		}
+		if len(nextIdx) == 0 {
+			return results, errs
+		}
+		pending, pendQs = nextIdx, nextQs
+	}
+	for _, i := range pending {
+		errs[i] = c.exhausted(what, errs[i])
+	}
+	return results, errs
 }

@@ -105,24 +105,7 @@ func DecodeBatchItem(dec *soif.Decoder) (index int, r *Results, itemErr, err err
 	if !strings.EqualFold(rh.Type, ResultsType) {
 		return index, nil, nil, fmt.Errorf("result: batch item %d: expected @%s, found @%s", index, ResultsType, rh.Type)
 	}
-	nv, ok := rh.Get("NumDocSOIFs")
-	if !ok {
-		return index, nil, nil, fmt.Errorf("result: batch item %d: @%s header missing NumDocSOIFs", index, ResultsType)
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(nv))
-	if err != nil || n < 0 {
-		return index, nil, nil, fmt.Errorf("result: batch item %d: invalid NumDocSOIFs %q", index, nv)
-	}
-	objs := make([]*soif.Object, 0, n+1)
-	objs = append(objs, rh)
-	for i := 0; i < n; i++ {
-		o, err := dec.Decode()
-		if err != nil {
-			return index, nil, nil, fmt.Errorf("result: batch item %d: document %d of %d: %w", index, i, n, err)
-		}
-		objs = append(objs, o)
-	}
-	r, err = FromSOIF(objs)
+	r, err = decodeResultsBody(dec, rh)
 	if err != nil {
 		return index, nil, nil, fmt.Errorf("result: batch item %d: %w", index, err)
 	}

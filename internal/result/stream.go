@@ -168,7 +168,7 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("result: invalid stream frame NumDocSOIFs %q", nv)
 	}
-	it := &StreamItem{Rank: rank, Docs: make([]*Document, 0, n)}
+	it := &StreamItem{Rank: rank, Docs: make([]*Document, 0, min(n, maxDocsHint))}
 	for i := 0; i < n; i++ {
 		o, err := dec.Decode()
 		if err != nil {
@@ -183,23 +183,30 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 	return it, nil
 }
 
+// maxDocsHint caps the capacity a wire-declared NumDocSOIFs may reserve
+// before any document has been decoded. The count comes from a remote
+// source; the decode loop, not the header, proves it, so a lying header
+// costs one bounded allocation and then fails on the first object that
+// is not there. Answers longer than the cap grow by append.
+const maxDocsHint = 1024
+
 // decodeResultsBody consumes the NumDocSOIFs documents promised by an
 // already-decoded @SQResults header and assembles the whole result.
 func decodeResultsBody(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	nv, ok := head.Get("NumDocSOIFs")
 	if !ok {
-		return nil, fmt.Errorf("result: streamed @%s header missing NumDocSOIFs", ResultsType)
+		return nil, fmt.Errorf("result: @%s header missing NumDocSOIFs", ResultsType)
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(nv))
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("result: streamed @%s header: invalid NumDocSOIFs %q", ResultsType, nv)
+		return nil, fmt.Errorf("result: @%s header: invalid NumDocSOIFs %q", ResultsType, nv)
 	}
-	objs := make([]*soif.Object, 0, n+1)
+	objs := make([]*soif.Object, 0, min(n, maxDocsHint)+1)
 	objs = append(objs, head)
 	for i := 0; i < n; i++ {
 		o, err := dec.Decode()
 		if err != nil {
-			return nil, fmt.Errorf("result: streamed answer: document %d of %d: %w", i, n, err)
+			return nil, fmt.Errorf("result: document %d of %d: %w", i, n, err)
 		}
 		objs = append(objs, o)
 	}

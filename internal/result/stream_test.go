@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"starts/internal/query"
 	"starts/internal/soif"
 )
 
@@ -124,5 +125,88 @@ func TestStreamTruncated(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()/2]
 	if _, err := DecodeStreamItem(soif.NewDecoder(bytes.NewReader(cut))); err == nil || err == io.EOF {
 		t.Fatalf("truncated stream decoded: %v", err)
+	}
+}
+
+// TestLyingDocCountsAreErrors: NumDocSOIFs comes from a remote source, so
+// a header that promises more documents than follow — up to counts whose
+// slice could never be allocated — must end in a decode error on all
+// three decoders that read it, never in a makeslice panic.
+func TestLyingDocCountsAreErrors(t *testing.T) {
+	honest := &Results{Sources: []string{"Source-1"}, Documents: []*Document{source1Doc()}}
+	// resultsFrame is honest's object stream with its header's count
+	// replaced by the lie.
+	resultsFrame := func(t *testing.T, enc *soif.Encoder, lie string) {
+		objs := honest.ToSOIF()
+		objs[0].Set("NumDocSOIFs", lie)
+		for _, o := range objs {
+			if err := enc.Encode(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	head := func(t *testing.T, enc *soif.Encoder, typ string, kv ...string) {
+		h := soif.New(typ).Add("Version", query.Version)
+		for i := 0; i < len(kv); i += 2 {
+			h.Add(kv[i], kv[i+1])
+		}
+		if err := enc.Encode(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoders := []struct {
+		name   string
+		encode func(t *testing.T, enc *soif.Encoder, lie string)
+		decode func(dec *soif.Decoder) error
+	}{
+		{
+			name: "DecodeBatchItem",
+			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
+				head(t, enc, BatchItemType, "Index", "0")
+				resultsFrame(t, enc, lie)
+			},
+			decode: func(dec *soif.Decoder) error { _, _, _, err := DecodeBatchItem(dec); return err },
+		},
+		{
+			name: "DecodeStreamItem doc frame",
+			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
+				head(t, enc, StreamItemType, "Rank", "0", "NumDocSOIFs", lie)
+				if err := enc.Encode(source1Doc().toSOIF()); err != nil {
+					t.Fatal(err)
+				}
+			},
+			decode: func(dec *soif.Decoder) error { _, err := DecodeStreamItem(dec); return err },
+		},
+		{
+			name: "DecodeStreamItem terminal frame",
+			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
+				head(t, enc, StreamItemType, "Final", "1")
+				resultsFrame(t, enc, lie)
+			},
+			decode: func(dec *soif.Decoder) error { _, err := DecodeStreamItem(dec); return err },
+		},
+		{
+			name:   "DecodeStreamItem plain results",
+			encode: resultsFrame,
+			decode: func(dec *soif.Decoder) error { _, err := DecodeStreamItem(dec); return err },
+		},
+	}
+	lies := []string{"2", "1025", "4294967296", "9223372036854775806", "9223372036854775807", "-1", "9223372036854775808"}
+	for _, d := range decoders {
+		// The control: with the true count the very same frame decodes.
+		var buf bytes.Buffer
+		d.encode(t, soif.NewEncoder(&buf), "1")
+		if err := d.decode(soif.NewDecoder(&buf)); err != nil {
+			t.Fatalf("%s: honest frame failed to decode: %v", d.name, err)
+		}
+		for _, lie := range lies {
+			t.Run(d.name+"/"+lie, func(t *testing.T) {
+				var buf bytes.Buffer
+				d.encode(t, soif.NewEncoder(&buf), lie)
+				if err := d.decode(soif.NewDecoder(&buf)); err == nil || err == io.EOF {
+					t.Errorf("NumDocSOIFs %s over one document decoded: err = %v, want a decode error", lie, err)
+				}
+			})
+		}
 	}
 }

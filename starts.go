@@ -126,9 +126,10 @@ type (
 	// BatchConn is a Conn that can evaluate several queries in ONE wire
 	// call (QueryBatch), the transport seam behind wire-level
 	// multiplexing: the metasearcher's dispatch layer drains a source's
-	// queued sub-queries and issues them as a single round trip when the
-	// source's conn supports it. NewHTTPConn and NewLocalConn both return
-	// batch-capable conns; assert with ChainBatchConn after wrapping.
+	// queued sub-queries and issues them as a single round trip.
+	// NewHTTPConn and NewLocalConn return batch-native conns, every
+	// middleware here returns one, and Metasearcher.Add adapts any other
+	// Conn by running a batch's items concurrently.
 	BatchConn = client.BatchConn
 )
 
@@ -283,8 +284,8 @@ func WithSourceConcurrency(n int) SearchOption { return core.WithSourceConcurren
 func WithQueueDepth(n int) SearchOption { return core.WithQueueDepth(n) }
 
 // WithMaxBatchWire bounds how many distinct queued queries one wire call
-// multiplexes for this search's batch-capable (BatchConn) sources;
-// first-touch only, like WithSourceConcurrency.
+// multiplexes for this search's sources; first-touch only, like
+// WithSourceConcurrency.
 func WithMaxBatchWire(n int) SearchOption { return core.WithMaxBatchWire(n) }
 
 // Query-result caching and load shedding.
@@ -399,11 +400,9 @@ type (
 	// Dispatcher owns a bounded work queue and worker pool per source
 	// and coalesces identical in-flight calls across searches. Every
 	// Metasearcher builds one internally (sized by
-	// MetasearcherOptions.SourceConcurrency/QueueDepth); build one
-	// yourself only to share a dispatch layer across hand-rolled conns.
+	// MetasearcherOptions.SourceConcurrency/QueueDepth) and it is the
+	// only one: reach it through Metasearcher.Dispatcher.
 	Dispatcher = dispatch.Dispatcher
-	// DispatchConfig configures a Dispatcher; its zero value is usable.
-	DispatchConfig = dispatch.Config
 	// DispatchLimits sizes one source's queue: worker count and queue
 	// depth. Queues are sized on first contact.
 	DispatchLimits = dispatch.Limits
@@ -411,10 +410,6 @@ type (
 	// by Metasearcher.DispatchStats and GET /debug/dispatch.
 	DispatchQueueStat = dispatch.QueueStat
 )
-
-// NewDispatcher returns a per-source dispatcher for use with
-// DispatchMiddleware; remember to Close it.
-func NewDispatcher(cfg DispatchConfig) *Dispatcher { return dispatch.New(cfg) }
 
 // Dispatch errors, for errors.Is against per-source outcomes: a full
 // queue sheds instead of blocking, an open breaker refuses instead of
@@ -508,13 +503,6 @@ func MetricLabel(name string, kv ...string) string { return obs.L(name, kv...) }
 // the context's current span and counted into reg.
 func WrapConn(c Conn, reg *MetricsRegistry) Conn { return obs.WrapConn(c, reg) }
 
-// The client.Conn and obs.SourceConn interfaces are structurally
-// identical; these assertions pin that equivalence.
-var (
-	_ obs.SourceConn = Conn(nil)
-	_ Conn           = obs.SourceConn(nil)
-)
-
 // Resilience.
 type (
 	// RetryPolicy configures exponential backoff with jitter for a
@@ -538,11 +526,9 @@ type (
 )
 
 // NewRetryConn wraps a Conn with retries; budget may be nil or shared.
-// A batch-capable conn stays batch-capable.
+// Failed-but-retryable items of a batch are re-sent as a smaller batch
+// on the next attempt.
 func NewRetryConn(c Conn, p RetryPolicy, budget *RetryBudget) Conn {
-	if bc, ok := c.(BatchConn); ok {
-		return resilient.WrapBatch(bc, p, budget)
-	}
 	return resilient.Wrap(c, p, budget)
 }
 
@@ -550,7 +536,8 @@ func NewRetryConn(c Conn, p RetryPolicy, budget *RetryBudget) Conn {
 func NewBreaker(cfg BreakerConfig) *Breaker { return resilient.NewBreaker(cfg) }
 
 // NewFaultyConn wraps a Conn with deterministic, seedable fault
-// injection.
+// injection. The injector gates once per wire call, so an injected fault
+// fails a whole batch like a broken wire would.
 func NewFaultyConn(c Conn, cfg FaultConfig) *FaultyConn { return faulty.WrapConn(c, cfg) }
 
 // NewFaultMiddleware wraps an HTTP handler (e.g. a Server) with fault
@@ -571,45 +558,19 @@ type ConnMiddleware = client.Middleware
 //		starts.ObserveMiddleware(reg),   // times every attempt
 //		starts.RetryMiddleware(policy, budget)) // retries observed faults
 //
-// Nil middlewares are skipped.
-//
-// Capability rule: every middleware this package exports is
-// batch-transparent — wrapping a BatchConn yields a BatchConn — so a
-// chain over a batch-capable transport keeps its QueryBatch seam from
-// leaf to outermost wrapper. A custom middleware that returns a plain
-// Conn silently downgrades the chain to one wire call per query; use
-// ChainBatchConn to detect that.
+// Nil middlewares are skipped. Every middleware this package exports
+// returns a BatchConn whatever it wraps (see BatchConn), so order is the
+// only thing a chain has to get right.
 func ChainConn(conn Conn, mw ...ConnMiddleware) Conn { return client.Chain(conn, mw...) }
 
-// ChainBatchConn is ChainConn plus a capability report: ok is true when
-// the fully wrapped conn still implements BatchConn, i.e. no middleware
-// in the chain dropped the batch seam.
-func ChainBatchConn(conn Conn, mw ...ConnMiddleware) (Conn, bool) {
-	return client.ChainBatch(conn, mw...)
-}
-
-// RetryMiddleware is NewRetryConn as a ConnMiddleware. A batch-capable
-// conn stays batch-capable: failed-but-retryable batch items are re-sent
-// as a smaller batch on the next attempt.
+// RetryMiddleware is NewRetryConn as a ConnMiddleware.
 func RetryMiddleware(p RetryPolicy, budget *RetryBudget) ConnMiddleware {
-	return func(c Conn) Conn {
-		if bc, ok := c.(BatchConn); ok {
-			return resilient.WrapBatch(bc, p, budget)
-		}
-		return resilient.Wrap(c, p, budget)
-	}
+	return func(c Conn) Conn { return resilient.Wrap(c, p, budget) }
 }
 
-// FaultyMiddleware is NewFaultyConn as a ConnMiddleware. A batch-capable
-// conn stays batch-capable: the injector gates once per wire call, so an
-// injected fault fails the whole batch like a broken wire would.
+// FaultyMiddleware is NewFaultyConn as a ConnMiddleware.
 func FaultyMiddleware(cfg FaultConfig) ConnMiddleware {
-	return func(c Conn) Conn {
-		if bc, ok := c.(BatchConn); ok {
-			return faulty.WrapBatch(bc, cfg)
-		}
-		return faulty.WrapConn(c, cfg)
-	}
+	return func(c Conn) Conn { return faulty.WrapConn(c, cfg) }
 }
 
 // ObserveMiddleware is WrapConn as a ConnMiddleware.
@@ -626,23 +587,12 @@ func ObserveMiddleware(reg *MetricsRegistry) ConnMiddleware {
 //		starts.RetryMiddleware(policy, budget),
 //		starts.CacheMiddleware(cache),
 //		starts.ObserveMiddleware(reg))
+//
+// That is the recommended chain; the metasearcher's own dispatcher sits
+// on top of it, queueing and coalescing per source before any of it
+// runs.
 func CacheMiddleware(cache *QueryCache) ConnMiddleware {
 	return func(c Conn) Conn { return qcache.WrapConn(c, cache) }
-}
-
-// DispatchMiddleware routes a conn's traffic through d: calls queue per
-// source, run on bounded workers, and identical in-flight calls coalesce
-// into one wire call. Compose it OUTSIDE the cache so concurrent
-// identical misses batch before they can stampede the fill, and INSIDE
-// the observer so coalesced calls still count:
-//
-//	conn = starts.ChainConn(conn,
-//		starts.RetryMiddleware(policy, budget),
-//		starts.CacheMiddleware(cache),
-//		starts.DispatchMiddleware(d, starts.DispatchLimits{}),
-//		starts.ObserveMiddleware(reg))
-func DispatchMiddleware(d *Dispatcher, lim DispatchLimits) ConnMiddleware {
-	return func(c Conn) Conn { return dispatch.WrapConn(c, d, lim) }
 }
 
 // Selectors.

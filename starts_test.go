@@ -187,3 +187,54 @@ func TestFacadeSOIFInterop(t *testing.T) {
 		t.Errorf("not SOIF:\n%s", data)
 	}
 }
+
+// TestFacadeWrappersAreBatchConns: every conn the facade's wrappers
+// return — including NewFaultyConn, which soak tests build their fleets
+// from — has QueryBatch, so wrapping never changes which path the
+// metasearcher's dispatcher takes, and an injected fault fails the whole
+// batch as one wire call.
+func TestFacadeWrappersAreBatchConns(t *testing.T) {
+	eng, err := starts.NewVectorEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := starts.NewSource("S", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(&starts.Document{Linkage: "http://s/1", Title: "t", Body: "databases"}); err != nil {
+		t.Fatal(err)
+	}
+	leaf := starts.NewLocalConn(src, nil)
+	fc := starts.NewFaultyConn(leaf, starts.FaultConfig{})
+	for name, c := range map[string]starts.Conn{
+		"NewFaultyConn": fc,
+		"NewRetryConn":  starts.NewRetryConn(leaf, starts.RetryPolicy{}, nil),
+		"WrapConn":      starts.WrapConn(leaf, starts.NewMetricsRegistry()),
+		"ChainConn": starts.ChainConn(leaf,
+			starts.FaultyMiddleware(starts.FaultConfig{}),
+			starts.RetryMiddleware(starts.RetryPolicy{}, nil),
+			starts.CacheMiddleware(starts.NewQueryCache(starts.QueryCacheConfig{})),
+			starts.ObserveMiddleware(starts.NewMetricsRegistry())),
+	} {
+		if _, ok := c.(starts.BatchConn); !ok {
+			t.Errorf("%s returned %T, which is not a BatchConn", name, c)
+		}
+	}
+
+	q := starts.NewQuery()
+	q.Ranking, _ = starts.ParseRanking(`list((body-of-text "databases"))`)
+	var bc starts.BatchConn = fc
+	rs, errs := bc.QueryBatch(context.Background(), []*starts.Query{q, q})
+	if len(rs) != 2 || errs[0] != nil || errs[1] != nil || len(rs[0].Documents) != 1 {
+		t.Fatalf("healthy batch = %v, %v", rs, errs)
+	}
+	fc.SetFailing(true)
+	_, errs = bc.QueryBatch(context.Background(), []*starts.Query{q, q})
+	if errs[0] == nil || errs[1] == nil {
+		t.Errorf("failing batch errors = %v, want every item failed", errs)
+	}
+	if got := fc.Calls(); got != 2 {
+		t.Errorf("injector decided %d calls, want 2 (one per wire call, not per item)", got)
+	}
+}
