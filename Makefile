@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,29 @@ bench-smoke:
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
 
+# fuzz gives the server's one request decoder a ten-second budget. Seeds
+# also run with every `go test`. Minimisation is capped at 100 runs per
+# input: the default (60 s) spends the whole budget shrinking the first
+# interesting input it meets.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x ./internal/server
+
+# loc prints what the simplicity changes count: non-test Go lines for the
+# repository (bench/, its own frozen module, excluded) and per internal/
+# package, and the number of With* options. CHANGES.md quotes it.
+loc:
+	@nontest() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-22s %6d\n' 'repo (non-test)' "$$(nontest .)"; \
+	for d in internal/*/; do printf '%-22s %6d\n' "$${d%/}" "$$(nontest "$$d")"; done; \
+	printf '%-22s %6d\n' '^func With' "$$(grep -rh '^func With' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)"
+
 # tier1 is the repo's baseline gate: everything must always pass.
 tier1: build test
 
 # tier2 adds static analysis (lint = gofmt + vet), the race detector, the
-# overload soak scenarios and the benchmark module's build + smoke run.
-tier2: lint race soak bench-smoke
+# overload soak scenarios, the decoder's fuzz budget and the benchmark
+# module's build + smoke run.
+tier2: lint race soak fuzz bench-smoke
 
 check: tier1 tier2
 

@@ -216,7 +216,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "startsh: %v\n", err)
 			os.Exit(1)
 		}
-		cs := starts.NewConnServer(broker, "http://"+*brokerAddr)
+		cs := starts.NewConnServer(broker, "http://"+*brokerAddr, starts.WithServerMetrics(reg))
 		go func() {
 			if err := http.ListenAndServe(*brokerAddr, cs); err != nil {
 				fmt.Fprintf(os.Stderr, "startsh: broker server: %v\n", err)

@@ -106,29 +106,13 @@ func (c *Client) QueryBatch(ctx context.Context, url string, qs []*query.Query) 
 			return results, errs
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body.Bytes()))
+	rc, err := c.open(ctx, http.MethodPost, url, body.Bytes())
 	if err != nil {
 		splitBatchErr(results, errs, err)
 		return results, errs
 	}
-	req.Header.Set("Content-Type", "application/x-soif")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		splitBatchErr(results, errs, err)
-		return results, errs
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-		_, _ = io.Copy(io.Discard, resp.Body)
-		splitBatchErr(results, errs, &StatusError{
-			Method: req.Method, URL: req.URL.String(),
-			StatusCode: resp.StatusCode, Status: resp.Status,
-			Snippet: truncate(snippet),
-		})
-		return results, errs
-	}
-	c.decodeBatch(io.LimitReader(resp.Body, maxResponseBytes), qs, results, errs)
+	defer rc.Close()
+	c.decodeBatch(io.LimitReader(rc, maxResponseBytes), qs, results, errs)
 	return results, errs
 }
 

@@ -85,43 +85,55 @@ func NewClient(httpClient *http.Client) *Client {
 }
 
 func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	return c.fetch(ctx, http.MethodGet, url, nil)
+}
+
+// fetch is one buffered round trip: open, then read the whole body.
+func (c *Client) fetch(ctx context.Context, method, url string, body []byte) ([]byte, error) {
+	rc, err := c.open(ctx, method, url, body)
 	if err != nil {
 		return nil, err
 	}
-	return c.do(req)
+	defer rc.Close()
+	data, err := io.ReadAll(io.LimitReader(rc, maxResponseBytes))
+	if err != nil {
+		return nil, fmt.Errorf("client: reading %s: %w", url, err)
+	}
+	return data, nil
 }
 
-func (c *Client) post(ctx context.Context, url string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// open is the one round trip every call makes: it sends the request (a
+// non-nil body goes out as SOIF) and returns the open body of a 200
+// response for the caller to read and close. Any other status is
+// reported as a *StatusError carrying the start of the error body.
+func (c *Client) open(ctx context.Context, method, url string, body []byte) (io.ReadCloser, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-soif")
-	return c.do(req)
-}
-
-func (c *Client) do(req *http.Request) ([]byte, error) {
+	if body != nil {
+		req.Header.Set("Content-Type", "application/x-soif")
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
+	if resp.StatusCode == http.StatusOK {
+		return resp.Body, nil
+	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-		// Drain the rest so the keep-alive connection is reusable.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, &StatusError{
-			Method: req.Method, URL: req.URL.String(),
-			StatusCode: resp.StatusCode, Status: resp.Status,
-			Snippet: truncate(snippet),
-		}
+	snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
+	// Drain the rest so the keep-alive connection is reusable.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil, &StatusError{
+		Method: method, URL: req.URL.String(),
+		StatusCode: resp.StatusCode, Status: resp.Status,
+		Snippet: truncate(snippet),
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return nil, fmt.Errorf("client: reading %s: %w", req.URL, err)
-	}
-	return data, nil
 }
 
 // StatusError is a non-200 HTTP response from a source. It carries the
@@ -201,7 +213,7 @@ func (c *Client) Query(ctx context.Context, url string, q *query.Query) (*result
 	if err != nil {
 		return nil, err
 	}
-	data, err := c.post(ctx, url, body)
+	data, err := c.fetch(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"starts/internal/query"
 	"starts/internal/result"
@@ -22,9 +22,9 @@ import (
 // with it).
 //
 // StreamConn is a leaf capability: HTTPConn, LocalConn and core.Broker
-// implement it and server.ConnServer consumes it. The conn middlewares
-// do not forward it, so a wrapped conn answers ?stream=1 with a single
-// terminal frame.
+// implement it and the server's ?stream=1 route consumes it. The conn
+// middlewares do not forward it, so a wrapped conn answers ?stream=1
+// with a single terminal frame.
 type StreamConn interface {
 	Conn
 	// QueryStream evaluates q, delivering frames to sink as they arrive.
@@ -36,7 +36,7 @@ type StreamConn interface {
 // response incrementally.
 func StreamURL(queryURL string) string {
 	sep := "?"
-	if bytes.ContainsRune([]byte(queryURL), '?') {
+	if strings.Contains(queryURL, "?") {
 		sep = "&"
 	}
 	return queryURL + sep + "stream=1"
@@ -54,26 +54,12 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	rc, err := c.open(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-soif")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, &StatusError{
-			Method: req.Method, URL: req.URL.String(),
-			StatusCode: resp.StatusCode, Status: resp.Status,
-			Snippet: truncate(snippet),
-		}
-	}
-	dec := soif.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes))
+	defer rc.Close()
+	dec := soif.NewDecoder(io.LimitReader(rc, maxResponseBytes))
 	var final *result.Results
 	for {
 		it, err := result.DecodeStreamItem(dec)
@@ -81,7 +67,7 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("client: streaming %s: %w", req.URL, err)
+			return nil, fmt.Errorf("client: streaming %s: %w", url, err)
 		}
 		if it.Err != nil {
 			return nil, it.Err
@@ -96,7 +82,7 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 		}
 	}
 	if final == nil {
-		return nil, fmt.Errorf("client: streaming %s: response ended without a terminal answer", req.URL)
+		return nil, fmt.Errorf("client: streaming %s: response ended without a terminal answer", url)
 	}
 	return final, nil
 }

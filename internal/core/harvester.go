@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"time"
-
-	"starts/internal/dispatch"
 )
 
 // HarvestDue refreshes every source whose harvested metadata is missing,
@@ -18,7 +16,6 @@ import (
 // the sources that were due (empty when nothing was).
 func (m *Metasearcher) HarvestDue(ctx context.Context, lead time.Duration) map[string]error {
 	m.mu.RLock()
-	lim := dispatch.Limits{Concurrency: m.opts.SourceConcurrency, QueueDepth: m.opts.QueueDepth, MaxBatchWire: m.opts.MaxBatchWire}
 	now := m.opts.Now()
 	var due []string
 	for _, id := range m.order {
@@ -28,7 +25,7 @@ func (m *Metasearcher) HarvestDue(ctx context.Context, lead time.Duration) map[s
 	}
 	m.mu.RUnlock()
 	m.metrics.Counter("starts_harvester_due_total").Add(int64(len(due)))
-	errs := m.harvestIDs(ctx, lim, due)
+	errs := m.harvestIDs(ctx, due)
 	out := make(map[string]error, len(due))
 	for _, id := range due {
 		out[id] = errs[id]

@@ -73,7 +73,7 @@ type Options struct {
 	// refreshes) flows through the metasearcher's dispatch layer, where
 	// each source owns this many workers. 0 takes
 	// dispatch.DefaultConcurrency. A source's queue is sized on its
-	// first contact; later per-search overrides do not resize it.
+	// first contact (the adaptive controller resizes it afterwards).
 	SourceConcurrency int
 	// QueueDepth bounds how many batches may wait per source before
 	// submissions are shed with a typed dispatch.ErrQueueFull (surfaced
@@ -270,10 +270,7 @@ func (m *Metasearcher) expired(e *entry) bool {
 // through the dispatch layer. It returns the first error encountered,
 // after attempting all sources.
 func (m *Metasearcher) Harvest(ctx context.Context) error {
-	m.mu.RLock()
-	lim := dispatch.Limits{Concurrency: m.opts.SourceConcurrency, QueueDepth: m.opts.QueueDepth, MaxBatchWire: m.opts.MaxBatchWire}
-	m.mu.RUnlock()
-	for _, err := range m.harvestAll(ctx, lim) {
+	for _, err := range m.harvestAll(ctx) {
 		if err != nil {
 			return err
 		}
@@ -286,7 +283,7 @@ func (m *Metasearcher) Harvest(ctx context.Context) error {
 // refresh is submitted to the source's dispatch queue under the key
 // "harvest", so concurrent searches that both find a source stale share
 // one harvest instead of racing duplicate fetches at it.
-func (m *Metasearcher) harvestAll(ctx context.Context, lim dispatch.Limits) map[string]error {
+func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
 	m.mu.RLock()
 	total := len(m.order)
 	var stale []string
@@ -298,19 +295,19 @@ func (m *Metasearcher) harvestAll(ctx context.Context, lim dispatch.Limits) map[
 	m.mu.RUnlock()
 	m.metrics.Counter("starts_harvest_cache_hits_total").Add(int64(total - len(stale)))
 	m.metrics.Counter("starts_harvest_cache_misses_total").Add(int64(len(stale)))
-	return m.harvestIDs(ctx, lim, stale)
+	return m.harvestIDs(ctx, stale)
 }
 
 // harvestIDs refreshes the given sources concurrently through the
 // dispatch layer (key "harvest", so concurrent searches and the
 // scheduled harvester share one fetch per source) and returns the
 // per-source errors.
-func (m *Metasearcher) harvestIDs(ctx context.Context, lim dispatch.Limits, ids []string) map[string]error {
+func (m *Metasearcher) harvestIDs(ctx context.Context, ids []string) map[string]error {
 	out := map[string]error{}
 	tickets := make(map[string]*dispatch.Ticket, len(ids))
 	for _, id := range ids {
 		id := id
-		t, err := m.dispatcher.Submit(ctx, id, "harvest", lim,
+		t, err := m.dispatcher.Submit(ctx, id, "harvest", dispatch.Limits{},
 			func(tctx context.Context) (any, error) {
 				return nil, m.harvestOne(tctx, id)
 			})
@@ -765,8 +762,7 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	// Best-effort harvesting: an unreachable source must not block the
 	// healthy ones; its error is recorded in the answer instead.
 	hsp := tr.StartSpan("harvest")
-	harvestErrs := m.harvestAll(obs.WithSpan(ctx, hsp),
-		dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire})
+	harvestErrs := m.harvestAll(obs.WithSpan(ctx, hsp))
 	hsp.Annotate("errors", strconv.Itoa(len(harvestErrs)))
 	hsp.End(nil)
 
@@ -1166,13 +1162,12 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// bounded by the same timeout applied inside the task.
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	lim := dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire}
 	// The dispatch worker drains queued sub-queries for this source and
 	// issues them as ONE wire call, so a fan-out burst pays one round
 	// trip per drain instead of one per query. Per-item errors come
 	// back index-aligned, and the breaker gating below uses
 	// Ticket.FaultPrimary so a shared wire failure counts once.
-	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
+	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), dispatch.Limits{},
 		sent, func(gctx context.Context, items []any) ([]any, []error) {
 			// The per-source Timeout bounds the wire call itself; the
 			// waiters' contexts only bound their willingness to wait.

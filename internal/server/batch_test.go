@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -86,20 +87,24 @@ func TestQueryBatchEndToEnd(t *testing.T) {
 
 // TestQueryBatchStreamsFirstItem proves the streaming contract: the
 // first finished item's frame is readable off the wire BEFORE the last
-// item has even been evaluated. Item 1 is parked on a gate; the test
-// decodes item 0 from the live response body, and only then opens the
-// gate. If the server buffered the response until wg.Wait, the decode
-// would block forever and the watchdog would fail the test.
+// item has even been evaluated. Item 1 is parked on a gate inside the
+// served conn; the test decodes item 0 from the live response body, and
+// only then opens the gate. If the server buffered the response until
+// wg.Wait, the decode would block forever and the watchdog would fail
+// the test.
 func TestQueryBatchStreamsFirstItem(t *testing.T) {
 	gate := make(chan struct{})
-	batchItemGate = func(index int) {
-		if index == 1 {
-			<-gate
-		}
-	}
-	defer func() { batchItemGate = nil }()
-
-	ts, _ := startTestServer(t)
+	_, res := startTestServer(t)
+	src, _ := res.Source("Source-1")
+	local := client.NewLocalConn(src, res)
+	ts := httptest.NewServer(NewConns([]client.Conn{&queryFunc{Conn: local,
+		query: func(ctx context.Context, q *query.Query) (*result.Results, error) {
+			if strings.Contains(q.Ranking.String(), "metasearchers") {
+				<-gate
+			}
+			return local.Query(ctx, q)
+		}}}, ""))
+	t.Cleanup(ts.Close)
 	qs := []*query.Query{
 		rankQuery(t, `list((any "distributed"))`),
 		rankQuery(t, `list((any "metasearchers"))`),
@@ -229,8 +234,8 @@ func TestQueryBatchRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchRequestCaps pins the item cap.
-func TestDecodeBatchRequestCaps(t *testing.T) {
+// TestDecodeRequestCaps pins the item cap.
+func TestDecodeRequestCaps(t *testing.T) {
 	q := query.New()
 	r, err := query.ParseRanking(`list((any "x"))`)
 	if err != nil {
@@ -248,7 +253,7 @@ func TestDecodeBatchRequestCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := decodeBatchRequest(&body); !errors.Is(err, errBatchTooLarge) {
-		t.Errorf("err = %v, want errBatchTooLarge", err)
+	if _, err := decodeRequest(&body, maxBatchBytes, false); !errors.Is(err, errTooLarge) {
+		t.Errorf("err = %v, want errTooLarge", err)
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // regionalBroker builds a one-source regional metasearcher around docs,
-// wraps it as a broker Conn and serves it over HTTP via ConnServer.
-func regionalBroker(t *testing.T, brokerID, sourceID string, docs []*index.Document) *httptest.Server {
+// wraps it as a broker Conn and serves it over HTTP via NewConns.
+func regionalBroker(t *testing.T, brokerID, sourceID string, docs []*index.Document, opts ...Option) *httptest.Server {
 	t.Helper()
 	eng, err := engine.New(engine.NewVectorConfig())
 	if err != nil {
@@ -40,7 +40,7 @@ func regionalBroker(t *testing.T, brokerID, sourceID string, docs []*index.Docum
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.NotFoundHandler())
-	ts.Config.Handler = NewConnServer(broker, ts.URL)
+	ts.Config.Handler = NewConns([]client.Conn{broker}, ts.URL, opts...)
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -57,7 +57,7 @@ func rankingQuery(t *testing.T, src string) *query.Query {
 }
 
 // TestZBrokerRouting is the ZBroker scenario end to end: two regional
-// metasearchers publish themselves as STARTS sources via ConnServer, a
+// metasearchers publish themselves as STARTS sources via NewConns, a
 // front metasearcher discovers both, and its GlOSS selector routes each
 // query to the one region whose served summary carries the terms —
 // rank-merging that region's answer, never contacting the other.
@@ -111,7 +111,7 @@ func TestZBrokerRouting(t *testing.T) {
 }
 
 // TestConnServerBatchEndpoint pins the wire contract HTTPConn.QueryBatch
-// depends on: the ConnServer's query-batch route accepts an @SQuery
+// depends on: a served broker's query-batch route accepts an @SQuery
 // stream and answers index-aligned frames.
 func TestConnServerBatchEndpoint(t *testing.T) {
 	ts := regionalBroker(t, "region-b", "B-Src", []*index.Document{

@@ -3,17 +3,13 @@ package server
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"starts/internal/engine"
-	"starts/internal/index"
 	"starts/internal/obs"
 	"starts/internal/query"
-	"starts/internal/source"
 )
 
 func queryBody(t *testing.T) string {
@@ -157,34 +153,23 @@ func TestETagVariesWithEncoding(t *testing.T) {
 // query is rejected 503 within the queue timeout, with a Retry-After
 // hint and a starts_qcache_shed_total count.
 func TestQuerySheds(t *testing.T) {
+	for _, face := range faces {
+		t.Run(face, func(t *testing.T) { testQuerySheds(t, face) })
+	}
+}
+
+func testQuerySheds(t *testing.T, face string) {
 	const queueTimeout = 50 * time.Millisecond
-	res := source.NewResource()
-	eng, err := engine.New(engine.NewVectorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := source.New("S", eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = src.Add(&index.Document{Linkage: "http://s/1", Title: "doc", Body: "distributed systems"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Add(src); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(http.NotFoundHandler())
-	srv := New(res, ts.URL, WithMaxInflight(1, queueTimeout))
-	ts.Config.Handler = srv
-	t.Cleanup(ts.Close)
+	metrics := obs.NewRegistry()
+	ts, id := serveFace(t, face, WithMetrics(metrics), WithMaxInflight(1, queueTimeout))
+	queryURL := ts.URL + "/sources/" + id + "/query"
 
 	// Hold the only slot: the handler admits the request, then blocks
 	// reading a body we never finish sending.
 	pr, pw := io.Pipe()
 	slowDone := make(chan error, 1)
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/sources/S/query", pr)
+		req, err := http.NewRequest(http.MethodPost, queryURL, pr)
 		if err != nil {
 			slowDone <- err
 			return
@@ -196,7 +181,7 @@ func TestQuerySheds(t *testing.T) {
 		}
 		slowDone <- err
 	}()
-	inflight := srv.Metrics().Gauge(obs.MQCacheInflight)
+	inflight := metrics.Gauge(obs.MQCacheInflight)
 	deadline := time.Now().Add(5 * time.Second)
 	for inflight.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -207,8 +192,7 @@ func TestQuerySheds(t *testing.T) {
 
 	// The next query must be shed promptly.
 	start := time.Now()
-	resp, err := ts.Client().Post(ts.URL+"/sources/S/query", ContentType,
-		strings.NewReader(queryBody(t)))
+	resp, err := ts.Client().Post(queryURL, ContentType, strings.NewReader(queryBody(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +206,7 @@ func TestQuerySheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Errorf("503 without Retry-After")
 	}
-	if got := srv.Metrics().Counter(obs.MQCacheShed).Value(); got != 1 {
+	if got := metrics.Counter(obs.MQCacheShed).Value(); got != 1 {
 		t.Errorf("%s = %v, want 1", obs.MQCacheShed, got)
 	}
 

@@ -13,7 +13,13 @@ import (
 )
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := startTestServer(t)
+	for _, face := range faces {
+		t.Run(face, func(t *testing.T) { testMetricsEndpoint(t, face) })
+	}
+}
+
+func testMetricsEndpoint(t *testing.T, face string) {
+	ts, id := serveFace(t, face)
 	ctx := context.Background()
 	hc := client.NewClient(nil)
 	conns, err := hc.Discover(ctx, ts.URL+"/resource")
@@ -51,7 +57,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`starts_server_requests_total{route="query"} 1`,
 		`starts_server_requests_total{route="resource"} 1`,
 		`starts_server_errors_total{route="metadata",code="404"} 1`,
-		`starts_server_query_docs_total{source="Source-1"}`,
+		`starts_server_query_docs_total{source="` + id + `"}`,
 		`starts_server_seconds_count{route="query"} 1`,
 	} {
 		if !strings.Contains(out, want) {
@@ -61,7 +67,13 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestLastTracesEndpoint(t *testing.T) {
-	ts, _ := startTestServer(t)
+	for _, face := range faces {
+		t.Run(face, func(t *testing.T) { testLastTracesEndpoint(t, face) })
+	}
+}
+
+func testLastTracesEndpoint(t *testing.T, face string) {
+	ts, id := serveFace(t, face)
 	ctx := context.Background()
 	hc := client.NewClient(nil)
 	conns, err := hc.Discover(ctx, ts.URL+"/resource")
@@ -83,7 +95,7 @@ func TestLastTracesEndpoint(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	out := string(body)
-	for _, want := range []string{`trace "query Source-1"`, "decode", "search [Source-1]", "encode", "docs="} {
+	for _, want := range []string{`trace "query ` + id + `"`, "decode", "search [" + id + "]", "encode", "docs="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/debug/last-traces missing %q:\n%s", want, out)
 		}

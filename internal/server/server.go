@@ -1,18 +1,27 @@
-// Package server exposes a STARTS resource over HTTP. The paper leaves
+// Package server exposes STARTS sources over HTTP. The paper leaves
 // transport deliberately unspecified ("what transport to use generated
 // some heated debate"); this server delivers the SOIF objects over plain
-// HTTP, the transport the examples assume:
+// HTTP, the transport the examples assume. What it serves is a list of
+// client.Conns — an in-process source, a core.Broker (a whole
+// metasearcher publishing itself as one source), anything that answers
+// the five Conn calls — all through the same routes:
 //
-//	GET  /resource               -> @SResource
-//	GET  /sources/{id}/metadata  -> @SMetaAttributes
-//	GET  /sources/{id}/summary   -> @SContentSummary
-//	GET  /sources/{id}/sample    -> sample-database results stream
-//	POST /sources/{id}/query     -> @SQResults stream (body: @SQuery)
+//	GET  /resource               -> @SResource naming every conn
+//	GET  /sources/{id}/metadata  -> @SMetaAttributes (Conn.Metadata, its
+//	     linkage rewritten to this server's URLs)
+//	GET  /sources/{id}/summary   -> @SContentSummary (Conn.Summary)
+//	GET  /sources/{id}/sample    -> sample-database results (Conn.Sample)
+//	POST /sources/{id}/query     -> @SQResults stream (body: @SQuery;
+//	     Conn.Query). With ?stream=1 the answer is @SQStreamItem-framed
+//	     and a client.StreamConn's frames are flushed as they stabilize.
 //	POST /sources/{id}/query-batch -> @SQBatchItem-framed stream, one
-//	     frame per sub-query in completion order (body: @SQuery stream)
+//	     frame per sub-query in completion order (body: @SQuery stream;
+//	     one concurrent Conn.Query per item)
 //
-// All communication is sessionless and the sources are stateless, per
-// Section 4.
+// A failure before the response starts is an HTTP status; once a framed
+// response (?stream=1, query-batch) has started, it is an in-band error
+// frame. All communication is sessionless and the sources are
+// stateless, per Section 4.
 //
 // The server is observable by default: every route is counted and timed
 // into an obs.Registry served at GET /metrics, and each query request
@@ -24,18 +33,16 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"starts/internal/client"
+	"starts/internal/meta"
 	"starts/internal/obs"
 	"starts/internal/qcache"
-	"starts/internal/query"
-	"starts/internal/result"
 	"starts/internal/soif"
 	"starts/internal/source"
 )
@@ -48,16 +55,15 @@ const ContentType = "application/x-soif"
 // wire format open; SOIF and JSON are this implementation's two).
 const JSONContentType = "application/json"
 
-// maxQueryBytes bounds the accepted query size; STARTS queries are small.
-const maxQueryBytes = 1 << 20
-
-// Server serves one resource.
+// Server serves a list of conns as one STARTS resource.
 type Server struct {
-	res     *source.Resource
-	mux     *http.ServeMux
-	metrics *obs.Registry
-	traces  *obs.TraceRing
-	gate    *qcache.Gate
+	conns    map[string]client.Conn
+	resource *meta.Resource // the /resource answer: every conn, in order
+	baseURL  string
+	mux      *http.ServeMux
+	metrics  *obs.Registry
+	traces   *obs.TraceRing
+	gate     *qcache.Gate
 
 	maxInflight       int
 	queueTimeout      time.Duration
@@ -126,15 +132,35 @@ func WithPeerCache(ps PeerCache) Option {
 	return func(s *Server) { s.peers = ps }
 }
 
-// New returns a server for the resource. baseURL (scheme://host[:port],
-// no trailing slash) is stamped into each source's exported metadata so
-// that harvested metadata points back at this server.
+// New returns a server for the in-process sources of res: NewConns over
+// one client.NewLocalConn per source.
 func New(res *source.Resource, baseURL string, opts ...Option) *Server {
-	for _, id := range res.SourceIDs() {
-		s, _ := res.Source(id)
-		s.SetBaseURL(baseURL + "/sources/" + id)
+	ids := res.SourceIDs()
+	conns := make([]client.Conn, len(ids))
+	for i, id := range ids {
+		src, _ := res.Source(id)
+		conns[i] = client.NewLocalConn(src, res)
 	}
-	srv := &Server{res: res, mux: http.NewServeMux()}
+	return NewConns(conns, baseURL, opts...)
+}
+
+// NewConns returns a server for conns, whose source IDs must be distinct.
+// baseURL (scheme://host[:port]) is where the server is reachable: the
+// resource description and every served metadata object point back at it.
+func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
+	srv := &Server{
+		conns:    make(map[string]client.Conn, len(conns)),
+		resource: &meta.Resource{},
+		baseURL:  strings.TrimRight(baseURL, "/"),
+		mux:      http.NewServeMux(),
+	}
+	for _, c := range conns {
+		srv.conns[c.SourceID()] = c
+		srv.resource.Entries = append(srv.resource.Entries, meta.ResourceEntry{
+			SourceID:    c.SourceID(),
+			MetadataURL: srv.sourceURL(c.SourceID(), "metadata"),
+		})
+	}
 	for _, o := range opts {
 		o(srv)
 	}
@@ -155,8 +181,8 @@ func New(res *source.Resource, baseURL string, opts ...Option) *Server {
 	srv.route("GET /sources/{id}/metadata", "metadata", srv.handleMetadata)
 	srv.route("GET /sources/{id}/summary", "summary", srv.handleSummary)
 	srv.route("GET /sources/{id}/sample", "sample", srv.handleSample)
-	srv.route("POST /sources/{id}/query", "query", srv.handleQuery)
-	srv.route("POST /sources/{id}/query-batch", "query-batch", srv.handleQueryBatch)
+	srv.queryRoute("query", maxQueryBytes, srv.handleQuery)
+	srv.queryRoute("query-batch", maxBatchBytes, srv.handleBatch)
 	srv.mux.Handle("GET /metrics", srv.metrics.Handler())
 	srv.mux.Handle("GET /debug/last-traces", srv.traces.Handler())
 	if srv.peers != nil {
@@ -218,14 +244,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func (s *Server) source(w http.ResponseWriter, r *http.Request) (*source.Source, bool) {
+// conn resolves the route's {id}, answering 404 for a source this server
+// does not carry.
+func (s *Server) conn(w http.ResponseWriter, r *http.Request) (client.Conn, bool) {
 	id := r.PathValue("id")
-	src, ok := s.res.Source(id)
+	c, ok := s.conns[id]
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown source %q", id), http.StatusNotFound)
-		return nil, false
 	}
-	return src, true
+	return c, ok
+}
+
+// sourceURL is this server's URL for one of a source's endpoints.
+func (s *Server) sourceURL(id, endpoint string) string {
+	return s.baseURL + "/sources/" + id + "/" + endpoint
 }
 
 // wantsJSON reports whether the request prefers the JSON encoding.
@@ -321,15 +353,17 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// maxAge derives a Cache-Control lifetime from the source's freshness
-// metadata with the same rule the query cache uses for its per-entry
-// TTLs (qcache.FreshFor): the time remaining until DateExpires, or a
+// maxAge derives a Cache-Control lifetime from a conn's Metadata answer
+// with the same rule the query cache uses for its per-entry TTLs
+// (qcache.FreshFor): the time remaining until DateExpires, or a
 // heuristic tenth of the age since DateChanged when only that is set —
-// clamped to [0, one day]. Sources declaring neither, or already past
-// their expiry, get 0 (serve with revalidation, which the ETag makes
-// cheap).
-func maxAge(src *source.Source) time.Duration {
-	md := src.Metadata()
+// clamped to [0, one day]. Sources declaring neither, already past their
+// expiry, or whose metadata cannot be had right now get 0 (serve with
+// revalidation, which the ETag makes cheap).
+func maxAge(md *meta.SourceMeta, err error) time.Duration {
+	if err != nil {
+		return 0
+	}
 	d, ok := qcache.FreshFor(md.DateChanged, md.DateExpires, time.Now())
 	if !ok || d < 0 {
 		return 0
@@ -341,31 +375,48 @@ func maxAge(src *source.Source) time.Duration {
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
-	writeObjects(w, r, []*soif.Object{s.res.Description().ToSOIF()})
+	writeObjects(w, r, []*soif.Object{s.resource.ToSOIF()})
 }
 
 func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.source(w, r)
+	conn, ok := s.conn(w, r)
 	if !ok {
 		return
 	}
-	writeCacheable(w, r, []*soif.Object{src.Metadata().ToSOIF()}, maxAge(src))
+	m, err := conn.Metadata(r.Context())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	// The conn's own linkage (a source's starts:// or a core.Broker's
+	// starts-broker:// placeholders) is unreachable from the harvester's
+	// side of the wire; every endpoint lives here.
+	served := *m
+	served.Linkage = s.sourceURL(m.SourceID, "query")
+	served.ContentSummaryLinkage = s.sourceURL(m.SourceID, "summary")
+	served.SampleDatabaseResults = s.sourceURL(m.SourceID, "sample")
+	writeCacheable(w, r, []*soif.Object{served.ToSOIF()}, maxAge(m, nil))
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.source(w, r)
+	conn, ok := s.conn(w, r)
 	if !ok {
 		return
 	}
-	writeCacheable(w, r, []*soif.Object{src.ContentSummary().ToSOIF()}, maxAge(src))
+	sum, err := conn.Summary(r.Context())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	writeCacheable(w, r, []*soif.Object{sum.ToSOIF()}, maxAge(conn.Metadata(r.Context())))
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.source(w, r)
+	conn, ok := s.conn(w, r)
 	if !ok {
 		return
 	}
-	entries, err := src.SampleResults()
+	entries, err := conn.Sample(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -381,128 +432,4 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		objs = append(objs, e.Results.ToSOIF()...)
 	}
 	writeObjects(w, r, objs)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.source(w, r)
-	if !ok {
-		return
-	}
-	// Load shedding: queries are the only expensive route, so they pass
-	// the admission gate first. A full gate answers 503 within the queue
-	// timeout — clients should back off and retry (the retry middleware
-	// treats 503 as temporary).
-	release, err := s.gate.Acquire(r.Context())
-	if err != nil {
-		if errors.Is(err, qcache.ErrShed) {
-			// Back-off advice derived from the gate's live congestion
-			// (smoothed slot wait, doubled while it is in its dropping
-			// state) rather than a constant.
-			w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter()))
-		}
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	defer release()
-	// Each query request records a trace (decode → search → encode) into
-	// the /debug/last-traces ring.
-	tr := obs.NewTrace("query " + src.ID())
-	defer func() {
-		tr.Finish()
-		s.traces.Add(tr)
-	}()
-	dsp := tr.StartSpan("decode")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes+1))
-	if err != nil {
-		dsp.End(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxQueryBytes {
-		dsp.End(fmt.Errorf("query too large"))
-		http.Error(w, "query too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	var obj *soif.Object
-	if strings.Contains(r.Header.Get("Content-Type"), JSONContentType) {
-		obj = &soif.Object{}
-		err = obj.UnmarshalJSON(body)
-	} else {
-		obj, err = soif.Unmarshal(body)
-	}
-	if err != nil {
-		dsp.End(err)
-		http.Error(w, "malformed query object: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	q, err := query.FromSOIF(obj)
-	if err != nil {
-		dsp.End(err)
-		http.Error(w, "malformed query: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	dsp.End(nil)
-	if streamWanted(r) {
-		s.streamQuery(w, r, tr, src, q)
-		return
-	}
-	// Additional same-resource sources route through the resource, which
-	// eliminates duplicates; a plain query goes straight to the source.
-	qsp := tr.StartSpan("search")
-	qsp.SetSource(src.ID())
-	rr, err := searchOne(s.res, src, q)
-	qsp.End(err)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	qsp.Annotate("docs", strconv.Itoa(len(rr.Documents)))
-	s.metrics.Counter(obs.L("starts_server_query_docs_total", "source", src.ID())).
-		Add(int64(len(rr.Documents)))
-	esp := tr.StartSpan("encode")
-	writeCacheable(w, r, rr.ToSOIF(), maxAge(src))
-	esp.End(nil)
-}
-
-// streamWanted reports whether the request asked for the chunked
-// @SQStreamItem response framing. JSON responses stay buffered: the JSON
-// rendering is a single document, not a frame stream.
-func streamWanted(r *http.Request) bool {
-	return r.URL.Query().Get("stream") != "" && !wantsJSON(r)
-}
-
-// flushTo pushes buffered response bytes to the client now, when the
-// writer supports it.
-func flushTo(w http.ResponseWriter) {
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// streamQuery answers a ?stream=1 query with @SQStreamItem framing. The
-// HTTP preamble is committed and flushed before the search runs, so the
-// client sees time-to-first-byte immediately; a leaf source evaluates
-// its whole answer in one step, so the body is a single terminal frame
-// (documents and all). A search failure after the committed preamble is
-// reported as an in-band error frame, which result.Parse and the stream
-// decoder both surface as a *result.StreamError.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tr *obs.Trace, src *source.Source, q *query.Query) {
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	flushTo(w)
-	enc := soif.NewEncoder(w)
-	qsp := tr.StartSpan("search")
-	qsp.SetSource(src.ID())
-	rr, err := searchOne(s.res, src, q)
-	qsp.End(err)
-	if err != nil {
-		_ = result.EncodeStreamError(enc, err)
-		return
-	}
-	qsp.Annotate("docs", strconv.Itoa(len(rr.Documents)))
-	s.metrics.Counter(obs.L("starts_server_query_docs_total", "source", src.ID())).
-		Add(int64(len(rr.Documents)))
-	esp := tr.StartSpan("encode")
-	esp.End(result.EncodeStreamFinal(enc, rr))
-	flushTo(w)
 }

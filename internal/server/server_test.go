@@ -19,7 +19,7 @@ import (
 
 // startTestServer builds a two-source resource (with one shared document)
 // and serves it from an httptest server.
-func startTestServer(t *testing.T) (*httptest.Server, *source.Resource) {
+func startTestServer(t *testing.T, opts ...Option) (*httptest.Server, *source.Resource) {
 	t.Helper()
 	res := source.NewResource()
 	mk := func(id string, cfg engine.Config, docs []*index.Document) {
@@ -53,9 +53,28 @@ func startTestServer(t *testing.T) (*httptest.Server, *source.Resource) {
 	})
 
 	ts := httptest.NewServer(http.NotFoundHandler())
-	ts.Config.Handler = New(res, ts.URL)
+	ts.Config.Handler = New(res, ts.URL, opts...)
 	t.Cleanup(ts.Close)
 	return ts, res
+}
+
+// faces are the two kinds of conn the one server is known to serve: the
+// in-process sources of a resource (via New) and a core.Broker (via
+// NewConns). Tests of what the server adds around a conn — metrics,
+// traces, the gate — run once per face.
+var faces = []string{"leaf", "broker"}
+
+// serveFace serves the named face with opts and returns the ID of a
+// source on it whose documents mention "distributed".
+func serveFace(t *testing.T, face string, opts ...Option) (*httptest.Server, string) {
+	t.Helper()
+	if face == "leaf" {
+		ts, _ := startTestServer(t, opts...)
+		return ts, "Source-1"
+	}
+	return regionalBroker(t, "region", "Member", []*index.Document{
+		{Linkage: "http://m/1", Title: "Distributed databases", Body: "Distributed database systems.", Date: time.Date(1995, 1, 1, 0, 0, 0, 0, time.UTC)},
+	}, opts...), "region"
 }
 
 // TestEndToEndHTTP is experiment X6's correctness half: discover the

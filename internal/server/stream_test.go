@@ -91,7 +91,7 @@ func mkStreamSource(t *testing.T, id string, docs []*index.Document) *source.Sou
 
 // TestConnServerStreamsBeforeSlowSource is the tentpole's wire
 // acceptance test: a broker over a fast and a gated (slow) source,
-// published through a ConnServer and queried with HTTPConn.QueryStream,
+// published through NewConns and queried with HTTPConn.QueryStream,
 // must deliver the fast source's rank-stable documents over HTTP while
 // the slow source is still in flight — and the terminal answer must
 // still carry both sources' documents.
@@ -128,7 +128,7 @@ func TestConnServerStreamsBeforeSlowSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.NotFoundHandler())
-	ts.Config.Handler = NewConnServer(broker, ts.URL)
+	ts.Config.Handler = NewConns([]client.Conn{broker}, ts.URL)
 	t.Cleanup(ts.Close)
 
 	ctx := context.Background()
@@ -200,23 +200,19 @@ func linkages(docs []*result.Document) []string {
 	return out
 }
 
-// failingBrokerConn fails every query.
-type failingBrokerConn struct{ client.Conn }
-
-func (f *failingBrokerConn) Query(context.Context, *query.Query) (*result.Results, error) {
-	return nil, errors.New("all members down")
-}
-
-// TestConnServerInBandError: the ConnServer commits its preamble before
-// the merge, so a failed query surfaces as an in-band @SQStreamItem
-// error object — which both the buffered client path (result.Parse) and
-// the streaming decoder report as a *result.StreamError.
+// TestConnServerInBandError: a failed query is an HTTP status on the
+// buffered route, whose response has not started, and an in-band
+// @SQStreamItem error object — a *result.StreamError at the client — on
+// the streamed one, whose preamble is committed before the search.
 func TestConnServerInBandError(t *testing.T) {
 	src := mkStreamSource(t, "S", []*index.Document{
 		{Linkage: "http://s/1", Title: "doc", Body: "words", Date: time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)},
 	})
-	conn := &failingBrokerConn{Conn: client.NewLocalConn(src, nil)}
-	ts := httptest.NewServer(NewConnServer(conn, ""))
+	conn := &queryFunc{Conn: client.NewLocalConn(src, nil),
+		query: func(context.Context, *query.Query) (*result.Results, error) {
+			return nil, errors.New("all members down")
+		}}
+	ts := httptest.NewServer(NewConns([]client.Conn{conn}, ""))
 	t.Cleanup(ts.Close)
 
 	ctx := context.Background()
@@ -224,18 +220,19 @@ func TestConnServerInBandError(t *testing.T) {
 	q := rankingQuery(t, `list((body-of-text "words"))`)
 	url := ts.URL + "/sources/S/query"
 
-	var serr *result.StreamError
-	if _, err := c.Query(ctx, url, q); !errors.As(err, &serr) {
-		t.Fatalf("buffered query error = %v, want *result.StreamError", err)
+	var herr *client.StatusError
+	if _, err := c.Query(ctx, url, q); !errors.As(err, &herr) || herr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("buffered query error = %v, want a 400 *client.StatusError", err)
 	}
+	var serr *result.StreamError
 	if _, err := c.QueryStream(ctx, client.StreamURL(url), q, nil); !errors.As(err, &serr) {
 		t.Fatalf("streamed query error = %v, want *result.StreamError", err)
 	}
 }
 
-// TestConnServerStreamPlainConn: ?stream=1 against a ConnServer whose
-// Conn cannot stream still answers with legal stream framing — one
-// terminal frame.
+// TestConnServerStreamPlainConn: ?stream=1 against a served conn that
+// cannot stream still answers with legal stream framing — one terminal
+// frame.
 func TestConnServerStreamPlainConn(t *testing.T) {
 	// A Conn without QueryStream: wrap a LocalConn so the StreamConn
 	// capability is hidden.
@@ -243,7 +240,7 @@ func TestConnServerStreamPlainConn(t *testing.T) {
 		{Linkage: "http://s/1", Title: "doc", Body: "metasearch words", Date: time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)},
 	})
 	conn := struct{ client.Conn }{client.NewLocalConn(src, nil)}
-	ts := httptest.NewServer(NewConnServer(conn, ""))
+	ts := httptest.NewServer(NewConns([]client.Conn{conn}, ""))
 	t.Cleanup(ts.Close)
 
 	var frames []result.StreamItem

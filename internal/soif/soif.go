@@ -319,12 +319,33 @@ func (d *Decoder) Decode() (*Object, error) {
 				return nil, err
 			}
 		}
-		val := make([]byte, n)
-		if _, err := io.ReadFull(d.r, val); err != nil {
+		val, err := readValue(d.r, n)
+		if err != nil {
 			return nil, fmt.Errorf("soif: value of %s in @%s truncated (want %d bytes): %w", name, o.Type, n, err)
 		}
 		o.Add(name, string(val))
 	}
+}
+
+// maxTrustedLength is the largest declared value length the decoder
+// allocates for before seeing the bytes.
+const maxTrustedLength = 1 << 20
+
+// readValue reads an n-byte attribute value. A declared length is only a
+// claim until the bytes arrive — a forty-byte object can claim an exabyte
+// — so past maxTrustedLength the buffer grows with what is actually read.
+func readValue(r io.Reader, n int) ([]byte, error) {
+	if n <= maxTrustedLength {
+		val := make([]byte, n)
+		_, err := io.ReadFull(r, val)
+		return val, err
+	}
+	var buf bytes.Buffer
+	_, err := io.CopyN(&buf, r, int64(n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), err
 }
 
 // peekNonSpace skips whitespace and returns the next byte without consuming

@@ -120,6 +120,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad length", "@SQuery{\nVersion{x}: STARTS 1.0\n}\n"},
 		{"negative length", "@SQuery{\nVersion{-1}: \n}\n"},
 		{"short value", "@SQuery{\nVersion{99}: STARTS 1.0\n}\n"},
+		// A length no allocation could satisfy: an error, not a panic.
+		{"exabyte value", "@SQuery{\nVersion{4000000000000000000}: STARTS 1.0\n}\n"},
 		{"missing colon", "@SQuery{\nVersion{10}? STARTS 1.0\n}\n"},
 		{"empty type", "@{\nVersion{10}: STARTS 1.0\n}\n"},
 	}

@@ -159,9 +159,9 @@ func WithServerAdmissionTarget(target, interval time.Duration) ServerOption {
 	return server.WithAdmissionTarget(target, interval)
 }
 
-// NewServer returns an http.Handler serving the resource; baseURL is
-// stamped into exported metadata. The server exposes its own GET /metrics
-// and GET /debug/last-traces endpoints.
+// NewServer returns an http.Handler serving the resource's sources; the
+// metadata it serves points back at baseURL. The server exposes its own
+// GET /metrics and GET /debug/last-traces endpoints.
 func NewServer(res *Resource, baseURL string, opts ...ServerOption) *Server {
 	return server.New(res, baseURL, opts...)
 }
@@ -273,21 +273,6 @@ func WithCache(c *QueryCache) SearchOption { return core.WithCache(c) }
 // WithNoCache bypasses the query-result cache for this search.
 func WithNoCache() SearchOption { return core.WithNoCache() }
 
-// WithSourceConcurrency caps this search's per-source parallel wire
-// calls; takes effect only for sources whose dispatch queue this search
-// is the first to touch.
-func WithSourceConcurrency(n int) SearchOption { return core.WithSourceConcurrency(n) }
-
-// WithQueueDepth bounds how many batches may wait per source before the
-// dispatcher sheds with ErrQueueFull; first-touch only, like
-// WithSourceConcurrency.
-func WithQueueDepth(n int) SearchOption { return core.WithQueueDepth(n) }
-
-// WithMaxBatchWire bounds how many distinct queued queries one wire call
-// multiplexes for this search's sources; first-touch only, like
-// WithSourceConcurrency.
-func WithMaxBatchWire(n int) SearchOption { return core.WithMaxBatchWire(n) }
-
 // Query-result caching and load shedding.
 type (
 	// QueryCache is a sharded LRU+TTL query-result cache with
@@ -368,20 +353,18 @@ func NewPeerHandler(s *PeerStore) http.Handler { return peer.NewHandler(s) }
 // /debug/peers health view.
 func WithServerPeerCache(ps *PeerStore) ServerOption { return server.WithPeerCache(ps) }
 
-// Broker publishing: a ConnServer puts any Conn on the wire as a
-// one-source STARTS resource, the serving half of a ZBroker-style
-// hierarchy — wrap a regional Metasearcher in its Broker and serve that:
+// NewConnServer serves any Conn — not only an in-process source — as a
+// one-source STARTS resource at baseURL, through the same Server and
+// ServerOptions as NewServer. It is the serving half of a ZBroker-style
+// hierarchy: wrap a regional Metasearcher in its Broker and serve that,
 //
 //	broker, _ := regional.NewBroker("region-west")
 //	http.ListenAndServe(addr, starts.NewConnServer(broker, baseURL))
 //
-// A front metasearcher then discovers it like any leaf source and
+// and a front metasearcher discovers it like any leaf source and
 // GlOSS-routes queries to the regions whose summaries match.
-type ConnServer = server.ConnServer
-
-// NewConnServer serves conn as a STARTS resource at baseURL.
-func NewConnServer(conn Conn, baseURL string) *ConnServer {
-	return server.NewConnServer(conn, baseURL)
+func NewConnServer(conn Conn, baseURL string, opts ...ServerOption) *Server {
+	return server.NewConns([]Conn{conn}, baseURL, opts...)
 }
 
 // Debug routes for Metasearcher.DebugHandler.
