@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,13 @@ bench-smoke:
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
 
+# stress repeats the scheduler's tests (internal/dispatch) and the tests of
+# the control loop that resizes it (internal/adaptive) twenty times under
+# the race detector, so a scheduling-dependent regression shows up here as
+# a flake rather than in production. Seconds, not minutes.
+stress:
+	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/ ./internal/adaptive/
+
 # fuzz gives the server's one request decoder a ten-second budget. Seeds
 # also run with every `go test`. Minimisation is capped at 100 runs per
 # input: the default (60 s) spends the whole budget shrinking the first
@@ -80,9 +87,9 @@ loc:
 tier1: build test
 
 # tier2 adds static analysis (lint = gofmt + vet), the race detector, the
-# overload soak scenarios, the decoder's fuzz budget and the benchmark
-# module's build + smoke run.
-tier2: lint race soak fuzz bench-smoke
+# overload soak scenarios, the scheduler's stress repeat, the decoder's
+# fuzz budget and the benchmark module's build + smoke run.
+tier2: lint race soak stress fuzz bench-smoke
 
 check: tier1 tier2
 

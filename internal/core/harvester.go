@@ -61,20 +61,8 @@ func (m *Metasearcher) StartHarvester(ctx context.Context, interval, lead time.D
 	if lead <= 0 {
 		lead = 2 * interval
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				m.metrics.Counter("starts_harvester_ticks_total").Inc()
-				m.HarvestDue(ctx, lead)
-			}
-		}
-	}()
-	return done
+	return every(ctx, interval, func() {
+		m.metrics.Counter("starts_harvester_ticks_total").Inc()
+		m.HarvestDue(ctx, lead)
+	}, nil)
 }

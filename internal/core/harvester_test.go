@@ -144,18 +144,23 @@ func TestHarvestDueRetriesStale(t *testing.T) {
 }
 
 // TestStartHarvester: the background ticker sweeps until its context
-// ends, harvesting the missing entry exactly once (it has no expiry) and
-// counting its ticks.
+// ends — the paper's "extract metadata and content summaries from the
+// sources periodically" — harvesting the entry without an expiry exactly
+// once, re-pulling the always-expired one on every sweep, and counting
+// its ticks.
 func TestStartHarvester(t *testing.T) {
 	ms, c, _ := harvestFixture(t, 0)
+	expired := &countingConn{Conn: &expiringConn{failingConn{id: "E"}}}
+	ms.Add(expired)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := ms.StartHarvester(ctx, 2*time.Millisecond, 0)
 
 	ticks := ms.Metrics().Counter("starts_harvester_ticks_total")
 	deadline := time.Now().Add(5 * time.Second)
-	for ticks.Value() < 3 {
+	for ticks.Value() < 3 || expired.metaCalls.Load() < 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("harvester ticked only %d times", ticks.Value())
+			t.Fatalf("harvester ticked %d times and re-pulled the expired source %d times, want 3 of each",
+				ticks.Value(), expired.metaCalls.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -168,4 +173,17 @@ func TestStartHarvester(t *testing.T) {
 	if got := c.metaCalls.Load(); got != 1 {
 		t.Fatalf("metadata fetched %d times across %d ticks, want 1", got, ticks.Value())
 	}
+}
+
+// expiringConn serves metadata that is always already expired, forcing a
+// refresh on every harvest.
+type expiringConn struct{ failingConn }
+
+func (e *expiringConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
+	m, err := e.failingConn.Metadata(ctx)
+	if err != nil {
+		return nil, err
+	}
+	m.DateExpires = time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)
+	return m, nil
 }

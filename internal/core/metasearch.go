@@ -71,7 +71,8 @@ type Options struct {
 	// SourceConcurrency bounds how many wire calls one source serves at
 	// once: every per-source call (queries, harvests, warm replays, SWR
 	// refreshes) flows through the metasearcher's dispatch layer, where
-	// each source owns this many workers. 0 takes
+	// at most this many worker goroutines serve a source's queue (they
+	// start on demand; an idle source holds none). 0 takes
 	// dispatch.DefaultConcurrency. A source's queue is sized on its
 	// first contact (the adaptive controller resizes it afterwards).
 	SourceConcurrency int
@@ -226,8 +227,7 @@ func (m *Metasearcher) StartAdaptive(ctx context.Context) <-chan struct{} {
 func (m *Metasearcher) DispatchStats() []dispatch.QueueStat { return m.dispatcher.Snapshot() }
 
 // Close stops the dispatch layer: queued work drains, new searches fail
-// with dispatch.ErrClosed. Call it when discarding a metasearcher whose
-// process keeps running, so per-source workers do not linger.
+// with dispatch.ErrClosed.
 func (m *Metasearcher) Close() { m.dispatcher.Close() }
 
 // Metrics returns the registry this metasearcher records into.
@@ -1201,8 +1201,8 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	}
 	// Dispatch-level failures (shed, fast-drained, doomed, closed) end
 	// the dispatch span; wire failures belong to the query span only.
-	if errors.Is(err, dispatch.ErrQueueFull) || errors.Is(err, dispatch.ErrRefused) ||
-		errors.Is(err, dispatch.ErrDeadline) || errors.Is(err, dispatch.ErrClosed) {
+	declined := dispatch.Declined(err)
+	if declined {
 		dsp.End(err)
 	} else {
 		dsp.End(nil)
@@ -1220,9 +1220,7 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// is the call's primary fault (Ticket.FaultPrimary) charges the
 	// breaker; its groupmates Release instead.
 	if opts.Breaker != nil {
-		if led && (err == nil || ticket == nil || ticket.FaultPrimary()) &&
-			!errors.Is(err, dispatch.ErrQueueFull) && !errors.Is(err, dispatch.ErrRefused) &&
-			!errors.Is(err, dispatch.ErrDeadline) && !errors.Is(err, dispatch.ErrClosed) {
+		if led && !declined && (err == nil || ticket == nil || ticket.FaultPrimary()) {
 			opts.Breaker.Record(id, err)
 		} else if rel, ok := opts.Breaker.(interface{ Release(id string) }); ok {
 			rel.Release(id)

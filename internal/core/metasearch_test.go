@@ -133,7 +133,7 @@ func TestHarvestRespectsExpiry(t *testing.T) {
 	}
 }
 
-// countingConn counts metadata fetches (atomically: AutoRefresh fetches
+// countingConn counts metadata fetches (atomically: StartHarvester fetches
 // from a background goroutine).
 type countingConn struct {
 	client.Conn

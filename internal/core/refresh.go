@@ -53,6 +53,13 @@ func (m *Metasearcher) StartRefresher(ctx context.Context, interval, lead time.D
 	if lead <= 0 {
 		lead = 2 * interval
 	}
+	return every(ctx, interval, func() { m.RefreshAhead(lead) }, nil)
+}
+
+// every runs fn each interval until ctx ends, then onStop (if any), and
+// closes the returned channel once it has stopped: the loop behind
+// StartHarvester, StartRefresher and StartWorkloadSaver.
+func every(ctx context.Context, interval time.Duration, fn, onStop func()) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -61,9 +68,12 @@ func (m *Metasearcher) StartRefresher(ctx context.Context, interval, lead time.D
 		for {
 			select {
 			case <-ctx.Done():
+				if onStop != nil {
+					onStop()
+				}
 				return
 			case <-t.C:
-				m.RefreshAhead(lead)
+				fn()
 			}
 		}
 	}()
@@ -81,22 +91,8 @@ func (m *Metasearcher) StartWorkloadSaver(ctx context.Context, path string, inte
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				m.SaveWorkload(path)
-				return
-			case <-t.C:
-				m.SaveWorkload(path)
-			}
-		}
-	}()
-	return done
+	save := func() { m.SaveWorkload(path) }
+	return every(ctx, interval, save, save)
 }
 
 // SaveWorkload persists the current workload snapshot to path, counting

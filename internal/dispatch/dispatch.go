@@ -1,24 +1,24 @@
 // Package dispatch owns all per-source traffic of a metasearcher: one
-// bounded work queue plus worker pool per source, with cross-search
-// batching that coalesces identical in-flight sub-queries destined for
-// the same source into a single wire call whose result is fanned back to
-// every waiter.
+// bounded FIFO queue per source, served by at most Concurrency worker
+// goroutines. Identical in-flight sub-queries destined for the same
+// source coalesce into a single wire call whose result is fanned back to
+// every waiter, and a freed worker carries several distinct queued
+// sub-queries in one multiplexed call.
 //
 // The paper's metasearcher model (Figure 1) puts one logical channel
-// between the metasearcher and each source; before this package the core
-// spawned a fresh goroutine per (query, source) pair, so a slow source
-// accumulated unbounded in-flight work and identical sub-queries were
-// sent redundantly. The dispatcher inverts that ownership: each source
-// owns a bounded worker pool, searches merely submit work and wait on a
-// Ticket. Submission is non-blocking — a full queue sheds with a typed
-// ErrQueueFull, and a submission whose remaining context budget cannot
-// cover the source's observed typical service time sheds with a typed
-// ErrDeadline instead of queueing doomed work — and a Refuse hook lets a
-// circuit breaker fast-drain the queue of an open source instead of
-// timing out each waiter. Both per-source bounds (worker count and
-// queue depth) are live: Resize retunes them while traffic flows, the
-// seam the adaptive admission controller (internal/adaptive) closes its
-// AIMD loop through.
+// between the metasearcher and each source; this package is that
+// channel. Each source owns a bounded queue, searches merely submit work
+// and wait on a Ticket. Submission is non-blocking — a full queue sheds
+// with a typed ErrQueueFull, and a submission whose remaining context
+// budget cannot cover the source's observed typical service time sheds
+// with a typed ErrDeadline instead of queueing doomed work — and a
+// Refuse hook lets a circuit breaker fast-drain the queue of an open
+// source instead of timing out each waiter. Both per-source bounds
+// (worker count and queue depth) are live: Resize retunes them while
+// traffic flows, the seam the adaptive admission controller
+// (internal/adaptive) closes its AIMD loop through. A source's whole
+// scheduling state sits under one mutex (see queue), and an idle source
+// holds no goroutine.
 //
 // Batching reuses the qcache singleflight shape (pending map, done
 // channel, delete-before-close) one level below the answer cache: keys
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"starts/internal/obs"
@@ -50,6 +49,11 @@ const (
 	// a worker drains into one wire call (see SubmitMux).
 	DefaultMaxBatchWire = 16
 )
+
+// queueHardCap is the largest QueueDepth a queue accepts, at creation or
+// by Resize: whatever a caller or a controller asks for, the work parked
+// behind one source stays bounded.
+const queueHardCap = 1024
 
 // Typed dispatch failures, detectable with errors.Is.
 var (
@@ -72,15 +76,15 @@ var (
 	ErrDeadline = errors.New("dispatch: deadline too tight for source")
 )
 
-// minRunSamples is how many recent run durations the deadline check
-// needs before it trusts its service-time estimate; below it every
-// submission is admitted.
-const minRunSamples = 8
-
-// runRingSize bounds the recent-run ring: large enough to smooth jitter,
-// small enough that a recovered source's faster runs dominate the
-// estimate within a few calls.
-const runRingSize = 32
+// Declined reports whether err is the dispatcher's own verdict on a
+// submission — shed (ErrQueueFull, ErrDeadline), fast-drained
+// (ErrRefused) or shut down (ErrClosed) — rather than an outcome of the
+// submitted work. A declined call never reached the source, so it says
+// nothing about the source's health.
+func Declined(err error) bool {
+	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrRefused) ||
+		errors.Is(err, ErrDeadline) || errors.Is(err, ErrClosed)
+}
 
 // Task is one unit of per-source work: typically a single wire call. It
 // runs on a source-owned worker goroutine under a batch context that
@@ -88,6 +92,18 @@ const runRingSize = 32
 // cancellation; the context ends early only when every waiter has
 // abandoned the batch.
 type Task func(ctx context.Context) (any, error)
+
+// MuxExec evaluates a drained group of queued items in one wire call.
+// It must return exactly one value or error per item, index-aligned
+// (exactly one of vals[i], errs[i] meaningful per item — a nil errs[i]
+// means vals[i] is the item's result). The items are whatever the
+// submitters passed to SubmitMux, so the dispatcher stays agnostic of
+// the wire payload; core passes queries and gets results.
+//
+// One group runs one exec — the leader batch's — under a merged context
+// that stays live while any member still has a waiter, so per-item
+// abandonment never kills the shared call early.
+type MuxExec func(ctx context.Context, items []any) (vals []any, errs []error)
 
 // Limits bound one source's queue: how many workers serve it and how
 // many batches may wait. Zero fields take the dispatcher's configured
@@ -109,27 +125,22 @@ type Limits struct {
 }
 
 // withDefaults fills zero fields from fallback, then from the package
-// defaults.
+// defaults, and caps QueueDepth at queueHardCap.
 func (l Limits) withDefaults(fallback Limits) Limits {
-	if l.Concurrency <= 0 {
-		l.Concurrency = fallback.Concurrency
+	return Limits{
+		Concurrency:  firstPositive(l.Concurrency, fallback.Concurrency, DefaultConcurrency),
+		QueueDepth:   min(firstPositive(l.QueueDepth, fallback.QueueDepth, DefaultQueueDepth), queueHardCap),
+		MaxBatchWire: firstPositive(l.MaxBatchWire, fallback.MaxBatchWire, DefaultMaxBatchWire),
 	}
-	if l.Concurrency <= 0 {
-		l.Concurrency = DefaultConcurrency
+}
+
+func firstPositive(vs ...int) int {
+	for _, v := range vs {
+		if v > 0 {
+			return v
+		}
 	}
-	if l.QueueDepth <= 0 {
-		l.QueueDepth = fallback.QueueDepth
-	}
-	if l.QueueDepth <= 0 {
-		l.QueueDepth = DefaultQueueDepth
-	}
-	if l.MaxBatchWire <= 0 {
-		l.MaxBatchWire = fallback.MaxBatchWire
-	}
-	if l.MaxBatchWire <= 0 {
-		l.MaxBatchWire = DefaultMaxBatchWire
-	}
-	return l
+	return 0
 }
 
 // Config configures a Dispatcher. The zero value is usable.
@@ -137,10 +148,10 @@ type Config struct {
 	// Limits are the per-source defaults for queues whose Submit passes
 	// zero Limits fields.
 	Limits Limits
-	// Refuse, when set, is consulted by a worker before running a batch:
-	// true resolves the batch immediately with ErrRefused. Wire a circuit
-	// breaker's open-state check here so a broken source's queue drains
-	// fast. It must be safe for concurrent use.
+	// Refuse, when set, is consulted by a worker before running a group:
+	// true resolves its batches immediately with ErrRefused. Wire a
+	// circuit breaker's open-state check here so a broken source's queue
+	// drains fast. It must be safe for concurrent use.
 	Refuse func(source string) bool
 	// Metrics receives the starts_dispatch_* counters, gauges and
 	// histograms; nil allocates a private registry.
@@ -179,41 +190,66 @@ func (d *Dispatcher) Metrics() *obs.Registry { return d.cfg.Metrics }
 // must identify the work, e.g. a fingerprint of the translated query —
 // an empty key never coalesces). It never blocks: a queue at its depth
 // bound sheds with ErrQueueFull. On success the caller must consume the
-// returned Ticket with Wait.
+// returned Ticket with Wait. A plain task is a group of one: it never
+// shares a wire call with its queue neighbours.
 func (d *Dispatcher) Submit(ctx context.Context, source, key string, lim Limits, fn Task) (*Ticket, error) {
-	q, err := d.queueFor(source, lim)
-	if err != nil {
-		return nil, err
-	}
-	return q.submit(ctx, key, fn, nil, nil)
+	return d.submit(ctx, source, key, lim, fn, runTask, false)
 }
 
-// queueFor returns the source's queue, creating it (and starting its
-// pump) on first touch.
-func (d *Dispatcher) queueFor(source string, lim Limits) (*queue, error) {
+// runTask is the exec of every Submit batch: the item is the Task.
+func runTask(ctx context.Context, items []any) ([]any, []error) {
+	v, err := items[0].(Task)(ctx)
+	return []any{v}, []error{err}
+}
+
+// SubmitMux enqueues one multiplexable item for the source. It behaves
+// exactly like Submit — same admission, coalescing by key, shedding and
+// Ticket semantics — but marks the work as wire-batchable: a worker that
+// picks it up off the queue takes the SubmitMux work queued directly
+// behind it along (up to the live MaxBatchWire bound) and issues one
+// exec call for the whole group, fanning the per-item results back to
+// each ticket's waiters.
+//
+// Per-item failure semantics survive the multiplexing: each ticket
+// resolves with its own item's error, and Ticket.FaultPrimary
+// distinguishes the one member whose failure should feed per-call
+// accounting (a circuit breaker) from members that merely shared the
+// wire call.
+func (d *Dispatcher) SubmitMux(ctx context.Context, source, key string, lim Limits, item any, exec MuxExec) (*Ticket, error) {
+	if exec == nil {
+		return nil, fmt.Errorf("dispatch: SubmitMux requires an exec")
+	}
+	return d.submit(ctx, source, key, lim, item, exec, true)
+}
+
+// submit hands the item to the source's queue, created on first touch.
+func (d *Dispatcher) submit(ctx context.Context, source, key string, lim Limits, item any, exec MuxExec, mux bool) (*Ticket, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return nil, ErrClosed
 	}
 	q := d.queues[source]
 	if q == nil {
 		q = newQueue(d, source, lim.withDefaults(d.cfg.Limits))
 		d.queues[source] = q
-		go q.pump()
 	}
-	return q, nil
+	d.mu.Unlock()
+	return q.submit(ctx, key, item, exec, mux)
 }
 
 // Resize changes a source's live limits: Concurrency adjusts the
-// in-flight bound (a shrink below the current in-flight count starts no
-// new tasks until enough running ones finish; none are interrupted) and
-// QueueDepth adjusts the admission bound (a shrink sheds new submissions
-// until the queue drains below it; queued batches are kept). Zero fields
-// take the dispatcher's configured defaults. QueueDepth is clamped to
-// the queue's fixed channel capacity (at least queueHardCap), chosen at
-// creation. It reports whether the source had a queue to resize — only
-// sources already submitted to can be resized.
+// in-flight bound (a grow starts workers for waiting batches at once; a
+// shrink below the current in-flight count starts no new work until
+// enough running groups finish, and interrupts none) and QueueDepth
+// adjusts the admission bound (a shrink sheds new submissions until the
+// queue drains below it; queued batches are kept). Zero fields take the
+// dispatcher's configured defaults; QueueDepth is capped at 1024. It
+// reports whether the source had a queue to resize — only sources
+// already submitted to can be resized.
 func (d *Dispatcher) Resize(source string, lim Limits) bool {
 	d.mu.Lock()
 	q := d.queues[source]
@@ -224,63 +260,6 @@ func (d *Dispatcher) Resize(source string, lim Limits) bool {
 	}
 	q.resize(lim.withDefaults(d.cfg.Limits))
 	return true
-}
-
-// semaphore is a resizable counting semaphore: acquire blocks while held
-// >= limit, and setLimit retunes the bound live — lowering it below the
-// held count blocks new acquires until enough releases land, without
-// interrupting current holders.
-type semaphore struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	limit int
-	held  int
-}
-
-func newSemaphore(limit int) *semaphore {
-	s := &semaphore{limit: limit}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *semaphore) acquire() {
-	s.mu.Lock()
-	for s.held >= s.limit {
-		s.cond.Wait()
-	}
-	s.held++
-	s.mu.Unlock()
-}
-
-func (s *semaphore) release() {
-	s.mu.Lock()
-	s.held--
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// free reports how many slots an acquire would win without waiting
-// (zero while a shrink leaves more holders than the new limit).
-func (s *semaphore) free() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.limit - s.held; n > 0 {
-		return n
-	}
-	return 0
-}
-
-func (s *semaphore) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	grew := n > s.limit
-	s.limit = n
-	s.mu.Unlock()
-	if grew {
-		s.cond.Broadcast()
-	}
 }
 
 // QueueStat is one source queue's live state and lifetime counters, for
@@ -294,7 +273,7 @@ type QueueStat struct {
 	QueueCap int `json:"queue_cap"`
 	// Depth is the number of batches currently waiting for a worker.
 	Depth int64 `json:"depth"`
-	// Inflight is the number of tasks currently running on workers.
+	// Inflight is the number of workers currently running a group.
 	Inflight int64 `json:"inflight"`
 	// Submitted counts accepted submissions (leaders plus joiners);
 	// Batched counts the joiners among them, so Submitted-Batched is the
@@ -306,7 +285,7 @@ type QueueStat struct {
 	// Refused counts batches fast-drained with ErrRefused.
 	Refused int64 `json:"refused"`
 	// Cancelled counts batches whose every waiter abandoned them before
-	// a worker picked them up.
+	// their work started.
 	Cancelled int64 `json:"cancelled"`
 	// Doomed counts submissions refused with ErrDeadline because their
 	// remaining context budget could not cover the source's observed
@@ -327,477 +306,21 @@ type QueueStat struct {
 // Snapshot reports every source queue's stats, sorted by source ID.
 func (d *Dispatcher) Snapshot() []QueueStat {
 	d.mu.Lock()
-	qs := make([]*queue, 0, len(d.queues))
+	stats := make([]QueueStat, 0, len(d.queues))
 	for _, q := range d.queues {
-		qs = append(qs, q)
+		stats = append(stats, q.stat())
 	}
 	d.mu.Unlock()
-	stats := make([]QueueStat, len(qs))
-	for i, q := range qs {
-		stats[i] = q.stat()
-	}
-	for i := 1; i < len(stats); i++ {
-		for j := i; j > 0 && stats[j].Source < stats[j-1].Source; j-- {
-			stats[j], stats[j-1] = stats[j-1], stats[j]
-		}
-	}
+	sort.Slice(stats, func(i, j int) bool { return stats[i].Source < stats[j].Source })
 	return stats
 }
 
-// Close stops accepting submissions and lets workers drain the batches
-// already queued. It is safe to call more than once.
+// Close stops accepting submissions; workers drain the batches already
+// admitted and exit. It is safe to call more than once.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
 	d.closed = true
-	qs := make([]*queue, 0, len(d.queues))
-	for _, q := range d.queues {
-		qs = append(qs, q)
-	}
 	d.mu.Unlock()
-	for _, q := range qs {
-		q.mu.Lock()
-		q.closed = true
-		q.mu.Unlock()
-		close(q.ch)
-	}
-}
-
-// queueHardCap is the minimum channel capacity a queue is created with.
-// The channel is allocated once (channels cannot be resized), so the
-// admission bound lives in a counter checked at submit time and the
-// channel only needs room for any bound a later Resize might set.
-const queueHardCap = 1024
-
-// queue is one source's bounded channel of batches plus the pump that
-// hands them to a resizable worker pool.
-type queue struct {
-	d      *Dispatcher
-	source string
-	ch     chan *batch
-	sem    *semaphore
-
-	mu      sync.Mutex
-	lim     Limits            // live bounds; mutated only by resize
-	pending map[string]*batch // key -> in-flight batch accepting joiners
-	closed  bool
-
-	// depth counts batches between submit and pump pickup. Incremented
-	// under mu (so the admission check never over-admits), decremented by
-	// the pump without mu — a stale-high read only sheds early, never
-	// over-fills.
-	depth atomic.Int64
-
-	// runMu guards the recent-run ring feeding the deadline check.
-	runMu sync.Mutex
-	runs  [runRingSize]time.Duration
-	runN  int
-
-	submitted, batched, queueFull, refused, cancelled, doomed atomic.Int64
-	wireCalls, wireItems                                      atomic.Int64
-
-	cSubmitted, cBatched, cQueueFull, cRefused, cCancelled, cDoomed *obs.Counter
-	cWireCalls, cWireItems                                          *obs.Counter
-	gDepth, gInflight, gConcLimit, gQueueLimit                      *obs.Gauge
-	hWait, hRun, hWireSize                                          *obs.Histogram
-}
-
-// wireSizeBounds are the bucket bounds of the items-per-wire-call
-// histogram: counts, not durations (a size n is observed as
-// time.Duration(n)).
-var wireSizeBounds = []time.Duration{1, 2, 4, 8, 16, 32, 64}
-
-func newQueue(d *Dispatcher, source string, lim Limits) *queue {
-	reg := d.cfg.Metrics
-	l := func(name string) string { return obs.L(name, "source", source) }
-	hard := lim.QueueDepth
-	if hard < queueHardCap {
-		hard = queueHardCap
-	}
-	q := &queue{
-		d:           d,
-		source:      source,
-		lim:         lim,
-		ch:          make(chan *batch, hard),
-		sem:         newSemaphore(lim.Concurrency),
-		pending:     map[string]*batch{},
-		cSubmitted:  reg.Counter(l(obs.MDispatchSubmitted)),
-		cBatched:    reg.Counter(l(obs.MDispatchBatched)),
-		cQueueFull:  reg.Counter(l(obs.MDispatchQueueFull)),
-		cRefused:    reg.Counter(l(obs.MDispatchRefused)),
-		cCancelled:  reg.Counter(l(obs.MDispatchCancelled)),
-		cDoomed:     reg.Counter(l(obs.MDispatchDoomed)),
-		cWireCalls:  reg.Counter(l(obs.MDispatchWireCalls)),
-		cWireItems:  reg.Counter(l(obs.MDispatchWireItems)),
-		gDepth:      reg.Gauge(l(obs.MDispatchQueueDepth)),
-		gInflight:   reg.Gauge(l(obs.MDispatchInflight)),
-		gConcLimit:  reg.Gauge(l(obs.MDispatchConcurrencyLimit)),
-		gQueueLimit: reg.Gauge(l(obs.MDispatchQueueLimit)),
-		hWait:       reg.Histogram(l(obs.MDispatchWaitSeconds)),
-		hRun:        reg.Histogram(l(obs.MDispatchRunSeconds)),
-		hWireSize:   reg.HistogramBuckets(l(obs.MDispatchWireSize), wireSizeBounds),
-	}
-	q.gConcLimit.Set(int64(lim.Concurrency))
-	q.gQueueLimit.Set(int64(lim.QueueDepth))
-	return q
-}
-
-// resize applies new live bounds (see Dispatcher.Resize for semantics).
-func (q *queue) resize(lim Limits) {
-	if hard := cap(q.ch); lim.QueueDepth > hard {
-		lim.QueueDepth = hard
-	}
-	q.mu.Lock()
-	q.lim = lim
-	q.mu.Unlock()
-	q.sem.setLimit(lim.Concurrency)
-	q.gConcLimit.Set(int64(lim.Concurrency))
-	q.gQueueLimit.Set(int64(lim.QueueDepth))
-}
-
-// limits reads the live bounds.
-func (q *queue) limits() Limits {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lim
-}
-
-// recordRun feeds one observed service time into the deadline check's
-// ring.
-func (q *queue) recordRun(d time.Duration) {
-	q.runMu.Lock()
-	q.runs[q.runN%runRingSize] = d
-	q.runN++
-	q.runMu.Unlock()
-}
-
-// typicalRun estimates the source's median service time from the
-// recent-run ring; ok is false below minRunSamples observations.
-func (q *queue) typicalRun() (med time.Duration, ok bool) {
-	q.runMu.Lock()
-	n := q.runN
-	if n > runRingSize {
-		n = runRingSize
-	}
-	if n < minRunSamples {
-		q.runMu.Unlock()
-		return 0, false
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, q.runs[:n])
-	q.runMu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf[n/2], true
-}
-
-func (q *queue) stat() QueueStat {
-	lim := q.limits()
-	med, _ := q.typicalRun()
-	return QueueStat{
-		Source:     q.source,
-		Workers:    lim.Concurrency,
-		QueueCap:   lim.QueueDepth,
-		Depth:      q.gDepth.Value(),
-		Inflight:   q.gInflight.Value(),
-		Submitted:  q.submitted.Load(),
-		Batched:    q.batched.Load(),
-		QueueFull:  q.queueFull.Load(),
-		Refused:    q.refused.Load(),
-		Cancelled:  q.cancelled.Load(),
-		Doomed:     q.doomed.Load(),
-		WireCalls:  q.wireCalls.Load(),
-		WireItems:  q.wireItems.Load(),
-		TypicalRun: med,
-	}
-}
-
-// submit joins an in-flight batch for key or enqueues a new one,
-// shedding with ErrQueueFull when the queue is at its depth bound and
-// with ErrDeadline when the caller's remaining budget cannot cover the
-// source's typical service time.
-func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec MuxExec) (*Ticket, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if key != "" {
-		if b := q.pending[key]; b != nil {
-			b.waiters++
-			q.mu.Unlock()
-			q.submitted.Add(1)
-			q.cSubmitted.Inc()
-			q.batched.Add(1)
-			q.cBatched.Inc()
-			return &Ticket{q: q, b: b}, nil
-		}
-	}
-	// Deadline-aware admission, leaders only (a joiner rides a call that
-	// is running regardless): refuse work whose remaining budget cannot
-	// cover the source's observed median service time — it would only
-	// occupy queue and worker capacity on its way to a deadline error.
-	// The wall clock (not the injectable test clock) measures remaining
-	// budget, because context deadlines come from the wall clock; frozen
-	// -clock tests record zero-duration runs and are never doomed. An
-	// idle source (nothing in flight) always admits, so one probe at a
-	// time refreshes the estimate and a recovered source is not locked
-	// out by its slow history.
-	if deadline, hasDeadline := ctx.Deadline(); hasDeadline && q.gInflight.Value() > 0 {
-		if med, ok := q.typicalRun(); ok {
-			if remaining := time.Until(deadline); remaining < med {
-				q.mu.Unlock()
-				q.doomed.Add(1)
-				q.cDoomed.Inc()
-				return nil, fmt.Errorf("%w: %s (typical run %v, budget %v)",
-					ErrDeadline, q.source, med, remaining)
-			}
-		}
-	}
-	// The depth counter includes batches the pump is about to hand to a
-	// free worker (it decrements only once a batch wins a worker slot, so
-	// a batch parked behind a busy pool still counts as queued). Batches
-	// covered by free slots are therefore subtracted: they are "running
-	// imminently", not waiting, and must not consume the queue bound.
-	if q.depth.Load()-int64(q.sem.free()) >= int64(q.lim.QueueDepth) {
-		depth := q.lim.QueueDepth
-		q.mu.Unlock()
-		q.queueFull.Add(1)
-		q.cQueueFull.Inc()
-		return nil, fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, q.source, depth)
-	}
-	// The batch context keeps the leader's values (trace, metrics) but
-	// detaches its cancellation: a batch serves every waiter, so it ends
-	// early only when all of them have abandoned it.
-	bctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	b := &batch{
-		key:      key,
-		fn:       fn,
-		item:     item,
-		exec:     exec,
-		ctx:      bctx,
-		cancel:   cancel,
-		enqueued: q.d.cfg.Now(),
-		waiters:  1,
-		done:     make(chan struct{}),
-		// Until a multiplexed group run says otherwise, every batch is
-		// the primary fault of its own wire call.
-		faultPrimary: true,
-	}
-	// The depth counter and gauge rise before the batch becomes visible
-	// on the channel: the pump decrements on receive, so incrementing
-	// after the send could transiently read -1. The channel's fixed
-	// capacity is at least the clamped depth bound, so with depth checked
-	// under mu the send cannot block; the default arm is pure insurance.
-	q.depth.Add(1)
-	q.gDepth.Add(1)
-	select {
-	case q.ch <- b:
-	default:
-		q.depth.Add(-1)
-		q.gDepth.Add(-1)
-		depth := q.lim.QueueDepth
-		q.mu.Unlock()
-		cancel()
-		q.queueFull.Add(1)
-		q.cQueueFull.Inc()
-		return nil, fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, q.source, depth)
-	}
-	if key != "" {
-		q.pending[key] = b
-	}
-	q.mu.Unlock()
-	q.submitted.Add(1)
-	q.cSubmitted.Inc()
-	return &Ticket{q: q, b: b, led: true}, nil
-}
-
-// pump serves batches until the queue's channel closes: it acquires a
-// slot from the resizable semaphore (the live concurrency bound) and
-// runs each batch on its own goroutine. Batches already abandoned or
-// refused resolve inline without a slot, so a drained or broken source's
-// queue empties fast even while its slots are busy.
-//
-// When the batch at the head is a mux submission, the pump drains up to
-// MaxBatchWire-1 further mux batches off the queue into the same worker
-// slot — one wire call for the whole drain (runGroup). A non-mux batch
-// encountered mid-drain is stashed, not skipped: the pump is a single
-// goroutine, so the stash is checked before the channel on the next
-// iteration and FIFO order is preserved.
-func (q *queue) pump() {
-	var stash *batch
-	for {
-		var b *batch
-		if stash != nil {
-			b, stash = stash, nil
-		} else {
-			var ok bool
-			if b, ok = <-q.ch; !ok {
-				return
-			}
-		}
-		// The batch stays in the depth accounting until it either
-		// resolves inline or wins a slot: while the pump is parked at the
-		// semaphore the batch is still "waiting for a worker", and
-		// forgetting it early would quietly widen the admission bound by
-		// one.
-		if b.ctx.Err() != nil || (q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source)) {
-			q.depth.Add(-1)
-			q.gDepth.Add(-1)
-			q.runBatch(b)
-			continue
-		}
-		q.sem.acquire()
-		q.depth.Add(-1)
-		q.gDepth.Add(-1)
-		if b.exec == nil {
-			go func(b *batch) {
-				defer q.sem.release()
-				q.runBatch(b)
-			}(b)
-			continue
-		}
-		group := []*batch{b}
-		max := q.limits().MaxBatchWire
-	drain:
-		for len(group) < max {
-			select {
-			case nb, ok := <-q.ch:
-				if !ok {
-					break drain
-				}
-				switch {
-				case nb.ctx.Err() != nil || (q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source)):
-					// Resolves without running; costs no slot.
-					q.depth.Add(-1)
-					q.gDepth.Add(-1)
-					q.runBatch(nb)
-				case nb.exec == nil:
-					// A plain task cannot join a wire group; it keeps its
-					// depth accounting and runs on the next pump iteration.
-					stash = nb
-					break drain
-				default:
-					q.depth.Add(-1)
-					q.gDepth.Add(-1)
-					group = append(group, nb)
-				}
-			default:
-				break drain
-			}
-		}
-		go func(group []*batch) {
-			defer q.sem.release()
-			q.runGroup(group)
-		}(group)
-	}
-}
-
-// runBatch resolves one batch: skipped if every waiter already abandoned
-// it, fast-drained if the source is refused, otherwise the task runs
-// (with panic containment) under the batch context. The batch leaves the
-// pending map before done closes, mirroring qcache's flightGroup, so a
-// later identical submit starts a fresh batch instead of joining a
-// finished one.
-func (q *queue) runBatch(b *batch) {
-	b.waited = q.d.cfg.Now().Sub(b.enqueued)
-	q.hWait.Observe(b.waited)
-	switch {
-	case b.ctx.Err() != nil:
-		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(b.ctx))
-		q.cancelled.Add(1)
-		q.cCancelled.Inc()
-	case q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source):
-		b.err = fmt.Errorf("%w: %s", ErrRefused, q.source)
-		q.refused.Add(1)
-		q.cRefused.Inc()
-	default:
-		q.gInflight.Add(1)
-		start := q.d.cfg.Now()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					b.err = fmt.Errorf("dispatch: %s: task panicked: %v", q.source, r)
-				}
-			}()
-			if b.exec != nil {
-				// A mux batch that reached the single-task path (e.g. a
-				// pre-check race routed it here) still runs: a group of one.
-				vals, errs := b.exec(b.ctx, []any{b.item})
-				if len(vals) == 1 && len(errs) == 1 {
-					b.val, b.err = vals[0], errs[0]
-				} else {
-					b.err = fmt.Errorf("dispatch: %s: mux exec returned %d values, %d errors for 1 item",
-						q.source, len(vals), len(errs))
-				}
-			} else {
-				b.val, b.err = b.fn(b.ctx)
-			}
-		}()
-		b.ran = q.d.cfg.Now().Sub(start)
-		q.hRun.Observe(b.ran)
-		q.recordRun(b.ran)
-		q.gInflight.Add(-1)
-		q.countWire(1)
-	}
-	q.resolve(b)
-}
-
-// countWire accounts one wire call that carried n queue items.
-func (q *queue) countWire(n int) {
-	q.wireCalls.Add(1)
-	q.cWireCalls.Inc()
-	q.wireItems.Add(int64(n))
-	q.cWireItems.Add(int64(n))
-	q.hWireSize.Observe(time.Duration(n))
-}
-
-// resolve publishes a finished batch: it leaves the pending map before
-// done closes, mirroring qcache's flightGroup, so a later identical
-// submit starts a fresh batch instead of joining a finished one. The
-// batch context is cancelled last — after resolution it has no further
-// use, and cancelling it signals any group-context watcher.
-func (q *queue) resolve(b *batch) {
-	q.mu.Lock()
-	if b.key != "" && q.pending[b.key] == b {
-		delete(q.pending, b.key)
-	}
-	b.fanout = b.waiters
-	q.mu.Unlock()
-	close(b.done)
-	b.cancel()
-}
-
-// batch is one (possibly shared) unit of queued work. val, err, waited,
-// ran and fanout are written by the serving worker before done closes
-// and only read after done, so they need no lock; waiters is guarded by
-// the queue mutex.
-type batch struct {
-	key      string
-	fn       Task    // single-task submissions (Submit)
-	item     any     // mux submissions (SubmitMux): the per-item input
-	exec     MuxExec // mux submissions: the group executor
-	ctx      context.Context
-	cancel   context.CancelFunc
-	enqueued time.Time
-	done     chan struct{}
-
-	waiters int // guarded by queue.mu
-
-	val    any
-	err    error
-	waited time.Duration
-	ran    time.Duration
-	fanout int
-	// faultPrimary marks the batch whose failure is its wire call's
-	// primary fault: always true for single-task runs, true for exactly
-	// one failed member of a multiplexed group (see Ticket.FaultPrimary).
-	faultPrimary bool
 }
 
 // Ticket is one waiter's handle on a submitted batch.
@@ -816,69 +339,54 @@ func (t *Ticket) Led() bool { return t.led }
 
 // Wait blocks until the batch resolves or ctx ends. Abandoning a batch
 // (ctx ending first) unregisters this waiter; when the last waiter
-// abandons, the batch leaves the pending map (it accepts no new joiners)
-// and its context is cancelled, so a wire call nobody is waiting for
-// stops — the same behavior an un-dispatched call had under its search's
-// context.
+// abandons, the batch accepts no new joiners and either leaves the queue
+// on the spot (still waiting) or has its context cancelled (running), so
+// a wire call nobody is waiting for stops — the same behavior an
+// un-dispatched call had under its search's context.
 func (t *Ticket) Wait(ctx context.Context) (any, error) {
 	select {
 	case <-t.b.done:
 		return t.b.val, t.b.err
 	case <-ctx.Done():
-		t.abandon.Do(func() {
-			t.q.mu.Lock()
-			t.b.waiters--
-			last := t.b.waiters == 0
-			if last && t.b.key != "" && t.q.pending[t.b.key] == t.b {
-				// The batch dies with its last waiter: remove it from the
-				// pending map inside the same critical section, so a later
-				// identical submit starts a fresh batch instead of joining
-				// this one and inheriting its cancellation.
-				delete(t.q.pending, t.b.key)
-			}
-			t.q.mu.Unlock()
-			if last {
-				t.b.cancel()
-			}
-		})
+		t.abandon.Do(func() { t.q.abandon(t.b) })
 		return nil, ctx.Err()
 	}
 }
 
-// resolved reports whether the batch has finished.
-func (t *Ticket) resolved() bool {
+// unresolved is what a ticket reports until its batch resolves: no
+// timings, no fanout, and a fault that is its own (see FaultPrimary).
+var unresolved = batch{faultPrimary: true}
+
+// outcome returns the batch once it has resolved — its result fields
+// are only safe to read then — and the unresolved placeholder before.
+func (t *Ticket) outcome() *batch {
 	select {
 	case <-t.b.done:
-		return true
+		return t.b
 	default:
-		return false
+		return &unresolved
 	}
 }
 
 // Waited returns how long the batch sat queued before a worker picked it
 // up (0 until the batch resolves).
-func (t *Ticket) Waited() time.Duration {
-	if !t.resolved() {
-		return 0
-	}
-	return t.b.waited
-}
+func (t *Ticket) Waited() time.Duration { return t.outcome().waited }
 
 // RunFor returns the wire call's own duration — shared by every waiter
 // of a batch — or 0 if the batch has not resolved or never ran.
-func (t *Ticket) RunFor() time.Duration {
-	if !t.resolved() {
-		return 0
-	}
-	return t.b.ran
-}
+func (t *Ticket) RunFor() time.Duration { return t.outcome().ran }
 
 // Fanout returns how many waiters the resolved batch served (at least 1;
 // 0 until the batch resolves). A fanout above 1 means the result value
 // is shared: consumers that mutate it must copy first.
-func (t *Ticket) Fanout() int {
-	if !t.resolved() {
-		return 0
-	}
-	return t.b.fanout
-}
+func (t *Ticket) Fanout() int { return t.outcome().fanout }
+
+// FaultPrimary reports whether this ticket's failure should feed
+// per-wire-call accounting (a circuit breaker's Record). It is true for
+// a group of one (the batch is its own wire call), for the first failed
+// member of a multiplexed group, and for an unresolved batch (a waiter
+// that timed out waiting still charges the source, as it did before
+// wire multiplexing). Successful members report false, but a nil-error
+// outcome should feed success accounting regardless — gate only the
+// failure path on FaultPrimary.
+func (t *Ticket) FaultPrimary() bool { return t.outcome().faultPrimary }

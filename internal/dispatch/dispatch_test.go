@@ -541,10 +541,10 @@ func TestResizeUnknownSource(t *testing.T) {
 	}
 }
 
-// TestResizeQueueDepthClampedToChannel pins the hard-cap contract: a
-// grow beyond the creation-time channel capacity clamps to it instead of
-// promising admissions the channel cannot hold.
-func TestResizeQueueDepthClampedToChannel(t *testing.T) {
+// TestResizeQueueDepthClamped pins the hard-cap contract: QueueDepth has
+// a plain upper bound, so a grow beyond it clamps instead of letting a
+// controller park unbounded work behind one source.
+func TestResizeQueueDepthClamped(t *testing.T) {
 	d := New(Config{})
 	defer d.Close()
 	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)

@@ -85,8 +85,8 @@ const (
 	MDispatchCancelled = "starts_dispatch_cancelled_total"
 	// MDispatchQueueDepth gauges batches currently waiting for a worker.
 	MDispatchQueueDepth = "starts_dispatch_queue_depth"
-	// MDispatchInflight gauges tasks currently running on the source's
-	// workers; it never exceeds the source's configured concurrency.
+	// MDispatchInflight gauges the source's live workers, each running
+	// one wire call; it never exceeds the source's configured concurrency.
 	MDispatchInflight = "starts_dispatch_inflight"
 	// MDispatchWaitSeconds is the histogram of time batches spent queued
 	// before a worker picked them up.
