@@ -56,23 +56,25 @@ bench-smoke:
 	bash bench/run.sh -smoke
 
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
-# injection, adaptive-admission overload) under the race detector.
+# injection, overload) under the race detector.
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
 
-# stress repeats the scheduler's tests (internal/dispatch) and the tests of
-# the control loop that resizes it (internal/adaptive) twenty times under
-# the race detector, so a scheduling-dependent regression shows up here as
-# a flake rather than in production. Seconds, not minutes.
+# stress repeats the scheduler's tests (internal/dispatch) twenty times
+# under the race detector, so a scheduling-dependent regression shows up
+# here as a flake rather than in production. Seconds, not minutes.
 stress:
-	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/ ./internal/adaptive/
+	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/
 
-# fuzz gives the server's one request decoder a ten-second budget. Seeds
-# also run with every `go test`. Minimisation is capped at 100 runs per
-# input: the default (60 s) spends the whole budget shrinking the first
-# interesting input it meets.
+# fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
+# one per run): the server's one request decoder and the two entry points
+# of the expression parser behind it. Seeds also run with every `go
+# test`. Minimisation is capped at 100 runs per input: the default (60 s)
+# spends the whole budget shrinking the first interesting input it meets.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 4s -fuzzminimizetime 100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzParseFilter -fuzztime 3s -fuzzminimizetime 100x ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzParseRanking -fuzztime 3s -fuzzminimizetime 100x ./internal/query
 
 # loc prints what the simplicity changes count: non-test Go lines for the
 # repository (bench/, its own frozen module, excluded) and per internal/
@@ -87,8 +89,8 @@ loc:
 tier1: build test
 
 # tier2 adds static analysis (lint = gofmt + vet), the race detector, the
-# overload soak scenarios, the scheduler's stress repeat, the decoder's
-# fuzz budget and the benchmark module's build + smoke run.
+# overload soak scenarios, the scheduler's stress repeat, the fuzz
+# budget and the benchmark module's build + smoke run.
 tier2: lint race soak stress fuzz bench-smoke
 
 check: tier1 tier2

@@ -10,9 +10,7 @@
 // Resilience knobs: -retries/-retry-base (per-call retries with
 // exponential backoff), -breaker-after/-breaker-cooldown (per-source
 // circuit breaker), -budget (total search deadline), -adaptive
-// (past-performance selection penalties), -adaptive-limits with
-// -latency-slo/-adaptive-interval (AIMD self-tuning of each source's
-// dispatch concurrency and queue depth), and -fault-rate/-fault-latency
+// (past-performance selection penalties), and -fault-rate/-fault-latency
 // /-fault-seed (client-side fault injection for testing).
 //
 // Distributed tier: -peers shards a per-source result cache across a
@@ -69,9 +67,6 @@ func main() {
 		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source (0 = default 4)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
 		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per source (0 = default 16)")
-		adaptiveLimits  = flag.Bool("adaptive-limits", false, "self-tune per-source concurrency and queue depth: AIMD on observed latency and breaker state")
-		latencySLO      = flag.Duration("latency-slo", 0, "per-source latency objective driving -adaptive-limits decreases (0 = default 2s)")
-		adaptInterval   = flag.Duration("adaptive-interval", 0, "control-loop period for -adaptive-limits (0 = default 1s)")
 		peers           = flag.String("peers", "", "comma-separated peer base URLs forming the distributed per-source result-cache ring")
 		peerSelf        = flag.String("peer-self", "", "this process's own URL among -peers (empty = pure client of the ring)")
 		peerReplicas    = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default 64)")
@@ -123,11 +118,6 @@ func main() {
 		})
 		opts.Breaker = br
 	}
-	if *adaptiveLimits {
-		opts.Adaptive = &starts.AdaptiveLimitsConfig{
-			LatencySLO: *latencySLO, Interval: *adaptInterval,
-		}
-	}
 	ms := starts.NewMetasearcher(opts)
 	// Per-call options instead of mutating shared state: the adaptive
 	// selector wraps the flag-chosen one for this run's search only.
@@ -175,9 +165,6 @@ func main() {
 		})))
 	}
 	ctx := context.Background()
-	if *adaptiveLimits {
-		ms.StartAdaptive(ctx)
-	}
 	hc := starts.NewClient(nil)
 	for _, url := range splitList(*resources) {
 		conns, err := hc.Discover(ctx, url)

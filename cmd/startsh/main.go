@@ -24,12 +24,10 @@
 // Dispatch flags: -source-concurrency and -source-queue size each
 // source's worker pool and queue (stats shows the per-source dispatch
 // counters); -max-batch-wire bounds how many queued queries one wire
-// call multiplexes at a source (the /query-batch endpoint); -adaptive-limits re-tunes both live from observed latency
-// (AIMD against -latency-slo, every -adaptive-interval). With
+// call multiplexes at a source (the /query-batch endpoint). With
 // -warm-file, -warm-interval snapshots the workload periodically instead
-// of only on quit; -debug-addr serves /metrics, /debug/workload,
-// /debug/dispatch and /debug/adaptive for inspection while the shell
-// runs.
+// of only on quit; -debug-addr serves /metrics, /debug/workload and
+// /debug/dispatch for inspection while the shell runs.
 //
 // Distributed tier: -peers shards the per-source result cache across a
 // fleet of metasearchers on a consistent-hash ring; this shell serves
@@ -69,10 +67,7 @@ func main() {
 		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source (0 = default 4)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
 		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per source (0 = default 16)")
-		adaptiveLimits  = flag.Bool("adaptive-limits", false, "self-tune per-source concurrency and queue depth: AIMD on observed latency and breaker state")
-		latencySLO      = flag.Duration("latency-slo", 0, "per-source latency objective driving -adaptive-limits decreases (0 = default 2s)")
-		adaptInterval   = flag.Duration("adaptive-interval", 0, "control-loop period for -adaptive-limits (0 = default 1s)")
-		debugAddr       = flag.String("debug-addr", "", "serve /metrics, /debug/workload, /debug/dispatch and /debug/adaptive on this address (e.g. 127.0.0.1:6060)")
+		debugAddr       = flag.String("debug-addr", "", "serve /metrics, /debug/workload and /debug/dispatch on this address (e.g. 127.0.0.1:6060)")
 		peers           = flag.String("peers", "", "comma-separated peer base URLs forming the distributed per-source result-cache ring")
 		peerSelf        = flag.String("peer-self", "", "this shell's own URL among -peers (empty = http://<debug-addr>, or a pure client without one)")
 		peerReplicas    = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default 64)")
@@ -107,15 +102,7 @@ func main() {
 		})
 		opts.Breaker = br
 	}
-	if *adaptiveLimits {
-		opts.Adaptive = &starts.AdaptiveLimitsConfig{
-			LatencySLO: *latencySLO, Interval: *adaptInterval,
-		}
-	}
 	ms := starts.NewMetasearcher(opts)
-	if *adaptiveLimits {
-		ms.StartAdaptive(ctx)
-	}
 	mw := []starts.ConnMiddleware{starts.ObserveMiddleware(reg)}
 	if *retries > 0 {
 		retryBudget := &starts.RetryBudget{}
@@ -205,7 +192,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "startsh: debug server: %v\n", err)
 			}
 		}()
-		fmt.Printf("debug endpoints on http://%s/metrics /debug/workload /debug/dispatch /debug/adaptive\n", *debugAddr)
+		fmt.Printf("debug endpoints on http://%s/metrics /debug/workload /debug/dispatch\n", *debugAddr)
 		if ps != nil {
 			fmt.Printf("peer cache tier: %s, health on http://%s/debug/peers\n", ps.Ring(), *debugAddr)
 		}

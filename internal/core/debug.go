@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"starts/internal/adaptive"
 	"starts/internal/qcache"
 )
 
@@ -37,9 +36,6 @@ func DebugJSON(snapshot func() any) http.Handler {
 //	                      (the same format -warm-file persists, so a
 //	                      snapshot can be fed straight back to Warm)
 //	GET /debug/dispatch   per-source dispatch queue stats as JSON
-//	GET /debug/adaptive   the adaptive admission controller's latest
-//	                      per-source decisions as JSON (empty array when
-//	                      Options.Adaptive is unset)
 //
 // Extra routes are mounted after the built-ins, so a caller wiring the
 // distributed cache tier adds its /debug/peers view here rather than
@@ -55,13 +51,6 @@ func (m *Metasearcher) DebugHandler(extra ...DebugRoute) http.Handler {
 		})},
 		{Pattern: "GET /debug/dispatch", Handler: DebugJSON(func() any {
 			return m.DispatchStats()
-		})},
-		{Pattern: "GET /debug/adaptive", Handler: DebugJSON(func() any {
-			decisions := []adaptive.Decision{}
-			if m.adaptive != nil {
-				decisions = m.adaptive.Snapshot()
-			}
-			return decisions
 		})},
 	}
 	mux := http.NewServeMux()

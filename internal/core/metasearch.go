@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"starts/internal/adaptive"
 	"starts/internal/client"
 	"starts/internal/dispatch"
 	"starts/internal/gloss"
@@ -74,7 +73,7 @@ type Options struct {
 	// at most this many worker goroutines serve a source's queue (they
 	// start on demand; an idle source holds none). 0 takes
 	// dispatch.DefaultConcurrency. A source's queue is sized on its
-	// first contact (the adaptive controller resizes it afterwards).
+	// first contact.
 	SourceConcurrency int
 	// QueueDepth bounds how many batches may wait per source before
 	// submissions are shed with a typed dispatch.ErrQueueFull (surfaced
@@ -84,15 +83,6 @@ type Options struct {
 	// worker multiplexes into one QueryBatch wire call. 0 takes
 	// dispatch.DefaultMaxBatchWire.
 	MaxBatchWire int
-	// Adaptive, when set, builds a self-tuning admission controller over
-	// the dispatch layer: an AIMD loop that grows each source's
-	// concurrency and queue depth while its latency stays under the
-	// config's SLO and cuts them multiplicatively when it breaches (or
-	// its breaker opens). The controller's Metrics, Now and Broken hook
-	// are wired to this metasearcher's registry, clock and Breaker; call
-	// StartAdaptive to run the loop, or Adaptive().Tick to drive it
-	// manually. Nil leaves the limits static.
-	Adaptive *adaptive.Config
 	// Now overrides the clock, for cache-expiry tests.
 	Now func() time.Time
 }
@@ -111,7 +101,6 @@ type Metasearcher struct {
 	metrics    *obs.Registry
 	workload   *qcache.Recorder
 	dispatcher *dispatch.Dispatcher
-	adaptive   *adaptive.Controller
 }
 
 // BreakerGate admits or refuses traffic to sources. It is satisfied by
@@ -181,46 +170,12 @@ func New(opts Options) *Metasearcher {
 			Now:     opts.Now,
 		}),
 	}
-	if opts.Adaptive != nil {
-		acfg := *opts.Adaptive
-		// The controller reads the dispatcher's per-source run histograms,
-		// so it must share the dispatcher's registry regardless of what the
-		// config carried.
-		acfg.Metrics = opts.Metrics
-		if acfg.Now == nil {
-			acfg.Now = opts.Now
-		}
-		if acfg.Broken == nil {
-			if br, ok := opts.Breaker.(interface{ Broken(id string) bool }); ok {
-				acfg.Broken = br.Broken
-			} else if refuse != nil {
-				acfg.Broken = refuse
-			}
-		}
-		m.adaptive = adaptive.New(m.dispatcher, acfg)
-	}
 	return m
 }
 
 // Dispatcher returns the per-source dispatch layer all of this
 // metasearcher's source traffic flows through.
 func (m *Metasearcher) Dispatcher() *dispatch.Dispatcher { return m.dispatcher }
-
-// Adaptive returns the admission controller built from Options.Adaptive,
-// or nil when adaptive limits are not configured.
-func (m *Metasearcher) Adaptive() *adaptive.Controller { return m.adaptive }
-
-// StartAdaptive runs the adaptive admission control loop until ctx ends;
-// the returned channel closes when the loop has stopped. Without
-// Options.Adaptive it is a no-op returning an already-closed channel.
-func (m *Metasearcher) StartAdaptive(ctx context.Context) <-chan struct{} {
-	if m.adaptive == nil {
-		done := make(chan struct{})
-		close(done)
-		return done
-	}
-	return m.adaptive.Start(ctx)
-}
 
 // DispatchStats reports every source queue's dispatch state and
 // counters, sorted by source ID.

@@ -13,12 +13,9 @@
 // budget cannot cover the source's observed typical service time sheds
 // with a typed ErrDeadline instead of queueing doomed work — and a
 // Refuse hook lets a circuit breaker fast-drain the queue of an open
-// source instead of timing out each waiter. Both per-source bounds
-// (worker count and queue depth) are live: Resize retunes them while
-// traffic flows, the seam the adaptive admission controller
-// (internal/adaptive) closes its AIMD loop through. A source's whole
-// scheduling state sits under one mutex (see queue), and an idle source
-// holds no goroutine.
+// source instead of timing out each waiter. A source's whole scheduling
+// state sits under one mutex (see queue), and an idle source holds no
+// goroutine.
 //
 // Batching reuses the qcache singleflight shape (pending map, done
 // channel, delete-before-close) one level below the answer cache: keys
@@ -50,9 +47,8 @@ const (
 	DefaultMaxBatchWire = 16
 )
 
-// queueHardCap is the largest QueueDepth a queue accepts, at creation or
-// by Resize: whatever a caller or a controller asks for, the work parked
-// behind one source stays bounded.
+// queueHardCap is the largest QueueDepth a queue accepts: whatever a
+// caller asks for, the work parked behind one source stays bounded.
 const queueHardCap = 1024
 
 // Typed dispatch failures, detectable with errors.Is.
@@ -109,9 +105,8 @@ type MuxExec func(ctx context.Context, items []any) (vals []any, errs []error)
 // many batches may wait. Zero fields take the dispatcher's configured
 // defaults (and ultimately DefaultConcurrency/DefaultQueueDepth). A
 // source's queue is created on first submit with the limits in effect
-// then; later submits with different limits do not resize it — only
-// Resize does, which is how an adaptive controller tightens a degraded
-// source's bounds and re-opens them on recovery.
+// then and keeps them: later submits with different limits do not
+// resize it.
 type Limits struct {
 	// Concurrency is the worker count: the hard bound on the source's
 	// in-flight wire calls.
@@ -206,7 +201,7 @@ func runTask(ctx context.Context, items []any) ([]any, []error) {
 // exactly like Submit — same admission, coalescing by key, shedding and
 // Ticket semantics — but marks the work as wire-batchable: a worker that
 // picks it up off the queue takes the SubmitMux work queued directly
-// behind it along (up to the live MaxBatchWire bound) and issues one
+// behind it along (up to the MaxBatchWire bound) and issues one
 // exec call for the whole group, fanning the per-item results back to
 // each ticket's waiters.
 //
@@ -241,34 +236,12 @@ func (d *Dispatcher) submit(ctx context.Context, source, key string, lim Limits,
 	return q.submit(ctx, key, item, exec, mux)
 }
 
-// Resize changes a source's live limits: Concurrency adjusts the
-// in-flight bound (a grow starts workers for waiting batches at once; a
-// shrink below the current in-flight count starts no new work until
-// enough running groups finish, and interrupts none) and QueueDepth
-// adjusts the admission bound (a shrink sheds new submissions until the
-// queue drains below it; queued batches are kept). Zero fields take the
-// dispatcher's configured defaults; QueueDepth is capped at 1024. It
-// reports whether the source had a queue to resize — only sources
-// already submitted to can be resized.
-func (d *Dispatcher) Resize(source string, lim Limits) bool {
-	d.mu.Lock()
-	q := d.queues[source]
-	closed := d.closed
-	d.mu.Unlock()
-	if q == nil || closed {
-		return false
-	}
-	q.resize(lim.withDefaults(d.cfg.Limits))
-	return true
-}
-
 // QueueStat is one source queue's live state and lifetime counters, for
 // debug endpoints and tests.
 type QueueStat struct {
 	// Source is the source ID the queue serves.
 	Source string `json:"source"`
-	// Workers and QueueCap echo the queue's live Limits (the bounds an
-	// adaptive Resize last applied, or the creation-time ones).
+	// Workers and QueueCap echo the queue's Limits.
 	Workers  int `json:"workers"`
 	QueueCap int `json:"queue_cap"`
 	// Depth is the number of batches currently waiting for a worker.

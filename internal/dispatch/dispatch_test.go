@@ -423,205 +423,21 @@ func stat(t *testing.T, d *Dispatcher, source string) QueueStat {
 	return QueueStat{}
 }
 
-// TestResizeShrinkBelowInflight pins the shrink contract: lowering
-// Concurrency below the current in-flight count interrupts nothing, and
-// no new task starts until enough running ones finish to fall under the
-// new bound.
-func TestResizeShrinkBelowInflight(t *testing.T) {
+// TestQueueDepthClamped pins the hard-cap contract: QueueDepth has a
+// plain upper bound, so an oversized request clamps instead of parking
+// unbounded work behind one source.
+func TestQueueDepthClamped(t *testing.T) {
 	d := New(Config{})
 	defer d.Close()
-	lim := Limits{Concurrency: 3, QueueDepth: 8}
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	blocker := func(context.Context) (any, error) {
-		started <- struct{}{}
-		<-release
-		return nil, nil
-	}
-	var tickets []*Ticket
-	for i := 0; i < 3; i++ {
-		tk, err := d.Submit(context.Background(), "s", "", lim, blocker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-started:
-		case <-time.After(2 * time.Second):
-			t.Fatal("task never started")
-		}
-	}
-	if !d.Resize("s", Limits{Concurrency: 1, QueueDepth: 8}) {
-		t.Fatal("Resize found no queue")
-	}
-	if st := stat(t, d, "s"); st.Workers != 1 || st.Inflight != 3 {
-		t.Fatalf("after shrink: workers=%d inflight=%d, want 1/3 (running tasks uninterrupted)", st.Workers, st.Inflight)
-	}
-	// A fourth task must not start while 3 > limit 1 are still running.
-	tk, err := d.Submit(context.Background(), "s", "", lim, blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tickets = append(tickets, tk)
-	select {
-	case <-started:
-		t.Fatal("task started above the shrunken concurrency bound")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release) // the three finish; held falls to 0 < 1; the fourth runs
-	for i, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-	}
-	if st := stat(t, d, "s"); st.Inflight != 0 || st.Depth != 0 {
-		t.Errorf("not drained after shrink: %+v", st)
-	}
-}
-
-// TestResizeGrowWhileQueueFull pins the grow contract: a queue shedding
-// at its depth bound admits again the moment Resize raises the bound,
-// and a concurrency grow puts the extra workers to use immediately.
-func TestResizeGrowWhileQueueFull(t *testing.T) {
-	d := New(Config{})
-	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 1}
-	release, _ := occupy(t, d, "s", lim)
-	defer close(release)
-
-	if _, err := d.Submit(context.Background(), "s", "", lim, noop); err != nil {
-		t.Fatalf("queued submit: %v", err)
-	}
-	if _, err := d.Submit(context.Background(), "s", "", lim, noop); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overfull submit err = %v, want ErrQueueFull", err)
-	}
-	if !d.Resize("s", Limits{Concurrency: 2, QueueDepth: 4}) {
-		t.Fatal("Resize found no queue")
-	}
-	// The same submission that was just shed is admitted under the new
-	// bound, and with a second worker slot it runs to completion even
-	// though the original blocker still holds the first.
-	tk, err := d.Submit(context.Background(), "s", "", lim, noop)
-	if err != nil {
-		t.Fatalf("submit after grow: %v", err)
-	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := tk.Wait(waitCtx); err != nil {
-		t.Fatalf("wait after grow: %v", err)
-	}
-	st := stat(t, d, "s")
-	if st.Workers != 2 || st.QueueCap != 4 {
-		t.Errorf("live limits = %d/%d, want 2/4", st.Workers, st.QueueCap)
-	}
-	if st.QueueFull != 1 {
-		t.Errorf("QueueFull = %d, want 1", st.QueueFull)
-	}
-}
-
-// TestResizeUnknownSource pins that Resize is a no-op (false) for a
-// source never submitted to and after Close.
-func TestResizeUnknownSource(t *testing.T) {
-	d := New(Config{})
-	if d.Resize("ghost", Limits{Concurrency: 2}) {
-		t.Error("Resize of unknown source reported true")
-	}
-	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)
+	tk, err := d.Submit(context.Background(), "s", "", Limits{Concurrency: 1, QueueDepth: 1 << 20}, noop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-	if d.Resize("s", Limits{Concurrency: 2}) {
-		t.Error("Resize after Close reported true")
-	}
-}
-
-// TestResizeQueueDepthClamped pins the hard-cap contract: QueueDepth has
-// a plain upper bound, so a grow beyond it clamps instead of letting a
-// controller park unbounded work behind one source.
-func TestResizeQueueDepthClamped(t *testing.T) {
-	d := New(Config{})
-	defer d.Close()
-	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	d.Resize("s", Limits{Concurrency: 1, QueueDepth: 1 << 20})
 	if st := stat(t, d, "s"); st.QueueCap != queueHardCap {
-		t.Errorf("QueueCap after oversized grow = %d, want clamp to %d", st.QueueCap, queueHardCap)
-	}
-}
-
-// TestConcurrentResizeAndSubmit races continuous Resize against a
-// submit/wait workload under -race: no data race, no lost work, and the
-// final state honors the last applied bounds.
-func TestConcurrentResizeAndSubmit(t *testing.T) {
-	d := New(Config{})
-	defer d.Close()
-	lim := Limits{Concurrency: 2, QueueDepth: 32}
-	stop := make(chan struct{})
-	var resizes sync.WaitGroup
-	resizes.Add(1)
-	go func() {
-		defer resizes.Done()
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			i++
-			d.Resize("s", Limits{Concurrency: 1 + i%4, QueueDepth: 8 + i%16})
-		}
-	}()
-	var wg sync.WaitGroup
-	var completed, shed atomic.Int64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
-					time.Sleep(100 * time.Microsecond)
-					return nil, nil
-				})
-				if err != nil {
-					if !errors.Is(err, ErrQueueFull) {
-						t.Errorf("submit: %v", err)
-					}
-					shed.Add(1)
-					continue
-				}
-				if _, err := tk.Wait(context.Background()); err != nil {
-					t.Errorf("wait: %v", err)
-					continue
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	resizes.Wait()
-	d.Resize("s", Limits{Concurrency: 3, QueueDepth: 9})
-	st := stat(t, d, "s")
-	if st.Workers != 3 || st.QueueCap != 9 {
-		t.Errorf("final limits = %d/%d, want 3/9", st.Workers, st.QueueCap)
-	}
-	if got := completed.Load() + shed.Load(); got != 200 {
-		t.Errorf("accounted submissions = %d, want 200", got)
-	}
-	if completed.Load() == 0 {
-		t.Error("no submission completed under concurrent resizing")
+		t.Errorf("QueueCap of an oversized queue = %d, want clamp to %d", st.QueueCap, queueHardCap)
 	}
 }
 

@@ -21,21 +21,21 @@ const minRunSamples = 8
 const runRingSize = 32
 
 // queue is one source's scheduling state, all of it guarded by mu, so
-// admission, pickup, resizing and abandonment each see and change it in
-// one step: a submission joins a pending batch, starts a worker, waits
-// in the FIFO or is shed; a worker that finishes a group takes the next
-// one or exits. The only goroutines are workers that have work.
+// admission, pickup and abandonment each see and change it in one step:
+// a submission joins a pending batch, starts a worker, waits in the FIFO
+// or is shed; a worker that finishes a group takes the next one or
+// exits. The only goroutines are workers that have work.
 //
 // Invariant: batches wait only while every allowed worker is busy
-// (len(waiting) > 0 implies running >= lim.Concurrency). submit, resize
-// and a finishing worker preserve it, which is why a submission that
-// finds a free worker slot may start at once without overtaking anybody.
+// (len(waiting) > 0 implies running >= lim.Concurrency). submit and a
+// finishing worker preserve it, which is why a submission that finds a
+// free worker slot may start at once without overtaking anybody.
 type queue struct {
 	d      *Dispatcher
 	source string
+	lim    Limits // fixed at creation
 
 	mu      sync.Mutex
-	lim     Limits            // live bounds; changed only by resize
 	waiting []*batch          // admitted, not yet picked up; FIFO
 	running int               // live worker goroutines, one group each
 	pending map[string]*batch // key -> unresolved batch accepting joiners
@@ -46,39 +46,34 @@ type queue struct {
 
 	cSubmitted, cBatched, cQueueFull, cRefused, cCancelled, cDoomed *obs.Counter
 	cWireCalls, cWireItems                                          *obs.Counter
-	gDepth, gInflight, gConcLimit, gQueueLimit                      *obs.Gauge
+	gDepth, gInflight                                               *obs.Gauge
 	hWait, hRun, hWireSize                                          *obs.Histogram
 }
 
 func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 	reg := d.cfg.Metrics
 	l := func(name string) string { return obs.L(name, "source", source) }
-	q := &queue{
-		d:           d,
-		source:      source,
-		lim:         lim,
-		pending:     map[string]*batch{},
-		st:          QueueStat{Source: source},
-		cSubmitted:  reg.Counter(l(obs.MDispatchSubmitted)),
-		cBatched:    reg.Counter(l(obs.MDispatchBatched)),
-		cQueueFull:  reg.Counter(l(obs.MDispatchQueueFull)),
-		cRefused:    reg.Counter(l(obs.MDispatchRefused)),
-		cCancelled:  reg.Counter(l(obs.MDispatchCancelled)),
-		cDoomed:     reg.Counter(l(obs.MDispatchDoomed)),
-		cWireCalls:  reg.Counter(l(obs.MDispatchWireCalls)),
-		cWireItems:  reg.Counter(l(obs.MDispatchWireItems)),
-		gDepth:      reg.Gauge(l(obs.MDispatchQueueDepth)),
-		gInflight:   reg.Gauge(l(obs.MDispatchInflight)),
-		gConcLimit:  reg.Gauge(l(obs.MDispatchConcurrencyLimit)),
-		gQueueLimit: reg.Gauge(l(obs.MDispatchQueueLimit)),
-		hWait:       reg.Histogram(l(obs.MDispatchWaitSeconds)),
-		hRun:        reg.Histogram(l(obs.MDispatchRunSeconds)),
+	return &queue{
+		d:          d,
+		source:     source,
+		lim:        lim,
+		pending:    map[string]*batch{},
+		st:         QueueStat{Source: source},
+		cSubmitted: reg.Counter(l(obs.MDispatchSubmitted)),
+		cBatched:   reg.Counter(l(obs.MDispatchBatched)),
+		cQueueFull: reg.Counter(l(obs.MDispatchQueueFull)),
+		cRefused:   reg.Counter(l(obs.MDispatchRefused)),
+		cCancelled: reg.Counter(l(obs.MDispatchCancelled)),
+		cDoomed:    reg.Counter(l(obs.MDispatchDoomed)),
+		cWireCalls: reg.Counter(l(obs.MDispatchWireCalls)),
+		cWireItems: reg.Counter(l(obs.MDispatchWireItems)),
+		gDepth:     reg.Gauge(l(obs.MDispatchQueueDepth)),
+		gInflight:  reg.Gauge(l(obs.MDispatchInflight)),
+		hWait:      reg.Histogram(l(obs.MDispatchWaitSeconds)),
+		hRun:       reg.Histogram(l(obs.MDispatchRunSeconds)),
 		// Items per wire call: the buckets are counts, not durations.
 		hWireSize: reg.HistogramBuckets(l(obs.MDispatchWireSize), []time.Duration{1, 2, 4, 8, 16, 32, 64}),
 	}
-	q.gConcLimit.Set(int64(lim.Concurrency))
-	q.gQueueLimit.Set(int64(lim.QueueDepth))
-	return q
 }
 
 // bump adds n to one lifetime counter in both places it is read from:
@@ -238,20 +233,6 @@ func (q *queue) cut() []*batch {
 	return group
 }
 
-// resize applies new live bounds (see Dispatcher.Resize for semantics).
-func (q *queue) resize(lim Limits) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.lim = lim
-	q.gConcLimit.Set(int64(lim.Concurrency))
-	q.gQueueLimit.Set(int64(lim.QueueDepth))
-	for len(q.waiting) > 0 && q.running < lim.Concurrency {
-		q.running++
-		q.gInflight.Set(int64(q.running))
-		go q.work(q.cut())
-	}
-}
-
 // typicalRun is the median of the recent-run ring, 0 below minRunSamples
 // observations. Caller holds q.mu.
 func (q *queue) typicalRun() time.Duration {
@@ -374,9 +355,9 @@ func (q *queue) runGroup(group []*batch) (next []*batch) {
 		bump(&q.st.WireCalls, q.cWireCalls, 1)
 		bump(&q.st.WireItems, q.cWireItems, len(active))
 	}
-	if len(q.waiting) > 0 && q.running <= q.lim.Concurrency {
+	if len(q.waiting) > 0 {
 		next = q.cut()
-	} else { // nothing waits, or a shrink left this worker surplus: it retires
+	} else { // nothing waits: the worker retires
 		q.running--
 		q.gInflight.Set(int64(q.running))
 	}

@@ -50,41 +50,6 @@ func TestAbandonedQueuedWorkFreesItsSlot(t *testing.T) {
 	}
 }
 
-// TestShrinkRetiresSurplusWorkers pins the other half of the shrink
-// contract (TestResizeShrinkBelowInflight pins that nothing running is
-// interrupted): a worker that finishes while more workers run than the
-// new bound allows exits instead of taking the next batch, so the
-// in-flight count actually falls to the bound while work still waits.
-func TestShrinkRetiresSurplusWorkers(t *testing.T) {
-	d := New(Config{})
-	defer d.Close()
-	lim := Limits{Concurrency: 2, QueueDepth: 4}
-	releaseA, a := occupy(t, d, "s", lim)
-	releaseB, b := occupy(t, d, "s", lim)
-	var waiting []*Ticket
-	for i := 0; i < 2; i++ {
-		tk, err := d.Submit(context.Background(), "s", "", lim, noop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waiting = append(waiting, tk)
-	}
-	d.Resize("s", Limits{Concurrency: 1, QueueDepth: 4})
-	close(releaseA)
-	if _, err := a.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := stat(t, d, "s"); st.Inflight != 1 || st.Depth != 2 {
-		t.Fatalf("one of two workers done after a shrink to 1: inflight %d, depth %d, want 1 and 2", st.Inflight, st.Depth)
-	}
-	close(releaseB)
-	for _, tk := range append(waiting, b) {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // waitGoroutines polls until the process holds no more goroutines than
 // it did at baseline.
 func waitGoroutines(t *testing.T, baseline int, when string) {
@@ -153,10 +118,7 @@ func TestIdleDispatcherHoldsNoGoroutines(t *testing.T) {
 }
 
 // schedSource is the scheduler test's oracle for one source. allowed is
-// an upper bound on the concurrency the dispatcher may use right now:
-// raised before a growing Resize is issued, lowered only once a
-// shrinking Resize has returned and the dispatcher's workers have fallen
-// to the new bound (after which it may not start more).
+// the source's Concurrency: the bound on its concurrent runs.
 type schedSource struct {
 	name string
 
@@ -168,16 +130,6 @@ type schedSource struct {
 	submitMu sync.Mutex // serialises submissions so seq order is submission order
 }
 
-// inflight reads a source's live worker count off the dispatcher.
-func inflight(d *Dispatcher, source string) int64 {
-	for _, st := range d.Snapshot() {
-		if st.Source == source {
-			return st.Inflight
-		}
-	}
-	return 0
-}
-
 // schedItem is one submission's payload: want is the value its ticket
 // must resolve with (shared by every submission of one key), id is
 // unique per submission, seq is its submission order on its source.
@@ -187,12 +139,12 @@ type schedItem struct {
 }
 
 // TestSchedulerInvariants drives one dispatcher from many goroutines —
-// Submit and SubmitMux, keyed and unkeyed, waiters that walk away,
-// Resize up and down, a flipping Refuse — and checks what must hold
+// Submit and SubmitMux, keyed and unkeyed, waiters that walk away, a
+// flipping Refuse — and checks what must hold
 // whatever the interleaving: every ticket resolves (a second resolution
 // would panic on the closed channel), no item runs twice, a ticket that
-// succeeds carries its own item's value, runs per source stay within the
-// live Concurrency, groups within MaxBatchWire, plain tasks alone in
+// succeeds carries its own item's value, runs per source stay within
+// Concurrency, groups within MaxBatchWire, plain tasks alone in
 // their group, pickup in submission order, and the counters add up.
 func TestSchedulerInvariants(t *testing.T) {
 	const (
@@ -216,7 +168,7 @@ func TestSchedulerInvariants(t *testing.T) {
 		src.mu.Lock()
 		defer src.mu.Unlock()
 		if src.cur++; src.cur > src.allowed {
-			t.Errorf("%s: %d concurrent runs, live Concurrency allows %d", src.name, src.cur, src.allowed)
+			t.Errorf("%s: %d concurrent runs, Concurrency allows %d", src.name, src.cur, src.allowed)
 		}
 		for _, it := range items {
 			it := it.(*schedItem)
@@ -255,7 +207,7 @@ func TestSchedulerInvariants(t *testing.T) {
 
 	stop := make(chan struct{})
 	var background sync.WaitGroup
-	background.Add(2)
+	background.Add(1)
 	go func() { // the breaker, opening briefly now and then
 		defer background.Done()
 		for {
@@ -268,41 +220,6 @@ func TestSchedulerInvariants(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 				refuse.Store(false)
 			}
-		}
-	}()
-	go func() { // the controller
-		defer background.Done()
-		rng := rand.New(rand.NewSource(2))
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(300 * time.Microsecond):
-			}
-			src, conc, depth := sources[rng.Intn(len(sources))], 1+rng.Intn(4), 2+rng.Intn(15)
-			if src.name == "fifo" {
-				conc = 1
-			}
-			src.mu.Lock()
-			shrink := conc < src.allowed
-			if !shrink {
-				src.allowed = conc
-			}
-			src.mu.Unlock()
-			if !d.Resize(src.name, Limits{Concurrency: conc, QueueDepth: depth}) || !shrink {
-				continue
-			}
-			// Groups picked up before the shrink may still start, so the
-			// bound drops only once the dispatcher's own worker count has.
-			for deadline := time.Now().Add(5 * time.Second); inflight(d, src.name) > int64(conc); time.Sleep(50 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Errorf("%s: more than %d workers 5 s after a shrink to %d", src.name, conc, conc)
-					return
-				}
-			}
-			src.mu.Lock()
-			src.allowed = conc
-			src.mu.Unlock()
 		}
 	}()
 

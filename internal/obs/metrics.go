@@ -172,42 +172,18 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// Bounds returns the histogram's bucket upper bounds (ascending; an
-// implicit +Inf bucket follows the last).
-func (h *Histogram) Bounds() []time.Duration {
-	if h == nil {
-		return nil
-	}
-	return append([]time.Duration(nil), h.bounds...)
-}
-
 // Quantile estimates the q-th quantile (q in [0, 1]) of the recorded
 // durations by linear interpolation within the target bucket, the same
 // estimate Prometheus's histogram_quantile computes. It returns 0 with
 // no observations; observations in the +Inf overflow bucket clamp to the
 // highest finite bound.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
+	if h == nil || len(h.bounds) == 0 {
 		return 0
 	}
-	return QuantileOf(h.bounds, h.BucketCounts(), q)
-}
-
-// QuantileOf is the bucket-interpolation quantile estimate over an
-// explicit (bounds, per-bucket counts) pair — counts has len(bounds)+1
-// entries, the last being the +Inf overflow bucket. Exposed so callers
-// holding windowed bucket deltas (counts between two snapshots) can
-// estimate quantiles of just that window, which is what the adaptive
-// controller ticks on.
-func QuantileOf(bounds []time.Duration, counts []int64, q float64) time.Duration {
-	if len(bounds) == 0 || len(counts) != len(bounds)+1 {
-		return 0
-	}
+	bounds, counts := h.bounds, h.BucketCounts()
 	var total int64
 	for _, c := range counts {
-		if c < 0 {
-			return 0
-		}
 		total += c
 	}
 	if total == 0 {

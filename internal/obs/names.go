@@ -97,11 +97,6 @@ const (
 	// the caller's remaining context budget could not cover the source's
 	// observed typical service time (deadline-aware admission).
 	MDispatchDoomed = "starts_dispatch_doomed_total"
-	// MDispatchConcurrencyLimit gauges the source's live worker bound —
-	// static unless an adaptive controller resizes it.
-	MDispatchConcurrencyLimit = "starts_dispatch_concurrency_limit"
-	// MDispatchQueueLimit gauges the source's live queue-depth bound.
-	MDispatchQueueLimit = "starts_dispatch_queue_limit"
 	// MDispatchWireCalls counts wire calls actually issued — single-task
 	// runs and multiplexed group runs alike.
 	MDispatchWireCalls = "starts_dispatch_wire_calls_total"
@@ -176,28 +171,4 @@ const (
 	// MStreamSinkErrors counts sinks that returned an error and were
 	// cut off; their searches still completed.
 	MStreamSinkErrors = "starts_stream_sink_errors_total"
-)
-
-// Canonical metric names of the adaptive admission controller
-// (internal/adaptive), which closes the loop from the dispatch and
-// breaker signals above back onto per-source dispatch limits. All carry
-// a source label except MAdaptiveTicks.
-const (
-	// MAdaptiveTicks counts controller evaluation rounds.
-	MAdaptiveTicks = "starts_adaptive_ticks_total"
-	// MAdaptiveIncreases counts additive-increase decisions (healthy
-	// window, limits grew).
-	MAdaptiveIncreases = "starts_adaptive_increases_total"
-	// MAdaptiveDecreases counts multiplicative-decrease decisions
-	// (latency SLO breach or broken breaker, limits shrank).
-	MAdaptiveDecreases = "starts_adaptive_decreases_total"
-	// MAdaptiveConcurrency gauges the controller's current concurrency
-	// limit per source (mirrors MDispatchConcurrencyLimit once applied).
-	MAdaptiveConcurrency = "starts_adaptive_concurrency"
-	// MAdaptiveQueueDepth gauges the controller's current queue-depth
-	// limit per source.
-	MAdaptiveQueueDepth = "starts_adaptive_queue_depth"
-	// MAdaptiveWindowSeconds gauges the last window's observed latency
-	// quantile per source, in nanoseconds (0 when the window was idle).
-	MAdaptiveWindowSeconds = "starts_adaptive_window_latency_ns"
 )

@@ -4,7 +4,7 @@
 // Get/Put for keys owned by a remote peer travel over persistent
 // keep-alive HTTP to the owner's /peer/cache endpoints, while keys this
 // node owns (and every operation that cannot reach its owner) land in
-// the local store. Singleflight, stale-while-revalidate and the CoDel
+// the local store. Singleflight, stale-while-revalidate and the
 // admission gate all live in qcache.Cache IN FRONT of any Store, so the
 // tier inherits them without reimplementation — and because every peer
 // failure falls through to the local store behind a bounded timeout and

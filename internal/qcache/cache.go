@@ -39,15 +39,6 @@ type Config struct {
 	// QueueTimeout is how long an admission waits for a fill slot before
 	// being shed with ErrShed (default DefaultQueueTimeout).
 	QueueTimeout time.Duration
-	// AdmissionTarget enables CoDel-style adaptive shedding on the gate:
-	// when fills wait longer than this for a slot over a sustained
-	// interval, the gate sheds at entry with accelerating frequency until
-	// waits fall back under target (see Gate). 0 keeps the plain timeout
-	// gate. Only meaningful with MaxInflight > 0.
-	AdmissionTarget time.Duration
-	// AdmissionInterval is the CoDel interval (default
-	// DefaultAdmissionInterval). Only meaningful with AdmissionTarget.
-	AdmissionInterval time.Duration
 	// Store overrides the storage backend; nil builds the default
 	// sharded LRU from MaxEntries/Shards. Singleflight coalescing and
 	// the admission gate stay in front of any store, so a distributed
@@ -147,19 +138,12 @@ func New(cfg Config) *Cache {
 		cfg.Store = NewLRUStore(cfg.MaxEntries, cfg.Shards, cfg.Metrics)
 	}
 	return &Cache{
-		storage:  cfg.Store,
-		ttl:      cfg.TTL,
-		floor:    cfg.TTLFloor,
-		ceiling:  cfg.TTLCeiling,
-		staleFor: cfg.StaleFor,
-		gate: NewGateConfig(GateConfig{
-			MaxInflight:  cfg.MaxInflight,
-			QueueTimeout: cfg.QueueTimeout,
-			Target:       cfg.AdmissionTarget,
-			Interval:     cfg.AdmissionInterval,
-			Metrics:      cfg.Metrics,
-			Now:          cfg.Now,
-		}),
+		storage:    cfg.Store,
+		ttl:        cfg.TTL,
+		floor:      cfg.TTLFloor,
+		ceiling:    cfg.TTLCeiling,
+		staleFor:   cfg.StaleFor,
+		gate:       NewGate(cfg.MaxInflight, cfg.QueueTimeout, cfg.Metrics),
 		flight:     newFlightGroup(),
 		now:        cfg.Now,
 		metrics:    cfg.Metrics,

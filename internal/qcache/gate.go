@@ -11,122 +11,55 @@ import (
 	"starts/internal/obs"
 )
 
-// ErrShed is returned when the admission gate refused a slot — either
-// the queue timeout ran out, or CoDel-style adaptive shedding decided
-// the gate has been congested past its sojourn target for too long.
-// Callers detect it with errors.Is and turn it into a fast 503
-// (servers) or an immediate typed failure (clients) instead of queueing
-// until collapse.
+// ErrShed is returned when the admission gate refused a slot: the queue
+// timeout ran out with the gate still full. Callers detect it with
+// errors.Is and turn it into a fast 503 (servers) or an immediate typed
+// failure (clients) instead of queueing until collapse.
 var ErrShed = errors.New("qcache: shed: too many queries in flight")
 
 // Gate is a bounded admission gate: a semaphore of maxInflight slots
-// with a queue timeout, optionally sharpened by CoDel-style adaptive
-// shedding. The fixed timeout alone sheds a fixed amount — whoever
-// waits longest loses, however bad the congestion is. With a sojourn
-// Target set, the gate watches how long admissions actually wait for a
-// slot; once the wait has stayed above target for a full interval it
-// enters a dropping state that sheds admissions at entry, at a rate that
-// accelerates (interval/√n, CoDel's control law) until the wait falls
-// back under target. Overload then degrades to early, cheap rejections
-// at the door instead of every caller burning its timeout in line. A
-// nil *Gate admits everything.
+// with a queue timeout. An admission that finds the gate full waits in
+// line for at most the timeout and is then shed, so overload costs each
+// excess caller one bounded wait instead of an unbounded queue. A nil
+// *Gate admits everything.
 type Gate struct {
 	sem     chan struct{}
 	timeout time.Duration
-	target  time.Duration
-	ival    time.Duration
-	now     func() time.Time
 	shed    *obs.Counter
 	queued  *obs.Gauge
 
-	// mu guards the CoDel controller state.
-	mu         sync.Mutex
-	firstAbove time.Time // when sojourn first stayed above target (zero: not above)
-	dropping   bool
-	dropNext   time.Time
-	dropCount  int
-	sojourn    time.Duration // EWMA of observed waits, feeds RetryAfter
+	mu      sync.Mutex
+	sojourn time.Duration // EWMA of observed slot waits, feeds RetryAfter
 }
 
-// Default admission-gate tuning, used when GateConfig leaves the fields
-// zero.
-const (
-	// DefaultQueueTimeout bounds how long an admission waits for a slot
-	// when the gate's configured timeout is zero.
-	DefaultQueueTimeout = 250 * time.Millisecond
-	// DefaultAdmissionInterval is the CoDel interval: how long the
-	// observed wait must stay above target before dropping starts, and
-	// the base spacing of drops once it does.
-	DefaultAdmissionInterval = 100 * time.Millisecond
-)
+// DefaultQueueTimeout bounds how long an admission waits for a slot
+// when the gate's configured timeout is zero.
+const DefaultQueueTimeout = 250 * time.Millisecond
 
-// GateConfig configures a Gate.
-type GateConfig struct {
-	// MaxInflight bounds concurrent slot holders; <= 0 builds a nil gate
-	// that admits everything.
-	MaxInflight int
-	// QueueTimeout is the hard bound on one admission's wait for a slot
-	// (default DefaultQueueTimeout).
-	QueueTimeout time.Duration
-	// Target is the sojourn target: the slot wait the gate tries to keep
-	// admissions under. 0 disables adaptive shedding, leaving the plain
-	// timeout gate.
-	Target time.Duration
-	// Interval is the CoDel interval (default
-	// DefaultAdmissionInterval).
-	Interval time.Duration
-	// Metrics receives sheds (obs.MQCacheShed) and the inflight gauge
-	// (obs.MQCacheInflight); nil records nothing.
-	Metrics *obs.Registry
-	// Now overrides the clock for deterministic tests.
-	Now func() time.Time
-}
-
-// NewGate returns a plain timeout gate — NewGateConfig without adaptive
-// shedding — admitting at most maxInflight concurrent holders, each
-// waiting at most queueTimeout for a slot. maxInflight <= 0 returns a
-// nil gate, which admits everything.
+// NewGate returns a gate admitting at most maxInflight concurrent
+// holders, each waiting at most queueTimeout (DefaultQueueTimeout if
+// zero) for a slot. Sheds count as obs.MQCacheShed and holders as the
+// obs.MQCacheInflight gauge on reg; a nil reg records nothing.
+// maxInflight <= 0 returns a nil gate, which admits everything.
 func NewGate(maxInflight int, queueTimeout time.Duration, reg *obs.Registry) *Gate {
-	return NewGateConfig(GateConfig{
-		MaxInflight:  maxInflight,
-		QueueTimeout: queueTimeout,
-		Metrics:      reg,
-	})
-}
-
-// NewGateConfig returns a gate for the config; see GateConfig for the
-// zero-value defaults. MaxInflight <= 0 returns a nil gate, which admits
-// everything.
-func NewGateConfig(cfg GateConfig) *Gate {
-	if cfg.MaxInflight <= 0 {
+	if maxInflight <= 0 {
 		return nil
 	}
-	if cfg.QueueTimeout <= 0 {
-		cfg.QueueTimeout = DefaultQueueTimeout
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultAdmissionInterval
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if queueTimeout <= 0 {
+		queueTimeout = DefaultQueueTimeout
 	}
 	return &Gate{
-		sem:     make(chan struct{}, cfg.MaxInflight),
-		timeout: cfg.QueueTimeout,
-		target:  cfg.Target,
-		ival:    cfg.Interval,
-		now:     cfg.Now,
-		shed:    cfg.Metrics.Counter(obs.MQCacheShed),
-		queued:  cfg.Metrics.Gauge(obs.MQCacheInflight),
+		sem:     make(chan struct{}, maxInflight),
+		timeout: queueTimeout,
+		shed:    reg.Counter(obs.MQCacheShed),
+		queued:  reg.Gauge(obs.MQCacheInflight),
 	}
 }
 
 // Acquire obtains a slot, blocking up to the queue timeout. It returns a
 // release function on success; on a full gate it returns ErrShed
 // (wrapped with the waited duration) within the timeout, and on context
-// cancellation it returns ctx.Err(). With a sojourn target configured, a
-// gate in the dropping state may also shed at entry, before any wait. A
-// nil gate admits immediately.
+// cancellation it returns ctx.Err(). A nil gate admits immediately.
 func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	if g == nil {
 		return func() {}, nil
@@ -140,22 +73,18 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if g.dropAtEntry() {
-		g.shed.Inc()
-		return nil, fmt.Errorf("%w (admission tightened: wait above %v)", ErrShed, g.target)
-	}
-	start := g.now()
 	select {
 	case g.sem <- struct{}{}:
 		g.observe(0)
 		return g.granted(ctx)
 	default:
 	}
+	start := time.Now()
 	timer := time.NewTimer(g.timeout)
 	defer timer.Stop()
 	select {
 	case g.sem <- struct{}{}:
-		g.observe(g.now().Sub(start))
+		g.observe(time.Since(start))
 		return g.granted(ctx)
 	case <-timer.C:
 		g.observe(g.timeout)
@@ -166,62 +95,12 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// dropAtEntry implements the dropping state's entry check: once the
-// observed wait has stayed above target for an interval, admissions are
-// shed at the door, spaced interval/√n apart so the shed rate ramps up
-// the longer congestion persists.
-func (g *Gate) dropAtEntry() bool {
-	if g.target <= 0 {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.dropping {
-		return false
-	}
-	now := g.now()
-	if now.Before(g.dropNext) {
-		return false
-	}
-	g.dropCount++
-	g.dropNext = now.Add(time.Duration(float64(g.ival) / math.Sqrt(float64(g.dropCount))))
-	return true
-}
-
-// observe feeds one admission's slot wait into the CoDel state machine
-// and the sojourn EWMA.
+// observe feeds one admission's slot wait into the sojourn EWMA (alpha
+// 0.3, the smoothing the rest of the system uses).
 func (g *Gate) observe(wait time.Duration) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	// EWMA with alpha 0.3, the smoothing the rest of the system uses.
 	g.sojourn = time.Duration(0.3*float64(wait) + 0.7*float64(g.sojourn))
-	if g.target <= 0 {
-		return
-	}
-	now := g.now()
-	if wait < g.target {
-		// Congestion cleared: leave the dropping state entirely.
-		g.firstAbove = time.Time{}
-		g.dropping = false
-		g.dropCount = 0
-		return
-	}
-	switch {
-	case g.firstAbove.IsZero():
-		// First observation above target: give the queue one interval to
-		// drain on its own before dropping starts.
-		g.firstAbove = now.Add(g.ival)
-	case !g.dropping && now.After(g.firstAbove):
-		// Still above target a full interval later: start dropping.
-		g.dropping = true
-		// Re-entering drop state soon after leaving it resumes near the
-		// previous rate instead of from scratch (CoDel's hysteresis);
-		// with dropCount reset on clear this is a fresh start.
-		if g.dropCount < 1 {
-			g.dropCount = 1
-		}
-		g.dropNext = now
-	}
+	g.mu.Unlock()
 }
 
 // granted finalizes a won slot, handing it straight back if the context
@@ -240,44 +119,17 @@ func (g *Gate) release() {
 	<-g.sem
 }
 
-// Stressed reports whether the gate is currently in its dropping state —
-// shedding admissions at entry because slot waits have stayed above the
-// sojourn target.
-func (g *Gate) Stressed() bool {
-	if g == nil {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.dropping
-}
-
 // RetryAfter estimates, in whole seconds (at least 1, at most 30), how
-// long a shed caller should wait before retrying, derived from the
-// gate's live state: the smoothed slot wait, doubled while the gate is
-// in its dropping state. Servers put it in the 503 Retry-After header
-// so backoff advice tracks actual congestion instead of a constant.
+// long a shed caller should wait before retrying: twice the smoothed
+// slot wait, and never less than the queue timeout. Servers put it in
+// the 503 Retry-After header so backoff advice tracks actual congestion
+// instead of a constant.
 func (g *Gate) RetryAfter() int {
 	if g == nil {
 		return 1
 	}
 	g.mu.Lock()
-	sojourn := g.sojourn
-	dropping := g.dropping
+	est := max(2*g.sojourn, g.timeout)
 	g.mu.Unlock()
-	est := 2 * sojourn
-	if est < g.timeout {
-		est = g.timeout
-	}
-	if dropping {
-		est *= 2
-	}
-	secs := int(math.Ceil(est.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return min(max(int(math.Ceil(est.Seconds())), 1), 30)
 }

@@ -81,9 +81,17 @@ func parseExprString(src string) (Expr, error) {
 	return expr, nil
 }
 
+// maxNesting bounds how deep expressions may nest. The parser recurses
+// once per level and so does everything that later walks the tree, while
+// expressions arrive off the wire: without a bound a few megabytes of
+// '(' overflow the goroutine stack, which ends the process. The paper's
+// Examples 1–12 nest at most three deep.
+const maxNesting = 128
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // parseExpr calls in progress
 }
 
 func (p *parser) rest() string { return p.src[p.pos:] }
@@ -119,6 +127,11 @@ func (p *parser) expect(c byte) error {
 // parseExpr parses one complete expression: a bare term, a parenthesized
 // term, a binary combination, a proximity expression, or a list.
 func (p *parser) parseExpr() (Expr, error) {
+	if p.depth == maxNesting {
+		return nil, fmt.Errorf("expression nested deeper than %d levels at offset %d", maxNesting, p.pos)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	p.skipSpace()
 	switch c := p.peek(); {
 	case c == '"' || c == '`' || c == '[':

@@ -50,8 +50,7 @@ func (s *Server) queryRoute(name string, maxBytes int64, h queryHandler) {
 		if err != nil {
 			if errors.Is(err, qcache.ErrShed) {
 				// Back-off advice derived from the gate's live congestion
-				// (smoothed slot wait, doubled while it is in its dropping
-				// state) rather than a constant.
+				// (smoothed slot wait) rather than a constant.
 				w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter()))
 			}
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -65,10 +65,8 @@ type Server struct {
 	traces   *obs.TraceRing
 	gate     *qcache.Gate
 
-	maxInflight       int
-	queueTimeout      time.Duration
-	admissionTarget   time.Duration
-	admissionInterval time.Duration
+	maxInflight  int
+	queueTimeout time.Duration
 
 	peers PeerCache
 }
@@ -105,20 +103,6 @@ func WithMaxInflight(n int, queueTimeout time.Duration) Option {
 	return func(s *Server) {
 		s.maxInflight = n
 		s.queueTimeout = queueTimeout
-	}
-}
-
-// WithAdmissionTarget arms CoDel-style adaptive shedding on the query
-// gate (requires WithMaxInflight): once admissions have waited longer
-// than target for a full interval (qcache.DefaultAdmissionInterval if
-// zero), the gate sheds at entry at an accelerating rate until waits
-// fall back under target, so overload turns into cheap early 503s whose
-// Retry-After tracks the observed congestion. target <= 0 leaves the
-// plain timeout gate.
-func WithAdmissionTarget(target, interval time.Duration) Option {
-	return func(s *Server) {
-		s.admissionTarget = target
-		s.admissionInterval = interval
 	}
 }
 
@@ -170,13 +154,7 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	if srv.traces == nil {
 		srv.traces = obs.NewTraceRing(32)
 	}
-	srv.gate = qcache.NewGateConfig(qcache.GateConfig{
-		MaxInflight:  srv.maxInflight,
-		QueueTimeout: srv.queueTimeout,
-		Target:       srv.admissionTarget,
-		Interval:     srv.admissionInterval,
-		Metrics:      srv.metrics,
-	})
+	srv.gate = qcache.NewGate(srv.maxInflight, srv.queueTimeout, srv.metrics)
 	srv.route("GET /resource", "resource", srv.handleResource)
 	srv.route("GET /sources/{id}/metadata", "metadata", srv.handleMetadata)
 	srv.route("GET /sources/{id}/summary", "summary", srv.handleSummary)

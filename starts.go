@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"time"
 
-	"starts/internal/adaptive"
 	"starts/internal/client"
 	"starts/internal/core"
 	"starts/internal/dispatch"
@@ -148,15 +147,6 @@ func WithServerTraceCapacity(n int) ServerOption { return server.WithTraceCapaci
 // fast 503 + Retry-After. n <= 0 leaves queries unbounded.
 func WithServerMaxInflight(n int, queueTimeout time.Duration) ServerOption {
 	return server.WithMaxInflight(n, queueTimeout)
-}
-
-// WithServerAdmissionTarget arms CoDel-style adaptive shedding on the
-// query gate (requires WithServerMaxInflight): once admissions have
-// waited above target for a full interval the gate sheds at entry at an
-// accelerating rate, and 503 Retry-After advice tracks the observed
-// congestion. target <= 0 leaves the plain timeout gate.
-func WithServerAdmissionTarget(target, interval time.Duration) ServerOption {
-	return server.WithAdmissionTarget(target, interval)
 }
 
 // NewServer returns an http.Handler serving the resource's sources; the
@@ -403,29 +393,6 @@ var (
 	ErrDispatchRefused  = dispatch.ErrRefused
 	ErrDispatcherClosed = dispatch.ErrClosed
 	ErrDispatchDeadline = dispatch.ErrDeadline
-)
-
-// Adaptive admission control: a controller that re-derives each
-// source's dispatch limits from live signals (latency windows, breaker
-// state) with an AIMD loop. Configure it via
-// MetasearcherOptions.Adaptive and run it with Metasearcher.StartAdaptive:
-//
-//	ms := starts.NewMetasearcher(starts.MetasearcherOptions{
-//		Adaptive: &starts.AdaptiveLimitsConfig{LatencySLO: 500 * time.Millisecond},
-//	})
-//	defer ms.Close()
-//	<-ms.StartAdaptive(ctx) // after ctx ends, wait for the loop to stop
-type (
-	// AdaptiveLimitsConfig tunes the AIMD admission controller; the zero
-	// value is usable (1s interval, 2s SLO at p95, limits within
-	// [1,64]×[4,256]).
-	AdaptiveLimitsConfig = adaptive.Config
-	// AdaptiveController is the running control loop; reach it through
-	// Metasearcher.Adaptive for Tick/Snapshot.
-	AdaptiveController = adaptive.Controller
-	// AdaptiveDecision is one source's latest controller decision, as
-	// served on GET /debug/adaptive.
-	AdaptiveDecision = adaptive.Decision
 )
 
 // NewQueryCache returns a query-result cache (zero config takes the
