@@ -67,14 +67,26 @@ stress:
 	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/
 
 # fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
-# one per run): the server's one request decoder and the two entry points
-# of the expression parser behind it. Seeds also run with every `go
-# test`. Minimisation is capped at 100 runs per input: the default (60 s)
-# spends the whole budget shrinking the first interesting input it meets.
+# one per run), target by target: the server's one request decoder, the
+# SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
+# the two response frame decoders, and the two entry points of the
+# expression parser behind them all. Seeds also run with every `go test`.
+# Minimisation is capped at 100 runs per input: the default (60 s) spends
+# the whole budget shrinking the first interesting input it meets.
+FUZZ_TARGETS = \
+	internal/server:FuzzDecodeRequest:2s \
+	internal/soif:FuzzSOIFRoundTrip:2s \
+	internal/result:FuzzDecodeBatchItem:2s \
+	internal/result:FuzzDecodeStreamItem:2s \
+	internal/query:FuzzParseFilter:1s \
+	internal/query:FuzzParseRanking:1s
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 4s -fuzzminimizetime 100x ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzParseFilter -fuzztime 3s -fuzzminimizetime 100x ./internal/query
-	$(GO) test -run '^$$' -fuzz FuzzParseRanking -fuzztime 3s -fuzzminimizetime 100x ./internal/query
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		set -- $$(echo $$t | tr : ' '); \
+		echo "fuzz $$2 ($$3)"; \
+		$(GO) test -run '^$$' -fuzz "^$$2\$$" -fuzztime $$3 -fuzzminimizetime 100x ./$$1; \
+	done
 
 # loc prints what the simplicity changes count: non-test Go lines for the
 # repository (bench/, its own frozen module, excluded) and per internal/

@@ -144,6 +144,15 @@ func TestLookupModifier(t *testing.T) {
 	if _, ok := LookupModifier("fuzzy"); ok {
 		t.Error("LookupModifier accepted unknown modifier")
 	}
+	// The query parser asks about every word of every term.
+	if n := testing.AllocsPerRun(100, func() { LookupModifier("stem"); LookupModifier("body-of-text") }); n != 0 {
+		t.Errorf("LookupModifier of a lower-case name allocates %v times", n)
+	}
+	// Callers that range over the table get their own.
+	Basic1Modifiers()[0].Default = "clobbered"
+	if mi, _ := LookupModifier("<"); mi.Default != "=" {
+		t.Errorf("Basic1Modifiers handed out the table itself: %+v", mi)
+	}
 }
 
 func TestIsComparison(t *testing.T) {

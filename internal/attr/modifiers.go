@@ -1,6 +1,9 @@
 package attr
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Modifier specifies what values a query term represents: a comparison
 // relation, stemming, phonetic (soundex) matching, thesaurus expansion,
@@ -38,28 +41,33 @@ type ModifierInfo struct {
 	New      bool   // added by STARTS, not in the Z39.50 relation set
 }
 
-// Basic1Modifiers returns the Basic-1 modifier table in the paper's order.
-// The six comparison relations share a row in the paper; here each appears
+// basic1Modifiers is the Basic-1 modifier table in the paper's order. The
+// six comparison relations share a row in the paper; here each appears
 // individually with the shared default.
+var basic1Modifiers = [...]ModifierInfo{
+	{ModLT, "=", false},
+	{ModLE, "=", false},
+	{ModEQ, "=", false},
+	{ModGE, "=", false},
+	{ModGT, "=", false},
+	{ModNE, "=", false},
+	{ModPhonetic, "no soundex", false},
+	{ModStem, "no stemming", false},
+	{ModThesaurus, "no thesaurus expansion", true},
+	{ModRightTruncation, "no right truncation", false},
+	{ModLeftTruncation, "no left truncation", false},
+	{ModCaseSensitive, "case insensitive", true},
+}
+
+// Basic1Modifiers returns a copy of the Basic-1 modifier table.
 func Basic1Modifiers() []ModifierInfo {
-	mods := []ModifierInfo{}
-	for _, m := range []Modifier{ModLT, ModLE, ModEQ, ModGE, ModGT, ModNE} {
-		mods = append(mods, ModifierInfo{m, "=", false})
-	}
-	return append(mods,
-		ModifierInfo{ModPhonetic, "no soundex", false},
-		ModifierInfo{ModStem, "no stemming", false},
-		ModifierInfo{ModThesaurus, "no thesaurus expansion", true},
-		ModifierInfo{ModRightTruncation, "no right truncation", false},
-		ModifierInfo{ModLeftTruncation, "no left truncation", false},
-		ModifierInfo{ModCaseSensitive, "case insensitive", true},
-	)
+	return slices.Clone(basic1Modifiers[:])
 }
 
 // LookupModifier resolves a modifier name to its Basic-1 table entry.
 func LookupModifier(name string) (ModifierInfo, bool) {
 	n := Modifier(strings.ToLower(name))
-	for _, mi := range Basic1Modifiers() {
+	for _, mi := range basic1Modifiers {
 		if mi.Modifier == n {
 			return mi, true
 		}

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -93,20 +92,20 @@ func (c *Client) QueryBatch(ctx context.Context, url string, qs []*query.Query) 
 	if len(qs) == 0 {
 		return results, errs
 	}
-	var body bytes.Buffer
-	enc := soif.NewEncoder(&body)
+	objs := make([]*soif.Object, len(qs))
 	for i, q := range qs {
-		o, err := q.ToSOIF()
-		if err != nil {
-			splitBatchErr(results, errs, fmt.Errorf("client: encoding batch query %d: %w", i, err))
-			return results, errs
-		}
-		if err := enc.Encode(o); err != nil {
+		var err error
+		if objs[i], err = q.ToSOIF(); err != nil {
 			splitBatchErr(results, errs, fmt.Errorf("client: encoding batch query %d: %w", i, err))
 			return results, errs
 		}
 	}
-	rc, err := c.open(ctx, http.MethodPost, url, body.Bytes())
+	body, err := soif.MarshalAll(objs)
+	if err != nil {
+		splitBatchErr(results, errs, fmt.Errorf("client: encoding batch request: %w", err))
+		return results, errs
+	}
+	rc, err := c.open(ctx, http.MethodPost, url, body)
 	if err != nil {
 		splitBatchErr(results, errs, err)
 		return results, errs

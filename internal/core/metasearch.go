@@ -471,7 +471,10 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if tr == nil {
 		tr = &obs.Trace{}
 	}
-	tr.Begin(describeQuery(q))
+	// Printed once: the trace title and the warm-start workload both
+	// carry the expressions' text.
+	filter, ranking := printed(q)
+	tr.Begin(describeQuery(filter, ranking))
 	defer tr.Finish()
 	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.metrics), tr)
 	m.metrics.Counter("starts_searches_total").Inc()
@@ -495,7 +498,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 		// run detached, find no emitter, and stay silent.
 		ctx = withEmitter(ctx, em)
 	}
-	return m.searchCached(ctx, tr, q, opts, cache, em)
+	return m.searchCached(ctx, tr, q, filter, ranking, opts, cache, em)
 }
 
 // searchCached is the cache-fronted Search path: it fingerprints the
@@ -503,12 +506,16 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 // the coalescing flight's leader). The entry's lifetime comes from the
 // answering sources' own freshness metadata (see answerTTL). The "cache"
 // span annotates how the call was served, and every serve is recorded in
-// the warm-start workload.
-func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, opts Options, cache *qcache.Cache, em *emitter) (*Answer, error) {
+// the warm-start workload: its fingerprint plus the Basic-1 text needed
+// to replay it (filter and ranking, q's expressions as printed). Queries
+// whose expressions do not round-trip through the parser (some
+// multi-value ranking terms) are still recorded; Warm skips them with an
+// error count instead of failing the replay.
+func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, opts Options, cache *qcache.Cache, em *emitter) (*Answer, error) {
 	csp := tr.StartSpan("cache")
 	key := m.cacheKey(q, opts)
 	csp.Annotate("key", key)
-	m.recordWorkload(key, q)
+	m.workload.Record(qcache.WarmEntry{Key: key, Filter: filter, Ranking: ranking, MaxResults: q.MaxResults})
 	v, outcome, err := cache.DoTTL(ctx, key, m.fillFor(q, opts))
 	csp.Annotate("outcome", outcome.String())
 	csp.End(err)
@@ -541,7 +548,7 @@ func (m *Metasearcher) fillFor(q *query.Query, opts Options) qcache.TTLFill {
 			// Background refresh: the triggering request's trace is long
 			// finished, so the refresh runs under its own private trace
 			// and the shared registry.
-			ftr := obs.NewTrace("refresh " + describeQuery(q))
+			ftr := obs.NewTrace("refresh " + describeQuery(printed(q)))
 			defer ftr.Finish()
 			fctx = obs.WithTrace(obs.WithMetrics(fctx, m.metrics), ftr)
 		}
@@ -585,22 +592,6 @@ func (m *Metasearcher) answerTTL(ans *Answer, opts Options) time.Duration {
 		return 0
 	}
 	return min
-}
-
-// recordWorkload notes one cache-fronted query in the warm-start
-// workload: its fingerprint plus the Basic-1 text needed to replay it.
-// Queries whose expressions do not round-trip through the parser (some
-// multi-value ranking terms) are still recorded; Warm skips them with an
-// error count instead of failing the replay.
-func (m *Metasearcher) recordWorkload(key string, q *query.Query) {
-	e := qcache.WarmEntry{Key: key, MaxResults: q.MaxResults}
-	if q.Filter != nil {
-		e.Filter = q.Filter.String()
-	}
-	if q.Ranking != nil {
-		e.Ranking = q.Ranking.String()
-	}
-	m.workload.Record(e)
 }
 
 // Workload lists the recently served cache-fronted queries (bounded,
@@ -899,15 +890,27 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	return answer, nil
 }
 
-// describeQuery renders a query compactly for traces and debug pages.
-func describeQuery(q *query.Query) string {
+// printed renders q's two expressions, "" for one it lacks.
+func printed(q *query.Query) (filter, ranking string) {
+	if q.Filter != nil {
+		filter = q.Filter.String()
+	}
+	if q.Ranking != nil {
+		ranking = q.Ranking.String()
+	}
+	return filter, ranking
+}
+
+// describeQuery renders a query's printed expressions compactly for
+// traces and debug pages.
+func describeQuery(filter, ranking string) string {
 	switch {
-	case q.Filter != nil && q.Ranking != nil:
-		return fmt.Sprintf("filter %v ranking %v", q.Filter, q.Ranking)
-	case q.Filter != nil:
-		return fmt.Sprintf("filter %v", q.Filter)
-	case q.Ranking != nil:
-		return fmt.Sprintf("ranking %v", q.Ranking)
+	case filter != "" && ranking != "":
+		return "filter " + filter + " ranking " + ranking
+	case filter != "":
+		return "filter " + filter
+	case ranking != "":
+		return "ranking " + ranking
 	}
 	return "(empty)"
 }

@@ -60,6 +60,11 @@ func TestRefreshAhead(t *testing.T) {
 		t.Errorf("refreshed %d entries inside the lead window, want 1", n)
 	}
 	waitForQueries(t, conn, 2)
+	// The conn has answered; the refreshed entry is stored a moment later.
+	key := ms.cacheKey(q, ms.opts)
+	for deadline := time.Now().Add(2 * time.Second); ms.opts.Cache.ExpiresWithin(key, 10*time.Second) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	// The refill reset the clock: the same sweep now finds nothing.
 	if n := ms.RefreshAhead(10 * time.Second); n != 0 {

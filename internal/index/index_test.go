@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -480,5 +482,48 @@ func TestDocumentHelpers(t *testing.T) {
 	}
 	if ix := New(text.NewAnalyzer()); ix.DocFreq(attr.FieldTitle, "x") != 0 {
 		t.Error("DocFreq on empty index")
+	}
+}
+
+// TestLookupLeavesPostingsAlone: a match's Positions may be the posting's
+// own storage, which concurrent lookups read, so nothing a lookup or its
+// caller does to a result may show in the index — not the merge of two
+// expansion terms or of two fields, not an append to the result.
+func TestLookupLeavesPostingsAlone(t *testing.T) {
+	ix := testIndex(t)
+	snapshot := func() map[string][][]int {
+		all := map[string][][]int{}
+		for f, fi := range ix.fields {
+			for word, pl := range fi.postings {
+				for _, b := range pl.blocks {
+					for _, p := range b.docs {
+						all[string(f)+"/"+word] = append(all[string(f)+"/"+word], append([]int(nil), p.Positions...))
+					}
+				}
+			}
+		}
+		return all
+	}
+	before := snapshot()
+	for _, src := range []string{
+		`(body-of-text "databases")`,
+		`(body-of-text right-truncation "d")`, // many expansion terms per document
+		`(any "database")`,                    // title and body merged
+		`(any right-truncation "d")`,
+	} {
+		m, err := ix.Lookup(term(t, src), defaultOpts())
+		if err != nil || len(m.Docs) == 0 {
+			t.Fatalf("%s: %v, %v", src, m, err)
+		}
+		for id, info := range m.Docs {
+			if info.Freq != len(info.Positions) || !sort.IntsAreSorted(info.Positions) {
+				t.Errorf("%s: doc %d: freq %d, positions %v", src, id, info.Freq, info.Positions)
+			}
+			// The posting's next position, had the capacity not been clipped.
+			info.Positions = append(info.Positions, -1)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("lookups changed the postings:\n%v\nwas\n%v", after, before)
 	}
 }

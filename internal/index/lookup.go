@@ -123,8 +123,7 @@ func mergeMatches(dst map[int]*DocTermInfo, src map[int]*DocTermInfo) {
 	for id, info := range src {
 		if cur := dst[id]; cur != nil {
 			cur.Freq += info.Freq
-			cur.Positions = append(cur.Positions, info.Positions...)
-			sort.Ints(cur.Positions)
+			cur.Positions = mergePositions(cur.Positions, info.Positions)
 		} else {
 			cp := *info
 			dst[id] = &cp
@@ -235,12 +234,28 @@ func (fi *fieldIndex) expandWord(a *text.Analyzer, word string, t query.Term, op
 	return terms
 }
 
+// mergePositions returns the sorted union of two position lists in a
+// slice of its own: either argument may be a posting's own storage, which
+// concurrent lookups read.
+func mergePositions(a, b []int) []int {
+	merged := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	sort.Ints(merged)
+	return merged
+}
+
 // matchWord finds the posting lists matching one query word under the
 // term's modifiers and merges them into a doc→info map. A candidate set
-// in opts prunes whole posting blocks via the sidecar doc-id bounds.
+// in opts prunes whole posting blocks via the sidecar doc-id bounds. A
+// document's Positions are its posting's own (capacity clipped, so an
+// append cannot reach the index) until a second expansion term matches
+// the document too.
 func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
 	terms := fi.expandWord(a, word, t, opts)
 	out := map[int]*DocTermInfo{}
+	// Infos are cut from chunks that double up to 512: one allocation per
+	// chunk, not per posting. A used-up chunk lives on through its pointers.
+	var free []DocTermInfo
+	chunk := 4
 	for _, term := range terms {
 		pl := fi.postings[term]
 		if pl == nil {
@@ -257,10 +272,15 @@ func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opt
 				}
 				if cur := out[p.DocID]; cur != nil {
 					cur.Freq += p.Freq()
-					cur.Positions = append(cur.Positions, p.Positions...)
-					sort.Ints(cur.Positions)
+					cur.Positions = mergePositions(cur.Positions, p.Positions)
 				} else {
-					out[p.DocID] = &DocTermInfo{Freq: p.Freq(), Positions: append([]int(nil), p.Positions...)}
+					if len(free) == 0 {
+						chunk = min(2*chunk, 512)
+						free = make([]DocTermInfo, chunk)
+					}
+					n := len(p.Positions)
+					free[0] = DocTermInfo{Freq: n, Positions: p.Positions[:n:n]}
+					out[p.DocID], free = &free[0], free[1:]
 				}
 			}
 		}

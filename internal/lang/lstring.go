@@ -29,11 +29,17 @@ func LIn(tag Tag, text string) LString { return LString{Tag: tag, Text: text} }
 // String renders the l-string in canonical query syntax: a double-quoted,
 // backslash-escaped string, wrapped in [tag ...] when language-qualified.
 func (l LString) String() string {
-	q := Quote(l.Text)
+	var buf [64]byte
+	return string(l.Append(buf[:0]))
+}
+
+// Append appends the l-string to dst as String renders it.
+func (l LString) Append(dst []byte) []byte {
 	if l.Tag.IsZero() {
-		return q
+		return appendQuote(dst, l.Text)
 	}
-	return "[" + l.Tag.String() + " " + q + "]"
+	dst = append(append(dst, '['), l.Tag.String()...)
+	return append(appendQuote(append(dst, ' '), l.Text), ']')
 }
 
 // Resolve returns the l-string's tag, or def when unqualified.
@@ -48,17 +54,19 @@ func (l LString) Resolve(def Tag) Tag {
 // quote and backslash characters. All other bytes, including non-ASCII
 // UTF-8, pass through verbatim.
 func Quote(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
+	var buf [64]byte
+	return string(appendQuote(buf[:0], s))
+}
+
+func appendQuote(dst []byte, s string) []byte {
+	dst = append(dst, '"')
 	for _, r := range s {
 		if r == '"' || r == '\\' {
-			b.WriteByte('\\')
+			dst = append(dst, '\\')
 		}
-		b.WriteRune(r)
+		dst = utf8.AppendRune(dst, r)
 	}
-	b.WriteByte('"')
-	return b.String()
+	return append(dst, '"')
 }
 
 // ParseLString parses a complete l-string and rejects trailing input.
@@ -123,6 +131,11 @@ func scanQuoted(s string) (text, rest string, err error) {
 		}
 		return s[2 : 2+end], s[2+end+2:], nil
 	case strings.HasPrefix(s, `"`):
+		// Without an escape or a byte WriteRune would replace, the text is
+		// the source's own bytes.
+		if end := strings.IndexAny(s[1:], "\"\\"); end >= 0 && s[1+end] == '"' && utf8.ValidString(s[1:1+end]) {
+			return s[1 : 1+end], s[2+end:], nil
+		}
 		var b strings.Builder
 		i := 1
 		for i < len(s) {

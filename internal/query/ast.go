@@ -8,7 +8,7 @@ package query
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
@@ -78,26 +78,71 @@ func (t Term) bare() bool {
 
 // String renders the term in query syntax.
 func (t Term) String() string {
-	if t.bare() {
-		return t.Value.String()
-	}
-	var parts []string
-	if t.Field != "" {
-		parts = append(parts, string(attr.Normalize(t.Field)))
-	}
-	for _, m := range t.Mods {
-		parts = append(parts, m.String())
-	}
-	parts = append(parts, t.Value.String())
-	if t.Weight != 0 {
-		parts = append(parts, trimFloat(t.Weight))
-	}
-	return "(" + strings.Join(parts, " ") + ")"
+	var buf [printBuf]byte
+	return string(t.Append(buf[:0]))
 }
 
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+// Append appends the term to dst in query syntax.
+func (t Term) Append(dst []byte) []byte {
+	if t.bare() {
+		return t.Value.Append(dst)
+	}
+	dst = append(dst, '(')
+	if t.Field != "" {
+		dst = append(dst, attr.Normalize(t.Field)...)
+		dst = append(dst, ' ')
+	}
+	for _, m := range t.Mods {
+		dst = append(dst, m.String()...)
+		dst = append(dst, ' ')
+	}
+	dst = t.Value.Append(dst)
+	if t.Weight != 0 {
+		dst = strconv.AppendFloat(append(dst, ' '), t.Weight, 'g', -1, 64)
+	}
+	return append(dst, ')')
+}
+
+// printBuf is the stack buffer an expression is printed into before it
+// becomes a string; the paper's longest example expression is 61 bytes.
+const printBuf = 256
+
+// appendExpr is the one printer of expressions: it appends e to dst in
+// query syntax.
+func appendExpr(dst []byte, e Expr) []byte {
+	switch n := e.(type) {
+	case *TermExpr:
+		return n.Term.Append(dst)
+	case *Bin:
+		dst = appendExpr(append(dst, '('), n.L)
+		dst = append(append(append(dst, ' '), n.Op...), ' ')
+		return append(appendExpr(dst, n.R), ')')
+	case *Prox:
+		dst = n.L.Term.Append(append(dst, '('))
+		dst = strconv.AppendInt(append(dst, " prox["...), int64(n.Dist), 10)
+		if n.Ordered {
+			dst = append(dst, ",T] "...)
+		} else {
+			dst = append(dst, ",F] "...)
+		}
+		return append(n.R.Term.Append(dst), ')')
+	case *List:
+		dst = append(dst, "list("...)
+		for i, it := range n.Items {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = appendExpr(dst, it)
+		}
+		return append(dst, ')')
+	default:
+		return append(dst, e.String()...)
+	}
+}
+
+func exprString(e Expr) string {
+	var buf [printBuf]byte
+	return string(appendExpr(buf[:0], e))
 }
 
 // Op is a Boolean(-like) operator combining query expressions.
@@ -139,9 +184,7 @@ type Bin struct {
 }
 
 // String implements Expr.
-func (b *Bin) String() string {
-	return "(" + b.L.String() + " " + string(b.Op) + " " + b.R.String() + ")"
-}
+func (b *Bin) String() string { return exprString(b) }
 
 // Terms implements Expr.
 func (b *Bin) Terms(dst []Term) []Term { return b.R.Terms(b.L.Terms(dst)) }
@@ -157,13 +200,7 @@ type Prox struct {
 }
 
 // String implements Expr.
-func (p *Prox) String() string {
-	o := "F"
-	if p.Ordered {
-		o = "T"
-	}
-	return fmt.Sprintf("(%s prox[%d,%s] %s)", p.L, p.Dist, o, p.R)
-}
+func (p *Prox) String() string { return exprString(p) }
 
 // Terms implements Expr.
 func (p *Prox) Terms(dst []Term) []Term { return p.R.Terms(p.L.Terms(dst)) }
@@ -178,13 +215,7 @@ type List struct {
 }
 
 // String implements Expr.
-func (l *List) String() string {
-	parts := make([]string, len(l.Items))
-	for i, it := range l.Items {
-		parts[i] = it.String()
-	}
-	return "list(" + strings.Join(parts, " ") + ")"
-}
+func (l *List) String() string { return exprString(l) }
 
 // Terms implements Expr.
 func (l *List) Terms(dst []Term) []Term {

@@ -22,6 +22,8 @@ var paperExpressions = []string{
 	`((title "a") or ((title "b") and-not (any "c")))`,
 	`(date-last-modified > "1996-08-01")`,
 	`(body-of-text [en-US "behavior"])`,
+	// Weights the printer writes with an exponent.
+	`list(("a" 0.00001) (title "b" 0.0000001234))`,
 }
 
 // fuzzParse is the property both targets check: whatever the input, the

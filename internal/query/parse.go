@@ -408,6 +408,13 @@ func (p *parser) scanNumber() (float64, error) {
 	if start == p.pos {
 		return 0, fmt.Errorf("expected number at offset %d", p.pos)
 	}
+	// The printer writes a weight below 1e-4 as 1e-05.
+	if exp := p.rest(); len(exp) > 2 && (exp[0] == 'e' || exp[0] == 'E') && (exp[1] == '-' || exp[1] == '+') && isDigit(exp[2]) {
+		p.pos += 2
+		for !p.eof() && isDigit(p.src[p.pos]) {
+			p.pos++
+		}
+	}
 	f, err := strconv.ParseFloat(p.src[start:p.pos], 64)
 	if err != nil {
 		return 0, fmt.Errorf("invalid number %q at offset %d", p.src[start:p.pos], start)

@@ -256,6 +256,8 @@ func TestPrintParseRoundTrip(t *testing.T) {
 		`(body-of-text [en-US "behavior"])`,
 		`(author phonetic "Smith")`,
 		`(title right-truncation case-sensitive "Data")`,
+		// Below 1e-4 the printer writes an exponent; failed to reparse once.
+		`list(("a" 1e-05) (title "b" 1.234e-07))`,
 	}
 	for _, src := range srcs {
 		e1, err := ParseRanking(src)

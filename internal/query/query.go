@@ -169,7 +169,7 @@ func (q *Query) ToSOIF() (*soif.Object, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	o := soif.New(SQueryType)
+	o := &soif.Object{Type: SQueryType, Attrs: make([]soif.Attribute, 0, 11)}
 	o.Add("Version", Version)
 	if q.Filter != nil {
 		o.Add("FilterExpression", q.Filter.String())
@@ -202,7 +202,7 @@ func (q *Query) ToSOIF() (*soif.Object, error) {
 		o.Add("SortByFields", strings.Join(keys, " "))
 	}
 	if q.MinScore != 0 {
-		o.Add("MinDocumentScore", trimFloat(q.MinScore))
+		o.Add("MinDocumentScore", strconv.FormatFloat(q.MinScore, 'g', -1, 64))
 	}
 	if q.MaxResults != 0 {
 		o.Add("MaxNumberDocuments", strconv.Itoa(q.MaxResults))
@@ -245,8 +245,9 @@ func FromSOIF(o *soif.Object) (*Query, error) {
 		q.Sources = strings.Fields(v)
 	}
 	if v, ok := o.Get("AnswerFields"); ok {
-		q.AnswerFields = nil
-		for _, name := range strings.Fields(v) {
+		names := strings.Fields(v)
+		q.AnswerFields = make([]attr.Field, 0, len(names))
+		for _, name := range names {
 			q.AnswerFields = append(q.AnswerFields, attr.Normalize(attr.Field(name)))
 		}
 	}
@@ -294,7 +295,7 @@ func parseSortKeys(v string) ([]SortKey, error) {
 	if len(fields)%2 != 0 {
 		return nil, fmt.Errorf("query: SortByFields %q must be field/direction pairs", v)
 	}
-	var keys []SortKey
+	keys := make([]SortKey, 0, len(fields)/2)
 	for i := 0; i < len(fields); i += 2 {
 		k := SortKey{Field: attr.Normalize(attr.Field(fields[i]))}
 		switch strings.ToLower(fields[i+1]) {

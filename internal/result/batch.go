@@ -58,15 +58,16 @@ func EncodeBatchItem(enc *soif.Encoder, index int, r *Results, itemErr error) er
 		head.Add("Error", itemErr.Error())
 		return enc.Encode(head)
 	}
-	if err := enc.Encode(head); err != nil {
-		return err
+	return encodeAll(enc, head, r.ToSOIF())
+}
+
+// encodeAll writes a frame header and the objects of its frame.
+func encodeAll(enc *soif.Encoder, head *soif.Object, objs []*soif.Object) error {
+	err := enc.Encode(head)
+	for i := 0; err == nil && i < len(objs); i++ {
+		err = enc.Encode(objs[i])
 	}
-	for _, o := range r.ToSOIF() {
-		if err := enc.Encode(o); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // DecodeBatchItem reads the next complete frame from dec. It returns the
@@ -85,28 +86,15 @@ func DecodeBatchItem(dec *soif.Decoder) (index int, r *Results, itemErr, err err
 	if !strings.EqualFold(head.Type, BatchItemType) {
 		return 0, nil, nil, fmt.Errorf("result: expected @%s frame, found @%s", BatchItemType, head.Type)
 	}
-	v, ok := head.Get("Index")
-	if !ok {
-		return 0, nil, nil, fmt.Errorf("result: @%s frame missing Index", BatchItemType)
-	}
-	index, err = strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || index < 0 {
-		return 0, nil, nil, fmt.Errorf("result: invalid batch frame Index %q", v)
+	if index, err = count(head, "Index"); err != nil {
+		return 0, nil, nil, err
 	}
 	if msg, failed := head.Get("Error"); failed {
 		return index, nil, &BatchItemError{Index: index, Message: msg}, nil
 	}
 	// The item's own object stream: the @SQResults header names how many
 	// @SQRDocument objects follow, making the frame self-delimiting.
-	rh, err := dec.Decode()
-	if err != nil {
-		return index, nil, nil, fmt.Errorf("result: batch item %d: reading @%s header: %w", index, ResultsType, err)
-	}
-	if !strings.EqualFold(rh.Type, ResultsType) {
-		return index, nil, nil, fmt.Errorf("result: batch item %d: expected @%s, found @%s", index, ResultsType, rh.Type)
-	}
-	r, err = decodeResultsBody(dec, rh)
-	if err != nil {
+	if r, err = decodeResults(dec, nil); err != nil {
 		return index, nil, nil, fmt.Errorf("result: batch item %d: %w", index, err)
 	}
 	return index, r, nil, nil

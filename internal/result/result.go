@@ -9,9 +9,10 @@ package result
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"starts/internal/attr"
 	"starts/internal/query"
@@ -44,7 +45,14 @@ type TermStat struct {
 
 // String renders the stat in the Example 8 line format.
 func (s TermStat) String() string {
-	return fmt.Sprintf("%s %d %s %d", s.Term, s.Freq, formatFloat(s.Weight), s.DocFreq)
+	var buf [128]byte
+	return string(s.append(buf[:0]))
+}
+
+func (s TermStat) append(dst []byte) []byte {
+	dst = strconv.AppendInt(append(s.Term.Append(dst), ' '), int64(s.Freq), 10)
+	dst = strconv.AppendFloat(append(dst, ' '), s.Weight, 'g', -1, 64)
+	return strconv.AppendInt(append(dst, ' '), int64(s.DocFreq), 10)
 }
 
 // Document is one query-result document.
@@ -102,7 +110,7 @@ type Results struct {
 // ToSOIF encodes the result as an @SQResults header followed by one
 // @SQRDocument per document, as in the paper's Example 8.
 func (r *Results) ToSOIF() []*soif.Object {
-	head := soif.New(ResultsType)
+	head := &soif.Object{Type: ResultsType, Attrs: make([]soif.Attribute, 0, 5)}
 	head.Add("Version", query.Version)
 	head.Add("Sources", strings.Join(r.Sources, " "))
 	if r.ActualFilter != nil {
@@ -112,7 +120,8 @@ func (r *Results) ToSOIF() []*soif.Object {
 		head.Add("ActualRankingExpression", r.ActualRanking.String())
 	}
 	head.Add("NumDocSOIFs", strconv.Itoa(len(r.Documents)))
-	objs := []*soif.Object{head}
+	objs := make([]*soif.Object, 0, 1+len(r.Documents))
+	objs = append(objs, head)
 	for _, d := range r.Documents {
 		objs = append(objs, d.toSOIF())
 	}
@@ -143,19 +152,41 @@ func (r *Results) Clone() *Results {
 }
 
 func (d *Document) toSOIF() *soif.Object {
-	o := soif.New(DocumentType)
+	o := &soif.Object{Type: DocumentType, Attrs: make([]soif.Attribute, 0, 6+len(d.Fields))}
+	var buf [256]byte
 	o.Add("Version", query.Version)
-	o.Add("RawScore", formatFloat(d.RawScore))
+	o.Add("RawScore", string(strconv.AppendFloat(buf[:0], d.RawScore, 'g', -1, 64)))
 	o.Add("Sources", strings.Join(d.Sources, " "))
-	for _, f := range fieldOrder(d.Fields) {
-		o.Add(string(f), d.Fields[f])
+	// Linkage and title first (the always-present and default answer
+	// fields), then the rest alphabetically, for stable output.
+	rest := len(d.Fields)
+	for _, f := range [...]attr.Field{attr.FieldLinkage, attr.FieldTitle} {
+		if v, ok := d.Fields[f]; ok {
+			o.Add(string(f), v)
+			rest--
+		}
+	}
+	if rest > 0 {
+		fields := make([]attr.Field, 0, rest)
+		for f := range d.Fields {
+			if f != attr.FieldLinkage && f != attr.FieldTitle {
+				fields = append(fields, f)
+			}
+		}
+		slices.Sort(fields)
+		for _, f := range fields {
+			o.Add(string(f), d.Fields[f])
+		}
 	}
 	if len(d.TermStats) > 0 {
-		lines := make([]string, len(d.TermStats))
+		lines := buf[:0]
 		for i, s := range d.TermStats {
-			lines[i] = s.String()
+			if i > 0 {
+				lines = append(lines, '\n')
+			}
+			lines = s.append(lines)
 		}
-		o.Add("TermStats", strings.Join(lines, "\n"))
+		o.Add("TermStats", string(lines))
 	}
 	if d.Size > 0 {
 		o.Add("DocSize", strconv.Itoa(d.Size))
@@ -164,28 +195,6 @@ func (d *Document) toSOIF() *soif.Object {
 		o.Add("DocCount", strconv.Itoa(d.Count))
 	}
 	return o
-}
-
-// fieldOrder yields linkage and title first (the always-present and
-// default answer fields), then the rest alphabetically, for stable output.
-func fieldOrder(fields map[attr.Field]string) []attr.Field {
-	var rest []attr.Field
-	var ordered []attr.Field
-	for f := range fields {
-		switch f {
-		case attr.FieldLinkage, attr.FieldTitle:
-		default:
-			rest = append(rest, f)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	if _, ok := fields[attr.FieldLinkage]; ok {
-		ordered = append(ordered, attr.FieldLinkage)
-	}
-	if _, ok := fields[attr.FieldTitle]; ok {
-		ordered = append(ordered, attr.FieldTitle)
-	}
-	return append(ordered, rest...)
 }
 
 // Parse decodes a complete query result (header plus documents) from SOIF
@@ -206,6 +215,35 @@ func FromSOIF(objs []*soif.Object) (*Results, error) {
 		return nil, fmt.Errorf("result: empty result stream")
 	}
 	head := objs[0]
+	r, err := headerFromSOIF(head)
+	if err != nil {
+		return nil, err
+	}
+	if len(objs) > 1 {
+		r.Documents = make([]*Document, 0, len(objs)-1)
+	}
+	for i, o := range objs[1:] {
+		d, err := docFromSOIF(o)
+		if err != nil {
+			return nil, fmt.Errorf("result: document %d: %w", i, err)
+		}
+		r.Documents = append(r.Documents, d)
+	}
+	if head.Has("NumDocSOIFs") {
+		n, err := count(head, "NumDocSOIFs")
+		if err != nil {
+			return nil, err
+		}
+		if n != len(r.Documents) {
+			return nil, fmt.Errorf("result: header promises %d documents, stream carries %d", n, len(r.Documents))
+		}
+	}
+	return r, nil
+}
+
+// headerFromSOIF decodes everything an @SQResults header says except how
+// many documents follow it.
+func headerFromSOIF(head *soif.Object) (*Results, error) {
 	// A server that committed its HTTP status before failing reports the
 	// failure as an @SQStreamItem error object in place of the results;
 	// surface it as the typed error it is.
@@ -232,22 +270,6 @@ func FromSOIF(objs []*soif.Object) (*Results, error) {
 			return nil, fmt.Errorf("result: actual ranking: %w", err)
 		}
 	}
-	for i, o := range objs[1:] {
-		d, err := docFromSOIF(o)
-		if err != nil {
-			return nil, fmt.Errorf("result: document %d: %w", i, err)
-		}
-		r.Documents = append(r.Documents, d)
-	}
-	if v, ok := head.Get("NumDocSOIFs"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			return nil, fmt.Errorf("result: NumDocSOIFs %q: %w", v, err)
-		}
-		if n != len(r.Documents) {
-			return nil, fmt.Errorf("result: header promises %d documents, stream carries %d", n, len(r.Documents))
-		}
-	}
 	return r, nil
 }
 
@@ -255,26 +277,27 @@ func docFromSOIF(o *soif.Object) (*Document, error) {
 	if !strings.EqualFold(o.Type, DocumentType) {
 		return nil, fmt.Errorf("expected @%s, found @%s", DocumentType, o.Type)
 	}
-	d := &Document{Fields: map[attr.Field]string{}}
+	// Everything but the six attributes named below is an answer field.
+	d := &Document{Fields: make(map[attr.Field]string, max(0, len(o.Attrs)-6))}
 	var err error
 	for _, a := range o.Attrs {
-		switch strings.ToLower(a.Name) {
-		case "version":
-		case "rawscore":
+		switch {
+		case strings.EqualFold(a.Name, "Version"):
+		case strings.EqualFold(a.Name, "RawScore"):
 			if d.RawScore, err = strconv.ParseFloat(strings.TrimSpace(a.Value), 64); err != nil {
 				return nil, fmt.Errorf("RawScore %q: %w", a.Value, err)
 			}
-		case "sources":
+		case strings.EqualFold(a.Name, "Sources"):
 			d.Sources = strings.Fields(a.Value)
-		case "termstats":
+		case strings.EqualFold(a.Name, "TermStats"):
 			if d.TermStats, err = ParseTermStats(a.Value); err != nil {
 				return nil, err
 			}
-		case "docsize":
+		case strings.EqualFold(a.Name, "DocSize"):
 			if d.Size, err = strconv.Atoi(strings.TrimSpace(a.Value)); err != nil {
 				return nil, fmt.Errorf("DocSize %q: %w", a.Value, err)
 			}
-		case "doccount":
+		case strings.EqualFold(a.Name, "DocCount"):
 			if d.Count, err = strconv.Atoi(strings.TrimSpace(a.Value)); err != nil {
 				return nil, fmt.Errorf("DocCount %q: %w", a.Value, err)
 			}
@@ -285,18 +308,24 @@ func docFromSOIF(o *soif.Object) (*Document, error) {
 	return d, nil
 }
 
+// maxStatsHint caps what ParseTermStats reserves on the strength of a
+// newline count: a TermStat is 120 bytes, a newline one, and the value
+// comes from a remote source.
+const maxStatsHint = 32
+
 // ParseTermStats decodes the TermStats attribute value: one or more
 // whitespace-separated entries of the form
 //
 //	(body-of-text "distributed") 10 0.31 190
 func ParseTermStats(v string) ([]TermStat, error) {
-	var stats []TermStat
-	rest := v
-	for {
-		rest = strings.TrimSpace(rest)
-		if rest == "" {
-			return stats, nil
-		}
+	rest := strings.TrimSpace(v)
+	if rest == "" {
+		return nil, nil
+	}
+	// The encoder puts one entry on a line; a line that is not an entry
+	// reserves nothing past maxStatsHint (longer lists grow by append).
+	stats := make([]TermStat, 0, min(1+strings.Count(rest, "\n"), maxStatsHint))
+	for rest != "" {
 		term, after, err := query.ScanTerm(rest)
 		if err != nil {
 			return nil, fmt.Errorf("TermStats term: %w", err)
@@ -323,8 +352,9 @@ func ParseTermStats(v string) ([]TermStat, error) {
 			return nil, fmt.Errorf("TermStats docfreq %q: %w", tok, err)
 		}
 		stats = append(stats, s)
-		rest = after
+		rest = strings.TrimLeftFunc(after, unicode.IsSpace)
 	}
+	return stats, nil
 }
 
 // nextToken splits one whitespace-delimited token off the front of s,
@@ -336,8 +366,4 @@ func nextToken(s string) (tok, rest string) {
 		return s, ""
 	}
 	return s[:i], s[i:]
-}
-
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }

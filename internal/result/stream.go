@@ -71,15 +71,11 @@ func EncodeStreamDocs(enc *soif.Encoder, rank int, docs []*Document) error {
 	head.Add("Version", query.Version)
 	head.Add("Rank", strconv.Itoa(rank))
 	head.Add("NumDocSOIFs", strconv.Itoa(len(docs)))
-	if err := enc.Encode(head); err != nil {
-		return err
+	objs := make([]*soif.Object, len(docs))
+	for i, d := range docs {
+		objs[i] = d.toSOIF()
 	}
-	for _, d := range docs {
-		if err := enc.Encode(d.toSOIF()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return encodeAll(enc, head, objs)
 }
 
 // EncodeStreamFinal writes the terminal frame: an @SQStreamItem header
@@ -88,15 +84,7 @@ func EncodeStreamFinal(enc *soif.Encoder, r *Results) error {
 	head := soif.New(StreamItemType)
 	head.Add("Version", query.Version)
 	head.Add("Final", "1")
-	if err := enc.Encode(head); err != nil {
-		return err
-	}
-	for _, o := range r.ToSOIF() {
-		if err := enc.Encode(o); err != nil {
-			return err
-		}
-	}
-	return nil
+	return encodeAll(enc, head, r.ToSOIF())
 }
 
 // EncodeStreamError writes an error frame carrying itemErr's text. It is
@@ -125,62 +113,49 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("result: reading stream frame header: %w", err)
 	}
-	if strings.EqualFold(head.Type, ResultsType) {
-		r, err := decodeResultsBody(dec, head)
-		if err != nil {
-			return nil, err
-		}
-		return &StreamItem{Final: r}, nil
-	}
-	if !strings.EqualFold(head.Type, StreamItemType) {
+	switch {
+	case strings.EqualFold(head.Type, ResultsType):
+		// The whole answer at once: its header is the frame.
+	case !strings.EqualFold(head.Type, StreamItemType):
 		return nil, fmt.Errorf("result: expected @%s frame, found @%s", StreamItemType, head.Type)
-	}
-	if msg, failed := head.Get("Error"); failed {
-		return &StreamItem{Err: &StreamError{Message: msg}}, nil
-	}
-	if _, final := head.Get("Final"); final {
-		rh, err := dec.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("result: terminal stream frame: reading @%s header: %w", ResultsType, err)
-		}
-		if !strings.EqualFold(rh.Type, ResultsType) {
-			return nil, fmt.Errorf("result: terminal stream frame: expected @%s, found @%s", ResultsType, rh.Type)
-		}
-		r, err := decodeResultsBody(dec, rh)
+	case head.Has("Error"):
+		return &StreamItem{Err: &StreamError{Message: head.GetDefault("Error", "")}}, nil
+	case head.Has("Final"):
+		head = nil // the answer's own header follows
+	default:
+		rank, err := count(head, "Rank")
 		if err != nil {
 			return nil, err
 		}
-		return &StreamItem{Final: r}, nil
+		n, err := count(head, "NumDocSOIFs")
+		if err != nil {
+			return nil, err
+		}
+		docs, err := decodeDocs(dec, n)
+		if err != nil {
+			return nil, fmt.Errorf("result: stream frame at rank %d: %w", rank, err)
+		}
+		return &StreamItem{Rank: rank, Docs: docs}, nil
 	}
-	v, ok := head.Get("Rank")
+	r, err := decodeResults(dec, head)
+	if err != nil {
+		return nil, fmt.Errorf("result: terminal stream frame: %w", err)
+	}
+	return &StreamItem{Final: r}, nil
+}
+
+// count reads a frame's or header's attribute name, a non-negative integer
+// that must be there.
+func count(o *soif.Object, name string) (int, error) {
+	v, ok := o.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("result: @%s frame missing Rank", StreamItemType)
+		return 0, fmt.Errorf("result: @%s missing %s", o.Type, name)
 	}
-	rank, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || rank < 0 {
-		return nil, fmt.Errorf("result: invalid stream frame Rank %q", v)
-	}
-	nv, ok := head.Get("NumDocSOIFs")
-	if !ok {
-		return nil, fmt.Errorf("result: @%s frame missing NumDocSOIFs", StreamItemType)
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(nv))
+	n, err := strconv.Atoi(strings.TrimSpace(v))
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("result: invalid stream frame NumDocSOIFs %q", nv)
+		return 0, fmt.Errorf("result: @%s: invalid %s %q", o.Type, name, v)
 	}
-	it := &StreamItem{Rank: rank, Docs: make([]*Document, 0, min(n, maxDocsHint))}
-	for i := 0; i < n; i++ {
-		o, err := dec.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("result: stream frame at rank %d: document %d of %d: %w", rank, i, n, err)
-		}
-		d, err := docFromSOIF(o)
-		if err != nil {
-			return nil, fmt.Errorf("result: stream frame at rank %d: document %d: %w", rank, i, err)
-		}
-		it.Docs = append(it.Docs, d)
-	}
-	return it, nil
+	return n, nil
 }
 
 // maxDocsHint caps the capacity a wire-declared NumDocSOIFs may reserve
@@ -190,25 +165,46 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 // is not there. Answers longer than the cap grow by append.
 const maxDocsHint = 1024
 
-// decodeResultsBody consumes the NumDocSOIFs documents promised by an
-// already-decoded @SQResults header and assembles the whole result.
-func decodeResultsBody(dec *soif.Decoder, head *soif.Object) (*Results, error) {
-	nv, ok := head.Get("NumDocSOIFs")
-	if !ok {
-		return nil, fmt.Errorf("result: @%s header missing NumDocSOIFs", ResultsType)
+// decodeDocs reads the n documents a header promised, each as it arrives.
+func decodeDocs(dec *soif.Decoder, n int) ([]*Document, error) {
+	var docs []*Document
+	if n > 0 {
+		docs = make([]*Document, 0, min(n, maxDocsHint))
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(nv))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("result: @%s header: invalid NumDocSOIFs %q", ResultsType, nv)
-	}
-	objs := make([]*soif.Object, 0, min(n, maxDocsHint)+1)
-	objs = append(objs, head)
 	for i := 0; i < n; i++ {
 		o, err := dec.Decode()
 		if err != nil {
-			return nil, fmt.Errorf("result: document %d of %d: %w", i, n, err)
+			return nil, fmt.Errorf("document %d of %d: %w", i, n, err)
 		}
-		objs = append(objs, o)
+		d, err := docFromSOIF(o)
+		if err != nil {
+			return nil, fmt.Errorf("document %d: %w", i, err)
+		}
+		docs = append(docs, d)
 	}
-	return FromSOIF(objs)
+	return docs, nil
+}
+
+// decodeResults reads one answer: the @SQResults header — head, or the
+// next object when the caller has not read it yet — and the NumDocSOIFs
+// documents it promises.
+func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
+	if head == nil {
+		var err error
+		if head, err = dec.Decode(); err != nil {
+			return nil, fmt.Errorf("reading @%s header: %w", ResultsType, err)
+		}
+	}
+	r, err := headerFromSOIF(head)
+	if err != nil {
+		return nil, err
+	}
+	n, err := count(head, "NumDocSOIFs")
+	if err != nil {
+		return nil, err
+	}
+	if r.Documents, err = decodeDocs(dec, n); err != nil {
+		return nil, fmt.Errorf("result: %w", err)
+	}
+	return r, nil
 }
