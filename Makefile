@@ -69,17 +69,19 @@ stress:
 # fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
 # one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
-# the two response frame decoders, and the two entry points of the
-# expression parser behind them all. Seeds also run with every `go test`.
+# the two response frame decoders, the two entry points of the expression
+# parser behind them all, and the engine's cursor evaluator against its
+# oracle (internal/engine/exhaustive.go). Seeds also run with every `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
 	internal/server:FuzzDecodeRequest:2s \
 	internal/soif:FuzzSOIFRoundTrip:2s \
-	internal/result:FuzzDecodeBatchItem:2s \
-	internal/result:FuzzDecodeStreamItem:2s \
+	internal/result:FuzzDecodeBatchItem:1s \
+	internal/result:FuzzDecodeStreamItem:1s \
 	internal/query:FuzzParseFilter:1s \
-	internal/query:FuzzParseRanking:1s
+	internal/query:FuzzParseRanking:1s \
+	internal/engine:FuzzSearchMatchesExhaustive:2s
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -136,19 +136,21 @@ func BenchmarkEngineScale(b *testing.B) {
 // the engine previously always ran.
 func BenchmarkEngineSort(b *testing.B) {
 	fast, _ := benchEnginePair(b, 1_000_000)
-	n := fast.ix.NumDocs()
-	scored := make([]*scoredDoc, n)
+	snap := fast.ix.Snapshot()
+	defer snap.Close()
+	n := snap.NumDocs()
+	scored := make([]scoredDoc, n)
 	for i := range scored {
-		scored[i] = &scoredDoc{id: i, score: float64((i * 2654435761) % 1000)}
+		scored[i] = scoredDoc{id: i, score: float64((i * 2654435761) % 1000)}
 	}
 	keys := []query.SortKey{{Field: query.ScoreSortField}}
-	work := make([]*scoredDoc, n)
+	work := make([]scoredDoc, n)
 	run := func(b *testing.B, max int) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(work, scored)
-			fast.sortTop(work, keys, max)
+			sortTop(snap, work, keys, max)
 		}
 	}
 	b.Run("heap-top20-1m", func(b *testing.B) { run(b, 20) })

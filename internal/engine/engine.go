@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"starts/internal/attr"
@@ -46,9 +47,10 @@ type Config struct {
 	// the Free-form-text field provides. It receives the native query
 	// string and the engine's index and returns the matching documents.
 	Native func(native string, ix *index.Index) (map[int]bool, error)
-	// Exhaustive disables the block-pruned ranked fast path, forcing
-	// every query through the full scoring walk. The two paths return
-	// identical results; equivalence tests and benchmarks flip this.
+	// Exhaustive evaluates every query with the oracle (exhaustive.go):
+	// match sets and per-term maps over whole posting lists, every match
+	// scored. It returns exactly what the cursors return; the equivalence
+	// tests and the benchmark's reference fleet set it, nothing else does.
 	Exhaustive bool
 }
 
@@ -209,11 +211,6 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 		DefaultLang:   q.DefaultLanguage,
 		Thesaurus:     e.cfg.Thesaurus,
 	}
-	if e.cfg.Native != nil {
-		opts.Native = func(native string) (map[int]bool, error) {
-			return e.cfg.Native(native, e.ix)
-		}
-	}
 
 	// Interpret term fields in the query's default attribute set (e.g.
 	// dc-1 "creator" resolves to the Basic-1 "author" this engine knows).
@@ -237,176 +234,212 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	if actualFilter == nil && actualRanking == nil {
 		return res, nil
 	}
-
-	var kept []*scoredDoc
-	var ev *rankEvaluator
-	if fast, ok := e.rankedFastPath(q, actualFilter, actualRanking, opts); ok {
-		// Pure ranking under the default sort: the index's block-pruned
-		// top-k traversal finds the answer without scoring the collection.
-		kept = fast
-	} else {
-		// The filter match set; no (surviving) filter means every document
-		// qualifies.
-		var matched map[int]bool
-		if actualFilter != nil {
-			set, err := e.ix.EvalFilter(actualFilter, opts)
-			if err != nil {
-				return nil, err
-			}
-			matched = set
-		} else {
-			matched = e.ix.AllDocs()
-		}
-
-		scored, rev, err := e.scoreDocs(matched, actualRanking, opts)
-		if err != nil {
-			return nil, err
-		}
-		ev = rev
-
-		// Answer-specification: minimum score, sort, cap. A pure ranking
-		// query (no filter) qualifies only documents that match at least one
-		// ranking term; with a filter, the filter decides membership and a
-		// zero score merely ranks last.
-		kept = scored[:0]
-		for _, sd := range scored {
-			if actualRanking != nil {
-				if sd.score < q.MinScore {
-					continue
-				}
-				if actualFilter == nil && sd.score == 0 {
-					continue
-				}
-			}
-			kept = append(kept, sd)
-		}
-		kept = e.sortTop(kept, q.EffectiveSort(), q.EffectiveMaxResults())
+	if err := e.resolveNative(&opts, actualFilter, actualRanking); err != nil {
+		return nil, err
 	}
 
-	for _, sd := range kept {
-		doc, err := e.ix.Doc(sd.id)
-		if err != nil {
-			return nil, err
+	// One state of the index answers the whole query — matches, document
+	// frequencies, collection size, lengths, the documents returned —
+	// however many documents are added while it runs.
+	snap := e.ix.Snapshot()
+	defer snap.Close()
+
+	var kept []scoredDoc
+	var stats [][]result.TermStat // of kept, in step; nil without a ranking
+	var err error
+	if e.cfg.Exhaustive {
+		kept, stats, err = e.searchExhaustive(snap, q, actualFilter, actualRanking, opts)
+	} else if fast, fastStats, ok := e.rankedFastPath(snap, q, actualFilter, actualRanking, opts); ok {
+		// Pure ranking under the default sort: the same cursors plus a
+		// threshold find the answer without scoring every match.
+		kept, stats = fast, fastStats
+	} else {
+		kept, stats, err = e.searchCursors(snap, q, actualFilter, actualRanking, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	fields := q.EffectiveAnswerFields()
+	res.Documents = make([]*result.Document, len(kept))
+	for k, sd := range kept {
+		doc := snap.Doc(sd.id)
+		d := &result.Document{
+			RawScore: round4(sd.score),
+			Size:     doc.SizeKB(),
+			Count:    snap.TokenCount(sd.id),
+			Fields:   make(map[attr.Field]string, len(fields)),
 		}
-		// Term statistics are assembled only for returned documents; the
-		// discarded tail never pays for them.
-		if ev != nil {
-			sd.stats = ev.statsFor(sd.id, e)
+		if stats != nil {
+			d.TermStats = stats[k]
 		}
-		res.Documents = append(res.Documents, e.answerDoc(doc, sd, q))
+		for _, f := range fields {
+			if v := answerFieldValue(doc, f); v != "" {
+				d.Fields[f] = v
+			}
+		}
+		res.Documents[k] = d
 	}
 	return res, nil
 }
 
-// scoredDoc pairs a document with its combined score and term statistics.
+// resolveNative evaluates the query's free-form-text terms through the
+// engine's native handler and points opts.Native at the results. It runs
+// before the index snapshot is taken: the handler is the deployment's own
+// code and reads the index through its locking methods.
+func (e *Engine) resolveNative(opts *index.LookupOptions, exprs ...query.Expr) error {
+	if e.cfg.Native == nil {
+		return nil
+	}
+	var sets map[string]map[int]bool
+	for _, expr := range exprs {
+		if expr == nil {
+			continue
+		}
+		for _, t := range expr.Terms(nil) {
+			if t.EffectiveField() != attr.FieldFreeFormText || sets[t.Value.Text] != nil {
+				continue
+			}
+			set, err := e.cfg.Native(t.Value.Text, e.ix)
+			if err != nil {
+				return fmt.Errorf("engine: native query: %w", err)
+			}
+			if sets == nil {
+				sets = map[string]map[int]bool{}
+			}
+			sets[t.Value.Text] = set
+		}
+	}
+	opts.Native = func(native string) (map[int]bool, error) { return sets[native], nil }
+	return nil
+}
+
+// scoredDoc pairs a document with its combined score.
 type scoredDoc struct {
 	id    int
 	score float64
-	stats []result.TermStat
 }
 
-// scoreDocs computes each matched document's score for the ranking
-// expression, then finalizes scores onto the engine's reported scale. The
-// returned evaluator assembles TermStats lazily for the documents that
-// survive the answer specification.
-func (e *Engine) scoreDocs(matched map[int]bool, ranking query.Expr, opts index.LookupOptions) ([]*scoredDoc, *rankEvaluator, error) {
-	out := make([]*scoredDoc, 0, len(matched))
-	if ranking == nil {
-		for id := range matched {
-			out = append(out, &scoredDoc{id: id})
-		}
-		return out, nil, nil
+// searchCursors evaluates a query document-at-a-time: the filter's iterator
+// (without a filter, the union of the ranking terms) yields the matching
+// documents in id order, the ranking terms' cursors follow it, and each
+// document is scored as it goes by. Nothing is kept per document but its
+// id and score.
+func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, [][]result.TermStat, error) {
+	nodes := rankNodes(ranking, nil)
+	terms := make([]query.Term, len(nodes))
+	for i, nd := range nodes {
+		terms[i] = nd.Term
 	}
-	ev, err := e.newRankEvaluator(ranking, opts)
+	m, err := snap.Match(filter, terms, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	n := snap.NumDocs()
+	weights := make([]float64, len(nodes))
+	weightOf := func(t *query.TermExpr) float64 {
+		for i, nd := range nodes {
+			if nd == t {
+				return weights[i]
+			}
+		}
+		return 0
+	}
+	// Where the answer is ordered by score and finalizing cannot reorder
+	// raw scores, only the best max-docs matches need keeping.
+	var cands []scoredDoc
+	var best *topk.Heap[scoredDoc]
+	if ranking != nil && e.rawOrderIsFinal(q) {
+		best = topk.New(q.EffectiveMaxResults(), func(a, b scoredDoc) bool {
+			if a.score != b.score {
+				return a.score > b.score
+			}
+			return a.id < b.id
+		})
+	}
 	maxScore := 0.0
-	for id := range matched {
-		sd := &scoredDoc{id: id}
-		sd.score = ev.score(ranking, id)
-		out = append(out, sd)
-		if sd.score > maxScore {
-			maxScore = sd.score
+	for id, ok := m.Next(); ok; id, ok = m.Next() {
+		sd := scoredDoc{id: id}
+		if ranking != nil {
+			docLen := snap.TokenCount(id)
+			for i := range weights {
+				weights[i] = 0
+				if tf := m.Freq(i); tf > 0 {
+					weights[i] = e.cfg.Scorer.TermWeight(tf, m.DocFreq(i), n, docLen)
+				}
+			}
+			sd.score = scoreExpr(ranking, weightOf)
+			maxScore = max(maxScore, sd.score)
+		}
+		if best != nil {
+			best.Push(sd)
+		} else {
+			cands = append(cands, sd)
 		}
 	}
-	for _, sd := range out {
-		sd.score = e.cfg.Scorer.Finalize(sd.score, maxScore)
+	if best != nil {
+		cands = best.Sorted()
 	}
-	return out, ev, nil
-}
-
-// rankEvaluator caches term matches for one query execution.
-type rankEvaluator struct {
-	matches map[string]*index.TermMatch // keyed by term.String()
-	nodes   map[*query.TermExpr]*index.TermMatch
-	terms   []query.Term
-	// termMatches[i] is the match for terms[i], so per-document paths
-	// never re-derive the map key.
-	termMatches []*index.TermMatch
-	n           int
-	ix          *index.Index
-	scorer      Scorer
-}
-
-func (e *Engine) newRankEvaluator(ranking query.Expr, opts index.LookupOptions) (*rankEvaluator, error) {
-	ev := &rankEvaluator{
-		matches: map[string]*index.TermMatch{},
-		nodes:   map[*query.TermExpr]*index.TermMatch{},
-		n:       e.ix.NumDocs(),
-		ix:      e.ix,
-		scorer:  e.cfg.Scorer,
+	kept := e.rankAndCut(snap, cands, maxScore, q, filter != nil, ranking != nil)
+	if ranking == nil {
+		return kept, nil, nil
 	}
-	for _, t := range ranking.Terms(nil) {
-		key := t.String()
-		if _, ok := ev.matches[key]; ok {
-			continue
+
+	// Term statistics are assembled only for returned documents; the
+	// discarded tail never pays for them. A second set of cursors reads the
+	// frequencies back, so the returned documents are visited in id order.
+	byID := make([]int, len(kept))
+	for k := range byID {
+		byID[k] = k
+	}
+	slices.SortFunc(byID, func(a, b int) int { return kept[a].id - kept[b].id })
+	first := firstOccurrences(terms)
+	stats := make([][]result.TermStat, len(kept))
+	tfs, dfs := make([]int, len(terms)), make([]int, len(terms))
+	for _, k := range byID {
+		id := kept[k].id
+		m.FreqsAt(id, tfs)
+		for i, tf := range tfs {
+			if tf > 0 {
+				dfs[i] = m.DocFreq(i)
+			}
 		}
-		m, err := e.ix.Lookup(t, opts)
-		if err != nil {
-			return nil, err
-		}
-		ev.matches[key] = m
-		ev.terms = append(ev.terms, t)
-		ev.termMatches = append(ev.termMatches, m)
+		stats[k] = e.termStats(terms, first, tfs, dfs, n, snap.TokenCount(id))
 	}
-	return ev, nil
+	return kept, stats, nil
 }
 
-// nodeWeight is the scorer weight for an expression node on the per-document
-// scoring path: the term-match lookup is memoized per node pointer, so
-// the SOIF map key (Term.String allocates) is derived once per query
-// instead of once per scored document.
-func (ev *rankEvaluator) nodeWeight(t *query.TermExpr, id int) float64 {
-	m, ok := ev.nodes[t]
-	if !ok {
-		m = ev.matches[t.Term.String()]
-		ev.nodes[t] = m
-	}
-	return ev.matchWeight(m, id)
-}
-
-func (ev *rankEvaluator) matchWeight(m *index.TermMatch, id int) float64 {
-	if m == nil {
-		return 0
-	}
-	info := m.Docs[id]
-	if info == nil {
-		return 0
-	}
-	return ev.scorer.TermWeight(info.Freq, m.DocFreq(), ev.n, ev.ix.TokenCount(id))
-}
-
-// score evaluates the ranking expression for one document. Boolean-like
-// operators get the fuzzy-logic interpretation of Example 4 (and=min,
-// or=max); list is the weighted average; and-not zeroes documents matching
-// the right side; prox contributes only where the proximity holds.
-func (ev *rankEvaluator) score(expr query.Expr, id int) float64 {
+// rankNodes appends the term nodes of a ranking expression, in the order
+// Terms lists their terms.
+func rankNodes(expr query.Expr, dst []*query.TermExpr) []*query.TermExpr {
 	switch n := expr.(type) {
 	case *query.TermExpr:
-		return ev.nodeWeight(n, id) * n.EffectiveWeight()
+		return append(dst, n)
 	case *query.Bin:
-		l, r := ev.score(n.L, id), ev.score(n.R, id)
+		return rankNodes(n.R, rankNodes(n.L, dst))
+	case *query.Prox:
+		return append(dst, n.L, n.R)
+	case *query.List:
+		for _, it := range n.Items {
+			dst = rankNodes(it, dst)
+		}
+	}
+	return dst
+}
+
+// scoreExpr evaluates a ranking expression for one document, given the
+// scorer weight of each term node in it. Boolean-like operators get the
+// fuzzy-logic interpretation of Example 4 (and=min, or=max); list is the
+// weighted average; and-not zeroes documents matching the right side;
+// prox contributes only where both terms are present. Both evaluators
+// score through this one walk — the same float operations in the same
+// order — which is what makes their scores identical to the last bit.
+func scoreExpr(expr query.Expr, weight func(*query.TermExpr) float64) float64 {
+	switch n := expr.(type) {
+	case *query.TermExpr:
+		return weight(n) * n.EffectiveWeight()
+	case *query.Bin:
+		l, r := scoreExpr(n.L, weight), scoreExpr(n.R, weight)
 		switch n.Op {
 		case query.OpAnd:
 			return min(l, r)
@@ -419,8 +452,8 @@ func (ev *rankEvaluator) score(expr query.Expr, id int) float64 {
 			return l
 		}
 	case *query.Prox:
-		l := ev.nodeWeight(n.L, id) * n.L.EffectiveWeight()
-		r := ev.nodeWeight(n.R, id) * n.R.EffectiveWeight()
+		l := weight(n.L) * n.L.EffectiveWeight()
+		r := weight(n.R) * n.R.EffectiveWeight()
 		if l > 0 && r > 0 {
 			// Both terms present; approximate the positional check with
 			// presence (full positional prox applies in filters). A
@@ -434,9 +467,9 @@ func (ev *rankEvaluator) score(expr query.Expr, id int) float64 {
 			w := 1.0
 			if t, ok := it.(*query.TermExpr); ok {
 				w = t.EffectiveWeight()
-				sum += w * ev.nodeWeight(t, id)
+				sum += w * weight(t)
 			} else {
-				sum += ev.score(it, id)
+				sum += scoreExpr(it, weight)
 			}
 			wsum += w
 		}
@@ -448,22 +481,67 @@ func (ev *rankEvaluator) score(expr query.Expr, id int) float64 {
 	return 0
 }
 
-// statsFor assembles the TermStats reported with a result document.
-func (ev *rankEvaluator) statsFor(id int, e *Engine) []result.TermStat {
-	var stats []result.TermStat
-	for i, t := range ev.terms {
-		m := ev.termMatches[i]
-		info := m.Docs[id]
-		if info == nil {
+// rankAndCut maps raw scores onto the engine's reported scale and applies
+// the answer specification: minimum score, sort, cap. A pure ranking
+// query (no filter) qualifies only documents that match at least one
+// ranking term; with a filter, the filter decides membership and a zero
+// score merely ranks last.
+func (e *Engine) rankAndCut(snap index.Snapshot, cands []scoredDoc, maxScore float64, q *query.Query, filtered, ranked bool) []scoredDoc {
+	if ranked {
+		kept := cands[:0]
+		for _, sd := range cands {
+			sd.score = e.cfg.Scorer.Finalize(sd.score, maxScore)
+			if sd.score < q.MinScore || (!filtered && sd.score == 0) {
+				continue
+			}
+			kept = append(kept, sd)
+		}
+		cands = kept
+	}
+	return sortTop(snap, cands, q.EffectiveSort(), q.EffectiveMaxResults())
+}
+
+// firstOccurrences maps each term to the index of the first term that
+// prints the same: itself, unless the query repeats a term. Term
+// statistics list a repeated term once.
+func firstOccurrences(terms []query.Term) []int {
+	first := make([]int, len(terms))
+	if len(terms) < 2 {
+		return first
+	}
+	keys := make([]string, len(terms))
+	for i, t := range terms {
+		keys[i] = t.String()
+		first[i] = slices.Index(keys[:i+1], keys[i])
+	}
+	return first
+}
+
+// termStats assembles the TermStats reported with one result document from
+// its per-term frequencies: the terms in query order, a repeated term
+// once, only those the document matches. Reported terms carry field and
+// value but not weights/modifiers.
+func (e *Engine) termStats(terms []query.Term, first, tfs, dfs []int, n, docLen int) []result.TermStat {
+	matched := 0
+	for i, tf := range tfs {
+		if first[i] == i && tf > 0 {
+			matched++
+		}
+	}
+	if matched == 0 {
+		return nil
+	}
+	// Sized exactly: an answer cache keeps these for as long as the answer.
+	stats := make([]result.TermStat, 0, matched)
+	for i, t := range terms {
+		if first[i] != i || tfs[i] == 0 {
 			continue
 		}
-		// Reported terms carry field and value but not weights/modifiers.
-		rt := query.Term{Field: t.EffectiveField(), Value: t.Value}
 		stats = append(stats, result.TermStat{
-			Term:    rt,
-			Freq:    info.Freq,
-			Weight:  round4(ev.matchWeight(m, id)),
-			DocFreq: m.DocFreq(),
+			Term:    query.Term{Field: t.EffectiveField(), Value: t.Value},
+			Freq:    tfs[i],
+			Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], n, docLen)),
+			DocFreq: dfs[i],
 		})
 	}
 	return stats
@@ -471,21 +549,21 @@ func (ev *rankEvaluator) statsFor(id int, e *Engine) []result.TermStat {
 
 // sortableDoc pairs a result with its pre-fetched field sort keys, so
 // comparisons never look up documents or format field text. Fetching
-// keys through Index.SortKeyValue also makes sorting safe against ids
+// keys through Snapshot.SortKeyValue also makes sorting safe against ids
 // with no document behind them — they sort on empty keys instead of
 // dereferencing a nil *index.Document inside the comparator.
 type sortableDoc struct {
-	sd   *scoredDoc
+	scoredDoc
 	vals []string // aligned with the non-score sort keys, in key order
 }
 
-// sortTop orders results per the query's sort specification and returns
-// the best max of them (everything when max <= 0). Selection is a
+// sortTop orders results per the query's sort specification, in place, and
+// returns the best max of them (everything when max <= 0). Selection is a
 // bounded heap when the candidate set exceeds max — O(n log max), the
 // only sort cost a capped answer ever needs — and a plain sort
 // otherwise. The comparator ends with the ascending-id tiebreak, so the
 // order is total and deterministic regardless of input order.
-func (e *Engine) sortTop(docs []*scoredDoc, keys []query.SortKey, max int) []*scoredDoc {
+func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
 	// Map each sort key to its slot among the precomputed field values;
 	// the score pseudo-field compares scores directly.
 	slot := make([]int, len(keys))
@@ -498,83 +576,53 @@ func (e *Engine) sortTop(docs []*scoredDoc, keys []query.SortKey, max int) []*sc
 			nf++
 		}
 	}
-	items := make([]sortableDoc, len(docs))
-	var flat []string
-	if nf > 0 {
-		flat = make([]string, len(docs)*nf)
-	}
-	for di, sd := range docs {
-		it := sortableDoc{sd: sd}
-		if nf > 0 {
-			it.vals = flat[di*nf : (di+1)*nf]
-			for i, k := range keys {
-				if slot[i] >= 0 {
-					it.vals[slot[i]] = e.ix.SortKeyValue(sd.id, k.Field)
-				}
+	flat := make([]string, len(docs)*nf)
+	item := func(di int) sortableDoc {
+		it := sortableDoc{scoredDoc: docs[di], vals: flat[di*nf : (di+1)*nf]}
+		for i, k := range keys {
+			if slot[i] >= 0 {
+				it.vals[slot[i]] = snap.SortKeyValue(it.id, k.Field)
 			}
 		}
-		items[di] = it
+		return it
 	}
-	before := func(a, b sortableDoc) bool {
+	compare := func(a, b sortableDoc) int {
 		for i, k := range keys {
-			var cmp int
+			var c int
 			if slot[i] < 0 {
-				cmp = compareFloat(a.sd.score, b.sd.score)
+				c = cmp.Compare(a.score, b.score)
 			} else {
-				cmp = strings.Compare(a.vals[slot[i]], b.vals[slot[i]])
+				c = strings.Compare(a.vals[slot[i]], b.vals[slot[i]])
 			}
-			if cmp == 0 {
+			if c == 0 {
 				continue
 			}
 			if k.Ascending {
-				return cmp < 0
+				return c
 			}
-			return cmp > 0
+			return -c
 		}
-		return a.sd.id < b.sd.id // stable tiebreak
+		return a.id - b.id // stable tiebreak
 	}
-	if max > 0 && len(items) > max {
-		h := topk.New(max, before)
-		for _, it := range items {
-			h.Push(it)
+	var items []sortableDoc
+	if max > 0 && len(docs) > max {
+		h := topk.New(max, func(a, b sortableDoc) bool { return compare(a, b) < 0 })
+		for di := range docs {
+			h.Push(item(di))
 		}
 		items = h.Sorted()
 	} else {
-		sort.Slice(items, func(i, j int) bool { return before(items[i], items[j]) })
-	}
-	out := docs[:0]
-	for _, it := range items {
-		out = append(out, it.sd)
-	}
-	return out
-}
-
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// answerDoc builds the SQRDocument payload for one scored document.
-func (e *Engine) answerDoc(doc *index.Document, sd *scoredDoc, q *query.Query) *result.Document {
-	d := &result.Document{
-		RawScore:  round4(sd.score),
-		TermStats: sd.stats,
-		Size:      doc.SizeKB(),
-		Count:     e.ix.TokenCount(sd.id),
-		Fields:    map[attr.Field]string{},
-	}
-	for _, f := range q.EffectiveAnswerFields() {
-		if v := answerFieldValue(doc, f); v != "" {
-			d.Fields[f] = v
+		items = make([]sortableDoc, len(docs))
+		for di := range docs {
+			items[di] = item(di)
 		}
+		slices.SortFunc(items, compare)
 	}
-	return d
+	docs = docs[:len(items)]
+	for i, it := range items {
+		docs[i] = it.scoredDoc
+	}
+	return docs
 }
 
 func answerFieldValue(d *index.Document, f attr.Field) string {
@@ -589,18 +637,4 @@ func answerFieldValue(d *index.Document, f attr.Field) string {
 
 func round4(f float64) float64 {
 	return float64(int64(f*10000+0.5)) / 10000
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

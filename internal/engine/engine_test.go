@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -541,4 +543,81 @@ func TestDefaultAttributeSetResolution(t *testing.T) {
 	if res2.ActualFilter != nil {
 		t.Errorf("basic-1 creator survived: %s", res2.ActualFilter)
 	}
+}
+
+// TestSearchDuringAddAnswersOnePrefix is the regression test of the
+// one-snapshot rule: Search used to take the index lock once for the
+// filter, again for each ranking term, again for the collection size and
+// per document for lengths, so an Add in between mixed the match set of one
+// index state with the n, df and lengths of another. Every answer given
+// while documents are being added must be, whole, the answer at some prefix
+// of the adds.
+func TestSearchDuringAddAnswersOnePrefix(t *testing.T) {
+	const docs = 60
+	doc := func(i int) *index.Document {
+		body := "alpha " + strings.Repeat("pad ", i%5)
+		if i%3 == 0 {
+			body += "beta beta"
+		}
+		return &index.Document{Linkage: "http://x/" + itoa(i), Title: "Doc " + itoa(i), Body: body}
+	}
+	q := mkQuery(t, `(body-of-text "alpha")`, `list((body-of-text "alpha") (body-of-text "beta"))`)
+	q.MaxResults = docs
+	// The answer at every prefix, each from an engine that never changes.
+	want := make([]*result.Results, docs+1)
+	for n := range want {
+		e, err := New(NewVectorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := e.Add(doc(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want[n], err = e.Search(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := New(NewVectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < docs; i++ {
+			if err := e.Add(doc(i)); err != nil {
+				t.Errorf("Add: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for finished := false; !finished; {
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				got, err := e.Search(q)
+				if err != nil {
+					t.Errorf("Search: %v", err)
+					return
+				}
+				n := len(got.Documents) // the filter matches every document
+				if n > docs || !reflect.DeepEqual(got, want[n]) {
+					t.Errorf("an answer of %d documents is not the answer at %d documents", n, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

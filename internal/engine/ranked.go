@@ -15,46 +15,58 @@ type monotoneScorer interface {
 	MonotoneWeight() bool
 }
 
+// rawOrderIsFinal reports whether the answer's order can be decided on raw
+// scores, before the best of them is known: the query sorts by score
+// descending (the default), and the scorer is one of those that declare
+// themselves monotone, whose Finalize also keeps the order of raw scores.
+// Then a bounded selection by raw score, ties to the smaller id, holds
+// exactly the documents the answer returns.
+func (e *Engine) rawOrderIsFinal(q *query.Query) bool {
+	ms, ok := e.cfg.Scorer.(monotoneScorer)
+	sk := q.EffectiveSort()
+	return ok && ms.MonotoneWeight() && len(sk) == 1 && sk[0].Field == query.ScoreSortField && !sk[0].Ascending
+}
+
 // rankedFastPath attempts the block-pruned top-k execution of a query:
-// instead of materializing the all-documents set and scoring every one,
-// the index's WAND traversal visits only postings that might reach the
-// top max-docs. It applies when the query is pure ranking (no filter),
-// sorted by score descending (the default), over a flat weighted-term
-// ranking expression, under a scorer with monotone term weights. The
-// returned documents are ready for answer assembly: finalized scores,
-// minimum-score filter applied, term statistics attached. ok is false
-// when the query is not eligible — the caller runs the exhaustive path,
-// which produces identical results for eligible queries (equal floats,
-// equal order, equal statistics).
-func (e *Engine) rankedFastPath(q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]*scoredDoc, bool) {
-	if e.cfg.Exhaustive || filter != nil || ranking == nil {
-		return nil, false
-	}
-	if ms, ok := e.cfg.Scorer.(monotoneScorer); !ok || !ms.MonotoneWeight() {
-		return nil, false
-	}
-	if sk := q.EffectiveSort(); len(sk) != 1 || sk[0].Field != query.ScoreSortField || sk[0].Ascending {
-		return nil, false
+// instead of scoring every document that matches a ranking term, the
+// index's WAND traversal visits only postings that might reach the top
+// max-docs. It applies when the query is pure ranking (no filter), sorted
+// by score descending (the default), over a flat weighted-term ranking
+// expression of one-word text terms, under a scorer with monotone term
+// weights. The returned documents are ready for answer assembly: finalized
+// scores, minimum-score filter applied, term statistics in step. ok is
+// false when the query is not eligible — searchCursors evaluates it, as it
+// would an eligible one, to the identical answer (equal floats, equal
+// order, equal statistics).
+func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, [][]result.TermStat, bool) {
+	if filter != nil || ranking == nil || !e.rawOrderIsFinal(q) {
+		return nil, nil, false
 	}
 	plan, ok := rankPlanOf(ranking)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	plan.K = q.EffectiveMaxResults()
 	plan.TermWeight = e.cfg.Scorer.TermWeight
-	ranked, dfs, ok := e.ix.TopKRanked(plan, opts)
+	ranked, dfs, ok := snap.TopKRanked(plan, opts)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 
 	// The WAND top document carries the collection's best raw score — the
 	// maxScore top-scaled scorers finalize against.
-	n := e.ix.NumDocs()
+	n := snap.NumDocs()
 	maxScore := 0.0
 	if len(ranked) > 0 {
 		maxScore = ranked[0].Sum / plan.Norm
 	}
-	kept := make([]*scoredDoc, 0, len(ranked))
+	terms := make([]query.Term, len(plan.Terms))
+	for i, rt := range plan.Terms {
+		terms[i] = rt.Term
+	}
+	first := firstOccurrences(terms)
+	kept := make([]scoredDoc, 0, len(ranked))
+	stats := make([][]result.TermStat, 0, len(ranked))
 	for _, rd := range ranked {
 		score := e.cfg.Scorer.Finalize(rd.Sum/plan.Norm, maxScore)
 		if score < q.MinScore {
@@ -62,13 +74,10 @@ func (e *Engine) rankedFastPath(q *query.Query, filter, ranking query.Expr, opts
 			// the tail of the descending order.
 			break
 		}
-		kept = append(kept, &scoredDoc{
-			id:    rd.ID,
-			score: score,
-			stats: e.rankedStats(plan, rd, dfs, n),
-		})
+		kept = append(kept, scoredDoc{id: rd.ID, score: score})
+		stats = append(stats, e.termStats(terms, first, rd.TFs, dfs, n, snap.TokenCount(rd.ID)))
 	}
-	return kept, true
+	return kept, stats, true
 }
 
 // rankPlanOf flattens a ranking expression into a weighted-term plan:
@@ -109,35 +118,4 @@ func rankPlanOf(ranking query.Expr) (index.RankPlan, bool) {
 	default:
 		return plan, false
 	}
-}
-
-// rankedStats assembles the TermStats of one fast-path result document,
-// mirroring rankEvaluator.statsFor: unique terms in plan order, only
-// those matching the document.
-func (e *Engine) rankedStats(plan index.RankPlan, rd index.RankedDoc, dfs []int, n int) []result.TermStat {
-	var stats []result.TermStat
-	var seen map[string]bool
-	for i, rt := range plan.Terms {
-		if len(plan.Terms) > 1 {
-			key := rt.Term.String()
-			if seen == nil {
-				seen = make(map[string]bool, len(plan.Terms))
-			}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		tf := rd.TFs[i]
-		if tf == 0 {
-			continue
-		}
-		stats = append(stats, result.TermStat{
-			Term:    query.Term{Field: rt.Term.EffectiveField(), Value: rt.Term.Value},
-			Freq:    tf,
-			Weight:  round4(e.cfg.Scorer.TermWeight(tf, dfs[i], n, e.ix.TokenCount(rd.ID))),
-			DocFreq: dfs[i],
-		})
-	}
-	return stats
 }

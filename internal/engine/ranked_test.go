@@ -127,50 +127,48 @@ func TestRankedFastPathMatchesExhaustiveWeighted(t *testing.T) {
 	}
 }
 
-// TestRankedFastPathEligibility asserts the fast path actually engages
-// for the queries the equivalence suite exercises — otherwise the suite
-// compares the exhaustive path with itself — and declines the shapes it
-// cannot execute exactly.
+// TestRankedFastPathEligibility asserts the block-pruned traversal
+// actually engages for the queries the equivalence suite exercises —
+// otherwise the suite compares the cursor walk with itself — and leaves
+// the shapes it cannot bound to searchCursors. What those shapes answer is
+// TestSearchMatchesExhaustive's business.
 func TestRankedFastPathEligibility(t *testing.T) {
 	e := newEngine(t, NewVectorConfig())
 	opts := index.LookupOptions{DropStopWords: true, Stop: e.cfg.Analyzer.Stop}
-
-	eligible := mkQuery(t, "", `list(("databases") ("distributed"))`)
-	_, actualRanking := eligible.ResolveAttributeSet()
-	if _, ok := e.rankedFastPath(eligible, nil, actualRanking, opts); !ok {
-		t.Fatal("flat weighted-term ranking should take the fast path")
+	snap := e.ix.Snapshot()
+	defer snap.Close()
+	takes := func(q *query.Query, filter, ranking query.Expr) bool {
+		_, _, ok := e.rankedFastPath(snap, q, filter, ranking, opts)
+		return ok
 	}
 
-	// A filter forces the candidate-set path.
-	if _, ok := e.rankedFastPath(eligible, actualRanking, actualRanking, opts); ok {
+	eligible := mkQuery(t, "", `list(("databases") ("distributed"))`)
+	if !takes(eligible, nil, eligible.Ranking) {
+		t.Fatal("flat weighted-term ranking should take the fast path")
+	}
+	// A filter's match count, not a threshold, bounds the work.
+	if takes(eligible, eligible.Ranking, eligible.Ranking) {
 		t.Error("query with filter took the fast path")
 	}
 	// Non-default sort orders need field keys the traversal does not have.
 	sorted := mkQuery(t, "", `list(("databases"))`)
 	sorted.SortBy = []query.SortKey{{Field: "title", Ascending: true}}
-	_, sortedRanking := sorted.ResolveAttributeSet()
-	if _, ok := e.rankedFastPath(sorted, nil, sortedRanking, opts); ok {
+	if takes(sorted, nil, sorted.Ranking) {
 		t.Error("field-sorted query took the fast path")
 	}
-	// Nested operators score non-additively.
-	nested := mkQuery(t, "", `(("databases") and ("distributed"))`)
-	_, nestedRanking := nested.ResolveAttributeSet()
-	if _, ok := e.rankedFastPath(nested, nil, nestedRanking, opts); ok {
-		t.Error("and-ranking took the fast path")
-	}
-	// Exhaustive config pins the reference path.
-	ex := e.cfg
-	ex.Exhaustive = true
-	ee := &Engine{cfg: ex, ix: e.ix}
-	if _, ok := ee.rankedFastPath(eligible, nil, actualRanking, opts); ok {
-		t.Error("Exhaustive config took the fast path")
+	// Nested operators score non-additively; phrases have no block bounds.
+	for _, r := range []string{`(("databases") and ("distributed"))`, `list(("distributed databases"))`} {
+		if q := mkQuery(t, "", r); takes(q, nil, q.Ranking) {
+			t.Errorf("%s took the fast path", r)
+		}
 	}
 }
 
-// TestRankedFastPathFallbackShapes runs the ineligible query shapes
-// end-to-end on fast-path-enabled engines: they must fall back and still
-// match the exhaustive engine exactly.
-func TestRankedFastPathFallbackShapes(t *testing.T) {
+// TestRankedFastPathDeclinedShapes runs the shapes the block-pruned
+// traversal declines end-to-end. They used to fall back to the exhaustive
+// walk; searchCursors evaluates them now and must answer as the oracle does
+// (TestSearchMatchesExhaustive has the full table).
+func TestRankedFastPathDeclinedShapes(t *testing.T) {
 	docs := rankedUniverse(t)
 	fast, slow := rankedEngines(t, NewVectorConfig(), docs)
 	cases := []struct {
@@ -186,17 +184,8 @@ func TestRankedFastPathFallbackShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q := mkQuery(t, tc.filter, tc.ranking)
 			q.MaxResults = 12
-			fr, err := fast.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := slow.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fr.Documents, sr.Documents) {
-				t.Fatalf("fallback shape diverges: fast %d docs, slow %d docs",
-					len(fr.Documents), len(sr.Documents))
+			if res := requireSameAnswer(t, fast, slow, q, tc.name); len(res.Documents) == 0 {
+				t.Error("no documents returned")
 			}
 		})
 	}

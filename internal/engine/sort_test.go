@@ -10,7 +10,14 @@ import (
 	"starts/internal/query"
 )
 
-func sortIDs(docs []*scoredDoc) []int {
+// sortTopOf runs sortTop under a snapshot of the engine's index.
+func sortTopOf(e *Engine, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
+	snap := e.ix.Snapshot()
+	defer snap.Close()
+	return sortTop(snap, docs, keys, max)
+}
+
+func sortIDs(docs []scoredDoc) []int {
 	ids := make([]int, len(docs))
 	for i, sd := range docs {
 		ids[i] = sd.id
@@ -18,11 +25,11 @@ func sortIDs(docs []*scoredDoc) []int {
 	return ids
 }
 
-func mkScored(pairs ...float64) []*scoredDoc {
+func mkScored(pairs ...float64) []scoredDoc {
 	// pairs alternate id, score.
-	var out []*scoredDoc
+	var out []scoredDoc
 	for i := 0; i+1 < len(pairs); i += 2 {
-		out = append(out, &scoredDoc{id: int(pairs[i]), score: pairs[i+1]})
+		out = append(out, scoredDoc{id: int(pairs[i]), score: pairs[i+1]})
 	}
 	return out
 }
@@ -42,7 +49,7 @@ func TestSortTopTable(t *testing.T) {
 	cases := []struct {
 		name string
 		keys []query.SortKey
-		in   []*scoredDoc
+		in   []scoredDoc
 		want []int
 	}{
 		{
@@ -99,7 +106,7 @@ func TestSortTopTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sortIDs(e.sortTop(tc.in, tc.keys, 0))
+			got := sortIDs(sortTopOf(e, tc.in, tc.keys, 0))
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %v, want %v", got, tc.want)
 			}
@@ -119,13 +126,13 @@ func TestSortTopTable(t *testing.T) {
 func TestSortTopMissingDocRegression(t *testing.T) {
 	e := newEngine(t, NewVectorConfig())
 	docs := mkScored(1, 0.5, 999, 0.9, 0, 0.2) // 999 does not exist
-	got := sortIDs(e.sortTop(docs, []query.SortKey{{Field: attr.FieldTitle, Ascending: true}}, 0))
+	got := sortIDs(sortTopOf(e, docs, []query.SortKey{{Field: attr.FieldTitle, Ascending: true}}, 0))
 	// The missing document sorts on the empty title, before any real one.
 	if got[0] != 999 {
 		t.Fatalf("missing doc sorted at %v, want first (empty key); order %v", got, got)
 	}
 	// Score sorting must survive missing ids too.
-	got = sortIDs(e.sortTop(docs, []query.SortKey{{Field: query.ScoreSortField}}, 0))
+	got = sortIDs(sortTopOf(e, docs, []query.SortKey{{Field: query.ScoreSortField}}, 0))
 	if got[0] != 999 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("score sort with missing id = %v", got)
 	}
@@ -142,20 +149,20 @@ func TestSortTopHeapMatchesFullSort(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
-		mk := func() []*scoredDoc {
-			docs := make([]*scoredDoc, n)
+		mk := func() []scoredDoc {
+			docs := make([]scoredDoc, n)
 			for i := range docs {
-				docs[i] = &scoredDoc{id: rng.Intn(4), score: float64(rng.Intn(3))}
+				docs[i] = scoredDoc{id: rng.Intn(4), score: float64(rng.Intn(3))}
 			}
 			return docs
 		}
 		a, b := mk(), mk()
 		for i := range a {
-			b[i] = &scoredDoc{id: a[i].id, score: a[i].score}
+			b[i] = scoredDoc{id: a[i].id, score: a[i].score}
 		}
 		max := 1 + rng.Intn(n)
-		full := sortIDs(e.sortTop(a, keys, 0))
-		capped := sortIDs(e.sortTop(b, keys, max))
+		full := sortIDs(sortTopOf(e, a, keys, 0))
+		capped := sortIDs(sortTopOf(e, b, keys, max))
 		if len(capped) != max && len(capped) != len(full) {
 			t.Fatalf("capped len %d, max %d, full %d", len(capped), max, len(full))
 		}
@@ -189,9 +196,9 @@ func TestSortTopAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	docs := make([]*scoredDoc, 400)
+	docs := make([]scoredDoc, 400)
 	for i := range docs {
-		docs[i] = &scoredDoc{id: i, score: float64(i % 17)}
+		docs[i] = scoredDoc{id: i, score: float64(i % 17)}
 	}
 	keys := []query.SortKey{
 		{Field: attr.FieldDateLastModified},
@@ -199,7 +206,7 @@ func TestSortTopAllocs(t *testing.T) {
 		{Field: query.ScoreSortField},
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		e.sortTop(docs, keys, 0)
+		sortTopOf(e, docs, keys, 0)
 	})
 	// Key precompute makes a handful of slices; comparisons themselves
 	// are allocation-free. The pre-fix comparator allocated per

@@ -252,33 +252,3 @@ func (c *listCursor) seek(target int) {
 		c.di = sort.Search(len(b.docs), func(i int) bool { return b.docs[i].DocID >= target })
 	}
 }
-
-// candSet bounds a lookup to an already-known candidate doc set; the
-// lo/hi doc-id bounds let posting traversal skip whole blocks whose
-// range cannot intersect the candidates.
-type candSet struct {
-	ids    map[int]bool
-	lo, hi int
-}
-
-func newCandSet(ids map[int]bool) *candSet {
-	cs := &candSet{ids: ids, lo: maxDocID, hi: -1}
-	for id := range ids {
-		if id < cs.lo {
-			cs.lo = id
-		}
-		if id > cs.hi {
-			cs.hi = id
-		}
-	}
-	return cs
-}
-
-// admits reports candidate membership.
-func (cs *candSet) admits(id int) bool { return cs == nil || cs.ids[id] }
-
-// skipBlock reports that a whole block's doc-id range misses every
-// candidate and can be pruned without scanning.
-func (cs *candSet) skipBlock(b *block) bool {
-	return cs != nil && (b.minDoc > cs.hi || b.maxDoc < cs.lo)
-}

@@ -191,23 +191,3 @@ func TestListCursorWalkMatchesIterate(t *testing.T) {
 		}
 	}
 }
-
-func TestCandSetBlockSkip(t *testing.T) {
-	cs := newCandSet(map[int]bool{100: true, 200: true})
-	if cs.skipBlock(&block{minDoc: 90, maxDoc: 150}) {
-		t.Error("block overlapping candidates skipped")
-	}
-	if !cs.skipBlock(&block{minDoc: 0, maxDoc: 99}) {
-		t.Error("block below candidate range not skipped")
-	}
-	if !cs.skipBlock(&block{minDoc: 201, maxDoc: 300}) {
-		t.Error("block above candidate range not skipped")
-	}
-	if !cs.admits(100) || cs.admits(150) {
-		t.Error("admits wrong membership")
-	}
-	var nilCS *candSet
-	if !nilCS.admits(5) || nilCS.skipBlock(&block{}) {
-		t.Error("nil candSet should admit everything and skip nothing")
-	}
-}

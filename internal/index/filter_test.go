@@ -15,11 +15,39 @@ func evalf(t *testing.T, ix *Index, src string) map[int]bool {
 	if err != nil {
 		t.Fatalf("ParseFilter(%q): %v", src, err)
 	}
-	set, err := ix.EvalFilter(e, defaultOpts())
+	set, err := evalBoth(t, ix, e, defaultOpts())
 	if err != nil {
 		t.Fatalf("EvalFilter(%q): %v", src, err)
 	}
 	return set
+}
+
+// evalBoth evaluates a filter with the oracle and with the cursors, which
+// must agree: the same error, or the same documents, in ascending order
+// from the iterator.
+func evalBoth(t *testing.T, ix *Index, e query.Expr, opts LookupOptions) (map[int]bool, error) {
+	t.Helper()
+	set, err := ix.EvalFilter(e, opts)
+	snap := ix.Snapshot()
+	defer snap.Close()
+	m, cerr := snap.Match(e, nil, opts)
+	if (err == nil) != (cerr == nil) {
+		t.Fatalf("filter %v: oracle error %v, cursor error %v", e, err, cerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	n, last := 0, -1
+	for id, ok := m.Next(); ok; id, ok = m.Next() {
+		if !set[id] || id <= last {
+			t.Fatalf("filter %v: cursors yield %d after %d, oracle matches %v", e, id, last, set)
+		}
+		n, last = n+1, id
+	}
+	if n != len(set) {
+		t.Fatalf("filter %v: cursors yield %d documents, oracle %d", e, n, len(set))
+	}
+	return set, nil
 }
 
 // TestPaperExample1Filter evaluates the paper's Example 1 filter: authors
@@ -99,7 +127,7 @@ func TestProxDistanceSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := a.EvalFilter(e, LookupOptions{})
+	set, err := evalBoth(t, a, e, LookupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +141,7 @@ func TestFilterErrors(t *testing.T) {
 	// A list node cannot reach filter evaluation through the parser, but
 	// guard against hand-built trees.
 	l := &query.List{Items: []query.Expr{&query.TermExpr{}}}
-	if _, err := ix.EvalFilter(l, defaultOpts()); err == nil {
+	if _, err := evalBoth(t, ix, l, defaultOpts()); err == nil {
 		t.Error("list accepted in filter evaluation")
 	}
 	// Prox over a non-text field fails.
@@ -121,7 +149,7 @@ func TestFilterErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.EvalFilter(e, defaultOpts()); err == nil {
+	if _, err := evalBoth(t, ix, e, defaultOpts()); err == nil {
 		t.Error("prox over dates accepted")
 	}
 }
@@ -151,7 +179,7 @@ func TestQuickFilterAlgebra(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			s, err := ix.EvalFilter(e, opts)
+			s, err := evalBoth(t, ix, e, opts)
 			if err != nil {
 				t.Fatalf("eval %q: %v", src, err)
 			}

@@ -159,14 +159,50 @@ func sortKeysOf(d *Document) docSortKeys {
 	return k
 }
 
+// Snapshot is the index held under its read lock. Every read a search
+// makes through it — which documents match, how often a term occurs, how
+// many documents there are and how long each is — sees one state of the
+// index, whatever is being added meanwhile. The holder must Close it, and
+// must not call the Index's own methods before it has: they take the lock
+// again, and a waiting Add would then block both.
+type Snapshot struct{ ix *Index }
+
+// Snapshot takes the read lock.
+func (ix *Index) Snapshot() Snapshot {
+	ix.mu.RLock()
+	return Snapshot{ix}
+}
+
+// Close releases the read lock.
+func (s Snapshot) Close() { s.ix.mu.RUnlock() }
+
+// NumDocs returns the number of indexed documents.
+func (s Snapshot) NumDocs() int { return len(s.ix.docs) }
+
+// Doc returns the document with the given ID, nil when there is none.
+func (s Snapshot) Doc(id int) *Document {
+	if id < 0 || id >= len(s.ix.docs) {
+		return nil
+	}
+	return s.ix.docs[id]
+}
+
+// TokenCount returns the document's total token count, the DocCount
+// statistic of query results; 0 for an id outside the collection.
+func (s Snapshot) TokenCount(id int) int {
+	if id < 0 || id >= len(s.ix.counts) {
+		return 0
+	}
+	return s.ix.counts[id]
+}
+
 // SortKeyValue returns the document's pre-normalized sort key for a
 // field: the value fieldSortValue-style comparators need, computed once
 // at index time for the common sortable fields. An id outside the
 // collection returns "" — sorting must never dereference a missing
 // document.
-func (ix *Index) SortKeyValue(id int, f attr.Field) string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+func (s Snapshot) SortKeyValue(id int, f attr.Field) string {
+	ix := s.ix
 	if id < 0 || id >= len(ix.docs) {
 		return ""
 	}
@@ -226,19 +262,19 @@ func foldTerm(s string) string {
 
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docs)
+	s := ix.Snapshot()
+	defer s.Close()
+	return s.NumDocs()
 }
 
 // Doc returns the document with the given ID.
 func (ix *Index) Doc(id int) (*Document, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.docs) {
-		return nil, fmt.Errorf("index: no document %d (collection has %d)", id, len(ix.docs))
+	s := ix.Snapshot()
+	defer s.Close()
+	if d := s.Doc(id); d != nil {
+		return d, nil
 	}
-	return ix.docs[id], nil
+	return nil, fmt.Errorf("index: no document %d (collection has %d)", id, s.NumDocs())
 }
 
 // ByLinkage returns the document ID for a URL.
@@ -247,17 +283,6 @@ func (ix *Index) ByLinkage(url string) (int, bool) {
 	defer ix.mu.RUnlock()
 	id, ok := ix.byURL[url]
 	return id, ok
-}
-
-// TokenCount returns the document's total token count, the DocCount
-// statistic of query results.
-func (ix *Index) TokenCount(id int) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.counts) {
-		return 0
-	}
-	return ix.counts[id]
 }
 
 // DocFreq returns the number of documents containing term in field (after

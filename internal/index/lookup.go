@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -27,154 +28,6 @@ type LookupOptions struct {
 	// query language); nil means the field is unsupported and matches
 	// nothing.
 	Native func(native string) (map[int]bool, error)
-
-	// cand, when set, restricts the lookup to an already-known candidate
-	// set: posting traversal skips blocks whose doc-id range misses the
-	// candidates entirely. Only filter evaluation threads it (internal).
-	cand *candSet
-}
-
-// DocTermInfo is one document's match statistics for one query term.
-type DocTermInfo struct {
-	// Freq is the number of occurrences (for phrases, the number of
-	// phrase occurrences).
-	Freq int
-	// Positions are the match word positions within the matched field;
-	// nil for non-positional matches (dates, linkage).
-	Positions []int
-}
-
-// TermMatch is the result of looking up one query term across the index.
-type TermMatch struct {
-	// Docs maps document IDs to their match statistics, merged across
-	// fields for "any"-field terms.
-	Docs map[int]*DocTermInfo
-	// Eliminated reports that the whole term consisted of stop words and
-	// was removed rather than matched.
-	Eliminated bool
-}
-
-// DocFreq returns the number of matching documents.
-func (m *TermMatch) DocFreq() int { return len(m.Docs) }
-
-// Lookup evaluates one atomic term against the index, honoring the term's
-// field and modifiers under the given options.
-func (ix *Index) Lookup(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.lookupLocked(t, opts)
-}
-
-func (ix *Index) lookupLocked(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	f := t.EffectiveField()
-	switch f {
-	case attr.FieldDateLastModified:
-		return ix.lookupDate(t, opts)
-	case attr.FieldLinkage:
-		return ix.lookupExact(t, opts, func(d *Document) string { return d.Linkage }), nil
-	case attr.FieldLinkageType:
-		return ix.lookupExact(t, opts, func(d *Document) string { return d.LinkageType }), nil
-	case attr.FieldLanguages:
-		return ix.lookupLanguage(t, opts)
-	case attr.FieldCrossReferenceLinkage:
-		return ix.lookupCrossRef(t, opts), nil
-	case attr.FieldFreeFormText:
-		if opts.Native == nil {
-			return &TermMatch{Docs: map[int]*DocTermInfo{}}, nil
-		}
-		set, err := opts.Native(t.Value.Text)
-		if err != nil {
-			return nil, fmt.Errorf("index: native query: %w", err)
-		}
-		m := &TermMatch{Docs: make(map[int]*DocTermInfo, len(set))}
-		for id := range set {
-			if id >= 0 && id < len(ix.docs) {
-				m.Docs[id] = &DocTermInfo{Freq: 1}
-			}
-		}
-		return m, nil
-	case attr.FieldAny:
-		m := &TermMatch{Docs: map[int]*DocTermInfo{}, Eliminated: true}
-		for _, tf := range TextFields {
-			fm, elim, err := ix.lookupTextField(tf, t, opts)
-			if err != nil {
-				return nil, err
-			}
-			if !elim {
-				m.Eliminated = false
-			}
-			mergeMatches(m.Docs, fm)
-		}
-		return m, nil
-	case attr.FieldTitle, attr.FieldAuthor, attr.FieldBodyOfText:
-		fm, elim, err := ix.lookupTextField(f, t, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &TermMatch{Docs: fm, Eliminated: elim}, nil
-	default:
-		// Fields this engine does not index match nothing; capability
-		// negotiation happens above the index.
-		return &TermMatch{Docs: map[int]*DocTermInfo{}}, nil
-	}
-}
-
-func mergeMatches(dst map[int]*DocTermInfo, src map[int]*DocTermInfo) {
-	for id, info := range src {
-		if cur := dst[id]; cur != nil {
-			cur.Freq += info.Freq
-			cur.Positions = mergePositions(cur.Positions, info.Positions)
-		} else {
-			cp := *info
-			dst[id] = &cp
-		}
-	}
-}
-
-// lookupTextField matches a term against one positional field. The second
-// return value reports stop-word elimination of the entire term.
-func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions) (map[int]*DocTermInfo, bool, error) {
-	fi := ix.fields[f]
-	out := map[int]*DocTermInfo{}
-	words := wordsOf(ix.analyzer, t.Value.Text)
-	if len(words) == 0 {
-		return out, false, nil
-	}
-	if opts.DropStopWords {
-		kept := words[:0]
-		for _, w := range words {
-			if !opts.Stop.Contains(w) {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			return out, true, nil
-		}
-		words = kept
-	}
-	if fi == nil {
-		return out, false, nil
-	}
-	// Per-word candidate posting lists, merged over modifier expansions.
-	perWord := make([]map[int]*DocTermInfo, len(words))
-	for i, w := range words {
-		perWord[i] = fi.matchWord(ix.analyzer, w, t, opts)
-	}
-	var merged map[int]*DocTermInfo
-	if len(words) == 1 {
-		merged = perWord[0]
-	} else {
-		// A multi-word quoted value is a phrase: consecutive positions.
-		merged = phraseMatch(perWord)
-	}
-	// Language-qualified terms only match documents in that language.
-	tag := t.Value.Resolve(opts.DefaultLang)
-	for id, info := range merged {
-		if ix.docs[id].InLanguage(tag) {
-			out[id] = info
-		}
-	}
-	return out, false, nil
 }
 
 // wordsOf tokenizes a term value without stop-word elimination or
@@ -188,9 +41,26 @@ func wordsOf(a *text.Analyzer, value string) []string {
 	return words
 }
 
+// termWords returns the words of a text term's value that take part in
+// matching: tokenized, stop words dropped when the options say so. None
+// left means the term matches nothing.
+func (ix *Index) termWords(t query.Term, opts LookupOptions) []string {
+	words := wordsOf(ix.analyzer, t.Value.Text)
+	if !opts.DropStopWords {
+		return words
+	}
+	kept := words[:0]
+	for _, w := range words {
+		if !opts.Stop.Contains(w) {
+			kept = append(kept, w)
+		}
+	}
+	return kept
+}
+
 // expandWord resolves one query word to the index vocabulary terms it
-// matches under the term's modifiers: the shared expansion step of both
-// the map-building lookup path and the block-pruned ranked path.
+// matches under the term's modifiers: the expansion step the cursors and
+// the oracle share.
 func (fi *fieldIndex) expandWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) []string {
 	var terms []string
 	seen := map[string]bool{}
@@ -243,51 +113,6 @@ func mergePositions(a, b []int) []int {
 	return merged
 }
 
-// matchWord finds the posting lists matching one query word under the
-// term's modifiers and merges them into a doc→info map. A candidate set
-// in opts prunes whole posting blocks via the sidecar doc-id bounds. A
-// document's Positions are its posting's own (capacity clipped, so an
-// append cannot reach the index) until a second expansion term matches
-// the document too.
-func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
-	terms := fi.expandWord(a, word, t, opts)
-	out := map[int]*DocTermInfo{}
-	// Infos are cut from chunks that double up to 512: one allocation per
-	// chunk, not per posting. A used-up chunk lives on through its pointers.
-	var free []DocTermInfo
-	chunk := 4
-	for _, term := range terms {
-		pl := fi.postings[term]
-		if pl == nil {
-			continue
-		}
-		for _, b := range pl.blocks {
-			if opts.cand.skipBlock(b) {
-				continue
-			}
-			for i := range b.docs {
-				p := b.docs[i]
-				if !opts.cand.admits(p.DocID) {
-					continue
-				}
-				if cur := out[p.DocID]; cur != nil {
-					cur.Freq += p.Freq()
-					cur.Positions = mergePositions(cur.Positions, p.Positions)
-				} else {
-					if len(free) == 0 {
-						chunk = min(2*chunk, 512)
-						free = make([]DocTermInfo, chunk)
-					}
-					n := len(p.Positions)
-					free[0] = DocTermInfo{Freq: n, Positions: p.Positions[:n:n]}
-					out[p.DocID], free = &free[0], free[1:]
-				}
-			}
-		}
-	}
-	return out
-}
-
 func (fi *fieldIndex) prefixTerms(prefix string) []string {
 	vocab := fi.sortedVocab()
 	i := sort.SearchStrings(vocab, prefix)
@@ -308,74 +133,9 @@ func (fi *fieldIndex) suffixTerms(suffix string) []string {
 	return out
 }
 
-// phraseMatch intersects per-word matches positionally: an occurrence at
-// position p requires word i at position p+i for every i.
-func phraseMatch(perWord []map[int]*DocTermInfo) map[int]*DocTermInfo {
-	out := map[int]*DocTermInfo{}
-	first := perWord[0]
-docs:
-	for id, info := range first {
-		for _, m := range perWord[1:] {
-			if m[id] == nil {
-				continue docs
-			}
-		}
-		var starts []int
-	pos:
-		for _, p := range info.Positions {
-			for i := 1; i < len(perWord); i++ {
-				if !containsInt(perWord[i][id].Positions, p+i) {
-					continue pos
-				}
-			}
-			starts = append(starts, p)
-		}
-		if len(starts) > 0 {
-			out[id] = &DocTermInfo{Freq: len(starts), Positions: starts}
-		}
-	}
-	return out
-}
-
 func containsInt(sorted []int, x int) bool {
 	i := sort.SearchInts(sorted, x)
 	return i < len(sorted) && sorted[i] == x
-}
-
-// eachDoc visits every document — or, when a candidate set restricts the
-// lookup, only the candidates — the collection-scan analogue of block
-// skipping for the fields without posting lists.
-func (ix *Index) eachDoc(cand *candSet, fn func(id int, d *Document)) {
-	if cand == nil {
-		for id, d := range ix.docs {
-			fn(id, d)
-		}
-		return
-	}
-	for id := range cand.ids {
-		if id >= 0 && id < len(ix.docs) {
-			fn(id, ix.docs[id])
-		}
-	}
-}
-
-// lookupDate evaluates a comparison against the last-modified date.
-func (ix *Index) lookupDate(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	when, err := parseDate(t.Value.Text)
-	if err != nil {
-		return nil, err
-	}
-	cmp := t.Comparison()
-	m := &TermMatch{Docs: map[int]*DocTermInfo{}}
-	ix.eachDoc(opts.cand, func(id int, d *Document) {
-		if d.Date.IsZero() {
-			return
-		}
-		if dateSatisfies(d.Date, cmp, when) {
-			m.Docs[id] = &DocTermInfo{Freq: 1}
-		}
-	})
-	return m, nil
 }
 
 func parseDate(s string) (time.Time, error) {
@@ -409,45 +169,55 @@ func dateSatisfies(have time.Time, cmp attr.Modifier, want time.Time) bool {
 	return false
 }
 
-// lookupExact matches the term value exactly against a whole-string field.
-func (ix *Index) lookupExact(t query.Term, opts LookupOptions, get func(*Document) string) *TermMatch {
-	m := &TermMatch{Docs: map[int]*DocTermInfo{}}
+// docPredicate returns the per-document test of a term on one of the
+// fields that have no postings — date, linkage, linkage-type, languages,
+// cross-reference-linkage — and nil for a term on any other field.
+func docPredicate(t query.Term) (func(*Document) bool, error) {
 	want := strings.TrimSpace(t.Value.Text)
-	ix.eachDoc(opts.cand, func(id int, d *Document) {
-		if strings.EqualFold(get(d), want) {
-			m.Docs[id] = &DocTermInfo{Freq: 1}
+	switch t.EffectiveField() {
+	case attr.FieldDateLastModified:
+		when, err := parseDate(t.Value.Text)
+		if err != nil {
+			return nil, err
 		}
-	})
-	return m
-}
-
-func (ix *Index) lookupLanguage(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	tag, err := lang.ParseTag(strings.TrimSpace(t.Value.Text))
-	if err != nil {
-		return nil, fmt.Errorf("index: languages term: %w", err)
+		cmp := t.Comparison()
+		return func(d *Document) bool { return !d.Date.IsZero() && dateSatisfies(d.Date, cmp, when) }, nil
+	case attr.FieldLinkage:
+		return func(d *Document) bool { return strings.EqualFold(d.Linkage, want) }, nil
+	case attr.FieldLinkageType:
+		return func(d *Document) bool { return strings.EqualFold(d.LinkageType, want) }, nil
+	case attr.FieldLanguages:
+		tag, err := lang.ParseTag(want)
+		if err != nil {
+			return nil, fmt.Errorf("index: languages term: %w", err)
+		}
+		return func(d *Document) bool {
+			return slices.ContainsFunc(d.Languages, func(dt lang.Tag) bool { return dt.Matches(tag) })
+		}, nil
+	case attr.FieldCrossReferenceLinkage:
+		return func(d *Document) bool {
+			return slices.ContainsFunc(d.CrossRefs, func(url string) bool { return strings.EqualFold(url, want) })
+		}, nil
 	}
-	m := &TermMatch{Docs: map[int]*DocTermInfo{}}
-	ix.eachDoc(opts.cand, func(id int, d *Document) {
-		for _, dt := range d.Languages {
-			if dt.Matches(tag) {
-				m.Docs[id] = &DocTermInfo{Freq: 1}
-				break
-			}
-		}
-	})
-	return m, nil
+	return nil, nil
 }
 
-func (ix *Index) lookupCrossRef(t query.Term, opts LookupOptions) *TermMatch {
-	m := &TermMatch{Docs: map[int]*DocTermInfo{}}
-	want := strings.TrimSpace(t.Value.Text)
-	ix.eachDoc(opts.cand, func(id int, d *Document) {
-		for _, url := range d.CrossRefs {
-			if strings.EqualFold(url, want) {
-				m.Docs[id] = &DocTermInfo{Freq: 1}
-				break
-			}
+// nativeIDs evaluates a free-form-text term through the options' native
+// handler and returns the matching documents of this index, ascending.
+func (ix *Index) nativeIDs(t query.Term, opts LookupOptions) ([]int, error) {
+	if opts.Native == nil {
+		return nil, nil
+	}
+	set, err := opts.Native(t.Value.Text)
+	if err != nil {
+		return nil, fmt.Errorf("index: native query: %w", err)
+	}
+	ids := make([]int, 0, len(set))
+	for id := range set {
+		if id >= 0 && id < len(ix.docs) {
+			ids = append(ids, id)
 		}
-	})
-	return m
+	}
+	sort.Ints(ids)
+	return ids, nil
 }

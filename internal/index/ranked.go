@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"starts/internal/attr"
-	"starts/internal/lang"
 	"starts/internal/query"
 	"starts/internal/topk"
 )
@@ -46,26 +45,25 @@ type RankedDoc struct {
 	TFs []int
 }
 
-// rankLists is one plan term resolved to its posting lists.
+// rankLists is a one-word text term resolved to its posting lists: the
+// word's expansions across the term's fields.
 type rankLists struct {
 	lists []*postingList
 	df    int
-	// tag is the term's language constraint; zero means unconstrained.
-	tag      lang.Tag
-	needLang bool
+	// inLang is the term's language check; nil when every document passes.
+	inLang func(id int) bool
 }
 
 // termCursor walks one plan term's posting lists document-at-a-time,
 // tracking the block-level and global score upper bounds pruning needs.
 type termCursor struct {
-	idx      int // plan term index
-	curs     []*listCursor
-	df       int
-	ub       float64 // weight × max possible term weight, list-global
-	w        float64
-	tag      lang.Tag
-	needLang bool
-	cur      int // current doc id; maxDocID when exhausted
+	idx    int // plan term index
+	curs   []*listCursor
+	df     int
+	ub     float64 // weight × max possible term weight, list-global
+	w      float64
+	inLang func(id int) bool // nil when every document passes
+	cur    int               // current doc id; maxDocID when exhausted
 }
 
 func (tc *termCursor) align() {
@@ -334,11 +332,11 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 				if tj == seed {
 					// The seeding term's frequency is in hand; apply the
 					// same language filter probing it would.
-					if !rl.needLang || ix.docs[id].InLanguage(rl.tag) {
+					if rl.inLang == nil || rl.inLang(id) {
 						tf = p.Freq()
 					}
 				} else {
-					tf = resolved[tj].probe(ix, id)
+					tf = resolved[tj].probe(id)
 				}
 				if tf > 0 {
 					sum += plan.Terms[tj].Weight * plan.TermWeight(tf, resolved[tj].df, n, docLen)
@@ -364,12 +362,11 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 // with Sum > 0, identical to exhaustively scoring every document.
 //
 // The second return value reports per-plan-term document frequencies.
-// ok is false when the plan is not cursor-evaluable (a phrase term, a
-// non-text field, a free-form-text term): callers fall back to the
-// exhaustive path.
-func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc, dfs []int, ok bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// ok is false when some term has no block bounds to prune on (a phrase, a
+// field without postings, a free-form-text term): Snapshot.Match walks
+// such a query instead.
+func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc, dfs []int, ok bool) {
+	ix := s.ix
 	if plan.K <= 0 || plan.TermWeight == nil {
 		return nil, nil, false
 	}
@@ -393,13 +390,10 @@ func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc
 		if len(rl.lists) == 0 {
 			continue
 		}
-		tc := &termCursor{
-			idx: i, df: rl.df, w: plan.Terms[i].Weight,
-			tag: rl.tag, needLang: rl.needLang,
-		}
+		tc := newTermCursor(rl.lists)
+		tc.idx, tc.df, tc.w, tc.inLang = i, rl.df, plan.Terms[i].Weight, rl.inLang
 		maxF, minL := 0, 0
 		for _, pl := range rl.lists {
-			tc.curs = append(tc.curs, newListCursor(pl))
 			maxF += pl.maxFreq
 			if pl.minLen > 0 && (minL == 0 || pl.minLen < minL) {
 				minL = pl.minLen
@@ -413,7 +407,6 @@ func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc
 				tc.ub = tc.w * plan.TermWeight(maxF, tc.df, n, minL)
 			}
 		}
-		tc.align()
 		cursors = append(cursors, tc)
 	}
 
@@ -481,7 +474,7 @@ func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc
 				sum := 0.0
 				docLen := ix.counts[pivotDoc]
 				for _, tc := range atPivot {
-					tf := tc.matchFreq(ix, pivotDoc)
+					tf := tc.matchFreq(pivotDoc)
 					if tf > 0 {
 						sum += tc.w * plan.TermWeight(tf, tc.df, n, docLen)
 					}
@@ -558,7 +551,7 @@ func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc
 	for oi := range out {
 		out[oi].TFs = make([]int, len(resolved))
 		for ti := range resolved {
-			out[oi].TFs[ti] = resolved[ti].probe(ix, out[oi].ID)
+			out[oi].TFs[ti] = resolved[ti].probe(out[oi].ID)
 		}
 	}
 	return out, dfs, true
@@ -566,8 +559,8 @@ func (ix *Index) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc
 
 // matchFreq returns the term frequency at doc id, honoring the term's
 // language constraint the way map lookups do.
-func (tc *termCursor) matchFreq(ix *Index, id int) int {
-	if tc.needLang && !ix.docs[id].InLanguage(tc.tag) {
+func (tc *termCursor) matchFreq(id int) int {
+	if tc.inLang != nil && !tc.inLang(id) {
 		return 0
 	}
 	return tc.freqAt()
@@ -575,8 +568,8 @@ func (tc *termCursor) matchFreq(ix *Index, id int) int {
 
 // probe returns the term frequency of one document by binary-searching
 // the resolved posting lists — the per-result stats path.
-func (rl *rankLists) probe(ix *Index, id int) int {
-	if rl.needLang && !ix.docs[id].InLanguage(rl.tag) {
+func (rl *rankLists) probe(id int) int {
+	if rl.inLang != nil && !rl.inLang(id) {
 		return 0
 	}
 	tf := 0
@@ -588,90 +581,58 @@ func (rl *rankLists) probe(ix *Index, id int) int {
 	return tf
 }
 
-// resolveRankTerm maps one atomic term to its posting lists: the single
-// word's modifier expansions across the term's fields. ok is false for
-// terms the cursor path cannot evaluate (phrases, non-text fields).
-func (ix *Index) resolveRankTerm(t query.Term, opts LookupOptions) (rankLists, bool) {
+// iter returns an iterator over the term's documents.
+func (rl *rankLists) iter() docIter { return filtered(newTermCursor(rl.lists), rl.inLang) }
+
+// count returns the number of distinct documents across the lists that
+// pass the language check — the document frequency the oracle's map
+// lookup reports.
+func (rl *rankLists) count() int {
+	switch {
+	case len(rl.lists) == 0:
+		return 0
+	case len(rl.lists) == 1 && rl.inLang == nil:
+		return rl.lists[0].n
+	}
+	return countDocs(rl.iter())
+}
+
+// wordLists resolves one word of a term's value to its posting lists: the
+// word's modifier expansions in each of fields.
+func (ix *Index) wordLists(fields []attr.Field, word string, t query.Term, opts LookupOptions) rankLists {
 	var rl rankLists
-	var fields []attr.Field
-	switch f := t.EffectiveField(); f {
-	case attr.FieldAny:
-		fields = TextFields
-	case attr.FieldTitle, attr.FieldAuthor, attr.FieldBodyOfText:
-		fields = []attr.Field{f}
-	default:
-		return rl, false
-	}
-	words := wordsOf(ix.analyzer, t.Value.Text)
-	if opts.DropStopWords {
-		kept := words[:0]
-		for _, w := range words {
-			if !opts.Stop.Contains(w) {
-				kept = append(kept, w)
-			}
-		}
-		words = kept
-	}
-	if len(words) == 0 {
-		// Nothing to match: the term contributes zero weight everywhere
-		// (but still counts toward the plan's Norm).
-		return rl, true
-	}
-	if len(words) > 1 {
-		return rl, false // phrases need positional evaluation
-	}
-	tag := t.Value.Resolve(opts.DefaultLang)
-	rl.tag = tag
-	rl.needLang = ix.numTagged > 0 && !tag.IsZero()
 	for _, f := range fields {
 		fi := ix.fields[f]
 		if fi == nil {
 			continue
 		}
-		for _, vt := range fi.expandWord(ix.analyzer, words[0], t, opts) {
+		for _, vt := range fi.expandWord(ix.analyzer, word, t, opts) {
 			if pl := fi.postings[vt]; pl != nil && pl.n > 0 {
 				rl.lists = append(rl.lists, pl)
 			}
 		}
 	}
-	rl.df = ix.unionCount(rl)
-	return rl, true
+	return rl
 }
 
-// unionCount returns the number of distinct documents across the
-// resolved lists that pass the language constraint — the document
-// frequency the exhaustive map path reports.
-func (ix *Index) unionCount(rl rankLists) int {
-	if len(rl.lists) == 0 {
-		return 0
+// resolveRankTerm maps one atomic term to its posting lists. ok is false
+// for terms the ranked traversal cannot bound block by block: phrases,
+// which need positions, and the fields without postings.
+func (ix *Index) resolveRankTerm(t query.Term, opts LookupOptions) (rankLists, bool) {
+	fields := textFieldsOf(t.EffectiveField())
+	words := ix.termWords(t, opts)
+	if fields == nil || len(words) > 1 {
+		return rankLists{}, false
 	}
-	if len(rl.lists) == 1 && !rl.needLang {
-		return rl.lists[0].n
+	if len(words) == 0 {
+		// Nothing to match: the term contributes zero weight everywhere
+		// (but still counts toward the plan's Norm).
+		return rankLists{}, true
 	}
-	curs := make([]*listCursor, len(rl.lists))
-	for i, pl := range rl.lists {
-		curs[i] = newListCursor(pl)
-	}
-	df := 0
-	for {
-		m := maxDocID
-		for _, c := range curs {
-			if d := c.doc(); d < m {
-				m = d
-			}
-		}
-		if m == maxDocID {
-			return df
-		}
-		if !rl.needLang || ix.docs[m].InLanguage(rl.tag) {
-			df++
-		}
-		for _, c := range curs {
-			if c.doc() == m {
-				c.next()
-			}
-		}
-	}
+	rl := ix.wordLists(fields, words[0], t, opts)
+	rl.inLang = ix.languageCheck(t, opts)
+	rl.df = rl.count()
+	return rl, true
 }
 
 // rankedBefore is the result order of the ranked fast path: higher sum
