@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,18 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	bash bench/run.sh -smoke
 
+# prof-cold attributes what one cache-missing search allocates, by site:
+# BenchmarkColdSearch (internal/core: 8 in-process sources, cache on, every
+# query distinct) with every allocation sampled, then the profile's top
+# sites by bytes, building and indexing the fleet left out. The binary and
+# the profile go to PROFDIR.
+PROFDIR ?= /tmp/starts-prof
+prof-cold:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkColdSearch$$' -benchtime 3000x -memprofilerate 1 \
+		-memprofile $(PROFDIR)/cold.mem -o $(PROFDIR)/core.test ./internal/core
+	$(GO) tool pprof -top -sample_index=alloc_space -ignore 'coldFleet|analyzeChunk' $(PROFDIR)/core.test $(PROFDIR)/cold.mem | head -60
+
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, overload) under the race detector.
 soak:
@@ -70,17 +82,20 @@ stress:
 # one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
 # the two response frame decoders, the two entry points of the expression
-# parser behind them all, and the engine's cursor evaluator against its
-# oracle (internal/engine/exhaustive.go). Seeds also run with every `go test`.
+# parser behind them all, the cache fingerprint against the printer it
+# replaced (internal/qcache/key_oracle_test.go), and the engine's cursor
+# evaluator against its oracle (internal/engine/exhaustive.go). Seeds also
+# run with every `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
 	internal/server:FuzzDecodeRequest:2s \
-	internal/soif:FuzzSOIFRoundTrip:2s \
+	internal/soif:FuzzSOIFRoundTrip:1s \
 	internal/result:FuzzDecodeBatchItem:1s \
 	internal/result:FuzzDecodeStreamItem:1s \
 	internal/query:FuzzParseFilter:1s \
 	internal/query:FuzzParseRanking:1s \
+	internal/qcache:FuzzCanonicalMatchesOracle:1s \
 	internal/engine:FuzzSearchMatchesExhaustive:2s
 
 fuzz:

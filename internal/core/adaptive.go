@@ -106,9 +106,7 @@ type SourceStatEntry struct {
 // single lock acquisition, so a concurrent Add or an in-flight fan-out
 // cannot skew one row of the display against another.
 func (m *Metasearcher) StatsSnapshot() []SourceStatEntry {
-	m.mu.RLock()
-	order := append([]string(nil), m.order...)
-	m.mu.RUnlock()
+	order := m.SourceIDs()
 	book := m.stats.snapshot()
 	out := make([]SourceStatEntry, len(order))
 	for i, id := range order {

@@ -18,9 +18,9 @@ func (m *Metasearcher) HarvestDue(ctx context.Context, lead time.Duration) map[s
 	m.mu.RLock()
 	now := m.opts.Now()
 	var due []string
-	for _, id := range m.order {
-		if harvestDue(m.entries[id], now, lead) {
-			due = append(due, id)
+	for i, mem := range m.members {
+		if harvestDue(m.entries[i], now, lead) {
+			due = append(due, mem.id)
 		}
 	}
 	m.mu.RUnlock()

@@ -92,10 +92,15 @@ type Options struct {
 type Metasearcher struct {
 	opts Options
 
+	// The registered fleet. Add publishes a new members slice (and, for a
+	// new id, a new slot map and scope) instead of editing the old ones,
+	// so a search may keep the ones it read after dropping the lock;
+	// entries is edited in place, by every harvest, and copied by readers.
 	mu      sync.RWMutex
-	conns   map[string]client.BatchConn
-	order   []string
-	entries map[string]*entry
+	members []*member      // registration order
+	slot    map[string]int // id -> index in members and entries
+	entries []*entry       // each member's last harvest; nil before the first
+	scope   string         // cache scope of a search under the baseline options
 
 	stats      *statsBook
 	metrics    *obs.Registry
@@ -115,6 +120,29 @@ type BreakerGate interface {
 	Allow(id string) bool
 	// Record feeds back a contact's outcome (nil err = success).
 	Record(id string, err error)
+}
+
+// member is one registered source: its connection, and everything about it
+// that is fixed at Add — the span, dispatch-key and metric names that carry
+// its id are built once, not once per query.
+type member struct {
+	id   string
+	conn client.BatchConn
+
+	translateSpan, querySpan              string
+	dispatchScope                         string // of the source's batch keys
+	queriesTotal, querySeconds, errsTotal string // metric names
+}
+
+func newMember(c client.Conn) *member {
+	id := c.SourceID()
+	return &member{
+		id: id, conn: client.Batched(c),
+		translateSpan: "translate " + id, querySpan: "query " + id, dispatchScope: "dispatch/" + id,
+		queriesTotal: obs.L("starts_source_queries_total", "source", id),
+		querySeconds: obs.L("starts_source_query_seconds", "source", id),
+		errsTotal:    obs.L("starts_source_query_errors_total", "source", id),
+	}
 }
 
 // entry is one source's harvested state. Entries are immutable once
@@ -158,8 +186,7 @@ func New(opts Options) *Metasearcher {
 	}
 	m := &Metasearcher{
 		opts:     opts,
-		conns:    map[string]client.BatchConn{},
-		entries:  map[string]*entry{},
+		scope:    searchScope(opts, nil),
 		stats:    newStatsBook(),
 		metrics:  opts.Metrics,
 		workload: qcache.NewRecorder(0),
@@ -193,22 +220,34 @@ func (m *Metasearcher) Metrics() *obs.Registry { return m.metrics }
 // held as a client.BatchConn (a plain Conn through client.Batched), so
 // the fan-out has one way to query a source.
 func (m *Metasearcher) Add(c client.Conn) {
+	mem := newMember(c)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := c.SourceID()
-	if _, known := m.conns[id]; !known {
-		m.order = append(m.order, id)
+	members := append(make([]*member, 0, len(m.members)+1), m.members...)
+	if i, known := m.slot[mem.id]; known {
+		members[i], m.entries[i] = mem, nil
+	} else {
+		slot := make(map[string]int, len(members)+1)
+		for id, i := range m.slot {
+			slot[id] = i
+		}
+		slot[mem.id] = len(members)
+		members, m.entries, m.slot = append(members, mem), append(m.entries, nil), slot
+		m.scope = searchScope(m.opts, members)
 	}
-	m.conns[id] = client.Batched(c)
-	delete(m.entries, id)
-	m.metrics.Gauge("starts_sources_registered").Set(int64(len(m.conns)))
+	m.members = members
+	m.metrics.Gauge("starts_sources_registered").Set(int64(len(members)))
 }
 
 // SourceIDs lists registered sources in registration order.
 func (m *Metasearcher) SourceIDs() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]string(nil), m.order...)
+	ids := make([]string, len(m.members))
+	for i, mem := range m.members {
+		ids[i] = mem.id
+	}
+	return ids
 }
 
 // expired reports whether a harvested entry must be refreshed.
@@ -240,11 +279,11 @@ func (m *Metasearcher) Harvest(ctx context.Context) error {
 // one harvest instead of racing duplicate fetches at it.
 func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
 	m.mu.RLock()
-	total := len(m.order)
+	total := len(m.members)
 	var stale []string
-	for _, id := range m.order {
-		if m.expired(m.entries[id]) {
-			stale = append(stale, id)
+	for i, mem := range m.members {
+		if m.expired(m.entries[i]) {
+			stale = append(stale, mem.id)
 		}
 	}
 	m.mu.RUnlock()
@@ -287,28 +326,35 @@ func (m *Metasearcher) harvestIDs(ctx context.Context, ids []string) map[string]
 }
 
 func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
+	m.mu.RLock()
+	i, known := m.slot[id]
+	var mem *member
+	if known {
+		mem = m.members[i]
+	}
+	m.mu.RUnlock()
+	if !known {
+		return fmt.Errorf("core: unknown source %q", id)
+	}
 	sp := obs.SpanFrom(ctx).Child("harvest " + id)
 	sp.SetSource(id)
 	defer func() { sp.End(err) }()
-	m.mu.RLock()
-	conn := m.conns[id]
-	m.mu.RUnlock()
-	if conn == nil {
-		return fmt.Errorf("core: unknown source %q", id)
-	}
 	ctx = obs.WithSpan(ctx, sp)
-	md, err := conn.Metadata(ctx)
+	md, err := mem.conn.Metadata(ctx)
 	if err != nil {
 		m.keepStale(id)
 		return fmt.Errorf("core: harvesting metadata of %s: %w", id, err)
 	}
-	sum, err := conn.Summary(ctx)
+	sum, err := mem.conn.Summary(ctx)
 	if err != nil {
 		m.keepStale(id)
 		return fmt.Errorf("core: harvesting summary of %s: %w", id, err)
 	}
+	// What translation asks of the metadata is compiled here, once per
+	// harvest, not by the first query to reach the source.
+	md.StopList()
 	m.mu.Lock()
-	m.entries[id] = &entry{meta: md, summary: sum, harvested: m.opts.Now()}
+	m.entries[i] = &entry{meta: md, summary: sum, harvested: m.opts.Now()}
 	m.mu.Unlock()
 	return nil
 }
@@ -320,10 +366,11 @@ func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
 func (m *Metasearcher) keepStale(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.entries[id]; e != nil && !e.stale {
+	i := m.slot[id] // of a registered source: harvestOne checked
+	if e := m.entries[i]; e != nil && !e.stale {
 		stale := *e
 		stale.stale = true
-		m.entries[id] = &stale
+		m.entries[i] = &stale
 	}
 }
 
@@ -331,11 +378,11 @@ func (m *Metasearcher) keepStale(id string) {
 func (m *Metasearcher) Harvested(id string) (*meta.SourceMeta, *meta.ContentSummary, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	e, ok := m.entries[id]
-	if !ok {
+	i, ok := m.slot[id]
+	if !ok || m.entries[i] == nil {
 		return nil, nil, false
 	}
-	return e.meta, e.summary, true
+	return m.entries[i].meta, m.entries[i].summary, true
 }
 
 // SourceOutcome records one contacted source's part of an answer.
@@ -448,9 +495,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
-	cfg := searchConfig{Options: m.opts}
-	m.mu.RUnlock()
+	cfg := searchConfig{Options: m.opts} // fixed at New
 	for _, o := range sopts {
 		if o != nil {
 			o(&cfg)
@@ -490,7 +535,8 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 		cache = nil
 	}
 	if cache == nil {
-		return m.run(ctx, q, opts, em)
+		ans, _, err := m.run(ctx, q, opts, em)
+		return ans, err
 	}
 	if em != nil {
 		// The emitter travels to the fill by context: a leading fill runs
@@ -555,41 +601,38 @@ func (m *Metasearcher) fillFor(q *query.Query, opts Options) qcache.TTLFill {
 		// A leading fill runs on the searching caller's context and finds
 		// its emitter there; detached background refreshes find nil and
 		// run as plain batch searches.
-		ans, err := m.run(fctx, q, opts, emitterFrom(fctx))
+		ans, ttl, err := m.run(fctx, q, opts, emitterFrom(fctx))
 		if err != nil {
 			return nil, 0, err
 		}
-		return ans, m.answerTTL(ans, opts), nil
+		return ans, ttl, nil
 	}
 }
 
 // answerTTL derives a merged answer's cache lifetime from the freshness
 // metadata of the sources that produced it: the minimum qcache.FreshFor
 // across the contacted sources, so the answer expires when its most
-// volatile ingredient does. Sources declaring neither DateExpires nor
-// DateChanged contribute nothing; if no source declares anything, 0 is
-// returned and the cache falls back to its configured TTL. The cache
-// clamps the result to [TTLFloor, TTLCeiling], mirroring the server's
-// Cache-Control derivation for single sources.
-func (m *Metasearcher) answerTTL(ans *Answer, opts Options) time.Duration {
-	now := opts.Now()
+// volatile ingredient does. The metadata is the run's own — what the
+// answer was translated and merged with, not whatever a harvest has
+// published since. Sources declaring neither DateExpires nor DateChanged
+// contribute nothing; if no source declares anything, 0 is returned and
+// the cache falls back to its configured TTL. The cache clamps the result
+// to [TTLFloor, TTLCeiling], mirroring the server's Cache-Control
+// derivation for single sources.
+func answerTTL(plans []sourcePlan, now time.Time) time.Duration {
 	var min time.Duration
 	found := false
-	for _, id := range ans.Contacted {
-		md, _, ok := m.Harvested(id)
-		if !ok || md == nil {
+	for _, p := range plans {
+		if p.entry == nil {
 			continue
 		}
-		ttl, ok := qcache.FreshFor(md.DateChanged, md.DateExpires, now)
+		ttl, ok := qcache.FreshFor(p.entry.meta.DateChanged, p.entry.meta.DateExpires, now)
 		if !ok {
 			continue
 		}
 		if !found || ttl < min {
 			min, found = ttl, true
 		}
-	}
-	if !found {
-		return 0
 	}
 	return min
 }
@@ -602,12 +645,7 @@ func (m *Metasearcher) Workload() []qcache.WarmEntry { return m.workload.Entries
 // CacheKey fingerprints q under the metasearcher's baseline options —
 // the key Search would use for it. Exposed for warm-start bookkeeping
 // and debugging.
-func (m *Metasearcher) CacheKey(q *query.Query) string {
-	m.mu.RLock()
-	opts := m.opts
-	m.mu.RUnlock()
-	return m.cacheKey(q, opts)
-}
+func (m *Metasearcher) CacheKey(q *query.Query) string { return m.cacheKey(q, m.opts) }
 
 // Warm replays a recorded workload through the regular cache-fronted
 // Search path — every replay passes the cache's singleflight and
@@ -668,15 +706,30 @@ func warmQuery(e qcache.WarmEntry) (*query.Query, error) {
 // shapes the answer: the selection and merge strategies, the source cap,
 // verification mode, and the registered source set. Re-registering
 // sources therefore implicitly invalidates all merged-answer entries.
+// Under the baseline options the scope is the one Add built.
 func (m *Metasearcher) cacheKey(q *query.Query, opts Options) string {
 	m.mu.RLock()
-	ids := append([]string(nil), m.order...)
+	scope, members := m.scope, m.members
 	m.mu.RUnlock()
-	sort.Strings(ids)
-	scope := fmt.Sprintf("search/%s/%s/%d/%t/%s",
-		opts.Selector.Name(), opts.Merger.Name(), opts.MaxSources, opts.PostFilter,
-		strings.Join(ids, ","))
+	base := m.opts
+	if opts.MaxSources != base.MaxSources || opts.PostFilter != base.PostFilter ||
+		opts.Selector.Name() != base.Selector.Name() || opts.Merger.Name() != base.Merger.Name() {
+		scope = searchScope(opts, members)
+	}
 	return qcache.Keyer{Scope: scope}.Key(q)
+}
+
+// searchScope names a cache key space: the four options and the source
+// ids, sorted, joined by a space — the one byte source.New keeps out of
+// an id, so no two fleets print alike.
+func searchScope(opts Options, members []*member) string {
+	ids := make([]string, len(members))
+	for i, mem := range members {
+		ids[i] = mem.id
+	}
+	sort.Strings(ids)
+	return "search/" + opts.Selector.Name() + "/" + opts.Merger.Name() + "/" + strconv.Itoa(opts.MaxSources) +
+		"/" + strconv.FormatBool(opts.PostFilter) + "/" + strings.Join(ids, " ")
 }
 
 // cachedCopy prepares one cached answer for one serve: a shallow copy
@@ -690,13 +743,30 @@ func (a *Answer) cachedCopy(tr *obs.Trace, stale bool) *Answer {
 	return &cp
 }
 
+// roster is one search's view of the fleet, read under one lock: select,
+// translate, the merge inputs and the answer's lifetime all come from it,
+// so they agree on one harvest of every source whatever is re-harvested
+// or registered meanwhile.
+type roster struct {
+	members []*member
+	slot    map[string]int
+	entries []*entry // the search's own copy
+}
+
+func (m *Metasearcher) roster() roster {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return roster{members: m.members, slot: m.slot, entries: append([]*entry(nil), m.entries...)}
+}
+
 // run executes the full metasearch pipeline — harvest, select, translate,
-// fan-out, merge — under the trace and registry already on ctx. It is the
-// uncached Search body and the query cache's fill function. With a
-// non-nil emitter the fan-out's completion points additionally feed an
-// incremental merger and stream rank-stable documents as they settle;
-// the final answer is built by the same batch merge either way.
-func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em *emitter) (*Answer, error) {
+// fan-out, merge — under the trace and registry already on ctx, and names
+// the answer's cache lifetime (see answerTTL). It is the uncached Search
+// body and the query cache's fill function. With a non-nil emitter the
+// fan-out's completion points additionally feed an incremental merger and
+// stream rank-stable documents as they settle; the final answer is built
+// by the same batch merge either way.
+func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em *emitter) (*Answer, time.Duration, error) {
 	tr := obs.TraceFrom(ctx)
 	// The budget bounds the whole call — harvesting included — while
 	// Timeout below bounds each individual source.
@@ -712,23 +782,18 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	hsp.Annotate("errors", strconv.Itoa(len(harvestErrs)))
 	hsp.End(nil)
 
-	m.mu.RLock()
-	infos := make([]gloss.SourceInfo, 0, len(m.order))
-	staleIDs := map[string]bool{}
-	for _, id := range m.order {
-		e := m.entries[id]
-		if e == nil {
-			continue // not harvested; its error is in harvestErrs
+	fleet := m.roster()
+	infos := make([]gloss.SourceInfo, 0, len(fleet.members))
+	for i, e := range fleet.entries {
+		if e != nil { // else not harvested; its error is in harvestErrs
+			infos = append(infos, gloss.SourceInfo{ID: fleet.members[i].id, Summary: e.summary, Meta: e.meta})
 		}
-		staleIDs[id] = e.stale
-		infos = append(infos, gloss.SourceInfo{ID: id, Summary: e.summary, Meta: e.meta})
 	}
-	m.mu.RUnlock()
 	if len(infos) == 0 {
 		if len(harvestErrs) > 0 {
-			return nil, fmt.Errorf("core: no source could be harvested: %w", joinSorted(harvestErrs))
+			return nil, 0, fmt.Errorf("core: no source could be harvested: %w", joinSorted(harvestErrs))
 		}
-		return nil, fmt.Errorf("core: no sources registered")
+		return nil, 0, fmt.Errorf("core: no sources registered")
 	}
 
 	ssp := tr.StartSpan("select")
@@ -739,13 +804,13 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	ssp.Annotate("picked", strconv.Itoa(len(contacted)))
 	ssp.End(nil)
 	if len(contacted) == 0 {
-		return nil, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
+		return nil, 0, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
 	}
 
-	answer := &Answer{Selected: ranked, PerSource: map[string]*SourceOutcome{}, Trace: tr}
+	answer := &Answer{Selected: ranked, PerSource: make(map[string]*SourceOutcome, len(contacted)+len(harvestErrs)), Trace: tr}
 	for id, err := range harvestErrs {
 		answer.PerSource[id] = &SourceOutcome{Err: fmt.Errorf("core: harvesting %s: %w", id, err)}
-		if !staleIDs[id] {
+		if i, ok := fleet.slot[id]; !ok || fleet.entries[i] == nil || !fleet.entries[i].stale {
 			answer.Degraded.HarvestFailed = append(answer.Degraded.HarvestFailed, id)
 		}
 	}
@@ -765,34 +830,28 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	}
 	answer.Contacted = contacted
 
-	plans := m.translateAll(tr, q, contacted)
-
-	// The harvested context is snapshotted once, before fan-out, and used
-	// for both the incremental merger's roster and the final merge inputs
-	// — a concurrent re-harvest swapping an entry mid-search must not make
-	// streamed and final scores disagree.
-	type harvested struct {
-		md  *meta.SourceMeta
-		sum *meta.ContentSummary
-	}
-	ctxs := make([]harvested, len(contacted))
-	for i, id := range contacted {
-		ctxs[i].md, ctxs[i].sum, _ = m.Harvested(id)
-	}
+	// plans[i] is contacted[i]'s: its member, its harvest as the roster
+	// has it — which the incremental merger's roster and the final merge
+	// inputs both use, so streamed and final scores agree — and its
+	// translated query.
+	plans := translateAll(tr, q, contacted, fleet)
 	var inc *merge.Incremental
 	if em != nil && len(contacted) > 0 {
-		roster := make([]merge.StreamSource, len(contacted))
-		for i, id := range contacted {
-			roster[i] = merge.StreamSource{SourceID: id, Meta: ctxs[i].md, Summary: ctxs[i].sum}
+		slots := make([]merge.StreamSource, len(contacted))
+		for i, p := range plans {
+			slots[i] = merge.StreamSource{SourceID: contacted[i]}
+			if p.entry != nil {
+				slots[i].Meta, slots[i].Summary = p.entry.meta, p.entry.summary
+			}
 		}
-		inc = merge.NewIncremental(opts.Merger, q, roster)
+		inc = merge.NewIncremental(opts.Merger, q, slots)
 	}
 
 	// onDone runs serialized at each source's completion (fanOut holds
 	// its mutex): post-filtering and degradation accounting move here so
 	// stream events see them as they happen; the batch path shares the
 	// exact same code with the streaming steps skipped.
-	unverified := make(map[string][]query.Term, len(contacted))
+	unverified := make([][]query.Term, len(contacted))
 	onDone := func(slot int, id string, oc *SourceOutcome) {
 		if oc.Stale {
 			answer.Degraded.Stale = append(answer.Degraded.Stale, id)
@@ -803,9 +862,7 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 				answer.Degraded.Failed = append(answer.Degraded.Failed, id)
 			}
 		} else if opts.PostFilter && oc.Report != nil && len(oc.Report.DroppedTerms) > 0 {
-			kept, unver := translate.PostFilter(oc.Results.Documents, oc.Report.DroppedTerms)
-			oc.Results.Documents = kept
-			unverified[id] = unver
+			oc.Results.Documents, unverified[slot] = translate.PostFilter(oc.Results.Documents, oc.Report.DroppedTerms)
 		}
 		if inc == nil {
 			return
@@ -825,21 +882,21 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	outcomes := m.fanOut(ctx, contacted, plans, opts, onDone)
 
 	msp := tr.StartSpan("merge")
-	var inputs []merge.SourceResult
+	inputs := make([]merge.SourceResult, 0, len(contacted))
 	for i, id := range contacted {
-		oc := outcomes[id]
+		oc := outcomes[i]
 		answer.PerSource[id] = oc
 		if oc.Err != nil || oc.Results == nil {
 			continue
 		}
-		answer.Unverifiable = append(answer.Unverifiable, unverified[id]...)
-		inputs = append(inputs, merge.SourceResult{
-			SourceID: id, Meta: ctxs[i].md, Summary: ctxs[i].sum, Results: oc.Results,
-		})
+		answer.Unverifiable = append(answer.Unverifiable, unverified[i]...)
+		e := plans[i].entry // not nil: the source answered, so it was translated for
+		inputs = append(inputs, merge.SourceResult{SourceID: id, Meta: e.meta, Summary: e.summary, Results: oc.Results})
 	}
 	answer.Degraded.sort()
 	msp.Annotate("strategy", opts.Merger.Name())
 	msp.Annotate("inputs", strconv.Itoa(len(inputs)))
+	ttl := answerTTL(plans, opts.Now())
 	if len(inputs) == 0 {
 		msp.Annotate("docs", "0")
 		msp.End(nil)
@@ -848,18 +905,18 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 		// empty answer is the honest result and the caller can retry
 		// after the cooldown.
 		failures := map[string]error{}
-		for _, id := range contacted {
-			if oc := outcomes[id]; oc.Err != nil {
-				failures[id] = oc.Err
+		for i, id := range contacted {
+			if outcomes[i].Err != nil {
+				failures[id] = outcomes[i].Err
 			}
 		}
 		if len(failures) > 0 && len(answer.Degraded.Skipped) == 0 {
-			return nil, fmt.Errorf("core: all %d contacted sources failed: %w", len(contacted), joinSorted(failures))
+			return nil, 0, fmt.Errorf("core: all %d contacted sources failed: %w", len(contacted), joinSorted(failures))
 		}
 		if em != nil {
 			em.emit(StreamEvent{Degraded: answer.Degraded.snapshot(), Final: answer})
 		}
-		return answer, nil
+		return answer, ttl, nil
 	}
 
 	// The final rank always comes from the ordinary batch merge — the
@@ -887,7 +944,7 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 			Degraded: answer.Degraded.snapshot(), Final: answer,
 		})
 	}
-	return answer, nil
+	return answer, ttl, nil
 }
 
 // printed renders q's two expressions, "" for one it lacks.
@@ -962,12 +1019,12 @@ func pick(ranked []gloss.Ranked, maxSources int) []string {
 	return ids
 }
 
-// sourcePlan is one contacted source's prepared fan-out work: its
-// connection, harvested state and translated query — or the reason it
-// cannot be queried at all.
+// sourcePlan is one contacted source's prepared fan-out work: the member,
+// its harvested state and translated query — or the reason it cannot be
+// queried at all.
 type sourcePlan struct {
-	conn   client.BatchConn
-	stale  bool
+	mem    *member
+	entry  *entry
 	sent   *query.Query
 	report *translate.Report
 	err    error // lookup or translation failure; skips the network call
@@ -976,32 +1033,26 @@ type sourcePlan struct {
 // translateAll runs the translation stage: each contacted source gets the
 // query rewritten against its harvested metadata, under its own span, so
 // a trace shows exactly what each source was asked and what was dropped.
-func (m *Metasearcher) translateAll(tr *obs.Trace, q *query.Query, ids []string) map[string]*sourcePlan {
+func translateAll(tr *obs.Trace, q *query.Query, ids []string, fleet roster) []sourcePlan {
 	tsp := tr.StartSpan("translate")
 	defer tsp.End(nil)
-	m.mu.RLock()
-	conns := make(map[string]client.BatchConn, len(ids))
-	entries := make(map[string]*entry, len(ids))
-	for _, id := range ids {
-		conns[id] = m.conns[id]
-		entries[id] = m.entries[id]
-	}
-	m.mu.RUnlock()
-
-	plans := make(map[string]*sourcePlan, len(ids))
-	for _, id := range ids {
-		sp := tsp.Child("translate " + id)
+	plans := make([]sourcePlan, len(ids))
+	for n, id := range ids {
+		p := &plans[n]
+		name := "translate "
+		if i, ok := fleet.slot[id]; ok {
+			p.mem, p.entry, name = fleet.members[i], fleet.entries[i], fleet.members[i].translateSpan
+		} else {
+			name += id // a selector named a source nobody registered
+		}
+		sp := tsp.Child(name)
 		sp.SetSource(id)
-		p := &sourcePlan{conn: conns[id]}
-		plans[id] = p
-		e := entries[id]
-		if p.conn == nil || e == nil {
+		if p.entry == nil {
 			p.err = fmt.Errorf("core: source %q not harvested", id)
 			sp.End(p.err)
 			continue
 		}
-		p.stale = e.stale
-		p.sent, p.report = translate.ForSource(q, e.meta)
+		p.sent, p.report = translate.ForSource(q, p.entry.meta)
 		if p.sent.Filter == nil && p.sent.Ranking == nil {
 			p.err = fmt.Errorf("core: nothing of the query survives translation for %s", id)
 			sp.End(p.err)
@@ -1026,21 +1077,22 @@ func (m *Metasearcher) translateAll(tr *obs.Trace, q *query.Query, ids []string)
 // onDone (optional) observes each source's completion in real time,
 // serialized under the fan-out mutex — this is the hook the streaming
 // path hangs the incremental merger on; slot is the source's index in
-// ids. fanOut still waits for every source before returning.
-func (m *Metasearcher) fanOut(ctx context.Context, ids []string, plans map[string]*sourcePlan, opts Options, onDone func(slot int, id string, oc *SourceOutcome)) map[string]*SourceOutcome {
+// ids, and in plans and the returned outcomes. fanOut still waits for
+// every source before returning.
+func (m *Metasearcher) fanOut(ctx context.Context, ids []string, plans []sourcePlan, opts Options, onDone func(slot int, id string, oc *SourceOutcome)) []*SourceOutcome {
 	fsp := obs.TraceFrom(ctx).StartSpan("fanout")
 	defer fsp.End(nil)
 	ctx = obs.WithSpan(ctx, fsp)
-	outcomes := make(map[string]*SourceOutcome, len(ids))
+	outcomes := make([]*SourceOutcome, len(ids))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
 		go func(slot int, id string) {
 			defer wg.Done()
-			oc := m.queryOne(ctx, id, plans[id], opts)
+			oc := m.queryOne(ctx, id, &plans[slot], opts)
 			mu.Lock()
-			outcomes[id] = oc
+			outcomes[slot] = oc
 			if onDone != nil {
 				onDone(slot, id, oc)
 			}
@@ -1056,8 +1108,8 @@ func (m *Metasearcher) fanOut(ctx context.Context, ids []string, plans map[strin
 // share one wire call. Hashing the translated (not the original) query
 // means two different user queries that translate identically for a
 // source still coalesce.
-func batchKey(id string, sent *query.Query) string {
-	return qcache.Keyer{Scope: "dispatch/" + id}.Key(sent)
+func batchKey(mem *member, sent *query.Query) string {
+	return qcache.Keyer{Scope: mem.dispatchScope}.Key(sent)
 }
 
 // queryBatch is the dispatcher's group executor: one QueryBatch wire
@@ -1095,14 +1147,16 @@ func queryBatch(ctx context.Context, conn client.BatchConn, items []any) ([]any,
 }
 
 func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan, opts Options) *SourceOutcome {
-	oc := &SourceOutcome{Stale: plan.stale, Sent: plan.sent, Report: plan.report}
+	oc := &SourceOutcome{Sent: plan.sent, Report: plan.report}
 	if plan.err != nil {
 		oc.Err = plan.err
 		return oc
 	}
-	sp := obs.SpanFrom(ctx).Child("query " + id)
+	mem := plan.mem
+	oc.Stale = plan.entry.stale
+	sp := obs.SpanFrom(ctx).Child(mem.querySpan)
 	sp.SetSource(id)
-	if plan.stale {
+	if oc.Stale {
 		sp.Annotate("stale", "true")
 	}
 	// The wire call runs on the source's dispatch workers, not on this
@@ -1110,7 +1164,7 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// call (coalescing, queue wait) separately from the source's answer.
 	dsp := sp.Child("dispatch")
 	dsp.SetSource(id)
-	conn, sent, timeout := plan.conn, plan.sent, opts.Timeout
+	conn, sent, timeout := mem.conn, plan.sent, opts.Timeout
 	start := opts.Now()
 	// The per-source deadline starts before Submit and is carried on the
 	// submitted context, so the dispatcher's deadline-aware admission can
@@ -1125,7 +1179,7 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// trip per drain instead of one per query. Per-item errors come
 	// back index-aligned, and the breaker gating below uses
 	// Ticket.FaultPrimary so a shared wire failure counts once.
-	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), dispatch.Limits{},
+	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(mem, sent), dispatch.Limits{},
 		sent, func(gctx context.Context, items []any) ([]any, []error) {
 			// The per-source Timeout bounds the wire call itself; the
 			// waiters' contexts only bound their willingness to wait.
@@ -1184,12 +1238,12 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 			rel.Release(id)
 		}
 	}
-	m.metrics.Counter(obs.L("starts_source_queries_total", "source", id)).Inc()
-	m.metrics.Histogram(obs.L("starts_source_query_seconds", "source", id)).Observe(oc.Elapsed)
+	m.metrics.Counter(mem.queriesTotal).Inc()
+	m.metrics.Histogram(mem.querySeconds).Observe(oc.Elapsed)
 	if err != nil {
 		oc.Err = fmt.Errorf("core: querying %s: %w", id, err)
 		m.stats.record(id, oc.Elapsed, true, 0)
-		m.metrics.Counter(obs.L("starts_source_query_errors_total", "source", id)).Inc()
+		m.metrics.Counter(mem.errsTotal).Inc()
 		return oc
 	}
 	if ticket.Fanout() > 1 {

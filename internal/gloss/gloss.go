@@ -10,6 +10,7 @@ package gloss
 import (
 	"math/rand"
 	"sort"
+	"strings"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
@@ -47,59 +48,100 @@ type probeTerm struct {
 	weight float64
 }
 
-// probes extracts the query's ranking terms (or filter terms for
-// filter-only queries) as summary probes, pushing each word through the
-// summary's processing flags (stemming, case folding) so probe vocabulary
-// matches summary vocabulary.
-func probes(q *query.Query, s *meta.ContentSummary) []probeTerm {
+// probeSet is one query's ranking terms (or filter terms for a filter-only
+// query) as summary probes. The words are tokenized once; pushing them
+// through a summary's processing flags (case folding, stemming), so that
+// probe vocabulary matches summary vocabulary, happens once per distinct
+// flag pair, however many sources share it.
+type probeSet struct {
+	raw  []probeTerm
+	norm [3][]probeTerm // by flag pair other than (case-sensitive, unstemmed); nil until a summary asks
+}
+
+var probeTokenizer, _ = text.LookupTokenizer("Acme-2")
+
+func newProbeSet(q *query.Query) *probeSet {
+	ps := &probeSet{}
 	expr := q.Ranking
 	if expr == nil {
 		expr = q.Filter
 	}
 	if expr == nil {
-		return nil
+		return ps
 	}
-	var out []probeTerm
 	for _, t := range expr.Terms(nil) {
+		toks := probeTokenizer.Tokenize(t.Value.Text)
+		if len(toks) == 0 {
+			continue
+		}
 		p := probeTerm{
 			field:  t.EffectiveField(),
 			tag:    t.Value.Resolve(q.DefaultLanguage),
+			words:  make([]string, len(toks)),
 			weight: t.EffectiveWeight(),
 		}
-		for _, w := range splitWords(t.Value.Text) {
-			if !s.CaseSensitive {
-				w = lowerASCII(w)
-			}
-			if s.Stemming {
-				w = text.Stem(w)
-			}
-			p.words = append(p.words, w)
+		for i, tok := range toks {
+			p.words[i] = tok.Text
 		}
-		if len(p.words) > 0 {
-			out = append(out, p)
-		}
+		ps.raw = append(ps.raw, p)
 	}
-	return out
+	return ps
 }
 
-func splitWords(s string) []string {
-	tok, _ := text.LookupTokenizer("Acme-2")
-	raw := tok.Tokenize(s)
-	words := make([]string, len(raw))
-	for i, t := range raw {
-		words[i] = t.Text
+// foldASCII lower-cases A-Z and nothing else: summaries fold case
+// bytewise, so a non-ASCII capital stays as it is.
+func foldASCII(r rune) rune {
+	if 'A' <= r && r <= 'Z' {
+		return r + 'a' - 'A'
 	}
-	return words
+	return r
 }
 
-func lowerASCII(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+// forSummary returns the probes in s's vocabulary.
+func (ps *probeSet) forSummary(s *meta.ContentSummary) []probeTerm {
+	if s.CaseSensitive && !s.Stemming {
+		return ps.raw
+	}
+	slot := 0 // folded only
+	if s.CaseSensitive {
+		slot = 1 // stemmed only
+	} else if s.Stemming {
+		slot = 2 // both
+	}
+	if ps.norm[slot] == nil {
+		ps.norm[slot] = make([]probeTerm, len(ps.raw))
+		for i, p := range ps.raw {
+			words := make([]string, len(p.words))
+			for j, w := range p.words {
+				if !s.CaseSensitive {
+					w = strings.Map(foldASCII, w) // w itself when nothing folds
+				}
+				if s.Stemming {
+					w = text.Stem(w)
+				}
+				words[j] = w
+			}
+			p.words = words
+			ps.norm[slot][i] = p
 		}
 	}
-	return string(b)
+	return ps.norm[slot]
+}
+
+// rankBy ranks the sources by goodness, which sees each source's summary
+// and the query's probes in that summary's vocabulary; a source without
+// a summary has goodness 0.
+func rankBy(q *query.Query, sources []SourceInfo, goodness func([]probeTerm, *meta.ContentSummary) float64) []Ranked {
+	out := make([]Ranked, 0, len(sources))
+	ps := newProbeSet(q)
+	for _, si := range sources {
+		g := 0.0
+		if si.Summary != nil {
+			g = goodness(ps.forSummary(si.Summary), si.Summary)
+		}
+		out = append(out, Ranked{ID: si.ID, Goodness: g})
+	}
+	return sortRanked(out)
 }
 
 // dfOf sums the summary document frequency over the probe's words.
@@ -131,17 +173,13 @@ func (VSum) Name() string { return "vGlOSS-Sum(0)" }
 
 // Rank implements Selector.
 func (VSum) Rank(q *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
+	return rankBy(q, sources, func(ps []probeTerm, s *meta.ContentSummary) float64 {
 		g := 0.0
-		if si.Summary != nil {
-			for _, p := range probes(q, si.Summary) {
-				g += p.weight * float64(dfOf(si.Summary, p))
-			}
+		for _, p := range ps {
+			g += p.weight * float64(dfOf(s, p))
 		}
-		out = append(out, Ranked{ID: si.ID, Goodness: g})
-	}
-	return sortRanked(out)
+		return g
+	})
 }
 
 // VMax is the vGlOSS Max(0) estimator: goodness is the largest single-term
@@ -154,19 +192,15 @@ func (VMax) Name() string { return "vGlOSS-Max(0)" }
 
 // Rank implements Selector.
 func (VMax) Rank(q *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
+	return rankBy(q, sources, func(ps []probeTerm, s *meta.ContentSummary) float64 {
 		g := 0.0
-		if si.Summary != nil {
-			for _, p := range probes(q, si.Summary) {
-				if df := p.weight * float64(dfOf(si.Summary, p)); df > g {
-					g = df
-				}
+		for _, p := range ps {
+			if df := p.weight * float64(dfOf(s, p)); df > g {
+				g = df
 			}
 		}
-		out = append(out, Ranked{ID: si.ID, Goodness: g})
-	}
-	return sortRanked(out)
+		return g
+	})
 }
 
 // BGloss is the bGlOSS estimator for Boolean conjunctive queries: the
@@ -178,23 +212,17 @@ func (BGloss) Name() string { return "bGlOSS" }
 
 // Rank implements Selector.
 func (BGloss) Rank(q *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
-		g := 0.0
-		if si.Summary != nil && si.Summary.NumDocs > 0 {
-			n := float64(si.Summary.NumDocs)
-			g = n
-			ps := probes(q, si.Summary)
-			if len(ps) == 0 {
-				g = 0
-			}
-			for _, p := range ps {
-				g *= float64(dfOf(si.Summary, p)) / n
-			}
+	return rankBy(q, sources, func(ps []probeTerm, s *meta.ContentSummary) float64 {
+		if s.NumDocs <= 0 || len(ps) == 0 {
+			return 0
 		}
-		out = append(out, Ranked{ID: si.ID, Goodness: g})
-	}
-	return sortRanked(out)
+		n := float64(s.NumDocs)
+		g := n
+		for _, p := range ps {
+			g *= float64(dfOf(s, p)) / n
+		}
+		return g
+	})
 }
 
 // Random is the no-information baseline: a deterministic pseudo-random

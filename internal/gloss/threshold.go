@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"starts/internal/meta"
 	"starts/internal/query"
 )
 
@@ -33,23 +34,20 @@ type termEstimate struct {
 	weight float64 // estimated per-document score contribution × query weight
 }
 
-// estimates gathers per-term statistics for a query at one source.
-func estimates(q *query.Query, si SourceInfo) []termEstimate {
-	if si.Summary == nil {
-		return nil
-	}
-	var out []termEstimate
-	for _, p := range probes(q, si.Summary) {
-		df := dfOf(si.Summary, p)
+// estimates gathers per-term statistics for a query's probes at one source.
+func estimates(ps []probeTerm, s *meta.ContentSummary) []termEstimate {
+	out := make([]termEstimate, 0, len(ps))
+	for _, p := range ps {
+		df := dfOf(s, p)
 		postings := 0
 		for _, w := range p.words {
-			if ti, ok := si.Summary.Lookup(p.field, p.tag, w); ok {
+			if ti, ok := s.Lookup(p.field, p.tag, w); ok {
 				postings += ti.Postings
 			}
 		}
 		out = append(out, termEstimate{
 			df:     df,
-			weight: p.weight * estTermWeight(postings, df, si.Summary.NumDocs),
+			weight: p.weight * estTermWeight(postings, df, s.NumDocs),
 		})
 	}
 	return out
@@ -68,19 +66,17 @@ func (s VSumL) Name() string { return fmt.Sprintf("vGlOSS-Sum(l=%g)", s.L) }
 
 // Rank implements Selector.
 func (s VSumL) Rank(q *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
+	return rankBy(q, sources, func(ps []probeTerm, sum *meta.ContentSummary) float64 {
 		g := 0.0
 		// Disjoint scenario: each term's df documents score exactly that
 		// term's estimated weight.
-		for _, te := range estimates(q, si) {
+		for _, te := range estimates(ps, sum) {
 			if te.weight > s.L {
 				g += float64(te.df)
 			}
 		}
-		out = append(out, Ranked{ID: si.ID, Goodness: g})
-	}
-	return sortRanked(out)
+		return g
+	})
 }
 
 // VMaxL is the vGlOSS Max(l) estimator: goodness is the estimated number
@@ -98,9 +94,8 @@ func (m VMaxL) Name() string { return fmt.Sprintf("vGlOSS-Max(l=%g)", m.L) }
 
 // Rank implements Selector.
 func (m VMaxL) Rank(q *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
-		ests := estimates(q, si)
+	return rankBy(q, sources, func(ps []probeTerm, sum *meta.ContentSummary) float64 {
+		ests := estimates(ps, sum)
 		// Sort ascending by df: the rarest term bounds the first block.
 		sort.Slice(ests, func(i, j int) bool { return ests[i].df < ests[j].df })
 		g := 0.0
@@ -121,7 +116,6 @@ func (m VMaxL) Rank(q *query.Query, sources []SourceInfo) []Ranked {
 			}
 			prevDF = te.df
 		}
-		out = append(out, Ranked{ID: si.ID, Goodness: g})
-	}
-	return sortRanked(out)
+		return g
+	})
 }

@@ -84,7 +84,7 @@ func (Calibrated) Name() string { return "sample-calibrated" }
 
 // Merge implements Strategy.
 func (c Calibrated) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	var items []*merged
+	items := newItems(inputs)
 	for _, in := range inputs {
 		cal, ok := c.BySource[in.SourceID]
 		for _, d := range in.Results.Documents {
@@ -92,7 +92,7 @@ func (c Calibrated) Merge(q *query.Query, inputs []SourceResult) []*result.Docum
 			if ok {
 				s = cal.Apply(s)
 			}
-			items = append(items, &merged{doc: d, score: s, order: len(items)})
+			items = append(items, merged{doc: d, score: s, order: len(items)})
 		}
 	}
 	return fuse(items, fuseLimit(q))

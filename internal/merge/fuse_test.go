@@ -10,8 +10,8 @@ import (
 	"starts/internal/result"
 )
 
-func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []*merged {
-	items := make([]*merged, n)
+func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []merged {
+	items := make([]merged, n)
 	for i := range items {
 		d := &result.Document{
 			RawScore: float64(rng.Intn(8)) / 4, // coarse: plenty of score ties
@@ -20,14 +20,14 @@ func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []*merged {
 				attr.FieldLinkage: fmt.Sprintf("http://x/%d", rng.Intn(urlSpace)),
 			},
 		}
-		items[i] = &merged{doc: d, score: d.RawScore, order: i}
+		items[i] = merged{doc: d, score: d.RawScore, order: i}
 	}
 	return items
 }
 
 // referenceFuse is the pre-heap semantics: collapse duplicates, full
 // stable sort by (score desc, arrival asc), then truncate.
-func referenceFuse(items []*merged, limit int) []*result.Document {
+func referenceFuse(items []merged, limit int) []*result.Document {
 	full := fuse(items, 0)
 	if limit > 0 && len(full) > limit {
 		full = full[:limit]
@@ -37,12 +37,12 @@ func referenceFuse(items []*merged, limit int) []*result.Document {
 
 // cloneItems deep-copies the fuse working set: fuse mutates the
 // documents it collapses, so the reference run needs its own documents.
-func cloneItems(items []*merged) []*merged {
-	out := make([]*merged, len(items))
+func cloneItems(items []merged) []merged {
+	out := make([]merged, len(items))
 	for i, it := range items {
 		d := *it.doc
 		d.Sources = append([]string(nil), it.doc.Sources...)
-		out[i] = &merged{doc: &d, score: it.score, order: it.order}
+		out[i] = merged{doc: &d, score: it.score, order: it.order}
 	}
 	return out
 }
@@ -81,8 +81,8 @@ func TestFuseTopKMatchesFullSort(t *testing.T) {
 // order: a duplicate arriving beyond the limit can still promote its
 // document into the top ranks.
 func TestFuseLateDuplicateSurvivesLimit(t *testing.T) {
-	mk := func(url string, score float64, order int) *merged {
-		return &merged{
+	mk := func(url string, score float64, order int) merged {
+		return merged{
 			doc: &result.Document{
 				RawScore: score,
 				Sources:  []string{fmt.Sprintf("S%d", order)},
@@ -92,7 +92,7 @@ func TestFuseLateDuplicateSurvivesLimit(t *testing.T) {
 			order: order,
 		}
 	}
-	items := []*merged{
+	items := []merged{
 		mk("http://x/a", 0.5, 0),
 		mk("http://x/b", 0.4, 1),
 		mk("http://x/c", 0.3, 2),

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"starts/internal/attr"
 	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
@@ -45,15 +46,16 @@ type merged struct {
 
 // fuse collapses duplicates by linkage, keeping the best score and
 // accumulating source attributions, then ranks by score (descending)
-// with arrival order as the tiebreak. A positive limit caps the rank:
-// duplicates are still collapsed over the full input (a late arrival may
+// with arrival order as the tiebreak. It works in items, which it owns.
+// A positive limit caps the rank: duplicates are still collapsed over the full input (a late arrival may
 // raise an early document's score), but only the best limit documents
 // are ordered and returned — bounded-heap selection instead of a full
 // sort. limit <= 0 returns the complete rank.
-func fuse(items []*merged, limit int) []*result.Document {
-	byURL := map[string]*merged{}
-	var keep []*merged
-	for _, it := range items {
+func fuse(items []merged, limit int) []*result.Document {
+	byURL := make(map[string]*merged, len(items))
+	keep := make([]*merged, 0, len(items))
+	for i := range items {
+		it := &items[i]
 		url := it.doc.Linkage()
 		if prev, ok := byURL[url]; ok {
 			prev.doc.Sources = appendMissing(prev.doc.Sources, it.doc.Sources)
@@ -64,9 +66,8 @@ func fuse(items []*merged, limit int) []*result.Document {
 			}
 			continue
 		}
-		cp := *it
-		byURL[url] = &cp
-		keep = append(keep, &cp)
+		byURL[url] = it
+		keep = append(keep, it)
 	}
 	// Arrival order is unique, so the tiebreak makes the order total:
 	// heap selection and (stable) sorting agree exactly.
@@ -90,6 +91,15 @@ func fuse(items []*merged, limit int) []*result.Document {
 		out[i] = it.doc
 	}
 	return out
+}
+
+// newItems sizes a merge's working records: one per returned document.
+func newItems(inputs []SourceResult) []merged {
+	n := 0
+	for _, in := range inputs {
+		n += len(in.Results.Documents)
+	}
+	return make([]merged, 0, n)
 }
 
 // fuseLimit is the rank depth a merge needs to produce: the query's
@@ -146,10 +156,10 @@ func (RawScore) Name() string { return "raw-score" }
 
 // Merge implements Strategy.
 func (RawScore) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	var items []*merged
+	items := newItems(inputs)
 	for _, in := range inputs {
 		for _, d := range in.Results.Documents {
-			items = append(items, &merged{doc: d, score: d.RawScore, order: len(items)})
+			items = append(items, merged{doc: d, score: d.RawScore, order: len(items)})
 		}
 	}
 	return fuse(items, fuseLimit(q))
@@ -165,7 +175,7 @@ func (Scaled) Name() string { return "scaled-score" }
 
 // Merge implements Strategy.
 func (Scaled) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	var items []*merged
+	items := newItems(inputs)
 	for _, in := range inputs {
 		lo, hi := 0.0, 0.0
 		if in.Meta != nil {
@@ -186,7 +196,7 @@ func (Scaled) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
 			if span > 0 {
 				s = (d.RawScore - lo) / span
 			}
-			items = append(items, &merged{doc: d, score: s, order: len(items)})
+			items = append(items, merged{doc: d, score: s, order: len(items)})
 		}
 	}
 	return fuse(items, fuseLimit(q))
@@ -201,7 +211,7 @@ func (RoundRobin) Name() string { return "round-robin" }
 
 // Merge implements Strategy.
 func (RoundRobin) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	var items []*merged
+	items := newItems(inputs)
 	maxLen := 0
 	for _, in := range inputs {
 		if len(in.Results.Documents) > maxLen {
@@ -213,7 +223,7 @@ func (RoundRobin) Merge(q *query.Query, inputs []SourceResult) []*result.Documen
 			if pos < len(in.Results.Documents) {
 				d := in.Results.Documents[pos]
 				// Score encodes the interleave position so fuse sorts it.
-				items = append(items, &merged{doc: d, score: -float64(pos), order: len(items)})
+				items = append(items, merged{doc: d, score: -float64(pos), order: len(items)})
 			}
 		}
 	}
@@ -241,34 +251,29 @@ func (t TermStats) Name() string {
 
 // Merge implements Strategy.
 func (t TermStats) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	// Aggregate collection statistics: total documents and global df per
-	// term (keyed by the term's printed form, which includes the field).
+	// Aggregate collection statistics: total documents and, per term, the
+	// global df — the sum over sources of the largest df each reported.
+	tt := newTermTable(q)
 	totalDocs := 0
-	globalDF := map[string]int{}
 	for _, in := range inputs {
-		n := 0
 		if in.Summary != nil {
-			n = in.Summary.NumDocs
+			totalDocs += in.Summary.NumDocs
 		} else {
-			n = len(in.Results.Documents)
+			totalDocs += len(in.Results.Documents)
 		}
-		totalDocs += n
-		perSource := map[string]int{}
 		for _, d := range in.Results.Documents {
 			for _, s := range d.TermStats {
-				key := termKey(s.Term)
-				if s.DocFreq > perSource[key] {
-					perSource[key] = s.DocFreq
-				}
+				n := tt.slot(s.Term)
+				tt.sourceDF[n] = max(tt.sourceDF[n], s.DocFreq)
 			}
 		}
-		for key, df := range perSource {
-			globalDF[key] += df
+		for n, df := range tt.sourceDF {
+			tt.df[n] += df
+			tt.sourceDF[n] = 0
 		}
 	}
-	weights := termWeights(q)
 
-	var items []*merged
+	items := newItems(inputs)
 	for _, in := range inputs {
 		localN := 0
 		if in.Summary != nil {
@@ -280,7 +285,8 @@ func (t TermStats) Merge(q *query.Query, inputs []SourceResult) []*result.Docume
 				if s.Freq == 0 {
 					continue
 				}
-				n, df := totalDocs, globalDF[termKey(s.Term)]
+				slot := tt.slot(s.Term)
+				n, df := totalDocs, tt.df[slot]
 				if t.LocalIDF {
 					n, df = localN, s.DocFreq
 					if n == 0 {
@@ -291,39 +297,64 @@ func (t TermStats) Merge(q *query.Query, inputs []SourceResult) []*result.Docume
 					continue
 				}
 				w := (1 + math.Log(float64(s.Freq))) * math.Log(1+float64(n)/float64(df))
-				wt, ok := weights[termKey(s.Term)]
-				if !ok {
-					wt = 1 // a reported term missing from the query keeps unit weight
-				}
-				score += wt * w
+				score += tt.weight[slot] * w
 			}
 			if d.Count > 1 {
 				score /= math.Sqrt(float64(d.Count))
 			}
-			items = append(items, &merged{doc: d, score: score, order: len(items)})
+			items = append(items, merged{doc: d, score: score, order: len(items)})
 		}
 	}
 	return fuse(items, fuseLimit(q))
 }
 
-// termKey normalizes a term for cross-source aggregation: field plus
-// lower-cased text.
-func termKey(t query.Term) string {
-	return string(t.EffectiveField()) + "\x00" + strings.ToLower(t.Value.Text)
+// termTable numbers one merge's terms — the query's, then any a source
+// reports beyond them — so that per-term statistics live in slices. Two
+// spellings are one term when their fields agree and their texts agree
+// after lower-casing: what the sources of one merge report for one query
+// term, whatever case each folds to.
+type termTable struct {
+	slots    map[termID]int
+	weight   []float64 // the query's ranking weight; 1 for a term it lacks
+	df       []int     // global document frequency
+	sourceDF []int     // the largest df the source being read has reported
 }
 
-// termWeights extracts the query's per-term ranking weights.
-func termWeights(q *query.Query) map[string]float64 {
-	w := map[string]float64{}
+// termID is a term as spelled; the table also files each spelling's
+// lower-cased form, so a lookup by spelling never builds a string.
+type termID struct {
+	field attr.Field
+	text  string
+}
+
+func newTermTable(q *query.Query) *termTable {
+	tt := &termTable{slots: make(map[termID]int, 8)}
 	expr := q.Ranking
 	if expr == nil {
 		expr = q.Filter
 	}
-	if expr == nil {
-		return w
+	if expr != nil {
+		for _, t := range expr.Terms(nil) {
+			n := tt.slot(t) // may grow tt.weight: resolve before indexing
+			tt.weight[n] = t.EffectiveWeight()
+		}
 	}
-	for _, t := range expr.Terms(nil) {
-		w[termKey(t)] = t.EffectiveWeight()
+	return tt
+}
+
+// slot returns t's number, assigning the next one to a term not met before.
+func (tt *termTable) slot(t query.Term) int {
+	id := termID{t.EffectiveField(), t.Value.Text}
+	if n, ok := tt.slots[id]; ok {
+		return n
 	}
-	return w
+	folded := termID{id.field, strings.ToLower(id.text)}
+	n, ok := tt.slots[folded]
+	if !ok {
+		n = len(tt.df)
+		tt.df, tt.sourceDF, tt.weight = append(tt.df, 0), append(tt.sourceDF, 0), append(tt.weight, 1)
+		tt.slots[folded] = n
+	}
+	tt.slots[id] = n
+	return n
 }

@@ -12,12 +12,14 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
 	"starts/internal/query"
 	"starts/internal/soif"
+	"starts/internal/text"
 )
 
 // MetaType is the SOIF template type of a source-metadata object.
@@ -101,7 +103,11 @@ func (t TokenizerUse) String() string {
 	return "(" + t.ID + " " + t.Tag.String() + ")"
 }
 
-// SourceMeta is a source's complete MBasic-1 metadata.
+// SourceMeta is a source's complete MBasic-1 metadata. It is read-only
+// from the first capability question asked of it (SupportsField,
+// SupportsModifier, AllowsCombination, StopList): the answers are compiled
+// once and kept on the object, so a source whose metadata changed is a new
+// SourceMeta — which is what a harvest produces — never an edited one.
 type SourceMeta struct {
 	SourceID string
 
@@ -152,7 +158,54 @@ type SourceMeta struct {
 	AccessConstraints string
 	// Contact identifies the source administrator.
 	Contact string
+
+	caps atomic.Pointer[capabilities]
 }
+
+// capabilities is what query translation asks of the metadata once per
+// term: the lists above as sets, field names normalized.
+type capabilities struct {
+	stop   *text.StopList
+	fields map[attr.Field]bool // required fields included
+	mods   map[attr.Modifier]bool
+	combos map[fieldMod]bool
+}
+
+type fieldMod struct {
+	field attr.Field
+	mod   attr.Modifier
+}
+
+// compiled returns the capability sets, building them on first use.
+// Concurrent first users may each build one; they are equal and one wins.
+func (m *SourceMeta) compiled() *capabilities {
+	if c := m.caps.Load(); c != nil {
+		return c
+	}
+	c := &capabilities{
+		stop:   text.NewStopList(m.SourceID+"-stopwords", m.StopWords),
+		fields: make(map[attr.Field]bool, len(m.FieldsSupported)+4),
+		mods:   make(map[attr.Modifier]bool, len(m.ModifiersSupported)),
+		combos: make(map[fieldMod]bool, len(m.Combinations)),
+	}
+	for _, f := range attr.RequiredFields() {
+		c.fields[f] = true
+	}
+	for _, fs := range m.FieldsSupported {
+		c.fields[attr.Normalize(fs.Field)] = true
+	}
+	for _, ms := range m.ModifiersSupported {
+		c.mods[ms.Mod] = true
+	}
+	for _, cb := range m.Combinations {
+		c.combos[fieldMod{attr.Normalize(cb.Field.Field), cb.Mod.Mod}] = true
+	}
+	m.caps.CompareAndSwap(nil, c)
+	return m.caps.Load()
+}
+
+// StopList returns the source's StopWords as a set.
+func (m *SourceMeta) StopList() *text.StopList { return m.compiled().stop }
 
 // dateFormat is the ISO date layout used by the specification examples.
 const dateFormat = "2006-01-02"
@@ -160,45 +213,29 @@ const dateFormat = "2006-01-02"
 // SupportsField reports whether the source recognizes the field: required
 // Basic-1 fields always, optional fields only when listed.
 func (m *SourceMeta) SupportsField(f attr.Field) bool {
-	f = attr.Normalize(f)
-	if f.IsRequired() {
-		return true
-	}
-	for _, fs := range m.FieldsSupported {
-		if attr.Normalize(fs.Field) == f {
-			return true
-		}
-	}
-	return false
+	return m.compiled().fields[attr.Normalize(f)]
 }
 
 // SupportsModifier reports whether the source supports the modifier.
-func (m *SourceMeta) SupportsModifier(mod attr.Modifier) bool {
-	for _, ms := range m.ModifiersSupported {
-		if ms.Mod == mod {
-			return true
-		}
-	}
-	return false
-}
+func (m *SourceMeta) SupportsModifier(mod attr.Modifier) bool { return m.compiled().mods[mod] }
 
 // AllowsCombination reports whether applying mod to field is legal at the
 // source. Per the specification, sources list legal combinations
 // explicitly; a field-modifier pair both individually supported but not
 // listed is illegal.
 func (m *SourceMeta) AllowsCombination(f attr.Field, mod attr.Modifier) bool {
-	f = attr.Normalize(f)
-	for _, c := range m.Combinations {
-		if attr.Normalize(c.Field.Field) == f && c.Mod.Mod == mod {
-			return true
-		}
-	}
-	return false
+	return m.compiled().combos[fieldMod{attr.Normalize(f), mod}]
 }
 
 // ToSOIF encodes the metadata as an @SMetaAttributes object in the layout
 // of the paper's Example 10.
 func (m *SourceMeta) ToSOIF() *soif.Object {
+	return m.ToSOIFAt(m.Linkage, m.ContentSummaryLinkage, m.SampleDatabaseResults)
+}
+
+// ToSOIFAt is ToSOIF with the three endpoint URLs replaced: how a server
+// publishes a connection's metadata under its own routes.
+func (m *SourceMeta) ToSOIFAt(linkage, summaryLinkage, sampleResults string) *soif.Object {
 	o := soif.New(MetaType)
 	o.Add("Version", query.Version)
 	o.Add("SourceID", m.SourceID)
@@ -227,8 +264,8 @@ func (m *SourceMeta) ToSOIF() *soif.Object {
 		}
 		o.Add("TokenizerIDList", strings.Join(parts, " "))
 	}
-	if m.SampleDatabaseResults != "" {
-		o.Add("SampleDatabaseResults", m.SampleDatabaseResults)
+	if sampleResults != "" {
+		o.Add("SampleDatabaseResults", sampleResults)
 	}
 	o.Add("StopWordList", strings.Join(m.StopWords, " "))
 	o.Add("TurnOffStopWords", boolTF(m.TurnOffStopWords))
@@ -243,8 +280,8 @@ func (m *SourceMeta) ToSOIF() *soif.Object {
 	if m.SourceName != "" {
 		o.Add("source-name", m.SourceName)
 	}
-	o.Add("linkage", m.Linkage)
-	o.Add("content-summary-linkage", m.ContentSummaryLinkage)
+	o.Add("linkage", linkage)
+	o.Add("content-summary-linkage", summaryLinkage)
 	if !m.DateChanged.IsZero() {
 		o.Add("date-changed", m.DateChanged.Format(dateFormat))
 	}

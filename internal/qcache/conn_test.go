@@ -16,15 +16,14 @@ import (
 // count the tests control.
 type stubConn struct {
 	id      string
-	md      meta.SourceMeta
+	expires time.Time
 	queries atomic.Int64
 }
 
 func (s *stubConn) SourceID() string { return s.id }
 
 func (s *stubConn) Metadata(context.Context) (*meta.SourceMeta, error) {
-	md := s.md
-	return &md, nil
+	return &meta.SourceMeta{DateExpires: s.expires}, nil
 }
 
 func (s *stubConn) Summary(context.Context) (*meta.ContentSummary, error) {
@@ -56,7 +55,7 @@ func TestConnEntryTTLFollowsSourceExpiry(t *testing.T) {
 	clk := newFakeClock()
 	cache := New(Config{TTL: time.Hour, StaleFor: -1, Now: clk.now})
 	inner := &stubConn{id: "s1"}
-	inner.md.DateExpires = clk.now().Add(10 * time.Minute)
+	inner.expires = clk.now().Add(10 * time.Minute)
 	conn := WrapConn(inner, cache)
 	ctx := context.Background()
 	q := connQuery(t)

@@ -369,11 +369,8 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	// The conn's own linkage (a source's starts:// or a core.Broker's
 	// starts-broker:// placeholders) is unreachable from the harvester's
 	// side of the wire; every endpoint lives here.
-	served := *m
-	served.Linkage = s.sourceURL(m.SourceID, "query")
-	served.ContentSummaryLinkage = s.sourceURL(m.SourceID, "summary")
-	served.SampleDatabaseResults = s.sourceURL(m.SourceID, "sample")
-	writeCacheable(w, r, []*soif.Object{served.ToSOIF()}, maxAge(m, nil))
+	served := m.ToSOIFAt(s.sourceURL(m.SourceID, "query"), s.sourceURL(m.SourceID, "summary"), s.sourceURL(m.SourceID, "sample"))
+	writeCacheable(w, r, []*soif.Object{served}, maxAge(m, nil))
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {

@@ -26,7 +26,12 @@ import (
 // Source is one STARTS document source: a collection of text documents
 // with an associated search engine.
 type Source struct {
-	id      string
+	id string
+	// sources is the attribution every result and document of this source
+	// carries: one slice, shared. Its capacity is its length, 1, so
+	// whoever appends a second attribution (duplicate elimination in a
+	// resource or a merge) gets a copy and never writes into this one.
+	sources []string
 	name    string
 	eng     *engine.Engine
 	baseURL string
@@ -48,7 +53,7 @@ func New(id string, eng *engine.Engine) (*Source, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("source: source %q has no engine", id)
 	}
-	return &Source{id: id, name: id, eng: eng, baseURL: "starts://" + id}, nil
+	return &Source{id: id, sources: []string{id}, name: id, eng: eng, baseURL: "starts://" + id}, nil
 }
 
 // ID returns the source identifier.
@@ -96,9 +101,9 @@ func (s *Source) Search(q *query.Query) (*result.Results, error) {
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", s.id, err)
 	}
-	res.Sources = []string{s.id}
+	res.Sources = s.sources
 	for _, d := range res.Documents {
-		d.Sources = []string{s.id}
+		d.Sources = s.sources
 	}
 	return res, nil
 }

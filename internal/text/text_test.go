@@ -353,3 +353,12 @@ func BenchmarkAnalyze(b *testing.B) {
 		a.Analyze(doc)
 	}
 }
+
+// A lower-case word — what an analyzer or a translator asks about almost
+// always — is looked up as it is: strings.ToLower returns it unchanged.
+func TestStopListContainsDoesNotAllocate(t *testing.T) {
+	sl := EnglishStopWords()
+	if n := testing.AllocsPerRun(100, func() { sl.Contains("the"); sl.Contains("databases"); sl.Contains("café") }); n != 0 {
+		t.Errorf("Contains allocates %.0f objects for lower-case words", n)
+	}
+}

@@ -64,14 +64,13 @@ func ForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
 	out.Filter, out.Ranking = out.ResolveAttributeSet()
 	out.DefaultAttrSet = attr.SetBasic1
 	rep := &Report{}
-	stop := text.NewStopList(m.SourceID+"-stopwords", m.StopWords)
 	dropStop := q.DropStopWords
 	if !q.DropStopWords && !m.TurnOffStopWords {
 		rep.KeepStopWordsDenied = true
 		dropStop = true
 	}
 
-	tr := &translator{m: m, rep: rep, stop: stop, dropStop: dropStop}
+	tr := &translator{m: m, rep: rep, stop: m.StopList(), dropStop: dropStop}
 	if !m.QueryParts.SupportsFilter() {
 		if out.Filter != nil {
 			rep.DroppedFilter = true
