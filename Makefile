@@ -72,11 +72,13 @@ prof-cold:
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
 
-# stress repeats the scheduler's tests (internal/dispatch) twenty times
-# under the race detector, so a scheduling-dependent regression shows up
-# here as a flake rather than in production. Seconds, not minutes.
+# stress repeats the scheduler's tests (internal/dispatch) and the
+# searches' goroutine-leak check (internal/core) twenty times under the
+# race detector, so a scheduling-dependent regression shows up here as a
+# flake rather than in production. Seconds, not minutes.
 stress:
 	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/
+	$(GO) test -race -count=20 -run 'TestSearchesLeaveNoGoroutines' ./internal/core/
 
 # fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
 # one per run), target by target: the server's one request decoder, the

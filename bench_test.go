@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,77 +384,6 @@ func BenchmarkFanoutDispatched(b *testing.B) {
 		}
 		if submitted > 0 {
 			b.ReportMetric(float64(batched)/float64(submitted), "batched-ratio")
-		}
-	}
-	b.Run("local", func(b *testing.B) { bench(b, nil) })
-	b.Run("wire-latency", func(b *testing.B) {
-		bench(b, []starts.ConnMiddleware{
-			starts.FaultyMiddleware(starts.FaultConfig{Seed: 1, Latency: wireLatency}),
-		})
-	})
-}
-
-// BenchmarkFanoutMultiplexed is X12: concurrent clients issuing DISTINCT
-// queries with the cache bypassed. Key-based coalescing (X11) cannot help
-// here — no two in-flight sub-queries are identical — so every saved
-// round trip is the multiplexed transport's doing: a worker drains the
-// source queue (up to MaxBatchWire) and issues ONE wire call for the
-// whole drain via the BatchConn seam. The fraction of queue items that
-// shared a wire call is reported as wire-batched-ratio
-// (1 - WireCalls/WireItems).
-//
-// "local" runs in-process sources: on a few-core box drains stay shallow
-// because wire calls are pure CPU, so the ratio is modest. "wire-latency"
-// adds 2ms of simulated per-wire-call network latency — the regime the
-// paper's metasearcher operates in — where queues pile up behind the RTT
-// and drains run deep (MaxBatchWire 32 caps them), amortizing one round
-// trip across ~18 distinct sub-queries.
-func BenchmarkFanoutMultiplexed(b *testing.B) {
-	const wireLatency = 2 * time.Millisecond
-	bench := func(b *testing.B, mw []starts.ConnMiddleware) {
-		srcs := benchFleet(b, 5, 100, engine.TFIDF{}, engine.TopK{})
-		ms := starts.NewMetasearcher(starts.MetasearcherOptions{
-			MaxSources:        3,
-			SourceConcurrency: 1,
-			QueueDepth:        128,
-			MaxBatchWire:      32,
-		})
-		for _, s := range srcs {
-			ms.Add(starts.ChainConn(starts.NewLocalConn(s, nil), mw...))
-		}
-		ctx := context.Background()
-		if err := ms.Harvest(ctx); err != nil {
-			b.Fatal(err)
-		}
-		var seq atomic.Int64
-		b.ReportAllocs()
-		b.SetParallelism(64)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				// A unique never-matching term makes every query distinct
-				// (distinct fingerprint, no key coalescing) without
-				// changing which documents match.
-				n := seq.Add(1)
-				q := benchQuery(b, fmt.Sprintf(
-					`list((body-of-text "database") (body-of-text "patient") (body-of-text "u%d"))`, n))
-				ans, err := ms.Search(ctx, q, starts.WithNoCache())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ans.Documents) == 0 {
-					b.Fatal("empty answer")
-				}
-			}
-		})
-		b.StopTimer()
-		var calls, items int64
-		for _, st := range ms.DispatchStats() {
-			calls += st.WireCalls
-			items += st.WireItems
-		}
-		if items > 0 {
-			b.ReportMetric(1-float64(calls)/float64(items), "wire-batched-ratio")
 		}
 	}
 	b.Run("local", func(b *testing.B) { bench(b, nil) })

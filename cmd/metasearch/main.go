@@ -64,9 +64,8 @@ func main() {
 		faultRate       = flag.Float64("fault-rate", 0, "inject client-side faults: per-call error probability (testing)")
 		faultLatency    = flag.Duration("fault-latency", 0, "inject client-side faults: added per-call latency (testing)")
 		faultSeed       = flag.Int64("fault-seed", 1, "fault-injection seed")
-		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source (0 = default 4)")
+		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source, one sub-query each (0 = default 16)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
-		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per source (0 = default 16)")
 		peers           = flag.String("peers", "", "comma-separated peer base URLs forming the distributed per-source result-cache ring")
 		peerSelf        = flag.String("peer-self", "", "this process's own URL among -peers (empty = pure client of the ring)")
 		peerReplicas    = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default 64)")
@@ -102,7 +101,7 @@ func main() {
 		Selector: sel, Merger: mrg, MaxSources: *maxSources,
 		Timeout: *timeout, PostFilter: *verify, Budget: *budget,
 		Metrics:           reg,
-		SourceConcurrency: *srcConcurrency, QueueDepth: *srcQueue, MaxBatchWire: *maxBatchWire,
+		SourceConcurrency: *srcConcurrency, QueueDepth: *srcQueue,
 	}
 	if *cacheSize > 0 || *maxInflight > 0 || *warmFile != "" {
 		opts.Cache = starts.NewQueryCache(starts.QueryCacheConfig{

@@ -23,9 +23,7 @@
 //
 // Dispatch flags: -source-concurrency and -source-queue size each
 // source's worker pool and queue (stats shows the per-source dispatch
-// counters); -max-batch-wire bounds how many queued queries one wire
-// call multiplexes at a source (the /query-batch endpoint). With
-// -warm-file, -warm-interval snapshots the workload periodically instead
+// counters). With -warm-file, -warm-interval snapshots the workload periodically instead
 // of only on quit; -debug-addr serves /metrics, /debug/workload and
 // /debug/dispatch for inspection while the shell runs.
 //
@@ -64,9 +62,8 @@ func main() {
 		warmFile        = flag.String("warm-file", "", "workload file: replay it through the cache on startup, and save this session's workload back to it on quit (implies caching)")
 		warmConcurrency = flag.Int("warm-concurrency", 0, "bound concurrent warm-start replays (0 = default)")
 		warmInterval    = flag.Duration("warm-interval", time.Minute, "snapshot the workload to -warm-file this often (and once on quit)")
-		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source (0 = default 4)")
+		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source, one sub-query each (0 = default 16)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
-		maxBatchWire    = flag.Int("max-batch-wire", 0, "distinct queued queries multiplexed into one wire call per source (0 = default 16)")
 		debugAddr       = flag.String("debug-addr", "", "serve /metrics, /debug/workload and /debug/dispatch on this address (e.g. 127.0.0.1:6060)")
 		peers           = flag.String("peers", "", "comma-separated peer base URLs forming the distributed per-source result-cache ring")
 		peerSelf        = flag.String("peer-self", "", "this shell's own URL among -peers (empty = http://<debug-addr>, or a pure client without one)")
@@ -86,7 +83,7 @@ func main() {
 	reg := starts.NewMetricsRegistry()
 	opts := starts.MetasearcherOptions{
 		Timeout: 15 * time.Second, Budget: *budget, Metrics: reg,
-		SourceConcurrency: *srcConcurrency, QueueDepth: *srcQueue, MaxBatchWire: *maxBatchWire,
+		SourceConcurrency: *srcConcurrency, QueueDepth: *srcQueue,
 	}
 	if *cacheSize > 0 || *maxInflight > 0 || *warmFile != "" {
 		opts.Cache = starts.NewQueryCache(starts.QueryCacheConfig{

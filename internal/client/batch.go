@@ -14,60 +14,20 @@ import (
 
 // BatchConn is a Conn that can evaluate several queries in one wire
 // call. STARTS' same-resource facility allows a single request to carry
-// multiple queries for a source; a BatchConn exploits that so one round
-// trip amortizes across a whole queue drain instead of paying an RTT
-// per sub-query.
+// multiple queries for a source; HTTPConn sends them to the server's
+// query-batch route, which startsd serves for any client that wants it.
+// The metasearch core does not: it sends each sub-query as its own
+// Query call.
 //
 // QueryBatch returns one result or one error per input query, aligned
 // by index (len(results) == len(errs) == len(qs); exactly one of
 // results[i], errs[i] is non-nil). A failure of one item must not fail
 // the others: transport-level breakage fills every still-unresolved
 // slot, but per-item errors stay per-item.
-//
-// The batch call is the one shape inside a conn chain: every middleware
-// and the metasearch core call Batched on what they wrap, so a single
-// query is a batch of one and nothing above the leaf asks whether a
-// conn is batch-capable.
 type BatchConn interface {
 	Conn
 	// QueryBatch evaluates qs at the source in one wire call.
 	QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error)
-}
-
-// Batched returns c as a BatchConn: c itself when it already has
-// QueryBatch, otherwise an adapter whose QueryBatch runs the items as
-// concurrent Query calls. It is the only place that asks whether a conn
-// is batch-capable.
-func Batched(c Conn) BatchConn {
-	if bc, ok := c.(BatchConn); ok {
-		return bc
-	}
-	return eachConn{c}
-}
-
-// eachConn adapts a plain Conn to BatchConn.
-type eachConn struct{ Conn }
-
-// QueryBatch implements BatchConn.
-func (e eachConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	return queryEach(ctx, e.Conn, qs)
-}
-
-// queryEach answers a batch with one concurrent c.Query per item; the
-// caller's batch size bounds the goroutines.
-func queryEach(ctx context.Context, c Conn, qs []*query.Query) ([]*result.Results, []error) {
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i, q := range qs {
-		wg.Add(1)
-		go func(i int, q *query.Query) {
-			defer wg.Done()
-			results[i], errs[i] = c.Query(ctx, q)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
 }
 
 // splitBatchErr fills every still-unresolved slot with err. It is the
@@ -171,5 +131,16 @@ func BatchURL(queryURL string) string { return queryURL + "-batch" }
 // QueryBatch implements BatchConn for in-process sources: items run
 // concurrently, mirroring the server-side batch handler.
 func (l *LocalConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	return queryEach(ctx, l, qs)
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func(i int, q *query.Query) {
+			defer wg.Done()
+			results[i], errs[i] = l.Query(ctx, q)
+		}(i, q)
+	}
+	wg.Wait()
+	return results, errs
 }

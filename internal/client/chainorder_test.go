@@ -150,28 +150,27 @@ func TestChainOrderWithCache(t *testing.T) {
 	}
 }
 
-// wireLeaf is a batch-native leaf over a real in-process source, counting
-// what reaches it. The first failFirst wire calls fail every item with a
-// retryable error; the first wire call parks until release closes when
-// release is non-nil, holding the single dispatch worker so later
-// searches pile into one drain.
+// wireLeaf is a leaf over a real in-process source, counting the Query
+// calls that reach it and the most that ran at once. The first failFirst
+// calls fail with a retryable error; the first call parks until release
+// closes when release is non-nil, holding the single dispatch worker so
+// later searches queue behind it.
 type wireLeaf struct {
-	client.BatchConn
-	wireCalls atomic.Int64
-	wireItems atomic.Int64
-	maxItems  atomic.Int64
-	failFirst int64
-	release   chan struct{}
-	parked    chan struct{}
-	parkOnce  sync.Once
+	client.Conn
+	calls, inflight, maxInflight atomic.Int64
+	failFirst                    int64
+	release                      chan struct{}
+	parked                       chan struct{}
+	parkOnce                     sync.Once
 }
 
-func (l *wireLeaf) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	call := l.wireCalls.Add(1)
-	l.wireItems.Add(int64(len(qs)))
+func (l *wireLeaf) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
+	call := l.calls.Add(1)
+	n := l.inflight.Add(1)
+	defer l.inflight.Add(-1)
 	for {
-		old := l.maxItems.Load()
-		if int64(len(qs)) <= old || l.maxItems.CompareAndSwap(old, int64(len(qs))) {
+		old := l.maxInflight.Load()
+		if n <= old || l.maxInflight.CompareAndSwap(old, n) {
 			break
 		}
 	}
@@ -185,13 +184,9 @@ func (l *wireLeaf) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result
 		})
 	}
 	if call <= l.failFirst {
-		errs := make([]error, len(qs))
-		for i := range errs {
-			errs[i] = errors.New("transient network failure")
-		}
-		return make([]*result.Results, len(qs)), errs
+		return nil, errors.New("transient network failure")
 	}
-	return l.BatchConn.QueryBatch(ctx, qs)
+	return l.Conn.Query(ctx, q)
 }
 
 // deployed builds the only arrangement there is now: a metasearcher
@@ -213,7 +208,7 @@ func deployed(t *testing.T, leaf *wireLeaf, reg *obs.Registry, cache *qcache.Cac
 	}); err != nil {
 		t.Fatal(err)
 	}
-	leaf.BatchConn = client.NewLocalConn(s, nil)
+	leaf.Conn = client.NewLocalConn(s, nil)
 	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
 	ms := core.New(core.Options{SourceConcurrency: 1, QueueDepth: 16, Metrics: reg, Timeout: 5 * time.Second})
 	t.Cleanup(ms.Close)
@@ -251,22 +246,22 @@ func queueStat(ms *core.Metasearcher) dispatch.QueueStat {
 	return dispatch.QueueStat{}
 }
 
-func batchCalls(reg *obs.Registry) int64 {
-	return reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query-batch")).Value()
+func queryCalls(reg *obs.Registry) int64 {
+	return reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query")).Value()
 }
 
 // TestDeployedChainOrder pins the order that is deployed: core's
 // dispatcher over observe(cache(retry(leaf))). The dispatcher is the only
-// layer that queues and coalesces, every layer below it sees one
-// QueryBatch per queue drain, retries happen inside one cache fill, and a
+// layer that queues and coalesces, every layer below it sees one Query
+// per distinct sub-query, retries happen inside one cache fill, and a
 // cache hit is observed but never reaches the source.
 func TestDeployedChainOrder(t *testing.T) {
 	ctx := context.Background()
 
 	// Park the single worker on a decoy search, queue three distinct
-	// searches behind it, then open the gate: the freed worker drains all
-	// three into ONE leaf wire call.
-	t.Run("one-wire-call-per-drain", func(t *testing.T) {
+	// searches behind it, then open the gate: each queued sub-query is its
+	// own leaf Query, one at a time on the one worker.
+	t.Run("one-leaf-query-per-sub-query", func(t *testing.T) {
 		leaf := &wireLeaf{release: make(chan struct{}), parked: make(chan struct{})}
 		reg := obs.NewRegistry()
 		ms := deployed(t, leaf, reg, qcache.New(qcache.Config{Metrics: reg}))
@@ -295,15 +290,14 @@ func TestDeployedChainOrder(t *testing.T) {
 		close(leaf.release)
 		wg.Wait()
 
-		if calls, max := leaf.wireCalls.Load(), leaf.maxItems.Load(); calls != 2 || max != 3 {
-			t.Errorf("leaf saw %d wire calls, largest %d items; want 2 calls (decoy + one drain of 3)", calls, max)
+		if calls, max := leaf.calls.Load(), leaf.maxInflight.Load(); calls != 4 || max != 1 {
+			t.Errorf("leaf saw %d queries, at most %d at once; want 4 (decoy + 3), one at a time", calls, max)
 		}
-		if got := batchCalls(reg); got != 2 {
-			t.Errorf("observed query-batch calls = %d, want 2 (the observer sees drains, not items)", got)
+		if got := queryCalls(reg); got != 4 {
+			t.Errorf("observed query calls = %d, want 4", got)
 		}
-		if st := queueStat(ms); st.WireCalls-base.WireCalls != 2 || st.WireItems-base.WireItems != 4 {
-			t.Errorf("dispatch wire stats = %d calls / %d items, want 2/4",
-				st.WireCalls-base.WireCalls, st.WireItems-base.WireItems)
+		if got := queueStat(ms).WireCalls - base.WireCalls; got != 4 {
+			t.Errorf("dispatch wire calls = %d, want 4", got)
 		}
 	})
 
@@ -322,14 +316,14 @@ func TestDeployedChainOrder(t *testing.T) {
 				t.Fatalf("search %d = %v, %v; want one document", i+1, ans, err)
 			}
 		}
-		if got := leaf.wireCalls.Load(); got != 2 {
-			t.Errorf("leaf wire calls = %d, want 2 (one failed attempt + its retry; the hit stays out)", got)
+		if got := leaf.calls.Load(); got != 2 {
+			t.Errorf("leaf queries = %d, want 2 (one failed attempt + its retry; the hit stays out)", got)
 		}
 		if got := cache.Len(); got != 1 {
 			t.Errorf("cache entries = %d, want 1 (the retry did not re-enter the cache)", got)
 		}
-		if got := batchCalls(reg); got != 2 {
-			t.Errorf("observed query-batch calls = %d, want 2 (hits still count)", got)
+		if got := queryCalls(reg); got != 2 {
+			t.Errorf("observed query calls = %d, want 2 (hits still count)", got)
 		}
 		if got := queueStat(ms).WireCalls - base.WireCalls; got != 2 {
 			t.Errorf("dispatch wire calls = %d, want 2 (one per search)", got)
@@ -363,11 +357,11 @@ func TestDeployedChainOrder(t *testing.T) {
 				t.Fatalf("caller %d: %v", i, err)
 			}
 		}
-		if got := leaf.wireCalls.Load(); got != 1 {
-			t.Errorf("leaf wire calls = %d, want 1 for %d concurrent identical searches", got, callers)
+		if got := leaf.calls.Load(); got != 1 {
+			t.Errorf("leaf queries = %d, want 1 for %d concurrent identical searches", got, callers)
 		}
-		if got := batchCalls(reg); got != 1 {
-			t.Errorf("observed query-batch calls = %d, want 1", got)
+		if got := queryCalls(reg); got != 1 {
+			t.Errorf("observed query calls = %d, want 1", got)
 		}
 		if got := queueStat(ms).Batched - base.Batched; got != callers-1 {
 			t.Errorf("batched = %d, want %d", got, callers-1)

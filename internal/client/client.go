@@ -8,6 +8,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,6 +33,22 @@ type Conn interface {
 	Sample(ctx context.Context) ([]*source.SampleEntry, error)
 	// Query evaluates a query at the source.
 	Query(ctx context.Context, q *query.Query) (*result.Results, error)
+}
+
+// ErrNoResult reports a conn that broke the Conn contract by returning
+// neither a result nor an error.
+var ErrNoResult = errors.New("client: conn returned neither a result nor an error")
+
+// Ask evaluates q at c and holds c to the Conn contract: a reply with
+// neither a result nor an error becomes ErrNoResult, so nothing past
+// this call meets a nil result without an error. The metasearch core's
+// fan-out and the server's query routes both query through it.
+func Ask(ctx context.Context, c Conn, q *query.Query) (*result.Results, error) {
+	rr, err := c.Query(ctx, q)
+	if err == nil && rr == nil {
+		err = ErrNoResult
+	}
+	return rr, err
 }
 
 // Middleware decorates a Conn with one cross-cutting concern — retries,
@@ -288,13 +305,11 @@ func (h *HTTPConn) Sample(ctx context.Context) ([]*source.SampleEntry, error) {
 	return h.client.Sample(ctx, m.SampleDatabaseResults)
 }
 
-// Query implements Conn.
+// Query implements Conn over the source's streaming route: the answer
+// is the stream's terminal frame, read as it arrives, uncompressed, on
+// the same framed wire QueryStream uses.
 func (h *HTTPConn) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
-	m, err := h.meta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return h.client.Query(ctx, m.Linkage, q)
+	return h.QueryStream(ctx, q, nil)
 }
 
 // Discover fetches a resource description and returns a Conn per source.

@@ -71,18 +71,14 @@ type Options struct {
 	// once: every per-source call (queries, harvests, warm replays, SWR
 	// refreshes) flows through the metasearcher's dispatch layer, where
 	// at most this many worker goroutines serve a source's queue (they
-	// start on demand; an idle source holds none). 0 takes
-	// dispatch.DefaultConcurrency. A source's queue is sized on its
-	// first contact.
+	// start on demand; an idle source holds none), each carrying one
+	// sub-query. 0 takes dispatch.DefaultConcurrency (16). A source's
+	// queue is sized on its first contact.
 	SourceConcurrency int
 	// QueueDepth bounds how many batches may wait per source before
 	// submissions are shed with a typed dispatch.ErrQueueFull (surfaced
 	// in the per-source outcome). 0 takes dispatch.DefaultQueueDepth.
 	QueueDepth int
-	// MaxBatchWire bounds how many distinct queued queries a dispatch
-	// worker multiplexes into one QueryBatch wire call. 0 takes
-	// dispatch.DefaultMaxBatchWire.
-	MaxBatchWire int
 	// Now overrides the clock, for cache-expiry tests.
 	Now func() time.Time
 }
@@ -127,7 +123,7 @@ type BreakerGate interface {
 // its id are built once, not once per query.
 type member struct {
 	id   string
-	conn client.BatchConn
+	conn client.Conn
 
 	translateSpan, querySpan              string
 	dispatchScope                         string // of the source's batch keys
@@ -137,7 +133,7 @@ type member struct {
 func newMember(c client.Conn) *member {
 	id := c.SourceID()
 	return &member{
-		id: id, conn: client.Batched(c),
+		id: id, conn: c,
 		translateSpan: "translate " + id, querySpan: "query " + id, dispatchScope: "dispatch/" + id,
 		queriesTotal: obs.L("starts_source_queries_total", "source", id),
 		querySeconds: obs.L("starts_source_query_seconds", "source", id),
@@ -191,7 +187,7 @@ func New(opts Options) *Metasearcher {
 		metrics:  opts.Metrics,
 		workload: qcache.NewRecorder(0),
 		dispatcher: dispatch.New(dispatch.Config{
-			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire},
+			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth},
 			Refuse:  refuse,
 			Metrics: opts.Metrics,
 			Now:     opts.Now,
@@ -216,9 +212,7 @@ func (m *Metasearcher) Close() { m.dispatcher.Close() }
 func (m *Metasearcher) Metrics() *obs.Registry { return m.metrics }
 
 // Add registers a source connection. Re-adding an ID replaces the
-// connection and invalidates its harvested state. Every connection is
-// held as a client.BatchConn (a plain Conn through client.Batched), so
-// the fan-out has one way to query a source.
+// connection and invalidates its harvested state.
 func (m *Metasearcher) Add(c client.Conn) {
 	mem := newMember(c)
 	m.mu.Lock()
@@ -1112,40 +1106,6 @@ func batchKey(mem *member, sent *query.Query) string {
 	return qcache.Keyer{Scope: mem.dispatchScope}.Key(sent)
 }
 
-// queryBatch is the dispatcher's group executor: one QueryBatch wire
-// call for a drained group of queued queries. It is where a conn chain's
-// reply leaves the chain, and the one place QueryBatch's index-aligned
-// contract is enforced: a reply of the wrong length fails every item,
-// and a slot with neither a result nor an error fails that item, so
-// nothing past this point meets a nil result without an error.
-func queryBatch(ctx context.Context, conn client.BatchConn, items []any) ([]any, []error) {
-	qs := make([]*query.Query, len(items))
-	for i, it := range items {
-		qs[i] = it.(*query.Query)
-	}
-	rs, es := conn.QueryBatch(ctx, qs)
-	vals := make([]any, len(items))
-	errs := make([]error, len(items))
-	if len(rs) != len(items) || len(es) != len(items) {
-		werr := fmt.Errorf("batch returned %d results, %d errors for %d queries", len(rs), len(es), len(items))
-		for i := range errs {
-			errs[i] = werr
-		}
-		return vals, errs
-	}
-	for i := range items {
-		switch {
-		case es[i] != nil:
-			errs[i] = es[i]
-		case rs[i] == nil:
-			errs[i] = fmt.Errorf("batch item %d of %d returned neither a result nor an error", i, len(items))
-		default:
-			vals[i] = rs[i]
-		}
-	}
-	return vals, errs
-}
-
 func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan, opts Options) *SourceOutcome {
 	oc := &SourceOutcome{Sent: plan.sent, Report: plan.report}
 	if plan.err != nil {
@@ -1174,18 +1134,15 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// bounded by the same timeout applied inside the task.
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	// The dispatch worker drains queued sub-queries for this source and
-	// issues them as ONE wire call, so a fan-out burst pays one round
-	// trip per drain instead of one per query. Per-item errors come
-	// back index-aligned, and the breaker gating below uses
-	// Ticket.FaultPrimary so a shared wire failure counts once.
-	ticket, err := m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(mem, sent), dispatch.Limits{},
-		sent, func(gctx context.Context, items []any) ([]any, []error) {
+	// Each sub-query is one task and one wire call on the source's
+	// workers; an identical sub-query already in flight is joined instead.
+	ticket, err := m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, batchKey(mem, sent), dispatch.Limits{},
+		func(tctx context.Context) (any, error) {
 			// The per-source Timeout bounds the wire call itself; the
 			// waiters' contexts only bound their willingness to wait.
-			qctx, cancel := context.WithTimeout(gctx, timeout)
+			qctx, cancel := context.WithTimeout(tctx, timeout)
 			defer cancel()
-			return queryBatch(qctx, conn, items)
+			return client.Ask(qctx, conn, sent)
 		})
 	var res *result.Results
 	led := true
@@ -1227,12 +1184,8 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// outcome to report must still release its claim (on breakers that
 	// support it) — otherwise a half-open probe that was shed or that
 	// joined another batch would leave its circuit stuck refusing traffic.
-	// On the multiplexed path one wire call serves several batch members,
-	// so a shared failure must Record once: only the member whose failure
-	// is the call's primary fault (Ticket.FaultPrimary) charges the
-	// breaker; its groupmates Release instead.
 	if opts.Breaker != nil {
-		if led && !declined && (err == nil || ticket == nil || ticket.FaultPrimary()) {
+		if led && !declined {
 			opts.Breaker.Record(id, err)
 		} else if rel, ok := opts.Breaker.(interface{ Release(id string) }); ok {
 			rel.Release(id)

@@ -2,8 +2,7 @@
 // bounded FIFO queue per source, served by at most Concurrency worker
 // goroutines. Identical in-flight sub-queries destined for the same
 // source coalesce into a single wire call whose result is fanned back to
-// every waiter, and a freed worker carries several distinct queued
-// sub-queries in one multiplexed call.
+// every waiter; distinct ones each get their own call.
 //
 // The paper's metasearcher model (Figure 1) puts one logical channel
 // between the metasearcher and each source; this package is that
@@ -27,7 +26,6 @@ package dispatch
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -37,14 +35,13 @@ import (
 
 // Default per-source bounds, used when Limits leave a field zero.
 const (
-	// DefaultConcurrency is the default worker count per source.
-	DefaultConcurrency = 4
+	// DefaultConcurrency is the default worker count per source: each
+	// worker carries one sub-query at a time, over its own keep-alive
+	// connection when the source is remote.
+	DefaultConcurrency = 16
 	// DefaultQueueDepth is the default bound on batches waiting per
 	// source before Submit sheds with ErrQueueFull.
 	DefaultQueueDepth = 64
-	// DefaultMaxBatchWire is the default bound on queued mux submissions
-	// a worker drains into one wire call (see SubmitMux).
-	DefaultMaxBatchWire = 16
 )
 
 // queueHardCap is the largest QueueDepth a queue accepts: whatever a
@@ -89,18 +86,6 @@ func Declined(err error) bool {
 // abandoned the batch.
 type Task func(ctx context.Context) (any, error)
 
-// MuxExec evaluates a drained group of queued items in one wire call.
-// It must return exactly one value or error per item, index-aligned
-// (exactly one of vals[i], errs[i] meaningful per item — a nil errs[i]
-// means vals[i] is the item's result). The items are whatever the
-// submitters passed to SubmitMux, so the dispatcher stays agnostic of
-// the wire payload; core passes queries and gets results.
-//
-// One group runs one exec — the leader batch's — under a merged context
-// that stays live while any member still has a waiter, so per-item
-// abandonment never kills the shared call early.
-type MuxExec func(ctx context.Context, items []any) (vals []any, errs []error)
-
 // Limits bound one source's queue: how many workers serve it and how
 // many batches may wait. Zero fields take the dispatcher's configured
 // defaults (and ultimately DefaultConcurrency/DefaultQueueDepth). A
@@ -113,19 +98,14 @@ type Limits struct {
 	Concurrency int
 	// QueueDepth bounds batches waiting for a worker.
 	QueueDepth int
-	// MaxBatchWire bounds how many queued mux submissions (SubmitMux) a
-	// worker drains into a single wire call. 1 disables wire batching;
-	// zero takes the default (DefaultMaxBatchWire).
-	MaxBatchWire int
 }
 
 // withDefaults fills zero fields from fallback, then from the package
 // defaults, and caps QueueDepth at queueHardCap.
 func (l Limits) withDefaults(fallback Limits) Limits {
 	return Limits{
-		Concurrency:  firstPositive(l.Concurrency, fallback.Concurrency, DefaultConcurrency),
-		QueueDepth:   min(firstPositive(l.QueueDepth, fallback.QueueDepth, DefaultQueueDepth), queueHardCap),
-		MaxBatchWire: firstPositive(l.MaxBatchWire, fallback.MaxBatchWire, DefaultMaxBatchWire),
+		Concurrency: firstPositive(l.Concurrency, fallback.Concurrency, DefaultConcurrency),
+		QueueDepth:  min(firstPositive(l.QueueDepth, fallback.QueueDepth, DefaultQueueDepth), queueHardCap),
 	}
 }
 
@@ -143,8 +123,8 @@ type Config struct {
 	// Limits are the per-source defaults for queues whose Submit passes
 	// zero Limits fields.
 	Limits Limits
-	// Refuse, when set, is consulted by a worker before running a group:
-	// true resolves its batches immediately with ErrRefused. Wire a
+	// Refuse, when set, is consulted by a worker before running a batch:
+	// true resolves it immediately with ErrRefused. Wire a
 	// circuit breaker's open-state check here so a broken source's queue
 	// drains fast. It must be safe for concurrent use.
 	Refuse func(source string) bool
@@ -185,40 +165,8 @@ func (d *Dispatcher) Metrics() *obs.Registry { return d.cfg.Metrics }
 // must identify the work, e.g. a fingerprint of the translated query —
 // an empty key never coalesces). It never blocks: a queue at its depth
 // bound sheds with ErrQueueFull. On success the caller must consume the
-// returned Ticket with Wait. A plain task is a group of one: it never
-// shares a wire call with its queue neighbours.
+// returned Ticket with Wait. The queue is created on first touch.
 func (d *Dispatcher) Submit(ctx context.Context, source, key string, lim Limits, fn Task) (*Ticket, error) {
-	return d.submit(ctx, source, key, lim, fn, runTask, false)
-}
-
-// runTask is the exec of every Submit batch: the item is the Task.
-func runTask(ctx context.Context, items []any) ([]any, []error) {
-	v, err := items[0].(Task)(ctx)
-	return []any{v}, []error{err}
-}
-
-// SubmitMux enqueues one multiplexable item for the source. It behaves
-// exactly like Submit — same admission, coalescing by key, shedding and
-// Ticket semantics — but marks the work as wire-batchable: a worker that
-// picks it up off the queue takes the SubmitMux work queued directly
-// behind it along (up to the MaxBatchWire bound) and issues one
-// exec call for the whole group, fanning the per-item results back to
-// each ticket's waiters.
-//
-// Per-item failure semantics survive the multiplexing: each ticket
-// resolves with its own item's error, and Ticket.FaultPrimary
-// distinguishes the one member whose failure should feed per-call
-// accounting (a circuit breaker) from members that merely shared the
-// wire call.
-func (d *Dispatcher) SubmitMux(ctx context.Context, source, key string, lim Limits, item any, exec MuxExec) (*Ticket, error) {
-	if exec == nil {
-		return nil, fmt.Errorf("dispatch: SubmitMux requires an exec")
-	}
-	return d.submit(ctx, source, key, lim, item, exec, true)
-}
-
-// submit hands the item to the source's queue, created on first touch.
-func (d *Dispatcher) submit(ctx context.Context, source, key string, lim Limits, item any, exec MuxExec, mux bool) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -233,7 +181,7 @@ func (d *Dispatcher) submit(ctx context.Context, source, key string, lim Limits,
 		d.queues[source] = q
 	}
 	d.mu.Unlock()
-	return q.submit(ctx, key, item, exec, mux)
+	return q.submit(ctx, key, fn)
 }
 
 // QueueStat is one source queue's live state and lifetime counters, for
@@ -246,7 +194,7 @@ type QueueStat struct {
 	QueueCap int `json:"queue_cap"`
 	// Depth is the number of batches currently waiting for a worker.
 	Depth int64 `json:"depth"`
-	// Inflight is the number of workers currently running a group.
+	// Inflight is the number of workers currently running a batch.
 	Inflight int64 `json:"inflight"`
 	// Submitted counts accepted submissions (leaders plus joiners);
 	// Batched counts the joiners among them, so Submitted-Batched is the
@@ -264,12 +212,8 @@ type QueueStat struct {
 	// remaining context budget could not cover the source's observed
 	// typical service time.
 	Doomed int64 `json:"doomed"`
-	// WireCalls counts wire calls actually issued; WireItems counts the
-	// queue items they carried (a multiplexed drain contributes one call
-	// and several items, so 1 - WireCalls/WireItems is the batched-wire
-	// ratio).
+	// WireCalls counts tasks actually run: one wire call each.
 	WireCalls int64 `json:"wire_calls"`
-	WireItems int64 `json:"wire_items"`
 	// TypicalRun is the source's current median observed service time (0
 	// until enough runs are recorded) — the estimate the deadline check
 	// admits against.
@@ -327,8 +271,8 @@ func (t *Ticket) Wait(ctx context.Context) (any, error) {
 }
 
 // unresolved is what a ticket reports until its batch resolves: no
-// timings, no fanout, and a fault that is its own (see FaultPrimary).
-var unresolved = batch{faultPrimary: true}
+// timings, no fanout.
+var unresolved batch
 
 // outcome returns the batch once it has resolved — its result fields
 // are only safe to read then — and the unresolved placeholder before.
@@ -353,13 +297,3 @@ func (t *Ticket) RunFor() time.Duration { return t.outcome().ran }
 // 0 until the batch resolves). A fanout above 1 means the result value
 // is shared: consumers that mutate it must copy first.
 func (t *Ticket) Fanout() int { return t.outcome().fanout }
-
-// FaultPrimary reports whether this ticket's failure should feed
-// per-wire-call accounting (a circuit breaker's Record). It is true for
-// a group of one (the batch is its own wire call), for the first failed
-// member of a multiplexed group, and for an unresolved batch (a waiter
-// that timed out waiting still charges the source, as it did before
-// wire multiplexing). Successful members report false, but a nil-error
-// outcome should feed success accounting regardless — gate only the
-// failure path on FaultPrimary.
-func (t *Ticket) FaultPrimary() bool { return t.outcome().faultPrimary }

@@ -67,23 +67,20 @@ func waitGoroutines(t *testing.T, baseline int, when string) {
 
 // TestIdleDispatcherHoldsNoGoroutines pins that the dispatcher's
 // goroutines are its workers and nothing else: once every ticket has
-// resolved, a dispatcher that served many sources (plain tasks, and
-// multiplexed groups with their context watchers) holds none — before
-// Close — and a task abandoned mid-run around a Close leaves none behind
-// either.
+// resolved, a dispatcher that served many sources (a running blocker
+// and queued work behind it on each) holds none — before Close — and a
+// task abandoned mid-run around a Close leaves none behind either.
 func TestIdleDispatcherHoldsNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	d := New(Config{})
 	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	var calls atomic.Int64
-	exec := muxExec(&calls, nil)
 	var tickets []*Ticket
 	for s := 0; s < 8; s++ {
 		source := fmt.Sprintf("s%d", s)
 		release, blocker := occupy(t, d, source, lim)
 		tickets = append(tickets, blocker)
-		for i := 0; i < 4; i++ { // drained as one multi-member group
-			tk, err := d.SubmitMux(context.Background(), source, "", lim, i, exec)
+		for i := 0; i < 4; i++ { // queued behind the blocker
+			tk, err := d.Submit(context.Background(), source, "", lim, noop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +122,7 @@ type schedSource struct {
 	mu       sync.Mutex
 	allowed  int
 	cur      int
-	started  []int // seqs in exec start order ("fifo" source only)
+	started  []int // seqs in task start order ("fifo" source only)
 	nextSeq  int
 	submitMu sync.Mutex // serialises submissions so seq order is submission order
 }
@@ -139,68 +136,44 @@ type schedItem struct {
 }
 
 // TestSchedulerInvariants drives one dispatcher from many goroutines —
-// Submit and SubmitMux, keyed and unkeyed, waiters that walk away, a
-// flipping Refuse — and checks what must hold
-// whatever the interleaving: every ticket resolves (a second resolution
-// would panic on the closed channel), no item runs twice, a ticket that
-// succeeds carries its own item's value, runs per source stay within
-// Concurrency, groups within MaxBatchWire, plain tasks alone in
-// their group, pickup in submission order, and the counters add up.
+// keyed and unkeyed submissions, waiters that walk away, a flipping
+// Refuse — and checks what must hold whatever the interleaving: every
+// ticket resolves (a second resolution would panic on the closed
+// channel), no item runs twice, a ticket that succeeds carries its own
+// item's value, runs per source stay within Concurrency, pickup is in
+// submission order, and the counters add up.
 func TestSchedulerInvariants(t *testing.T) {
 	const (
-		maxWire    = 4
 		submitters = 8
 		perWorker  = 120
 	)
 	var refuse atomic.Bool
 	d := New(Config{
-		Limits: Limits{Concurrency: 2, QueueDepth: 8, MaxBatchWire: maxWire},
+		Limits: Limits{Concurrency: 2, QueueDepth: 8},
 		Refuse: func(string) bool { return refuse.Load() },
 	})
 	defer d.Close()
-	// "fifo" keeps Concurrency 1, so exec start order is pickup order.
+	// "fifo" keeps Concurrency 1, so task start order is pickup order.
 	sources := []*schedSource{{name: "fifo", allowed: 1}, {name: "a", allowed: 2}, {name: "b", allowed: 2}}
 	fifoLim := Limits{Concurrency: 1}
 
-	var ran sync.Map // item id -> struct{}: set when the item's work starts
-	enter := func(items []any) {
-		src := items[0].(*schedItem).src
-		src.mu.Lock()
-		defer src.mu.Unlock()
-		if src.cur++; src.cur > src.allowed {
-			t.Errorf("%s: %d concurrent runs, Concurrency allows %d", src.name, src.cur, src.allowed)
-		}
-		for _, it := range items {
-			it := it.(*schedItem)
+	var ran sync.Map // item id -> struct{}: set when the item's task starts
+	task := func(it *schedItem) Task {
+		return func(context.Context) (any, error) {
+			src := it.src
+			src.mu.Lock()
+			if src.cur++; src.cur > src.allowed {
+				t.Errorf("%s: %d concurrent runs, Concurrency allows %d", src.name, src.cur, src.allowed)
+			}
 			if _, dup := ran.LoadOrStore(it.id, struct{}{}); dup {
 				t.Errorf("%s: item %d ran twice", src.name, it.id)
 			}
 			src.started = append(src.started, it.seq)
-		}
-	}
-	leave := func(first *schedItem) {
-		src := first.src
-		time.Sleep(time.Duration(first.id*37%200) * time.Microsecond)
-		src.mu.Lock()
-		src.cur--
-		src.mu.Unlock()
-	}
-	exec := func(_ context.Context, items []any) ([]any, []error) {
-		if len(items) > maxWire {
-			t.Errorf("group of %d items exceeds MaxBatchWire %d", len(items), maxWire)
-		}
-		enter(items)
-		defer leave(items[0].(*schedItem))
-		vals := make([]any, len(items))
-		for i, it := range items {
-			vals[i] = it.(*schedItem).want
-		}
-		return vals, make([]error, len(items))
-	}
-	plain := func(it *schedItem) Task {
-		return func(context.Context) (any, error) {
-			enter([]any{it})
-			defer leave(it)
+			src.mu.Unlock()
+			time.Sleep(time.Duration(it.id*37%200) * time.Microsecond)
+			src.mu.Lock()
+			src.cur--
+			src.mu.Unlock()
 			return it.want, nil
 		}
 	}
@@ -261,11 +234,7 @@ func TestSchedulerInvariants(t *testing.T) {
 				src.submitMu.Lock()
 				src.nextSeq++
 				it.seq = src.nextSeq
-				if rng.Intn(3) == 0 {
-					sub.tk, sub.err = d.Submit(ctx, src.name, key, lim, plain(it))
-				} else {
-					sub.tk, sub.err = d.SubmitMux(ctx, src.name, key, lim, it, exec)
-				}
+				sub.tk, sub.err = d.Submit(ctx, src.name, key, lim, task(it))
 				src.submitMu.Unlock()
 				if sub.err != nil {
 					cancel()
@@ -321,11 +290,11 @@ func TestSchedulerInvariants(t *testing.T) {
 			t.Errorf("%s not quiescent: depth %d, inflight %d", src.name, st.Depth, st.Inflight)
 		}
 		if leaders := st.Submitted - st.Batched; leaders != led[si].Load() ||
-			leaders != st.WireItems+st.Refused+st.Cancelled {
-			t.Errorf("%s: %d leaders submitted (dispatcher says %d) but %d wire items + %d refused + %d cancelled",
-				src.name, led[si].Load(), leaders, st.WireItems, st.Refused, st.Cancelled)
+			leaders != st.WireCalls+st.Refused+st.Cancelled {
+			t.Errorf("%s: %d leaders submitted (dispatcher says %d) but %d wire calls + %d refused + %d cancelled",
+				src.name, led[si].Load(), leaders, st.WireCalls, st.Refused, st.Cancelled)
 		}
-		if st.WireItems == 0 {
+		if st.WireCalls == 0 {
 			t.Errorf("%s: no work ran", src.name)
 		}
 	}

@@ -167,20 +167,18 @@ func sleep(ctx context.Context, d time.Duration) error {
 }
 
 // Conn wraps a client.Conn with fault injection. The injector gates
-// once per wire call, not per item — an injected fault fails a whole
-// QueryBatch, which is exactly what a broken wire does to a multiplexed
-// request — so fault sequences stay aligned with the number of round
-// trips actually attempted.
+// once per call, so fault sequences stay aligned with the number of
+// round trips actually attempted.
 type Conn struct {
-	inner client.BatchConn
+	inner client.Conn
 	in    *injector
 }
 
-var _ client.BatchConn = (*Conn)(nil)
+var _ client.Conn = (*Conn)(nil)
 
 // WrapConn returns a fault-injecting wrapper around inner.
 func WrapConn(inner client.Conn, cfg Config) *Conn {
-	return &Conn{inner: client.Batched(inner), in: newInjector(cfg)}
+	return &Conn{inner: inner, in: newInjector(cfg)}
 }
 
 // SetFailing scripts an outage: true fails every call until SetFailing
@@ -249,18 +247,6 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 		return nil, err
 	}
 	return c.inner.Query(ctx, q)
-}
-
-// QueryBatch implements client.BatchConn.
-func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	if err := c.gate(ctx, "query-batch"); err != nil {
-		errs := make([]error, len(qs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return make([]*result.Results, len(qs)), errs
-	}
-	return c.inner.QueryBatch(ctx, qs)
 }
 
 // garbage is what a source that has lost its mind serves: bytes that are

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"starts/internal/client"
+	"starts/internal/engine"
+	"starts/internal/index"
 	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
@@ -96,6 +99,44 @@ func TestWrapConnNilRegistry(t *testing.T) {
 	c := WrapConn(&stubConn{id: "cs", docs: 1}, nil)
 	if _, err := c.Query(context.Background(), query.New()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWrapConnQueryAllocBudget pins what the instrumentation costs a
+// query in allocations, over the bare in-process call it wraps: the
+// metric and span names are built at WrapConn, so a call only looks its
+// series up. Measured 1, the span's context (22 when every call built
+// its names through L); budget measured + 25 %, rounded up.
+func TestWrapConnQueryAllocBudget(t *testing.T) {
+	eng, err := engine.New(engine.NewVectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.New("alloc", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(&index.Document{Linkage: "http://a/1", Title: "Databases", Body: "databases and gardens"}); err != nil {
+		t.Fatal(err)
+	}
+	q := query.New()
+	if q.Ranking, err = query.ParseRanking(`list((body-of-text "databases"))`); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bare := client.NewLocalConn(src, nil)
+	wrapped := WrapConn(bare, NewRegistry())
+	run := func(c client.Conn) float64 {
+		if _, err := c.Query(ctx, q); err != nil { // warm-up: creates the series
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() { _, _ = c.Query(ctx, q) })
+	}
+	base, got := run(bare), run(wrapped)
+	const budget = 2
+	t.Logf("LocalConn.Query %.1f allocs; wrapped %.1f (overhead %.1f, budget %d)", base, got, got-base, budget)
+	if got-base > budget {
+		t.Errorf("obs.Conn adds %.1f allocations to a query, budget %d", got-base, budget)
 	}
 }
 

@@ -63,8 +63,8 @@ const (
 
 // Canonical metric names of the per-source dispatch layer
 // (internal/dispatch). Like the qcache family, they live here because
-// several layers observe them — core's fan-out, the dispatching Conn
-// middleware, and the debug endpoints — and must agree on names. All
+// several layers observe them — the dispatcher, core's debug endpoints
+// and the tests — and must agree on names. All
 // carry a source label (encoded with L).
 const (
 	// MDispatchSubmitted counts accepted submissions, leaders plus
@@ -97,16 +97,8 @@ const (
 	// the caller's remaining context budget could not cover the source's
 	// observed typical service time (deadline-aware admission).
 	MDispatchDoomed = "starts_dispatch_doomed_total"
-	// MDispatchWireCalls counts wire calls actually issued — single-task
-	// runs and multiplexed group runs alike.
+	// MDispatchWireCalls counts tasks actually run, one wire call each.
 	MDispatchWireCalls = "starts_dispatch_wire_calls_total"
-	// MDispatchWireItems counts the queue items those wire calls carried;
-	// MDispatchWireItems / MDispatchWireCalls is the wire amortization
-	// factor, and 1 - calls/items the batched-wire ratio.
-	MDispatchWireItems = "starts_dispatch_wire_items_total"
-	// MDispatchWireSize is the histogram of items per dispatch wire call
-	// (bucket bounds are counts, not durations).
-	MDispatchWireSize = "starts_dispatch_wire_batch_size"
 )
 
 // Canonical metric names of the distributed peer cache tier
@@ -139,12 +131,6 @@ const (
 	// MPeerRingPeers gauges the ring size, self included (no label).
 	MPeerRingPeers = "starts_peer_ring_peers"
 )
-
-// MWireBatchSize is obs.WrapConn's histogram of QueryBatch sizes —
-// items per batch call as seen at the conn middleware, so wire-level
-// multiplexing stays observable wherever the observe layer sits in the
-// chain (bucket bounds are counts, not durations).
-const MWireBatchSize = "starts_wire_batch_size"
 
 // Canonical metric names of the streaming answer path
 // (core.SearchStream feeding an incremental merger): how often searches

@@ -30,13 +30,6 @@ import (
 // Cached results are shared between callers and must be treated as
 // read-only.
 //
-// A QueryBatch serves what it can from cache and forwards only the
-// misses — still as one inner wire call — then fills the cache with each
-// successful miss under the same freshness-derived TTL. Unlike Query,
-// batch lookups do not coalesce with in-flight fills or serve stale
-// (Get is strict); the dispatcher above already coalesces identical
-// in-flight queries by fingerprint.
-//
 // Each cached result's lifetime comes from the source's own freshness
 // metadata: the Metadata pass-through remembers the latest DateChanged /
 // DateExpires, and Query derives a per-entry TTL from them with FreshFor
@@ -44,7 +37,7 @@ import (
 // — or when the source declares neither date — entries fall back to the
 // cache's Config.TTL.
 type Conn struct {
-	inner client.BatchConn
+	inner client.Conn
 	cache *Cache
 	keyer Keyer
 
@@ -54,13 +47,13 @@ type Conn struct {
 	expires time.Time
 }
 
-var _ client.BatchConn = (*Conn)(nil)
+var _ client.Conn = (*Conn)(nil)
 
 // WrapConn returns a caching wrapper for inner backed by cache. Keys are
 // scoped by the source ID, so sources sharing one cache never collide. A
 // nil cache passes everything through.
 func WrapConn(inner client.Conn, cache *Cache) *Conn {
-	return &Conn{inner: client.Batched(inner), cache: cache, keyer: Keyer{Scope: "conn/" + inner.SourceID()}}
+	return &Conn{inner: inner, cache: cache, keyer: Keyer{Scope: "conn/" + inner.SourceID()}}
 }
 
 // SourceID implements client.Conn.
@@ -105,38 +98,6 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 		return nil, err
 	}
 	return v.(*result.Results), nil
-}
-
-// QueryBatch implements client.BatchConn: hits cost no wire traffic, and
-// the shrunken miss batch still amortizes one round trip.
-func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	if c.cache == nil {
-		return c.inner.QueryBatch(ctx, qs)
-	}
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	var missIdx []int
-	var missQs []*query.Query
-	for i, q := range qs {
-		if v, ok := c.cache.Get(c.keyer.Key(q)); ok {
-			results[i] = v.(*result.Results)
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missQs = append(missQs, q)
-	}
-	if len(missQs) == 0 {
-		return results, errs
-	}
-	mres, merrs := c.inner.QueryBatch(ctx, missQs)
-	ttl := c.freshTTL()
-	for j, i := range missIdx {
-		results[i], errs[i] = mres[j], merrs[j]
-		if merrs[j] == nil && mres[j] != nil {
-			c.cache.PutTTL(c.keyer.Key(missQs[j]), mres[j], ttl)
-		}
-	}
-	return results, errs
 }
 
 // freshTTL derives the entry lifetime from the last harvested freshness

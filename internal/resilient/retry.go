@@ -149,16 +149,11 @@ func Retryable(err error) bool {
 	return true
 }
 
-// Conn wraps a client.Conn with retries under a RetryPolicy.
-//
-// A QueryBatch's failed-but-retryable items are re-sent as a smaller
-// batch on the next attempt — the shrunken retry still amortizes one
-// round trip — while items that already succeeded (or failed
-// permanently) keep their outcome. The budget charges what actually hits
-// the wire: one deposit per fresh call, one withdrawal per retry wire
-// call, regardless of how many items ride it.
+// Conn wraps a client.Conn with retries under a RetryPolicy. The budget
+// charges what actually hits the wire: one deposit per fresh call, one
+// withdrawal per retry.
 type Conn struct {
-	inner  client.BatchConn
+	inner  client.Conn
 	policy RetryPolicy
 	budget *Budget
 
@@ -169,13 +164,13 @@ type Conn struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-var _ client.BatchConn = (*Conn)(nil)
+var _ client.Conn = (*Conn)(nil)
 
 // Wrap returns a retrying wrapper around inner. budget may be nil
 // (unlimited retries within the policy) or shared across many conns.
 func Wrap(inner client.Conn, policy RetryPolicy, budget *Budget) *Conn {
 	return &Conn{
-		inner:  client.Batched(inner),
+		inner:  inner,
 		policy: policy.withDefaults(),
 		budget: budget,
 		rnd:    rand.New(rand.NewSource(policy.Seed)),
@@ -292,49 +287,4 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 	return retryDo(c, ctx, "query", func(ctx context.Context) (*result.Results, error) {
 		return c.inner.Query(ctx, q)
 	})
-}
-
-// QueryBatch implements client.BatchConn.
-func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	const what = "query-batch"
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	if c.budget != nil {
-		c.budget.deposit()
-	}
-	// pending maps the positions still unresolved into the original
-	// slices; each attempt re-sends exactly those.
-	pending := make([]int, len(qs))
-	for i := range qs {
-		pending[i] = i
-	}
-	pendQs := qs
-	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if why := c.backoff(ctx, what, attempt, errs[pending[0]]); why != nil {
-				for _, i := range pending {
-					errs[i] = c.gaveUp(what, why, errs[i])
-				}
-				return results, errs
-			}
-		}
-		rs, es := c.inner.QueryBatch(ctx, pendQs)
-		var nextIdx []int
-		var nextQs []*query.Query
-		for j, i := range pending {
-			results[i], errs[i] = rs[j], es[j]
-			if es[j] != nil && Retryable(es[j]) && ctx.Err() == nil {
-				nextIdx = append(nextIdx, i)
-				nextQs = append(nextQs, pendQs[j])
-			}
-		}
-		if len(nextIdx) == 0 {
-			return results, errs
-		}
-		pending, pendQs = nextIdx, nextQs
-	}
-	for _, i := range pending {
-		errs[i] = c.exhausted(what, errs[i])
-	}
-	return results, errs
 }

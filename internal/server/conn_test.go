@@ -87,8 +87,8 @@ func TestContractViolatingConn(t *testing.T) {
 	if len(results) != 2 || results[0] == nil || results[2] == nil {
 		t.Errorf("healthy frames = %d (items 0 and 2 wanted)", len(results))
 	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), errNoResult.Error()) {
-		t.Errorf("item 1 error = %v, want %q in band", errs[1], errNoResult)
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), client.ErrNoResult.Error()) {
+		t.Errorf("item 1 error = %v, want %q in band", errs[1], client.ErrNoResult)
 	}
 
 	c := client.NewClient(ts.Client())

@@ -74,17 +74,13 @@ func TestLastTracesEndpoint(t *testing.T) {
 
 func testLastTracesEndpoint(t *testing.T, face string) {
 	ts, id := serveFace(t, face)
-	ctx := context.Background()
-	hc := client.NewClient(nil)
-	conns, err := hc.Discover(ctx, ts.URL+"/resource")
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := query.New()
+	var err error
 	if q.Ranking, err = query.ParseRanking(`list((body-of-text "distributed"))`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conns[0].Query(ctx, q); err != nil {
+	// The plain /query route: its trace is decode → search → encode.
+	if _, err := client.NewClient(nil).Query(context.Background(), ts.URL+"/sources/"+id+"/query", q); err != nil {
 		t.Fatal(err)
 	}
 

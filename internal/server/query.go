@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +21,7 @@ import (
 const maxQueryBytes = 1 << 20
 
 // maxBatchBytes bounds an accepted batch request body; each query is
-// small (maxQueryBytes), a drain is at most a few dozen of them.
+// small (maxQueryBytes), a batch is at most a few dozen of them.
 const maxBatchBytes = 16 << 20
 
 // maxBatchItems bounds the sub-queries one request may carry, so a
@@ -140,20 +139,6 @@ func decodeQueries(body io.Reader, asJSON bool) ([]*query.Query, error) {
 	return qs, nil
 }
 
-// errNoResult reports a conn that broke the Conn contract by returning
-// neither a result nor an error.
-var errNoResult = errors.New("server: conn returned neither a result nor an error")
-
-// queryConn evaluates q at conn; everything the server encodes comes
-// through here, so a nil result never reaches an encoder.
-func queryConn(ctx context.Context, conn client.Conn, q *query.Query) (*result.Results, error) {
-	rr, err := conn.Query(ctx, q)
-	if err == nil && rr == nil {
-		err = errNoResult
-	}
-	return rr, err
-}
-
 // countDocs records a finished search's size on its span and on /metrics.
 func (s *Server) countDocs(sp *obs.Span, source string, docs int) {
 	sp.Annotate("docs", strconv.Itoa(docs))
@@ -174,11 +159,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, conn client
 	}
 	qsp := tr.StartSpan("search")
 	qsp.SetSource(conn.SourceID())
-	rr, err := queryConn(r.Context(), conn, qs[0])
+	rr, err := client.Ask(r.Context(), conn, qs[0])
 	qsp.End(err)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, errNoResult) {
+		if errors.Is(err, client.ErrNoResult) {
 			status = http.StatusInternalServerError
 		}
 		http.Error(w, err.Error(), status)
@@ -239,11 +224,11 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, conn client
 		err error
 	)
 	if sc, ok := conn.(client.StreamConn); !ok {
-		if rr, err = queryConn(r.Context(), conn, q); err == nil {
+		if rr, err = client.Ask(r.Context(), conn, q); err == nil {
 			err = sink(result.StreamItem{Final: rr})
 		}
 	} else if rr, err = sc.QueryStream(r.Context(), q, sink); err == nil && rr == nil {
-		err = errNoResult
+		err = client.ErrNoResult
 	}
 	qsp.End(err)
 	if err != nil {
@@ -276,7 +261,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, conn client
 		wg.Add(1)
 		go func(i int, q *query.Query) {
 			defer wg.Done()
-			rr, qerr := queryConn(r.Context(), conn, q)
+			rr, qerr := client.Ask(r.Context(), conn, q)
 			writeMu.Lock()
 			defer writeMu.Unlock()
 			if writeErr != nil {

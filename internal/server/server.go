@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"starts/internal/client"
@@ -254,6 +255,10 @@ func marshalObjects(r *http.Request, objs []*soif.Object) (data []byte, contentT
 	return data, ContentType, err
 }
 
+// gzipWriters recycles compressors across responses: a fresh
+// gzip.Writer allocates some 800 KB of compression state.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // deliver writes an already-marshaled payload, gzipping large responses
 // for clients that accept it. Content summaries in particular compress
 // extremely well (Go's default HTTP client sends Accept-Encoding: gzip
@@ -262,9 +267,11 @@ func deliver(w http.ResponseWriter, r *http.Request, contentType string, data []
 	w.Header().Set("Content-Type", contentType)
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") && len(data) > 1024 {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
+		gz := gzipWriters.Get().(*gzip.Writer)
+		gz.Reset(w)
 		_, _ = gz.Write(data)
 		_ = gz.Close()
+		gzipWriters.Put(gz)
 		return
 	}
 	_, _ = w.Write(data)

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -368,5 +370,64 @@ func TestGzipSummaries(t *testing.T) {
 	defer resp2.Body.Close()
 	if ce := resp2.Header.Get("Content-Encoding"); ce == "gzip" {
 		t.Error("tiny resource object needlessly compressed")
+	}
+}
+
+// TestGzipQueryAllocBudget: serving a gzipped answer reuses a pooled
+// compressor instead of building one per response (a fresh gzip.Writer
+// allocates some 800 KB). The budget covers the search, the encoding and
+// the ETag of a ~12 KB /query answer.
+func TestGzipQueryAllocBudget(t *testing.T) {
+	eng, err := engine.New(engine.NewVectorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := source.New("Big", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := s.Add(&index.Document{
+			Linkage: fmt.Sprintf("http://big/%d", i), Title: fmt.Sprintf("Distributed databases, part %d", i),
+			Body: "Distributed database systems, query processing and metasearch over autonomous sources.",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := source.NewResource()
+	if err := res.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(res, "http://example")
+	q := query.New()
+	q.Ranking, _ = query.ParseRanking(`list((body-of-text "distributed") (body-of-text "databases"))`)
+	q.MaxResults = 40
+	body, err := q.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() (alloc uint64, rec *httptest.ResponseRecorder) {
+		req := httptest.NewRequest(http.MethodPost, "/sources/Big/query", strings.NewReader(string(body)))
+		req.Header.Set("Accept-Encoding", "gzip")
+		rec = httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, rec
+	}
+	if _, rec := serve(); rec.Code != http.StatusOK || rec.Header().Get("Content-Encoding") != "gzip" {
+		t.Fatalf("warm-up: status %d, Content-Encoding %q", rec.Code, rec.Header().Get("Content-Encoding"))
+	}
+	// The least of a few serves: a GC in between may empty the pool once.
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		alloc, _ := serve()
+		least = min(least, alloc)
+	}
+	const budget = 128 << 10
+	t.Logf("one gzipped /query answer: %d KB allocated (budget %d KB)", least>>10, budget>>10)
+	if least > budget {
+		t.Errorf("serving one gzipped /query answer allocated %d KB, budget %d KB", least>>10, budget>>10)
 	}
 }

@@ -122,14 +122,6 @@ type (
 	Client = client.Client
 	// Conn is one queryable source, local or remote.
 	Conn = client.Conn
-	// BatchConn is a Conn that can evaluate several queries in ONE wire
-	// call (QueryBatch), the transport seam behind wire-level
-	// multiplexing: the metasearcher's dispatch layer drains a source's
-	// queued sub-queries and issues them as a single round trip.
-	// NewHTTPConn and NewLocalConn return batch-native conns, every
-	// middleware here returns one, and Metasearcher.Add adapts any other
-	// Conn by running a batch's items concurrently.
-	BatchConn = client.BatchConn
 )
 
 // ServerOption configures a Server.
@@ -508,9 +500,8 @@ type ConnMiddleware = client.Middleware
 //		starts.ObserveMiddleware(reg),   // times every attempt
 //		starts.RetryMiddleware(policy, budget)) // retries observed faults
 //
-// Nil middlewares are skipped. Every middleware this package exports
-// returns a BatchConn whatever it wraps (see BatchConn), so order is the
-// only thing a chain has to get right.
+// Nil middlewares are skipped; order is the only thing a chain has to
+// get right.
 func ChainConn(conn Conn, mw ...ConnMiddleware) Conn { return client.Chain(conn, mw...) }
 
 // RetryMiddleware is NewRetryConn as a ConnMiddleware.
