@@ -245,7 +245,6 @@ type HTTPConn struct {
 	// MetadataURL is the entry point (from the resource's SourceList);
 	// the query/summary/sample URLs come from the fetched metadata.
 	metadataURL string
-	now         func() time.Time
 
 	mu     sync.Mutex
 	cached *meta.SourceMeta
@@ -253,7 +252,7 @@ type HTTPConn struct {
 
 // NewHTTPConn returns a Conn for the source with the given metadata URL.
 func NewHTTPConn(c *Client, sourceID, metadataURL string) *HTTPConn {
-	return &HTTPConn{client: c, id: sourceID, metadataURL: metadataURL, now: time.Now}
+	return &HTTPConn{client: c, id: sourceID, metadataURL: metadataURL}
 }
 
 // SourceID implements Conn.
@@ -271,17 +270,15 @@ func (h *HTTPConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 	return m, nil
 }
 
-// metaExpired mirrors core's cache-expiry rule: a zero DateExpires never
-// expires.
-func metaExpired(m *meta.SourceMeta, now time.Time) bool {
-	return !m.DateExpires.IsZero() && now.After(m.DateExpires)
-}
-
+// meta returns the metadata the last Metadata call fetched, fetching it
+// once if there is none yet. Freshness is not the conn's to judge: the
+// metasearcher re-harvests a source past its DateExpires, and that
+// explicit Metadata call is what moves the endpoint URLs.
 func (h *HTTPConn) meta(ctx context.Context) (*meta.SourceMeta, error) {
 	h.mu.Lock()
 	cached := h.cached
 	h.mu.Unlock()
-	if cached != nil && !metaExpired(cached, h.now()) {
+	if cached != nil {
 		return cached, nil
 	}
 	return h.Metadata(ctx)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"starts/internal/client"
 	"starts/internal/engine"
@@ -20,6 +21,21 @@ import (
 
 // startServer serves one single-source resource, counting requests.
 func startServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	res, _ := oneSourceResource(t)
+	var hits atomic.Int64
+	ts := httptest.NewServer(nil)
+	inner := server.New(res, ts.URL)
+	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		inner.ServeHTTP(w, r)
+	})
+	t.Cleanup(ts.Close)
+	return ts, &hits
+}
+
+// oneSourceResource is a resource holding the one-document source S1.
+func oneSourceResource(t *testing.T) (*source.Resource, *source.Source) {
 	t.Helper()
 	eng, err := engine.New(engine.NewVectorConfig())
 	if err != nil {
@@ -39,15 +55,7 @@ func startServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	if err := res.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	var hits atomic.Int64
-	ts := httptest.NewServer(nil)
-	inner := server.New(res, ts.URL)
-	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		inner.ServeHTTP(w, r)
-	})
-	t.Cleanup(ts.Close)
-	return ts, &hits
+	return res, s
 }
 
 func TestHTTPConnCachesMetadata(t *testing.T) {
@@ -200,26 +208,72 @@ func TestHTTPConnConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHTTPConnMetadataExpiry: a cached metadata object past its
-// DateExpires is refetched, mirroring the core harvest cache.
-func TestHTTPConnMetadataExpiry(t *testing.T) {
-	ts, hits := startServer(t)
+// TestHTTPConnKeepsExpiredMetadata: DateExpires is the harvester's to
+// honour (core re-harvests a source past it), not the conn's. Metadata
+// that expired an hour ago is fetched once, not again before every call,
+// and an explicit Metadata call still moves the URLs Query uses.
+func TestHTTPConnKeepsExpiredMetadata(t *testing.T) {
+	res, src := oneSourceResource(t)
+	src.Expires = time.Now().Add(-time.Hour)
+	var hits, movedHits atomic.Int64
+	var move atomic.Bool
+	ts := httptest.NewServer(nil)
+	t.Cleanup(ts.Close)
+	here := server.New(res, ts.URL)
+	// The same source served again under /moved: its metadata points
+	// every endpoint there.
+	moved := server.New(res, ts.URL+"/moved")
+	underMoved := http.StripPrefix("/moved", moved)
+	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasPrefix(r.URL.Path, "/moved/"):
+			movedHits.Add(1)
+			underMoved.ServeHTTP(w, r)
+		case move.Load() && strings.HasSuffix(r.URL.Path, "/metadata"):
+			hits.Add(1)
+			moved.ServeHTTP(w, r)
+		default:
+			hits.Add(1)
+			here.ServeHTTP(w, r)
+		}
+	})
 	ctx := context.Background()
-	c := client.NewClient(ts.Client())
-	conn := client.NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
-	if _, err := conn.Metadata(ctx); err != nil {
+	conn := client.NewHTTPConn(client.NewClient(ts.Client()), "S1", ts.URL+"/sources/S1/metadata")
+
+	md, err := conn.Metadata(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Expire the cached copy by moving the conn's clock past DateExpires
-	// (the test server stamps none, so force one on the cached object).
-	conn.ExpireCachedMetadata()
-	before := hits.Load()
+	if !md.DateExpires.Before(time.Now()) {
+		t.Fatalf("served DateExpires %v, want one in the past", md.DateExpires)
+	}
 	if _, err := conn.Summary(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Expired cache: summary must refetch metadata first (2 requests).
-	if got := hits.Load() - before; got != 2 {
-		t.Errorf("requests after expiry = %d, want 2 (metadata refetch + summary)", got)
+	if got := hits.Load(); got != 2 {
+		t.Errorf("Metadata + Summary made %d requests, want 2", got)
+	}
+	q := query.New()
+	q.Ranking, _ = query.ParseRanking(`list((body-of-text "databases"))`)
+	before := hits.Load()
+	for i := 0; i < 5; i++ {
+		if _, err := conn.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hits.Load() - before; got != 5 {
+		t.Errorf("5 queries made %d requests, want 5", got)
+	}
+
+	move.Store(true)
+	if _, err := conn.Metadata(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Query(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if got := movedHits.Load(); got != 1 {
+		t.Errorf("the query after a re-fetch of the metadata reached its new URL %d times, want 1", got)
 	}
 }
 

@@ -267,10 +267,12 @@ func (m *Metasearcher) Harvest(ctx context.Context) error {
 }
 
 // harvestAll refreshes every stale source and returns the per-source
-// errors; healthy sources are cached regardless of their siblings. Each
-// refresh is submitted to the source's dispatch queue under the key
-// "harvest", so concurrent searches that both find a source stale share
-// one harvest instead of racing duplicate fetches at it.
+// errors; healthy sources are cached regardless of their siblings.
+// Re-harvesting lazily, before each search selects, is how the broker
+// honours a source's DateExpires (§3.4). Each refresh is submitted to the
+// source's dispatch queue under the key "harvest", so concurrent searches
+// that both find a source stale share one harvest instead of racing
+// duplicate fetches at it.
 func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
 	m.mu.RLock()
 	total := len(m.members)
@@ -283,17 +285,9 @@ func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
 	m.mu.RUnlock()
 	m.metrics.Counter("starts_harvest_cache_hits_total").Add(int64(total - len(stale)))
 	m.metrics.Counter("starts_harvest_cache_misses_total").Add(int64(len(stale)))
-	return m.harvestIDs(ctx, stale)
-}
-
-// harvestIDs refreshes the given sources concurrently through the
-// dispatch layer (key "harvest", so concurrent searches and the
-// scheduled harvester share one fetch per source) and returns the
-// per-source errors.
-func (m *Metasearcher) harvestIDs(ctx context.Context, ids []string) map[string]error {
 	out := map[string]error{}
-	tickets := make(map[string]*dispatch.Ticket, len(ids))
-	for _, id := range ids {
+	tickets := make(map[string]*dispatch.Ticket, len(stale))
+	for _, id := range stale {
 		id := id
 		t, err := m.dispatcher.Submit(ctx, id, "harvest", dispatch.Limits{},
 			func(tctx context.Context) (any, error) {
@@ -307,11 +301,7 @@ func (m *Metasearcher) harvestIDs(ctx context.Context, ids []string) map[string]
 	}
 	// All submitted harvests run concurrently on their sources' workers;
 	// waiting for them in turn costs only the slowest one.
-	for _, id := range ids {
-		t := tickets[id]
-		if t == nil {
-			continue
-		}
+	for id, t := range tickets {
 		if _, err := t.Wait(ctx); err != nil {
 			out[id] = err
 		}
@@ -578,10 +568,9 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 
 // fillFor builds the cache fill that runs the full pipeline for q under
 // opts and names the answer's own lifetime. It is shared by the
-// cache-fronted Search path, its stale-while-revalidate refreshes, and
-// the proactive refresher — every one of them fans out through the
-// dispatch layer, so background refreshes respect the same per-source
-// bounds as foreground searches.
+// cache-fronted Search path and its stale-while-revalidate refreshes —
+// both fan out through the dispatch layer, so background refreshes
+// respect the same per-source bounds as foreground searches.
 func (m *Metasearcher) fillFor(q *query.Query, opts Options) qcache.TTLFill {
 	return func(fctx context.Context) (any, time.Duration, error) {
 		if obs.TraceFrom(fctx) == nil {
@@ -1210,13 +1199,4 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	sp.Annotate("docs", strconv.Itoa(len(res.Documents)))
 	m.stats.record(id, oc.Elapsed, false, len(res.Documents))
 	return oc
-}
-
-// RankedIDs is a convenience: the IDs of a Ranked slice in order.
-func RankedIDs(rs []gloss.Ranked) []string {
-	ids := make([]string, len(rs))
-	for i, r := range rs {
-		ids[i] = r.ID
-	}
-	return ids
 }

@@ -131,10 +131,30 @@ func TestHarvestRespectsExpiry(t *testing.T) {
 	if got := counting.metaCalls.Load(); got != 2 {
 		t.Errorf("metadata fetched %d times after expiry, want 2", got)
 	}
+
+	// A source that declares no DateExpires never expires: however long
+	// the searches go on, it is fetched once.
+	eng, _ = engine.New(engine.NewVectorConfig())
+	forever, _ := source.New("N", eng)
+	if err := forever.Add(&index.Document{Linkage: "http://n/1", Title: "doc", Body: "words"}); err != nil {
+		t.Fatal(err)
+	}
+	never := &countingConn{Conn: client.NewLocalConn(forever, nil)}
+	ms.Add(never)
+	q := rankingQuery(t, `list((body-of-text "words"))`)
+	for i := 0; i < 3; i++ {
+		if _, err := ms.Search(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		clock = clock.Add(100 * 24 * time.Hour)
+	}
+	if got := never.metaCalls.Load(); got != 1 {
+		t.Errorf("metadata without DateExpires fetched %d times across 3 searches, want 1", got)
+	}
 }
 
-// countingConn counts metadata fetches (atomically: StartHarvester fetches
-// from a background goroutine).
+// countingConn counts metadata fetches (atomically: harvests run on
+// dispatch workers).
 type countingConn struct {
 	client.Conn
 	metaCalls atomic.Int64
@@ -322,14 +342,6 @@ func TestPostFilterVerificationMode(t *testing.T) {
 	}
 	if len(ans.Documents) == 0 {
 		t.Error("verification removed everything")
-	}
-}
-
-func TestRankedIDs(t *testing.T) {
-	rs := []gloss.Ranked{{ID: "b", Goodness: 2}, {ID: "a", Goodness: 1}}
-	ids := RankedIDs(rs)
-	if len(ids) != 2 || ids[0] != "b" || ids[1] != "a" {
-		t.Errorf("RankedIDs = %v", ids)
 	}
 }
 

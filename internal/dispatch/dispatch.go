@@ -285,10 +285,6 @@ func (t *Ticket) outcome() *batch {
 	}
 }
 
-// Waited returns how long the batch sat queued before a worker picked it
-// up (0 until the batch resolves).
-func (t *Ticket) Waited() time.Duration { return t.outcome().waited }
-
 // RunFor returns the wire call's own duration — shared by every waiter
 // of a batch — or 0 if the batch has not resolved or never ran.
 func (t *Ticket) RunFor() time.Duration { return t.outcome().ran }

@@ -81,8 +81,8 @@ func bump(field *int64, c *obs.Counter, n int) {
 }
 
 // batch is one (possibly shared) unit of queued work: a task and its
-// waiters. waiters is guarded by the queue mutex; val, err, waited, ran
-// and fanout are written by whoever resolves the batch, before done
+// waiters. waiters is guarded by the queue mutex; val, err, ran and
+// fanout are written by whoever resolves the batch, before done
 // closes, and read only after.
 type batch struct {
 	key      string
@@ -96,7 +96,6 @@ type batch struct {
 
 	val    any
 	err    error
-	waited time.Duration
 	ran    time.Duration
 	fanout int
 }
@@ -170,6 +169,7 @@ func (q *queue) abandon(b *batch) {
 	b.waiters--
 	last := b.waiters == 0
 	i := -1 // b's place in the FIFO, when it is dropped from there
+	var waited time.Duration
 	if last {
 		if q.pending[b.key] == b {
 			delete(q.pending, b.key)
@@ -177,14 +177,14 @@ func (q *queue) abandon(b *batch) {
 		if i = slices.Index(q.waiting, b); i >= 0 {
 			q.waiting = slices.Delete(q.waiting, i, i+1)
 			q.gDepth.Set(int64(len(q.waiting)))
-			b.waited = now.Sub(b.enqueued)
+			waited = now.Sub(b.enqueued)
 			b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Canceled)
 			bump(&q.st.Cancelled, q.cCancelled, 1)
 		}
 	}
 	q.mu.Unlock()
 	if i >= 0 {
-		q.hWait.Observe(b.waited)
+		q.hWait.Observe(waited)
 		close(b.done)
 	}
 	if last {
@@ -236,8 +236,7 @@ func (q *queue) work(b *batch) {
 // batch instead of joining a finished one.
 func (q *queue) run(b *batch) (next *batch) {
 	now := q.d.cfg.Now
-	b.waited = now().Sub(b.enqueued)
-	q.hWait.Observe(b.waited)
+	q.hWait.Observe(now().Sub(b.enqueued))
 	var cancelled, refused, ran int
 	switch {
 	case b.ctx.Err() != nil:

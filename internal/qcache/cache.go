@@ -258,27 +258,6 @@ func (c *Cache) refreshAsync(key string, fill TTLFill) {
 	})
 }
 
-// Refresh re-runs fill for key in the background, reusing the
-// stale-while-revalidate machinery: at most one refresh per key runs at
-// a time, it passes the admission gate (a shed refresh is dropped, not
-// queued), and a failure leaves the current entry in service, counted in
-// MQCacheRefreshErrors. Pair it with ExpiresWithin to proactively
-// re-fill hot entries shortly before they expire, so they never leave
-// the fast path at all.
-func (c *Cache) Refresh(key string, fill TTLFill) { c.refreshAsync(key, fill) }
-
-// ExpiresWithin reports whether key currently holds a fresh entry that
-// will expire within lead from now — the candidates a proactive
-// refresher should hand to Refresh.
-func (c *Cache) ExpiresWithin(key string, lead time.Duration) bool {
-	now := c.now()
-	e, ok := c.storage.Get(key, now)
-	if !ok {
-		return false
-	}
-	return !now.After(e.Expires) && now.Add(lead).After(e.Expires)
-}
-
 // Get returns the cached value for key if it is fresh. It never serves
 // stale and never fills; use Do for the full serving policy.
 func (c *Cache) Get(key string) (any, bool) {
@@ -291,10 +270,6 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put stores val under key with the cache's Config.TTL, unconditionally.
 func (c *Cache) Put(key string, val any) { c.put(key, val, 0) }
-
-// PutTTL stores val under key with its own freshness lifetime: ttl 0
-// takes Config.TTL, anything else is clamped to [TTLFloor, TTLCeiling].
-func (c *Cache) PutTTL(key string, val any, ttl time.Duration) { c.put(key, val, ttl) }
 
 // Len reports the live entry count in the backing store.
 func (c *Cache) Len() int { return c.storage.Len() }

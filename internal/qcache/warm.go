@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -55,18 +56,29 @@ func LoadWorkload(r io.Reader) ([]WarmEntry, error) {
 	}
 }
 
-// SaveWorkloadFile writes a workload file atomically enough for a CLI:
-// the whole file is rewritten in place.
+// SaveWorkloadFile replaces a workload file atomically: the entries go
+// to a temporary file beside path, which is then renamed over it, so a
+// crash mid-save leaves the previous workload whole rather than a
+// truncated one.
 func SaveWorkloadFile(path string, entries []WarmEntry) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := SaveWorkload(f, entries); err != nil {
-		f.Close()
-		return err
+	err = SaveWorkload(f, entries)
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // LoadWorkloadFile reads a workload file written by SaveWorkloadFile.

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -42,6 +44,43 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	out, err = LoadWorkloadFile(path)
 	if err != nil || len(out) != len(in) {
 		t.Fatalf("file round trip: %v, %d entries", err, len(out))
+	}
+}
+
+// TestSaveWorkloadFileReplacesWhole: a save replaces the file in one
+// rename, never rewriting it in place, so whoever holds the old file —
+// a reader, or a crash mid-save — sees the old workload whole. It leaves
+// no temporary file behind.
+func TestSaveWorkloadFileReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "workload.jsonl")
+	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "old", Ranking: `list("old")`}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "new", Ranking: `list("new")`}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("a reader of the old file read %q after a save, want the old %q", got, want)
+	}
+	if entries, err := LoadWorkloadFile(path); err != nil || len(entries) != 1 || entries[0].Key != "new" {
+		t.Errorf("after the save the path holds %+v (%v), want the new entry", entries, err)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("the save left %d files in its directory, want 1", len(names))
 	}
 }
 

@@ -131,9 +131,6 @@ type ServerOption = server.Option
 // owned registry, merging several components onto one /metrics.
 func WithServerMetrics(reg *obs.Registry) ServerOption { return server.WithMetrics(reg) }
 
-// WithServerTraceCapacity sizes the server's /debug/last-traces ring.
-func WithServerTraceCapacity(n int) ServerOption { return server.WithTraceCapacity(n) }
-
 // WithServerMaxInflight bounds concurrent query evaluations; excess
 // requests wait up to queueTimeout for a slot and are then shed with a
 // fast 503 + Retry-After. n <= 0 leaves queries unbounded.
@@ -321,10 +318,6 @@ var PeerResultsCodec PeerCodec = peer.ResultsCodec{}
 // Peers (or only Self) keeps every key local.
 func NewPeerStore(cfg PeerStoreConfig) *PeerStore { return peer.New(cfg) }
 
-// NewPeerRing builds a consistent-hash ring directly, for routing
-// decisions outside the store (replicas <= 0 takes the default 64).
-func NewPeerRing(peers []string, replicas int) *PeerRing { return peer.NewRing(peers, replicas) }
-
 // NewPeerHandler serves a store's /peer/cache/{key} and /peer/len
 // endpoints for mounting on a custom mux; WithServerPeerCache does this
 // (plus /debug/peers) on a Server.
@@ -392,12 +385,6 @@ var (
 // four TTLs, unbounded admission).
 func NewQueryCache(cfg QueryCacheConfig) *QueryCache { return qcache.New(cfg) }
 
-// NewLRUCacheStore returns the default sharded LRU store explicitly, for
-// composing a QueryCacheConfig.Store (e.g. wrapping it with logging).
-func NewLRUCacheStore(maxEntries, shards int, reg *MetricsRegistry) CacheStore {
-	return qcache.NewLRUStore(maxEntries, shards, reg)
-}
-
 // SaveWorkloadFile persists a recorded query workload
 // (Metasearcher.Workload) as JSON lines for replay after a restart.
 func SaveWorkloadFile(path string, entries []WarmEntry) error {
@@ -436,10 +423,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewTraceRing returns a ring buffer holding the last n traces.
 func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
-
-// MetricLabel encodes labels into a metric name: MetricLabel("m", "k",
-// "v") is `m{k="v"}`.
-func MetricLabel(name string, kv ...string) string { return obs.L(name, kv...) }
 
 // WrapConn instruments a Conn: every call is timed into a child span of
 // the context's current span and counted into reg.
