@@ -83,22 +83,27 @@ stress:
 # fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
 # one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
-# the two response frame decoders, the two entry points of the expression
-# parser behind them all, the cache fingerprint against the printer it
-# replaced (internal/qcache/key_oracle_test.go), and the engine's cursor
-# evaluator against its oracle (internal/engine/exhaustive.go). Seeds also
-# run with every `go test`.
+# the two response frame decoders, the document decoder against the map
+# decoder it replaced (internal/result/oracle_test.go), the two entry
+# points of the expression parser behind them all, the cache fingerprint
+# against the printer it replaced (internal/qcache/key_oracle_test.go),
+# the engine's cursor evaluator against its oracle
+# (internal/engine/exhaustive.go), and the harvested metadata and content
+# summary decoders. Seeds also run with every `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:2s \
+	internal/server:FuzzDecodeRequest:1s \
 	internal/soif:FuzzSOIFRoundTrip:1s \
-	internal/result:FuzzDecodeBatchItem:1s \
-	internal/result:FuzzDecodeStreamItem:1s \
-	internal/query:FuzzParseFilter:1s \
-	internal/query:FuzzParseRanking:1s \
-	internal/qcache:FuzzCanonicalMatchesOracle:1s \
-	internal/engine:FuzzSearchMatchesExhaustive:2s
+	internal/result:FuzzDecodeBatchItem:800ms \
+	internal/result:FuzzDecodeStreamItem:800ms \
+	internal/result:FuzzDocFromSOIFMatchesOracle:800ms \
+	internal/query:FuzzParseFilter:800ms \
+	internal/query:FuzzParseRanking:800ms \
+	internal/qcache:FuzzCanonicalMatchesOracle:800ms \
+	internal/engine:FuzzSearchMatchesExhaustive:1600ms \
+	internal/meta:FuzzParseMeta:800ms \
+	internal/meta:FuzzParseSummary:800ms
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

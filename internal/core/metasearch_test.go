@@ -336,7 +336,7 @@ func TestPostFilterVerificationMode(t *testing.T) {
 	// Every surviving document must actually have Gravano as an author
 	// (either verified at the source or post-filtered here).
 	for _, d := range ans.Documents {
-		if d.Fields[attr.FieldAuthor] == "" {
+		if d.Field(attr.FieldAuthor) == "" {
 			continue // author not in answer fields by default
 		}
 	}

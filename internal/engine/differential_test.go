@@ -328,8 +328,10 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 // a source the size of the benchmark's big ones, so that a match-set map
 // (or a pointer per matched document) coming back fails here and not in the
 // next benchmark run. The budgets stand a quarter above what the cursor
-// evaluator needs (17.1, 20.4, 19.8 and 13.2 KB in 207, 219, 218 and 191
-// objects, nearly all of it the twenty documents returned).
+// evaluator needs (10.9, 13.7, 13.0 and 9.1 KB in 141, 142, 141 and 145
+// objects). The twenty documents returned take about 6 KB of it, in a
+// handful of slabs; the objects are the query's term resolution and
+// cursors.
 func TestSearchAllocBudget(t *testing.T) {
 	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000})
 	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
@@ -345,10 +347,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		op             string
 		bytes, objects uint64
 	}{
-		{"and", 21 << 10, 260},
-		{"or", 25 << 10, 275},
-		{"and-not", 25 << 10, 275},
-		{"prox[3,F]", 16 << 10, 240},
+		{"and", 13950, 176},
+		{"or", 17490, 178},
+		{"and-not", 16670, 176},
+		{"prox[3,F]", 11660, 181},
 	} {
 		q := mkQuery(t, "("+term(55)+" "+tc.op+" "+term(70)+")", ranking)
 		res, err := e.Search(q) // once unmeasured: the lazily sorted vocabulary and the like

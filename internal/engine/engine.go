@@ -245,38 +245,42 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	defer snap.Close()
 
 	var kept []scoredDoc
-	var stats [][]result.TermStat // of kept, in step; nil without a ranking
+	var stats []result.TermStat // of kept document k: stats[offs[k]:offs[k+1]]
+	var offs []int              // nil without a ranking
 	var err error
 	if e.cfg.Exhaustive {
-		kept, stats, err = e.searchExhaustive(snap, q, actualFilter, actualRanking, opts)
-	} else if fast, fastStats, ok := e.rankedFastPath(snap, q, actualFilter, actualRanking, opts); ok {
+		kept, stats, offs, err = e.searchExhaustive(snap, q, actualFilter, actualRanking, opts)
+	} else if fast, fastStats, fastOffs, ok := e.rankedFastPath(snap, q, actualFilter, actualRanking, opts); ok {
 		// Pure ranking under the default sort: the same cursors plus a
 		// threshold find the answer without scoring every match.
-		kept, stats = fast, fastStats
+		kept, stats, offs = fast, fastStats, fastOffs
 	} else {
-		kept, stats, err = e.searchCursors(snap, q, actualFilter, actualRanking, opts)
+		kept, stats, offs, err = e.searchCursors(snap, q, actualFilter, actualRanking, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
 
+	// The documents, their fields and their statistics fill one slab each.
 	fields := q.EffectiveAnswerFields()
+	slices.SortFunc(fields, result.CompareFields)
+	fields = slices.Compact(fields)
+	docs := make([]result.Document, len(kept))
+	vals := make([]result.FieldValue, 0, len(kept)*len(fields))
 	res.Documents = make([]*result.Document, len(kept))
 	for k, sd := range kept {
 		doc := snap.Doc(sd.id)
-		d := &result.Document{
-			RawScore: round4(sd.score),
-			Size:     doc.SizeKB(),
-			Count:    snap.TokenCount(sd.id),
-			Fields:   make(map[attr.Field]string, len(fields)),
-		}
-		if stats != nil {
-			d.TermStats = stats[k]
-		}
+		from := len(vals)
 		for _, f := range fields {
 			if v := answerFieldValue(doc, f); v != "" {
-				d.Fields[f] = v
+				vals = append(vals, result.FieldValue{Field: f, Value: v})
 			}
+		}
+		d := &docs[k]
+		d.RawScore, d.Size, d.Count = round4(sd.score), doc.SizeKB(), snap.TokenCount(sd.id)
+		d.Fields = vals[from:len(vals):len(vals)]
+		if offs != nil && offs[k] < offs[k+1] { // a document that matched no term has none
+			d.TermStats = stats[offs[k]:offs[k+1]:offs[k+1]]
 		}
 		res.Documents[k] = d
 	}
@@ -325,7 +329,7 @@ type scoredDoc struct {
 // documents in id order, the ranking terms' cursors follow it, and each
 // document is scored as it goes by. Nothing is kept per document but its
 // id and score.
-func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, [][]result.TermStat, error) {
+func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
 	nodes := rankNodes(ranking, nil)
 	terms := make([]query.Term, len(nodes))
 	for i, nd := range nodes {
@@ -333,7 +337,7 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 	}
 	m, err := snap.Match(filter, terms, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	n := snap.NumDocs()
 	weights := make([]float64, len(nodes))
@@ -382,7 +386,7 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 	}
 	kept := e.rankAndCut(snap, cands, maxScore, q, filter != nil, ranking != nil)
 	if ranking == nil {
-		return kept, nil, nil
+		return kept, nil, nil, nil
 	}
 
 	// Term statistics are assembled only for returned documents; the
@@ -393,20 +397,18 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 		byID[k] = k
 	}
 	slices.SortFunc(byID, func(a, b int) int { return kept[a].id - kept[b].id })
-	first := firstOccurrences(terms)
-	stats := make([][]result.TermStat, len(kept))
-	tfs, dfs := make([]int, len(terms)), make([]int, len(terms))
+	nt := len(terms)
+	tfs, dfs := make([]int, len(kept)*nt), make([]int, nt) // kept document k's frequencies at tfs[k*nt:]
 	for _, k := range byID {
-		id := kept[k].id
-		m.FreqsAt(id, tfs)
-		for i, tf := range tfs {
+		m.FreqsAt(kept[k].id, tfs[k*nt:(k+1)*nt])
+		for i, tf := range tfs[k*nt : (k+1)*nt] {
 			if tf > 0 {
 				dfs[i] = m.DocFreq(i)
 			}
 		}
-		stats[k] = e.termStats(terms, first, tfs, dfs, n, snap.TokenCount(id))
 	}
-	return kept, stats, nil
+	stats, offs := e.termStats(snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	return kept, stats, offs, nil
 }
 
 // rankNodes appends the term nodes of a ranking expression, in the order
@@ -517,34 +519,37 @@ func firstOccurrences(terms []query.Term) []int {
 	return first
 }
 
-// termStats assembles the TermStats reported with one result document from
-// its per-term frequencies: the terms in query order, a repeated term
-// once, only those the document matches. Reported terms carry field and
-// value but not weights/modifiers.
-func (e *Engine) termStats(terms []query.Term, first, tfs, dfs []int, n, docLen int) []result.TermStat {
-	matched := 0
-	for i, tf := range tfs {
-		if first[i] == i && tf > 0 {
-			matched++
+// termStats assembles the TermStats reported with the kept documents, in
+// one slab sized exactly: kept document k's, from its per-term
+// frequencies tfsOf(k), are stats[offs[k]:offs[k+1]] — the terms in query
+// order, a repeated term once, only those the document matches. Reported
+// terms carry field and value but not weights/modifiers.
+func (e *Engine) termStats(snap index.Snapshot, kept []scoredDoc, terms []query.Term, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
+	first := firstOccurrences(terms)
+	n := 0
+	for k := range kept {
+		for i, tf := range tfsOf(k) {
+			if tf > 0 && first[i] == i {
+				n++
+			}
 		}
 	}
-	if matched == 0 {
-		return nil
-	}
-	// Sized exactly: an answer cache keeps these for as long as the answer.
-	stats := make([]result.TermStat, 0, matched)
-	for i, t := range terms {
-		if first[i] != i || tfs[i] == 0 {
-			continue
+	stats, offs = make([]result.TermStat, 0, n), append(make([]int, 0, len(kept)+1), 0)
+	for k, sd := range kept {
+		tfs, docLen := tfsOf(k), snap.TokenCount(sd.id)
+		for i, t := range terms {
+			if first[i] == i && tfs[i] > 0 {
+				stats = append(stats, result.TermStat{
+					Term:    query.Term{Field: t.EffectiveField(), Value: t.Value},
+					Freq:    tfs[i],
+					Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], snap.NumDocs(), docLen)),
+					DocFreq: dfs[i],
+				})
+			}
 		}
-		stats = append(stats, result.TermStat{
-			Term:    query.Term{Field: t.EffectiveField(), Value: t.Value},
-			Freq:    tfs[i],
-			Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], n, docLen)),
-			DocFreq: dfs[i],
-		})
+		offs = append(offs, len(stats))
 	}
-	return stats
+	return stats, offs
 }
 
 // sortableDoc pairs a result with its pre-fetched field sort keys, so

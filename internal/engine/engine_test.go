@@ -110,11 +110,9 @@ func TestVectorSearchRanks(t *testing.T) {
 	}
 	// TermStats reported with document frequency.
 	top := res.Documents[0]
-	if s, ok := top.Stat("distributed"); !ok || s.Freq != 5 || s.DocFreq != 1 {
-		t.Errorf("distributed stats = %+v, %v", s, ok)
-	}
-	if s, ok := top.Stat("databases"); !ok || s.DocFreq != 3 {
-		t.Errorf("databases stats = %+v, %v", s, ok)
+	if s := top.TermStats; len(s) != 2 || s[0].Term.Value.Text != "distributed" || s[0].Freq != 5 || s[0].DocFreq != 1 ||
+		s[1].Term.Value.Text != "databases" || s[1].DocFreq != 3 {
+		t.Errorf("stats = %+v, want distributed tf 5 df 1, databases df 3", s)
 	}
 	if top.Count == 0 || top.Size == 0 {
 		t.Errorf("DocCount/DocSize missing: %+v", top)
@@ -368,7 +366,7 @@ func TestSortBySpecification(t *testing.T) {
 	}
 	prev := ""
 	for _, d := range res.Documents {
-		date := d.Fields[attr.FieldDateLastModified]
+		date := d.Field(attr.FieldDateLastModified)
 		_ = date // date may be absent from answer fields; sort happened engine-side
 	}
 	// Request the date as an answer field to verify the order.
@@ -379,7 +377,7 @@ func TestSortBySpecification(t *testing.T) {
 	}
 	prev = ""
 	for _, d := range res.Documents {
-		date := d.Fields[attr.FieldDateLastModified]
+		date := d.Field(attr.FieldDateLastModified)
 		if date < prev {
 			t.Errorf("dates not ascending: %s after %s", date, prev)
 		}
@@ -413,7 +411,7 @@ func TestAnswerFields(t *testing.T) {
 		if d.Linkage() == "" {
 			t.Error("linkage missing (always returned)")
 		}
-		if d.Title() == "" || d.Fields[attr.FieldAuthor] == "" || d.Fields[attr.FieldDateLastModified] == "" {
+		if d.Title() == "" || d.Field(attr.FieldAuthor) == "" || d.Field(attr.FieldDateLastModified) == "" {
 			t.Errorf("requested answer fields missing: %v", d.Fields)
 		}
 	}

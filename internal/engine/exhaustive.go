@@ -15,30 +15,32 @@ import (
 	"starts/internal/result"
 )
 
-func (e *Engine) searchExhaustive(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, [][]result.TermStat, error) {
+func (e *Engine) searchExhaustive(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
 	// The filter match set; no (surviving) filter means every document
 	// qualifies.
 	matched := snap.AllDocs()
 	if filter != nil {
 		set, err := snap.EvalFilter(filter, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		matched = set
 	}
 	cands, maxScore, ev, err := e.scoreDocs(snap, matched, ranking, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	kept := e.rankAndCut(snap, cands, maxScore, q, filter != nil, ranking != nil)
 	if ev == nil {
-		return kept, nil, nil
+		return kept, nil, nil, nil
 	}
-	stats := make([][]result.TermStat, len(kept))
-	for k, sd := range kept {
-		stats[k] = ev.statsFor(sd.id)
+	var stats []result.TermStat
+	offs := []int{0}
+	for _, sd := range kept {
+		stats = ev.appendStats(stats, sd.id)
+		offs = append(offs, len(stats))
 	}
-	return kept, stats, nil
+	return kept, stats, offs, nil
 }
 
 // scoreDocs computes each matched document's raw score for the ranking
@@ -126,9 +128,8 @@ func (ev *rankEvaluator) matchWeight(m *index.TermMatch, id int) float64 {
 	return ev.scorer.TermWeight(info.Freq, m.DocFreq(), ev.snap.NumDocs(), ev.snap.TokenCount(id))
 }
 
-// statsFor assembles the TermStats reported with a result document.
-func (ev *rankEvaluator) statsFor(id int) []result.TermStat {
-	var stats []result.TermStat
+// appendStats appends the TermStats reported with a result document.
+func (ev *rankEvaluator) appendStats(stats []result.TermStat, id int) []result.TermStat {
 	for i, t := range ev.terms {
 		m := ev.termMatches[i]
 		info := m.Docs[id]

@@ -38,24 +38,23 @@ func (e *Engine) rawOrderIsFinal(q *query.Query) bool {
 // false when the query is not eligible — searchCursors evaluates it, as it
 // would an eligible one, to the identical answer (equal floats, equal
 // order, equal statistics).
-func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, [][]result.TermStat, bool) {
+func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, bool) {
 	if filter != nil || ranking == nil || !e.rawOrderIsFinal(q) {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	plan, ok := rankPlanOf(ranking)
 	if !ok {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	plan.K = q.EffectiveMaxResults()
 	plan.TermWeight = e.cfg.Scorer.TermWeight
 	ranked, dfs, ok := snap.TopKRanked(plan, opts)
 	if !ok {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 
 	// The WAND top document carries the collection's best raw score — the
 	// maxScore top-scaled scorers finalize against.
-	n := snap.NumDocs()
 	maxScore := 0.0
 	if len(ranked) > 0 {
 		maxScore = ranked[0].Sum / plan.Norm
@@ -64,9 +63,7 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 	for i, rt := range plan.Terms {
 		terms[i] = rt.Term
 	}
-	first := firstOccurrences(terms)
 	kept := make([]scoredDoc, 0, len(ranked))
-	stats := make([][]result.TermStat, 0, len(ranked))
 	for _, rd := range ranked {
 		score := e.cfg.Scorer.Finalize(rd.Sum/plan.Norm, maxScore)
 		if score < q.MinScore {
@@ -75,9 +72,9 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 			break
 		}
 		kept = append(kept, scoredDoc{id: rd.ID, score: score})
-		stats = append(stats, e.termStats(terms, first, rd.TFs, dfs, n, snap.TokenCount(rd.ID)))
 	}
-	return kept, stats, true
+	stats, offs := e.termStats(snap, kept, terms, func(k int) []int { return ranked[k].TFs }, dfs)
+	return kept, stats, offs, true
 }
 
 // rankPlanOf flattens a ranking expression into a weighted-term plan:

@@ -90,7 +90,7 @@ func TestRankedFastPathMatchesExhaustive(t *testing.T) {
 					}
 					if !reflect.DeepEqual(fd.TermStats, sd.TermStats) {
 						t.Fatalf("query %d (%v) doc %d (%s): term stats\nfast: %+v\nslow: %+v",
-							qi, wq.Terms, di, fd.Fields["linkage"], fd.TermStats, sd.TermStats)
+							qi, wq.Terms, di, fd.Linkage(), fd.TermStats, sd.TermStats)
 					}
 				}
 			}
@@ -138,7 +138,7 @@ func TestRankedFastPathEligibility(t *testing.T) {
 	snap := e.ix.Snapshot()
 	defer snap.Close()
 	takes := func(q *query.Query, filter, ranking query.Expr) bool {
-		_, _, ok := e.rankedFastPath(snap, q, filter, ranking, opts)
+		_, _, _, ok := e.rankedFastPath(snap, q, filter, ranking, opts)
 		return ok
 	}
 

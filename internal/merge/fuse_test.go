@@ -16,8 +16,8 @@ func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []merged {
 		d := &result.Document{
 			RawScore: float64(rng.Intn(8)) / 4, // coarse: plenty of score ties
 			Sources:  []string{fmt.Sprintf("S%d", rng.Intn(sourceSpace))},
-			Fields: map[attr.Field]string{
-				attr.FieldLinkage: fmt.Sprintf("http://x/%d", rng.Intn(urlSpace)),
+			Fields: []result.FieldValue{
+				{Field: attr.FieldLinkage, Value: fmt.Sprintf("http://x/%d", rng.Intn(urlSpace))},
 			},
 		}
 		items[i] = merged{doc: d, score: d.RawScore, order: i}
@@ -86,7 +86,7 @@ func TestFuseLateDuplicateSurvivesLimit(t *testing.T) {
 			doc: &result.Document{
 				RawScore: score,
 				Sources:  []string{fmt.Sprintf("S%d", order)},
-				Fields:   map[attr.Field]string{attr.FieldLinkage: url},
+				Fields:   []result.FieldValue{{Field: attr.FieldLinkage, Value: url}},
 			},
 			score: score,
 			order: order,
@@ -112,6 +112,26 @@ func TestFuseLateDuplicateSurvivesLimit(t *testing.T) {
 	}
 	if out[1].Linkage() != "http://x/a" {
 		t.Fatalf("rank 2 = %s, want http://x/a", out[1].Linkage())
+	}
+}
+
+// TestFusePromotesStatisticsTogether: when a better-scoring copy of a
+// linkage arrives second, the fused document reports that copy's
+// statistics whole — its term frequencies with its own length — so a
+// broker that merges this answer again divides tf by the right count.
+func TestFusePromotesStatisticsTogether(t *testing.T) {
+	copyOf := func(source string, score float64, tf, count, size int) SourceResult {
+		d := doc("http://x/shared", score, stat(attr.FieldBodyOfText, "databases", tf, 0.5, 3))
+		d.Sources, d.Count, d.Size = []string{source}, count, size
+		return SourceResult{SourceID: source, Results: &result.Results{Documents: []*result.Document{d}}}
+	}
+	out := RawScore{}.Merge(nil, []SourceResult{copyOf("A", 0.2, 1, 100, 1), copyOf("B", 0.9, 40, 5000, 30)})
+	if len(out) != 1 {
+		t.Fatalf("fused %d documents, want 1", len(out))
+	}
+	if d := out[0]; d.RawScore != 0.9 || d.TermStats[0].Freq != 40 || d.Count != 5000 || d.Size != 30 {
+		t.Errorf("fused document reports score %v, tf %d, count %d, size %d; want B's 0.9, 40, 5000, 30",
+			d.RawScore, d.TermStats[0].Freq, d.Count, d.Size)
 	}
 }
 

@@ -44,9 +44,9 @@ type merged struct {
 	order int // arrival order for stable ties
 }
 
-// fuse collapses duplicates by linkage, keeping the best score and
-// accumulating source attributions, then ranks by score (descending)
-// with arrival order as the tiebreak. It works in items, which it owns.
+// fuse collapses duplicates by linkage, keeping the best-scoring copy's
+// statistics and accumulating source attributions, then ranks by score
+// (descending) with arrival order as the tiebreak. It works in items, which it owns.
 // A positive limit caps the rank: duplicates are still collapsed over the full input (a late arrival may
 // raise an early document's score), but only the best limit documents
 // are ordered and returned — bounded-heap selection instead of a full
@@ -61,8 +61,8 @@ func fuse(items []merged, limit int) []*result.Document {
 			prev.doc.Sources = appendMissing(prev.doc.Sources, it.doc.Sources)
 			if it.score > prev.score {
 				prev.score = it.score
-				prev.doc.RawScore = it.doc.RawScore
-				prev.doc.TermStats = it.doc.TermStats
+				prev.doc.RawScore, prev.doc.TermStats = it.doc.RawScore, it.doc.TermStats
+				prev.doc.Size, prev.doc.Count = it.doc.Size, it.doc.Count // tf is over this length
 			}
 			continue
 		}

@@ -14,7 +14,7 @@ import (
 func doc(url string, score float64, stats ...result.TermStat) *result.Document {
 	return &result.Document{
 		RawScore:  score,
-		Fields:    map[attr.Field]string{attr.FieldLinkage: url},
+		Fields:    []result.FieldValue{{Field: attr.FieldLinkage, Value: url}},
 		TermStats: stats,
 		Count:     10000,
 	}

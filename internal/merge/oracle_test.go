@@ -110,8 +110,8 @@ func oracleFuse(items []*merged, limit int) []*result.Document {
 			prev.doc.Sources = appendMissing(prev.doc.Sources, it.doc.Sources)
 			if it.score > prev.score {
 				prev.score = it.score
-				prev.doc.RawScore = it.doc.RawScore
-				prev.doc.TermStats = it.doc.TermStats
+				prev.doc.RawScore, prev.doc.TermStats = it.doc.RawScore, it.doc.TermStats
+				prev.doc.Size, prev.doc.Count = it.doc.Size, it.doc.Count
 			}
 			continue
 		}
@@ -166,7 +166,7 @@ func oracleInputs(seed int64) (a, b []SourceResult) {
 				doc := &result.Document{
 					RawScore: rng.Float64(), Count: rng.Intn(3000),
 					Sources: []string{in.SourceID},
-					Fields:  map[attr.Field]string{attr.FieldLinkage: fmt.Sprintf("http://x/%d", rng.Intn(25))},
+					Fields:  []result.FieldValue{{Field: attr.FieldLinkage, Value: fmt.Sprintf("http://x/%d", rng.Intn(25))}},
 				}
 				for l := 0; l < rng.Intn(5); l++ {
 					doc.TermStats = append(doc.TermStats, result.TermStat{

@@ -497,7 +497,8 @@ func parseTokenizerList(v string) ([]TokenizerUse, error) {
 	return out, nil
 }
 
-// bracketGroups splits "[a b] [c]" style values into their group bodies.
+// bracketGroups splits "[a b] [c]" style values into their group bodies. A
+// body opens no group: combinations find theirs by delimiter.
 func bracketGroups(v string, open, close byte) ([]string, error) {
 	var groups []string
 	rest := strings.TrimSpace(v)
@@ -506,8 +507,8 @@ func bracketGroups(v string, open, close byte) ([]string, error) {
 			return nil, fmt.Errorf("expected %q at %q", open, rest)
 		}
 		end := strings.IndexByte(rest, close)
-		if end < 0 {
-			return nil, fmt.Errorf("unterminated %q group in %q", open, rest)
+		if end < 0 || strings.ContainsAny(rest[1:end], "[{(") {
+			return nil, fmt.Errorf("unterminated or nested %q group in %q", open, rest)
 		}
 		groups = append(groups, rest[1:end])
 		rest = strings.TrimSpace(rest[end+1:])
@@ -558,7 +559,7 @@ func parseScoreRange(v string) (min, max float64, err error) {
 }
 
 // parseScore accepts plain floats and the ±Infinity spellings the
-// specification allows.
+// specification allows; NaN bounds nothing.
 func parseScore(s string) (float64, error) {
 	switch strings.ToLower(s) {
 	case "-infinity", "-inf":
@@ -567,8 +568,8 @@ func parseScore(s string) (float64, error) {
 		return math.Inf(1), nil
 	}
 	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("meta: score %q: %w", s, err)
+	if err != nil || math.IsNaN(f) {
+		return 0, fmt.Errorf("meta: score %q is not a number", s)
 	}
 	return f, nil
 }

@@ -145,7 +145,7 @@ func (c *ContentSummary) ToSOIF() *soif.Object {
 	o.Add("NumDocs", strconv.Itoa(c.NumDocs))
 	for i := range c.Groups {
 		g := &c.Groups[i]
-		if c.FieldsQualified {
+		if g.Field != "" {
 			o.Add("Field", string(attr.Normalize(g.Field)))
 		}
 		if !g.Language.IsZero() {

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,14 +30,19 @@ var paperExpressions = []string{
 
 // fuzzParse is the property both targets check: whatever the input, the
 // parser returns (never panics, never exhausts the stack), and what it
-// accepts prints to a form that parses again and prints the same.
+// accepts prints to a form that parses again and prints the same. Both
+// also hold ScanTerm, whose common form builds no node, to the whole
+// parse it replaced (scanTermOracle).
 func fuzzParse(f *testing.F, parse func(string) (Expr, error)) {
 	for _, src := range paperExpressions {
 		f.Add(src)
 	}
 	f.Add(strings.Repeat("(", 4*maxNesting))
 	f.Add(strings.Repeat("list(", 4*maxNesting))
+	f.Add(`((("a" 0.5)) 0.25) 10 0.31 190`)
+	f.Add(`((title stem "a")) and`)
 	f.Fuzz(func(t *testing.T, src string) {
+		requireScanTermMatchesOracle(t, src)
 		e, err := parse(src)
 		if err != nil || e == nil {
 			return
@@ -77,5 +84,34 @@ func TestParseNestingBound(t *testing.T) {
 	}
 	if _, err := ParseFilter(`("a" and ` + ok + `)`); err == nil {
 		t.Errorf("%d levels of and accepted", maxNesting)
+	}
+}
+
+// scanTermOracle is ScanTerm as it was: a whole expression parsed, then
+// required to be a term.
+func scanTermOracle(src string) (Term, string, error) {
+	p := &parser{src: src}
+	e, err := p.parseExpr()
+	if err != nil {
+		return Term{}, "", err
+	}
+	te, ok := e.(*TermExpr)
+	if !ok {
+		return Term{}, "", fmt.Errorf("query: expected a term, found %s", e)
+	}
+	return te.Term, p.rest(), nil
+}
+
+// requireScanTermMatchesOracle: ScanTerm returns what its oracle returns
+// for src — the same term and remainder, or the same error.
+func requireScanTermMatchesOracle(t *testing.T, src string) {
+	t.Helper()
+	tm, rest, err := ScanTerm(src)
+	otm, orest, oerr := scanTermOracle(src)
+	if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
+		t.Fatalf("ScanTerm(%q): error %v, oracle %v", src, err, oerr)
+	}
+	if !reflect.DeepEqual(tm, otm) || rest != orest {
+		t.Fatalf("ScanTerm(%q) = %+v, %q; oracle %+v, %q", src, tm, rest, otm, orest)
 	}
 }

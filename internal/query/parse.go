@@ -53,6 +53,16 @@ func ParseRanking(src string) (Expr, error) {
 // in exactly this syntax: (body-of-text "distributed") 10 0.31 190.
 func ScanTerm(src string) (Term, string, error) {
 	p := &parser{src: src}
+	// (field mod* lstring weight?), the form of TermStats lines, needs no node.
+	if p.skipSpace(); p.peek() == '(' {
+		p.pos++
+		if p.skipSpace(); isTermLead(p.peek()) && !strings.EqualFold(p.peekWord(), "list") {
+			if t, err := p.parseTermBody(); err == nil {
+				return t, p.rest(), nil
+			}
+		}
+		p.pos = 0
+	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return Term{}, "", err
@@ -165,7 +175,11 @@ func (p *parser) parseParen() (Expr, error) {
 	c := p.peek()
 	if isTermLead(c) && !strings.EqualFold(p.peekWord(), "list") {
 		// (field mod* lstring weight?) — an atomic term.
-		return p.parseTermBody()
+		t, err := p.parseTermBody()
+		if err != nil {
+			return nil, err
+		}
+		return &TermExpr{t}, nil
 	}
 	// Otherwise the paren wraps one or two sub-expressions.
 	left, err := p.parseExpr()
@@ -298,7 +312,7 @@ func (p *parser) parseList() (Expr, error) {
 
 // parseTermBody parses `field? mod* lstring weight? )` with the opening
 // paren already consumed.
-func (p *parser) parseTermBody() (Expr, error) {
+func (p *parser) parseTermBody() (Term, error) {
 	var t Term
 	fieldSet := false
 	modSeen := false
@@ -310,7 +324,7 @@ func (p *parser) parseTermBody() (Expr, error) {
 		}
 		word := p.scanWordOrSymbol()
 		if word == "" {
-			return nil, fmt.Errorf("expected field, modifier or string at offset %d, found %q", p.pos, clip(p.rest()))
+			return t, fmt.Errorf("expected field, modifier or string at offset %d, found %q", p.pos, clip(p.rest()))
 		}
 		if _, isMod := attr.LookupModifier(word); isMod {
 			t.Mods = append(t.Mods, attr.Modifier(strings.ToLower(word)))
@@ -318,31 +332,26 @@ func (p *parser) parseTermBody() (Expr, error) {
 			continue
 		}
 		if fieldSet {
-			return nil, fmt.Errorf("term has two fields: %q and %q", t.Field, word)
+			return t, fmt.Errorf("term has two fields: %q and %q", t.Field, word)
 		}
 		if modSeen {
-			return nil, fmt.Errorf("field %q must precede modifiers", word)
+			return t, fmt.Errorf("field %q must precede modifiers", word)
 		}
 		t.Field = attr.Normalize(attr.Field(word))
 		fieldSet = true
 	}
 	ls, err := p.scanLString()
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	t.Value = ls
 	p.skipSpace()
 	if isDigit(p.peek()) {
-		w, err := p.scanNumber()
-		if err != nil {
-			return nil, err
+		if t.Weight, err = p.scanNumber(); err != nil {
+			return t, err
 		}
-		t.Weight = w
 	}
-	if err := p.expect(')'); err != nil {
-		return nil, err
-	}
-	return &TermExpr{t}, nil
+	return t, p.expect(')')
 }
 
 func (p *parser) scanLString() (lang.LString, error) {

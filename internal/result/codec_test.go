@@ -30,20 +30,16 @@ func TestCodecAllocBudget(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"encode Example 8", 8, func() { _ = enc.Encode(doc.toSOIF()) }},
-		{"decode Example 8", 11, func() {
+		{"encode Example 8", 7, func() { _ = enc.Encode(doc.toSOIF()) }},
+		{"decode Example 8", 9, func() {
 			if rd.Len() == 0 {
 				rd.Reset(stream)
 			}
-			o, err := dec.Decode()
-			if err == nil {
-				_, err = docFromSOIF(o)
-			}
-			if err != nil {
+			if _, err := decodeDocs(1, dec.Decode); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"ParseTermStats of 3 terms", 5, func() {
+		{"ParseTermStats of 3 terms", 3, func() {
 			if s, err := ParseTermStats(stats); err != nil || len(s) != 3 {
 				t.Fatal(s, err)
 			}
@@ -55,5 +51,43 @@ func TestCodecAllocBudget(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocations (budget %v)", b.name, got, b.ceiling)
 		}
+	}
+}
+
+// TestDecodeAnswerAllocatesSlabsOnce: decoding an answer costs, beyond
+// what the SOIF decoder allocates for the objects and their strings, a
+// constant number of objects — the header's and the slabs' — plus each
+// document's Sources list: no map, no struct and no TermStats slice per
+// document.
+func TestDecodeAnswerAllocatesSlabsOnce(t *testing.T) {
+	rd := bytes.NewReader(nil)
+	beyondSOIF := func(n int) float64 {
+		docs := make([]*Document, n)
+		for i := range docs {
+			docs[i] = source1Doc()
+		}
+		answer := &Results{Sources: []string{"Source-1"}, ActualRanking: paperAnswer().ActualRanking, Documents: docs}
+		wire := marshalAll(answer.ToSOIF()...)
+		all := testing.AllocsPerRun(50, func() {
+			rd.Reset(wire)
+			if r, err := decodeResults(soif.NewDecoder(rd), nil); err != nil || len(r.Documents) != n {
+				t.Fatal(r, err)
+			}
+		})
+		objects := testing.AllocsPerRun(50, func() {
+			rd.Reset(wire)
+			dec := soif.NewDecoder(rd)
+			for i := 0; i <= n; i++ {
+				if _, err := dec.Decode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		return all - objects
+	}
+	ten, twenty := beyondSOIF(10), beyondSOIF(20)
+	t.Logf("beyond the SOIF objects: %v allocations for 10 documents, %v for 20", ten, twenty)
+	if twenty-ten != 10 {
+		t.Errorf("ten more documents cost %v allocations beyond their objects, want 10 (their Sources lists)", twenty-ten)
 	}
 }

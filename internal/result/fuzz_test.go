@@ -84,20 +84,53 @@ func requireAllocBound(t *testing.T, data []byte, decode func()) {
 // lies are document counts the two documents that follow do not bear out.
 var lies = []string{"3", "1000000", "4611686018427387904", "-1", "two"}
 
+// batchSeeds is the seed corpus of FuzzDecodeBatchItem: a result, an item
+// error, an object of the wrong type, lying counts, a TermStats value
+// stuffed with newlines.
+func batchSeeds() [][]byte {
+	answer := paperAnswer()
+	seeds := [][]byte{
+		join(head(BatchItemType, "Index", "2"), withCount(answer, "2")),
+		head(BatchItemType, "Index", "0", "Error", "unsupported field"),
+		join(head(BatchItemType, "Index", "1"), []byte(paperQuery)),
+	}
+	for _, lie := range lies {
+		seeds = append(seeds, join(head(BatchItemType, "Index", "0"), withCount(answer, lie)))
+	}
+	return append(seeds, join(head(BatchItemType, "Index", "0"), head(ResultsType, "NumDocSOIFs", "1"), stuffed(128<<10)))
+}
+
+// streamSeeds is the seed corpus of FuzzDecodeStreamItem: every kind of
+// frame, a plain answer, an object of the wrong type, lying counts and a
+// stuffed TermStats value.
+func streamSeeds() [][]byte {
+	answer := paperAnswer()
+	docs := marshalAll(answer.ToSOIF()[1:]...)
+	seeds := [][]byte{
+		join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", "2"), docs),
+		head(StreamItemType, "Rank", "7", "NumDocSOIFs", "0"),
+		join(head(StreamItemType, "Final", "1"), withCount(answer, "2")),
+		head(StreamItemType, "Error", "merge failed"),
+		withCount(answer, "2"), // a plain answer is a legal stream
+		[]byte(paperQuery),
+	}
+	for _, lie := range lies {
+		seeds = append(seeds,
+			join(head(StreamItemType, "Final", "1"), withCount(answer, lie)),
+			join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", lie), docs))
+	}
+	return append(seeds, join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", "1"), stuffed(128<<10)))
+}
+
 // FuzzDecodeBatchItem: whatever the bytes, the batch frame decoder returns
 // (no panic, no allocation the bytes did not pay for — a lying count
 // fails at the first document that is not there); a frame is a result, an
 // item error or a stream error, never two of them; and a decoded result,
 // encoded, decodes to a result that encodes to the same bytes.
 func FuzzDecodeBatchItem(f *testing.F) {
-	answer := paperAnswer()
-	f.Add(join(head(BatchItemType, "Index", "2"), withCount(answer, "2")))
-	f.Add(head(BatchItemType, "Index", "0", "Error", "unsupported field"))
-	f.Add(join(head(BatchItemType, "Index", "1"), []byte(paperQuery)))
-	for _, lie := range lies {
-		f.Add(join(head(BatchItemType, "Index", "0"), withCount(answer, lie)))
+	for _, seed := range batchSeeds() {
+		f.Add(seed)
 	}
-	f.Add(join(head(BatchItemType, "Index", "0"), head(ResultsType, "NumDocSOIFs", "1"), stuffed(128<<10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			idx          int
@@ -126,19 +159,9 @@ func FuzzDecodeBatchItem(f *testing.F) {
 // decoder, whose frames are documents at a rank, the final answer or an
 // in-band error.
 func FuzzDecodeStreamItem(f *testing.F) {
-	answer := paperAnswer()
-	docs := marshalAll(answer.ToSOIF()[1:]...)
-	f.Add(join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", "2"), docs))
-	f.Add(head(StreamItemType, "Rank", "7", "NumDocSOIFs", "0"))
-	f.Add(join(head(StreamItemType, "Final", "1"), withCount(answer, "2")))
-	f.Add(head(StreamItemType, "Error", "merge failed"))
-	f.Add(withCount(answer, "2")) // a plain answer is a legal stream
-	f.Add([]byte(paperQuery))
-	for _, lie := range lies {
-		f.Add(join(head(StreamItemType, "Final", "1"), withCount(answer, lie)))
-		f.Add(join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", lie), docs))
+	for _, seed := range streamSeeds() {
+		f.Add(seed)
 	}
-	f.Add(join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", "1"), stuffed(128<<10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			it  *StreamItem

@@ -8,6 +8,7 @@
 package result
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -55,7 +56,14 @@ func (s TermStat) append(dst []byte) []byte {
 	return strconv.AppendInt(append(dst, ' '), int64(s.DocFreq), 10)
 }
 
-// Document is one query-result document.
+// FieldValue is one answer field of a result document.
+type FieldValue struct {
+	Field attr.Field
+	Value string
+}
+
+// Document is one query-result document. An answer's documents, their
+// Fields and their TermStats each share one backing slab: read-only views.
 type Document struct {
 	// RawScore is the unnormalized score the source assigned for the
 	// query's ranking expression.
@@ -64,9 +72,9 @@ type Document struct {
 	// resource that eliminated duplicates lists every source that held a
 	// copy.
 	Sources []string
-	// Fields holds the answer fields (title, author, ...). Linkage is
-	// always present.
-	Fields map[attr.Field]string
+	// Fields holds the answer fields (title, author, ...), each once, in
+	// CompareFields order. Linkage is always present.
+	Fields []FieldValue
 	// TermStats has one entry per ranking-expression term.
 	TermStats []TermStat
 	// Size is the document size in KBytes.
@@ -76,22 +84,33 @@ type Document struct {
 	Count int
 }
 
-// Linkage returns the document URL.
-func (d *Document) Linkage() string { return d.Fields[attr.FieldLinkage] }
-
-// Title returns the document title, if it was an answer field.
-func (d *Document) Title() string { return d.Fields[attr.FieldTitle] }
-
-// Stat returns the term statistics for the given term text (matched
-// case-insensitively against the stat's l-string), and whether they exist.
-func (d *Document) Stat(text string) (TermStat, bool) {
-	for _, s := range d.TermStats {
-		if strings.EqualFold(s.Term.Value.Text, text) {
-			return s, true
+// Field returns the value of answer field f (normalized), if present.
+func (d *Document) Field(f attr.Field) string {
+	for _, fv := range d.Fields {
+		if fv.Field == f {
+			return fv.Value
 		}
 	}
-	return TermStat{}, false
+	return ""
 }
+
+// Linkage returns the document URL.
+func (d *Document) Linkage() string { return d.Field(attr.FieldLinkage) }
+
+// Title returns the document title, if it was an answer field.
+func (d *Document) Title() string { return d.Field(attr.FieldTitle) }
+
+// CompareFields orders answer fields as a Document holds them and the wire
+// prints them: linkage, title, then the rest by name.
+func CompareFields(a, b attr.Field) int {
+	// The rest are at index -1, which sorts last unsigned.
+	if c := cmp.Compare(uint(slices.Index(wireFirst, a)), uint(slices.Index(wireFirst, b))); c != 0 {
+		return c
+	}
+	return strings.Compare(string(a), string(b))
+}
+
+var wireFirst = []attr.Field{attr.FieldLinkage, attr.FieldTitle}
 
 // Results is a complete query result: the header plus the documents.
 type Results struct {
@@ -135,18 +154,19 @@ func (r *Results) Marshal() ([]byte, error) {
 
 // Clone returns a copy of r that is safe to hand to a consumer that
 // mutates merge state: rank merging collapses duplicates by rewriting a
-// document's Sources, RawScore and TermStats in place, so a Results
-// value shared between concurrent searches (conn-level caching, dispatch
-// batching) must be cloned per consumer. The Documents slice, each
-// Document and its Sources slice are copied; Fields maps, TermStat
-// entries and the header expressions are shared and must stay read-only.
+// document's Sources, RawScore, TermStats, Size and Count in place, so a
+// Results value shared between concurrent searches must be cloned per
+// consumer. The documents are copied into one new slab, each with its own
+// Sources; the Fields and TermStats slabs and the header expressions are
+// shared and must stay read-only.
 func (r *Results) Clone() *Results {
 	cp := *r
+	docs := make([]Document, len(r.Documents))
 	cp.Documents = make([]*Document, len(r.Documents))
 	for i, d := range r.Documents {
-		dc := *d
-		dc.Sources = append([]string(nil), d.Sources...)
-		cp.Documents[i] = &dc
+		docs[i] = *d
+		docs[i].Sources = slices.Clone(d.Sources)
+		cp.Documents[i] = &docs[i]
 	}
 	return &cp
 }
@@ -157,26 +177,8 @@ func (d *Document) toSOIF() *soif.Object {
 	o.Add("Version", query.Version)
 	o.Add("RawScore", string(strconv.AppendFloat(buf[:0], d.RawScore, 'g', -1, 64)))
 	o.Add("Sources", strings.Join(d.Sources, " "))
-	// Linkage and title first (the always-present and default answer
-	// fields), then the rest alphabetically, for stable output.
-	rest := len(d.Fields)
-	for _, f := range [...]attr.Field{attr.FieldLinkage, attr.FieldTitle} {
-		if v, ok := d.Fields[f]; ok {
-			o.Add(string(f), v)
-			rest--
-		}
-	}
-	if rest > 0 {
-		fields := make([]attr.Field, 0, rest)
-		for f := range d.Fields {
-			if f != attr.FieldLinkage && f != attr.FieldTitle {
-				fields = append(fields, f)
-			}
-		}
-		slices.Sort(fields)
-		for _, f := range fields {
-			o.Add(string(f), d.Fields[f])
-		}
+	for _, fv := range d.Fields {
+		o.Add(string(fv.Field), fv.Value)
 	}
 	if len(d.TermStats) > 0 {
 		lines := buf[:0]
@@ -219,15 +221,9 @@ func FromSOIF(objs []*soif.Object) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(objs) > 1 {
-		r.Documents = make([]*Document, 0, len(objs)-1)
-	}
-	for i, o := range objs[1:] {
-		d, err := docFromSOIF(o)
-		if err != nil {
-			return nil, fmt.Errorf("result: document %d: %w", i, err)
-		}
-		r.Documents = append(r.Documents, d)
+	i := 0
+	if r.Documents, err = decodeDocs(len(objs)-1, func() (*soif.Object, error) { i++; return objs[i], nil }); err != nil {
+		return nil, fmt.Errorf("result: %w", err)
 	}
 	if head.Has("NumDocSOIFs") {
 		n, err := count(head, "NumDocSOIFs")
@@ -273,39 +269,68 @@ func headerFromSOIF(head *soif.Object) (*Results, error) {
 	return r, nil
 }
 
-func docFromSOIF(o *soif.Object) (*Document, error) {
+// slabs holds an answer's documents, answer fields and term statistics, a
+// slice each. A document's Fields and TermStats are capped views of the
+// slab as it stood when the document was added; the first document sizes
+// the slabs for the rest, as the query fixes their fields and terms.
+type slabs struct {
+	docs   []Document
+	fields []FieldValue
+	stats  []TermStat
+}
+
+// add decodes one @SQRDocument onto the slabs.
+func (s *slabs) add(o *soif.Object) error {
 	if !strings.EqualFold(o.Type, DocumentType) {
-		return nil, fmt.Errorf("expected @%s, found @%s", DocumentType, o.Type)
+		return fmt.Errorf("expected @%s, found @%s", DocumentType, o.Type)
 	}
-	// Everything but the six attributes named below is an answer field.
-	d := &Document{Fields: make(map[attr.Field]string, max(0, len(o.Attrs)-6))}
+	if len(s.docs) == 0 {
+		s.fields = make([]FieldValue, 0, len(o.Attrs))
+	}
+	var d Document
+	f0, s0 := len(s.fields), len(s.stats)
 	var err error
 	for _, a := range o.Attrs {
 		switch {
 		case strings.EqualFold(a.Name, "Version"):
 		case strings.EqualFold(a.Name, "RawScore"):
 			if d.RawScore, err = strconv.ParseFloat(strings.TrimSpace(a.Value), 64); err != nil {
-				return nil, fmt.Errorf("RawScore %q: %w", a.Value, err)
+				return fmt.Errorf("RawScore %q: %w", a.Value, err)
 			}
 		case strings.EqualFold(a.Name, "Sources"):
 			d.Sources = strings.Fields(a.Value)
 		case strings.EqualFold(a.Name, "TermStats"):
-			if d.TermStats, err = ParseTermStats(a.Value); err != nil {
-				return nil, err
+			// A repeated TermStats replaces the earlier one.
+			if s.stats, err = appendTermStats(s.stats[:s0], a.Value); err != nil {
+				return err
 			}
 		case strings.EqualFold(a.Name, "DocSize"):
 			if d.Size, err = strconv.Atoi(strings.TrimSpace(a.Value)); err != nil {
-				return nil, fmt.Errorf("DocSize %q: %w", a.Value, err)
+				return fmt.Errorf("DocSize %q: %w", a.Value, err)
 			}
 		case strings.EqualFold(a.Name, "DocCount"):
 			if d.Count, err = strconv.Atoi(strings.TrimSpace(a.Value)); err != nil {
-				return nil, fmt.Errorf("DocCount %q: %w", a.Value, err)
+				return fmt.Errorf("DocCount %q: %w", a.Value, err)
 			}
 		default:
-			d.Fields[attr.Normalize(attr.Field(a.Name))] = a.Value
+			s.fields = append(s.fields, FieldValue{attr.Normalize(attr.Field(a.Name)), a.Value})
 		}
 	}
-	return d, nil
+	// Wire order, a repeated field's last value (reversed, first in a stable sort).
+	own := s.fields[f0:]
+	slices.Reverse(own)
+	slices.SortStableFunc(own, func(a, b FieldValue) int { return CompareFields(a.Field, b.Field) })
+	n := len(slices.CompactFunc(own, func(a, b FieldValue) bool { return a.Field == b.Field }))
+	d.Fields, s.fields = own[:n:n], s.fields[:f0+n]
+	if n := len(s.stats); n > s0 {
+		d.TermStats = s.stats[s0:n:n]
+	}
+	if s.docs = append(s.docs, d); len(s.docs) == 1 {
+		rest := cap(s.docs) - 1
+		s.fields = slices.Grow(s.fields, min(rest*len(d.Fields), maxDocsHint))
+		s.stats = slices.Grow(s.stats, min(rest*len(d.TermStats), maxDocsHint))
+	}
+	return nil
 }
 
 // maxStatsHint caps what ParseTermStats reserves on the strength of a
@@ -317,14 +342,18 @@ const maxStatsHint = 32
 // whitespace-separated entries of the form
 //
 //	(body-of-text "distributed") 10 0.31 190
-func ParseTermStats(v string) ([]TermStat, error) {
+func ParseTermStats(v string) ([]TermStat, error) { return appendTermStats(nil, v) }
+
+// appendTermStats is ParseTermStats appending to dst, an answer's stat
+// slab; it returns nil on error.
+func appendTermStats(dst []TermStat, v string) ([]TermStat, error) {
 	rest := strings.TrimSpace(v)
 	if rest == "" {
-		return nil, nil
+		return dst, nil
 	}
 	// The encoder puts one entry on a line; a line that is not an entry
 	// reserves nothing past maxStatsHint (longer lists grow by append).
-	stats := make([]TermStat, 0, min(1+strings.Count(rest, "\n"), maxStatsHint))
+	dst = slices.Grow(dst, min(1+strings.Count(rest, "\n"), maxStatsHint))
 	for rest != "" {
 		term, after, err := query.ScanTerm(rest)
 		if err != nil {
@@ -351,10 +380,10 @@ func ParseTermStats(v string) ([]TermStat, error) {
 		if s.DocFreq, err = strconv.Atoi(tok); err != nil {
 			return nil, fmt.Errorf("TermStats docfreq %q: %w", tok, err)
 		}
-		stats = append(stats, s)
+		dst = append(dst, s)
 		rest = strings.TrimLeftFunc(after, unicode.IsSpace)
 	}
-	return stats, nil
+	return dst, nil
 }
 
 // nextToken splits one whitespace-delimited token off the front of s,

@@ -18,10 +18,10 @@ func source1Doc() *Document {
 	return &Document{
 		RawScore: 0.82,
 		Sources:  []string{"Source-1"},
-		Fields: map[attr.Field]string{
-			attr.FieldLinkage: "http://www-db.stanford.edu/~ullman/pub/dood.ps",
-			attr.FieldTitle:   "A Comparison Between Deductive and Object-Oriented Database Systems",
-			attr.FieldAuthor:  "Jeffrey D. Ullman",
+		Fields: []FieldValue{
+			{attr.FieldLinkage, "http://www-db.stanford.edu/~ullman/pub/dood.ps"},
+			{attr.FieldTitle, "A Comparison Between Deductive and Object-Oriented Database Systems"},
+			{attr.FieldAuthor, "Jeffrey D. Ullman"},
 		},
 		TermStats: []TermStat{
 			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("distributed")), Freq: 10, Weight: 0.31, DocFreq: 190},
@@ -37,10 +37,10 @@ func source2Doc() *Document {
 	return &Document{
 		RawScore: 0.27,
 		Sources:  []string{"Source-2"},
-		Fields: map[attr.Field]string{
-			attr.FieldLinkage: "http://elib.stanford.edu/lagunita.ps",
-			attr.FieldTitle:   "Database Research: Achievements and Opportunities into the 21st. Century",
-			attr.FieldAuthor:  "Avi Silberschatz, Mike Stonebraker, Jeff Ullman",
+		Fields: []FieldValue{
+			{attr.FieldLinkage, "http://elib.stanford.edu/lagunita.ps"},
+			{attr.FieldTitle, "Database Research: Achievements and Opportunities into the 21st. Century"},
+			{attr.FieldAuthor, "Avi Silberschatz, Mike Stonebraker, Jeff Ullman"},
 		},
 		TermStats: []TermStat{
 			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("distributed")), Freq: 20, Weight: 0.12, DocFreq: 901},
@@ -128,11 +128,8 @@ func TestPaperExample9Stats(t *testing.T) {
 	if d2.RawScore >= d1.RawScore {
 		t.Fatal("example premise broken: d2 must have lower raw score")
 	}
-	s1d, _ := d1.Stat("distributed")
-	s2d, _ := d2.Stat("distributed")
-	s1b, _ := d1.Stat("databases")
-	s2b, _ := d2.Stat("databases")
-	if !(s2d.Freq > s1d.Freq && s2b.Freq > s1b.Freq) {
+	// TermStats[0] is "distributed", [1] "databases".
+	if !(d2.TermStats[0].Freq > d1.TermStats[0].Freq && d2.TermStats[1].Freq > d1.TermStats[1].Freq) {
 		t.Fatal("example premise broken: d2 must have higher term frequencies")
 	}
 	// Round trip both documents.
@@ -153,16 +150,6 @@ func TestPaperExample9Stats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Documents[1].Sources, []string{"Source-2"}) {
 		t.Errorf("d2 sources = %v", back.Documents[1].Sources)
-	}
-}
-
-func TestStatLookup(t *testing.T) {
-	d := source1Doc()
-	if s, ok := d.Stat("DISTRIBUTED"); !ok || s.Freq != 10 {
-		t.Errorf("Stat lookup = %+v, %v", s, ok)
-	}
-	if _, ok := d.Stat("missing"); ok {
-		t.Error("Stat found a missing term")
 	}
 }
 
@@ -265,9 +252,9 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		d := &Document{
 			RawScore: float64(r.Intn(1000)) / 100,
 			Sources:  []string{"S1"},
-			Fields: map[attr.Field]string{
-				attr.FieldLinkage: "http://example.com/doc",
-				attr.FieldTitle:   "Title with\nnewline and {braces}",
+			Fields: []FieldValue{
+				{attr.FieldLinkage, "http://example.com/doc"},
+				{attr.FieldTitle, "Title with\nnewline and {braces}"},
 			},
 			Size:  1 + r.Intn(1000),
 			Count: 1 + r.Intn(100000),

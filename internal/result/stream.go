@@ -131,7 +131,7 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		docs, err := decodeDocs(dec, n)
+		docs, err := decodeDocs(n, dec.Decode)
 		if err != nil {
 			return nil, fmt.Errorf("result: stream frame at rank %d: %w", rank, err)
 		}
@@ -158,29 +158,34 @@ func count(o *soif.Object, name string) (int, error) {
 	return n, nil
 }
 
-// maxDocsHint caps the capacity a wire-declared NumDocSOIFs may reserve
-// before any document has been decoded. The count comes from a remote
-// source; the decode loop, not the header, proves it, so a lying header
-// costs one bounded allocation and then fails on the first object that
-// is not there. Answers longer than the cap grow by append.
+// maxDocsHint caps the entries a wire-declared NumDocSOIFs may reserve in
+// each of an answer's slabs before any document has been decoded. The
+// count comes from a remote source; the decode loop, not the header,
+// proves it, so a lying header costs bounded allocations and then fails
+// on the first object that is not there. Answers longer than the cap grow
+// by append.
 const maxDocsHint = 1024
 
-// decodeDocs reads the n documents a header promised, each as it arrives.
-func decodeDocs(dec *soif.Decoder, n int) ([]*Document, error) {
-	var docs []*Document
-	if n > 0 {
-		docs = make([]*Document, 0, min(n, maxDocsHint))
+// decodeDocs decodes the n documents a header promised, each as next
+// yields it, onto one answer's slabs.
+func decodeDocs(n int, next func() (*soif.Object, error)) ([]*Document, error) {
+	if n == 0 {
+		return nil, nil
 	}
+	// The header's count is a claim: no slab reserves over maxDocsHint.
+	s := slabs{docs: make([]Document, 0, min(n, maxDocsHint))}
 	for i := 0; i < n; i++ {
-		o, err := dec.Decode()
+		o, err := next()
 		if err != nil {
 			return nil, fmt.Errorf("document %d of %d: %w", i, n, err)
 		}
-		d, err := docFromSOIF(o)
-		if err != nil {
+		if err := s.add(o); err != nil {
 			return nil, fmt.Errorf("document %d: %w", i, err)
 		}
-		docs = append(docs, d)
+	}
+	docs := make([]*Document, n) // now that their slab no longer moves
+	for i := range docs {
+		docs[i] = &s.docs[i]
 	}
 	return docs, nil
 }
@@ -203,7 +208,7 @@ func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Documents, err = decodeDocs(dec, n); err != nil {
+	if r.Documents, err = decodeDocs(n, dec.Decode); err != nil {
 		return nil, fmt.Errorf("result: %w", err)
 	}
 	return r, nil

@@ -285,26 +285,17 @@ func PostFilter(docs []*result.Document, dropped []query.Term) (kept []*result.D
 	return kept, unverifiable
 }
 
-// docMatches checks a term against a result document's returned fields
-// with simple case-insensitive word containment.
+// docMatches checks a term against the result document's returned field
+// of the term's field — every one for "any" — with simple case-insensitive
+// word containment.
 func docMatches(d *result.Document, t query.Term) bool {
-	var texts []string
-	switch t.EffectiveField() {
-	case attr.FieldTitle:
-		texts = []string{d.Fields[attr.FieldTitle]}
-	case attr.FieldAuthor:
-		texts = []string{d.Fields[attr.FieldAuthor]}
-	case attr.FieldAny:
-		for _, v := range d.Fields {
-			texts = append(texts, v)
-		}
-	}
+	f := t.EffectiveField()
 	needle := strings.ToLower(t.Value.Text)
-	for _, txt := range texts {
-		if txt == "" {
+	for _, fv := range d.Fields {
+		if f != attr.FieldAny && fv.Field != f || fv.Value == "" {
 			continue
 		}
-		hay := strings.ToLower(txt)
+		hay := strings.ToLower(fv.Value)
 		for from := 0; ; {
 			idx := strings.Index(hay[from:], needle)
 			if idx < 0 {

@@ -212,10 +212,10 @@ func TestListCollapse(t *testing.T) {
 }
 
 func mkDoc(title, author string) *result.Document {
-	return &result.Document{Fields: map[attr.Field]string{
-		attr.FieldLinkage: "http://x/" + title,
-		attr.FieldTitle:   title,
-		attr.FieldAuthor:  author,
+	return &result.Document{Fields: []result.FieldValue{
+		{Field: attr.FieldLinkage, Value: "http://x/" + title},
+		{Field: attr.FieldTitle, Value: title},
+		{Field: attr.FieldAuthor, Value: author},
 	}}
 }
 
@@ -237,7 +237,7 @@ func TestPostFilterVerification(t *testing.T) {
 	// Word boundaries: "art" must not match "particle" but matches "Art".
 	droppedArt := []query.Term{query.NewTerm(attr.FieldAuthor, lang.L("art"))}
 	keptArt, _ := PostFilter(docs, droppedArt)
-	if len(keptArt) != 1 || keptArt[0].Fields[attr.FieldAuthor] != "Art Smith" {
+	if len(keptArt) != 1 || keptArt[0].Field(attr.FieldAuthor) != "Art Smith" {
 		t.Errorf("boundary check failed: %d kept", len(keptArt))
 	}
 
