@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,17 @@ prof-cold:
 		-memprofile $(PROFDIR)/cold.mem -o $(PROFDIR)/core.test ./internal/core
 	$(GO) tool pprof -top -sample_index=alloc_space -ignore 'coldFleet|analyzeChunk' $(PROFDIR)/core.test $(PROFDIR)/cold.mem | head -60
 
+# prof-wire is prof-cold for the wire: BenchmarkStreamRoundTrip
+# (internal/server: client.HTTPConn against a server over a LocalConn, one
+# ?stream=1 query, a 10-document answer), client and server halves in one
+# process, with every allocation sampled, then the profile's top sites by
+# bytes. The binary and the profile go to PROFDIR.
+prof-wire:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamRoundTrip$$' -benchtime 3000x -memprofilerate 1 \
+		-memprofile $(PROFDIR)/wire.mem -o $(PROFDIR)/server.test ./internal/server
+	$(GO) tool pprof -top -sample_index=alloc_space $(PROFDIR)/server.test $(PROFDIR)/wire.mem | head -60
+
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, overload) under the race detector.
 soak:
@@ -84,7 +95,8 @@ stress:
 # one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
 # the two response frame decoders, the document decoder against the map
-# decoder it replaced (internal/result/oracle_test.go), the two entry
+# decoder it replaced and the appending frame encoders against the object
+# encoders they replaced (internal/result/oracle_test.go), the two entry
 # points of the expression parser behind them all, the cache fingerprint
 # against the printer it replaced (internal/qcache/key_oracle_test.go),
 # the engine's cursor evaluator against its oracle
@@ -95,9 +107,10 @@ stress:
 FUZZ_TARGETS = \
 	internal/server:FuzzDecodeRequest:1s \
 	internal/soif:FuzzSOIFRoundTrip:1s \
-	internal/result:FuzzDecodeBatchItem:800ms \
-	internal/result:FuzzDecodeStreamItem:800ms \
+	internal/result:FuzzDecodeBatchItem:600ms \
+	internal/result:FuzzDecodeStreamItem:600ms \
 	internal/result:FuzzDocFromSOIFMatchesOracle:800ms \
+	internal/result:FuzzFramesMatchOracle:400ms \
 	internal/query:FuzzParseFilter:800ms \
 	internal/query:FuzzParseRanking:800ms \
 	internal/qcache:FuzzCanonicalMatchesOracle:800ms \

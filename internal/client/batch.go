@@ -80,6 +80,7 @@ func (c *Client) QueryBatch(ctx context.Context, url string, qs []*query.Query) 
 // is separate so tests can drive it from an arbitrary reader.
 func (c *Client) decodeBatch(r io.Reader, qs []*query.Query, results []*result.Results, errs []error) {
 	dec := soif.NewDecoder(r)
+	defer dec.Release()
 	seen := 0
 	for seen < len(qs) {
 		idx, res, itemErr, err := result.DecodeBatchItem(dec)

@@ -39,14 +39,14 @@ func encodeFrames(t *testing.T, frames []struct {
 	err error
 }) *bytes.Buffer {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := soif.NewEncoder(&buf)
+	var wire []byte
 	for _, f := range frames {
-		if err := result.EncodeBatchItem(enc, f.idx, f.res, f.err); err != nil {
+		var err error
+		if wire, err = result.AppendBatchItem(wire, f.idx, f.res, f.err); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &buf
+	return bytes.NewBuffer(wire)
 }
 
 // TestDecodeBatchCompletionOrder decodes a stream whose frames arrive
@@ -172,16 +172,15 @@ func TestDecodeBatchProtocolViolations(t *testing.T) {
 // TestBatchItemRoundTrip pins the frame codec both ways, including the
 // error frame.
 func TestBatchItemRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := soif.NewEncoder(&buf)
 	res := &result.Results{Sources: []string{"S"}}
-	if err := result.EncodeBatchItem(enc, 3, res, nil); err != nil {
+	wire, err := result.AppendBatchItem(nil, 3, res, nil)
+	if err == nil {
+		wire, err = result.AppendBatchItem(wire, 1, nil, errors.New("boom"))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := result.EncodeBatchItem(enc, 1, nil, errors.New("boom")); err != nil {
-		t.Fatal(err)
-	}
-	dec := soif.NewDecoder(&buf)
+	dec := soif.NewDecoder(bytes.NewReader(wire))
 	idx, r, itemErr, err := result.DecodeBatchItem(dec)
 	if err != nil || idx != 3 || itemErr != nil || r == nil {
 		t.Fatalf("frame 1 = (%d, %v, %v, %v)", idx, r, itemErr, err)

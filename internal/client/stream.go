@@ -60,6 +60,7 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 	}
 	defer rc.Close()
 	dec := soif.NewDecoder(io.LimitReader(rc, maxResponseBytes))
+	defer dec.Release()
 	var final *result.Results
 	for {
 		it, err := result.DecodeStreamItem(dec)

@@ -135,6 +135,35 @@ func TestFusePromotesStatisticsTogether(t *testing.T) {
 	}
 }
 
+// TestFuseKeepsDecodedSourcesApart: the decoder gives documents whose
+// Sources value repeats one shared list. Merging a duplicate into each of
+// two such documents must leave each with its own attributions — neither
+// append may write into the list the other still holds.
+func TestFuseKeepsDecodedSourcesApart(t *testing.T) {
+	a, b := doc("http://x/a", 0.5), doc("http://x/b", 0.4)
+	a.Sources, b.Sources = []string{"S1"}, []string{"S1"}
+	wire, err := (&result.Results{Sources: []string{"S1"}, Documents: []*result.Document{a, b}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := result.Parse(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := func(source, url string) SourceResult {
+		d := doc(url, 0.1)
+		d.Sources = []string{source}
+		return SourceResult{SourceID: source, Results: &result.Results{Documents: []*result.Document{d}}}
+	}
+	out := RawScore{}.Merge(nil, []SourceResult{{SourceID: "S1", Results: decoded}, dup("S2", "http://x/a"), dup("S3", "http://x/b")})
+	if len(out) != 2 {
+		t.Fatalf("fused %d documents, want 2", len(out))
+	}
+	if got := fmt.Sprint(out[0].Sources, out[1].Sources); got != "[S1 S2] [S1 S3]" {
+		t.Errorf("fused documents attributed %s, want [S1 S2] [S1 S3]", got)
+	}
+}
+
 // TestAppendMissingSetPath exercises the seen-set branch above the
 // threshold against the quadratic semantics: order-preserving union.
 func TestAppendMissingSetPath(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"starts/internal/result"
-	"starts/internal/soif"
 )
 
 // Codec translates cached values to and from wire bytes, so the store
@@ -29,7 +28,7 @@ func (ResultsCodec) Encode(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("peer: ResultsCodec cannot encode %T", v)
 	}
-	return soif.MarshalAll(r.ToSOIF())
+	return r.Marshal()
 }
 
 // Decode implements Codec.

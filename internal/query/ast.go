@@ -107,16 +107,16 @@ func (t Term) Append(dst []byte) []byte {
 // becomes a string; the paper's longest example expression is 61 bytes.
 const printBuf = 256
 
-// appendExpr is the one printer of expressions: it appends e to dst in
+// AppendExpr is the one printer of expressions: it appends e to dst in
 // query syntax.
-func appendExpr(dst []byte, e Expr) []byte {
+func AppendExpr(dst []byte, e Expr) []byte {
 	switch n := e.(type) {
 	case *TermExpr:
 		return n.Term.Append(dst)
 	case *Bin:
-		dst = appendExpr(append(dst, '('), n.L)
+		dst = AppendExpr(append(dst, '('), n.L)
 		dst = append(append(append(dst, ' '), n.Op...), ' ')
-		return append(appendExpr(dst, n.R), ')')
+		return append(AppendExpr(dst, n.R), ')')
 	case *Prox:
 		dst = n.L.Term.Append(append(dst, '('))
 		dst = strconv.AppendInt(append(dst, " prox["...), int64(n.Dist), 10)
@@ -132,7 +132,7 @@ func appendExpr(dst []byte, e Expr) []byte {
 			if i > 0 {
 				dst = append(dst, ' ')
 			}
-			dst = appendExpr(dst, it)
+			dst = AppendExpr(dst, it)
 		}
 		return append(dst, ')')
 	default:
@@ -142,7 +142,7 @@ func appendExpr(dst []byte, e Expr) []byte {
 
 func exprString(e Expr) string {
 	var buf [printBuf]byte
-	return string(appendExpr(buf[:0], e))
+	return string(AppendExpr(buf[:0], e))
 }
 
 // Op is a Boolean(-like) operator combining query expressions.

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"starts/internal/query"
 	"starts/internal/soif"
 )
 
@@ -46,28 +45,17 @@ func (e *BatchItemError) Error() string {
 	return fmt.Sprintf("result: batch item %d failed at source: %s", e.Index, e.Message)
 }
 
-// EncodeBatchItem writes one batch frame to enc: the @SQBatchItem header
+// AppendBatchItem appends one batch frame to dst: the @SQBatchItem header
 // for index, then — when itemErr is nil — r's @SQResults object stream.
 // With a non-nil itemErr the frame carries the error text and no result
 // objects.
-func EncodeBatchItem(enc *soif.Encoder, index int, r *Results, itemErr error) error {
-	head := soif.New(BatchItemType)
-	head.Add("Version", query.Version)
-	head.Add("Index", strconv.Itoa(index))
+func AppendBatchItem(dst []byte, index int, r *Results, itemErr error) ([]byte, error) {
+	var buf [20]byte
+	dst = soif.AppendAttr(begin(dst, BatchItemType), "Index", strconv.AppendInt(buf[:0], int64(index), 10))
 	if itemErr != nil {
-		head.Add("Error", itemErr.Error())
-		return enc.Encode(head)
+		return soif.AppendEnd(soif.AppendAttr(dst, "Error", itemErr.Error())), nil
 	}
-	return encodeAll(enc, head, r.ToSOIF())
-}
-
-// encodeAll writes a frame header and the objects of its frame.
-func encodeAll(enc *soif.Encoder, head *soif.Object, objs []*soif.Object) error {
-	err := enc.Encode(head)
-	for i := 0; err == nil && i < len(objs); i++ {
-		err = enc.Encode(objs[i])
-	}
-	return err
+	return r.AppendSOIF(soif.AppendEnd(dst))
 }
 
 // DecodeBatchItem reads the next complete frame from dec. It returns the

@@ -2,7 +2,10 @@ package result
 
 import (
 	"bytes"
-	"io"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"starts/internal/soif"
@@ -16,26 +19,27 @@ var sink string
 // document; ceilings sit at most one above what is measured.
 func TestCodecAllocBudget(t *testing.T) {
 	doc := source1Doc()
-	wire, err := soif.Marshal(doc.toSOIF())
+	wire, err := doc.appendSOIF(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stream := bytes.Repeat(wire, 64)
 	rd := bytes.NewReader(nil)
 	dec := soif.NewDecoder(rd)
-	enc := soif.NewEncoder(io.Discard)
+	o := new(soif.Object)
+	buf := wire
 	stats := doc.toSOIF().GetDefault("TermStats", "") + "\n(title stem \"databases\" 0.5) 3 0.25 41"
 	for _, b := range []struct {
 		name    string
 		ceiling float64
 		run     func()
 	}{
-		{"encode Example 8", 7, func() { _ = enc.Encode(doc.toSOIF()) }},
-		{"decode Example 8", 9, func() {
+		{"encode Example 8", 0, func() { buf, _ = doc.appendSOIF(buf[:0]) }},
+		{"decode Example 8", 7, func() {
 			if rd.Len() == 0 {
 				rd.Reset(stream)
 			}
-			if _, err := decodeDocs(1, dec.Decode); err != nil {
+			if _, err := decodeDocs(1, into(dec, o)); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -54,40 +58,124 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecodeAnswerAllocatesSlabsOnce: decoding an answer costs, beyond
-// what the SOIF decoder allocates for the objects and their strings, a
-// constant number of objects — the header's and the slabs' — plus each
-// document's Sources list: no map, no struct and no TermStats slice per
-// document.
+// TestDecodeAnswerAllocatesSlabsOnce: decoding an answer costs a constant
+// number of objects — the header's, the slabs', the decoder's — plus one
+// per document, its text: no map, no struct, no TermStats slice and no
+// attribute slice per document, and no Sources list for a document whose
+// Sources value repeats the one before.
 func TestDecodeAnswerAllocatesSlabsOnce(t *testing.T) {
 	rd := bytes.NewReader(nil)
-	beyondSOIF := func(n int) float64 {
+	cost := func(n int, source func(i int) string) float64 {
 		docs := make([]*Document, n)
 		for i := range docs {
 			docs[i] = source1Doc()
+			docs[i].Sources = []string{source(i)}
 		}
 		answer := &Results{Sources: []string{"Source-1"}, ActualRanking: paperAnswer().ActualRanking, Documents: docs}
-		wire := marshalAll(answer.ToSOIF()...)
-		all := testing.AllocsPerRun(50, func() {
+		wire, err := answer.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
 			rd.Reset(wire)
+			// Not released: the pool, which the race detector empties at
+			// random, stays out of the count.
 			if r, err := decodeResults(soif.NewDecoder(rd), nil); err != nil || len(r.Documents) != n {
 				t.Fatal(r, err)
 			}
 		})
-		objects := testing.AllocsPerRun(50, func() {
-			rd.Reset(wire)
-			dec := soif.NewDecoder(rd)
-			for i := 0; i <= n; i++ {
-				if _, err := dec.Decode(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		return all - objects
 	}
-	ten, twenty := beyondSOIF(10), beyondSOIF(20)
-	t.Logf("beyond the SOIF objects: %v allocations for 10 documents, %v for 20", ten, twenty)
+	shared := func(int) string { return "Source-1" }
+	own := func(i int) string { return "Source-" + strconv.Itoa(i) }
+	ten, twenty := cost(10, shared), cost(20, shared)
+	t.Logf("one Sources value: %v allocations for 10 documents, %v for 20", ten, twenty)
 	if twenty-ten != 10 {
-		t.Errorf("ten more documents cost %v allocations beyond their objects, want 10 (their Sources lists)", twenty-ten)
+		t.Errorf("ten more documents cost %v allocations, want 10 (their texts)", twenty-ten)
+	}
+	ten, twenty = cost(10, own), cost(20, own)
+	t.Logf("a Sources value each: %v allocations for 10 documents, %v for 20", ten, twenty)
+	if twenty-ten != 20 {
+		t.Errorf("ten more documents cost %v allocations, want 20 (their texts and Sources lists)", twenty-ten)
+	}
+}
+
+// TestEncodeAnswerAllocatesNothingPerDocument: appending the terminal
+// stream frame of an answer into a buffer with room for it costs the same
+// few allocations for 20 documents as for 10 — nothing per document.
+func TestEncodeAnswerAllocatesNothingPerDocument(t *testing.T) {
+	cost := func(n int) float64 {
+		answer := paperAnswer()
+		answer.Documents = make([]*Document, n)
+		for i := range answer.Documents {
+			answer.Documents[i] = source1Doc()
+		}
+		buf, err := AppendStreamFinal(nil, answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() { buf, _ = AppendStreamFinal(buf[:0], answer) })
+	}
+	ten, twenty := cost(10), cost(20)
+	t.Logf("terminal frame: %v allocations for 10 documents, %v for 20", ten, twenty)
+	if ten != twenty || twenty > 1 {
+		t.Errorf("terminal frame costs %v allocations for 10 documents and %v for 20, want the same, at most 1", ten, twenty)
+	}
+}
+
+// TestEncodeLongFirstDocumentReservesLittle: the first document sizes the
+// buffer for the rest, so a 256 KiB first document followed by 199 short
+// ones must not reserve 199 times its length: encoding allocates a small
+// multiple of what it writes.
+func TestEncodeLongFirstDocumentReservesLittle(t *testing.T) {
+	answer := paperAnswer()
+	answer.Documents = make([]*Document, 200)
+	for i := range answer.Documents {
+		answer.Documents[i] = source1Doc()
+	}
+	long := answer.Documents[0]
+	long.Fields = slices.Clone(long.Fields)
+	long.Fields[2].Value = strings.Repeat("Ullman ", 256<<10/7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wire, err := answer.Marshal()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes written, %d allocated", len(wire), got)
+	if limit := 4 * uint64(len(wire)); got > limit {
+		t.Errorf("encoding %d bytes allocated %d (limit %d)", len(wire), got, limit)
+	}
+}
+
+// TestDecodeIntoMatchesDecode: one object, reused through DecodeInto over
+// every seed of the batch and stream corpora in turn, reads each object as
+// Decode reads it into a fresh one — an object with fewer attributes than
+// the one before included, of which it keeps nothing.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	o, shrank := new(soif.Object), false
+	for i, seed := range append(batchSeeds(), streamSeeds()...) {
+		fresh, reused := soif.NewDecoder(bytes.NewReader(seed)), soif.NewDecoder(bytes.NewReader(seed))
+		for j := 0; ; j++ {
+			had := len(o.Attrs)
+			want, werr := fresh.Decode()
+			gerr := reused.DecodeInto(o)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("seed %d object %d: DecodeInto error %v, Decode error %v", i, j, gerr, werr)
+			}
+			if werr != nil {
+				break
+			}
+			if o.Type != want.Type || !slices.Equal(o.Attrs, want.Attrs) {
+				t.Fatalf("seed %d object %d: DecodeInto %#v, Decode %#v", i, j, o, want)
+			}
+			shrank = shrank || len(o.Attrs) < had
+		}
+		fresh.Release()
+		reused.Release()
+	}
+	if !shrank {
+		t.Error("no object had fewer attributes than the one before it")
 	}
 }

@@ -2,6 +2,7 @@ package result
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 // The document decoder and encoder as they were — a struct, a map of
 // answer fields and a TermStats slice per document; the map printed
 // linkage, title, then the rest sorted — kept as the oracle of the slab
-// decoder (slabs) and the wire-order encoder (Document.toSOIF).
+// decoder (slabs) and the wire-order encoder (Document.appendSOIF).
 
 type oracleDoc struct {
 	RawScore  float64
@@ -160,7 +161,7 @@ func FuzzDocFromSOIFMatchesOracle(f *testing.F) {
 				t.Fatalf("fields out of wire order: %v", got.Fields)
 			}
 		}
-		g, gerr := soif.Marshal(got.toSOIF())
+		g, gerr := got.appendSOIF(nil)
 		w, werr := soif.Marshal(want.toSOIF())
 		if (gerr == nil) != (werr == nil) || !bytes.Equal(g, w) {
 			t.Fatalf("encodes to (%v)\n%s\noracle (%v)\n%s", gerr, g, werr, w)
@@ -185,4 +186,115 @@ func sameStats(a, b []TermStat) bool {
 		}
 	}
 	return true
+}
+
+// The answer and frame encoders as they were: each frame built as SOIF
+// objects — Results.ToSOIF over Document.toSOIF — and written one object
+// at a time (encodeAll), kept as the oracle of the appending encoders.
+
+func (d *Document) toSOIF() *soif.Object {
+	o := &soif.Object{Type: DocumentType, Attrs: make([]soif.Attribute, 0, 6+len(d.Fields))}
+	var buf [256]byte
+	o.Add("Version", query.Version)
+	o.Add("RawScore", string(strconv.AppendFloat(buf[:0], d.RawScore, 'g', -1, 64)))
+	o.Add("Sources", strings.Join(d.Sources, " "))
+	for _, fv := range d.Fields {
+		o.Add(string(fv.Field), fv.Value)
+	}
+	if len(d.TermStats) > 0 {
+		lines := buf[:0]
+		for i, s := range d.TermStats {
+			if i > 0 {
+				lines = append(lines, '\n')
+			}
+			lines = s.append(lines)
+		}
+		o.Add("TermStats", string(lines))
+	}
+	if d.Size > 0 {
+		o.Add("DocSize", strconv.Itoa(d.Size))
+	}
+	if d.Count > 0 {
+		o.Add("DocCount", strconv.Itoa(d.Count))
+	}
+	return o
+}
+
+func oracleResults(r *Results) []*soif.Object {
+	head := &soif.Object{Type: ResultsType, Attrs: make([]soif.Attribute, 0, 5)}
+	head.Add("Version", query.Version)
+	head.Add("Sources", strings.Join(r.Sources, " "))
+	if r.ActualFilter != nil {
+		head.Add("ActualFilterExpression", r.ActualFilter.String())
+	}
+	if r.ActualRanking != nil {
+		head.Add("ActualRankingExpression", r.ActualRanking.String())
+	}
+	head.Add("NumDocSOIFs", strconv.Itoa(len(r.Documents)))
+	return append([]*soif.Object{head}, oracleDocs(r.Documents)...)
+}
+
+func oracleDocs(docs []*Document) []*soif.Object {
+	objs := make([]*soif.Object, len(docs))
+	for i, d := range docs {
+		objs[i] = d.toSOIF()
+	}
+	return objs
+}
+
+// oracleFrame is a frame header of type typ, its attributes kv, and the
+// objects that follow it.
+func oracleFrame(typ string, kv []string, objs ...*soif.Object) []*soif.Object {
+	h := soif.New(typ).Add("Version", query.Version)
+	for i := 0; i < len(kv); i += 2 {
+		h.Add(kv[i], kv[i+1])
+	}
+	return append([]*soif.Object{h}, objs...)
+}
+
+// FuzzFramesMatchOracle holds the appending encoders to the object
+// encoders they replaced: whatever batch or stream frame — answer, error,
+// document slice or terminal answer — the bytes decode to, appending it
+// gives exactly the bytes soif.MarshalAll gives for the objects the old
+// encoder built. The seeds carry the paper's Examples 8 and 9.
+func FuzzFramesMatchOracle(f *testing.F) {
+	for _, seed := range append(batchSeeds(), streamSeeds()...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		same := func(frame string, got []byte, gerr error, want []*soif.Object) {
+			t.Helper()
+			w, werr := soif.MarshalAll(want)
+			if gerr != nil || werr != nil || !bytes.Equal(got, w) {
+				t.Fatalf("%s appends (%v)\n%s\noracle (%v)\n%s", frame, gerr, got, werr, w)
+			}
+		}
+		if idx, r, itemErr, err := DecodeBatchItem(soif.NewDecoder(bytes.NewReader(data))); err == nil {
+			index := []string{"Index", strconv.Itoa(idx)}
+			if itemErr != nil {
+				msg := itemErr.(*BatchItemError).Message
+				got, gerr := AppendBatchItem(nil, idx, nil, errors.New(msg))
+				same("batch error", got, gerr, oracleFrame(BatchItemType, append(index, "Error", msg)))
+			} else {
+				got, gerr := AppendBatchItem(nil, idx, r, nil)
+				same("batch item", got, gerr, oracleFrame(BatchItemType, index, oracleResults(r)...))
+				got, gerr = r.AppendSOIF(nil)
+				same("answer", got, gerr, oracleResults(r))
+			}
+		}
+		it, err := DecodeStreamItem(soif.NewDecoder(bytes.NewReader(data)))
+		switch {
+		case err != nil:
+		case it.Err != nil:
+			got := AppendStreamError(nil, errors.New(it.Err.Message))
+			same("stream error", got, nil, oracleFrame(StreamItemType, []string{"Error", it.Err.Message}))
+		case it.Final != nil:
+			got, gerr := AppendStreamFinal(nil, it.Final)
+			same("terminal frame", got, gerr, oracleFrame(StreamItemType, []string{"Final", "1"}, oracleResults(it.Final)...))
+		default:
+			got, gerr := AppendStreamDocs(nil, it.Rank, it.Docs)
+			kv := []string{"Rank", strconv.Itoa(it.Rank), "NumDocSOIFs", strconv.Itoa(len(it.Docs))}
+			same("document frame", got, gerr, oracleFrame(StreamItemType, kv, oracleDocs(it.Docs)...))
+		}
+	})
 }

@@ -126,30 +126,47 @@ type Results struct {
 	Documents []*Document
 }
 
-// ToSOIF encodes the result as an @SQResults header followed by one
-// @SQRDocument per document, as in the paper's Example 8.
-func (r *Results) ToSOIF() []*soif.Object {
-	head := &soif.Object{Type: ResultsType, Attrs: make([]soif.Attribute, 0, 5)}
-	head.Add("Version", query.Version)
-	head.Add("Sources", strings.Join(r.Sources, " "))
+// AppendSOIF appends the result's SOIF text to dst: an @SQResults header
+// followed by one @SQRDocument per document, as in the paper's Example 8.
+// It fails, returning nil, only on an answer field name SOIF cannot carry.
+func (r *Results) AppendSOIF(dst []byte) ([]byte, error) {
+	var buf [256]byte // each value is printed here first; a longer one spills to the heap
+	dst = soif.AppendAttr(begin(dst, ResultsType), "Sources", appendJoined(buf[:0], r.Sources))
 	if r.ActualFilter != nil {
-		head.Add("ActualFilterExpression", r.ActualFilter.String())
+		dst = soif.AppendAttr(dst, "ActualFilterExpression", query.AppendExpr(buf[:0], r.ActualFilter))
 	}
 	if r.ActualRanking != nil {
-		head.Add("ActualRankingExpression", r.ActualRanking.String())
+		dst = soif.AppendAttr(dst, "ActualRankingExpression", query.AppendExpr(buf[:0], r.ActualRanking))
 	}
-	head.Add("NumDocSOIFs", strconv.Itoa(len(r.Documents)))
-	objs := make([]*soif.Object, 0, 1+len(r.Documents))
-	objs = append(objs, head)
-	for _, d := range r.Documents {
-		objs = append(objs, d.toSOIF())
-	}
+	dst = soif.AppendAttr(dst, "NumDocSOIFs", strconv.AppendInt(buf[:0], int64(len(r.Documents)), 10))
+	return appendDocs(soif.AppendEnd(dst), r.Documents)
+}
+
+// ToSOIF is the result as SOIF objects: AppendSOIF's text, decoded. It is
+// empty when the result cannot be encoded (Marshal says why).
+func (r *Results) ToSOIF() []*soif.Object {
+	data, _ := r.AppendSOIF(nil)
+	objs, _ := soif.UnmarshalAll(data)
 	return objs
 }
 
 // Marshal encodes the result to SOIF bytes.
-func (r *Results) Marshal() ([]byte, error) {
-	return soif.MarshalAll(r.ToSOIF())
+func (r *Results) Marshal() ([]byte, error) { return r.AppendSOIF(nil) }
+
+// begin appends the opening of an object of type typ and its Version.
+func begin(dst []byte, typ string) []byte {
+	return soif.AppendAttr(soif.AppendType(dst, typ), "Version", query.Version)
+}
+
+// appendJoined appends vs to dst, separated by blanks.
+func appendJoined(dst []byte, vs []string) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Clone returns a copy of r that is safe to hand to a consumer that
@@ -171,14 +188,34 @@ func (r *Results) Clone() *Results {
 	return &cp
 }
 
-func (d *Document) toSOIF() *soif.Object {
-	o := &soif.Object{Type: DocumentType, Attrs: make([]soif.Attribute, 0, 6+len(d.Fields))}
+// appendDocs appends one @SQRDocument per document to dst. The query
+// fixes every document's fields and terms, so the first sizes the rest —
+// up to 64 KiB: a field's value can be a whole text, and one long first
+// document says nothing of the others.
+func appendDocs(dst []byte, docs []*Document) ([]byte, error) {
+	var err error
+	for i, d := range docs {
+		at := len(dst)
+		if dst, err = d.appendSOIF(dst); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			dst = slices.Grow(dst, min((len(docs)-1)*(len(dst)-at)*5/4, 64<<10))
+		}
+	}
+	return dst, nil
+}
+
+// appendSOIF appends the document's @SQRDocument object.
+func (d *Document) appendSOIF(dst []byte) ([]byte, error) {
 	var buf [256]byte
-	o.Add("Version", query.Version)
-	o.Add("RawScore", string(strconv.AppendFloat(buf[:0], d.RawScore, 'g', -1, 64)))
-	o.Add("Sources", strings.Join(d.Sources, " "))
+	dst = soif.AppendAttr(begin(dst, DocumentType), "RawScore", strconv.AppendFloat(buf[:0], d.RawScore, 'g', -1, 64))
+	dst = soif.AppendAttr(dst, "Sources", appendJoined(buf[:0], d.Sources))
 	for _, fv := range d.Fields {
-		o.Add(string(fv.Field), fv.Value)
+		if err := soif.ValidName(string(fv.Field)); err != nil {
+			return nil, err
+		}
+		dst = soif.AppendAttr(dst, string(fv.Field), fv.Value)
 	}
 	if len(d.TermStats) > 0 {
 		lines := buf[:0]
@@ -188,15 +225,15 @@ func (d *Document) toSOIF() *soif.Object {
 			}
 			lines = s.append(lines)
 		}
-		o.Add("TermStats", string(lines))
+		dst = soif.AppendAttr(dst, "TermStats", lines)
 	}
 	if d.Size > 0 {
-		o.Add("DocSize", strconv.Itoa(d.Size))
+		dst = soif.AppendAttr(dst, "DocSize", strconv.AppendInt(buf[:0], int64(d.Size), 10))
 	}
 	if d.Count > 0 {
-		o.Add("DocCount", strconv.Itoa(d.Count))
+		dst = soif.AppendAttr(dst, "DocCount", strconv.AppendInt(buf[:0], int64(d.Count), 10))
 	}
-	return o
+	return soif.AppendEnd(dst), nil
 }
 
 // Parse decodes a complete query result (header plus documents) from SOIF
@@ -272,11 +309,16 @@ func headerFromSOIF(head *soif.Object) (*Results, error) {
 // slabs holds an answer's documents, answer fields and term statistics, a
 // slice each. A document's Fields and TermStats are capped views of the
 // slab as it stood when the document was added; the first document sizes
-// the slabs for the rest, as the query fixes their fields and terms.
+// the slabs for the rest, as the query fixes their fields and terms. A
+// document whose Sources value repeats the last one parsed shares its
+// list, which is clipped: merging appends to a document's list, and an
+// append to a full slice copies it.
 type slabs struct {
-	docs   []Document
-	fields []FieldValue
-	stats  []TermStat
+	docs    []Document
+	fields  []FieldValue
+	stats   []TermStat
+	srcText string
+	srcList []string
 }
 
 // add decodes one @SQRDocument onto the slabs.
@@ -298,7 +340,10 @@ func (s *slabs) add(o *soif.Object) error {
 				return fmt.Errorf("RawScore %q: %w", a.Value, err)
 			}
 		case strings.EqualFold(a.Name, "Sources"):
-			d.Sources = strings.Fields(a.Value)
+			if s.srcList == nil || a.Value != s.srcText {
+				s.srcText, s.srcList = a.Value, slices.Clip(strings.Fields(a.Value))
+			}
+			d.Sources = s.srcList
 		case strings.EqualFold(a.Name, "TermStats"):
 			// A repeated TermStats replaces the earlier one.
 			if s.stats, err = appendTermStats(s.stats[:s0], a.Value); err != nil {

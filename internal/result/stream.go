@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"starts/internal/query"
 	"starts/internal/soif"
 )
 
@@ -64,37 +63,26 @@ type StreamItem struct {
 	Err *StreamError
 }
 
-// EncodeStreamDocs writes one document frame: the @SQStreamItem header
+// AppendStreamDocs appends one document frame: the @SQStreamItem header
 // naming the rank of the first document, then the documents themselves.
-func EncodeStreamDocs(enc *soif.Encoder, rank int, docs []*Document) error {
-	head := soif.New(StreamItemType)
-	head.Add("Version", query.Version)
-	head.Add("Rank", strconv.Itoa(rank))
-	head.Add("NumDocSOIFs", strconv.Itoa(len(docs)))
-	objs := make([]*soif.Object, len(docs))
-	for i, d := range docs {
-		objs[i] = d.toSOIF()
-	}
-	return encodeAll(enc, head, objs)
+func AppendStreamDocs(dst []byte, rank int, docs []*Document) ([]byte, error) {
+	var buf [20]byte
+	dst = soif.AppendAttr(begin(dst, StreamItemType), "Rank", strconv.AppendInt(buf[:0], int64(rank), 10))
+	dst = soif.AppendAttr(dst, "NumDocSOIFs", strconv.AppendInt(buf[:0], int64(len(docs)), 10))
+	return appendDocs(soif.AppendEnd(dst), docs)
 }
 
-// EncodeStreamFinal writes the terminal frame: an @SQStreamItem header
+// AppendStreamFinal appends the terminal frame: an @SQStreamItem header
 // with Final set, then r's complete @SQResults object stream.
-func EncodeStreamFinal(enc *soif.Encoder, r *Results) error {
-	head := soif.New(StreamItemType)
-	head.Add("Version", query.Version)
-	head.Add("Final", "1")
-	return encodeAll(enc, head, r.ToSOIF())
+func AppendStreamFinal(dst []byte, r *Results) ([]byte, error) {
+	return r.AppendSOIF(soif.AppendEnd(soif.AppendAttr(begin(dst, StreamItemType), "Final", "1")))
 }
 
-// EncodeStreamError writes an error frame carrying itemErr's text. It is
+// AppendStreamError appends an error frame carrying itemErr's text. It is
 // the in-band substitute for an HTTP error status once the response
 // preamble has been flushed.
-func EncodeStreamError(enc *soif.Encoder, itemErr error) error {
-	head := soif.New(StreamItemType)
-	head.Add("Version", query.Version)
-	head.Add("Error", itemErr.Error())
-	return enc.Encode(head)
+func AppendStreamError(dst []byte, itemErr error) []byte {
+	return soif.AppendEnd(soif.AppendAttr(begin(dst, StreamItemType), "Error", itemErr.Error()))
 }
 
 // DecodeStreamItem reads the next complete frame from dec. A clean end
@@ -131,7 +119,7 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		docs, err := decodeDocs(n, dec.Decode)
+		docs, err := decodeDocs(n, into(dec, head))
 		if err != nil {
 			return nil, fmt.Errorf("result: stream frame at rank %d: %w", rank, err)
 		}
@@ -190,13 +178,20 @@ func decodeDocs(n int, next func() (*soif.Object, error)) ([]*Document, error) {
 	return docs, nil
 }
 
+// into yields dec's objects one after another in o, each overwriting the
+// last: an answer decodes into one object and leaves one string per
+// document behind.
+func into(dec *soif.Decoder, o *soif.Object) func() (*soif.Object, error) {
+	return func() (*soif.Object, error) { return o, dec.DecodeInto(o) }
+}
+
 // decodeResults reads one answer: the @SQResults header — head, or the
 // next object when the caller has not read it yet — and the NumDocSOIFs
-// documents it promises.
+// documents it promises, each decoded into head in turn.
 func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	if head == nil {
-		var err error
-		if head, err = dec.Decode(); err != nil {
+		head = new(soif.Object)
+		if err := dec.DecodeInto(head); err != nil {
 			return nil, fmt.Errorf("reading @%s header: %w", ResultsType, err)
 		}
 	}
@@ -208,7 +203,7 @@ func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Documents, err = decodeDocs(n, dec.Decode); err != nil {
+	if r.Documents, err = decodeDocs(n, into(dec, head)); err != nil {
 		return nil, fmt.Errorf("result: %w", err)
 	}
 	return r, nil

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"starts/internal/query"
 	"starts/internal/soif"
 )
 
@@ -17,19 +16,18 @@ func TestStreamRoundTrip(t *testing.T) {
 	d1, d2 := source1Doc(), source2Doc()
 	final := &Results{Sources: []string{"Source-1", "Source-2"}, Documents: []*Document{d1, d2}}
 
-	var buf bytes.Buffer
-	enc := soif.NewEncoder(&buf)
-	if err := EncodeStreamDocs(enc, 0, []*Document{d1}); err != nil {
-		t.Fatal(err)
+	wire, err := AppendStreamDocs(nil, 0, []*Document{d1})
+	if err == nil {
+		wire, err = AppendStreamDocs(wire, 1, []*Document{d2})
 	}
-	if err := EncodeStreamDocs(enc, 1, []*Document{d2}); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		wire, err = AppendStreamFinal(wire, final)
 	}
-	if err := EncodeStreamFinal(enc, final); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	dec := soif.NewDecoder(&buf)
+	dec := soif.NewDecoder(bytes.NewReader(wire))
 	it, err := DecodeStreamItem(dec)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +60,11 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestStreamEmptyDocFrame: a zero-document frame is legal (a source
 // completed without stabilizing anything).
 func TestStreamEmptyDocFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeStreamDocs(soif.NewEncoder(&buf), 3, nil); err != nil {
+	wire, err := AppendStreamDocs(nil, 3, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := DecodeStreamItem(soif.NewDecoder(&buf))
+	it, err := DecodeStreamItem(soif.NewDecoder(bytes.NewReader(wire)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +76,8 @@ func TestStreamEmptyDocFrame(t *testing.T) {
 // TestStreamErrorFrame: a mid-stream server failure arrives as a frame
 // with Err set, not a decode error.
 func TestStreamErrorFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeStreamError(soif.NewEncoder(&buf), errors.New("merge failed")); err != nil {
-		t.Fatal(err)
-	}
-	it, err := DecodeStreamItem(soif.NewDecoder(&buf))
+	wire := AppendStreamError(nil, errors.New("merge failed"))
+	it, err := DecodeStreamItem(soif.NewDecoder(bytes.NewReader(wire)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +113,11 @@ func TestStreamCompatPlainResults(t *testing.T) {
 // TestStreamTruncated: a stream cut off mid-frame reports a hard decode
 // error, not a silent short answer.
 func TestStreamTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeStreamDocs(soif.NewEncoder(&buf), 0, []*Document{source1Doc(), source2Doc()}); err != nil {
+	wire, err := AppendStreamDocs(nil, 0, []*Document{source1Doc(), source2Doc()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()/2]
+	cut := wire[:len(wire)/2]
 	if _, err := DecodeStreamItem(soif.NewDecoder(bytes.NewReader(cut))); err == nil || err == io.EOF {
 		t.Fatalf("truncated stream decoded: %v", err)
 	}
@@ -136,53 +131,27 @@ func TestLyingDocCountsAreErrors(t *testing.T) {
 	honest := &Results{Sources: []string{"Source-1"}, Documents: []*Document{source1Doc()}}
 	// resultsFrame is honest's object stream with its header's count
 	// replaced by the lie.
-	resultsFrame := func(t *testing.T, enc *soif.Encoder, lie string) {
-		objs := honest.ToSOIF()
-		objs[0].Set("NumDocSOIFs", lie)
-		for _, o := range objs {
-			if err := enc.Encode(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	head := func(t *testing.T, enc *soif.Encoder, typ string, kv ...string) {
-		h := soif.New(typ).Add("Version", query.Version)
-		for i := 0; i < len(kv); i += 2 {
-			h.Add(kv[i], kv[i+1])
-		}
-		if err := enc.Encode(h); err != nil {
-			t.Fatal(err)
-		}
-	}
+	resultsFrame := func(lie string) []byte { return withCount(honest, lie) }
 	decoders := []struct {
 		name   string
-		encode func(t *testing.T, enc *soif.Encoder, lie string)
+		encode func(lie string) []byte
 		decode func(dec *soif.Decoder) error
 	}{
 		{
-			name: "DecodeBatchItem",
-			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
-				head(t, enc, BatchItemType, "Index", "0")
-				resultsFrame(t, enc, lie)
-			},
+			name:   "DecodeBatchItem",
+			encode: func(lie string) []byte { return join(head(BatchItemType, "Index", "0"), resultsFrame(lie)) },
 			decode: func(dec *soif.Decoder) error { _, _, _, err := DecodeBatchItem(dec); return err },
 		},
 		{
 			name: "DecodeStreamItem doc frame",
-			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
-				head(t, enc, StreamItemType, "Rank", "0", "NumDocSOIFs", lie)
-				if err := enc.Encode(source1Doc().toSOIF()); err != nil {
-					t.Fatal(err)
-				}
+			encode: func(lie string) []byte {
+				return join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", lie), marshalAll(source1Doc().toSOIF()))
 			},
 			decode: func(dec *soif.Decoder) error { _, err := DecodeStreamItem(dec); return err },
 		},
 		{
-			name: "DecodeStreamItem terminal frame",
-			encode: func(t *testing.T, enc *soif.Encoder, lie string) {
-				head(t, enc, StreamItemType, "Final", "1")
-				resultsFrame(t, enc, lie)
-			},
+			name:   "DecodeStreamItem terminal frame",
+			encode: func(lie string) []byte { return join(head(StreamItemType, "Final", "1"), resultsFrame(lie)) },
 			decode: func(dec *soif.Decoder) error { _, err := DecodeStreamItem(dec); return err },
 		},
 		{
@@ -194,16 +163,12 @@ func TestLyingDocCountsAreErrors(t *testing.T) {
 	lies := []string{"2", "1025", "4294967296", "9223372036854775806", "9223372036854775807", "-1", "9223372036854775808"}
 	for _, d := range decoders {
 		// The control: with the true count the very same frame decodes.
-		var buf bytes.Buffer
-		d.encode(t, soif.NewEncoder(&buf), "1")
-		if err := d.decode(soif.NewDecoder(&buf)); err != nil {
+		if err := d.decode(soif.NewDecoder(bytes.NewReader(d.encode("1")))); err != nil {
 			t.Fatalf("%s: honest frame failed to decode: %v", d.name, err)
 		}
 		for _, lie := range lies {
 			t.Run(d.name+"/"+lie, func(t *testing.T) {
-				var buf bytes.Buffer
-				d.encode(t, soif.NewEncoder(&buf), lie)
-				if err := d.decode(soif.NewDecoder(&buf)); err == nil || err == io.EOF {
+				if err := d.decode(soif.NewDecoder(bytes.NewReader(d.encode(lie)))); err == nil || err == io.EOF {
 					t.Errorf("NumDocSOIFs %s over one document decoded: err = %v, want a decode error", lie, err)
 				}
 			})

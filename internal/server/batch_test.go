@@ -22,15 +22,12 @@ import (
 func batchBody(t *testing.T, qs []*query.Query) *bytes.Buffer {
 	t.Helper()
 	var body bytes.Buffer
-	enc := soif.NewEncoder(&body)
 	for _, q := range qs {
-		o, err := q.ToSOIF()
+		data, err := q.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(o); err != nil {
-			t.Fatal(err)
-		}
+		body.Write(data)
 	}
 	return &body
 }
@@ -242,18 +239,12 @@ func TestDecodeRequestCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Ranking = r
-	var body bytes.Buffer
-	enc := soif.NewEncoder(&body)
-	for i := 0; i <= maxBatchItems; i++ {
-		o, err := q.ToSOIF()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(o); err != nil {
-			t.Fatal(err)
-		}
+	data, err := q.Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeRequest(&body, maxBatchBytes, false); !errors.Is(err, errTooLarge) {
+	body := bytes.NewBuffer(bytes.Repeat(data, maxBatchItems+1))
+	if _, err := decodeRequest(body, maxBatchBytes, false); !errors.Is(err, errTooLarge) {
 		t.Errorf("err = %v, want errTooLarge", err)
 	}
 }

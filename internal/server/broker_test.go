@@ -45,7 +45,7 @@ func regionalBroker(t *testing.T, brokerID, sourceID string, docs []*index.Docum
 	return ts
 }
 
-func rankingQuery(t *testing.T, src string) *query.Query {
+func rankingQuery(t testing.TB, src string) *query.Query {
 	t.Helper()
 	q := query.New()
 	r, err := query.ParseRanking(src)

@@ -107,6 +107,34 @@ func TestContractViolatingConn(t *testing.T) {
 	}
 }
 
+// TestUnencodableAnswerIs500: an answer field name SOIF cannot carry
+// fails the plain query route with a 500 in either encoding — the JSON
+// rendering too, which is built from the SOIF text.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	_, res := startTestServer(t)
+	src, _ := res.Source("Source-1")
+	conn := &queryFunc{Conn: client.NewLocalConn(src, res), query: func(context.Context, *query.Query) (*result.Results, error) {
+		d := &result.Document{Fields: []result.FieldValue{{Field: "bad:name", Value: "x"}}}
+		return &result.Results{Documents: []*result.Document{d}}, nil
+	}}
+	ts := httptest.NewServer(NewConns([]client.Conn{conn}, ""))
+	t.Cleanup(ts.Close)
+	body := batchBody(t, []*query.Query{rankQuery(t, `list((any "distributed"))`)}).Bytes()
+	for _, accept := range []string{ContentType, JSONContentType} {
+		req, _ := http.NewRequest("POST", ts.URL+"/sources/Source-1/query", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentType)
+		req.Header.Set("Accept", accept)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("Accept %s: status %s, want 500", accept, resp.Status)
+		}
+	}
+}
+
 // TestOversizeRequestIs413 pins the size check both query routes share:
 // a body past the route's bound is 413 whether or not what fit of it
 // parses.

@@ -112,6 +112,7 @@ func decodeQueries(body io.Reader, asJSON bool) ([]*query.Query, error) {
 		objs = append(objs, obj)
 	} else {
 		dec := soif.NewDecoder(body)
+		defer dec.Release()
 		for {
 			obj, err := dec.Decode()
 			if err == io.EOF {
@@ -142,7 +143,7 @@ func decodeQueries(body io.Reader, asJSON bool) ([]*query.Query, error) {
 // countDocs records a finished search's size on its span and on /metrics.
 func (s *Server) countDocs(sp *obs.Span, source string, docs int) {
 	sp.Annotate("docs", strconv.Itoa(docs))
-	s.metrics.Counter(obs.L("starts_server_query_docs_total", "source", source)).Add(int64(docs))
+	s.metrics.Counter(s.names[source].docs).Add(int64(docs))
 }
 
 // handleQuery answers one query, buffered: the conn's answer (or its
@@ -171,8 +172,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, conn client
 	}
 	s.countDocs(qsp, conn.SourceID(), len(rr.Documents))
 	esp := tr.StartSpan("encode")
-	writeCacheable(w, r, rr.ToSOIF(), maxAge(conn.Metadata(r.Context())))
-	esp.End(nil)
+	data, err := rr.Marshal()
+	writeCacheable(w, r, data, err, maxAge(conn.Metadata(r.Context())))
+	esp.End(err)
 }
 
 // streamWanted reports whether the request asked for the chunked
@@ -190,6 +192,35 @@ func flushTo(w http.ResponseWriter) {
 	}
 }
 
+// A frameWriter writes each frame of a framed response in one Write, from
+// one buffer, and flushes it. frameWriters recycles them; one whose buffer
+// grew past 64 KiB is left to the collector.
+type frameWriter struct {
+	w   http.ResponseWriter
+	buf []byte
+}
+
+var frameWriters = sync.Pool{New: func() any { return new(frameWriter) }}
+
+// write sends frame, appended into fw.buf, unless appending it failed.
+func (fw *frameWriter) write(frame []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	fw.buf = frame
+	if _, err = fw.w.Write(frame); err == nil {
+		flushTo(fw.w)
+	}
+	return err
+}
+
+func (fw *frameWriter) release() {
+	if cap(fw.buf) <= 64<<10 {
+		*fw = frameWriter{buf: fw.buf[:0]}
+		frameWriters.Put(fw)
+	}
+}
+
 // streamQuery answers a ?stream=1 query with @SQStreamItem framing. The
 // HTTP preamble is committed and flushed before the search runs, so the
 // client sees time-to-first-byte immediately. A client.StreamConn drives
@@ -204,18 +235,14 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, conn client
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(http.StatusOK)
 	flushTo(w)
-	enc := soif.NewEncoder(w)
+	fw := frameWriters.Get().(*frameWriter)
+	fw.w = w
+	defer fw.release()
 	sink := func(it result.StreamItem) error {
-		var err error
 		if it.Final != nil {
-			err = result.EncodeStreamFinal(enc, it.Final)
-		} else {
-			err = result.EncodeStreamDocs(enc, it.Rank, it.Docs)
+			return fw.write(result.AppendStreamFinal(fw.buf[:0], it.Final))
 		}
-		if err == nil {
-			flushTo(w)
-		}
-		return err
+		return fw.write(result.AppendStreamDocs(fw.buf[:0], it.Rank, it.Docs))
 	}
 	qsp := tr.StartSpan("search")
 	qsp.SetSource(conn.SourceID())
@@ -232,7 +259,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, conn client
 	}
 	qsp.End(err)
 	if err != nil {
-		_ = result.EncodeStreamError(enc, err)
+		_ = fw.write(result.AppendStreamError(fw.buf[:0], err), nil)
 		return
 	}
 	s.countDocs(qsp, conn.SourceID(), len(rr.Documents))
@@ -250,10 +277,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, conn client
 	w.WriteHeader(http.StatusOK)
 	var (
 		writeMu  sync.Mutex
-		enc      = soif.NewEncoder(w)
+		fw       = frameWriters.Get().(*frameWriter)
 		docs     int
 		writeErr error
 	)
+	fw.w = w
+	defer fw.release()
 	ssp := tr.StartSpan("search")
 	ssp.SetSource(conn.SourceID())
 	var wg sync.WaitGroup
@@ -271,14 +300,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, conn client
 			if qerr == nil {
 				docs += len(rr.Documents)
 			}
-			if writeErr = result.EncodeBatchItem(enc, i, rr, qerr); writeErr == nil {
-				flushTo(w)
-			}
+			writeErr = fw.write(result.AppendBatchItem(fw.buf[:0], i, rr, qerr))
 		}(i, q)
 	}
 	wg.Wait()
 	ssp.End(writeErr)
 	s.countDocs(ssp, conn.SourceID(), docs)
-	s.metrics.Counter(obs.L("starts_server_batch_items_total", "source", conn.SourceID())).
-		Add(int64(len(qs)))
+	s.metrics.Counter(s.names[conn.SourceID()].batchItems).Add(int64(len(qs)))
 }

@@ -59,7 +59,8 @@ const JSONContentType = "application/json"
 // Server serves a list of conns as one STARTS resource.
 type Server struct {
 	conns    map[string]client.Conn
-	resource *meta.Resource // the /resource answer: every conn, in order
+	names    map[string]sourceNames // per-source metric names, built once
+	resource *meta.Resource         // the /resource answer: every conn, in order
 	baseURL  string
 	mux      *http.ServeMux
 	metrics  *obs.Registry
@@ -71,6 +72,9 @@ type Server struct {
 
 	peers PeerCache
 }
+
+// sourceNames are the metric names a source's queries count under.
+type sourceNames struct{ docs, batchItems string }
 
 // PeerCache is the slice of peer.Store the server mounts: the wire
 // handler for this node's ring share and the /debug/peers view. It is
@@ -135,12 +139,17 @@ func New(res *source.Resource, baseURL string, opts ...Option) *Server {
 func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	srv := &Server{
 		conns:    make(map[string]client.Conn, len(conns)),
+		names:    make(map[string]sourceNames, len(conns)),
 		resource: &meta.Resource{},
 		baseURL:  strings.TrimRight(baseURL, "/"),
 		mux:      http.NewServeMux(),
 	}
 	for _, c := range conns {
 		srv.conns[c.SourceID()] = c
+		srv.names[c.SourceID()] = sourceNames{
+			docs:       obs.L("starts_server_query_docs_total", "source", c.SourceID()),
+			batchItems: obs.L("starts_server_batch_items_total", "source", c.SourceID()),
+		}
 		srv.resource.Entries = append(srv.resource.Entries, meta.ResourceEntry{
 			SourceID:    c.SourceID(),
 			MetadataURL: srv.sourceURL(c.SourceID(), "metadata"),
@@ -182,19 +191,21 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 func (s *Server) Traces() *obs.TraceRing { return s.traces }
 
 // route registers an instrumented handler: per-route request and error
-// counters plus a latency histogram.
+// counters plus a latency histogram. Only an error's name, which carries
+// its status code, is built per request.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
+	requests := obs.L("starts_server_requests_total", "route", name)
+	seconds := obs.L("starts_server_seconds", "route", name)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
-		s.metrics.Counter(obs.L("starts_server_requests_total", "route", name)).Inc()
+		s.metrics.Counter(requests).Inc()
 		if sw.status >= 400 {
 			s.metrics.Counter(obs.L("starts_server_errors_total", "route", name,
 				"code", strconv.Itoa(sw.status))).Inc()
 		}
-		s.metrics.Histogram(obs.L("starts_server_seconds", "route", name)).
-			Observe(time.Since(start))
+		s.metrics.Histogram(seconds).Observe(time.Since(start))
 	})
 }
 
@@ -244,15 +255,19 @@ func wantsJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), JSONContentType)
 }
 
-// marshalObjects renders SOIF objects in the encoding the request asked
-// for: length-framed SOIF text by default, JSON when Accept prefers it.
-func marshalObjects(r *http.Request, objs []*soif.Object) (data []byte, contentType string, err error) {
-	if wantsJSON(r) {
-		data, err = soif.MarshalAllJSON(objs)
-		return data, JSONContentType, err
+// render puts a payload — SOIF text, or err if it could not be
+// marshaled — in the encoding the request asked for: the text itself by
+// default, JSON when Accept prefers it. The JSON is built from the text's
+// objects, so every route encodes SOIF one way.
+func render(r *http.Request, data []byte, err error) ([]byte, string, error) {
+	if err != nil || !wantsJSON(r) {
+		return data, ContentType, err
 	}
-	data, err = soif.MarshalAll(objs)
-	return data, ContentType, err
+	objs, err := soif.UnmarshalAll(data)
+	if err == nil {
+		data, err = soif.MarshalAllJSON(objs)
+	}
+	return data, JSONContentType, err
 }
 
 // gzipWriters recycles compressors across responses: a fresh
@@ -277,10 +292,11 @@ func deliver(w http.ResponseWriter, r *http.Request, contentType string, data []
 	_, _ = w.Write(data)
 }
 
-// writeObjects delivers SOIF objects with no cache validators (used by
-// routes whose payload has no freshness metadata to derive them from).
-func writeObjects(w http.ResponseWriter, r *http.Request, objs []*soif.Object) {
-	data, ct, err := marshalObjects(r, objs)
+// writeSOIF delivers a payload (see render) with no cache validators
+// (used by routes whose payload has no freshness metadata to derive them
+// from); a marshaling error is a 500.
+func writeSOIF(w http.ResponseWriter, r *http.Request, data []byte, err error) {
+	data, ct, err := render(r, data, err)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -288,14 +304,14 @@ func writeObjects(w http.ResponseWriter, r *http.Request, objs []*soif.Object) {
 	deliver(w, r, ct, data)
 }
 
-// writeCacheable delivers SOIF objects with HTTP cache validators: a
-// strong content-hash ETag (of the selected encoding, before
-// compression) and a Cache-Control max-age derived from the source's
-// metadata expiry. A request presenting a matching If-None-Match gets a
-// bodyless 304 instead — the validator round-trip costs headers, not a
-// re-marshaled summary.
-func writeCacheable(w http.ResponseWriter, r *http.Request, objs []*soif.Object, maxAge time.Duration) {
-	data, ct, err := marshalObjects(r, objs)
+// writeCacheable delivers a payload (see render) with HTTP cache
+// validators: a strong content-hash ETag (of the selected encoding,
+// before compression) and a Cache-Control max-age derived from the
+// source's metadata expiry. A request presenting a matching If-None-Match
+// gets a bodyless 304 instead — the validator round-trip costs headers,
+// not a re-marshaled summary. A marshaling error is a 500.
+func writeCacheable(w http.ResponseWriter, r *http.Request, data []byte, err error, maxAge time.Duration) {
+	data, ct, err := render(r, data, err)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -360,7 +376,8 @@ func maxAge(md *meta.SourceMeta, err error) time.Duration {
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
-	writeObjects(w, r, []*soif.Object{s.resource.ToSOIF()})
+	data, err := s.resource.Marshal()
+	writeSOIF(w, r, data, err)
 }
 
 func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
@@ -377,7 +394,8 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	// starts-broker:// placeholders) is unreachable from the harvester's
 	// side of the wire; every endpoint lives here.
 	served := m.ToSOIFAt(s.sourceURL(m.SourceID, "query"), s.sourceURL(m.SourceID, "summary"), s.sourceURL(m.SourceID, "sample"))
-	writeCacheable(w, r, []*soif.Object{served}, maxAge(m, nil))
+	data, err := soif.Marshal(served)
+	writeCacheable(w, r, data, err, maxAge(m, nil))
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
@@ -390,7 +408,8 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeCacheable(w, r, []*soif.Object{sum.ToSOIF()}, maxAge(conn.Metadata(r.Context())))
+	data, err := sum.Marshal()
+	writeCacheable(w, r, data, err, maxAge(conn.Metadata(r.Context())))
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -403,15 +422,11 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var objs []*soif.Object
-	for _, e := range entries {
-		qo, err := e.Query.ToSOIF()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	var data, q []byte
+	for i := 0; err == nil && i < len(entries); i++ {
+		if q, err = entries[i].Query.Marshal(); err == nil {
+			data, err = entries[i].Results.AppendSOIF(append(data, q...))
 		}
-		objs = append(objs, qo)
-		objs = append(objs, e.Results.ToSOIF()...)
 	}
-	writeObjects(w, r, objs)
+	writeSOIF(w, r, data, err)
 }

@@ -73,7 +73,7 @@ func (g *gatedConn) Query(ctx context.Context, q *query.Query) (*result.Results,
 	return g.Conn.Query(ctx, q)
 }
 
-func mkStreamSource(t *testing.T, id string, docs []*index.Document) *source.Source {
+func mkStreamSource(t testing.TB, id string, docs []*index.Document) *source.Source {
 	t.Helper()
 	eng, err := engine.New(engine.NewVectorConfig())
 	if err != nil {

@@ -31,7 +31,7 @@ func (o *Object) MarshalJSON() ([]byte, error) {
 	}
 	jo := jsonObject{Type: o.Type, Attrs: make([]jsonAttribute, len(o.Attrs))}
 	for i, a := range o.Attrs {
-		if err := validName(a.Name); err != nil {
+		if err := ValidName(a.Name); err != nil {
 			return nil, err
 		}
 		jo.Attrs[i] = jsonAttribute{Name: a.Name, Value: a.Value}
@@ -51,7 +51,7 @@ func (o *Object) UnmarshalJSON(data []byte) error {
 	o.Type = jo.Type
 	o.Attrs = o.Attrs[:0]
 	for _, a := range jo.Attrs {
-		if err := validName(a.Name); err != nil {
+		if err := ValidName(a.Name); err != nil {
 			return err
 		}
 		o.Attrs = append(o.Attrs, Attribute{Name: a.Name, Value: a.Value})

@@ -39,7 +39,7 @@ func (e *oracleEncoder) Encode(o *Object) error {
 	b.WriteString(o.Type)
 	b.WriteString("{\n")
 	for _, a := range o.Attrs {
-		if err := validName(a.Name); err != nil {
+		if err := ValidName(a.Name); err != nil {
 			return err
 		}
 		fmt.Fprintf(&b, "%s{%d}: %s\n", a.Name, len(a.Value), a.Value)
@@ -114,7 +114,7 @@ func (d *oracleDecoder) Decode() (*Object, error) {
 			return nil, fmt.Errorf("soif: reading attribute name in @%s: %w", o.Type, err)
 		}
 		name = strings.TrimSpace(strings.TrimSuffix(name, "{"))
-		if err := validName(name); err != nil {
+		if err := ValidName(name); err != nil {
 			return nil, err
 		}
 		lenStr, err := d.r.ReadString('}')

@@ -25,6 +25,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // Attribute is a single name-value pair inside a SOIF object.
@@ -174,20 +176,11 @@ func UnmarshalAll(data []byte) ([]*Object, error) {
 	}
 }
 
-// An Encoder writes SOIF objects to an output stream.
-type Encoder struct {
-	w   io.Writer
-	buf []byte // the object being written; reused from one Encode to the next
-	err error
-}
-
-// NewEncoder returns an encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-// validName and validType take the encoder's strings and the decoder's
-// not-yet-converted bytes alike; every reserved character is ASCII, so a
-// byte walk sees what a rune walk would.
-func validName[T string | []byte](name T) error { return valid("attribute name", name, "{}:\n\r") }
+// ValidName reports why name cannot be an attribute name, if it cannot. It
+// takes the encoder's strings and the decoder's not-yet-converted bytes
+// alike; every reserved character is ASCII, so a byte walk sees what a
+// rune walk would.
+func ValidName[T string | []byte](name T) error { return valid("attribute name", name, "{}:\n\r") }
 
 func validType[T string | []byte](t T) error { return valid("template type", t, "{}\n\r") }
 
@@ -203,43 +196,37 @@ func valid[T string | []byte](what string, s T, reserved string) error {
 	return nil
 }
 
-// Encode writes one object, in one Write. Each object ends with a closing
-// brace and a blank line so consecutive objects are visually separated,
-// matching the layout of the STARTS specification examples.
-func (e *Encoder) Encode(o *Object) error {
-	if e.err != nil {
-		return e.err
-	}
-	b, err := appendObject(e.buf[:0], o)
-	if err != nil {
-		return err
-	}
-	e.buf = b
-	_, e.err = e.w.Write(b)
-	return e.err
-}
-
-// appendObject appends o's SOIF text to dst.
+// appendObject appends o's SOIF text to dst. Each object ends with a
+// closing brace and a blank line so consecutive objects are visually
+// separated, matching the layout of the STARTS specification examples.
 func appendObject(dst []byte, o *Object) ([]byte, error) {
 	if err := validType(o.Type); err != nil {
 		return nil, err
 	}
-	dst = append(dst, '@')
-	dst = append(dst, o.Type...)
-	dst = append(dst, "{\n"...)
+	dst = AppendType(dst, o.Type)
 	for _, a := range o.Attrs {
-		if err := validName(a.Name); err != nil {
+		if err := ValidName(a.Name); err != nil {
 			return nil, err
 		}
-		dst = append(dst, a.Name...)
-		dst = append(dst, '{')
-		dst = strconv.AppendInt(dst, int64(len(a.Value)), 10)
-		dst = append(dst, "}: "...)
-		dst = append(dst, a.Value...)
-		dst = append(dst, '\n')
+		dst = AppendAttr(dst, a.Name, a.Value)
 	}
-	return append(dst, "}\n\n"...), nil
+	return AppendEnd(dst), nil
 }
+
+// AppendType, AppendAttr and AppendEnd write an object without building
+// one; the caller vouches for the type and the names (see ValidName).
+func AppendType(dst []byte, typ string) []byte {
+	return append(append(append(dst, '@'), typ...), "{\n"...)
+}
+
+// AppendAttr appends the attribute line name{len}: value.
+func AppendAttr[V string | []byte](dst []byte, name string, value V) []byte {
+	dst = strconv.AppendInt(append(append(dst, name...), '{'), int64(len(value)), 10)
+	return append(append(append(dst, "}: "...), value...), '\n')
+}
+
+// AppendEnd appends the closing brace and blank line that end an object.
+func AppendEnd(dst []byte) []byte { return append(dst, "}\n\n"...) }
 
 // encodedLen is the exact length of appendObject's output for o.
 func encodedLen(o *Object) int {
@@ -258,7 +245,7 @@ func encodedLen(o *Object) int {
 // once, in its own buffer, noting where the type and every name and value
 // lie; at the closing brace the object's text becomes one string and the
 // object's fields are substrings of it, so a decoded object keeps its own
-// text alive and nothing else.
+// text alive and nothing else — never the buffer, which Release recycles.
 type Decoder struct {
 	r   io.Reader // nil when decoding from memory
 	buf []byte    // input taken from r; the object being decoded is buf[start:pos]
@@ -266,15 +253,43 @@ type Decoder struct {
 	// else the scan remembers is an offset from start.
 	start, pos int
 	attrs      []attrSpan
+	pooled     *decoderBufs // where buf and attrs go back to on Release
 }
 
 // attrSpan locates one attribute in the current object. A nameLo of -1 is
 // the Harvest header URL: no spelled name, and a value still to trim.
 type attrSpan struct{ nameLo, nameHi, valLo, valHi int }
 
-// NewDecoder returns a decoder reading from r. It reads ahead: bytes of r
-// past the last decoded object may have been consumed.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+// decoderBufs is what a released Decoder leaves to the next NewDecoder:
+// its buffers, unless either grew past maxPooled bytes.
+type decoderBufs struct {
+	buf   []byte
+	attrs []attrSpan
+}
+
+const maxPooled = 64 << 10
+
+var decoderPool = sync.Pool{New: func() any { return new(decoderBufs) }}
+
+// NewDecoder returns a decoder reading from r, on a released decoder's
+// buffers if there is one. It reads ahead: bytes of r past the last
+// decoded object may have been consumed.
+func NewDecoder(r io.Reader) *Decoder {
+	p := decoderPool.Get().(*decoderBufs)
+	return &Decoder{r: r, buf: p.buf[:0], attrs: p.attrs[:0], pooled: p}
+}
+
+// Release hands the decoder's buffers to a later NewDecoder; the decoder
+// reads nothing more, and what it decoded is unaffected. Releasing twice,
+// or after an error, is safe.
+func (d *Decoder) Release() {
+	p := d.pooled
+	if p != nil && cap(d.buf) <= maxPooled && cap(d.attrs) <= maxPooled/int(unsafe.Sizeof(attrSpan{})) {
+		p.buf, p.attrs = d.buf[:0], d.attrs[:0]
+		decoderPool.Put(p)
+	}
+	*d = Decoder{}
+}
 
 // memDecoder returns a decoder over data, which it never writes to.
 func memDecoder(data []byte) Decoder { return Decoder{buf: data} }
@@ -355,33 +370,44 @@ func (d *Decoder) word(lo, hi int) []byte { return bytes.TrimSpace(d.buf[d.start
 // Decode reads the next object from the stream. It returns io.EOF when no
 // further objects remain.
 func (d *Decoder) Decode() (*Object, error) {
+	o := new(Object)
+	if err := d.DecodeInto(o); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// DecodeInto is Decode into o, whose attribute slice it reuses: o is
+// overwritten once the next object has been read whole, and left alone if
+// it cannot be.
+func (d *Decoder) DecodeInto(o *Object) error {
 	d.start = d.pos // the previous object is the caller's now
 	c, err := d.skipSpace()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("soif: reading object start: %w", err)
+		return fmt.Errorf("soif: reading object start: %w", err)
 	}
 	if c != '@' {
-		return nil, fmt.Errorf("soif: expected '@' at object start, found %q", c)
+		return fmt.Errorf("soif: expected '@' at object start, found %q", c)
 	}
 	d.start, d.attrs = d.pos, d.attrs[:0]
 	d.pos++
 	typeLo, typeHi, err := d.readTo('{')
 	if err != nil {
-		return nil, fmt.Errorf("soif: reading template type: %w", err)
+		return fmt.Errorf("soif: reading template type: %w", err)
 	}
 	typ := func() []byte { return d.word(typeLo, typeHi) }
 	if err := validType(typ()); err != nil {
-		return nil, err
+		return err
 	}
 	// Optional rest-of-line after '{' (Harvest puts a URL here; STARTS does
 	// not). A non-empty remainder becomes a pseudo attribute "URL" for
 	// Harvest compatibility.
 	lo, hi, err := d.readTo('\n')
 	if err != nil {
-		return nil, fmt.Errorf("soif: reading template header: %w", err)
+		return fmt.Errorf("soif: reading template header: %w", err)
 	}
 	if len(d.word(lo, hi)) > 0 {
 		d.attrs = append(d.attrs, attrSpan{nameLo: -1, valLo: lo, valHi: hi})
@@ -390,15 +416,16 @@ func (d *Decoder) Decode() (*Object, error) {
 		// Each iteration parses either the closing '}' or one attribute.
 		c, err := d.skipSpace()
 		if err != nil {
-			return nil, fmt.Errorf("soif: inside @%s: %w", typ(), err)
+			return fmt.Errorf("soif: inside @%s: %w", typ(), err)
 		}
 		if c == '}' {
 			d.pos++
-			return d.object(typeLo, typeHi), nil
+			d.object(o, typeLo, typeHi)
+			return nil
 		}
 		a, err := d.attribute(typ)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.attrs = append(d.attrs, a)
 	}
@@ -411,7 +438,7 @@ func (d *Decoder) attribute(typ func() []byte) (a attrSpan, err error) {
 	if a.nameLo, a.nameHi, err = d.readTo('{'); err != nil {
 		return a, fmt.Errorf("soif: reading attribute name in @%s: %w", typ(), err)
 	}
-	if err := validName(name()); err != nil {
+	if err := ValidName(name()); err != nil {
 		return a, err
 	}
 	lo, hi, err := d.readTo('}')
@@ -454,19 +481,17 @@ func (d *Decoder) attribute(typ func() []byte) (a attrSpan, err error) {
 	return a, nil
 }
 
-// object builds the scanned object: one string, one attribute slice.
-func (d *Decoder) object(typeLo, typeHi int) *Object {
+// object fills o with the scanned object: one string, and o's attribute
+// slice grown at most once.
+func (d *Decoder) object(o *Object, typeLo, typeHi int) {
 	text := string(d.buf[d.start:d.pos])
-	o := &Object{Type: strings.TrimSpace(text[typeLo:typeHi])}
-	if len(d.attrs) > 0 {
-		o.Attrs = make([]Attribute, len(d.attrs))
-	}
-	for i, a := range d.attrs {
+	o.Type = strings.TrimSpace(text[typeLo:typeHi])
+	o.Attrs = slices.Grow(o.Attrs[:0], len(d.attrs))
+	for _, a := range d.attrs {
 		if a.nameLo < 0 {
-			o.Attrs[i] = Attribute{Name: "URL", Value: strings.TrimSpace(text[a.valLo:a.valHi])}
+			o.Attrs = append(o.Attrs, Attribute{Name: "URL", Value: strings.TrimSpace(text[a.valLo:a.valHi])})
 		} else {
-			o.Attrs[i] = Attribute{Name: strings.TrimSpace(text[a.nameLo:a.nameHi]), Value: text[a.valLo:a.valHi]}
+			o.Attrs = append(o.Attrs, Attribute{Name: strings.TrimSpace(text[a.nameLo:a.nameHi]), Value: text[a.valLo:a.valHi]})
 		}
 	}
-	return o
 }

@@ -163,15 +163,16 @@ func TestEncodeInvalidNames(t *testing.T) {
 
 func TestDecoderStream(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
 	const n = 50
 	for i := 0; i < n; i++ {
 		o := New("SQRDocument")
 		o.Addf("RawScore", "%d.%02d", i, i)
 		o.Add("Payload", strings.Repeat("p", i))
-		if err := enc.Encode(o); err != nil {
-			t.Fatalf("Encode #%d: %v", i, err)
+		data, err := Marshal(o)
+		if err != nil {
+			t.Fatalf("Marshal #%d: %v", i, err)
 		}
+		buf.Write(data)
 	}
 	dec := NewDecoder(&buf)
 	for i := 0; ; i++ {
