@@ -1,7 +1,6 @@
 package starts_test
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,20 +8,62 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"starts"
 )
 
-// buildTool compiles one cmd/ binary into dir.
-func buildTool(t *testing.T, dir, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	cmd.Env = os.Environ()
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+// tools is every cmd/ binary, built once per test run into one directory
+// that TestMain removes.
+var tools struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tools.dir != "" {
+		os.RemoveAll(tools.dir)
 	}
-	return bin
+	os.Exit(code)
+}
+
+// tool returns the path of one cmd/ binary, building ./cmd/... on first use.
+func tool(t *testing.T, name string) string {
+	t.Helper()
+	tools.once.Do(func() {
+		if tools.dir, tools.err = os.MkdirTemp("", "starts-cmd-"); tools.err != nil {
+			return
+		}
+		if out, err := exec.Command("go", "build", "-o", tools.dir, "./cmd/...").CombinedOutput(); err != nil {
+			tools.err = fmt.Errorf("building ./cmd/...: %v\n%s", err, out)
+		}
+	})
+	if tools.err != nil {
+		t.Fatal(tools.err)
+	}
+	return filepath.Join(tools.dir, name)
+}
+
+// serve runs startsd with args on a free port until the test ends and
+// returns its base URL once its resource answers.
+func serve(t *testing.T, args ...string) string {
+	t.Helper()
+	addr := freePort(t)
+	server := exec.Command(tool(t, "startsd"), append([]string{"-addr", addr}, args...)...)
+	if err := server.Start(); err != nil {
+		t.Fatalf("startsd: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = server.Process.Kill()
+		_ = server.Wait()
+	})
+	base := "http://" + addr
+	waitReady(t, base+"/resource")
+	return base
 }
 
 // freePort grabs an ephemeral TCP port.
@@ -45,10 +86,9 @@ func TestCommandLineTools(t *testing.T) {
 		t.Skip("CLI smoke test builds binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	startsgen := buildTool(t, dir, "startsgen")
-	startsd := buildTool(t, dir, "startsd")
-	startsq := buildTool(t, dir, "startsq")
-	metasearch := buildTool(t, dir, "metasearch")
+	startsgen := tool(t, "startsgen")
+	startsq := tool(t, "startsq")
+	metasearch := tool(t, "metasearch")
 
 	// startsgen: corpus + workload files.
 	corpusPath := filepath.Join(dir, "corpus.json")
@@ -68,20 +108,7 @@ func TestCommandLineTools(t *testing.T) {
 	}
 
 	// startsd: serve the generated corpus.
-	addr := freePort(t)
-	server := exec.Command(startsd, "-addr", addr, "-corpus", corpusPath)
-	var serverOut bytes.Buffer
-	server.Stdout = &serverOut
-	server.Stderr = &serverOut
-	if err := server.Start(); err != nil {
-		t.Fatalf("startsd: %v", err)
-	}
-	defer func() {
-		_ = server.Process.Kill()
-		_ = server.Wait()
-	}()
-	base := "http://" + addr
-	waitReady(t, base+"/resource")
+	base := serve(t, "-corpus", corpusPath)
 
 	// startsq: query one source directly.
 	srcURL := fmt.Sprintf("%s/sources/src-00-databases", base)
@@ -170,26 +197,13 @@ func TestExamplesRun(t *testing.T) {
 	}
 }
 
-// TestInteractiveShell drives startsh with piped commands.
+// TestInteractiveShell drives metasearch's shell (no query flags) with
+// piped commands.
 func TestInteractiveShell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shell smoke test builds binaries; skipped in -short")
 	}
-	dir := t.TempDir()
-	startsd := buildTool(t, dir, "startsd")
-	startsh := buildTool(t, dir, "startsh")
-
-	addr := freePort(t)
-	server := exec.Command(startsd, "-addr", addr, "-sources", "2", "-docs", "30", "-seed", "3", "-overlap", "0")
-	if err := server.Start(); err != nil {
-		t.Fatalf("startsd: %v", err)
-	}
-	defer func() {
-		_ = server.Process.Kill()
-		_ = server.Wait()
-	}()
-	base := "http://" + addr
-	waitReady(t, base+"/resource")
+	base := serve(t, "-sources", "2", "-docs", "30", "-seed", "3", "-overlap", "0")
 
 	script := strings.Join([]string{
 		"sources",
@@ -201,13 +215,7 @@ func TestInteractiveShell(t *testing.T) {
 		"bogus command",
 		"quit",
 	}, "\n") + "\n"
-	cmd := exec.Command(startsh, "-resources", base+"/resource")
-	cmd.Stdin = strings.NewReader(script)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("startsh: %v\n%s", err, out)
-	}
-	text := string(out)
+	text := runMetasearch(t, script, "-resources", base+"/resource")
 	for _, want := range []string{
 		"harvested 2 sources",
 		"src-00-databases",
@@ -221,4 +229,49 @@ func TestInteractiveShell(t *testing.T) {
 			t.Errorf("shell output missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// runMetasearch runs the metasearch binary with args and stdin, failing the
+// test unless it exits cleanly, and returns its stdout and stderr.
+func runMetasearch(t *testing.T, stdin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(tool(t, "metasearch"), args...)
+	cmd.Stdin = strings.NewReader(stdin)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("metasearch %v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// TestWarmFile drives -warm-file end to end: a one-shot run saves its
+// workload on exit, the next run replays it, and a shell session saves
+// its own through the workload saver when it quits.
+func TestWarmFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warm-file test builds binaries; skipped in -short")
+	}
+	resource := serve(t, "-sources", "2", "-docs", "30", "-seed", "3") + "/resource"
+	ranking := `list((body-of-text "database"))`
+	warmed := func(path string) {
+		t.Helper()
+		entries, err := starts.LoadWorkloadFile(path)
+		if err != nil {
+			t.Fatalf("loading %s: %v", path, err)
+		}
+		if len(entries) != 1 || !strings.Contains(entries[0].Ranking, "database") {
+			t.Fatalf("workload %s = %+v, want the one database query", path, entries)
+		}
+	}
+
+	oneShot := filepath.Join(t.TempDir(), "one-shot.jsonl")
+	runMetasearch(t, "", "-resources", resource, "-warm-file", oneShot, "-ranking", ranking)
+	warmed(oneShot)
+	if out := runMetasearch(t, "", "-resources", resource, "-warm-file", oneShot, "-ranking", ranking); !strings.Contains(out, "warm start: replayed 1") {
+		t.Errorf("second run did not replay the workload:\n%s", out)
+	}
+
+	shell := filepath.Join(t.TempDir(), "shell.jsonl")
+	runMetasearch(t, "q "+ranking+"\nquit\n", "-resources", resource, "-warm-file", shell)
+	warmed(shell)
 }

@@ -45,7 +45,7 @@ func (b *Broker) SourceID() string { return b.id }
 // every optional text field, and the common modifiers; its score range is
 // unbounded because merged scores depend on the merge strategy.
 func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
-	if err := b.ms.Harvest(ctx); err != nil {
+	if _, err := b.harvested(ctx); err != nil {
 		return nil, err
 	}
 	m := &meta.SourceMeta{
@@ -89,6 +89,25 @@ func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 	return m, nil
 }
 
+// harvested refreshes the members' harvests best-effort, as a search does,
+// and returns one snapshot of them: a down member, or one past its
+// DateExpires whose refresh fails, drops out of (or stays stale in) what
+// the broker publishes instead of failing it for the whole region. It
+// fails only when no member has a usable entry.
+func (b *Broker) harvested(ctx context.Context) (roster, error) {
+	errs := b.ms.harvestAll(ctx)
+	fleet := b.ms.roster()
+	for _, e := range fleet.entries {
+		if e != nil {
+			return fleet, nil
+		}
+	}
+	if len(errs) > 0 {
+		return roster{}, fmt.Errorf("core: no member of broker %s could be harvested: %w", b.id, joinSorted(errs))
+	}
+	return roster{}, fmt.Errorf("core: broker %s has no members", b.id)
+}
+
 func (b *Broker) mergerName() string {
 	b.ms.mu.RLock()
 	defer b.ms.mu.RUnlock()
@@ -100,7 +119,8 @@ func (b *Broker) mergerName() string {
 // take the weakest common guarantees (stemmed if any member stems,
 // case-insensitive if any member folds).
 func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
-	if err := b.ms.Harvest(ctx); err != nil {
+	fleet, err := b.harvested(ctx)
+	if err != nil {
 		return nil, err
 	}
 	agg := &meta.ContentSummary{StopWordsIncluded: true, FieldsQualified: true, CaseSensitive: true}
@@ -110,11 +130,11 @@ func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 	}
 	totals := map[key]*meta.TermInfo{}
 	var order []key
-	for _, id := range b.ms.SourceIDs() {
-		_, sum, ok := b.ms.Harvested(id)
-		if !ok {
-			continue
+	for _, e := range fleet.entries {
+		if e == nil {
+			continue // never harvested: its member is down
 		}
+		sum := e.summary
 		agg.NumDocs += sum.NumDocs
 		if sum.Stemming {
 			agg.Stemming = true
@@ -163,12 +183,9 @@ func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 	return agg, nil
 }
 
-// Sample implements client.Conn: the broker has no single engine, so it
-// reports the sample results of a reference evaluation — the first
-// member's samples merged through the broker's strategy would require
-// per-query fan-out; instead the broker runs the canonical sample queries
-// through itself over the canonical collection held by a throwaway
-// member. For simplicity and honesty, brokers report no samples.
+// Sample implements client.Conn: a broker has no engine of its own to run
+// the sample queries over the sample collection (§4.2), so it exports no
+// sample-database results and says so.
 func (b *Broker) Sample(context.Context) ([]*source.SampleEntry, error) {
 	return nil, fmt.Errorf("core: broker %s exports no sample-database results", b.id)
 }

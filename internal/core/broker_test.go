@@ -87,6 +87,51 @@ func TestBrokerHierarchy(t *testing.T) {
 	}
 }
 
+// TestBrokerSurvivesDownMember: one unreachable member degrades what the
+// broker publishes, as it degrades the broker's queries, instead of
+// failing its metadata and summary for the whole region.
+func TestBrokerSurvivesDownMember(t *testing.T) {
+	leaf, _ := fleet(t)
+	leaf.Add(&brokenHarvestConn{failingConn{id: "down"}})
+	broker, err := leaf.NewBroker("region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := broker.Metadata(ctx); err != nil {
+		t.Fatalf("metadata with one member down: %v", err)
+	}
+	sum, err := broker.Summary(ctx)
+	if err != nil {
+		t.Fatalf("summary with one member down: %v", err)
+	}
+	healthy := 0
+	for _, id := range []string{"cs", "garden", "archive"} {
+		_, s, ok := leaf.Harvested(id)
+		if !ok {
+			t.Fatalf("healthy member %s not harvested", id)
+		}
+		healthy += s.NumDocs
+	}
+	if sum.NumDocs != healthy {
+		t.Errorf("summary NumDocs = %d, want %d (the healthy members)", sum.NumDocs, healthy)
+	}
+
+	// A broker none of whose members can be harvested still fails.
+	dead := New(Options{})
+	dead.Add(&brokenHarvestConn{failingConn{id: "d1"}})
+	deadBroker, err := dead.NewBroker("dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deadBroker.Metadata(ctx); err == nil {
+		t.Error("metadata of an all-down broker should fail")
+	}
+	if _, err := deadBroker.Summary(ctx); err == nil {
+		t.Error("summary of an all-down broker should fail")
+	}
+}
+
 func TestBrokerMetadata(t *testing.T) {
 	leaf, _ := fleet(t)
 	broker, err := leaf.NewBroker("B")

@@ -29,7 +29,7 @@ func DebugJSON(snapshot func() any) http.Handler {
 
 // DebugHandler exposes the metasearcher's operational state over HTTP,
 // mirroring the server-side endpoints so a long-running metasearcher
-// (e.g. startsh with -debug-addr) is inspectable too:
+// (e.g. metasearch with -debug-addr) is inspectable too:
 //
 //	GET /metrics          the registry in Prometheus text format
 //	GET /debug/workload   the recorded warm-start workload as JSON lines
