@@ -83,13 +83,16 @@ prof-wire:
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
 
-# stress repeats the scheduler's tests (internal/dispatch) and the
-# searches' goroutine-leak check (internal/core) twenty times under the
-# race detector, so a scheduling-dependent regression shows up here as a
-# flake rather than in production. Seconds, not minutes.
+# stress repeats, under the race detector, the scheduler's tests
+# (internal/dispatch) and the searches' goroutine-leak check and
+# cancel-at-every-stage table (internal/core) twenty times, and the query
+# cache's singleflight tests (internal/qcache) fifty, so a
+# scheduling-dependent regression shows up here as a flake rather than in
+# production. Seconds, not minutes.
 stress:
 	$(GO) test -race -count=20 -run 'Test' ./internal/dispatch/
-	$(GO) test -race -count=20 -run 'TestSearchesLeaveNoGoroutines' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSearchesLeaveNoGoroutines|TestCancelAtEveryStage' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestFlight' ./internal/qcache/
 
 # fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
 # one per run), target by target: the server's one request decoder, the

@@ -45,7 +45,11 @@ func (b *Broker) SourceID() string { return b.id }
 // every optional text field, and the common modifiers; its score range is
 // unbounded because merged scores depend on the merge strategy.
 func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
-	if _, err := b.harvested(ctx); err != nil {
+	// Harvested best effort, as a search harvests: a down member, or one
+	// past its DateExpires whose refresh fails, drops out of (or stays
+	// stale in) what the broker publishes instead of failing it for the
+	// whole region.
+	if _, err := b.ms.harvest(ctx); err != nil {
 		return nil, err
 	}
 	m := &meta.SourceMeta{
@@ -54,7 +58,7 @@ func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 		QueryParts:            meta.PartsBoth,
 		ScoreMin:              0,
 		ScoreMax:              math.Inf(1),
-		RankingAlgorithmID:    "broker-" + b.mergerName(),
+		RankingAlgorithmID:    "broker-" + b.ms.opts.Merger.Name(),
 		TurnOffStopWords:      true,
 		Linkage:               "starts-broker://" + b.id + "/query",
 		ContentSummaryLinkage: "starts-broker://" + b.id + "/summary",
@@ -89,37 +93,12 @@ func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 	return m, nil
 }
 
-// harvested refreshes the members' harvests best-effort, as a search does,
-// and returns one snapshot of them: a down member, or one past its
-// DateExpires whose refresh fails, drops out of (or stays stale in) what
-// the broker publishes instead of failing it for the whole region. It
-// fails only when no member has a usable entry.
-func (b *Broker) harvested(ctx context.Context) (roster, error) {
-	errs := b.ms.harvestAll(ctx)
-	fleet := b.ms.roster()
-	for _, e := range fleet.entries {
-		if e != nil {
-			return fleet, nil
-		}
-	}
-	if len(errs) > 0 {
-		return roster{}, fmt.Errorf("core: no member of broker %s could be harvested: %w", b.id, joinSorted(errs))
-	}
-	return roster{}, fmt.Errorf("core: broker %s has no members", b.id)
-}
-
-func (b *Broker) mergerName() string {
-	b.ms.mu.RLock()
-	defer b.ms.mu.RUnlock()
-	return b.ms.opts.Merger.Name()
-}
-
 // Summary implements client.Conn: the member summaries aggregated into
 // one, with document frequencies summed per (field, term). The flag bits
 // take the weakest common guarantees (stemmed if any member stems,
 // case-insensitive if any member folds).
 func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
-	fleet, err := b.harvested(ctx)
+	fleet, err := b.ms.harvest(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -190,59 +169,41 @@ func (b *Broker) Sample(context.Context) ([]*source.SampleEntry, error) {
 	return nil, fmt.Errorf("core: broker %s exports no sample-database results", b.id)
 }
 
-// Query implements client.Conn: the query runs through the inner
-// metasearcher and the merged answer is repackaged as a STARTS result,
-// with every contributing member listed in the header.
+// Query implements client.Conn: QueryStream without a sink.
 func (b *Broker) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
-	ans, err := b.ms.Search(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return b.repackage(q, ans), nil
-}
-
-// repackage renders a merged answer as a STARTS result, with every
-// contributing member listed in the header.
-func (b *Broker) repackage(q *query.Query, ans *Answer) *result.Results {
-	res := &result.Results{Sources: []string{b.id}}
-	res.Sources = append(res.Sources, ans.Contacted...)
-	// The broker's "actual query" is the original: member deviations were
-	// already compensated by translation and merging.
-	res.ActualFilter = q.Filter
-	res.ActualRanking = q.Ranking
-	res.Documents = ans.Documents
-	return res
+	return b.QueryStream(ctx, q, nil)
 }
 
 // QueryStream implements client.StreamConn: the query runs through the
-// inner metasearcher's streaming search, each rank-stable slice of the
-// merged answer reaching sink as a document frame the moment the
-// incremental merge proves it final — including the terminal remainder
-// — followed by one terminal frame carrying the complete repackaged
-// result, exactly what Query would have returned. A sink error stops
-// delivery; the search still completes and the final result is
+// inner metasearcher and the merged answer is repackaged as a STARTS
+// result, with every contributing member listed in the header. With a
+// sink, each rank-stable slice of the merged answer reaches it as a
+// document frame the moment the incremental merge proves it final —
+// including the terminal remainder — followed by one terminal frame
+// carrying the complete result, exactly what Query returns. A sink error
+// stops delivery; the search still completes and the final result is
 // returned alongside the sink's error.
 func (b *Broker) QueryStream(ctx context.Context, q *query.Query, sink func(result.StreamItem) error) (*result.Results, error) {
+	var events StreamSink
 	var sinkErr error
-	ans, err := b.ms.SearchStream(ctx, q, func(ev StreamEvent) error {
-		if len(ev.Docs) == 0 {
-			return nil // per-source events that stabilized nothing
+	if sink != nil {
+		events = func(ev StreamEvent) error {
+			if len(ev.Docs) > 0 { // else a per-source event that stabilized nothing
+				sinkErr = sink(result.StreamItem{Rank: ev.Rank, Docs: ev.Docs})
+			}
+			return sinkErr
 		}
-		if err := sink(result.StreamItem{Rank: ev.Rank, Docs: ev.Docs}); err != nil {
-			sinkErr = err
-			return err
-		}
-		return nil
-	})
+	}
+	ans, err := b.ms.searchStream(ctx, q, events)
 	if err != nil {
 		return nil, err
 	}
-	res := b.repackage(q, ans)
-	if sinkErr != nil {
-		return res, sinkErr
+	// The broker's "actual query" is the original: member deviations were
+	// already compensated by translation and merging.
+	res := &result.Results{Sources: append([]string{b.id}, ans.Contacted...),
+		ActualFilter: q.Filter, ActualRanking: q.Ranking, Documents: ans.Documents}
+	if sink != nil && sinkErr == nil {
+		sinkErr = sink(result.StreamItem{Final: res})
 	}
-	if err := sink(result.StreamItem{Final: res}); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, sinkErr
 }

@@ -35,8 +35,8 @@ func (c *blockingConn) Query(ctx context.Context, q *query.Query) (*result.Resul
 }
 
 // cachedFleet builds a one-source metasearcher fronted by a query cache
-// built from cfg, returning the counting conn so tests can assert how
-// many fan-outs actually reached the source.
+// built from cfg, both recording into cfg.Metrics, returning the counting
+// conn so tests can assert how many fan-outs actually reached the source.
 func cachedFleet(t *testing.T, cfg qcache.Config) (*Metasearcher, *blockingConn, *qcache.Cache) {
 	t.Helper()
 	eng, err := engine.New(engine.NewVectorConfig())
@@ -57,7 +57,7 @@ func cachedFleet(t *testing.T, cfg qcache.Config) (*Metasearcher, *blockingConn,
 	}
 	cache := qcache.New(cfg)
 	conn := &blockingConn{Conn: client.NewLocalConn(s, nil)}
-	ms := New(Options{Timeout: 5 * time.Second, Cache: cache})
+	ms := New(Options{Timeout: 5 * time.Second, Cache: cache, Metrics: cfg.Metrics})
 	ms.Add(conn)
 	return ms, conn, cache
 }

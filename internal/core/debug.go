@@ -42,7 +42,7 @@ func DebugJSON(snapshot func() any) http.Handler {
 // running a second mux.
 func (m *Metasearcher) DebugHandler(extra ...DebugRoute) http.Handler {
 	routes := []DebugRoute{
-		{Pattern: "GET /metrics", Handler: m.metrics.Handler()},
+		{Pattern: "GET /metrics", Handler: m.opts.Metrics.Handler()},
 		{Pattern: "GET /debug/workload", Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			if err := qcache.SaveWorkload(w, m.Workload()); err != nil {

@@ -162,15 +162,14 @@ func TestQueueFullSurfacesInOutcome(t *testing.T) {
 // instead of Recording, so a half-open circuit cannot get stuck waiting
 // on feedback that will never come.
 func TestBreakerReleasedWhenCallSkipsWire(t *testing.T) {
-	ms := New(Options{Timeout: 5 * time.Second})
+	gate := &fakeGate{}
+	ms := New(Options{Timeout: 5 * time.Second, Breaker: gate})
 	defer ms.Close()
 	g := &gateConn{failingConn: failingConn{id: "g"}, release: make(chan struct{})}
 	ms.Add(g)
 	if err := ms.Harvest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	gate := &fakeGate{}
-	ms.opts.Breaker = gate
 	base := dispatchStat(t, ms, "g")
 
 	const searches = 4

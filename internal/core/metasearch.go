@@ -1,11 +1,14 @@
 // Package core implements the metasearcher — the client the STARTS
-// protocol exists to serve. It performs the paper's three metasearch
-// tasks end to end: it harvests source metadata and content summaries
-// (caching them until their DateExpires), chooses the best sources for
-// each query with a GlOSS-style selector, translates the query per source
-// from the harvested metadata, evaluates it at the chosen sources
-// concurrently, and merges the returned ranks into a single answer,
-// optionally verifying dropped query parts client-side.
+// protocol exists to serve. A search runs the paper's metasearch tasks as
+// five steps, each a function that returns a value (steps.go): harvest
+// reads every source's metadata and content summary into a roster,
+// re-harvesting those past their DateExpires; choose ranks the harvested
+// sources for the query with a GlOSS-style selector into a plan; translate
+// rewrites the query for each planned source from its harvested metadata;
+// fanOut evaluates the sub-queries at the chosen sources concurrently; and
+// merge fuses the returned ranks into one answer, optionally verifying
+// dropped query parts client-side. Search, SearchStream, the query cache's
+// fill and the Broker compose them.
 package core
 
 import (
@@ -30,7 +33,9 @@ import (
 	"starts/internal/translate"
 )
 
-// Options configure a metasearcher.
+// Options configure a metasearcher. They are fixed at New; a search that
+// needs another budget, merger or source cap overrides it for itself with
+// SearchOptions.
 type Options struct {
 	// Selector ranks sources per query; default vGlOSS Sum(0).
 	Selector gloss.Selector
@@ -86,7 +91,7 @@ type Options struct {
 // Metasearcher provides a unified query interface over many STARTS
 // sources.
 type Metasearcher struct {
-	opts Options
+	opts Options // fixed at New, so read without the lock
 
 	// The registered fleet. Add publishes a new members slice (and, for a
 	// new id, a new slot map and scope) instead of editing the old ones,
@@ -99,7 +104,6 @@ type Metasearcher struct {
 	scope   string         // cache scope of a search under the baseline options
 
 	stats      *statsBook
-	metrics    *obs.Registry
 	workload   *qcache.Recorder
 	dispatcher *dispatch.Dispatcher
 }
@@ -109,8 +113,8 @@ type Metasearcher struct {
 // points outward. Two optional methods are discovered by assertion:
 // Open(id) bool becomes the dispatcher's fast-drain Refuse hook, and
 // Release(id) is called for an admitted call that ends without a wire
-// outcome (shed at the dispatch layer, coalesced onto another search's
-// batch), so a half-open probe slot it holds is freed.
+// outcome (never sent, shed at the dispatch layer, coalesced onto another
+// search's batch), so a half-open probe slot it holds is freed.
 type BreakerGate interface {
 	// Allow reports whether the source may be contacted now.
 	Allow(id string) bool
@@ -146,9 +150,8 @@ func newMember(c client.Conn) *member {
 // marking) swap in a new entry, so readers may use one after dropping
 // the lock.
 type entry struct {
-	meta      *meta.SourceMeta
-	summary   *meta.ContentSummary
-	harvested time.Time
+	meta    *meta.SourceMeta
+	summary *meta.ContentSummary
 	// stale marks an entry served past its DateExpires because a refresh
 	// failed (stale-if-error): better an aging summary than no source.
 	stale bool
@@ -184,7 +187,6 @@ func New(opts Options) *Metasearcher {
 		opts:     opts,
 		scope:    searchScope(opts, nil),
 		stats:    newStatsBook(),
-		metrics:  opts.Metrics,
 		workload: qcache.NewRecorder(0),
 		dispatcher: dispatch.New(dispatch.Config{
 			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth},
@@ -209,7 +211,7 @@ func (m *Metasearcher) DispatchStats() []dispatch.QueueStat { return m.dispatche
 func (m *Metasearcher) Close() { m.dispatcher.Close() }
 
 // Metrics returns the registry this metasearcher records into.
-func (m *Metasearcher) Metrics() *obs.Registry { return m.metrics }
+func (m *Metasearcher) Metrics() *obs.Registry { return m.opts.Metrics }
 
 // Add registers a source connection. Re-adding an ID replaces the
 // connection and invalidates its harvested state.
@@ -230,7 +232,7 @@ func (m *Metasearcher) Add(c client.Conn) {
 		m.scope = searchScope(m.opts, members)
 	}
 	m.members = members
-	m.metrics.Gauge("starts_sources_registered").Set(int64(len(members)))
+	m.opts.Metrics.Gauge("starts_sources_registered").Set(int64(len(members)))
 }
 
 // SourceIDs lists registered sources in registration order.
@@ -244,118 +246,16 @@ func (m *Metasearcher) SourceIDs() []string {
 	return ids
 }
 
-// expired reports whether a harvested entry must be refreshed.
-func (m *Metasearcher) expired(e *entry) bool {
-	if e == nil {
-		return true
-	}
-	exp := e.meta.DateExpires
-	return !exp.IsZero() && m.opts.Now().After(exp)
-}
-
 // Harvest fetches metadata and content summaries for every source whose
 // cached copy is missing or expired (per its DateExpires), concurrently
-// through the dispatch layer. It returns the first error encountered,
-// after attempting all sources.
+// through the dispatch layer. Unlike a search, which degrades past a
+// source it cannot harvest, it fails when any source does: the error joins
+// every failure, sorted by source ID.
 func (m *Metasearcher) Harvest(ctx context.Context) error {
-	for _, err := range m.harvestAll(ctx) {
-		if err != nil {
-			return err
-		}
+	if fleet, _ := m.harvest(ctx); len(fleet.failed) > 0 {
+		return joinSorted(fleet.failed)
 	}
 	return nil
-}
-
-// harvestAll refreshes every stale source and returns the per-source
-// errors; healthy sources are cached regardless of their siblings.
-// Re-harvesting lazily, before each search selects, is how the broker
-// honours a source's DateExpires (§3.4). Each refresh is submitted to the
-// source's dispatch queue under the key "harvest", so concurrent searches
-// that both find a source stale share one harvest instead of racing
-// duplicate fetches at it.
-func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
-	m.mu.RLock()
-	total := len(m.members)
-	var stale []string
-	for i, mem := range m.members {
-		if m.expired(m.entries[i]) {
-			stale = append(stale, mem.id)
-		}
-	}
-	m.mu.RUnlock()
-	m.metrics.Counter("starts_harvest_cache_hits_total").Add(int64(total - len(stale)))
-	m.metrics.Counter("starts_harvest_cache_misses_total").Add(int64(len(stale)))
-	out := map[string]error{}
-	tickets := make(map[string]*dispatch.Ticket, len(stale))
-	for _, id := range stale {
-		id := id
-		t, err := m.dispatcher.Submit(ctx, id, "harvest", dispatch.Limits{},
-			func(tctx context.Context) (any, error) {
-				return nil, m.harvestOne(tctx, id)
-			})
-		if err != nil {
-			out[id] = err
-			continue
-		}
-		tickets[id] = t
-	}
-	// All submitted harvests run concurrently on their sources' workers;
-	// waiting for them in turn costs only the slowest one.
-	for id, t := range tickets {
-		if _, err := t.Wait(ctx); err != nil {
-			out[id] = err
-		}
-	}
-	return out
-}
-
-func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
-	m.mu.RLock()
-	i, known := m.slot[id]
-	var mem *member
-	if known {
-		mem = m.members[i]
-	}
-	m.mu.RUnlock()
-	if !known {
-		return fmt.Errorf("core: unknown source %q", id)
-	}
-	sp := obs.SpanFrom(ctx).Child("harvest " + id)
-	sp.SetSource(id)
-	defer func() { sp.End(err) }()
-	ctx = obs.WithSpan(ctx, sp)
-	md, err := mem.conn.Metadata(ctx)
-	if err != nil {
-		m.keepStale(id)
-		return fmt.Errorf("core: harvesting metadata of %s: %w", id, err)
-	}
-	sum, err := mem.conn.Summary(ctx)
-	if err != nil {
-		m.keepStale(id)
-		return fmt.Errorf("core: harvesting summary of %s: %w", id, err)
-	}
-	// What translation asks of the metadata is compiled here, once per
-	// harvest, not by the first query to reach the source.
-	md.StopList()
-	m.mu.Lock()
-	m.entries[i] = &entry{meta: md, summary: sum, harvested: m.opts.Now()}
-	m.mu.Unlock()
-	return nil
-}
-
-// keepStale implements stale-if-error harvesting: when a refresh fails
-// but an old entry exists, the old entry stays in service marked stale.
-// Entries are immutable after publish, so marking means swapping in a
-// copy.
-func (m *Metasearcher) keepStale(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := m.slot[id] // of a registered source: harvestOne checked
-	if e := m.entries[i]; e != nil && !e.stale {
-		stale := *e
-		stale.stale = true
-		m.entries[i] = &stale
-	}
 }
 
 // Harvested returns the cached metadata and summary for a source.
@@ -479,7 +379,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := searchConfig{Options: m.opts} // fixed at New
+	cfg := searchConfig{Options: m.opts}
 	for _, o := range sopts {
 		if o != nil {
 			o(&cfg)
@@ -489,11 +389,8 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 
 	var em *emitter
 	if sink != nil {
-		em = m.newEmitter(sink, opts)
-		// The emitter dies with this call: a background refresh that
-		// shares this query's fill later must not reach the sink.
-		defer em.disarm()
-		m.metrics.Counter(obs.MStreamSearches).Inc()
+		em = &emitter{sink: sink, start: opts.Now(), now: opts.Now, metrics: m.opts.Metrics}
+		m.opts.Metrics.Counter(obs.MStreamSearches).Inc()
 	}
 
 	tr := cfg.trace
@@ -505,35 +402,62 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	filter, ranking := printed(q)
 	tr.Begin(describeQuery(filter, ranking))
 	defer tr.Finish()
-	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.metrics), tr)
-	m.metrics.Counter("starts_searches_total").Inc()
+	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.opts.Metrics), tr)
+	m.opts.Metrics.Counter("starts_searches_total").Inc()
 	// The injected clock times the search too, so frozen-clock freshness
 	// tests observe deterministic (zero) latencies instead of real ones.
 	searchStart := opts.Now()
 	defer func() {
-		m.metrics.Histogram("starts_search_seconds").Observe(opts.Now().Sub(searchStart))
+		m.opts.Metrics.Histogram("starts_search_seconds").Observe(opts.Now().Sub(searchStart))
 	}()
 
-	cache := opts.Cache
-	if cfg.noCache {
-		cache = nil
+	var ans *Answer
+	var err error
+	if opts.Cache != nil && !cfg.noCache {
+		ans, err = m.searchCached(ctx, tr, q, filter, ranking, opts, em)
+	} else {
+		ans, _, err = m.fill(ctx, q, opts, em)
 	}
-	if cache == nil {
-		ans, _, err := m.run(ctx, q, opts, em)
-		return ans, err
+	if err != nil {
+		return nil, err
 	}
+	em.finish(ans)
+	return ans, nil
+}
+
+// fill answers q by the five steps under the trace and registry on ctx,
+// and names the answer's cache lifetime (see answerTTL): it is the
+// uncached search and the query cache's fill. With a non-nil emitter the
+// fan-out's completions also stream through an incremental merger; the
+// answer itself comes from the same batch merge either way.
+func (m *Metasearcher) fill(ctx context.Context, q *query.Query, opts Options, em *emitter) (*Answer, time.Duration, error) {
+	// The budget bounds the whole call — harvesting included — while
+	// Timeout bounds each individual source.
+	if opts.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
+		defer cancel()
+	}
+	tr := obs.TraceFrom(ctx)
+	fleet, err := m.harvest(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	p, err := choose(tr, q, fleet, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.translate(tr)
+	var onDone func(int, *SourceOutcome)
 	if em != nil {
-		// The emitter travels to the fill by context: a leading fill runs
-		// synchronously on this context and streams; background refreshes
-		// run detached, find no emitter, and stay silent.
-		ctx = withEmitter(ctx, em)
+		onDone = em.begin(p)
 	}
-	return m.searchCached(ctx, tr, q, filter, ranking, opts, cache, em)
+	return m.merge(tr, p, m.fanOut(ctx, p, onDone))
 }
 
 // searchCached is the cache-fronted Search path: it fingerprints the
-// query, asks the cache, and only on a miss runs the full pipeline (as
-// the coalescing flight's leader). The entry's lifetime comes from the
+// query, asks the cache, and only on a miss runs the five steps (as the
+// coalescing flight's leader). The entry's lifetime comes from the
 // answering sources' own freshness metadata (see answerTTL). The "cache"
 // span annotates how the call was served, and every serve is recorded in
 // the warm-start workload: its fingerprint plus the Basic-1 text needed
@@ -541,12 +465,30 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 // whose expressions do not round-trip through the parser (some
 // multi-value ranking terms) are still recorded; Warm skips them with an
 // error count instead of failing the replay.
-func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, opts Options, cache *qcache.Cache, em *emitter) (*Answer, error) {
+func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, opts Options, em *emitter) (*Answer, error) {
 	csp := tr.StartSpan("cache")
 	key := m.cacheKey(q, opts)
 	csp.Annotate("key", key)
 	m.workload.Record(qcache.WarmEntry{Key: key, Filter: filter, Ranking: ranking, MaxResults: q.MaxResults})
-	v, outcome, err := cache.DoTTL(ctx, key, m.fillFor(q, opts))
+	// The leader's fill runs on this call and streams to its sink. A stale
+	// serve's background refresh (which shares the same cache bounds and
+	// dispatch layer) outlives this call: it runs under a private trace,
+	// since this call's is finished, and streams nowhere. The closure is
+	// allocated on every serve, hits included, so it captures no more than
+	// the fill needs; the refresh prints the query again.
+	v, outcome, err := opts.Cache.DoTTL(ctx, key, func(fctx context.Context, refresh bool) (any, time.Duration, error) {
+		fem := em
+		if refresh {
+			ftr := obs.NewTrace("refresh " + describeQuery(printed(q)))
+			defer ftr.Finish()
+			fctx, fem = obs.WithTrace(obs.WithMetrics(fctx, m.opts.Metrics), ftr), nil
+		}
+		ans, ttl, err := m.fill(fctx, q, opts, fem)
+		if err != nil {
+			return nil, 0, err
+		}
+		return ans, ttl, nil
+	})
 	csp.Annotate("outcome", outcome.String())
 	csp.End(err)
 	if err != nil {
@@ -554,70 +496,18 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 	}
 	ans := v.(*Answer)
 	if outcome == qcache.Filled {
-		// This call ran the pipeline itself; the answer already carries
-		// this search's trace, and a streaming call already emitted
-		// inside run (the fill found its emitter on the context).
-		return ans, nil
+		return ans, nil // this call's own fill: it carries this call's trace
 	}
 	// Hit, stale serve or coalesced follower: the shared answer arrived
-	// whole, so a streaming call replays it as one terminal event.
-	cp := ans.cachedCopy(tr, outcome == qcache.Stale)
-	em.replay(cp)
-	return cp, nil
-}
-
-// fillFor builds the cache fill that runs the full pipeline for q under
-// opts and names the answer's own lifetime. It is shared by the
-// cache-fronted Search path and its stale-while-revalidate refreshes —
-// both fan out through the dispatch layer, so background refreshes
-// respect the same per-source bounds as foreground searches.
-func (m *Metasearcher) fillFor(q *query.Query, opts Options) qcache.TTLFill {
-	return func(fctx context.Context) (any, time.Duration, error) {
-		if obs.TraceFrom(fctx) == nil {
-			// Background refresh: the triggering request's trace is long
-			// finished, so the refresh runs under its own private trace
-			// and the shared registry.
-			ftr := obs.NewTrace("refresh " + describeQuery(printed(q)))
-			defer ftr.Finish()
-			fctx = obs.WithTrace(obs.WithMetrics(fctx, m.metrics), ftr)
-		}
-		// A leading fill runs on the searching caller's context and finds
-		// its emitter there; detached background refreshes find nil and
-		// run as plain batch searches.
-		ans, ttl, err := m.run(fctx, q, opts, emitterFrom(fctx))
-		if err != nil {
-			return nil, 0, err
-		}
-		return ans, ttl, nil
+	// whole, so a stream replays it as one terminal event.
+	if em != nil {
+		m.opts.Metrics.Counter(obs.MStreamReplays).Inc()
 	}
-}
-
-// answerTTL derives a merged answer's cache lifetime from the freshness
-// metadata of the sources that produced it: the minimum qcache.FreshFor
-// across the contacted sources, so the answer expires when its most
-// volatile ingredient does. The metadata is the run's own — what the
-// answer was translated and merged with, not whatever a harvest has
-// published since. Sources declaring neither DateExpires nor DateChanged
-// contribute nothing; if no source declares anything, 0 is returned and
-// the cache falls back to its configured TTL. The cache clamps the result
-// to [TTLFloor, TTLCeiling], mirroring the server's Cache-Control
-// derivation for single sources.
-func answerTTL(plans []sourcePlan, now time.Time) time.Duration {
-	var min time.Duration
-	found := false
-	for _, p := range plans {
-		if p.entry == nil {
-			continue
-		}
-		ttl, ok := qcache.FreshFor(p.entry.meta.DateChanged, p.entry.meta.DateExpires, now)
-		if !ok {
-			continue
-		}
-		if !found || ttl < min {
-			min, found = ttl, true
-		}
-	}
-	return min
+	// The copy shares the documents and outcomes (read-only by convention)
+	// but carries this call's trace and marks a stale serve.
+	cp := *ans
+	cp.Trace, cp.Degraded.StaleAnswer = tr, outcome == qcache.Stale
+	return &cp, nil
 }
 
 // Workload lists the recently served cache-fronted queries (bounded,
@@ -639,13 +529,10 @@ func (m *Metasearcher) CacheKey(q *query.Query) string { return m.cacheKey(q, m.
 // count as errors and are skipped. It returns an error only when no
 // cache is configured.
 func (m *Metasearcher) Warm(ctx context.Context, entries []qcache.WarmEntry, concurrency int) (qcache.WarmStats, error) {
-	m.mu.RLock()
-	cache := m.opts.Cache
-	m.mu.RUnlock()
-	if cache == nil {
+	if m.opts.Cache == nil {
 		return qcache.WarmStats{}, fmt.Errorf("core: warm start needs Options.Cache")
 	}
-	stats := cache.Warm(ctx, entries, concurrency, func(rctx context.Context, e qcache.WarmEntry) error {
+	stats := m.opts.Cache.Warm(ctx, entries, concurrency, func(rctx context.Context, e qcache.WarmEntry) error {
 		q, err := warmQuery(e)
 		if err != nil {
 			return err
@@ -715,221 +602,6 @@ func searchScope(opts Options, members []*member) string {
 		"/" + strconv.FormatBool(opts.PostFilter) + "/" + strings.Join(ids, " ")
 }
 
-// cachedCopy prepares one cached answer for one serve: a shallow copy
-// whose documents and per-source outcomes are shared (read-only by
-// convention) but whose Trace is the serving call's own and whose
-// Degradation marks a stale serve.
-func (a *Answer) cachedCopy(tr *obs.Trace, stale bool) *Answer {
-	cp := *a
-	cp.Trace = tr
-	cp.Degraded.StaleAnswer = stale
-	return &cp
-}
-
-// roster is one search's view of the fleet, read under one lock: select,
-// translate, the merge inputs and the answer's lifetime all come from it,
-// so they agree on one harvest of every source whatever is re-harvested
-// or registered meanwhile.
-type roster struct {
-	members []*member
-	slot    map[string]int
-	entries []*entry // the search's own copy
-}
-
-func (m *Metasearcher) roster() roster {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return roster{members: m.members, slot: m.slot, entries: append([]*entry(nil), m.entries...)}
-}
-
-// run executes the full metasearch pipeline — harvest, select, translate,
-// fan-out, merge — under the trace and registry already on ctx, and names
-// the answer's cache lifetime (see answerTTL). It is the uncached Search
-// body and the query cache's fill function. With a non-nil emitter the
-// fan-out's completion points additionally feed an incremental merger and
-// stream rank-stable documents as they settle; the final answer is built
-// by the same batch merge either way.
-func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em *emitter) (*Answer, time.Duration, error) {
-	tr := obs.TraceFrom(ctx)
-	// The budget bounds the whole call — harvesting included — while
-	// Timeout below bounds each individual source.
-	if opts.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
-		defer cancel()
-	}
-	// Best-effort harvesting: an unreachable source must not block the
-	// healthy ones; its error is recorded in the answer instead.
-	hsp := tr.StartSpan("harvest")
-	harvestErrs := m.harvestAll(obs.WithSpan(ctx, hsp))
-	hsp.Annotate("errors", strconv.Itoa(len(harvestErrs)))
-	hsp.End(nil)
-
-	fleet := m.roster()
-	infos := make([]gloss.SourceInfo, 0, len(fleet.members))
-	for i, e := range fleet.entries {
-		if e != nil { // else not harvested; its error is in harvestErrs
-			infos = append(infos, gloss.SourceInfo{ID: fleet.members[i].id, Summary: e.summary, Meta: e.meta})
-		}
-	}
-	if len(infos) == 0 {
-		if len(harvestErrs) > 0 {
-			return nil, 0, fmt.Errorf("core: no source could be harvested: %w", joinSorted(harvestErrs))
-		}
-		return nil, 0, fmt.Errorf("core: no sources registered")
-	}
-
-	ssp := tr.StartSpan("select")
-	ranked := opts.Selector.Rank(q, infos)
-	contacted := pick(ranked, opts.MaxSources)
-	ssp.Annotate("selector", opts.Selector.Name())
-	ssp.Annotate("candidates", strconv.Itoa(len(ranked)))
-	ssp.Annotate("picked", strconv.Itoa(len(contacted)))
-	ssp.End(nil)
-	if len(contacted) == 0 {
-		return nil, 0, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
-	}
-
-	answer := &Answer{Selected: ranked, PerSource: make(map[string]*SourceOutcome, len(contacted)+len(harvestErrs)), Trace: tr}
-	for id, err := range harvestErrs {
-		answer.PerSource[id] = &SourceOutcome{Err: fmt.Errorf("core: harvesting %s: %w", id, err)}
-		if i, ok := fleet.slot[id]; !ok || fleet.entries[i] == nil || !fleet.entries[i].stale {
-			answer.Degraded.HarvestFailed = append(answer.Degraded.HarvestFailed, id)
-		}
-	}
-	// Consult the breaker before fan-out: refused sources are skipped,
-	// degrading the answer instead of waiting out another timeout.
-	if opts.Breaker != nil {
-		admitted := contacted[:0]
-		for _, id := range contacted {
-			if opts.Breaker.Allow(id) {
-				admitted = append(admitted, id)
-				continue
-			}
-			answer.Degraded.Skipped = append(answer.Degraded.Skipped, id)
-			answer.PerSource[id] = &SourceOutcome{Err: fmt.Errorf("core: source %s skipped: circuit open", id)}
-		}
-		contacted = admitted
-	}
-	answer.Contacted = contacted
-
-	// plans[i] is contacted[i]'s: its member, its harvest as the roster
-	// has it — which the incremental merger's roster and the final merge
-	// inputs both use, so streamed and final scores agree — and its
-	// translated query.
-	plans := translateAll(tr, q, contacted, fleet)
-	var inc *merge.Incremental
-	if em != nil && len(contacted) > 0 {
-		slots := make([]merge.StreamSource, len(contacted))
-		for i, p := range plans {
-			slots[i] = merge.StreamSource{SourceID: contacted[i]}
-			if p.entry != nil {
-				slots[i].Meta, slots[i].Summary = p.entry.meta, p.entry.summary
-			}
-		}
-		inc = merge.NewIncremental(opts.Merger, q, slots)
-	}
-
-	// onDone runs serialized at each source's completion (fanOut holds
-	// its mutex): post-filtering and degradation accounting move here so
-	// stream events see them as they happen; the batch path shares the
-	// exact same code with the streaming steps skipped.
-	unverified := make([][]query.Term, len(contacted))
-	onDone := func(slot int, id string, oc *SourceOutcome) {
-		if oc.Stale {
-			answer.Degraded.Stale = append(answer.Degraded.Stale, id)
-		}
-		ok := oc.Err == nil && oc.Results != nil
-		if !ok {
-			if oc.Err != nil {
-				answer.Degraded.Failed = append(answer.Degraded.Failed, id)
-			}
-		} else if opts.PostFilter && oc.Report != nil && len(oc.Report.DroppedTerms) > 0 {
-			oc.Results.Documents, unverified[slot] = translate.PostFilter(oc.Results.Documents, oc.Report.DroppedTerms)
-		}
-		if inc == nil {
-			return
-		}
-		rank := inc.Emitted()
-		var docs []*result.Document
-		if ok {
-			docs = inc.Offer(slot, oc.Results)
-		} else {
-			docs = inc.Fail(slot)
-		}
-		em.emit(StreamEvent{
-			Docs: docs, Rank: rank, SourceID: id, Outcome: oc,
-			Degraded: answer.Degraded.snapshot(),
-		})
-	}
-	outcomes := m.fanOut(ctx, contacted, plans, opts, onDone)
-
-	msp := tr.StartSpan("merge")
-	inputs := make([]merge.SourceResult, 0, len(contacted))
-	for i, id := range contacted {
-		oc := outcomes[i]
-		answer.PerSource[id] = oc
-		if oc.Err != nil || oc.Results == nil {
-			continue
-		}
-		answer.Unverifiable = append(answer.Unverifiable, unverified[i]...)
-		e := plans[i].entry // not nil: the source answered, so it was translated for
-		inputs = append(inputs, merge.SourceResult{SourceID: id, Meta: e.meta, Summary: e.summary, Results: oc.Results})
-	}
-	answer.Degraded.sort()
-	msp.Annotate("strategy", opts.Merger.Name())
-	msp.Annotate("inputs", strconv.Itoa(len(inputs)))
-	ttl := answerTTL(plans, opts.Now())
-	if len(inputs) == 0 {
-		msp.Annotate("docs", "0")
-		msp.End(nil)
-		// Every contacted source failed outright: surface the errors —
-		// unless the breaker shed some sources, in which case a degraded
-		// empty answer is the honest result and the caller can retry
-		// after the cooldown.
-		failures := map[string]error{}
-		for i, id := range contacted {
-			if outcomes[i].Err != nil {
-				failures[id] = outcomes[i].Err
-			}
-		}
-		if len(failures) > 0 && len(answer.Degraded.Skipped) == 0 {
-			return nil, 0, fmt.Errorf("core: all %d contacted sources failed: %w", len(contacted), joinSorted(failures))
-		}
-		if em != nil {
-			em.emit(StreamEvent{Degraded: answer.Degraded.snapshot(), Final: answer})
-		}
-		return answer, ttl, nil
-	}
-
-	// The final rank always comes from the ordinary batch merge — the
-	// incremental merger streamed a stable prefix of exactly this rank
-	// and mutated nothing, so batch and streamed answers are
-	// bit-identical.
-	answer.Documents = opts.Merger.Merge(q, inputs)
-	if max := q.EffectiveMaxResults(); len(answer.Documents) > max {
-		answer.Documents = answer.Documents[:max]
-	}
-	msp.Annotate("docs", strconv.Itoa(len(answer.Documents)))
-	msp.End(nil)
-	m.metrics.Counter(obs.L("starts_merge_docs_total", "strategy", opts.Merger.Name())).
-		Add(int64(len(answer.Documents)))
-	if em != nil {
-		emitted := 0
-		if inc != nil {
-			emitted = inc.Emitted()
-			if emitted > len(answer.Documents) {
-				emitted = len(answer.Documents)
-			}
-		}
-		em.emit(StreamEvent{
-			Docs: answer.Documents[emitted:], Rank: emitted,
-			Degraded: answer.Degraded.snapshot(), Final: answer,
-		})
-	}
-	return answer, ttl, nil
-}
-
 // printed renders q's two expressions, "" for one it lacks.
 func printed(q *query.Query) (filter, ranking string) {
 	if q.Filter != nil {
@@ -970,233 +642,20 @@ func joinSorted(errsByID map[string]error) error {
 	return errors.Join(joined...)
 }
 
+// note adds one contacted source's outcome to the degradation.
+func (d *Degradation) note(id string, oc *SourceOutcome) {
+	if oc.Stale {
+		d.Stale = append(d.Stale, id)
+	}
+	if oc.Err != nil {
+		d.Failed = append(d.Failed, id)
+	}
+}
+
 // sort orders every degradation list by source ID.
 func (d *Degradation) sort() {
 	sort.Strings(d.Skipped)
 	sort.Strings(d.Stale)
 	sort.Strings(d.Failed)
 	sort.Strings(d.HarvestFailed)
-}
-
-// pick keeps the sources worth contacting: positive estimated goodness,
-// capped at maxSources. If the selector assigns no positive goodness at
-// all (e.g. the random baseline), every source is eligible.
-func pick(ranked []gloss.Ranked, maxSources int) []string {
-	anyPositive := false
-	for _, r := range ranked {
-		if r.Goodness > 0 {
-			anyPositive = true
-			break
-		}
-	}
-	var ids []string
-	for _, r := range ranked {
-		if anyPositive && r.Goodness <= 0 {
-			continue
-		}
-		ids = append(ids, r.ID)
-		if maxSources > 0 && len(ids) >= maxSources {
-			break
-		}
-	}
-	return ids
-}
-
-// sourcePlan is one contacted source's prepared fan-out work: the member,
-// its harvested state and translated query — or the reason it cannot be
-// queried at all.
-type sourcePlan struct {
-	mem    *member
-	entry  *entry
-	sent   *query.Query
-	report *translate.Report
-	err    error // lookup or translation failure; skips the network call
-}
-
-// translateAll runs the translation stage: each contacted source gets the
-// query rewritten against its harvested metadata, under its own span, so
-// a trace shows exactly what each source was asked and what was dropped.
-func translateAll(tr *obs.Trace, q *query.Query, ids []string, fleet roster) []sourcePlan {
-	tsp := tr.StartSpan("translate")
-	defer tsp.End(nil)
-	plans := make([]sourcePlan, len(ids))
-	for n, id := range ids {
-		p := &plans[n]
-		name := "translate "
-		if i, ok := fleet.slot[id]; ok {
-			p.mem, p.entry, name = fleet.members[i], fleet.entries[i], fleet.members[i].translateSpan
-		} else {
-			name += id // a selector named a source nobody registered
-		}
-		sp := tsp.Child(name)
-		sp.SetSource(id)
-		if p.entry == nil {
-			p.err = fmt.Errorf("core: source %q not harvested", id)
-			sp.End(p.err)
-			continue
-		}
-		p.sent, p.report = translate.ForSource(q, p.entry.meta)
-		if p.sent.Filter == nil && p.sent.Ranking == nil {
-			p.err = fmt.Errorf("core: nothing of the query survives translation for %s", id)
-			sp.End(p.err)
-			continue
-		}
-		if p.report != nil && !p.report.Clean() {
-			sp.Annotate("dropped-terms", strconv.Itoa(len(p.report.DroppedTerms)))
-		}
-		sp.End(nil)
-	}
-	return plans
-}
-
-// fanOut queries the planned sources through the dispatch layer, each
-// under its own child span of the "fanout" stage. Ownership of the
-// concurrency is inverted from the pre-dispatch design: the wire calls
-// run on each source's bounded worker pool (where identical sub-queries
-// from concurrent searches coalesce into one call), and this search only
-// keeps one cheap waiter goroutine per source so every query span ends
-// at its true completion time.
-//
-// onDone (optional) observes each source's completion in real time,
-// serialized under the fan-out mutex — this is the hook the streaming
-// path hangs the incremental merger on; slot is the source's index in
-// ids, and in plans and the returned outcomes. fanOut still waits for
-// every source before returning.
-func (m *Metasearcher) fanOut(ctx context.Context, ids []string, plans []sourcePlan, opts Options, onDone func(slot int, id string, oc *SourceOutcome)) []*SourceOutcome {
-	fsp := obs.TraceFrom(ctx).StartSpan("fanout")
-	defer fsp.End(nil)
-	ctx = obs.WithSpan(ctx, fsp)
-	outcomes := make([]*SourceOutcome, len(ids))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(slot int, id string) {
-			defer wg.Done()
-			oc := m.queryOne(ctx, id, &plans[slot], opts)
-			mu.Lock()
-			outcomes[slot] = oc
-			if onDone != nil {
-				onDone(slot, id, oc)
-			}
-			mu.Unlock()
-		}(i, id)
-	}
-	wg.Wait()
-	return outcomes
-}
-
-// batchKey fingerprints one translated sub-query for cross-search
-// coalescing: identical in-flight queries destined for the same source
-// share one wire call. Hashing the translated (not the original) query
-// means two different user queries that translate identically for a
-// source still coalesce.
-func batchKey(mem *member, sent *query.Query) string {
-	return qcache.Keyer{Scope: mem.dispatchScope}.Key(sent)
-}
-
-func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan, opts Options) *SourceOutcome {
-	oc := &SourceOutcome{Sent: plan.sent, Report: plan.report}
-	if plan.err != nil {
-		oc.Err = plan.err
-		return oc
-	}
-	mem := plan.mem
-	oc.Stale = plan.entry.stale
-	sp := obs.SpanFrom(ctx).Child(mem.querySpan)
-	sp.SetSource(id)
-	if oc.Stale {
-		sp.Annotate("stale", "true")
-	}
-	// The wire call runs on the source's dispatch workers, not on this
-	// goroutine; the dispatch child span records the queueing side of the
-	// call (coalescing, queue wait) separately from the source's answer.
-	dsp := sp.Child("dispatch")
-	dsp.SetSource(id)
-	conn, sent, timeout := mem.conn, plan.sent, opts.Timeout
-	start := opts.Now()
-	// The per-source deadline starts before Submit and is carried on the
-	// submitted context, so the dispatcher's deadline-aware admission can
-	// see this caller's remaining budget and refuse work that could not
-	// finish in time (dispatch.ErrDeadline) instead of queueing it. The
-	// batch itself detaches from this cancellation; the wire call is
-	// bounded by the same timeout applied inside the task.
-	wctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	// Each sub-query is one task and one wire call on the source's
-	// workers; an identical sub-query already in flight is joined instead.
-	ticket, err := m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, batchKey(mem, sent), dispatch.Limits{},
-		func(tctx context.Context) (any, error) {
-			// The per-source Timeout bounds the wire call itself; the
-			// waiters' contexts only bound their willingness to wait.
-			qctx, cancel := context.WithTimeout(tctx, timeout)
-			defer cancel()
-			return client.Ask(qctx, conn, sent)
-		})
-	var res *result.Results
-	led := true
-	if err == nil {
-		// The waiter honors the same per-source deadline the direct call
-		// had — covering queue wait plus run — and the search's own
-		// context (budget, cancellation). Abandoning the wait unregisters
-		// this waiter; the wire call is cancelled once nobody waits.
-		v, werr := ticket.Wait(wctx)
-		err = werr
-		led = ticket.Led()
-		if v != nil {
-			res = v.(*result.Results)
-		}
-		if d := ticket.RunFor(); d > 0 {
-			oc.Elapsed = d // the shared wire call's own duration
-		}
-		dsp.Annotate("coalesced", strconv.FormatBool(!led))
-		if n := ticket.Fanout(); n > 1 {
-			dsp.Annotate("fanout", strconv.Itoa(n))
-		}
-	}
-	if oc.Elapsed == 0 {
-		oc.Elapsed = opts.Now().Sub(start)
-	}
-	// Dispatch-level failures (shed, fast-drained, doomed, closed) end
-	// the dispatch span; wire failures belong to the query span only.
-	declined := dispatch.Declined(err)
-	if declined {
-		dsp.End(err)
-	} else {
-		dsp.End(nil)
-	}
-	sp.End(err)
-	// Only the batch leader reports a wire outcome to the breaker: N
-	// coalesced waiters observed one call, and dispatch-level shedding,
-	// refusal or shutdown says nothing new about the source's health. The
-	// breaker admitted every caller here, though, so a call with no wire
-	// outcome to report must still release its claim (on breakers that
-	// support it) — otherwise a half-open probe that was shed or that
-	// joined another batch would leave its circuit stuck refusing traffic.
-	if opts.Breaker != nil {
-		if led && !declined {
-			opts.Breaker.Record(id, err)
-		} else if rel, ok := opts.Breaker.(interface{ Release(id string) }); ok {
-			rel.Release(id)
-		}
-	}
-	m.metrics.Counter(mem.queriesTotal).Inc()
-	m.metrics.Histogram(mem.querySeconds).Observe(oc.Elapsed)
-	if err != nil {
-		oc.Err = fmt.Errorf("core: querying %s: %w", id, err)
-		m.stats.record(id, oc.Elapsed, true, 0)
-		m.metrics.Counter(mem.errsTotal).Inc()
-		return oc
-	}
-	if ticket.Fanout() > 1 {
-		// The batch served several waiters, so the Results value is
-		// shared across searches; rank merging mutates documents (source
-		// attributions, best-score promotion), so each waiter gets its
-		// own copy.
-		res = res.Clone()
-	}
-	oc.Results = res
-	sp.Annotate("docs", strconv.Itoa(len(res.Documents)))
-	m.stats.record(id, oc.Elapsed, false, len(res.Documents))
-	return oc
 }

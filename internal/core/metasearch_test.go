@@ -24,6 +24,12 @@ import (
 // archive, with one document shared between CS and archive.
 func fleet(t *testing.T) (*Metasearcher, map[string]*source.Source) {
 	t.Helper()
+	return fleetWith(t, Options{Timeout: 5 * time.Second})
+}
+
+// fleetWith is fleet under opts.
+func fleetWith(t *testing.T, opts Options) (*Metasearcher, map[string]*source.Source) {
+	t.Helper()
 	date := time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)
 	mkDocs := func(topic string, n int, extra string) []*index.Document {
 		docs := make([]*index.Document, n)
@@ -69,7 +75,7 @@ func fleet(t *testing.T) (*Metasearcher, map[string]*source.Source) {
 	topk := engine.NewVectorConfig()
 	topk.Scorer = engine.TopK{}
 
-	ms := New(Options{Timeout: 5 * time.Second})
+	ms := New(opts)
 	ms.Add(client.NewLocalConn(mkSource("cs", engine.NewVectorConfig(), csDocs), nil))
 	ms.Add(client.NewLocalConn(mkSource("garden", topk, gdDocs), nil))
 	ms.Add(client.NewLocalConn(mkSource("archive", engine.NewBooleanConfig(), arDocs), nil))
@@ -169,9 +175,8 @@ func (c *countingConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 // gardening source when a cap is in place.
 func TestSearchSelectsTopicalSources(t *testing.T) {
 	ms, _ := fleet(t)
-	ms.opts.MaxSources = 2
 	q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "distributed"))`)
-	ans, err := ms.Search(context.Background(), q)
+	ans, err := ms.Search(context.Background(), q, WithMaxSources(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +204,8 @@ func TestSearchMergesAcrossIncompatibleScorers(t *testing.T) {
 	// Query matching both cs (TFIDF, scores <1) and garden (TopK, top
 	// score 1000): with the scaled merger neither source dominates merely
 	// by scale.
-	ms.opts.Merger = merge.Scaled{}
 	q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "tomato"))`)
-	ans, err := ms.Search(context.Background(), q)
+	ans, err := ms.Search(context.Background(), q, WithMerger(merge.Scaled{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +327,12 @@ func TestAllSourcesFailing(t *testing.T) {
 
 func TestPostFilterVerificationMode(t *testing.T) {
 	ms, _ := fleet(t)
-	ms.opts.PostFilter = true
-	ms.opts.Selector = gloss.Random{Seed: 42} // contact everything
 	// The archive is Boolean-only and does not support the author field
 	// wait — author IS supported there. Use a field it lacks: languages.
 	q := query.New()
 	q.Filter, _ = query.ParseFilter(`((author "Gravano") and (body-of-text "metasearch"))`)
-	ans, err := ms.Search(context.Background(), q)
+	ans, err := ms.Search(context.Background(), q,
+		WithPostFilter(true), WithSelector(gloss.Random{Seed: 42})) // contact everything
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,7 @@ func TestSearchBudgetBoundsTotalTime(t *testing.T) {
 }
 
 func TestSearchBudgetDegradesMixedFleet(t *testing.T) {
-	ms, _ := fleet(t)
-	ms.opts.Timeout = 5 * time.Second
-	ms.opts.Budget = 300 * time.Millisecond
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second, Budget: 300 * time.Millisecond})
 	ms.Add(&slowConn{failingConn{id: "slow"}})
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	ans, err := ms.Search(context.Background(), q)
@@ -133,11 +131,12 @@ func TestSearchBudgetDegradesMixedFleet(t *testing.T) {
 	}
 }
 
-// fakeGate refuses a fixed set of sources and records outcomes and
-// probe-slot releases.
+// fakeGate refuses a fixed set of sources and counts admissions, outcomes
+// and probe-slot releases.
 type fakeGate struct {
 	mu       sync.Mutex
 	refused  map[string]bool
+	admits   int
 	records  map[string]int
 	releases map[string]int
 }
@@ -145,7 +144,11 @@ type fakeGate struct {
 func (g *fakeGate) Allow(id string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return !g.refused[id]
+	if g.refused[id] {
+		return false
+	}
+	g.admits++
+	return true
 }
 
 func (g *fakeGate) Record(id string, err error) {
@@ -172,10 +175,27 @@ func (g *fakeGate) counts(id string) (records, releases int) {
 	return g.records[id], g.releases[id]
 }
 
+// balanced checks that every admission was answered, by a Record or a
+// Release, so no half-open probe is left held.
+func (g *fakeGate) balanced(t *testing.T) {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	answered := 0
+	for id := range g.records {
+		answered += g.records[id]
+	}
+	for id := range g.releases {
+		answered += g.releases[id]
+	}
+	if g.admits != answered {
+		t.Errorf("breaker: %d admissions, %d records + releases", g.admits, answered)
+	}
+}
+
 func TestBreakerGateSkipsSources(t *testing.T) {
-	ms, _ := fleet(t)
 	gate := &fakeGate{refused: map[string]bool{"cs": true}}
-	ms.opts.Breaker = gate
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second, Breaker: gate})
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	ans, err := ms.Search(context.Background(), q)
 	if err != nil {
@@ -207,8 +227,8 @@ func TestBreakerGateSkipsSources(t *testing.T) {
 }
 
 func TestBreakerGateAllRefusedDegradesToEmpty(t *testing.T) {
-	ms, _ := fleet(t)
-	ms.opts.Breaker = &fakeGate{refused: map[string]bool{"cs": true, "garden": true, "archive": true}}
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second,
+		Breaker: &fakeGate{refused: map[string]bool{"cs": true, "garden": true, "archive": true}}})
 	// A term no source matches: every source is eligible, all are refused.
 	q := rankingQuery(t, `list((body-of-text "xylophone"))`)
 	ans, err := ms.Search(context.Background(), q)

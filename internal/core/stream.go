@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
+	"starts/internal/merge"
 	"starts/internal/obs"
 	"starts/internal/query"
 	"starts/internal/result"
@@ -74,33 +74,70 @@ func (m *Metasearcher) SearchStream(ctx context.Context, q *query.Query, sink St
 	return m.searchStream(ctx, q, sink, sopts...)
 }
 
-// emitter serializes delivery to one sink and records the stream
-// metrics. A nil *emitter is valid and inert, so the batch Search path
-// costs one nil check. The emitter is disarmed when its search returns:
-// a background refresh triggered by this search can never write to the
-// caller's sink.
+// emitter is the stream side of one search: it delivers events to the
+// sink and records the stream metrics, and for a search that runs its own
+// fan-out it feeds each completion to an incremental merger. A nil
+// *emitter is valid and inert, so the batch Search path costs one nil
+// check. Only the search's own fill streams: the emitter is an argument of
+// that fill, which a stale serve's background refresh runs with nil, so
+// no refresh ever reaches a sink. fanOut serializes its completions, and
+// the terminal event follows the fan-out, so the sink is never called
+// concurrently.
 type emitter struct {
-	mu       sync.Mutex
 	sink     StreamSink
-	dead     bool
+	dead     bool // the sink failed
 	start    time.Time
 	now      func() time.Time
 	metrics  *obs.Registry
 	gotFirst bool
+
+	// Set by begin; inc stays nil for an answer served from the cache.
+	ids      []string
+	inc      *merge.Incremental
+	degraded Degradation // known so far
 }
 
-func (m *Metasearcher) newEmitter(sink StreamSink, opts Options) *emitter {
-	return &emitter{sink: sink, start: opts.Now(), now: opts.Now, metrics: m.metrics}
+// begin arms the emitter for p's fan-out — an incremental merger over the
+// planned sources' harvests, which the final merge inputs also use, so
+// streamed and final scores agree, and the degradation known before any
+// source answers — and returns fanOut's completion hook.
+func (e *emitter) begin(p *plan) func(slot int, oc *SourceOutcome) {
+	slots := make([]merge.StreamSource, len(p.ids))
+	for i, s := range p.sources {
+		slots[i] = merge.StreamSource{SourceID: p.ids[i]}
+		if s.entry != nil {
+			slots[i].Meta, slots[i].Summary = s.entry.meta, s.entry.summary
+		}
+	}
+	e.ids, e.inc, e.degraded = p.ids, merge.NewIncremental(p.opts.Merger, p.q, slots), p.degraded
+	return e.done
 }
 
-// emit delivers one event unless the emitter is disarmed or the sink
-// already failed.
-func (e *emitter) emit(ev StreamEvent) {
+// done runs at each source's completion: its answer feeds the incremental
+// merger (a failed source's nil results resolve its slot), and one event
+// carries what became rank-stable, the source's outcome and the
+// degradation known so far.
+func (e *emitter) done(slot int, oc *SourceOutcome) {
+	id, rank := e.ids[slot], e.inc.Emitted()
+	e.degraded.note(id, oc)
+	e.emit(StreamEvent{Docs: e.inc.Offer(slot, oc.Results), Rank: rank, SourceID: id, Outcome: oc, Degraded: e.degraded.snapshot()})
+}
+
+// finish emits the terminal event: what the incremental merger did not
+// stream of the answer already — all of it for a cache-served answer.
+func (e *emitter) finish(ans *Answer) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	rank := 0
+	if e.inc != nil {
+		rank = min(e.inc.Emitted(), len(ans.Documents))
+	}
+	e.emit(StreamEvent{Docs: ans.Documents[rank:], Rank: rank, Degraded: ans.Degraded.snapshot(), Final: ans})
+}
+
+// emit delivers one event unless the sink already failed.
+func (e *emitter) emit(ev StreamEvent) {
 	if e.dead {
 		return
 	}
@@ -117,43 +154,6 @@ func (e *emitter) emit(ev StreamEvent) {
 		e.dead = true
 		e.metrics.Counter(obs.MStreamSinkErrors).Inc()
 	}
-}
-
-// replay delivers a cache-served answer as one terminal event.
-func (e *emitter) replay(ans *Answer) {
-	if e == nil {
-		return
-	}
-	e.metrics.Counter(obs.MStreamReplays).Inc()
-	e.emit(StreamEvent{Docs: ans.Documents, Degraded: ans.Degraded.snapshot(), Final: ans})
-}
-
-// disarm permanently stops emission. Called when the owning search
-// returns, so nothing later (a stale-while-revalidate refresh sharing
-// this query's fill, say) can reach a sink whose caller has moved on.
-func (e *emitter) disarm() {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.dead = true
-	e.mu.Unlock()
-}
-
-// emitterKey carries the search's emitter through the query cache to
-// its fill: qcache.DoTTL runs a leading (synchronous) fill on the
-// caller's own context, so the token reaches run and the leader
-// streams; background refreshes run on a detached context, find no
-// token, and stay silent.
-type emitterKey struct{}
-
-func withEmitter(ctx context.Context, em *emitter) context.Context {
-	return context.WithValue(ctx, emitterKey{}, em)
-}
-
-func emitterFrom(ctx context.Context) *emitter {
-	em, _ := ctx.Value(emitterKey{}).(*emitter)
-	return em
 }
 
 // snapshot returns a copy of d whose lists do not alias the answer's

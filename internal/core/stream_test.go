@@ -135,8 +135,6 @@ func TestSearchStreamNilSinkIsSearch(t *testing.T) {
 func TestSearchStreamCacheReplay(t *testing.T) {
 	reg := obs.NewRegistry()
 	ms, conn, _ := cachedFleet(t, qcache.Config{Metrics: reg, TTL: time.Hour})
-	ms.opts.Metrics = reg // share so stream metrics land in reg
-	ms.metrics = reg
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 
 	ans1, ev1 := collectStream(t, ms, q)
@@ -170,7 +168,6 @@ func TestSearchStreamCacheReplay(t *testing.T) {
 func TestSearchStreamSinkErrorDoesNotPoisonSearch(t *testing.T) {
 	reg := obs.NewRegistry()
 	ms, conn, _ := cachedFleet(t, qcache.Config{Metrics: reg, TTL: time.Hour})
-	ms.metrics = reg
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 
 	calls := 0
@@ -206,10 +203,8 @@ func TestSearchStreamSinkErrorDoesNotPoisonSearch(t *testing.T) {
 // event contract against its own returned answer.
 func TestSearchStreamAcceptance(t *testing.T) {
 	reg := obs.NewRegistry()
-	ms, _ := fleet(t)
-	ms.mu.Lock()
-	ms.opts.Cache = qcache.New(qcache.Config{Metrics: reg, TTL: time.Hour})
-	ms.mu.Unlock()
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second,
+		Cache: qcache.New(qcache.Config{Metrics: reg, TTL: time.Hour})})
 
 	queries := []string{
 		`list((body-of-text "databases"))`,

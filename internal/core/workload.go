@@ -41,9 +41,9 @@ func (m *Metasearcher) StartWorkloadSaver(ctx context.Context, path string, inte
 // succeeded.
 func (m *Metasearcher) SaveWorkload(path string) bool {
 	if err := qcache.SaveWorkloadFile(path, m.Workload()); err != nil {
-		m.metrics.Counter("starts_workload_save_errors_total").Inc()
+		m.opts.Metrics.Counter("starts_workload_save_errors_total").Inc()
 		return false
 	}
-	m.metrics.Counter("starts_workload_saves_total").Inc()
+	m.opts.Metrics.Counter("starts_workload_saves_total").Inc()
 	return true
 }

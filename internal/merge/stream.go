@@ -165,9 +165,11 @@ func NewIncremental(s Strategy, q *query.Query, roster []StreamSource) *Incremen
 }
 
 // Offer ingests one source's results and returns the documents whose
-// final rank just became certain, in rank order. The returned documents
-// alias the input results; their Sources and score fields are completed
-// in place by the batch Merge at stream end.
+// final rank just became certain, in rank order. Nil results resolve a
+// slot that will deliver nothing (a failed source): its bound no longer
+// holds anything back. The returned documents alias the input results;
+// their Sources and score fields are completed in place by the batch
+// Merge at stream end.
 func (inc *Incremental) Offer(slot int, r *result.Results) []*result.Document {
 	if slot < 0 || slot >= len(inc.roster) || !inc.pending[slot] {
 		return nil
@@ -196,16 +198,6 @@ func (inc *Incremental) Offer(slot int, r *result.Results) []*result.Document {
 		inc.byURL[url] = sd
 		inc.live = append(inc.live, sd)
 	}
-	return inc.drain()
-}
-
-// Fail resolves a slot that will deliver nothing — its bound no longer
-// holds anything back. Like Offer it returns newly stable documents.
-func (inc *Incremental) Fail(slot int) []*result.Document {
-	if slot < 0 || slot >= len(inc.roster) || !inc.pending[slot] {
-		return nil
-	}
-	delete(inc.pending, slot)
 	return inc.drain()
 }
 

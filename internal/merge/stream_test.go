@@ -100,11 +100,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 				order := rng.Perm(len(sc.roster))
 				var streamed []*result.Document
 				for _, slot := range order {
-					if sc.results[slot] == nil {
-						streamed = append(streamed, inc.Fail(slot)...)
-					} else {
-						streamed = append(streamed, inc.Offer(slot, sc.results[slot])...)
-					}
+					streamed = append(streamed, inc.Offer(slot, sc.results[slot])...)
 				}
 				final := inc.Finish()
 				if inc.Emitted() != len(streamed) {
@@ -219,7 +215,7 @@ func TestIncrementalFailureUnblocks(t *testing.T) {
 	if got := inc.Offer(0, &result.Results{Documents: []*result.Document{d}}); len(got) != 0 {
 		t.Fatalf("emitted %v with unbounded B pending", urls(got))
 	}
-	got := inc.Fail(1)
+	got := inc.Offer(1, nil)
 	if len(got) != 1 || got[0] != d {
 		t.Fatalf("after B failed, emitted %v", urls(got))
 	}

@@ -85,7 +85,10 @@ func (o Outcome) String() string {
 // of 0 takes the cache's Config.TTL; any other value is clamped to
 // [TTLFloor, TTLCeiling], so a negative remaining lifetime (a source
 // already past its DateExpires) caches for the floor instead of nothing.
-type TTLFill func(context.Context) (val any, ttl time.Duration, err error)
+// refresh is false when the fill runs as a miss's flight leader, on the
+// calling goroutine and context, and true when it runs as a stale entry's
+// background refresh, detached from a call that has already returned.
+type TTLFill func(ctx context.Context, refresh bool) (val any, ttl time.Duration, err error)
 
 // Cache is a sharded LRU+TTL query-result cache with singleflight
 // coalescing, stale-while-revalidate and load shedding. All methods are
@@ -163,7 +166,7 @@ func (c *Cache) Metrics() *obs.Registry { return c.metrics }
 // Do serves key from the cache, filling it with fill on a miss. It is
 // DoTTL with every entry taking the cache's Config.TTL.
 func (c *Cache) Do(ctx context.Context, key string, fill func(context.Context) (any, error)) (any, Outcome, error) {
-	return c.DoTTL(ctx, key, func(fctx context.Context) (any, time.Duration, error) {
+	return c.DoTTL(ctx, key, func(fctx context.Context, _ bool) (any, time.Duration, error) {
 		v, err := fill(fctx)
 		return v, 0, err
 	})
@@ -173,9 +176,9 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(context.Context) (
 //
 //   - fresh entry: returned immediately (Outcome Hit);
 //   - expired entry within the stale window: returned immediately while
-//     one background refresh runs fill with a detached context
-//     (Outcome Stale) — callers should surface the staleness, e.g. via
-//     core's Answer.Degraded;
+//     one background refresh runs fill with a detached context and
+//     refresh set (Outcome Stale) — callers should surface the
+//     staleness, e.g. via core's Answer.Degraded;
 //   - miss with a fill already in flight for key: waits for that fill
 //     and shares its result (Outcome Coalesced);
 //   - plain miss: acquires an admission slot (ErrShed within the queue
@@ -207,7 +210,7 @@ func (c *Cache) DoTTL(ctx context.Context, key string, fill TTLFill) (any, Outco
 			return nil, gerr
 		}
 		defer release()
-		v, ttl, ferr := fill(ctx)
+		v, ttl, ferr := fill(ctx, false)
 		if ferr == nil {
 			c.put(key, v, ttl)
 		}
@@ -249,7 +252,7 @@ func (c *Cache) refreshAsync(key string, fill TTLFill) {
 			return nil, gerr
 		}
 		defer release()
-		v, ttl, ferr := fill(ctx)
+		v, ttl, ferr := fill(ctx, true)
 		if ferr != nil {
 			return nil, ferr
 		}

@@ -123,6 +123,37 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	}
 }
 
+// A fill is told which role it runs in: a miss's leader runs it with
+// refresh false, a stale serve's background refresh with refresh true.
+func TestDoTTLTellsTheFillItsRole(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{TTL: time.Minute, StaleFor: 10 * time.Minute, Now: clk.now})
+	ctx := context.Background()
+	roles := make(chan bool, 2)
+	fill := func(_ context.Context, refresh bool) (any, time.Duration, error) {
+		roles <- refresh
+		return "v", 0, nil
+	}
+	if _, out, err := c.DoTTL(ctx, "k", fill); err != nil || out != Filled {
+		t.Fatalf("prime = %v, %v; want miss, nil", out, err)
+	}
+	if refresh := <-roles; refresh {
+		t.Error("the leader's fill ran with refresh set")
+	}
+	clk.advance(5 * time.Minute)
+	if _, out, err := c.DoTTL(ctx, "k", fill); err != nil || out != Stale {
+		t.Fatalf("stale DoTTL = %v, %v; want stale, nil", out, err)
+	}
+	select {
+	case refresh := <-roles:
+		if !refresh {
+			t.Error("the background refresh ran with refresh unset")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("background refresh never ran")
+	}
+}
+
 // TestStaleServesDoNotStampede: many concurrent stale serves trigger at
 // most one background refresh.
 func TestStaleServesDoNotStampede(t *testing.T) {
@@ -380,7 +411,7 @@ func TestPerEntryTTLClamping(t *testing.T) {
 			c := New(Config{TTL: time.Minute, TTLFloor: time.Second, TTLCeiling: 24 * time.Hour,
 				StaleFor: -1, Now: clk.now})
 			ctx := context.Background()
-			_, out, err := c.DoTTL(ctx, "k", func(context.Context) (any, time.Duration, error) {
+			_, out, err := c.DoTTL(ctx, "k", func(context.Context, bool) (any, time.Duration, error) {
 				return "v", tc.ttl, nil
 			})
 			if err != nil || out != Filled {

@@ -90,7 +90,7 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 	if c.cache == nil {
 		return c.inner.Query(ctx, q)
 	}
-	v, _, err := c.cache.DoTTL(ctx, c.keyer.Key(q), func(fctx context.Context) (any, time.Duration, error) {
+	v, _, err := c.cache.DoTTL(ctx, c.keyer.Key(q), func(fctx context.Context, _ bool) (any, time.Duration, error) {
 		r, qerr := c.inner.Query(fctx, q)
 		return r, c.freshTTL(), qerr
 	})

@@ -85,23 +85,42 @@ func TestFlightJoinerSeesLeaderPanicAsError(t *testing.T) {
 // process nor wedge the key.
 func TestFlightSoloPanicSwallowedAndKeyNotWedged(t *testing.T) {
 	g := newFlightGroup()
-	done := make(chan struct{})
+	ran := make(chan struct{})
 	g.Solo("k", func() (any, error) {
-		defer close(done)
+		close(ran)
 		panic("boom")
 	})
 	select {
-	case <-done:
+	case <-ran:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Solo's fn never ran")
+	}
+	// The call stays registered until run's deferred cleanup, after the
+	// panic unwinds; a Do arriving before that joins the dying flight and
+	// gets the panic as its error, as Do promises. Once the key has left
+	// the map, the next Do must lead.
+	deadline := time.Now().Add(5 * time.Second)
+	for inFlight(g, "k") {
+		if time.Now().After(deadline) {
+			t.Fatal("the key is still registered 5 s after Solo's fn panicked")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	tctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v, _, err := g.Do(tctx, "k", func() (any, error) { return "ok", nil }, nil)
-	if err != nil || v != "ok" {
-		t.Fatalf("Do after Solo panic = %v, %v; want ok, nil", v, err)
+	v, shared, err := g.Do(tctx, "k", func() (any, error) { return "ok", nil }, nil)
+	if err != nil || shared || v != "ok" {
+		t.Fatalf("Do after Solo panic = %v, %v, %v; want ok, leader, nil", v, shared, err)
 	}
+}
+
+// inFlight reports whether a call for key is registered.
+func inFlight(g *flightGroup, key string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, ok := g.calls[key]
+	return ok
 }
 
 // DoTTL with a panicking fill: the caller-facing cache behavior. The
