@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,18 @@ prof-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamRoundTrip$$' -benchtime 3000x -memprofilerate 1 \
 		-memprofile $(PROFDIR)/wire.mem -o $(PROFDIR)/server.test ./internal/server
 	$(GO) tool pprof -top -sample_index=alloc_space $(PROFDIR)/server.test $(PROFDIR)/wire.mem | head -60
+
+# prof-heap is the resident-memory counterpart: BenchmarkBuildIndex
+# (internal/index: one big-source collection, 20 000 documents of 40-word
+# bodies) with every allocation sampled, the last index kept alive in a
+# package sink, then the profile's top sites by bytes still in use — what
+# an index holds, by the site that allocated it. The binary and the
+# profile go to PROFDIR.
+prof-heap:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildIndex$$' -benchtime 1x -memprofilerate 1 \
+		-memprofile $(PROFDIR)/heap.mem -o $(PROFDIR)/index.test ./internal/index
+	$(GO) tool pprof -top -sample_index=inuse_space $(PROFDIR)/index.test $(PROFDIR)/heap.mem | head -40
 
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, overload) under the race detector.

@@ -3,11 +3,11 @@ package index
 import "sort"
 
 // blockSize is the number of postings per block. Blocks are the pruning
-// unit of the sidecar block index: each carries min/max doc-id bounds and
-// upper-bound statistics (max term frequency, min document length) so
-// that boolean and ranked traversals can skip whole blocks that cannot
-// contribute to the answer. 128 keeps the sidecar under 1% of posting
-// memory while making a skipped block worth ~128 posting visits.
+// unit of the sidecar block index: each carries upper-bound statistics
+// (max doc id, max term frequency, min document length) so that boolean
+// and ranked traversals can skip whole blocks that cannot contribute to
+// the answer. 128 keeps the sidecar under 1% of posting memory while
+// making a skipped block worth ~128 posting visits.
 const blockSize = 128
 
 // frontier caps bound the Pareto frontiers blocks and lists carry.
@@ -25,22 +25,26 @@ const (
 // non-decreasing in tf, non-increasing in length — a's weight is at
 // least b's. len 0 means "length unknown" and counts as the shortest
 // possible document (no normalization), the conservative direction.
+// freq 0 marks an unused slot of a frontier array.
 type tfLen struct {
-	freq, len int
+	freq, len int32
 }
 
-// pushFrontier inserts a candidate into a dominance-free frontier kept
-// sorted by freq descending (and therefore len descending), dropping
-// dominated entries and merging the two smallest-freq entries into a
-// pair that dominates both whenever the frontier would exceed max.
-func pushFrontier(fr []tfLen, e tfLen, max int) []tfLen {
+// pushFrontier inserts a candidate into a dominance-free frontier held in
+// a fixed array (unused slots zero, live entries first), kept sorted by
+// freq descending (and therefore len descending). It drops dominated
+// entries and merges the two smallest-freq entries into a pair that
+// dominates both whenever the frontier would outgrow the array.
+func pushFrontier(fr []tfLen, e tfLen) {
+	var buf [listFrontierMax + 1]tfLen
+	kept := buf[:0]
 	for _, x := range fr {
-		if x.freq >= e.freq && x.len <= e.len {
-			return fr // dominated by an existing entry
+		if x.freq == 0 {
+			break
 		}
-	}
-	kept := fr[:0]
-	for _, x := range fr {
+		if x.freq >= e.freq && x.len <= e.len {
+			return // dominated by an existing entry
+		}
 		if !(e.freq >= x.freq && e.len <= x.len) {
 			kept = append(kept, x)
 		}
@@ -49,79 +53,70 @@ func pushFrontier(fr []tfLen, e tfLen, max int) []tfLen {
 	for i := len(kept) - 1; i > 0 && kept[i].freq > kept[i-1].freq; i-- {
 		kept[i], kept[i-1] = kept[i-1], kept[i]
 	}
-	for len(kept) > max {
+	for len(kept) > len(fr) {
 		a, b := kept[len(kept)-2], kept[len(kept)-1] // a.freq >= b.freq
-		m := a.len
-		if b.len < m {
-			m = b.len
-		}
-		kept[len(kept)-2] = tfLen{freq: a.freq, len: m}
+		kept[len(kept)-2] = tfLen{freq: a.freq, len: min(a.len, b.len)}
 		kept = kept[:len(kept)-1]
 	}
-	return kept
+	clear(fr[copy(fr, kept):])
 }
 
-// block is one fixed-capacity run of postings plus its sidecar stats.
-// Postings within a block are ascending by DocID, and blocks themselves
-// are disjoint ascending runs, so [minDoc, maxDoc] ranges never overlap.
+// block is the sidecar of one run of blockSize postings of a list (the
+// last run may be shorter): block bi covers postings [bi·blockSize,
+// (bi+1)·blockSize). Postings are ascending by doc id, so the runs'
+// doc-id ranges never overlap.
 type block struct {
-	minDoc, maxDoc int
+	maxDoc int32
 	// maxFreq is the largest term frequency of any posting in the block:
 	// the tf half of a block-max score bound.
-	maxFreq int
+	maxFreq int32
 	// minLen is the smallest token count of any document in the block:
 	// the length-normalization half of a block-max score bound. Zero
-	// until the owning index records lengths (documents added before
-	// their length is known keep the conservative bound).
-	minLen int
+	// while every length is unknown (the conservative bound).
+	minLen int32
 	// frontier is the Pareto frontier of the block's (freq, len) pairs:
 	// every posting is dominated by some entry, so the max monotone term
 	// weight over the frontier is a tight upper bound on the block — far
 	// tighter than the (maxFreq, minLen) combination, which pairs one
 	// document's frequency with a different document's length.
-	frontier []tfLen
-	docs     []Posting
+	frontier [blockFrontierMax]tfLen
 }
 
-// postingList is the per-term entry of a field index: a sequence of
-// blocks, ascending by doc id across and within blocks.
+// postingList is the per-term entry of a field index, as three arrays
+// indexed by posting: posting i is document docs[i], and its positions
+// are pos[ends[i-1]:ends[i]] (from 0 for i = 0), so its term frequency is
+// their count. No posting owns any storage of its own.
 type postingList struct {
-	blocks []*block
-	n      int // total postings
+	docs   []int32 // ascending doc ids
+	ends   []int32 // end offset in pos of each posting's positions
+	pos    []int32 // every posting's positions, ascending within a posting
+	blocks []block
 	// maxFreq / minLen aggregate the block stats list-wide, the global
 	// upper bound WAND pivoting starts from; frontier is the list-wide
 	// Pareto frontier, the tight version of the same bound.
-	maxFreq  int
-	minLen   int
-	frontier []tfLen
+	maxFreq  int32
+	minLen   int32
+	frontier [listFrontierMax]tfLen
 }
 
-// appendPosting adds a posting with the owning document's token count.
-// Doc ids must arrive in ascending order (the index assigns them
-// monotonically); docLen==0 means "unknown" and keeps bounds conservative.
-func (pl *postingList) appendPosting(p Posting, docLen int) {
-	var b *block
-	if len(pl.blocks) == 0 || len(pl.blocks[len(pl.blocks)-1].docs) >= blockSize {
-		b = &block{minDoc: p.DocID, docs: make([]Posting, 0, 4)}
-		pl.blocks = append(pl.blocks, b)
-	} else {
-		b = pl.blocks[len(pl.blocks)-1]
+// note folds posting i, already in the arrays, into its block's and the
+// list's bounds, opening the block at its first posting. Postings must be
+// noted in order; docLen==0 means "unknown" and keeps bounds conservative.
+func (pl *postingList) note(i int, docLen int32) {
+	if i%blockSize == 0 {
+		pl.blocks = append(pl.blocks, block{})
 	}
-	b.docs = append(b.docs, p)
-	b.maxDoc = p.DocID
-	if f := p.Freq(); f > b.maxFreq {
-		b.maxFreq = f
-	}
+	b := &pl.blocks[i/blockSize]
+	b.maxDoc = pl.docs[i]
+	f := int32(pl.freq(i))
+	b.maxFreq = max(b.maxFreq, f)
 	if docLen > 0 && (b.minLen == 0 || docLen < b.minLen) {
 		b.minLen = docLen
 	}
-	e := tfLen{freq: p.Freq(), len: docLen}
-	b.frontier = pushFrontier(b.frontier, e, blockFrontierMax)
-	pl.frontier = pushFrontier(pl.frontier, e, listFrontierMax)
-	pl.n++
-	if b.maxFreq > pl.maxFreq {
-		pl.maxFreq = b.maxFreq
-	}
+	e := tfLen{freq: f, len: docLen}
+	pushFrontier(b.frontier[:], e)
+	pushFrontier(pl.frontier[:], e)
+	pl.maxFreq = max(pl.maxFreq, b.maxFreq)
 	if b.minLen > 0 && (pl.minLen == 0 || b.minLen < pl.minLen) {
 		pl.minLen = b.minLen
 	}
@@ -133,49 +128,37 @@ func (pl *postingList) numDocs() int {
 	if pl == nil {
 		return 0
 	}
-	return pl.n
+	return len(pl.docs)
 }
 
-// iterate calls fn for every posting in doc-id order.
-func (pl *postingList) iterate(fn func(Posting)) {
+// freq returns posting i's term frequency.
+func (pl *postingList) freq(i int) int { return len(pl.positions(i)) }
+
+// positions returns posting i's positions, capacity clipped so that an
+// append can never reach the list's storage.
+func (pl *postingList) positions(i int) []int32 {
+	a := int32(0)
+	if i > 0 {
+		a = pl.ends[i-1]
+	}
+	return pl.pos[a:pl.ends[i]:pl.ends[i]]
+}
+
+// find returns the index of the posting for one doc id.
+func (pl *postingList) find(id int) (int, bool) {
 	if pl == nil {
-		return
+		return 0, false
 	}
-	for _, b := range pl.blocks {
-		for i := range b.docs {
-			fn(b.docs[i])
-		}
-	}
+	i := sort.Search(len(pl.docs), func(k int) bool { return int(pl.docs[k]) >= id })
+	return i, i < len(pl.docs) && int(pl.docs[i]) == id
 }
 
-// find returns the posting for one doc id, using the sidecar bounds to
-// binary-search blocks before scanning within one.
-func (pl *postingList) find(id int) (Posting, bool) {
-	if pl == nil || len(pl.blocks) == 0 {
-		return Posting{}, false
-	}
-	bi := sort.Search(len(pl.blocks), func(i int) bool { return pl.blocks[i].maxDoc >= id })
-	if bi == len(pl.blocks) {
-		return Posting{}, false
-	}
-	b := pl.blocks[bi]
-	if id < b.minDoc {
-		return Posting{}, false
-	}
-	di := sort.Search(len(b.docs), func(i int) bool { return b.docs[i].DocID >= id })
-	if di < len(b.docs) && b.docs[di].DocID == id {
-		return b.docs[di], true
-	}
-	return Posting{}, false
-}
-
-// listCursor walks one posting list in doc-id order with block-skipping
-// seeks. The zero cursor is positioned before the first posting; call
-// next or seek to position it. After exhaustion, doc() returns maxInt.
+// listCursor walks one posting list in doc-id order; seek is a binary
+// search forward. A new cursor stands on the first posting. After
+// exhaustion, doc() returns maxDocID.
 type listCursor struct {
 	pl *postingList
-	bi int // current block
-	di int // current posting within block
+	i  int // current posting
 	// boundBi/bound memoize the ranked path's frontier bound for the
 	// block last computed, so consecutive pivots inside one block pay
 	// for the TermWeight evaluations once.
@@ -186,12 +169,12 @@ type listCursor struct {
 const maxDocID = int(^uint(0) >> 1)
 
 func newListCursor(pl *postingList) *listCursor {
-	return &listCursor{pl: pl, bi: 0, di: 0, boundBi: -1}
+	return &listCursor{pl: pl, boundBi: -1}
 }
 
 // done reports exhaustion.
 func (c *listCursor) done() bool {
-	return c.pl == nil || c.bi >= len(c.pl.blocks)
+	return c.pl == nil || c.i >= len(c.pl.docs)
 }
 
 // doc returns the current doc id, or maxDocID when exhausted.
@@ -199,56 +182,43 @@ func (c *listCursor) doc() int {
 	if c.done() {
 		return maxDocID
 	}
-	return c.pl.blocks[c.bi].docs[c.di].DocID
+	return int(c.pl.docs[c.i])
 }
 
-// posting returns the current posting; only valid when !done().
-func (c *listCursor) posting() Posting {
-	return c.pl.blocks[c.bi].docs[c.di]
-}
+// freq and positions describe the current posting; only valid when
+// !done().
+func (c *listCursor) freq() int          { return c.pl.freq(c.i) }
+func (c *listCursor) positions() []int32 { return c.pl.positions(c.i) }
+
+// bi returns the current block's index.
+func (c *listCursor) bi() int { return c.i / blockSize }
 
 // curBlock returns the current block for block-max bounds; nil when done.
 func (c *listCursor) curBlock() *block {
 	if c.done() {
 		return nil
 	}
-	return c.pl.blocks[c.bi]
+	return &c.pl.blocks[c.bi()]
 }
 
 // next advances one posting.
 func (c *listCursor) next() {
-	if c.done() {
-		return
-	}
-	c.di++
-	if c.di >= len(c.pl.blocks[c.bi].docs) {
-		c.bi++
-		c.di = 0
+	if !c.done() {
+		c.i++
 	}
 }
 
-// seek advances to the first posting with doc id >= target, skipping
-// whole blocks via the sidecar min/max bounds.
+// seek advances to the first posting with doc id >= target: within the
+// current block when the block's maxDoc bound says the target is there,
+// else over the rest of the list.
 func (c *listCursor) seek(target int) {
 	if c.done() || c.doc() >= target {
 		return
 	}
-	// Fast path: target within the current block.
-	b := c.pl.blocks[c.bi]
-	if target <= b.maxDoc {
-		lo := c.di
-		c.di = lo + sort.Search(len(b.docs)-lo, func(i int) bool { return b.docs[lo+i].DocID >= target })
-		return
+	hi := len(c.pl.docs)
+	if target <= int(c.curBlock().maxDoc) {
+		hi = min(hi, (c.bi()+1)*blockSize)
 	}
-	// Binary search the remaining blocks by maxDoc bound.
-	lo := c.bi + 1
-	c.bi = lo + sort.Search(len(c.pl.blocks)-lo, func(i int) bool { return c.pl.blocks[lo+i].maxDoc >= target })
-	c.di = 0
-	if c.done() {
-		return
-	}
-	b = c.pl.blocks[c.bi]
-	if target > b.minDoc {
-		c.di = sort.Search(len(b.docs), func(i int) bool { return b.docs[i].DocID >= target })
-	}
+	lo, docs := c.i, c.pl.docs
+	c.i = lo + sort.Search(hi-lo, func(k int) bool { return int(docs[lo+k]) >= target })
 }

@@ -1,26 +1,36 @@
 package index
 
-import "testing"
+import (
+	"testing"
+
+	"starts/internal/text"
+)
 
 func buildList(t *testing.T, n int) *postingList {
 	t.Helper()
-	pl := &postingList{}
+	lists := map[string]*postingList{}
 	for i := 0; i < n; i++ {
 		// Doc ids 3i leave gaps so seeks have absent targets; freq cycles
 		// 1..5; docLen cycles 10..59.
-		positions := make([]int, 1+i%5)
-		for j := range positions {
-			positions[j] = j
+		toks := make([]text.Token, 1+i%5)
+		for j := range toks {
+			toks[j] = text.Token{Text: "t", Pos: j}
 		}
-		pl.appendPosting(Posting{DocID: 3 * i, Positions: positions}, 10+i%50)
+		appendDoc(lists, int32(3*i), toks, nil, nil)
+		lists["t"].note(i, int32(10+i%50))
 	}
-	return pl
+	return lists["t"]
+}
+
+// blockPostings returns the range of posting indexes block bi covers.
+func blockPostings(pl *postingList, bi int) (lo, hi int) {
+	return bi * blockSize, min((bi+1)*blockSize, len(pl.docs))
 }
 
 func TestPostingListBlocksAndStats(t *testing.T) {
 	pl := buildList(t, 300)
-	if pl.n != 300 {
-		t.Fatalf("n = %d, want 300", pl.n)
+	if pl.numDocs() != 300 || len(pl.ends) != 300 {
+		t.Fatalf("docs, ends = %d, %d, want 300", pl.numDocs(), len(pl.ends))
 	}
 	wantBlocks := (300 + blockSize - 1) / blockSize
 	if len(pl.blocks) != wantBlocks {
@@ -32,21 +42,22 @@ func TestPostingListBlocksAndStats(t *testing.T) {
 	if pl.minLen != 10 {
 		t.Errorf("list minLen = %d, want 10", pl.minLen)
 	}
-	prevMax := -1
+	prevMax := int32(-1)
 	total := 0
 	for bi, b := range pl.blocks {
-		if b.minDoc <= prevMax {
-			t.Fatalf("block %d range [%d,%d] overlaps previous max %d", bi, b.minDoc, b.maxDoc, prevMax)
+		lo, hi := blockPostings(pl, bi)
+		if pl.docs[lo] <= prevMax {
+			t.Fatalf("block %d range [%d,%d] overlaps previous max %d", bi, pl.docs[lo], b.maxDoc, prevMax)
 		}
-		if b.minDoc != b.docs[0].DocID || b.maxDoc != b.docs[len(b.docs)-1].DocID {
-			t.Fatalf("block %d bounds [%d,%d] disagree with content", bi, b.minDoc, b.maxDoc)
+		if b.maxDoc != pl.docs[hi-1] {
+			t.Fatalf("block %d maxDoc %d disagrees with content", bi, b.maxDoc)
 		}
-		for _, p := range b.docs {
-			if p.Freq() > b.maxFreq {
-				t.Fatalf("block %d maxFreq %d below posting freq %d", bi, b.maxFreq, p.Freq())
+		for i := lo; i < hi; i++ {
+			if pl.freq(i) > int(b.maxFreq) {
+				t.Fatalf("block %d maxFreq %d below posting freq %d", bi, b.maxFreq, pl.freq(i))
 			}
 		}
-		total += len(b.docs)
+		total += hi - lo
 		prevMax = b.maxDoc
 	}
 	if total != 300 {
@@ -54,35 +65,48 @@ func TestPostingListBlocksAndStats(t *testing.T) {
 	}
 }
 
+// live returns a frontier array's used entries.
+func live(fr []tfLen) []tfLen {
+	n := 0
+	for n < len(fr) && fr[n].freq > 0 {
+		n++
+	}
+	return fr[:n]
+}
+
 func TestPushFrontier(t *testing.T) {
-	var fr []tfLen
+	var arr [4]tfLen
+	fr := arr[:]
 	// Dominated insert is a no-op; dominating insert evicts.
-	fr = pushFrontier(fr, tfLen{freq: 4, len: 30}, 4)
-	fr = pushFrontier(fr, tfLen{freq: 3, len: 35}, 4) // dominated (lower freq, longer doc)
-	if len(fr) != 1 || fr[0] != (tfLen{freq: 4, len: 30}) {
+	pushFrontier(fr, tfLen{freq: 4, len: 30})
+	pushFrontier(fr, tfLen{freq: 3, len: 35}) // dominated (lower freq, longer doc)
+	if got := live(fr); len(got) != 1 || got[0] != (tfLen{freq: 4, len: 30}) {
 		t.Fatalf("frontier after dominated insert: %v", fr)
 	}
-	fr = pushFrontier(fr, tfLen{freq: 5, len: 20}, 4) // dominates the existing entry
-	if len(fr) != 1 || fr[0] != (tfLen{freq: 5, len: 20}) {
+	pushFrontier(fr, tfLen{freq: 5, len: 20}) // dominates the existing entry
+	if got := live(fr); len(got) != 1 || got[0] != (tfLen{freq: 5, len: 20}) {
 		t.Fatalf("frontier after dominating insert: %v", fr)
 	}
 	// Incomparable entries coexist, sorted by freq descending.
-	fr = pushFrontier(fr, tfLen{freq: 2, len: 10}, 4)
-	fr = pushFrontier(fr, tfLen{freq: 8, len: 50}, 4)
+	pushFrontier(fr, tfLen{freq: 2, len: 10})
+	pushFrontier(fr, tfLen{freq: 8, len: 50})
 	want := []tfLen{{8, 50}, {5, 20}, {2, 10}}
-	if len(fr) != 3 || fr[0] != want[0] || fr[1] != want[1] || fr[2] != want[2] {
+	if got := live(fr); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("frontier = %v, want %v", fr, want)
 	}
-	// Overflow merges the two smallest-freq entries into a dominating pair.
-	fr = pushFrontier(fr, tfLen{freq: 3, len: 15}, 3)
+	// Overflow merges the two smallest-freq entries into a dominating
+	// pair: a three-slot frontier.
+	fr = arr[:3]
+	pushFrontier(fr, tfLen{freq: 3, len: 15})
 	want = []tfLen{{8, 50}, {5, 20}, {3, 10}}
-	if len(fr) != 3 || fr[0] != want[0] || fr[1] != want[1] || fr[2] != want[2] {
+	if got := live(fr); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("capped frontier = %v, want %v", fr, want)
 	}
 	// len 0 (unknown length) counts as the shortest possible document:
-	// at the top frequency it dominates the whole frontier.
-	fr = pushFrontier(fr, tfLen{freq: 8, len: 0}, 3)
-	if len(fr) != 1 || fr[0] != (tfLen{freq: 8, len: 0}) {
+	// at the top frequency it dominates the whole frontier, and the
+	// slots it frees are cleared.
+	pushFrontier(fr, tfLen{freq: 8, len: 0})
+	if fr[0] != (tfLen{freq: 8, len: 0}) || fr[1] != (tfLen{}) || fr[2] != (tfLen{}) {
 		t.Fatalf("frontier after unknown-length insert: %v", fr)
 	}
 }
@@ -93,30 +117,34 @@ func TestPushFrontier(t *testing.T) {
 func TestFrontierCoversPostings(t *testing.T) {
 	pl := buildList(t, 300)
 	dominated := func(fr []tfLen, freq, docLen int) bool {
-		for _, e := range fr {
-			if e.freq >= freq && e.len <= docLen {
+		for _, e := range live(fr) {
+			if int(e.freq) >= freq && int(e.len) <= docLen {
 				return true
 			}
 		}
 		return false
 	}
-	if len(pl.frontier) == 0 || len(pl.frontier) > listFrontierMax {
-		t.Fatalf("list frontier size %d", len(pl.frontier))
+	if len(live(pl.frontier[:])) == 0 {
+		t.Fatalf("list frontier empty")
 	}
 	for bi, b := range pl.blocks {
-		if len(b.frontier) == 0 || len(b.frontier) > blockFrontierMax {
-			t.Fatalf("block %d frontier size %d", bi, len(b.frontier))
+		if len(live(b.frontier[:])) == 0 {
+			t.Fatalf("block %d frontier empty", bi)
 		}
-		for _, p := range b.docs {
-			i := p.DocID / 3 // buildList posting i has doc id 3i, docLen 10+i%50
-			docLen := 10 + i%50
-			if !dominated(b.frontier, p.Freq(), docLen) {
-				t.Fatalf("block %d frontier %v misses posting freq=%d len=%d",
-					bi, b.frontier, p.Freq(), docLen)
+		lo, hi := blockPostings(pl, bi)
+		for i := lo; i < hi; i++ {
+			// buildList posting i has doc id 3i, docLen 10+i%50.
+			if int(pl.docs[i]) != 3*i {
+				t.Fatalf("posting %d is doc %d", i, pl.docs[i])
 			}
-			if !dominated(pl.frontier, p.Freq(), docLen) {
+			docLen := 10 + i%50
+			if !dominated(b.frontier[:], pl.freq(i), docLen) {
+				t.Fatalf("block %d frontier %v misses posting freq=%d len=%d",
+					bi, b.frontier, pl.freq(i), docLen)
+			}
+			if !dominated(pl.frontier[:], pl.freq(i), docLen) {
 				t.Fatalf("list frontier %v misses posting freq=%d len=%d",
-					pl.frontier, p.Freq(), docLen)
+					pl.frontier, pl.freq(i), docLen)
 			}
 		}
 	}
@@ -125,9 +153,9 @@ func TestFrontierCoversPostings(t *testing.T) {
 func TestPostingListFind(t *testing.T) {
 	pl := buildList(t, 300)
 	for _, id := range []int{0, 3, 297, 3 * 299} {
-		p, ok := pl.find(id)
-		if !ok || p.DocID != id {
-			t.Errorf("find(%d) = %+v, %v; want hit", id, p, ok)
+		i, ok := pl.find(id)
+		if !ok || int(pl.docs[i]) != id {
+			t.Errorf("find(%d) = %d, %v; want hit", id, i, ok)
 		}
 	}
 	for _, id := range []int{-1, 1, 2, 298, 3*299 + 1, 1 << 30} {
@@ -160,7 +188,7 @@ func TestListCursorSeek(t *testing.T) {
 	if c.doc() != 3*250 {
 		t.Fatalf("seek(750) doc = %d, want 750", c.doc())
 	}
-	if b := c.curBlock(); b == nil || b.minDoc > 3*250 || b.maxDoc < 3*250 {
+	if lo, _ := blockPostings(pl, c.bi()); c.curBlock() == nil || pl.docs[lo] > 3*250 || c.curBlock().maxDoc < 3*250 {
 		t.Fatalf("curBlock does not contain 750")
 	}
 	// Seeking backwards is a no-op.
@@ -174,20 +202,25 @@ func TestListCursorSeek(t *testing.T) {
 	}
 }
 
+// TestListCursorWalkMatchesIterate: a cursor's walk visits the list's
+// postings in array order, each with its own frequency and positions.
 func TestListCursorWalkMatchesIterate(t *testing.T) {
 	pl := buildList(t, 300)
-	var want []int
-	pl.iterate(func(p Posting) { want = append(want, p.DocID) })
-	var got []int
+	i := 0
 	for c := newListCursor(pl); !c.done(); c.next() {
-		got = append(got, c.doc())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("cursor walk %d docs, iterate %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("doc %d: cursor %d, iterate %d", i, got[i], want[i])
+		if i >= len(pl.docs) {
+			t.Fatalf("cursor walk passes the list's %d postings", len(pl.docs))
 		}
+		if c.doc() != int(pl.docs[i]) || c.freq() != 1+i%5 || len(c.positions()) != c.freq() {
+			t.Fatalf("posting %d: cursor doc %d freq %d positions %v, list doc %d freq %d",
+				i, c.doc(), c.freq(), c.positions(), pl.docs[i], 1+i%5)
+		}
+		if c.curBlock() != &pl.blocks[i/blockSize] {
+			t.Fatalf("posting %d: cursor in the wrong block", i)
+		}
+		i++
+	}
+	if i != len(pl.docs) {
+		t.Fatalf("cursor walk %d docs, list %d", i, len(pl.docs))
 	}
 }

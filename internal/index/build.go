@@ -1,34 +1,48 @@
 package index
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 
-	"starts/internal/attr"
 	"starts/internal/text"
 )
 
+// errPositions is the failure of a term whose positions in one field
+// would pass the 32-bit offsets of its posting list.
+var errPositions = errors.New("positions would pass 2^31-1")
+
 // chunkResult is one worker's analysis of a contiguous document range:
-// everything needed to merge deterministically, nothing shared.
+// per text field (aligned with TextFields), each term's postings in the
+// range as a list without bounds — everything needed to merge
+// deterministically, nothing shared.
 type chunkResult struct {
-	postings map[attr.Field]map[string][]Posting
-	counts   []int
-	keys     []docSortKeys
-	tagged   int
+	runs   []map[string]*postingList
+	counts []int
+	keys   []docSortKeys
+	tagged int
+	err    error
 }
 
 // Build constructs an index over a document collection with parallel
 // chunked analysis and a deterministic merge. Documents receive ids in
 // slice order, exactly as sequential Add calls would assign them, and
-// the merged posting lists are byte-for-byte equivalent to a sequential
-// build: chunks cover contiguous id ranges and are merged in range
-// order, so postings stay ascending by doc id. Tokenization — the bulk
-// of indexing cost — runs on workers goroutines (default GOMAXPROCS).
+// the merged posting lists are equal to a sequential build's, down to
+// block boundaries and sidecar stats: chunks cover contiguous id ranges
+// and are merged in range order, so postings stay ascending by doc id.
+// Tokenization — the bulk of indexing cost — runs on workers goroutines
+// (default GOMAXPROCS). It fails where Add would: a duplicate linkage, or
+// a collection that would overflow the postings' 32-bit ids and offsets.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if len(docs) > math.MaxInt32 {
+		return nil, fmt.Errorf("index: %d documents, more than 2^31-1", len(docs))
 	}
 	// Validate identities up front so workers never see a bad document
 	// and duplicate linkage fails exactly like sequential Add.
@@ -72,34 +86,37 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	close(next)
 	wg.Wait()
 
-	// Deterministic merge in chunk order: concatenating per-term posting
-	// runs from ascending disjoint id ranges preserves posting order, so
-	// block boundaries and sidecar stats come out identical to a
-	// sequential build.
 	for _, cr := range results {
+		if cr.err != nil {
+			return nil, cr.err
+		}
 		ix.counts = append(ix.counts, cr.counts...)
 		ix.keys = append(ix.keys, cr.keys...)
 		ix.numTagged += cr.tagged
 	}
-	for _, cr := range results {
-		for f, terms := range cr.postings {
-			fi := ix.fields[f]
-			if fi == nil {
-				fi = newFieldIndex()
-				ix.fields[f] = fi
+	// Deterministic merge: a term's runs, concatenated in chunk order —
+	// ascending disjoint id ranges — are exactly the postings sequential
+	// Add would have appended, so the bounds noted over them come out
+	// identical to a sequential build's.
+	for fi, f := range TextFields {
+		runs := map[string][]*postingList{}
+		for _, cr := range results {
+			for term, r := range cr.runs[fi] {
+				runs[term] = append(runs[term], r)
 			}
-			for term, ps := range terms {
-				pl := fi.postings[term]
-				if pl == nil {
-					pl = &postingList{}
-					fi.postings[term] = pl
-					fi.addVocab(term)
-				}
-				for _, p := range ps {
-					pl.appendPosting(p, ix.counts[p.DocID])
-					fi.totalLen += len(p.Positions)
-				}
+		}
+		if len(runs) == 0 {
+			continue
+		}
+		fx := newFieldIndex()
+		ix.fields[f] = fx
+		for term, rs := range runs {
+			pl, err := joinRuns(rs, ix.counts)
+			if err != nil {
+				return nil, fmt.Errorf("index: term %q in %s: %w", term, f, err)
 			}
+			fx.postings[term] = pl
+			fx.addVocab(term)
 		}
 	}
 	return ix, nil
@@ -107,23 +124,20 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 
 // analyzeChunk tokenizes docs[lo:hi] into private posting runs.
 func analyzeChunk(a *text.Analyzer, docs []*Document, lo, hi int) *chunkResult {
-	cr := &chunkResult{postings: map[attr.Field]map[string][]Posting{}}
+	cr := &chunkResult{runs: make([]map[string]*postingList, len(TextFields))}
+	for i := range cr.runs {
+		cr.runs[i] = map[string]*postingList{}
+	}
+	var touched []*postingList
 	for id := lo; id < hi; id++ {
 		d := docs[id]
-		toksByField, total := analyzeDoc(a, d)
-		for i, f := range TextFields {
-			toks := toksByField[i]
-			if len(toks) == 0 {
-				continue
-			}
-			terms := cr.postings[f]
-			if terms == nil {
-				terms = map[string][]Posting{}
-				cr.postings[f] = terms
-			}
-			for term, positions := range groupPositions(toks) {
-				terms[term] = append(terms[term], Posting{DocID: id, Positions: positions})
-			}
+		toksByField, total, err := analyzeDoc(a, d)
+		if err != nil {
+			cr.err = err
+			return cr
+		}
+		for i, toks := range toksByField {
+			touched = appendDoc(cr.runs[i], int32(id), toks, touched[:0], nil)
 		}
 		cr.counts = append(cr.counts, total)
 		cr.keys = append(cr.keys, sortKeysOf(d))
@@ -134,31 +148,68 @@ func analyzeChunk(a *text.Analyzer, docs []*Document, lo, hi int) *chunkResult {
 	return cr
 }
 
-// groupPositions buckets a token stream by term with sorted positions,
-// the per-document half of posting construction.
-func groupPositions(toks []text.Token) map[string][]int {
-	byTerm := map[string][]int{}
+// appendDoc appends document id's tokens in one field to the posting
+// lists of their terms — the id once per list, the positions in token
+// order, sorted should the tokenizer not yield them ascending — creating
+// the lists of terms not seen before (reported to newTerm, when set). It
+// returns touched refilled with the lists it appended to; their bounds
+// are the caller's to note.
+func appendDoc(lists map[string]*postingList, id int32, toks []text.Token, touched []*postingList, newTerm func(string)) []*postingList {
 	for _, t := range toks {
-		byTerm[t.Text] = append(byTerm[t.Text], t.Pos)
+		pl := lists[t.Text]
+		if pl == nil {
+			pl = &postingList{}
+			lists[t.Text] = pl
+			if newTerm != nil {
+				newTerm(t.Text)
+			}
+		}
+		if n := len(pl.docs); n == 0 || pl.docs[n-1] != id {
+			pl.docs = append(pl.docs, id)
+			touched = append(touched, pl)
+		}
+		pl.pos = append(pl.pos, int32(t.Pos))
 	}
-	for _, positions := range byTerm {
-		sortInts(positions)
+	for _, pl := range touched {
+		start := int32(0)
+		if n := len(pl.ends); n > 0 {
+			start = pl.ends[n-1]
+		}
+		if p := pl.pos[start:]; !slices.IsSorted(p) {
+			slices.Sort(p)
+		}
+		pl.ends = append(pl.ends, int32(len(pl.pos)))
 	}
-	return byTerm
+	return touched
 }
 
-func sortInts(a []int) {
-	// Token positions arrive already ascending from the tokenizer, so
-	// this is usually a no-op scan; fall back to insertion sort on the
-	// rare out-of-order stream.
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			v, j := a[i], i-1
-			for j >= 0 && a[j] > v {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = v
-		}
+// joinRuns concatenates one term's chunk runs, in id order, into one list
+// whose arrays are each allocated once at their exact size, and notes its
+// bounds; lens are the documents' token counts.
+func joinRuns(runs []*postingList, lens []int) (*postingList, error) {
+	nd, np := 0, 0
+	for _, r := range runs {
+		nd, np = nd+len(r.docs), np+len(r.pos)
 	}
+	if np > math.MaxInt32 {
+		return nil, errPositions
+	}
+	pl := &postingList{
+		docs:   make([]int32, 0, nd),
+		ends:   make([]int32, 0, nd),
+		pos:    make([]int32, 0, np),
+		blocks: make([]block, 0, (nd+blockSize-1)/blockSize),
+	}
+	for _, r := range runs {
+		base := int32(len(pl.pos))
+		for _, e := range r.ends {
+			pl.ends = append(pl.ends, base+e)
+		}
+		pl.docs = append(pl.docs, r.docs...)
+		pl.pos = append(pl.pos, r.pos...)
+	}
+	for i, d := range pl.docs {
+		pl.note(i, int32(lens[d]))
+	}
+	return pl, nil
 }

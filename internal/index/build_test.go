@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"starts/internal/attr"
 	"starts/internal/lang"
 	"starts/internal/text"
 )
@@ -61,9 +62,6 @@ func indexesEqual(t *testing.T, a, b *Index) {
 		if fb == nil {
 			t.Fatalf("field %q missing in second index", f)
 		}
-		if fa.totalLen != fb.totalLen {
-			t.Fatalf("field %q totalLen %d vs %d", f, fa.totalLen, fb.totalLen)
-		}
 		if len(fa.postings) != len(fb.postings) {
 			t.Fatalf("field %q vocab size %d vs %d", f, len(fa.postings), len(fb.postings))
 		}
@@ -72,30 +70,10 @@ func indexesEqual(t *testing.T, a, b *Index) {
 			if pb == nil {
 				t.Fatalf("field %q term %q missing in second index", f, term)
 			}
-			if pa.n != pb.n || pa.maxFreq != pb.maxFreq || pa.minLen != pb.minLen {
-				t.Fatalf("field %q term %q list stats differ: {%d %d %d} vs {%d %d %d}",
-					f, term, pa.n, pa.maxFreq, pa.minLen, pb.n, pb.maxFreq, pb.minLen)
-			}
-			if !reflect.DeepEqual(pa.frontier, pb.frontier) {
-				t.Fatalf("field %q term %q list frontier differs: %v vs %v",
-					f, term, pa.frontier, pb.frontier)
-			}
-			if len(pa.blocks) != len(pb.blocks) {
-				t.Fatalf("field %q term %q block count %d vs %d", f, term, len(pa.blocks), len(pb.blocks))
-			}
-			for bi := range pa.blocks {
-				ba, bb := pa.blocks[bi], pb.blocks[bi]
-				if ba.minDoc != bb.minDoc || ba.maxDoc != bb.maxDoc ||
-					ba.maxFreq != bb.maxFreq || ba.minLen != bb.minLen {
-					t.Fatalf("field %q term %q block %d stats differ", f, term, bi)
-				}
-				if !reflect.DeepEqual(ba.frontier, bb.frontier) {
-					t.Fatalf("field %q term %q block %d frontier differs: %v vs %v",
-						f, term, bi, ba.frontier, bb.frontier)
-				}
-				if !reflect.DeepEqual(ba.docs, bb.docs) {
-					t.Fatalf("field %q term %q block %d postings differ", f, term, bi)
-				}
+			// Ids, positions, list stats and frontier, and every block's
+			// bounds and frontier (slices compare by content, not capacity).
+			if !reflect.DeepEqual(pa, pb) {
+				t.Fatalf("field %q term %q lists differ:\n%+v\nvs\n%+v", f, term, *pa, *pb)
 			}
 		}
 	}
@@ -149,4 +127,159 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	if one.NumDocs() != 1 {
 		t.Fatalf("tiny build has %d docs", one.NumDocs())
 	}
+}
+
+// TestPostingsMatchTokenOracle holds every posting list to a map built
+// straight from the analyzer's tokens, reading the list only through its
+// cursor: the ids, each one's frequency and positions. Every block is
+// held to the postings the cursor walked inside it: its maxDoc, maxFreq
+// and minLen, and a frontier that dominates each of them; the list's own
+// bounds to all of its postings. Build, sequential Add and Add after
+// Build each make the index, over lists that cross block boundaries.
+func TestPostingsMatchTokenOracle(t *testing.T) {
+	docs := genTestDocs(700)
+	// Bodies repeated up to six times spread frequencies and lengths wide
+	// enough to overflow the frontiers, whose merges must stay sound.
+	for i, d := range docs {
+		d.Body = strings.Repeat(d.Body+" ", 1+i%6)
+	}
+	a := text.NewAnalyzer()
+	// want[field][term][id] are the term's positions in the document;
+	// lens[id] is the document's token count.
+	want := map[attr.Field]map[string]map[int][]int{}
+	lens := make([]int, len(docs))
+	for id, d := range docs {
+		for _, f := range TextFields {
+			toks := a.AnalyzeAll(d.FieldText(f))
+			lens[id] += len(toks)
+			for _, tok := range toks {
+				if want[f] == nil {
+					want[f] = map[string]map[int][]int{}
+				}
+				if want[f][tok.Text] == nil {
+					want[f][tok.Text] = map[int][]int{}
+				}
+				want[f][tok.Text][id] = append(want[f][tok.Text][id], tok.Pos)
+			}
+		}
+	}
+	add := func(ix *Index, docs []*Document) *Index {
+		for _, d := range docs {
+			if _, err := ix.Add(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ix
+	}
+	build := func(docs []*Document) *Index {
+		ix, err := Build(a, docs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	for name, ix := range map[string]*Index{
+		"Build":           build(docs),
+		"Add":             add(New(a), docs),
+		"Add after Build": add(build(docs[:301]), docs[301:]),
+	} {
+		crossed := false
+		for _, f := range TextFields {
+			fi := ix.fields[f]
+			if fi == nil {
+				t.Fatalf("%s: no field %q", name, f)
+			}
+			if len(fi.postings) != len(want[f]) {
+				t.Fatalf("%s: field %q holds %d terms, want %d", name, f, len(fi.postings), len(want[f]))
+			}
+			for term, byDoc := range want[f] {
+				pl := fi.postings[term]
+				if pl == nil {
+					t.Fatalf("%s: %s/%s has no list", name, f, term)
+				}
+				if checkList(t, name+": "+string(f)+"/"+term, pl, byDoc, lens) {
+					crossed = true
+				}
+			}
+		}
+		if !crossed {
+			t.Fatalf("%s: no list crosses a block boundary", name)
+		}
+	}
+}
+
+// checkList walks one list with a cursor against the documents and
+// positions it must hold; it reports whether the list has several blocks.
+func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, lens []int) bool {
+	t.Helper()
+	dominated := func(fr []tfLen, freq, docLen int) bool {
+		for _, e := range live(fr) {
+			if int(e.freq) >= freq && int(e.len) <= docLen {
+				return true
+			}
+		}
+		return false
+	}
+	// The bounds of the block in progress (and of the whole list), as
+	// the postings walked so far say they must be.
+	type bounds struct{ n, maxDoc, maxFreq, minLen int }
+	var inBlock, inList bounds
+	var cur *block
+	blocks := 0
+	closeBlock := func() {
+		if cur == nil {
+			return
+		}
+		if int(cur.maxDoc) != inBlock.maxDoc || int(cur.maxFreq) != inBlock.maxFreq || int(cur.minLen) != inBlock.minLen {
+			t.Fatalf("%s: block %d bounds {%d %d %d}, postings say {%d %d %d}", what, blocks,
+				cur.maxDoc, cur.maxFreq, cur.minLen, inBlock.maxDoc, inBlock.maxFreq, inBlock.minLen)
+		}
+		blocks++
+	}
+	prev := -1
+	for c := newListCursor(pl); !c.done(); c.next() {
+		id := c.doc()
+		if id <= prev {
+			t.Fatalf("%s: doc %d after %d", what, id, prev)
+		}
+		prev = id
+		wantPos, ok := byDoc[id]
+		if !ok {
+			t.Fatalf("%s: doc %d holds no such token", what, id)
+		}
+		got := make([]int, 0, c.freq())
+		for _, p := range c.positions() {
+			got = append(got, int(p))
+		}
+		if c.freq() != len(wantPos) || !reflect.DeepEqual(got, wantPos) {
+			t.Fatalf("%s: doc %d freq %d positions %v, want %v", what, id, c.freq(), got, wantPos)
+		}
+		if b := c.curBlock(); b != cur {
+			closeBlock()
+			if cur != nil && inBlock.n != blockSize {
+				t.Fatalf("%s: block %d holds %d postings before the list's last", what, blocks-1, inBlock.n)
+			}
+			cur, inBlock = b, bounds{}
+		}
+		for _, bd := range []*bounds{&inBlock, &inList} {
+			bd.n++
+			bd.maxDoc = id
+			bd.maxFreq = max(bd.maxFreq, c.freq())
+			if bd.minLen == 0 || lens[id] < bd.minLen {
+				bd.minLen = lens[id]
+			}
+		}
+		if !dominated(cur.frontier[:], c.freq(), lens[id]) || !dominated(pl.frontier[:], c.freq(), lens[id]) {
+			t.Fatalf("%s: doc %d (freq %d, len %d) above frontiers %v / %v",
+				what, id, c.freq(), lens[id], cur.frontier, pl.frontier)
+		}
+	}
+	closeBlock()
+	if inList.n != len(byDoc) || pl.numDocs() != len(byDoc) {
+		t.Fatalf("%s: walked %d postings, numDocs %d, want %d", what, inList.n, pl.numDocs(), len(byDoc))
+	}
+	if int(pl.maxFreq) != inList.maxFreq || int(pl.minLen) != inList.minLen {
+		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, pl.maxFreq, pl.minLen, inList.maxFreq, inList.minLen)
+	}
+	return blocks > 1
 }

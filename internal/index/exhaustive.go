@@ -23,7 +23,7 @@ type DocTermInfo struct {
 	Freq int
 	// Positions are the match word positions within the matched field;
 	// nil for non-positional matches (dates, linkage).
-	Positions []int
+	Positions []int32
 }
 
 // TermMatch is the result of looking up one query term across the index.
@@ -158,8 +158,8 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 
 // matchWord finds the posting lists matching one query word under the
 // term's modifiers and merges them into a doc→info map. A
-// document's Positions are its posting's own (capacity clipped, so an
-// append cannot reach the index) until a second expansion term matches
+// document's Positions are a view of its posting's (capacity clipped, so
+// an append cannot reach the index) until a second expansion term matches
 // the document too.
 func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
 	terms := fi.expandWord(a, word, t, opts)
@@ -173,21 +173,18 @@ func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opt
 		if pl == nil {
 			continue
 		}
-		for _, b := range pl.blocks {
-			for i := range b.docs {
-				p := b.docs[i]
-				if cur := out[p.DocID]; cur != nil {
-					cur.Freq += p.Freq()
-					cur.Positions = mergePositions(cur.Positions, p.Positions)
-				} else {
-					if len(free) == 0 {
-						chunk = min(2*chunk, 512)
-						free = make([]DocTermInfo, chunk)
-					}
-					n := len(p.Positions)
-					free[0] = DocTermInfo{Freq: n, Positions: p.Positions[:n:n]}
-					out[p.DocID], free = &free[0], free[1:]
+		for i, d := range pl.docs {
+			id, pos := int(d), pl.positions(i)
+			if cur := out[id]; cur != nil {
+				cur.Freq += len(pos)
+				cur.Positions = mergePositions(cur.Positions, pos)
+			} else {
+				if len(free) == 0 {
+					chunk = min(2*chunk, 512)
+					free = make([]DocTermInfo, chunk)
 				}
+				free[0] = DocTermInfo{Freq: len(pos), Positions: pos}
+				out[id], free = &free[0], free[1:]
 			}
 		}
 	}
@@ -206,11 +203,11 @@ docs:
 				continue docs
 			}
 		}
-		var starts []int
+		var starts []int32
 	pos:
 		for _, p := range info.Positions {
 			for i := 1; i < len(perWord); i++ {
-				if !containsInt(perWord[i][id].Positions, p+i) {
+				if !containsInt(perWord[i][id].Positions, p+int32(i)) {
 					continue pos
 				}
 			}

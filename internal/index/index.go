@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -9,15 +10,6 @@ import (
 	"starts/internal/attr"
 	"starts/internal/text"
 )
-
-// Posting records one document's occurrences of one term in one field.
-type Posting struct {
-	DocID     int
-	Positions []int // word positions, ascending
-}
-
-// Freq returns the term frequency (number of occurrences).
-func (p Posting) Freq() int { return len(p.Positions) }
 
 // fieldIndex holds the postings and auxiliary vocabularies of one field.
 type fieldIndex struct {
@@ -35,10 +27,9 @@ type fieldIndex struct {
 	// vocab is the sorted vocabulary, built lazily for truncation scans.
 	// vocabMu guards the lazy build, which happens under the index's read
 	// lock (concurrent readers may race to build it).
-	vocabMu  sync.Mutex
-	vocab    []string
-	vocabOK  bool
-	totalLen int // total token count across docs (for averages)
+	vocabMu sync.Mutex
+	vocab   []string
+	vocabOK bool
 }
 
 func newFieldIndex() *fieldIndex {
@@ -95,9 +86,19 @@ func (ix *Index) Analyzer() *text.Analyzer { return ix.analyzer }
 
 // Add indexes a document and returns its document ID. Adding a document
 // with the linkage of an existing document replaces nothing and fails:
-// documents are immutable once indexed.
+// documents are immutable once indexed. Postings hold 32-bit ids and
+// offsets, so a document that would overflow them fails too: the 2³¹th
+// document, one of 2³¹ tokens or more, or one that would take a term's
+// positions in a field past 2³¹−1.
 func (ix *Index) Add(d *Document) (int, error) {
 	if err := d.Validate(); err != nil {
+		return 0, err
+	}
+	// Analyze every field before inserting postings so the document's
+	// total token count — the length-normalization bound of the sidecar
+	// block stats — is known when each posting is noted in its block.
+	toksByField, total, err := analyzeDoc(ix.analyzer, d)
+	if err != nil {
 		return 0, err
 	}
 	ix.mu.Lock()
@@ -105,13 +106,22 @@ func (ix *Index) Add(d *Document) (int, error) {
 	if _, dup := ix.byURL[d.Linkage]; dup {
 		return 0, fmt.Errorf("index: document %q already indexed", d.Linkage)
 	}
+	if len(ix.docs) == math.MaxInt32 {
+		return 0, fmt.Errorf("index: collection holds 2^31-1 documents, the most it can")
+	}
+	for i, f := range TextFields {
+		if fi := ix.fields[f]; fi != nil {
+			for _, t := range toksByField[i] {
+				if pl := fi.postings[t.Text]; pl != nil && len(pl.pos) > math.MaxInt32-len(toksByField[i]) {
+					return 0, fmt.Errorf("index: term %q in %s: %w", t.Text, f, errPositions)
+				}
+			}
+		}
+	}
 	id := len(ix.docs)
 	ix.docs = append(ix.docs, d)
 	ix.byURL[d.Linkage] = id
-	// Analyze every field before inserting postings so the document's
-	// total token count — the length-normalization bound of the sidecar
-	// block stats — is known when each posting lands in its block.
-	toksByField, total := analyzeDoc(ix.analyzer, d)
+	var touched []*postingList
 	for i, f := range TextFields {
 		if len(toksByField[i]) == 0 {
 			continue
@@ -121,7 +131,10 @@ func (ix *Index) Add(d *Document) (int, error) {
 			fi = newFieldIndex()
 			ix.fields[f] = fi
 		}
-		fi.addDoc(id, toksByField[i], total)
+		touched = appendDoc(fi.postings, int32(id), toksByField[i], touched[:0], fi.addVocab)
+		for _, pl := range touched {
+			pl.note(len(pl.docs)-1, int32(total))
+		}
 	}
 	ix.counts = append(ix.counts, total)
 	ix.keys = append(ix.keys, sortKeysOf(d))
@@ -133,17 +146,19 @@ func (ix *Index) Add(d *Document) (int, error) {
 
 // analyzeDoc tokenizes every indexed field of one document, returning
 // per-field tokens (aligned with TextFields) and the total raw token
-// count. It touches only the analyzer, so parallel index construction
-// can run it outside the index lock.
-func analyzeDoc(a *text.Analyzer, d *Document) ([][]text.Token, int) {
+// count (AnalyzeAll keeps every token the tokenizer yields). It touches
+// only the analyzer, so it runs outside the index lock.
+func analyzeDoc(a *text.Analyzer, d *Document) ([][]text.Token, int, error) {
 	toks := make([][]text.Token, len(TextFields))
 	total := 0
 	for i, f := range TextFields {
-		ft := d.FieldText(f)
-		toks[i] = a.AnalyzeAll(ft)
-		total += a.CountTokens(ft)
+		toks[i] = a.AnalyzeAll(d.FieldText(f))
+		total += len(toks[i])
 	}
-	return toks, total
+	if total > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("index: document %q has %d tokens, more than 2^31-1", d.Linkage, total)
+	}
+	return toks, total, nil
 }
 
 // sortKeysOf pre-normalizes the document's sort keys: date formatted
@@ -215,24 +230,6 @@ func (s Snapshot) SortKeyValue(id int, f attr.Field) string {
 		return ix.keys[id].author
 	default:
 		return strings.ToLower(ix.docs[id].FieldText(f))
-	}
-}
-
-func (fi *fieldIndex) addDoc(id int, toks []text.Token, docLen int) {
-	byTerm := map[string][]int{}
-	for _, t := range toks {
-		byTerm[t.Text] = append(byTerm[t.Text], t.Pos)
-	}
-	for term, positions := range byTerm {
-		pl := fi.postings[term]
-		if pl == nil {
-			pl = &postingList{}
-			fi.postings[term] = pl
-			fi.addVocab(term)
-		}
-		sort.Ints(positions)
-		pl.appendPosting(Posting{DocID: id, Positions: positions}, docLen)
-		fi.totalLen += len(positions)
 	}
 }
 
@@ -317,9 +314,7 @@ func (ix *Index) VocabTerms(fn func(f attr.Field, term string, postings, docFreq
 		sort.Strings(terms)
 		for _, t := range terms {
 			pl := fi.postings[t]
-			total := 0
-			pl.iterate(func(p Posting) { total += p.Freq() })
-			fn(f, t, total, pl.numDocs())
+			fn(f, t, len(pl.pos), pl.numDocs())
 		}
 	}
 }

@@ -3,7 +3,7 @@ package index
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -493,14 +493,14 @@ func TestDocumentHelpers(t *testing.T) {
 // expansion terms or of two fields, not an append to the result.
 func TestLookupLeavesPostingsAlone(t *testing.T) {
 	ix := testIndex(t)
-	snapshot := func() map[string][][]int {
-		all := map[string][][]int{}
+	snapshot := func() map[string][][]int32 {
+		all := map[string][][]int32{}
 		for f, fi := range ix.fields {
 			for word, pl := range fi.postings {
-				for _, b := range pl.blocks {
-					for _, p := range b.docs {
-						all[string(f)+"/"+word] = append(all[string(f)+"/"+word], append([]int(nil), p.Positions...))
-					}
+				// Through the full capacity: an append through a view must
+				// not write past a list's length either.
+				all[string(f)+"/"+word] = [][]int32{
+					slices.Clone(pl.docs), slices.Clone(pl.ends), slices.Clone(pl.pos[:cap(pl.pos)]),
 				}
 			}
 		}
@@ -518,7 +518,7 @@ func TestLookupLeavesPostingsAlone(t *testing.T) {
 			t.Fatalf("%s: %v, %v", src, m, err)
 		}
 		for id, info := range m.Docs {
-			if info.Freq != len(info.Positions) || !sort.IntsAreSorted(info.Positions) {
+			if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) {
 				t.Errorf("%s: doc %d: freq %d, positions %v", src, id, info.Freq, info.Positions)
 			}
 			// The posting's next position, had the capacity not been clipped.

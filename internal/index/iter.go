@@ -43,15 +43,15 @@ func newTermCursor(lists []*postingList) *termCursor {
 // positions returns the word's positions in the current document,
 // ascending: the posting's own slice unless several expansions of the
 // word occur in the document.
-func (tc *termCursor) positions() []int {
-	var pos []int
+func (tc *termCursor) positions() []int32 {
+	var pos []int32
 	for _, c := range tc.curs {
 		switch {
 		case c.doc() != tc.cur:
 		case pos == nil:
-			pos = c.posting().Positions
+			pos = c.positions()
 		default:
-			pos = mergePositions(pos, c.posting().Positions)
+			pos = mergePositions(pos, c.positions())
 		}
 	}
 	return pos
@@ -65,14 +65,14 @@ func (tc *termCursor) positions() []int {
 type posIter struct {
 	words []*termCursor // per word of the value: its expansion lists in the field
 	cur   int
-	pos   []int   // match positions in cur
-	at    [][]int // scratch: each word's positions in the candidate document
-	buf   []int   // scratch behind pos for a phrase
+	pos   []int32   // match positions in cur
+	at    [][]int32 // scratch: each word's positions in the candidate document
+	buf   []int32   // scratch behind pos for a phrase
 }
 
 // newPosIter takes each word's expansion lists in the field.
 func newPosIter(lists [][]*postingList) *posIter {
-	p := &posIter{words: make([]*termCursor, len(lists)), at: make([][]int, len(lists))}
+	p := &posIter{words: make([]*termCursor, len(lists)), at: make([][]int32, len(lists))}
 	for i, l := range lists {
 		p.words[i] = newTermCursor(l)
 	}
@@ -116,7 +116,7 @@ func (p *posIter) matches() bool {
 starts:
 	for _, s := range p.at[0] {
 		for i := 1; i < len(p.at); i++ {
-			if !containsInt(p.at[i], s+i) {
+			if !containsInt(p.at[i], s+int32(i)) {
 				continue starts
 			}
 		}
@@ -496,16 +496,17 @@ func (ix *Index) proxIter(p *query.Prox, opts LookupOptions) (docIter, error) {
 // proxSatisfied reports whether some pair of positions satisfies the
 // word-distance constraint: at most dist words between the terms, with the
 // left term first when ordered.
-func proxSatisfied(lpos, rpos []int, dist int, ordered bool) bool {
+func proxSatisfied(lpos, rpos []int32, dist int, ordered bool) bool {
 	for _, lp := range lpos {
-		// Right-position window for ordered: (lp, lp+dist+1].
-		i := sort.SearchInts(rpos, lp+1)
-		if i < len(rpos) && rpos[i] <= lp+dist+1 {
+		p := int(lp)
+		// Right-position window for ordered: (p, p+dist+1].
+		i := sort.Search(len(rpos), func(k int) bool { return int(rpos[k]) > p })
+		if i < len(rpos) && int(rpos[i]) <= p+dist+1 {
 			return true
 		}
 		if !ordered {
-			// Window [lp-dist-1, lp).
-			j := sort.SearchInts(rpos, lp-dist-1)
+			// Window [p-dist-1, p).
+			j := sort.Search(len(rpos), func(k int) bool { return int(rpos[k]) >= p-dist-1 })
 			if j < len(rpos) && rpos[j] < lp {
 				return true
 			}

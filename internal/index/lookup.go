@@ -107,9 +107,9 @@ func (fi *fieldIndex) expandWord(a *text.Analyzer, word string, t query.Term, op
 // mergePositions returns the sorted union of two position lists in a
 // slice of its own: either argument may be a posting's own storage, which
 // concurrent lookups read.
-func mergePositions(a, b []int) []int {
-	merged := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
-	sort.Ints(merged)
+func mergePositions(a, b []int32) []int32 {
+	merged := append(append(make([]int32, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(merged)
 	return merged
 }
 
@@ -133,9 +133,9 @@ func (fi *fieldIndex) suffixTerms(suffix string) []string {
 	return out
 }
 
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
+func containsInt(sorted []int32, x int32) bool {
+	_, found := slices.BinarySearch(sorted, x)
+	return found
 }
 
 func parseDate(s string) (time.Time, error) {

@@ -99,7 +99,7 @@ func (tc *termCursor) freqAt() int {
 	tf := 0
 	for _, c := range tc.curs {
 		if c.doc() == tc.cur {
-			tf += c.posting().Freq()
+			tf += c.freq()
 		}
 	}
 	return tf
@@ -113,7 +113,7 @@ func (tc *termCursor) blockSkipTarget() int {
 	t := maxDocID
 	for _, c := range tc.curs {
 		if c.doc() == tc.cur {
-			if end := c.curBlock().maxDoc + 1; end < t {
+			if end := int(c.curBlock().maxDoc) + 1; end < t {
 				t = end
 			}
 		} else if d := c.doc(); d < t {
@@ -131,7 +131,10 @@ func (tc *termCursor) blockSkipTarget() int {
 func frontierBound(fr []tfLen, plan *RankPlan, w float64, df, n int) float64 {
 	best := 0.0
 	for _, e := range fr {
-		if v := w * plan.TermWeight(e.freq, df, n, e.len); v > best {
+		if e.freq == 0 {
+			break
+		}
+		if v := w * plan.TermWeight(int(e.freq), df, n, int(e.len)); v > best {
 			best = v
 		}
 	}
@@ -147,7 +150,7 @@ func (tc *termCursor) blockEnd() int {
 		if c.done() {
 			continue
 		}
-		if e := c.curBlock().maxDoc + 1; e < t {
+		if e := int(c.curBlock().maxDoc) + 1; e < t {
 			t = e
 		}
 	}
@@ -163,9 +166,9 @@ func (tc *termCursor) rangeBound(plan *RankPlan, n int) float64 {
 		if c.done() {
 			return 0
 		}
-		if c.bi != c.boundBi {
-			c.boundBi = c.bi
-			c.bound = frontierBound(c.curBlock().frontier, plan, tc.w, tc.df, n)
+		if bi := c.bi(); bi != c.boundBi {
+			c.boundBi = bi
+			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
 		}
 		return c.bound
 	}
@@ -175,9 +178,9 @@ func (tc *termCursor) rangeBound(plan *RankPlan, n int) float64 {
 			continue
 		}
 		b := c.curBlock()
-		maxF += b.maxFreq
-		if b.minLen > 0 && (minL == 0 || b.minLen < minL) {
-			minL = b.minLen
+		maxF += int(b.maxFreq)
+		if b.minLen > 0 && (minL == 0 || int(b.minLen) < minL) {
+			minL = int(b.minLen)
 		}
 	}
 	if maxF == 0 {
@@ -225,9 +228,9 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 		if c.doc() != tc.cur {
 			return 0
 		}
-		if c.bi != c.boundBi {
-			c.boundBi = c.bi
-			c.bound = frontierBound(c.curBlock().frontier, plan, tc.w, tc.df, n)
+		if bi := c.bi(); bi != c.boundBi {
+			c.boundBi = bi
+			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
 		}
 		return c.bound
 	}
@@ -237,9 +240,9 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 			continue
 		}
 		b := c.curBlock()
-		maxF += b.maxFreq
-		if b.minLen > 0 && (minL == 0 || b.minLen < minL) {
-			minL = b.minLen
+		maxF += int(b.maxFreq)
+		if b.minLen > 0 && (minL == 0 || int(b.minLen) < minL) {
+			minL = int(b.minLen)
 		}
 	}
 	if maxF == 0 {
@@ -311,7 +314,7 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 	b0, b1 := -1, -1
 	var v0, v1 float64
 	for bi := range pl.blocks {
-		switch v := frontierBound(pl.blocks[bi].frontier, plan, w, rl.df, n); {
+		switch v := frontierBound(pl.blocks[bi].frontier[:], plan, w, rl.df, n); {
 		case b0 == -1 || v > v0:
 			b0, v0, b1, v1 = bi, v, b0, v0
 		case b1 == -1 || v > v1:
@@ -323,8 +326,8 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 		if bi == -1 {
 			continue
 		}
-		for _, p := range pl.blocks[bi].docs {
-			id := p.DocID
+		for i := bi * blockSize; i < min((bi+1)*blockSize, len(pl.docs)); i++ {
+			id := int(pl.docs[i])
 			docLen := ix.counts[id]
 			sum := 0.0
 			for tj := range resolved {
@@ -333,7 +336,7 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 					// The seeding term's frequency is in hand; apply the
 					// same language filter probing it would.
 					if rl.inLang == nil || rl.inLang(id) {
-						tf = p.Freq()
+						tf = pl.freq(i)
 					}
 				} else {
 					tf = resolved[tj].probe(id)
@@ -394,15 +397,15 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		tc.idx, tc.df, tc.w, tc.inLang = i, rl.df, plan.Terms[i].Weight, rl.inLang
 		maxF, minL := 0, 0
 		for _, pl := range rl.lists {
-			maxF += pl.maxFreq
-			if pl.minLen > 0 && (minL == 0 || pl.minLen < minL) {
-				minL = pl.minLen
+			maxF += int(pl.maxFreq)
+			if pl.minLen > 0 && (minL == 0 || int(pl.minLen) < minL) {
+				minL = int(pl.minLen)
 			}
 		}
 		if tc.df > 0 {
 			if len(rl.lists) == 1 {
 				// Tight list-global bound from the list's Pareto frontier.
-				tc.ub = frontierBound(rl.lists[0].frontier, &plan, tc.w, tc.df, n)
+				tc.ub = frontierBound(rl.lists[0].frontier[:], &plan, tc.w, tc.df, n)
 			} else if maxF > 0 {
 				tc.ub = tc.w * plan.TermWeight(maxF, tc.df, n, minL)
 			}
@@ -540,8 +543,8 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 				}
 			}
 		} else {
-			// Advance the smallest cursor up to the pivot; seek skips
-			// whole blocks via the sidecar doc-id bounds.
+			// Advance the smallest cursor up to the pivot, one binary
+			// search over its list.
 			cursors[0].seek(pivotDoc)
 		}
 		sortCursors(cursors)
@@ -574,8 +577,8 @@ func (rl *rankLists) probe(id int) int {
 	}
 	tf := 0
 	for _, pl := range rl.lists {
-		if p, found := pl.find(id); found {
-			tf += p.Freq()
+		if i, found := pl.find(id); found {
+			tf += pl.freq(i)
 		}
 	}
 	return tf
@@ -592,7 +595,7 @@ func (rl *rankLists) count() int {
 	case len(rl.lists) == 0:
 		return 0
 	case len(rl.lists) == 1 && rl.inLang == nil:
-		return rl.lists[0].n
+		return rl.lists[0].numDocs()
 	}
 	return countDocs(rl.iter())
 }
@@ -607,7 +610,7 @@ func (ix *Index) wordLists(fields []attr.Field, word string, t query.Term, opts 
 			continue
 		}
 		for _, vt := range fi.expandWord(ix.analyzer, word, t, opts) {
-			if pl := fi.postings[vt]; pl != nil && pl.n > 0 {
+			if pl := fi.postings[vt]; pl.numDocs() > 0 {
 				rl.lists = append(rl.lists, pl)
 			}
 		}
