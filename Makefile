@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap prof-build warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,16 @@ prof-heap:
 		-memprofile $(PROFDIR)/heap.mem -o $(PROFDIR)/index.test ./internal/index
 	$(GO) tool pprof -top -sample_index=inuse_space $(PROFDIR)/index.test $(PROFDIR)/heap.mem | head -40
 
+# prof-build is prof-heap's CPU counterpart: BenchmarkBuildIndex with a
+# CPU profile, then the profile's top functions — where building an index,
+# the bulk of every set-up, spends its time. The binary and the profile go
+# to PROFDIR.
+prof-build:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildIndex$$' -benchtime 10x -cpuprofile $(PROFDIR)/build.cpu \
+		-o $(PROFDIR)/index.test ./internal/index
+	$(GO) tool pprof -top $(PROFDIR)/index.test $(PROFDIR)/build.cpu | head -40
+
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, overload) under the race detector.
 soak:
@@ -115,13 +125,15 @@ stress:
 # points of the expression parser behind them all, the cache fingerprint
 # against the printer it replaced (internal/qcache/key_oracle_test.go),
 # the engine's cursor evaluator against its oracle
-# (internal/engine/exhaustive.go), and the harvested metadata and content
-# summary decoders. Seeds also run with every `go test`.
+# (internal/engine/exhaustive.go), the harvested metadata and content
+# summary decoders, and the substring tokenizers against the copying
+# tokenizer they replaced (internal/text/oracle_test.go). Seeds also run
+# with every `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:1s \
-	internal/soif:FuzzSOIFRoundTrip:1s \
+	internal/server:FuzzDecodeRequest:800ms \
+	internal/soif:FuzzSOIFRoundTrip:800ms \
 	internal/result:FuzzDecodeBatchItem:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
 	internal/result:FuzzDocFromSOIFMatchesOracle:800ms \
@@ -129,9 +141,10 @@ FUZZ_TARGETS = \
 	internal/query:FuzzParseFilter:800ms \
 	internal/query:FuzzParseRanking:800ms \
 	internal/qcache:FuzzCanonicalMatchesOracle:800ms \
-	internal/engine:FuzzSearchMatchesExhaustive:1600ms \
+	internal/engine:FuzzSearchMatchesExhaustive:1400ms \
 	internal/meta:FuzzParseMeta:800ms \
-	internal/meta:FuzzParseSummary:800ms
+	internal/meta:FuzzParseSummary:800ms \
+	internal/text:FuzzTokenizeMatchesOracle:600ms
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

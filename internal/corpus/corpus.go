@@ -12,7 +12,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -176,15 +176,19 @@ func Generate(cfg Config) *Generated {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	topics := TopicsWithVocab(cfg.VocabWords)
 	g := &Generated{Topics: topics}
+	vocabs := make([]zipfWords, len(topics))
+	for i, t := range topics {
+		vocabs[i] = zipfWords{t.Words, harmonicCDF(len(t.Words))}
+	}
 
 	for si := 0; si < cfg.NumSources; si++ {
-		topic := topics[si%len(topics)]
+		ti := si % len(topics)
 		spec := SourceSpec{
-			ID:           fmt.Sprintf("src-%02d-%s", si, topic.Name),
-			PrimaryTopic: topic.Name,
+			ID:           fmt.Sprintf("src-%02d-%s", si, topics[ti].Name),
+			PrimaryTopic: topics[ti].Name,
 		}
 		for di := 0; di < cfg.DocsPerSource; di++ {
-			spec.Docs = append(spec.Docs, genDoc(rng, topics, topic, spec.ID, di, cfg))
+			spec.Docs = append(spec.Docs, genDoc(rng, vocabs, ti, topics[ti].Language, spec.ID, di, cfg))
 		}
 		g.Sources = append(g.Sources, spec)
 	}
@@ -247,38 +251,37 @@ func harmonicCDF(n int) []float64 {
 	return c
 }
 
-// zipfPick samples a word index with probability proportional to 1/(i+1).
-func zipfPick(rng *rand.Rand, n int) int {
-	cum := harmonicCDF(n)
-	target := rng.Float64() * cum[n-1]
-	if i := sort.SearchFloat64s(cum, target); i < n {
-		return i
-	}
-	return n - 1
+// zipfWords is a vocabulary with its harmonic CDF, fetched once so that
+// a draw takes no lock.
+type zipfWords struct {
+	words []string
+	cum   []float64
 }
 
-func pickWord(rng *rand.Rand, words []string) string {
-	return words[zipfPick(rng, len(words))]
+// pick samples the i-th word with probability proportional to 1/(i+1).
+func (z zipfWords) pick(rng *rand.Rand) string {
+	n := len(z.cum)
+	i, _ := slices.BinarySearch(z.cum, rng.Float64()*z.cum[n-1])
+	return z.words[min(i, n-1)]
 }
 
-func genDoc(rng *rand.Rand, topics []Topic, primary Topic, sourceID string, di int, cfg Config) *index.Document {
-	titleLen := 4 + rng.Intn(5)
-	var title []string
-	for i := 0; i < titleLen; i++ {
-		title = append(title, pickWord(rng, primary.Words))
+// genDoc draws document di of a source whose primary topic is
+// vocabs[primary].
+func genDoc(rng *rand.Rand, vocabs []zipfWords, primary int, language lang.Tag, sourceID string, di int, cfg Config) *index.Document {
+	title := make([]string, 4+rng.Intn(5))
+	for i := range title {
+		title[i] = vocabs[primary].pick(rng)
 	}
-	bodyLen := cfg.BodyWords/2 + rng.Intn(cfg.BodyWords)
-	var body []string
-	for i := 0; i < bodyLen; i++ {
+	body := make([]string, cfg.BodyWords/2+rng.Intn(cfg.BodyWords))
+	for i := range body {
 		r := rng.Float64()
 		switch {
 		case r < cfg.PrimaryBias:
-			body = append(body, pickWord(rng, primary.Words))
+			body[i] = vocabs[primary].pick(rng)
 		case r < cfg.PrimaryBias+0.2:
-			body = append(body, generalWords[rng.Intn(len(generalWords))])
+			body[i] = generalWords[rng.Intn(len(generalWords))]
 		default:
-			other := topics[rng.Intn(len(topics))]
-			body = append(body, pickWord(rng, other.Words))
+			body[i] = vocabs[rng.Intn(len(vocabs))].pick(rng)
 		}
 	}
 	doc := &index.Document{
@@ -289,8 +292,8 @@ func genDoc(rng *rand.Rand, topics []Topic, primary Topic, sourceID string, di i
 		Date: time.Date(1990+rng.Intn(7), time.Month(1+rng.Intn(12)),
 			1+rng.Intn(28), 0, 0, 0, 0, time.UTC),
 	}
-	if !primary.Language.IsZero() {
-		doc.Languages = []lang.Tag{primary.Language}
+	if !language.IsZero() {
+		doc.Languages = []lang.Tag{language}
 	}
 	return doc
 }

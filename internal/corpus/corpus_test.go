@@ -1,10 +1,15 @@
 package corpus
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"starts/internal/lang"
 )
@@ -120,9 +125,15 @@ func TestDocsAreIndexable(t *testing.T) {
 
 func TestZipfPickSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	counts := make([]int, 50)
+	words := make([]string, 50)
+	for i := range words {
+		words[i] = fmt.Sprint(i)
+	}
+	z := zipfWords{words, harmonicCDF(len(words))}
+	counts := make([]int, len(words))
 	for i := 0; i < 20000; i++ {
-		counts[zipfPick(rng, 50)]++
+		w, _ := strconv.Atoi(z.pick(rng))
+		counts[w]++
 	}
 	if counts[0] <= counts[10] || counts[10] <= counts[49] {
 		t.Errorf("zipf not monotone-ish: head %d mid %d tail %d", counts[0], counts[10], counts[49])
@@ -157,6 +168,38 @@ func TestWorkloadDeterministicAndValid(t *testing.T) {
 	}
 	if filters == 0 || filters == 30 {
 		t.Errorf("filter fraction degenerate: %d/30", filters)
+	}
+}
+
+// TestGenerateGolden pins every field Generate produces for two configs:
+// the defaults, and a large vocabulary with overlapping sources. The
+// benchmark's oracle compares answers against a fleet built by the same
+// generator, so a drifted generator would pass it while silently changing
+// every workload; any change to what the RNG draws map to fails here.
+func TestGenerateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"defaults", Config{}, "d19e6a909f50a9b86a01917cbc3f665513286b20603af048635194e0a61600e2"},
+		{"vocab2000-overlap", Config{VocabWords: 2000, Overlap: 0.2}, "c59dd59f4a4eb85d59d542eef78f93131e0dce11b02e347e9506c73b8a23140b"},
+	} {
+		h := sha256.New()
+		g := Generate(tc.cfg)
+		for _, tp := range g.Topics {
+			fmt.Fprintf(h, "topic %q %q %q\n", tp.Name, tp.Language, tp.Words)
+		}
+		for _, s := range g.Sources {
+			fmt.Fprintf(h, "source %q %q %d\n", s.ID, s.PrimaryTopic, len(s.Docs))
+			for _, d := range s.Docs {
+				fmt.Fprintf(h, "doc %q %q %q %q %q %s %q %q\n", d.Linkage, d.LinkageType,
+					d.Title, d.Authors, d.Body, d.Date.Format(time.RFC3339Nano), d.Languages, d.CrossRefs)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: Generate digest = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

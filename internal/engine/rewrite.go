@@ -116,7 +116,7 @@ func (e *Engine) eliminated(t query.Term, opts index.LookupOptions) bool {
 	default:
 		return false // dates, linkage etc. have no stop words
 	}
-	toks := e.cfg.Analyzer.Tokenizer.Tokenize(t.Value.Text)
+	toks := e.cfg.Analyzer.Tokenizer.Tokenize(nil, t.Value.Text)
 	if len(toks) == 0 {
 		return false
 	}

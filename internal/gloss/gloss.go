@@ -70,7 +70,7 @@ func newProbeSet(q *query.Query) *probeSet {
 		return ps
 	}
 	for _, t := range expr.Terms(nil) {
-		toks := probeTokenizer.Tokenize(t.Value.Text)
+		toks := probeTokenizer.Tokenize(nil, t.Value.Text)
 		if len(toks) == 0 {
 			continue
 		}

@@ -32,7 +32,7 @@ func oracleProbes(q *query.Query, s *meta.ContentSummary) []probeTerm {
 			weight: t.EffectiveWeight(),
 		}
 		tok, _ := text.LookupTokenizer("Acme-2")
-		for _, raw := range tok.Tokenize(t.Value.Text) {
+		for _, raw := range tok.Tokenize(nil, t.Value.Text) {
 			w := raw.Text
 			if !s.CaseSensitive {
 				b := []byte(w)

@@ -33,9 +33,13 @@ type chunkResult struct {
 // the merged posting lists are equal to a sequential build's, down to
 // block boundaries and sidecar stats: chunks cover contiguous id ranges
 // and are merged in range order, so postings stay ascending by doc id.
-// Tokenization — the bulk of indexing cost — runs on workers goroutines
-// (default GOMAXPROCS). It fails where Add would: a duplicate linkage, or
-// a collection that would overflow the postings' 32-bit ids and offsets.
+// Analysis and appending postings — about two thirds of indexing CPU —
+// run on workers goroutines (default GOMAXPROCS), each keeping one memo of
+// the spellings it has normalized and one token buffer per field, so it
+// stems each distinct spelling once and allocates little per token; the
+// merge after them runs on one. It fails where Add would: a duplicate
+// linkage, or a collection that would overflow the postings' 32-bit ids
+// and offsets.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
 	if workers <= 0 {
@@ -70,13 +74,14 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			memo := map[string]string{}
 			for ci := range next {
 				lo := ci * chunkSize
 				hi := lo + chunkSize
 				if hi > len(docs) {
 					hi = len(docs)
 				}
-				results[ci] = analyzeChunk(a, docs, lo, hi)
+				results[ci] = analyzeChunk(a, memo, docs, lo, hi)
 			}
 		}()
 	}
@@ -122,16 +127,18 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	return ix, nil
 }
 
-// analyzeChunk tokenizes docs[lo:hi] into private posting runs.
-func analyzeChunk(a *text.Analyzer, docs []*Document, lo, hi int) *chunkResult {
+// analyzeChunk tokenizes docs[lo:hi] into private posting runs; memo is
+// the worker's own, kept across its chunks.
+func analyzeChunk(a *text.Analyzer, memo map[string]string, docs []*Document, lo, hi int) *chunkResult {
 	cr := &chunkResult{runs: make([]map[string]*postingList, len(TextFields))}
 	for i := range cr.runs {
 		cr.runs[i] = map[string]*postingList{}
 	}
 	var touched []*postingList
+	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
 		d := docs[id]
-		toksByField, total, err := analyzeDoc(a, d)
+		total, err := analyzeDoc(a, memo, toksByField, d)
 		if err != nil {
 			cr.err = err
 			return cr

@@ -150,7 +150,7 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 	lens := make([]int, len(docs))
 	for id, d := range docs {
 		for _, f := range TextFields {
-			toks := a.AnalyzeAll(d.FieldText(f))
+			toks := a.AnalyzeAll(nil, d.FieldText(f), nil)
 			lens[id] += len(toks)
 			for _, tok := range toks {
 				if want[f] == nil {

@@ -47,6 +47,35 @@ func TestIndexHeapBudget(t *testing.T) {
 	runtime.KeepAlive(ix)
 }
 
+// TestBuildAllocBudget pins what building an index allocates per token
+// of the fixed 2 000-document, 80-word collection, four workers: each
+// distinct spelling analyzed once per worker, tokens that are views of the
+// documents' text in per-worker buffers, so what is left is mostly the
+// posting arrays' growth. It reads about 0.7; the budget fails a return
+// to a copy, a stem or a slice per token (about 4.5).
+func TestBuildAllocBudget(t *testing.T) {
+	const budget = 1.0 // allocations per token
+	docs := heapDocs(2000, 80, 400)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix, err := index.Build(text.NewAnalyzer(), docs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	s := ix.Snapshot()
+	defer s.Close()
+	tokens := 0
+	for id := range s.NumDocs() {
+		tokens += s.TokenCount(id)
+	}
+	perToken := float64(after.Mallocs-before.Mallocs) / float64(tokens)
+	t.Logf("%d tokens, %.2f allocations each", tokens, perToken)
+	if perToken > budget {
+		t.Errorf("building the index allocates %.2f times per token, budget %.1f", perToken, budget)
+	}
+}
+
 // buildSink keeps the last index BenchmarkBuildIndex built alive, so a
 // heap profile written after the run (make prof-heap) shows what an index
 // holds.

@@ -97,7 +97,8 @@ func (ix *Index) Add(d *Document) (int, error) {
 	// Analyze every field before inserting postings so the document's
 	// total token count — the length-normalization bound of the sidecar
 	// block stats — is known when each posting is noted in its block.
-	toksByField, total, err := analyzeDoc(ix.analyzer, d)
+	toksByField := make([][]text.Token, len(TextFields))
+	total, err := analyzeDoc(ix.analyzer, nil, toksByField, d)
 	if err != nil {
 		return 0, err
 	}
@@ -144,21 +145,21 @@ func (ix *Index) Add(d *Document) (int, error) {
 	return id, nil
 }
 
-// analyzeDoc tokenizes every indexed field of one document, returning
-// per-field tokens (aligned with TextFields) and the total raw token
-// count (AnalyzeAll keeps every token the tokenizer yields). It touches
-// only the analyzer, so it runs outside the index lock.
-func analyzeDoc(a *text.Analyzer, d *Document) ([][]text.Token, int, error) {
-	toks := make([][]text.Token, len(TextFields))
+// analyzeDoc tokenizes every indexed field of one document into toks,
+// one slice per field (aligned with TextFields), each refilled from its
+// start, and returns the total raw token count (AnalyzeAll keeps every
+// token the tokenizer yields). It touches only the analyzer and memo
+// (AnalyzeAll's; nil for none), so it runs outside the index lock.
+func analyzeDoc(a *text.Analyzer, memo map[string]string, toks [][]text.Token, d *Document) (int, error) {
 	total := 0
 	for i, f := range TextFields {
-		toks[i] = a.AnalyzeAll(d.FieldText(f))
+		toks[i] = a.AnalyzeAll(toks[i][:0], d.FieldText(f), memo)
 		total += len(toks[i])
 	}
 	if total > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("index: document %q has %d tokens, more than 2^31-1", d.Linkage, total)
+		return 0, fmt.Errorf("index: document %q has %d tokens, more than 2^31-1", d.Linkage, total)
 	}
-	return toks, total, nil
+	return total, nil
 }
 
 // sortKeysOf pre-normalizes the document's sort keys: date formatted

@@ -33,7 +33,7 @@ type LookupOptions struct {
 // wordsOf tokenizes a term value without stop-word elimination or
 // normalization (matching policy is applied per word later).
 func wordsOf(a *text.Analyzer, value string) []string {
-	toks := a.Tokenizer.Tokenize(value)
+	toks := a.Tokenizer.Tokenize(nil, value)
 	words := make([]string, len(toks))
 	for i, t := range toks {
 		words[i] = t.Text

@@ -45,30 +45,37 @@ func (a *Analyzer) NormalizeTerm(word string) string {
 // token the tokenizer produced, including eliminated stop words, so
 // proximity distances are preserved across stop-word removal.
 func (a *Analyzer) Analyze(text string) []Token {
-	raw := a.Tokenizer.Tokenize(text)
-	out := make([]Token, 0, len(raw))
-	for _, t := range raw {
-		if a.Stop.Contains(t.Text) {
+	toks := a.Tokenizer.Tokenize(nil, text)
+	out := toks[:0]
+	for _, t := range toks {
+		if !a.Stop.Contains(t.Text) {
+			out = append(out, Token{Text: a.NormalizeTerm(t.Text), Pos: t.Pos})
+		}
+	}
+	return out
+}
+
+// AnalyzeAll is the index-time pipeline: Analyze without stop-word
+// elimination, since an index keeps its stop words for the queries that
+// turn elimination off. It appends the tokens to dst, as Tokenize does.
+// memo, when not nil, maps every raw spelling met so far to its term, so
+// NormalizeTerm runs once per distinct spelling; its entries are copies,
+// never views of text, which may be transient.
+func (a *Analyzer) AnalyzeAll(dst []Token, text string, memo map[string]string) []Token {
+	toks := a.Tokenizer.Tokenize(dst, text)
+	added := toks[len(dst):]
+	for i, t := range added {
+		if memo == nil {
+			added[i].Text = a.NormalizeTerm(t.Text)
 			continue
 		}
-		out = append(out, Token{Text: a.NormalizeTerm(t.Text), Pos: t.Pos})
+		term, ok := memo[t.Text]
+		if !ok {
+			spelling := strings.Clone(t.Text)
+			term = a.NormalizeTerm(spelling)
+			memo[spelling] = term
+		}
+		added[i].Text = term
 	}
-	return out
-}
-
-// AnalyzeAll is Analyze without stop-word elimination, used when a query
-// sets DropStopWords to false at a source that allows it.
-func (a *Analyzer) AnalyzeAll(text string) []Token {
-	raw := a.Tokenizer.Tokenize(text)
-	out := make([]Token, 0, len(raw))
-	for _, t := range raw {
-		out = append(out, Token{Text: a.NormalizeTerm(t.Text), Pos: t.Pos})
-	}
-	return out
-}
-
-// CountTokens returns the raw token count of text under this analyzer's
-// tokenizer, the Document-count statistic of query results.
-func (a *Analyzer) CountTokens(text string) int {
-	return len(a.Tokenizer.Tokenize(text))
+	return toks
 }

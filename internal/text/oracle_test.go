@@ -1,0 +1,90 @@
+package text
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"unicode"
+	"unsafe"
+)
+
+// oracleTokenize is the tokenizer SeparatorTokenizer.Tokenize replaced:
+// it ranges over text rune by rune and copies every token's runes into a
+// builder. The substring tokenizer must match it token for token.
+func oracleTokenize(t *SeparatorTokenizer, text string) []Token {
+	var toks []Token
+	var cur strings.Builder
+	pos := 0
+	flush := func() {
+		if cur.Len() == 0 {
+			return
+		}
+		word := strings.Trim(cur.String(), t.Keep)
+		cur.Reset()
+		if word == "" {
+			return
+		}
+		toks = append(toks, Token{Text: word, Pos: pos})
+		pos++
+	}
+	for _, r := range text {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(t.Keep, r) {
+			cur.WriteRune(r)
+			continue
+		}
+		flush()
+	}
+	flush()
+	return toks
+}
+
+// FuzzTokenizeMatchesOracle holds every registered tokenizer to the
+// oracle: the same token texts at the same positions, whatever the input.
+func FuzzTokenizeMatchesOracle(f *testing.F) {
+	for _, s := range []string{
+		"the Z39.50 standard", "The end.", "-.-", "a-.-b ./x/. --", "one, two; three",
+		"análisis Ünïcode ٣ büsqueda_de.datos", "�", "a�b", "x\xffy", "\xc3", "z\xe2\x82",
+		"", "...",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, id := range TokenizerIDs() {
+			tok, _ := LookupTokenizer(id)
+			st, ok := tok.(*SeparatorTokenizer)
+			if !ok {
+				continue
+			}
+			got, want := st.Tokenize(nil, s), oracleTokenize(st, s)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s.Tokenize(%q) = %q, oracle %q", id, s, got, want)
+			}
+		}
+	})
+}
+
+// TestAnalyzeAllMemo runs the index-time pipeline with and without a
+// memo: the same tokens, and memo entries that are copies, not views of
+// the text they were met in.
+func TestAnalyzeAllMemo(t *testing.T) {
+	a := NewAnalyzer()
+	memo := map[string]string{}
+	for _, s := range []string{"Distributed databases, distributed Databases", "the databases of DATABASES"} {
+		text := strings.Clone(s)
+		got, want := a.AnalyzeAll(nil, text, memo), a.AnalyzeAll(nil, text, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AnalyzeAll(%q) with memo = %v, without %v", text, got, want)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		for k, v := range memo {
+			for _, e := range []string{k, v} {
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(e))); len(e) > 0 && p >= lo && p < lo+uintptr(len(text)) {
+					t.Errorf("memo entry %q -> %q is a view of %q", k, v, text)
+				}
+			}
+		}
+	}
+	if len(memo) != 7 || memo["Databases"] != "databas" {
+		t.Errorf("memo = %v", memo)
+	}
+}

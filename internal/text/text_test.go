@@ -155,20 +155,20 @@ func TestTokenizers(t *testing.T) {
 	acme2, _ := LookupTokenizer("Acme-2")
 
 	// The paper's tokenization question: is "Z39.50" one token or two?
-	if got := acme1.Tokenize("the Z39.50 standard"); len(got) != 3 || got[1].Text != "Z39.50" {
+	if got := acme1.Tokenize(nil, "the Z39.50 standard"); len(got) != 3 || got[1].Text != "Z39.50" {
 		t.Errorf("Acme-1 tokens = %v", got)
 	}
-	if got := acme2.Tokenize("the Z39.50 standard"); len(got) != 4 || got[1].Text != "Z39" || got[2].Text != "50" {
+	if got := acme2.Tokenize(nil, "the Z39.50 standard"); len(got) != 4 || got[1].Text != "Z39" || got[2].Text != "50" {
 		t.Errorf("Acme-2 tokens = %v", got)
 	}
 
 	// Keep runes are trimmed at token edges.
-	if got := acme1.Tokenize("The end."); got[len(got)-1].Text != "end" {
+	if got := acme1.Tokenize(nil, "The end."); got[len(got)-1].Text != "end" {
 		t.Errorf("trailing period kept: %v", got)
 	}
 
 	// Positions are sequential.
-	toks := acme2.Tokenize("one, two; three")
+	toks := acme2.Tokenize(nil, "one, two; three")
 	for i, tok := range toks {
 		if tok.Pos != i {
 			t.Errorf("token %d has pos %d", i, tok.Pos)
@@ -176,14 +176,26 @@ func TestTokenizers(t *testing.T) {
 	}
 
 	// Unicode text tokenizes by letter class.
-	if got := acme2.Tokenize("búsqueda de datos"); len(got) != 3 || got[0].Text != "búsqueda" {
+	if got := acme2.Tokenize(nil, "búsqueda de datos"); len(got) != 3 || got[0].Text != "búsqueda" {
 		t.Errorf("Spanish tokens = %v", got)
 	}
-	if got := acme2.Tokenize(""); len(got) != 0 {
+	if got := acme2.Tokenize(nil, ""); len(got) != 0 {
 		t.Errorf("empty input gave %v", got)
 	}
-	if got := acme2.Tokenize("..."); len(got) != 0 {
+	if got := acme2.Tokenize(nil, "..."); len(got) != 0 {
 		t.Errorf("punctuation-only input gave %v", got)
+	}
+
+	// Bytes that are not UTF-8 separate tokens, even where U+FFFD, the
+	// rune they decode to, is kept; a U+FFFD written out is kept.
+	keepFFFD := &SeparatorTokenizer{Keep: "�"}
+	if got := keepFFFD.Tokenize(nil, "a\xffb c�d"); len(got) != 3 || got[0].Text != "a" || got[1].Text != "b" || got[2].Text != "c�d" {
+		t.Errorf("tokens around invalid UTF-8 = %q", got)
+	}
+
+	// Tokens are appended to dst, positions counted from 0.
+	if got := acme2.Tokenize([]Token{{Text: "x"}}, "y z"); len(got) != 3 || got[1] != (Token{"y", 0}) || got[2] != (Token{"z", 1}) {
+		t.Errorf("appended tokens = %v", got)
 	}
 }
 
@@ -315,16 +327,12 @@ func TestAnalyzer(t *testing.T) {
 		t.Errorf("positions = %d,%d,%d", toks[0].Pos, toks[1].Pos, toks[2].Pos)
 	}
 
-	all := a.AnalyzeAll("The Who")
+	all := a.AnalyzeAll(nil, "The Who", nil)
 	if len(all) != 2 || all[0].Text != "the" || all[1].Text != "who" {
 		t.Errorf("AnalyzeAll = %v", all)
 	}
 	if got := a.Analyze("The Who"); len(got) != 0 {
 		t.Errorf("stop-word query should analyze to nothing, got %v", got)
-	}
-
-	if n := a.CountTokens("one two three"); n != 3 {
-		t.Errorf("CountTokens = %d", n)
 	}
 
 	cs := &Analyzer{Tokenizer: a.Tokenizer, CaseSensitive: true}

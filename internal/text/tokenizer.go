@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single indexable unit extracted from text, with its word
@@ -27,8 +28,9 @@ type Token struct {
 type Tokenizer interface {
 	// ID is the tokenizer's registered name, e.g. "Acme-1".
 	ID() string
-	// Tokenize splits text into tokens with word positions.
-	Tokenize(text string) []Token
+	// Tokenize appends the tokens of text, with word positions counted
+	// from 0, to dst and returns the extended slice.
+	Tokenize(dst []Token, text string) []Token
 }
 
 // SeparatorTokenizer splits on any rune that is neither a letter, a digit,
@@ -45,32 +47,34 @@ func (t *SeparatorTokenizer) ID() string { return t.Name }
 
 // Tokenize implements Tokenizer. Keep runes are only retained inside
 // tokens, never at the edges, so "end." tokenizes to "end" even when "." is
-// kept for "Z39.50".
-func (t *SeparatorTokenizer) Tokenize(text string) []Token {
-	var toks []Token
-	var cur strings.Builder
-	pos := 0
-	flush := func() {
-		if cur.Len() == 0 {
-			return
+// kept for "Z39.50". A token is one contiguous run of text, so each is a
+// substring of text, never a copy; bytes that are not UTF-8 separate
+// tokens. ASCII is classified byte by byte, and only bytes from 0x80 up
+// are decoded as runes.
+func (t *SeparatorTokenizer) Tokenize(dst []Token, text string) []Token {
+	pos, start := 0, 0 // the next token's position; where the current run began
+	for i := 0; i <= len(text); {
+		in, size := false, 1
+		switch {
+		case i == len(text): // the end of text closes the last run
+		case text[i] < utf8.RuneSelf:
+			c := text[i]
+			in = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte(t.Keep, c) >= 0
+		default:
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			in = size > 1 && (unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(t.Keep, r))
 		}
-		word := strings.Trim(cur.String(), t.Keep)
-		cur.Reset()
-		if word == "" {
-			return
+		if !in {
+			if word := strings.Trim(text[start:i], t.Keep); word != "" {
+				dst = append(dst, Token{Text: word, Pos: pos})
+				pos++
+			}
+			start = i + size
 		}
-		toks = append(toks, Token{Text: word, Pos: pos})
-		pos++
+		i += size
 	}
-	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(t.Keep, r) {
-			cur.WriteRune(r)
-			continue
-		}
-		flush()
-	}
-	flush()
-	return toks
+	return dst
 }
 
 var (
