@@ -125,7 +125,8 @@ stress:
 # points of the expression parser behind them all, the cache fingerprint
 # against the printer it replaced (internal/qcache/key_oracle_test.go),
 # the engine's cursor evaluator against its oracle
-# (internal/engine/exhaustive.go), the harvested metadata and content
+# (internal/engine/exhaustive.go), result sorting against the stored
+# string keys it replaced (internal/engine/sort_test.go), the harvested metadata and content
 # summary decoders, and the substring tokenizers against the copying
 # tokenizer they replaced (internal/text/oracle_test.go). Seeds also run
 # with every `go test`.
@@ -133,17 +134,18 @@ stress:
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
 	internal/server:FuzzDecodeRequest:800ms \
-	internal/soif:FuzzSOIFRoundTrip:800ms \
+	internal/soif:FuzzSOIFRoundTrip:700ms \
 	internal/result:FuzzDecodeBatchItem:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
 	internal/result:FuzzDocFromSOIFMatchesOracle:800ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
-	internal/query:FuzzParseFilter:800ms \
-	internal/query:FuzzParseRanking:800ms \
-	internal/qcache:FuzzCanonicalMatchesOracle:800ms \
+	internal/query:FuzzParseFilter:700ms \
+	internal/query:FuzzParseRanking:700ms \
+	internal/qcache:FuzzCanonicalMatchesOracle:700ms \
 	internal/engine:FuzzSearchMatchesExhaustive:1400ms \
-	internal/meta:FuzzParseMeta:800ms \
-	internal/meta:FuzzParseSummary:800ms \
+	internal/engine:FuzzSortMatchesKeyOracle:600ms \
+	internal/meta:FuzzParseMeta:700ms \
+	internal/meta:FuzzParseSummary:700ms \
 	internal/text:FuzzTokenizeMatchesOracle:600ms
 
 fuzz:

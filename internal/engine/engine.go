@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"starts/internal/attr"
 	"starts/internal/index"
@@ -269,15 +268,14 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	vals := make([]result.FieldValue, 0, len(kept)*len(fields))
 	res.Documents = make([]*result.Document, len(kept))
 	for k, sd := range kept {
-		doc := snap.Doc(sd.id)
 		from := len(vals)
 		for _, f := range fields {
-			if v := answerFieldValue(doc, f); v != "" {
+			if v := snap.FieldText(sd.id, f); v != "" {
 				vals = append(vals, result.FieldValue{Field: f, Value: v})
 			}
 		}
 		d := &docs[k]
-		d.RawScore, d.Size, d.Count = round4(sd.score), doc.SizeKB(), snap.TokenCount(sd.id)
+		d.RawScore, d.Size, d.Count = round4(sd.score), snap.SizeKB(sd.id), snap.TokenCount(sd.id)
 		d.Fields = vals[from:len(vals):len(vals)]
 		if offs != nil && offs[k] < offs[k+1] { // a document that matched no term has none
 			d.TermStats = stats[offs[k]:offs[k+1]:offs[k+1]]
@@ -552,31 +550,40 @@ func (e *Engine) termStats(snap index.Snapshot, kept []scoredDoc, terms []query.
 	return stats, offs
 }
 
-// sortableDoc pairs a result with its pre-fetched field sort keys, so
-// comparisons never look up documents or format field text. Fetching
-// keys through Snapshot.SortKeyValue also makes sorting safe against ids
-// with no document behind them — they sort on empty keys instead of
-// dereferencing a nil *index.Document inside the comparator.
+// sortableDoc pairs a result with its pre-fetched field texts, so
+// comparisons never look up documents or join field text. Fetching them
+// through Snapshot.FieldText also makes sorting safe against ids with no
+// document behind them: they sort on empty text and no date.
 type sortableDoc struct {
 	scoredDoc
-	vals []string // aligned with the non-score sort keys, in key order
+	vals []string // aligned with the text sort keys, in key order
 }
+
+// Slots of the sort keys that are not text: the score and the date,
+// compared in place.
+const (
+	scoreSlot = -1
+	dateSlot  = -2
+)
 
 // sortTop orders results per the query's sort specification, in place, and
 // returns the best max of them (everything when max <= 0). Selection is a
 // bounded heap when the candidate set exceeds max — O(n log max), the
 // only sort cost a capped answer ever needs — and a plain sort
-// otherwise. The comparator ends with the ascending-id tiebreak, so the
-// order is total and deterministic regardless of input order.
+// otherwise. Text compares folded (index.CompareFold), dates by UTC day,
+// neither allocating. The comparator ends with the ascending-id tiebreak,
+// so the order is total and deterministic regardless of input order.
 func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
-	// Map each sort key to its slot among the precomputed field values;
-	// the score pseudo-field compares scores directly.
+	// Map each sort key to its slot among the pre-fetched field texts.
 	slot := make([]int, len(keys))
 	nf := 0
 	for i, k := range keys {
-		if k.Field == query.ScoreSortField {
-			slot[i] = -1
-		} else {
+		switch {
+		case k.Field == query.ScoreSortField:
+			slot[i] = scoreSlot
+		case attr.Normalize(k.Field) == attr.FieldDateLastModified:
+			slot[i] = dateSlot
+		default:
 			slot[i] = nf
 			nf++
 		}
@@ -586,7 +593,7 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 		it := sortableDoc{scoredDoc: docs[di], vals: flat[di*nf : (di+1)*nf]}
 		for i, k := range keys {
 			if slot[i] >= 0 {
-				it.vals[slot[i]] = snap.SortKeyValue(it.id, k.Field)
+				it.vals[slot[i]] = snap.FieldText(it.id, k.Field)
 			}
 		}
 		return it
@@ -594,10 +601,13 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 	compare := func(a, b sortableDoc) int {
 		for i, k := range keys {
 			var c int
-			if slot[i] < 0 {
+			switch s := slot[i]; s {
+			case scoreSlot:
 				c = cmp.Compare(a.score, b.score)
-			} else {
-				c = strings.Compare(a.vals[slot[i]], b.vals[slot[i]])
+			case dateSlot:
+				c = snap.CompareDates(a.id, b.id)
+			default:
+				c = index.CompareFold(a.vals[s], b.vals[s])
 			}
 			if c == 0 {
 				continue
@@ -628,16 +638,6 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 		docs[i] = it.scoredDoc
 	}
 	return docs
-}
-
-func answerFieldValue(d *index.Document, f attr.Field) string {
-	if attr.Normalize(f) == attr.FieldDateLastModified {
-		if d.Date.IsZero() {
-			return ""
-		}
-		return d.Date.UTC().Format("2006-01-02")
-	}
-	return d.FieldText(f)
 }
 
 func round4(f float64) float64 {

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"starts/internal/attr"
 	"starts/internal/index"
+	"starts/internal/lang"
 	"starts/internal/query"
 )
 
@@ -229,4 +233,115 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// sortKeyOf is the sort-key oracle: the string key an index used to store
+// per document and field before sorting compared text and dates in place
+// — the date formatted in UTC, "" without one; any other field's text
+// folded — with a missing document on the empty key.
+func sortKeyOf(d *index.Document, f attr.Field) string {
+	switch {
+	case d == nil:
+		return ""
+	case attr.Normalize(f) != attr.FieldDateLastModified:
+		return strings.ToLower(d.FieldText(f))
+	case d.Date.IsZero():
+		return ""
+	}
+	return d.Date.UTC().Format("2006-01-02")
+}
+
+// oracleSort orders scored documents by the oracle's keys with
+// strings.Compare, the score and the ascending-id tiebreak, and keeps the
+// best max (all when max <= 0).
+func oracleSort(docs []*index.Document, in []scoredDoc, keys []query.SortKey, max int) []int {
+	doc := func(id int) *index.Document {
+		if id < 0 || id >= len(docs) {
+			return nil
+		}
+		return docs[id]
+	}
+	sorted := slices.Clone(in)
+	slices.SortFunc(sorted, func(a, b scoredDoc) int {
+		for _, k := range keys {
+			c := cmp.Compare(a.score, b.score)
+			if k.Field != query.ScoreSortField {
+				c = strings.Compare(sortKeyOf(doc(a.id), k.Field), sortKeyOf(doc(b.id), k.Field))
+			}
+			if c != 0 && k.Ascending {
+				return c
+			} else if c != 0 {
+				return -c
+			}
+		}
+		return a.id - b.id
+	})
+	if max > 0 && len(sorted) > max {
+		sorted = sorted[:max]
+	}
+	return sortIDs(sorted)
+}
+
+// sortKeySets are the sort specifications the fuzz target draws from.
+var sortKeySets = [][]query.SortKey{
+	{{Field: attr.FieldTitle, Ascending: true}},
+	{{Field: attr.FieldAuthor}},
+	{{Field: attr.FieldDateLastModified, Ascending: true}},
+	{{Field: attr.FieldDateLastModified}, {Field: attr.FieldTitle, Ascending: true}},
+	{{Field: attr.FieldAuthor, Ascending: true}, {Field: query.ScoreSortField}, {Field: attr.FieldDateLastModified}},
+	{{Field: query.ScoreSortField, Ascending: true}, {Field: attr.FieldTitle}},
+	{{Field: attr.FieldLinkage}, {Field: attr.FieldLanguages, Ascending: true}},
+}
+
+// FuzzSortMatchesKeyOracle holds sortTop, which folds text and reads
+// dates in place, to the stored string keys it replaced: six documents
+// whose titles and authors are drawn from four fuzzed strings, dates from
+// three fuzzed instants (one document has none) shown in a fuzzed zone,
+// scored and sorted under each key set, with an id that has no document.
+func FuzzSortMatchesKeyOracle(f *testing.F) {
+	const day = 86400
+	f.Add("Éclair", "éclair", "eclair", "ÉCOLE", int64(0), int64(day-1), int64(3600), int8(-7), uint32(0x5a5a))
+	f.Add("İstanbul", "istanbul", "\u212a", "k", int64(day), int64(2*day), int64(day+1), int8(9), uint32(0x1234))
+	f.Add("\xff", "\ufffd", "a\xffb", "a\ufffdb", int64(-1), int64(0), int64(1), int8(0), uint32(0xffff))
+	f.Add("abc", "ab", "abcd", "ABC", int64(820454400), int64(820454400+day-1), int64(820454400+day), int8(-12), uint32(0x0f0f))
+	f.Add("\xc3", "\xc3\xa9", "É", "", int64(-62135596800), int64(253402300799), int64(0), int8(14), uint32(7))
+	f.Fuzz(func(t *testing.T, s0, s1, s2, s3 string, d0, d1, d2 int64, zone int8, spec uint32) {
+		// Instants from year 1 to 9999, where the date keys' text orders
+		// as their days do.
+		lo, hi := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC).Unix()
+		at := func(sec int64) time.Time {
+			sec = lo + ((sec-lo)%(hi-lo+1)+(hi-lo+1))%(hi-lo+1)
+			return time.Unix(sec, 0).In(time.FixedZone("fuzz", int(zone%15)*3600))
+		}
+		strs := []string{s0, s1, s2, s3}
+		dates := []time.Time{at(d0), at(d1), at(d2), at(d0 + int64(spec>>24)), {}, at(d1)}
+		e, err := New(NewVectorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var docs []*index.Document
+		for i, date := range dates {
+			d := &index.Document{Linkage: "http://f/" + itoa(i), Title: strs[i%4], Date: date}
+			if spec>>i&1 == 1 {
+				d.Authors = []string{strs[(i+1)%4], strs[(i+2)%4]}
+			}
+			if spec>>(i+6)&1 == 1 {
+				d.Languages = []lang.Tag{lang.Spanish}
+			}
+			if err := e.Add(d); err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, d)
+		}
+		var in []scoredDoc
+		for _, id := range []int{3, 0, 99, 5, 1, 4, 2} {
+			in = append(in, scoredDoc{id: id, score: float64(spec >> (12 + id%6) & 3)})
+		}
+		keys := sortKeySets[int(spec>>16)%len(sortKeySets)]
+		max := int(spec>>20) & 7
+		want := oracleSort(docs, in, keys, max)
+		if got := sortIDs(sortTopOf(e, slices.Clone(in), keys, max)); !slices.Equal(got, want) {
+			t.Fatalf("keys %v, max %d: sortTop %v, key oracle %v", keys, max, got, want)
+		}
+	})
 }

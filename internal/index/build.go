@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 
 	"starts/internal/text"
@@ -21,9 +22,7 @@ var errPositions = errors.New("positions would pass 2^31-1")
 // deterministically, nothing shared.
 type chunkResult struct {
 	runs   []map[string]*postingList
-	counts []int
-	keys   []docSortKeys
-	tagged int
+	counts []int32
 	err    error
 }
 
@@ -39,7 +38,8 @@ type chunkResult struct {
 // stems each distinct spelling once and allocates little per token; the
 // merge after them runs on one. It fails where Add would: a duplicate
 // linkage, or a collection that would overflow the postings' 32-bit ids
-// and offsets.
+// and offsets. The index keeps its own copy of the documents, their text
+// in one allocation.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
 	if workers <= 0 {
@@ -49,17 +49,27 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		return nil, fmt.Errorf("index: %d documents, more than 2^31-1", len(docs))
 	}
 	// Validate identities up front so workers never see a bad document
-	// and duplicate linkage fails exactly like sequential Add.
-	for i, d := range docs {
+	// and duplicate linkage fails exactly like sequential Add; then copy
+	// the documents in, in id order, so that the records come out as
+	// sequential Adds make them.
+	size := 0
+	for _, d := range docs {
 		if err := d.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := ix.byURL[d.Linkage]; dup {
+		size += textLen(d)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	ix.recs = make([]docRecord, 0, len(docs))
+	for i, d := range docs {
+		r, x := writeRecord(&b, d)
+		if _, dup := ix.byURL[r.linkage()]; dup {
 			return nil, fmt.Errorf("index: document %q already indexed", d.Linkage)
 		}
-		ix.byURL[d.Linkage] = i
+		ix.byURL[r.linkage()] = i
+		ix.addRecord(r, x)
 	}
-	ix.docs = append(ix.docs, docs...)
 
 	chunkSize := (len(docs) + workers - 1) / workers
 	if chunkSize < 1 {
@@ -81,7 +91,7 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 				if hi > len(docs) {
 					hi = len(docs)
 				}
-				results[ci] = analyzeChunk(a, memo, docs, lo, hi)
+				results[ci] = analyzeChunk(a, memo, ix.recs, lo, hi)
 			}
 		}()
 	}
@@ -91,13 +101,12 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	close(next)
 	wg.Wait()
 
+	ix.counts = make([]int32, 0, len(docs))
 	for _, cr := range results {
 		if cr.err != nil {
 			return nil, cr.err
 		}
 		ix.counts = append(ix.counts, cr.counts...)
-		ix.keys = append(ix.keys, cr.keys...)
-		ix.numTagged += cr.tagged
 	}
 	// Deterministic merge: a term's runs, concatenated in chunk order —
 	// ascending disjoint id ranges — are exactly the postings sequential
@@ -113,7 +122,7 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		if len(runs) == 0 {
 			continue
 		}
-		fx := newFieldIndex()
+		fx := newFieldIndex(a)
 		ix.fields[f] = fx
 		for term, rs := range runs {
 			pl, err := joinRuns(rs, ix.counts)
@@ -127,9 +136,9 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	return ix, nil
 }
 
-// analyzeChunk tokenizes docs[lo:hi] into private posting runs; memo is
+// analyzeChunk tokenizes recs[lo:hi] into private posting runs; memo is
 // the worker's own, kept across its chunks.
-func analyzeChunk(a *text.Analyzer, memo map[string]string, docs []*Document, lo, hi int) *chunkResult {
+func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo, hi int) *chunkResult {
 	cr := &chunkResult{runs: make([]map[string]*postingList, len(TextFields))}
 	for i := range cr.runs {
 		cr.runs[i] = map[string]*postingList{}
@@ -137,8 +146,7 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, docs []*Document, lo
 	var touched []*postingList
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
-		d := docs[id]
-		total, err := analyzeDoc(a, memo, toksByField, d)
+		total, err := analyzeDoc(a, memo, toksByField, &recs[id])
 		if err != nil {
 			cr.err = err
 			return cr
@@ -146,11 +154,7 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, docs []*Document, lo
 		for i, toks := range toksByField {
 			touched = appendDoc(cr.runs[i], int32(id), toks, touched[:0], nil)
 		}
-		cr.counts = append(cr.counts, total)
-		cr.keys = append(cr.keys, sortKeysOf(d))
-		if len(d.Languages) > 0 {
-			cr.tagged++
-		}
+		cr.counts = append(cr.counts, int32(total))
 	}
 	return cr
 }
@@ -193,7 +197,7 @@ func appendDoc(lists map[string]*postingList, id int32, toks []text.Token, touch
 // joinRuns concatenates one term's chunk runs, in id order, into one list
 // whose arrays are each allocated once at their exact size, and notes its
 // bounds; lens are the documents' token counts.
-func joinRuns(runs []*postingList, lens []int) (*postingList, error) {
+func joinRuns(runs []*postingList, lens []int32) (*postingList, error) {
 	nd, np := 0, 0
 	for _, r := range runs {
 		nd, np = nd+len(r.docs), np+len(r.pos)
@@ -216,7 +220,7 @@ func joinRuns(runs []*postingList, lens []int) (*postingList, error) {
 		pl.pos = append(pl.pos, r.pos...)
 	}
 	for i, d := range pl.docs {
-		pl.note(i, int32(lens[d]))
+		pl.note(i, lens[d])
 	}
 	return pl, nil
 }

@@ -44,15 +44,17 @@ func genTestDocs(n int) []*Document {
 // block boundaries and sidecar stats.
 func indexesEqual(t *testing.T, a, b *Index) {
 	t.Helper()
-	if len(a.docs) != len(b.docs) || a.numTagged != b.numTagged {
+	if len(a.recs) != len(b.recs) || a.numTagged != b.numTagged {
 		t.Fatalf("doc count/tagged mismatch: %d/%d vs %d/%d",
-			len(a.docs), a.numTagged, len(b.docs), b.numTagged)
+			len(a.recs), a.numTagged, len(b.recs), b.numTagged)
 	}
 	if !reflect.DeepEqual(a.counts, b.counts) {
 		t.Fatal("token counts differ")
 	}
-	if !reflect.DeepEqual(a.keys, b.keys) {
-		t.Fatal("sort keys differ")
+	// Records and side tables: offsets, dates, side-table indexes and the
+	// text itself (strings compare by content).
+	if !reflect.DeepEqual(a.recs, b.recs) || !reflect.DeepEqual(a.extras, b.extras) {
+		t.Fatal("document records differ")
 	}
 	if len(a.fields) != len(b.fields) {
 		t.Fatalf("field count differs: %d vs %d", len(a.fields), len(b.fields))

@@ -9,6 +9,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -37,7 +38,8 @@ type Document struct {
 	CrossRefs []string
 }
 
-// FieldText returns the document's text for one searchable field.
+// FieldText returns the document's text for one field: a date as
+// YYYY-MM-DD, in UTC.
 func (d *Document) FieldText(f attr.Field) string {
 	switch attr.Normalize(f) {
 	case attr.FieldTitle:
@@ -58,6 +60,11 @@ func (d *Document) FieldText(f attr.Field) string {
 			tags[i] = t.String()
 		}
 		return strings.Join(tags, " ")
+	case attr.FieldDateLastModified:
+		if d.Date.IsZero() {
+			return ""
+		}
+		return d.Date.UTC().Format("2006-01-02")
 	default:
 		return ""
 	}
@@ -70,34 +77,26 @@ func (d *Document) SizeKB() int {
 	for _, a := range d.Authors {
 		n += len(a)
 	}
+	return sizeKB(n)
+}
+
+// sizeKB converts a byte count to SizeKB's KBytes.
+func sizeKB(n int) int {
 	if n == 0 {
 		return 0
 	}
-	kb := n / 1024
-	if kb == 0 {
-		return 1
-	}
-	return kb
+	return max(n/1024, 1)
 }
 
-// InLanguage reports whether the document matches the query language: an
-// unspecified document language matches everything.
-func (d *Document) InLanguage(tag lang.Tag) bool {
-	if tag.IsZero() || len(d.Languages) == 0 {
-		return true
-	}
-	for _, t := range d.Languages {
-		if t.Matches(tag) {
-			return true
-		}
-	}
-	return false
-}
-
-// Validate checks the minimal invariants an indexable document must hold.
+// Validate checks the minimal invariants an indexable document must hold:
+// a linkage, and text (linkage, title, authors and body) the index's
+// 32-bit offsets reach across.
 func (d *Document) Validate() error {
 	if d.Linkage == "" {
 		return fmt.Errorf("index: document has no linkage (URL); linkage is the required document identity")
+	}
+	if n := textLen(d); n > math.MaxUint32 {
+		return fmt.Errorf("index: document %q holds %d bytes of text, more than 2^32-1", d.Linkage, n)
 	}
 	return nil
 }

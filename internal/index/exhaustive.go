@@ -50,12 +50,12 @@ func (ix *Index) Lookup(t query.Term, opts LookupOptions) (*TermMatch, error) {
 // Lookup is Index.Lookup within the snapshot.
 func (s Snapshot) Lookup(t query.Term, opts LookupOptions) (*TermMatch, error) {
 	ix := s.ix
-	if pred, err := docPredicate(t); err != nil {
+	if pred, err := ix.docPredicate(t); err != nil {
 		return nil, err
 	} else if pred != nil {
 		m := &TermMatch{Docs: map[int]*DocTermInfo{}}
-		for id, d := range ix.docs {
-			if pred(d) {
+		for id := range ix.recs {
+			if pred(id) {
 				m.Docs[id] = &DocTermInfo{Freq: 1}
 			}
 		}
@@ -149,7 +149,7 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 	// Language-qualified terms only match documents in that language.
 	tag := t.Value.Resolve(opts.DefaultLang)
 	for id, info := range merged {
-		if ix.docs[id].InLanguage(tag) {
+		if ix.inLanguage(id, tag) {
 			out[id] = info
 		}
 	}
@@ -347,8 +347,8 @@ func (ix *Index) AllDocs() map[int]bool {
 
 // AllDocs is Index.AllDocs within the snapshot.
 func (s Snapshot) AllDocs() map[int]bool {
-	out := make(map[int]bool, len(s.ix.docs))
-	for id := range s.ix.docs {
+	out := make(map[int]bool, len(s.ix.recs))
+	for id := range s.ix.recs {
 		out[id] = true
 	}
 	return out

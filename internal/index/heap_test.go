@@ -17,41 +17,76 @@ func heapDocs(docs, bodyWords, vocabWords int) []*index.Document {
 	return g.Sources[0].Docs
 }
 
-// TestIndexHeapBudget pins what an index keeps per posting — one
-// (field, term, document) — so that per-posting storage coming back fails
-// here and not in the next benchmark run's heap_mb. It measures HeapAlloc
-// growth across building a fixed 2 000-document, 80-word collection (the
-// documents themselves made before): the three posting arrays, blocks,
-// lists, the vocabulary maps and the per-document counts and sort keys.
-// It reads about 29.5 B a posting: the budget leaves room for the run's
-// noise, not for a slice header (24 B) or a pointer per posting.
+// liveHeap returns the bytes of live heap objects, read after two
+// collections: the second frees what sync.Pools kept through the first.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestIndexHeapBudget pins what an index keeps per posting — one (field,
+// term, document) — and per document, so that either coming back fails
+// here and not in the next benchmark run's heap_mb. It builds one
+// big-source collection (20 000 documents of 40-word bodies), releases
+// the documents it was built from, and then drops the index's linkage map
+// and its document storage in turn, reading the heap each time.
+//
+// What stays is the posting arrays, blocks, lists and vocabulary maps: it
+// reads about 18 B a posting, and the budget leaves room for the run's
+// noise, not for a slice header (24 B) or a pointer per posting. The
+// document storage less the documents' text is the record, the token
+// count and the side table: it reads about 44 B a document, where a kept
+// *Document, its separately allocated strings and its sort keys cost
+// about 360.
 func TestIndexHeapBudget(t *testing.T) {
-	const budget = 32.0 // bytes per posting
-	docs := heapDocs(2000, 80, 400)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ix, err := index.Build(text.NewAnalyzer(), docs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	postings := 0
+	const (
+		postingBudget = 24.0 // bytes per posting
+		docBudget     = 48.0 // bytes per document beyond its text
+	)
+	heapDocs(20000, 40, 2000) // the generator's caches, filled before measuring
+	start := liveHeap()
+	ix, textBytes := func() (*index.Index, int) {
+		docs := heapDocs(20000, 40, 2000)
+		n := 0
+		for _, d := range docs {
+			for _, f := range []attr.Field{attr.FieldLinkage, attr.FieldTitle, attr.FieldAuthor, attr.FieldBodyOfText} {
+				n += len(d.FieldText(f))
+			}
+		}
+		ix, err := index.Build(text.NewAnalyzer(), docs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix, n
+	}()
+	docs, postings := ix.NumDocs(), 0
 	ix.VocabTerms(func(_ attr.Field, _ string, _, docFreq int) { postings += docFreq })
-	perPosting := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(postings)
-	t.Logf("%d postings, %.1f B of heap each", postings, perPosting)
-	if perPosting > budget {
-		t.Errorf("the index keeps %.1f B per posting, budget %.0f", perPosting, budget)
-	}
+	index.ReleaseLinkages(ix)
+	withDocs := liveHeap()
+	index.ReleaseDocuments(ix)
+	withoutDocs := liveHeap()
 	runtime.KeepAlive(ix)
+
+	perPosting := float64(withoutDocs-start) / float64(postings)
+	t.Logf("%d postings, %.1f B of heap each", postings, perPosting)
+	if perPosting > postingBudget {
+		t.Errorf("the index keeps %.1f B per posting, budget %.0f", perPosting, postingBudget)
+	}
+	perDoc := float64(withDocs-withoutDocs-int64(textBytes)) / float64(docs)
+	t.Logf("%d documents, %.0f B of text and %.1f B of heap besides each", docs, float64(textBytes)/float64(docs), perDoc)
+	if perDoc > docBudget {
+		t.Errorf("the index keeps %.1f B per document beyond its text, budget %.0f", perDoc, docBudget)
+	}
 }
 
 // TestBuildAllocBudget pins what building an index allocates per token
 // of the fixed 2 000-document, 80-word collection, four workers: each
 // distinct spelling analyzed once per worker, tokens that are views of the
 // documents' text in per-worker buffers, so what is left is mostly the
-// posting arrays' growth. It reads about 0.7; the budget fails a return
+// posting arrays' growth. It reads about 0.6; the budget fails a return
 // to a copy, a stem or a slice per token (about 4.5).
 func TestBuildAllocBudget(t *testing.T) {
 	const budget = 1.0 // allocations per token

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -15,14 +16,15 @@ import (
 type fieldIndex struct {
 	postings map[string]*postingList
 	// stems maps Porter stems to the vocabulary terms sharing them,
-	// honoring the stem modifier on engines that do not stem their index.
+	// honoring the stem modifier on engines that do not stem their index;
+	// nil on engines that do.
 	stems map[string][]string
 	// sounds maps soundex codes to vocabulary terms, for the phonetic
 	// modifier.
 	sounds map[string][]string
 	// folds maps lower-cased spellings to vocabulary terms, so that
 	// case-sensitive indexes can still serve default (case-insensitive)
-	// matches.
+	// matches; nil on case-folding indexes.
 	folds map[string][]string
 	// vocab is the sorted vocabulary, built lazily for truncation scans.
 	// vocabMu guards the lazy build, which happens under the index's read
@@ -32,13 +34,17 @@ type fieldIndex struct {
 	vocabOK bool
 }
 
-func newFieldIndex() *fieldIndex {
-	return &fieldIndex{
-		postings: map[string]*postingList{},
-		stems:    map[string][]string{},
-		sounds:   map[string][]string{},
-		folds:    map[string][]string{},
+// newFieldIndex makes a field's index, with the vocabularies expandWord
+// reads under the analyzer's policy.
+func newFieldIndex(a *text.Analyzer) *fieldIndex {
+	fi := &fieldIndex{postings: map[string]*postingList{}, sounds: map[string][]string{}}
+	if !a.Stemming {
+		fi.stems = map[string][]string{}
 	}
+	if a.CaseSensitive {
+		fi.folds = map[string][]string{}
+	}
+	return fi
 }
 
 // Index is an in-memory inverted index over a document collection, built
@@ -49,25 +55,14 @@ func newFieldIndex() *fieldIndex {
 type Index struct {
 	mu       sync.RWMutex
 	analyzer *text.Analyzer
-	docs     []*Document
+	recs     []docRecord // the documents, by id
+	extras   []docExtra  // what few documents carry beyond their records
 	byURL    map[string]int
 	fields   map[attr.Field]*fieldIndex
-	counts   []int // per-doc token counts under this tokenizer
-	// keys are the pre-normalized per-doc sort keys, computed once at
-	// index time so result sorting never re-formats dates or re-folds
-	// field text inside a comparator.
-	keys []docSortKeys
+	counts   []int32 // per-doc token counts under this tokenizer
 	// numTagged counts documents carrying explicit language tags; when
 	// zero, language filtering is a no-op the ranked fast path skips.
 	numTagged int
-}
-
-// docSortKeys are the pre-normalized sort keys of one document: the date
-// already formatted and the common sortable text fields already folded.
-type docSortKeys struct {
-	date   string
-	title  string
-	author string
 }
 
 // New returns an empty index using the given analyzer. The analyzer's
@@ -86,7 +81,8 @@ func (ix *Index) Analyzer() *text.Analyzer { return ix.analyzer }
 
 // Add indexes a document and returns its document ID. Adding a document
 // with the linkage of an existing document replaces nothing and fails:
-// documents are immutable once indexed. Postings hold 32-bit ids and
+// documents are immutable once indexed. The index keeps a copy of the
+// document, not the document itself. Postings hold 32-bit ids and
 // offsets, so a document that would overflow them fails too: the 2³¹th
 // document, one of 2³¹ tokens or more, or one that would take a term's
 // positions in a field past 2³¹−1.
@@ -94,11 +90,15 @@ func (ix *Index) Add(d *Document) (int, error) {
 	if err := d.Validate(); err != nil {
 		return 0, err
 	}
-	// Analyze every field before inserting postings so the document's
-	// total token count — the length-normalization bound of the sidecar
-	// block stats — is known when each posting is noted in its block.
+	// Copy the document into the index's storage, then analyze every field
+	// of the copy before inserting postings so the document's total token
+	// count — the length-normalization bound of the sidecar block stats —
+	// is known when each posting is noted in its block.
+	var b strings.Builder
+	b.Grow(textLen(d))
+	r, x := writeRecord(&b, d)
 	toksByField := make([][]text.Token, len(TextFields))
-	total, err := analyzeDoc(ix.analyzer, nil, toksByField, d)
+	total, err := analyzeDoc(ix.analyzer, nil, toksByField, &r)
 	if err != nil {
 		return 0, err
 	}
@@ -107,7 +107,7 @@ func (ix *Index) Add(d *Document) (int, error) {
 	if _, dup := ix.byURL[d.Linkage]; dup {
 		return 0, fmt.Errorf("index: document %q already indexed", d.Linkage)
 	}
-	if len(ix.docs) == math.MaxInt32 {
+	if len(ix.recs) == math.MaxInt32 {
 		return 0, fmt.Errorf("index: collection holds 2^31-1 documents, the most it can")
 	}
 	for i, f := range TextFields {
@@ -119,9 +119,10 @@ func (ix *Index) Add(d *Document) (int, error) {
 			}
 		}
 	}
-	id := len(ix.docs)
-	ix.docs = append(ix.docs, d)
-	ix.byURL[d.Linkage] = id
+	id := len(ix.recs)
+	ix.addRecord(r, x)
+	ix.byURL[r.linkage()] = id
+	ix.counts = append(ix.counts, int32(total))
 	var touched []*postingList
 	for i, f := range TextFields {
 		if len(toksByField[i]) == 0 {
@@ -129,7 +130,7 @@ func (ix *Index) Add(d *Document) (int, error) {
 		}
 		fi := ix.fields[f]
 		if fi == nil {
-			fi = newFieldIndex()
+			fi = newFieldIndex(ix.analyzer)
 			ix.fields[f] = fi
 		}
 		touched = appendDoc(fi.postings, int32(id), toksByField[i], touched[:0], fi.addVocab)
@@ -137,42 +138,24 @@ func (ix *Index) Add(d *Document) (int, error) {
 			pl.note(len(pl.docs)-1, int32(total))
 		}
 	}
-	ix.counts = append(ix.counts, total)
-	ix.keys = append(ix.keys, sortKeysOf(d))
-	if len(d.Languages) > 0 {
-		ix.numTagged++
-	}
 	return id, nil
 }
 
-// analyzeDoc tokenizes every indexed field of one document into toks,
-// one slice per field (aligned with TextFields), each refilled from its
-// start, and returns the total raw token count (AnalyzeAll keeps every
+// analyzeDoc tokenizes every indexed field of one stored document into
+// toks, one slice per field (aligned with TextFields), each refilled from
+// its start, and returns the total raw token count (AnalyzeAll keeps every
 // token the tokenizer yields). It touches only the analyzer and memo
 // (AnalyzeAll's; nil for none), so it runs outside the index lock.
-func analyzeDoc(a *text.Analyzer, memo map[string]string, toks [][]text.Token, d *Document) (int, error) {
+func analyzeDoc(a *text.Analyzer, memo map[string]string, toks [][]text.Token, r *docRecord) (int, error) {
 	total := 0
 	for i, f := range TextFields {
-		toks[i] = a.AnalyzeAll(toks[i][:0], d.FieldText(f), memo)
+		toks[i] = a.AnalyzeAll(toks[i][:0], r.field(f), memo)
 		total += len(toks[i])
 	}
 	if total > math.MaxInt32 {
-		return 0, fmt.Errorf("index: document %q has %d tokens, more than 2^31-1", d.Linkage, total)
+		return 0, fmt.Errorf("index: document %q has %d tokens, more than 2^31-1", r.linkage(), total)
 	}
 	return total, nil
-}
-
-// sortKeysOf pre-normalizes the document's sort keys: date formatted
-// once, common text fields folded once.
-func sortKeysOf(d *Document) docSortKeys {
-	k := docSortKeys{
-		title:  strings.ToLower(d.Title),
-		author: strings.ToLower(strings.Join(d.Authors, ", ")),
-	}
-	if !d.Date.IsZero() {
-		k.date = d.Date.UTC().Format("2006-01-02")
-	}
-	return k
 }
 
 // Snapshot is the index held under its read lock. Every read a search
@@ -193,69 +176,66 @@ func (ix *Index) Snapshot() Snapshot {
 func (s Snapshot) Close() { s.ix.mu.RUnlock() }
 
 // NumDocs returns the number of indexed documents.
-func (s Snapshot) NumDocs() int { return len(s.ix.docs) }
+func (s Snapshot) NumDocs() int { return len(s.ix.recs) }
 
-// Doc returns the document with the given ID, nil when there is none.
-func (s Snapshot) Doc(id int) *Document {
-	if id < 0 || id >= len(s.ix.docs) {
-		return nil
-	}
-	return s.ix.docs[id]
-}
+// has reports whether the document exists. The accessors below read one
+// that does not as empty: sorting must not fail on an id with no document
+// behind it.
+func (s Snapshot) has(id int) bool { return id >= 0 && id < len(s.ix.recs) }
 
 // TokenCount returns the document's total token count, the DocCount
 // statistic of query results; 0 for an id outside the collection.
 func (s Snapshot) TokenCount(id int) int {
-	if id < 0 || id >= len(s.ix.counts) {
+	if !s.has(id) {
 		return 0
 	}
-	return s.ix.counts[id]
+	return int(s.ix.counts[id])
 }
 
-// SortKeyValue returns the document's pre-normalized sort key for a
-// field: the value fieldSortValue-style comparators need, computed once
-// at index time for the common sortable fields. An id outside the
-// collection returns "" — sorting must never dereference a missing
-// document.
-func (s Snapshot) SortKeyValue(id int, f attr.Field) string {
-	ix := s.ix
-	if id < 0 || id >= len(ix.docs) {
+// FieldText returns the document's text for one field, as
+// Document.FieldText does; "" for an id outside the collection.
+func (s Snapshot) FieldText(id int, f attr.Field) string {
+	if !s.has(id) {
 		return ""
 	}
-	switch attr.Normalize(f) {
-	case attr.FieldDateLastModified:
-		return ix.keys[id].date
-	case attr.FieldTitle:
-		return ix.keys[id].title
-	case attr.FieldAuthor:
-		return ix.keys[id].author
-	default:
-		return strings.ToLower(ix.docs[id].FieldText(f))
+	return s.ix.fieldText(id, f)
+}
+
+// CompareDates orders two documents by the UTC day of their dates, one
+// without a date first.
+func (s Snapshot) CompareDates(a, b int) int {
+	day := func(id int) int64 {
+		if !s.has(id) || s.ix.recs[id].date == noDate {
+			return math.MinInt64
+		}
+		return unixDay(s.ix.recs[id].date)
 	}
+	return cmp.Compare(day(a), day(b))
+}
+
+// SizeKB returns the document's size in KBytes, as Document.SizeKB does;
+// 0 for an id outside the collection.
+func (s Snapshot) SizeKB(id int) int {
+	if !s.has(id) {
+		return 0
+	}
+	return s.ix.sizeKB(id)
 }
 
 // addVocab extends the auxiliary vocabularies for a new index term.
 func (fi *fieldIndex) addVocab(term string) {
-	st := text.Stem(term)
-	fi.stems[st] = append(fi.stems[st], term)
+	if fi.stems != nil {
+		st := text.Stem(term)
+		fi.stems[st] = append(fi.stems[st], term)
+	}
 	if sx := text.Soundex(term); sx != "" {
 		fi.sounds[sx] = append(fi.sounds[sx], term)
 	}
-	fold := foldTerm(term)
-	fi.folds[fold] = append(fi.folds[fold], term)
-	fi.vocabOK = false
-}
-
-func foldTerm(s string) string {
-	b := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b = append(b, c)
+	if fi.folds != nil {
+		fold := strings.ToLower(term)
+		fi.folds[fold] = append(fi.folds[fold], term)
 	}
-	return string(b)
+	fi.vocabOK = false
 }
 
 // NumDocs returns the number of indexed documents.
@@ -265,14 +245,16 @@ func (ix *Index) NumDocs() int {
 	return s.NumDocs()
 }
 
-// Doc returns the document with the given ID.
+// Doc returns the document with the given ID, rebuilt from what the index
+// stores: equal to the one indexed (its date in UTC), its strings views of
+// the index's text.
 func (ix *Index) Doc(id int) (*Document, error) {
 	s := ix.Snapshot()
 	defer s.Close()
-	if d := s.Doc(id); d != nil {
-		return d, nil
+	if !s.has(id) {
+		return nil, fmt.Errorf("index: no document %d (collection has %d)", id, s.NumDocs())
 	}
-	return nil, fmt.Errorf("index: no document %d (collection has %d)", id, s.NumDocs())
+	return ix.document(id), nil
 }
 
 // ByLinkage returns the document ID for a URL.

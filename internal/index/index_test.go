@@ -253,6 +253,16 @@ func TestCaseSensitiveEngine(t *testing.T) {
 	if len(m2.Docs) != 1 {
 		t.Errorf("case-sensitive match = %v", ids(m2))
 	}
+	// A capital outside ASCII folds like any other: the fold map is keyed
+	// with the fold it is probed with.
+	if _, err := ix.Add(&Document{Linkage: "u3", Title: "ÉCOLE normale"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{`(title "école")`, `(title "ÉCOLE")`, `(title "NORMALE")`, `(title case-sensitive "ÉCOLE")`} {
+		if m, err := ix.Lookup(term(t, src), opts); err != nil || len(m.Docs) != 1 || m.Docs[2] == nil {
+			t.Errorf("%s matches %v, %v; want u3", src, ids(m), err)
+		}
+	}
 }
 
 func TestStopWordHandling(t *testing.T) {

@@ -312,11 +312,11 @@ var noDocs = &termNode{iter: func() docIter { return &idsIter{} }}
 // malformed values: an unparsable date or language tag, a failing native
 // handler.
 func (ix *Index) resolveTerm(t query.Term, opts LookupOptions) (*termNode, error) {
-	if pred, err := docPredicate(t); err != nil {
+	if pred, err := ix.docPredicate(t); err != nil {
 		return nil, err
 	} else if pred != nil {
 		return &termNode{df: -1, iter: func() docIter {
-			return newWhere(&allIter{n: len(ix.docs)}, func(id int) bool { return pred(ix.docs[id]) })
+			return newWhere(&allIter{n: len(ix.recs)}, pred)
 		}}, nil
 	}
 	f := t.EffectiveField()
@@ -379,7 +379,7 @@ func (ix *Index) languageCheck(t query.Term, opts LookupOptions) func(id int) bo
 	if ix.numTagged == 0 || tag.IsZero() {
 		return nil
 	}
-	return func(id int) bool { return ix.docs[id].InLanguage(tag) }
+	return func(id int) bool { return ix.inLanguage(id, tag) }
 }
 
 func filtered(it docIter, keep func(id int) bool) docIter {

@@ -148,23 +148,22 @@ func parseDate(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("index: cannot parse date %q (want YYYY-MM-DD)", s)
 }
 
-func dateSatisfies(have time.Time, cmp attr.Modifier, want time.Time) bool {
-	// Compare at day granularity, matching the date syntax.
-	h := have.Truncate(24 * time.Hour)
-	w := want.Truncate(24 * time.Hour)
+// dateSatisfies compares two dates at day granularity, matching the date
+// syntax: have and want are UTC days (unixDay).
+func dateSatisfies(have int64, cmp attr.Modifier, want int64) bool {
 	switch cmp {
 	case attr.ModLT:
-		return h.Before(w)
+		return have < want
 	case attr.ModLE:
-		return !h.After(w)
+		return have <= want
 	case attr.ModEQ:
-		return h.Equal(w)
+		return have == want
 	case attr.ModGE:
-		return !h.Before(w)
+		return have >= want
 	case attr.ModGT:
-		return h.After(w)
+		return have > want
 	case attr.ModNE:
-		return !h.Equal(w)
+		return have != want
 	}
 	return false
 }
@@ -172,7 +171,7 @@ func dateSatisfies(have time.Time, cmp attr.Modifier, want time.Time) bool {
 // docPredicate returns the per-document test of a term on one of the
 // fields that have no postings — date, linkage, linkage-type, languages,
 // cross-reference-linkage — and nil for a term on any other field.
-func docPredicate(t query.Term) (func(*Document) bool, error) {
+func (ix *Index) docPredicate(t query.Term) (func(id int) bool, error) {
 	want := strings.TrimSpace(t.Value.Text)
 	switch t.EffectiveField() {
 	case attr.FieldDateLastModified:
@@ -180,23 +179,26 @@ func docPredicate(t query.Term) (func(*Document) bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		cmp := t.Comparison()
-		return func(d *Document) bool { return !d.Date.IsZero() && dateSatisfies(d.Date, cmp, when) }, nil
+		day, cmp := unixDay(when.Unix()), t.Comparison()
+		return func(id int) bool {
+			sec := ix.recs[id].date
+			return sec != noDate && dateSatisfies(unixDay(sec), cmp, day)
+		}, nil
 	case attr.FieldLinkage:
-		return func(d *Document) bool { return strings.EqualFold(d.Linkage, want) }, nil
+		return func(id int) bool { return strings.EqualFold(ix.recs[id].linkage(), want) }, nil
 	case attr.FieldLinkageType:
-		return func(d *Document) bool { return strings.EqualFold(d.LinkageType, want) }, nil
+		return func(id int) bool { return strings.EqualFold(ix.extraOf(id).linkageType, want) }, nil
 	case attr.FieldLanguages:
 		tag, err := lang.ParseTag(want)
 		if err != nil {
 			return nil, fmt.Errorf("index: languages term: %w", err)
 		}
-		return func(d *Document) bool {
-			return slices.ContainsFunc(d.Languages, func(dt lang.Tag) bool { return dt.Matches(tag) })
+		return func(id int) bool {
+			return slices.ContainsFunc(ix.extraOf(id).languages, func(dt lang.Tag) bool { return dt.Matches(tag) })
 		}, nil
 	case attr.FieldCrossReferenceLinkage:
-		return func(d *Document) bool {
-			return slices.ContainsFunc(d.CrossRefs, func(url string) bool { return strings.EqualFold(url, want) })
+		return func(id int) bool {
+			return slices.ContainsFunc(ix.extraOf(id).crossRefs, func(url string) bool { return strings.EqualFold(url, want) })
 		}, nil
 	}
 	return nil, nil
@@ -214,7 +216,7 @@ func (ix *Index) nativeIDs(t query.Term, opts LookupOptions) ([]int, error) {
 	}
 	ids := make([]int, 0, len(set))
 	for id := range set {
-		if id >= 0 && id < len(ix.docs) {
+		if id >= 0 && id < len(ix.recs) {
 			ids = append(ids, id)
 		}
 	}

@@ -328,7 +328,7 @@ func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 
 		}
 		for i := bi * blockSize; i < min((bi+1)*blockSize, len(pl.docs)); i++ {
 			id := int(pl.docs[i])
-			docLen := ix.counts[id]
+			docLen := int(ix.counts[id])
 			sum := 0.0
 			for tj := range resolved {
 				var tf int
@@ -373,7 +373,7 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 	if plan.K <= 0 || plan.TermWeight == nil {
 		return nil, nil, false
 	}
-	n := len(ix.docs)
+	n := len(ix.recs)
 	resolved := make([]rankLists, len(plan.Terms))
 	for i, rt := range plan.Terms {
 		rl, termOK := ix.resolveRankTerm(rt.Term, opts)
@@ -475,7 +475,7 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 				// bit-identical scores (zero contributions add exactly 0).
 				sortByPlanIdx(atPivot)
 				sum := 0.0
-				docLen := ix.counts[pivotDoc]
+				docLen := int(ix.counts[pivotDoc])
 				for _, tc := range atPivot {
 					tf := tc.matchFreq(pivotDoc)
 					if tf > 0 {
