@@ -127,26 +127,29 @@ stress:
 # the engine's cursor evaluator against its oracle
 # (internal/engine/exhaustive.go), result sorting against the stored
 # string keys it replaced (internal/engine/sort_test.go), the harvested metadata and content
-# summary decoders, and the substring tokenizers against the copying
-# tokenizer they replaced (internal/text/oracle_test.go). Seeds also run
-# with every `go test`.
+# summary decoders, the substring tokenizers against the copying
+# tokenizer they replaced (internal/text/oracle_test.go), and the compact
+# posting lists against the int32 layout they replaced
+# (internal/index/postings_oracle_test.go). Seeds also run with every
+# `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:800ms \
-	internal/soif:FuzzSOIFRoundTrip:700ms \
+	internal/server:FuzzDecodeRequest:700ms \
+	internal/soif:FuzzSOIFRoundTrip:600ms \
 	internal/result:FuzzDecodeBatchItem:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
-	internal/result:FuzzDocFromSOIFMatchesOracle:800ms \
+	internal/result:FuzzDocFromSOIFMatchesOracle:700ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
-	internal/query:FuzzParseFilter:700ms \
+	internal/query:FuzzParseFilter:600ms \
 	internal/query:FuzzParseRanking:700ms \
 	internal/qcache:FuzzCanonicalMatchesOracle:700ms \
-	internal/engine:FuzzSearchMatchesExhaustive:1400ms \
+	internal/engine:FuzzSearchMatchesExhaustive:1200ms \
 	internal/engine:FuzzSortMatchesKeyOracle:600ms \
 	internal/meta:FuzzParseMeta:700ms \
 	internal/meta:FuzzParseSummary:700ms \
-	internal/text:FuzzTokenizeMatchesOracle:600ms
+	internal/text:FuzzTokenizeMatchesOracle:600ms \
+	internal/index:FuzzPostingsMatchOracle:600ms
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

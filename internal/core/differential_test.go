@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,11 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"starts/internal/client"
+	"starts/internal/corpus"
+	"starts/internal/engine"
+	"starts/internal/faulty"
 	"starts/internal/merge"
 	"starts/internal/obs"
 	"starts/internal/qcache"
 	"starts/internal/query"
 	"starts/internal/result"
+	"starts/internal/source"
 )
 
 // heldMerger is TermStats whose one Merge closes entered and waits for
@@ -171,5 +177,88 @@ func TestStaleStreamGetsOnlyTheReplay(t *testing.T) {
 	}
 	if ev := events[0]; ev.Final != ans || ev.SourceID != "" || !reflect.DeepEqual(ev.Docs, ans.Documents) {
 		t.Fatalf("the one event is not the replay of the served answer: %+v", ev)
+	}
+}
+
+// faultyFleet is four in-process sources behind fault injection, harvested
+// while healthy; then the first fails every query and the second answers
+// each one 20 ms late. It returns a pool of distinct queries, 30 %
+// filtered.
+func faultyFleet(t *testing.T) (*Metasearcher, []*query.Query) {
+	t.Helper()
+	g := corpus.Generate(corpus.Config{Seed: 11, NumSources: 4, DocsPerSource: 200, VocabWords: 300})
+	ms := New(Options{Timeout: 5 * time.Second})
+	t.Cleanup(ms.Close)
+	var conns []*faulty.Conn
+	for _, spec := range g.Sources {
+		eng, err := engine.NewWithDocs(engine.NewVectorConfig(), spec.Docs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := source.New(spec.ID, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, faulty.WrapConn(client.NewLocalConn(src, nil), faulty.Config{}))
+		ms.Add(conns[len(conns)-1])
+	}
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	conns[0].SetFailing(true)
+	conns[1].SetLatency(20 * time.Millisecond)
+	var pool []*query.Query
+	for _, wq := range corpus.Workload(g, corpus.WorkloadConfig{Seed: 11, NumQueries: 12}) {
+		pool = append(pool, wq.Query)
+	}
+	return ms, pool
+}
+
+// TestStreamMatchesBatchUnderFaults holds a streamed search to the batch
+// one while sources misbehave: one fails every query and one answers
+// last, so the stream's events arrive around a failure and ahead of a
+// straggler. Each query's streamed answer — documents, score bits,
+// sources, term statistics and degradation — is the batch answer.
+func TestStreamMatchesBatchUnderFaults(t *testing.T) {
+	ms, pool := faultyFleet(t)
+	failed := 0
+	for i, q := range pool {
+		batch, err := ms.Search(context.Background(), q)
+		if err != nil {
+			t.Fatalf("q%d: %v", i, err)
+		}
+		streamed, events := collectStream(t, ms, q)
+		checkStreamShape(t, streamed, events)
+		if got, want := answerPrint(streamed), answerPrint(batch); got != want {
+			t.Errorf("q%d: streamed answer differs from batch:\n%s\nvs\n%s", i, got, want)
+		}
+		if len(batch.Degraded.Failed) > 0 {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Errorf("no query of %d reached the failing source", len(pool))
+	}
+}
+
+// TestStreamSinkCancelsAfterFirstEvent: a caller that gives up from its
+// sink, on the first event, gets context.Canceled and no terminal event,
+// rather than an answer built from whatever the fan-out had by then — and
+// the sources still running are abandoned without leaving a goroutine
+// behind (TestMain's leak check).
+func TestStreamSinkCancelsAfterFirstEvent(t *testing.T) {
+	ms, pool := faultyFleet(t)
+	for i, q := range pool[:4] {
+		ctx, cancel := context.WithCancel(context.Background())
+		final := false
+		ans, err := ms.SearchStream(ctx, q, func(ev StreamEvent) error {
+			final = final || ev.Final != nil
+			cancel()
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || ans != nil || final {
+			t.Errorf("q%d: a search cancelled from its sink returned %v, %v (terminal event %v); want context.Canceled", i, ans, err, final)
+		}
 	}
 }

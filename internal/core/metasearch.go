@@ -351,7 +351,9 @@ type Answer struct {
 // Search runs the full metasearch pipeline for a query. Sources must have
 // been harvested first (Search harvests lazily if needed). Per-source
 // failures are recorded in the answer, not returned as errors; Search only
-// fails if the query is invalid or no source could be contacted.
+// fails if the query is invalid, no source could be contacted, or ctx
+// ended first (its error; Options.Budget's deadline still yields a partial
+// answer).
 //
 // Per-query SearchOptions override the constructor baseline for this call
 // only; the shared Options are never mutated. Every search records a
@@ -417,6 +419,12 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 		ans, err = m.searchCached(ctx, tr, q, filter, ranking, opts, em)
 	} else {
 		ans, _, err = m.fill(ctx, q, opts, em)
+	}
+	if err == nil {
+		// A caller that gave up gets its context's error, not an answer
+		// cut short by it; the budget's deadline (fill's own) still yields
+		// a partial answer.
+		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, err

@@ -1,6 +1,11 @@
 package index
 
-import "sort"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // blockSize is the number of postings per block. Blocks are the pruning
 // unit of the sidecar block index: each carries upper-bound statistics
@@ -80,16 +85,27 @@ type block struct {
 	// tighter than the (maxFreq, minLen) combination, which pairs one
 	// document's frequency with a different document's length.
 	frontier [blockFrontierMax]tfLen
+	// posOff is where the block's first posting's positions start in the
+	// list's pos: decoding a block's positions starts here.
+	posOff uint32
 }
 
-// postingList is the per-term entry of a field index, as three arrays
-// indexed by posting: posting i is document docs[i], and its positions
-// are pos[ends[i-1]:ends[i]] (from 0 for i = 0), so its term frequency is
-// their count. No posting owns any storage of its own.
+// satFreq is the term frequency a posting's freqs byte saturates at: a
+// posting of that many occurrences or more has its exact frequency as a
+// uvarint at the head of its positions.
+const satFreq = 255
+
+// postingList is the per-term entry of a field index, as three arrays:
+// posting i is document docs[i], occurring freqs[i] times in it (see
+// satFreq), and pos holds every posting's positions, posting after
+// posting, each one's as uvarint deltas counted from 0. Only phrase and
+// proximity checks read positions, so only they decode them (listCursor);
+// everything else reads ids and frequencies in place. No posting owns any
+// storage of its own. Byte offsets into pos are 32-bit.
 type postingList struct {
 	docs   []int32 // ascending doc ids
-	ends   []int32 // end offset in pos of each posting's positions
-	pos    []int32 // every posting's positions, ascending within a posting
+	freqs  []uint8 // each posting's term frequency, saturating at satFreq
+	pos    []byte  // every posting's positions, ascending within a posting
 	blocks []block
 	// maxFreq / minLen aggregate the block stats list-wide, the global
 	// upper bound WAND pivoting starts from; frontier is the list-wide
@@ -100,11 +116,13 @@ type postingList struct {
 }
 
 // note folds posting i, already in the arrays, into its block's and the
-// list's bounds, opening the block at its first posting. Postings must be
-// noted in order; docLen==0 means "unknown" and keeps bounds conservative.
-func (pl *postingList) note(i int, docLen int32) {
+// list's bounds, opening the block at its first posting, whose positions
+// start at byte off of pos (off is read only then). Postings must be
+// noted in order; docLen==0 means "unknown" and keeps bounds
+// conservative.
+func (pl *postingList) note(i, off int, docLen int32) {
 	if i%blockSize == 0 {
-		pl.blocks = append(pl.blocks, block{})
+		pl.blocks = append(pl.blocks, block{posOff: uint32(off)})
 	}
 	b := &pl.blocks[i/blockSize]
 	b.maxDoc = pl.docs[i]
@@ -131,17 +149,107 @@ func (pl *postingList) numDocs() int {
 	return len(pl.docs)
 }
 
-// freq returns posting i's term frequency.
-func (pl *postingList) freq(i int) int { return len(pl.positions(i)) }
-
-// positions returns posting i's positions, capacity clipped so that an
-// append can never reach the list's storage.
-func (pl *postingList) positions(i int) []int32 {
-	a := int32(0)
-	if i > 0 {
-		a = pl.ends[i-1]
+// freq returns posting i's term frequency: its freqs byte, unless that
+// saturates, and then the count at the head of its positions, found by
+// skipping from its block's first posting.
+func (pl *postingList) freq(i int) int {
+	if f := pl.freqs[i]; f < satFreq {
+		return int(f)
 	}
-	return pl.pos[a:pl.ends[i]:pl.ends[i]]
+	bi := i / blockSize
+	tf, _ := pl.head(i, pl.skip(bi*blockSize, int(pl.blocks[bi].posOff), i))
+	return tf
+}
+
+// head returns the term frequency of posting i, whose positions start at
+// byte off, and the offset of its first position's delta.
+func (pl *postingList) head(i, off int) (tf, first int) {
+	if f := pl.freqs[i]; f < satFreq {
+		return int(f), off
+	}
+	v, n := binary.Uvarint(pl.pos[off:])
+	return int(v), off + n
+}
+
+// skip returns the byte offset of posting i's positions, given that
+// posting j's (j <= i) start at off: past as many uvarints as postings j
+// to i-1 have positions, and the frequency heading each saturated one.
+func (pl *postingList) skip(j, off, i int) int {
+	n := 0
+	for ; j < i; j++ {
+		if f := pl.freqs[j]; f < satFreq {
+			n += int(f)
+		} else {
+			n, off = pl.head(j, skipUvarints(pl.pos, off, n))
+		}
+	}
+	return skipUvarints(pl.pos, off, n)
+}
+
+// skipUvarints returns the offset past the n uvarints at p[off:]. A
+// uvarint ends at each byte below 0x80, so it counts those, eight bytes
+// at a time while the n-th lies beyond them.
+func skipUvarints(p []byte, off, n int) int {
+	for n >= 8 && off+8 <= len(p) {
+		c := bits.OnesCount64(^binary.LittleEndian.Uint64(p[off:]) & 0x8080808080808080)
+		if c >= n {
+			break
+		}
+		n, off = n-c, off+8
+	}
+	for ; n > 0; off++ {
+		if p[off] < 0x80 {
+			n--
+		}
+	}
+	return off
+}
+
+// decode appends posting i's positions, which start at byte off, to dst
+// and returns it with the offset past them.
+func (pl *postingList) decode(dst []int32, i, off int) ([]int32, int) {
+	tf, off := pl.head(i, off)
+	n := len(dst)
+	dst = slices.Grow(dst, tf)[:n+tf]
+	p := uint64(0)
+	for k := n; k < len(dst); k++ {
+		if b := pl.pos[off]; b < 0x80 { // nearly every delta is one byte
+			p, off = p+uint64(b), off+1
+		} else {
+			d, w := binary.Uvarint(pl.pos[off:])
+			p, off = p+d, off+w
+		}
+		dst[k] = int32(p)
+	}
+	return dst, off
+}
+
+// appendPosting appends one posting's frequency and positions, which
+// must ascend, to the list's freqs and pos; the caller appends its id.
+func (pl *postingList) appendPosting(positions []int32) {
+	tf := len(positions)
+	pl.freqs = append(pl.freqs, uint8(min(tf, satFreq)))
+	if tf >= satFreq {
+		pl.pos = binary.AppendUvarint(pl.pos, uint64(tf))
+	}
+	prev := int32(0)
+	for _, p := range positions {
+		if d := p - prev; d < 0x80 {
+			pl.pos = append(pl.pos, byte(d))
+		} else {
+			pl.pos = binary.AppendUvarint(pl.pos, uint64(d))
+		}
+		prev = p
+	}
+}
+
+// occurrences returns the sum of the list's term frequencies.
+func (pl *postingList) occurrences() int {
+	n := 0
+	for i := range pl.freqs {
+		n += pl.freq(i)
+	}
+	return n
 }
 
 // find returns the index of the posting for one doc id.
@@ -158,12 +266,23 @@ func (pl *postingList) find(id int) (int, bool) {
 // exhaustion, doc() returns maxDocID.
 type listCursor struct {
 	pl *postingList
-	i  int // current posting
+	i  int32 // current posting
 	// boundBi/bound memoize the ranked path's frontier bound for the
 	// block last computed, so consecutive pivots inside one block pay
 	// for the TermWeight evaluations once.
-	boundBi int
+	boundBi int32
 	bound   float64
+	// at is where decoding positions resumes; nil until the cursor first
+	// reads them, so the cursors of searches that never do stay small.
+	at *posReader
+}
+
+// posReader is a listCursor's position decoder: posting next's positions
+// start at byte off, and buf, reused from posting to posting, holds the
+// ones last decoded.
+type posReader struct {
+	next, off int
+	buf       []int32
 }
 
 const maxDocID = int(^uint(0) >> 1)
@@ -174,7 +293,7 @@ func newListCursor(pl *postingList) *listCursor {
 
 // done reports exhaustion.
 func (c *listCursor) done() bool {
-	return c.pl == nil || c.i >= len(c.pl.docs)
+	return c.pl == nil || int(c.i) >= len(c.pl.docs)
 }
 
 // doc returns the current doc id, or maxDocID when exhausted.
@@ -185,13 +304,43 @@ func (c *listCursor) doc() int {
 	return int(c.pl.docs[c.i])
 }
 
-// freq and positions describe the current posting; only valid when
+// freq returns the current posting's term frequency; only valid when
 // !done().
-func (c *listCursor) freq() int          { return c.pl.freq(c.i) }
-func (c *listCursor) positions() []int32 { return c.pl.positions(c.i) }
+func (c *listCursor) freq() int {
+	if f := c.pl.freqs[c.i]; f < satFreq {
+		return int(f)
+	}
+	tf, _ := c.pl.head(int(c.i), c.offset())
+	return tf
+}
+
+// positions decodes the current posting's positions into the cursor's
+// buffer, valid until the next call; only valid when !done().
+func (c *listCursor) positions() []int32 {
+	off := c.offset()
+	r := c.at
+	r.buf, r.off = c.pl.decode(r.buf[:0], int(c.i), off)
+	r.next = int(c.i) + 1
+	return r.buf
+}
+
+// offset returns the byte offset of the current posting's positions,
+// skipping forward from where the last decode in its block ended, or from
+// the block's start.
+func (c *listCursor) offset() int {
+	if c.at == nil {
+		c.at = &posReader{}
+	}
+	r, i := c.at, int(c.i)
+	if lo := c.bi() * blockSize; r.next < lo || r.next > i {
+		r.next, r.off = lo, int(c.pl.blocks[c.bi()].posOff)
+	}
+	r.off, r.next = c.pl.skip(r.next, r.off, i), i
+	return r.off
+}
 
 // bi returns the current block's index.
-func (c *listCursor) bi() int { return c.i / blockSize }
+func (c *listCursor) bi() int { return int(c.i) / blockSize }
 
 // curBlock returns the current block for block-max bounds; nil when done.
 func (c *listCursor) curBlock() *block {
@@ -219,6 +368,6 @@ func (c *listCursor) seek(target int) {
 	if target <= int(c.curBlock().maxDoc) {
 		hi = min(hi, (c.bi()+1)*blockSize)
 	}
-	lo, docs := c.i, c.pl.docs
-	c.i = lo + sort.Search(hi-lo, func(k int) bool { return int(docs[lo+k]) >= target })
+	lo, docs := int(c.i), c.pl.docs
+	c.i = int32(lo + sort.Search(hi-lo, func(k int) bool { return int(docs[lo+k]) >= target }))
 }

@@ -9,6 +9,7 @@ import (
 func buildList(t *testing.T, n int) *postingList {
 	t.Helper()
 	lists := map[string]*postingList{}
+	var dp docPostings
 	for i := 0; i < n; i++ {
 		// Doc ids 3i leave gaps so seeks have absent targets; freq cycles
 		// 1..5; docLen cycles 10..59.
@@ -16,8 +17,8 @@ func buildList(t *testing.T, n int) *postingList {
 		for j := range toks {
 			toks[j] = text.Token{Text: "t", Pos: j}
 		}
-		appendDoc(lists, int32(3*i), toks, nil, nil)
-		lists["t"].note(i, int32(10+i%50))
+		dp.add(lists, int32(3*i), toks, nil)
+		dp.note(int32(10 + i%50))
 	}
 	return lists["t"]
 }
@@ -29,8 +30,8 @@ func blockPostings(pl *postingList, bi int) (lo, hi int) {
 
 func TestPostingListBlocksAndStats(t *testing.T) {
 	pl := buildList(t, 300)
-	if pl.numDocs() != 300 || len(pl.ends) != 300 {
-		t.Fatalf("docs, ends = %d, %d, want 300", pl.numDocs(), len(pl.ends))
+	if pl.numDocs() != 300 || len(pl.freqs) != 300 {
+		t.Fatalf("docs, freqs = %d, %d, want 300", pl.numDocs(), len(pl.freqs))
 	}
 	wantBlocks := (300 + blockSize - 1) / blockSize
 	if len(pl.blocks) != wantBlocks {

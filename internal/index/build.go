@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -13,8 +14,8 @@ import (
 )
 
 // errPositions is the failure of a term whose positions in one field
-// would pass the 32-bit offsets of its posting list.
-var errPositions = errors.New("positions would pass 2^31-1")
+// would pass the 32-bit byte offsets of its posting list.
+var errPositions = errors.New("positions would pass 2^32-1 bytes")
 
 // chunkResult is one worker's analysis of a contiguous document range:
 // per text field (aligned with TextFields), each term's postings in the
@@ -143,7 +144,7 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo
 	for i := range cr.runs {
 		cr.runs[i] = map[string]*postingList{}
 	}
-	var touched []*postingList
+	var dp docPostings
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
 		total, err := analyzeDoc(a, memo, toksByField, &recs[id])
@@ -152,20 +153,28 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo
 			return cr
 		}
 		for i, toks := range toksByField {
-			touched = appendDoc(cr.runs[i], int32(id), toks, touched[:0], nil)
+			dp.add(cr.runs[i], int32(id), toks, nil)
 		}
 		cr.counts = append(cr.counts, int32(total))
 	}
 	return cr
 }
 
-// appendDoc appends document id's tokens in one field to the posting
-// lists of their terms — the id once per list, the positions in token
-// order, sorted should the tokenizer not yield them ascending — creating
-// the lists of terms not seen before (reported to newTerm, when set). It
-// returns touched refilled with the lists it appended to; their bounds
-// are the caller's to note.
-func appendDoc(lists map[string]*postingList, id int32, toks []text.Token, touched []*postingList, newTerm func(string)) []*postingList {
+// docPostings appends documents' postings to posting lists, one document
+// and field at a time, reusing its buffers from one to the next.
+type docPostings struct {
+	touched []*postingList // the lists the last add appended a posting to
+	starts  []int          // where each one's new posting starts in its pos
+	buf     []int32        // one posting's positions, being sorted
+}
+
+// add appends document id's tokens in one field to the posting lists of
+// their terms — the id once per list, the positions in token order,
+// sorted should the tokenizer not yield them ascending — creating the
+// lists of terms not seen before (reported to newTerm, when set). The
+// lists' bounds are the caller's to note.
+func (dp *docPostings) add(lists map[string]*postingList, id int32, toks []text.Token, newTerm func(string)) {
+	dp.touched, dp.starts = dp.touched[:0], dp.starts[:0]
 	for _, t := range toks {
 		pl := lists[t.Text]
 		if pl == nil {
@@ -177,50 +186,65 @@ func appendDoc(lists map[string]*postingList, id int32, toks []text.Token, touch
 		}
 		if n := len(pl.docs); n == 0 || pl.docs[n-1] != id {
 			pl.docs = append(pl.docs, id)
-			touched = append(touched, pl)
+			dp.touched = append(dp.touched, pl)
+			dp.starts = append(dp.starts, len(pl.pos))
 		}
-		pl.pos = append(pl.pos, int32(t.Pos))
+		// Four bytes a position until the field's last token: a saturated
+		// frequency heads the encoding, so nothing is encoded before the
+		// count is known.
+		pl.pos = binary.LittleEndian.AppendUint32(pl.pos, uint32(t.Pos))
 	}
-	for _, pl := range touched {
-		start := int32(0)
-		if n := len(pl.ends); n > 0 {
-			start = pl.ends[n-1]
+	for k, pl := range dp.touched {
+		dp.buf = dp.buf[:0]
+		for raw := pl.pos[dp.starts[k]:]; len(raw) > 0; raw = raw[4:] {
+			dp.buf = append(dp.buf, int32(binary.LittleEndian.Uint32(raw)))
 		}
-		if p := pl.pos[start:]; !slices.IsSorted(p) {
-			slices.Sort(p)
+		if !slices.IsSorted(dp.buf) {
+			slices.Sort(dp.buf)
 		}
-		pl.ends = append(pl.ends, int32(len(pl.pos)))
+		pl.pos = pl.pos[:dp.starts[k]]
+		pl.appendPosting(dp.buf)
 	}
-	return touched
+}
+
+// note notes the postings the last add appended in their lists' bounds;
+// docLen is the document's token count.
+func (dp *docPostings) note(docLen int32) {
+	for k, pl := range dp.touched {
+		pl.note(len(pl.docs)-1, dp.starts[k], docLen)
+	}
 }
 
 // joinRuns concatenates one term's chunk runs, in id order, into one list
 // whose arrays are each allocated once at their exact size, and notes its
-// bounds; lens are the documents' token counts.
+// bounds and block offsets; lens are the documents' token counts.
+// Positions count from their document's start, so the runs' bytes join
+// unchanged.
 func joinRuns(runs []*postingList, lens []int32) (*postingList, error) {
-	nd, np := 0, 0
+	nd, nb := 0, 0
 	for _, r := range runs {
-		nd, np = nd+len(r.docs), np+len(r.pos)
+		nd, nb = nd+len(r.docs), nb+len(r.pos)
 	}
-	if np > math.MaxInt32 {
+	if nb > math.MaxUint32 {
 		return nil, errPositions
 	}
 	pl := &postingList{
 		docs:   make([]int32, 0, nd),
-		ends:   make([]int32, 0, nd),
-		pos:    make([]int32, 0, np),
+		freqs:  make([]uint8, 0, nd),
+		pos:    make([]byte, 0, nb),
 		blocks: make([]block, 0, (nd+blockSize-1)/blockSize),
 	}
 	for _, r := range runs {
-		base := int32(len(pl.pos))
-		for _, e := range r.ends {
-			pl.ends = append(pl.ends, base+e)
-		}
 		pl.docs = append(pl.docs, r.docs...)
+		pl.freqs = append(pl.freqs, r.freqs...)
 		pl.pos = append(pl.pos, r.pos...)
 	}
+	off := 0
 	for i, d := range pl.docs {
-		pl.note(i, lens[d])
+		if i%blockSize == 0 && i > 0 {
+			off = pl.skip(i-blockSize, off, i)
+		}
+		pl.note(i, off, lens[d])
 	}
 	return pl, nil
 }

@@ -145,6 +145,14 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 	for i, d := range docs {
 		d.Body = strings.Repeat(d.Body+" ", 1+i%6)
 	}
+	// In both halves of "Add after Build": a word 300 times, a frequency
+	// past what a posting's freqs byte holds, and a word at both ends of
+	// more than 2¹⁴ tokens, a position delta of three uvarint bytes (around
+	// a frequency of as many).
+	for _, i := range []int{100, 400} {
+		docs[i].Body = strings.Repeat("echo ", 300)
+		docs[i+100].Body = "zulu " + strings.Repeat("yak ", 1<<14) + "zulu"
+	}
 	a := text.NewAnalyzer()
 	// want[field][term][id] are the term's positions in the document;
 	// lens[id] is the document's token count.

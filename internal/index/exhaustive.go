@@ -157,24 +157,33 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 }
 
 // matchWord finds the posting lists matching one query word under the
-// term's modifiers and merges them into a doc→info map. A
-// document's Positions are a view of its posting's (capacity clipped, so
-// an append cannot reach the index) until a second expansion term matches
-// the document too.
+// term's modifiers and merges them into a doc→info map.
 func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
 	terms := fi.expandWord(a, word, t, opts)
 	out := map[int]*DocTermInfo{}
-	// Infos are cut from chunks that double up to 512: one allocation per
-	// chunk, not per posting. A used-up chunk lives on through its pointers.
+	// Infos and positions are cut from chunks that double up to 512 infos
+	// and 4 096 positions: one allocation per chunk, not per posting. A
+	// used-up chunk lives on through what points into it. A document's
+	// Positions are decoded into a chunk, capacity clipped so that an
+	// append cannot reach the next document's, and stay there until a
+	// second expansion term matches the document too.
 	var free []DocTermInfo
-	chunk := 4
+	var slab []int32
+	chunk, posChunk := 4, 64
 	for _, term := range terms {
 		pl := fi.postings[term]
 		if pl == nil {
 			continue
 		}
+		off := 0
 		for i, d := range pl.docs {
-			id, pos := int(d), pl.positions(i)
+			if tf, _ := pl.head(i, off); cap(slab)-len(slab) < tf {
+				posChunk = min(2*posChunk, 4096)
+				slab = make([]int32, 0, max(posChunk, tf))
+			}
+			n := len(slab)
+			slab, off = pl.decode(slab, i, off)
+			id, pos := int(d), slab[n:len(slab):len(slab)]
 			if cur := out[id]; cur != nil {
 				cur.Freq += len(pos)
 				cur.Positions = mergePositions(cur.Positions, pos)

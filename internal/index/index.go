@@ -2,6 +2,7 @@ package index
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -84,8 +85,8 @@ func (ix *Index) Analyzer() *text.Analyzer { return ix.analyzer }
 // documents are immutable once indexed. The index keeps a copy of the
 // document, not the document itself. Postings hold 32-bit ids and
 // offsets, so a document that would overflow them fails too: the 2³¹th
-// document, one of 2³¹ tokens or more, or one that would take a term's
-// positions in a field past 2³¹−1.
+// document, one of 2³¹ tokens or more, or one that could take a term's
+// positions in a field past 2³²−1 bytes.
 func (ix *Index) Add(d *Document) (int, error) {
 	if err := d.Validate(); err != nil {
 		return 0, err
@@ -112,8 +113,11 @@ func (ix *Index) Add(d *Document) (int, error) {
 	}
 	for i, f := range TextFields {
 		if fi := ix.fields[f]; fi != nil {
+			// A posting takes at most a widest uvarint for its frequency and
+			// for each position: the field's tokens bound its positions.
+			most := binary.MaxVarintLen32 * (len(toksByField[i]) + 1)
 			for _, t := range toksByField[i] {
-				if pl := fi.postings[t.Text]; pl != nil && len(pl.pos) > math.MaxInt32-len(toksByField[i]) {
+				if pl := fi.postings[t.Text]; pl != nil && len(pl.pos) > math.MaxUint32-most {
 					return 0, fmt.Errorf("index: term %q in %s: %w", t.Text, f, errPositions)
 				}
 			}
@@ -123,7 +127,7 @@ func (ix *Index) Add(d *Document) (int, error) {
 	ix.addRecord(r, x)
 	ix.byURL[r.linkage()] = id
 	ix.counts = append(ix.counts, int32(total))
-	var touched []*postingList
+	var dp docPostings
 	for i, f := range TextFields {
 		if len(toksByField[i]) == 0 {
 			continue
@@ -133,10 +137,8 @@ func (ix *Index) Add(d *Document) (int, error) {
 			fi = newFieldIndex(ix.analyzer)
 			ix.fields[f] = fi
 		}
-		touched = appendDoc(fi.postings, int32(id), toksByField[i], touched[:0], fi.addVocab)
-		for _, pl := range touched {
-			pl.note(len(pl.docs)-1, int32(total))
-		}
+		dp.add(fi.postings, int32(id), toksByField[i], fi.addVocab)
+		dp.note(int32(total))
 	}
 	return id, nil
 }
@@ -278,7 +280,8 @@ func (ix *Index) DocFreq(f attr.Field, term string) int {
 }
 
 // VocabTerms calls fn for every (field, term) with its posting statistics:
-// total postings and document frequency. Content summaries are built from
+// total postings (the term's occurrences, its frequencies summed) and
+// document frequency. Content summaries are built from
 // this walk. Iteration order is sorted by field then term.
 func (ix *Index) VocabTerms(fn func(f attr.Field, term string, postings, docFreq int)) {
 	ix.mu.RLock()
@@ -297,7 +300,7 @@ func (ix *Index) VocabTerms(fn func(f attr.Field, term string, postings, docFreq
 		sort.Strings(terms)
 		for _, t := range terms {
 			pl := fi.postings[t]
-			fn(f, t, len(pl.pos), pl.numDocs())
+			fn(f, t, pl.occurrences(), pl.numDocs())
 		}
 	}
 }

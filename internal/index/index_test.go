@@ -497,20 +497,21 @@ func TestDocumentHelpers(t *testing.T) {
 	}
 }
 
-// TestLookupLeavesPostingsAlone: a match's Positions may be the posting's
-// own storage, which concurrent lookups read, so nothing a lookup or its
-// caller does to a result may show in the index — not the merge of two
+// TestLookupLeavesPostingsAlone: a lookup reads postings that concurrent
+// lookups read too, and cuts its documents' Positions from chunks they
+// share, so nothing a lookup or its caller does to a result may show in
+// the index or in another document's result — not the merge of two
 // expansion terms or of two fields, not an append to the result.
 func TestLookupLeavesPostingsAlone(t *testing.T) {
 	ix := testIndex(t)
-	snapshot := func() map[string][][]int32 {
-		all := map[string][][]int32{}
+	snapshot := func() map[string][]any {
+		all := map[string][]any{}
 		for f, fi := range ix.fields {
 			for word, pl := range fi.postings {
 				// Through the full capacity: an append through a view must
 				// not write past a list's length either.
-				all[string(f)+"/"+word] = [][]int32{
-					slices.Clone(pl.docs), slices.Clone(pl.ends), slices.Clone(pl.pos[:cap(pl.pos)]),
+				all[string(f)+"/"+word] = []any{
+					slices.Clone(pl.docs[:cap(pl.docs)]), slices.Clone(pl.freqs[:cap(pl.freqs)]), slices.Clone(pl.pos[:cap(pl.pos)]),
 				}
 			}
 		}
@@ -528,11 +529,17 @@ func TestLookupLeavesPostingsAlone(t *testing.T) {
 			t.Fatalf("%s: %v, %v", src, m, err)
 		}
 		for id, info := range m.Docs {
-			if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) {
+			if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) || slices.Contains(info.Positions, -1) {
 				t.Errorf("%s: doc %d: freq %d, positions %v", src, id, info.Freq, info.Positions)
 			}
-			// The posting's next position, had the capacity not been clipped.
+			// The next document's first position, had the capacity not
+			// been clipped.
 			info.Positions = append(info.Positions, -1)
+		}
+		for id, info := range m.Docs {
+			if own := info.Positions[:len(info.Positions)-1]; slices.Contains(own, -1) {
+				t.Errorf("%s: doc %d: another document's append shows in its positions %v", src, id, own)
+			}
 		}
 	}
 	if after := snapshot(); !reflect.DeepEqual(after, before) {

@@ -41,8 +41,8 @@ func newTermCursor(lists []*postingList) *termCursor {
 }
 
 // positions returns the word's positions in the current document,
-// ascending: the posting's own slice unless several expansions of the
-// word occur in the document.
+// ascending, valid until the cursor moves: decoded into the list cursor's
+// buffer unless several expansions of the word occur in the document.
 func (tc *termCursor) positions() []int32 {
 	var pos []int32
 	for _, c := range tc.curs {
@@ -61,13 +61,13 @@ func (tc *termCursor) positions() []int32 {
 // document it matches — what a proximity check needs from its operands. A
 // one-word value matches at the word's positions; a value of several
 // words is a phrase and matches where word i stands at position p+i for
-// every i, p being the match position.
+// every i, p being the match position. A one-word value matches wherever
+// the word occurs, so its positions are decoded only when asked for.
 type posIter struct {
 	words []*termCursor // per word of the value: its expansion lists in the field
 	cur   int
-	pos   []int32   // match positions in cur
+	pos   []int32   // a phrase's match positions in cur
 	at    [][]int32 // scratch: each word's positions in the candidate document
-	buf   []int32   // scratch behind pos for a phrase
 }
 
 // newPosIter takes each word's expansion lists in the field.
@@ -105,14 +105,13 @@ func (p *posIter) settle() {
 }
 
 func (p *posIter) matches() bool {
+	if len(p.words) == 1 {
+		return true
+	}
 	for i, w := range p.words {
 		p.at[i] = w.positions()
 	}
-	if len(p.words) == 1 {
-		p.pos = p.at[0]
-		return true
-	}
-	p.buf = p.buf[:0]
+	p.pos = p.pos[:0]
 starts:
 	for _, s := range p.at[0] {
 		for i := 1; i < len(p.at); i++ {
@@ -120,15 +119,30 @@ starts:
 				continue starts
 			}
 		}
-		p.buf = append(p.buf, s)
+		p.pos = append(p.pos, s)
 	}
-	p.pos = p.buf
 	return len(p.pos) > 0
 }
 
-func (p *posIter) doc() int  { return p.cur }
-func (p *posIter) freq() int { return len(p.pos) }
-func (p *posIter) next()     { p.words[0].advance(); p.settle() }
+// positions returns where the value matches in the current document,
+// valid until the iterator moves.
+func (p *posIter) positions() []int32 {
+	if len(p.words) == 1 {
+		return p.words[0].positions()
+	}
+	return p.pos
+}
+
+func (p *posIter) doc() int { return p.cur }
+
+func (p *posIter) freq() int {
+	if len(p.words) == 1 {
+		return p.words[0].freqAt()
+	}
+	return len(p.pos)
+}
+
+func (p *posIter) next() { p.words[0].advance(); p.settle() }
 func (p *posIter) seek(target int) {
 	if target > p.cur {
 		p.words[0].seek(target)
@@ -483,7 +497,7 @@ func (ix *Index) proxIter(p *query.Prox, opts LookupOptions) (docIter, error) {
 		}
 		l, r := newPosIter(ll), newPosIter(rl)
 		kids = append(kids, newWhere(newJoin(l, r, false), func(id int) bool {
-			return proxSatisfied(l.pos, r.pos, p.Dist, p.Ordered) &&
+			return proxSatisfied(l.positions(), r.positions(), p.Dist, p.Ordered) &&
 				(lLang == nil || lLang(id)) && (rLang == nil || rLang(id))
 		}))
 	}

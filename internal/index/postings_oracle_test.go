@@ -1,0 +1,302 @@
+package index
+
+// This file keeps the posting layout the compact one replaced — every
+// position an int32, every posting's end offset into them an int32 — as
+// the oracle FuzzPostingsMatchOracle holds the compact lists to.
+
+import (
+	"encoding/binary"
+	"reflect"
+	"slices"
+	"testing"
+
+	"starts/internal/query"
+	"starts/internal/text"
+)
+
+// int32List is one term's postings in the replaced layout: posting i is
+// document docs[i] at positions pos[ends[i-1]:ends[i]] (from 0 for i = 0).
+type int32List struct {
+	docs, ends, pos []int32
+}
+
+// add appends one document's positions of the term, in token order, as
+// the replaced appendDoc did: sorted should they not ascend.
+func (l *int32List) add(id int32, positions []int32) {
+	start := len(l.pos)
+	l.docs = append(l.docs, id)
+	l.pos = append(l.pos, positions...)
+	if p := l.pos[start:]; !slices.IsSorted(p) {
+		slices.Sort(p)
+	}
+	l.ends = append(l.ends, int32(len(l.pos)))
+}
+
+func (l *int32List) positions(i int) []int32 {
+	a := int32(0)
+	if i > 0 {
+		a = l.ends[i-1]
+	}
+	return l.pos[a:l.ends[i]:l.ends[i]]
+}
+
+// find returns document id's positions, nil when the term is not in it.
+func (l *int32List) find(id int) []int32 {
+	if i, ok := slices.BinarySearch(l.docs, int32(id)); ok {
+		return l.positions(i)
+	}
+	return nil
+}
+
+// fuzzDoc is one document of a fuzz input: its id and its tokens of the
+// terms "x" and "xy", in the order a tokenizer yields them.
+type fuzzDoc struct {
+	id   int32
+	toks []text.Token
+}
+
+// fuzzDocs reads documents off a fuzz input until it runs out. A document
+// is a header byte — bits 0–1 its id's gap from the last one's less one,
+// bit 2 its tokens in reverse, bit 3 each position's term from the low bit
+// of its delta (else every position is "x") — then a uvarint frequency, 1
+// plus its value mod 600, then a uvarint delta per position while the
+// input lasts (0 after): the first position is the first delta, each
+// next one the delta plus one past the last, none moved past 2²⁹ by a
+// delta.
+func fuzzDocs(data []byte) []fuzzDoc {
+	next := func() uint64 {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			data = nil
+			return 0
+		}
+		data = data[n:]
+		return v
+	}
+	var docs []fuzzDoc
+	id := int32(-1)
+	for len(data) > 0 {
+		h := data[0]
+		data = data[1:]
+		id += 1 + int32(h&3)
+		d := fuzzDoc{id: id, toks: make([]text.Token, 1+next()%600)}
+		p := uint64(0)
+		for k := range d.toks {
+			v, term := next(), "x"
+			if h&8 != 0 {
+				v, term = v>>1, []string{"x", "xy"}[v&1]
+			}
+			if p+v >= 1<<29 {
+				v = 0
+			}
+			if k > 0 {
+				v++
+			}
+			p += v
+			d.toks[k] = text.Token{Text: term, Pos: int(p)}
+		}
+		if h&4 != 0 {
+			slices.Reverse(d.toks)
+		}
+		docs = append(docs, d)
+	}
+	return docs
+}
+
+// seedDoc is one document of a seed input, as fuzzDocs reads it back.
+type seedDoc struct {
+	header byte
+	deltas []uint64
+}
+
+func seedInput(docs ...seedDoc) []byte {
+	var b []byte
+	for _, d := range docs {
+		b = append(b, d.header)
+		b = binary.AppendUvarint(b, uint64(len(d.deltas)-1))
+		for _, v := range d.deltas {
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	return b
+}
+
+// FuzzPostingsMatchOracle builds the lists of "x" and "xy" over random
+// documents — frequencies 1 to 600, positions up to 2²⁹, tokens in or out
+// of order — the three ways an index builds them (Index.Add, Build's
+// chunk runs joined by joinRuns, and Add after Build) and reads every
+// posting back, through a walking and a seeking listCursor, termCursor
+// positions and the oracle's matchWord, against the layout the lists
+// replaced.
+func FuzzPostingsMatchOracle(f *testing.F) {
+	zeros := func(n int) []uint64 { return make([]uint64, n) }
+	f.Add(seedInput(seedDoc{0, zeros(254)}, seedDoc{0, zeros(255)}, seedDoc{0, zeros(256)}))
+	f.Add(seedInput(seedDoc{0, []uint64{0, 126, 127, 1<<14 - 2, 1<<14 - 1, 1<<21 - 2, 1<<21 - 1, 1<<28 - 2, 1<<28 - 1}}))
+	var straddle []seedDoc
+	for i := range 130 {
+		straddle = append(straddle, seedDoc{byte(i % 4), []uint64{uint64(i % 3)}})
+	}
+	straddle = append(straddle, seedDoc{4 | 8, []uint64{9, 3, 4, 254, 511, 1 << 15}}, seedDoc{8, make([]uint64, 600)})
+	f.Add(seedInput(straddle...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		docs := fuzzDocs(data)
+		if len(docs) == 0 {
+			return
+		}
+		terms := []string{"x", "xy"}
+		oracle := map[string]*int32List{"x": {}, "xy": {}}
+		lens := make([]int32, docs[len(docs)-1].id+1)
+		byTerm := map[string][]int32{}
+		for _, d := range docs {
+			lens[d.id] = int32(len(d.toks))
+			clear(byTerm)
+			for _, tok := range d.toks {
+				byTerm[tok.Text] = append(byTerm[tok.Text], int32(tok.Pos))
+			}
+			for _, term := range terms {
+				if p := byTerm[term]; p != nil {
+					oracle[term].add(d.id, p)
+				}
+			}
+		}
+		var dp docPostings
+		add := func(lists map[string]*postingList, docs []fuzzDoc) map[string]*postingList {
+			for _, d := range docs {
+				dp.add(lists, d.id, d.toks, nil)
+				dp.note(lens[d.id])
+			}
+			return lists
+		}
+		build := func(docs []fuzzDoc) map[string]*postingList {
+			runs := map[string][]*postingList{}
+			for lo, size := 0, len(docs)/3+1; lo < len(docs); lo += size {
+				lists := map[string]*postingList{}
+				for _, d := range docs[lo:min(lo+size, len(docs))] {
+					dp.add(lists, d.id, d.toks, nil)
+				}
+				for term, r := range lists {
+					runs[term] = append(runs[term], r)
+				}
+			}
+			lists := map[string]*postingList{}
+			for term, rs := range runs {
+				pl, err := joinRuns(rs, lens)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lists[term] = pl
+			}
+			return lists
+		}
+		half := len(docs) / 2
+		built := map[string]map[string]*postingList{
+			"Add":             add(map[string]*postingList{}, docs),
+			"Build":           build(docs),
+			"Add after Build": add(build(docs[:half]), docs[half:]),
+		}
+		a := text.NewAnalyzer()
+		for name, lists := range built {
+			for _, term := range terms {
+				if !reflect.DeepEqual(lists[term], built["Add"][term]) {
+					t.Fatalf("%s: %q differs from sequential Add's list", name, term)
+				}
+				checkAgainst(t, name+" "+term, lists[term], oracle[term])
+			}
+			checkMerged(t, name, lists, oracle)
+			fi := newFieldIndex(a)
+			for term, pl := range lists {
+				fi.postings[term] = pl
+				fi.addVocab(term)
+			}
+			for _, q := range []struct {
+				src, word string
+				terms     []string
+			}{
+				{`(body-of-text "xy")`, "xy", terms[1:]},
+				{`(body-of-text right-truncation "x")`, "x", terms},
+			} {
+				want := map[int][]int32{}
+				for id := range lens {
+					for _, term := range q.terms {
+						if p := oracle[term].find(id); p != nil {
+							want[id] = mergePositions(want[id], p)
+						}
+					}
+				}
+				qt, _, err := query.ScanTerm(q.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fi.matchWord(a, q.word, qt, LookupOptions{})
+				if len(got) != len(want) {
+					t.Fatalf("%s: %s matches %d documents, want %d", name, q.src, len(got), len(want))
+				}
+				for id, info := range got {
+					if info.Freq != len(want[id]) || !slices.Equal(info.Positions, want[id]) {
+						t.Fatalf("%s: %s: doc %d freq %d positions %v, want %v", name, q.src, id, info.Freq, info.Positions, want[id])
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkAgainst reads one list back through a cursor walking every posting
+// and through one seeking to every third document, against the oracle.
+func checkAgainst(t *testing.T, what string, pl *postingList, want *int32List) {
+	t.Helper()
+	if pl.numDocs() != len(want.docs) {
+		t.Fatalf("%s: %d postings, want %d", what, pl.numDocs(), len(want.docs))
+	}
+	if len(want.docs) == 0 {
+		return
+	}
+	i := 0
+	for c := newListCursor(pl); !c.done(); c.next() {
+		wp := want.positions(i)
+		if c.doc() != int(want.docs[i]) || c.freq() != len(wp) || pl.freq(i) != len(wp) || !slices.Equal(c.positions(), wp) {
+			t.Fatalf("%s: posting %d: doc %d freq %d/%d, want doc %d freq %d at %v",
+				what, i, c.doc(), c.freq(), pl.freq(i), want.docs[i], len(wp), wp)
+		}
+		i++
+	}
+	c := newListCursor(pl)
+	for k := 0; k < len(want.docs); k += 3 {
+		c.seek(int(want.docs[k]))
+		wp := want.positions(k)
+		// Positions first on odd steps, the frequency first on even: each
+		// reads where the other left the decoder.
+		if k%2 == 1 && !slices.Equal(c.positions(), wp) {
+			t.Fatalf("%s: seek to posting %d (doc %d): positions %v, want %v", what, k, want.docs[k], c.positions(), wp)
+		}
+		if c.freq() != len(wp) || !slices.Equal(c.positions(), wp) {
+			t.Fatalf("%s: seek to posting %d (doc %d): freq %d positions %v, want %v", what, k, want.docs[k], c.freq(), c.positions(), wp)
+		}
+	}
+}
+
+// checkMerged walks the two lists as one word's expansions, a termCursor,
+// against the oracle's positions merged document by document.
+func checkMerged(t *testing.T, what string, lists map[string]*postingList, oracle map[string]*int32List) {
+	t.Helper()
+	var pls []*postingList
+	for _, term := range []string{"x", "xy"} {
+		if pl := lists[term]; pl != nil {
+			pls = append(pls, pl)
+		}
+	}
+	docs := slices.Concat(oracle["x"].docs, oracle["xy"].docs)
+	slices.Sort(docs)
+	docs = slices.Compact(docs)
+	tc := newTermCursor(pls)
+	for _, id := range docs {
+		want := mergePositions(oracle["x"].find(int(id)), oracle["xy"].find(int(id)))
+		if tc.cur != int(id) || tc.freqAt() != len(want) || !slices.Equal(tc.positions(), want) {
+			t.Fatalf("%s: term cursor at doc %d (freq %d), want doc %d at %v", what, tc.cur, tc.freqAt(), id, want)
+		}
+		tc.advance()
+	}
+	if tc.cur != maxDocID {
+		t.Fatalf("%s: term cursor reads doc %d past the last", what, tc.cur)
+	}
+}

@@ -166,7 +166,7 @@ func (tc *termCursor) rangeBound(plan *RankPlan, n int) float64 {
 		if c.done() {
 			return 0
 		}
-		if bi := c.bi(); bi != c.boundBi {
+		if bi := int32(c.bi()); bi != c.boundBi {
 			c.boundBi = bi
 			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
 		}
@@ -228,7 +228,7 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 		if c.doc() != tc.cur {
 			return 0
 		}
-		if bi := c.bi(); bi != c.boundBi {
+		if bi := int32(c.bi()); bi != c.boundBi {
 			c.boundBi = bi
 			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
 		}
