@@ -305,6 +305,9 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 			f.Add(fl, r, uint8(i*13+j))
 		}
 	}
+	// Two sums a float apart, 0.1·2+0.1·7 and 0.1·1+0.1·8, that divide by
+	// Norm 0.2 to one raw score: the tie goes to the smaller id.
+	f.Add("(A 0", "list((``distriBut ''0.1)(``dAtABAse''0.1))", uint8(14))
 	f.Fuzz(func(t *testing.T, filter, ranking string, spec uint8) {
 		q := query.New()
 		q.Filter, _ = query.ParseFilter(filter)

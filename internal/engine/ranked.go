@@ -9,8 +9,8 @@ import (
 // monotoneScorer gates the block-pruned ranked fast path. A scorer opts
 // in by declaring its TermWeight monotone — non-decreasing in term
 // frequency and non-increasing in document length, with df and n fixed
-// per query — the property that makes the index's sidecar block stats
-// (max frequency, min length) sound score upper bounds.
+// per query — the property that makes the index's block and list
+// (frequency, length) frontiers sound score upper bounds.
 type monotoneScorer interface {
 	MonotoneWeight() bool
 }
@@ -57,7 +57,7 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 	// maxScore top-scaled scorers finalize against.
 	maxScore := 0.0
 	if len(ranked) > 0 {
-		maxScore = ranked[0].Sum / plan.Norm
+		maxScore = ranked[0].Score
 	}
 	terms := make([]query.Term, len(plan.Terms))
 	for i, rt := range plan.Terms {
@@ -65,7 +65,7 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 	}
 	kept := make([]scoredDoc, 0, len(ranked))
 	for _, rd := range ranked {
-		score := e.cfg.Scorer.Finalize(rd.Sum/plan.Norm, maxScore)
+		score := e.cfg.Scorer.Finalize(rd.Score, maxScore)
 		if score < q.MinScore {
 			// Finalize is monotone, so the failing documents are exactly
 			// the tail of the descending order.

@@ -8,11 +8,11 @@ import (
 )
 
 // blockSize is the number of postings per block. Blocks are the pruning
-// unit of the sidecar block index: each carries upper-bound statistics
-// (max doc id, max term frequency, min document length) so that boolean
-// and ranked traversals can skip whole blocks that cannot contribute to
-// the answer. 128 keeps the sidecar under 1% of posting memory while
-// making a skipped block worth ~128 posting visits.
+// unit of the sidecar block index: each carries its max doc id and a
+// (term frequency, document length) frontier bounding its scores, so that
+// boolean and ranked traversals can skip whole blocks that cannot
+// contribute to the answer. 128 keeps the sidecar under 1% of posting
+// memory while making a skipped block worth ~128 posting visits.
 const blockSize = 128
 
 // frontier caps bound the Pareto frontiers blocks and lists carry.
@@ -66,23 +66,31 @@ func pushFrontier(fr []tfLen, e tfLen) {
 	clear(fr[copy(fr, kept):])
 }
 
+// peak returns the largest frequency and the shortest length over a
+// frontier's entries: the first entry's freq and the last live entry's
+// len, since entries stay freq-descending (and so len-descending) and
+// merges keep the larger freq and the smaller len. Over a block's or a
+// list's frontier these are exactly its postings' max tf and min length.
+func peak(fr []tfLen) (maxFreq, minLen int) {
+	for _, e := range fr {
+		if e.freq == 0 {
+			break
+		}
+		minLen = int(e.len)
+	}
+	return int(fr[0].freq), minLen
+}
+
 // block is the sidecar of one run of blockSize postings of a list (the
 // last run may be shorter): block bi covers postings [bi·blockSize,
 // (bi+1)·blockSize). Postings are ascending by doc id, so the runs'
 // doc-id ranges never overlap.
 type block struct {
 	maxDoc int32
-	// maxFreq is the largest term frequency of any posting in the block:
-	// the tf half of a block-max score bound.
-	maxFreq int32
-	// minLen is the smallest token count of any document in the block:
-	// the length-normalization half of a block-max score bound. Zero
-	// while every length is unknown (the conservative bound).
-	minLen int32
 	// frontier is the Pareto frontier of the block's (freq, len) pairs:
 	// every posting is dominated by some entry, so the max monotone term
 	// weight over the frontier is a tight upper bound on the block — far
-	// tighter than the (maxFreq, minLen) combination, which pairs one
+	// tighter than its peak (max tf, min length), which pairs one
 	// document's frequency with a different document's length.
 	frontier [blockFrontierMax]tfLen
 	// posOff is where the block's first posting's positions start in the
@@ -107,18 +115,15 @@ type postingList struct {
 	freqs  []uint8 // each posting's term frequency, saturating at satFreq
 	pos    []byte  // every posting's positions, ascending within a posting
 	blocks []block
-	// maxFreq / minLen aggregate the block stats list-wide, the global
-	// upper bound WAND pivoting starts from; frontier is the list-wide
-	// Pareto frontier, the tight version of the same bound.
-	maxFreq  int32
-	minLen   int32
+	// frontier is the list-wide Pareto frontier: the global upper bound
+	// WAND pivoting starts from.
 	frontier [listFrontierMax]tfLen
 }
 
 // note folds posting i, already in the arrays, into its block's and the
-// list's bounds, opening the block at its first posting, whose positions
-// start at byte off of pos (off is read only then). Postings must be
-// noted in order; docLen==0 means "unknown" and keeps bounds
+// list's frontiers, opening the block at its first posting, whose
+// positions start at byte off of pos (off is read only then). Postings
+// must be noted in order; docLen==0 means "unknown" and keeps bounds
 // conservative.
 func (pl *postingList) note(i, off int, docLen int32) {
 	if i%blockSize == 0 {
@@ -126,18 +131,9 @@ func (pl *postingList) note(i, off int, docLen int32) {
 	}
 	b := &pl.blocks[i/blockSize]
 	b.maxDoc = pl.docs[i]
-	f := int32(pl.freq(i))
-	b.maxFreq = max(b.maxFreq, f)
-	if docLen > 0 && (b.minLen == 0 || docLen < b.minLen) {
-		b.minLen = docLen
-	}
-	e := tfLen{freq: f, len: docLen}
+	e := tfLen{freq: int32(pl.freq(i)), len: docLen}
 	pushFrontier(b.frontier[:], e)
 	pushFrontier(pl.frontier[:], e)
-	pl.maxFreq = max(pl.maxFreq, b.maxFreq)
-	if b.minLen > 0 && (pl.minLen == 0 || b.minLen < pl.minLen) {
-		pl.minLen = b.minLen
-	}
 }
 
 // numDocs returns the posting count (= document frequency: each document

@@ -37,11 +37,8 @@ func TestPostingListBlocksAndStats(t *testing.T) {
 	if len(pl.blocks) != wantBlocks {
 		t.Fatalf("blocks = %d, want %d", len(pl.blocks), wantBlocks)
 	}
-	if pl.maxFreq != 5 {
-		t.Errorf("list maxFreq = %d, want 5", pl.maxFreq)
-	}
-	if pl.minLen != 10 {
-		t.Errorf("list minLen = %d, want 10", pl.minLen)
+	if maxFreq, minLen := peak(pl.frontier[:]); maxFreq != 5 || minLen != 10 {
+		t.Errorf("list peak = (%d, %d), want (5, 10)", maxFreq, minLen)
 	}
 	prevMax := int32(-1)
 	total := 0
@@ -53,9 +50,10 @@ func TestPostingListBlocksAndStats(t *testing.T) {
 		if b.maxDoc != pl.docs[hi-1] {
 			t.Fatalf("block %d maxDoc %d disagrees with content", bi, b.maxDoc)
 		}
+		maxFreq, _ := peak(b.frontier[:])
 		for i := lo; i < hi; i++ {
-			if pl.freq(i) > int(b.maxFreq) {
-				t.Fatalf("block %d maxFreq %d below posting freq %d", bi, b.maxFreq, pl.freq(i))
+			if pl.freq(i) > maxFreq {
+				t.Fatalf("block %d max freq %d below posting freq %d", bi, maxFreq, pl.freq(i))
 			}
 		}
 		total += hi - lo

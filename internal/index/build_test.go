@@ -134,9 +134,9 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 // TestPostingsMatchTokenOracle holds every posting list to a map built
 // straight from the analyzer's tokens, reading the list only through its
 // cursor: the ids, each one's frequency and positions. Every block is
-// held to the postings the cursor walked inside it: its maxDoc, maxFreq
-// and minLen, and a frontier that dominates each of them; the list's own
-// bounds to all of its postings. Build, sequential Add and Add after
+// held to the postings the cursor walked inside it: its maxDoc, a
+// frontier that dominates each of them and whose peak is their max tf and
+// min length; the list's own frontier to all of its postings. Build, sequential Add and Add after
 // Build each make the index, over lists that cross block boundaries.
 func TestPostingsMatchTokenOracle(t *testing.T) {
 	docs := genTestDocs(700)
@@ -240,9 +240,10 @@ func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, 
 		if cur == nil {
 			return
 		}
-		if int(cur.maxDoc) != inBlock.maxDoc || int(cur.maxFreq) != inBlock.maxFreq || int(cur.minLen) != inBlock.minLen {
+		maxFreq, minLen := peak(cur.frontier[:])
+		if int(cur.maxDoc) != inBlock.maxDoc || maxFreq != inBlock.maxFreq || minLen != inBlock.minLen {
 			t.Fatalf("%s: block %d bounds {%d %d %d}, postings say {%d %d %d}", what, blocks,
-				cur.maxDoc, cur.maxFreq, cur.minLen, inBlock.maxDoc, inBlock.maxFreq, inBlock.minLen)
+				cur.maxDoc, maxFreq, minLen, inBlock.maxDoc, inBlock.maxFreq, inBlock.minLen)
 		}
 		blocks++
 	}
@@ -288,8 +289,8 @@ func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, 
 	if inList.n != len(byDoc) || pl.numDocs() != len(byDoc) {
 		t.Fatalf("%s: walked %d postings, numDocs %d, want %d", what, inList.n, pl.numDocs(), len(byDoc))
 	}
-	if int(pl.maxFreq) != inList.maxFreq || int(pl.minLen) != inList.minLen {
-		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, pl.maxFreq, pl.minLen, inList.maxFreq, inList.minLen)
+	if maxFreq, minLen := peak(pl.frontier[:]); maxFreq != inList.maxFreq || minLen != inList.minLen {
+		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, maxFreq, minLen, inList.maxFreq, inList.minLen)
 	}
 	return blocks > 1
 }

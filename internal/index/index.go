@@ -77,9 +77,6 @@ func New(a *text.Analyzer) *Index {
 	}
 }
 
-// Analyzer returns the index's analyzer.
-func (ix *Index) Analyzer() *text.Analyzer { return ix.analyzer }
-
 // Add indexes a document and returns its document ID. Adding a document
 // with the linkage of an existing document replaces nothing and fails:
 // documents are immutable once indexed. The index keeps a copy of the
@@ -257,14 +254,6 @@ func (ix *Index) Doc(id int) (*Document, error) {
 		return nil, fmt.Errorf("index: no document %d (collection has %d)", id, s.NumDocs())
 	}
 	return ix.document(id), nil
-}
-
-// ByLinkage returns the document ID for a URL.
-func (ix *Index) ByLinkage(url string) (int, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	id, ok := ix.byURL[url]
-	return id, ok
 }
 
 // DocFreq returns the number of documents containing term in field (after

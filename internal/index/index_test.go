@@ -121,12 +121,6 @@ func TestDocAccessors(t *testing.T) {
 	if _, err := ix.Doc(-1); err == nil {
 		t.Error("Doc(-1) should fail")
 	}
-	if id, ok := ix.ByLinkage("http://example.edu/gloss.ps"); !ok || id != 2 {
-		t.Errorf("ByLinkage = %d, %v", id, ok)
-	}
-	if _, ok := ix.ByLinkage("http://nowhere"); ok {
-		t.Error("ByLinkage found nothing")
-	}
 	snap := ix.Snapshot()
 	defer snap.Close()
 	if snap.TokenCount(0) == 0 {
@@ -488,9 +482,6 @@ func TestDocumentHelpers(t *testing.T) {
 	big := &Document{Body: string(make([]byte, 5000))}
 	if big.SizeKB() != 4 {
 		t.Errorf("big doc SizeKB = %d", big.SizeKB())
-	}
-	if ix := New(text.NewAnalyzer()); ix.Analyzer() == nil {
-		t.Error("Analyzer accessor")
 	}
 	if ix := New(text.NewAnalyzer()); ix.DocFreq(attr.FieldTitle, "x") != 0 {
 		t.Error("DocFreq on empty index")

@@ -20,26 +20,26 @@ type RankTerm struct {
 // engine builds one from a TermExpr or a list(...) ranking expression.
 type RankPlan struct {
 	Terms []RankTerm
-	// K bounds the result: the K best documents by Sum (ties broken by
+	// K bounds the result: the K best documents by Score (ties broken by
 	// ascending doc id, matching the engine's stable sort).
 	K int
-	// Norm divides the weighted sum (the list average's Σweights); the
-	// caller applies it, so ordering happens on the undivided sum and
-	// no float rounding can disagree with the exhaustive path.
+	// Norm divides the weighted sum (the list average's Σweights, > 0).
+	// TopKRanked ranks on the quotient, the raw score the exhaustive path
+	// reports: two sums a float apart can divide to one score, and then
+	// the smaller id must win.
 	Norm float64
 	// TermWeight scores one term in one document. TopKRanked requires
 	// it to be monotone: non-decreasing in tf, non-increasing in docLen
 	// (df and n are fixed per query) — the property that makes the
-	// sidecar block stats (max tf, min length) sound upper bounds.
+	// blocks' and lists' (tf, length) frontiers sound upper bounds.
 	TermWeight func(tf, df, n, docLen int) float64
 }
 
 // RankedDoc is one block-pruned top-k result.
 type RankedDoc struct {
 	ID int
-	// Sum is the undivided weighted score sum; divide by the plan's
-	// Norm for the raw score.
-	Sum float64
+	// Score is the raw score: the weighted sum divided by the plan's Norm.
+	Score float64
 	// TFs are the per-plan-term match frequencies (language-filtered,
 	// merged across fields and modifier expansions), for term stats.
 	TFs []int
@@ -141,228 +141,39 @@ func frontierBound(fr []tfLen, plan *RankPlan, w float64, df, n int) float64 {
 	return best
 }
 
-// blockEnd returns one past the last doc id covered by the cursor's
-// current blocks: up to it, every posting of this term lies in a block
-// whose bound rangeBound reports.
-func (tc *termCursor) blockEnd() int {
-	t := maxDocID
-	for _, c := range tc.curs {
-		if c.done() {
-			continue
-		}
-		if e := int(c.curBlock().maxDoc) + 1; e < t {
-			t = e
-		}
-	}
-	return t
-}
-
-// rangeBound bounds this term's contribution to any document covered by
-// the cursor's current blocks, whether or not the cursor is aligned on
-// it — the non-aligned-cursor half of the wide-skip bound.
-func (tc *termCursor) rangeBound(plan *RankPlan, n int) float64 {
-	if len(tc.curs) == 1 {
-		c := tc.curs[0]
-		if c.done() {
-			return 0
-		}
-		if bi := int32(c.bi()); bi != c.boundBi {
-			c.boundBi = bi
-			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
-		}
-		return c.bound
-	}
-	maxF, minL := 0, 0
-	for _, c := range tc.curs {
-		if c.done() {
-			continue
-		}
-		b := c.curBlock()
-		maxF += int(b.maxFreq)
-		if b.minLen > 0 && (minL == 0 || int(b.minLen) < minL) {
-			minL = int(b.minLen)
-		}
-	}
-	if maxF == 0 {
-		return 0
-	}
-	return tc.w * plan.TermWeight(maxF, tc.df, n, minL)
-}
-
-// wideBound bounds the score of any document in [pivotDoc, wide) in the
-// cursors' current configuration. An aligned cursor whose blocks cover
-// the whole range contributes its block bound; an aligned cursor whose
-// blocks end early contributes its list-global ub (valid anywhere); a
-// cursor positioned past the pivot contributes nothing if it starts at
-// or beyond wide, else the bound of the blocks it currently sits in —
-// wide is always capped so those blocks cover the range. Each case
-// dominates every posting the cursor can contribute inside the range,
-// so the sum is sound for any monotone TermWeight.
-func wideBound(cursors []*termCursor, nAligned, wide int, plan *RankPlan, n int) float64 {
-	bound := 0.0
-	for i, tc := range cursors {
-		switch {
-		case i < nAligned:
-			if tc.blockSkipTarget() >= wide {
-				bound += tc.blockBound(plan, n)
-			} else {
-				bound += tc.ub
-			}
-		case tc.cur < wide:
-			bound += tc.rangeBound(plan, n)
-		}
-	}
-	return bound
-}
-
 // blockBound returns the block-max upper bound on this term's weighted
-// contribution at the current doc: the sidecar stats of exactly the
+// contribution at the current doc, from the frontiers of exactly the
 // blocks the cursors sit in. The single-list case — the common one —
-// uses the block's tight Pareto frontier, memoized per block on the
-// cursor; merged multi-list terms fall back to the summed
-// (maxFreq, minLen) combination, which stays sound when frequencies
-// add across expansion lists.
+// takes the max over the block's frontier, memoized per block on the
+// cursor; a term merged from several expansion lists sums the blocks'
+// peak frequencies at their shortest length, which stays sound when
+// frequencies add across the lists.
 func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 	if len(tc.curs) == 1 {
 		c := tc.curs[0]
-		if c.doc() != tc.cur {
-			return 0
-		}
 		if bi := int32(c.bi()); bi != c.boundBi {
 			c.boundBi = bi
 			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
 		}
 		return c.bound
 	}
-	maxF, minL := 0, 0
+	maxF, minL := 0, math.MaxInt
 	for _, c := range tc.curs {
-		if c.doc() != tc.cur {
-			continue
+		if c.doc() == tc.cur {
+			f, l := peak(c.curBlock().frontier[:])
+			maxF, minL = maxF+f, min(minL, l)
 		}
-		b := c.curBlock()
-		maxF += int(b.maxFreq)
-		if b.minLen > 0 && (minL == 0 || int(b.minLen) < minL) {
-			minL = int(b.minLen)
-		}
-	}
-	if maxF == 0 {
-		return 0
 	}
 	return tc.w * plan.TermWeight(maxF, tc.df, n, minL)
-}
-
-// Threshold seeding caps: only a term whose posting list is small
-// enough that ranking its blocks by bound costs nothing next to
-// traversal may seed the threshold, and only its few best blocks are
-// scored.
-const (
-	seedBlockCap  = 256
-	seedTopBlocks = 2
-)
-
-// seedTheta warm-starts the top-k threshold before traversal: it ranks
-// the sparsest seedable term's blocks by their frontier bound, exactly
-// scores every document in the best seedTopBlocks of them — the blocks
-// where that term's top contributions live — and returns the largest
-// float strictly below the k-th best sum found (zero when fewer than k
-// documents score positively). WAND's pruning power is the gap between
-// the threshold and the block bounds, and a doc-id-ordered traversal
-// closes that gap only after scanning a long prefix of every list,
-// because the top documents are spread uniformly through the id space;
-// a few hundred up-front evaluations start the threshold near its
-// final value instead, so the skip logic fires from the first pivot.
-//
-// Returning a floor — rather than inserting the seeds into the result
-// heap — keeps the traversal's exactness argument intact: the heap
-// still fills in ascending id order, so strict comparisons still
-// resolve score ties to the smaller id. The floor itself is exact: the
-// seed sums accumulate in plan-term order (bit-identical to what the
-// evaluator later computes for the same documents), so at least k
-// documents are known to reach the k-th seed sum, and anything
-// strictly below it can never be in the top k. Nextafter makes
-// "strictly below the k-th sum" expressible through the existing
-// strict-greater gates without evaluating ties away.
-//
-// Only multi-term plans seed. A single-term query's threshold depends
-// on nothing but the term itself, and every document its traversal
-// touches is a candidate, so the threshold warms as fast as it
-// possibly can — seeding there is pure overhead. Multi-term thresholds
-// hinge on co-occurrence, which a doc-ordered walk discovers late.
-func (ix *Index) seedTheta(resolved []rankLists, plan *RankPlan, n int) float64 {
-	seed, scoring := -1, 0
-	for ti := range resolved {
-		rl := &resolved[ti]
-		if plan.Terms[ti].Weight <= 0 || rl.df == 0 {
-			continue
-		}
-		scoring++
-		if len(rl.lists) != 1 {
-			continue
-		}
-		if nb := len(rl.lists[0].blocks); nb <= seedBlockCap &&
-			(seed == -1 || nb < len(resolved[seed].lists[0].blocks)) {
-			seed = ti
-		}
-	}
-	if seed == -1 || scoring < 2 {
-		return 0
-	}
-	rl := &resolved[seed]
-	pl := rl.lists[0]
-	w := plan.Terms[seed].Weight
-	// The seedTopBlocks highest-bound blocks.
-	b0, b1 := -1, -1
-	var v0, v1 float64
-	for bi := range pl.blocks {
-		switch v := frontierBound(pl.blocks[bi].frontier[:], plan, w, rl.df, n); {
-		case b0 == -1 || v > v0:
-			b0, v0, b1, v1 = bi, v, b0, v0
-		case b1 == -1 || v > v1:
-			b1, v1 = bi, v
-		}
-	}
-	scratch := topk.New(plan.K, rankedBefore)
-	for _, bi := range [seedTopBlocks]int{b0, b1} {
-		if bi == -1 {
-			continue
-		}
-		for i := bi * blockSize; i < min((bi+1)*blockSize, len(pl.docs)); i++ {
-			id := int(pl.docs[i])
-			docLen := int(ix.counts[id])
-			sum := 0.0
-			for tj := range resolved {
-				var tf int
-				if tj == seed {
-					// The seeding term's frequency is in hand; apply the
-					// same language filter probing it would.
-					if rl.inLang == nil || rl.inLang(id) {
-						tf = pl.freq(i)
-					}
-				} else {
-					tf = resolved[tj].probe(id)
-				}
-				if tf > 0 {
-					sum += plan.Terms[tj].Weight * plan.TermWeight(tf, resolved[tj].df, n, docLen)
-				}
-			}
-			if sum > 0 {
-				scratch.Push(RankedDoc{ID: id, Sum: sum})
-			}
-		}
-	}
-	if !scratch.Full() {
-		return 0
-	}
-	return math.Nextafter(scratch.Worst().Sum, math.Inf(-1))
 }
 
 // TopKRanked evaluates a flat ranked query with block-max WAND: a
 // document-at-a-time traversal over per-term cursors that uses the
-// sidecar block index (per-block max term frequency and min document
-// length) plus a top-k score threshold to skip postings — and whole
-// blocks — that cannot reach the current top k. Results are exactly the
-// K best documents by Sum (ties to the smaller doc id) among documents
-// with Sum > 0, identical to exhaustively scoring every document.
+// blocks' and lists' (tf, length) frontiers plus a top-k score threshold
+// to skip postings — and whole blocks — that cannot reach the current top
+// k. Results are exactly the K best documents by Score (ties to the
+// smaller doc id) among documents with Score > 0, identical to
+// exhaustively scoring every document.
 //
 // The second return value reports per-plan-term document frequencies.
 // ok is false when some term has no block bounds to prune on (a phrase, a
@@ -387,7 +198,9 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		dfs[i] = resolved[i].df
 	}
 
-	// Build cursors for terms that have postings at all.
+	// Build cursors for terms that have postings at all, each with its
+	// list-global bound: the list's frontier, or for a merged term the
+	// lists' peaks as blockBound combines them.
 	cursors := make([]*termCursor, 0, len(resolved))
 	for i, rl := range resolved {
 		if len(rl.lists) == 0 {
@@ -395,20 +208,17 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		}
 		tc := newTermCursor(rl.lists)
 		tc.idx, tc.df, tc.w, tc.inLang = i, rl.df, plan.Terms[i].Weight, rl.inLang
-		maxF, minL := 0, 0
-		for _, pl := range rl.lists {
-			maxF += int(pl.maxFreq)
-			if pl.minLen > 0 && (minL == 0 || int(pl.minLen) < minL) {
-				minL = int(pl.minLen)
+		switch {
+		case tc.df == 0:
+		case len(rl.lists) == 1:
+			tc.ub = frontierBound(rl.lists[0].frontier[:], &plan, tc.w, tc.df, n)
+		default:
+			maxF, minL := 0, math.MaxInt
+			for _, pl := range rl.lists {
+				f, l := peak(pl.frontier[:])
+				maxF, minL = maxF+f, min(minL, l)
 			}
-		}
-		if tc.df > 0 {
-			if len(rl.lists) == 1 {
-				// Tight list-global bound from the list's Pareto frontier.
-				tc.ub = frontierBound(rl.lists[0].frontier[:], &plan, tc.w, tc.df, n)
-			} else if maxF > 0 {
-				tc.ub = tc.w * plan.TermWeight(maxF, tc.df, n, minL)
-			}
+			tc.ub = tc.w * plan.TermWeight(maxF, tc.df, n, minL)
 		}
 		cursors = append(cursors, tc)
 	}
@@ -417,11 +227,10 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 	// does: score descending, doc id ascending. Documents are offered in
 	// ascending id order, so requiring a strict improvement over the
 	// heap's worst keeps selection exact — an equal-score later doc could
-	// never displace the kept one anyway. The seeded floor stands in for
-	// the heap's worst until the heap fills; it sits one float below a
-	// real k-th best sum, so the strict gates still admit exact ties.
+	// never displace the kept one anyway. Every bound is divided by Norm
+	// before it meets the threshold: division by a positive number is
+	// monotone, so a bound on the sum stays a bound on the score.
 	h := topk.New(plan.K, rankedBefore)
-	thetaFloor := ix.seedTheta(resolved, &plan, n)
 	var atPivot []*termCursor
 	sortCursors(cursors)
 	for len(cursors) > 0 {
@@ -432,11 +241,9 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		if len(cursors) == 0 {
 			break
 		}
-		theta := thetaFloor
+		theta := 0.0
 		if h.Full() {
-			// Once full, the worst kept sum is at least one float above
-			// the floor (every push had to clear it strictly).
-			theta = h.Worst().Sum
+			theta = h.Worst().Score
 		}
 		// WAND pivot: the first cursor position where the cumulative
 		// upper bound could strictly beat the current top-k threshold.
@@ -445,7 +252,7 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		pivot, acc := -1, 0.0
 		for i, tc := range cursors {
 			acc += tc.ub
-			if acc > theta {
+			if acc/plan.Norm > theta {
 				pivot = i
 				break
 			}
@@ -457,95 +264,58 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		if pivotDoc == maxDocID {
 			break
 		}
-		if cursors[0].cur == pivotDoc {
-			// All lead cursors aligned on the pivot: check the sidecar
-			// block bound before paying for a full evaluation.
-			blockBound := 0.0
-			atPivot = atPivot[:0]
-			for _, tc := range cursors {
-				if tc.cur != pivotDoc {
-					break
-				}
-				atPivot = append(atPivot, tc)
-				blockBound += tc.blockBound(&plan, n)
-			}
-			if blockBound > theta {
-				// Accumulate in plan-term order — the float addition order
-				// of the exhaustive evaluator — so both paths produce
-				// bit-identical scores (zero contributions add exactly 0).
-				sortByPlanIdx(atPivot)
-				sum := 0.0
-				docLen := int(ix.counts[pivotDoc])
-				for _, tc := range atPivot {
-					tf := tc.matchFreq(pivotDoc)
-					if tf > 0 {
-						sum += tc.w * plan.TermWeight(tf, tc.df, n, docLen)
-					}
-				}
-				if sum > theta {
-					h.Push(RankedDoc{ID: pivotDoc, Sum: sum})
-				}
-				for _, tc := range atPivot {
-					tc.advance()
-				}
-			} else {
-				// The aligned blocks cannot beat the threshold. Jump as far
-				// as a sound bound allows. The wide skip targets the
-				// sparsest aligned cursor's block end — the big jump when a
-				// rare term's block spans thousands of doc ids — and
-				// re-bounds every cursor over that whole range: an aligned
-				// cursor whose block ends early contributes its list-global
-				// ub, a non-aligned cursor its current block's bound (its
-				// postings in the range all lie in that block). If even that
-				// cannot beat the threshold, no doc in the range can, and
-				// the dense cursors leap whole regions in one binary seek.
-				target := maxDocID
-				wide := 0
-				for _, tc := range atPivot {
-					if s := tc.blockSkipTarget(); s > wide {
-						wide = s
-					}
-				}
-				for _, tc := range cursors[len(atPivot):] {
-					if tc.cur < wide {
-						if e := tc.blockEnd(); e < wide {
-							wide = e
-						}
-					}
-				}
-				if wide > pivotDoc+1 && wideBound(cursors, len(atPivot), wide, &plan, n) <= theta {
-					target = wide
-				} else {
-					// Narrow skip: the earliest aligned block end, capped by
-					// the first non-aligned cursor; every doc before it
-					// matches only a subset of the aligned terms within the
-					// same blocks (bounds are non-negative, so a subset sums
-					// no higher).
-					target = maxDocID
-					for _, tc := range atPivot {
-						if s := tc.blockSkipTarget(); s < target {
-							target = s
-						}
-					}
-					if len(atPivot) < len(cursors) {
-						if d := cursors[len(atPivot)].cur; d < target {
-							target = d
-						}
-					}
-				}
-				if target <= pivotDoc {
-					target = pivotDoc + 1
-				}
-				for _, tc := range cursors {
-					if tc.cur < target {
-						tc.seek(target)
-					}
-				}
-			}
-		} else {
+		if cursors[0].cur != pivotDoc {
 			// Advance the smallest cursor up to the pivot, one binary
 			// search over its list.
 			cursors[0].seek(pivotDoc)
+			sortCursors(cursors)
+			continue
+		}
+		// All lead cursors aligned on the pivot: check the block bound
+		// before paying for a full evaluation.
+		blockBound := 0.0
+		atPivot = atPivot[:0]
+		for _, tc := range cursors {
+			if tc.cur != pivotDoc {
+				break
+			}
+			atPivot = append(atPivot, tc)
+			blockBound += tc.blockBound(&plan, n)
+		}
+		if blockBound/plan.Norm > theta {
+			// Accumulate in plan-term order — the float addition order
+			// of the exhaustive evaluator — so both paths produce
+			// bit-identical scores (zero contributions add exactly 0).
+			sortByPlanIdx(atPivot)
+			sum := 0.0
+			docLen := int(ix.counts[pivotDoc])
+			for _, tc := range atPivot {
+				if tf := tc.matchFreq(pivotDoc); tf > 0 {
+					sum += tc.w * plan.TermWeight(tf, tc.df, n, docLen)
+				}
+			}
+			if score := sum / plan.Norm; score > theta {
+				h.Push(RankedDoc{ID: pivotDoc, Score: score})
+			}
+			for _, tc := range atPivot {
+				tc.advance()
+			}
+		} else {
+			// The aligned blocks cannot beat the threshold: skip to the
+			// earliest aligned block end, capped by the first non-aligned
+			// cursor. Every doc before it matches only a subset of the
+			// aligned terms within the same blocks, and bounds are
+			// non-negative, so a subset sums no higher.
+			target := maxDocID
+			if len(atPivot) < len(cursors) {
+				target = cursors[len(atPivot)].cur
+			}
+			for _, tc := range atPivot {
+				target = min(target, tc.blockSkipTarget())
+			}
+			for _, tc := range atPivot {
+				tc.seek(target)
+			}
 		}
 		sortCursors(cursors)
 	}
@@ -638,12 +408,12 @@ func (ix *Index) resolveRankTerm(t query.Term, opts LookupOptions) (rankLists, b
 	return rl, true
 }
 
-// rankedBefore is the result order of the ranked fast path: higher sum
+// rankedBefore is the result order of the ranked fast path: higher score
 // first, ties to the smaller doc id — the engine's default score sort
 // with its stable id tiebreak.
 func rankedBefore(a, b RankedDoc) bool {
-	if a.Sum != b.Sum {
-		return a.Sum > b.Sum
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
 	return a.ID < b.ID
 }
