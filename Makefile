@@ -161,15 +161,22 @@ fuzz:
 # loc prints what the simplicity changes count: non-test Go lines for the
 # repository (bench/, its own frozen module, excluded) and per internal/
 # package, and the configuration surface — With* options, flag
-# definitions in cmd/, distinct "starts_..." metric names. CHANGES.md
-# quotes it.
+# definitions in cmd/, exported named fields of the structs named
+# Options, *Config, *Policy or Limits, distinct "starts_..." metric names.
+# CHANGES.md quotes it.
 loc:
-	@nontest() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
+	@files() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0; }; \
+	nontest() { files "$$@" | xargs -0 cat | wc -l; }; \
 	src() { grep -rhoE "$$1" --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build $$2; }; \
 	printf '%-22s %6d\n' 'repo (non-test)' "$$(nontest .)"; \
 	for d in internal/*/; do printf '%-22s %6d\n' "$${d%/}" "$$(nontest "$$d")"; done; \
 	printf '%-22s %6d\n' '^func With' "$$(src '^func With' . | wc -l)"; \
 	printf '%-22s %6d\n' 'flag definitions' "$$(src 'flag\.(Bool|Int|Int64|Uint|Float64|String|Duration|Var)\(' cmd | wc -l)"; \
+	printf '%-22s %6d\n' 'config fields' "$$(files . | xargs -0 awk ' \
+		/^type (Options|[A-Za-z0-9_]*Config|[A-Za-z0-9_]*Policy|Limits) struct \{/ { in_ = 1; next } \
+		in_ && /^\}/ { in_ = 0 } \
+		in_ && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Za-z0-9_]+)*[ \t]+[^ \t\/]/) { s = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", s) + 1 } \
+		END { print n + 0 }')"; \
 	printf '%-22s %6d\n' 'metric names' "$$(src '"starts_[A-Za-z0-9_]*' . | sort -u | wc -l)"
 
 # tier1 is the repo's baseline gate: everything must always pass.

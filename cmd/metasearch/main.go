@@ -12,7 +12,7 @@
 //	sources | meta <id> | summary <id>       the harvested sources
 //	select <ranking>                         rank sources (the -select selector)
 //	q <ranking> | qs <ranking> | f <filter>  search; qs streams, as -stream does
-//	stats | help | quit                      per-source stats and metrics
+//	stats | help | quit                      circuits, dispatch queues and metrics
 //
 // -warm-file replays the previous run's workload through the cache on
 // startup and saves this run's back every -warm-interval and on exit.
@@ -60,7 +60,6 @@ func main() {
 		retryBase       = flag.Duration("retry-base", 100*time.Millisecond, "first retry backoff (doubles per retry, jittered)")
 		breakerAfter    = flag.Int("breaker-after", 0, "open a source's circuit after N consecutive failures (0 = no breaker)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit sheds traffic before probing")
-		adaptive        = flag.Bool("adaptive", false, "discount selection goodness by observed latency, failures and breaker state")
 		cacheSize       = flag.Int("cache-size", 0, "cache merged answers for repeated queries, at most N entries (0 = no cache)")
 		cacheTTL        = flag.Duration("cache-ttl", time.Minute, "fallback freshness for cached answers whose sources declare no DateExpires/DateChanged (expired entries serve stale while a refresh runs)")
 		maxInflight     = flag.Int("max-inflight", 0, "bound concurrent uncached fan-outs; excess queries are shed with a fast error (0 = unbounded; implies caching)")
@@ -128,16 +127,6 @@ func main() {
 		opts.Breaker = br
 	}
 	ms := starts.NewMetasearcher(opts)
-	// Per-call options instead of mutating shared state: the adaptive
-	// selector wraps the flag-chosen one for this process's searches only.
-	var sopts []starts.SearchOption
-	if *adaptive {
-		as := ms.NewAdaptiveSelector(sel)
-		if br != nil {
-			as.Broken = br.Broken
-		}
-		sopts = append(sopts, starts.WithSelector(as))
-	}
 
 	// 2. The per-conn stack, innermost first: faults are injected at the
 	// source, the observer times every attempt, and the retrier re-runs
@@ -245,7 +234,7 @@ func main() {
 	}
 
 	// 7. One search, or the shell.
-	c := &cli{ctx: ctx, ms: ms, sel: sel, mrg: mrg, br: br, reg: reg, sopts: sopts, trace: *trace, max: *max}
+	c := &cli{ctx: ctx, ms: ms, sel: sel, mrg: mrg, br: br, reg: reg, trace: *trace, max: *max}
 	if *filter != "" || *ranking != "" {
 		q, err := c.query(*filter, *ranking)
 		if err == nil {
@@ -282,7 +271,6 @@ type cli struct {
 	mrg   starts.MergeStrategy
 	br    *starts.Breaker
 	reg   *starts.MetricsRegistry
-	sopts []starts.SearchOption
 	trace bool
 	max   int
 }
@@ -312,7 +300,7 @@ func (c *cli) query(filter, ranking string) (*starts.Query, error) {
 // shows while slower ones are still waited on.
 func (c *cli) search(q *starts.Query, stream bool) error {
 	var tr starts.Trace
-	sopts := c.sopts
+	var sopts []starts.SearchOption
 	if c.trace {
 		sopts = append(sopts, starts.WithTrace(&tr))
 	}
@@ -458,17 +446,10 @@ func (c *cli) command(line string) {
 			fmt.Println("error:", err)
 		}
 	case "stats":
-		for _, e := range c.ms.StatsSnapshot() {
-			circuit := ""
-			if c.br != nil {
-				circuit = " circuit=" + c.br.State(e.ID).String()
+		if c.br != nil {
+			for _, id := range c.ms.SourceIDs() {
+				fmt.Printf("  %-24s circuit=%s\n", id, c.br.State(id))
 			}
-			if !e.Queried {
-				fmt.Printf("  %-24s (no queries yet)%s\n", e.ID, circuit)
-				continue
-			}
-			fmt.Printf("  %-24s queries=%d failures=%d mean-latency=%v%s\n",
-				e.ID, e.Stats.Queries, e.Stats.Failures, e.Stats.MeanLatency.Round(time.Millisecond), circuit)
 		}
 		for _, d := range c.ms.DispatchStats() {
 			fmt.Printf("  %-24s dispatch: submitted=%d batched=%d inflight=%d/%d queued=%d/%d shed=%d refused=%d\n",

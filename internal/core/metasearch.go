@@ -103,7 +103,6 @@ type Metasearcher struct {
 	entries []*entry       // each member's last harvest; nil before the first
 	scope   string         // cache scope of a search under the baseline options
 
-	stats      *statsBook
 	workload   *qcache.Recorder
 	dispatcher *dispatch.Dispatcher
 }
@@ -186,7 +185,6 @@ func New(opts Options) *Metasearcher {
 	m := &Metasearcher{
 		opts:     opts,
 		scope:    searchScope(opts, nil),
-		stats:    newStatsBook(),
 		workload: qcache.NewRecorder(0),
 		dispatcher: dispatch.New(dispatch.Config{
 			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth},

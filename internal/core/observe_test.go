@@ -292,30 +292,24 @@ func TestSearchOptionsReplaceSetters(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotConsistent exercises the one-lock stats snapshot.
-func TestStatsSnapshotConsistent(t *testing.T) {
+// TestStatsAccumulate checks the per-source outcome record a search
+// leaves in the registry: one query and one latency observation for each
+// contacted source, and one error for the source whose query failed.
+func TestStatsAccumulate(t *testing.T) {
 	ms, _ := fleet(t)
+	ms.Add(&failingConn{id: "broken"})
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	if _, err := ms.Search(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	snap := ms.StatsSnapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot entries = %d: %+v", len(snap), snap)
+	reg := ms.Metrics()
+	if got := reg.Counter(obs.L("starts_source_queries_total", "source", "cs")).Value(); got != 1 {
+		t.Errorf("cs queries_total = %d, want 1", got)
 	}
-	queried := 0
-	for _, e := range snap {
-		if e.ID == "" {
-			t.Errorf("entry without ID: %+v", e)
-		}
-		if e.Queried {
-			queried++
-			if e.Stats.Queries == 0 {
-				t.Errorf("%s queried but zero queries: %+v", e.ID, e.Stats)
-			}
-		}
+	if got := reg.Histogram(obs.L("starts_source_query_seconds", "source", "cs")).Count(); got != 1 {
+		t.Errorf("cs query_seconds count = %d, want 1", got)
 	}
-	if queried == 0 {
-		t.Error("no entry marked queried")
+	if got := reg.Counter(obs.L("starts_source_query_errors_total", "source", "broken")).Value(); got != 1 {
+		t.Errorf("broken query_errors_total = %d, want 1", got)
 	}
 }

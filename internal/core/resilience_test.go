@@ -12,7 +12,6 @@ import (
 
 	"starts/internal/client"
 	"starts/internal/engine"
-	"starts/internal/gloss"
 	"starts/internal/index"
 	"starts/internal/meta"
 	"starts/internal/source"
@@ -292,32 +291,6 @@ func TestAllFailedErrorAggregationDeterministic(t *testing.T) {
 	}
 	if i1, i2 := strings.Index(msgs[0], "b1"), strings.Index(msgs[0], "b2"); i1 < 0 || i2 < 0 || i1 > i2 {
 		t.Errorf("per-source errors missing or unsorted: %s", msgs[0])
-	}
-}
-
-func TestAdaptiveSelectorBrokenPenalty(t *testing.T) {
-	sel := &AdaptiveSelector{
-		Inner:  fixedSelector{"bad": 100, "ok": 10},
-		Stats:  func(string) (SourceStats, bool) { return SourceStats{}, false },
-		Broken: func(id string) bool { return id == "bad" },
-	}
-	q := rankingQuery(t, `list((body-of-text "x"))`)
-	ranked := sel.Rank(q, []gloss.SourceInfo{{ID: "bad"}, {ID: "ok"}})
-	if ranked[0].ID != "ok" {
-		t.Errorf("broken source not demoted: %v", ranked)
-	}
-	for _, r := range ranked {
-		if r.ID == "bad" && r.Goodness != 0 {
-			t.Errorf("zero BrokenPenalty should zero goodness, got %g", r.Goodness)
-		}
-	}
-	// A partial penalty discounts without zeroing.
-	sel.BrokenPenalty = 0.5
-	ranked = sel.Rank(q, []gloss.SourceInfo{{ID: "bad"}, {ID: "ok"}})
-	for _, r := range ranked {
-		if r.ID == "bad" && r.Goodness != 50 {
-			t.Errorf("BrokenPenalty 0.5 gave goodness %g, want 50", r.Goodness)
-		}
 	}
 }
 

@@ -400,7 +400,6 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	m.opts.Metrics.Histogram(mem.querySeconds).Observe(oc.Elapsed)
 	if err != nil {
 		oc.Err = fmt.Errorf("core: querying %s: %w", id, err)
-		m.stats.record(id, oc.Elapsed, true, 0)
 		m.opts.Metrics.Counter(mem.errsTotal).Inc()
 		return oc
 	}
@@ -413,7 +412,6 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	}
 	oc.Results = res
 	sp.Annotate("docs", strconv.Itoa(len(res.Documents)))
-	m.stats.record(id, oc.Elapsed, false, len(res.Documents))
 	if opts.PostFilter && src.report != nil && len(src.report.DroppedTerms) > 0 {
 		res.Documents, src.unverified = translate.PostFilter(res.Documents, src.report.DroppedTerms)
 	}

@@ -129,7 +129,9 @@ type Config struct {
 	// drains fast. It must be safe for concurrent use.
 	Refuse func(source string) bool
 	// Metrics receives the starts_dispatch_* counters, gauges and
-	// histograms; nil allocates a private registry.
+	// histograms; nil allocates a private registry. Snapshot reads its
+	// lifetime counts back from these counters, so dispatchers sharing a
+	// registry must serve distinct sources.
 	Metrics *obs.Registry
 	// Now overrides the clock for wait/run timing, so tests with frozen
 	// clocks stay deterministic.

@@ -42,8 +42,8 @@ type queue struct {
 
 	runs [runRingSize]time.Duration // recent run durations, feeding the deadline check
 	runN int                        // runs ever recorded
-	st   QueueStat                  // Source and lifetime counters; stat fills in the live fields
 
+	// The lifetime counters live only in the registry; stat reads them.
 	cSubmitted, cBatched, cQueueFull, cRefused, cCancelled, cDoomed, cWireCalls *obs.Counter
 	gDepth, gInflight                                                           *obs.Gauge
 	hWait, hRun                                                                 *obs.Histogram
@@ -57,7 +57,6 @@ func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 		source:     source,
 		lim:        lim,
 		pending:    map[string]*batch{},
-		st:         QueueStat{Source: source},
 		cSubmitted: reg.Counter(l(obs.MDispatchSubmitted)),
 		cBatched:   reg.Counter(l(obs.MDispatchBatched)),
 		cQueueFull: reg.Counter(l(obs.MDispatchQueueFull)),
@@ -70,14 +69,6 @@ func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 		hWait:      reg.Histogram(l(obs.MDispatchWaitSeconds)),
 		hRun:       reg.Histogram(l(obs.MDispatchRunSeconds)),
 	}
-}
-
-// bump adds n to one lifetime counter in both places it is read from:
-// the QueueStat field Snapshot reports and the registry counter /metrics
-// exposes. The caller holds the queue's mu.
-func bump(field *int64, c *obs.Counter, n int) {
-	*field += int64(n)
-	c.Add(int64(n))
 }
 
 // batch is one (possibly shared) unit of queued work: a task and its
@@ -112,8 +103,8 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 	// The empty key is never stored, so it never finds a batch to join.
 	if b := q.pending[key]; b != nil {
 		b.waiters++
-		bump(&q.st.Submitted, q.cSubmitted, 1)
-		bump(&q.st.Batched, q.cBatched, 1)
+		q.cSubmitted.Inc()
+		q.cBatched.Inc()
 		return &Ticket{q: q, b: b}, nil
 	}
 	// Deadline-aware admission, leaders only (a joiner rides a call that
@@ -128,13 +119,13 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 	// out by its slow history.
 	if deadline, ok := ctx.Deadline(); ok && q.running > 0 {
 		if med, remaining := q.typicalRun(), time.Until(deadline); med > 0 && remaining < med {
-			bump(&q.st.Doomed, q.cDoomed, 1)
+			q.cDoomed.Inc()
 			return nil, fmt.Errorf("%w: %s (typical run %v, budget %v)", ErrDeadline, q.source, med, remaining)
 		}
 	}
 	start := q.running < q.lim.Concurrency
 	if !start && len(q.waiting) >= q.lim.QueueDepth {
-		bump(&q.st.QueueFull, q.cQueueFull, 1)
+		q.cQueueFull.Inc()
 		return nil, fmt.Errorf("%w: %s (depth %d)", ErrQueueFull, q.source, q.lim.QueueDepth)
 	}
 	// The batch context keeps the leader's values (trace, metrics) but
@@ -145,7 +136,7 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 	if key != "" {
 		q.pending[key] = b
 	}
-	bump(&q.st.Submitted, q.cSubmitted, 1)
+	q.cSubmitted.Inc()
 	if start {
 		q.running++
 		q.gInflight.Set(int64(q.running))
@@ -179,7 +170,7 @@ func (q *queue) abandon(b *batch) {
 			q.gDepth.Set(int64(len(q.waiting)))
 			waited = now.Sub(b.enqueued)
 			b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Canceled)
-			bump(&q.st.Cancelled, q.cCancelled, 1)
+			q.cCancelled.Inc()
 		}
 	}
 	q.mu.Unlock()
@@ -204,14 +195,21 @@ func (q *queue) typicalRun() time.Duration {
 	return buf[n/2]
 }
 
+// stat reads the live fields and the lifetime counters under q.mu, where
+// every counter is bumped, so one QueueStat never splits an update.
 func (q *queue) stat() QueueStat {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := q.st
-	st.Workers, st.QueueCap = q.lim.Concurrency, q.lim.QueueDepth
-	st.Depth, st.Inflight = int64(len(q.waiting)), int64(q.running)
-	st.TypicalRun = q.typicalRun()
-	return st
+	return QueueStat{
+		Source:  q.source,
+		Workers: q.lim.Concurrency, QueueCap: q.lim.QueueDepth,
+		Depth: int64(len(q.waiting)), Inflight: int64(q.running),
+		Submitted: q.cSubmitted.Value(), Batched: q.cBatched.Value(),
+		QueueFull: q.cQueueFull.Value(), Refused: q.cRefused.Value(),
+		Cancelled: q.cCancelled.Value(), Doomed: q.cDoomed.Value(),
+		WireCalls:  q.cWireCalls.Value(),
+		TypicalRun: q.typicalRun(),
+	}
 }
 
 // work is a worker's life: run the batch it was started with, then
@@ -237,7 +235,7 @@ func (q *queue) work(b *batch) {
 func (q *queue) run(b *batch) (next *batch) {
 	now := q.d.cfg.Now
 	q.hWait.Observe(now().Sub(b.enqueued))
-	var cancelled, refused, ran int
+	var cancelled, refused, ran int64
 	switch {
 	case b.ctx.Err() != nil:
 		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(b.ctx))
@@ -258,9 +256,9 @@ func (q *queue) run(b *batch) (next *batch) {
 		delete(q.pending, b.key)
 	}
 	b.fanout = b.waiters
-	bump(&q.st.Cancelled, q.cCancelled, cancelled)
-	bump(&q.st.Refused, q.cRefused, refused)
-	bump(&q.st.WireCalls, q.cWireCalls, ran)
+	q.cCancelled.Add(cancelled)
+	q.cRefused.Add(refused)
+	q.cWireCalls.Add(ran)
 	if ran > 0 {
 		q.runs[q.runN%runRingSize] = b.ran
 		q.runN++

@@ -226,17 +226,10 @@ func (b *Breaker) State(id string) State {
 	return c.state
 }
 
-// Broken reports whether the source's circuit currently refuses regular
-// traffic — the read-only signal the adaptive selector penalizes.
-func (b *Breaker) Broken(id string) bool {
-	s := b.State(id)
-	return s == StateOpen || s == StateHalfOpen
-}
-
 // Open reports whether the source's circuit is in the open state right
 // now — the read-only fast-drain signal for the dispatch layer's Refuse
-// hook. Unlike Broken it admits half-open (the probe in flight must be
-// allowed to run), and unlike Allow it never transitions the circuit, so
+// hook. It admits half-open (the probe in flight must be allowed to
+// run), and unlike Allow it never transitions the circuit, so
 // checking it cannot consume a probe slot.
 func (b *Breaker) Open(id string) bool {
 	return b.State(id) == StateOpen

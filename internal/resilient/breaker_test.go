@@ -38,9 +38,6 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	if b.Allow("S") {
 		t.Error("open circuit admitted traffic before cooldown")
 	}
-	if !b.Broken("S") {
-		t.Error("Broken should report an open circuit")
-	}
 }
 
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {

@@ -200,7 +200,7 @@ func TestFlappingSoak(t *testing.T) {
 			t.Errorf("outage search %d does not name the flapping sources: %s", i, ans.Degraded)
 		}
 	}
-	if !br.Broken("S0") || !br.Broken("S1") {
+	if br.State("S0") == resilient.StateClosed || br.State("S1") == resilient.StateClosed {
 		t.Fatalf("circuits not open after outage: S0=%v S1=%v", br.State("S0"), br.State("S1"))
 	}
 	if br.State("S2") != resilient.StateClosed {
@@ -214,7 +214,7 @@ func TestFlappingSoak(t *testing.T) {
 	}
 	time.Sleep(40 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for (br.Broken("S0") || br.Broken("S1")) && time.Now().Before(deadline) {
+	for (br.State("S0") != resilient.StateClosed || br.State("S1") != resilient.StateClosed) && time.Now().Before(deadline) {
 		if _, err := ms.Search(ctx, q); err != nil {
 			t.Fatalf("recovery search errored: %v", err)
 		}

@@ -169,11 +169,6 @@ type (
 	MetasearcherOptions = core.Options
 	// Answer is a merged metasearch result.
 	Answer = core.Answer
-	// SourceStats is a source's observed past performance.
-	SourceStats = core.SourceStats
-	// AdaptiveSelector discounts estimated goodness by past performance
-	// (latency, failures), SavvySearch-style.
-	AdaptiveSelector = core.AdaptiveSelector
 	// Broker exposes a metasearcher as a source connection, enabling
 	// broker hierarchies (cascading metasearch).
 	Broker = core.Broker
@@ -201,22 +196,15 @@ type (
 // selection and TermStats merging.
 func NewMetasearcher(opts MetasearcherOptions) *Metasearcher { return core.New(opts) }
 
-// Per-query search options. These override one Search call's
-// configuration without touching the metasearcher's shared Options, so
-// concurrent callers can each pick their own budget, merger or source
-// cap:
+// SearchOption overrides one Search call's configuration without
+// touching the metasearcher's shared Options, so concurrent callers can
+// each pick their own budget, merger or source cap:
 //
 //	ans, _ := ms.Search(ctx, q,
 //		starts.WithBudget(2*time.Second),
 //		starts.WithMerger(starts.MergeScaled),
 //		starts.WithMaxSources(3))
-type (
-	// SearchOption overrides one search's configuration.
-	SearchOption = core.SearchOption
-	// SourceStatEntry is one source's row in a Metasearcher stats
-	// snapshot.
-	SourceStatEntry = core.SourceStatEntry
-)
+type SearchOption = core.SearchOption
 
 // WithSelector ranks sources with s for this search only.
 func WithSelector(s Selector) SearchOption { return core.WithSelector(s) }
