@@ -24,7 +24,7 @@ func main() {
 	})
 	scorers := []engine.Scorer{engine.TFIDF{}, engine.TopK{}, engine.RawTF{}}
 
-	ms := starts.NewMetasearcher(starts.MetasearcherOptions{})
+	var conns []starts.Conn
 	for i, spec := range universe.Sources {
 		cfg := engine.NewVectorConfig()
 		cfg.Scorer = scorers[i]
@@ -41,7 +41,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		ms.Add(starts.NewLocalConn(src, nil))
+		conns = append(conns, starts.NewLocalConn(src, nil))
 		fmt.Printf("source %-20s ranking algorithm %-7s\n", spec.ID, cfg.Scorer.ID())
 	}
 	fmt.Println()
@@ -58,7 +58,14 @@ func main() {
 	for _, strategy := range []starts.MergeStrategy{
 		starts.MergeRawScore, starts.MergeScaled, starts.MergeRoundRobin, starts.MergeTermStats,
 	} {
-		answer, err := ms.Search(ctx, q, starts.WithMerger(strategy))
+		// A merger is fixed when a metasearcher is built, so each
+		// strategy gets its own over the same three sources.
+		ms := starts.NewMetasearcher(starts.MetasearcherOptions{Merger: strategy})
+		for _, c := range conns {
+			ms.Add(c)
+		}
+		answer, err := ms.Search(ctx, q)
+		ms.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -221,7 +221,7 @@ func TestInteractiveShell(t *testing.T) {
 		"src-00-databases",
 		"documents 30",
 		"contacted",
-		`starts_source_queries_total{source="src-00-databases"} 1`,
+		`starts_source_query_seconds_count{source="src-00-databases"} 1`,
 		"@SMetaAttributes{",
 		`unknown command "bogus"`,
 	} {

@@ -141,7 +141,7 @@ func TestChainOrderWithCache(t *testing.T) {
 			got := counts{
 				attempts:     src.attempts.Load(),
 				cacheEntries: cacheEntries.Load(),
-				observed:     reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query")).Value(),
+				observed:     queryCalls(reg),
 			}
 			if got != tc.want {
 				t.Errorf("counts = %+v, want %+v", got, tc.want)
@@ -247,7 +247,7 @@ func queueStat(ms *core.Metasearcher) dispatch.QueueStat {
 }
 
 func queryCalls(reg *obs.Registry) int64 {
-	return reg.Counter(obs.L("starts_conn_calls_total", "source", "S", "op", "query")).Value()
+	return reg.Histogram(obs.L("starts_conn_seconds", "source", "S", "op", "query")).Count()
 }
 
 // TestDeployedChainOrder pins the order that is deployed: core's

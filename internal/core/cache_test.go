@@ -10,7 +10,9 @@ import (
 
 	"starts/internal/client"
 	"starts/internal/engine"
+	"starts/internal/gloss"
 	"starts/internal/index"
+	"starts/internal/merge"
 	"starts/internal/obs"
 	"starts/internal/qcache"
 	"starts/internal/query"
@@ -260,26 +262,35 @@ func TestSearchShedsUnderOverload(t *testing.T) {
 	}
 }
 
-// TestCacheKeySeparatesConfigurations: the same query under a different
-// source-cap or verification mode must not share a cache entry.
+// TestCacheKeySeparatesConfigurations: metasearchers sharing one cache
+// over the same sources must not share an entry for the same query when
+// their source cap, verification mode, selector or merger differ.
 func TestCacheKeySeparatesConfigurations(t *testing.T) {
-	ms, conn, _ := cachedFleet(t, qcache.Config{})
+	ms, conn, cache := cachedFleet(t, qcache.Config{})
 	ctx := context.Background()
-	mk := func() *query.Query { return rankingQuery(t, `list((body-of-text "databases"))`) }
-
-	if _, err := ms.Search(ctx, mk()); err != nil {
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+	if _, err := ms.Search(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.Search(ctx, mk(), WithPostFilter(true)); err != nil {
-		t.Fatal(err)
-	}
-	if got := conn.queries.Load(); got != 2 {
-		t.Errorf("verification mode shared the unverified cache entry (queries=%d)", got)
-	}
-	if _, err := ms.Search(ctx, mk(), WithMaxSources(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := conn.queries.Load(); got != 3 {
-		t.Errorf("source cap shared the uncapped cache entry (queries=%d)", got)
+	for name, opts := range map[string]Options{
+		"verification mode": {PostFilter: true},
+		"source cap":        {MaxSources: 1},
+		"selector":          {Selector: gloss.VMax{}},
+		"merger":            {Merger: merge.RoundRobin{}},
+	} {
+		opts.Timeout, opts.Cache = 5*time.Second, cache
+		other := New(opts)
+		other.Add(conn)
+		if other.CacheKey(q) == ms.CacheKey(q) {
+			t.Errorf("%s: the cache key did not change", name)
+		}
+		before := conn.queries.Load()
+		if _, err := other.Search(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if got := conn.queries.Load(); got != before+1 {
+			t.Errorf("%s: shared the baseline's cache entry (queries %d -> %d)", name, before, got)
+		}
+		other.Close()
 	}
 }

@@ -148,11 +148,15 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 
 	tp := &trap{stage: stage}
 	gate := &trapGate{tp: tp, admit: len(srcs)}
-	opts := Options{Timeout: 5 * time.Second, Breaker: gate, SourceConcurrency: 1}
+	opts := Options{
+		Selector: trapSelector{tp: tp}, Merger: trapMerger{tp: tp},
+		Timeout: 5 * time.Second, Breaker: gate, SourceConcurrency: 1,
+	}
 	if cached {
-		// Every answer expires at once, so the next identical search must
-		// go through the flight: it leads, or it joins a wedged one.
-		opts.Cache = qcache.New(qcache.Config{TTL: time.Nanosecond, StaleFor: -1})
+		// Every answer expires at once, a degraded one too (it lives for
+		// the floor), so the next identical search must go through the
+		// flight: it leads, or it joins a wedged one.
+		opts.Cache = qcache.New(qcache.Config{TTL: time.Nanosecond, TTLFloor: time.Nanosecond, StaleFor: -1})
 	}
 	ms := New(opts)
 	for _, id := range srcs {
@@ -166,11 +170,10 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	}
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	search := func(ctx context.Context, tr *obs.Trace) (*Answer, error) {
-		sopts := []SearchOption{WithSelector(trapSelector{tp: tp}), WithMerger(trapMerger{tp: tp}), WithTrace(tr)}
 		if !stream {
-			return ms.Search(ctx, q, sopts...)
+			return ms.Search(ctx, q, WithTrace(tr))
 		}
-		return ms.SearchStream(ctx, q, func(StreamEvent) error { return nil }, sopts...)
+		return ms.SearchStream(ctx, q, func(StreamEvent) error { return nil }, WithTrace(tr))
 	}
 
 	// The queued case holds source a's only worker, so its sub-query waits

@@ -22,14 +22,21 @@ import (
 // cache-churn workload — and a pool of distinct queries, 30 % filtered.
 func coldFleet(tb testing.TB) (*Metasearcher, []*query.Query) {
 	tb.Helper()
-	g := corpus.Generate(corpus.Config{Seed: 7, NumSources: 8, DocsPerSource: 300, VocabWords: 400})
+	conns, pool := coldSources(tb)
 	reg := obs.NewRegistry()
-	ms := New(Options{
+	return coldBroker(tb, conns, Options{
 		MaxSources: 3, Timeout: 15 * time.Second, Metrics: reg,
 		Cache: qcache.New(qcache.Config{MaxEntries: 1024, TTL: time.Hour, Metrics: reg}),
-	})
-	tb.Cleanup(ms.Close)
+	}), pool
+}
+
+// coldSources is coldFleet's eight sources, one conn each, and its query
+// pool.
+func coldSources(tb testing.TB) ([]client.Conn, []*query.Query) {
+	tb.Helper()
+	g := corpus.Generate(corpus.Config{Seed: 7, NumSources: 8, DocsPerSource: 300, VocabWords: 400})
 	scorers := []engine.Scorer{engine.TFIDF{}, engine.TopK{}, engine.RawTF{}}
+	var conns []client.Conn
 	for i, spec := range g.Sources {
 		cfg := engine.NewVectorConfig()
 		cfg.Scorer = scorers[i%3]
@@ -47,10 +54,7 @@ func coldFleet(tb testing.TB) (*Metasearcher, []*query.Query) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ms.Add(obs.WrapConn(client.NewLocalConn(src, nil), reg))
-	}
-	if err := ms.Harvest(context.Background()); err != nil {
-		tb.Fatal(err)
+		conns = append(conns, client.NewLocalConn(src, nil))
 	}
 	seen := map[string]bool{}
 	var pool []*query.Query
@@ -60,7 +64,22 @@ func coldFleet(tb testing.TB) (*Metasearcher, []*query.Query) {
 			pool = append(pool, wq.Query)
 		}
 	}
-	return ms, pool
+	return conns, pool
+}
+
+// coldBroker is a harvested metasearcher under opts over conns, each
+// behind the observe middleware.
+func coldBroker(tb testing.TB, conns []client.Conn, opts Options) *Metasearcher {
+	tb.Helper()
+	ms := New(opts)
+	tb.Cleanup(ms.Close)
+	for _, c := range conns {
+		ms.Add(obs.WrapConn(c, ms.Metrics()))
+	}
+	if err := ms.Harvest(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return ms
 }
 
 // coldSearch answers pool[i]; every call of a run takes a new i, so every

@@ -62,7 +62,14 @@ func answerPrint(ans *Answer) string {
 // are one answer. Queries 13 and 22 of the pool send a filter to the
 // ranking-only source, so verification mode has terms to report.
 func TestCachedAnswerEqualsUncached(t *testing.T) {
-	ms, pool := coldFleet(t)
+	conns, pool := coldSources(t)
+	opts := func(postFilter bool, merger merge.Strategy, cache *qcache.Cache) Options {
+		return Options{MaxSources: 3, Timeout: 15 * time.Second, PostFilter: postFilter, Merger: merger, Cache: cache}
+	}
+	brokers := map[bool]*Metasearcher{}
+	for _, postFilter := range []bool{false, true} {
+		brokers[postFilter] = coldBroker(t, conns, opts(postFilter, nil, qcache.New(qcache.Config{TTL: time.Hour})))
+	}
 	ctx := context.Background()
 	filtered, verified := 0, 0
 	for _, i := range []int{0, 1, 2, 3, 4, 5, 13, 22} {
@@ -71,6 +78,7 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 			filtered++
 		}
 		for _, postFilter := range []bool{false, true} {
+			ms := brokers[postFilter]
 			t.Run(fmt.Sprintf("q%d/postfilter=%v", i, postFilter), func(t *testing.T) {
 				served := func(tr *obs.Trace) string {
 					if sp := tr.Snapshot().Find("cache"); sp != nil {
@@ -79,10 +87,10 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 					}
 					return ""
 				}
-				search := func(want string, sopts ...SearchOption) *Answer {
+				search := func(ms *Metasearcher, want string, sopts ...SearchOption) *Answer {
 					t.Helper()
 					var tr obs.Trace
-					ans, err := ms.Search(ctx, q, append(sopts, WithPostFilter(postFilter), WithTrace(&tr))...)
+					ans, err := ms.Search(ctx, q, append(sopts, WithTrace(&tr))...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,11 +99,11 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 					}
 					return ans
 				}
-				want := answerPrint(search("", WithNoCache()))
-				if got := answerPrint(search(qcache.Filled.String())); got != want {
+				want := answerPrint(search(ms, "", WithNoCache()))
+				if got := answerPrint(search(ms, qcache.Filled.String())); got != want {
 					t.Errorf("filled answer differs from uncached:\n%s\nvs\n%s", got, want)
 				}
-				hit := search(qcache.Hit.String())
+				hit := search(ms, qcache.Hit.String())
 				if got := answerPrint(hit); got != want {
 					t.Errorf("cache hit differs from uncached:\n%s\nvs\n%s", got, want)
 				}
@@ -106,10 +114,10 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 				// A follower joins a leader whose fill is held in its merge.
 				reg := obs.NewRegistry()
 				held := heldMerger{entered: make(chan struct{}), hold: make(chan struct{})}
-				fresh := []SearchOption{WithCache(qcache.New(qcache.Config{TTL: time.Hour, Metrics: reg})), WithMerger(held)}
+				fresh := coldBroker(t, conns, opts(postFilter, held, qcache.New(qcache.Config{TTL: time.Hour, Metrics: reg})))
 				lead := make(chan *Answer, 1)
 				go func() {
-					ans, _ := ms.Search(ctx, q, append(fresh, WithPostFilter(postFilter))...)
+					ans, _ := fresh.Search(ctx, q)
 					lead <- ans
 				}()
 				<-held.entered
@@ -119,7 +127,7 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 					}
 					close(held.hold)
 				}()
-				follower := search(qcache.Coalesced.String(), fresh...)
+				follower := search(fresh, qcache.Coalesced.String())
 				if got := answerPrint(follower); got != want {
 					t.Errorf("coalesced answer differs from uncached:\n%s\nvs\n%s", got, want)
 				}

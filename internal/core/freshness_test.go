@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"starts/internal/obs"
 	"starts/internal/qcache"
 	"starts/internal/query"
+	"starts/internal/result"
 	"starts/internal/source"
 )
 
@@ -239,5 +242,61 @@ func TestWarmStartServesFirstRepeatAsHit(t *testing.T) {
 	}
 	if stats.Replayed != 0 || stats.Skipped != 2 {
 		t.Fatalf("second warm stats = %+v, want everything skipped", stats)
+	}
+}
+
+// failOnceConn fails its first query and answers every later one.
+type failOnceConn struct {
+	client.Conn
+	failed atomic.Bool
+}
+
+func (c *failOnceConn) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
+	if c.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("transient failure")
+	}
+	return c.Conn.Query(ctx, q)
+}
+
+// TestDegradedAnswerCachesForTheFloor: an answer missing a failed source
+// is cached for the cache's TTLFloor, not for the hour its sources'
+// freshness metadata would give a complete one, so the next caller past
+// the floor reaches the recovered source instead of the partial answer.
+func TestDegradedAnswerCachesForTheFloor(t *testing.T) {
+	clk := newTestClock()
+	ms := New(Options{
+		Timeout: 5 * time.Second, Now: clk.now,
+		Cache: qcache.New(qcache.Config{TTLFloor: time.Second, StaleFor: -1, Now: clk.now}),
+	})
+	defer ms.Close()
+	var conns []client.Conn
+	for _, id := range []string{"a", "b"} {
+		s := oneDocSource(t, id)
+		s.Expires = clk.now().Add(time.Hour)
+		conns = append(conns, client.NewLocalConn(s, nil))
+	}
+	ms.Add(conns[0])
+	ms.Add(&failOnceConn{Conn: conns[1]})
+	ctx := context.Background()
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+
+	first, err := ms.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Degraded.Failed; len(got) != 1 || got[0] != "b" {
+		t.Fatalf("first search failed %v, want [b]", got)
+	}
+	clk.advance(2 * time.Second)
+	var tr obs.Trace
+	second, err := ms.Search(ctx, q, WithTrace(&tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := tr.Snapshot().Find("cache").Attr("outcome"); out != qcache.Filled.String() {
+		t.Errorf("the search past the floor was served %q, want a new fill", out)
+	}
+	if len(second.Degraded.Failed) != 0 {
+		t.Errorf("the search past the floor failed %v, want the recovered source answering", second.Degraded.Failed)
 	}
 }

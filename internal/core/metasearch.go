@@ -33,9 +33,9 @@ import (
 	"starts/internal/translate"
 )
 
-// Options configure a metasearcher. They are fixed at New; a search that
-// needs another budget, merger or source cap overrides it for itself with
-// SearchOptions.
+// Options configure a metasearcher. They are fixed at New: a search is a
+// function of its query, the roster and these options, and a caller that
+// needs another budget, merger or source cap builds another metasearcher.
 type Options struct {
 	// Selector ranks sources per query; default vGlOSS Sum(0).
 	Selector gloss.Selector
@@ -101,7 +101,7 @@ type Metasearcher struct {
 	members []*member      // registration order
 	slot    map[string]int // id -> index in members and entries
 	entries []*entry       // each member's last harvest; nil before the first
-	scope   string         // cache scope of a search under the baseline options
+	scope   string         // cache scope of every search: the options and the source ids
 
 	workload   *qcache.Recorder
 	dispatcher *dispatch.Dispatcher
@@ -128,9 +128,9 @@ type member struct {
 	id   string
 	conn client.Conn
 
-	translateSpan, querySpan              string
-	dispatchScope                         string // of the source's batch keys
-	queriesTotal, querySeconds, errsTotal string // metric names
+	translateSpan, querySpan string
+	dispatchScope            string // of the source's batch keys
+	querySeconds, errsTotal  string // metric names
 }
 
 func newMember(c client.Conn) *member {
@@ -138,7 +138,6 @@ func newMember(c client.Conn) *member {
 	return &member{
 		id: id, conn: c,
 		translateSpan: "translate " + id, querySpan: "query " + id, dispatchScope: "dispatch/" + id,
-		queriesTotal: obs.L("starts_source_queries_total", "source", id),
 		querySeconds: obs.L("starts_source_query_seconds", "source", id),
 		errsTotal:    obs.L("starts_source_query_errors_total", "source", id),
 	}
@@ -353,8 +352,9 @@ type Answer struct {
 // ended first (its error; Options.Budget's deadline still yields a partial
 // answer).
 //
-// Per-query SearchOptions override the constructor baseline for this call
-// only; the shared Options are never mutated. Every search records a
+// The answer depends only on q, the registered sources' harvests and the
+// Options fixed at New; SearchOptions pick only where the trace goes and
+// how the call meets the query cache. Every search records a
 // Trace (five timed stages: harvest, select, translate, per-source
 // fan-out, merge — plus a "cache" stage when a query cache is configured)
 // into Answer.Trace — or into a caller-owned trace via WithTrace — and
@@ -379,17 +379,16 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := searchConfig{Options: m.opts}
+	cfg := searchConfig{cache: m.opts.Cache}
 	for _, o := range sopts {
 		if o != nil {
 			o(&cfg)
 		}
 	}
-	opts := cfg.Options
 
 	var em *emitter
 	if sink != nil {
-		em = &emitter{sink: sink, start: opts.Now(), now: opts.Now, metrics: m.opts.Metrics}
+		em = &emitter{sink: sink, start: m.opts.Now(), now: m.opts.Now, metrics: m.opts.Metrics}
 		m.opts.Metrics.Counter(obs.MStreamSearches).Inc()
 	}
 
@@ -403,20 +402,19 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	tr.Begin(describeQuery(filter, ranking))
 	defer tr.Finish()
 	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.opts.Metrics), tr)
-	m.opts.Metrics.Counter("starts_searches_total").Inc()
 	// The injected clock times the search too, so frozen-clock freshness
 	// tests observe deterministic (zero) latencies instead of real ones.
-	searchStart := opts.Now()
+	searchStart := m.opts.Now()
 	defer func() {
-		m.opts.Metrics.Histogram("starts_search_seconds").Observe(opts.Now().Sub(searchStart))
+		m.opts.Metrics.Histogram("starts_search_seconds").Observe(m.opts.Now().Sub(searchStart))
 	}()
 
 	var ans *Answer
 	var err error
-	if opts.Cache != nil && !cfg.noCache {
-		ans, err = m.searchCached(ctx, tr, q, filter, ranking, opts, em)
+	if cfg.cache != nil && !cfg.noCache {
+		ans, err = m.searchCached(ctx, tr, q, filter, ranking, cfg.cache, em)
 	} else {
-		ans, _, err = m.fill(ctx, q, opts, em)
+		ans, _, err = m.fill(ctx, q, em)
 	}
 	if err == nil {
 		// A caller that gave up gets its context's error, not an answer
@@ -436,12 +434,12 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 // uncached search and the query cache's fill. With a non-nil emitter the
 // fan-out's completions also stream through an incremental merger; the
 // answer itself comes from the same batch merge either way.
-func (m *Metasearcher) fill(ctx context.Context, q *query.Query, opts Options, em *emitter) (*Answer, time.Duration, error) {
+func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*Answer, time.Duration, error) {
 	// The budget bounds the whole call — harvesting included — while
 	// Timeout bounds each individual source.
-	if opts.Budget > 0 {
+	if m.opts.Budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
+		ctx, cancel = context.WithTimeout(ctx, m.opts.Budget)
 		defer cancel()
 	}
 	tr := obs.TraceFrom(ctx)
@@ -449,14 +447,14 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, opts Options, e
 	if err != nil {
 		return nil, 0, err
 	}
-	p, err := choose(tr, q, fleet, opts)
+	p, err := m.choose(tr, q, fleet)
 	if err != nil {
 		return nil, 0, err
 	}
 	p.translate(tr)
 	var onDone func(int, *SourceOutcome)
 	if em != nil {
-		onDone = em.begin(p)
+		onDone = em.begin(p, m.opts.Merger)
 	}
 	return m.merge(tr, p, m.fanOut(ctx, p, onDone))
 }
@@ -471,9 +469,9 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, opts Options, e
 // whose expressions do not round-trip through the parser (some
 // multi-value ranking terms) are still recorded; Warm skips them with an
 // error count instead of failing the replay.
-func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, opts Options, em *emitter) (*Answer, error) {
+func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, cache *qcache.Cache, em *emitter) (*Answer, error) {
 	csp := tr.StartSpan("cache")
-	key := m.cacheKey(q, opts)
+	key := m.CacheKey(q)
 	csp.Annotate("key", key)
 	m.workload.Record(qcache.WarmEntry{Key: key, Filter: filter, Ranking: ranking, MaxResults: q.MaxResults})
 	// The leader's fill runs on this call and streams to its sink. A stale
@@ -482,14 +480,14 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 	// since this call's is finished, and streams nowhere. The closure is
 	// allocated on every serve, hits included, so it captures no more than
 	// the fill needs; the refresh prints the query again.
-	v, outcome, err := opts.Cache.DoTTL(ctx, key, func(fctx context.Context, refresh bool) (any, time.Duration, error) {
+	v, outcome, err := cache.DoTTL(ctx, key, func(fctx context.Context, refresh bool) (any, time.Duration, error) {
 		fem := em
 		if refresh {
 			ftr := obs.NewTrace("refresh " + describeQuery(printed(q)))
 			defer ftr.Finish()
 			fctx, fem = obs.WithTrace(obs.WithMetrics(fctx, m.opts.Metrics), ftr), nil
 		}
-		ans, ttl, err := m.fill(fctx, q, opts, fem)
+		ans, ttl, err := m.fill(fctx, q, fem)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -521,10 +519,17 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 // restart and replaying with Warm.
 func (m *Metasearcher) Workload() []qcache.WarmEntry { return m.workload.Entries() }
 
-// CacheKey fingerprints q under the metasearcher's baseline options —
-// the key Search would use for it. Exposed for warm-start bookkeeping
-// and debugging.
-func (m *Metasearcher) CacheKey(q *query.Query) string { return m.cacheKey(q, m.opts) }
+// CacheKey fingerprints q together with everything outside it that
+// shapes the answer: the scope Add built from the Options and the
+// registered source ids, so re-registering sources implicitly invalidates
+// every merged-answer entry. It is the key Search uses, exposed for
+// warm-start bookkeeping and debugging.
+func (m *Metasearcher) CacheKey(q *query.Query) string {
+	m.mu.RLock()
+	scope := m.scope
+	m.mu.RUnlock()
+	return qcache.Keyer{Scope: scope}.Key(q)
+}
 
 // Warm replays a recorded workload through the regular cache-fronted
 // Search path — every replay passes the cache's singleflight and
@@ -576,23 +581,6 @@ func warmQuery(e qcache.WarmEntry) (*query.Query, error) {
 		q.Ranking = r
 	}
 	return q, nil
-}
-
-// cacheKey fingerprints a query together with everything outside it that
-// shapes the answer: the selection and merge strategies, the source cap,
-// verification mode, and the registered source set. Re-registering
-// sources therefore implicitly invalidates all merged-answer entries.
-// Under the baseline options the scope is the one Add built.
-func (m *Metasearcher) cacheKey(q *query.Query, opts Options) string {
-	m.mu.RLock()
-	scope, members := m.scope, m.members
-	m.mu.RUnlock()
-	base := m.opts
-	if opts.MaxSources != base.MaxSources || opts.PostFilter != base.PostFilter ||
-		opts.Selector.Name() != base.Selector.Name() || opts.Merger.Name() != base.Merger.Name() {
-		scope = searchScope(opts, members)
-	}
-	return qcache.Keyer{Scope: scope}.Key(q)
 }
 
 // searchScope names a cache key space: the four options and the source

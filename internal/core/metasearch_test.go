@@ -174,9 +174,9 @@ func (c *countingConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 // TestSearchSelectsTopicalSources: a database query must not contact the
 // gardening source when a cap is in place.
 func TestSearchSelectsTopicalSources(t *testing.T) {
-	ms, _ := fleet(t)
+	ms, _ := fleetWith(t, Options{MaxSources: 2, Timeout: 5 * time.Second})
 	q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "distributed"))`)
-	ans, err := ms.Search(context.Background(), q, WithMaxSources(2))
+	ans, err := ms.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestSearchSelectsTopicalSources(t *testing.T) {
 }
 
 func TestSearchMergesAcrossIncompatibleScorers(t *testing.T) {
-	ms, _ := fleet(t)
+	ms, _ := fleetWith(t, Options{Merger: merge.Scaled{}, Timeout: 5 * time.Second})
 	// Query matching both cs (TFIDF, scores <1) and garden (TopK, top
 	// score 1000): with the scaled merger neither source dominates merely
 	// by scale.
 	q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "tomato"))`)
-	ans, err := ms.Search(context.Background(), q, WithMerger(merge.Scaled{}))
+	ans, err := ms.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +326,15 @@ func TestAllSourcesFailing(t *testing.T) {
 }
 
 func TestPostFilterVerificationMode(t *testing.T) {
-	ms, _ := fleet(t)
+	ms, _ := fleetWith(t, Options{
+		PostFilter: true, Selector: gloss.Random{Seed: 42}, // contact everything
+		Timeout: 5 * time.Second,
+	})
 	// The archive is Boolean-only and does not support the author field
 	// wait — author IS supported there. Use a field it lacks: languages.
 	q := query.New()
 	q.Filter, _ = query.ParseFilter(`((author "Gravano") and (body-of-text "metasearch"))`)
-	ans, err := ms.Search(context.Background(), q,
-		WithPostFilter(true), WithSelector(gloss.Random{Seed: 42})) // contact everything
+	ans, err := ms.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,26 +56,26 @@ func TestCacheScopeSeparatesFleets(t *testing.T) {
 	}
 }
 
-// TestCacheKeyUnderSearchOptions: the scope Add built serves the baseline
-// options only; a search overriding a scope option keys under its own.
+// TestCacheKeyUnderSearchOptions: a search keys under the scope Add built
+// from the metasearcher's Options, so a metasearcher built with another
+// scope option keys the same query elsewhere.
 func TestCacheKeyUnderSearchOptions(t *testing.T) {
-	ms := New(Options{MaxSources: 3})
-	defer ms.Close()
-	ms.Add(client.NewLocalConn(oneDocSource(t, "a"), nil))
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
-	base := ms.CacheKey(q)
+	key := func(opts Options) string {
+		ms := New(opts)
+		defer ms.Close()
+		ms.Add(client.NewLocalConn(oneDocSource(t, "a"), nil))
+		return ms.CacheKey(q)
+	}
+	base := key(Options{MaxSources: 3})
 	want := qcache.Keyer{Scope: "search/vGlOSS-Sum(0)/term-stats/3/false/a"}.Key(q)
 	if base != want {
 		t.Errorf("baseline key %s, want %s", base, want)
 	}
-	capped := ms.opts
-	capped.MaxSources = 1
-	if ms.cacheKey(q, capped) == base {
+	if key(Options{MaxSources: 1}) == base {
 		t.Error("a source cap of 1 keyed like the baseline's 3")
 	}
-	same := ms.opts
-	same.Timeout = time.Minute // not part of the scope
-	if ms.cacheKey(q, same) != base {
+	if key(Options{MaxSources: 3, Timeout: time.Minute}) != base { // Timeout is not part of the scope
 		t.Error("an option outside the scope changed the key")
 	}
 }

@@ -149,7 +149,6 @@ func (m *Metasearcher) keepStale(id string) {
 // merge reads it back into the answer.
 type plan struct {
 	q        *query.Query
-	opts     Options
 	ranked   []gloss.Ranked            // every harvested source, best first
 	ids      []string                  // the sources to contact, in selection order
 	sources  []sourcePlan              // sources[i] is ids[i]'s
@@ -174,7 +173,7 @@ type sourcePlan struct {
 // sources for q, the promising ones are picked, and the breaker is asked
 // about each, so a refused source is skipped — degrading the answer —
 // instead of waiting out another timeout.
-func choose(tr *obs.Trace, q *query.Query, fleet roster, opts Options) (*plan, error) {
+func (m *Metasearcher) choose(tr *obs.Trace, q *query.Query, fleet roster) (*plan, error) {
 	infos := make([]gloss.SourceInfo, 0, len(fleet.members))
 	for i, e := range fleet.entries {
 		if e != nil { // else never harvested; its error is in fleet.failed
@@ -182,16 +181,16 @@ func choose(tr *obs.Trace, q *query.Query, fleet roster, opts Options) (*plan, e
 		}
 	}
 	ssp := tr.StartSpan("select")
-	ranked := opts.Selector.Rank(q, infos)
-	picked := pick(ranked, opts.MaxSources)
-	ssp.Annotate("selector", opts.Selector.Name())
+	ranked := m.opts.Selector.Rank(q, infos)
+	picked := pick(ranked, m.opts.MaxSources)
+	ssp.Annotate("selector", m.opts.Selector.Name())
 	ssp.Annotate("candidates", strconv.Itoa(len(ranked)))
 	ssp.Annotate("picked", strconv.Itoa(len(picked)))
 	ssp.End(nil)
 	if len(picked) == 0 {
 		return nil, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
 	}
-	p := &plan{q: q, opts: opts, ranked: ranked, ids: picked[:0]}
+	p := &plan{q: q, ranked: ranked, ids: picked[:0]}
 	for id, err := range fleet.failed {
 		p.know(id, fmt.Errorf("core: harvesting %s: %w", id, err))
 		if i, ok := fleet.slot[id]; !ok || fleet.entries[i] == nil || !fleet.entries[i].stale {
@@ -199,7 +198,7 @@ func choose(tr *obs.Trace, q *query.Query, fleet roster, opts Options) (*plan, e
 		}
 	}
 	for _, id := range picked {
-		if opts.Breaker != nil && !opts.Breaker.Allow(id) {
+		if m.opts.Breaker != nil && !m.opts.Breaker.Allow(id) {
 			p.degraded.Skipped = append(p.degraded.Skipped, id)
 			p.know(id, fmt.Errorf("core: source %s skipped: circuit open", id))
 			continue
@@ -320,7 +319,7 @@ func (m *Metasearcher) fanOut(ctx context.Context, p *plan, onDone func(slot int
 // In verification mode it also re-checks the answer against the query
 // parts the source could not evaluate.
 func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceOutcome {
-	id, src, opts := p.ids[slot], &p.sources[slot], &p.opts
+	id, src, opts := p.ids[slot], &p.sources[slot], &m.opts
 	oc := &SourceOutcome{Sent: src.sent, Report: src.report}
 	if src.err != nil {
 		settle(opts.Breaker, id, false, nil)
@@ -396,7 +395,6 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	}
 	sp.End(err)
 	settle(opts.Breaker, id, led && !declined, err)
-	m.opts.Metrics.Counter(mem.queriesTotal).Inc()
 	m.opts.Metrics.Histogram(mem.querySeconds).Observe(oc.Elapsed)
 	if err != nil {
 		oc.Err = fmt.Errorf("core: querying %s: %w", id, err)
@@ -436,7 +434,7 @@ func settle(b BreakerGate, id string, wired bool, err error) {
 	}
 }
 
-// merge is the merging step (§3.3): the plan's merger fuses the answering
+// merge is the merging step (§3.3): the merger fuses the answering
 // sources' ranks into the answer, whose cache lifetime it also names (see
 // answerTTL). Every contacted source failing is an error — unless the
 // breaker skipped some, when a degraded empty answer is the honest result
@@ -462,18 +460,19 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 		inputs = append(inputs, merge.SourceResult{SourceID: id, Meta: e.meta, Summary: e.summary, Results: oc.Results})
 	}
 	ans.Degraded.sort()
-	msp.Annotate("strategy", p.opts.Merger.Name())
+	merger := m.opts.Merger
+	msp.Annotate("strategy", merger.Name())
 	msp.Annotate("inputs", strconv.Itoa(len(inputs)))
 	if len(inputs) > 0 {
 		// The final rank always comes from the ordinary batch merge — a
 		// streaming search's incremental merger streamed a stable prefix
 		// of exactly this rank and mutated nothing, so batch and streamed
 		// answers are bit-identical.
-		ans.Documents = p.opts.Merger.Merge(p.q, inputs)
+		ans.Documents = merger.Merge(p.q, inputs)
 		if max := p.q.EffectiveMaxResults(); len(ans.Documents) > max {
 			ans.Documents = ans.Documents[:max]
 		}
-		m.opts.Metrics.Counter(obs.L("starts_merge_docs_total", "strategy", p.opts.Merger.Name())).
+		m.opts.Metrics.Counter(obs.L("starts_merge_docs_total", "strategy", merger.Name())).
 			Add(int64(len(ans.Documents)))
 	} else if len(ans.Degraded.Failed) > 0 && len(ans.Degraded.Skipped) == 0 {
 		failures := make(map[string]error, len(ans.Degraded.Failed))
@@ -485,7 +484,13 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 		return nil, 0, fmt.Errorf("core: all %d contacted sources failed: %w", len(p.ids), joinSorted(failures))
 	}
 	msp.Annotate("docs", strconv.Itoa(len(ans.Documents)))
-	return ans, answerTTL(p.sources, p.opts.Now()), nil
+	if d := ans.Degraded; len(d.Failed)+len(d.Skipped)+len(d.HarvestFailed) > 0 {
+		// A source left out may be back for the next caller, so a partial
+		// answer caches for the cache's floor, not for the fleet's
+		// freshness lifetime (a negative TTL is clamped to TTLFloor).
+		return ans, -1, nil
+	}
+	return ans, answerTTL(p.sources, m.opts.Now()), nil
 }
 
 // answerTTL derives a merged answer's cache lifetime from the freshness

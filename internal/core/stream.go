@@ -101,7 +101,7 @@ type emitter struct {
 // planned sources' harvests, which the final merge inputs also use, so
 // streamed and final scores agree, and the degradation known before any
 // source answers — and returns fanOut's completion hook.
-func (e *emitter) begin(p *plan) func(slot int, oc *SourceOutcome) {
+func (e *emitter) begin(p *plan, merger merge.Strategy) func(slot int, oc *SourceOutcome) {
 	slots := make([]merge.StreamSource, len(p.ids))
 	for i, s := range p.sources {
 		slots[i] = merge.StreamSource{SourceID: p.ids[i]}
@@ -109,7 +109,7 @@ func (e *emitter) begin(p *plan) func(slot int, oc *SourceOutcome) {
 			slots[i].Meta, slots[i].Summary = s.entry.meta, s.entry.summary
 		}
 	}
-	e.ids, e.inc, e.degraded = p.ids, merge.NewIncremental(p.opts.Merger, p.q, slots), p.degraded
+	e.ids, e.inc, e.degraded = p.ids, merge.NewIncremental(merger, p.q, slots), p.degraded
 	return e.done
 }
 

@@ -66,20 +66,21 @@ func checkStreamShape(t *testing.T, ans *Answer, events []StreamEvent) {
 // TestSearchStreamMatchesSearch: for every merge strategy, a streamed
 // search emits the final answer's documents in order across its events
 // and returns an answer identical to a plain Search of an identical
-// fleet.
+// fleet under the same strategy.
 func TestSearchStreamMatchesSearch(t *testing.T) {
 	strategies := []merge.Strategy{merge.TermStats{}, merge.RawScore{}, merge.Scaled{}, merge.RoundRobin{}}
 	for _, strat := range strategies {
 		t.Run(strat.Name(), func(t *testing.T) {
 			q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "metasearch"))`)
-			msBatch, _ := fleet(t)
-			want, err := msBatch.Search(context.Background(), q, WithMerger(strat))
+			opts := Options{Merger: strat, Timeout: 5 * time.Second}
+			msBatch, _ := fleetWith(t, opts)
+			want, err := msBatch.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			msStream, _ := fleet(t)
-			ans, events := collectStream(t, msStream, q, WithMerger(strat))
+			msStream, _ := fleetWith(t, opts)
+			ans, events := collectStream(t, msStream, q)
 			checkStreamShape(t, ans, events)
 
 			if len(ans.Documents) != len(want.Documents) {
@@ -198,13 +199,12 @@ func TestSearchStreamSinkErrorDoesNotPoisonSearch(t *testing.T) {
 
 // TestSearchStreamAcceptance is the concurrent randomized equivalence
 // suite (run under -race by the soak tier): many goroutines stream the
-// same and different queries against one cached metasearcher; every
-// stream — leader, coalesced follower, or cache hit — must satisfy the
-// event contract against its own returned answer.
+// same and different queries against metasearchers, one per merge
+// strategy, sharing one cache; every stream — leader, coalesced follower,
+// or cache hit — must satisfy the event contract against its own returned
+// answer.
 func TestSearchStreamAcceptance(t *testing.T) {
-	reg := obs.NewRegistry()
-	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second,
-		Cache: qcache.New(qcache.Config{Metrics: reg, TTL: time.Hour})})
+	cache := qcache.New(qcache.Config{TTL: time.Hour})
 
 	queries := []string{
 		`list((body-of-text "databases"))`,
@@ -212,23 +212,27 @@ func TestSearchStreamAcceptance(t *testing.T) {
 		`list((body-of-text "compost"))`,
 		`list((body-of-text "archive") (body-of-text "records"))`,
 	}
-	strategies := []merge.Strategy{merge.TermStats{}, merge.RoundRobin{}, merge.Scaled{}}
+	var searchers []*Metasearcher
+	for _, strat := range []merge.Strategy{merge.TermStats{}, merge.RoundRobin{}, merge.Scaled{}} {
+		ms, _ := fleetWith(t, Options{Merger: strat, Timeout: 5 * time.Second, Cache: cache})
+		searchers = append(searchers, ms)
+	}
 
 	const rounds = 3
 	var wg sync.WaitGroup
-	errc := make(chan error, rounds*len(queries)*len(strategies))
+	errc := make(chan error, rounds*len(queries)*len(searchers))
 	for r := 0; r < rounds; r++ {
 		for _, qs := range queries {
-			for _, strat := range strategies {
+			for _, ms := range searchers {
 				wg.Add(1)
-				go func(qs string, strat merge.Strategy) {
+				go func(qs string, ms *Metasearcher) {
 					defer wg.Done()
 					q := rankingQuery(t, qs)
 					var events []StreamEvent
 					ans, err := ms.SearchStream(context.Background(), q, func(ev StreamEvent) error {
 						events = append(events, ev)
 						return nil
-					}, WithMerger(strat))
+					})
 					if err != nil {
 						errc <- err
 						return
@@ -251,7 +255,7 @@ func TestSearchStreamAcceptance(t *testing.T) {
 							return
 						}
 					}
-				}(qs, strat)
+				}(qs, ms)
 			}
 		}
 	}

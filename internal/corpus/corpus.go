@@ -117,6 +117,11 @@ var authorPool = []string{
 	"Ana Garcia", "Luis Moreno", "Wei Chen", "Yuki Tanaka",
 }
 
+// primaryBias is the fraction of body words drawn from a document's
+// primary topic; of the rest, 0.2 is general vocabulary and the remainder
+// other topics.
+const primaryBias float64 = 0.7
+
 // Config controls generation.
 type Config struct {
 	// Seed makes generation deterministic.
@@ -128,10 +133,6 @@ type Config struct {
 	DocsPerSource int
 	// BodyWords is the mean body length in words (default 80).
 	BodyWords int
-	// PrimaryBias is the fraction of body words drawn from the primary
-	// topic (default 0.7); the rest splits between general vocabulary and
-	// other topics.
-	PrimaryBias float64
 	// VocabWords is the per-topic vocabulary size (default 120). Large
 	// collections should use proportionally larger vocabularies — real
 	// corpora grow distinct terms with size (Heaps' law), and it is the
@@ -166,9 +167,6 @@ func Generate(cfg Config) *Generated {
 	}
 	if cfg.BodyWords <= 0 {
 		cfg.BodyWords = 80
-	}
-	if cfg.PrimaryBias <= 0 || cfg.PrimaryBias > 1 {
-		cfg.PrimaryBias = 0.7
 	}
 	if cfg.VocabWords <= 0 {
 		cfg.VocabWords = defaultVocabWords
@@ -276,9 +274,9 @@ func genDoc(rng *rand.Rand, vocabs []zipfWords, primary int, language lang.Tag, 
 	for i := range body {
 		r := rng.Float64()
 		switch {
-		case r < cfg.PrimaryBias:
+		case r < primaryBias:
 			body[i] = vocabs[primary].pick(rng)
-		case r < cfg.PrimaryBias+0.2:
+		case r < primaryBias+0.2:
 			body[i] = generalWords[rng.Intn(len(generalWords))]
 		default:
 			body[i] = vocabs[rng.Intn(len(vocabs))].pick(rng)

@@ -14,12 +14,11 @@ import (
 // Conn wraps a source connection with instrumentation: every call opens
 // a child span under the context's current span (so per-source fan-out
 // spans show the conn-level timing nested inside them) and records
-// per-source, per-operation call counts, error counts and latency
-// histograms into the registry.
+// per-source, per-operation error counts and latency histograms (whose
+// counts are the call counts) into the registry.
 //
 // Metric names:
 //
-//	starts_conn_calls_total{source,op}
 //	starts_conn_errors_total{source,op}
 //	starts_conn_seconds{source,op} (histogram)
 //	starts_conn_docs_total{source}
@@ -36,12 +35,11 @@ type Conn struct {
 var _ client.Conn = (*Conn)(nil)
 
 // connOp is one operation's span name and metric names.
-type connOp struct{ span, calls, errors, seconds string }
+type connOp struct{ span, errors, seconds string }
 
 func newConnOp(id, op string) connOp {
 	return connOp{
 		span:    "conn." + op,
-		calls:   L("starts_conn_calls_total", "source", id, "op", op),
 		errors:  L("starts_conn_errors_total", "source", id, "op", op),
 		seconds: L("starts_conn_seconds", "source", id, "op", op),
 	}
@@ -68,7 +66,6 @@ func observe[T any](c *Conn, ctx context.Context, op *connOp, f func(context.Con
 	v, err := f(WithSpan(ctx, sp))
 	elapsed := time.Since(start)
 	sp.End(err)
-	c.reg.Counter(op.calls).Inc()
 	if err != nil {
 		c.reg.Counter(op.errors).Inc()
 	}

@@ -61,7 +61,7 @@ func TestWrapConnRecordsMetricsAndSpans(t *testing.T) {
 	}
 	sp.End(nil)
 
-	if got := reg.Counter(L("starts_conn_calls_total", "source", "cs", "op", "query")).Value(); got != 1 {
+	if got := reg.Histogram(L("starts_conn_seconds", "source", "cs", "op", "query")).Count(); got != 1 {
 		t.Errorf("query calls = %d", got)
 	}
 	if got := reg.Counter(L("starts_conn_docs_total", "source", "cs")).Value(); got != 3 {

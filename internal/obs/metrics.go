@@ -19,7 +19,7 @@ import (
 //
 // Label sets are encoded into the metric name with L:
 //
-//	reg.Counter(obs.L("starts_source_queries_total", "source", id)).Inc()
+//	reg.Counter(obs.L("starts_source_query_errors_total", "source", id)).Inc()
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter

@@ -10,10 +10,10 @@ package obs
 // The wider naming convention, for reference (all names are
 // Prometheus-flavored, labels encoded with L):
 //
-//	starts_searches_total, starts_search_seconds        core.Search
-//	starts_source_queries_total{source}, ...            core fan-out
+//	starts_search_seconds                               core.Search
+//	starts_source_query_seconds{source}, ...            core fan-out
 //	starts_harvest_cache_{hits,misses}_total            core harvest cache
-//	starts_conn_{calls,errors}_total{source,op}, ...    obs.WrapConn
+//	starts_conn_errors_total{source,op}, ...            obs.WrapConn
 //	starts_retries_total, starts_breaker_transitions_…  resilient
 //	starts_server_{requests,errors}_total{route}, ...   server routes
 //	starts_qcache_*                                     this file

@@ -9,16 +9,12 @@ import (
 )
 
 // Config configures a Cache. The zero value is usable: 4096 entries over
-// 16 shards, one-minute TTL, a stale window of four TTLs, no admission
-// bound, and a private metrics registry.
+// NewLRUStore's default shards, one-minute TTL, a stale window of four
+// TTLs, no admission bound, and a private metrics registry.
 type Config struct {
 	// MaxEntries bounds the default store's size across all shards
 	// (default 4096). Ignored when Store is set.
 	MaxEntries int
-	// Shards is the default store's shard count, rounded up to a power
-	// of two (default 16). More shards, less mutex contention. Ignored
-	// when Store is set.
-	Shards int
 	// TTL is how long an entry serves fresh when the fill does not name
 	// its own lifetime (default one minute).
 	TTL time.Duration
@@ -40,7 +36,7 @@ type Config struct {
 	// being shed with ErrShed (default DefaultQueueTimeout).
 	QueueTimeout time.Duration
 	// Store overrides the storage backend; nil builds the default
-	// sharded LRU from MaxEntries/Shards. Singleflight coalescing and
+	// sharded LRU from MaxEntries. Singleflight coalescing and
 	// the admission gate stay in front of any store, so a distributed
 	// backend plugs in here without re-implementing either.
 	Store Store
@@ -138,7 +134,7 @@ func New(cfg Config) *Cache {
 		cfg.Now = time.Now
 	}
 	if cfg.Store == nil {
-		cfg.Store = NewLRUStore(cfg.MaxEntries, cfg.Shards, cfg.Metrics)
+		cfg.Store = NewLRUStore(cfg.MaxEntries, 0, cfg.Metrics)
 	}
 	return &Cache{
 		storage:    cfg.Store,

@@ -330,7 +330,7 @@ func TestShedding(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	// One shard so the LRU order is global and deterministic.
-	c := New(Config{MaxEntries: 3, Shards: 1, Metrics: reg})
+	c := New(Config{Store: NewLRUStore(3, 1, reg), Metrics: reg})
 	ctx := context.Background()
 	for _, k := range []string{"a", "b", "c"} {
 		if _, _, err := c.Do(ctx, k, fillConst(k)); err != nil {
@@ -366,7 +366,7 @@ func TestLRUEviction(t *testing.T) {
 // TestConcurrentMixedLoad drives every path at once under -race.
 func TestConcurrentMixedLoad(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MaxEntries: 32, Shards: 4, TTL: time.Minute, StaleFor: time.Hour,
+	c := New(Config{Store: NewLRUStore(32, 4, nil), TTL: time.Minute, StaleFor: time.Hour,
 		MaxInflight: 4, QueueTimeout: 5 * time.Millisecond, Now: clk.now})
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -521,7 +521,7 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 func TestSWRRefreshRacesLRUEviction(t *testing.T) {
 	clk := newFakeClock()
 	// One shard, two slots: churn evicts "hot" almost immediately.
-	c := New(Config{MaxEntries: 2, Shards: 1, TTL: time.Minute, StaleFor: time.Hour, Now: clk.now})
+	c := New(Config{Store: NewLRUStore(2, 1, nil), TTL: time.Minute, StaleFor: time.Hour, Now: clk.now})
 	ctx := context.Background()
 
 	for i := 0; i < 50; i++ {

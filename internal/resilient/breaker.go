@@ -43,13 +43,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open circuit refuses traffic before
 	// admitting a probe. Default 30s.
 	Cooldown time.Duration
-	// HalfOpenSuccesses is the number of consecutive probe successes
-	// that closes a half-open circuit. Default 1.
-	HalfOpenSuccesses int
-	// OnTransition, when set, observes every circuit state change. It is
-	// called outside the breaker's lock, after the transition took
-	// effect, so it may call back into the breaker.
-	OnTransition func(id string, from, to State)
 	// Metrics, when set, counts every state change as
 	// starts_breaker_transitions_total{source,to}, so a flapping source
 	// is visible on /metrics without any logging.
@@ -65,9 +58,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown == 0 {
 		c.Cooldown = 30 * time.Second
 	}
-	if c.HalfOpenSuccesses == 0 {
-		c.HalfOpenSuccesses = 1
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -76,8 +66,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // Breaker is a per-source circuit breaker: consecutive failures open a
 // source's circuit, an open circuit sheds all traffic for a cooldown,
-// and recovery is confirmed through half-open probe queries before the
-// circuit closes again. It satisfies core.BreakerGate.
+// and one successful half-open probe query confirms recovery and closes
+// the circuit again. It satisfies core.BreakerGate.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -87,11 +77,10 @@ type Breaker struct {
 
 // circuit is one source's breaker state.
 type circuit struct {
-	state     State
-	failures  int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	openedAt  time.Time
-	probing   bool // a half-open probe is in flight
+	state    State
+	failures int // consecutive failures while closed
+	openedAt time.Time
+	probing  bool // a half-open probe is in flight
 }
 
 // NewBreaker returns a breaker; zero config fields take the defaults.
@@ -108,22 +97,9 @@ func (b *Breaker) circuitFor(id string) *circuit {
 	return c
 }
 
-// transition records a state change for observers; fired after the
-// breaker's lock is released (callbacks may re-enter the breaker).
-type transition struct {
-	id       string
-	from, to State
-}
-
-// observe notifies the configured observers of state changes.
-func (b *Breaker) observe(trans []transition) {
-	for _, t := range trans {
-		b.cfg.Metrics.Counter(obs.L("starts_breaker_transitions_total",
-			"source", t.id, "to", t.to.String())).Inc()
-		if b.cfg.OnTransition != nil {
-			b.cfg.OnTransition(t.id, t.from, t.to)
-		}
-	}
+// moved counts the source's circuit entering state to.
+func (b *Breaker) moved(id string, to State) {
+	b.cfg.Metrics.Counter(obs.L("starts_breaker_transitions_total", "source", id, "to", to.String())).Inc()
 }
 
 // Allow reports whether a call to the source may proceed. An open
@@ -131,8 +107,6 @@ func (b *Breaker) observe(trans []transition) {
 // the caller as its probe; a half-open circuit admits one probe at a
 // time.
 func (b *Breaker) Allow(id string) bool {
-	var trans []transition
-	defer func() { b.observe(trans) }()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.circuitFor(id)
@@ -144,9 +118,8 @@ func (b *Breaker) Allow(id string) bool {
 			return false
 		}
 		c.state = StateHalfOpen
-		c.successes = 0
 		c.probing = true
-		trans = append(trans, transition{id, StateOpen, StateHalfOpen})
+		b.moved(id, StateHalfOpen)
 		return true
 	default: // StateHalfOpen
 		if c.probing {
@@ -166,8 +139,6 @@ func (b *Breaker) Record(id string, err error) {
 		b.Release(id)
 		return
 	}
-	var trans []transition
-	defer func() { b.observe(trans) }()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.circuitFor(id)
@@ -176,12 +147,8 @@ func (b *Breaker) Record(id string, err error) {
 		case StateClosed:
 			c.failures = 0
 		case StateHalfOpen:
-			c.probing = false
-			c.successes++
-			if c.successes >= b.cfg.HalfOpenSuccesses {
-				*c = circuit{state: StateClosed}
-				trans = append(trans, transition{id, StateHalfOpen, StateClosed})
-			}
+			*c = circuit{state: StateClosed}
+			b.moved(id, StateClosed)
 		}
 		return
 	}
@@ -190,12 +157,12 @@ func (b *Breaker) Record(id string, err error) {
 		c.failures++
 		if c.failures >= b.cfg.FailureThreshold {
 			*c = circuit{state: StateOpen, openedAt: b.cfg.Now()}
-			trans = append(trans, transition{id, StateClosed, StateOpen})
+			b.moved(id, StateOpen)
 		}
 	case StateHalfOpen:
 		// The probe failed: back to open, restarting the cooldown.
 		*c = circuit{state: StateOpen, openedAt: b.cfg.Now()}
-		trans = append(trans, transition{id, StateHalfOpen, StateOpen})
+		b.moved(id, StateOpen)
 	}
 }
 

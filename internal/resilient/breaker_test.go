@@ -102,29 +102,6 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerRequiresMultipleProbeSuccesses(t *testing.T) {
-	clock := &breakerClock{now: time.Unix(0, 0)}
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 1, Cooldown: time.Minute, HalfOpenSuccesses: 2, Now: clock.Now,
-	})
-	b.Record("S", errDown)
-	clock.advance(2 * time.Minute)
-	if !b.Allow("S") {
-		t.Fatal("probe refused")
-	}
-	b.Record("S", nil)
-	if b.State("S") != StateHalfOpen {
-		t.Fatalf("one probe success closed a circuit needing two")
-	}
-	if !b.Allow("S") {
-		t.Fatal("second probe refused")
-	}
-	b.Record("S", nil)
-	if b.State("S") != StateClosed {
-		t.Errorf("state = %v after two probe successes, want closed", b.State("S"))
-	}
-}
-
 func TestBreakerReleaseFreesHalfOpenProbe(t *testing.T) {
 	b, clock := newTestBreaker(1, time.Minute)
 	b.Release("S") // no circuit yet: no-op

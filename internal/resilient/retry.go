@@ -30,17 +30,20 @@ type RetryPolicy struct {
 	// values below 2 disable retrying. Default 3.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry; each further retry
-	// multiplies it by Multiplier, capped at MaxDelay. Defaults: 100ms,
-	// ×2, 2s.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized: a delay d
-	// is drawn uniformly from [d·(1−Jitter), d]. Default 0.5.
-	Jitter float64
+	// doubles it, up to 2s, and jitters it by up to half. Default 100ms.
+	BaseDelay time.Duration
 	// Seed determines the jitter sequence, for reproducible tests.
 	Seed int64
 }
+
+// The backoff schedule past BaseDelay: each retry multiplies the delay by
+// multiplier up to maxDelay, and a delay d is drawn uniformly from
+// [d·(1−jitter), d], so concurrent retries decorrelate.
+const (
+	maxDelay   = 2 * time.Second
+	multiplier = 2
+	jitter     = 0.5
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts == 0 {
@@ -49,27 +52,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay == 0 {
 		p.BaseDelay = 100 * time.Millisecond
 	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
 	return p
 }
 
 // backoff returns the delay before the retry-th retry (0-based), given a
 // uniform draw u in [0, 1): the exponential delay jittered within
-// [d·(1−Jitter), d].
+// [d·(1−jitter), d].
 func (p RetryPolicy) backoff(retry int, u float64) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(retry))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	d := float64(p.BaseDelay) * math.Pow(multiplier, float64(retry))
+	if d > float64(maxDelay) {
+		d = float64(maxDelay)
 	}
-	lo := d * (1 - p.Jitter)
+	lo := d * (1 - jitter)
 	return time.Duration(lo + u*(d-lo))
 }
 

@@ -74,12 +74,9 @@ func fastWrap(inner client.Conn, p RetryPolicy, b *Budget) (*Conn, *[]time.Durat
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	p := RetryPolicy{
-		BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second,
-		Multiplier: 2, Jitter: 0.5,
-	}.withDefaults()
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond}.withDefaults()
 	for retry := 0; retry < 8; retry++ {
-		full := math.Min(float64(p.BaseDelay)*math.Pow(2, float64(retry)), float64(p.MaxDelay))
+		full := math.Min(float64(p.BaseDelay)*math.Pow(2, float64(retry)), float64(2*time.Second))
 		lo, hi := time.Duration(full*0.5), time.Duration(full)
 		for _, u := range []float64{0, 0.25, 0.5, 0.99} {
 			d := p.backoff(retry, u)
@@ -88,14 +85,14 @@ func TestBackoffJitterBounds(t *testing.T) {
 			}
 		}
 	}
-	// The cap must bind: deep retries never exceed MaxDelay.
-	if d := p.backoff(20, 1); d > p.MaxDelay {
-		t.Errorf("backoff(20) = %v exceeds cap %v", d, p.MaxDelay)
+	// The cap must bind: deep retries never exceed two seconds.
+	if d := p.backoff(20, 1); d != 2*time.Second {
+		t.Errorf("backoff(20, 1) = %v, want the 2s cap", d)
 	}
 }
 
 func TestBackoffGrowsExponentially(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Minute, Multiplier: 2, Jitter: 0.5}.withDefaults()
+	p := RetryPolicy{BaseDelay: 10 * time.Millisecond}.withDefaults()
 	// With u=1 the jitter vanishes and the schedule is exactly geometric.
 	for retry := 1; retry < 5; retry++ {
 		if prev, cur := p.backoff(retry-1, 1), p.backoff(retry, 1); cur != 2*prev {
@@ -237,8 +234,7 @@ func TestRetryBackoffClampedToDeadline(t *testing.T) {
 	inner := &flakyConn{id: "S", err: errors.New("transient"), failN: 99}
 	c, slept := fastWrap(inner, RetryPolicy{
 		MaxAttempts: 3,
-		BaseDelay:   time.Second, // far beyond the context's budget
-		Jitter:      0.001,
+		BaseDelay:   time.Second, // at least half of it is far beyond the context's budget
 		Seed:        1,
 	}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -101,7 +101,7 @@ func testLastTracesEndpoint(t *testing.T, face string) {
 func TestServerSharedRegistryOption(t *testing.T) {
 	_, res := startTestServer(t)
 	reg := obs.NewRegistry()
-	srv := New(res, "http://example", WithMetrics(reg), WithTraceCapacity(4))
+	srv := New(res, "http://example", WithMetrics(reg))
 	if srv.Metrics() != reg {
 		t.Error("WithMetrics registry not adopted")
 	}

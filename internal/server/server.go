@@ -56,6 +56,9 @@ const ContentType = "application/x-soif"
 // wire format open; SOIF and JSON are this implementation's two).
 const JSONContentType = "application/json"
 
+// traceCapacity is how many recent query traces /debug/last-traces keeps.
+const traceCapacity = 32
+
 // Server serves a list of conns as one STARTS resource.
 type Server struct {
 	conns    map[string]client.Conn
@@ -92,11 +95,6 @@ type Option func(*Server)
 // private one — share it to merge several components onto one /metrics.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.metrics = reg }
-}
-
-// WithTraceCapacity sizes the /debug/last-traces ring (default 32).
-func WithTraceCapacity(n int) Option {
-	return func(s *Server) { s.traces = obs.NewTraceRing(n) }
 }
 
 // WithMaxInflight bounds concurrent query evaluations to n. Excess
@@ -143,6 +141,7 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 		resource: &meta.Resource{},
 		baseURL:  strings.TrimRight(baseURL, "/"),
 		mux:      http.NewServeMux(),
+		traces:   obs.NewTraceRing(traceCapacity),
 	}
 	for _, c := range conns {
 		srv.conns[c.SourceID()] = c
@@ -160,9 +159,6 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	}
 	if srv.metrics == nil {
 		srv.metrics = obs.NewRegistry()
-	}
-	if srv.traces == nil {
-		srv.traces = obs.NewTraceRing(32)
 	}
 	srv.gate = qcache.NewGate(srv.maxInflight, srv.queueTimeout, srv.metrics)
 	srv.route("GET /resource", "resource", srv.handleResource)

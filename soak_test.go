@@ -242,7 +242,6 @@ func TestFaultInjectionAcceptance(t *testing.T) {
 	policy := starts.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
 		Seed:        99,
 	}
 	for i, c := range resilienceFleet(t, 5) {

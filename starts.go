@@ -196,41 +196,17 @@ type (
 // selection and TermStats merging.
 func NewMetasearcher(opts MetasearcherOptions) *Metasearcher { return core.New(opts) }
 
-// SearchOption overrides one Search call's configuration without
-// touching the metasearcher's shared Options, so concurrent callers can
-// each pick their own budget, merger or source cap:
-//
-//	ans, _ := ms.Search(ctx, q,
-//		starts.WithBudget(2*time.Second),
-//		starts.WithMerger(starts.MergeScaled),
-//		starts.WithMaxSources(3))
-type SearchOption = core.SearchOption
-
-// WithSelector ranks sources with s for this search only.
-func WithSelector(s Selector) SearchOption { return core.WithSelector(s) }
-
-// WithMerger fuses this search's per-source ranks with s.
-func WithMerger(s MergeStrategy) SearchOption { return core.WithMerger(s) }
-
-// WithMaxSources bounds how many sources this search contacts (0 = all
-// promising ones).
-func WithMaxSources(n int) SearchOption { return core.WithMaxSources(n) }
-
-// WithBudget bounds this whole search — harvesting plus fan-out — by d.
-func WithBudget(d time.Duration) SearchOption { return core.WithBudget(d) }
-
-// WithTimeout sets this search's per-source deadline.
-func WithTimeout(d time.Duration) SearchOption { return core.WithTimeout(d) }
-
-// WithPostFilter toggles verification mode for this search.
-func WithPostFilter(on bool) SearchOption { return core.WithPostFilter(on) }
-
-// WithTrace records this search's span tree into t (its zero value is
-// fine; Search re-begins it):
+// SearchOption sets where one Search call's trace goes and how it meets
+// the query cache; everything that shapes the answer is fixed in
+// MetasearcherOptions:
 //
 //	var tr starts.Trace
 //	ans, _ := ms.Search(ctx, q, starts.WithTrace(&tr))
 //	fmt.Print(tr.Snapshot().Tree())
+type SearchOption = core.SearchOption
+
+// WithTrace records this search's span tree into t (its zero value is
+// fine; Search re-begins it).
 func WithTrace(t *Trace) SearchOption { return core.WithTrace(t) }
 
 // WithCache serves this search through c, overriding (or supplying) the
