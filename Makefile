@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap prof-build warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,18 @@ prof-build:
 		-o $(PROFDIR)/index.test ./internal/index
 	$(GO) tool pprof -top $(PROFDIR)/index.test $(PROFDIR)/build.cpu | head -40
 
+# prof-search attributes what one engine search allocates, by site:
+# BenchmarkEngineMix (internal/engine: one 20 000-document source, as the
+# big-source workload's, and a fixed mix of pure rankings, filtered
+# rankings and phrases) with every allocation sampled, then the profile's
+# top sites by object count, counting only what Engine.Search allocates. The binary and
+# the profile go to PROFDIR.
+prof-search:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineMix$$' -benchtime 2000x -memprofilerate 1 \
+		-memprofile $(PROFDIR)/search.mem -o $(PROFDIR)/engine.test ./internal/engine
+	$(GO) tool pprof -top -sample_index=alloc_objects -focus 'engine\.\(\*Engine\)\.Search' $(PROFDIR)/engine.test $(PROFDIR)/search.mem | head -40
+
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, overload) under the race detector.
 soak:
@@ -116,8 +128,8 @@ stress:
 	$(GO) test -race -count=20 -run 'TestSearchesLeaveNoGoroutines|TestCancelAtEveryStage' ./internal/core/
 	$(GO) test -race -count=50 -run 'TestFlight' ./internal/qcache/
 
-# fuzz splits a ten-second budget over the fuzz targets (go test fuzzes
-# one per run), target by target: the server's one request decoder, the
+# fuzz splits a budget of about ten seconds over the fuzz targets (go test
+# fuzzes one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
 # the two response frame decoders, the document decoder against the map
 # decoder it replaced and the appending frame encoders against the object
@@ -128,7 +140,8 @@ stress:
 # (internal/engine/exhaustive.go), result sorting against the stored
 # string keys it replaced (internal/engine/sort_test.go), the harvested metadata and content
 # summary decoders, the substring tokenizers against the copying
-# tokenizer they replaced (internal/text/oracle_test.go), and the compact
+# tokenizer they replaced and the stack-buffer stemmer against the
+# copying one (internal/text/oracle_test.go), and the compact
 # posting lists against the int32 layout they replaced
 # (internal/index/postings_oracle_test.go). Seeds also run with every
 # `go test`.
@@ -149,6 +162,7 @@ FUZZ_TARGETS = \
 	internal/meta:FuzzParseMeta:700ms \
 	internal/meta:FuzzParseSummary:700ms \
 	internal/text:FuzzTokenizeMatchesOracle:600ms \
+	internal/text:FuzzStemMatchesOracle:400ms \
 	internal/index:FuzzPostingsMatchOracle:600ms
 
 fuzz:

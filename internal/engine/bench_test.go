@@ -156,3 +156,41 @@ func BenchmarkEngineSort(b *testing.B) {
 	b.Run("heap-top20-1m", func(b *testing.B) { run(b, 20) })
 	b.Run("fullsort-1m", func(b *testing.B) { run(b, 0) })
 }
+
+// BenchmarkEngineMix runs one fixed mix of searches over one source the
+// size of the benchmark's big ones (20 000 documents of 40-word bodies, a
+// 2 000-word topic vocabulary): pure rankings of head, middle and tail
+// words (the block-pruned path), rankings under each filter operator (the
+// cursors) and phrases. `make prof-search` profiles it by allocation site.
+func BenchmarkEngineMix(b *testing.B) {
+	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000})
+	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := g.Topics[0].Words
+	term := func(rank int) string { return `(body-of-text "` + w[rank] + `")` }
+	list := "list(" + term(60) + " " + term(75) + " " + term(90) + ")"
+	var qs []*query.Query
+	for _, fr := range [][2]string{
+		{"", term(0)},
+		{"", "list(" + term(1) + " " + term(300) + ")"},
+		{"", "list(" + term(2) + " " + term(80) + " " + term(1500) + ")"},
+		{term(55), list},
+		{"(" + term(55) + " and " + term(70) + ")", list},
+		{"(" + term(55) + " or " + term(70) + ")", list},
+		{"(" + term(55) + " and-not " + term(70) + ")", list},
+		{"(" + term(55) + " prox[3,F] " + term(70) + ")", list},
+		{"", `list((body-of-text "` + w[0] + " " + w[1] + `") ` + term(3) + ")"},
+		{`(body-of-text "` + w[1] + " " + w[0] + `")`, term(60)},
+	} {
+		qs = append(qs, mkQuery(b, fr[0], fr[1]))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Search(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -331,10 +331,10 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 // a source the size of the benchmark's big ones, so that a match-set map
 // (or a pointer per matched document) coming back fails here and not in the
 // next benchmark run. The budgets stand a quarter above what the cursor
-// evaluator needs (10.9, 13.7, 13.0 and 9.1 KB in 141, 142, 141 and 145
+// evaluator needs (10.4, 13.2, 12.5 and 8.7 KB in 28, 29, 28 and 42
 // objects). The twenty documents returned take about 6 KB of it, in a
-// handful of slabs; the objects are the query's term resolution and
-// cursors.
+// handful of slabs; the query's term resolution and cursors take the
+// slabs of one index.Scratch.
 func TestSearchAllocBudget(t *testing.T) {
 	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000})
 	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
@@ -350,10 +350,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		op             string
 		bytes, objects uint64
 	}{
-		{"and", 13950, 176},
-		{"or", 17490, 178},
-		{"and-not", 16670, 176},
-		{"prox[3,F]", 11660, 181},
+		{"and", 12940, 35},
+		{"or", 16480, 37},
+		{"and-not", 15660, 35},
+		{"prox[3,F]", 10890, 53},
 	} {
 		q := mkQuery(t, "("+term(55)+" "+tc.op+" "+term(70)+")", ranking)
 		res, err := e.Search(q) // once unmeasured: the lazily sorted vocabulary and the like
@@ -371,6 +371,44 @@ func TestSearchAllocBudget(t *testing.T) {
 		if bytes > tc.bytes || objects > tc.objects {
 			t.Errorf("filter %s: a search allocated %d bytes in %d objects, budget %d in %d",
 				tc.op, bytes, objects, tc.bytes, tc.objects)
+		}
+	}
+}
+
+// TestSearchAllocationBudget pins what one search allocates, by query
+// shape, over a 2 000-document source: the block-pruned path of a pure
+// ranking, the cursors under a filter, and a phrase. A search allocates
+// its answer (the results, one slab each of documents, field values and
+// term statistics), the actual query, the filter's iterator nodes and one
+// index.Scratch whose few slabs hold everything else; a working set that
+// goes back to one small object per term, cursor or document fails here.
+// Each budget is the measured count plus a fifth; beside it are that count
+// and the count before the per-search slabs.
+func TestSearchAllocationBudget(t *testing.T) {
+	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 2000, BodyWords: 40, VocabWords: 2000})
+	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := g.Topics[0].Words
+	term := func(rank int) string { return `(body-of-text "` + w[rank] + `")` }
+	for _, tc := range []struct {
+		name, filter, ranking string
+		budget                float64
+	}{
+		{"ranking", "", "list(" + term(1) + " " + term(60) + " " + term(300) + ")", 28},                                         // 23; before: 84
+		{"filtered", "(" + term(55) + " and " + term(70) + ")", "list(" + term(60) + " " + term(75) + " " + term(90) + ")", 33}, // 27; before: 120
+		{"phrase", "", `(body-of-text "` + w[0] + " " + w[1] + `")`, 71},                                                        // 59; before: 105
+	} {
+		q := mkQuery(t, tc.filter, tc.ranking)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Search(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%-8s %3.0f allocations", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s: a search allocates %.0f times, budget %.0f", tc.name, allocs, tc.budget)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -211,18 +212,21 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 		Thesaurus:     e.cfg.Thesaurus,
 	}
 
+	// Everything the search builds but does not return comes from s.
+	s := search{sc: new(index.Scratch)}
+
 	// Interpret term fields in the query's default attribute set (e.g.
 	// dc-1 "creator" resolves to the Basic-1 "author" this engine knows).
 	actualFilter, actualRanking := q.ResolveAttributeSet()
 	if !e.cfg.QueryParts.SupportsFilter() {
 		actualFilter = nil
 	} else {
-		actualFilter = e.rewrite(actualFilter, opts, false)
+		actualFilter = e.rewrite(&s, actualFilter, opts, false)
 	}
 	if !e.cfg.QueryParts.SupportsRanking() {
 		actualRanking = nil
 	} else {
-		actualRanking = e.rewrite(actualRanking, opts, true)
+		actualRanking = e.rewrite(&s, actualRanking, opts, true)
 	}
 
 	res := &result.Results{ActualFilter: actualFilter, ActualRanking: actualRanking}
@@ -249,19 +253,19 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	var err error
 	if e.cfg.Exhaustive {
 		kept, stats, offs, err = e.searchExhaustive(snap, q, actualFilter, actualRanking, opts)
-	} else if fast, fastStats, fastOffs, ok := e.rankedFastPath(snap, q, actualFilter, actualRanking, opts); ok {
+	} else if fast, fastStats, fastOffs, ok := e.rankedFastPath(&s, snap, q, actualFilter, actualRanking, opts); ok {
 		// Pure ranking under the default sort: the same cursors plus a
 		// threshold find the answer without scoring every match.
 		kept, stats, offs = fast, fastStats, fastOffs
 	} else {
-		kept, stats, offs, err = e.searchCursors(snap, q, actualFilter, actualRanking, opts)
+		kept, stats, offs, err = e.searchCursors(&s, snap, q, actualFilter, actualRanking, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	// The documents, their fields and their statistics fill one slab each.
-	fields := q.EffectiveAnswerFields()
+	fields := q.AppendAnswerFields(s.fields[:0])
 	slices.SortFunc(fields, result.CompareFields)
 	fields = slices.Compact(fields)
 	docs := make([]result.Document, len(kept))
@@ -316,6 +320,20 @@ func (e *Engine) resolveNative(opts *index.LookupOptions, exprs ...query.Expr) e
 	return nil
 }
 
+// search is the working set of one Engine.Search: the index's scratch,
+// which also holds the engine's term numbers (Scratch.Ints), and the
+// engine's own small slices, which start in the arrays here. It lives and
+// dies with the search; only the answer outlives it.
+type search struct {
+	sc      *index.Scratch
+	nodes   [4]*query.TermExpr // the ranking's term nodes
+	terms   [4]query.Term      // and their terms
+	weights [4]float64         // and their weights in the current document
+	plan    [4]index.RankTerm
+	fields  [4]attr.Field
+	key     [128]byte // the terms, printed one after another
+}
+
 // scoredDoc pairs a document with its combined score.
 type scoredDoc struct {
 	id    int
@@ -327,18 +345,18 @@ type scoredDoc struct {
 // documents in id order, the ranking terms' cursors follow it, and each
 // document is scored as it goes by. Nothing is kept per document but its
 // id and score.
-func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
-	nodes := rankNodes(ranking, nil)
-	terms := make([]query.Term, len(nodes))
-	for i, nd := range nodes {
-		terms[i] = nd.Term
+func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
+	nodes := rankNodes(ranking, s.nodes[:0])
+	terms := s.terms[:0]
+	for _, nd := range nodes {
+		terms = append(terms, nd.Term)
 	}
-	m, err := snap.Match(filter, terms, opts)
+	m, err := snap.Match(s.sc, filter, terms, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	n := snap.NumDocs()
-	weights := make([]float64, len(nodes))
+	weights := append(s.weights[:0], make([]float64, len(nodes))...)
 	weightOf := func(t *query.TermExpr) float64 {
 		for i, nd := range nodes {
 			if nd == t {
@@ -352,11 +370,11 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 	var cands []scoredDoc
 	var best *topk.Heap[scoredDoc]
 	if ranking != nil && e.rawOrderIsFinal(q) {
-		best = topk.New(q.EffectiveMaxResults(), func(a, b scoredDoc) bool {
+		best = topk.New(q.EffectiveMaxResults(), func(a, b scoredDoc) int {
 			if a.score != b.score {
-				return a.score > b.score
+				return cmp.Compare(b.score, a.score)
 			}
-			return a.id < b.id
+			return a.id - b.id
 		})
 	}
 	maxScore := 0.0
@@ -389,14 +407,15 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 
 	// Term statistics are assembled only for returned documents; the
 	// discarded tail never pays for them. A second set of cursors reads the
-	// frequencies back, so the returned documents are visited in id order.
-	byID := make([]int, len(kept))
+	// frequencies back, so the returned documents are visited in id order;
+	// kept document k's land at tfs[k*nt:].
+	nt, nk := len(terms), len(kept)
+	ints := s.sc.Ints(nk*(nt+1) + nt)
+	byID, tfs, dfs := ints[:nk], ints[nk:nk*(nt+1)], ints[nk*(nt+1):]
 	for k := range byID {
 		byID[k] = k
 	}
 	slices.SortFunc(byID, func(a, b int) int { return kept[a].id - kept[b].id })
-	nt := len(terms)
-	tfs, dfs := make([]int, len(kept)*nt), make([]int, nt) // kept document k's frequencies at tfs[k*nt:]
 	for _, k := range byID {
 		m.FreqsAt(kept[k].id, tfs[k*nt:(k+1)*nt])
 		for i, tf := range tfs[k*nt : (k+1)*nt] {
@@ -405,7 +424,7 @@ func (e *Engine) searchCursors(snap index.Snapshot, q *query.Query, filter, rank
 			}
 		}
 	}
-	stats, offs := e.termStats(snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	stats, offs := e.termStats(s, snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, nil
 }
 
@@ -504,15 +523,16 @@ func (e *Engine) rankAndCut(snap index.Snapshot, cands []scoredDoc, maxScore flo
 // firstOccurrences maps each term to the index of the first term that
 // prints the same: itself, unless the query repeats a term. Term
 // statistics list a repeated term once.
-func firstOccurrences(terms []query.Term) []int {
-	first := make([]int, len(terms))
-	if len(terms) < 2 {
-		return first
-	}
-	keys := make([]string, len(terms))
+func (s *search) firstOccurrences(terms []query.Term) []int {
+	ints := s.sc.Ints(2*len(terms) + 1)
+	first, ends := ints[:len(terms)], ints[len(terms):]
+	key := s.key[:0]
 	for i, t := range terms {
-		keys[i] = t.String()
-		first[i] = slices.Index(keys[:i+1], keys[i])
+		key = t.Append(key)
+		ends[i+1] = len(key)
+		for !bytes.Equal(key[ends[first[i]]:ends[first[i]+1]], key[ends[i]:]) {
+			first[i]++
+		}
 	}
 	return first
 }
@@ -522,8 +542,8 @@ func firstOccurrences(terms []query.Term) []int {
 // frequencies tfsOf(k), are stats[offs[k]:offs[k+1]] — the terms in query
 // order, a repeated term once, only those the document matches. Reported
 // terms carry field and value but not weights/modifiers.
-func (e *Engine) termStats(snap index.Snapshot, kept []scoredDoc, terms []query.Term, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
-	first := firstOccurrences(terms)
+func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, terms []query.Term, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
+	first := s.firstOccurrences(terms)
 	n := 0
 	for k := range kept {
 		for i, tf := range tfsOf(k) {
@@ -532,7 +552,7 @@ func (e *Engine) termStats(snap index.Snapshot, kept []scoredDoc, terms []query.
 			}
 		}
 	}
-	stats, offs = make([]result.TermStat, 0, n), append(make([]int, 0, len(kept)+1), 0)
+	stats, offs = make([]result.TermStat, 0, n), s.sc.Ints(len(kept) + 1)[:1]
 	for k, sd := range kept {
 		tfs, docLen := tfsOf(k), snap.TokenCount(sd.id)
 		for i, t := range terms {
@@ -621,7 +641,7 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 	}
 	var items []sortableDoc
 	if max > 0 && len(docs) > max {
-		h := topk.New(max, func(a, b sortableDoc) bool { return compare(a, b) < 0 })
+		h := topk.New(max, compare)
 		for di := range docs {
 			h.Push(item(di))
 		}

@@ -54,7 +54,7 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
-func mkQuery(t *testing.T, filter, ranking string) *query.Query {
+func mkQuery(t testing.TB, filter, ranking string) *query.Query {
 	t.Helper()
 	q := query.New()
 	var err error

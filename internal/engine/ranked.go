@@ -38,17 +38,17 @@ func (e *Engine) rawOrderIsFinal(q *query.Query) bool {
 // false when the query is not eligible — searchCursors evaluates it, as it
 // would an eligible one, to the identical answer (equal floats, equal
 // order, equal statistics).
-func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, bool) {
+func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, bool) {
 	if filter != nil || ranking == nil || !e.rawOrderIsFinal(q) {
 		return nil, nil, nil, false
 	}
-	plan, ok := rankPlanOf(ranking)
+	plan, ok := rankPlanOf(ranking, s.plan[:0])
 	if !ok {
 		return nil, nil, nil, false
 	}
 	plan.K = q.EffectiveMaxResults()
 	plan.TermWeight = e.cfg.Scorer.TermWeight
-	ranked, dfs, ok := snap.TopKRanked(plan, opts)
+	ranked, tfs, dfs, ok := snap.TopKRanked(s.sc, plan, opts)
 	if !ok {
 		return nil, nil, nil, false
 	}
@@ -59,9 +59,9 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 	if len(ranked) > 0 {
 		maxScore = ranked[0].Score
 	}
-	terms := make([]query.Term, len(plan.Terms))
-	for i, rt := range plan.Terms {
-		terms[i] = rt.Term
+	terms := s.terms[:0]
+	for _, rt := range plan.Terms {
+		terms = append(terms, rt.Term)
 	}
 	kept := make([]scoredDoc, 0, len(ranked))
 	for _, rd := range ranked {
@@ -73,7 +73,8 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 		}
 		kept = append(kept, scoredDoc{id: rd.ID, score: score})
 	}
-	stats, offs := e.termStats(snap, kept, terms, func(k int) []int { return ranked[k].TFs }, dfs)
+	nt := len(terms)
+	stats, offs := e.termStats(s, snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, true
 }
 
@@ -81,16 +82,16 @@ func (e *Engine) rankedFastPath(snap index.Snapshot, q *query.Query, filter, ran
 // a bare term, or a list(...) whose items are all plain terms — the
 // weighted-average semantics of the exhaustive evaluator. Nested
 // operators (and/or/and-not, proximity) score non-additively and fall
-// back.
-func rankPlanOf(ranking query.Expr) (index.RankPlan, bool) {
-	var plan index.RankPlan
+// back. The plan's terms are appended to terms.
+func rankPlanOf(ranking query.Expr, terms []index.RankTerm) (index.RankPlan, bool) {
+	plan := index.RankPlan{Terms: terms}
 	switch n := ranking.(type) {
 	case *query.TermExpr:
 		w := n.EffectiveWeight()
 		if w < 0 {
 			return plan, false
 		}
-		plan.Terms = []index.RankTerm{{Term: n.Term, Weight: w}}
+		plan.Terms = append(plan.Terms, index.RankTerm{Term: n.Term, Weight: w})
 		plan.Norm = 1
 		return plan, true
 	case *query.List:

@@ -138,7 +138,7 @@ func TestRankedFastPathEligibility(t *testing.T) {
 	snap := e.ix.Snapshot()
 	defer snap.Close()
 	takes := func(q *query.Query, filter, ranking query.Expr) bool {
-		_, _, _, ok := e.rankedFastPath(snap, q, filter, ranking, opts)
+		_, _, _, ok := e.rankedFastPath(&search{sc: new(index.Scratch)}, snap, q, filter, ranking, opts)
 		return ok
 	}
 

@@ -22,15 +22,15 @@ import (
 //
 // A nil result means the whole expression was dropped. In ranking
 // expressions, Document-text terms expand into relevance-feedback lists.
-func (e *Engine) rewrite(expr query.Expr, opts index.LookupOptions, ranking bool) query.Expr {
+func (e *Engine) rewrite(s *search, expr query.Expr, opts index.LookupOptions, ranking bool) query.Expr {
 	switch n := expr.(type) {
 	case nil:
 		return nil
 	case *query.TermExpr:
-		return e.rewriteTerm(n, opts, ranking)
+		return e.rewriteTerm(s, n, opts, ranking)
 	case *query.Bin:
-		l := e.rewrite(n.L, opts, ranking)
-		r := e.rewrite(n.R, opts, ranking)
+		l := e.rewrite(s, n.L, opts, ranking)
+		r := e.rewrite(s, n.R, opts, ranking)
 		switch {
 		case l == nil && r == nil:
 			return nil
@@ -47,8 +47,8 @@ func (e *Engine) rewrite(expr query.Expr, opts index.LookupOptions, ranking bool
 			return &query.Bin{Op: n.Op, L: l, R: r}
 		}
 	case *query.Prox:
-		l := e.rewrite(n.L, opts, ranking)
-		r := e.rewrite(n.R, opts, ranking)
+		l := e.rewrite(s, n.L, opts, ranking)
+		r := e.rewrite(s, n.R, opts, ranking)
 		lt, lok := l.(*query.TermExpr)
 		rt, rok := r.(*query.TermExpr)
 		switch {
@@ -62,9 +62,9 @@ func (e *Engine) rewrite(expr query.Expr, opts index.LookupOptions, ranking bool
 			return nil
 		}
 	case *query.List:
-		out := &query.List{}
+		out := &query.List{Items: make([]query.Expr, 0, len(n.Items))}
 		for _, it := range n.Items {
-			if kept := e.rewrite(it, opts, ranking); kept != nil {
+			if kept := e.rewrite(s, it, opts, ranking); kept != nil {
 				out.Items = append(out.Items, kept)
 			}
 		}
@@ -77,7 +77,7 @@ func (e *Engine) rewrite(expr query.Expr, opts index.LookupOptions, ranking bool
 	}
 }
 
-func (e *Engine) rewriteTerm(te *query.TermExpr, opts index.LookupOptions, ranking bool) query.Expr {
+func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOptions, ranking bool) query.Expr {
 	t := te.Term
 	if !e.SupportsField(t.EffectiveField()) {
 		return nil
@@ -99,7 +99,7 @@ func (e *Engine) rewriteTerm(te *query.TermExpr, opts index.LookupOptions, ranki
 		}
 	}
 	t.Mods = mods
-	if e.eliminated(t, opts) {
+	if e.eliminated(s, t, opts) {
 		return nil
 	}
 	return &query.TermExpr{Term: t}
@@ -107,7 +107,7 @@ func (e *Engine) rewriteTerm(te *query.TermExpr, opts index.LookupOptions, ranki
 
 // eliminated reports whether every word of a text term's value is a stop
 // word under the effective stop-word policy.
-func (e *Engine) eliminated(t query.Term, opts index.LookupOptions) bool {
+func (e *Engine) eliminated(s *search, t query.Term, opts index.LookupOptions) bool {
 	if !opts.DropStopWords || e.cfg.Analyzer.Stop == nil {
 		return false
 	}
@@ -116,7 +116,7 @@ func (e *Engine) eliminated(t query.Term, opts index.LookupOptions) bool {
 	default:
 		return false // dates, linkage etc. have no stop words
 	}
-	toks := e.cfg.Analyzer.Tokenizer.Tokenize(nil, t.Value.Text)
+	toks := s.sc.Tokens(e.cfg.Analyzer, t.Value.Text)
 	if len(toks) == 0 {
 		return false
 	}

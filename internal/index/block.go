@@ -283,8 +283,8 @@ type posReader struct {
 
 const maxDocID = int(^uint(0) >> 1)
 
-func newListCursor(pl *postingList) *listCursor {
-	return &listCursor{pl: pl, boundBi: -1}
+func newListCursor(pl *postingList) listCursor {
+	return listCursor{pl: pl, boundBi: -1}
 }
 
 // done reports exhaustion.
@@ -325,7 +325,7 @@ func (c *listCursor) positions() []int32 {
 // the block's start.
 func (c *listCursor) offset() int {
 	if c.at == nil {
-		c.at = &posReader{}
+		c.at = &posReader{buf: make([]int32, 0, 8)} // a few positions a posting, mostly
 	}
 	r, i := c.at, int(c.i)
 	if lo := c.bi() * blockSize; r.next < lo || r.next > i {

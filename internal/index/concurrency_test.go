@@ -125,7 +125,7 @@ func TestSnapshotDuringAddIsOnePrefix(t *testing.T) {
 		snap := ix.Snapshot()
 		defer snap.Close()
 		n := snap.NumDocs()
-		m, err := snap.Match(filter, []query.Term{alpha}, LookupOptions{})
+		m, err := snap.Match(new(Scratch), filter, []query.Term{alpha}, LookupOptions{})
 		if err != nil {
 			t.Errorf("Match: %v", err)
 			return

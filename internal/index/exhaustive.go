@@ -115,21 +115,13 @@ func mergeMatches(dst map[int]*DocTermInfo, src map[int]*DocTermInfo) {
 func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions) (map[int]*DocTermInfo, bool, error) {
 	fi := ix.fields[f]
 	out := map[int]*DocTermInfo{}
-	words := wordsOf(ix.analyzer, t.Value.Text)
-	if len(words) == 0 {
+	sc := new(Scratch)
+	if len(ix.termWords(sc, t, LookupOptions{})) == 0 {
 		return out, false, nil
 	}
-	if opts.DropStopWords {
-		kept := words[:0]
-		for _, w := range words {
-			if !opts.Stop.Contains(w) {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			return out, true, nil
-		}
-		words = kept
+	words := ix.termWords(sc, t, opts)
+	if len(words) == 0 {
+		return out, true, nil // every word a stop word
 	}
 	if fi == nil {
 		return out, false, nil
@@ -159,7 +151,7 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 // matchWord finds the posting lists matching one query word under the
 // term's modifiers and merges them into a doc→info map.
 func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
-	terms := fi.expandWord(a, word, t, opts)
+	terms := fi.expandWord(nil, a, word, t, opts)
 	out := map[int]*DocTermInfo{}
 	// Infos and positions are cut from chunks that double up to 512 infos
 	// and 4 096 positions: one allocation per chunk, not per posting. A

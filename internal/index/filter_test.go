@@ -30,7 +30,7 @@ func evalBoth(t *testing.T, ix *Index, e query.Expr, opts LookupOptions) (map[in
 	set, err := ix.EvalFilter(e, opts)
 	snap := ix.Snapshot()
 	defer snap.Close()
-	m, cerr := snap.Match(e, nil, opts)
+	m, cerr := snap.Match(new(Scratch), e, nil, opts)
 	if (err == nil) != (cerr == nil) {
 		t.Fatalf("filter %v: oracle error %v, cursor error %v", e, err, cerr)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"starts/internal/attr"
 	"starts/internal/query"
+	"starts/internal/text"
 )
 
 // docIter is the one shape every node of a query has on the serving path:
@@ -31,13 +32,76 @@ func (tc *termCursor) doc() int  { return tc.cur }
 func (tc *termCursor) next()     { tc.advance() }
 func (tc *termCursor) freq() int { return tc.freqAt() }
 
-func newTermCursor(lists []*postingList) *termCursor {
-	tc := &termCursor{curs: make([]*listCursor, len(lists))}
-	for i, pl := range lists {
-		tc.curs[i] = newListCursor(pl)
+// Scratch is the working memory of one search: the words of its terms,
+// their posting lists, its term nodes and cursors. Each slab hands out
+// runs of a chunk sized, when a search starts, for the terms of its
+// query; a run that does not fit starts a new chunk, at least as big as
+// the last, and what was handed out stays where it is until the search
+// drops its Scratch. The zero value is ready for use, by one search at a
+// time.
+type Scratch struct {
+	toks  []text.Token // reused by each tokenization
+	vocab []string     // reused by each word's expansion
+	words []string
+	lists []*postingList
+	runs  [][]*postingList // a phrase's lists, word by word
+	nodes []termNode
+	curs  []termCursor
+	iters []docIter
+	ints  []int
+}
+
+// take returns n zeroed elements from *slab's chunk.
+func take[T any](slab *[]T, n int) []T {
+	reserve(slab, n)
+	s := *slab
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// reserve makes room in *slab's chunk for n more elements.
+func reserve[T any](slab *[]T, n int) {
+	if s := *slab; cap(s)-len(s) < n {
+		*slab = make([]T, 0, max(n, cap(s)))
 	}
-	tc.align()
-	return tc
+}
+
+// sizeFor sizes the slabs for n terms of one word in one field, r of
+// them ranking terms, which take a second cursor and two iterators.
+func (sc *Scratch) sizeFor(n, r int) {
+	reserve(&sc.words, n)
+	reserve(&sc.lists, n)
+	reserve(&sc.nodes, n)
+	reserve(&sc.curs, n+r)
+	reserve(&sc.iters, 2*r)
+}
+
+// Ints returns n zeroed ints, valid while the search holds its Scratch.
+func (sc *Scratch) Ints(n int) []int { return take(&sc.ints, n) }
+
+// Tokens tokenizes value into the scratch's token buffer, valid until the
+// next call.
+func (sc *Scratch) Tokens(a *text.Analyzer, value string) []text.Token {
+	sc.toks = a.Tokenizer.Tokenize(sc.toks[:0], value)
+	return sc.toks
+}
+
+// termCursors returns one cursor per entry of lists, over that entry's
+// posting lists.
+func (sc *Scratch) termCursors(lists ...[]*postingList) []termCursor {
+	tcs := take(&sc.curs, len(lists))
+	for i, l := range lists {
+		tc := &tcs[i]
+		tc.curs = tc.one[:0]
+		if len(l) > 1 {
+			tc.curs = make([]listCursor, 0, len(l))
+		}
+		for _, pl := range l {
+			tc.curs = append(tc.curs, newListCursor(pl))
+		}
+		tc.align()
+	}
+	return tcs
 }
 
 // positions returns the word's positions in the current document,
@@ -45,8 +109,8 @@ func newTermCursor(lists []*postingList) *termCursor {
 // buffer unless several expansions of the word occur in the document.
 func (tc *termCursor) positions() []int32 {
 	var pos []int32
-	for _, c := range tc.curs {
-		switch {
+	for i := range tc.curs {
+		switch c := &tc.curs[i]; {
 		case c.doc() != tc.cur:
 		case pos == nil:
 			pos = c.positions()
@@ -64,18 +128,15 @@ func (tc *termCursor) positions() []int32 {
 // every i, p being the match position. A one-word value matches wherever
 // the word occurs, so its positions are decoded only when asked for.
 type posIter struct {
-	words []*termCursor // per word of the value: its expansion lists in the field
+	words []termCursor // per word of the value: its expansion lists in the field
 	cur   int
 	pos   []int32   // a phrase's match positions in cur
 	at    [][]int32 // scratch: each word's positions in the candidate document
 }
 
 // newPosIter takes each word's expansion lists in the field.
-func newPosIter(lists [][]*postingList) *posIter {
-	p := &posIter{words: make([]*termCursor, len(lists)), at: make([][]int32, len(lists))}
-	for i, l := range lists {
-		p.words[i] = newTermCursor(l)
-	}
+func (sc *Scratch) newPosIter(lists [][]*postingList) *posIter {
+	p := &posIter{words: sc.termCursors(lists...), at: make([][]int32, len(lists))}
 	p.settle()
 	return p
 }
@@ -89,7 +150,7 @@ func (p *posIter) settle() {
 		// the rarest word sets the pace.
 		d := p.words[0].cur
 		for i := 0; i < len(p.words); i++ {
-			w := p.words[i]
+			w := &p.words[i]
 			if w.cur < d {
 				w.seek(d)
 			}
@@ -108,8 +169,8 @@ func (p *posIter) matches() bool {
 	if len(p.words) == 1 {
 		return true
 	}
-	for i, w := range p.words {
-		p.at[i] = w.positions()
+	for i := range p.words {
+		p.at[i] = p.words[i].positions()
 	}
 	p.pos = p.pos[:0]
 starts:
@@ -183,9 +244,9 @@ func (j *joinIter) freq() int       { return 1 }
 func (j *joinIter) next()           { j.l.next(); j.settle() }
 func (j *joinIter) seek(target int) { j.l.seek(target); j.settle() }
 
-// unionIter matches the documents any of its operands matches; a document's
-// frequency is the sum over the operands matching it, as an "any"-field
-// term sums its fields.
+// unionIter matches the documents any of its operands matches, none when
+// it has none; a document's frequency is the sum over the operands
+// matching it, as an "any"-field term sums its fields.
 type unionIter struct {
 	kids []docIter
 	cur  int
@@ -275,7 +336,11 @@ type whereIter struct {
 	keep func(id int) bool
 }
 
-func newWhere(in docIter, keep func(id int) bool) *whereIter {
+// newWhere returns in itself when keep is nil: every document passes.
+func newWhere(in docIter, keep func(id int) bool) docIter {
+	if keep == nil {
+		return in
+	}
 	w := &whereIter{in, keep}
 	w.settle()
 	return w
@@ -300,76 +365,103 @@ func countDocs(it docIter) int {
 
 // termNode is an atomic term resolved against the index: its vocabulary
 // expansions are looked up once, and iterators over its documents are
-// cheap to make from then on.
+// cheap to make from then on. Which of its fields are set says what kind
+// of term it is; the zero node matches nothing.
 type termNode struct {
-	iter  func() docIter
-	count func() int // the document frequency, when there is a shorter way than counting iter()
-	df    int        // negative until asked for
+	lists  []*postingList    // a one-word text term: the word's expansions in the term's fields
+	phrase [][]*postingList  // a phrase: each word's lists, field after field
+	words  int               // a phrase's word count
+	inLang func(id int) bool // a text term's language check; nil when every document passes
+	pred   func(id int) bool // a field without postings: each document's test,
+	all    int               // over this many documents
+	native bool              // a free-form-text term, matching ids
+	ids    []int
+	df     int // negative until asked for
+}
+
+// ranked reports whether the ranked traversal can bound the term block by
+// block: a one-word text term, or one with nothing left to match.
+func (n *termNode) ranked() bool { return n.pred == nil && !n.native && n.words <= 1 }
+
+// iter returns an iterator over the term's documents.
+func (n *termNode) iter(sc *Scratch) docIter {
+	switch {
+	case n.pred != nil:
+		return newWhere(&allIter{n: n.all}, n.pred)
+	case n.native:
+		return &idsIter{ids: n.ids}
+	case n.words > 1:
+		kids := take(&sc.iters, len(n.phrase)/n.words)
+		for i := range kids {
+			kids[i] = sc.newPosIter(n.phrase[i*n.words : (i+1)*n.words])
+		}
+		return newWhere(newUnion(kids...), n.inLang)
+	}
+	return newWhere(&sc.termCursors(n.lists)[0], n.inLang)
 }
 
 // docFreq returns the number of documents the term matches in the whole
-// collection, whatever filter the query carries.
-func (n *termNode) docFreq() int {
-	if n.df < 0 {
-		if n.count != nil {
-			n.df = n.count()
-		} else {
-			n.df = countDocs(n.iter())
-		}
+// collection, whatever filter the query carries: the document frequency
+// the oracle's map lookup reports.
+func (n *termNode) docFreq(sc *Scratch) int {
+	if n.df < 0 && n.ranked() && len(n.lists) == 1 && n.inLang == nil {
+		n.df = n.lists[0].numDocs()
+	} else if n.df < 0 {
+		n.df = countDocs(n.iter(sc))
 	}
 	return n.df
 }
 
-var noDocs = &termNode{iter: func() docIter { return &idsIter{} }}
+// probe returns a one-word term's frequency in one document by
+// binary-searching its posting lists — the per-result stats path.
+func (n *termNode) probe(id int) int {
+	if n.inLang != nil && !n.inLang(id) {
+		return 0
+	}
+	tf := 0
+	for _, pl := range n.lists {
+		if i, found := pl.find(id); found {
+			tf += pl.freq(i)
+		}
+	}
+	return tf
+}
 
-// resolveTerm maps an atomic term to its node. The errors are those of
+// resolveTerm resolves an atomic term into n. The errors are those of
 // malformed values: an unparsable date or language tag, a failing native
 // handler.
-func (ix *Index) resolveTerm(t query.Term, opts LookupOptions) (*termNode, error) {
-	if pred, err := ix.docPredicate(t); err != nil {
-		return nil, err
-	} else if pred != nil {
-		return &termNode{df: -1, iter: func() docIter {
-			return newWhere(&allIter{n: len(ix.recs)}, pred)
-		}}, nil
+func (ix *Index) resolveTerm(sc *Scratch, n *termNode, t query.Term, opts LookupOptions) error {
+	*n = termNode{df: -1}
+	if pred, err := ix.docPredicate(t); err != nil || pred != nil {
+		n.pred, n.all = pred, len(ix.recs)
+		return err
 	}
 	f := t.EffectiveField()
 	if f == attr.FieldFreeFormText {
 		ids, err := ix.nativeIDs(t, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &termNode{df: len(ids), iter: func() docIter { return &idsIter{ids: ids} }}, nil
+		n.native, n.ids, n.df = true, ids, len(ids)
+		return err
 	}
 	fields := textFieldsOf(f)
-	words := ix.termWords(t, opts)
+	words := ix.termWords(sc, t, opts)
 	if len(fields) == 0 || len(words) == 0 {
 		// A field the index does not hold, or nothing left to match.
-		return noDocs, nil
+		n.df = 0
+		return nil
 	}
-	inLang := ix.languageCheck(t, opts)
+	n.inLang = ix.languageCheck(t, opts)
 	if len(words) == 1 {
-		rl := ix.wordLists(fields, words[0], t, opts)
-		rl.inLang = inLang
-		return &termNode{df: -1, iter: rl.iter, count: rl.count}, nil
+		n.lists = ix.wordLists(sc, fields, words[0], t, opts)
+		return nil
 	}
 	// A phrase: positional, so matched field by field and summed.
-	var perField [][][]*postingList
+	n.words, n.phrase = len(words), take(&sc.runs, len(fields)*len(words))[:0]
 	for _, f := range fields {
-		if lists := ix.phraseLists(f, words, t, opts); lists != nil {
-			perField = append(perField, lists)
+		if ix.phraseLists(sc, n.phrase[len(n.phrase):len(n.phrase)+len(words)], f, words, t, opts) {
+			n.phrase = n.phrase[:len(n.phrase)+len(words)]
 		}
 	}
-	return &termNode{df: -1, iter: func() docIter {
-		kids := make([]docIter, len(perField))
-		for i, lists := range perField {
-			kids[i] = newPosIter(lists)
-		}
-		if len(kids) == 0 {
-			return &idsIter{}
-		}
-		return filtered(newUnion(kids...), inLang)
-	}}, nil
+	return nil
 }
 
 // textFieldsOf returns the posting fields a term's field names.
@@ -396,43 +488,36 @@ func (ix *Index) languageCheck(t query.Term, opts LookupOptions) func(id int) bo
 	return func(id int) bool { return ix.inLanguage(id, tag) }
 }
 
-func filtered(it docIter, keep func(id int) bool) docIter {
-	if keep == nil {
-		return it
-	}
-	return newWhere(it, keep)
-}
-
 // phraseLists resolves each word of a value to its expansion lists in one
-// field; nil when some word has none there, so the value cannot match.
-func (ix *Index) phraseLists(f attr.Field, words []string, t query.Term, opts LookupOptions) [][]*postingList {
-	lists := make([][]*postingList, len(words))
+// field, into dst; false when some word has none there, so the value
+// cannot match.
+func (ix *Index) phraseLists(sc *Scratch, dst [][]*postingList, f attr.Field, words []string, t query.Term, opts LookupOptions) bool {
 	for i, w := range words {
-		if lists[i] = ix.wordLists([]attr.Field{f}, w, t, opts).lists; len(lists[i]) == 0 {
-			return nil
+		if dst[i] = ix.wordLists(sc, []attr.Field{f}, w, t, opts); len(dst[i]) == 0 {
+			return false
 		}
 	}
-	return lists
+	return true
 }
 
 // filterIter builds the iterator of a filter expression. The expression
 // should already have been capability-rewritten by the engine (stop-word-
 // only terms stripped); a term that still eliminates entirely under opts
 // matches nothing.
-func (ix *Index) filterIter(e query.Expr, opts LookupOptions) (docIter, error) {
+func (ix *Index) filterIter(sc *Scratch, e query.Expr, opts LookupOptions) (docIter, error) {
 	switch n := e.(type) {
 	case *query.TermExpr:
-		node, err := ix.resolveTerm(n.Term, opts)
-		if err != nil {
+		node := &take(&sc.nodes, 1)[0]
+		if err := ix.resolveTerm(sc, node, n.Term, opts); err != nil {
 			return nil, err
 		}
-		return node.iter(), nil
+		return node.iter(sc), nil
 	case *query.Bin:
-		l, err := ix.filterIter(n.L, opts)
+		l, err := ix.filterIter(sc, n.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ix.filterIter(n.R, opts)
+		r, err := ix.filterIter(sc, n.R, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +530,7 @@ func (ix *Index) filterIter(e query.Expr, opts LookupOptions) (docIter, error) {
 			return nil, fmt.Errorf("index: unknown operator %q", n.Op)
 		}
 	case *query.Prox:
-		return ix.proxIter(n, opts)
+		return ix.proxIter(sc, n, opts)
 	case *query.List:
 		return nil, fmt.Errorf("index: list operator reached filter evaluation")
 	default:
@@ -479,30 +564,27 @@ func proxFields(p *query.Prox) ([]attr.Field, error) {
 // proxIter builds the iterator of a proximity constraint: in each field, the
 // documents holding both terms (each within its language) with some pair of
 // match positions close enough.
-func (ix *Index) proxIter(p *query.Prox, opts LookupOptions) (docIter, error) {
+func (ix *Index) proxIter(sc *Scratch, p *query.Prox, opts LookupOptions) (docIter, error) {
 	fields, err := proxFields(p)
 	if err != nil {
 		return nil, err
 	}
-	lw, rw := ix.termWords(p.L.Term, opts), ix.termWords(p.R.Term, opts)
+	lw, rw := ix.termWords(sc, p.L.Term, opts), ix.termWords(sc, p.R.Term, opts)
 	if len(lw) == 0 || len(rw) == 0 {
 		fields = nil // a term with nothing left to match
 	}
 	lLang, rLang := ix.languageCheck(p.L.Term, opts), ix.languageCheck(p.R.Term, opts)
 	var kids []docIter
 	for _, f := range fields {
-		ll, rl := ix.phraseLists(f, lw, p.L.Term, opts), ix.phraseLists(f, rw, p.R.Term, opts)
-		if ll == nil || rl == nil {
+		ll, rl := take(&sc.runs, len(lw)), take(&sc.runs, len(rw))
+		if !ix.phraseLists(sc, ll, f, lw, p.L.Term, opts) || !ix.phraseLists(sc, rl, f, rw, p.R.Term, opts) {
 			continue
 		}
-		l, r := newPosIter(ll), newPosIter(rl)
+		l, r := sc.newPosIter(ll), sc.newPosIter(rl)
 		kids = append(kids, newWhere(newJoin(l, r, false), func(id int) bool {
 			return proxSatisfied(l.positions(), r.positions(), p.Dist, p.Ordered) &&
 				(lLang == nil || lLang(id)) && (rLang == nil || rLang(id))
 		}))
-	}
-	if len(kids) == 0 {
-		return &idsIter{}, nil
 	}
 	return newUnion(kids...), nil
 }
@@ -532,8 +614,9 @@ func proxSatisfied(lpos, rpos []int32, dist int, ordered bool) bool {
 // Matcher walks the documents a query matches, in ascending id order, and
 // reports each ranking term's frequency in the document it stands on.
 type Matcher struct {
+	sc      *Scratch
 	driver  docIter
-	nodes   []*termNode
+	nodes   []termNode
 	terms   []docIter // the ranking terms, following the driver
 	probes  []docIter // a second set, for FreqsAt
 	started bool
@@ -541,30 +624,40 @@ type Matcher struct {
 
 // Match prepares the evaluation of a query: filter decides which documents
 // match, and with no filter the documents matching at least one of terms
-// do — any other document scores zero under every ranking operator.
-func (s Snapshot) Match(filter query.Expr, terms []query.Term, opts LookupOptions) (*Matcher, error) {
-	m := &Matcher{nodes: make([]*termNode, len(terms)), terms: make([]docIter, len(terms))}
+// do — any other document scores zero under every ranking operator. The
+// Matcher works in sc.
+func (s Snapshot) Match(sc *Scratch, filter query.Expr, terms []query.Term, opts LookupOptions) (Matcher, error) {
+	sc.sizeFor(countTerms(filter)+len(terms), len(terms))
+	m := Matcher{sc: sc, nodes: take(&sc.nodes, len(terms)), terms: take(&sc.iters, len(terms)), probes: take(&sc.iters, len(terms))}
+	var err error
 	if filter != nil {
-		var err error
-		if m.driver, err = s.ix.filterIter(filter, opts); err != nil {
-			return nil, err
+		if m.driver, err = s.ix.filterIter(sc, filter, opts); err != nil {
+			return m, err
 		}
 	}
 	for i, t := range terms {
-		node, err := s.ix.resolveTerm(t, opts)
-		if err != nil {
-			return nil, err
+		if err = s.ix.resolveTerm(sc, &m.nodes[i], t, opts); err != nil {
+			return m, err
 		}
-		m.nodes[i], m.terms[i] = node, node.iter()
+		m.terms[i], m.probes[i] = m.nodes[i].iter(sc), m.nodes[i].iter(sc)
 	}
 	if filter == nil {
-		if len(terms) == 0 {
-			m.driver = &idsIter{}
-		} else {
-			m.driver = newUnion(m.terms...)
-		}
+		m.driver = newUnion(m.terms...)
 	}
 	return m, nil
+}
+
+// countTerms returns the number of atomic terms in a filter expression.
+func countTerms(e query.Expr) int {
+	switch n := e.(type) {
+	case *query.TermExpr:
+		return 1
+	case *query.Bin:
+		return countTerms(n.L) + countTerms(n.R)
+	case *query.Prox:
+		return 2
+	}
+	return 0
 }
 
 // Next moves to the next matching document; ok is false after the last.
@@ -590,18 +683,12 @@ func freqAt(it docIter, id int) int {
 func (m *Matcher) Freq(i int) int { return freqAt(m.terms[i], m.driver.doc()) }
 
 // DocFreq returns term i's document frequency in the whole collection.
-func (m *Matcher) DocFreq(i int) int { return m.nodes[i].docFreq() }
+func (m *Matcher) DocFreq(i int) int { return m.nodes[i].docFreq(m.sc) }
 
 // FreqsAt fills tfs with every term's frequency in document id. It is for
 // the few documents an answer returns, after the walk: ids must ascend from
 // call to call.
 func (m *Matcher) FreqsAt(id int, tfs []int) {
-	if m.probes == nil {
-		m.probes = make([]docIter, len(m.nodes))
-		for i, n := range m.nodes {
-			m.probes[i] = n.iter()
-		}
-	}
 	for i, p := range m.probes {
 		tfs[i] = freqAt(p, id)
 	}

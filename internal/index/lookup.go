@@ -30,78 +30,61 @@ type LookupOptions struct {
 	Native func(native string) (map[int]bool, error)
 }
 
-// wordsOf tokenizes a term value without stop-word elimination or
-// normalization (matching policy is applied per word later).
-func wordsOf(a *text.Analyzer, value string) []string {
-	toks := a.Tokenizer.Tokenize(nil, value)
-	words := make([]string, len(toks))
-	for i, t := range toks {
-		words[i] = t.Text
-	}
-	return words
-}
-
 // termWords returns the words of a text term's value that take part in
 // matching: tokenized, stop words dropped when the options say so. None
 // left means the term matches nothing.
-func (ix *Index) termWords(t query.Term, opts LookupOptions) []string {
-	words := wordsOf(ix.analyzer, t.Value.Text)
-	if !opts.DropStopWords {
-		return words
-	}
-	kept := words[:0]
-	for _, w := range words {
-		if !opts.Stop.Contains(w) {
-			kept = append(kept, w)
+func (ix *Index) termWords(sc *Scratch, t query.Term, opts LookupOptions) []string {
+	toks, n := sc.Tokens(ix.analyzer, t.Value.Text), 0
+	words := take(&sc.words, len(toks))
+	for _, tok := range toks {
+		if !opts.DropStopWords || !opts.Stop.Contains(tok.Text) {
+			words[n], n = tok.Text, n+1
 		}
 	}
-	return kept
+	return words[:n]
 }
 
-// expandWord resolves one query word to the index vocabulary terms it
-// matches under the term's modifiers: the expansion step the cursors and
-// the oracle share.
-func (fi *fieldIndex) expandWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) []string {
-	var terms []string
-	seen := map[string]bool{}
-	add := func(candidates ...string) {
-		for _, c := range candidates {
-			if !seen[c] {
-				seen[c] = true
-				terms = append(terms, c)
-			}
-		}
-	}
-
+// expandWord appends to dst the index vocabulary terms one query word
+// matches under the term's modifiers, each once: the expansion step the
+// cursors and the oracle share.
+func (fi *fieldIndex) expandWord(dst []string, a *text.Analyzer, word string, t query.Term, opts LookupOptions) []string {
+	from := len(dst)
 	expanded := []string{word}
 	if t.HasMod(attr.ModThesaurus) && opts.Thesaurus != nil {
 		expanded = opts.Thesaurus.Expand(word)
 	}
 	for _, w := range expanded {
 		norm := a.NormalizeTerm(w)
+		var cands []string
 		switch {
 		case t.HasMod(attr.ModStem) && !a.Stemming:
 			// Engine does not stem its index: expand via the stem map.
-			add(fi.stems[text.Stem(norm)]...)
+			cands = fi.stems[text.Stem(norm)]
 		case t.HasMod(attr.ModPhonetic):
 			if sx := text.Soundex(w); sx != "" {
-				add(fi.sounds[sx]...)
+				cands = fi.sounds[sx]
 			}
 		case t.HasMod(attr.ModRightTruncation):
-			add(fi.prefixTerms(norm)...)
+			cands = fi.prefixTerms(norm)
 		case t.HasMod(attr.ModLeftTruncation):
-			add(fi.suffixTerms(norm)...)
+			cands = fi.suffixTerms(norm)
 		case a.CaseSensitive && !t.HasMod(attr.ModCaseSensitive):
 			// Case-sensitive index, default (insensitive) match: use the
 			// fold map.
-			add(fi.folds[strings.ToLower(norm)]...)
+			cands = fi.folds[strings.ToLower(norm)]
 		default:
 			if _, ok := fi.postings[norm]; ok {
-				add(norm)
+				cands = []string{norm}
+			}
+		}
+		// Expansions are few: a linear scan dedupes them.
+		for _, c := range cands {
+			if !slices.Contains(dst[from:], c) {
+				dst = append(dst, c)
 			}
 		}
 	}
-	return terms
+	return dst
 }
 
 // mergePositions returns the sorted union of two position lists in a
@@ -113,14 +96,15 @@ func mergePositions(a, b []int32) []int32 {
 	return merged
 }
 
+// prefixTerms returns the vocabulary's run of terms starting with prefix.
 func (fi *fieldIndex) prefixTerms(prefix string) []string {
 	vocab := fi.sortedVocab()
 	i := sort.SearchStrings(vocab, prefix)
-	var out []string
-	for ; i < len(vocab) && strings.HasPrefix(vocab[i], prefix); i++ {
-		out = append(out, vocab[i])
+	j := i
+	for j < len(vocab) && strings.HasPrefix(vocab[j], prefix) {
+		j++
 	}
-	return out
+	return vocab[i:j:j]
 }
 
 func (fi *fieldIndex) suffixTerms(suffix string) []string {

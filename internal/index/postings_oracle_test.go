@@ -288,7 +288,7 @@ func checkMerged(t *testing.T, what string, lists map[string]*postingList, oracl
 	docs := slices.Concat(oracle["x"].docs, oracle["xy"].docs)
 	slices.Sort(docs)
 	docs = slices.Compact(docs)
-	tc := newTermCursor(pls)
+	tc := &new(Scratch).termCursors(pls)[0]
 	for _, id := range docs {
 		want := mergePositions(oracle["x"].find(int(id)), oracle["xy"].find(int(id)))
 		if tc.cur != int(id) || tc.freqAt() != len(want) || !slices.Equal(tc.positions(), want) {

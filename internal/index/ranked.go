@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"math"
 
 	"starts/internal/attr"
@@ -40,25 +41,14 @@ type RankedDoc struct {
 	ID int
 	// Score is the raw score: the weighted sum divided by the plan's Norm.
 	Score float64
-	// TFs are the per-plan-term match frequencies (language-filtered,
-	// merged across fields and modifier expansions), for term stats.
-	TFs []int
-}
-
-// rankLists is a one-word text term resolved to its posting lists: the
-// word's expansions across the term's fields.
-type rankLists struct {
-	lists []*postingList
-	df    int
-	// inLang is the term's language check; nil when every document passes.
-	inLang func(id int) bool
 }
 
 // termCursor walks one plan term's posting lists document-at-a-time,
 // tracking the block-level and global score upper bounds pruning needs.
 type termCursor struct {
-	idx    int // plan term index
-	curs   []*listCursor
+	idx    int          // plan term index
+	curs   []listCursor // one[:] for a one-list term, so never copy a termCursor
+	one    [1]listCursor
 	df     int
 	ub     float64 // weight × max possible term weight, list-global
 	w      float64
@@ -68,26 +58,23 @@ type termCursor struct {
 
 func (tc *termCursor) align() {
 	tc.cur = maxDocID
-	for _, c := range tc.curs {
-		if d := c.doc(); d < tc.cur {
-			tc.cur = d
-		}
+	for i := range tc.curs {
+		tc.cur = min(tc.cur, tc.curs[i].doc())
 	}
 }
 
 // seek advances to the first doc id >= target.
 func (tc *termCursor) seek(target int) {
-	for _, c := range tc.curs {
-		c.seek(target)
+	for i := range tc.curs {
+		tc.curs[i].seek(target)
 	}
 	tc.align()
 }
 
 // advance moves past the current doc.
 func (tc *termCursor) advance() {
-	d := tc.cur
-	for _, c := range tc.curs {
-		if c.doc() == d {
+	for i := range tc.curs {
+		if c := &tc.curs[i]; c.doc() == tc.cur {
 			c.next()
 		}
 	}
@@ -97,8 +84,8 @@ func (tc *termCursor) advance() {
 // freqAt returns the merged term frequency at the current doc.
 func (tc *termCursor) freqAt() int {
 	tf := 0
-	for _, c := range tc.curs {
-		if c.doc() == tc.cur {
+	for i := range tc.curs {
+		if c := &tc.curs[i]; c.doc() == tc.cur {
 			tf += c.freq()
 		}
 	}
@@ -111,8 +98,8 @@ func (tc *termCursor) freqAt() int {
 // postings blockBound did not count).
 func (tc *termCursor) blockSkipTarget() int {
 	t := maxDocID
-	for _, c := range tc.curs {
-		if c.doc() == tc.cur {
+	for i := range tc.curs {
+		if c := &tc.curs[i]; c.doc() == tc.cur {
 			if end := int(c.curBlock().maxDoc) + 1; end < t {
 				t = end
 			}
@@ -150,7 +137,7 @@ func frontierBound(fr []tfLen, plan *RankPlan, w float64, df, n int) float64 {
 // frequencies add across the lists.
 func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 	if len(tc.curs) == 1 {
-		c := tc.curs[0]
+		c := &tc.curs[0]
 		if bi := int32(c.bi()); bi != c.boundBi {
 			c.boundBi = bi
 			c.bound = frontierBound(c.curBlock().frontier[:], plan, tc.w, tc.df, n)
@@ -158,8 +145,8 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 		return c.bound
 	}
 	maxF, minL := 0, math.MaxInt
-	for _, c := range tc.curs {
-		if c.doc() == tc.cur {
+	for i := range tc.curs {
+		if c := &tc.curs[i]; c.doc() == tc.cur {
 			f, l := peak(c.curBlock().frontier[:])
 			maxF, minL = maxF+f, min(minL, l)
 		}
@@ -175,39 +162,38 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 // smaller doc id) among documents with Score > 0, identical to
 // exhaustively scoring every document.
 //
-// The second return value reports per-plan-term document frequencies.
-// ok is false when some term has no block bounds to prune on (a phrase, a
+// tfs holds each returned document's per-plan-term match frequencies
+// (language-filtered, merged across fields and modifier expansions), for
+// term stats: document i's at tfs[i·len(plan.Terms):], in plan order. dfs
+// holds the per-plan-term document frequencies. ok is false when some term has no block bounds to prune on (a phrase, a
 // field without postings, a free-form-text term): Snapshot.Match walks
 // such a query instead.
-func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDoc, dfs []int, ok bool) {
+func (s Snapshot) TopKRanked(sc *Scratch, plan RankPlan, opts LookupOptions) (docs []RankedDoc, tfs, dfs []int, ok bool) {
 	ix := s.ix
 	if plan.K <= 0 || plan.TermWeight == nil {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	n := len(ix.recs)
-	resolved := make([]rankLists, len(plan.Terms))
+	n, nt := len(ix.recs), len(plan.Terms)
+	sc.sizeFor(nt, 0)
+	resolved := take(&sc.nodes, nt)
 	for i, rt := range plan.Terms {
-		rl, termOK := ix.resolveRankTerm(rt.Term, opts)
-		if !termOK {
-			return nil, nil, false
+		if err := ix.resolveTerm(sc, &resolved[i], rt.Term, opts); err != nil || !resolved[i].ranked() {
+			return nil, nil, nil, false
 		}
-		resolved[i] = rl
-	}
-	dfs = make([]int, len(resolved))
-	for i := range resolved {
-		dfs[i] = resolved[i].df
 	}
 
 	// Build cursors for terms that have postings at all, each with its
 	// list-global bound: the list's frontier, or for a merged term the
 	// lists' peaks as blockBound combines them.
-	cursors := make([]*termCursor, 0, len(resolved))
-	for i, rl := range resolved {
+	ptrs := make([]*termCursor, 2*nt)
+	cursors, atPivot := ptrs[:0:nt], ptrs[nt:nt]
+	for i := range resolved {
+		rl := &resolved[i]
 		if len(rl.lists) == 0 {
 			continue
 		}
-		tc := newTermCursor(rl.lists)
-		tc.idx, tc.df, tc.w, tc.inLang = i, rl.df, plan.Terms[i].Weight, rl.inLang
+		tc := &sc.termCursors(rl.lists)[0]
+		tc.idx, tc.df, tc.w, tc.inLang = i, rl.docFreq(sc), plan.Terms[i].Weight, rl.inLang
 		switch {
 		case tc.df == 0:
 		case len(rl.lists) == 1:
@@ -223,15 +209,14 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 		cursors = append(cursors, tc)
 	}
 
-	// rankedBefore orders candidates exactly as the engine's default sort
+	// rankedOrder orders candidates exactly as the engine's default sort
 	// does: score descending, doc id ascending. Documents are offered in
 	// ascending id order, so requiring a strict improvement over the
 	// heap's worst keeps selection exact — an equal-score later doc could
 	// never displace the kept one anyway. Every bound is divided by Norm
 	// before it meets the threshold: division by a positive number is
 	// monotone, so a bound on the sum stays a bound on the score.
-	h := topk.New(plan.K, rankedBefore)
-	var atPivot []*termCursor
+	h := topk.New(plan.K, rankedOrder)
 	sortCursors(cursors)
 	for len(cursors) > 0 {
 		// Drop exhausted cursors (sorted last).
@@ -321,13 +306,15 @@ func (s Snapshot) TopKRanked(plan RankPlan, opts LookupOptions) (docs []RankedDo
 	}
 
 	out := h.Sorted()
-	for oi := range out {
-		out[oi].TFs = make([]int, len(resolved))
-		for ti := range resolved {
-			out[oi].TFs[ti] = resolved[ti].probe(out[oi].ID)
+	ints := take(&sc.ints, (1+len(out))*nt)
+	dfs, tfs = ints[:nt], ints[nt:]
+	for ti := range resolved {
+		dfs[ti] = resolved[ti].docFreq(sc)
+		for oi, d := range out {
+			tfs[oi*nt+ti] = resolved[ti].probe(d.ID)
 		}
 	}
-	return out, dfs, true
+	return out, tfs, dfs, true
 }
 
 // matchFreq returns the term frequency at doc id, honoring the term's
@@ -339,83 +326,33 @@ func (tc *termCursor) matchFreq(id int) int {
 	return tc.freqAt()
 }
 
-// probe returns the term frequency of one document by binary-searching
-// the resolved posting lists — the per-result stats path.
-func (rl *rankLists) probe(id int) int {
-	if rl.inLang != nil && !rl.inLang(id) {
-		return 0
-	}
-	tf := 0
-	for _, pl := range rl.lists {
-		if i, found := pl.find(id); found {
-			tf += pl.freq(i)
-		}
-	}
-	return tf
-}
-
-// iter returns an iterator over the term's documents.
-func (rl *rankLists) iter() docIter { return filtered(newTermCursor(rl.lists), rl.inLang) }
-
-// count returns the number of distinct documents across the lists that
-// pass the language check — the document frequency the oracle's map
-// lookup reports.
-func (rl *rankLists) count() int {
-	switch {
-	case len(rl.lists) == 0:
-		return 0
-	case len(rl.lists) == 1 && rl.inLang == nil:
-		return rl.lists[0].numDocs()
-	}
-	return countDocs(rl.iter())
-}
-
 // wordLists resolves one word of a term's value to its posting lists: the
 // word's modifier expansions in each of fields.
-func (ix *Index) wordLists(fields []attr.Field, word string, t query.Term, opts LookupOptions) rankLists {
-	var rl rankLists
+func (ix *Index) wordLists(sc *Scratch, fields []attr.Field, word string, t query.Term, opts LookupOptions) []*postingList {
+	from := len(sc.lists)
 	for _, f := range fields {
 		fi := ix.fields[f]
 		if fi == nil {
 			continue
 		}
-		for _, vt := range fi.expandWord(ix.analyzer, word, t, opts) {
+		sc.vocab = fi.expandWord(sc.vocab[:0], ix.analyzer, word, t, opts)
+		for _, vt := range sc.vocab {
 			if pl := fi.postings[vt]; pl.numDocs() > 0 {
-				rl.lists = append(rl.lists, pl)
+				sc.lists = append(sc.lists, pl)
 			}
 		}
 	}
-	return rl
+	return sc.lists[from:len(sc.lists):len(sc.lists)]
 }
 
-// resolveRankTerm maps one atomic term to its posting lists. ok is false
-// for terms the ranked traversal cannot bound block by block: phrases,
-// which need positions, and the fields without postings.
-func (ix *Index) resolveRankTerm(t query.Term, opts LookupOptions) (rankLists, bool) {
-	fields := textFieldsOf(t.EffectiveField())
-	words := ix.termWords(t, opts)
-	if fields == nil || len(words) > 1 {
-		return rankLists{}, false
-	}
-	if len(words) == 0 {
-		// Nothing to match: the term contributes zero weight everywhere
-		// (but still counts toward the plan's Norm).
-		return rankLists{}, true
-	}
-	rl := ix.wordLists(fields, words[0], t, opts)
-	rl.inLang = ix.languageCheck(t, opts)
-	rl.df = rl.count()
-	return rl, true
-}
-
-// rankedBefore is the result order of the ranked fast path: higher score
+// rankedOrder is the result order of the ranked fast path: higher score
 // first, ties to the smaller doc id — the engine's default score sort
 // with its stable id tiebreak.
-func rankedBefore(a, b RankedDoc) bool {
+func rankedOrder(a, b RankedDoc) int {
 	if a.Score != b.Score {
-		return a.Score > b.Score
+		return cmp.Compare(b.Score, a.Score)
 	}
-	return a.ID < b.ID
+	return a.ID - b.ID
 }
 
 // sortCursors orders cursors by current doc id ascending (exhausted

@@ -9,8 +9,9 @@
 package merge
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"starts/internal/attr"
@@ -70,21 +71,21 @@ func fuse(items []merged, limit int) []*result.Document {
 		keep = append(keep, it)
 	}
 	// Arrival order is unique, so the tiebreak makes the order total:
-	// heap selection and (stable) sorting agree exactly.
-	before := func(a, b *merged) bool {
+	// heap selection and sorting agree exactly.
+	compare := func(a, b *merged) int {
 		if a.score != b.score {
-			return a.score > b.score
+			return cmp.Compare(b.score, a.score)
 		}
-		return a.order < b.order
+		return a.order - b.order
 	}
 	if limit > 0 && len(keep) > limit {
-		h := topk.New(limit, before)
+		h := topk.New(limit, compare)
 		for _, it := range keep {
 			h.Push(it)
 		}
 		keep = h.Sorted()
 	} else {
-		sort.Slice(keep, func(i, j int) bool { return before(keep[i], keep[j]) })
+		slices.SortFunc(keep, compare)
 	}
 	out := make([]*result.Document, len(keep))
 	for i, it := range keep {

@@ -114,7 +114,8 @@ func (p *printer) query(q *query.Query) {
 		p.str(s, ",")
 	}
 	p.endList(len(srcs), ";ans=")
-	for _, f := range q.EffectiveAnswerFields() {
+	var fields [4]attr.Field
+	for _, f := range q.AppendAnswerFields(fields[:0]) {
 		p.str(string(f), ",")
 	}
 	p.endList(1, ";sort=")

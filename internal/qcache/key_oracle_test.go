@@ -38,7 +38,7 @@ func oracleCanonical(q *query.Query) string {
 	b.WriteString(";srcs=")
 	b.WriteString(strings.Join(srcs, ","))
 	b.WriteString(";ans=")
-	for i, f := range q.EffectiveAnswerFields() {
+	for i, f := range q.AppendAnswerFields(nil) {
 		if i > 0 {
 			b.WriteByte(',')
 		}

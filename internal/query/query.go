@@ -99,22 +99,26 @@ func (q *Query) EffectiveMaxResults() int {
 	return q.MaxResults
 }
 
-// EffectiveSort returns SortBy, defaulting to score descending.
+// scoreDescending is the default sort, shared by every query that sets
+// none.
+var scoreDescending = []SortKey{{Field: ScoreSortField}}
+
+// EffectiveSort returns SortBy, defaulting to score descending. The
+// caller must not modify the keys.
 func (q *Query) EffectiveSort() []SortKey {
 	if len(q.SortBy) == 0 {
-		return []SortKey{{Field: ScoreSortField}}
+		return scoreDescending[:1:1]
 	}
 	return q.SortBy
 }
 
-// EffectiveAnswerFields returns the answer fields with linkage guaranteed
-// present, since linkage is always returned.
-func (q *Query) EffectiveAnswerFields() []attr.Field {
+// AppendAnswerFields appends the answer fields to out, with linkage
+// guaranteed present, since linkage is always returned.
+func (q *Query) AppendAnswerFields(out []attr.Field) []attr.Field {
 	fields := q.AnswerFields
 	if len(fields) == 0 {
 		fields = []attr.Field{attr.FieldTitle}
 	}
-	out := make([]attr.Field, 0, len(fields)+1)
 	hasLinkage := false
 	for _, f := range fields {
 		f = attr.Normalize(f)

@@ -113,8 +113,8 @@ func TestQueryDefaults(t *testing.T) {
 	if !q.DropStopWords || q.DefaultAttrSet != attr.SetBasic1 || q.DefaultLanguage != lang.EnglishUS {
 		t.Errorf("defaults = %+v", q)
 	}
-	if got := q.EffectiveAnswerFields(); len(got) != 2 || got[0] != attr.FieldTitle || got[1] != attr.FieldLinkage {
-		t.Errorf("EffectiveAnswerFields = %v", got)
+	if got := q.AppendAnswerFields(nil); len(got) != 2 || got[0] != attr.FieldTitle || got[1] != attr.FieldLinkage {
+		t.Errorf("AppendAnswerFields = %v", got)
 	}
 	if got := q.EffectiveSort(); len(got) != 1 || got[0].Field != ScoreSortField || got[0].Ascending {
 		t.Errorf("EffectiveSort = %v", got)
@@ -125,13 +125,13 @@ func TestQueryDefaults(t *testing.T) {
 	}
 	// Linkage is always in the answer even if not requested.
 	q.AnswerFields = []attr.Field{attr.FieldAuthor}
-	fields := q.EffectiveAnswerFields()
+	fields := q.AppendAnswerFields(nil)
 	if fields[len(fields)-1] != attr.FieldLinkage {
 		t.Errorf("linkage not forced into answer: %v", fields)
 	}
 	// But not duplicated.
 	q.AnswerFields = []attr.Field{attr.FieldLinkage, attr.FieldTitle}
-	if got := q.EffectiveAnswerFields(); len(got) != 2 {
+	if got := q.AppendAnswerFields(nil); len(got) != 2 {
 		t.Errorf("linkage duplicated: %v", got)
 	}
 }

@@ -88,3 +88,41 @@ func TestAnalyzeAllMemo(t *testing.T) {
 		t.Errorf("memo = %v", memo)
 	}
 }
+
+// oracleStem is the Stem that Stem replaced: it stems a fresh copy of the
+// lower-cased word and returns the result as a new string. Stem must
+// return the same stem for every input.
+func oracleStem(word string) string {
+	w := []byte(strings.ToLower(word))
+	if len(w) <= 2 {
+		return string(w)
+	}
+	for _, c := range w {
+		if c < 'a' || c > 'z' {
+			return string(w)
+		}
+	}
+	w = step5b(step5a(step4(step3(step2(step1c(step1b(step1a(w))))))))
+	return string(w)
+}
+
+func FuzzStemMatchesOracle(f *testing.F) {
+	for _, w := range []string{"databases", "running", "z39.50", "Relational", "generalizations", "sky", "ab", "", "ÉTATS", strings.Repeat("ization", 12)} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, w string) {
+		if got, want := Stem(w), oracleStem(w); got != want {
+			t.Fatalf("Stem(%q) = %q, oracle %q", w, got, want)
+		}
+	})
+}
+
+// TestStemAllocations pins that stemming a lower-case word allocates
+// nothing: the stem is a view of the word.
+func TestStemAllocations(t *testing.T) {
+	for _, w := range []string{"databases", "running", "z39.50"} {
+		if n := testing.AllocsPerRun(100, func() { Stem(w) }); n != 0 {
+			t.Errorf("Stem(%q) allocates %.0f times, want 0", w, n)
+		}
+	}
+}

@@ -8,17 +8,24 @@ import "strings"
 // stem modifier also matches "database".
 //
 // The input is lower-cased first; words shorter than three letters are
-// returned unchanged, as in Porter's original definition.
+// returned unchanged, as in Porter's original definition. Stemming runs
+// in a stack buffer: a stem that is a prefix of the lower-cased input,
+// as most are, is returned as a view of it (of the input itself when it
+// is lower-case), so a kept stem keeps that memory. The callers that
+// keep stems hold the input anyway: the index keys its stem map on index
+// terms, GlOSS its probe set on the query's words.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
-	if len(w) <= 2 {
-		return string(w)
+	lower := strings.ToLower(word)
+	if len(lower) <= 2 {
+		return lower
 	}
-	for _, c := range w {
-		if c < 'a' || c > 'z' {
-			return string(w) // non-alphabetic input passes through
+	for i := 0; i < len(lower); i++ {
+		if c := lower[i]; c < 'a' || c > 'z' {
+			return lower // non-alphabetic input passes through
 		}
 	}
+	var buf [64]byte
+	w := append(buf[:0], lower...)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -27,6 +34,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if len(w) <= len(lower) && string(w) == lower[:len(w)] {
+		return lower[:len(w)]
+	}
 	return string(w)
 }
 
@@ -103,15 +113,14 @@ func hasSuffix(w []byte, s string) bool {
 // replaceSuffix replaces suffix s with r if the stem before s has measure
 // at least m. It reports whether the suffix matched (not whether it was
 // replaced), which callers use to stop at the first matching rule.
-func replaceSuffix(w *[]byte, s, r string, m int) bool {
-	if !hasSuffix(*w, s) {
-		return false
+func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
+	if !hasSuffix(w, s) {
+		return w, false
 	}
-	stem := (*w)[:len(*w)-len(s)]
-	if measure(stem) >= m {
-		*w = append(stem[:len(stem):len(stem)], r...)
+	if stem := w[:len(w)-len(s)]; measure(stem) >= m {
+		return append(stem, r...), true // r is never longer than s
 	}
-	return true
+	return w, true
 }
 
 func step1a(w []byte) []byte {
@@ -173,7 +182,7 @@ func step2(w []byte) []byte {
 		{"biliti", "ble"},
 	}
 	for _, rule := range rules {
-		if replaceSuffix(&w, rule.s, rule.r, 1) {
+		if w, ok := replaceSuffix(w, rule.s, rule.r, 1); ok {
 			return w
 		}
 	}
@@ -186,7 +195,7 @@ func step3(w []byte) []byte {
 		{"ical", "ic"}, {"ful", ""}, {"ness", ""},
 	}
 	for _, rule := range rules {
-		if replaceSuffix(&w, rule.s, rule.r, 1) {
+		if w, ok := replaceSuffix(w, rule.s, rule.r, 1); ok {
 			return w
 		}
 	}

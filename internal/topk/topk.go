@@ -6,21 +6,22 @@
 // order over more than k items.
 package topk
 
-import "sort"
+import "slices"
 
-// Heap keeps the k best items seen so far under a strict ordering:
-// before(a, b) reports that a outranks b. The worst kept item sits at
-// the root, so a full heap rejects a non-qualifying offer after one
-// comparison. before must be a strict weak ordering; for deterministic
-// output it should be total (break ties on a unique key).
+// Heap keeps the k best items seen so far under an ordering: cmp(a, b)
+// is negative when a outranks b, as for slices.SortFunc. The worst kept
+// item sits at the root, so a full heap rejects a non-qualifying offer
+// after one comparison. cmp must be a strict weak ordering; for
+// deterministic output it should be total (break ties on a unique key),
+// since Sorted's sort is not stable.
 type Heap[T any] struct {
-	k      int
-	before func(a, b T) bool
-	items  []T
+	k     int
+	cmp   func(a, b T) int
+	items []T
 }
 
-// New returns a heap selecting the k best items by before.
-func New[T any](k int, before func(a, b T) bool) *Heap[T] {
+// New returns a heap selecting the k best items by cmp.
+func New[T any](k int, cmp func(a, b T) int) *Heap[T] {
 	if k < 0 {
 		k = 0
 	}
@@ -28,7 +29,7 @@ func New[T any](k int, before func(a, b T) bool) *Heap[T] {
 	if c > 1024 {
 		c = 1024 // cap pre-allocation for huge k
 	}
-	return &Heap[T]{k: k, before: before, items: make([]T, 0, c)}
+	return &Heap[T]{k: k, cmp: cmp, items: make([]T, 0, c)}
 }
 
 // Len returns the number of items currently kept.
@@ -51,7 +52,7 @@ func (h *Heap[T]) Push(x T) {
 		i := len(h.items) - 1
 		for i > 0 {
 			p := (i - 1) / 2
-			if !h.before(h.items[p], h.items[i]) {
+			if h.cmp(h.items[p], h.items[i]) >= 0 {
 				break
 			}
 			h.items[i], h.items[p] = h.items[p], h.items[i]
@@ -59,7 +60,7 @@ func (h *Heap[T]) Push(x T) {
 		}
 		return
 	}
-	if !h.before(x, h.items[0]) {
+	if h.cmp(x, h.items[0]) >= 0 {
 		return
 	}
 	h.items[0] = x
@@ -74,10 +75,10 @@ func (h *Heap[T]) siftDown() {
 	for {
 		l, r := 2*i+1, 2*i+2
 		w := i
-		if l < n && h.before(h.items[w], h.items[l]) {
+		if l < n && h.cmp(h.items[w], h.items[l]) < 0 {
 			w = l
 		}
-		if r < n && h.before(h.items[w], h.items[r]) {
+		if r < n && h.cmp(h.items[w], h.items[r]) < 0 {
 			w = r
 		}
 		if w == i {
@@ -93,6 +94,6 @@ func (h *Heap[T]) siftDown() {
 func (h *Heap[T]) Sorted() []T {
 	out := h.items
 	h.items = nil
-	sort.Slice(out, func(i, j int) bool { return h.before(out[i], out[j]) })
+	slices.SortFunc(out, h.cmp)
 	return out
 }

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,11 +12,11 @@ type item struct {
 	id    int
 }
 
-func itemBefore(a, b item) bool {
+func itemOrder(a, b item) int {
 	if a.score != b.score {
-		return a.score > b.score
+		return cmp.Compare(b.score, a.score)
 	}
-	return a.id < b.id
+	return a.id - b.id
 }
 
 // TestSelectionMatchesFullSort pushes randomized streams (fixed seed)
@@ -31,14 +32,14 @@ func TestSelectionMatchesFullSort(t *testing.T) {
 			items[i] = item{score: float64(rng.Intn(10)), id: i}
 		}
 		for _, k := range []int{0, 1, 5, n / 2, n, n + 10} {
-			h := New(k, itemBefore)
+			h := New(k, itemOrder)
 			for _, it := range items {
 				h.Push(it)
 			}
 			got := h.Sorted()
 
 			want := append([]item(nil), items...)
-			sort.Slice(want, func(i, j int) bool { return itemBefore(want[i], want[j]) })
+			sort.Slice(want, func(i, j int) bool { return itemOrder(want[i], want[j]) < 0 })
 			if k < len(want) {
 				want = want[:k]
 			}
@@ -55,7 +56,7 @@ func TestSelectionMatchesFullSort(t *testing.T) {
 }
 
 func TestWorstTracksKthBest(t *testing.T) {
-	h := New(3, itemBefore)
+	h := New(3, itemOrder)
 	for _, s := range []float64{5, 1, 9, 7, 3} {
 		h.Push(item{score: s})
 	}
@@ -68,9 +69,35 @@ func TestWorstTracksKthBest(t *testing.T) {
 }
 
 func TestZeroK(t *testing.T) {
-	h := New[int](0, func(a, b int) bool { return a < b })
+	h := New(0, cmp.Compare[int])
 	h.Push(1)
 	if h.Len() != 0 || len(h.Sorted()) != 0 {
 		t.Error("k=0 heap kept items")
+	}
+}
+
+// TestSortedMatchesStableSort feeds runs of tied scores in shuffled order:
+// Sorted's sort is not stable, so only the id tiebreak of a total order
+// makes it return what a stable sort of the same items returns.
+func TestSortedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		items := make([]item, rng.Intn(100))
+		for i := range items {
+			items[i] = item{score: float64(rng.Intn(3)), id: i}
+		}
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		h := New(len(items), itemOrder)
+		for _, it := range items {
+			h.Push(it)
+		}
+		got := h.Sorted()
+		want := append([]item(nil), items...)
+		sort.SliceStable(want, func(i, j int) bool { return itemOrder(want[i], want[j]) < 0 })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: item %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
