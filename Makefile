@@ -131,7 +131,7 @@ stress:
 # fuzz splits a budget of about ten seconds over the fuzz targets (go test
 # fuzzes one per run), target by target: the server's one request decoder, the
 # SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
-# the two response frame decoders, the document decoder against the map
+# the stream frame decoder, the document decoder against the map
 # decoder it replaced and the appending frame encoders against the object
 # encoders they replaced (internal/result/oracle_test.go), the two entry
 # points of the expression parser behind them all, the cache fingerprint
@@ -150,7 +150,6 @@ stress:
 FUZZ_TARGETS = \
 	internal/server:FuzzDecodeRequest:700ms \
 	internal/soif:FuzzSOIFRoundTrip:600ms \
-	internal/result:FuzzDecodeBatchItem:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
 	internal/result:FuzzDocFromSOIFMatchesOracle:700ms \
 	internal/result:FuzzFramesMatchOracle:400ms \

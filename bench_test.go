@@ -394,116 +394,6 @@ func BenchmarkFanoutDispatched(b *testing.B) {
 	})
 }
 
-// BenchmarkPeerCluster is X13: the distributed cache tier at the
-// BENCH_5/BENCH_7 2ms-RTT yardstick. Three regimes of the same query
-// workload (5 sources, top-3 selected, 2ms simulated per-wire-call
-// source latency):
-//
-//   - cold: every search runs the full pipeline against the 2ms
-//     sources — the floor the cache tier must beat.
-//   - local-hit: a per-source conn cache on this node's own memory —
-//     the best case, and the overhead bar for the peer wire.
-//   - remote-hit: the conn cache's store is a pure client of a peer
-//     node holding the whole ring share, so EVERY lookup crosses the
-//     peer wire (real loopback HTTP). One warming search fills the
-//     peer; every measured search serves all its per-source results as
-//     remote hits, no recompute. remote-hit-ratio reports hits over
-//     hits+misses on the peer transport.
-func BenchmarkPeerCluster(b *testing.B) {
-	const wireLatency = 2 * time.Millisecond
-	newNode := func(b *testing.B, mw ...starts.ConnMiddleware) *starts.Metasearcher {
-		b.Helper()
-		srcs := benchFleet(b, 5, 200, engine.TFIDF{}, engine.TopK{})
-		ms := starts.NewMetasearcher(starts.MetasearcherOptions{MaxSources: 3})
-		for _, s := range srcs {
-			ms.Add(starts.ChainConn(starts.NewLocalConn(s, nil), mw...))
-		}
-		if err := ms.Harvest(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		return ms
-	}
-	faultMW := starts.FaultyMiddleware(starts.FaultConfig{Seed: 1, Latency: wireLatency})
-	q := `list((body-of-text "database") (body-of-text "patient"))`
-	// A bounded answer, as real clients ask for: the per-source result
-	// payloads (and so the cached entries crossing the peer wire) stay
-	// proportional to what the user sees, not to the corpus.
-	peerQuery := func(b *testing.B) *starts.Query {
-		b.Helper()
-		query := benchQuery(b, q)
-		query.MaxResults = 10
-		return query
-	}
-	run := func(b *testing.B, ms *starts.Metasearcher, opts ...starts.SearchOption) {
-		b.Helper()
-		ctx := context.Background()
-		query := peerQuery(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ans, err := ms.Search(ctx, query, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(ans.Documents) == 0 {
-				b.Fatal("empty answer")
-			}
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		ms := newNode(b, faultMW)
-		defer ms.Close()
-		run(b, ms, starts.WithNoCache())
-	})
-
-	b.Run("local-hit", func(b *testing.B) {
-		cache := starts.NewQueryCache(starts.QueryCacheConfig{TTL: time.Hour})
-		ms := newNode(b, faultMW, starts.CacheMiddleware(cache))
-		defer ms.Close()
-		if _, err := ms.Search(context.Background(), peerQuery(b)); err != nil {
-			b.Fatal(err)
-		}
-		run(b, ms)
-	})
-
-	b.Run("remote-hit", func(b *testing.B) {
-		// The peer node: a store owning the whole ring, served over real
-		// loopback HTTP.
-		peerSrv := httptest.NewServer(nil)
-		defer peerSrv.Close()
-		owner := starts.NewPeerStore(starts.PeerStoreConfig{
-			Self:  peerSrv.URL,
-			Codec: starts.PeerResultsCodec,
-		})
-		peerSrv.Config.Handler = starts.NewPeerHandler(owner)
-
-		// This node: a pure ring client — no Self, so every per-source
-		// cache entry lives on (and is fetched from) the peer.
-		clientStore := starts.NewPeerStore(starts.PeerStoreConfig{
-			Peers:   []string{peerSrv.URL},
-			Codec:   starts.PeerResultsCodec,
-			Timeout: time.Second,
-		})
-		cache := starts.NewQueryCache(starts.QueryCacheConfig{Store: clientStore, TTL: time.Hour})
-		ms := newNode(b, faultMW, starts.CacheMiddleware(cache))
-		defer ms.Close()
-		if _, err := ms.Search(context.Background(), peerQuery(b)); err != nil {
-			b.Fatal(err)
-		}
-		run(b, ms)
-		b.StopTimer()
-		var hits, misses int64
-		for _, st := range clientStore.Snapshot() {
-			hits += st.RemoteHits
-			misses += st.RemoteMisses
-		}
-		if hits+misses > 0 {
-			b.ReportMetric(float64(hits)/float64(hits+misses), "remote-hit-ratio")
-		}
-	})
-}
-
 // BenchmarkEndToEndHTTP is X6: one query round trip over the HTTP
 // transport, including SOIF encoding on both sides.
 func BenchmarkEndToEndHTTP(b *testing.B) {

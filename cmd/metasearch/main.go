@@ -16,9 +16,8 @@
 //
 // -warm-file replays the previous run's workload through the cache on
 // startup and saves this run's back every -warm-interval and on exit.
-// -debug-addr serves /metrics, /debug/workload, /debug/dispatch and, with
-// -peers (a per-source result cache sharded over a consistent-hash ring),
-// this node's ring share and /debug/peers. -broker-addr publishes the
+// -debug-addr serves /metrics, /debug/workload and /debug/dispatch.
+// -broker-addr publishes the
 // metasearcher itself as a STARTS source (ZBroker-style) that a front
 // metasearcher discovers at /resource. -trace prints each search's span
 // tree and a metrics snapshot to stderr.
@@ -72,10 +71,6 @@ func main() {
 		srcConcurrency  = flag.Int("source-concurrency", 0, "parallel wire calls per source, one sub-query each (0 = default 16)")
 		srcQueue        = flag.Int("source-queue", 0, "queued batches per source before shedding with a fast error (0 = default 64)")
 		debugAddr       = flag.String("debug-addr", "", "serve /metrics, /debug/workload and /debug/dispatch on this address (e.g. 127.0.0.1:6060)")
-		peers           = flag.String("peers", "", "comma-separated peer base URLs forming the distributed per-source result-cache ring")
-		peerSelf        = flag.String("peer-self", "", "this process's own URL among -peers (empty = http://<debug-addr>, or a pure client without one)")
-		peerReplicas    = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default 64)")
-		peerTimeout     = flag.Duration("peer-timeout", 0, "per-peer-call budget before degrading to the local store (0 = default 150ms)")
 		brokerAddr      = flag.String("broker-addr", "", "serve this metasearcher as a STARTS source on this address (ZBroker-style; a front metasearcher can discover it at /resource)")
 		brokerID        = flag.String("broker-id", "broker", "source id this metasearcher publishes under with -broker-addr")
 		stream          = flag.Bool("stream", false, "print documents as their merged rank becomes certain, instead of after the slowest source")
@@ -143,24 +138,6 @@ func main() {
 			MaxAttempts: *retries + 1, BaseDelay: *retryBase,
 		}, &starts.RetryBudget{}))
 	}
-	// The distributed cache tier: per-source results live in a query cache
-	// whose store is sharded across the -peers ring. Outermost, a hit
-	// (local or remote) skips retries and the wire; a dead peer is a local
-	// miss within -peer-timeout, not a stall.
-	var ps *starts.PeerStore
-	if *peers != "" {
-		self := *peerSelf
-		if self == "" && *debugAddr != "" {
-			self = "http://" + *debugAddr
-		}
-		ps = starts.NewPeerStore(starts.PeerStoreConfig{
-			Self: self, Peers: splitList(*peers), Replicas: *peerReplicas,
-			Timeout: *peerTimeout, Codec: starts.PeerResultsCodec, Metrics: reg,
-		})
-		mw = append(mw, starts.CacheMiddleware(starts.NewQueryCache(starts.QueryCacheConfig{
-			Store: ps, TTL: *cacheTTL, Metrics: reg,
-		})))
-	}
 
 	// 3. Discover, then harvest.
 	ctx := context.Background()
@@ -204,25 +181,10 @@ func main() {
 		saverDone = ms.StartWorkloadSaver(saveCtx, *warmFile, *warmInterval)
 	}
 
-	// 6. The debug and broker listeners. With a peer store, the debug
-	// listener is also this node's peer-wire endpoint.
+	// 6. The debug and broker listeners.
 	if *debugAddr != "" {
-		var extra []starts.DebugRoute
-		if ps != nil {
-			ph := starts.NewPeerHandler(ps)
-			for _, pattern := range []string{
-				"GET /peer/cache/{key}", "PUT /peer/cache/{key}",
-				"DELETE /peer/cache/{key}", "GET /peer/len",
-			} {
-				extra = append(extra, starts.DebugRoute{Pattern: pattern, Handler: ph})
-			}
-			extra = append(extra, starts.DebugRoute{Pattern: "GET /debug/peers", Handler: ps.DebugHandler()})
-		}
-		serve("debug", *debugAddr, ms.DebugHandler(extra...))
+		serve("debug", *debugAddr, ms.DebugHandler())
 		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/metrics /debug/workload /debug/dispatch\n", *debugAddr)
-		if ps != nil {
-			fmt.Fprintf(os.Stderr, "peer cache tier: %s, health on http://%s/debug/peers\n", ps.Ring(), *debugAddr)
-		}
 	}
 	if *brokerAddr != "" {
 		broker, err := ms.NewBroker(*brokerID)

@@ -6,15 +6,9 @@
 //	startsd -addr :8080 -corpus corpus.json
 //
 // Endpoints: /resource, /sources/{id}/metadata, /sources/{id}/summary,
-// /sources/{id}/sample, POST /sources/{id}/query, POST
-// /sources/{id}/query-batch (several queries in one round trip; results
-// stream back per item as each sub-query finishes) — plus GET /metrics
+// /sources/{id}/sample, POST /sources/{id}/query — plus GET /metrics
 // (Prometheus-style text) and GET /debug/last-traces (recent per-query
 // decode/search/encode traces).
-//
-// With -peers, the server also carries its share of the distributed
-// cache ring: GET/PUT/DELETE /peer/cache/{key}, GET /peer/len and the
-// GET /debug/peers health view (see the peer flags).
 package main
 
 import (
@@ -24,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 
 	"starts"
 	"starts/internal/corpus"
@@ -54,11 +47,6 @@ func main() {
 		faultSeed     = flag.Int64("fault-seed", 1, "fault-injection seed")
 		faultFlapUp   = flag.Int("fault-flap-up", 0, "inject faults: serve N requests, then fail fault-flap-down requests, repeating")
 		faultFlapDown = flag.Int("fault-flap-down", 0, "inject faults: failing span of the flap cycle")
-
-		peers        = flag.String("peers", "", "comma-separated peer base URLs: serve this node's share of the distributed cache ring at /peer/cache")
-		peerSelf     = flag.String("peer-self", "", "this server's own URL among -peers (empty = the listen address)")
-		peerReplicas = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default 64)")
-		peerTimeout  = flag.Duration("peer-timeout", 0, "per-peer-call budget before degrading to the local store (0 = default 150ms)")
 	)
 	flag.Parse()
 
@@ -111,25 +99,7 @@ func main() {
 		log.Fatalf("startsd: %v", err)
 	}
 	base := "http://" + ln.Addr().String()
-	serverOpts := []starts.ServerOption{
-		starts.WithServerMaxInflight(*maxInflight, *inflightTimeout),
-	}
-	if *peers != "" {
-		self := *peerSelf
-		if self == "" {
-			self = base
-		}
-		ps := starts.NewPeerStore(starts.PeerStoreConfig{
-			Self:     self,
-			Peers:    splitList(*peers),
-			Replicas: *peerReplicas,
-			Timeout:  *peerTimeout,
-			Codec:    starts.PeerResultsCodec,
-		})
-		serverOpts = append(serverOpts, starts.WithServerPeerCache(ps))
-		fmt.Fprintf(os.Stderr, "peer cache tier: %s as %s\n", ps.Ring(), self)
-	}
-	var handler http.Handler = starts.NewServer(res, base, serverOpts...)
+	var handler http.Handler = starts.NewServer(res, base, starts.WithServerMaxInflight(*maxInflight, *inflightTimeout))
 	if *faultRate > 0 || *faultHang > 0 || *faultTruncate > 0 || *faultGarbage > 0 ||
 		*faultLatency > 0 || *faultJitter > 0 || (*faultFlapUp > 0 && *faultFlapDown > 0) {
 		handler = starts.NewFaultMiddleware(starts.FaultConfig{
@@ -143,16 +113,4 @@ func main() {
 	fmt.Printf("serving STARTS resource at %s/resource\n", base)
 	fmt.Printf("metrics at %s/metrics, recent query traces at %s/debug/last-traces\n", base, base)
 	log.Fatal(http.Serve(ln, handler))
-}
-
-// splitList splits a comma-separated flag value, trimming whitespace and
-// dropping empty items.
-func splitList(s string) []string {
-	var out []string
-	for _, item := range strings.Split(s, ",") {
-		if item = strings.TrimSpace(item); item != "" {
-			out = append(out, item)
-		}
-	}
-	return out
 }

@@ -92,6 +92,9 @@ type Options struct {
 // sources.
 type Metasearcher struct {
 	opts Options // fixed at New, so read without the lock
+	// mergeDocs is starts_merge_docs_total{strategy}: the merger is fixed
+	// at New, so its name is built once, not once per merged search.
+	mergeDocs string
 
 	// The registered fleet. Add publishes a new members slice (and, for a
 	// new id, a new slot map and scope) instead of editing the old ones,
@@ -182,9 +185,10 @@ func New(opts Options) *Metasearcher {
 		refuse = op.Open
 	}
 	m := &Metasearcher{
-		opts:     opts,
-		scope:    searchScope(opts, nil),
-		workload: qcache.NewRecorder(0),
+		opts:      opts,
+		mergeDocs: obs.L("starts_merge_docs_total", "strategy", opts.Merger.Name()),
+		scope:     searchScope(opts, nil),
+		workload:  qcache.NewRecorder(0),
 		dispatcher: dispatch.New(dispatch.Config{
 			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth},
 			Refuse:  refuse,

@@ -472,8 +472,7 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 		if max := p.q.EffectiveMaxResults(); len(ans.Documents) > max {
 			ans.Documents = ans.Documents[:max]
 		}
-		m.opts.Metrics.Counter(obs.L("starts_merge_docs_total", "strategy", merger.Name())).
-			Add(int64(len(ans.Documents)))
+		m.opts.Metrics.Counter(m.mergeDocs).Add(int64(len(ans.Documents)))
 	} else if len(ans.Degraded.Failed) > 0 && len(ans.Degraded.Skipped) == 0 {
 		failures := make(map[string]error, len(ans.Degraded.Failed))
 		for i, id := range p.ids {

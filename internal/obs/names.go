@@ -2,10 +2,9 @@ package obs
 
 // Canonical metric names of the query-result cache (internal/qcache).
 // Every starts_* metric family is named where it is emitted; the qcache
-// family lives here because three layers emit into it — core's cached
-// Search path, the caching Conn middleware, and the server's admission
-// gate — and they must agree on names so a shared Registry renders one
-// coherent /metrics view.
+// family lives here because two layers emit into it — core's cached
+// Search path and the server's admission gate — and they must agree on
+// names so a shared Registry renders one coherent /metrics view.
 //
 // The wider naming convention, for reference (all names are
 // Prometheus-flavored, labels encoded with L):
@@ -102,10 +101,9 @@ const (
 )
 
 // Canonical metric names of the distributed peer cache tier
-// (internal/peer). They live here with the qcache family they extend:
-// the peer store, the server's /peer/cache endpoints and the CLIs'
-// /debug/peers views all emit into them and must agree on names. All
-// carry a peer label (the peer's base URL, encoded with L) unless noted.
+// (internal/peer), which only the peer store emits; they live here with
+// the qcache family they extend. All carry a peer label (the peer's base
+// URL, encoded with L) unless noted.
 const (
 	// MPeerRemoteHits counts Gets served by a remote owner (the entry
 	// crossed the wire instead of re-running the fan-out).

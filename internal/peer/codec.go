@@ -16,9 +16,8 @@ type Codec interface {
 	Decode(data []byte) (any, error)
 }
 
-// ResultsCodec moves *result.Results — the values the per-source conn
-// cache (qcache.WrapConn) stores — as the same length-framed SOIF
-// stream the query endpoints speak, so a peer cache entry is byte-
+// ResultsCodec moves *result.Results as the same length-framed SOIF
+// stream the query endpoint speaks, so a peer cache entry is byte-
 // compatible with a source's own query response.
 type ResultsCodec struct{}
 

@@ -83,19 +83,3 @@ func NewHandler(s *Store) http.Handler {
 	})
 	return mux
 }
-
-// Handler is NewHandler as a method, the shape server.WithPeerCache
-// consumes (the server package sees the store through a structural
-// interface so it need not import this package).
-func (s *Store) Handler() http.Handler { return NewHandler(s) }
-
-// DebugHandler serves the /debug/peers view: the ring members with
-// their shares, breaker states and transport counters as JSON.
-func (s *Store) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Snapshot())
-	})
-}

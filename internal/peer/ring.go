@@ -13,8 +13,10 @@
 //
 // This is the ZBroker move applied to the STARTS metasearcher: the
 // broker fleet shares one logical result cache so a query answered in
-// one region is a remote hit everywhere, and the same ring metadata
-// doubles as the routing table for broker hierarchies.
+// one region is a remote hit everywhere.
+//
+// No binary, server route or facade function uses the tier any more;
+// the package remains only because the benchmark measures it.
 package peer
 
 import (

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync/atomic"
 	"time"
 
 	"starts/internal/obs"
@@ -100,15 +99,7 @@ type Store struct {
 	now     func() time.Time
 
 	metrics *obs.Registry
-	remotes map[string]*peerStats // keyed by peer URL; fixed at build
-}
-
-// peerStats is one remote peer's live counters, mirrored from the
-// registry families for the /debug/peers snapshot (the labeled registry
-// names are not enumerable by peer).
-type peerStats struct {
-	hits, misses, puts, errors, fallbacks atomic.Int64
-	rtt                                   *obs.Histogram
+	rtts    map[string]*obs.Histogram // per remote peer URL; fixed at build
 }
 
 var _ qcache.Store = (*Store)(nil)
@@ -167,16 +158,14 @@ func New(cfg Config) *Store {
 		timeout: cfg.Timeout,
 		now:     cfg.Now,
 		metrics: cfg.Metrics,
-		remotes: map[string]*peerStats{},
+		rtts:    map[string]*obs.Histogram{},
 	}
 	shares := s.ring.Shares()
 	for _, p := range s.ring.Peers() {
 		cfg.Metrics.Gauge(obs.L(obs.MPeerRingShare, "peer", p)).
 			Set(int64(shares[p]*1000 + 0.5))
 		if p != s.self {
-			s.remotes[p] = &peerStats{
-				rtt: cfg.Metrics.Histogram(obs.L(obs.MPeerRTTSeconds, "peer", p)),
-			}
+			s.rtts[p] = cfg.Metrics.Histogram(obs.L(obs.MPeerRTTSeconds, "peer", p))
 		}
 	}
 	cfg.Metrics.Gauge(obs.MPeerRingPeers).Set(int64(len(s.ring.Peers())))
@@ -214,11 +203,9 @@ func (s *Store) Get(key string, now time.Time) (qcache.Entry, bool) {
 	}
 	if !ok {
 		s.count(owner, "miss").Inc()
-		s.remotes[owner].misses.Add(1)
 		return qcache.Entry{}, false
 	}
 	s.count(owner, "hit").Inc()
-	s.remotes[owner].hits.Add(1)
 	return e, true
 }
 
@@ -236,7 +223,6 @@ func (s *Store) Put(key string, e qcache.Entry) {
 		return
 	}
 	s.metrics.Counter(obs.L(obs.MPeerRemotePuts, "peer", owner)).Inc()
-	s.remotes[owner].puts.Add(1)
 }
 
 // Evict implements qcache.Store. The local store is always evicted too:
@@ -280,9 +266,6 @@ func (s *Store) count(peer, outcome string) *obs.Counter {
 // fallback counts one degrade-to-local event for a peer.
 func (s *Store) fallback(peer string) {
 	s.metrics.Counter(obs.L(obs.MPeerFallbacks, "peer", peer)).Inc()
-	if ps := s.remotes[peer]; ps != nil {
-		ps.fallbacks.Add(1)
-	}
 }
 
 // errKindBreaker marks operations refused locally by an open circuit —
@@ -296,9 +279,6 @@ const errKindBreaker = "breaker-open"
 // — no outcome was observed.
 func (s *Store) fail(peer, op, kind string, err error) error {
 	s.metrics.Counter(obs.L(obs.MPeerErrors, "peer", peer, "op", op, "kind", kind)).Inc()
-	if ps := s.remotes[peer]; ps != nil {
-		ps.errors.Add(1)
-	}
 	if kind != errKindBreaker {
 		s.breaker.Record(peer, err)
 	}
@@ -326,8 +306,8 @@ func (s *Store) roundTrip(peer, op, method, u string, body []byte, hdr http.Head
 	}
 	start := s.now()
 	resp, err := s.hc.Do(req) //nolint:bodyclose // the caller closes on success
-	if ps := s.remotes[peer]; ps != nil {
-		ps.rtt.Observe(s.now().Sub(start))
+	if rtt := s.rtts[peer]; rtt != nil {
+		rtt.Observe(s.now().Sub(start))
 	}
 	if err != nil {
 		return nil, s.fail(peer, op, "transport", err)
@@ -394,9 +374,6 @@ func (s *Store) remotePut(peer, key string, e qcache.Entry) error {
 		// An unencodable value is a local problem, not the peer's: keep
 		// the breaker out of it.
 		s.metrics.Counter(obs.L(obs.MPeerErrors, "peer", peer, "op", "put", "kind", "encode")).Inc()
-		if ps := s.remotes[peer]; ps != nil {
-			ps.errors.Add(1)
-		}
 		return err
 	}
 	hdr := http.Header{}
@@ -447,42 +424,4 @@ func (s *Store) remoteLen(peer string) (int, error) {
 	}
 	s.breaker.Record(peer, nil)
 	return body.Len, nil
-}
-
-// Status is one ring member's row in the /debug/peers snapshot.
-type Status struct {
-	URL   string  `json:"url"`
-	Self  bool    `json:"self"`
-	Share float64 `json:"share"` // exactly-owned fraction of the hash space
-	// Remote-transport fields; zero for the self row.
-	Breaker      string        `json:"breaker,omitempty"`
-	RemoteHits   int64         `json:"remote_hits"`
-	RemoteMisses int64         `json:"remote_misses"`
-	RemotePuts   int64         `json:"remote_puts"`
-	Errors       int64         `json:"errors"`
-	Fallbacks    int64         `json:"fallbacks"`
-	RTTp50       time.Duration `json:"rtt_p50_ns"`
-	RTTp99       time.Duration `json:"rtt_p99_ns"`
-}
-
-// Snapshot reports every ring member's share, breaker state and
-// transport counters, in ring registration order.
-func (s *Store) Snapshot() []Status {
-	shares := s.ring.Shares()
-	out := make([]Status, 0, len(s.ring.Peers()))
-	for _, p := range s.ring.Peers() {
-		st := Status{URL: p, Self: p == s.self, Share: shares[p]}
-		if ps := s.remotes[p]; ps != nil {
-			st.Breaker = s.breaker.State(p).String()
-			st.RemoteHits = ps.hits.Load()
-			st.RemoteMisses = ps.misses.Load()
-			st.RemotePuts = ps.puts.Load()
-			st.Errors = ps.errors.Load()
-			st.Fallbacks = ps.fallbacks.Load()
-			st.RTTp50 = ps.rtt.Quantile(0.5)
-			st.RTTp99 = ps.rtt.Quantile(0.99)
-		}
-		out = append(out, st)
-	}
-	return out
 }

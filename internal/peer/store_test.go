@@ -244,16 +244,7 @@ func TestClusterBreakerOpenRecover(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.store.Get(keys[i%len(keys)], time.Now())
 	}
-	breakerFor := func(url string) string {
-		t.Helper()
-		for _, st := range a.store.Snapshot() {
-			if st.URL == url {
-				return st.Breaker
-			}
-		}
-		t.Fatalf("no snapshot row for %s", url)
-		return ""
-	}
+	breakerFor := func(url string) string { return a.store.breaker.State(url).String() }
 	if st := breakerFor(b.url); st != "open" {
 		t.Fatalf("breaker after repeated failures = %q, want open", st)
 	}

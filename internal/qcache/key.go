@@ -10,10 +10,10 @@
 // wastes the scarce resource the STARTS paper centers on — source round
 // trips. qcache shields the sources the way ZBroker caches at the broker.
 //
-// qcache imports only the leaf object packages (query, result, meta,
-// source) and obs; like obs it declares its own structural copy of the
-// Conn interface, so core, client wrappers and servers all import qcache
-// and the dependency keeps pointing outward.
+// It caches merged answers only (core.Search is its one user) and wraps
+// no Conn; the server uses just its admission gate. qcache imports only
+// query, attr and obs, so core and the server both import it and the
+// dependency keeps pointing outward.
 package qcache
 
 import (
@@ -31,9 +31,8 @@ import (
 
 // Keyer derives cache keys from queries. Scope namespaces the key space:
 // the metasearcher mixes in everything outside the query that shapes the
-// answer (selector, merger, source cap, registered source set); a
-// per-source conn cache mixes in the source ID. Two Keyers with distinct
-// scopes never collide.
+// answer (selector, merger, source cap, registered source set). Two
+// Keyers with distinct scopes never collide.
 type Keyer struct {
 	Scope string
 }

@@ -84,22 +84,6 @@ func requireAllocBound(t *testing.T, data []byte, decode func()) {
 // lies are document counts the two documents that follow do not bear out.
 var lies = []string{"3", "1000000", "4611686018427387904", "-1", "two"}
 
-// batchSeeds is the seed corpus of FuzzDecodeBatchItem: a result, an item
-// error, an object of the wrong type, lying counts, a TermStats value
-// stuffed with newlines.
-func batchSeeds() [][]byte {
-	answer := paperAnswer()
-	seeds := [][]byte{
-		join(head(BatchItemType, "Index", "2"), withCount(answer, "2")),
-		head(BatchItemType, "Index", "0", "Error", "unsupported field"),
-		join(head(BatchItemType, "Index", "1"), []byte(paperQuery)),
-	}
-	for _, lie := range lies {
-		seeds = append(seeds, join(head(BatchItemType, "Index", "0"), withCount(answer, lie)))
-	}
-	return append(seeds, join(head(BatchItemType, "Index", "0"), head(ResultsType, "NumDocSOIFs", "1"), stuffed(128<<10)))
-}
-
 // streamSeeds is the seed corpus of FuzzDecodeStreamItem: every kind of
 // frame, a plain answer, an object of the wrong type, lying counts and a
 // stuffed TermStats value.
@@ -122,42 +106,12 @@ func streamSeeds() [][]byte {
 	return append(seeds, join(head(StreamItemType, "Rank", "0", "NumDocSOIFs", "1"), stuffed(128<<10)))
 }
 
-// FuzzDecodeBatchItem: whatever the bytes, the batch frame decoder returns
-// (no panic, no allocation the bytes did not pay for — a lying count
-// fails at the first document that is not there); a frame is a result, an
-// item error or a stream error, never two of them; and a decoded result,
-// encoded, decodes to a result that encodes to the same bytes.
-func FuzzDecodeBatchItem(f *testing.F) {
-	for _, seed := range batchSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var (
-			idx          int
-			r            *Results
-			itemErr, err error
-		)
-		requireAllocBound(t, data, func() {
-			idx, r, itemErr, err = DecodeBatchItem(soif.NewDecoder(bytes.NewReader(data)))
-		})
-		if err != nil {
-			if r != nil || itemErr != nil {
-				t.Fatalf("result %v and item error %v alongside stream error %v", r, itemErr, err)
-			}
-			return
-		}
-		if (r == nil) == (itemErr == nil) || idx < 0 {
-			t.Fatalf("frame %d: result %v, item error %v", idx, r, itemErr)
-		}
-		if r != nil {
-			requireStableResults(t, r)
-		}
-	})
-}
-
-// FuzzDecodeStreamItem is FuzzDecodeBatchItem for the stream frame
-// decoder, whose frames are documents at a rank, the final answer or an
-// in-band error.
+// FuzzDecodeStreamItem: whatever the bytes, the stream frame decoder
+// returns (no panic, no allocation the bytes did not pay for — a lying
+// count fails at the first document that is not there); a frame is
+// documents at a rank, the final answer or an in-band error, never two of
+// them; and a decoded answer, encoded, decodes to an answer that encodes
+// to the same bytes.
 func FuzzDecodeStreamItem(f *testing.F) {
 	for _, seed := range streamSeeds() {
 		f.Add(seed)

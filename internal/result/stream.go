@@ -11,9 +11,8 @@ import (
 )
 
 // StreamItemType is the SOIF template type framing one increment of a
-// streamed query response. Where @SQBatchItem frames whole answers to
-// independent queries, @SQStreamItem frames successive slices of one
-// answer as its merged rank stabilizes:
+// streamed query response: successive slices of one answer as its
+// merged rank stabilizes:
 //
 //	@SQStreamItem{ Rank{1}: 0  NumDocSOIFs{1}: 2 }
 //	@SQRDocument{ ... } ×2              rank positions 0 and 1 are final
@@ -31,7 +30,7 @@ import (
 // endpoint would have sent. A server that fails after the preamble has
 // been flushed reports it as a frame with an Error attribute, since the
 // HTTP status is already committed. NumDocSOIFs makes document frames
-// self-delimiting, exactly as in batch responses.
+// self-delimiting, as it does a plain @SQResults stream.
 const StreamItemType = "SQStreamItem"
 
 // StreamError is a server-side failure reported in-band inside a

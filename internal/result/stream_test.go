@@ -126,7 +126,7 @@ func TestStreamTruncated(t *testing.T) {
 // TestLyingDocCountsAreErrors: NumDocSOIFs comes from a remote source, so
 // a header that promises more documents than follow — up to counts whose
 // slice could never be allocated — must end in a decode error on all
-// three decoders that read it, never in a makeslice panic.
+// decoders that read it, never in a makeslice panic.
 func TestLyingDocCountsAreErrors(t *testing.T) {
 	honest := &Results{Sources: []string{"Source-1"}, Documents: []*Document{source1Doc()}}
 	// resultsFrame is honest's object stream with its header's count
@@ -137,11 +137,6 @@ func TestLyingDocCountsAreErrors(t *testing.T) {
 		encode func(lie string) []byte
 		decode func(dec *soif.Decoder) error
 	}{
-		{
-			name:   "DecodeBatchItem",
-			encode: func(lie string) []byte { return join(head(BatchItemType, "Index", "0"), resultsFrame(lie)) },
-			decode: func(dec *soif.Decoder) error { _, _, _, err := DecodeBatchItem(dec); return err },
-		},
 		{
 			name: "DecodeStreamItem doc frame",
 			encode: func(lie string) []byte {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,37 +28,10 @@ func (f *queryFunc) Query(ctx context.Context, q *query.Query) (*result.Results,
 	return f.query(ctx, q)
 }
 
-// decodeBatchFrames reads a whole query-batch response body into
-// index-keyed frames: the marshaled result, or the item's error.
-func decodeBatchFrames(t *testing.T, body io.Reader) (results map[int][]byte, errs map[int]error) {
-	t.Helper()
-	results, errs = map[int][]byte{}, map[int]error{}
-	dec := soif.NewDecoder(body)
-	for {
-		idx, r, itemErr, err := result.DecodeBatchItem(dec)
-		if err == io.EOF {
-			return results, errs
-		}
-		if err != nil {
-			t.Fatalf("decoding batch response: %v", err)
-		}
-		if itemErr != nil {
-			errs[idx] = itemErr
-			continue
-		}
-		data, err := soif.MarshalAll(r.ToSOIF())
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[idx] = data
-	}
-}
-
 // TestContractViolatingConn: a served conn that returns neither a result
 // nor an error must not take the handler down. The one place results are
 // encoded turns the violation into an error — a frame where the response
-// is framed, a status where it is not — and the rest of a batch is
-// unaffected.
+// is framed, a status where it is not — and the next query is unaffected.
 func TestContractViolatingConn(t *testing.T) {
 	_, res := startTestServer(t)
 	src, _ := res.Source("Source-1")
@@ -73,23 +45,6 @@ func TestContractViolatingConn(t *testing.T) {
 	ts := httptest.NewServer(NewConns([]client.Conn{conn}, ""))
 	t.Cleanup(ts.Close)
 	good, bad := rankQuery(t, `list((any "distributed"))`), rankQuery(t, `list((any "xylophone"))`)
-
-	resp, err := ts.Client().Post(ts.URL+"/sources/Source-1/query-batch", ContentType,
-		batchBody(t, []*query.Query{good, bad, good}))
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %s", resp.Status)
-	}
-	results, errs := decodeBatchFrames(t, resp.Body)
-	if len(results) != 2 || results[0] == nil || results[2] == nil {
-		t.Errorf("healthy frames = %d (items 0 and 2 wanted)", len(results))
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), client.ErrNoResult.Error()) {
-		t.Errorf("item 1 error = %v, want %q in band", errs[1], client.ErrNoResult)
-	}
 
 	c := client.NewClient(ts.Client())
 	ctx := context.Background()
@@ -119,7 +74,7 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 	}}
 	ts := httptest.NewServer(NewConns([]client.Conn{conn}, ""))
 	t.Cleanup(ts.Close)
-	body := batchBody(t, []*query.Query{rankQuery(t, `list((any "distributed"))`)}).Bytes()
+	body := marshalQuery(t, rankQuery(t, `list((any "distributed"))`))
 	for _, accept := range []string{ContentType, JSONContentType} {
 		req, _ := http.NewRequest("POST", ts.URL+"/sources/Source-1/query", bytes.NewReader(body))
 		req.Header.Set("Content-Type", ContentType)
@@ -135,18 +90,16 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 	}
 }
 
-// TestOversizeRequestIs413 pins the size check both query routes share:
-// a body past the route's bound is 413 whether or not what fit of it
-// parses.
+// TestOversizeRequestIs413 pins the query route's size check: a body
+// past its bound is 413 whether or not what fit of it parses.
 func TestOversizeRequestIs413(t *testing.T) {
 	ts, _ := startTestServer(t)
-	q := batchBody(t, []*query.Query{rankQuery(t, `list((any "distributed"))`)}).Bytes()
+	q := marshalQuery(t, rankQuery(t, `list((any "distributed"))`))
 	for _, tc := range []struct {
 		route string
 		size  int
 	}{
 		{"query", maxQueryBytes + 1},
-		{"query-batch", maxBatchBytes + 1},
 	} {
 		// Whole well-formed queries up to the bound, then one cut short by it.
 		body := bytes.Repeat(q, tc.size/len(q)+1)[:tc.size]
@@ -198,7 +151,7 @@ func TestNewEqualsNewConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := batchBody(t, []*query.Query{one, multi, rankQuery(t, `list((any "xylophone"))`)}).String()
+	two := marshal(one) + marshal(multi)
 
 	serve := func(h http.Handler, method, path, contentType, accept, body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
@@ -226,7 +179,7 @@ func TestNewEqualsNewConns(t *testing.T) {
 		{"query-json", "POST", "/sources/Source-1/query", JSONContentType, JSONContentType, string(jsonBody)},
 		{"query-stream", "POST", "/sources/Source-1/query?stream=1", ContentType, "", marshal(one)},
 		{"query-malformed", "POST", "/sources/Source-1/query", ContentType, "", "not soif"},
-		{"query-batch", "POST", "/sources/Source-1/query-batch", ContentType, "", batch},
+		{"query-two-objects", "POST", "/sources/Source-1/query", ContentType, "", two},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := serve(viaNew, tc.method, tc.path, tc.contentType, tc.accept, tc.body)
@@ -238,20 +191,6 @@ func TestNewEqualsNewConns(t *testing.T) {
 				if a.Header().Get(h) != b.Header().Get(h) {
 					t.Errorf("%s: New %q, NewConns %q", h, a.Header().Get(h), b.Header().Get(h))
 				}
-			}
-			if tc.name == "query-batch" {
-				// Frames arrive in completion order; compare them by index.
-				ra, ea := decodeBatchFrames(t, a.Body)
-				rb, eb := decodeBatchFrames(t, b.Body)
-				if len(ra) != 3 || len(ea) != 0 || len(eb) != 0 {
-					t.Fatalf("New answered %d frames, %d errors; NewConns %d errors", len(ra), len(ea), len(eb))
-				}
-				for i := range ra {
-					if !bytes.Equal(ra[i], rb[i]) {
-						t.Errorf("item %d differs:\nNew      %s\nNewConns %s", i, ra[i], rb[i])
-					}
-				}
-				return
 			}
 			if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
 				t.Errorf("body differs:\nNew      %s\nNewConns %s", a.Body, b.Body)

@@ -19,14 +19,14 @@ const paperQuery = "@SQuery{\n" +
 	"MaxNumberDocuments{2}: 10\n" +
 	"}\n\n"
 
-// FuzzDecodeRequest: whatever the body, the one request decoder returns
-// either an error or between one and maxBatchItems queries, and never
-// panics. `make tier2` gives it a ten-second budget; the seeds alone run
+// FuzzDecodeRequest: whatever the body, the request decoder returns
+// either an error or exactly one query, never accepts a body past
+// maxQueryBytes, and never panics. `make tier2` gives it a ten-second budget; the seeds alone run
 // with every `go test`.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(paperQuery), false)
 	f.Add([]byte(paperQuery+paperQuery+paperQuery), false)
-	f.Add(bytes.Repeat([]byte("@SQuery{\nVersion{10}: STARTS 1.0\nFilterExpression{9}: (any \"x\")\n}\n"), maxBatchItems+1), false)
+	f.Add(bytes.Repeat([]byte("@SQuery{\nVersion{10}: STARTS 1.0\nFilterExpression{9}: (any \"x\")\n}\n"), 2), false)
 	f.Add([]byte(paperQuery[:len(paperQuery)/2]), false)
 	// Lying lengths: one past the value, past the body, past any
 	// allocation, and negative.
@@ -38,20 +38,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"name":"RankingExpression","value":"list((any \"x\"))"}]}`), true)
 	f.Add([]byte(`{"type":"SQuery","attributes":[{"name":"Version"`), true)
 	f.Fuzz(func(t *testing.T, body []byte, asJSON bool) {
-		qs, err := decodeRequest(bytes.NewReader(body), maxQueryBytes, asJSON)
+		q, err := decodeRequest(bytes.NewReader(body), asJSON)
 		if err != nil {
-			if qs != nil {
-				t.Errorf("%d queries alongside error %v", len(qs), err)
+			if q != nil {
+				t.Errorf("a query alongside error %v", err)
 			}
 			return
 		}
-		if len(qs) == 0 || len(qs) > maxBatchItems {
-			t.Errorf("decoded %d queries, want 1..%d", len(qs), maxBatchItems)
-		}
-		for i, q := range qs {
-			if q == nil {
-				t.Errorf("query %d is nil", i)
-			}
+		if q == nil {
+			t.Error("no query and no error")
 		}
 		if int64(len(body)) > maxQueryBytes {
 			t.Errorf("accepted a %d-byte body past the %d-byte bound", len(body), maxQueryBytes)
@@ -62,14 +57,21 @@ func FuzzDecodeRequest(f *testing.F) {
 // TestDecodeRequestSeeds pins what the fuzz seeds must decode to, so the
 // corpus keeps meaning what its comments say.
 func TestDecodeRequestSeeds(t *testing.T) {
-	qs, err := decodeRequest(bytes.NewReader([]byte(paperQuery+paperQuery+paperQuery)), maxQueryBytes, false)
-	if err != nil || len(qs) != 3 {
-		t.Fatalf("three concatenated paper queries -> %d queries, err %v", len(qs), err)
+	q, err := decodeRequest(bytes.NewReader([]byte(paperQuery)), false)
+	if err != nil {
+		t.Fatalf("paper query: %v", err)
 	}
-	if got := qs[0].Filter.String(); got != `((author "Ullman") and (title stem "databases"))` {
+	if got := q.Filter.String(); got != `((author "Ullman") and (title stem "databases"))` {
 		t.Errorf("paper query filter = %s", got)
 	}
-	if _, err := decodeRequest(bytes.NewReader([]byte(paperQuery[:len(paperQuery)/2])), maxQueryBytes, false); err == nil {
+	if q, err := decodeRequest(bytes.NewReader([]byte(paperQuery+paperQuery+paperQuery)), false); err == nil {
+		t.Errorf("three concatenated paper queries accepted as %v", q)
+	}
+	two := bytes.Repeat([]byte("@SQuery{\nVersion{10}: STARTS 1.0\nFilterExpression{9}: (any \"x\")\n}\n"), 2)
+	if _, err := decodeRequest(bytes.NewReader(two), false); err == nil {
+		t.Error("two concatenated queries accepted")
+	}
+	if _, err := decodeRequest(bytes.NewReader([]byte(paperQuery[:len(paperQuery)/2])), false); err == nil {
 		t.Error("truncated paper query accepted")
 	}
 }

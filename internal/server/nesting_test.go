@@ -5,17 +5,14 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"starts/internal/query"
 )
 
 // TestDeepNestingIs400 pins that an expression nested past the parser's
 // bound is an ordinary bad request on every face that decodes queries —
 // and that the server is still there afterwards. The bodies are as long
-// as each route admits: a parser recursing once per '(' overflows the
-// goroutine stack on 8 MiB of them (inside query-batch's size limit),
-// and a stack overflow is fatal — no recover catches it, the process
-// ends.
+// as the route admits: a parser recursing once per '(' risks overflowing
+// the goroutine stack, and a stack overflow is fatal — no recover catches
+// it, the process ends.
 func TestDeepNestingIs400(t *testing.T) {
 	ts, _ := startTestServer(t)
 	soifQuery := func(expr string) string {
@@ -43,9 +40,8 @@ func TestDeepNestingIs400(t *testing.T) {
 	}{
 		{"query", ContentType, maxQueryBytes - 1024, soifQuery},
 		{"query", JSONContentType, maxQueryBytes - 1024, jsonQuery},
-		{"query-batch", ContentType, 8 << 20, soifQuery},
 	}
-	healthy := batchBody(t, []*query.Query{rankQuery(t, `list((any "distributed"))`)}).String()
+	healthy := string(marshalQuery(t, rankQuery(t, `list((any "distributed"))`)))
 	post := func(route, contentType, body string) int {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/sources/Source-1/"+route, contentType, strings.NewReader(body))

@@ -14,13 +14,10 @@
 //	POST /sources/{id}/query     -> @SQResults stream (body: @SQuery;
 //	     Conn.Query). With ?stream=1 the answer is @SQStreamItem-framed
 //	     and a client.StreamConn's frames are flushed as they stabilize.
-//	POST /sources/{id}/query-batch -> @SQBatchItem-framed stream, one
-//	     frame per sub-query in completion order (body: @SQuery stream;
-//	     one concurrent Conn.Query per item)
+//	     A body carrying more than one @SQuery is a 400.
 //
 // A failure before the response starts is an HTTP status; once a framed
-// response (?stream=1, query-batch) has started, it is an in-band error
-// frame. All communication is sessionless and the sources are
+// (?stream=1) response has started, it is an in-band error frame. All communication is sessionless and the sources are
 // stateless, per Section 4.
 //
 // The server is observable by default: every route is counted and timed
@@ -62,8 +59,8 @@ const traceCapacity = 32
 // Server serves a list of conns as one STARTS resource.
 type Server struct {
 	conns    map[string]client.Conn
-	names    map[string]sourceNames // per-source metric names, built once
-	resource *meta.Resource         // the /resource answer: every conn, in order
+	docNames map[string]string // per-source starts_server_query_docs_total, built once
+	resource *meta.Resource    // the /resource answer: every conn, in order
 	baseURL  string
 	mux      *http.ServeMux
 	metrics  *obs.Registry
@@ -72,20 +69,6 @@ type Server struct {
 
 	maxInflight  int
 	queueTimeout time.Duration
-
-	peers PeerCache
-}
-
-// sourceNames are the metric names a source's queries count under.
-type sourceNames struct{ docs, batchItems string }
-
-// PeerCache is the slice of peer.Store the server mounts: the wire
-// handler for this node's ring share and the /debug/peers view. It is
-// declared structurally (peer.Store satisfies it) so the server package
-// does not depend on the peer package.
-type PeerCache interface {
-	Handler() http.Handler
-	DebugHandler() http.Handler
 }
 
 // Option configures a Server.
@@ -109,16 +92,6 @@ func WithMaxInflight(n int, queueTimeout time.Duration) Option {
 	}
 }
 
-// WithPeerCache mounts the distributed cache tier's receiving end on
-// this server: the store's local backend served at GET/PUT/DELETE
-// /peer/cache/{key} and GET /peer/len (instrumented like every other
-// route), plus the ring snapshot at GET /debug/peers. The store should
-// name this server's base URL as its Config.Self so the ring share this
-// node owns is served from here.
-func WithPeerCache(ps PeerCache) Option {
-	return func(s *Server) { s.peers = ps }
-}
-
 // New returns a server for the in-process sources of res: NewConns over
 // one client.NewLocalConn per source.
 func New(res *source.Resource, baseURL string, opts ...Option) *Server {
@@ -137,7 +110,7 @@ func New(res *source.Resource, baseURL string, opts ...Option) *Server {
 func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	srv := &Server{
 		conns:    make(map[string]client.Conn, len(conns)),
-		names:    make(map[string]sourceNames, len(conns)),
+		docNames: make(map[string]string, len(conns)),
 		resource: &meta.Resource{},
 		baseURL:  strings.TrimRight(baseURL, "/"),
 		mux:      http.NewServeMux(),
@@ -145,10 +118,7 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	}
 	for _, c := range conns {
 		srv.conns[c.SourceID()] = c
-		srv.names[c.SourceID()] = sourceNames{
-			docs:       obs.L("starts_server_query_docs_total", "source", c.SourceID()),
-			batchItems: obs.L("starts_server_batch_items_total", "source", c.SourceID()),
-		}
+		srv.docNames[c.SourceID()] = obs.L("starts_server_query_docs_total", "source", c.SourceID())
 		srv.resource.Entries = append(srv.resource.Entries, meta.ResourceEntry{
 			SourceID:    c.SourceID(),
 			MetadataURL: srv.sourceURL(c.SourceID(), "metadata"),
@@ -165,18 +135,9 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	srv.route("GET /sources/{id}/metadata", "metadata", srv.handleMetadata)
 	srv.route("GET /sources/{id}/summary", "summary", srv.handleSummary)
 	srv.route("GET /sources/{id}/sample", "sample", srv.handleSample)
-	srv.queryRoute("query", maxQueryBytes, srv.handleQuery)
-	srv.queryRoute("query-batch", maxBatchBytes, srv.handleBatch)
+	srv.route("POST /sources/{id}/query", "query", srv.handleQuery)
 	srv.mux.Handle("GET /metrics", srv.metrics.Handler())
 	srv.mux.Handle("GET /debug/last-traces", srv.traces.Handler())
-	if srv.peers != nil {
-		ph := srv.peers.Handler()
-		srv.route("GET /peer/cache/{key}", "peer-cache", ph.ServeHTTP)
-		srv.route("PUT /peer/cache/{key}", "peer-cache", ph.ServeHTTP)
-		srv.route("DELETE /peer/cache/{key}", "peer-cache", ph.ServeHTTP)
-		srv.route("GET /peer/len", "peer-len", ph.ServeHTTP)
-		srv.mux.Handle("GET /debug/peers", srv.peers.DebugHandler())
-	}
 	return srv
 }
 
@@ -217,7 +178,7 @@ func (w *statusWriter) WriteHeader(status int) {
 }
 
 // Flush forwards to the underlying writer when it supports flushing, so
-// streaming handlers (the batch query route) can push each frame to the
+// streaming handlers (the ?stream=1 query route) can push each frame to the
 // client the moment it is written.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

@@ -35,7 +35,6 @@ import (
 	"starts/internal/merge"
 	"starts/internal/meta"
 	"starts/internal/obs"
-	"starts/internal/peer"
 	"starts/internal/qcache"
 	"starts/internal/query"
 	"starts/internal/resilient"
@@ -220,8 +219,7 @@ func WithNoCache() SearchOption { return core.WithNoCache() }
 type (
 	// QueryCache is a sharded LRU+TTL query-result cache with
 	// singleflight coalescing, stale-while-revalidate and load shedding.
-	// Plug it into MetasearcherOptions.Cache (merged answers) or wrap
-	// individual conns with CacheMiddleware (per-source results).
+	// Plug it into MetasearcherOptions.Cache (merged answers).
 	QueryCache = qcache.Cache
 	// QueryCacheConfig configures a QueryCache; its zero value is usable.
 	QueryCacheConfig = qcache.Config
@@ -242,56 +240,6 @@ type (
 // query under overload; detect it with errors.Is.
 var ErrShed = qcache.ErrShed
 
-// Distributed peer cache tier: a CacheStore whose key space is
-// partitioned across a fleet of metasearcher peers by a consistent-hash
-// ring. Keys owned by a remote peer travel over keep-alive HTTP to that
-// peer's /peer/cache endpoints (mounted with WithServerPeerCache or
-// NewPeerHandler); everything else — and every operation whose owner is
-// unreachable — lands in the node's local LRU, so a dead peer degrades
-// to a local miss behind a bounded timeout and per-peer breaker, never a
-// stall. Plug a PeerStore into QueryCacheConfig.Store and the fleet
-// shares one logical result cache:
-//
-//	ps := starts.NewPeerStore(starts.PeerStoreConfig{
-//		Self:  "http://10.0.0.1:8080",
-//		Peers: []string{"http://10.0.0.1:8080", "http://10.0.0.2:8080"},
-//		Codec: starts.PeerResultsCodec,
-//	})
-//	cache := starts.NewQueryCache(starts.QueryCacheConfig{Store: ps})
-type (
-	// PeerStore is the ring-sharded CacheStore over the peer fleet.
-	PeerStore = peer.Store
-	// PeerStoreConfig configures a PeerStore (self URL, peer URLs, codec,
-	// timeout, breaker thresholds).
-	PeerStoreConfig = peer.Config
-	// PeerCodec serializes cached values for the peer wire.
-	PeerCodec = peer.Codec
-	// PeerStatus is one ring member's health row, as served on GET
-	// /debug/peers.
-	PeerStatus = peer.Status
-	// PeerRing is the consistent-hash ring mapping keys to owners.
-	PeerRing = peer.Ring
-)
-
-// PeerResultsCodec carries *Results values (per-source cached answers)
-// over the peer wire as SOIF, the same encoding they travel the STARTS
-// protocol in.
-var PeerResultsCodec PeerCodec = peer.ResultsCodec{}
-
-// NewPeerStore returns a peer-sharded cache store; a config with no
-// Peers (or only Self) keeps every key local.
-func NewPeerStore(cfg PeerStoreConfig) *PeerStore { return peer.New(cfg) }
-
-// NewPeerHandler serves a store's /peer/cache/{key} and /peer/len
-// endpoints for mounting on a custom mux; WithServerPeerCache does this
-// (plus /debug/peers) on a Server.
-func NewPeerHandler(s *PeerStore) http.Handler { return peer.NewHandler(s) }
-
-// WithServerPeerCache mounts ps's peer-cache endpoints on the server:
-// GET/PUT/DELETE /peer/cache/{key}, GET /peer/len and the GET
-// /debug/peers health view.
-func WithServerPeerCache(ps *PeerStore) ServerOption { return server.WithPeerCache(ps) }
-
 // NewConnServer serves any Conn — not only an in-process source — as a
 // one-source STARTS resource at baseURL, through the same Server and
 // ServerOptions as NewServer. It is the serving half of a ZBroker-style
@@ -305,17 +253,6 @@ func WithServerPeerCache(ps *PeerStore) ServerOption { return server.WithPeerCac
 func NewConnServer(conn Conn, baseURL string, opts ...ServerOption) *Server {
 	return server.NewConns([]Conn{conn}, baseURL, opts...)
 }
-
-// Debug routes for Metasearcher.DebugHandler.
-type (
-	// DebugRoute is one extra route mounted on a metasearcher's debug
-	// mux, e.g. {"GET /debug/peers", peerStore.DebugHandler()}.
-	DebugRoute = core.DebugRoute
-)
-
-// DebugJSON adapts a snapshot function into an indented-JSON debug
-// handler, the shape DebugHandler's own routes use.
-func DebugJSON(snapshot func() any) http.Handler { return core.DebugJSON(snapshot) }
 
 // Per-source dispatching.
 type (
@@ -415,8 +352,6 @@ type (
 )
 
 // NewRetryConn wraps a Conn with retries; budget may be nil or shared.
-// Failed-but-retryable items of a batch are re-sent as a smaller batch
-// on the next attempt.
 func NewRetryConn(c Conn, p RetryPolicy, budget *RetryBudget) Conn {
 	return resilient.Wrap(c, p, budget)
 }
@@ -425,8 +360,7 @@ func NewRetryConn(c Conn, p RetryPolicy, budget *RetryBudget) Conn {
 func NewBreaker(cfg BreakerConfig) *Breaker { return resilient.NewBreaker(cfg) }
 
 // NewFaultyConn wraps a Conn with deterministic, seedable fault
-// injection. The injector gates once per wire call, so an injected fault
-// fails a whole batch like a broken wire would.
+// injection. The injector gates once per call.
 func NewFaultyConn(c Conn, cfg FaultConfig) *FaultyConn { return faulty.WrapConn(c, cfg) }
 
 // NewFaultMiddleware wraps an HTTP handler (e.g. a Server) with fault
@@ -464,23 +398,6 @@ func FaultyMiddleware(cfg FaultConfig) ConnMiddleware {
 // ObserveMiddleware is WrapConn as a ConnMiddleware.
 func ObserveMiddleware(reg *MetricsRegistry) ConnMiddleware {
 	return func(c Conn) Conn { return obs.WrapConn(c, reg) }
-}
-
-// CacheMiddleware caches a conn's per-source query results in cache.
-// Compose it so the cache sits OUTSIDE the retrier (retries re-run the
-// source, never the cache) and INSIDE the observer (hits still trace and
-// count):
-//
-//	conn = starts.ChainConn(conn,
-//		starts.RetryMiddleware(policy, budget),
-//		starts.CacheMiddleware(cache),
-//		starts.ObserveMiddleware(reg))
-//
-// That is the recommended chain; the metasearcher's own dispatcher sits
-// on top of it, queueing and coalescing per source before any of it
-// runs.
-func CacheMiddleware(cache *QueryCache) ConnMiddleware {
-	return func(c Conn) Conn { return qcache.WrapConn(c, cache) }
 }
 
 // Selectors.
