@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke prof-cold prof-wire prof-heap prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke ab prof-cold prof-wire prof-heap prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,14 @@ bench-dispatch:
 bench-smoke:
 	$(GO) -C bench vet ./...
 	bash bench/run.sh -smoke
+
+# ab measures the working tree against PARENT (a git ref) as alternating
+# pairs of benchmark runs and prints every metric's medians, IQRs and
+# sign-test wins (scripts/ab.sh; its header lists the options ARGS passes
+# on, e.g. ARGS='--workload cache-churn --pairs 10 --trace 1').
+ab:
+	@test -n "$(PARENT)" || { echo "usage: make ab PARENT=<ref> [ARGS='--workload W --pairs N --seconds S --trace 0|1 --seed K']"; exit 2; }
+	bash scripts/ab.sh $(PARENT) $(ARGS)
 
 # prof-cold attributes what one cache-missing search allocates, by site:
 # BenchmarkColdSearch (internal/core: 8 in-process sources, cache on, every

@@ -294,3 +294,90 @@ func TestCacheKeySeparatesConfigurations(t *testing.T) {
 		other.Close()
 	}
 }
+
+// TestCacheStoresNoTrace: the cache holds answers, not the traces of the
+// searches that filled them. The filler, a later hit and a stale serve
+// each get back a copy that carries their own trace, and the background
+// refresh records into none of them.
+func TestCacheStoresNoTrace(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Date(1996, 6, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	ms, conn, cache := cachedFleet(t, qcache.Config{TTL: time.Minute, Metrics: obs.NewRegistry(), Now: clock})
+	ctx := context.Background()
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+	key := ms.CacheKey(q)
+	stored := func() *Answer {
+		t.Helper()
+		v, ok := cache.Get(key)
+		if !ok {
+			t.Fatal("no fresh entry under the search's key")
+		}
+		if ans := v.(*Answer); ans.Trace != nil {
+			t.Fatalf("the cache pins a trace: %s", ans.Trace.Snapshot().Tree())
+		}
+		return v.(*Answer)
+	}
+	outcome := func(ans *Answer) (string, int) {
+		t.Helper()
+		ti := ans.Trace.Snapshot()
+		sp := ti.Find("cache")
+		if sp == nil {
+			t.Fatalf("answer's trace has no cache span: %s", ti.Tree())
+		}
+		v, _ := sp.Attr("outcome")
+		return v, ti.SpanCount()
+	}
+
+	filled, err := ms.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := stored()
+	if entry == filled {
+		t.Fatal("the filler got the stored answer itself, not a copy")
+	}
+	if got, _ := outcome(filled); got != qcache.Filled.String() || filled.Trace.Snapshot().Find("merge") == nil {
+		t.Errorf("filler's answer carries outcome %q, want its own full trace", got)
+	}
+	fillSpans := filled.Trace.Snapshot().SpanCount()
+
+	hit, err := ms.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, spans := outcome(hit); got != qcache.Hit.String() || spans != 1 || hit.Trace == filled.Trace {
+		t.Errorf("hit's answer carries outcome %q and %d spans, want its own one-span trace", got, spans)
+	}
+	if len(hit.Documents) != len(entry.Documents) || stored() != entry {
+		t.Error("a hit changed or replaced the stored entry")
+	}
+
+	mu.Lock()
+	now = now.Add(2 * time.Minute) // expired, inside the stale window
+	mu.Unlock()
+	stale, err := ms.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for conn.queries.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	var refreshed *Answer
+	for refreshed == nil && time.Now().Before(deadline) {
+		if v, ok := cache.Get(key); ok && v.(*Answer) != entry {
+			refreshed = stored()
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if refreshed == nil {
+		t.Fatal("the background refresh never stored its answer")
+	}
+	if got, spans := outcome(stale); got != qcache.Stale.String() || spans != 1 {
+		t.Errorf("stale serve's trace: outcome %q, %d spans; the refresh must record into no caller's trace", got, spans)
+	}
+	if got, spans := outcome(filled); got != qcache.Filled.String() || spans != fillSpans {
+		t.Errorf("filler's trace changed after it returned: outcome %q, %d spans, had %d", got, spans, fillSpans)
+	}
+}

@@ -107,10 +107,34 @@ func TestColdSearchAllocBudget(t *testing.T) {
 		coldSearch(t, ms, pool, next)
 		next++
 	})
-	const budget = 584 // 467 measured (625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
+	const budget = 303 // 243 measured (294 before a trace was one slab and the cache kept no trace, 467 before sources searched out of slabs, 625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
 	t.Logf("cold search: %.0f allocations (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("cold search allocates %.0f objects, budget %d", got, budget)
+	}
+}
+
+// TestCacheHitAllocBudget bounds what a search answered from the cache
+// allocates: among others the trace, the key, the printed query the
+// warm-start workload records and the answer's copy that carries this
+// call's trace — the measured count plus a quarter.
+func TestCacheHitAllocBudget(t *testing.T) {
+	ms, pool := coldFleet(t)
+	q := pool[0]
+	for i := 0; i < 10; i++ { // the fill, then lazy set-up on the hit path
+		if _, err := ms.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(400, func() {
+		if _, err := ms.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 10 // 8 measured (13 before the trace title rendered when read and the span came from the Trace), plus a quarter
+	t.Logf("cache hit: %.0f allocations (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("a cache hit allocates %.0f objects, budget %d", got, budget)
 	}
 }
 

@@ -400,10 +400,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if tr == nil {
 		tr = &obs.Trace{}
 	}
-	// Printed once: the trace title and the warm-start workload both
-	// carry the expressions' text.
-	filter, ranking := printed(q)
-	tr.Begin(describeQuery(filter, ranking))
+	tr.Begin((*queryTitle)(q))
 	defer tr.Finish()
 	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.opts.Metrics), tr)
 	// The injected clock times the search too, so frozen-clock freshness
@@ -416,9 +413,9 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	var ans *Answer
 	var err error
 	if cfg.cache != nil && !cfg.noCache {
-		ans, err = m.searchCached(ctx, tr, q, filter, ranking, cfg.cache, em)
-	} else {
-		ans, _, err = m.fill(ctx, q, em)
+		ans, err = m.searchCached(ctx, tr, q, cfg.cache, em)
+	} else if ans, _, err = m.fill(ctx, q, em); err == nil {
+		ans.Trace = tr
 	}
 	if err == nil {
 		// A caller that gave up gets its context's error, not an answer
@@ -435,9 +432,10 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 
 // fill answers q by the five steps under the trace and registry on ctx,
 // and names the answer's cache lifetime (see answerTTL): it is the
-// uncached search and the query cache's fill. With a non-nil emitter the
-// fan-out's completions also stream through an incremental merger; the
-// answer itself comes from the same batch merge either way.
+// uncached search and the query cache's fill. The answer carries no
+// trace; the search that returns it attaches its own. With a non-nil
+// emitter the fan-out's completions also stream through an incremental
+// merger; the answer itself comes from the same batch merge either way.
 func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*Answer, time.Duration, error) {
 	// The budget bounds the whole call — harvesting included — while
 	// Timeout bounds each individual source.
@@ -472,24 +470,25 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*
 // to replay it (filter and ranking, q's expressions as printed). Queries
 // whose expressions do not round-trip through the parser (some
 // multi-value ranking terms) are still recorded; Warm skips them with an
-// error count instead of failing the replay.
-func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, filter, ranking string, cache *qcache.Cache, em *emitter) (*Answer, error) {
+// error count instead of failing the replay. The cache stores answers
+// without a trace, and every serve — the filler's included — returns a
+// shallow copy that carries its own.
+func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, cache *qcache.Cache, em *emitter) (*Answer, error) {
 	csp := tr.StartSpan("cache")
 	key := m.CacheKey(q)
 	csp.Annotate("key", key)
+	filter, ranking := printed(q)
 	m.workload.Record(qcache.WarmEntry{Key: key, Filter: filter, Ranking: ranking, MaxResults: q.MaxResults})
 	// The leader's fill runs on this call and streams to its sink. A stale
 	// serve's background refresh (which shares the same cache bounds and
-	// dispatch layer) outlives this call: it runs under a private trace,
-	// since this call's is finished, and streams nowhere. The closure is
-	// allocated on every serve, hits included, so it captures no more than
-	// the fill needs; the refresh prints the query again.
+	// dispatch layer) outlives this call: it runs on a bare context, so
+	// it records no trace, and streams nowhere. The closure is allocated
+	// on every serve, hits included, so it captures no more than the fill
+	// needs.
 	v, outcome, err := cache.DoTTL(ctx, key, func(fctx context.Context, refresh bool) (any, time.Duration, error) {
 		fem := em
 		if refresh {
-			ftr := obs.NewTrace("refresh " + describeQuery(printed(q)))
-			defer ftr.Finish()
-			fctx, fem = obs.WithTrace(obs.WithMetrics(fctx, m.opts.Metrics), ftr), nil
+			fctx, fem = obs.WithMetrics(fctx, m.opts.Metrics), nil
 		}
 		ans, ttl, err := m.fill(fctx, q, fem)
 		if err != nil {
@@ -502,18 +501,14 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 	if err != nil {
 		return nil, err
 	}
-	ans := v.(*Answer)
-	if outcome == qcache.Filled {
-		return ans, nil // this call's own fill: it carries this call's trace
-	}
 	// Hit, stale serve or coalesced follower: the shared answer arrived
 	// whole, so a stream replays it as one terminal event.
-	if em != nil {
+	if outcome != qcache.Filled && em != nil {
 		m.opts.Metrics.Counter(obs.MStreamReplays).Inc()
 	}
 	// The copy shares the documents and outcomes (read-only by convention)
 	// but carries this call's trace and marks a stale serve.
-	cp := *ans
+	cp := *v.(*Answer)
 	cp.Trace, cp.Degraded.StaleAnswer = tr, outcome == qcache.Stale
 	return &cp, nil
 }
@@ -611,9 +606,12 @@ func printed(q *query.Query) (filter, ranking string) {
 	return filter, ranking
 }
 
-// describeQuery renders a query's printed expressions compactly for
-// traces and debug pages.
-func describeQuery(filter, ranking string) string {
+// queryTitle is a search's trace title: its query's printed expressions,
+// rendered compactly only when the trace is read.
+type queryTitle query.Query
+
+func (q *queryTitle) String() string {
+	filter, ranking := printed((*query.Query)(q))
 	switch {
 	case filter != "" && ranking != "":
 		return "filter " + filter + " ranking " + ranking

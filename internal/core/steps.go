@@ -442,7 +442,7 @@ func settle(b BreakerGate, id string, wired bool, err error) {
 func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) (*Answer, time.Duration, error) {
 	msp := tr.StartSpan("merge")
 	defer msp.End(nil)
-	ans := &Answer{Selected: p.ranked, Contacted: p.ids, Degraded: p.degraded, Trace: tr,
+	ans := &Answer{Selected: p.ranked, Contacted: p.ids, Degraded: p.degraded,
 		PerSource: make(map[string]*SourceOutcome, len(p.ids)+len(p.known))}
 	for id, oc := range p.known {
 		ans.PerSource[id] = oc

@@ -50,7 +50,7 @@ func TestWrapConnRecordsMetricsAndSpans(t *testing.T) {
 	if c.SourceID() != "cs" {
 		t.Errorf("SourceID = %q", c.SourceID())
 	}
-	tr := NewTrace("q")
+	tr := NewTrace(Title("q"))
 	sp := tr.StartSpan("query cs")
 	ctx := WithSpan(context.Background(), sp)
 	if _, err := c.Query(ctx, query.New()); err != nil {
@@ -155,7 +155,7 @@ func TestHandlers(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "no traces recorded yet") {
 		t.Errorf("empty ring body:\n%s", rec.Body.String())
 	}
-	tr := NewTrace("query cs")
+	tr := NewTrace(Title("query cs"))
 	tr.StartSpan("decode").End(nil)
 	tr.Finish()
 	ring.Add(tr)

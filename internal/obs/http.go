@@ -14,8 +14,8 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler serves the ring's trace trees as text/plain, newest first —
-// the /debug/last-traces endpoint.
+// Handler serves the ring's trace trees as text/plain, newest first,
+// snapshotted as the page is read — the /debug/last-traces endpoint.
 func (tr *TraceRing) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -1,8 +1,9 @@
 // Package obs is the observability substrate of the metasearcher: a
-// per-query Trace (a timed span tree carried through context.Context), a
-// dependency-free metrics Registry (counters, gauges, fixed-bucket
-// latency histograms), an instrumented client.Conn wrapper, and the HTTP
-// handlers that surface both (/metrics, /debug/last-traces).
+// per-query Trace (a timed span tree kept in the trace's own slab and
+// carried through context.Context), a dependency-free metrics Registry
+// (counters, gauges, fixed-bucket latency histograms), an instrumented
+// client.Conn wrapper, and the HTTP handlers that surface both (/metrics,
+// /debug/last-traces, which snapshots its ring's traces when read).
 //
 // obs deliberately imports nothing from internal/core — the dependency
 // points outward, like core.BreakerGate: core, client wrappers
@@ -19,44 +20,65 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
 // Trace records one operation's timed span tree. The zero value is ready
-// to use: Begin stamps the query and start time, StartSpan opens stage
+// to use: Begin stamps the title and start time, StartSpan opens stage
 // spans, Finish stamps the total duration. All methods are safe for
 // concurrent use (fan-out spans start and end from many goroutines) and
 // safe on a nil *Trace.
+//
+// A trace owns its spans and annotations: a slab of one span and two
+// annotations inside the Trace, then chunks that double up to maxChunk,
+// linked by first/next pointers — a handful of allocations however many
+// spans and annotations an operation records.
 type Trace struct {
 	mu    sync.Mutex
-	query string
+	title fmt.Stringer
 	start time.Time
 	dur   time.Duration
-	spans []*Span
+	top   *Span      // top-level spans, newest first
+	spans []Span     // the slab's current span chunk; its length is handed out
+	attrs []attrNode // the slab's current annotation chunk
+	span0 [1]Span
+	attr0 [2]attrNode
 }
 
-// NewTrace returns a started trace for the given query description.
-func NewTrace(query string) *Trace {
+// maxChunk caps the slots of one slab chunk.
+const maxChunk = 48
+
+// Title is a trace title fixed when it is made.
+type Title string
+
+func (t Title) String() string { return string(t) }
+
+// NewTrace returns a started trace with the given title.
+func NewTrace(title fmt.Stringer) *Trace {
 	t := &Trace{}
-	t.Begin(query)
+	t.Begin(title)
 	return t
 }
 
-// Begin (re)initializes the trace: it stamps the query description and
-// the start time and drops any prior spans, so a caller-owned Trace can
-// be reused across searches.
-func (t *Trace) Begin(query string) {
+// Begin (re)initializes the trace: it stamps the title, rendered only by
+// Snapshot, and the start time and drops any prior spans, so a
+// caller-owned Trace can be reused across searches. Every Begin after the
+// first starts a fresh slab: a straggling span of the previous operation
+// never writes into the new one.
+func (t *Trace) Begin(title fmt.Stringer) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.query = query
-	t.start = time.Now()
-	t.dur = 0
-	t.spans = nil
+	t.spans, t.attrs = nil, nil
+	if t.start.IsZero() {
+		t.spans, t.attrs = t.span0[:0], t.attr0[:0]
+	}
+	t.title, t.start, t.dur, t.top = title, time.Now(), 0, nil
 }
 
 // Finish stamps the trace's total duration. Later Finish calls win, so a
@@ -75,26 +97,49 @@ func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{t: t, name: name, start: time.Now()}
 	t.mu.Lock()
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	s := t.span(name)
+	s.next, t.top = t.top, s
 	return s
+}
+
+// span hands out the slab's next span, started now; the caller holds
+// t.mu.
+func (t *Trace) span(name string) *Span {
+	now := time.Now()
+	if t.start.IsZero() {
+		t.start = now
+	}
+	s := take(&t.spans, 3)
+	*s = Span{t: t, name: name, start: now.Sub(t.start), dur: -1}
+	return s
+}
+
+// take hands out the next slot of a slab chunk. A full chunk gives way
+// to one of first slots or twice its own, up to maxChunk; it lives on
+// through the pointers into it.
+func take[T any](chunk *[]T, first int) *T {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]T, 0, max(first, min(2*cap(*chunk), maxChunk)))
+	}
+	*chunk = (*chunk)[:len(*chunk)+1]
+	return &(*chunk)[len(*chunk)-1]
 }
 
 // Span is one timed operation within a trace. Spans nest (Child) and
 // carry ordered key=value annotations. All methods are safe on a nil
 // receiver and safe for concurrent use.
 type Span struct {
-	t        *Trace
-	name     string
-	source   string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	err      string
-	attrs    []Attr
-	children []*Span
+	t      *Trace
+	name   string
+	source string
+	err    string
+	start  time.Duration // since the trace's start
+	dur    time.Duration // -1 until End
+	attrs  *attrNode     // newest first
+	kids   *Span         // newest first
+	next   *Span         // the next older sibling
 }
 
 // Attr is one span annotation.
@@ -102,15 +147,21 @@ type Attr struct {
 	Key, Value string
 }
 
+// attrNode is an annotation in its span's list.
+type attrNode struct {
+	Attr
+	next *attrNode
+}
+
 // Child opens a nested span under s.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{t: s.t, name: name, start: time.Now()}
 	s.t.mu.Lock()
-	s.children = append(s.children, c)
-	s.t.mu.Unlock()
+	defer s.t.mu.Unlock()
+	c := s.t.span(name)
+	c.next, s.kids = s.kids, c
 	return c
 }
 
@@ -130,7 +181,9 @@ func (s *Span) Annotate(key, value string) {
 		return
 	}
 	s.t.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	a := take(&s.t.attrs, 6)
+	*a = attrNode{Attr{Key: key, Value: value}, s.attrs}
+	s.attrs = a
 	s.t.mu.Unlock()
 }
 
@@ -141,13 +194,13 @@ func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
+	now := time.Now()
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if s.ended {
+	if s.dur >= 0 {
 		return
 	}
-	s.ended = true
-	s.dur = time.Since(s.start)
+	s.dur = max(now.Sub(s.t.start)-s.start, 0)
 	if err != nil {
 		s.err = err.Error()
 	}
@@ -184,33 +237,39 @@ type TraceInfo struct {
 	Spans    []SpanInfo
 }
 
-// Snapshot captures the trace's current state as plain values. A nil
-// trace snapshots to the zero TraceInfo.
+// Snapshot captures the trace's current state as plain values, its
+// title rendered. A nil trace snapshots to the zero TraceInfo.
 func (t *Trace) Snapshot() TraceInfo {
 	if t == nil {
 		return TraceInfo{}
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ti := TraceInfo{Query: t.query, Start: t.start, Duration: t.dur}
-	ti.Spans = snapshotSpans(t.spans)
+	ti := TraceInfo{Start: t.start, Duration: t.dur, Spans: t.snapshotSpans(t.top)}
+	title := t.title
+	t.mu.Unlock()
+	if title != nil {
+		ti.Query = title.String()
+	}
 	return ti
 }
 
-// snapshotSpans copies a span forest; the caller holds the trace lock.
-func snapshotSpans(spans []*Span) []SpanInfo {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]SpanInfo, len(spans))
-	for i, s := range spans {
-		out[i] = SpanInfo{
-			Name: s.name, Source: s.source, Start: s.start,
-			Duration: s.dur, Err: s.err,
-			Attrs:    append([]Attr(nil), s.attrs...),
-			Children: snapshotSpans(s.children),
+// snapshotSpans copies a newest-first sibling list, oldest first, and
+// the forest under it; the caller holds the trace lock.
+func (t *Trace) snapshotSpans(first *Span) []SpanInfo {
+	var out []SpanInfo
+	for s := first; s != nil; s = s.next {
+		var attrs []Attr
+		for a := s.attrs; a != nil; a = a.next {
+			attrs = append(attrs, a.Attr)
 		}
+		slices.Reverse(attrs)
+		out = append(out, SpanInfo{
+			Name: s.name, Source: s.source, Start: t.start.Add(s.start),
+			Duration: max(s.dur, 0), Err: s.err, Attrs: attrs,
+			Children: t.snapshotSpans(s.kids),
+		})
 	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -293,11 +352,12 @@ func round(d time.Duration) time.Duration {
 	return d.Round(100 * time.Nanosecond)
 }
 
-// TraceRing keeps the last N trace snapshots, newest first — the backing
-// store of /debug/last-traces.
+// TraceRing keeps the last N finished traces, newest first — the
+// backing store of /debug/last-traces. It snapshots them when it is
+// read, so a trace it holds must not be begun again.
 type TraceRing struct {
 	mu   sync.Mutex
-	buf  []TraceInfo
+	buf  []*Trace
 	next int
 	full bool
 }
@@ -307,19 +367,17 @@ func NewTraceRing(n int) *TraceRing {
 	if n < 1 {
 		n = 1
 	}
-	return &TraceRing{buf: make([]TraceInfo, n)}
+	return &TraceRing{buf: make([]*Trace, n)}
 }
 
-// Add snapshots the trace into the ring. Nil rings and nil traces are
-// no-ops.
+// Add keeps the trace in the ring. Nil rings and nil traces are no-ops.
 func (r *TraceRing) Add(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	ti := t.Snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf[r.next] = ti
+	r.buf[r.next] = t
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -327,7 +385,7 @@ func (r *TraceRing) Add(t *Trace) {
 	}
 }
 
-// Snapshots lists the stored traces, newest first.
+// Snapshots snapshots the stored traces, newest first.
 func (r *TraceRing) Snapshots() []TraceInfo {
 	if r == nil {
 		return nil
@@ -340,7 +398,7 @@ func (r *TraceRing) Snapshots() []TraceInfo {
 	}
 	out := make([]TraceInfo, 0, n)
 	for i := 1; i <= n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
+		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)].Snapshot())
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace("q1")
+	tr := NewTrace(Title("q1"))
 	h := tr.StartSpan("harvest")
 	c := h.Child("harvest cs")
 	c.SetSource("cs")
@@ -52,7 +52,7 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestSpanFirstEndWins(t *testing.T) {
-	tr := NewTrace("q")
+	tr := NewTrace(Title("q"))
 	sp := tr.StartSpan("s")
 	sp.End(nil)
 	sp.End(errors.New("late"))
@@ -63,18 +63,28 @@ func TestSpanFirstEndWins(t *testing.T) {
 
 func TestTraceBeginResets(t *testing.T) {
 	var tr Trace // zero value is usable, as WithTrace promises
-	tr.Begin("first")
-	tr.StartSpan("s").End(nil)
-	tr.Begin("second")
+	tr.Begin(Title("first"))
+	old := tr.StartSpan("s")
+	tr.Begin(Title("second"))
 	ti := tr.Snapshot()
 	if ti.Query != "second" || len(ti.Spans) != 0 {
 		t.Errorf("Begin should reset: %+v", ti)
 	}
+	// A straggler of the first operation ends its span after the second
+	// began: it must write into neither the new tree nor its slots.
+	fresh := tr.StartSpan("fresh")
+	old.Annotate("late", "x")
+	old.End(errors.New("late"))
+	ti = tr.Snapshot()
+	if len(ti.Spans) != 1 || ti.Spans[0].Name != "fresh" || ti.Spans[0].Err != "" || ti.Spans[0].Attrs != nil {
+		t.Errorf("a straggling span wrote into the re-begun trace: %+v", ti.Spans)
+	}
+	fresh.End(nil)
 }
 
 func TestNilTraceAndSpanNoOp(t *testing.T) {
 	var tr *Trace
-	tr.Begin("x")
+	tr.Begin(Title("x"))
 	tr.Finish()
 	sp := tr.StartSpan("s")
 	if sp != nil {
@@ -93,7 +103,7 @@ func TestNilTraceAndSpanNoOp(t *testing.T) {
 }
 
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr := NewTrace("concurrent")
+	tr := NewTrace(Title("concurrent"))
 	f := tr.StartSpan("fanout")
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -118,7 +128,7 @@ func TestTraceRing(t *testing.T) {
 		t.Errorf("empty ring = %v", got)
 	}
 	for _, q := range []string{"a", "b", "c"} {
-		r.Add(NewTrace(q))
+		r.Add(NewTrace(Title(q)))
 	}
 	got := r.Snapshots()
 	if len(got) != 2 || got[0].Query != "c" || got[1].Query != "b" {
@@ -126,7 +136,7 @@ func TestTraceRing(t *testing.T) {
 	}
 	r.Add(nil) // no-op
 	var nilRing *TraceRing
-	nilRing.Add(NewTrace("x"))
+	nilRing.Add(NewTrace(Title("x")))
 	if nilRing.Snapshots() != nil {
 		t.Error("nil ring should be inert")
 	}
@@ -137,7 +147,7 @@ func TestContextCarriers(t *testing.T) {
 	if TraceFrom(ctx) != nil || SpanFrom(ctx) != nil || MetricsFrom(ctx) != nil {
 		t.Fatal("bare context should carry nothing")
 	}
-	tr := NewTrace("q")
+	tr := NewTrace(Title("q"))
 	sp := tr.StartSpan("stage")
 	reg := NewRegistry()
 	ctx = WithMetrics(WithSpan(WithTrace(ctx, tr), sp), reg)

@@ -18,7 +18,7 @@ func TestRetryInstrumentation(t *testing.T) {
 	c, _ := fastWrap(inner, RetryPolicy{MaxAttempts: 3}, nil)
 
 	reg := obs.NewRegistry()
-	tr := obs.NewTrace("q")
+	tr := obs.NewTrace(obs.Title("q"))
 	sp := tr.StartSpan("query S")
 	ctx := obs.WithMetrics(obs.WithSpan(context.Background(), sp), reg)
 	if _, err := c.Query(ctx, nil); err != nil {

@@ -100,7 +100,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	tr := obs.NewTrace("query " + conn.SourceID())
+	tr := obs.NewTrace(s.titles[conn.SourceID()])
 	defer func() {
 		tr.Finish()
 		s.traces.Add(tr)

@@ -59,8 +59,9 @@ const traceCapacity = 32
 // Server serves a list of conns as one STARTS resource.
 type Server struct {
 	conns    map[string]client.Conn
-	docNames map[string]string // per-source starts_server_query_docs_total, built once
-	resource *meta.Resource    // the /resource answer: every conn, in order
+	docNames map[string]string       // per-source starts_server_query_docs_total, built once
+	titles   map[string]fmt.Stringer // per-source query trace titles, built once
+	resource *meta.Resource          // the /resource answer: every conn, in order
 	baseURL  string
 	mux      *http.ServeMux
 	metrics  *obs.Registry
@@ -111,6 +112,7 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	srv := &Server{
 		conns:    make(map[string]client.Conn, len(conns)),
 		docNames: make(map[string]string, len(conns)),
+		titles:   make(map[string]fmt.Stringer, len(conns)),
 		resource: &meta.Resource{},
 		baseURL:  strings.TrimRight(baseURL, "/"),
 		mux:      http.NewServeMux(),
@@ -119,6 +121,7 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	for _, c := range conns {
 		srv.conns[c.SourceID()] = c
 		srv.docNames[c.SourceID()] = obs.L("starts_server_query_docs_total", "source", c.SourceID())
+		srv.titles[c.SourceID()] = obs.Title("query " + c.SourceID())
 		srv.resource.Entries = append(srv.resource.Entries, meta.ResourceEntry{
 			SourceID:    c.SourceID(),
 			MetadataURL: srv.sourceURL(c.SourceID(), "metadata"),

@@ -228,7 +228,7 @@ func (tr *translator) rewriteTerm(te *query.TermExpr) query.Expr {
 }
 
 // allStopWords predicts source-side elimination from the exported stop
-// list.
+// list, scanning the term's words in place.
 func (tr *translator) allStopWords(t query.Term) bool {
 	if tr.stop.Len() == 0 {
 		return false
@@ -238,18 +238,21 @@ func (tr *translator) allStopWords(t query.Term) bool {
 	default:
 		return false
 	}
-	words := strings.FieldsFunc(t.Value.Text, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == ',' || r == '.' || r == ';'
-	})
-	if len(words) == 0 {
-		return false
-	}
-	for _, w := range words {
-		if !tr.stop.Contains(w) {
-			return false
+	words := 0
+	for rest := t.Value.Text; rest != ""; {
+		i := strings.IndexAny(rest, " \t,.;")
+		if i < 0 {
+			i = len(rest)
 		}
+		if w := rest[:i]; w != "" {
+			if !tr.stop.Contains(w) {
+				return false
+			}
+			words++
+		}
+		rest = rest[min(i+1, len(rest)):]
 	}
-	return true
+	return words > 0
 }
 
 // PostFilter implements verification mode: it re-checks result documents

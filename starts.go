@@ -313,17 +313,12 @@ type (
 	// MetricsRegistry holds named counters, gauges and latency
 	// histograms; Render emits them in Prometheus text format.
 	MetricsRegistry = obs.Registry
-	// TraceRing keeps the last N traces for debugging endpoints.
-	TraceRing = obs.TraceRing
 )
 
 // NewMetricsRegistry returns an empty metrics registry, shareable across
 // a metasearcher (MetasearcherOptions.Metrics), servers and instrumented
 // conns.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTraceRing returns a ring buffer holding the last n traces.
-func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 
 // WrapConn instruments a Conn: every call is timed into a child span of
 // the context's current span and counted into reg.
