@@ -56,7 +56,8 @@ type Options struct {
 	// is fed back to it. resilient.NewBreaker provides one.
 	Breaker BreakerGate
 	// PostFilter enables verification mode: results are re-checked
-	// against query parts a source could not evaluate.
+	// against query parts a source could not evaluate, and each sub-query
+	// asks for the answer fields that check reads.
 	PostFilter bool
 	// Metrics receives the metasearcher's counters, gauges and latency
 	// histograms; nil allocates a private registry, so instrumentation is
@@ -453,7 +454,7 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*
 	if err != nil {
 		return nil, 0, err
 	}
-	p.translate(tr)
+	p.translate(tr, m.opts.PostFilter)
 	var onDone func(int, *SourceOutcome)
 	if em != nil {
 		onDone = em.begin(p, m.opts.Merger)

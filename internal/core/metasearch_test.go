@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"starts/internal/attr"
 	"starts/internal/client"
 	"starts/internal/engine"
-	"starts/internal/gloss"
 	"starts/internal/index"
 	"starts/internal/merge"
 	"starts/internal/meta"
@@ -325,28 +325,51 @@ func TestAllSourcesFailing(t *testing.T) {
 	}
 }
 
+// TestPostFilterVerificationMode: a source that cannot search authors
+// drops the author term, and verification mode checks it on the broker,
+// against author fields it must ask the source for (the default answer
+// fields are title and linkage, so without asking every document fails).
 func TestPostFilterVerificationMode(t *testing.T) {
-	ms, _ := fleetWith(t, Options{
-		PostFilter: true, Selector: gloss.Random{Seed: 42}, // contact everything
-		Timeout: 5 * time.Second,
-	})
-	// The archive is Boolean-only and does not support the author field
-	// wait — author IS supported there. Use a field it lacks: languages.
+	cfg := engine.NewVectorConfig()
+	cfg.Fields = []attr.Field{attr.FieldBodyOfText}
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.New("no-author", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, author := range []string{"Luis Gravano", "Hector Garcia-Molina", "Luis Gravano", "Andreas Paepcke"} {
+		if err := src.Add(&index.Document{
+			Linkage: "http://docs/" + string(rune('a'+i)), Title: "Metasearch paper",
+			Authors: []string{author}, Body: "metasearch over distributed sources",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms := New(Options{PostFilter: true, Timeout: 5 * time.Second})
+	defer ms.Close()
+	ms.Add(client.NewLocalConn(src, nil))
 	q := query.New()
 	q.Filter, _ = query.ParseFilter(`((author "Gravano") and (body-of-text "metasearch"))`)
 	ans, err := ms.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every surviving document must actually have Gravano as an author
-	// (either verified at the source or post-filtered here).
+	if rep := ans.PerSource["no-author"].Report; len(rep.DroppedTerms) != 1 {
+		t.Fatalf("dropped terms = %v, want the author term", rep.DroppedTerms)
+	}
+	if len(ans.Documents) != 2 {
+		t.Fatalf("verified answer has %d documents, want the 2 by Gravano", len(ans.Documents))
+	}
 	for _, d := range ans.Documents {
-		if d.Field(attr.FieldAuthor) == "" {
-			continue // author not in answer fields by default
+		if a := d.Field(attr.FieldAuthor); a != "Luis Gravano" {
+			t.Errorf("%s kept with author %q", d.Linkage(), a)
 		}
 	}
-	if len(ans.Documents) == 0 {
-		t.Error("verification removed everything")
+	if want := query.New().AnswerFields; !slices.Equal(q.AnswerFields, want) {
+		t.Errorf("the caller's answer fields became %v, want %v", q.AnswerFields, want)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"starts/internal/attr"
 	"starts/internal/client"
 	"starts/internal/dispatch"
 	"starts/internal/gloss"
@@ -249,7 +251,9 @@ func pick(ranked []gloss.Ranked, maxSources int) []string {
 // translate is the translation step (§3.2): each planned source gets the
 // query rewritten against its harvested metadata, under its own span, so
 // a trace shows exactly what each source was asked and what was dropped.
-func (p *plan) translate(tr *obs.Trace) {
+// In verification mode a sub-query also asks for the fields its dropped
+// terms are checked against (see askToVerify).
+func (p *plan) translate(tr *obs.Trace, verify bool) {
 	tsp := tr.StartSpan("translate")
 	defer tsp.End(nil)
 	for n, id := range p.ids {
@@ -276,7 +280,27 @@ func (p *plan) translate(tr *obs.Trace) {
 		if s.report != nil && !s.report.Clean() {
 			sp.Annotate("dropped-terms", strconv.Itoa(len(s.report.DroppedTerms)))
 		}
+		if verify && s.report != nil && len(s.report.DroppedTerms) > 0 {
+			askToVerify(s.sent, s.report.DroppedTerms)
+		}
 		sp.End(nil)
+	}
+}
+
+// askToVerify adds to a sub-query's answer fields the title and author
+// fields of its dropped terms: translate.PostFilter checks those terms
+// against the fields that come back, so a field nobody asked for would
+// fail every document. The fields are a new slice, never the caller's.
+func askToVerify(sent *query.Query, dropped []query.Term) {
+	fields := sent.AppendAnswerFields(nil)
+	asked := len(fields)
+	for _, t := range dropped {
+		if f := t.EffectiveField(); (f == attr.FieldTitle || f == attr.FieldAuthor) && !slices.Contains(fields, f) {
+			fields = append(fields, f)
+		}
+	}
+	if len(fields) > asked {
+		sent.AnswerFields = fields
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package eval provides the retrieval-evaluation metrics the experiment
-// harnesses use: precision/recall at a cutoff, rank correlation (Kendall's
-// tau and Spearman's rho), and the GlOSS Rn measure of source-selection
-// quality.
+// Package eval provides the retrieval-evaluation metrics the paper's
+// quality harness (paper_test.go at the repository root) reads off the
+// broker's answers: precision at a cutoff, answer-set overlap, Kendall's
+// rank correlation, and the GlOSS Rn measure of source-selection quality.
 package eval
 
 import (
@@ -28,23 +28,6 @@ func PrecisionAtK(ranked []string, relevant map[string]bool, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(k)
-}
-
-// RecallAtK returns the fraction of relevant items found in the top k.
-func RecallAtK(ranked []string, relevant map[string]bool, k int) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	hits := 0
-	for _, id := range ranked[:k] {
-		if relevant[id] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(relevant))
 }
 
 // Overlap returns |a ∩ b| / |a ∪ b| (Jaccard) for two item sets.
@@ -103,43 +86,6 @@ func KendallTau(a, b []string) (float64, error) {
 	}
 	pairs := n * (n - 1) / 2
 	return float64(concordant-discordant) / float64(pairs), nil
-}
-
-// SpearmanRho computes Spearman's rank correlation between two orderings
-// of the same item set, in [-1, 1], over their common items.
-func SpearmanRho(a, b []string) (float64, error) {
-	posB := map[string]int{}
-	for i, id := range b {
-		posB[id] = i
-	}
-	var common []string
-	for _, id := range a {
-		if _, ok := posB[id]; ok {
-			common = append(common, id)
-		}
-	}
-	n := len(common)
-	if n < 2 {
-		return 0, fmt.Errorf("eval: need at least two common items for Spearman rho, have %d", n)
-	}
-	// Ranks within the common subsequence.
-	rankA := map[string]int{}
-	for i, id := range common {
-		rankA[id] = i
-	}
-	bCommon := make([]string, 0, n)
-	for _, id := range b {
-		if _, ok := rankA[id]; ok {
-			bCommon = append(bCommon, id)
-		}
-	}
-	var d2 float64
-	for i, id := range bCommon {
-		d := float64(rankA[id] - i)
-		d2 += d * d
-	}
-	nf := float64(n)
-	return 1 - 6*d2/(nf*(nf*nf-1)), nil
 }
 
 // Rn is the GlOSS source-selection quality measure: the merit accumulated

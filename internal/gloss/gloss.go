@@ -250,22 +250,3 @@ func (r Random) Rank(q *query.Query, sources []SourceInfo) []Ranked {
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
-
-// Oracle ranks sources by externally supplied true merit; it is the upper
-// bound the estimators are measured against (Rn of the oracle is 1 by
-// construction).
-type Oracle struct {
-	Merit map[string]float64
-}
-
-// Name implements Selector.
-func (Oracle) Name() string { return "oracle" }
-
-// Rank implements Selector.
-func (o Oracle) Rank(_ *query.Query, sources []SourceInfo) []Ranked {
-	out := make([]Ranked, 0, len(sources))
-	for _, si := range sources {
-		out = append(out, Ranked{ID: si.ID, Goodness: o.Merit[si.ID]})
-	}
-	return sortRanked(out)
-}

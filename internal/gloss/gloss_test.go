@@ -173,18 +173,6 @@ func TestRandomDeterministicPerQuery(t *testing.T) {
 	}
 }
 
-func TestOracle(t *testing.T) {
-	o := Oracle{Merit: map[string]float64{"cs": 1, "garden": 5, "mixed": 3}}
-	q := rankQuery(t, `list((body-of-text "anything"))`)
-	got := order(o.Rank(q, testSources()))
-	want := []string{"garden", "mixed", "cs"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("oracle order = %v", got)
-		}
-	}
-}
-
 func TestTieBreakByID(t *testing.T) {
 	srcs := []SourceInfo{
 		{ID: "b", Summary: summary(10, false, map[string][2]int{"x": {1, 1}})},
@@ -197,7 +185,7 @@ func TestTieBreakByID(t *testing.T) {
 }
 
 func TestSelectorNames(t *testing.T) {
-	for _, s := range []Selector{VSum{}, VMax{}, BGloss{}, Random{}, Oracle{}} {
+	for _, s := range []Selector{VSum{}, VMax{}, BGloss{}, Random{}} {
 		if s.Name() == "" {
 			t.Errorf("%T has empty name", s)
 		}

@@ -3,10 +3,10 @@ package index
 // This file is the oracle: the map-building evaluator that materialises a
 // match set per filter node and a doc→info map per term over the term's
 // whole posting lists. Nothing on the serving path reaches it — only an
-// engine whose Config.Exhaustive is set (the benchmark's reference fleet),
-// tests, and internal/experiments. The cursor evaluator in iter.go is held
-// to it, answer for answer, by the engine's differential and fuzz tests. It
-// is written for obviousness, not speed.
+// engine whose Config.Exhaustive is set (the benchmark's reference fleet)
+// and tests. The cursor evaluator in iter.go is held to it, answer for
+// answer, by the engine's differential and fuzz tests. It is written for
+// obviousness, not speed.
 
 import (
 	"fmt"

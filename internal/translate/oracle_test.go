@@ -199,8 +199,8 @@ func (tr *oracleTranslator) allStopWords(t query.Term) bool {
 	return true
 }
 
-// oracleMetas is the metadata set of the translation experiment
-// (experiments.restrictedProfiles: the reference engine and four hobbled
+// oracleMetas is the metadata set of the translation experiment (X4 in
+// the root package's paper_test.go: the reference engine and four hobbled
 // ones, as their sources export them), fullMeta, and variations on it.
 func oracleMetas(t *testing.T) []*meta.SourceMeta {
 	t.Helper()

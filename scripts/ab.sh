@@ -21,7 +21,11 @@
 # the parent's IQR, and the sign test: in how many pairs the working tree
 # was better (by BENCHMARK.json's direction; `lower k/N` for a metric it
 # does not list). It writes the same as summary.json, and prints
-# `make loc` parent -> working tree. It needs bash, git, jq and awk.
+# `make loc` parent -> working tree. Last it prints the paper's quality
+# tables (`go test -count=1 -run '^TestPaper' -v .`, run once in each
+# checkout: they are deterministic) side by side, parent | working tree,
+# `n/a` on a side without them; both are kept as paper-<side>.txt. It
+# needs bash, git, go, jq and awk.
 set -euo pipefail
 
 usage() {
@@ -161,3 +165,19 @@ jq -r '
 	{ printf "%-34s", $1; for (i = 2; i <= NF; i++) printf " %-28s", $i; printf "\n" }'
 echo
 echo "(* gated in BENCHMARK.json; wins by its direction) results and summary.json: $out"
+
+# paper DIR prints one checkout's paper tables, without go test's own
+# lines, or n/a when it has none.
+paper() {
+	local tables
+	tables=$(cd "$1" && go test -count=1 -run '^TestPaper' -v . 2>&1 |
+		grep -vE '^(=== (RUN|PAUSE|CONT)|--- PASS|PASS$|ok |testing: warning)') || true
+	printf '%s\n' "${tables:-n/a}"
+}
+paper "$wt" >"$out/paper-parent.txt"
+paper "$root" >"$out/paper-change.txt"
+echo
+echo "paper tables: parent | change"
+awk 'NR == FNR { p[FNR] = $0; n = FNR; if (length($0) > w) w = length($0); next }
+	{ c[FNR] = $0; if (FNR > n) n = FNR }
+	END { for (i = 1; i <= n; i++) printf "%-" w "s | %s\n", p[i], c[i] }' "$out/paper-parent.txt" "$out/paper-change.txt"

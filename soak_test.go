@@ -12,7 +12,6 @@ import (
 	"starts"
 	"starts/internal/corpus"
 	"starts/internal/engine"
-	"starts/internal/eval"
 	"starts/internal/resilient"
 )
 
@@ -83,12 +82,11 @@ func TestScaleSoak(t *testing.T) {
 		if len(ans.Contacted) > 4 {
 			t.Errorf("MaxSources ignored: contacted %v", ans.Contacted)
 		}
-		// Selection sanity: the topical source family should lead for
-		// head-of-vocabulary queries.
-		if len(ans.Selected) > 0 && ans.Selected[0].Goodness > 0 {
-			sel := eval.Rn([]string{ans.Selected[0].ID}, map[string]float64{ans.Selected[0].ID: 1}, 1)
-			if sel != 1 {
-				t.Errorf("Rn self-check failed")
+		// The broker contacts the best-estimated sources, best first: with
+		// no breaker skipping any, Contacted is a prefix of Selected.
+		for i, id := range ans.Contacted {
+			if i >= len(ans.Selected) || ans.Selected[i].ID != id {
+				t.Fatalf("contacted %v out of selection order %v", ans.Contacted, ans.Selected)
 			}
 		}
 	}
