@@ -183,7 +183,8 @@ fuzz:
 # repository (bench/, its own frozen module, excluded) and per internal/
 # package, and the configuration surface — With* options, flag
 # definitions in cmd/, exported named fields of the structs named
-# Options, *Config, *Policy or Limits, distinct "starts_..." metric names.
+# Options, *Config, *Policy or Limits, distinct "starts_..." metric names —
+# and the facade: exported top-level names declared in starts.go.
 # CHANGES.md quotes it.
 loc:
 	@files() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0; }; \
@@ -198,7 +199,13 @@ loc:
 		in_ && /^\}/ { in_ = 0 } \
 		in_ && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Za-z0-9_]+)*[ \t]+[^ \t\/]/) { s = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", s) + 1 } \
 		END { print n + 0 }')"; \
-	printf '%-22s %6d\n' 'metric names' "$$(src '"starts_[A-Za-z0-9_]*' . | sort -u | wc -l)"
+	printf '%-22s %6d\n' 'metric names' "$$(src '"starts_[A-Za-z0-9_]*' . | sort -u | wc -l)"; \
+	printf '%-22s %6d\n' 'facade names' "$$(awk ' \
+		/^(type|var|const) \($$/ { in_ = 1; next } \
+		in_ && /^\)/ { in_ = 0 } \
+		in_ && /^\t[A-Z][A-Za-z0-9_]* / { n++ } \
+		/^(func|type|var|const) [A-Z]/ { n++ } \
+		END { print n + 0 }' starts.go)"
 
 # tier1 is the repo's baseline gate: everything must always pass.
 tier1: build test

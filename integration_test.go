@@ -259,7 +259,7 @@ func TestWarmFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		if len(entries) != 1 || !strings.Contains(entries[0].Ranking, "database") {
+		if len(entries) != 1 || !strings.Contains(entries[0].Query, "database") {
 			t.Fatalf("workload %s = %+v, want the one database query", path, entries)
 		}
 	}

@@ -152,11 +152,13 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 		Selector: trapSelector{tp: tp}, Merger: trapMerger{tp: tp},
 		Timeout: 5 * time.Second, Breaker: gate, SourceConcurrency: 1,
 	}
+	clk := newTestClock()
 	if cached {
-		// Every answer expires at once, a degraded one too (it lives for
-		// the floor), so the next identical search must go through the
-		// flight: it leads, or it joins a wedged one.
-		opts.Cache = qcache.New(qcache.Config{TTL: time.Nanosecond, TTLFloor: time.Nanosecond, StaleFor: -1})
+		// The cache's clock jumps past every entry's lifetime and stale
+		// window before the next search (a degraded answer lives for the
+		// floor, any other for the TTL), so that search must go through
+		// the flight: it leads, or it joins a wedged one.
+		opts.Cache = qcache.New(qcache.Config{TTL: time.Minute, Now: clk.now})
 	}
 	ms := New(opts)
 	for _, id := range srcs {
@@ -210,6 +212,7 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	}
 	waitGoroutines(t, baseline, "after the cancelled search")
 
+	clk.advance(time.Hour)
 	var tr obs.Trace
 	ans, err := search(ctx, &tr)
 	if err != nil || len(ans.Documents) == 0 {

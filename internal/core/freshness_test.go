@@ -82,15 +82,13 @@ func freshFleet(t *testing.T, clk *testClock, cfg qcache.Config, srcs []freshSou
 // TestAnswerTTLFollowsSourceFreshness is the acceptance table test for
 // per-source TTL derivation: answers built from sources with different
 // DateExpires/DateChanged get different cache lifetimes — the minimum
-// across the contacted fan-out, clamped to [TTLFloor, TTLCeiling] — and
-// sources declaring nothing fall back to the cache's Config.TTL.
+// across the contacted fan-out, clamped to [qcache.TTLFloor,
+// qcache.TTLCeiling] — and sources declaring nothing fall back to the
+// cache's Config.TTL. Past its lifetime an answer serves stale while a
+// background refresh reruns the pipeline.
 func TestAnswerTTLFollowsSourceFreshness(t *testing.T) {
 	base := newTestClock().now()
-	const (
-		fallback = time.Minute
-		floor    = time.Second
-		ceiling  = 24 * time.Hour
-	)
+	const fallback = time.Minute
 	cases := []struct {
 		name    string
 		sources []freshSource
@@ -121,12 +119,12 @@ func TestAnswerTTLFollowsSourceFreshness(t *testing.T) {
 				{id: "s1", expires: base.Add(-time.Hour)},
 				{id: "s2", expires: base.Add(2 * time.Hour)},
 			},
-			want: floor,
+			want: qcache.TTLFloor,
 		},
 		{
 			name:    "far-future expiry clamps to the ceiling",
 			sources: []freshSource{{id: "s1", expires: base.Add(90 * 24 * time.Hour)}},
-			want:    ceiling,
+			want:    qcache.TTLCeiling,
 		},
 		{
 			name:    "no freshness metadata falls back to Config.TTL",
@@ -137,9 +135,7 @@ func TestAnswerTTLFollowsSourceFreshness(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := newTestClock()
-			ms, conns := freshFleet(t, clk, qcache.Config{
-				TTL: fallback, TTLFloor: floor, TTLCeiling: ceiling, StaleFor: -1,
-			}, tc.sources)
+			ms, conns := freshFleet(t, clk, qcache.Config{TTL: fallback}, tc.sources)
 			ctx := context.Background()
 			mk := func() *query.Query { return rankingQuery(t, `list((body-of-text "databases"))`) }
 			fanouts := func() (n int64) {
@@ -154,19 +150,32 @@ func TestAnswerTTLFollowsSourceFreshness(t *testing.T) {
 			}
 			filled := fanouts()
 
-			// Just inside the expected lifetime: served from cache, no new
-			// fan-out.
+			// Just inside the expected lifetime: served fresh from cache, no
+			// new fan-out.
 			clk.advance(tc.want - time.Second/2)
-			if _, err := ms.Search(ctx, mk()); err != nil {
+			ans, err := ms.Search(ctx, mk())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fanouts(); got != filled {
-				t.Fatalf("fan-out ran inside the %v lifetime (%d -> %d queries)", tc.want, filled, got)
+			if got := fanouts(); got != filled || ans.Degraded.StaleAnswer {
+				t.Fatalf("inside the %v lifetime: %d -> %d queries, stale %v; want a fresh hit", tc.want, filled, got, ans.Degraded.StaleAnswer)
 			}
-			// Just past it: the entry expired and the pipeline reruns.
+			// Just past it: the entry expired and serves stale until the
+			// background refresh, which reruns the pipeline, lands.
 			clk.advance(time.Second)
-			if _, err := ms.Search(ctx, mk()); err != nil {
+			if ans, err = ms.Search(ctx, mk()); err != nil {
 				t.Fatal(err)
+			}
+			if !ans.Degraded.StaleAnswer {
+				t.Fatalf("past the %v lifetime the answer was served fresh", tc.want)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ans.Degraded.StaleAnswer; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the refresh past the %v lifetime never landed", tc.want)
+				}
+				if ans, err = ms.Search(ctx, mk()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := fanouts(); got == filled {
 				t.Fatalf("fan-out did not rerun past the %v lifetime (still %d queries)", tc.want, got)
@@ -259,14 +268,16 @@ func (c *failOnceConn) Query(ctx context.Context, q *query.Query) (*result.Resul
 }
 
 // TestDegradedAnswerCachesForTheFloor: an answer missing a failed source
-// is cached for the cache's TTLFloor, not for the hour its sources'
-// freshness metadata would give a complete one, so the next caller past
-// the floor reaches the recovered source instead of the partial answer.
+// is cached for qcache.TTLFloor, not for the hour its sources' freshness
+// metadata would give a complete one, so the next caller past the floor
+// reaches the recovered source instead of the partial answer. A
+// nanosecond TTL leaves a stale window of nanoseconds, so past the floor
+// the entry is gone, not served stale.
 func TestDegradedAnswerCachesForTheFloor(t *testing.T) {
 	clk := newTestClock()
 	ms := New(Options{
 		Timeout: 5 * time.Second, Now: clk.now,
-		Cache: qcache.New(qcache.Config{TTLFloor: time.Second, StaleFor: -1, Now: clk.now}),
+		Cache: qcache.New(qcache.Config{TTL: time.Nanosecond, Now: clk.now}),
 	})
 	defer ms.Close()
 	var conns []client.Conn

@@ -60,9 +60,9 @@ type Options struct {
 	// asks for the answer fields that check reads.
 	PostFilter bool
 	// Metrics receives the metasearcher's counters, gauges and latency
-	// histograms; nil allocates a private registry, so instrumentation is
-	// always on (retrieve it with Metasearcher.Metrics). Share one
-	// registry across components to get a single /metrics view.
+	// histograms; nil allocates a private registry (DebugHandler serves
+	// it), so instrumentation is always on. Share one registry across
+	// components to get a single /metrics view.
 	Metrics *obs.Registry
 	// Cache, when set, serves repeated identical queries from a shared
 	// query-result cache: concurrent identical queries coalesce into one
@@ -211,9 +211,6 @@ func (m *Metasearcher) DispatchStats() []dispatch.QueueStat { return m.dispatche
 // Close stops the dispatch layer: queued work drains, new searches fail
 // with dispatch.ErrClosed.
 func (m *Metasearcher) Close() { m.dispatcher.Close() }
-
-// Metrics returns the registry this metasearcher records into.
-func (m *Metasearcher) Metrics() *obs.Registry { return m.opts.Metrics }
 
 // Add registers a source connection. Re-adding an ID replaces the
 // connection and invalidates its harvested state.
@@ -467,19 +464,15 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*
 // coalescing flight's leader). The entry's lifetime comes from the
 // answering sources' own freshness metadata (see answerTTL). The "cache"
 // span annotates how the call was served, and every serve is recorded in
-// the warm-start workload: its fingerprint plus the Basic-1 text needed
-// to replay it (filter and ranking, q's expressions as printed). Queries
-// whose expressions do not round-trip through the parser (some
-// multi-value ranking terms) are still recorded; Warm skips them with an
-// error count instead of failing the replay. The cache stores answers
+// the warm-start workload: its fingerprint and the query, kept by value
+// and rendered only when the workload is read. The cache stores answers
 // without a trace, and every serve — the filler's included — returns a
 // shallow copy that carries its own.
 func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query.Query, cache *qcache.Cache, em *emitter) (*Answer, error) {
 	csp := tr.StartSpan("cache")
 	key := m.CacheKey(q)
 	csp.Annotate("key", key)
-	filter, ranking := printed(q)
-	m.workload.Record(qcache.WarmEntry{Key: key, Filter: filter, Ranking: ranking, MaxResults: q.MaxResults})
+	m.workload.Record(key, q)
 	// The leader's fill runs on this call and streams to its sink. A stale
 	// serve's background refresh (which shares the same cache bounds and
 	// dispatch layer) outlives this call: it runs on a bare context, so
@@ -536,51 +529,22 @@ func (m *Metasearcher) CacheKey(q *query.Query) string {
 // admission gate — so a restarted metasearcher serves its hot queries as
 // cache hits from the first request. At most concurrency replays run at
 // once (qcache.DefaultWarmConcurrency if <= 0). Entries already fresh in
-// the cache are skipped; entries whose recorded query no longer parses
-// count as errors and are skipped. It returns an error only when no
-// cache is configured.
+// the cache are skipped; entries whose recorded @SQuery text does not
+// parse (an older file's, say) count as errors and are skipped. It
+// returns an error only when no cache is configured.
 func (m *Metasearcher) Warm(ctx context.Context, entries []qcache.WarmEntry, concurrency int) (qcache.WarmStats, error) {
 	if m.opts.Cache == nil {
 		return qcache.WarmStats{}, fmt.Errorf("core: warm start needs Options.Cache")
 	}
 	stats := m.opts.Cache.Warm(ctx, entries, concurrency, func(rctx context.Context, e qcache.WarmEntry) error {
-		q, err := warmQuery(e)
+		q, err := query.Parse([]byte(e.Query))
 		if err != nil {
-			return err
+			return fmt.Errorf("core: re-parsing workload entry %q: %w", e.Key, err)
 		}
 		_, err = m.Search(rctx, q)
 		return err
 	})
 	return stats, nil
-}
-
-// warmQuery reconstructs a replayable query from a workload entry's
-// recorded Basic-1 text.
-func warmQuery(e qcache.WarmEntry) (*query.Query, error) {
-	if e.Filter == "" && e.Ranking == "" {
-		return nil, fmt.Errorf("core: workload entry %q records no query text", e.Key)
-	}
-	// Start from the spec defaults, as interactive queries do, so the
-	// replay fingerprints identically to the query it is reviving.
-	q := query.New()
-	if e.MaxResults != 0 {
-		q.MaxResults = e.MaxResults
-	}
-	if e.Filter != "" {
-		f, err := query.ParseFilter(e.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("core: re-parsing workload filter: %w", err)
-		}
-		q.Filter = f
-	}
-	if e.Ranking != "" {
-		r, err := query.ParseRanking(e.Ranking)
-		if err != nil {
-			return nil, fmt.Errorf("core: re-parsing workload ranking: %w", err)
-		}
-		q.Ranking = r
-	}
-	return q, nil
 }
 
 // searchScope names a cache key space: the four options and the source
@@ -596,30 +560,18 @@ func searchScope(opts Options, members []*member) string {
 		"/" + strconv.FormatBool(opts.PostFilter) + "/" + strings.Join(ids, " ")
 }
 
-// printed renders q's two expressions, "" for one it lacks.
-func printed(q *query.Query) (filter, ranking string) {
-	if q.Filter != nil {
-		filter = q.Filter.String()
-	}
-	if q.Ranking != nil {
-		ranking = q.Ranking.String()
-	}
-	return filter, ranking
-}
-
 // queryTitle is a search's trace title: its query's printed expressions,
 // rendered compactly only when the trace is read.
 type queryTitle query.Query
 
 func (q *queryTitle) String() string {
-	filter, ranking := printed((*query.Query)(q))
 	switch {
-	case filter != "" && ranking != "":
-		return "filter " + filter + " ranking " + ranking
-	case filter != "":
-		return "filter " + filter
-	case ranking != "":
-		return "ranking " + ranking
+	case q.Filter != nil && q.Ranking != nil:
+		return "filter " + q.Filter.String() + " ranking " + q.Ranking.String()
+	case q.Filter != nil:
+		return "filter " + q.Filter.String()
+	case q.Ranking != nil:
+		return "ranking " + q.Ranking.String()
 	}
 	return "(empty)"
 }

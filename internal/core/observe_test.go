@@ -236,13 +236,13 @@ func TestBreakerFlapMetrics(t *testing.T) {
 // leaves in the registry: one latency observation (the query count) for
 // each contacted source, and one error for the source whose query failed.
 func TestStatsAccumulate(t *testing.T) {
-	ms, _ := fleet(t)
+	reg := obs.NewRegistry()
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second, Metrics: reg})
 	ms.Add(&failingConn{id: "broken"})
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	if _, err := ms.Search(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	reg := ms.Metrics()
 	if got := reg.Histogram(obs.L("starts_source_query_seconds", "source", "cs")).Count(); got != 1 {
 		t.Errorf("cs query_seconds count = %d, want 1", got)
 	}

@@ -120,7 +120,7 @@ func (c *swapConn) Query(ctx context.Context, q *query.Query) (*result.Results, 
 // must still leave the cache at ten minutes.
 func TestAnswerTTLFollowsTheRunsHarvest(t *testing.T) {
 	clk := newTestClock()
-	cache := qcache.New(qcache.Config{TTL: time.Minute, TTLCeiling: 24 * time.Hour, StaleFor: -1, Now: clk.now})
+	cache := qcache.New(qcache.Config{TTL: time.Minute, Now: clk.now})
 	ms := New(Options{Timeout: 5 * time.Second, Cache: cache, Now: clk.now})
 	defer ms.Close()
 	conn := &swapConn{Conn: client.NewLocalConn(oneDocSource(t, "s"), nil)}

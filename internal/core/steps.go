@@ -510,7 +510,8 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 	if d := ans.Degraded; len(d.Failed)+len(d.Skipped)+len(d.HarvestFailed) > 0 {
 		// A source left out may be back for the next caller, so a partial
 		// answer caches for the cache's floor, not for the fleet's
-		// freshness lifetime (a negative TTL is clamped to TTLFloor).
+		// freshness lifetime (a negative TTL is clamped to
+		// qcache.TTLFloor).
 		return ans, -1, nil
 	}
 	return ans, answerTTL(p.sources, m.opts.Now()), nil
@@ -524,8 +525,8 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 // published since. Sources declaring neither DateExpires nor DateChanged
 // contribute nothing; if no source declares anything, 0 is returned and
 // the cache falls back to its configured TTL. The cache clamps the result
-// to [TTLFloor, TTLCeiling], mirroring the server's Cache-Control
-// derivation for single sources.
+// to [qcache.TTLFloor, qcache.TTLCeiling], mirroring the server's
+// Cache-Control derivation for single sources.
 func answerTTL(sources []sourcePlan, now time.Time) time.Duration {
 	var min time.Duration
 	found := false

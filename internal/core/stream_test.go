@@ -116,7 +116,8 @@ func TestSearchStreamMatchesSearch(t *testing.T) {
 // sink are the same code path; a nil sink must not panic or change
 // results.
 func TestSearchStreamNilSinkIsSearch(t *testing.T) {
-	ms, _ := fleet(t)
+	reg := obs.NewRegistry()
+	ms, _ := fleetWith(t, Options{Timeout: 5 * time.Second, Metrics: reg})
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 	ans, err := ms.SearchStream(context.Background(), q, nil)
 	if err != nil {
@@ -125,7 +126,7 @@ func TestSearchStreamNilSinkIsSearch(t *testing.T) {
 	if len(ans.Documents) == 0 {
 		t.Fatal("no documents")
 	}
-	if n := ms.Metrics().Counter(obs.MStreamSearches).Value(); n != 0 {
+	if n := reg.Counter(obs.MStreamSearches).Value(); n != 0 {
 		t.Fatalf("nil-sink search counted as streamed (%d)", n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"starts/internal/attr"
+	"starts/internal/obs"
 	"starts/internal/qcache"
+	"starts/internal/query"
 )
 
 // TestStartWorkloadSaver pins the periodic snapshot satellite: the saver
@@ -95,5 +99,60 @@ func TestDebugHandler(t *testing.T) {
 	if resp, body := get("/debug/dispatch"); resp.StatusCode != http.StatusOK ||
 		!strings.Contains(body, `"source": "cs"`) {
 		t.Errorf("/debug/dispatch: status %d body %.200s", resp.StatusCode, body)
+	}
+}
+
+// TestWarmStartReplaysTheServedQuery: a replay asks exactly the query that
+// was served, not one rebuilt from its expressions, so a query whose
+// stop-word policy, answer fields and sort are not the defaults warms its
+// own cache entry through a saved workload, and its first repeat after a
+// restart is a hit.
+func TestWarmStartReplaysTheServedQuery(t *testing.T) {
+	ctx := context.Background()
+	srcs := []freshSource{{id: "s1"}, {id: "s2"}}
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+	q.DropStopWords = false
+	q.AnswerFields = []attr.Field{attr.FieldTitle, attr.FieldAuthor}
+	q.SortBy = []query.SortKey{{Field: attr.FieldTitle, Ascending: true}}
+
+	ms1, _ := freshFleet(t, newTestClock(), qcache.Config{TTL: time.Hour}, srcs)
+	if _, err := ms1.Search(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := qcache.SaveWorkload(&file, ms1.Workload()); err != nil {
+		t.Fatal(err)
+	}
+	workload, err := qcache.LoadWorkload(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ms2, _ := freshFleet(t, newTestClock(), qcache.Config{TTL: time.Hour}, srcs)
+	if stats, err := ms2.Warm(ctx, workload, 1); err != nil || stats.Replayed != 1 {
+		t.Fatalf("warm = %+v, %v; want 1 replayed", stats, err)
+	}
+	var tr obs.Trace
+	if _, err := ms2.Search(ctx, q, WithTrace(&tr)); err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := tr.Snapshot().Find("cache").Attr("outcome"); out != qcache.Hit.String() {
+		t.Errorf("the first repeat after the warm start was served %q, want a hit", out)
+	}
+}
+
+// TestWarmCountsAnOlderWorkloadLineAsAnError: a line written before
+// entries carried the whole query (filter and ranking text only) loads,
+// carries no query, and its replay counts as an error — a cold start for
+// that entry, not a failed warm start.
+func TestWarmCountsAnOlderWorkloadLineAsAnError(t *testing.T) {
+	old, err := qcache.LoadWorkload(strings.NewReader(
+		`{"key":"k","ranking":"list((body-of-text \"databases\"))","max_results":20}` + "\n"))
+	if err != nil || len(old) != 1 {
+		t.Fatalf("loading an older line: %v, %d entries", err, len(old))
+	}
+	ms, _ := freshFleet(t, newTestClock(), qcache.Config{TTL: time.Hour}, []freshSource{{id: "s1"}})
+	if stats, err := ms.Warm(context.Background(), old, 1); err != nil || stats.Errors != 1 || stats.Replayed != 0 {
+		t.Fatalf("warm = %+v, %v; want 1 error, nothing replayed", stats, err)
 	}
 }

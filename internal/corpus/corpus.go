@@ -31,12 +31,6 @@ type Topic struct {
 	Language lang.Tag
 }
 
-// BuiltinTopics returns the standard topic set: four English domains and
-// one Spanish, each with a curated head and a generated tail.
-func BuiltinTopics() []Topic {
-	return TopicsWithVocab(defaultVocabWords)
-}
-
 // TopicsWithVocab returns the standard topic set with each topic's
 // vocabulary extended (or left) at words distinct words. Larger
 // vocabularies model larger collections: under the Zipf draw the

@@ -204,7 +204,7 @@ func TestGenerateGolden(t *testing.T) {
 }
 
 func TestVocabularySize(t *testing.T) {
-	for _, topic := range BuiltinTopics() {
+	for _, topic := range TopicsWithVocab(defaultVocabWords) {
 		if len(topic.Words) != 120 {
 			t.Errorf("topic %s vocab = %d", topic.Name, len(topic.Words))
 		}

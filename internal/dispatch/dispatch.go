@@ -159,9 +159,6 @@ func New(cfg Config) *Dispatcher {
 	return &Dispatcher{cfg: cfg, queues: map[string]*queue{}}
 }
 
-// Metrics returns the registry the dispatcher records into.
-func (d *Dispatcher) Metrics() *obs.Registry { return d.cfg.Metrics }
-
 // Submit enqueues fn for the source, or joins an in-flight batch with
 // the same non-empty key (one wire call fans back to all waiters; keys
 // must identify the work, e.g. a fingerprint of the translated query —

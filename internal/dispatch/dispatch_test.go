@@ -464,7 +464,8 @@ func slowRuns(t *testing.T, d *Dispatcher, source string, lim Limits, dur time.D
 // budget — and the source is busy — Submit fails fast with ErrDeadline
 // instead of queueing work doomed to time out.
 func TestDeadlineDoomedSubmit(t *testing.T) {
-	d := New(Config{})
+	reg := obs.NewRegistry()
+	d := New(Config{Metrics: reg})
 	defer d.Close()
 	lim := Limits{Concurrency: 1, QueueDepth: 8}
 	slowRuns(t, d, "s", lim, 20*time.Millisecond)
@@ -498,7 +499,7 @@ func TestDeadlineDoomedSubmit(t *testing.T) {
 	if st.TypicalRun < 10*time.Millisecond {
 		t.Errorf("TypicalRun = %v, want >= 10ms from the primed runs", st.TypicalRun)
 	}
-	if got := d.Metrics().Counter(obs.L(obs.MDispatchDoomed, "source", "s")).Value(); got != 1 {
+	if got := reg.Counter(obs.L(obs.MDispatchDoomed, "source", "s")).Value(); got != 1 {
 		t.Errorf("doomed counter = %d, want 1", got)
 	}
 }

@@ -91,11 +91,11 @@ func TestScanLString(t *testing.T) {
 	}{
 		{`"databases"`, L("databases"), ""},
 		{"``databases''", L("databases"), ""},
-		{`[en-US "behavior"] tail`, LIn(EnglishUS, "behavior"), " tail"},
-		{"[es ``taco'']", LIn(Spanish, "taco"), ""},
+		{`[en-US "behavior"] tail`, LString{Tag: EnglishUS, Text: "behavior"}, " tail"},
+		{"[es ``taco'']", LString{Tag: Spanish, Text: "taco"}, ""},
 		{`"with \"escape\" and \\ backslash"`, L(`with "escape" and \ backslash`), ""},
 		{`  "leading space"`, L("leading space"), ""},
-		{`[en-US  "two spaces"]`, LIn(EnglishUS, "two spaces"), ""},
+		{`[en-US  "two spaces"]`, LString{Tag: EnglishUS, Text: "two spaces"}, ""},
 		{`"日本語テキスト"`, L("日本語テキスト"), ""},
 	}
 	for _, tc := range cases {
@@ -121,21 +121,11 @@ func TestScanLStringErrors(t *testing.T) {
 	}
 }
 
-func TestParseLStringTrailing(t *testing.T) {
-	if _, err := ParseLString(`"a" "b"`); err == nil {
-		t.Error("ParseLString accepted trailing input")
-	}
-	l, err := ParseLString(`[es "datos"]`)
-	if err != nil || l != LIn(Spanish, "datos") {
-		t.Errorf("ParseLString = %v, %v", l, err)
-	}
-}
-
 func TestLStringResolve(t *testing.T) {
 	if got := L("x").Resolve(EnglishUS); got != EnglishUS {
 		t.Errorf("Resolve default = %v", got)
 	}
-	if got := LIn(Spanish, "x").Resolve(EnglishUS); got != Spanish {
+	if got := (LString{Tag: Spanish, Text: "x"}).Resolve(EnglishUS); got != Spanish {
 		t.Errorf("Resolve explicit = %v", got)
 	}
 }
@@ -146,11 +136,8 @@ func TestQuickLStringRoundTrip(t *testing.T) {
 	tags := []Tag{{}, EnglishUS, English, Spanish, {"fr", "CA"}}
 	f := func(text string, tagIdx uint8) bool {
 		l := LString{Tag: tags[int(tagIdx)%len(tags)], Text: text}
-		back, err := ParseLString(l.String())
-		if err != nil {
-			return false
-		}
-		return back == l
+		back, rest, err := ScanLString(l.String())
+		return err == nil && rest == "" && back == l
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -23,9 +23,6 @@ type LString struct {
 // L is shorthand for an unqualified l-string.
 func L(text string) LString { return LString{Text: text} }
 
-// LIn is shorthand for a language-qualified l-string.
-func LIn(tag Tag, text string) LString { return LString{Tag: tag, Text: text} }
-
 // String renders the l-string in canonical query syntax: a double-quoted,
 // backslash-escaped string, wrapped in [tag ...] when language-qualified.
 func (l LString) String() string {
@@ -67,18 +64,6 @@ func appendQuote(dst []byte, s string) []byte {
 		dst = utf8.AppendRune(dst, r)
 	}
 	return append(dst, '"')
-}
-
-// ParseLString parses a complete l-string and rejects trailing input.
-func ParseLString(s string) (LString, error) {
-	l, rest, err := ScanLString(s)
-	if err != nil {
-		return LString{}, err
-	}
-	if strings.TrimSpace(rest) != "" {
-		return LString{}, fmt.Errorf("lang: trailing input %q after l-string", rest)
-	}
-	return l, nil
 }
 
 // ScanLString reads one l-string from the front of s (after leading

@@ -29,14 +29,6 @@ const (
 	FormatJSON = "json"
 )
 
-// EffectiveFormat returns the entry's format with the default applied.
-func (e ResourceEntry) EffectiveFormat() string {
-	if e.Format == "" {
-		return FormatSOIF
-	}
-	return e.Format
-}
-
 // Resource is the contact information a resource exports: its list of
 // sources and where to obtain each source's metadata. From here a
 // metasearcher bootstraps everything else — metadata, content summaries,

@@ -324,8 +324,8 @@ func TestResourceFormatToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Entries[0].EffectiveFormat() != FormatSOIF || back.Entries[1].EffectiveFormat() != FormatJSON {
-		t.Errorf("formats = %q %q", back.Entries[0].EffectiveFormat(), back.Entries[1].EffectiveFormat())
+	if back.Entries[0].Format != "" || back.Entries[1].Format != FormatJSON {
+		t.Errorf("formats = %q %q", back.Entries[0].Format, back.Entries[1].Format)
 	}
 	// Four tokens is malformed.
 	o := soif.New(ResourceType)

@@ -172,62 +172,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// Quantile estimates the q-th quantile (q in [0, 1]) of the recorded
-// durations by linear interpolation within the target bucket, the same
-// estimate Prometheus's histogram_quantile computes. It returns 0 with
-// no observations; observations in the +Inf overflow bucket clamp to the
-// highest finite bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || len(h.bounds) == 0 {
-		return 0
-	}
-	bounds, counts := h.bounds, h.BucketCounts()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// rank is the (fractional) number of observations at or below the
-	// quantile point; walk the buckets cumulatively to the one holding it.
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i == len(bounds) {
-			// Overflow bucket: no finite upper edge to interpolate toward.
-			return bounds[len(bounds)-1]
-		}
-		var lo time.Duration
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := bounds[i]
-		frac := (rank - float64(cum)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lo + time.Duration(frac*float64(hi-lo))
-	}
-	return bounds[len(bounds)-1]
-}
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {

@@ -99,46 +99,3 @@ func TestNilRegistryNoOps(t *testing.T) {
 		t.Error("nil registry should render empty")
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	bounds := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	reg := NewRegistry()
-	h := reg.HistogramBuckets("q", bounds)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-	// 10 observations in (10ms, 20ms]: every quantile interpolates inside
-	// that bucket, linearly from its lower to its upper edge.
-	for i := 0; i < 10; i++ {
-		h.Observe(15 * time.Millisecond)
-	}
-	if got := h.Quantile(0.5); got != 15*time.Millisecond {
-		t.Errorf("p50 of one mid bucket = %v, want 15ms", got)
-	}
-	if got := h.Quantile(1); got != 20*time.Millisecond {
-		t.Errorf("p100 = %v, want the bucket's upper edge 20ms", got)
-	}
-	// Add 10 in (0, 10ms]: p50 lands exactly on the first bucket edge and
-	// p75 halfway through the second bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(5 * time.Millisecond)
-	}
-	if got := h.Quantile(0.5); got != 10*time.Millisecond {
-		t.Errorf("p50 of 10+10 = %v, want 10ms", got)
-	}
-	if got := h.Quantile(0.75); got != 15*time.Millisecond {
-		t.Errorf("p75 of 10+10 = %v, want 15ms", got)
-	}
-	// Observations beyond the last bound clamp to the highest finite edge,
-	// exactly as histogram_quantile does.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Second)
-	}
-	if got := h.Quantile(0.99); got != 40*time.Millisecond {
-		t.Errorf("p99 with overflow = %v, want clamp to 40ms", got)
-	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Error("nil histogram should read zero")
-	}
-}

@@ -14,7 +14,7 @@ package obs
 //	starts_harvest_cache_{hits,misses}_total            core harvest cache
 //	starts_conn_errors_total{source,op}, ...            obs.WrapConn
 //	starts_retries_total, starts_breaker_transitions_…  resilient
-//	starts_server_{requests,errors}_total{route}, ...   server routes
+//	starts_server_seconds{route}, ..._errors_total{…}  server routes
 //	starts_qcache_*                                     this file
 const (
 	// MQCacheHits counts fresh cache hits (served without any fan-out).
@@ -44,8 +44,8 @@ const (
 	MQCacheHitSeconds = "starts_qcache_hit_seconds"
 	// MQCacheEntryTTLSeconds is the histogram of explicit per-entry
 	// lifetimes derived from source freshness metadata (after clamping to
-	// [TTLFloor, TTLCeiling]); entries on the Config.TTL fallback are not
-	// observed.
+	// [qcache.TTLFloor, qcache.TTLCeiling]); entries on the Config.TTL
+	// fallback are not observed.
 	MQCacheEntryTTLSeconds = "starts_qcache_entry_ttl_seconds"
 	// MQCacheWarmReplayed counts workload entries replayed successfully
 	// during a warm start.

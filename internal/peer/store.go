@@ -172,9 +172,6 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// Ring returns the store's consistent-hash ring.
-func (s *Store) Ring() *Ring { return s.ring }
-
 // Local returns the fall-through local store (this node's ring share).
 func (s *Store) Local() qcache.Store { return s.local }
 

@@ -187,7 +187,7 @@ func TestClusterKillMidRun(t *testing.T) {
 	timeout := 150 * time.Millisecond
 	nodes := newCluster(t, 2, func(i int, cfg *Config) { cfg.Timeout = timeout })
 	a, b := nodes[0], nodes[1]
-	keys := keysOwnedBy(t, a.store.Ring(), b.url, 8)
+	keys := keysOwnedBy(t, a.store.ring, b.url, 8)
 
 	// Healthy phase: A's writes land on B and read back remotely.
 	for i, k := range keys {
@@ -234,7 +234,7 @@ func TestClusterBreakerOpenRecover(t *testing.T) {
 		cfg.Timeout = 150 * time.Millisecond
 	})
 	a, b := nodes[0], nodes[1]
-	keys := keysOwnedBy(t, a.store.Ring(), b.url, 4)
+	keys := keysOwnedBy(t, a.store.ring, b.url, 4)
 	a.store.Put(keys[0], live("survivor"))
 
 	// Outage: B answers 500 to everything.
@@ -302,7 +302,7 @@ func TestClusterFaultInjection(t *testing.T) {
 		faultyHandler.ServeHTTP(w, r.WithContext(ctx))
 	}))
 
-	keys := keysOwnedBy(t, a.store.Ring(), b.url, 20)
+	keys := keysOwnedBy(t, a.store.ring, b.url, 20)
 	var durations []time.Duration
 	op := func(f func()) {
 		start := time.Now()

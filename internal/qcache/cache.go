@@ -8,9 +8,20 @@ import (
 	"starts/internal/obs"
 )
 
+// Every entry lifetime a fill names is clamped to [TTLFloor, TTLCeiling]:
+// a source already past its DateExpires still caches briefly instead of
+// thrashing the fan-out, and the server clamps its Cache-Control max-age
+// to the same ceiling. An expired entry serves stale
+// (stale-while-revalidate) for staleTTLs times the cache's Config.TTL.
+const (
+	TTLFloor   = time.Second
+	TTLCeiling = 24 * time.Hour
+	staleTTLs  = 4
+)
+
 // Config configures a Cache. The zero value is usable: 4096 entries over
-// NewLRUStore's default shards, one-minute TTL, a stale window of four
-// TTLs, no admission bound, and a private metrics registry.
+// NewLRUStore's default shards, one-minute TTL, no admission bound, and a
+// private metrics registry.
 type Config struct {
 	// MaxEntries bounds the default store's size across all shards
 	// (default 4096). Ignored when Store is set.
@@ -18,17 +29,6 @@ type Config struct {
 	// TTL is how long an entry serves fresh when the fill does not name
 	// its own lifetime (default one minute).
 	TTL time.Duration
-	// TTLFloor bounds per-entry lifetimes from below (default one
-	// second): a source that is already past its DateExpires still
-	// caches briefly instead of thrashing the fan-out.
-	TTLFloor time.Duration
-	// TTLCeiling bounds per-entry lifetimes from above (default one
-	// day, matching the server's Cache-Control clamp).
-	TTLCeiling time.Duration
-	// StaleFor is how long past its TTL an entry may still be served
-	// stale while a background refresh runs (stale-while-revalidate).
-	// Zero defaults to four TTLs; negative disables stale serving.
-	StaleFor time.Duration
 	// MaxInflight bounds concurrent fills (cache misses running the
 	// expensive fan-out). Zero leaves fills unbounded.
 	MaxInflight int
@@ -91,14 +91,11 @@ type TTLFill func(ctx context.Context, refresh bool) (val any, ttl time.Duration
 // safe for concurrent use. Cached values are shared across callers and
 // must be treated as read-only.
 type Cache struct {
-	storage  Store
-	ttl      time.Duration
-	floor    time.Duration
-	ceiling  time.Duration
-	staleFor time.Duration
-	gate     *Gate
-	flight   *flightGroup
-	now      func() time.Time
+	storage Store
+	ttl     time.Duration
+	gate    *Gate
+	flight  *flightGroup
+	now     func() time.Time
 
 	metrics    *obs.Registry
 	hits       *obs.Counter
@@ -115,18 +112,6 @@ func New(cfg Config) *Cache {
 	if cfg.TTL <= 0 {
 		cfg.TTL = time.Minute
 	}
-	if cfg.TTLFloor <= 0 {
-		cfg.TTLFloor = time.Second
-	}
-	if cfg.TTLCeiling <= 0 {
-		cfg.TTLCeiling = 24 * time.Hour
-	}
-	switch {
-	case cfg.StaleFor == 0:
-		cfg.StaleFor = 4 * cfg.TTL
-	case cfg.StaleFor < 0:
-		cfg.StaleFor = 0
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -139,9 +124,6 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		storage:    cfg.Store,
 		ttl:        cfg.TTL,
-		floor:      cfg.TTLFloor,
-		ceiling:    cfg.TTLCeiling,
-		staleFor:   cfg.StaleFor,
 		gate:       NewGate(cfg.MaxInflight, cfg.QueueTimeout, cfg.Metrics),
 		flight:     newFlightGroup(),
 		now:        cfg.Now,
@@ -155,9 +137,6 @@ func New(cfg Config) *Cache {
 		ttlSeconds: cfg.Metrics.Histogram(obs.MQCacheEntryTTLSeconds),
 	}
 }
-
-// Metrics returns the registry the cache records into.
-func (c *Cache) Metrics() *obs.Registry { return c.metrics }
 
 // Do serves key from the cache, filling it with fill on a miss. It is
 // DoTTL with every entry taking the cache's Config.TTL.
@@ -270,9 +249,6 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores val under key with the cache's Config.TTL, unconditionally.
 func (c *Cache) Put(key string, val any) { c.put(key, val, 0) }
 
-// Len reports the live entry count in the backing store.
-func (c *Cache) Len() int { return c.storage.Len() }
-
 type lookupState int
 
 const (
@@ -308,19 +284,19 @@ func (c *Cache) put(key string, val any, ttl time.Duration) {
 		c.ttlSeconds.Observe(eff)
 	}
 	now := c.now()
-	c.storage.Put(key, Entry{Val: val, Expires: now.Add(eff), StaleUntil: now.Add(eff + c.staleFor)})
+	c.storage.Put(key, Entry{Val: val, Expires: now.Add(eff), StaleUntil: now.Add(eff + staleTTLs*c.ttl)})
 }
 
 // effectiveTTL resolves one entry's lifetime: the fallback Config.TTL
-// for 0, the clamp to [floor, ceiling] for everything else.
+// for 0, the clamp to [TTLFloor, TTLCeiling] for everything else.
 func (c *Cache) effectiveTTL(ttl time.Duration) time.Duration {
 	switch {
 	case ttl == 0:
 		return c.ttl
-	case ttl < c.floor:
-		return c.floor
-	case ttl > c.ceiling:
-		return c.ceiling
+	case ttl < TTLFloor:
+		return TTLFloor
+	case ttl > TTLCeiling:
+		return TTLCeiling
 	}
 	return ttl
 }

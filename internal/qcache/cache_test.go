@@ -39,7 +39,7 @@ func fillConst(v any) func(context.Context) (any, error) {
 func TestDoHitMissTTL(t *testing.T) {
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
-	c := New(Config{TTL: time.Minute, StaleFor: -1, Metrics: reg, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Metrics: reg, Now: clk.now})
 	ctx := context.Background()
 
 	v, out, err := c.Do(ctx, "k", fillConst("one"))
@@ -50,8 +50,8 @@ func TestDoHitMissTTL(t *testing.T) {
 	if out != Hit || v != "one" {
 		t.Fatalf("second Do = %v, %v; want cached one, hit", v, out)
 	}
-	// Past TTL with stale serving disabled: a plain miss refills.
-	clk.advance(2 * time.Minute)
+	// Past the TTL and the stale window behind it: a plain miss refills.
+	clk.advance((1+staleTTLs)*time.Minute + time.Second)
 	v, out, _ = c.Do(ctx, "k", fillConst("two"))
 	if out != Filled || v != "two" {
 		t.Fatalf("post-TTL Do = %v, %v; want two, miss", v, out)
@@ -83,7 +83,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestStaleWhileRevalidate(t *testing.T) {
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
-	c := New(Config{TTL: time.Minute, StaleFor: 10 * time.Minute, Metrics: reg, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Metrics: reg, Now: clk.now})
 	ctx := context.Background()
 
 	var fills atomic.Int64
@@ -93,7 +93,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	if v, out, _ := c.Do(ctx, "k", fill); out != Filled || v != "v1" {
 		t.Fatalf("prime = %v, %v", v, out)
 	}
-	clk.advance(5 * time.Minute) // expired, within stale window
+	clk.advance(3 * time.Minute) // expired, within the stale window
 
 	v, out, err := c.Do(ctx, "k", fill)
 	if err != nil || out != Stale || v != "v1" {
@@ -127,7 +127,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 // refresh false, a stale serve's background refresh with refresh true.
 func TestDoTTLTellsTheFillItsRole(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{TTL: time.Minute, StaleFor: 10 * time.Minute, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Now: clk.now})
 	ctx := context.Background()
 	roles := make(chan bool, 2)
 	fill := func(_ context.Context, refresh bool) (any, time.Duration, error) {
@@ -140,7 +140,7 @@ func TestDoTTLTellsTheFillItsRole(t *testing.T) {
 	if refresh := <-roles; refresh {
 		t.Error("the leader's fill ran with refresh set")
 	}
-	clk.advance(5 * time.Minute)
+	clk.advance(3 * time.Minute)
 	if _, out, err := c.DoTTL(ctx, "k", fill); err != nil || out != Stale {
 		t.Fatalf("stale DoTTL = %v, %v; want stale, nil", out, err)
 	}
@@ -158,7 +158,7 @@ func TestDoTTLTellsTheFillItsRole(t *testing.T) {
 // most one background refresh.
 func TestStaleServesDoNotStampede(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{TTL: time.Minute, StaleFor: time.Hour, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Now: clk.now})
 	ctx := context.Background()
 
 	var fills atomic.Int64
@@ -330,7 +330,8 @@ func TestShedding(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	// One shard so the LRU order is global and deterministic.
-	c := New(Config{Store: NewLRUStore(3, 1, reg), Metrics: reg})
+	st := NewLRUStore(3, 1, reg)
+	c := New(Config{Store: st, Metrics: reg})
 	ctx := context.Background()
 	for _, k := range []string{"a", "b", "c"} {
 		if _, _, err := c.Do(ctx, k, fillConst(k)); err != nil {
@@ -352,7 +353,7 @@ func TestLRUEviction(t *testing.T) {
 			t.Errorf("%s evicted; want it resident", k)
 		}
 	}
-	if got := c.Len(); got != 3 {
+	if got := st.Len(); got != 3 {
 		t.Errorf("Len = %d, want 3", got)
 	}
 	if got := reg.Counter(obs.MQCacheEvictions).Value(); got != 1 {
@@ -366,7 +367,7 @@ func TestLRUEviction(t *testing.T) {
 // TestConcurrentMixedLoad drives every path at once under -race.
 func TestConcurrentMixedLoad(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{Store: NewLRUStore(32, 4, nil), TTL: time.Minute, StaleFor: time.Hour,
+	c := New(Config{Store: NewLRUStore(32, 4, nil), TTL: time.Minute,
 		MaxInflight: 4, QueueTimeout: 5 * time.Millisecond, Now: clk.now})
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -401,15 +402,14 @@ func TestPerEntryTTLClamping(t *testing.T) {
 	}{
 		{"fallback", 0, time.Minute},
 		{"in-bounds", 30 * time.Second, 30 * time.Second},
-		{"below-floor", 100 * time.Millisecond, time.Second},
-		{"negative-past-expiry", -5 * time.Minute, time.Second},
-		{"above-ceiling", 48 * time.Hour, 24 * time.Hour},
+		{"below-floor", 100 * time.Millisecond, TTLFloor},
+		{"negative-past-expiry", -5 * time.Minute, TTLFloor},
+		{"above-ceiling", 48 * time.Hour, TTLCeiling},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := newFakeClock()
-			c := New(Config{TTL: time.Minute, TTLFloor: time.Second, TTLCeiling: 24 * time.Hour,
-				StaleFor: -1, Now: clk.now})
+			c := New(Config{TTL: time.Minute, Now: clk.now})
 			ctx := context.Background()
 			_, out, err := c.DoTTL(ctx, "k", func(context.Context, bool) (any, time.Duration, error) {
 				return "v", tc.ttl, nil
@@ -439,7 +439,7 @@ func TestPerEntryTTLClamping(t *testing.T) {
 func TestCounterInvariantAndInjectedClock(t *testing.T) {
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
-	c := New(Config{TTL: time.Minute, StaleFor: time.Hour, Metrics: reg, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Metrics: reg, Now: clk.now})
 	ctx := context.Background()
 	calls := 0
 
@@ -521,7 +521,7 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 func TestSWRRefreshRacesLRUEviction(t *testing.T) {
 	clk := newFakeClock()
 	// One shard, two slots: churn evicts "hot" almost immediately.
-	c := New(Config{Store: NewLRUStore(2, 1, nil), TTL: time.Minute, StaleFor: time.Hour, Now: clk.now})
+	c := New(Config{Store: NewLRUStore(2, 1, nil), TTL: time.Minute, Now: clk.now})
 	ctx := context.Background()
 
 	for i := 0; i < 50; i++ {

@@ -151,7 +151,7 @@ func TestCachePanickingFillDoesNotWedgeKey(t *testing.T) {
 // stale; it must never crash the process.
 func TestCachePanickingRefreshCountsError(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{TTL: time.Minute, StaleFor: time.Hour, Now: clk.now})
+	c := New(Config{TTL: time.Minute, Now: clk.now})
 	ctx := context.Background()
 
 	if _, _, err := c.Do(ctx, "k", fillConst("v1")); err != nil {

@@ -12,18 +12,18 @@ import (
 	"time"
 
 	"starts/internal/obs"
+	"starts/internal/query"
 )
 
 // WarmEntry is one recorded workload item: the cache fingerprint of a
-// query plus enough of its text to replay it after a restart. Key is the
-// fingerprint the query mapped to when recorded; replays recompute their
-// own key, so a stale Key only costs a redundant replay, never a wrong
-// entry. Filter and Ranking hold Basic-1 expression text.
+// query and the whole query as @SQuery SOIF text (query.Query.Marshal),
+// so a replay parses back (query.Parse) exactly the query that was served
+// and fingerprints like it. Key is the fingerprint the query mapped to
+// when recorded; replays recompute their own key, so a stale Key only
+// costs a redundant replay, never a wrong entry.
 type WarmEntry struct {
-	Key        string `json:"key,omitempty"`
-	Filter     string `json:"filter,omitempty"`
-	Ranking    string `json:"ranking,omitempty"`
-	MaxResults int    `json:"max_results,omitempty"`
+	Key   string `json:"key,omitempty"`
+	Query string `json:"query,omitempty"`
 }
 
 // SaveWorkload writes entries as JSON lines, one WarmEntry per line —
@@ -91,8 +91,8 @@ func LoadWorkloadFile(path string) ([]WarmEntry, error) {
 	return LoadWorkload(f)
 }
 
-// Recorder keeps the most recent distinct workload entries, bounded and
-// deduplicated by Key, so a long-running metasearcher always has a
+// Recorder keeps the most recent distinct served queries, bounded and
+// deduplicated by cache key, so a long-running metasearcher always has a
 // replayable warm-start workload of its hot queries on hand. The zero
 // Recorder is not usable; NewRecorder returns one. Safe for concurrent
 // use.
@@ -100,7 +100,7 @@ type Recorder struct {
 	mu    sync.Mutex
 	max   int
 	order []string // keys, least recently recorded first
-	byKey map[string]WarmEntry
+	byKey map[string]query.Query
 }
 
 // DefaultRecorderSize bounds a NewRecorder(0) recorder.
@@ -112,56 +112,55 @@ func NewRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderSize
 	}
-	return &Recorder{max: max, byKey: map[string]WarmEntry{}}
+	return &Recorder{max: max, byKey: map[string]query.Query{}}
 }
 
-// Record notes one served query. Re-recording a key refreshes its entry
-// and its recency; past capacity the least recently recorded entry is
-// dropped, so the recorder tracks the hot set, not the full history.
-func (r *Recorder) Record(e WarmEntry) {
-	if r == nil || e.Key == "" {
+// Record notes one query served under key. It keeps the query by value
+// and renders nothing: Entries renders it when the workload is read.
+// Re-recording a key refreshes its query and its recency; past capacity
+// the least recently recorded entry is dropped, so the recorder tracks
+// the hot set, not the full history.
+func (r *Recorder) Record(key string, q *query.Query) {
+	if r == nil || key == "" {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, known := r.byKey[e.Key]; known {
+	if _, known := r.byKey[key]; known {
 		for i, k := range r.order {
-			if k == e.Key {
+			if k == key {
 				r.order = append(r.order[:i], r.order[i+1:]...)
 				break
 			}
 		}
 	}
-	r.byKey[e.Key] = e
-	r.order = append(r.order, e.Key)
+	r.byKey[key] = *q
+	r.order = append(r.order, key)
 	for len(r.order) > r.max {
 		delete(r.byKey, r.order[0])
 		r.order = r.order[1:]
 	}
 }
 
-// Entries lists the recorded workload, least recently recorded first.
+// Entries lists the recorded workload, least recently recorded first,
+// each query rendered as @SQuery text. A query that does not render
+// records no text, so its replay counts as an error.
 func (r *Recorder) Entries() []WarmEntry {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]WarmEntry, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.byKey[k])
+	out := make([]WarmEntry, len(r.order))
+	qs := make([]query.Query, len(r.order))
+	for i, k := range r.order {
+		out[i].Key, qs[i] = k, r.byKey[k]
+	}
+	r.mu.Unlock()
+	for i := range qs {
+		text, _ := qs[i].Marshal()
+		out[i].Query = string(text)
 	}
 	return out
-}
-
-// Len reports how many distinct entries are recorded.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
 }
 
 // WarmStats reports one Warm run.

@@ -13,13 +13,18 @@ import (
 	"time"
 
 	"starts/internal/obs"
+	"starts/internal/query"
 )
 
 func TestWorkloadRoundTrip(t *testing.T) {
-	in := []WarmEntry{
-		{Key: "k1", Ranking: `list((body-of-text "database"))`, MaxResults: 10},
-		{Key: "k2", Filter: `((author "ullman") and (title "databases"))`},
-	}
+	// Multi-line @SQuery text with quotes and tabs, one query per line.
+	q := query.New()
+	q.Ranking, _ = query.ParseRanking(`list((body-of-text "database"))`)
+	ranked, _ := q.Marshal()
+	q.Ranking, q.MaxResults = nil, 10
+	q.Filter, _ = query.ParseFilter(`((author "ullman") and (title "databases"))`)
+	filtered, _ := q.Marshal()
+	in := []WarmEntry{{Key: "k1", Query: string(ranked)}, {Key: "k2", Query: string(filtered)}}
 	var buf bytes.Buffer
 	if err := SaveWorkload(&buf, in); err != nil {
 		t.Fatal(err)
@@ -54,7 +59,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 func TestSaveWorkloadFileReplacesWhole(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "workload.jsonl")
-	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "old", Ranking: `list("old")`}}); err != nil {
+	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "old", Query: "old"}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
@@ -66,7 +71,7 @@ func TestSaveWorkloadFileReplacesWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "new", Ranking: `list("new")`}}); err != nil {
+	if err := SaveWorkloadFile(path, []WarmEntry{{Key: "new", Query: "new"}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := io.ReadAll(f)
@@ -85,20 +90,23 @@ func TestSaveWorkloadFileReplacesWhole(t *testing.T) {
 }
 
 func TestRecorderDedupAndBound(t *testing.T) {
+	served := func(max int) *query.Query {
+		q := query.New()
+		q.Ranking, _ = query.ParseRanking(`list((body-of-text "database"))`)
+		q.MaxResults = max
+		return q
+	}
 	r := NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Record(WarmEntry{Key: fmt.Sprintf("k%d", i)})
-	}
-	if got := r.Len(); got != 3 {
-		t.Fatalf("Len = %d, want the bound 3", got)
+		r.Record(fmt.Sprintf("k%d", i), served(10))
 	}
 	es := r.Entries()
-	if es[0].Key != "k2" || es[2].Key != "k4" {
+	if len(es) != 3 || es[0].Key != "k2" || es[2].Key != "k4" {
 		t.Fatalf("entries = %v, want the 3 most recent (k2..k4)", es)
 	}
 	// Re-recording refreshes recency: k2 survives the next insertion.
-	r.Record(WarmEntry{Key: "k2", MaxResults: 7})
-	r.Record(WarmEntry{Key: "k5"})
+	r.Record("k2", served(7))
+	r.Record("k5", served(10))
 	es = r.Entries()
 	keys := map[string]WarmEntry{}
 	for _, e := range es {
@@ -107,13 +115,13 @@ func TestRecorderDedupAndBound(t *testing.T) {
 	if _, ok := keys["k3"]; ok {
 		t.Fatal("k3 survived; want it dropped as least recently recorded")
 	}
-	if e, ok := keys["k2"]; !ok || e.MaxResults != 7 {
-		t.Fatalf("k2 = %+v, want refreshed entry with MaxResults 7", e)
+	if q, err := query.Parse([]byte(keys["k2"].Query)); err != nil || q.MaxResults != 7 {
+		t.Fatalf("k2 = %+v (%v), want the refreshed query with MaxResults 7", keys["k2"], err)
 	}
 	// Keyless entries are ignored rather than poisoning the ring.
-	r.Record(WarmEntry{Filter: "orphan"})
-	if got := r.Len(); got != 3 {
-		t.Fatalf("Len = %d after keyless record, want 3", got)
+	r.Record("", served(10))
+	if got := len(r.Entries()); got != 3 {
+		t.Fatalf("%d entries after a keyless record, want 3", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -54,8 +55,7 @@ func testMetricsEndpoint(t *testing.T, face string) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		`starts_server_requests_total{route="query"} 1`,
-		`starts_server_requests_total{route="resource"} 1`,
+		`starts_server_seconds_count{route="resource"} 1`,
 		`starts_server_errors_total{route="metadata",code="404"} 1`,
 		`starts_server_query_docs_total{source="` + id + `"}`,
 		`starts_server_seconds_count{route="query"} 1`,
@@ -102,10 +102,8 @@ func TestServerSharedRegistryOption(t *testing.T) {
 	_, res := startTestServer(t)
 	reg := obs.NewRegistry()
 	srv := New(res, "http://example", WithMetrics(reg))
-	if srv.Metrics() != reg {
-		t.Error("WithMetrics registry not adopted")
-	}
-	if srv.Traces() == nil {
-		t.Error("trace ring missing")
+	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/resource", nil))
+	if got := reg.Histogram(obs.L("starts_server_seconds", "route", "resource")).Count(); got != 1 {
+		t.Errorf("shared registry counted %d /resource requests, want 1", got)
 	}
 }

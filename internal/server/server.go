@@ -144,23 +144,15 @@ func NewConns(conns []client.Conn, baseURL string, opts ...Option) *Server {
 	return srv
 }
 
-// Metrics returns the registry the server records into.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Traces returns the ring behind /debug/last-traces.
-func (s *Server) Traces() *obs.TraceRing { return s.traces }
-
-// route registers an instrumented handler: per-route request and error
-// counters plus a latency histogram. Only an error's name, which carries
-// its status code, is built per request.
+// route registers an instrumented handler: a per-route latency histogram
+// (its _count is the route's request count) and error counter. Only an
+// error's name, which carries its status code, is built per request.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
-	requests := obs.L("starts_server_requests_total", "route", name)
 	seconds := obs.L("starts_server_seconds", "route", name)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
-		s.metrics.Counter(requests).Inc()
 		if sw.status >= 400 {
 			s.metrics.Counter(obs.L("starts_server_errors_total", "route", name,
 				"code", strconv.Itoa(sw.status))).Inc()
@@ -318,9 +310,10 @@ func etagMatches(header, etag string) bool {
 // with the same rule the query cache uses for its per-entry TTLs
 // (qcache.FreshFor): the time remaining until DateExpires, or a
 // heuristic tenth of the age since DateChanged when only that is set —
-// clamped to [0, one day]. Sources declaring neither, already past their
-// expiry, or whose metadata cannot be had right now get 0 (serve with
-// revalidation, which the ETag makes cheap).
+// clamped to [0, qcache.TTLCeiling], the query cache's own ceiling.
+// Sources declaring neither, already past their expiry, or whose metadata
+// cannot be had right now get 0 (serve with revalidation, which the ETag
+// makes cheap).
 func maxAge(md *meta.SourceMeta, err error) time.Duration {
 	if err != nil {
 		return 0
@@ -329,10 +322,7 @@ func maxAge(md *meta.SourceMeta, err error) time.Duration {
 	if !ok || d < 0 {
 		return 0
 	}
-	if d > 24*time.Hour {
-		d = 24 * time.Hour
-	}
-	return d
+	return min(d, qcache.TTLCeiling)
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
@@ -382,11 +372,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var data, q []byte
-	for i := 0; err == nil && i < len(entries); i++ {
-		if q, err = entries[i].Query.Marshal(); err == nil {
-			data, err = entries[i].Results.AppendSOIF(append(data, q...))
-		}
-	}
+	data, err := source.AppendSample(nil, entries)
 	writeSOIF(w, r, data, err)
 }

@@ -87,7 +87,7 @@ func TestQuickJSONSOIFAgreement(t *testing.T) {
 	f := func(vals []string) bool {
 		o := New("SQuick")
 		for i, v := range vals {
-			o.Addf("A"+string(rune('a'+i%26)), "%s", v)
+			o.Add("A"+string(rune('a'+i%26)), v)
 		}
 		jdata, err := json.Marshal(o)
 		if err != nil {

@@ -54,11 +54,6 @@ func (o *Object) Add(name, value string) *Object {
 	return o
 }
 
-// Addf appends an attribute with a formatted value.
-func (o *Object) Addf(name, format string, args ...any) *Object {
-	return o.Add(name, fmt.Sprintf(format, args...))
-}
-
 // Get returns the value of the first attribute with the given name
 // (case-insensitive) and whether it was present.
 func (o *Object) Get(name string) (string, bool) {

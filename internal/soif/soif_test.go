@@ -3,6 +3,7 @@ package soif
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -166,7 +167,7 @@ func TestDecoderStream(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		o := New("SQRDocument")
-		o.Addf("RawScore", "%d.%02d", i, i)
+		o.Add("RawScore", fmt.Sprintf("%d.%02d", i, i))
 		o.Add("Payload", strings.Repeat("p", i))
 		data, err := Marshal(o)
 		if err != nil {
@@ -199,7 +200,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(vals []string) bool {
 		o := New("SQuick")
 		for i, v := range vals {
-			o.Addf("A"+string(rune('a'+i%26)), "%s", v)
+			o.Add("A"+string(rune('a'+i%26)), v)
 		}
 		data, err := Marshal(o)
 		if err != nil {

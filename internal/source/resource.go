@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
 )
@@ -44,18 +43,6 @@ func (r *Resource) Source(id string) (*Source, bool) {
 // SourceIDs lists the resource's sources in registration order.
 func (r *Resource) SourceIDs() []string {
 	return append([]string(nil), r.order...)
-}
-
-// Description exports the @SResource contact object.
-func (r *Resource) Description() *meta.Resource {
-	d := &meta.Resource{}
-	for _, id := range r.order {
-		d.Entries = append(d.Entries, meta.ResourceEntry{
-			SourceID:    id,
-			MetadataURL: r.sources[id].MetaURL(),
-		})
-	}
-	return d
 }
 
 // Search evaluates a query at the target source plus any additional local

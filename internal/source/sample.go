@@ -80,7 +80,7 @@ func SampleQueries() []*query.Query {
 	}
 }
 
-// ParseSample decodes a sample-results stream produced by MarshalSample:
+// ParseSample decodes a sample-results stream produced by AppendSample:
 // alternating @SQuery objects and @SQResults/@SQRDocument runs.
 func ParseSample(data []byte) ([]*SampleEntry, error) {
 	objs, err := soif.UnmarshalAll(data)

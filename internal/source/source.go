@@ -239,21 +239,18 @@ type SampleEntry struct {
 	Results *result.Results
 }
 
-// MarshalSample encodes sample entries as alternating SQuery and SQResults
-// object streams.
-func MarshalSample(entries []*SampleEntry) ([]byte, error) {
-	var b []byte
+// AppendSample appends sample entries to dst as the stream ParseSample
+// reads: each entry's @SQuery object, then its @SQResults run. It fails,
+// returning nil, when an entry cannot be encoded.
+func AppendSample(dst []byte, entries []*SampleEntry) ([]byte, error) {
 	for _, e := range entries {
-		qb, err := e.Query.Marshal()
+		q, err := e.Query.Marshal()
 		if err != nil {
 			return nil, err
 		}
-		rb, err := e.Results.Marshal()
-		if err != nil {
+		if dst, err = e.Results.AppendSOIF(append(dst, q...)); err != nil {
 			return nil, err
 		}
-		b = append(b, qb...)
-		b = append(b, rb...)
 	}
-	return b, nil
+	return dst, nil
 }

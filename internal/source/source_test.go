@@ -1,7 +1,6 @@
 package source
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -231,7 +230,7 @@ func TestSampleResults(t *testing.T) {
 	}
 
 	// The sample stream round trips.
-	data, err := MarshalSample(e1)
+	data, err := AppendSample(nil, e1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +308,6 @@ func TestFigure1Model(t *testing.T) {
 	d := res.Documents[*shared]
 	if len(d.Sources) != 2 {
 		t.Errorf("shared doc sources = %v", d.Sources)
-	}
-
-	// Resource description points at per-source metadata.
-	desc := r.Description()
-	if len(desc.Entries) != 2 || !strings.HasSuffix(desc.Entries[0].MetadataURL, "/metadata") {
-		t.Errorf("description = %+v", desc.Entries)
 	}
 
 	// Unknown sources are rejected.

@@ -42,9 +42,3 @@ func Soundex(word string) string {
 	}
 	return string(out)
 }
-
-// SoundexEqual reports whether two words share a soundex code.
-func SoundexEqual(a, b string) bool {
-	sa, sb := Soundex(a), Soundex(b)
-	return sa != "" && sa == sb
-}

@@ -52,10 +52,6 @@ type (
 	Query = query.Query
 	// Expr is a filter- or ranking-expression tree.
 	Expr = query.Expr
-	// Term is an atomic query term.
-	Term = query.Term
-	// SortKey orders query results.
-	SortKey = query.SortKey
 )
 
 // NewQuery returns a query with the specification defaults.
@@ -105,8 +101,6 @@ type (
 	Results = result.Results
 	// ResultDocument is one query-result document with its TermStats.
 	ResultDocument = result.Document
-	// TermStat carries per-term statistics for rank merging.
-	TermStat = result.TermStat
 	// SourceMeta is a source's MBasic-1 metadata.
 	SourceMeta = meta.SourceMeta
 	// ContentSummary is a source's exported content summary.
@@ -154,11 +148,6 @@ func StreamURL(queryURL string) string { return client.StreamURL(queryURL) }
 // NewLocalConn wraps an in-process source as a Conn; res may be nil.
 func NewLocalConn(src *Source, res *Resource) Conn { return client.NewLocalConn(src, res) }
 
-// NewHTTPConn wraps a remote source as a Conn given its metadata URL.
-func NewHTTPConn(c *Client, sourceID, metadataURL string) Conn {
-	return client.NewHTTPConn(c, sourceID, metadataURL)
-}
-
 // Metasearch.
 type (
 	// Metasearcher performs the three metasearch tasks over registered
@@ -186,9 +175,6 @@ type (
 	// StreamError is a query failure reported in-band, after the HTTP
 	// preamble was already committed.
 	StreamError = result.StreamError
-	// StreamConn is a source connection that can deliver a query's answer
-	// incrementally (HTTP conns against ?stream=1 endpoints, and brokers).
-	StreamConn = client.StreamConn
 )
 
 // NewMetasearcher returns a metasearcher; zero options give vGlOSS Sum(0)
@@ -208,10 +194,6 @@ type SearchOption = core.SearchOption
 // fine; Search re-begins it).
 func WithTrace(t *Trace) SearchOption { return core.WithTrace(t) }
 
-// WithCache serves this search through c, overriding (or supplying) the
-// metasearcher's MetasearcherOptions.Cache for this call only.
-func WithCache(c *QueryCache) SearchOption { return core.WithCache(c) }
-
 // WithNoCache bypasses the query-result cache for this search.
 func WithNoCache() SearchOption { return core.WithNoCache() }
 
@@ -223,13 +205,6 @@ type (
 	QueryCache = qcache.Cache
 	// QueryCacheConfig configures a QueryCache; its zero value is usable.
 	QueryCacheConfig = qcache.Config
-	// CacheStore is a QueryCache's pluggable storage backend; implement
-	// it to back the cache with anything from a plain map to a
-	// distributed store. Coalescing and the admission gate stay in front
-	// of any store.
-	CacheStore = qcache.Store
-	// CacheEntry is one stored value with its freshness bounds.
-	CacheEntry = qcache.Entry
 	// WarmEntry is one recorded workload item for cache warm starts.
 	WarmEntry = qcache.WarmEntry
 	// WarmStats reports one warm-start replay.
@@ -254,21 +229,9 @@ func NewConnServer(conn Conn, baseURL string, opts ...ServerOption) *Server {
 	return server.NewConns([]Conn{conn}, baseURL, opts...)
 }
 
-// Per-source dispatching.
-type (
-	// Dispatcher owns a bounded work queue and worker pool per source
-	// and coalesces identical in-flight calls across searches. Every
-	// Metasearcher builds one internally (sized by
-	// MetasearcherOptions.SourceConcurrency/QueueDepth) and it is the
-	// only one: reach it through Metasearcher.Dispatcher.
-	Dispatcher = dispatch.Dispatcher
-	// DispatchLimits sizes one source's queue: worker count and queue
-	// depth. Queues are sized on first contact.
-	DispatchLimits = dispatch.Limits
-	// DispatchQueueStat is one source's dispatch counters, as reported
-	// by Metasearcher.DispatchStats and GET /debug/dispatch.
-	DispatchQueueStat = dispatch.QueueStat
-)
+// DispatchQueueStat is one source's dispatch counters, as reported by
+// Metasearcher.DispatchStats and GET /debug/dispatch.
+type DispatchQueueStat = dispatch.QueueStat
 
 // Dispatch errors, for errors.Is against per-source outcomes: a full
 // queue sheds instead of blocking, an open breaker refuses instead of
@@ -286,14 +249,8 @@ var (
 // four TTLs, unbounded admission).
 func NewQueryCache(cfg QueryCacheConfig) *QueryCache { return qcache.New(cfg) }
 
-// SaveWorkloadFile persists a recorded query workload
-// (Metasearcher.Workload) as JSON lines for replay after a restart.
-func SaveWorkloadFile(path string, entries []WarmEntry) error {
-	return qcache.SaveWorkloadFile(path, entries)
-}
-
-// LoadWorkloadFile reads a workload saved by SaveWorkloadFile, for
-// replaying with Metasearcher.Warm.
+// LoadWorkloadFile reads a workload saved by Metasearcher.SaveWorkload
+// (metasearch -warm-file), for replaying with Metasearcher.Warm.
 func LoadWorkloadFile(path string) ([]WarmEntry, error) {
 	return qcache.LoadWorkloadFile(path)
 }
@@ -303,13 +260,9 @@ type (
 	// Trace is one operation's tree of timed spans; its zero value is
 	// ready to use with WithTrace.
 	Trace = obs.Trace
-	// Span is one timed step inside a Trace.
-	Span = obs.Span
 	// TraceInfo is an immutable snapshot of a finished (or in-flight)
 	// Trace; its Tree method renders the span tree.
 	TraceInfo = obs.TraceInfo
-	// SpanInfo is one span in a TraceInfo.
-	SpanInfo = obs.SpanInfo
 	// MetricsRegistry holds named counters, gauges and latency
 	// histograms; Render emits them in Prometheus text format.
 	MetricsRegistry = obs.Registry
@@ -319,10 +272,6 @@ type (
 // a metasearcher (MetasearcherOptions.Metrics), servers and instrumented
 // conns.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// WrapConn instruments a Conn: every call is timed into a child span of
-// the context's current span and counted into reg.
-func WrapConn(c Conn, reg *MetricsRegistry) Conn { return obs.WrapConn(c, reg) }
 
 // Resilience.
 type (
@@ -336,8 +285,6 @@ type (
 	Breaker = resilient.Breaker
 	// BreakerConfig configures a Breaker.
 	BreakerConfig = resilient.BreakerConfig
-	// Degradation reports how an answer fell short of a clean fan-out.
-	Degradation = core.Degradation
 	// FaultConfig configures deterministic fault injection, for tests
 	// and soak runs.
 	FaultConfig = faulty.Config
@@ -390,7 +337,9 @@ func FaultyMiddleware(cfg FaultConfig) ConnMiddleware {
 	return func(c Conn) Conn { return faulty.WrapConn(c, cfg) }
 }
 
-// ObserveMiddleware is WrapConn as a ConnMiddleware.
+// ObserveMiddleware instruments a Conn as a ConnMiddleware: every call is
+// timed into a child span of the context's current span and counted into
+// reg.
 func ObserveMiddleware(reg *MetricsRegistry) ConnMiddleware {
 	return func(c Conn) Conn { return obs.WrapConn(c, reg) }
 }
