@@ -61,7 +61,7 @@ func main() {
 		breakerCooldown = flag.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit sheds traffic before probing")
 		cacheSize       = flag.Int("cache-size", 0, "cache merged answers for repeated queries, at most N entries (0 = no cache)")
 		cacheTTL        = flag.Duration("cache-ttl", time.Minute, "fallback freshness for cached answers whose sources declare no DateExpires/DateChanged (expired entries serve stale while a refresh runs)")
-		maxInflight     = flag.Int("max-inflight", 0, "bound concurrent uncached fan-outs; excess queries are shed with a fast error (0 = unbounded; implies caching)")
+		maxInflight     = flag.Int("max-inflight", 0, "bound concurrent cache misses, each running its own fan-out; excess queries are shed with a fast error (0 = unbounded; implies caching)")
 		warmFile        = flag.String("warm-file", "", "workload file: replay it through the cache on startup, and save this run's workload back to it (implies caching)")
 		warmConcurrency = flag.Int("warm-concurrency", 0, "bound concurrent warm-start replays (0 = default)")
 		warmInterval    = flag.Duration("warm-interval", time.Minute, "snapshot the workload to -warm-file this often (and once on exit)")
@@ -414,8 +414,8 @@ func (c *cli) command(line string) {
 			}
 		}
 		for _, d := range c.ms.DispatchStats() {
-			fmt.Printf("  %-24s dispatch: submitted=%d batched=%d inflight=%d/%d queued=%d/%d shed=%d refused=%d\n",
-				d.Source, d.Submitted, d.Batched, d.Inflight, d.Workers, d.Depth, d.QueueCap, d.QueueFull, d.Refused)
+			fmt.Printf("  %-24s dispatch: submitted=%d batched=%d inflight=%d/%d queued=%d/%d shed=%d\n",
+				d.Source, d.Submitted, d.Batched, d.Inflight, d.Workers, d.Depth, d.QueueCap, d.QueueFull)
 		}
 		fmt.Print(c.reg.Render())
 	default:

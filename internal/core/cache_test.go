@@ -64,23 +64,26 @@ func cachedFleet(t *testing.T, cfg qcache.Config) (*Metasearcher, *blockingConn,
 	return ms, conn, cache
 }
 
-// TestSearchCoalescesConcurrentQueries is the acceptance test for
-// singleflight coalescing: 50 goroutines issuing the same query produce
-// exactly one fan-out; the other 49 are counted as coalesced.
+// TestSearchCoalescesConcurrentQueries: 50 goroutines issuing the same
+// query through the cache make exactly one wire call. Each misses and runs
+// its own pipeline; their identical sub-queries join one dispatch batch,
+// and every caller gets a full answer.
 func TestSearchCoalescesConcurrentQueries(t *testing.T) {
 	const callers = 50
 	reg := obs.NewRegistry()
 	ms, conn, _ := cachedFleet(t, qcache.Config{Metrics: reg})
-	coalesced := reg.Counter(obs.MQCacheCoalesced)
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	batched := reg.Counter(obs.L(obs.MDispatchBatched, "source", "cs"))
 
-	// The leader's fan-out parks until all 49 joiners have arrived (each
-	// one increments the coalesced counter the moment it joins), so no
-	// caller can miss the flight and start a second fan-out.
+	// The one wire call parks until all 49 other sub-queries have joined
+	// its batch, so no caller can miss it and start a second call.
 	release := make(chan struct{})
 	conn.gate = func() { <-release }
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
-		for coalesced.Value() < callers-1 && time.Now().Before(deadline) {
+		for batched.Value() < callers-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		close(release)
@@ -103,15 +106,71 @@ func TestSearchCoalescesConcurrentQueries(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if answers[i] == nil || len(answers[i].Documents) == 0 {
-			t.Fatalf("caller %d: empty answer", i)
+		if answers[i] == nil || len(answers[i].Documents) == 0 || answers[i].Degraded.Any() {
+			t.Fatalf("caller %d: empty or degraded answer", i)
 		}
 	}
 	if got := conn.queries.Load(); got != 1 {
-		t.Errorf("source queried %d times, want exactly 1 fan-out", got)
+		t.Errorf("source queried %d times, want exactly 1 wire call", got)
 	}
-	if got := coalesced.Value(); got != callers-1 {
-		t.Errorf("%s = %v, want %d", obs.MQCacheCoalesced, got, callers-1)
+	if got := batched.Value(); got != callers-1 {
+		t.Errorf("batched = %v, want %d", got, callers-1)
+	}
+}
+
+// TestCoalescedSearchOutlivesItsLeadersCancellation: a search that gives
+// up does not fail the identical searches sharing its wire call. The
+// first search leads the batch and is cancelled while the call is on the
+// wire; the second, with a live context, still gets a full, undegraded
+// answer from that one call.
+func TestCoalescedSearchOutlivesItsLeadersCancellation(t *testing.T) {
+	reg := obs.NewRegistry()
+	ms, conn, _ := cachedFleet(t, qcache.Config{Metrics: reg})
+	defer ms.Close()
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	onWire, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	conn.gate = func() {
+		once.Do(func() { close(onWire) })
+		<-release
+	}
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+
+	lctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := ms.Search(lctx, q)
+		leader <- err
+	}()
+	<-onWire
+	follower := make(chan *Answer, 1)
+	go func() {
+		ans, err := ms.Search(context.Background(), q)
+		if err != nil {
+			t.Errorf("follower: %v", err)
+		}
+		follower <- ans
+	}()
+	joined := reg.Counter(obs.L(obs.MDispatchBatched, "source", "cs"))
+	for deadline := time.Now().Add(5 * time.Second); joined.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the leader's wire call")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader = %v, want its own cancellation", err)
+	}
+	close(release)
+	ans := <-follower
+	if ans == nil || len(ans.Documents) == 0 || ans.Degraded.Any() {
+		t.Fatalf("follower answer = %+v, want full and undegraded", ans)
+	}
+	if got := conn.queries.Load(); got != 1 {
+		t.Errorf("source queried %d times, want 1 shared wire call", got)
 	}
 }
 
@@ -218,13 +277,9 @@ func TestSearchStaleWhileRevalidate(t *testing.T) {
 // distinct query is rejected with qcache.ErrShed within the queue
 // timeout instead of piling up behind the slow fan-out.
 func TestSearchShedsUnderOverload(t *testing.T) {
-	const queueTimeout = 50 * time.Millisecond
+	const queueTimeout = qcache.DefaultQueueTimeout
 	reg := obs.NewRegistry()
-	ms, conn, _ := cachedFleet(t, qcache.Config{
-		MaxInflight:  1,
-		QueueTimeout: queueTimeout,
-		Metrics:      reg,
-	})
+	ms, conn, _ := cachedFleet(t, qcache.Config{MaxInflight: 1, Metrics: reg})
 
 	// Hold the only fill slot with a slow fan-out.
 	release := make(chan struct{})
@@ -242,7 +297,7 @@ func TestSearchShedsUnderOverload(t *testing.T) {
 		t.Fatal("slow fill never started")
 	}
 
-	// A different query cannot coalesce and must be shed, promptly.
+	// A second query must be shed, promptly.
 	start := time.Now()
 	_, err := ms.Search(context.Background(), rankingQuery(t, `list((body-of-text "metasearch"))`))
 	elapsed := time.Since(start)

@@ -69,7 +69,10 @@ func (c trapConn) Query(ctx context.Context, q *query.Query) (*result.Results, e
 	return c.Conn.Query(ctx, q)
 }
 
-// trapSelector springs the trap while ranking sources.
+// trapSelector springs the trap while ranking sources, or — for the
+// translate stage — as ranking returns, after which translation runs.
+// Translation runs no caller code, so that is as far into it as a
+// cancellation can reach.
 type trapSelector struct {
 	gloss.VSum
 	tp *trap
@@ -77,6 +80,7 @@ type trapSelector struct {
 
 func (s trapSelector) Rank(q *query.Query, infos []gloss.SourceInfo) []gloss.Ranked {
 	s.tp.spring("select")
+	defer s.tp.spring("translate")
 	return s.VSum.Rank(q, infos)
 }
 
@@ -91,35 +95,14 @@ func (m trapMerger) Merge(q *query.Query, in []merge.SourceResult) []*result.Doc
 	return m.TermStats.Merge(q, in)
 }
 
-// trapGate is a fakeGate that springs the trap on a search's last
-// admission: choose's last act, after which translation runs. Translation
-// runs no caller code, so that is as far into it as a cancellation can
-// reach.
-type trapGate struct {
-	fakeGate
-	tp    *trap
-	admit int // admissions per search
-}
-
-func (g *trapGate) Allow(id string) bool {
-	g.fakeGate.Allow(id)
-	g.mu.Lock()
-	last := g.admits%g.admit == 0
-	g.mu.Unlock()
-	if last {
-		g.tp.spring("translate")
-	}
-	return true
-}
-
 // TestCancelAtEveryStage cancels a search inside each of its steps —
 // harvest (a blocked metadata fetch), select (the selector), translate,
 // fan-out (a sub-query queued behind a busy worker, and one on the
 // wire) and merge (the merger) — for Search and SearchStream, with and
 // without the answer cache. Whatever the cancelled search returns, it must
 // leave nothing behind: no goroutine, no busy or queued dispatch slot, no
-// singleflight entry (the next identical search leads its own fill) and no
-// unanswered breaker admission.
+// cache entry of its own (the next identical search runs its own fill) and
+// no unanswered breaker admission.
 func TestCancelAtEveryStage(t *testing.T) {
 	stages := []string{"harvest", "select", "translate", "queued", "wire", "merge"}
 	for _, stage := range stages {
@@ -147,7 +130,7 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	baseline := runtime.NumGoroutine()
 
 	tp := &trap{stage: stage}
-	gate := &trapGate{tp: tp, admit: len(srcs)}
+	gate := &fakeGate{}
 	opts := Options{
 		Selector: trapSelector{tp: tp}, Merger: trapMerger{tp: tp},
 		Timeout: 5 * time.Second, Breaker: gate, SourceConcurrency: 1,
@@ -156,8 +139,8 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	if cached {
 		// The cache's clock jumps past every entry's lifetime and stale
 		// window before the next search (a degraded answer lives for the
-		// floor, any other for the TTL), so that search must go through
-		// the flight: it leads, or it joins a wedged one.
+		// floor, any other for the TTL), so that search must miss and run
+		// its own fill.
 		opts.Cache = qcache.New(qcache.Config{TTL: time.Minute, Now: clk.now})
 	}
 	ms := New(opts)
@@ -220,7 +203,7 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	}
 	if cached {
 		if out, _ := tr.Snapshot().Find("cache").Attr("outcome"); out != qcache.Filled.String() {
-			t.Errorf("the next identical search was served %q, want it to lead its own fill", out)
+			t.Errorf("the next identical search was served %q, want it to run its own fill", out)
 		}
 	}
 	gate.balanced(t)
@@ -228,10 +211,10 @@ func cancelAt(t *testing.T, stage string, stream, cached bool) {
 	waitGoroutines(t, baseline, "closed")
 }
 
-// TestBreakerSettledWhenNothingSurvivesTranslation: a source the breaker
-// admitted but whose translation leaves nothing to send never reaches the
-// wire; its admission must still be answered, or a half-open probe it held
-// would keep its circuit refusing traffic for good.
+// TestBreakerSettledWhenNothingSurvivesTranslation: a source whose
+// translation leaves nothing to send never reaches the wire, so its
+// sub-query takes no breaker admission; the one its harvest took is
+// answered, so no half-open probe is left holding its circuit shut.
 func TestBreakerSettledWhenNothingSurvivesTranslation(t *testing.T) {
 	gate := &fakeGate{}
 	ms := New(Options{Timeout: 5 * time.Second, Breaker: gate})
@@ -243,8 +226,8 @@ func TestBreakerSettledWhenNothingSurvivesTranslation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nothing of the query survives") {
 		t.Fatalf("search = %v, want the translation failure", err)
 	}
-	if gate.admits != 1 {
-		t.Fatalf("breaker admissions = %d, want 1", gate.admits)
+	if admits, _ := gate.counts("s"); admits != 1 {
+		t.Fatalf("breaker admissions = %d, want 1 (the harvest)", admits)
 	}
 	gate.balanced(t)
 }

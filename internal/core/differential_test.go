@@ -22,15 +22,15 @@ import (
 	"starts/internal/source"
 )
 
-// heldMerger is TermStats whose one Merge closes entered and waits for
-// hold to close: it keeps a cache fill in flight while a follower joins.
+// heldMerger is TermStats whose every Merge signals entered and waits
+// for hold to close: it keeps cache fills in flight together.
 type heldMerger struct {
 	merge.TermStats
 	entered, hold chan struct{}
 }
 
 func (h heldMerger) Merge(q *query.Query, in []merge.SourceResult) []*result.Document {
-	close(h.entered)
+	h.entered <- struct{}{}
 	<-h.hold
 	return h.TermStats.Merge(q, in)
 }
@@ -57,9 +57,9 @@ func answerPrint(ans *Answer) string {
 
 // TestCachedAnswerEqualsUncached holds the answer cache to the pipeline
 // it fronts: for several queries, plain and in verification mode, the
-// answer a search gets without the cache, as the cache's filling leader,
-// as a cache hit and as a follower coalesced onto another search's fill
-// are one answer. Queries 13 and 22 of the pool send a filter to the
+// answer a search gets without the cache, as the cache's filler, as a
+// cache hit and as two identical searches filling the cache together are
+// one answer. Queries 13 and 22 of the pool send a filter to the
 // ranking-only source, so verification mode has terms to report.
 func TestCachedAnswerEqualsUncached(t *testing.T) {
 	conns, pool := coldSources(t)
@@ -111,28 +111,28 @@ func TestCachedAnswerEqualsUncached(t *testing.T) {
 					verified++
 				}
 
-				// A follower joins a leader whose fill is held in its merge.
-				reg := obs.NewRegistry()
-				held := heldMerger{entered: make(chan struct{}), hold: make(chan struct{})}
-				fresh := coldBroker(t, conns, opts(postFilter, held, qcache.New(qcache.Config{TTL: time.Hour, Metrics: reg})))
-				lead := make(chan *Answer, 1)
-				go func() {
-					ans, _ := fresh.Search(ctx, q)
-					lead <- ans
-				}()
-				<-held.entered
-				go func() { // releases the leader once the follower joined, or gives up
-					for deadline := time.Now().Add(5 * time.Second); reg.Counter(obs.MQCacheCoalesced).Value() == 0 && time.Now().Before(deadline); {
-						time.Sleep(time.Millisecond)
-					}
-					close(held.hold)
-				}()
-				follower := search(fresh, qcache.Coalesced.String())
-				if got := answerPrint(follower); got != want {
-					t.Errorf("coalesced answer differs from uncached:\n%s\nvs\n%s", got, want)
+				// A concurrent identical search gets the same answer: two
+				// misses, both held in their merge until both got there.
+				held := heldMerger{entered: make(chan struct{}, 2), hold: make(chan struct{})}
+				fresh := coldBroker(t, conns, opts(postFilter, held, qcache.New(qcache.Config{TTL: time.Hour})))
+				prints := make(chan string, 2)
+				for range 2 {
+					go func() {
+						var tr obs.Trace
+						ans, err := fresh.Search(ctx, q, WithTrace(&tr))
+						if err != nil {
+							prints <- err.Error()
+							return
+						}
+						prints <- served(&tr) + "\n" + answerPrint(ans)
+					}()
+					<-held.entered
 				}
-				if ans := <-lead; ans == nil || answerPrint(ans) != want {
-					t.Errorf("the held leader's answer differs from uncached")
+				close(held.hold)
+				for range 2 {
+					if got := <-prints; got != qcache.Filled.String()+"\n"+want {
+						t.Errorf("concurrent identical search differs from uncached:\n%s\nvs\n%s", got, want)
+					}
 				}
 			})
 		}

@@ -155,12 +155,11 @@ func TestQueueFullSurfacesInOutcome(t *testing.T) {
 	}
 }
 
-// TestBreakerReleasedWhenCallSkipsWire pins the probe-slot bookkeeping
-// between the breaker and the dispatch layer: a breaker-admitted call
-// that never produces its own wire outcome — it coalesced onto another
-// search's batch, or was shed with ErrQueueFull — must Release its claim
-// instead of Recording, so a half-open circuit cannot get stuck waiting
-// on feedback that will never come.
+// TestBreakerReleasedWhenCallSkipsWire: the breaker is asked inside the
+// dispatched call, so searches coalesced onto one batch share its one
+// admission and its one outcome — a search whose sub-query skips the wire
+// holds no admission that would need releasing, and a half-open circuit
+// cannot get stuck waiting on feedback that never comes.
 func TestBreakerReleasedWhenCallSkipsWire(t *testing.T) {
 	gate := &fakeGate{}
 	ms := New(Options{Timeout: 5 * time.Second, Breaker: gate})
@@ -171,6 +170,7 @@ func TestBreakerReleasedWhenCallSkipsWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := dispatchStat(t, ms, "g")
+	admits0, records0 := gate.counts("g")
 
 	const searches = 4
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
@@ -190,11 +190,71 @@ func TestBreakerReleasedWhenCallSkipsWire(t *testing.T) {
 	close(g.release)
 	wg.Wait()
 
-	// One leader observed the shared wire call; the three joiners must
-	// have released their claims, not recorded nor vanished.
-	if rec, rel := gate.counts("g"); rec != 1 || rel != searches-1 {
-		t.Errorf("records/releases = %d/%d, want 1/%d", rec, rel, searches-1)
+	if admits, records := gate.counts("g"); admits-admits0 != 1 || records-records0 != 1 {
+		t.Errorf("%d searches made %d admissions and %d records, want 1 and 1",
+			searches, admits-admits0, records-records0)
 	}
+	gate.balanced(t)
+}
+
+// TestRefusedFastDrain: batches queued for a source whose circuit opens
+// while they wait resolve at once with dispatch.ErrRefused, without
+// calling the conn — the queue drains fast instead of timing out one
+// waiter at a time — and each of their searches reports the source
+// skipped, not contacted.
+func TestRefusedFastDrain(t *testing.T) {
+	gate := &fakeGate{}
+	ms := New(Options{Timeout: 5 * time.Second, Breaker: gate, SourceConcurrency: 1})
+	defer ms.Close()
+	g := &gateConn{failingConn: failingConn{id: "g"}, release: make(chan struct{})}
+	ms.Add(g)
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	terms := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	answers := make([]*Answer, len(terms))
+	var wg sync.WaitGroup
+	for i, term := range terms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if answers[i], err = ms.Search(context.Background(), ms.mustQuery(t, term)); err != nil {
+				t.Errorf("search %q: %v", term, err)
+			}
+		}()
+		if i == 0 { // the first holds the only worker, on the wire
+			waitForStat(t, ms, "g", func(st dispatch.QueueStat) bool { return st.Inflight == 1 })
+		}
+	}
+	waitForStat(t, ms, "g", func(st dispatch.QueueStat) bool { return st.Depth == int64(len(terms)-1) })
+	gate.mu.Lock()
+	gate.refused = map[string]bool{"g": true} // the circuit opens while they wait
+	gate.mu.Unlock()
+	close(g.release)
+	wg.Wait()
+
+	if got := g.calls.Load(); got != 1 {
+		t.Errorf("conn called %d times, want only the call already on the wire", got)
+	}
+	refusals := 0
+	for _, ans := range answers[1:] {
+		if ans == nil {
+			continue
+		}
+		if oc := ans.PerSource["g"]; oc != nil && errors.Is(oc.Err, dispatch.ErrRefused) &&
+			len(ans.Contacted) == 0 && len(ans.Degraded.Skipped) == 1 {
+			refusals++
+		}
+	}
+	if refusals != len(terms)-1 {
+		t.Errorf("%d of %d queued searches report the source refused and skipped", refusals, len(terms)-1)
+	}
+	if st := dispatchStat(t, ms, "g"); st.WireCalls != 2 { // the harvest and the one query
+		t.Errorf("WireCalls = %d, want 2: a refused task is no wire call", st.WireCalls)
+	}
+	gate.balanced(t)
 }
 
 // mustQuery builds a one-term ranking query inline; hung off the

@@ -51,9 +51,10 @@ type Options struct {
 	// deadline. With a budget, a pathological fleet degrades the answer
 	// instead of stacking per-source timeouts.
 	Budget time.Duration
-	// Breaker, when set, is consulted before fan-out: sources it refuses
-	// are skipped (reported in Answer.Degraded) and every query outcome
-	// is fed back to it. resilient.NewBreaker provides one.
+	// Breaker, when set, is asked once per wire call, harvest or query,
+	// however many searches share it: a source it refuses is skipped
+	// (Answer.Degraded.Skipped) and every admitted call's outcome is fed
+	// back to it. resilient.NewBreaker provides one.
 	Breaker BreakerGate
 	// PostFilter enables verification mode: results are re-checked
 	// against query parts a source could not evaluate, and each sub-query
@@ -65,13 +66,12 @@ type Options struct {
 	// components to get a single /metrics view.
 	Metrics *obs.Registry
 	// Cache, when set, serves repeated identical queries from a shared
-	// query-result cache: concurrent identical queries coalesce into one
-	// fan-out, expired entries are served stale while a background
-	// refresh runs (reported via Answer.Degraded.StaleAnswer), and under
-	// overload the cache's admission gate sheds queries with a typed
-	// qcache.ErrShed instead of queueing without bound. qcache.New
-	// provides one; WithNoCache bypasses it per query. Cached answers
-	// are shared between callers — treat them as read-only.
+	// query-result cache: expired entries are served stale while a
+	// background refresh runs (reported via Answer.Degraded.StaleAnswer),
+	// and under overload the cache's admission gate sheds queries with a
+	// typed qcache.ErrShed instead of queueing without bound. qcache.New
+	// provides one; WithNoCache bypasses it per query. Cached answers are
+	// shared between callers — treat them as read-only.
 	Cache *qcache.Cache
 	// SourceConcurrency bounds how many wire calls one source serves at
 	// once: every per-source call (queries, harvests, warm replays, SWR
@@ -113,15 +113,11 @@ type Metasearcher struct {
 
 // BreakerGate admits or refuses traffic to sources. It is satisfied by
 // resilient.Breaker; core defines only the interface so the dependency
-// points outward. Two optional methods are discovered by assertion:
-// Open(id) bool becomes the dispatcher's fast-drain Refuse hook, and
-// Release(id) is called for an admitted call that ends without a wire
-// outcome (never sent, shed at the dispatch layer, coalesced onto another
-// search's batch), so a half-open probe slot it holds is freed.
+// points outward. Every call Allow admits gets exactly one Record.
 type BreakerGate interface {
 	// Allow reports whether the source may be contacted now.
 	Allow(id string) bool
-	// Record feeds back a contact's outcome (nil err = success).
+	// Record feeds back an admitted call's outcome (nil err = success).
 	Record(id string, err error)
 }
 
@@ -176,15 +172,6 @@ func New(opts Options) *Metasearcher {
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
-	// Breakers that can report their open state (resilient.Breaker can)
-	// become the dispatcher's Refuse hook: batches queued for an open
-	// source resolve immediately with dispatch.ErrRefused instead of
-	// timing out one waiter at a time. The check is read-only, so it
-	// cannot consume a half-open probe slot.
-	var refuse func(string) bool
-	if op, ok := opts.Breaker.(interface{ Open(id string) bool }); ok {
-		refuse = op.Open
-	}
 	m := &Metasearcher{
 		opts:      opts,
 		mergeDocs: obs.L("starts_merge_docs_total", "strategy", opts.Merger.Name()),
@@ -192,7 +179,6 @@ func New(opts Options) *Metasearcher {
 		workload:  qcache.NewRecorder(0),
 		dispatcher: dispatch.New(dispatch.Config{
 			Limits:  dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth},
-			Refuse:  refuse,
 			Metrics: opts.Metrics,
 			Now:     opts.Now,
 		}),
@@ -364,9 +350,9 @@ type Answer struct {
 //
 // With Options.Cache set (and not bypassed by WithNoCache), repeated
 // identical queries are answered from cache: fresh hits skip the fan-out
-// entirely, concurrent identical queries coalesce into one fan-out, and
-// expired entries are served stale (Answer.Degraded.StaleAnswer) while a
-// background refresh runs. Under overload the cache's admission gate
+// entirely, and expired entries are served stale
+// (Answer.Degraded.StaleAnswer) while a background refresh runs. Under
+// overload the cache's admission gate
 // rejects queries with an error satisfying errors.Is(err, qcache.ErrShed)
 // within its queue timeout. Cached answers are shared — treat them as
 // read-only.
@@ -460,9 +446,10 @@ func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*
 }
 
 // searchCached is the cache-fronted Search path: it fingerprints the
-// query, asks the cache, and only on a miss runs the five steps (as the
-// coalescing flight's leader). The entry's lifetime comes from the
-// answering sources' own freshness metadata (see answerTTL). The "cache"
+// query, asks the cache, and only on a miss runs the five steps (sharing
+// wire calls with identical searches in flight, in the dispatch layer).
+// The entry's lifetime comes from the answering sources' own freshness
+// metadata (see answerTTL). The "cache"
 // span annotates how the call was served, and every serve is recorded in
 // the warm-start workload: its fingerprint and the query, kept by value
 // and rendered only when the workload is read. The cache stores answers
@@ -473,7 +460,7 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 	key := m.CacheKey(q)
 	csp.Annotate("key", key)
 	m.workload.Record(key, q)
-	// The leader's fill runs on this call and streams to its sink. A stale
+	// A miss's fill runs on this call and streams to its sink. A stale
 	// serve's background refresh (which shares the same cache bounds and
 	// dispatch layer) outlives this call: it runs on a bare context, so
 	// it records no trace, and streams nowhere. The closure is allocated
@@ -495,8 +482,8 @@ func (m *Metasearcher) searchCached(ctx context.Context, tr *obs.Trace, q *query
 	if err != nil {
 		return nil, err
 	}
-	// Hit, stale serve or coalesced follower: the shared answer arrived
-	// whole, so a stream replays it as one terminal event.
+	// Hit or stale serve: the shared answer arrived whole, so a stream
+	// replays it as one terminal event.
 	if outcome != qcache.Filled && em != nil {
 		m.opts.Metrics.Counter(obs.MStreamReplays).Inc()
 	}
@@ -525,9 +512,9 @@ func (m *Metasearcher) CacheKey(q *query.Query) string {
 }
 
 // Warm replays a recorded workload through the regular cache-fronted
-// Search path — every replay passes the cache's singleflight and
-// admission gate — so a restarted metasearcher serves its hot queries as
-// cache hits from the first request. At most concurrency replays run at
+// Search path — every replay passes the cache's admission gate — so a
+// restarted metasearcher serves its hot queries as cache hits from the
+// first request. At most concurrency replays run at
 // once (qcache.DefaultWarmConcurrency if <= 0). Entries already fresh in
 // the cache are skipped; entries whose recorded @SQuery text does not
 // parse (an older file's, say) count as errors and are skipped. It
@@ -591,8 +578,13 @@ func joinSorted(errsByID map[string]error) error {
 	return errors.Join(joined...)
 }
 
-// note adds one contacted source's outcome to the degradation.
+// note adds one planned source's outcome to the degradation; a refused
+// one was skipped, not contacted.
 func (d *Degradation) note(id string, oc *SourceOutcome) {
+	if refused(oc) {
+		d.Skipped = append(d.Skipped, id)
+		return
+	}
 	if oc.Stale {
 		d.Stale = append(d.Stale, id)
 	}
@@ -600,6 +592,9 @@ func (d *Degradation) note(id string, oc *SourceOutcome) {
 		d.Failed = append(d.Failed, id)
 	}
 }
+
+// refused reports whether the breaker refused the outcome's call.
+func refused(oc *SourceOutcome) bool { return errors.Is(oc.Err, dispatch.ErrRefused) }
 
 // sort orders every degradation list by source ID.
 func (d *Degradation) sort() {

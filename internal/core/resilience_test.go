@@ -130,14 +130,13 @@ func TestSearchBudgetDegradesMixedFleet(t *testing.T) {
 	}
 }
 
-// fakeGate refuses a fixed set of sources and counts admissions, outcomes
-// and probe-slot releases.
+// fakeGate refuses a fixed set of sources and counts admissions and
+// outcomes.
 type fakeGate struct {
-	mu       sync.Mutex
-	refused  map[string]bool
-	admits   int
-	records  map[string]int
-	releases map[string]int
+	mu      sync.Mutex
+	refused map[string]bool
+	admits  map[string]int
+	records map[string]int
 }
 
 func (g *fakeGate) Allow(id string) bool {
@@ -146,7 +145,10 @@ func (g *fakeGate) Allow(id string) bool {
 	if g.refused[id] {
 		return false
 	}
-	g.admits++
+	if g.admits == nil {
+		g.admits = map[string]int{}
+	}
+	g.admits[id]++
 	return true
 }
 
@@ -159,36 +161,20 @@ func (g *fakeGate) Record(id string, err error) {
 	g.records[id]++
 }
 
-func (g *fakeGate) Release(id string) {
+func (g *fakeGate) counts(id string) (admits, records int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.releases == nil {
-		g.releases = map[string]int{}
-	}
-	g.releases[id]++
+	return g.admits[id], g.records[id]
 }
 
-func (g *fakeGate) counts(id string) (records, releases int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.records[id], g.releases[id]
-}
-
-// balanced checks that every admission was answered, by a Record or a
-// Release, so no half-open probe is left held.
+// balanced checks that every admission was answered by exactly one
+// Record, so no half-open probe is left held.
 func (g *fakeGate) balanced(t *testing.T) {
 	t.Helper()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	answered := 0
-	for id := range g.records {
-		answered += g.records[id]
-	}
-	for id := range g.releases {
-		answered += g.releases[id]
-	}
-	if g.admits != answered {
-		t.Errorf("breaker: %d admissions, %d records + releases", g.admits, answered)
+	if !reflect.DeepEqual(g.admits, g.records) {
+		t.Errorf("breaker: admissions %v, records %v", g.admits, g.records)
 	}
 }
 

@@ -41,7 +41,7 @@ type roster struct {
 // to the source's dispatch queue under the key "harvest", so concurrent
 // searches that both find a source stale share one harvest instead of
 // racing duplicate fetches at it. It fails only when no registered source
-// has a usable entry.
+// has a usable entry and the breaker refused none (see merge).
 func (m *Metasearcher) harvest(ctx context.Context) (roster, error) {
 	hsp := obs.TraceFrom(ctx).StartSpan("harvest")
 	ctx = obs.WithSpan(ctx, hsp)
@@ -61,7 +61,13 @@ func (m *Metasearcher) harvest(ctx context.Context) (roster, error) {
 	for i, id := range stale {
 		tickets[i], errs[i] = m.dispatcher.Submit(ctx, id, "harvest", dispatch.Limits{},
 			func(tctx context.Context) (any, error) {
-				return nil, m.harvestOne(tctx, id)
+				_, err := m.call(tctx, id, func(ctx context.Context) (any, error) {
+					return nil, m.harvestOne(ctx, id)
+				})
+				if err != nil {
+					m.keepStale(id)
+				}
+				return nil, err
 			})
 	}
 	var failed map[string]error
@@ -89,10 +95,15 @@ func (m *Metasearcher) harvest(ctx context.Context) (roster, error) {
 			return fleet, nil
 		}
 	}
-	if len(failed) > 0 {
-		return fleet, fmt.Errorf("core: no source could be harvested: %w", joinSorted(failed))
+	if len(failed) == 0 {
+		return fleet, errors.New("core: no sources registered")
 	}
-	return fleet, errors.New("core: no sources registered")
+	for _, err := range failed {
+		if errors.Is(err, dispatch.ErrRefused) {
+			return fleet, nil
+		}
+	}
+	return fleet, fmt.Errorf("core: no source could be harvested: %w", joinSorted(failed))
 }
 
 func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
@@ -112,12 +123,10 @@ func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
 	ctx = obs.WithSpan(ctx, sp)
 	md, err := mem.conn.Metadata(ctx)
 	if err != nil {
-		m.keepStale(id)
 		return fmt.Errorf("core: harvesting metadata of %s: %w", id, err)
 	}
 	sum, err := mem.conn.Summary(ctx)
 	if err != nil {
-		m.keepStale(id)
 		return fmt.Errorf("core: harvesting summary of %s: %w", id, err)
 	}
 	// What translation asks of the metadata is compiled here, once per
@@ -136,7 +145,7 @@ func (m *Metasearcher) harvestOne(ctx context.Context, id string) (err error) {
 func (m *Metasearcher) keepStale(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.slot[id] // of a registered source: harvestOne checked
+	i := m.slot[id] // of a registered source: harvest read it off the members
 	if e := m.entries[i]; e != nil && !e.stale {
 		stale := *e
 		stale.stale = true
@@ -147,14 +156,14 @@ func (m *Metasearcher) keepStale(id string) {
 // plan is what choose decided for one search from one roster, before
 // anything is sent: the selector's ranking, the sources to contact with
 // their harvests (translate adds their sub-queries), and the outcomes
-// already known — harvest failures and breaker skips. fanOut sends it;
-// merge reads it back into the answer.
+// already known — failed or refused harvests. fanOut sends it; merge
+// reads it back into the answer.
 type plan struct {
 	q        *query.Query
 	ranked   []gloss.Ranked            // every harvested source, best first
 	ids      []string                  // the sources to contact, in selection order
 	sources  []sourcePlan              // sources[i] is ids[i]'s
-	known    map[string]*SourceOutcome // harvest failures and breaker skips
+	known    map[string]*SourceOutcome // failed or refused harvests
 	degraded Degradation               // their HarvestFailed and Skipped
 }
 
@@ -172,9 +181,7 @@ type sourcePlan struct {
 }
 
 // choose is the selection step (§3.1): the selector ranks the harvested
-// sources for q, the promising ones are picked, and the breaker is asked
-// about each, so a refused source is skipped — degrading the answer —
-// instead of waiting out another timeout.
+// sources for q and the promising ones are picked.
 func (m *Metasearcher) choose(tr *obs.Trace, q *query.Query, fleet roster) (*plan, error) {
 	infos := make([]gloss.SourceInfo, 0, len(fleet.members))
 	for i, e := range fleet.entries {
@@ -189,23 +196,19 @@ func (m *Metasearcher) choose(tr *obs.Trace, q *query.Query, fleet roster) (*pla
 	ssp.Annotate("candidates", strconv.Itoa(len(ranked)))
 	ssp.Annotate("picked", strconv.Itoa(len(picked)))
 	ssp.End(nil)
-	if len(picked) == 0 {
-		return nil, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
-	}
-	p := &plan{q: q, ranked: ranked, ids: picked[:0]}
+	p := &plan{q: q, ranked: ranked, ids: picked}
 	for id, err := range fleet.failed {
 		p.know(id, fmt.Errorf("core: harvesting %s: %w", id, err))
-		if i, ok := fleet.slot[id]; !ok || fleet.entries[i] == nil || !fleet.entries[i].stale {
+		switch i, ok := fleet.slot[id]; {
+		case ok && fleet.entries[i] != nil && fleet.entries[i].stale: // served stale
+		case errors.Is(err, dispatch.ErrRefused):
+			p.degraded.Skipped = append(p.degraded.Skipped, id)
+		default:
 			p.degraded.HarvestFailed = append(p.degraded.HarvestFailed, id)
 		}
 	}
-	for _, id := range picked {
-		if m.opts.Breaker != nil && !m.opts.Breaker.Allow(id) {
-			p.degraded.Skipped = append(p.degraded.Skipped, id)
-			p.know(id, fmt.Errorf("core: source %s skipped: circuit open", id))
-			continue
-		}
-		p.ids = append(p.ids, id)
+	if len(picked) == 0 && len(p.degraded.Skipped) == 0 { // else degraded and empty, see merge
+		return nil, fmt.Errorf("core: no promising sources for query (of %d registered)", len(infos))
 	}
 	p.sources = make([]sourcePlan, len(p.ids))
 	for n, id := range p.ids {
@@ -346,7 +349,6 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	id, src, opts := p.ids[slot], &p.sources[slot], &m.opts
 	oc := &SourceOutcome{Sent: src.sent, Report: src.report}
 	if src.err != nil {
-		settle(opts.Breaker, id, false, nil)
 		oc.Err = src.err
 		return oc
 	}
@@ -375,18 +377,19 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	// Each sub-query is one task and one wire call on the source's
 	// workers; an identical sub-query already in flight — for this source,
 	// as translated, so two user queries that translate alike share it —
-	// is joined instead.
+	// is joined instead, and with it its one breaker admission.
 	key := qcache.Keyer{Scope: mem.dispatchScope}.Key(sent)
 	ticket, err := m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, key, dispatch.Limits{},
 		func(tctx context.Context) (any, error) {
-			// The per-source Timeout bounds the wire call itself; the
-			// waiters' contexts only bound their willingness to wait.
-			qctx, cancel := context.WithTimeout(tctx, timeout)
-			defer cancel()
-			return client.Ask(qctx, conn, sent)
+			return m.call(tctx, id, func(ctx context.Context) (any, error) {
+				// The per-source Timeout bounds the wire call itself; the
+				// waiters' contexts only bound their willingness to wait.
+				qctx, cancel := context.WithTimeout(ctx, timeout)
+				defer cancel()
+				return client.Ask(qctx, conn, sent)
+			})
 		})
 	var res *result.Results
-	led := true
 	if err == nil {
 		// The waiter honors the same per-source deadline the direct call
 		// had — covering queue wait plus run — and the search's own
@@ -394,14 +397,13 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 		// this waiter; the wire call is cancelled once nobody waits.
 		v, werr := ticket.Wait(wctx)
 		err = werr
-		led = ticket.Led()
 		if v != nil {
 			res = v.(*result.Results)
 		}
 		if d := ticket.RunFor(); d > 0 {
 			oc.Elapsed = d // the shared wire call's own duration
 		}
-		dsp.Annotate("coalesced", strconv.FormatBool(!led))
+		dsp.Annotate("coalesced", strconv.FormatBool(!ticket.Led()))
 		if n := ticket.Fanout(); n > 1 {
 			dsp.Annotate("fanout", strconv.Itoa(n))
 		}
@@ -409,16 +411,14 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	if oc.Elapsed == 0 {
 		oc.Elapsed = opts.Now().Sub(start)
 	}
-	// Dispatch-level failures (shed, fast-drained, doomed, closed) end
-	// the dispatch span; wire failures belong to the query span only.
-	declined := dispatch.Declined(err)
-	if declined {
+	// Calls that never reached the source (shed, refused, doomed, closed)
+	// end the dispatch span; wire failures belong to the query span only.
+	if dispatch.Declined(err) {
 		dsp.End(err)
 	} else {
 		dsp.End(nil)
 	}
 	sp.End(err)
-	settle(opts.Breaker, id, led && !declined, err)
 	m.opts.Metrics.Histogram(mem.querySeconds).Observe(oc.Elapsed)
 	if err != nil {
 		oc.Err = fmt.Errorf("core: querying %s: %w", id, err)
@@ -440,22 +440,29 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	return oc
 }
 
-// settle answers the breaker's admission of one contacted source. Only a
-// call that led its batch onto the wire reports an outcome: N coalesced
-// waiters observed one call, and dispatch-level shedding, refusal or
-// shutdown says nothing new about the source's health. Every other
-// admitted call — never sent, shed, or joined to another search's batch —
-// releases its claim (on breakers that support it), or a half-open probe
-// it held would leave its circuit refusing traffic.
-func settle(b BreakerGate, id string, wired bool, err error) {
+// call is every dispatched task's way to its source, harvest or
+// sub-query: the breaker admits it (Allow) and hears its outcome (Record)
+// exactly once, so the waiters of one batch share one admission as they
+// share one wire call. A refused call fails with dispatch.ErrRefused
+// without reaching the source, so a queue behind an open circuit drains
+// fast; a panic is recorded as a failure before the dispatcher contains it.
+func (m *Metasearcher) call(ctx context.Context, id string, fn dispatch.Task) (any, error) {
+	b := m.opts.Breaker
 	if b == nil {
-		return
+		return fn(ctx)
 	}
-	if wired {
-		b.Record(id, err)
-	} else if rel, ok := b.(interface{ Release(id string) }); ok {
-		rel.Release(id)
+	if !b.Allow(id) {
+		return nil, fmt.Errorf("%w: %s: circuit open", dispatch.ErrRefused, id)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			b.Record(id, fmt.Errorf("core: call to %s panicked", id))
+			panic(r)
+		}
+	}()
+	v, err := fn(ctx)
+	b.Record(id, err)
+	return v, err
 }
 
 // merge is the merging step (§3.3): the merger fuses the answering
@@ -472,6 +479,7 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 		ans.PerSource[id] = oc
 	}
 	inputs := make([]merge.SourceResult, 0, len(p.ids))
+	skipped := len(ans.Degraded.Skipped)
 	for i, id := range p.ids {
 		oc := outcomes[i]
 		ans.PerSource[id] = oc
@@ -482,6 +490,10 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 		ans.Unverifiable = append(ans.Unverifiable, p.sources[i].unverified...)
 		e := p.sources[i].entry // not nil: the source answered, so it was translated for
 		inputs = append(inputs, merge.SourceResult{SourceID: id, Meta: e.meta, Summary: e.summary, Results: oc.Results})
+	}
+	if len(ans.Degraded.Skipped) > skipped {
+		// A call the breaker refused never reached its source.
+		ans.Contacted = slices.DeleteFunc(slices.Clone(p.ids), func(id string) bool { return refused(ans.PerSource[id]) })
 	}
 	ans.Degraded.sort()
 	merger := m.opts.Merger

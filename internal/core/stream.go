@@ -20,8 +20,8 @@ import (
 // that source's Outcome plus a snapshot of the degradation accumulated
 // so far. The terminal event has Final set to the complete merged
 // answer; its Docs are the remainder the incremental merger could not
-// prove stable early. A search served from the query cache produces a
-// single terminal event carrying everything at once.
+// prove stable early. A source the breaker refused gets no event. A
+// search served from the query cache produces one terminal event.
 //
 // Streamed documents alias the final answer's pointers: duplicate
 // attributions (Sources) and promoted scores are completed in place by
@@ -68,8 +68,8 @@ type StreamSink func(StreamEvent) error
 // strategies whose scores depend on the full input set (term-stats,
 // calibrated) deliver everything in the terminal event. Either way the
 // qcache contract is unchanged: the fully-merged answer is cached at
-// stream end, and cache hits, stale serves and coalesced followers
-// replay their shared answer as one terminal event.
+// stream end, and cache hits and stale serves replay their shared answer
+// as one terminal event.
 func (m *Metasearcher) SearchStream(ctx context.Context, q *query.Query, sink StreamSink, sopts ...SearchOption) (*Answer, error) {
 	return m.searchStream(ctx, q, sink, sopts...)
 }
@@ -94,7 +94,8 @@ type emitter struct {
 	// Set by begin; inc stays nil for an answer served from the cache.
 	ids      []string
 	inc      *merge.Incremental
-	degraded Degradation // known so far
+	degraded Degradation        // known so far
+	held     []*result.Document // rank-stable, not yet emitted
 }
 
 // begin arms the emitter for p's fan-out — an incremental merger over the
@@ -116,11 +117,17 @@ func (e *emitter) begin(p *plan, merger merge.Strategy) func(slot int, oc *Sourc
 // done runs at each source's completion: its answer feeds the incremental
 // merger (a failed source's nil results resolve its slot), and one event
 // carries what became rank-stable, the source's outcome and the
-// degradation known so far.
+// degradation known so far — except for a refused source, whose
+// resolution's stable documents are held for the next event.
 func (e *emitter) done(slot int, oc *SourceOutcome) {
-	id, rank := e.ids[slot], e.inc.Emitted()
+	id := e.ids[slot]
+	e.held = append(e.held, e.inc.Offer(slot, oc.Results)...)
 	e.degraded.note(id, oc)
-	e.emit(StreamEvent{Docs: e.inc.Offer(slot, oc.Results), Rank: rank, SourceID: id, Outcome: oc, Degraded: e.degraded.snapshot()})
+	if refused(oc) {
+		return
+	}
+	e.emit(StreamEvent{Docs: e.held, Rank: e.inc.Emitted() - len(e.held), SourceID: id, Outcome: oc, Degraded: e.degraded.snapshot()})
+	e.held = nil
 }
 
 // finish emits the terminal event: what the incremental merger did not
@@ -131,7 +138,7 @@ func (e *emitter) finish(ans *Answer) {
 	}
 	rank := 0
 	if e.inc != nil {
-		rank = min(e.inc.Emitted(), len(ans.Documents))
+		rank = min(e.inc.Emitted()-len(e.held), len(ans.Documents))
 	}
 	e.emit(StreamEvent{Docs: ans.Documents[rank:], Rank: rank, Degraded: ans.Degraded.snapshot(), Final: ans})
 }

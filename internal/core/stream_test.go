@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,5 +266,60 @@ func TestSearchStreamAcceptance(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// slowRefusal, once refusing is set, refuses cs — only when wait closes;
+// everything else it admits.
+type slowRefusal struct {
+	fakeGate
+	refusing atomic.Bool
+	wait     chan struct{}
+}
+
+func (g *slowRefusal) Allow(id string) bool {
+	if id == "cs" && g.refusing.Load() {
+		<-g.wait
+		return false
+	}
+	return g.fakeGate.Allow(id)
+}
+
+// TestStreamSkipsRefusedSource: a source whose call the breaker refuses,
+// last of all, gets no per-source event, yet the documents its slot's
+// resolution makes rank-stable still reach the stream, in rank order: the
+// streamed documents are the answer's.
+func TestStreamSkipsRefusedSource(t *testing.T) {
+	gate := &slowRefusal{wait: make(chan struct{})}
+	ms, _ := fleetWith(t, Options{Merger: merge.RoundRobin{}, Timeout: 5 * time.Second, Breaker: gate})
+	defer ms.Close()
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gate.refusing.Store(true)
+	var events []StreamEvent
+	others := 0
+	q := rankingQuery(t, `list((body-of-text "databases") (body-of-text "metasearch"))`)
+	ans, err := ms.SearchStream(context.Background(), q, func(ev StreamEvent) error {
+		events = append(events, ev)
+		if ev.SourceID != "" {
+			if others++; others == 1 {
+				close(gate.wait) // cs resolves after another source answered
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStreamShape(t, ans, events)
+	for _, ev := range events {
+		if ev.SourceID == "cs" {
+			t.Error("the refused source got a per-source event")
+		}
+	}
+	if others != len(ans.Contacted) || slices.Contains(ans.Contacted, "cs") ||
+		!slices.Equal(ans.Degraded.Skipped, []string{"cs"}) || len(ans.Documents) == 0 {
+		t.Errorf("%d per-source events, contacted %v, degraded %s, %d docs", others, ans.Contacted, ans.Degraded, len(ans.Documents))
 	}
 }

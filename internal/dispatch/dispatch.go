@@ -6,21 +6,20 @@
 //
 // The paper's metasearcher model (Figure 1) puts one logical channel
 // between the metasearcher and each source; this package is that
-// channel. Each source owns a bounded queue, searches merely submit work
-// and wait on a Ticket. Submission is non-blocking — a full queue sheds
-// with a typed ErrQueueFull, and a submission whose remaining context
-// budget cannot cover the source's observed typical service time sheds
-// with a typed ErrDeadline instead of queueing doomed work — and a
-// Refuse hook lets a circuit breaker fast-drain the queue of an open
-// source instead of timing out each waiter. A source's whole scheduling
-// state sits under one mutex (see queue), and an idle source holds no
-// goroutine.
+// channel, and the one place concurrent calls to a source meet. Each
+// source owns a bounded queue, searches merely submit work and wait on a
+// Ticket. Submission is non-blocking — a full queue sheds with a typed
+// ErrQueueFull, and a submission whose remaining context budget cannot
+// cover the source's observed typical service time sheds with a typed
+// ErrDeadline instead of queueing doomed work. A source's whole
+// scheduling state sits under one mutex (see queue), and an idle source
+// holds no goroutine.
 //
-// Batching reuses the qcache singleflight shape (pending map, done
-// channel, delete-before-close) one level below the answer cache: keys
-// are per-source fingerprints of the translated sub-query, so two
-// different user queries that translate identically for a source still
-// share one wire call.
+// A batch runs under a context detached from every waiter's cancellation
+// and is cancelled only when its last waiter leaves, so one caller giving
+// up never fails the others. Keys are per-source fingerprints of the
+// translated sub-query, so two different user queries that translate
+// identically for a source still share one wire call.
 package dispatch
 
 import (
@@ -53,9 +52,9 @@ var (
 	// ErrQueueFull is returned by Submit when a source's queue is at its
 	// depth bound; the caller was shed without blocking.
 	ErrQueueFull = errors.New("dispatch: source queue full")
-	// ErrRefused resolves a batch whose source's Refuse hook reported it
-	// unavailable (typically a circuit breaker in the open state): the
-	// queue drains fast instead of timing out each waiter.
+	// ErrRefused is what a task returns when its source refused the call
+	// before the wire (typically an open circuit breaker): queued batches
+	// resolve at once instead of timing out their waiters.
 	ErrRefused = errors.New("dispatch: source refused")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("dispatch: dispatcher closed")
@@ -69,11 +68,10 @@ var (
 	ErrDeadline = errors.New("dispatch: deadline too tight for source")
 )
 
-// Declined reports whether err is the dispatcher's own verdict on a
-// submission — shed (ErrQueueFull, ErrDeadline), fast-drained
-// (ErrRefused) or shut down (ErrClosed) — rather than an outcome of the
-// submitted work. A declined call never reached the source, so it says
-// nothing about the source's health.
+// Declined reports whether err says a call never reached the source —
+// shed (ErrQueueFull, ErrDeadline), refused (ErrRefused) or shut down
+// (ErrClosed) — rather than being an outcome of the call itself. A
+// declined call says nothing about the source's health.
 func Declined(err error) bool {
 	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrRefused) ||
 		errors.Is(err, ErrDeadline) || errors.Is(err, ErrClosed)
@@ -123,11 +121,6 @@ type Config struct {
 	// Limits are the per-source defaults for queues whose Submit passes
 	// zero Limits fields.
 	Limits Limits
-	// Refuse, when set, is consulted by a worker before running a batch:
-	// true resolves it immediately with ErrRefused. Wire a
-	// circuit breaker's open-state check here so a broken source's queue
-	// drains fast. It must be safe for concurrent use.
-	Refuse func(source string) bool
 	// Metrics receives the starts_dispatch_* counters, gauges and
 	// histograms; nil allocates a private registry. Snapshot reads its
 	// lifetime counts back from these counters, so dispatchers sharing a
@@ -202,8 +195,6 @@ type QueueStat struct {
 	Batched   int64 `json:"batched"`
 	// QueueFull counts submissions shed with ErrQueueFull.
 	QueueFull int64 `json:"queue_full"`
-	// Refused counts batches fast-drained with ErrRefused.
-	Refused int64 `json:"refused"`
 	// Cancelled counts batches whose every waiter abandoned them before
 	// their work started.
 	Cancelled int64 `json:"cancelled"`
@@ -211,7 +202,8 @@ type QueueStat struct {
 	// remaining context budget could not cover the source's observed
 	// typical service time.
 	Doomed int64 `json:"doomed"`
-	// WireCalls counts tasks actually run: one wire call each.
+	// WireCalls counts tasks run that reached the source: one wire call
+	// each. A task that returned ErrRefused is not counted.
 	WireCalls int64 `json:"wire_calls"`
 	// TypicalRun is the source's current median observed service time (0
 	// until enough runs are recorded) — the estimate the deadline check
@@ -248,9 +240,7 @@ type Ticket struct {
 }
 
 // Led reports whether this waiter created the batch (false: it joined an
-// in-flight one). Exactly one waiter per wire call leads; feed breaker
-// or accounting state from the leader only, or shared calls are
-// double-counted.
+// in-flight one). Exactly one waiter per wire call leads.
 func (t *Ticket) Led() bool { return t.led }
 
 // Wait blocks until the batch resolves or ctx ends. Abandoning a batch

@@ -170,44 +170,6 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestRefusedFastDrain pins breaker integration: with the Refuse hook
-// reporting the source unavailable, queued batches resolve immediately
-// with ErrRefused and their tasks never run — the queue drains fast
-// instead of timing out one waiter at a time.
-func TestRefusedFastDrain(t *testing.T) {
-	var refuse atomic.Bool
-	d := New(Config{Refuse: func(source string) bool { return refuse.Load() }})
-	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 8}
-	release, _ := occupy(t, d, "s", lim)
-
-	var ran atomic.Int64
-	tickets := make([]*Ticket, 5)
-	for i := range tickets {
-		tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
-			ran.Add(1)
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		tickets[i] = tk
-	}
-	refuse.Store(true) // circuit opens while the batches sit queued
-	close(release)
-	for i, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrRefused) {
-			t.Errorf("waiter %d err = %v, want ErrRefused", i, err)
-		}
-	}
-	if ran.Load() != 0 {
-		t.Errorf("refused tasks ran %d times", ran.Load())
-	}
-	if st := stat(t, d, "s"); st.Refused != 5 {
-		t.Errorf("Refused = %d, want 5", st.Refused)
-	}
-}
-
 // TestQueuedCancellation pins abandonment of a queued-but-not-started
 // batch: the waiter's context ends while the batch waits for a worker,
 // Wait returns promptly with the context error, and the worker later

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -44,9 +45,9 @@ type queue struct {
 	runN int                        // runs ever recorded
 
 	// The lifetime counters live only in the registry; stat reads them.
-	cSubmitted, cBatched, cQueueFull, cRefused, cCancelled, cDoomed, cWireCalls *obs.Counter
-	gDepth, gInflight                                                           *obs.Gauge
-	hWait, hRun                                                                 *obs.Histogram
+	cSubmitted, cBatched, cQueueFull, cCancelled, cDoomed, cWireCalls *obs.Counter
+	gDepth, gInflight                                                 *obs.Gauge
+	hWait, hRun                                                       *obs.Histogram
 }
 
 func newQueue(d *Dispatcher, source string, lim Limits) *queue {
@@ -60,7 +61,6 @@ func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 		cSubmitted: reg.Counter(l(obs.MDispatchSubmitted)),
 		cBatched:   reg.Counter(l(obs.MDispatchBatched)),
 		cQueueFull: reg.Counter(l(obs.MDispatchQueueFull)),
-		cRefused:   reg.Counter(l(obs.MDispatchRefused)),
 		cCancelled: reg.Counter(l(obs.MDispatchCancelled)),
 		cDoomed:    reg.Counter(l(obs.MDispatchDoomed)),
 		cWireCalls: reg.Counter(l(obs.MDispatchWireCalls)),
@@ -205,7 +205,7 @@ func (q *queue) stat() QueueStat {
 		Workers: q.lim.Concurrency, QueueCap: q.lim.QueueDepth,
 		Depth: int64(len(q.waiting)), Inflight: int64(q.running),
 		Submitted: q.cSubmitted.Value(), Batched: q.cBatched.Value(),
-		QueueFull: q.cQueueFull.Value(), Refused: q.cRefused.Value(),
+		QueueFull: q.cQueueFull.Value(),
 		Cancelled: q.cCancelled.Value(), Doomed: q.cDoomed.Value(),
 		WireCalls:  q.cWireCalls.Value(),
 		TypicalRun: q.typicalRun(),
@@ -221,34 +221,33 @@ func (q *queue) work(b *batch) {
 }
 
 // run resolves one batch with at most one task call and returns the
-// worker's next batch. A batch every waiter has already abandoned, and
-// any batch when the source is refused, resolves without running; the
-// rest run under the batch context, which keeps the leader's values
-// (trace, metrics) and ends only when every waiter has abandoned it.
+// worker's next batch. A batch every waiter has already abandoned
+// resolves without running; the rest run under the batch context, which
+// keeps the leader's values (trace, metrics) and ends only when every
+// waiter has abandoned it.
 //
 // Publishing the result and taking the next batch are one critical
 // section, entered before the done channel closes: a waiter that sees
 // its ticket resolved also sees the queue state that follows from it (an
 // idle source reads Inflight 0), and the batch has left the pending map,
-// as in qcache's flightGroup, so a later identical submit starts a fresh
-// batch instead of joining a finished one.
+// so a later identical submit starts a fresh batch instead of joining a
+// finished one.
 func (q *queue) run(b *batch) (next *batch) {
 	now := q.d.cfg.Now
 	q.hWait.Observe(now().Sub(b.enqueued))
-	var cancelled, refused, ran int64
-	switch {
-	case b.ctx.Err() != nil:
+	var cancelled, ran int64
+	if b.ctx.Err() != nil {
 		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(b.ctx))
 		cancelled++
-	case q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source):
-		b.err = fmt.Errorf("%w: %s", ErrRefused, q.source)
-		refused++
-	default:
+	} else {
 		start := now()
 		b.val, b.err = q.call(b)
-		b.ran = now().Sub(start)
-		q.hRun.Observe(b.ran)
-		ran++
+		// A refused task is no wire call, and no service time to admit against.
+		if !errors.Is(b.err, ErrRefused) {
+			b.ran = now().Sub(start)
+			q.hRun.Observe(b.ran)
+			ran++
+		}
 	}
 
 	q.mu.Lock()
@@ -257,7 +256,6 @@ func (q *queue) run(b *batch) (next *batch) {
 	}
 	b.fanout = b.waiters
 	q.cCancelled.Add(cancelled)
-	q.cRefused.Add(refused)
 	q.cWireCalls.Add(ran)
 	if ran > 0 {
 		q.runs[q.runN%runRingSize] = b.ran

@@ -136,8 +136,8 @@ type schedItem struct {
 }
 
 // TestSchedulerInvariants drives one dispatcher from many goroutines —
-// keyed and unkeyed submissions, waiters that walk away, a flipping
-// Refuse — and checks what must hold whatever the interleaving: every
+// keyed and unkeyed submissions, waiters that walk away, tasks that
+// refuse while a flipping breaker is open — and checks what must hold whatever the interleaving: every
 // ticket resolves (a second resolution would panic on the closed
 // channel), no item runs twice, a ticket that succeeds carries its own
 // item's value, runs per source stay within Concurrency, pickup is in
@@ -148,18 +148,20 @@ func TestSchedulerInvariants(t *testing.T) {
 		perWorker  = 120
 	)
 	var refuse atomic.Bool
-	d := New(Config{
-		Limits: Limits{Concurrency: 2, QueueDepth: 8},
-		Refuse: func(string) bool { return refuse.Load() },
-	})
+	var refused [3]atomic.Int64 // tasks that refused, per source
+	d := New(Config{Limits: Limits{Concurrency: 2, QueueDepth: 8}})
 	defer d.Close()
 	// "fifo" keeps Concurrency 1, so task start order is pickup order.
 	sources := []*schedSource{{name: "fifo", allowed: 1}, {name: "a", allowed: 2}, {name: "b", allowed: 2}}
 	fifoLim := Limits{Concurrency: 1}
 
 	var ran sync.Map // item id -> struct{}: set when the item's task starts
-	task := func(it *schedItem) Task {
+	task := func(si int, it *schedItem) Task {
 		return func(context.Context) (any, error) {
+			if refuse.Load() { // refused before the wire: no run
+				refused[si].Add(1)
+				return nil, ErrRefused
+			}
 			src := it.src
 			src.mu.Lock()
 			if src.cur++; src.cur > src.allowed {
@@ -234,7 +236,7 @@ func TestSchedulerInvariants(t *testing.T) {
 				src.submitMu.Lock()
 				src.nextSeq++
 				it.seq = src.nextSeq
-				sub.tk, sub.err = d.Submit(ctx, src.name, key, lim, task(it))
+				sub.tk, sub.err = d.Submit(ctx, src.name, key, lim, task(si, it))
 				src.submitMu.Unlock()
 				if sub.err != nil {
 					cancel()
@@ -290,9 +292,9 @@ func TestSchedulerInvariants(t *testing.T) {
 			t.Errorf("%s not quiescent: depth %d, inflight %d", src.name, st.Depth, st.Inflight)
 		}
 		if leaders := st.Submitted - st.Batched; leaders != led[si].Load() ||
-			leaders != st.WireCalls+st.Refused+st.Cancelled {
+			leaders != st.WireCalls+refused[si].Load()+st.Cancelled {
 			t.Errorf("%s: %d leaders submitted (dispatcher says %d) but %d wire calls + %d refused + %d cancelled",
-				src.name, led[si].Load(), leaders, st.WireCalls, st.Refused, st.Cancelled)
+				src.name, led[si].Load(), leaders, st.WireCalls, refused[si].Load(), st.Cancelled)
 		}
 		if st.WireCalls == 0 {
 			t.Errorf("%s: no work ran", src.name)

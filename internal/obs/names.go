@@ -19,14 +19,11 @@ package obs
 const (
 	// MQCacheHits counts fresh cache hits (served without any fan-out).
 	MQCacheHits = "starts_qcache_hits_total"
-	// MQCacheMisses counts misses that ran the fill as flight leader.
+	// MQCacheMisses counts misses, each of which ran the fill.
 	MQCacheMisses = "starts_qcache_misses_total"
 	// MQCacheStale counts expired entries served stale while a
 	// background refresh ran (stale-while-revalidate).
 	MQCacheStale = "starts_qcache_stale_total"
-	// MQCacheCoalesced counts callers that joined an in-flight fill for
-	// the same key instead of fanning out themselves.
-	MQCacheCoalesced = "starts_qcache_coalesced_total"
 	// MQCacheShed counts admissions rejected by the load-shedding gate
 	// after waiting out the queue timeout.
 	MQCacheShed = "starts_qcache_shed_total"
@@ -75,10 +72,6 @@ const (
 	MDispatchBatched = "starts_dispatch_batched_total"
 	// MDispatchQueueFull counts submissions shed with ErrQueueFull.
 	MDispatchQueueFull = "starts_dispatch_queue_full_total"
-	// MDispatchRefused counts batches fast-drained with ErrRefused
-	// because the source's Refuse hook (circuit breaker) reported it
-	// unavailable.
-	MDispatchRefused = "starts_dispatch_refused_total"
 	// MDispatchCancelled counts batches abandoned by every waiter before
 	// a worker picked them up.
 	MDispatchCancelled = "starts_dispatch_cancelled_total"

@@ -2,7 +2,7 @@ package qcache
 
 import (
 	"context"
-	"fmt"
+	"sync"
 	"time"
 
 	"starts/internal/obs"
@@ -21,7 +21,8 @@ const (
 
 // Config configures a Cache. The zero value is usable: 4096 entries over
 // NewLRUStore's default shards, one-minute TTL, no admission bound, and a
-// private metrics registry.
+// private metrics registry. A full admission gate sheds after
+// DefaultQueueTimeout.
 type Config struct {
 	// MaxEntries bounds the default store's size across all shards
 	// (default 4096). Ignored when Store is set.
@@ -32,12 +33,9 @@ type Config struct {
 	// MaxInflight bounds concurrent fills (cache misses running the
 	// expensive fan-out). Zero leaves fills unbounded.
 	MaxInflight int
-	// QueueTimeout is how long an admission waits for a fill slot before
-	// being shed with ErrShed (default DefaultQueueTimeout).
-	QueueTimeout time.Duration
 	// Store overrides the storage backend; nil builds the default
-	// sharded LRU from MaxEntries. Singleflight coalescing and
-	// the admission gate stay in front of any store, so a distributed
+	// sharded LRU from MaxEntries. The admission gate and the one
+	// refresh per stale key stay in front of any store, so a distributed
 	// backend plugs in here without re-implementing either.
 	Store Store
 	// Metrics receives the cache's counters, gauge and hit-path
@@ -52,13 +50,14 @@ type Config struct {
 type Outcome int
 
 const (
-	// Filled: this call missed and ran the fill as flight leader.
+	// Filled: this call missed and ran the fill.
 	Filled Outcome = iota
 	// Hit: served a fresh entry.
 	Hit
 	// Stale: served an expired entry while a background refresh ran.
 	Stale
-	// Coalesced: joined another caller's in-flight fill for the key.
+	// Coalesced is never returned (concurrent misses each fill); it stays
+	// declared for code that still compares against it.
 	Coalesced
 )
 
@@ -81,27 +80,26 @@ func (o Outcome) String() string {
 // of 0 takes the cache's Config.TTL; any other value is clamped to
 // [TTLFloor, TTLCeiling], so a negative remaining lifetime (a source
 // already past its DateExpires) caches for the floor instead of nothing.
-// refresh is false when the fill runs as a miss's flight leader, on the
-// calling goroutine and context, and true when it runs as a stale entry's
+// refresh is false when the fill runs for a miss, on the calling
+// goroutine and context, and true when it runs as a stale entry's
 // background refresh, detached from a call that has already returned.
 type TTLFill func(ctx context.Context, refresh bool) (val any, ttl time.Duration, err error)
 
-// Cache is a sharded LRU+TTL query-result cache with singleflight
-// coalescing, stale-while-revalidate and load shedding. All methods are
-// safe for concurrent use. Cached values are shared across callers and
-// must be treated as read-only.
+// Cache is a sharded LRU+TTL query-result cache with
+// stale-while-revalidate and load shedding. All methods are safe for
+// concurrent use. Cached values are shared across callers and must be
+// treated as read-only.
 type Cache struct {
-	storage Store
-	ttl     time.Duration
-	gate    *Gate
-	flight  *flightGroup
-	now     func() time.Time
+	storage    Store
+	ttl        time.Duration
+	gate       *Gate
+	refreshing sync.Map // keys with a background refresh running
+	now        func() time.Time
 
 	metrics    *obs.Registry
 	hits       *obs.Counter
 	misses     *obs.Counter
 	stales     *obs.Counter
-	coalesced  *obs.Counter
 	refreshErr *obs.Counter
 	hitSeconds *obs.Histogram
 	ttlSeconds *obs.Histogram
@@ -124,14 +122,12 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		storage:    cfg.Store,
 		ttl:        cfg.TTL,
-		gate:       NewGate(cfg.MaxInflight, cfg.QueueTimeout, cfg.Metrics),
-		flight:     newFlightGroup(),
+		gate:       NewGate(cfg.MaxInflight, DefaultQueueTimeout, cfg.Metrics),
 		now:        cfg.Now,
 		metrics:    cfg.Metrics,
 		hits:       cfg.Metrics.Counter(obs.MQCacheHits),
 		misses:     cfg.Metrics.Counter(obs.MQCacheMisses),
 		stales:     cfg.Metrics.Counter(obs.MQCacheStale),
-		coalesced:  cfg.Metrics.Counter(obs.MQCacheCoalesced),
 		refreshErr: cfg.Metrics.Counter(obs.MQCacheRefreshErrors),
 		hitSeconds: cfg.Metrics.Histogram(obs.MQCacheHitSeconds),
 		ttlSeconds: cfg.Metrics.Histogram(obs.MQCacheEntryTTLSeconds),
@@ -151,22 +147,18 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(context.Context) (
 //
 //   - fresh entry: returned immediately (Outcome Hit);
 //   - expired entry within the stale window: returned immediately while
-//     one background refresh runs fill with a detached context and
-//     refresh set (Outcome Stale) — callers should surface the
+//     one background refresh per key runs fill with a detached context
+//     and refresh set (Outcome Stale) — callers should surface the
 //     staleness, e.g. via core's Answer.Degraded;
-//   - miss with a fill already in flight for key: waits for that fill
-//     and shares its result (Outcome Coalesced);
-//   - plain miss: acquires an admission slot (ErrShed within the queue
-//     timeout if the gate is full), runs fill, stores a successful
-//     result under the fill's lifetime (Outcome Filled). Errors are
-//     returned, never cached.
+//   - miss: acquires an admission slot (ErrShed within the queue timeout
+//     if the gate is full), runs fill on ctx, stores a successful result
+//     under the fill's lifetime (Outcome Filled). Errors are returned,
+//     never cached.
 //
-// The fill names each entry's own freshness lifetime (see TTLFill), so a
-// fast-moving source expires quickly while an archival one caches for
-// hours. The fill receives the leader's context; a coalesced caller
-// whose own context ends stops waiting and returns ctx.Err() while the
-// leader's fill keeps running. The returned value is shared — treat it
-// as read-only.
+// Concurrent misses for one key each run their own fill (core's share
+// their wire calls in the dispatcher). The fill names each entry's own
+// freshness lifetime (see TTLFill), so a fast-moving source expires
+// quickly while an archival one caches for hours. The returned value is shared — treat it as read-only.
 func (c *Cache) DoTTL(ctx context.Context, key string, fill TTLFill) (any, Outcome, error) {
 	start := c.now()
 	if v, state := c.lookup(key); state == lookupFresh {
@@ -179,61 +171,52 @@ func (c *Cache) DoTTL(ctx context.Context, key string, fill TTLFill) (any, Outco
 		c.hitSeconds.Observe(c.now().Sub(start))
 		return v, Stale, nil
 	}
-	v, shared, err := c.flight.Do(ctx, key, func() (any, error) {
-		release, gerr := c.gate.Acquire(ctx)
-		if gerr != nil {
-			return nil, gerr
-		}
-		defer release()
-		v, ttl, ferr := fill(ctx, false)
-		if ferr == nil {
-			c.put(key, v, ttl)
-		}
-		return v, ferr
-	}, c.coalesced.Inc)
-	if shared {
-		return v, Coalesced, err
-	}
-	// The miss counts when this caller ran the fill as leader — filled
-	// or failed — so hits+misses+stales+coalesced always equals the
-	// number of calls and hit-ratio math stays honest under errors.
+	// Every miss counts, filled or failed: hits+misses+stales is the
+	// number of calls, so hit-ratio math stays honest under errors.
 	c.misses.Inc()
+	release, err := c.gate.Acquire(ctx)
 	if err != nil {
 		return nil, Filled, err
 	}
+	defer release()
+	v, ttl, err := fill(ctx, false)
+	if err != nil {
+		return nil, Filled, err
+	}
+	c.put(key, v, ttl)
 	return v, Filled, nil
 }
 
-// refreshAsync starts at most one background refresh for key. The
-// refresh runs under a background context (the triggering request is
-// long gone by the time it finishes) but still passes the admission
-// gate, so SWR refreshes cannot stampede an overloaded backend: a shed
-// refresh simply leaves the stale entry in service.
+// refreshAsync starts a background refresh for key unless one is already
+// running. The refresh runs under a background context (the triggering
+// request is long gone by the time it finishes) but still passes the
+// admission gate, so SWR refreshes cannot stampede an overloaded backend:
+// a shed refresh simply leaves the stale entry in service.
 func (c *Cache) refreshAsync(key string, fill TTLFill) {
-	c.flight.Solo(key, func() (v any, err error) {
+	if _, running := c.refreshing.LoadOrStore(key, struct{}{}); running {
+		return
+	}
+	go func() {
+		filled := false
 		// Every failed refresh — shed, error or panicking fill — counts
-		// in one place; the stale entry stays in service either way.
+		// here, and goes no further; the stale entry stays in service.
 		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("qcache: refresh for key %q panicked: %v", key, r)
-			}
-			if err != nil {
+			if recover() != nil || !filled {
 				c.refreshErr.Inc()
 			}
+			c.refreshing.Delete(key)
 		}()
 		ctx := context.Background()
-		release, gerr := c.gate.Acquire(ctx)
-		if gerr != nil {
-			return nil, gerr
+		release, err := c.gate.Acquire(ctx)
+		if err != nil {
+			return
 		}
 		defer release()
-		v, ttl, ferr := fill(ctx, true)
-		if ferr != nil {
-			return nil, ferr
+		if v, ttl, err := fill(ctx, true); err == nil {
+			c.put(key, v, ttl)
+			filled = true
 		}
-		c.put(key, v, ttl)
-		return v, nil
-	})
+	}()
 }
 
 // Get returns the cached value for key if it is fresh. It never serves

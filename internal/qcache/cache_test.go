@@ -186,7 +186,7 @@ func TestStaleServesDoNotStampede(t *testing.T) {
 	}
 	wg.Wait()
 	close(block)
-	// 1 prime + exactly 1 refresh: Solo dedupes, and once the refresh
+	// 1 prime + exactly 1 refresh: one refresh per key, and once the refresh
 	// lands the entry is fresh again so no further refresh can start.
 	deadline := time.Now().Add(5 * time.Second)
 	for fills.Load() < 2 {
@@ -200,98 +200,40 @@ func TestStaleServesDoNotStampede(t *testing.T) {
 	}
 }
 
-func TestCoalescing(t *testing.T) {
+// Concurrent misses for one key each take a gate slot and run their own
+// fill: the cache shares nothing in flight (core shares each source's
+// wire call one layer down, in the dispatcher), so no caller's context
+// or failure reaches another's answer.
+func TestConcurrentMissesEachFill(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{Metrics: reg})
 	ctx := context.Background()
 
-	const joiners = 9
+	const callers = 10
 	var fills atomic.Int64
-	fill := func(context.Context) (any, error) {
-		fills.Add(1)
-		// Hold the flight open until every joiner has registered, so the
-		// test is deterministic rather than timing-dependent.
-		deadline := time.Now().Add(5 * time.Second)
-		for reg.Counter(obs.MQCacheCoalesced).Value() < joiners {
-			if time.Now().After(deadline) {
-				return nil, errors.New("joiners never arrived")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		return "v", nil
-	}
-
 	var wg sync.WaitGroup
-	outcomes := make([]Outcome, joiners+1)
-	errs := make([]error, joiners+1)
-	for i := 0; i <= joiners; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, outcomes[i], errs[i] = c.Do(ctx, "k", fill)
-		}(i)
+			if _, out, err := c.Do(ctx, "k", func(context.Context) (any, error) {
+				fills.Add(1)
+				return "v", nil
+			}); err != nil || (out != Filled && out != Hit) {
+				t.Errorf("Do = %v, %v", out, err)
+			}
+		}()
 	}
 	wg.Wait()
-	var filled, coalesced int
-	for i := range outcomes {
-		if errs[i] != nil {
-			t.Fatalf("Do[%d]: %v", i, errs[i])
-		}
-		switch outcomes[i] {
-		case Filled:
-			filled++
-		case Coalesced:
-			coalesced++
-		default:
-			t.Errorf("Do[%d] outcome = %v", i, outcomes[i])
-		}
+	hits, misses := reg.Counter(obs.MQCacheHits).Value(), reg.Counter(obs.MQCacheMisses).Value()
+	if hits+misses != callers || fills.Load() != misses {
+		t.Errorf("hits %d + misses %d, fills %d; want %d calls and one fill per miss", hits, misses, fills.Load(), callers)
 	}
-	if filled != 1 || coalesced != joiners {
-		t.Errorf("filled=%d coalesced=%d, want 1 and %d", filled, coalesced, joiners)
-	}
-	if got := fills.Load(); got != 1 {
-		t.Errorf("fill ran %d times, want 1", got)
-	}
-	if got := reg.Counter(obs.MQCacheCoalesced).Value(); got != joiners {
-		t.Errorf("coalesced counter = %d, want %d", got, joiners)
-	}
-}
-
-func TestCoalescedCallerHonorsItsContext(t *testing.T) {
-	c := New(Config{})
-	release := make(chan struct{})
-	go func() {
-		_, _, _ = c.Do(context.Background(), "k", func(context.Context) (any, error) {
-			<-release
-			return "v", nil
-		})
-	}()
-	// Wait for the leader's flight to exist.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		c.flight.mu.Lock()
-		_, inFlight := c.flight.calls["k"]
-		c.flight.mu.Unlock()
-		if inFlight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never took flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, out, err := c.Do(ctx, "k", fillConst("x"))
-	if out != Coalesced || !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("cancelled joiner = %v, %v; want coalesced, deadline exceeded", out, err)
-	}
-	close(release)
 }
 
 func TestShedding(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Config{MaxInflight: 1, QueueTimeout: 30 * time.Millisecond, Metrics: reg})
+	c := New(Config{MaxInflight: 1, Metrics: reg})
 	ctx := context.Background()
 
 	hold := make(chan struct{})
@@ -305,8 +247,8 @@ func TestShedding(t *testing.T) {
 	}()
 	<-started
 
-	// A different key cannot coalesce; it must wait for the gate and be
-	// shed within the queue timeout.
+	// Another key must wait for the gate and be shed within the queue
+	// timeout.
 	begin := time.Now()
 	_, _, err := c.Do(ctx, "other", fillConst("x"))
 	elapsed := time.Since(begin)
@@ -368,7 +310,7 @@ func TestLRUEviction(t *testing.T) {
 func TestConcurrentMixedLoad(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{Store: NewLRUStore(32, 4, nil), TTL: time.Minute,
-		MaxInflight: 4, QueueTimeout: 5 * time.Millisecond, Now: clk.now})
+		MaxInflight: 4, Now: clk.now})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -431,11 +373,12 @@ func TestPerEntryTTLClamping(t *testing.T) {
 	}
 }
 
-// hits+misses+stales+coalesced must equal the number of Do calls even
-// when fills fail — the old code only counted misses on successful
-// fills, so every error silently skewed the hit ratio. The hit path must
-// also use the injected clock: under a fake clock that never advances
-// mid-call, the hit histogram observes only zeros.
+// hits+misses+stales must equal the number of Do calls even when fills
+// fail — the old code only counted misses on successful fills, so every
+// error silently skewed the hit ratio — and when a miss arrives while
+// another fill for its key is running. The hit path must also use the
+// injected clock: under a fake clock that never advances mid-call, the
+// hit histogram observes only zeros.
 func TestCounterInvariantAndInjectedClock(t *testing.T) {
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
@@ -462,11 +405,12 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 	do("k", fillConst("v"))      // hit
 	clk.advance(2 * time.Minute) // expire k within the stale window
 	do("k", fillConst("v"))      // stale
-	// Coalescing: a second caller joins an in-flight fill.
+	// A miss while another fill for its key runs is a miss of its own.
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	calls++
 	go func() {
 		defer wg.Done()
 		c.Do(ctx, "slow", func(context.Context) (any, error) {
@@ -476,20 +420,8 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 		})
 	}()
 	<-enter
-	calls++ // the leader above
-	calls++ // the joiner below
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Do(ctx, "slow", fillConst("never runs"))
-	}()
-	// The coalesced counter increments synchronously at join, before the
-	// joiner blocks — wait for it so the leader provably finishes second.
-	for deadline := time.Now().Add(5 * time.Second); reg.Counter(obs.MQCacheCoalesced).Value() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("second caller never joined the in-flight fill")
-		}
-		time.Sleep(time.Millisecond)
+	if out := do("slow", fillConst("v")); out != Filled {
+		t.Fatalf("miss during another fill = %v, want miss", out)
 	}
 	close(release)
 	wg.Wait()
@@ -497,13 +429,11 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 	hits := reg.Counter(obs.MQCacheHits).Value()
 	misses := reg.Counter(obs.MQCacheMisses).Value()
 	stales := reg.Counter(obs.MQCacheStale).Value()
-	coal := reg.Counter(obs.MQCacheCoalesced).Value()
-	if got := hits + misses + stales + coal; got != int64(calls) {
-		t.Fatalf("hits(%d)+misses(%d)+stales(%d)+coalesced(%d) = %d, want %d calls",
-			hits, misses, stales, coal, got, calls)
+	if got := hits + misses + stales; got != int64(calls) {
+		t.Fatalf("hits(%d)+misses(%d)+stales(%d) = %d, want %d calls", hits, misses, stales, got, calls)
 	}
-	if misses != 4 { // bad, bad again, k, slow
-		t.Fatalf("misses = %d, want 4 (failed fills must count)", misses)
+	if misses != 5 { // bad, bad again, k, slow twice
+		t.Fatalf("misses = %d, want 5 (failed fills must count)", misses)
 	}
 	h := reg.Histogram(obs.MQCacheHitSeconds)
 	if h.Count() != hits+stales {
@@ -516,7 +446,7 @@ func TestCounterInvariantAndInjectedClock(t *testing.T) {
 
 // A stale-while-revalidate refresh racing LRU eviction of the same key:
 // churn evicts the stale entry while its background refresh is mid
-// flight. Under -race this locks the store/flight interaction; the
+// flight. Under -race this locks the store/refresh interaction; the
 // refresh must land (or lose) cleanly either way.
 func TestSWRRefreshRacesLRUEviction(t *testing.T) {
 	clk := newFakeClock()
@@ -571,5 +501,53 @@ func TestSWRRefreshRacesLRUEviction(t *testing.T) {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
+	}
+}
+
+// DoTTL with a panicking fill: the panic propagates to its caller, the
+// fill's gate slot is released, and the cache stays usable for the key.
+func TestCachePanickingFillDoesNotWedgeKey(t *testing.T) {
+	c := New(Config{MaxInflight: 1})
+	ctx := context.Background()
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fill's panic was swallowed; want rethrow to the caller")
+			}
+		}()
+		c.Do(ctx, "k", func(context.Context) (any, error) { panic("boom") })
+	}()
+
+	tctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	v, out, err := c.Do(tctx, "k", fillConst("ok"))
+	if err != nil || out != Filled || v != "ok" {
+		t.Fatalf("Do after panicking fill = %v, %v, %v; want ok, miss, nil", v, out, err)
+	}
+}
+
+// A panicking SWR refresh counts as a refresh error and keeps serving
+// stale; it must never crash the process.
+func TestCachePanickingRefreshCountsError(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{TTL: time.Minute, Now: clk.now})
+	ctx := context.Background()
+
+	if _, _, err := c.Do(ctx, "k", fillConst("v1")); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(2 * time.Minute) // expired, within the stale window
+
+	v, out, err := c.Do(ctx, "k", func(context.Context) (any, error) { panic("boom") })
+	if err != nil || out != Stale || v != "v1" {
+		t.Fatalf("stale Do = %v, %v, %v; want v1, stale, nil", v, out, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.metrics.Counter(obs.MQCacheRefreshErrors).Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("panicking refresh never counted as a refresh error")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

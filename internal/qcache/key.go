@@ -1,9 +1,10 @@
 // Package qcache is the metasearcher's query-result cache: a sharded
-// LRU+TTL store keyed on a canonical query fingerprint, with singleflight
-// coalescing (N concurrent identical queries cost one fan-out),
-// stale-while-revalidate (an expired entry is served immediately while a
-// background refresh runs) and a bounded admission gate that sheds load
-// with a typed error instead of queueing without limit.
+// LRU+TTL store keyed on a canonical query fingerprint, with
+// stale-while-revalidate (an expired entry is served immediately while
+// one background refresh per key runs) and a bounded admission gate that
+// sheds load with a typed error instead of queueing without limit. Each
+// miss runs its own fill; identical concurrent ones share wire calls in
+// the dispatcher.
 //
 // Under real traffic query distributions are heavily skewed; a
 // metasearcher that re-fans-out to every source for every repeated query

@@ -10,8 +10,8 @@ import (
 )
 
 // TestMain fails the package when its tests leave goroutines behind. The
-// cache's own goroutines are stale-while-revalidate refreshes (flight
-// Solo) and Warm's replay workers; both must have ended by the time the
+// cache's own goroutines are stale-while-revalidate refreshes and Warm's
+// replay workers; both must have ended by the time the
 // tests that started them return, give or take a moment to unwind. A
 // fuzzing run is not checked: the fuzz engine keeps a signal-handling
 // goroutine of its own to the end.

@@ -24,10 +24,10 @@ type Entry struct {
 func (e Entry) dead(now time.Time) bool { return now.After(e.StaleUntil) }
 
 // Store is the cache's pluggable storage backend, keyed by the same
-// canonical query fingerprints Keyer produces. The Cache keeps
-// singleflight coalescing and the admission gate in front of any Store,
-// so a backend only ever sees deduplicated, admission-bounded fills —
-// a shared backend (e.g. a peer metasearcher tier) plugs in here without
+// canonical query fingerprints Keyer produces. The Cache keeps the
+// admission gate and the one refresh per stale key in front of any
+// Store, so a backend only ever sees admission-bounded fills — a shared
+// backend (e.g. a peer metasearcher tier) plugs in here without
 // re-implementing either.
 //
 // Implementations must be safe for concurrent use. Get receives the

@@ -11,8 +11,8 @@ import (
 
 // mapStore is a deliberately naive Store: a flat locked map that never
 // prunes. It stands in for an external backend to prove the Store seam —
-// coalescing, stale serving and the gate must all keep working in front
-// of it, and the cache must evict dead entries it leaves behind.
+// stale serving and the gate must keep working in front of it, and the
+// cache must evict dead entries it leaves behind.
 type mapStore struct {
 	mu   sync.Mutex
 	m    map[string]Entry
@@ -68,8 +68,8 @@ func TestCustomStoreServesFullPolicy(t *testing.T) {
 	if v, out, _ := c.Do(ctx, "k", fillConst("v2")); out != Stale || v != "v1" {
 		t.Fatalf("post-TTL Do = %v, %v; want stale v1", v, out)
 	}
-	// Wait for the background refresh to land so its flight cannot
-	// coalesce the refill below.
+	// Wait for the background refresh to land so it cannot race the
+	// refill below.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		if v, ok := c.Get("k"); ok && v == "v2" {
 			break

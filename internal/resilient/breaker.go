@@ -130,18 +130,19 @@ func (b *Breaker) Allow(id string) bool {
 	}
 }
 
-// Record feeds a call's outcome back. A nil err is a success; context
-// cancellation is ignored (the caller gave up — that says nothing about
-// the source), though it still releases a half-open probe slot the call
-// may hold; any other error counts against the source.
+// Record feeds back the outcome of a call Allow admitted; every
+// admission gets exactly one Record. A nil err is a success; context
+// cancellation judges the caller, not the source, so it changes nothing
+// but the half-open probe slot the call held, which it frees for the
+// next Allow; any other error counts against the source.
 func (b *Breaker) Record(id string, err error) {
-	if err != nil && errors.Is(err, context.Canceled) {
-		b.Release(id)
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.circuitFor(id)
+	if errors.Is(err, context.Canceled) {
+		c.probing = false
+		return
+	}
 	if err == nil {
 		switch c.state {
 		case StateClosed:
@@ -166,21 +167,6 @@ func (b *Breaker) Record(id string, err error) {
 	}
 }
 
-// Release frees a half-open probe slot without judging the source, for
-// an admitted call that produced no wire outcome to Record: it was shed
-// at the dispatch layer, coalesced onto another call's batch, or its
-// caller gave up. The circuit stays half-open and the next Allow admits
-// a fresh probe, instead of refusing all traffic forever waiting on a
-// Record that will never come. Releasing with no probe in flight is a
-// no-op.
-func (b *Breaker) Release(id string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if c := b.sources[id]; c != nil && c.state == StateHalfOpen {
-		c.probing = false
-	}
-}
-
 // State reports a source's current circuit position without transitioning
 // it (unlike Allow, an elapsed cooldown still reads as open here).
 func (b *Breaker) State(id string) State {
@@ -191,15 +177,6 @@ func (b *Breaker) State(id string) State {
 		return StateClosed
 	}
 	return c.state
-}
-
-// Open reports whether the source's circuit is in the open state right
-// now — the read-only fast-drain signal for the dispatch layer's Refuse
-// hook. It admits half-open (the probe in flight must be allowed to
-// run), and unlike Allow it never transitions the circuit, so
-// checking it cannot consume a probe slot.
-func (b *Breaker) Open(id string) bool {
-	return b.State(id) == StateOpen
 }
 
 // Snapshot lists every tracked source and its state, sorted by ID.

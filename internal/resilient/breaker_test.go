@@ -102,33 +102,6 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerReleaseFreesHalfOpenProbe(t *testing.T) {
-	b, clock := newTestBreaker(1, time.Minute)
-	b.Release("S") // no circuit yet: no-op
-	b.Record("S", errDown)
-	clock.advance(61 * time.Second)
-	if !b.Allow("S") {
-		t.Fatal("cooldown elapsed but probe refused")
-	}
-	if b.Allow("S") {
-		t.Fatal("second probe admitted while the first is in flight")
-	}
-	// The probe never reached the wire (shed at the dispatch layer, or it
-	// coalesced onto another batch): without a Release the circuit would
-	// refuse all traffic until restart.
-	b.Release("S")
-	if b.State("S") != StateHalfOpen {
-		t.Fatalf("state = %v after release, want half-open", b.State("S"))
-	}
-	if !b.Allow("S") {
-		t.Fatal("Release did not free the probe slot")
-	}
-	b.Record("S", nil)
-	if b.State("S") != StateClosed {
-		t.Errorf("state = %v after successful probe, want closed", b.State("S"))
-	}
-}
-
 func TestBreakerCancelledProbeFreesSlot(t *testing.T) {
 	b, clock := newTestBreaker(1, time.Minute)
 	b.Record("S", errDown)
@@ -180,32 +153,5 @@ func TestStateString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("State(%d).String() = %q, want %q", s, s.String(), want)
 		}
-	}
-}
-
-func TestBreakerOpenFastDrainSignal(t *testing.T) {
-	b, clock := newTestBreaker(1, time.Minute)
-	if b.Open("S") {
-		t.Error("closed circuit reported open")
-	}
-	b.Record("S", errDown)
-	if !b.Open("S") {
-		t.Error("tripped circuit not reported open")
-	}
-	clock.advance(2 * time.Minute)
-	// Open is read-only: polling it any number of times after cooldown
-	// must not consume the single half-open probe slot.
-	for i := 0; i < 5; i++ {
-		_ = b.Open("S")
-	}
-	if !b.Allow("S") {
-		t.Fatal("Open consumed the half-open probe slot")
-	}
-	if got := b.State("S"); got != StateHalfOpen {
-		t.Fatalf("state after probe admission = %v, want half-open", got)
-	}
-	// The admitted probe must never be fast-drained by the Refuse hook.
-	if b.Open("S") {
-		t.Error("half-open circuit reported open; the probe would be refused")
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"strconv"
@@ -26,9 +28,10 @@ func queryBody(t *testing.T) string {
 	return string(body)
 }
 
-// TestCacheValidators: /metadata, /summary and /query responses carry a
+// TestCacheValidators: /metadata and /summary responses carry a
 // content-hash ETag and a Cache-Control lifetime, and a matching
-// If-None-Match revalidation gets a bodyless 304.
+// If-None-Match revalidation gets a bodyless 304. A POST /query answer
+// carries no validator and is never a 304 (RFC 9110 §13.1.2).
 func TestCacheValidators(t *testing.T) {
 	ts, res := startTestServer(t)
 	src, _ := res.Source("Source-1")
@@ -63,7 +66,6 @@ func TestCacheValidators(t *testing.T) {
 	}{
 		{"metadata", http.MethodGet, "/sources/Source-1/metadata", ""},
 		{"summary", http.MethodGet, "/sources/Source-1/summary", ""},
-		{"query", http.MethodPost, "/sources/Source-1/query", queryBody(t)},
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
@@ -102,6 +104,19 @@ func TestCacheValidators(t *testing.T) {
 				t.Errorf("stale If-None-Match -> %d, want 200", third.StatusCode)
 			}
 		})
+	}
+
+	first := fetch(http.MethodPost, "/sources/Source-1/query", queryBody(t), "")
+	if etag := first.Header.Get("ETag"); etag != "" {
+		t.Errorf("POST /query ETag = %q, want none", etag)
+	}
+	payload, _ := io.ReadAll(first.Body)
+	sum := sha256.Sum256(payload)
+	for _, inm := range []string{`"` + hex.EncodeToString(sum[:16]) + `"`, "*"} {
+		resp := fetch(http.MethodPost, "/sources/Source-1/query", queryBody(t), inm)
+		if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("POST /query with If-None-Match %s -> %d with %d bytes, want 200 with the answer", inm, resp.StatusCode, len(body))
+		}
 	}
 }
 

@@ -81,9 +81,9 @@ func (s *Server) countDocs(sp *obs.Span, source string, docs int) {
 // should back off and retry (the retry middleware treats 503 as
 // temporary). An admitted request records a trace (decode → search →
 // encode) into the /debug/last-traces ring. The answer is buffered
-// unless the request asks for a stream: the conn's answer (or its
-// failure, as an HTTP status) is known before the response starts, so
-// the result carries cache validators.
+// unless the request asks for a stream, so the conn's answer (or its
+// failure, as an HTTP status) is known before the response starts; as a
+// POST answer it carries no cache validators (RFC 9110 §13.1.2).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	conn, ok := s.conn(w, r)
 	if !ok {
@@ -135,7 +135,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.countDocs(qsp, conn.SourceID(), len(rr.Documents))
 	esp := tr.StartSpan("encode")
 	data, err := rr.Marshal()
-	writeCacheable(w, r, data, err, maxAge(conn.Metadata(r.Context())))
+	writeSOIF(w, r, data, err)
 	esp.End(err)
 }
 

@@ -245,8 +245,8 @@ func deliver(w http.ResponseWriter, r *http.Request, contentType string, data []
 }
 
 // writeSOIF delivers a payload (see render) with no cache validators
-// (used by routes whose payload has no freshness metadata to derive them
-// from); a marshaling error is a 500.
+// (routes with no freshness metadata to derive them from, and the POST
+// query route); a marshaling error is a 500.
 func writeSOIF(w http.ResponseWriter, r *http.Request, data []byte, err error) {
 	data, ct, err := render(r, data, err)
 	if err != nil {

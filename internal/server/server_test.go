@@ -375,8 +375,8 @@ func TestGzipSummaries(t *testing.T) {
 
 // TestGzipQueryAllocBudget: serving a gzipped answer reuses a pooled
 // compressor instead of building one per response (a fresh gzip.Writer
-// allocates some 800 KB). The budget covers the search, the encoding and
-// the ETag of a ~12 KB /query answer.
+// allocates some 800 KB). The budget covers the search and the encoding
+// of a ~12 KB /query answer.
 func TestGzipQueryAllocBudget(t *testing.T) {
 	eng, err := engine.New(engine.NewVectorConfig())
 	if err != nil {

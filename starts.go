@@ -199,9 +199,9 @@ func WithNoCache() SearchOption { return core.WithNoCache() }
 
 // Query-result caching and load shedding.
 type (
-	// QueryCache is a sharded LRU+TTL query-result cache with
-	// singleflight coalescing, stale-while-revalidate and load shedding.
-	// Plug it into MetasearcherOptions.Cache (merged answers).
+	// QueryCache is a sharded LRU+TTL query-result cache with SWR and
+	// load shedding; each miss searches, sharing wire calls with identical
+	// searches. Plug it into MetasearcherOptions.Cache (merged answers).
 	QueryCache = qcache.Cache
 	// QueryCacheConfig configures a QueryCache; its zero value is usable.
 	QueryCacheConfig = qcache.Config
