@@ -128,12 +128,14 @@ soak:
 # stress repeats, under the race detector, the scheduler's tests
 # (internal/dispatch) and the searches' goroutine-leak check and
 # cancel-at-every-stage table (internal/core) twenty times, and fifty
-# times the searches that share one wire call: a follower outliving its
-# leader's cancellation, one breaker admission per shared call, and a
-# queue fast-draining behind an open circuit (internal/core), so a
-# scheduling-dependent regression shows up here as a flake rather than in
-# production. Each alternative of a line's pattern must name a test, or
-# the line fails instead of passing on zero tests. Seconds, not minutes.
+# times the searches that share one wire call — a follower outliving its
+# leader's cancellation, a joiner outliving its leader's deadline, one
+# breaker admission per shared call, and a queue fast-draining behind an
+# open circuit — and a hung harvest failing alone within the Timeout
+# (internal/core), so a scheduling-dependent regression shows up here as
+# a flake rather than in production. Each alternative of a line's pattern
+# must name a test, or the line fails instead of passing on zero tests.
+# About a minute and a half (the joiner test waits out real deadlines).
 define stress_run
 	@for alt in $$(echo '$(2)' | tr '|' ' '); do \
 		$(GO) test -list "$$alt" $(3) | grep -q '^Test' || { echo "stress: no test in $(3) matches $$alt"; exit 1; }; \
@@ -144,7 +146,7 @@ endef
 stress:
 	$(call stress_run,20,Test,./internal/dispatch/)
 	$(call stress_run,20,TestSearchesLeaveNoGoroutines|TestCancelAtEveryStage,./internal/core/)
-	$(call stress_run,50,TestCoalescedSearchOutlivesItsLeadersCancellation|TestBreakerReleasedWhenCallSkipsWire|TestRefusedFastDrain,./internal/core/)
+	$(call stress_run,50,TestCoalescedSearchOutlivesItsLeadersCancellation|TestSharedCallOutlivesItsLeadersDeadline|TestBreakerReleasedWhenCallSkipsWire|TestRefusedFastDrain|TestHungHarvestDegradesWithinTimeout,./internal/core/)
 
 # fuzz splits a budget of about ten seconds over the fuzz targets (go test
 # fuzzes one per run), target by target: the server's one request decoder, the

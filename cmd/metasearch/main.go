@@ -52,7 +52,7 @@ func main() {
 		maxSources = flag.Int("max-sources", 0, "contact at most N sources (0 = all promising)")
 		max        = flag.Int("max", 10, "maximum number of merged documents")
 		verify     = flag.Bool("verify", false, "post-filter results against dropped query parts")
-		timeout    = flag.Duration("timeout", 15*time.Second, "per-source timeout")
+		timeout    = flag.Duration("timeout", 15*time.Second, "deadline for every source call of a harvest or a fan-out, from the step's start")
 
 		budget          = flag.Duration("budget", 0, "total deadline for each search, harvesting included (0 = none)")
 		retries         = flag.Int("retries", 0, "retry each source call up to N extra times with exponential backoff")

@@ -21,17 +21,20 @@ import (
 )
 
 // blockingConn counts Query fan-outs and optionally parks each one on a
-// gate, so tests can hold a fill in flight while other callers arrive.
+// gate, so tests can hold a fill in flight while other callers arrive; a
+// gate's error fails the query.
 type blockingConn struct {
 	client.Conn
 	queries atomic.Int64
-	gate    func()
+	gate    func(context.Context) error
 }
 
 func (c *blockingConn) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
 	c.queries.Add(1)
 	if c.gate != nil {
-		c.gate()
+		if err := c.gate(ctx); err != nil {
+			return nil, err
+		}
 	}
 	return c.Conn.Query(ctx, q)
 }
@@ -80,7 +83,7 @@ func TestSearchCoalescesConcurrentQueries(t *testing.T) {
 	// The one wire call parks until all 49 other sub-queries have joined
 	// its batch, so no caller can miss it and start a second call.
 	release := make(chan struct{})
-	conn.gate = func() { <-release }
+	conn.gate = func(context.Context) error { <-release; return nil }
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for batched.Value() < callers-1 && time.Now().Before(deadline) {
@@ -132,9 +135,10 @@ func TestCoalescedSearchOutlivesItsLeadersCancellation(t *testing.T) {
 	}
 	onWire, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	conn.gate = func() {
+	conn.gate = func(context.Context) error {
 		once.Do(func() { close(onWire) })
 		<-release
+		return nil
 	}
 	q := rankingQuery(t, `list((body-of-text "databases"))`)
 
@@ -171,6 +175,99 @@ func TestCoalescedSearchOutlivesItsLeadersCancellation(t *testing.T) {
 	}
 	if got := conn.queries.Load(); got != 1 {
 		t.Errorf("source queried %d times, want 1 shared wire call", got)
+	}
+}
+
+// TestSharedCallOutlivesItsLeadersDeadline: a search that joins another's
+// wire call halfway through its Timeout keeps the call alive past the
+// leader's deadline and gets the answer; unanswered, the call is
+// cancelled once the joiner's own deadline passes too.
+func TestSharedCallOutlivesItsLeadersDeadline(t *testing.T) {
+	// The joiner joins a third of the way through the leader's Timeout:
+	// its whole search has two thirds of it to reach the shared call, and
+	// its own deadline comes a third of the Timeout after the leader's.
+	const timeout, joinAfter = 600 * time.Millisecond, 200 * time.Millisecond
+	reg := obs.NewRegistry()
+	conn := &blockingConn{Conn: client.NewLocalConn(oneDocSource(t, "cs"), nil)}
+	// Each wire call reports reaching the source, then waits for a
+	// release or its context's end, which it reports too.
+	onWire, release, cancelled := make(chan struct{}, 1), make(chan struct{}, 1), make(chan struct{}, 1)
+	conn.gate = func(ctx context.Context) error {
+		onWire <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			cancelled <- struct{}{}
+			return ctx.Err()
+		}
+	}
+	ms := New(Options{Timeout: timeout, Metrics: reg})
+	defer ms.Close()
+	ms.Add(conn)
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+	joined := reg.Counter(obs.L(obs.MDispatchBatched, "source", "cs"))
+	type outcome struct {
+		ans *Answer
+		err error
+	}
+
+	// share starts a search that leads a wire call, joins a second search
+	// to it joinAfter into the leader's Timeout and returns once the
+	// leader has failed with its deadline while the call stays live.
+	share := func(round int64) <-chan outcome {
+		t.Helper()
+		leader := make(chan error, 1)
+		go func() {
+			_, err := ms.Search(context.Background(), q)
+			leader <- err
+		}()
+		<-onWire
+		time.Sleep(joinAfter)
+		joiner := make(chan outcome, 1)
+		go func() {
+			ans, err := ms.Search(context.Background(), q)
+			joiner <- outcome{ans, err}
+		}()
+		for joined.Value() < round {
+			select {
+			case err := <-leader:
+				t.Fatalf("round %d: joiner too late: the leader ended (%v) before the joiner reached its wire call", round, err)
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if err := <-leader; !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: leader = %v, want its deadline", round, err)
+		}
+		select {
+		case <-cancelled:
+			t.Fatalf("round %d: the shared call was cancelled at its leader's deadline", round)
+		default:
+		}
+		return joiner
+	}
+
+	joiner := share(1)
+	release <- struct{}{}
+	if o := <-joiner; o.err != nil || len(o.ans.Documents) == 0 || o.ans.Degraded.Any() {
+		t.Fatalf("joiner = %+v, %v; want a full, undegraded answer", o.ans, o.err)
+	}
+
+	joiner = share(2)
+	if o := <-joiner; !errors.Is(o.err, context.DeadlineExceeded) {
+		t.Errorf("unanswered joiner = %v, want its deadline", o.err)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the unanswered call outlived its last waiter's deadline")
+	}
+	if got := conn.queries.Load(); got != 2 {
+		t.Errorf("source queried %d times, want one shared wire call a round", got)
 	}
 }
 
@@ -283,7 +380,7 @@ func TestSearchShedsUnderOverload(t *testing.T) {
 
 	// Hold the only fill slot with a slow fan-out.
 	release := make(chan struct{})
-	conn.gate = func() { <-release }
+	conn.gate = func(context.Context) error { <-release; return nil }
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := ms.Search(context.Background(), rankingQuery(t, `list((body-of-text "databases"))`))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -110,10 +111,45 @@ func TestColdSearchAllocBudget(t *testing.T) {
 		coldSearch(t, ms, pool, next)
 		next++
 	})
-	const budget = 303 // 243 measured (294 before a trace was one slab and the cache kept no trace, 467 before sources searched out of slabs, 625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
+	const budget = 260 // 208 measured (243 before the fan-out's sub-queries shared one deadline, 294 before a trace was one slab and the cache kept no trace, 467 before sources searched out of slabs, 625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
 	t.Logf("cold search: %.0f allocations (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("cold search allocates %.0f objects, budget %d", got, budget)
+	}
+}
+
+// TestColdSearchAllocsPerSource bounds what one more contacted source
+// adds to a cold, uncached search — its translation, its sub-query's
+// dispatch and wait, the source's own search and its share of the merge:
+// the allocations of a search over three in-process sources, less those
+// of the same search over one, halved.
+func TestColdSearchAllocsPerSource(t *testing.T) {
+	allocs := func(n int) float64 {
+		ms := New(Options{})
+		defer ms.Close()
+		for i := range n {
+			ms.Add(client.NewLocalConn(oneDocSource(t, "s"+strconv.Itoa(i)), nil))
+		}
+		q := rankingQuery(t, `list((body-of-text "databases"))`)
+		search := func() {
+			ans, err := ms.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ans.Contacted) != n {
+				t.Fatalf("contacted %v, want all %d sources", ans.Contacted, n)
+			}
+		}
+		for range 20 { // harvests, dispatch queues, metric handles
+			search()
+		}
+		return testing.AllocsPerRun(400, search)
+	}
+	got := (allocs(3) - allocs(1)) / 2
+	const budget = 47 // 42.5 measured (54.5 when each sub-query and its wire call derived a deadline of their own), plus a tenth
+	t.Logf("cold search: %.1f allocations per contacted source (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("each contacted source adds %.1f allocations, budget %d", got, budget)
 	}
 }
 

@@ -44,12 +44,15 @@ type Options struct {
 	// MaxSources bounds how many sources a query contacts; 0 contacts
 	// every source with non-zero estimated goodness.
 	MaxSources int
-	// Timeout is the per-source query deadline; default 15s.
+	// Timeout bounds every source call of a step — each harvest of the
+	// harvest step and each sub-query of the fan-out — measured from the
+	// step's start: a source that has not answered by then fails alone.
+	// Default 15s.
 	Timeout time.Duration
 	// Budget bounds one whole Search call — harvesting plus fan-out —
-	// independently of the per-source Timeout; 0 sets no overall
+	// independently of each step's Timeout; 0 sets no overall
 	// deadline. With a budget, a pathological fleet degrades the answer
-	// instead of stacking per-source timeouts.
+	// instead of stacking the steps' timeouts.
 	Budget time.Duration
 	// Breaker, when set, is asked once per wire call, harvest or query,
 	// however many searches share it: a source it refuses is skipped
@@ -422,7 +425,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 // merger; the answer itself comes from the same batch merge either way.
 func (m *Metasearcher) fill(ctx context.Context, q *query.Query, em *emitter) (*Answer, time.Duration, error) {
 	// The budget bounds the whole call — harvesting included — while
-	// Timeout bounds each individual source.
+	// Timeout bounds the source calls of each step.
 	if m.opts.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.opts.Budget)

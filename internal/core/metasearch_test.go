@@ -430,3 +430,50 @@ func TestSearchSurvivesHarvestFailure(t *testing.T) {
 		t.Error("strict Harvest should surface the broken source")
 	}
 }
+
+// hungHarvestConn never answers a harvest: Metadata blocks until its
+// context ends, which it reports by closing cancelled.
+type hungHarvestConn struct {
+	failingConn
+	cancelled chan struct{}
+}
+
+func (h *hungHarvestConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
+	<-ctx.Done()
+	close(h.cancelled)
+	return nil, ctx.Err()
+}
+
+// TestHungHarvestDegradesWithinTimeout: a source that hangs while being
+// harvested fails alone once the harvest's Timeout passes — its call
+// cancelled — and the healthy sources answer, long before the caller's
+// own deadline.
+func TestHungHarvestDegradesWithinTimeout(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	ms, _ := fleetWith(t, Options{Timeout: timeout})
+	defer ms.Close()
+	hung := &hungHarvestConn{failingConn: failingConn{id: "hung"}, cancelled: make(chan struct{})}
+	ms.Add(hung)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	q := rankingQuery(t, `list((body-of-text "databases"))`)
+	start := time.Now()
+	ans, err := ms.Search(ctx, q)
+	if took := time.Since(start); took > 20*timeout {
+		t.Errorf("search took %v, want it bounded by a few Timeouts (%v)", took, timeout)
+	}
+	if err != nil {
+		t.Fatalf("search failed: %v", err)
+	}
+	if len(ans.Documents) == 0 {
+		t.Error("the healthy sources' documents are missing")
+	}
+	if got := ans.Degraded.HarvestFailed; !slices.Equal(got, []string{"hung"}) {
+		t.Errorf("HarvestFailed = %v, want [hung]", got)
+	}
+	select {
+	case <-hung.cancelled:
+	case <-time.After(2 * time.Second):
+		t.Error("the hung harvest's context was never cancelled")
+	}
+}

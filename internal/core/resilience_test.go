@@ -14,6 +14,7 @@ import (
 	"starts/internal/engine"
 	"starts/internal/index"
 	"starts/internal/meta"
+	"starts/internal/resilient"
 	"starts/internal/source"
 )
 
@@ -127,6 +128,82 @@ func TestSearchBudgetDegradesMixedFleet(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("slow source not reported failed: %s", ans.Degraded)
+	}
+}
+
+// heardBreaker is a resilient.Breaker that also passes on every outcome
+// it records: a call's worker records it after the waiters have left, so
+// a test waits for it here before reading the circuit.
+type heardBreaker struct {
+	*resilient.Breaker
+	heard chan error
+}
+
+func (b *heardBreaker) Record(id string, err error) {
+	b.Breaker.Record(id, err)
+	b.heard <- err
+}
+
+// searchOnce harvests ms, searches it once and returns the search's
+// error once the breaker has heard the sub-query's outcome.
+func (b *heardBreaker) searchOnce(t *testing.T, ms *Metasearcher) error {
+	t.Helper()
+	if err := ms.Harvest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-b.heard
+	_, err := ms.Search(context.Background(), rankingQuery(t, `list((body-of-text "databases"))`))
+	select {
+	case <-b.heard:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sub-query's outcome never reached the breaker")
+	}
+	return err
+}
+
+// TestSourceTimeoutTripsItsCircuit: a source that hangs past the Timeout
+// has failed, so its circuit counts it (and, half-open, a hung probe
+// reopens it); one the search's Budget cut short has not, as the caller
+// gave up first.
+func TestSourceTimeoutTripsItsCircuit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want resilient.State
+	}{
+		{"timeout", Options{Timeout: 30 * time.Millisecond}, resilient.StateOpen},
+		{"budget", Options{Timeout: 5 * time.Second, Budget: 30 * time.Millisecond}, resilient.StateClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			br := &heardBreaker{resilient.NewBreaker(resilient.BreakerConfig{FailureThreshold: 1}), make(chan error, 4)}
+			tc.opts.Breaker = br
+			ms := New(tc.opts)
+			defer ms.Close()
+			ms.Add(&slowConn{failingConn{id: "slow"}})
+			if err := br.searchOnce(t, ms); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("search = %v, want the slow source's deadline", err)
+			}
+			if got := br.State("slow"); got != tc.want {
+				t.Errorf("circuit %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRetryBackoffPastTimeoutFailsFast: a retrying source whose next
+// backoff would outlast the Timeout fails at once with its own error,
+// which its circuit counts, instead of sleeping until its waiters give up.
+func TestRetryBackoffPastTimeoutFailsFast(t *testing.T) {
+	br := &heardBreaker{resilient.NewBreaker(resilient.BreakerConfig{FailureThreshold: 1}), make(chan error, 4)}
+	ms := New(Options{Timeout: 500 * time.Millisecond, Breaker: br})
+	defer ms.Close()
+	// Backoffs are capped at 2 s and jittered down to half: at least 1 s.
+	ms.Add(resilient.Wrap(&failingConn{id: "flaky"}, resilient.RetryPolicy{BaseDelay: time.Hour}, nil))
+	if err := br.searchOnce(t, ms); err == nil || !strings.Contains(err.Error(), "exceeds remaining deadline") {
+		t.Errorf("search = %v, want the source's own fail-fast backoff error", err)
+	}
+	if got := br.State("flaky"); got != resilient.StateOpen {
+		t.Errorf("circuit %v, want open", got)
 	}
 }
 

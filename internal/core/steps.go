@@ -21,6 +21,11 @@ import (
 	"starts/internal/translate"
 )
 
+// errTimeout is why a step stops waiting for a source once
+// Options.Timeout has passed: the source was too slow, a failure its
+// circuit counts (see call), unlike a caller giving up.
+var errTimeout = fmt.Errorf("core: source exceeded the Timeout: %w", context.DeadlineExceeded)
+
 // roster is one search's view of the fleet, read under one lock right
 // after its harvest: choose, translate, the merge inputs and the answer's
 // lifetime all come from it, so they agree on one harvest of every source
@@ -35,16 +40,17 @@ type roster struct {
 // harvest is the first step, and the one path every harvest takes:
 // Harvest, searches and a Broker's exported metadata. It refreshes every
 // source whose harvest is missing or past its DateExpires — best effort,
-// so an unreachable source cannot block the healthy ones — and reads the
-// roster. Re-harvesting lazily, before each search selects, is how the
-// broker honours a source's DateExpires (§3.4). Each refresh is submitted
-// to the source's dispatch queue under the key "harvest", so concurrent
-// searches that both find a source stale share one harvest instead of
-// racing duplicate fetches at it. It fails only when no registered source
-// has a usable entry and the breaker refused none (see merge).
+// within one Options.Timeout from the step's start, so an unreachable or
+// hung source fails alone instead of blocking the healthy ones — and
+// reads the roster. Re-harvesting lazily, before each search selects, is
+// how the broker honours a source's DateExpires (§3.4). Each refresh is
+// submitted to the source's dispatch queue under the key "harvest", so
+// concurrent searches that both find a source stale share one harvest
+// instead of racing duplicate fetches at it. It fails only when no
+// registered source has a usable entry and the breaker refused none (see
+// merge).
 func (m *Metasearcher) harvest(ctx context.Context) (roster, error) {
 	hsp := obs.TraceFrom(ctx).StartSpan("harvest")
-	ctx = obs.WithSpan(ctx, hsp)
 	now := m.opts.Now()
 	m.mu.RLock()
 	total := len(m.members)
@@ -57,6 +63,11 @@ func (m *Metasearcher) harvest(ctx context.Context) (roster, error) {
 	m.mu.RUnlock()
 	m.opts.Metrics.Counter("starts_harvest_cache_hits_total").Add(int64(total - len(stale)))
 	m.opts.Metrics.Counter("starts_harvest_cache_misses_total").Add(int64(len(stale)))
+	if len(stale) > 0 { // nothing to refresh allocates nothing
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(obs.WithSpan(ctx, hsp), m.opts.Timeout, errTimeout)
+		defer cancel()
+	}
 	tickets, errs := make([]*dispatch.Ticket, len(stale)), make([]error, len(stale))
 	for i, id := range stale {
 		tickets[i], errs[i] = m.dispatcher.Submit(ctx, id, "harvest", dispatch.Limits{},
@@ -308,11 +319,13 @@ func askToVerify(sent *query.Query, dropped []query.Term) {
 }
 
 // fanOut is the fan-out step: it queries the planned sources through the
-// dispatch layer, each under its own child span of the "fanout" stage.
-// The wire calls run on each source's bounded worker pool (where
-// identical sub-queries from concurrent searches coalesce into one call),
-// and this search keeps one cheap waiter goroutine per source, so every
-// query span ends at its true completion time.
+// dispatch layer, each under its own child span of the "fanout" stage and
+// all within one Options.Timeout from the step's start, the deadline the
+// dispatcher's admission reads. The wire calls run on each source's
+// bounded worker pool (where identical sub-queries from concurrent
+// searches coalesce into one call), and this search keeps one cheap
+// waiter goroutine per source, so every query span ends at its true
+// completion time.
 //
 // onDone (optional) observes each source's completion as it happens,
 // serialized under the fan-out's mutex — the streaming path's hook (see
@@ -321,7 +334,8 @@ func askToVerify(sent *query.Query, dropped []query.Term) {
 func (m *Metasearcher) fanOut(ctx context.Context, p *plan, onDone func(slot int, oc *SourceOutcome)) []*SourceOutcome {
 	fsp := obs.TraceFrom(ctx).StartSpan("fanout")
 	defer fsp.End(nil)
-	ctx = obs.WithSpan(ctx, fsp)
+	ctx, cancel := context.WithTimeoutCause(ctx, m.opts.Timeout, errTimeout)
+	defer cancel()
 	outcomes := make([]*SourceOutcome, len(p.ids))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -329,7 +343,7 @@ func (m *Metasearcher) fanOut(ctx context.Context, p *plan, onDone func(slot int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			oc := m.queryOne(ctx, p, slot)
+			oc := m.queryOne(ctx, fsp, p, slot)
 			mu.Lock()
 			defer mu.Unlock()
 			outcomes[slot] = oc
@@ -342,10 +356,11 @@ func (m *Metasearcher) fanOut(ctx context.Context, p *plan, onDone func(slot int
 	return outcomes
 }
 
-// queryOne sends the plan's slot-th sub-query and waits for its outcome.
-// In verification mode it also re-checks the answer against the query
-// parts the source could not evaluate.
-func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceOutcome {
+// queryOne sends the plan's slot-th sub-query under a child span of fsp
+// and waits for its outcome until ctx, the fan-out's deadline, ends. In
+// verification mode it also re-checks the answer against the query parts
+// the source could not evaluate.
+func (m *Metasearcher) queryOne(ctx context.Context, fsp *obs.Span, p *plan, slot int) *SourceOutcome {
 	id, src, opts := p.ids[slot], &p.sources[slot], &m.opts
 	oc := &SourceOutcome{Sent: src.sent, Report: src.report}
 	if src.err != nil {
@@ -354,7 +369,7 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	}
 	mem := src.mem
 	oc.Stale = src.entry.stale
-	sp := obs.SpanFrom(ctx).Child(mem.querySpan)
+	sp := fsp.Child(mem.querySpan)
 	sp.SetSource(id)
 	if oc.Stale {
 		sp.Annotate("stale", "true")
@@ -364,38 +379,26 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 	// call (coalescing, queue wait) separately from the source's answer.
 	dsp := sp.Child("dispatch")
 	dsp.SetSource(id)
-	conn, sent, timeout := mem.conn, src.sent, opts.Timeout
+	conn, sent := mem.conn, src.sent
 	start := opts.Now()
-	// The per-source deadline starts before Submit and is carried on the
-	// submitted context, so the dispatcher's deadline-aware admission can
-	// see this caller's remaining budget and refuse work that could not
-	// finish in time (dispatch.ErrDeadline) instead of queueing it. The
-	// batch itself detaches from this cancellation; the wire call is
-	// bounded by the same timeout applied inside the task.
-	wctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
 	// Each sub-query is one task and one wire call on the source's
 	// workers; an identical sub-query already in flight — for this source,
 	// as translated, so two user queries that translate alike share it —
-	// is joined instead, and with it its one breaker admission.
+	// is joined instead, and with it its one breaker admission. The task
+	// adds no deadline: the batch context ends with its last waiter's.
 	key := qcache.Keyer{Scope: mem.dispatchScope}.Key(sent)
-	ticket, err := m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, key, dispatch.Limits{},
+	ticket, err := m.dispatcher.Submit(obs.WithSpan(ctx, sp), id, key, dispatch.Limits{},
 		func(tctx context.Context) (any, error) {
 			return m.call(tctx, id, func(ctx context.Context) (any, error) {
-				// The per-source Timeout bounds the wire call itself; the
-				// waiters' contexts only bound their willingness to wait.
-				qctx, cancel := context.WithTimeout(ctx, timeout)
-				defer cancel()
-				return client.Ask(qctx, conn, sent)
+				return client.Ask(ctx, conn, sent)
 			})
 		})
 	var res *result.Results
 	if err == nil {
-		// The waiter honors the same per-source deadline the direct call
-		// had — covering queue wait plus run — and the search's own
-		// context (budget, cancellation). Abandoning the wait unregisters
-		// this waiter; the wire call is cancelled once nobody waits.
-		v, werr := ticket.Wait(wctx)
+		// The wait — queue wait plus run — ends with the fan-out's
+		// deadline or the search's own context (budget, cancellation);
+		// the wire call is cancelled once nobody waits.
+		v, werr := ticket.Wait(ctx)
 		err = werr
 		if v != nil {
 			res = v.(*result.Results)
@@ -445,7 +448,8 @@ func (m *Metasearcher) queryOne(ctx context.Context, p *plan, slot int) *SourceO
 // exactly once, so the waiters of one batch share one admission as they
 // share one wire call. A refused call fails with dispatch.ErrRefused
 // without reaching the source, so a queue behind an open circuit drains
-// fast; a panic is recorded as a failure before the dispatcher contains it.
+// fast. A panic, and a call whose last waiter's Timeout ran out, are
+// recorded as failures; a call every caller gave up on is not.
 func (m *Metasearcher) call(ctx context.Context, id string, fn dispatch.Task) (any, error) {
 	b := m.opts.Breaker
 	if b == nil {
@@ -461,6 +465,9 @@ func (m *Metasearcher) call(ctx context.Context, id string, fn dispatch.Task) (a
 		}
 	}()
 	v, err := fn(ctx)
+	if err != nil && errors.Is(context.Cause(ctx), errTimeout) {
+		err = errTimeout // the call itself saw only its context cancelled
+	}
 	b.Record(id, err)
 	return v, err
 }

@@ -81,7 +81,8 @@ func Declined(err error) bool {
 // runs on a source-owned worker goroutine under a batch context that
 // carries the submitting leader's trace and metrics but detaches its
 // cancellation; the context ends early only when every waiter has
-// abandoned the batch.
+// abandoned the batch, with the last one's context.Cause as its cause.
+// Its deadline is the latest of its waiters' (none if one has none).
 type Task func(ctx context.Context) (any, error)
 
 // Limits bound one source's queue: how many workers serve it and how
@@ -246,15 +247,15 @@ func (t *Ticket) Led() bool { return t.led }
 // Wait blocks until the batch resolves or ctx ends. Abandoning a batch
 // (ctx ending first) unregisters this waiter; when the last waiter
 // abandons, the batch accepts no new joiners and either leaves the queue
-// on the spot (still waiting) or has its context cancelled (running), so
-// a wire call nobody is waiting for stops — the same behavior an
-// un-dispatched call had under its search's context.
+// on the spot (still waiting) or has its context cancelled with ctx's
+// cause (running), so a wire call nobody is waiting for stops — the same
+// behavior an un-dispatched call had under its search's context.
 func (t *Ticket) Wait(ctx context.Context) (any, error) {
 	select {
 	case <-t.b.done:
 		return t.b.val, t.b.err
 	case <-ctx.Done():
-		t.abandon.Do(func() { t.q.abandon(t.b) })
+		t.abandon.Do(func() { t.q.abandon(t.b, context.Cause(ctx)) })
 		return nil, ctx.Err()
 	}
 }

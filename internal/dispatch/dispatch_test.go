@@ -242,6 +242,80 @@ func TestAbandonMidRunCancelsTask(t *testing.T) {
 	}
 }
 
+// TestBatchContextSpansItsWaiters: the context a shared task runs under
+// reports the latest deadline its waiters brought (none once one brought
+// none), outlives every waiter but the last, and ends with the last
+// one's cause.
+func TestBatchContextSpansItsWaiters(t *testing.T) {
+	d := New(Config{})
+	defer d.Close()
+	running := make(chan context.Context, 1)
+	task := func(tctx context.Context) (any, error) {
+		running <- tctx
+		<-tctx.Done()
+		return nil, tctx.Err()
+	}
+	type waiter struct {
+		ctx    context.Context
+		cancel context.CancelCauseFunc
+		tk     *Ticket
+	}
+	// submit adds a waiter, which brings deadline unless it is zero.
+	submit := func(deadline time.Time) *waiter {
+		w := &waiter{}
+		w.ctx, w.cancel = context.WithCancelCause(context.Background())
+		if !deadline.IsZero() {
+			var stop context.CancelFunc
+			w.ctx, stop = context.WithDeadline(w.ctx, deadline)
+			t.Cleanup(stop)
+		}
+		var err error
+		if w.tk, err = d.Submit(w.ctx, "s", "k", Limits{}, task); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	leave := func(w *waiter, cause error) {
+		w.cancel(cause)
+		if _, err := w.tk.Wait(w.ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait = %v", err)
+		}
+	}
+	wantDeadline := func(tctx context.Context, want time.Time) {
+		t.Helper()
+		got, ok := tctx.Deadline()
+		if ok != !want.IsZero() || ok && !got.Equal(want) {
+			t.Errorf("task deadline = %v, %v; want %v", got, ok, want)
+		}
+	}
+	hour := time.Now().Add(time.Hour).Round(0)
+	leader := submit(hour)
+	tctx := <-running
+	wantDeadline(tctx, hour)
+	later := submit(hour.Add(time.Hour))
+	wantDeadline(tctx, hour.Add(time.Hour))
+	earlier := submit(hour.Add(-time.Minute))
+	wantDeadline(tctx, hour.Add(time.Hour))
+
+	errLeader, errLast := errors.New("leader gave up"), errors.New("last waiter gave up")
+	leave(leader, errLeader)
+	leave(earlier, errLeader)
+	if err := tctx.Err(); err != nil {
+		t.Fatalf("the task ended (%v) while a waiter still waited", err)
+	}
+	leave(later, errLast)
+	if got := context.Cause(tctx); got != errLast {
+		t.Errorf("task cause = %v, want the last waiter's", got)
+	}
+
+	leader = submit(hour)
+	tctx = <-running
+	unbounded := submit(time.Time{})
+	wantDeadline(tctx, time.Time{})
+	leave(leader, nil)
+	leave(unbounded, nil)
+}
+
 // TestInflightStaysBounded drives many distinct keys through a small
 // worker pool and asserts — via the starts_dispatch_inflight gauge the
 // tasks themselves sample — that concurrent wire calls never exceed the

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"starts/internal/obs"
@@ -78,8 +80,8 @@ func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 type batch struct {
 	key      string
 	fn       Task
-	ctx      context.Context
-	cancel   context.CancelFunc
+	ctx      batchCtx
+	cancel   context.CancelCauseFunc
 	enqueued time.Time
 	done     chan struct{}
 
@@ -89,6 +91,31 @@ type batch struct {
 	err    error
 	ran    time.Duration
 	fanout int
+}
+
+// batchCtx is a batch's task context: the leader's values, cancelled
+// with the last waiter's cause when it leaves (see abandon), and the
+// latest deadline its waiters brought, so a task can tell what it has no
+// time left for, such as a retry's backoff.
+type batchCtx struct {
+	context.Context
+	deadline atomic.Int64 // Unix ns; MaxInt64 once a waiter brought none
+}
+
+func (c *batchCtx) Deadline() (time.Time, bool) {
+	d := c.deadline.Load()
+	return time.Unix(0, d), d != math.MaxInt64
+}
+
+// join widens the deadline to cover ctx's. Caller holds q.mu.
+func (c *batchCtx) join(ctx context.Context) {
+	d := int64(math.MaxInt64)
+	if t, ok := ctx.Deadline(); ok {
+		d = t.UnixNano()
+	}
+	if d > c.deadline.Load() {
+		c.deadline.Store(d)
+	}
 }
 
 // submit joins an in-flight batch for key or admits a new one — started
@@ -103,6 +130,7 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 	// The empty key is never stored, so it never finds a batch to join.
 	if b := q.pending[key]; b != nil {
 		b.waiters++
+		b.ctx.join(ctx)
 		q.cSubmitted.Inc()
 		q.cBatched.Inc()
 		return &Ticket{q: q, b: b}, nil
@@ -131,8 +159,9 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 	// The batch context keeps the leader's values (trace, metrics) but
 	// detaches its cancellation: a batch serves every waiter, so it ends
 	// early only when all of them have abandoned it.
-	bctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	b := &batch{key: key, fn: fn, ctx: bctx, cancel: cancel, enqueued: now, waiters: 1, done: make(chan struct{})}
+	b := &batch{key: key, fn: fn, enqueued: now, waiters: 1, done: make(chan struct{})}
+	b.ctx.Context, b.cancel = context.WithCancelCause(context.WithoutCancel(ctx))
+	b.ctx.join(ctx)
 	if key != "" {
 		q.pending[key] = b
 	}
@@ -153,8 +182,8 @@ func (q *queue) submit(ctx context.Context, key string, fn Task) (*Ticket, error
 // identical submit starts a fresh batch instead of joining this one and
 // inheriting its cancellation, and the FIFO if it is still there, so
 // work nobody waits for holds no depth slot. Picked up already, it has
-// its context cancelled instead.
-func (q *queue) abandon(b *batch) {
+// its context cancelled instead, with the waiter's cause.
+func (q *queue) abandon(b *batch, cause error) {
 	now := q.d.cfg.Now()
 	q.mu.Lock()
 	b.waiters--
@@ -179,7 +208,7 @@ func (q *queue) abandon(b *batch) {
 		close(b.done)
 	}
 	if last {
-		b.cancel()
+		b.cancel(cause)
 	}
 }
 
@@ -237,7 +266,7 @@ func (q *queue) run(b *batch) (next *batch) {
 	q.hWait.Observe(now().Sub(b.enqueued))
 	var cancelled, ran int64
 	if b.ctx.Err() != nil {
-		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(b.ctx))
+		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(&b.ctx))
 		cancelled++
 	} else {
 		start := now()
@@ -271,7 +300,7 @@ func (q *queue) run(b *batch) (next *batch) {
 	}
 	q.mu.Unlock()
 	close(b.done)
-	b.cancel() // a resolved batch's context has no further use
+	b.cancel(nil) // a resolved batch's context has no further use
 	return next
 }
 
@@ -282,5 +311,5 @@ func (q *queue) call(b *batch) (v any, err error) {
 			err = fmt.Errorf("dispatch: %s: task panicked: %v", q.source, r)
 		}
 	}()
-	return b.fn(b.ctx)
+	return b.fn(&b.ctx)
 }
