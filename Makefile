@@ -157,7 +157,10 @@ stress:
 # points of the expression parser behind them all, the cache fingerprint
 # against the printer it replaced (internal/qcache/key_oracle_test.go),
 # the engine's cursor evaluator against its oracle
-# (internal/engine/exhaustive.go), result sorting against the stored
+# (internal/engine/exhaustive.go) and its actual query against the
+# copying rewrite (internal/engine/rewrite_test.go), translation for a
+# source against the copying translation
+# (internal/translate/oracle_test.go), result sorting against the stored
 # string keys it replaced (internal/engine/sort_test.go), the harvested metadata and content
 # summary decoders, the substring tokenizers against the copying
 # tokenizer they replaced and the stack-buffer stemmer against the
@@ -168,16 +171,17 @@ stress:
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:700ms \
+	internal/server:FuzzDecodeRequest:600ms \
 	internal/soif:FuzzSOIFRoundTrip:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
-	internal/result:FuzzDocFromSOIFMatchesOracle:700ms \
+	internal/result:FuzzDocFromSOIFMatchesOracle:600ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
 	internal/query:FuzzParseFilter:600ms \
-	internal/query:FuzzParseRanking:700ms \
-	internal/qcache:FuzzCanonicalMatchesOracle:700ms \
+	internal/query:FuzzParseRanking:600ms \
+	internal/qcache:FuzzCanonicalMatchesOracle:600ms \
 	internal/engine:FuzzSearchMatchesExhaustive:1200ms \
 	internal/engine:FuzzSortMatchesKeyOracle:600ms \
+	internal/translate:FuzzForSourceMatchesOracle:600ms \
 	internal/meta:FuzzParseMeta:700ms \
 	internal/meta:FuzzParseSummary:700ms \
 	internal/text:FuzzTokenizeMatchesOracle:600ms \

@@ -111,7 +111,7 @@ func TestColdSearchAllocBudget(t *testing.T) {
 		coldSearch(t, ms, pool, next)
 		next++
 	})
-	const budget = 260 // 208 measured (243 before the fan-out's sub-queries shared one deadline, 294 before a trace was one slab and the cache kept no trace, 467 before sources searched out of slabs, 625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
+	const budget = 218 // 174 measured (208 before translation and the sources' actual queries shared the nodes they left unchanged, 243 before the fan-out's sub-queries shared one deadline, 294 before a trace was one slab and the cache kept no trace, 467 before sources searched out of slabs, 625 before answers were built as slabs, 1 367 before the broker prepared anything ahead), plus a quarter
 	t.Logf("cold search: %.0f allocations (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("cold search allocates %.0f objects, budget %d", got, budget)
@@ -146,7 +146,7 @@ func TestColdSearchAllocsPerSource(t *testing.T) {
 		return testing.AllocsPerRun(400, search)
 	}
 	got := (allocs(3) - allocs(1)) / 2
-	const budget = 47 // 42.5 measured (54.5 when each sub-query and its wire call derived a deadline of their own), plus a tenth
+	const budget = 38 // 34.5 measured (42.5 when each source's translation and actual query rebuilt every node, 54.5 when each sub-query and its wire call derived a deadline of their own), plus a tenth
 	t.Logf("cold search: %.1f allocations per contacted source (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("each contacted source adds %.1f allocations, budget %d", got, budget)

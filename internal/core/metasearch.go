@@ -259,7 +259,9 @@ func (m *Metasearcher) Harvested(id string) (*meta.SourceMeta, *meta.ContentSumm
 
 // SourceOutcome records one contacted source's part of an answer.
 type SourceOutcome struct {
-	// Sent is the translated query actually submitted.
+	// Sent is the translated query actually submitted. It may share the
+	// caller's query's nodes and slices (translate.ForSource): it is
+	// read-only.
 	Sent *query.Query
 	// Report describes what translation dropped.
 	Report *translate.Report

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -370,6 +372,68 @@ func TestPostFilterVerificationMode(t *testing.T) {
 	}
 	if want := query.New().AnswerFields; !slices.Equal(q.AnswerFields, want) {
 		t.Errorf("the caller's answer fields became %v, want %v", q.AnswerFields, want)
+	}
+}
+
+// TestConcurrentSearchesLeaveSharedQueryUnchanged: sixteen searches of one
+// *query.Query at once, in verification mode, over sources that translate
+// it losslessly (the sub-query shares the caller's nodes and slices) and
+// one that drops its author term (askToVerify replaces the sub-query's
+// answer fields). Under -race, a write through anything the sub-queries
+// share with the caller's query fails here, and afterwards the query is
+// what it was.
+func TestConcurrentSearchesLeaveSharedQueryUnchanged(t *testing.T) {
+	ms, _ := fleetWith(t, Options{PostFilter: true, Timeout: 5 * time.Second})
+	defer ms.Close()
+	cfg := engine.NewVectorConfig()
+	cfg.Fields = []attr.Field{attr.FieldBodyOfText}
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.New("no-author", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(&index.Document{Linkage: "http://docs/a", Title: "Metasearch paper",
+		Authors: []string{"Luis Gravano"}, Body: "metasearch over distributed databases"}); err != nil {
+		t.Fatal(err)
+	}
+	ms.Add(client.NewLocalConn(src, nil))
+	mk := func() *query.Query {
+		q := query.New()
+		q.Filter, _ = query.ParseFilter(`((author "Gravano") or (body-of-text "databases"))`)
+		q.Ranking, _ = query.ParseRanking(`list((body-of-text "distributed") (body-of-text stem "databases"))`)
+		q.Sources = []string{"elsewhere"}
+		return q
+	}
+	q, before := mk(), mk()
+	var wg sync.WaitGroup
+	answers := make([]*Answer, 16)
+	errs := make([]error, len(answers))
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = ms.Search(context.Background(), q)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(q, before) {
+		t.Errorf("concurrent searches changed the shared query: filter %s ranking %s answer fields %v",
+			q.Filter, q.Ranking, q.AnswerFields)
+	}
+	oc := answers[0].PerSource["no-author"]
+	if oc == nil || !slices.Contains(oc.Sent.AnswerFields, attr.FieldAuthor) {
+		t.Fatalf("the lossy sub-query did not ask for the author field: %+v", oc)
+	}
+	if cs := answers[0].PerSource["cs"]; cs == nil || cs.Sent == q || cs.Sent.Ranking != q.Ranking {
+		t.Errorf("the lossless sub-query to cs is not a fresh query sharing the caller's ranking: %+v", cs)
 	}
 }
 

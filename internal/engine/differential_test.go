@@ -274,34 +274,41 @@ var fuzzFleet = sync.OnceValue(func() (pairs [3][2]*Engine) {
 	return pairs
 })
 
-// FuzzSearchMatchesExhaustive: whatever filter and ranking the parser
-// accepts, under whichever scorer and answer specification, the cursors and
-// the oracle return the same answer or the same error.
-func FuzzSearchMatchesExhaustive(f *testing.F) {
-	// The paper's Examples 1–12 and the benchmark's five filter shapes.
-	for i, r := range []string{
+// seedRankings and seedFilters are FuzzSearchMatchesExhaustive's seed
+// corpus: the paper's Examples 1–12 and the benchmark's five filter shapes.
+var (
+	seedRankings = []string{
 		"list((body-of-text ``distributed'') (body-of-text ``databases''))",
 		"list((``distributed'' 0.7) (``databases'' 0.3))",
 		"(``distributed'' and ``databases'')",
 		`list((body-of-text "query") (body-of-text "index") (body-of-text "storage"))`,
 		`(("database") prox[3,F] ("query"))`,
 		"",
-	} {
-		for j, fl := range []string{
-			"((author ``Ullman'') and (title ``databases''))",
-			"(title stem ``databases'')",
-			"(``digital'' prox[3,T] ``libraries'')",
-			"((title ``digital'') prox[1,F] (title ``libraries''))",
-			`((title "a") or ((title "b") and-not (any "c")))`,
-			`(date-last-modified > "1996-08-01")`,
-			`(body-of-text [en-US "behavior"])`,
-			`(body-of-text "database")`,
-			`((body-of-text "database") and (body-of-text "query"))`,
-			`((body-of-text "database") or (body-of-text "patient"))`,
-			`((body-of-text "database") and-not (body-of-text "query"))`,
-			`((body-of-text "database") prox[3,F] (body-of-text "query"))`,
-			"",
-		} {
+	}
+	seedFilters = []string{
+		"((author ``Ullman'') and (title ``databases''))",
+		"(title stem ``databases'')",
+		"(``digital'' prox[3,T] ``libraries'')",
+		"((title ``digital'') prox[1,F] (title ``libraries''))",
+		`((title "a") or ((title "b") and-not (any "c")))`,
+		`(date-last-modified > "1996-08-01")`,
+		`(body-of-text [en-US "behavior"])`,
+		`(body-of-text "database")`,
+		`((body-of-text "database") and (body-of-text "query"))`,
+		`((body-of-text "database") or (body-of-text "patient"))`,
+		`((body-of-text "database") and-not (body-of-text "query"))`,
+		`((body-of-text "database") prox[3,F] (body-of-text "query"))`,
+		"",
+	}
+)
+
+// FuzzSearchMatchesExhaustive: whatever filter and ranking the parser
+// accepts, under whichever scorer and answer specification, the cursors and
+// the oracle return the same answer or the same error, and the actual
+// query is the one the copying rewrite echoed.
+func FuzzSearchMatchesExhaustive(f *testing.F) {
+	for i, r := range seedRankings {
+		for j, fl := range seedFilters {
 			f.Add(fl, r, uint8(i*13+j))
 		}
 	}
@@ -309,9 +316,13 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 	// Norm 0.2 to one raw score: the tie goes to the smaller id.
 	f.Add("(A 0", "list((``distriBut ''0.1)(``dAtABAse''0.1))", uint8(14))
 	f.Fuzz(func(t *testing.T, filter, ranking string, spec uint8) {
-		q := query.New()
-		q.Filter, _ = query.ParseFilter(filter)
-		q.Ranking, _ = query.ParseRanking(ranking)
+		parse := func() *query.Query {
+			q := query.New()
+			q.Filter, _ = query.ParseFilter(filter)
+			q.Ranking, _ = query.ParseRanking(ranking)
+			return q
+		}
+		q := parse()
 		if q.Validate() != nil {
 			return
 		}
@@ -323,7 +334,9 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 			{{Field: attr.FieldTitle, Ascending: true}},
 			{{Field: attr.FieldDateLastModified}, {Field: query.ScoreSortField}},
 		}[spec/36%4]
-		requireSameAnswer(t, pair[0], pair[1], q, fmt.Sprintf("filter %q ranking %q spec %d", filter, ranking, spec))
+		what := fmt.Sprintf("filter %q ranking %q spec %d", filter, ranking, spec)
+		requireSameAnswer(t, pair[0], pair[1], q, what)
+		requireActualMatchesOracle(t, pair[0], q, parse(), what)
 	})
 }
 
@@ -331,10 +344,11 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 // a source the size of the benchmark's big ones, so that a match-set map
 // (or a pointer per matched document) coming back fails here and not in the
 // next benchmark run. The budgets stand a quarter above what the cursor
-// evaluator needs (10.4, 13.2, 12.5 and 8.7 KB in 28, 29, 28 and 42
-// objects). The twenty documents returned take about 6 KB of it, in a
-// handful of slabs; the query's term resolution and cursors take the
-// slabs of one index.Scratch.
+// evaluator needs (9.8, 12.6, 11.9 and 8.1 KB in 20, 21, 20 and 34
+// objects; 28, 29, 28 and 42 while the actual query rebuilt every node).
+// The twenty documents returned take about 6 KB of it, in a handful of
+// slabs; the query's term resolution and cursors take the slabs of one
+// index.Scratch.
 func TestSearchAllocBudget(t *testing.T) {
 	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000})
 	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
@@ -350,10 +364,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		op             string
 		bytes, objects uint64
 	}{
-		{"and", 12940, 35},
-		{"or", 16480, 37},
-		{"and-not", 15660, 35},
-		{"prox[3,F]", 10890, 53},
+		{"and", 12190, 25},
+		{"or", 15730, 27},
+		{"and-not", 14910, 25},
+		{"prox[3,F]", 10160, 43},
 	} {
 		q := mkQuery(t, "("+term(55)+" "+tc.op+" "+term(70)+")", ranking)
 		res, err := e.Search(q) // once unmeasured: the lazily sorted vocabulary and the like
@@ -382,8 +396,9 @@ func TestSearchAllocBudget(t *testing.T) {
 // term statistics), the actual query, the filter's iterator nodes and one
 // index.Scratch whose few slabs hold everything else; a working set that
 // goes back to one small object per term, cursor or document fails here.
-// Each budget is the measured count plus a fifth; beside it are that count
-// and the count before the per-search slabs.
+// Each budget is the measured count plus a fifth; beside it are that count,
+// the count while the actual query rebuilt every node, and the count
+// before the per-search slabs.
 func TestSearchAllocationBudget(t *testing.T) {
 	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 2000, BodyWords: 40, VocabWords: 2000})
 	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
@@ -396,9 +411,9 @@ func TestSearchAllocationBudget(t *testing.T) {
 		name, filter, ranking string
 		budget                float64
 	}{
-		{"ranking", "", "list(" + term(1) + " " + term(60) + " " + term(300) + ")", 28},                                         // 23; before: 84
-		{"filtered", "(" + term(55) + " and " + term(70) + ")", "list(" + term(60) + " " + term(75) + " " + term(90) + ")", 33}, // 27; before: 120
-		{"phrase", "", `(body-of-text "` + w[0] + " " + w[1] + `")`, 71},                                                        // 59; before: 105
+		{"ranking", "", "list(" + term(1) + " " + term(60) + " " + term(300) + ")", 22},                                         // 18; 23; before: 84
+		{"filtered", "(" + term(55) + " and " + term(70) + ")", "list(" + term(60) + " " + term(75) + " " + term(90) + ")", 23}, // 19; 27; before: 120
+		{"phrase", "", `(body-of-text "` + w[0] + " " + w[1] + `")`, 70},                                                        // 58; 59; before: 105
 	} {
 		q := mkQuery(t, tc.filter, tc.ranking)
 		allocs := testing.AllocsPerRun(20, func() {

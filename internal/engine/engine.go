@@ -218,16 +218,7 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	// Interpret term fields in the query's default attribute set (e.g.
 	// dc-1 "creator" resolves to the Basic-1 "author" this engine knows).
 	actualFilter, actualRanking := q.ResolveAttributeSet()
-	if !e.cfg.QueryParts.SupportsFilter() {
-		actualFilter = nil
-	} else {
-		actualFilter = e.rewrite(&s, actualFilter, opts, false)
-	}
-	if !e.cfg.QueryParts.SupportsRanking() {
-		actualRanking = nil
-	} else {
-		actualRanking = e.rewrite(&s, actualRanking, opts, true)
-	}
+	actualFilter, actualRanking = e.rewrite(&s, actualFilter, opts, false), e.rewrite(&s, actualRanking, opts, true)
 
 	res := &result.Results{ActualFilter: actualFilter, ActualRanking: actualRanking}
 

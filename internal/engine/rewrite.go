@@ -11,72 +11,21 @@ import (
 // dropped; unsupported modifiers and illegal field-modifier combinations
 // are stripped from terms; terms consisting entirely of stop words are
 // dropped when stop-word elimination is in force. Dropping an operand
-// collapses its operator:
+// collapses its operator by query.Rewrite's rules, and the nodes no term
+// of which changed are shared with expr.
 //
-//	and(a, dropped)      -> a
-//	or(a, dropped)       -> a
-//	and-not(dropped, b)  -> dropped (no positive component survives)
-//	and-not(a, dropped)  -> a
-//	prox(a, dropped)     -> a
-//	list(... dropped ...)-> list without the item
-//
-// A nil result means the whole expression was dropped. In ranking
+// A nil result means the whole expression was dropped, as is every
+// expression of a kind the engine does not evaluate. In ranking
 // expressions, Document-text terms expand into relevance-feedback lists.
 func (e *Engine) rewrite(s *search, expr query.Expr, opts index.LookupOptions, ranking bool) query.Expr {
-	switch n := expr.(type) {
-	case nil:
-		return nil
-	case *query.TermExpr:
-		return e.rewriteTerm(s, n, opts, ranking)
-	case *query.Bin:
-		l := e.rewrite(s, n.L, opts, ranking)
-		r := e.rewrite(s, n.R, opts, ranking)
-		switch {
-		case l == nil && r == nil:
-			return nil
-		case l == nil:
-			if n.Op == query.OpAndNot {
-				// The positive component is gone; the negation alone is
-				// not a legal query.
-				return nil
-			}
-			return r
-		case r == nil:
-			return l
-		default:
-			return &query.Bin{Op: n.Op, L: l, R: r}
-		}
-	case *query.Prox:
-		l := e.rewrite(s, n.L, opts, ranking)
-		r := e.rewrite(s, n.R, opts, ranking)
-		lt, lok := l.(*query.TermExpr)
-		rt, rok := r.(*query.TermExpr)
-		switch {
-		case lok && rok:
-			return &query.Prox{L: lt, R: rt, Dist: n.Dist, Ordered: n.Ordered}
-		case lok:
-			return lt
-		case rok:
-			return rt
-		default:
-			return nil
-		}
-	case *query.List:
-		out := &query.List{Items: make([]query.Expr, 0, len(n.Items))}
-		for _, it := range n.Items {
-			if kept := e.rewrite(s, it, opts, ranking); kept != nil {
-				out.Items = append(out.Items, kept)
-			}
-		}
-		if len(out.Items) == 0 {
-			return nil
-		}
-		return out
-	default:
+	if ranking && !e.cfg.QueryParts.SupportsRanking() || !ranking && !e.cfg.QueryParts.SupportsFilter() {
 		return nil
 	}
+	return query.Rewrite(expr, func(te *query.TermExpr) query.Expr { return e.rewriteTerm(s, te, opts, ranking) })
 }
 
+// rewriteTerm is rewrite's answer for one term; a term it keeps whole is
+// returned as it is.
 func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOptions, ranking bool) query.Expr {
 	t := te.Term
 	if !e.SupportsField(t.EffectiveField()) {
@@ -92,15 +41,14 @@ func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOpt
 	}
 	// Strip unsupported modifiers and illegal combinations, keeping the
 	// term itself.
-	var mods []attr.Modifier
-	for _, m := range t.Mods {
-		if e.SupportsModifier(m) && e.AllowsCombination(t.EffectiveField(), m) {
-			mods = append(mods, m)
-		}
-	}
-	t.Mods = mods
+	t, stripped := t.KeepMods(func(m attr.Modifier) bool {
+		return e.SupportsModifier(m) && e.AllowsCombination(te.EffectiveField(), m)
+	})
 	if e.eliminated(s, t, opts) {
 		return nil
+	}
+	if !stripped {
+		return te
 	}
 	return &query.TermExpr{Term: t}
 }

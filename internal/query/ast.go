@@ -4,6 +4,11 @@
 // operators), complex ranking expressions (the vector-space component,
 // which adds the list operator and per-term weights), and the SQuery
 // object that carries a complete query with its result specification.
+//
+// An Expr is immutable once built: every rewrite goes through Rewrite,
+// which returns unchanged nodes as they are, so a translated query, a
+// source's actual query and a cached answer may all share the nodes of
+// the query they came from.
 package query
 
 import (
@@ -58,6 +63,28 @@ func (t Term) HasMod(m attr.Modifier) bool {
 		}
 	}
 	return false
+}
+
+// KeepMods returns t with only the modifiers keep accepts, and whether
+// keep refused any. The kept modifiers are a new slice only then: t's own
+// is never written.
+func (t Term) KeepMods(keep func(attr.Modifier) bool) (Term, bool) {
+	var kept []attr.Modifier
+	stripped := false
+	for i, m := range t.Mods {
+		switch {
+		case keep(m):
+			if stripped {
+				kept = append(kept, m)
+			}
+		case !stripped:
+			kept, stripped = append(kept, t.Mods[:i]...), true
+		}
+	}
+	if stripped {
+		t.Mods = kept
+	}
+	return t, stripped
 }
 
 // Comparison returns the term's comparison modifier, defaulting to "=" as
@@ -282,49 +309,102 @@ func walk(e Expr, fn func(Expr) error) error {
 	return nil
 }
 
-// TransformTerms returns a structurally identical copy of expr with fn
-// applied to every term — used, for example, to resolve fields from a
-// non-default attribute set into the Basic-1 fields engines evaluate.
-// A nil expr stays nil.
-func TransformTerms(e Expr, fn func(Term) Term) Expr {
+// Rewrite is the one walker of every query rewrite: attribute-set
+// resolution, translation for a source, and a source's actual query. It
+// asks term what replaces each term node — the node itself, a new
+// expression, or nil to drop it — and collapses each operator an operand
+// of which was dropped:
+//
+//	and(a, dropped)      -> a
+//	or(a, dropped)       -> a
+//	and-not(dropped, b)  -> dropped (no positive component survives)
+//	and-not(a, dropped)  -> a
+//	prox(a, dropped)     -> a (an operand that is no longer a term is dropped)
+//	list(... dropped ...)-> list without the item; an empty list is dropped
+//
+// Rewrite is copy-on-write: a node none of whose terms changed is
+// returned as it is, and only the nodes above a changed term are new, so
+// the result shares every unchanged subtree with e. A nil result means
+// the whole expression was dropped.
+func Rewrite(e Expr, term func(*TermExpr) Expr) Expr {
 	switch n := e.(type) {
-	case nil:
-		return nil
 	case *TermExpr:
-		return &TermExpr{Term: fn(n.Term)}
+		return term(n)
 	case *Bin:
-		return &Bin{Op: n.Op, L: TransformTerms(n.L, fn), R: TransformTerms(n.R, fn)}
+		l, r := Rewrite(n.L, term), Rewrite(n.R, term)
+		switch {
+		case l == nil && r == nil:
+			return nil
+		case l == nil:
+			if n.Op == OpAndNot {
+				return nil
+			}
+			return r
+		case r == nil:
+			return l
+		case l == n.L && r == n.R:
+			return n
+		default:
+			return &Bin{Op: n.Op, L: l, R: r}
+		}
 	case *Prox:
-		return &Prox{
-			L:    &TermExpr{Term: fn(n.L.Term)},
-			R:    &TermExpr{Term: fn(n.R.Term)},
-			Dist: n.Dist, Ordered: n.Ordered,
+		l, r := term(n.L), term(n.R)
+		lt, lok := l.(*TermExpr)
+		rt, rok := r.(*TermExpr)
+		switch {
+		case lok && rok && lt == n.L && rt == n.R:
+			return n
+		case lok && rok:
+			return &Prox{L: lt, R: rt, Dist: n.Dist, Ordered: n.Ordered}
+		case lok:
+			return lt
+		case rok:
+			return rt
+		default:
+			return nil
 		}
 	case *List:
-		out := &List{Items: make([]Expr, len(n.Items))}
+		var items []Expr // nil until an item changes
 		for i, it := range n.Items {
-			out.Items[i] = TransformTerms(it, fn)
+			kept := Rewrite(it, term)
+			if items == nil && kept != it {
+				items = append(make([]Expr, 0, len(n.Items)), n.Items[:i]...)
+			}
+			if items != nil && kept != nil {
+				items = append(items, kept)
+			}
 		}
-		return out
+		if items == nil && len(n.Items) > 0 {
+			return n
+		}
+		if len(items) == 0 {
+			return nil
+		}
+		return &List{Items: items}
 	default:
-		return e
+		return nil
 	}
 }
 
 // ResolveAttributeSet returns the query's expressions with every term
 // field interpreted in the query's default attribute set (DC-1 creator
 // becomes author, and so on). Basic-1 and unset default sets are the
-// identity.
+// identity; a term whose field does not map is kept as it is.
 func (q *Query) ResolveAttributeSet() (filter, ranking Expr) {
 	set := q.DefaultAttrSet
 	if set == "" || set == attr.SetBasic1 {
 		return q.Filter, q.Ranking
 	}
-	fn := func(t Term) Term {
-		if t.Field != "" {
-			t.Field = attr.ResolveField(set, t.Field)
+	fn := func(te *TermExpr) Expr {
+		if te.Field == "" {
+			return te
 		}
-		return t
+		if f := attr.ResolveField(set, te.Field); f != te.Field {
+			t := te.Term
+			t.Field = f
+			return &TermExpr{Term: t}
+		}
+		return te
 	}
-	return TransformTerms(q.Filter, fn), TransformTerms(q.Ranking, fn)
+	return Rewrite(q.Filter, fn), Rewrite(q.Ranking, fn)
 }

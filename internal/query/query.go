@@ -157,16 +157,6 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// Clone returns a deep-enough copy: expressions are shared (they are
-// immutable once parsed), slices are copied.
-func (q *Query) Clone() *Query {
-	c := *q
-	c.Sources = append([]string(nil), q.Sources...)
-	c.AnswerFields = append([]attr.Field(nil), q.AnswerFields...)
-	c.SortBy = append([]SortKey(nil), q.SortBy...)
-	return &c
-}
-
 // ToSOIF encodes the query as an @SQuery SOIF object in the layout of the
 // paper's Example 6.
 func (q *Query) ToSOIF() (*soif.Object, error) {

@@ -156,18 +156,6 @@ func TestQueryValidate(t *testing.T) {
 	}
 }
 
-func TestQueryClone(t *testing.T) {
-	q := New()
-	q.Filter, _ = ParseFilter(`(title "x")`)
-	q.Sources = []string{"Source-1"}
-	c := q.Clone()
-	c.Sources[0] = "Source-2"
-	c.AnswerFields[0] = attr.FieldAuthor
-	if q.Sources[0] != "Source-1" || q.AnswerFields[0] != attr.FieldTitle {
-		t.Error("Clone shares slices with original")
-	}
-}
-
 func TestQuerySortKeysAndSources(t *testing.T) {
 	q := New()
 	q.Filter, _ = ParseFilter(`(title "x")`)

@@ -119,7 +119,8 @@ type Results struct {
 	// ActualFilter and ActualRanking echo the query the source really
 	// processed after dropping any parts it does not support; STARTS has
 	// no error reporting, so this echo is how metasearchers learn that a
-	// source ignored part of a query.
+	// source ignored part of a query. An in-process source's echo may
+	// share the submitted query's nodes: it is read-only.
 	ActualFilter  query.Expr
 	ActualRanking query.Expr
 	// Documents are the result documents, in source rank order.

@@ -3,6 +3,7 @@ package translate
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,12 +15,16 @@ import (
 	"starts/internal/text"
 )
 
-// The translation ForSource replaced — a stop list built from m.StopWords
-// for every call, the three capability lists scanned per term — kept as
-// the oracle of the compiled lookups that hang off a *meta.SourceMeta.
+// The translation ForSource replaced — a copy of the query's slices, a
+// stop list built from m.StopWords for every call, the three capability
+// lists scanned per term, every node rebuilt — kept as the oracle of the
+// compiled lookups that hang off a *meta.SourceMeta and of the
+// copy-on-write rewrite.
 
 func oracleForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
-	out := q.Clone()
+	c := *q
+	c.Sources, c.AnswerFields, c.SortBy = slices.Clone(q.Sources), slices.Clone(q.AnswerFields), slices.Clone(q.SortBy)
+	out := &c
 	out.Filter, out.Ranking = out.ResolveAttributeSet()
 	out.DefaultAttrSet = attr.SetBasic1
 	rep := &Report{}
@@ -32,7 +37,7 @@ func oracleForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report)
 	if !m.QueryParts.SupportsFilter() {
 		if out.Filter != nil {
 			rep.DroppedFilter = true
-			collectTerms(out.Filter, rep)
+			rep.DroppedTerms = append(rep.DroppedTerms, out.Filter.Terms(nil)...)
 			out.Filter = nil
 		}
 	} else {
@@ -202,7 +207,7 @@ func (tr *oracleTranslator) allStopWords(t query.Term) bool {
 // oracleMetas is the metadata set of the translation experiment (X4 in
 // the root package's paper_test.go: the reference engine and four hobbled
 // ones, as their sources export them), fullMeta, and variations on it.
-func oracleMetas(t *testing.T) []*meta.SourceMeta {
+func oracleMetas(t testing.TB) []*meta.SourceMeta {
 	t.Helper()
 	noAuthor := engine.NewVectorConfig()
 	noAuthor.Fields = []attr.Field{attr.FieldBodyOfText}
@@ -266,6 +271,91 @@ func TestForSourceMatchesOracle(t *testing.T) {
 	}
 }
 
+// FuzzForSourceMatchesOracle holds ForSource to the copying translation
+// over whatever filter and ranking the parser accepts, for every metadata
+// of oracleMetas, with stop words kept or dropped and under Basic-1 or
+// dc-1, and requires the caller's query to be what it was.
+func FuzzForSourceMatchesOracle(f *testing.F) {
+	for i, src := range oracleQueries {
+		f.Add(src[0], src[1], uint8(i))
+	}
+	f.Add(`((creator "Ullman") prox[3,F] (description "the"))`, `list((Creator "x") ("y" 0.5) (date > "1996"))`, uint8(3))
+	metas := oracleMetas(f)
+	f.Fuzz(func(t *testing.T, filter, ranking string, spec uint8) {
+		parse := func() *query.Query {
+			q := query.New()
+			q.Filter, _ = query.ParseFilter(filter)
+			q.Ranking, _ = query.ParseRanking(ranking)
+			q.DropStopWords = spec&1 == 0
+			if spec&2 != 0 {
+				q.DefaultAttrSet = attr.SetDC1
+			}
+			return q
+		}
+		q, before := parse(), parse()
+		if q.Validate() != nil {
+			return
+		}
+		for _, m := range metas {
+			wantQ, wantRep := oracleForSource(q, m)
+			gotQ, gotRep := ForSource(q, m)
+			if !reflect.DeepEqual(gotQ, wantQ) || !reflect.DeepEqual(gotRep, wantRep) {
+				t.Fatalf("%s, filter %q ranking %q spec %d:\n got %v / %v %+v\nwant %v / %v %+v",
+					m.SourceID, filter, ranking, spec, gotQ.Filter, gotQ.Ranking, gotRep, wantQ.Filter, wantQ.Ranking, wantRep)
+			}
+			if !reflect.DeepEqual(q, before) {
+				t.Fatalf("%s, filter %q ranking %q spec %d: translation changed the query to %v / %v",
+					m.SourceID, filter, ranking, spec, q.Filter, q.Ranking)
+			}
+		}
+	})
+}
+
+// TestForSourceSharesUnchangedNodes pins the sharing contract: a lossless
+// translation is a fresh *query.Query holding the caller's expressions; a
+// lossy one rebuilds only the nodes above the changed term and shares
+// their untouched siblings; every call returns a query of its own; and
+// the caller's query is never written.
+func TestForSourceSharesUnchangedNodes(t *testing.T) {
+	m := fullMeta()
+	check := func(filter, ranking string, look func(q, sent *query.Query, rep *Report)) {
+		t.Helper()
+		q, before := mkQuery(t, filter, ranking), mkQuery(t, filter, ranking)
+		sent, rep := ForSource(q, m)
+		again, _ := ForSource(q, m)
+		if sent == q || again == q || sent == again {
+			t.Errorf("filter %s ranking %s: ForSource returned the caller's query or one query twice", filter, ranking)
+		}
+		look(q, sent, rep)
+		if !reflect.DeepEqual(q, before) {
+			t.Errorf("filter %s ranking %s: translation changed the query", filter, ranking)
+		}
+	}
+	check(`((author "Ullman") and (body-of-text stem "databases"))`, `list((body-of-text "distributed") ("databases" 0.5))`,
+		func(q, sent *query.Query, rep *Report) {
+			if !rep.Clean() || sent.Filter != q.Filter || sent.Ranking != q.Ranking {
+				t.Errorf("lossless translation rebuilt its expressions (%+v)", rep)
+			}
+			if &sent.AnswerFields[0] != &q.AnswerFields[0] || &sent.SortBy[0] != &q.SortBy[0] {
+				t.Error("lossless translation copied the answer specification")
+			}
+		})
+	check(`(((author "Ullman") and (body-of-text "systems")) or (body-of-text "the"))`,
+		`list((body-of-text "distributed") (body-of-text thesaurus "databases") ((author "Ullman") or (body-of-text "systems")))`,
+		func(q, sent *query.Query, rep *Report) {
+			if got := sent.Filter; got != q.Filter.(*query.Bin).L {
+				t.Errorf("dropping the right operand sent %s, not the shared left operand", got)
+			}
+			in, out := q.Ranking.(*query.List), sent.Ranking.(*query.List)
+			if out == in || out.Items[0] != in.Items[0] || out.Items[2] != in.Items[2] || out.Items[1] == in.Items[1] {
+				t.Errorf("stripping one term's modifier sent %s sharing %v, want all but that term shared", out, out.Items)
+			}
+			if got := out.Items[1].String(); got != `(body-of-text "databases")` || len(rep.StrippedMods) != 1 {
+				t.Errorf("the stripped term went as %s (%+v)", got, rep)
+			}
+		})
+}
+
 // TestForSourceUsesTheNewHarvest is the staleness test: a re-harvest
 // publishes a new SourceMeta, and what was compiled for the old one must
 // not answer for it.
@@ -291,10 +381,13 @@ func TestForSourceUsesTheNewHarvest(t *testing.T) {
 	}
 }
 
-// TestForSourceAllocations pins the hoist: translating for a harvested
-// source builds no stop set, and checking a term against the stop list
-// splits no words. The ceiling is the measured 9 (11 while the check split
-// each term with strings.FieldsFunc) plus a quarter.
+// TestForSourceAllocations pins the hoist and the copy-on-write rewrite:
+// translating for a harvested source builds no stop set, checking a term
+// against the stop list splits no words, and a lossless translation
+// allocates the sent query and its report and shares every node. The
+// ceiling is the measured 2 (9 while the query's slices were copied and
+// every node rebuilt, 11 while the check split each term with
+// strings.FieldsFunc) plus a quarter.
 func TestForSourceAllocations(t *testing.T) {
 	m := fullMeta()
 	for i := 0; i < 200; i++ {
@@ -302,7 +395,9 @@ func TestForSourceAllocations(t *testing.T) {
 	}
 	q := mkQuery(t, ``, `list((body-of-text "distributed") (body-of-text "databases"))`)
 	ForSource(q, m)
-	if n := testing.AllocsPerRun(100, func() { ForSource(q, m) }); n > 11 {
+	n := testing.AllocsPerRun(100, func() { ForSource(q, m) })
+	t.Logf("lossless ForSource: %.0f allocations", n)
+	if n > 2.5 {
 		t.Errorf("ForSource allocates %.0f objects on compiled metadata; a 200-word stop set alone is more", n)
 	}
 }

@@ -56,9 +56,12 @@ func (r *Report) Clean() bool {
 
 // ForSource rewrites q for the source described by m. The returned query
 // is what should be sent; the report describes the losses. The original
-// query is not modified.
+// query is not modified. Each call returns a fresh *query.Query sharing
+// with q every node and slice translation left unchanged: it is read-only,
+// and a caller that changes a slice of it replaces the slice.
 func ForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
-	out := q.Clone()
+	c := *q
+	out := &c
 	// Resolve non-default attribute sets up front so capability checks
 	// run against the Basic-1 fields sources advertise.
 	out.Filter, out.Ranking = out.ResolveAttributeSet()
@@ -74,11 +77,11 @@ func ForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
 	if !m.QueryParts.SupportsFilter() {
 		if out.Filter != nil {
 			rep.DroppedFilter = true
-			collectTerms(out.Filter, rep)
+			rep.DroppedTerms = out.Filter.Terms(rep.DroppedTerms)
 			out.Filter = nil
 		}
 	} else {
-		out.Filter = tr.rewrite(out.Filter)
+		out.Filter = query.Rewrite(out.Filter, tr.rewriteTerm)
 	}
 	if !m.QueryParts.SupportsRanking() {
 		if out.Ranking != nil {
@@ -86,7 +89,7 @@ func ForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
 			out.Ranking = nil
 		}
 	} else {
-		out.Ranking = tr.rewrite(out.Ranking)
+		out.Ranking = query.Rewrite(out.Ranking, tr.rewriteTerm)
 	}
 	// Locally implement the missing query part where possible
 	// (MetaCrawler-style): a ranking-only query at a filter-only source
@@ -96,12 +99,12 @@ func ForSource(q *query.Query, m *meta.SourceMeta) (*query.Query, *Report) {
 	if out.Filter == nil && out.Ranking == nil {
 		switch {
 		case rep.DroppedRanking && q.Ranking != nil:
-			if f := tr.rewrite(orOfTerms(q.Ranking)); f != nil {
+			if f := query.Rewrite(orOfTerms(q.Ranking), tr.rewriteTerm); f != nil {
 				out.Filter = f
 				rep.SynthesizedFilter = true
 			}
 		case rep.DroppedFilter && q.Filter != nil:
-			if r := tr.rewrite(listOfTerms(q.Filter)); r != nil {
+			if r := query.Rewrite(listOfTerms(q.Filter), tr.rewriteTerm); r != nil {
 				out.Ranking = r
 				rep.SynthesizedRanking = true
 				rep.DroppedTerms = append(rep.DroppedTerms, q.Filter.Terms(nil)...)
@@ -140,13 +143,6 @@ func listOfTerms(e query.Expr) query.Expr {
 	return l
 }
 
-func collectTerms(e query.Expr, rep *Report) {
-	if e == nil {
-		return
-	}
-	rep.DroppedTerms = append(rep.DroppedTerms, e.Terms(nil)...)
-}
-
 type translator struct {
 	m        *meta.SourceMeta
 	rep      *Report
@@ -154,75 +150,28 @@ type translator struct {
 	dropStop bool
 }
 
-func (tr *translator) rewrite(e query.Expr) query.Expr {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case *query.TermExpr:
-		return tr.rewriteTerm(n)
-	case *query.Bin:
-		l, r := tr.rewrite(n.L), tr.rewrite(n.R)
-		switch {
-		case l == nil && r == nil:
-			return nil
-		case l == nil:
-			if n.Op == query.OpAndNot {
-				return nil
-			}
-			return r
-		case r == nil:
-			return l
-		default:
-			return &query.Bin{Op: n.Op, L: l, R: r}
-		}
-	case *query.Prox:
-		l, r := tr.rewrite(n.L), tr.rewrite(n.R)
-		lt, lok := l.(*query.TermExpr)
-		rt, rok := r.(*query.TermExpr)
-		switch {
-		case lok && rok:
-			return &query.Prox{L: lt, R: rt, Dist: n.Dist, Ordered: n.Ordered}
-		case lok:
-			return lt
-		case rok:
-			return rt
-		default:
-			return nil
-		}
-	case *query.List:
-		out := &query.List{}
-		for _, it := range n.Items {
-			if kept := tr.rewrite(it); kept != nil {
-				out.Items = append(out.Items, kept)
-			}
-		}
-		if len(out.Items) == 0 {
-			return nil
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
+// rewriteTerm drops a term whose field the source lacks or whose words
+// are all its stop words, and strips the modifiers it cannot apply. A
+// term it keeps whole is returned as it is.
 func (tr *translator) rewriteTerm(te *query.TermExpr) query.Expr {
 	t := te.Term
 	if !tr.m.SupportsField(t.EffectiveField()) {
 		tr.rep.DroppedTerms = append(tr.rep.DroppedTerms, t)
 		return nil
 	}
-	var kept []attr.Modifier
-	for _, mod := range t.Mods {
-		if tr.m.SupportsModifier(mod) && tr.m.AllowsCombination(t.EffectiveField(), mod) {
-			kept = append(kept, mod)
-			continue
+	t, stripped := t.KeepMods(func(mod attr.Modifier) bool {
+		if tr.m.SupportsModifier(mod) && tr.m.AllowsCombination(te.EffectiveField(), mod) {
+			return true
 		}
-		tr.rep.StrippedMods = append(tr.rep.StrippedMods, ModStrip{Term: t, Mod: mod})
-	}
-	t.Mods = kept
+		tr.rep.StrippedMods = append(tr.rep.StrippedMods, ModStrip{Term: te.Term, Mod: mod})
+		return false
+	})
 	if tr.dropStop && tr.allStopWords(t) {
 		tr.rep.DroppedTerms = append(tr.rep.DroppedTerms, t)
 		return nil
+	}
+	if !stripped {
+		return te
 	}
 	return &query.TermExpr{Term: t}
 }

@@ -612,9 +612,9 @@ func TestPaperX7Duplicates(t *testing.T) {
 	ms := broker(t, core.Options{}, localConns(srcs)...)
 	var resDocs, resDups, resMulti, naiveDocs, naiveDups, mergedDocs, mergedDups int
 	for _, wq := range corpus.Workload(g, corpus.WorkloadConfig{Seed: 42, NumQueries: 40, FilterFraction: -1, MaxResults: 30}) {
-		q := wq.Query.Clone()
+		q := *wq.Query
 		q.Sources = others
-		rr, err := res.Search(srcs[0].ID(), q)
+		rr, err := res.Search(srcs[0].ID(), &q)
 		if err != nil {
 			t.Fatal(err)
 		}
