@@ -164,29 +164,32 @@ stress:
 # string keys it replaced (internal/engine/sort_test.go), the harvested metadata and content
 # summary decoders, the substring tokenizers against the copying
 # tokenizer they replaced and the stack-buffer stemmer against the
-# copying one (internal/text/oracle_test.go), and the compact
+# copying one (internal/text/oracle_test.go), the compact
 # posting lists against the int32 layout they replaced
-# (internal/index/postings_oracle_test.go). Seeds also run with every
-# `go test`.
+# (internal/index/postings_oracle_test.go), and every merge strategy's
+# one scorer with the keyed fuse, batch and incremental, against the
+# per-strategy batch merges they replaced (internal/merge/oracle_test.go).
+# Seeds also run with every `go test`.
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:600ms \
+	internal/server:FuzzDecodeRequest:500ms \
 	internal/soif:FuzzSOIFRoundTrip:600ms \
 	internal/result:FuzzDecodeStreamItem:600ms \
 	internal/result:FuzzDocFromSOIFMatchesOracle:600ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
-	internal/query:FuzzParseFilter:600ms \
+	internal/query:FuzzParseFilter:500ms \
 	internal/query:FuzzParseRanking:600ms \
 	internal/qcache:FuzzCanonicalMatchesOracle:600ms \
-	internal/engine:FuzzSearchMatchesExhaustive:1200ms \
+	internal/engine:FuzzSearchMatchesExhaustive:1000ms \
 	internal/engine:FuzzSortMatchesKeyOracle:600ms \
 	internal/translate:FuzzForSourceMatchesOracle:600ms \
-	internal/meta:FuzzParseMeta:700ms \
-	internal/meta:FuzzParseSummary:700ms \
+	internal/meta:FuzzParseMeta:600ms \
+	internal/meta:FuzzParseSummary:600ms \
 	internal/text:FuzzTokenizeMatchesOracle:600ms \
 	internal/text:FuzzStemMatchesOracle:400ms \
-	internal/index:FuzzPostingsMatchOracle:600ms
+	internal/index:FuzzPostingsMatchOracle:600ms \
+	internal/merge:FuzzMergeMatchesOracle:600ms
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -13,6 +13,7 @@ import (
 	"starts/internal/query"
 	"starts/internal/result"
 	"starts/internal/source"
+	"starts/internal/text"
 )
 
 // Broker exposes a metasearcher as a STARTS source connection, enabling
@@ -96,13 +97,23 @@ func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 // Summary implements client.Conn: the member summaries aggregated into
 // one, with document frequencies summed per (field, term). The flag bits
 // take the weakest common guarantees (stemmed if any member stems,
-// case-insensitive if any member folds).
+// case-insensitive if any member folds), and each member's terms enter
+// that vocabulary through the folding and stemming the member lacks —
+// never stemmed twice, for Porter is not idempotent.
 func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 	fleet, err := b.ms.harvest(ctx)
 	if err != nil {
 		return nil, err
 	}
 	agg := &meta.ContentSummary{StopWordsIncluded: true, FieldsQualified: true, CaseSensitive: true}
+	for _, e := range fleet.entries {
+		if e != nil { // nil: never harvested, its member is down
+			agg.NumDocs += e.summary.NumDocs
+			agg.Stemming = agg.Stemming || e.summary.Stemming
+			agg.CaseSensitive = agg.CaseSensitive && e.summary.CaseSensitive
+			agg.StopWordsIncluded = agg.StopWordsIncluded && e.summary.StopWordsIncluded
+		}
+	}
 	type key struct {
 		field attr.Field
 		term  string
@@ -111,29 +122,21 @@ func (b *Broker) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 	var order []key
 	for _, e := range fleet.entries {
 		if e == nil {
-			continue // never harvested: its member is down
+			continue
 		}
 		sum := e.summary
-		agg.NumDocs += sum.NumDocs
-		if sum.Stemming {
-			agg.Stemming = true
-		}
-		if !sum.CaseSensitive {
-			agg.CaseSensitive = false
-		}
-		if !sum.StopWordsIncluded {
-			agg.StopWordsIncluded = false
-		}
+		fold, stem := sum.CaseSensitive && !agg.CaseSensitive, agg.Stemming && !sum.Stemming
 		for _, g := range sum.Groups {
 			f := g.Field
 			if !sum.FieldsQualified {
 				f = attr.FieldAny
 			}
 			for _, ti := range g.Terms {
-				k := key{field: f, term: ti.Term}
+				k := key{field: f, term: text.Normalize(ti.Term, fold, stem)}
 				cur := totals[k]
 				if cur == nil {
 					cp := ti
+					cp.Term = k.term
 					totals[k] = &cp
 					order = append(order, k)
 					continue

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"starts/internal/attr"
 	"starts/internal/client"
+	"starts/internal/engine"
+	"starts/internal/index"
 	"starts/internal/lang"
 	"starts/internal/meta"
+	"starts/internal/source"
 )
 
 // TestBrokerHierarchy builds a two-level metasearch hierarchy: a leaf
@@ -84,6 +88,54 @@ func TestBrokerHierarchy(t *testing.T) {
 	}
 	if !foundLeafAttribution {
 		t.Error("leaf attribution lost through the hierarchy")
+	}
+}
+
+// TestBrokerSummaryNormalisesMembers: the aggregate stems when any member
+// stems and folds when any member folds, so every member's terms must be
+// brought into that vocabulary. In fleet, cs stems and folds (5 documents
+// hold "databases") and archive only folds (4); annals, added here, does
+// neither (2 hold "Databases", 1 "databases"). A front GlOSS probe of
+// "databases" stems to "databas", which must count all twelve.
+func TestBrokerSummaryNormalisesMembers(t *testing.T) {
+	leaf, _ := fleet(t)
+	cfg := engine.NewBooleanConfig()
+	cfg.Analyzer.CaseSensitive = true
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	annals, err := source.New("annals", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range []string{"Databases ledger", "Databases", "databases", "ledger"} {
+		if err := annals.Add(&index.Document{Linkage: fmt.Sprintf("http://annals/%d", i), Title: "annal", Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf.Add(client.NewLocalConn(annals, nil))
+	broker, err := leaf.NewBroker("campus-broker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := broker.Summary(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Stemming || sum.CaseSensitive {
+		t.Fatalf("aggregate flags: stemming %v, case-sensitive %v; want stemming, folding", sum.Stemming, sum.CaseSensitive)
+	}
+	if df := sum.DocFreq(attr.FieldBodyOfText, lang.Tag{}, "databas"); df != 12 {
+		t.Errorf(`DocFreq(body-of-text, "databas") = %d, want 5 (cs) + 4 (archive) + 3 (annals)`, df)
+	}
+	for _, w := range []string{"databases", "Databases", "databa"} {
+		if df := sum.DocFreq(attr.FieldBodyOfText, lang.Tag{}, w); df != 0 {
+			t.Errorf("DocFreq(body-of-text, %q) = %d: a spelling outside the stemmed vocabulary", w, df)
+		}
+	}
+	if df := sum.DocFreq(attr.FieldBodyOfText, lang.Tag{}, "ledger"); df != 2 {
+		t.Errorf(`DocFreq(body-of-text, "ledger") = %d, want 2`, df)
 	}
 }
 

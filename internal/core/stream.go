@@ -64,9 +64,10 @@ type StreamSink func(StreamEvent) error
 //
 // How early documents flow depends on the merge strategy: round-robin
 // streams most eagerly, raw-score and scaled-score emit what the
-// pending sources' declared ScoreRanges can no longer displace, and
-// strategies whose scores depend on the full input set (term-stats,
-// calibrated) deliver everything in the terminal event. Either way the
+// pending sources' declared ScoreRanges can no longer displace, and the
+// strategies without a merge.Feeder deliver everything in the terminal
+// event: term-stats, whose scores depend on every answer's statistics,
+// and sample-calibrated. Either way the
 // qcache contract is unchanged: the fully-merged answer is cached at
 // stream end, and cache hits and stale serves replay their shared answer
 // as one terminal event.

@@ -10,7 +10,6 @@ package gloss
 import (
 	"math/rand"
 	"sort"
-	"strings"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
@@ -49,13 +48,13 @@ type probeTerm struct {
 }
 
 // probeSet is one query's ranking terms (or filter terms for a filter-only
-// query) as summary probes. The words are tokenized once; pushing them
-// through a summary's processing flags (case folding, stemming), so that
-// probe vocabulary matches summary vocabulary, happens once per distinct
-// flag pair, however many sources share it.
+// query) as summary probes. The words are tokenized once; bringing them
+// into a summary's vocabulary (text.Normalize under its case and stemming
+// flags) happens once per kind of vocabulary — raw, folded or stemmed —
+// however many sources share it.
 type probeSet struct {
 	raw  []probeTerm
-	norm [3][]probeTerm // by flag pair other than (case-sensitive, unstemmed); nil until a summary asks
+	norm [2][]probeTerm // folded, stemmed (which folds too); nil until a summary asks
 }
 
 var probeTokenizer, _ = text.LookupTokenizer("Acme-2")
@@ -88,38 +87,21 @@ func newProbeSet(q *query.Query) *probeSet {
 	return ps
 }
 
-// foldASCII lower-cases A-Z and nothing else: summaries fold case
-// bytewise, so a non-ASCII capital stays as it is.
-func foldASCII(r rune) rune {
-	if 'A' <= r && r <= 'Z' {
-		return r + 'a' - 'A'
-	}
-	return r
-}
-
 // forSummary returns the probes in s's vocabulary.
 func (ps *probeSet) forSummary(s *meta.ContentSummary) []probeTerm {
 	if s.CaseSensitive && !s.Stemming {
 		return ps.raw
 	}
-	slot := 0 // folded only
-	if s.CaseSensitive {
-		slot = 1 // stemmed only
-	} else if s.Stemming {
-		slot = 2 // both
+	slot := 0 // folded
+	if s.Stemming {
+		slot = 1 // stemmed, whatever the case flag says
 	}
 	if ps.norm[slot] == nil {
 		ps.norm[slot] = make([]probeTerm, len(ps.raw))
 		for i, p := range ps.raw {
 			words := make([]string, len(p.words))
 			for j, w := range p.words {
-				if !s.CaseSensitive {
-					w = strings.Map(foldASCII, w) // w itself when nothing folds
-				}
-				if s.Stemming {
-					w = text.Stem(w)
-				}
-				words[j] = w
+				words[j] = text.Normalize(w, !s.CaseSensitive, s.Stemming)
 			}
 			p.words = words
 			ps.norm[slot][i] = p

@@ -84,16 +84,25 @@ func (Calibrated) Name() string { return "sample-calibrated" }
 
 // Merge implements Strategy.
 func (c Calibrated) Merge(q *query.Query, inputs []SourceResult) []*result.Document {
-	items := newItems(inputs)
-	for _, in := range inputs {
-		cal, ok := c.BySource[in.SourceID]
-		for _, d := range in.Results.Documents {
-			s := d.RawScore
-			if ok {
-				s = cal.Apply(s)
-			}
-			items = append(items, merged{doc: d, score: s, order: len(items)})
+	return mergeAll(q, inputs, calibratedScorer{c.BySource, rosterOf(inputs)}.Score)
+}
+
+// calibratedScorer scores each document by its source's calibration.
+// Calibrated has no Feeder, so a streamed search delivers its whole rank
+// in the terminal event.
+type calibratedScorer struct {
+	bySource map[string]Calibration
+	roster   []StreamSource
+}
+
+func (s calibratedScorer) Score(dst []Item, slot int, r *result.Results) []Item {
+	cal, ok := s.bySource[s.roster[slot].SourceID]
+	for i, d := range r.Documents {
+		score := d.RawScore
+		if ok {
+			score = cal.Apply(score)
 		}
+		dst = append(dst, Item{Doc: d, Score: score, Key: slotKey(slot, i)})
 	}
-	return fuse(items, fuseLimit(q))
+	return dst
 }

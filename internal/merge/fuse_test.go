@@ -10,8 +10,8 @@ import (
 	"starts/internal/result"
 )
 
-func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []merged {
-	items := make([]merged, n)
+func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []Item {
+	items := make([]Item, n)
 	for i := range items {
 		d := &result.Document{
 			RawScore: float64(rng.Intn(8)) / 4, // coarse: plenty of score ties
@@ -20,14 +20,14 @@ func randItems(rng *rand.Rand, n, urlSpace, sourceSpace int) []merged {
 				{Field: attr.FieldLinkage, Value: fmt.Sprintf("http://x/%d", rng.Intn(urlSpace))},
 			},
 		}
-		items[i] = merged{doc: d, score: d.RawScore, order: i}
+		items[i] = Item{Doc: d, Score: d.RawScore, Key: slotKey(0, i)}
 	}
 	return items
 }
 
 // referenceFuse is the pre-heap semantics: collapse duplicates, full
 // stable sort by (score desc, arrival asc), then truncate.
-func referenceFuse(items []merged, limit int) []*result.Document {
+func referenceFuse(items []Item, limit int) []*result.Document {
 	full := fuse(items, 0)
 	if limit > 0 && len(full) > limit {
 		full = full[:limit]
@@ -37,12 +37,12 @@ func referenceFuse(items []merged, limit int) []*result.Document {
 
 // cloneItems deep-copies the fuse working set: fuse mutates the
 // documents it collapses, so the reference run needs its own documents.
-func cloneItems(items []merged) []merged {
-	out := make([]merged, len(items))
+func cloneItems(items []Item) []Item {
+	out := make([]Item, len(items))
 	for i, it := range items {
-		d := *it.doc
-		d.Sources = append([]string(nil), it.doc.Sources...)
-		out[i] = merged{doc: &d, score: it.score, order: it.order}
+		d := *it.Doc
+		d.Sources = append([]string(nil), it.Doc.Sources...)
+		out[i] = Item{Doc: &d, Score: it.Score, Key: it.Key}
 	}
 	return out
 }
@@ -81,18 +81,18 @@ func TestFuseTopKMatchesFullSort(t *testing.T) {
 // order: a duplicate arriving beyond the limit can still promote its
 // document into the top ranks.
 func TestFuseLateDuplicateSurvivesLimit(t *testing.T) {
-	mk := func(url string, score float64, order int) merged {
-		return merged{
-			doc: &result.Document{
+	mk := func(url string, score float64, order int) Item {
+		return Item{
+			Doc: &result.Document{
 				RawScore: score,
 				Sources:  []string{fmt.Sprintf("S%d", order)},
 				Fields:   []result.FieldValue{{Field: attr.FieldLinkage, Value: url}},
 			},
-			score: score,
-			order: order,
+			Score: score,
+			Key:   slotKey(order, 0),
 		}
 	}
-	items := []merged{
+	items := []Item{
 		mk("http://x/a", 0.5, 0),
 		mk("http://x/b", 0.4, 1),
 		mk("http://x/c", 0.3, 2),

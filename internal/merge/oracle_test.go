@@ -19,10 +19,109 @@ import (
 	"starts/internal/source"
 )
 
-// TermStats.Merge and fuse as they were — every TermStats line keyed by a
-// string built for it, three times over; document frequencies and weights
-// in maps; a heap-allocated record per document, copied again by fuse —
-// kept as the oracle of the term table and the value-slice fuse.
+// The strategies' batch merges and fuse as they were — each strategy
+// scoring in its own Merge body, every TermStats line keyed by a string
+// built for it, three times over, document frequencies and weights in
+// maps; a heap-allocated record per document ranked by (score, arrival),
+// copied again by fuse — kept as the oracles of the one scorer per
+// strategy, the term table and the keyed fuse.
+
+// oracleItem is the old working record: arrival order where Item has a key.
+type oracleItem struct {
+	doc   *result.Document
+	score float64
+	order int
+}
+
+func oracleRawScoreMerge(q *query.Query, inputs []SourceResult) []*result.Document {
+	var items []*oracleItem
+	for _, in := range inputs {
+		for _, d := range in.Results.Documents {
+			items = append(items, &oracleItem{doc: d, score: d.RawScore, order: len(items)})
+		}
+	}
+	return oracleFuse(items, fuseLimit(q))
+}
+
+func oracleScaledMerge(q *query.Query, inputs []SourceResult) []*result.Document {
+	var items []*oracleItem
+	for _, in := range inputs {
+		lo, hi := 0.0, 0.0
+		if in.Meta != nil {
+			lo, hi = in.Meta.ScoreMin, in.Meta.ScoreMax
+		}
+		if in.Meta == nil || math.IsInf(hi, 1) || hi <= lo {
+			lo = 0
+			hi = 0
+			for _, d := range in.Results.Documents {
+				if d.RawScore > hi {
+					hi = d.RawScore
+				}
+			}
+		}
+		span := hi - lo
+		for _, d := range in.Results.Documents {
+			s := 0.0
+			if span > 0 {
+				s = (d.RawScore - lo) / span
+			}
+			items = append(items, &oracleItem{doc: d, score: s, order: len(items)})
+		}
+	}
+	return oracleFuse(items, fuseLimit(q))
+}
+
+func oracleRoundRobinMerge(q *query.Query, inputs []SourceResult) []*result.Document {
+	var items []*oracleItem
+	maxLen := 0
+	for _, in := range inputs {
+		if len(in.Results.Documents) > maxLen {
+			maxLen = len(in.Results.Documents)
+		}
+	}
+	for pos := 0; pos < maxLen; pos++ {
+		for _, in := range inputs {
+			if pos < len(in.Results.Documents) {
+				d := in.Results.Documents[pos]
+				// Score encodes the interleave position so fuse sorts it.
+				items = append(items, &oracleItem{doc: d, score: -float64(pos), order: len(items)})
+			}
+		}
+	}
+	return oracleFuse(items, fuseLimit(q))
+}
+
+func oracleCalibratedMerge(c Calibrated, q *query.Query, inputs []SourceResult) []*result.Document {
+	var items []*oracleItem
+	for _, in := range inputs {
+		cal, ok := c.BySource[in.SourceID]
+		for _, d := range in.Results.Documents {
+			s := d.RawScore
+			if ok {
+				s = cal.Apply(s)
+			}
+			items = append(items, &oracleItem{doc: d, score: s, order: len(items)})
+		}
+	}
+	return oracleFuse(items, fuseLimit(q))
+}
+
+// oracleMerge is s's batch merge as it was.
+func oracleMerge(s Strategy, q *query.Query, inputs []SourceResult) []*result.Document {
+	switch s := s.(type) {
+	case RawScore:
+		return oracleRawScoreMerge(q, inputs)
+	case Scaled:
+		return oracleScaledMerge(q, inputs)
+	case RoundRobin:
+		return oracleRoundRobinMerge(q, inputs)
+	case Calibrated:
+		return oracleCalibratedMerge(s, q, inputs)
+	case TermStats:
+		return oracleTermStatsMerge(s, q, inputs)
+	}
+	panic("no oracle for " + s.Name())
+}
 
 func oracleTermKey(t query.Term) string {
 	return string(t.EffectiveField()) + "\x00" + strings.ToLower(t.Value.Text)
@@ -63,7 +162,7 @@ func oracleTermStatsMerge(t TermStats, q *query.Query, inputs []SourceResult) []
 		}
 	}
 
-	var items []*merged
+	var items []*oracleItem
 	for _, in := range inputs {
 		localN := 0
 		if in.Summary != nil {
@@ -95,15 +194,15 @@ func oracleTermStatsMerge(t TermStats, q *query.Query, inputs []SourceResult) []
 			if d.Count > 1 {
 				score /= math.Sqrt(float64(d.Count))
 			}
-			items = append(items, &merged{doc: d, score: score, order: len(items)})
+			items = append(items, &oracleItem{doc: d, score: score, order: len(items)})
 		}
 	}
 	return oracleFuse(items, fuseLimit(q))
 }
 
-func oracleFuse(items []*merged, limit int) []*result.Document {
-	byURL := map[string]*merged{}
-	var keep []*merged
+func oracleFuse(items []*oracleItem, limit int) []*result.Document {
+	byURL := map[string]*oracleItem{}
+	var keep []*oracleItem
 	for _, it := range items {
 		url := it.doc.Linkage()
 		if prev, ok := byURL[url]; ok {
@@ -276,4 +375,152 @@ func TestMergeLeavesSourceAttributionAlone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzBytes hands out a fuzz input one choice at a time; an exhausted
+// input chooses 0.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// fuzzMerge builds one merge from data: a query, a roster whose sources
+// have no metadata or a bounded, unbounded, inverted or empty score
+// range, answers that are empty, missing (a failed source) or drawn from
+// a small linkage pool (duplicates across and within sources) on a
+// coarse score grid (ties), term statistics in several spellings, and a
+// calibration per source with or without a fit. Building twice from the
+// same data gives independent copies, which merging needs because it
+// rewrites documents.
+func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
+	b := fuzzBytes(data)
+	spellings := []query.Term{
+		query.NewTerm(attr.FieldBodyOfText, lang.L("alpha")),
+		query.NewTerm(attr.FieldBodyOfText, lang.L("Alpha")),
+		query.NewTerm(attr.FieldBodyOfText, lang.L("beta")),
+		query.NewTerm("", lang.L("beta")),
+		query.NewTerm(attr.FieldTitle, lang.L("gamma")), // absent from the query
+	}
+	q := query.New()
+	q.Ranking, _ = query.ParseRanking(fmt.Sprintf(`list((body-of-text "alpha" %g) (body-of-text "BETA"))`, float64(1+b.next(4))/4))
+	q.MaxResults = b.next(6) // 0 is the default cap
+	ranges := [][2]float64{{0, 10}, {0, math.Inf(1)}, {8, 2}, {3, 3}}
+	cal := Calibrated{BySource: map[string]Calibration{}}
+	var sc scenario
+	nSrc, pool := 1+b.next(5), 1+b.next(12)
+	for s := 0; s < nSrc; s++ {
+		id := fmt.Sprintf("S%d", s)
+		src := StreamSource{SourceID: id}
+		if k := b.next(len(ranges) + 1); k > 0 {
+			src.Meta = metaWithRange(ranges[k-1][0], ranges[k-1][1])
+		}
+		if b.next(3) > 0 {
+			src.Summary = &meta.ContentSummary{NumDocs: 10 * b.next(40)}
+		}
+		switch b.next(3) {
+		case 1:
+			cal.BySource[id] = Calibration{Slope: float64(b.next(5)-2) / 2, Intercept: float64(b.next(3)) / 10, Samples: 2}
+		case 2:
+			cal.BySource[id] = Calibration{Intercept: 0.5, Samples: 2} // constant samples
+		}
+		sc.roster = append(sc.roster, src)
+		if b.next(6) == 0 {
+			sc.results = append(sc.results, nil)
+			continue
+		}
+		r := &result.Results{Sources: []string{id}}
+		for d := b.next(7); d > 0; d-- {
+			var stats []result.TermStat
+			for k := b.next(3); k > 0; k-- {
+				stats = append(stats, result.TermStat{
+					Term: spellings[b.next(len(spellings))],
+					Freq: b.next(4), DocFreq: 10 * b.next(5),
+				})
+			}
+			doc := doc(fmt.Sprintf("http://pool/%d", b.next(pool)), float64(b.next(11)), stats...)
+			doc.Sources, doc.Count, doc.Size = []string{id}, 1000*b.next(3), b.next(3)
+			r.Documents = append(r.Documents, doc)
+		}
+		sc.results = append(sc.results, r)
+	}
+	order := make([]int, nSrc)
+	for i := range order {
+		j := i - b.next(i+1) // an inside-out shuffle
+		order[i], order[j] = order[j], i
+	}
+	return q, sc, cal, order
+}
+
+// inputsOf is a scenario's batch inputs: its answering sources in roster
+// order.
+func inputsOf(sc scenario) []SourceResult {
+	var inputs []SourceResult
+	for slot, src := range sc.roster {
+		if r := sc.results[slot]; r != nil {
+			inputs = append(inputs, SourceResult{SourceID: src.SourceID, Meta: src.Meta, Summary: src.Summary, Results: r})
+		}
+	}
+	return inputs
+}
+
+// checkMergeMatchesOracle holds every strategy's Merge to its oracle —
+// the same documents in the same order with the same attributions,
+// promoted statistics and raw scores — and every strategy's incremental
+// merge, fed in data's completion order, to its batch rank: the emitted
+// prefix is that rank's prefix pointer for pointer.
+func checkMergeMatchesOracle(t *testing.T, data []byte) {
+	q, _, cal, _ := fuzzMerge(data)
+	for _, strat := range []Strategy{RawScore{}, Scaled{}, RoundRobin{}, cal, TermStats{}, TermStats{LocalIDF: true}} {
+		_, mine, _, _ := fuzzMerge(data)
+		_, theirs, _, _ := fuzzMerge(data)
+		got, want := strat.Merge(q, inputsOf(mine)), oracleMerge(strat, q, inputsOf(theirs))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d documents, oracle %d: %v vs %v", strat.Name(), len(got), len(want), urls(got), urls(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s rank %d:\n got %+v\nwant %+v", strat.Name(), i, got[i], want[i])
+			}
+		}
+
+		_, streamed, _, order := fuzzMerge(data)
+		inc := NewIncremental(strat, q, streamed.roster)
+		var prefix []*result.Document
+		for _, slot := range order {
+			prefix = append(prefix, inc.Offer(slot, streamed.results[slot])...)
+		}
+		final := inc.Finish()
+		if len(prefix) != inc.Emitted() || len(prefix) > len(final) {
+			t.Fatalf("%s: emitted %d (counted %d) of a %d-document rank", strat.Name(), len(prefix), inc.Emitted(), len(final))
+		}
+		for i, d := range prefix {
+			if final[i] != d {
+				t.Fatalf("%s (order %v): emitted[%d] = %s, rank[%d] = %s", strat.Name(), order, i, d.Linkage(), i, final[i].Linkage())
+			}
+		}
+		for i := range want {
+			if !reflect.DeepEqual(final[i], want[i]) {
+				t.Fatalf("%s, streamed, rank %d:\n got %+v\nwant %+v", strat.Name(), i, final[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzMergeMatchesOracle: its seeds run under go test, and make fuzz
+// searches beyond them.
+func FuzzMergeMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 64; i++ {
+		seed := make([]byte, 40+rng.Intn(160))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(checkMergeMatchesOracle)
 }

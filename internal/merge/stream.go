@@ -1,8 +1,7 @@
 package merge
 
 import (
-	"math"
-	"sort"
+	"slices"
 
 	"starts/internal/meta"
 	"starts/internal/query"
@@ -13,17 +12,12 @@ import (
 // result sets as they arrive and emit documents whose merged rank can no
 // longer change, without waiting for the slowest source.
 //
-// The correctness argument hangs on two facts about fuse:
-//
-//  1. fuse ranks by (score descending, arrival order ascending), where a
-//     document's score is the max over its duplicate occurrences
-//     (promotion is strictly greater-than) and its arrival order is its
-//     first — smallest — occurrence position.
-//  2. Arrival positions are assigned per strategy in a fixed pattern
-//     over (roster slot, per-source document position), so each
-//     occurrence can be given a sparse OrderKey that is order-isomorphic
-//     to the dense position fuse would assign, even before we know which
-//     sources will fail and drop out of the input list.
+// The batch fuse and the Incremental merger share what decides a rank:
+// one scorer per strategy (a Feeder's Score is its batch scoring too),
+// one record (Item) and one comparator (rank). A document's score is the
+// max over its occurrences (promotion is strictly greater-than) and its
+// key is its smallest occurrence key, which OrderKey keeps independent of
+// which sources fail.
 //
 // A settled candidate E — the best (score desc, key asc) document merged
 // so far — may be emitted iff for every still-pending source p:
@@ -33,50 +27,23 @@ import (
 // The score clause may admit equality because fuse promotes only on
 // strictly greater scores: a pending duplicate scoring exactly Score(E)
 // cannot displace E's score. The key clause does double duty: a pending
-// document tying E's score must lose the order tiebreak, and a pending
-// duplicate of E itself must not shrink E's first-occurrence position.
+// document tying E's score must lose the key tiebreak, and a pending
+// duplicate of E itself must not lower E's key.
 //
 // One more hazard survives those two clauses: when some pending p has
 // MaxScore(p) exactly equal to Score(E), a duplicate from p can promote
 // an already-merged document F — one with a lower score but a smaller
-// first-occurrence key than E — into an exact tie, and F would then win
-// the order tiebreak. So with an equal-score pending bound, E is stable
-// only if no unemitted document carries a smaller key. (New documents
-// from p are harmless either way: their keys sit above MinKey(p) and so
-// above Key(E).) Under these bounds nothing a pending source can deliver
+// key than E — into an exact tie, and F would then win the key
+// tiebreak. So with an equal-score pending bound, E is stable only if no
+// unemitted document carries a smaller key. (New documents from p are
+// harmless either way: their keys sit above MinKey(p) and so above
+// Key(E).) Under these bounds nothing a pending source can deliver
 // outranks or mutates E's rank entry, so E's final position is fixed.
 //
-// The incremental merger never mutates documents (no Sources
-// accumulation, no score promotion writes): the stream end runs the
-// ordinary batch Merge over the full inputs, which performs every
-// mutation exactly as a non-streamed search would — the streamed prefix
-// aliases the same *result.Document pointers the final answer returns,
-// so final answers are bit-identical to batch and emitted documents pick
-// up their completed attributions in place.
-
-// OrderKey is a sparse stand-in for fuse's dense arrival position:
-// lexicographic (Major, Minor). Keys from distinct occurrences are
-// distinct, and comparing keys agrees with comparing the dense positions
-// fuse assigns — for every subset of surviving sources, which is what
-// makes the scheme robust to source failures mid-stream.
-type OrderKey struct {
-	Major, Minor int
-}
-
-// Less reports lexicographic order.
-func (k OrderKey) Less(o OrderKey) bool {
-	if k.Major != o.Major {
-		return k.Major < o.Major
-	}
-	return k.Minor < o.Minor
-}
-
-// Item is one scored occurrence of a document in the stream.
-type Item struct {
-	Doc   *result.Document
-	Score float64
-	Key   OrderKey
-}
+// The incremental merger mutates no document: Finish runs the ordinary
+// batch Merge, which promotes scores and completes attributions exactly
+// as a non-streamed search would, and the emitted prefix aliases the
+// pointers it returns, so it picks them up in place.
 
 // Bound caps what a still-pending source can contribute: no occurrence
 // it delivers will score above MaxScore or carry a key below MinKey.
@@ -101,10 +68,10 @@ type StreamSource struct {
 // strategy whose scores drift as more sources report — global IDF, say —
 // cannot feed a stream and simply has no Feeder).
 type Feeder interface {
-	// Score converts one arrived source's results into scored items,
-	// in ascending key order, replicating exactly the scores the
-	// strategy's batch Merge would assign.
-	Score(slot int, r *result.Results) []Item
+	// Score appends one arrived source's results to dst as scored
+	// items, in ascending key order. It is the strategy's batch
+	// scoring too.
+	Score(dst []Item, slot int, r *result.Results) []Item
 	// Pending bounds what the slot could still deliver.
 	Pending(slot int) Bound
 }
@@ -115,14 +82,6 @@ type Feeder interface {
 type Streamable interface {
 	Strategy
 	Feeder(q *query.Query, roster []StreamSource) Feeder
-}
-
-// streamDoc is the working record for one collapsed document: max score
-// and min key over the occurrences integrated so far.
-type streamDoc struct {
-	doc   *result.Document
-	score float64
-	key   OrderKey
 }
 
 // Incremental merges per-source results as they arrive, emitting stable
@@ -137,8 +96,8 @@ type Incremental struct {
 
 	pending map[int]bool
 	arrived []*result.Results
-	byURL   map[string]*streamDoc
-	live    []*streamDoc // collapsed, not yet emitted
+	byURL   map[string]*Item
+	live    []*Item // collapsed, not yet emitted
 	emitted int
 }
 
@@ -153,7 +112,7 @@ func NewIncremental(s Strategy, q *query.Query, roster []StreamSource) *Incremen
 		limit:    fuseLimit(q),
 		pending:  make(map[int]bool, len(roster)),
 		arrived:  make([]*result.Results, len(roster)),
-		byURL:    map[string]*streamDoc{},
+		byURL:    map[string]*Item{},
 	}
 	for i := range roster {
 		inc.pending[i] = true
@@ -179,24 +138,26 @@ func (inc *Incremental) Offer(slot int, r *result.Results) []*result.Document {
 	if inc.feeder == nil || r == nil {
 		return inc.drain()
 	}
-	for _, it := range inc.feeder.Score(slot, r) {
+	// Each offer scores into its own slice, which the records keep
+	// pointing into.
+	items := inc.feeder.Score(make([]Item, 0, len(r.Documents)), slot, r)
+	for i := range items {
+		it := &items[i]
 		url := it.Doc.Linkage()
 		if prev, ok := inc.byURL[url]; ok {
 			// Collapse a duplicate: max score, min key. For an
 			// already-emitted document the emission rule guarantees
 			// both updates are no-ops (assuming honest score ranges).
-			if it.Score > prev.score {
-				prev.score = it.Score
+			if it.Score > prev.Score {
+				prev.Score = it.Score
 			}
-			if it.Key.Less(prev.key) {
-				prev.key = it.Key
-				prev.doc = it.Doc
+			if it.Key.compare(prev.Key) < 0 {
+				prev.Key, prev.Doc = it.Key, it.Doc
 			}
 			continue
 		}
-		sd := &streamDoc{doc: it.Doc, score: it.Score, key: it.Key}
-		inc.byURL[url] = sd
-		inc.live = append(inc.live, sd)
+		inc.byURL[url] = it
+		inc.live = append(inc.live, it)
 	}
 	return inc.drain()
 }
@@ -206,44 +167,36 @@ func (inc *Incremental) drain() []*result.Document {
 	if inc.feeder == nil || len(inc.live) == 0 {
 		return nil
 	}
-	sort.Slice(inc.live, func(i, j int) bool {
-		a, b := inc.live[i], inc.live[j]
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.key.Less(b.key)
-	})
-	var out []*result.Document
+	slices.SortFunc(inc.live, rank)
 	n := 0
-	for n < len(inc.live) {
-		if inc.limit > 0 && inc.emitted >= inc.limit {
-			break
-		}
-		e := inc.live[n]
-		if !inc.stable(e, n) {
-			break
-		}
-		out = append(out, e.doc)
-		inc.emitted++
+	for n < len(inc.live) && (inc.limit <= 0 || inc.emitted+n < inc.limit) && inc.stable(inc.live[n], n) {
 		n++
 	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*result.Document, n)
+	for i, e := range inc.live[:n] {
+		out[i] = e.Doc
+	}
+	inc.emitted += n
 	inc.live = inc.live[n:]
 	return out
 }
 
 // stable reports whether no pending source can change e's rank. from is
 // e's position in live: everything before it was emitted this drain.
-func (inc *Incremental) stable(e *streamDoc, from int) bool {
+func (inc *Incremental) stable(e *Item, from int) bool {
 	for slot := range inc.pending {
 		b := inc.feeder.Pending(slot)
-		if !(b.MaxScore <= e.score && e.key.Less(b.MinKey)) {
+		if !(b.MaxScore <= e.Score && e.Key.compare(b.MinKey) < 0) {
 			return false
 		}
-		if b.MaxScore == e.score {
+		if b.MaxScore == e.Score {
 			// A duplicate from this slot could promote an earlier-keyed
 			// unemitted document into an exact tie that outranks e.
 			for _, f := range inc.live[from:] {
-				if f != e && f.key.Less(e.key) {
+				if f != e && f.Key.compare(e.Key) < 0 {
 					return false
 				}
 			}
@@ -263,107 +216,11 @@ func (inc *Incremental) Finish() []*result.Document {
 	var inputs []SourceResult
 	for slot, src := range inc.roster {
 		if r := inc.arrived[slot]; r != nil {
-			inputs = append(inputs, SourceResult{
-				SourceID: src.SourceID,
-				Meta:     src.Meta,
-				Summary:  src.Summary,
-				Results:  r,
-			})
+			inputs = append(inputs, SourceResult{SourceID: src.SourceID, Meta: src.Meta, Summary: src.Summary, Results: r})
 		}
 	}
 	if len(inputs) == 0 {
 		return nil
 	}
 	return inc.strategy.Merge(inc.q, inputs)
-}
-
-// Feeder implements Streamable: raw scores are arrival-final by
-// definition; a pending source is bounded by its exported ScoreRange
-// when it declares a finite, sane one, and unbounded (never early)
-// otherwise.
-func (RawScore) Feeder(q *query.Query, roster []StreamSource) Feeder {
-	return rawFeeder{roster: roster}
-}
-
-type rawFeeder struct{ roster []StreamSource }
-
-func (f rawFeeder) Score(slot int, r *result.Results) []Item {
-	items := make([]Item, len(r.Documents))
-	for i, d := range r.Documents {
-		items[i] = Item{Doc: d, Score: d.RawScore, Key: OrderKey{slot, i}}
-	}
-	return items
-}
-
-func (f rawFeeder) Pending(slot int) Bound {
-	hi := math.Inf(1)
-	if m := f.roster[slot].Meta; m != nil && !math.IsInf(m.ScoreMax, 1) && m.ScoreMax > m.ScoreMin {
-		hi = m.ScoreMax
-	}
-	return Bound{MaxScore: hi, MinKey: OrderKey{slot, 0}}
-}
-
-// Feeder implements Streamable: each source is normalized from its own
-// metadata (or its own observed maximum), so scaled scores are
-// arrival-final and a pending source can deliver at most 1. This trusts
-// sources to honor their declared ScoreRange — a source scoring above
-// its exported maximum could invalidate an already-emitted prefix
-// (the final answer is unaffected either way).
-func (Scaled) Feeder(q *query.Query, roster []StreamSource) Feeder {
-	return scaledFeeder{roster: roster}
-}
-
-type scaledFeeder struct{ roster []StreamSource }
-
-func (f scaledFeeder) Score(slot int, r *result.Results) []Item {
-	lo, hi := 0.0, 0.0
-	m := f.roster[slot].Meta
-	if m != nil {
-		lo, hi = m.ScoreMin, m.ScoreMax
-	}
-	if m == nil || math.IsInf(hi, 1) || hi <= lo {
-		lo, hi = 0, 0
-		for _, d := range r.Documents {
-			if d.RawScore > hi {
-				hi = d.RawScore
-			}
-		}
-	}
-	span := hi - lo
-	items := make([]Item, len(r.Documents))
-	for i, d := range r.Documents {
-		s := 0.0
-		if span > 0 {
-			s = (d.RawScore - lo) / span
-		}
-		items[i] = Item{Doc: d, Score: s, Key: OrderKey{slot, i}}
-	}
-	return items
-}
-
-func (f scaledFeeder) Pending(slot int) Bound {
-	return Bound{MaxScore: 1, MinKey: OrderKey{slot, 0}}
-}
-
-// Feeder implements Streamable: interleave position is arrival-final and
-// score-free, so round-robin streams eagerly — a fast source's top
-// documents emit as soon as every earlier roster slot has resolved,
-// regardless of how slow the rest are. Keys are (position, slot): the
-// pos-major order fuse's batch interleave flattens to.
-func (RoundRobin) Feeder(q *query.Query, roster []StreamSource) Feeder {
-	return rrFeeder{}
-}
-
-type rrFeeder struct{}
-
-func (rrFeeder) Score(slot int, r *result.Results) []Item {
-	items := make([]Item, len(r.Documents))
-	for pos, d := range r.Documents {
-		items[pos] = Item{Doc: d, Score: -float64(pos), Key: OrderKey{pos, slot}}
-	}
-	return items
-}
-
-func (rrFeeder) Pending(slot int) Bound {
-	return Bound{MaxScore: 0, MinKey: OrderKey{0, slot}}
 }

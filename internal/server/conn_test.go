@@ -117,9 +117,9 @@ func TestOversizeRequestIs413(t *testing.T) {
 // TestNewEqualsNewConns is the differential behind New being a thin
 // constructor: a resource served by New and its sources served as
 // explicitly built LocalConns by NewConns answer every route with the
-// same status, the same validators and the same bytes — and the linkage
-// both rewrite into the metadata is exactly what Source.SetBaseURL, the
-// stamp the server used to apply to the sources themselves, produces.
+// same status, the same validators and the same bytes — and the linkages
+// both rewrite into the metadata are the source's own under the server's
+// base URL.
 func TestNewEqualsNewConns(t *testing.T) {
 	const base = "http://starts.test"
 	_, res := startTestServer(t)
@@ -201,19 +201,22 @@ func TestNewEqualsNewConns(t *testing.T) {
 		})
 	}
 
-	// The served linkage is the stamp SetBaseURL would have left.
+	// The served metadata is the source's own with its linkages under the
+	// server's base URL.
 	served := serve(viaNew, "GET", "/sources/Source-1/metadata", "", "", "").Body.Bytes()
 	src, _ := res.Source("Source-1")
-	src.SetBaseURL(base + "/sources/Source-1")
-	stamped, err := soif.Marshal(src.Metadata().ToSOIF())
+	at := base + "/sources/Source-1"
+	want := src.Metadata()
+	want.Linkage, want.ContentSummaryLinkage, want.SampleDatabaseResults = at+"/query", at+"/summary", at+"/sample"
+	stamped, err := soif.Marshal(want.ToSOIF())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served, stamped) {
-		t.Errorf("served metadata is not the SetBaseURL stamp:\nserved  %s\nstamped %s", served, stamped)
+		t.Errorf("served metadata is not the source's under %s:\nserved  %s\nwant    %s", at, served, stamped)
 	}
 	servedRes := serve(viaNew, "GET", "/resource", "", "", "").Body.String()
-	if !strings.Contains(servedRes, src.MetaURL()) {
-		t.Errorf("/resource does not name %s:\n%s", src.MetaURL(), servedRes)
+	if !strings.Contains(servedRes, at+"/metadata") {
+		t.Errorf("/resource does not name %s/metadata:\n%s", at, servedRes)
 	}
 }

@@ -34,7 +34,6 @@ type Source struct {
 	sources []string
 	name    string
 	eng     *engine.Engine
-	baseURL string
 	// Abstract is the optional hand-written description.
 	Abstract string
 	// Languages lists the collection's languages, exported in metadata.
@@ -53,7 +52,7 @@ func New(id string, eng *engine.Engine) (*Source, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("source: source %q has no engine", id)
 	}
-	return &Source{id: id, sources: []string{id}, name: id, eng: eng, baseURL: "starts://" + id}, nil
+	return &Source{id: id, sources: []string{id}, name: id, eng: eng}, nil
 }
 
 // ID returns the source identifier.
@@ -64,22 +63,6 @@ func (s *Source) Engine() *engine.Engine { return s.eng }
 
 // SetName sets the human-readable source name.
 func (s *Source) SetName(name string) { s.name = name }
-
-// SetBaseURL sets the URL prefix under which the source is served; the
-// query, summary and sample URLs in the exported metadata derive from it.
-func (s *Source) SetBaseURL(u string) { s.baseURL = strings.TrimRight(u, "/") }
-
-// QueryURL is where the source accepts queries.
-func (s *Source) QueryURL() string { return s.baseURL + "/query" }
-
-// SummaryURL is where the content summary is served.
-func (s *Source) SummaryURL() string { return s.baseURL + "/summary" }
-
-// SampleURL is where the sample-database results are served.
-func (s *Source) SampleURL() string { return s.baseURL + "/sample" }
-
-// MetaURL is where the metadata-attributes object is served.
-func (s *Source) MetaURL() string { return s.baseURL + "/metadata" }
 
 // Add indexes a document into the source's collection.
 func (s *Source) Add(d *index.Document) error { return s.eng.Add(d) }
@@ -119,9 +102,9 @@ func (s *Source) Metadata() *meta.SourceMeta {
 		RankingAlgorithmID:    cfg.Scorer.ID(),
 		TurnOffStopWords:      cfg.TurnOffStopWords,
 		SourceName:            s.name,
-		Linkage:               s.QueryURL(),
-		ContentSummaryLinkage: s.SummaryURL(),
-		SampleDatabaseResults: s.SampleURL(),
+		Linkage:               "starts://" + s.id + "/query",
+		ContentSummaryLinkage: "starts://" + s.id + "/summary",
+		SampleDatabaseResults: "starts://" + s.id + "/sample",
 		SourceLanguages:       s.Languages,
 		Abstract:              s.Abstract,
 		DateChanged:           s.Changed,

@@ -100,7 +100,6 @@ func TestMetadataGeneration(t *testing.T) {
 	s.SetName("Stanford DB Group")
 	s.Languages = []lang.Tag{lang.EnglishUS}
 	s.Changed = time.Date(1996, 3, 31, 0, 0, 0, 0, time.UTC)
-	s.SetBaseURL("http://www-db.stanford.edu/source-1")
 
 	m := s.Metadata()
 	if m.SourceID != "Source-1" || m.SourceName != "Stanford DB Group" {
@@ -121,13 +120,13 @@ func TestMetadataGeneration(t *testing.T) {
 	if len(m.StopWords) == 0 {
 		t.Error("StopWordList empty")
 	}
-	if m.Linkage != "http://www-db.stanford.edu/source-1/query" {
+	if m.Linkage != "starts://Source-1/query" {
 		t.Errorf("Linkage = %q", m.Linkage)
 	}
-	if m.ContentSummaryLinkage != "http://www-db.stanford.edu/source-1/summary" {
+	if m.ContentSummaryLinkage != "starts://Source-1/summary" {
 		t.Errorf("ContentSummaryLinkage = %q", m.ContentSummaryLinkage)
 	}
-	if m.SampleDatabaseResults != "http://www-db.stanford.edu/source-1/sample" {
+	if m.SampleDatabaseResults != "starts://Source-1/sample" {
 		t.Errorf("SampleDatabaseResults = %q", m.SampleDatabaseResults)
 	}
 	if !m.SupportsField(attr.FieldAuthor) || !m.SupportsField(attr.FieldTitle) {

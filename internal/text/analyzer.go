@@ -22,23 +22,26 @@ func NewAnalyzer() *Analyzer {
 	return &Analyzer{Tokenizer: tok, Stop: EnglishStopWords(), Stemming: true}
 }
 
-// Fold applies the analyzer's case policy to a single word.
-func (a *Analyzer) Fold(word string) string {
-	if a.CaseSensitive {
-		return word
-	}
-	return strings.ToLower(word)
-}
-
 // NormalizeTerm applies case folding and stemming to a single word,
 // exactly as Analyze would, without stop-word elimination. Query
 // evaluation uses it to map query terms into index vocabulary.
 func (a *Analyzer) NormalizeTerm(word string) string {
-	w := a.Fold(word)
-	if a.Stemming {
-		w = Stem(w)
+	return Normalize(word, !a.CaseSensitive, a.Stemming)
+}
+
+// Normalize brings one word into a vocabulary that folds case (fold) or
+// stems (stem) — an index's, a content summary's, or an aggregate of
+// summaries'. Stemming lower-cases too, so a stemmed word is folded
+// whatever fold says. Porter is not idempotent ("databas" stems to
+// "databa"): never stem a word that is already a stem.
+func Normalize(word string, fold, stem bool) string {
+	if stem {
+		return Stem(word)
 	}
-	return w
+	if fold {
+		return strings.ToLower(word)
+	}
+	return word
 }
 
 // Analyze runs the full pipeline over text. Token positions count every

@@ -18,9 +18,13 @@
 # every metric in the files' `metrics` and `info` (or, with --trace 1, the
 # layer file's `metrics`) it prints the median and the interquartile range
 # on each side, the median's change, whether that change is larger than
-# the parent's IQR, and the sign test: in how many pairs the working tree
-# was better (by BENCHMARK.json's direction; `lower k/N` for a metric it
-# does not list). It writes the same as summary.json, and prints
+# the parent's IQR, the gate's verdict on a metric BENCHMARK.json gates
+# (`bound`: ok when the change's median is within the metric's bound in the
+# worse direction, WORSE beyond it, unresolved when the parent's own
+# IQR/median already exceeds the bound), and the sign test: in how many
+# pairs the working tree was better (by BENCHMARK.json's direction;
+# `lower k/N` for a metric it does not list). It writes the same as
+# summary.json, and prints
 # `make loc` parent -> working tree. Last it prints the paper's quality
 # tables (`go test -count=1 -run '^TestPaper' -v .`, run once in each
 # checkout: they are deterministic) side by side, parent | working tree,
@@ -120,6 +124,7 @@ done <"$out/runs.tsv" |
 	def tsv: split("\n") | map(select(length > 0) | split("\t") | {key: .[0], value: (.[1] | tonumber)}) | from_entries;
 	(($bench[0].end_to_end + $bench[0].per_layer) | map({key: .name, value: .better}) | from_entries) as $better
 	| ($bench[0].end_to_end | map(.name)) as $gated
+	| ($bench[0].end_to_end | map({key: .name, value: .bound}) | from_entries) as $bounds
 	| {parent: $parent, change: $change, pairs: $pairs, seconds: $seconds, trace: $trace,
 	   seeds: [range($seed; $seed + $pairs)],
 	   loc: (($locp | tsv) as $p | ($locc | tsv) as $c
@@ -147,6 +152,12 @@ done <"$out/runs.tsv" |
 					outside_parent_iqr: ((($cst.median - $pst.median) | fabs) > ($pst.q3 - $pst.q1))}}
 				| .value.wins = (if .value.better == "lower" then .value.lower
 					elif .value.better == "higher" then .value.higher else null end)
+				| .value.bound = (.value as $v | $bounds[.key] as $b | ($v.parent.median | fabs) as $p
+					| if $b == null or $p == 0 then null
+					elif ($v.parent.q3 - $v.parent.q1) / $p > $b then "unresolved"
+					elif (if $v.better == "higher" then $v.parent.median - $v.change.median
+						else $v.change.median - $v.parent.median end) / $p > $b then "WORSE"
+					else "ok" end)
 			) | from_entries)}}) | from_entries)}' >"$out/summary.json"
 
 jq -r '
@@ -155,9 +166,9 @@ jq -r '
 	"parent \(.parent[0:12])  change \(.change[0:12] + (if (.change | endswith("+dirty")) then "+dirty" else "" end))  \(.pairs) pairs, seeds \(.seeds[0])-\(.seeds[-1]), \(.seconds) s, trace \(.trace)",
 	(.workloads | to_entries[] |
 		"", "== \(.key): correct parent \(.value.correct.parent) change \(.value.correct.change); failed parent \(.value.failed.parent) change \(.value.failed.change)",
-		"metric\tparent median [q1 q3]\tchange median [q1 q3]\tchange %\t> IQR\twins",
+		"metric\tparent median [q1 q3]\tchange median [q1 q3]\tchange %\t> IQR\tbound\twins",
 		(.value.metrics | to_entries[] | .value as $v |
-			"\(if $v.gated then "*" else "" end)\(.key)\t\($v.parent.median | num) [\($v.parent.q1 | num) \($v.parent.q3 | num)]\t\($v.change.median | num) [\($v.change.q1 | num) \($v.change.q3 | num)]\t\(if $v.delta_pct == null then "-" else ($v.delta_pct * 10 | round / 10 | tostring) end)\t\(if $v.outside_parent_iqr then "yes" else "no" end)\t\(if $v.wins == null then "lower \($v.lower)/\($v.pairs)" else "\($v.wins)/\($v.pairs)" end)")),
+			"\(if $v.gated then "*" else "" end)\(.key)\t\($v.parent.median | num) [\($v.parent.q1 | num) \($v.parent.q3 | num)]\t\($v.change.median | num) [\($v.change.q1 | num) \($v.change.q3 | num)]\t\(if $v.delta_pct == null then "-" else ($v.delta_pct * 10 | round / 10 | tostring) end)\t\(if $v.outside_parent_iqr then "yes" else "no" end)\t\($v.bound // "-")\t\(if $v.wins == null then "lower \($v.lower)/\($v.pairs)" else "\($v.wins)/\($v.pairs)" end)")),
 	"", "make loc\tparent\tchange",
 	(.loc | to_entries[] | "\(.key)\t\(.value.parent // "-")\t\(.value.change)")
 ' "$out/summary.json" | awk -F'\t' '
