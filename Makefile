@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke ab prof-cold prof-wire prof-heap prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke ab prof-cold prof-wire prof-heap prof-cache prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,19 @@ prof-heap:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildIndex$$' -benchtime 1x -memprofilerate 1 \
 		-memprofile $(PROFDIR)/heap.mem -o $(PROFDIR)/index.test ./internal/index
 	$(GO) tool pprof -top -sample_index=inuse_space $(PROFDIR)/index.test $(PROFDIR)/heap.mem | head -40
+
+# prof-cache is prof-heap for the answer cache: BenchmarkFillCache
+# (internal/core: prof-cold's broker, 1 024 distinct cold searches, which
+# fill its cache, the broker kept alive in a package sink) with every
+# allocation sampled, then the profile's top sites by bytes still in use,
+# building, indexing and harvesting the fleet left out — what a full cache
+# holds, by the site that allocated it. The binary and the profile go to
+# PROFDIR.
+prof-cache:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkFillCache$$' -benchtime 1024x -memprofilerate 1 \
+		-memprofile $(PROFDIR)/cache.mem -o $(PROFDIR)/core.test ./internal/core
+	$(GO) tool pprof -top -sample_index=inuse_space -ignore 'coldFleet|harvestOne|index\.Build' $(PROFDIR)/core.test $(PROFDIR)/cache.mem | head -40
 
 # prof-build is prof-heap's CPU counterpart: BenchmarkBuildIndex with a
 # CPU profile, then the profile's top functions — where building an index,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -118,6 +119,61 @@ func TestColdSearchAllocBudget(t *testing.T) {
 	}
 }
 
+// TestColdSearchBytesBudget bounds the bytes one cache-missing search
+// allocates, the broker's and the sources' together, as
+// TestColdSearchAllocBudget bounds their count: the measured mean plus a
+// quarter.
+func TestColdSearchBytesBudget(t *testing.T) {
+	ms, pool := coldFleet(t)
+	const runs = 400
+	next := 0
+	for ; next < 50; next++ { // lazy set-up: dispatch queues, metric handles
+		coldSearch(t, ms, pool, next)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		coldSearch(t, ms, pool, next)
+		next++
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	const budget = 42_500 // 34 000 measured (39 250 when every TermStats entry embedded its term), plus a quarter
+	t.Logf("cold search: %.0f bytes allocated (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("cold search allocates %.0f bytes, budget %d", got, budget)
+	}
+}
+
+// TestAnswerCacheBytesPerEntry bounds what the answer cache holds for one
+// cold search's answer — the merged documents and, through them, the
+// sources' answers with their fields and term statistics: the live heap
+// after filling entries, less the live heap before, per entry. `make
+// prof-cache` attributes it by site.
+func TestAnswerCacheBytesPerEntry(t *testing.T) {
+	ms, pool := coldFleet(t)
+	const entries = 400 // of the cache's 1 024: nothing is evicted
+	next := 0
+	for ; next < 50; next++ { // lazy set-up: dispatch queues, metric handles
+		coldSearch(t, ms, pool, next)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range entries {
+		coldSearch(t, ms, pool, next)
+		next++
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries
+	const budget = 6_400 // 5 100 measured (10 350 when every TermStats entry embedded its term), plus a quarter
+	t.Logf("answer cache: %.0f bytes held per entry (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("the answer cache holds %.0f bytes per entry, budget %d", got, budget)
+	}
+}
+
 // TestColdSearchAllocsPerSource bounds what one more contacted source
 // adds to a cold, uncached search — its translation, its sub-query's
 // dispatch and wait, the source's own search and its share of the merge:
@@ -188,4 +244,21 @@ func BenchmarkColdSearch(b *testing.B) {
 		// cache has long evicted them, so they still miss.
 		coldSearch(b, ms, pool, i%len(pool))
 	}
+}
+
+// cacheSink keeps BenchmarkFillCache's broker, and with it the answer
+// cache, alive until the heap profile is written.
+var cacheSink *Metasearcher
+
+// BenchmarkFillCache answers b.N distinct cold searches into coldFleet's
+// answer cache; with -benchtime 1024x it leaves the cache full, as the
+// cache-churn workload keeps it. `make prof-cache` profiles what it holds.
+func BenchmarkFillCache(b *testing.B) {
+	ms, pool := coldFleet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldSearch(b, ms, pool, i)
+	}
+	cacheSink = ms
 }

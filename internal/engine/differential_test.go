@@ -344,11 +344,12 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 // a source the size of the benchmark's big ones, so that a match-set map
 // (or a pointer per matched document) coming back fails here and not in the
 // next benchmark run. The budgets stand a quarter above what the cursor
-// evaluator needs (9.8, 12.6, 11.9 and 8.1 KB in 20, 21, 20 and 34
-// objects; 28, 29, 28 and 42 while the actual query rebuilt every node).
-// The twenty documents returned take about 6 KB of it, in a handful of
-// slabs; the query's term resolution and cursors take the slabs of one
-// index.Scratch.
+// evaluator needs (8.8, 9.5, 9.5 and 8.0 KB in 20, 21, 20 and 34 objects;
+// 9.8, 12.6, 11.9 and 8.1 KB while every TermStats entry embedded its
+// term; 28, 29, 28 and 42 objects while the actual query rebuilt every
+// node). The twenty documents returned take about 5 KB of it, in a
+// handful of slabs; the query's term resolution and cursors take the
+// slabs of one index.Scratch.
 func TestSearchAllocBudget(t *testing.T) {
 	g := corpus.Generate(corpus.Config{Seed: 5, NumSources: 1, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000})
 	e, err := NewWithDocs(NewVectorConfig(), g.Sources[0].Docs, 0)
@@ -364,10 +365,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		op             string
 		bytes, objects uint64
 	}{
-		{"and", 12190, 25},
-		{"or", 15730, 27},
-		{"and-not", 14910, 25},
-		{"prox[3,F]", 10160, 43},
+		{"and", 10990, 25},
+		{"or", 11890, 27},
+		{"and-not", 11870, 25},
+		{"prox[3,F]", 10040, 43},
 	} {
 		q := mkQuery(t, "("+term(55)+" "+tc.op+" "+term(70)+")", ranking)
 		res, err := e.Search(q) // once unmeasured: the lazily sorted vocabulary and the like

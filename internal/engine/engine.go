@@ -319,6 +319,7 @@ type search struct {
 	sc      *index.Scratch
 	nodes   [4]*query.TermExpr // the ranking's term nodes
 	terms   [4]query.Term      // and their terms
+	reports [4]*query.Term     // and the terms their statistics report
 	weights [4]float64         // and their weights in the current document
 	plan    [4]index.RankTerm
 	fields  [4]attr.Field
@@ -415,7 +416,7 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 			}
 		}
 	}
-	stats, offs := e.termStats(s, snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	stats, offs := e.termStats(s, snap, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, nil
 }
 
@@ -511,34 +512,46 @@ func (e *Engine) rankAndCut(snap index.Snapshot, cands []scoredDoc, maxScore flo
 	return sortTop(snap, cands, q.EffectiveSort(), q.EffectiveMaxResults())
 }
 
-// firstOccurrences maps each term to the index of the first term that
-// prints the same: itself, unless the query repeats a term. Term
-// statistics list a repeated term once.
-func (s *search) firstOccurrences(terms []query.Term) []int {
-	ints := s.sc.Ints(2*len(terms) + 1)
-	first, ends := ints[:len(terms)], ints[len(terms):]
-	key := s.key[:0]
-	for i, t := range terms {
-		key = t.Append(key)
+// reportedTerms returns the term each term node's statistics report, or
+// nil for a node that prints as an earlier one does: term statistics list
+// a repeated term once.
+func (s *search) reportedTerms(nodes []*query.TermExpr) []*query.Term {
+	ints := s.sc.Ints(2*len(nodes) + 1)
+	first, ends := ints[:len(nodes)], ints[len(nodes):]
+	key, terms := s.key[:0], s.reports[:0]
+	for i, nd := range nodes {
+		key = nd.Append(key)
 		ends[i+1] = len(key)
 		for !bytes.Equal(key[ends[first[i]]:ends[first[i]+1]], key[ends[i]:]) {
 			first[i]++
 		}
+		if terms = append(terms, nil); first[i] == i {
+			terms[i] = reported(&nd.Term)
+		}
 	}
-	return first
+	return terms
+}
+
+// reported returns t when it is spelled as statistics report a term — its
+// normalized field and its value, nothing else — and else such a copy.
+func reported(t *query.Term) *query.Term {
+	if t.Field == t.EffectiveField() && len(t.Mods) == 0 && t.Weight == 0 {
+		return t
+	}
+	return &query.Term{Field: t.EffectiveField(), Value: t.Value}
 }
 
 // termStats assembles the TermStats reported with the kept documents, in
 // one slab sized exactly: kept document k's, from its per-term
-// frequencies tfsOf(k), are stats[offs[k]:offs[k+1]] — the terms in query
-// order, a repeated term once, only those the document matches. Reported
-// terms carry field and value but not weights/modifiers.
-func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, terms []query.Term, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
-	first := s.firstOccurrences(terms)
+// frequencies tfsOf(k), are stats[offs[k]:offs[k+1]] — the terms of the
+// ranking's nodes in query order, a repeated term once, only those the
+// document matches. The entries of one term share its pointer.
+func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, nodes []*query.TermExpr, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
+	terms := s.reportedTerms(nodes)
 	n := 0
 	for k := range kept {
 		for i, tf := range tfsOf(k) {
-			if tf > 0 && first[i] == i {
+			if tf > 0 && terms[i] != nil {
 				n++
 			}
 		}
@@ -546,10 +559,10 @@ func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, ter
 	stats, offs = make([]result.TermStat, 0, n), s.sc.Ints(len(kept) + 1)[:1]
 	for k, sd := range kept {
 		tfs, docLen := tfsOf(k), snap.TokenCount(sd.id)
-		for i, t := range terms {
-			if first[i] == i && tfs[i] > 0 {
+		for i, term := range terms {
+			if term != nil && tfs[i] > 0 {
 				stats = append(stats, result.TermStat{
-					Term:    query.Term{Field: t.EffectiveField(), Value: t.Value},
+					Term:    term,
 					Freq:    tfs[i],
 					Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], snap.NumDocs(), docLen)),
 					DocFreq: dfs[i],

@@ -119,6 +119,52 @@ func TestVectorSearchRanks(t *testing.T) {
 	}
 }
 
+// TestTermStatsPointAtTheirTerms: every evaluator's statistics point at
+// the actual query's term node when it is spelled as reported, and
+// otherwise at one reported copy (field and value only) that every
+// document of the answer shares.
+func TestTermStatsPointAtTheirTerms(t *testing.T) {
+	exhaustive := NewVectorConfig()
+	exhaustive.Exhaustive = true
+	for _, cfg := range []Config{NewVectorConfig(), exhaustive} {
+		e := newEngine(t, cfg)
+		for _, tc := range []struct{ filter, ranking string }{
+			{"", `list((body-of-text "distributed") (body-of-text "databases"))`}, // the ranked fast path
+			{`(body-of-text "databases")`, `list((body-of-text "distributed") (body-of-text "databases"))`},
+			{"", `list("distributed" (Body-Of-Text "databases" 0.5) "distributed")`},
+		} {
+			res, err := e.Search(mkQuery(t, tc.filter, tc.ranking))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := rankNodes(res.ActualRanking, nil)
+			shared := map[string]*query.Term{}
+			for _, d := range res.Documents {
+				for _, st := range d.TermStats {
+					want := query.Term{Field: st.Term.EffectiveField(), Value: st.Term.Value}
+					if !reflect.DeepEqual(*st.Term, want) {
+						t.Errorf("%s: reported term %+v, want %+v", tc.ranking, *st.Term, want)
+					}
+					if p, ok := shared[st.Term.String()]; ok && p != st.Term {
+						t.Errorf("%s: two copies of %s in one answer", tc.ranking, st.Term)
+					}
+					shared[st.Term.String()] = st.Term
+					// The node itself exactly when it is spelled as reported.
+					for _, nd := range nodes {
+						spelled := reported(&nd.Term) == &nd.Term && nd.Term.String() == st.Term.String()
+						if at := &nd.Term == st.Term; at != spelled {
+							t.Errorf("%s: %s points at node %s: %t", tc.ranking, st.Term, nd.Term, at)
+						}
+					}
+				}
+			}
+			if len(shared) != 2 {
+				t.Errorf("%s: reported terms %v, want two", tc.ranking, shared)
+			}
+		}
+	}
+}
+
 // TestPaperExample7 reproduces Example 7: a source that does not support
 // ranking expressions ignores them and echoes the actually processed
 // query.

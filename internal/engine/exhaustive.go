@@ -69,52 +69,39 @@ func (e *Engine) scoreDocs(snap index.Snapshot, matched map[int]bool, ranking qu
 	return out, maxScore, ev, nil
 }
 
-// rankEvaluator caches term matches for one query execution.
+// rankEvaluator caches term matches for one query execution: by node,
+// for scoring, and once per distinct term, for the statistics.
 type rankEvaluator struct {
-	matches map[string]*index.TermMatch // keyed by term.String()
-	nodes   map[*query.TermExpr]*index.TermMatch
-	terms   []query.Term
-	// termMatches[i] is the match for terms[i], so per-document paths
-	// never re-derive the map key.
-	termMatches []*index.TermMatch
+	nodes       map[*query.TermExpr]*index.TermMatch
+	terms       []*query.Term      // as reported
+	termMatches []*index.TermMatch // termMatches[i] is terms[i]'s
 	snap        index.Snapshot
 	scorer      Scorer
 }
 
 func (e *Engine) newRankEvaluator(snap index.Snapshot, ranking query.Expr, opts index.LookupOptions) (*rankEvaluator, error) {
-	ev := &rankEvaluator{
-		matches: map[string]*index.TermMatch{},
-		nodes:   map[*query.TermExpr]*index.TermMatch{},
-		snap:    snap,
-		scorer:  e.cfg.Scorer,
-	}
-	for _, t := range ranking.Terms(nil) {
-		key := t.String()
-		if _, ok := ev.matches[key]; ok {
-			continue
+	ev := &rankEvaluator{nodes: map[*query.TermExpr]*index.TermMatch{}, snap: snap, scorer: e.cfg.Scorer}
+	byKey := map[string]*index.TermMatch{} // a repeated term is looked up once
+	for _, nd := range rankNodes(ranking, nil) {
+		key := nd.Term.String()
+		m, ok := byKey[key]
+		if !ok {
+			var err error
+			if m, err = snap.Lookup(nd.Term, opts); err != nil {
+				return nil, err
+			}
+			byKey[key] = m
+			ev.terms = append(ev.terms, reported(&nd.Term))
+			ev.termMatches = append(ev.termMatches, m)
 		}
-		m, err := snap.Lookup(t, opts)
-		if err != nil {
-			return nil, err
-		}
-		ev.matches[key] = m
-		ev.terms = append(ev.terms, t)
-		ev.termMatches = append(ev.termMatches, m)
+		ev.nodes[nd] = m
 	}
 	return ev, nil
 }
 
-// nodeWeight is the scorer weight for an expression node on the per-document
-// scoring path: the term-match lookup is memoized per node pointer, so
-// the SOIF map key (Term.String allocates) is derived once per query
-// instead of once per scored document.
+// nodeWeight is the scorer weight of an expression node in document id.
 func (ev *rankEvaluator) nodeWeight(t *query.TermExpr, id int) float64 {
-	m, ok := ev.nodes[t]
-	if !ok {
-		m = ev.matches[t.Term.String()]
-		ev.nodes[t] = m
-	}
-	return ev.matchWeight(m, id)
+	return ev.matchWeight(ev.nodes[t], id)
 }
 
 func (ev *rankEvaluator) matchWeight(m *index.TermMatch, id int) float64 {
@@ -136,10 +123,8 @@ func (ev *rankEvaluator) appendStats(stats []result.TermStat, id int) []result.T
 		if info == nil {
 			continue
 		}
-		// Reported terms carry field and value but not weights/modifiers.
-		rt := query.Term{Field: t.EffectiveField(), Value: t.Value}
 		stats = append(stats, result.TermStat{
-			Term:    rt,
+			Term:    t,
 			Freq:    info.Freq,
 			Weight:  round4(ev.matchWeight(m, id)),
 			DocFreq: m.DocFreq(),

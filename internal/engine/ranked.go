@@ -59,10 +59,7 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 	if len(ranked) > 0 {
 		maxScore = ranked[0].Score
 	}
-	terms := s.terms[:0]
-	for _, rt := range plan.Terms {
-		terms = append(terms, rt.Term)
-	}
+	nodes := rankNodes(ranking, s.nodes[:0]) // plan.Terms' nodes, in order
 	kept := make([]scoredDoc, 0, len(ranked))
 	for _, rd := range ranked {
 		score := e.cfg.Scorer.Finalize(rd.Score, maxScore)
@@ -73,8 +70,8 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 		}
 		kept = append(kept, scoredDoc{id: rd.ID, score: score})
 	}
-	nt := len(terms)
-	stats, offs := e.termStats(s, snap, kept, terms, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	nt := len(nodes)
+	stats, offs := e.termStats(s, snap, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, true
 }
 

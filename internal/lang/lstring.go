@@ -35,7 +35,7 @@ func (l LString) Append(dst []byte) []byte {
 	if l.Tag.IsZero() {
 		return appendQuote(dst, l.Text)
 	}
-	dst = append(append(dst, '['), l.Tag.String()...)
+	dst = l.Tag.Append(append(dst, '['))
 	return append(appendQuote(append(dst, ' '), l.Text), ']')
 }
 

@@ -76,13 +76,18 @@ func (t Tag) IsZero() bool { return t.Language == "" }
 // String renders the tag in RFC 1766 form ("en-US", "es"). The zero tag
 // renders as the empty string.
 func (t Tag) String() string {
-	if t.Language == "" {
-		return ""
-	}
-	if t.Country == "" {
+	if t.Language == "" || t.Country == "" {
 		return t.Language
 	}
 	return t.Language + "-" + t.Country
+}
+
+// Append appends the tag's String form to dst.
+func (t Tag) Append(dst []byte) []byte {
+	if t.Language == "" || t.Country == "" {
+		return append(dst, t.Language...)
+	}
+	return append(append(append(dst, t.Language...), '-'), t.Country...)
 }
 
 // Matches reports whether t satisfies a request for want. A request for a

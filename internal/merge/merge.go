@@ -357,7 +357,7 @@ func collectionStats(q *query.Query, inputs []SourceResult) *termTable {
 		}
 		for _, d := range in.Results.Documents {
 			for _, s := range d.TermStats {
-				e := &tt.terms[tt.slot(s.Term)]
+				e := &tt.terms[tt.slot(*s.Term)]
 				e.sourceDF = max(e.sourceDF, s.DocFreq)
 			}
 		}
@@ -396,7 +396,7 @@ func (s termScorer) Score(dst []Item, slot int, r *result.Results) []Item {
 			if st.Freq == 0 {
 				continue
 			}
-			e := &s.tt.terms[s.tt.slot(st.Term)]
+			e := &s.tt.terms[s.tt.slot(*st.Term)]
 			df := e.df
 			if s.local {
 				df = st.DocFreq

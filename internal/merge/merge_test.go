@@ -21,7 +21,8 @@ func doc(url string, score float64, stats ...result.TermStat) *result.Document {
 }
 
 func stat(field attr.Field, term string, tf int, w float64, df int) result.TermStat {
-	return result.TermStat{Term: query.NewTerm(field, lang.L(term)), Freq: tf, Weight: w, DocFreq: df}
+	t := query.NewTerm(field, lang.L(term))
+	return result.TermStat{Term: &t, Freq: tf, Weight: w, DocFreq: df}
 }
 
 func metaWithRange(lo, hi float64) *meta.SourceMeta {

@@ -141,7 +141,7 @@ func oracleTermStatsMerge(t TermStats, q *query.Query, inputs []SourceResult) []
 		perSource := map[string]int{}
 		for _, d := range in.Results.Documents {
 			for _, s := range d.TermStats {
-				key := oracleTermKey(s.Term)
+				key := oracleTermKey(*s.Term)
 				if s.DocFreq > perSource[key] {
 					perSource[key] = s.DocFreq
 				}
@@ -174,7 +174,7 @@ func oracleTermStatsMerge(t TermStats, q *query.Query, inputs []SourceResult) []
 				if s.Freq == 0 {
 					continue
 				}
-				n, df := totalDocs, globalDF[oracleTermKey(s.Term)]
+				n, df := totalDocs, globalDF[oracleTermKey(*s.Term)]
 				if t.LocalIDF {
 					n, df = localN, s.DocFreq
 					if n == 0 {
@@ -185,7 +185,7 @@ func oracleTermStatsMerge(t TermStats, q *query.Query, inputs []SourceResult) []
 					continue
 				}
 				w := (1 + math.Log(float64(s.Freq))) * math.Log(1+float64(n)/float64(df))
-				wt, ok := weights[oracleTermKey(s.Term)]
+				wt, ok := weights[oracleTermKey(*s.Term)]
 				if !ok {
 					wt = 1
 				}
@@ -268,8 +268,16 @@ func oracleInputs(seed int64) (a, b []SourceResult) {
 					Fields:  []result.FieldValue{{Field: attr.FieldLinkage, Value: fmt.Sprintf("http://x/%d", rng.Intn(25))}},
 				}
 				for l := 0; l < rng.Intn(5); l++ {
+					// Every other entry points at a copy of its own, as
+					// no decoder or engine would: equal terms behind
+					// distinct pointers still share one slot.
+					term := &spellings[rng.Intn(len(spellings))]
+					if l%2 == 1 {
+						cp := *term
+						term = &cp
+					}
 					doc.TermStats = append(doc.TermStats, result.TermStat{
-						Term: spellings[rng.Intn(len(spellings))],
+						Term: term,
 						Freq: rng.Intn(6), DocFreq: rng.Intn(4) * rng.Intn(90),
 					})
 				}
@@ -439,7 +447,7 @@ func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
 			var stats []result.TermStat
 			for k := b.next(3); k > 0; k-- {
 				stats = append(stats, result.TermStat{
-					Term: spellings[b.next(len(spellings))],
+					Term: &spellings[b.next(len(spellings))],
 					Freq: b.next(4), DocFreq: 10 * b.next(5),
 				})
 			}

@@ -268,7 +268,7 @@ func (m *SourceMeta) ToSOIFAt(linkage, summaryLinkage, sampleResults string) *so
 		o.Add("SampleDatabaseResults", sampleResults)
 	}
 	o.Add("StopWordList", strings.Join(m.StopWords, " "))
-	o.Add("TurnOffStopWords", boolTF(m.TurnOffStopWords))
+	o.Add("TurnOffStopWords", query.TF(m.TurnOffStopWords))
 	o.Add("DefaultMetaAttributeSet", string(attr.SetMBasic1))
 	if len(m.SourceLanguages) > 0 {
 		tags := make([]string, len(m.SourceLanguages))
@@ -367,7 +367,7 @@ func MetaFromSOIF(o *soif.Object) (*SourceMeta, error) {
 		m.StopWords = strings.Fields(v)
 	}
 	if v, ok := o.Get("TurnOffStopWords"); ok {
-		if m.TurnOffStopWords, err = parseTF(v); err != nil {
+		if m.TurnOffStopWords, err = query.ParseTF(v); err != nil {
 			return nil, fmt.Errorf("meta: TurnOffStopWords: %w", err)
 		}
 	}
@@ -610,21 +610,4 @@ func setOrBasic(s attr.SetName) attr.SetName {
 		return attr.SetBasic1
 	}
 	return s
-}
-
-func boolTF(b bool) string {
-	if b {
-		return "T"
-	}
-	return "F"
-}
-
-func parseTF(v string) (bool, error) {
-	switch strings.ToUpper(strings.TrimSpace(v)) {
-	case "T", "TRUE":
-		return true, nil
-	case "F", "FALSE":
-		return false, nil
-	}
-	return false, fmt.Errorf("expected T or F, found %q", v)
 }

@@ -138,10 +138,10 @@ func (c *ContentSummary) TotalTerms() int {
 func (c *ContentSummary) ToSOIF() *soif.Object {
 	o := soif.New(SummaryType)
 	o.Add("Version", query.Version)
-	o.Add("Stemming", boolTF(c.Stemming))
-	o.Add("StopWords", boolTF(c.StopWordsIncluded))
-	o.Add("CaseSensitive", boolTF(c.CaseSensitive))
-	o.Add("Fields", boolTF(c.FieldsQualified))
+	o.Add("Stemming", query.TF(c.Stemming))
+	o.Add("StopWords", query.TF(c.StopWordsIncluded))
+	o.Add("CaseSensitive", query.TF(c.CaseSensitive))
+	o.Add("Fields", query.TF(c.FieldsQualified))
 	o.Add("NumDocs", strconv.Itoa(c.NumDocs))
 	for i := range c.Groups {
 		g := &c.Groups[i]
@@ -189,19 +189,19 @@ func SummaryFromSOIF(o *soif.Object) (*ContentSummary, error) {
 		switch strings.ToLower(a.Name) {
 		case "version":
 		case "stemming":
-			if c.Stemming, err = parseTF(a.Value); err != nil {
+			if c.Stemming, err = query.ParseTF(a.Value); err != nil {
 				return nil, fmt.Errorf("meta: Stemming: %w", err)
 			}
 		case "stopwords":
-			if c.StopWordsIncluded, err = parseTF(a.Value); err != nil {
+			if c.StopWordsIncluded, err = query.ParseTF(a.Value); err != nil {
 				return nil, fmt.Errorf("meta: StopWords: %w", err)
 			}
 		case "casesensitive":
-			if c.CaseSensitive, err = parseTF(a.Value); err != nil {
+			if c.CaseSensitive, err = query.ParseTF(a.Value); err != nil {
 				return nil, fmt.Errorf("meta: CaseSensitive: %w", err)
 			}
 		case "fields":
-			if c.FieldsQualified, err = parseTF(a.Value); err != nil {
+			if c.FieldsQualified, err = query.ParseTF(a.Value); err != nil {
 				return nil, fmt.Errorf("meta: Fields: %w", err)
 			}
 		case "numdocs":

@@ -487,17 +487,18 @@ func TestSWRRefreshRacesLRUEviction(t *testing.T) {
 			close(done)
 		}()
 		wg.Wait()
-		// The refresh goroutine is detached; wait for its put (or loss to
-		// churn) to settle before the next round so iterations don't bleed
-		// into each other.
+		// The refresh goroutine is detached; wait until it has finished
+		// (its put landed or lost to churn) before the next round, so
+		// iterations don't bleed into each other. Its put comes before it
+		// leaves c.refreshing, so a landed value is not enough: the next
+		// round's stale serve would find this refresh still running,
+		// start none, and leave its fill (and the churner) waiting.
 		for deadline := time.Now().Add(5 * time.Second); ; {
-			if _, ok := c.Get("hot"); ok {
+			if _, running := c.refreshing.Load("hot"); !running {
 				break
 			}
 			if time.Now().After(deadline) {
-				// Evicted by churn after the refresh landed — legal; the
-				// next iteration refills.
-				break
+				t.Fatalf("iteration %d: the refresh of \"hot\" is still running after 5 s", i)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}

@@ -49,7 +49,11 @@ func oracleCanonical(q *query.Query) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(s.String())
+		dir := "d"
+		if s.Ascending {
+			dir = "a"
+		}
+		b.WriteString(string(s.Field) + " " + dir)
 	}
 	fmt.Fprintf(&b, ";min=%g;max=%d", q.MinScore, q.EffectiveMaxResults())
 	return b.String()

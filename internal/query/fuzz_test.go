@@ -32,8 +32,10 @@ var paperExpressions = []string{
 // parser returns (never panics, never exhausts the stack), and what it
 // accepts prints to a form that parses again and prints the same. Both
 // also hold ScanTerm, whose common form builds no node, to the whole
-// parse it replaced (scanTermOracle).
-func fuzzParse(f *testing.F, parse func(string) (Expr, error)) {
+// parse it replaced (scanTermOracle), and the query encoder, over the
+// expression as a filter or a ranking, to the one it replaced
+// (oracleToSOIF).
+func fuzzParse(f *testing.F, parse func(string) (Expr, error), ranking bool) {
 	for _, src := range paperExpressions {
 		f.Add(src)
 	}
@@ -55,11 +57,14 @@ func fuzzParse(f *testing.F, parse func(string) (Expr, error)) {
 		if again := back.String(); again != printed {
 			t.Errorf("print/parse not stable for %q: %q then %q", src, printed, again)
 		}
+		for _, q := range variants(e, ranking) {
+			requireEncoderMatchesOracle(t, q)
+		}
 	})
 }
 
-func FuzzParseFilter(f *testing.F)  { fuzzParse(f, ParseFilter) }
-func FuzzParseRanking(f *testing.F) { fuzzParse(f, ParseRanking) }
+func FuzzParseFilter(f *testing.F)  { fuzzParse(f, ParseFilter, false) }
+func FuzzParseRanking(f *testing.F) { fuzzParse(f, ParseRanking, true) }
 
 // TestParseNestingBound pins the recursion bound: nesting past
 // maxNesting is a parse error whichever production does the nesting —

@@ -26,15 +26,6 @@ type SortKey struct {
 	Ascending bool
 }
 
-// String renders the key as "field a" or "field d".
-func (k SortKey) String() string {
-	dir := "d"
-	if k.Ascending {
-		dir = "a"
-	}
-	return string(k.Field) + " " + dir
-}
-
 // Query is a complete STARTS query: a filter expression (the Boolean
 // component), a ranking expression (the vector-space component), and the
 // further result specification of Section 4.1.2. Either expression may be
@@ -157,51 +148,63 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// ToSOIF encodes the query as an @SQuery SOIF object in the layout of the
-// paper's Example 6.
-func (q *Query) ToSOIF() (*soif.Object, error) {
+// AppendSOIF appends the query's @SQuery object to dst, in the layout of
+// the paper's Example 6. It fails, returning nil, only on a query that
+// does not validate.
+func (q *Query) AppendSOIF(dst []byte) ([]byte, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	o := &soif.Object{Type: SQueryType, Attrs: make([]soif.Attribute, 0, 11)}
-	o.Add("Version", Version)
+	var buf [printBuf]byte // each value is printed here first; a longer one spills to the heap
+	dst = soif.AppendAttr(soif.AppendType(dst, SQueryType), "Version", Version)
 	if q.Filter != nil {
-		o.Add("FilterExpression", q.Filter.String())
+		dst = soif.AppendAttr(dst, "FilterExpression", AppendExpr(buf[:0], q.Filter))
 	}
 	if q.Ranking != nil {
-		o.Add("RankingExpression", q.Ranking.String())
+		dst = soif.AppendAttr(dst, "RankingExpression", AppendExpr(buf[:0], q.Ranking))
 	}
-	o.Add("DropStopWords", boolTF(q.DropStopWords))
+	dst = soif.AppendAttr(dst, "DropStopWords", TF(q.DropStopWords))
 	if q.DefaultAttrSet != "" {
-		o.Add("DefaultAttributeSet", string(q.DefaultAttrSet))
+		dst = soif.AppendAttr(dst, "DefaultAttributeSet", string(q.DefaultAttrSet))
 	}
 	if !q.DefaultLanguage.IsZero() {
-		o.Add("DefaultLanguage", q.DefaultLanguage.String())
+		dst = soif.AppendAttr(dst, "DefaultLanguage", q.DefaultLanguage.Append(buf[:0]))
 	}
 	if len(q.Sources) > 0 {
-		o.Add("Sources", strings.Join(q.Sources, " "))
+		dst = soif.AppendAttr(dst, "Sources", strings.Join(q.Sources, " "))
 	}
 	if len(q.AnswerFields) > 0 {
-		names := make([]string, len(q.AnswerFields))
-		for i, f := range q.AnswerFields {
-			names[i] = string(attr.Normalize(f))
+		line := buf[:0]
+		for _, f := range q.AnswerFields {
+			line = append(append(line, attr.Normalize(f)...), ' ')
 		}
-		o.Add("AnswerFields", strings.Join(names, " "))
+		dst = soif.AppendAttr(dst, "AnswerFields", line[:len(line)-1])
 	}
 	if len(q.SortBy) > 0 {
-		keys := make([]string, len(q.SortBy))
-		for i, k := range q.SortBy {
-			keys[i] = k.String()
+		line := buf[:0]
+		for _, k := range q.SortBy {
+			if line = append(append(line, k.Field...), " d "...); k.Ascending {
+				line[len(line)-2] = 'a'
+			}
 		}
-		o.Add("SortByFields", strings.Join(keys, " "))
+		dst = soif.AppendAttr(dst, "SortByFields", line[:len(line)-1])
 	}
 	if q.MinScore != 0 {
-		o.Add("MinDocumentScore", strconv.FormatFloat(q.MinScore, 'g', -1, 64))
+		dst = soif.AppendAttr(dst, "MinDocumentScore", strconv.AppendFloat(buf[:0], q.MinScore, 'g', -1, 64))
 	}
 	if q.MaxResults != 0 {
-		o.Add("MaxNumberDocuments", strconv.Itoa(q.MaxResults))
+		dst = soif.AppendAttr(dst, "MaxNumberDocuments", strconv.AppendInt(buf[:0], int64(q.MaxResults), 10))
 	}
-	return o, nil
+	return soif.AppendEnd(dst), nil
+}
+
+// ToSOIF is the query's @SQuery object: AppendSOIF's text, decoded.
+func (q *Query) ToSOIF() (*soif.Object, error) {
+	data, err := q.AppendSOIF(nil)
+	if err != nil {
+		return nil, err
+	}
+	return soif.Unmarshal(data)
 }
 
 // FromSOIF decodes an @SQuery object. Missing attributes take the
@@ -223,7 +226,7 @@ func FromSOIF(o *soif.Object) (*Query, error) {
 		}
 	}
 	if v, ok := o.Get("DropStopWords"); ok {
-		if q.DropStopWords, err = parseTF(v); err != nil {
+		if q.DropStopWords, err = ParseTF(v); err != nil {
 			return nil, fmt.Errorf("query: DropStopWords: %w", err)
 		}
 	}
@@ -275,14 +278,8 @@ func Parse(data []byte) (*Query, error) {
 	return FromSOIF(o)
 }
 
-// Marshal encodes the query to SOIF bytes.
-func (q *Query) Marshal() ([]byte, error) {
-	o, err := q.ToSOIF()
-	if err != nil {
-		return nil, err
-	}
-	return soif.Marshal(o)
-}
+// Marshal encodes the query to SOIF bytes: one allocation for most queries.
+func (q *Query) Marshal() ([]byte, error) { return q.AppendSOIF(make([]byte, 0, 512)) }
 
 func parseSortKeys(v string) ([]SortKey, error) {
 	fields := strings.Fields(v)
@@ -304,14 +301,16 @@ func parseSortKeys(v string) ([]SortKey, error) {
 	return keys, nil
 }
 
-func boolTF(b bool) string {
+// TF prints a STARTS Boolean attribute value: T or F.
+func TF(b bool) string {
 	if b {
 		return "T"
 	}
 	return "F"
 }
 
-func parseTF(v string) (bool, error) {
+// ParseTF reads what TF prints, or TRUE or FALSE, in any case.
+func ParseTF(v string) (bool, error) {
 	switch strings.ToUpper(strings.TrimSpace(v)) {
 	case "T", "TRUE":
 		return true, nil

@@ -149,6 +149,40 @@ func TestEncodeLongFirstDocumentReservesLittle(t *testing.T) {
 	}
 }
 
+// TestDecodeStatsSlabGrowsGeometrically: the first document sizes the
+// stats slab for the rest by its own entries. When it reports one term and
+// every later document three, the slab outgrows that reservation, and it
+// must then grow by doubling, not by one document at a time: twenty more
+// documents cost their twenty texts and a few regrowths.
+func TestDecodeStatsSlabGrowsGeometrically(t *testing.T) {
+	rd := bytes.NewReader(nil)
+	third := TermStat{Term: bodyTerm("systems"), Freq: 2, Weight: 0.2, DocFreq: 40}
+	cost := func(n int) float64 {
+		docs := make([]*Document, n)
+		for i := range docs {
+			docs[i] = source1Doc()
+			docs[i].TermStats = append(docs[i].TermStats, third)
+		}
+		docs[0].TermStats = docs[0].TermStats[:1]
+		answer := &Results{Sources: []string{"Source-1"}, ActualRanking: paperAnswer().ActualRanking, Documents: docs}
+		wire, err := answer.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			rd.Reset(wire)
+			if r, err := decodeResults(soif.NewDecoder(rd), nil); err != nil || len(r.Documents) != n {
+				t.Fatal(r, err)
+			}
+		})
+	}
+	twenty, forty := cost(20), cost(40)
+	t.Logf("%v allocations for 20 documents, %v for 40", twenty, forty)
+	if forty-twenty > 20+3 {
+		t.Errorf("twenty more documents cost %v allocations, want at most 23 (their texts, a few regrowths)", forty-twenty)
+	}
+}
+
 // TestDecodeIntoMatchesDecode: one object, reused through DecodeInto over
 // every seed of the stream corpus in turn, reads each object as
 // Decode reads it into a fresh one — an object with fewer attributes than

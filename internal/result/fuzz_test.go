@@ -58,8 +58,8 @@ func withCount(r *Results, count string) []byte {
 func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // stuffed is a document whose TermStats value is two entries and newlines
-// newlines between them: 120 bytes of TermStat apiece, if a newline is
-// taken for an entry.
+// newlines between them: 32 bytes of TermStat and a term apiece, if a
+// newline is taken for an entry.
 func stuffed(newlines int) []byte {
 	d := soif.New(DocumentType).Add("RawScore", "1")
 	d.Add("TermStats", `"a" 1 1 1`+strings.Repeat("\n", newlines)+`"b" 1 1 1`)

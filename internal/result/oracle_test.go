@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"starts/internal/attr"
 	"starts/internal/query"
@@ -46,7 +47,7 @@ func docFromSOIF(o *soif.Object) (*oracleDoc, error) {
 		case strings.EqualFold(a.Name, "Sources"):
 			d.Sources = strings.Fields(a.Value)
 		case strings.EqualFold(a.Name, "TermStats"):
-			if d.TermStats, err = ParseTermStats(a.Value); err != nil {
+			if d.TermStats, err = oracleParseTermStats(a.Value); err != nil {
 				return nil, err
 			}
 		case strings.EqualFold(a.Name, "DocSize"):
@@ -62,6 +63,41 @@ func docFromSOIF(o *soif.Object) (*oracleDoc, error) {
 		}
 	}
 	return d, nil
+}
+
+// oracleParseTermStats is ParseTermStats as it was: every entry's term
+// parsed on its own, into its own copy.
+func oracleParseTermStats(v string) ([]TermStat, error) {
+	var dst []TermStat
+	for rest := strings.TrimSpace(v); rest != ""; {
+		term, after, err := query.ScanTerm(rest)
+		if err != nil {
+			return nil, fmt.Errorf("TermStats term: %w", err)
+		}
+		s := TermStat{Term: &term}
+		var tok string
+		if tok, after = nextToken(after); tok == "" {
+			return nil, fmt.Errorf("TermStats entry for %s needs freq, weight and docfreq", term)
+		}
+		if s.Freq, err = strconv.Atoi(tok); err != nil {
+			return nil, fmt.Errorf("TermStats freq %q: %w", tok, err)
+		}
+		if tok, after = nextToken(after); tok == "" {
+			return nil, fmt.Errorf("TermStats entry for %s is missing its weight", term)
+		}
+		if s.Weight, err = strconv.ParseFloat(tok, 64); err != nil {
+			return nil, fmt.Errorf("TermStats weight %q: %w", tok, err)
+		}
+		if tok, after = nextToken(after); tok == "" {
+			return nil, fmt.Errorf("TermStats entry for %s is missing its docfreq", term)
+		}
+		if s.DocFreq, err = strconv.Atoi(tok); err != nil {
+			return nil, fmt.Errorf("TermStats docfreq %q: %w", tok, err)
+		}
+		dst = append(dst, s)
+		rest = strings.TrimLeftFunc(after, unicode.IsSpace)
+	}
+	return dst, nil
 }
 
 func (d *oracleDoc) toSOIF() *soif.Object {
@@ -127,18 +163,34 @@ func FuzzDocFromSOIFMatchesOracle(f *testing.F) {
 			f.Add(marshalAll(o))
 		}
 	}
+	// Terms that repeat, and terms that differ from one another only in
+	// case, modifiers, weight, quoting or a suffix of their spelling.
+	for _, stats := range []string{
+		"(body-of-text \"x\") 1 1 1\n(body-of-text \"x\") 2 2 2\n(Body-Of-Text \"x\") 3 3 3\n(body-of-text \"X\") 4 4 4",
+		"(body-of-text stem \"x\") 1 1 1\n(body-of-text \"x\" 0.5) 2 2 2\n(body-of-text \"x\") 3 3 3\n(body-of-text stem \"x\") 4 4 4",
+		"\"x\" 1 1 1\n\"x\\\"y\" 2 2 2\n\"x\"y\" 3 3 3\n``x'' 4 4 4\n[en-US \"x\"] 5 5 5\n\"x\" 6 6 6",
+		"(title \"x\")1 1 1 (title \"x\")  2 2 2\n(title \"x\") (title \"x\") 3 3",
+		"(date-last-modified > \"1996-08-01\") 1 1 1\n(date-last-modified >= \"1996-08-01\") 2 2 2\n(date-last-modified > \"1996-08-01\") 3 3 3",
+	} {
+		f.Add(marshalAll(soif.New(DocumentType).Add("RawScore", "1").Add("TermStats", stats)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := soif.NewDecoder(bytes.NewReader(data)).Decode()
 		if err != nil {
 			return
 		}
 		want, werr := docFromSOIF(o)
-		docs, gerr := decodeDocs(1, func() (*soif.Object, error) { return o, nil })
+		// The document twice, as one answer: the second reads every term
+		// through the spellings the first filed.
+		docs, gerr := decodeDocs(2, func() (*soif.Object, error) { return o, nil })
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("slab decoder error %v, oracle error %v", gerr, werr)
 		}
 		if gerr != nil {
 			return
+		}
+		if !sameStats(docs[1].TermStats, want.TermStats) {
+			t.Fatalf("second copy's TermStats %+v, oracle %+v", docs[1].TermStats, want.TermStats)
 		}
 		got := docs[0]
 		if math.Float64bits(got.RawScore) != math.Float64bits(want.RawScore) ||
@@ -169,19 +221,16 @@ func FuzzDocFromSOIFMatchesOracle(f *testing.F) {
 	})
 }
 
-// sameStats is reflect.DeepEqual with weights compared bit for bit, so a
-// NaN weight equals itself.
+// sameStats compares term statistics entry by entry, the terms by value
+// and the weights bit for bit, so a NaN weight equals itself.
 func sameStats(a, b []TermStat) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if math.Float64bits(x.Weight) != math.Float64bits(y.Weight) {
-			return false
-		}
-		x.Weight, y.Weight = 0, 0
-		if !reflect.DeepEqual(x, y) {
+		if math.Float64bits(x.Weight) != math.Float64bits(y.Weight) || x.Freq != y.Freq || x.DocFreq != y.DocFreq ||
+			!reflect.DeepEqual(*x.Term, *y.Term) {
 			return false
 		}
 	}

@@ -29,11 +29,13 @@ const (
 // TermStat carries the statistics a source reports for one ranking-
 // expression term in one document. These are the "raw material" a
 // metasearcher needs to re-rank documents across sources with its own
-// formula.
+// formula. An answer's entries share their terms (an engine's point at
+// its actual query's nodes, a decoded answer's at one term per spelling),
+// so a Term is read-only, like the header's ActualFilter and ActualRanking.
 type TermStat struct {
 	// Term is the ranking-expression term, as modified by the query
 	// fields: e.g. (body-of-text "distributed").
-	Term query.Term
+	Term *query.Term
 	// Freq is the number of times the term appears in the document.
 	Freq int
 	// Weight is the term's weight in the document as assigned by the
@@ -318,6 +320,7 @@ type slabs struct {
 	docs    []Document
 	fields  []FieldValue
 	stats   []TermStat
+	terms   spellings
 	srcText string
 	srcList []string
 }
@@ -347,7 +350,7 @@ func (s *slabs) add(o *soif.Object) error {
 			d.Sources = s.srcList
 		case strings.EqualFold(a.Name, "TermStats"):
 			// A repeated TermStats replaces the earlier one.
-			if s.stats, err = appendTermStats(s.stats[:s0], a.Value); err != nil {
+			if s.stats, err = appendTermStats(s.stats[:s0], a.Value, &s.terms); err != nil {
 				return err
 			}
 		case strings.EqualFold(a.Name, "DocSize"):
@@ -380,33 +383,37 @@ func (s *slabs) add(o *soif.Object) error {
 }
 
 // maxStatsHint caps what ParseTermStats reserves on the strength of a
-// newline count: a TermStat is 120 bytes, a newline one, and the value
-// comes from a remote source.
+// newline count: a TermStat is 32 bytes, a new term's spelling 104, a
+// newline one, and the value comes from a remote source.
 const maxStatsHint = 32
 
 // ParseTermStats decodes the TermStats attribute value: one or more
 // whitespace-separated entries of the form
 //
 //	(body-of-text "distributed") 10 0.31 190
-func ParseTermStats(v string) ([]TermStat, error) { return appendTermStats(nil, v) }
+func ParseTermStats(v string) ([]TermStat, error) { return appendTermStats(nil, v, new(spellings)) }
 
 // appendTermStats is ParseTermStats appending to dst, an answer's stat
-// slab; it returns nil on error.
-func appendTermStats(dst []TermStat, v string) ([]TermStat, error) {
+// slab, its terms filed in terms; it returns nil on error.
+func appendTermStats(dst []TermStat, v string, terms *spellings) ([]TermStat, error) {
 	rest := strings.TrimSpace(v)
 	if rest == "" {
 		return dst, nil
 	}
 	// The encoder puts one entry on a line; a line that is not an entry
 	// reserves nothing past maxStatsHint (longer lists grow by append).
-	dst = slices.Grow(dst, min(1+strings.Count(rest, "\n"), maxStatsHint))
+	// The slab at least doubles, as slices.Grow would grow it, but a
+	// -race build allocates slices.Grow twice.
+	hint := min(1+strings.Count(rest, "\n"), maxStatsHint)
+	if cap(dst)-len(dst) < hint {
+		dst = append(make([]TermStat, 0, max(2*cap(dst), len(dst)+hint)), dst...)
+	}
 	for rest != "" {
-		term, after, err := query.ScanTerm(rest)
+		term, after, err := terms.scan(rest, hint)
 		if err != nil {
 			return nil, fmt.Errorf("TermStats term: %w", err)
 		}
-		var s TermStat
-		s.Term = term
+		s := TermStat{Term: term}
 		var tok string
 		if tok, after = nextToken(after); tok == "" {
 			return nil, fmt.Errorf("TermStats entry for %s needs freq, weight and docfreq", term)
@@ -430,6 +437,47 @@ func appendTermStats(dst []TermStat, v string) ([]TermStat, error) {
 		rest = strings.TrimLeftFunc(after, unicode.IsSpace)
 	}
 	return dst, nil
+}
+
+// spellings are an answer's distinct TermStats terms and the text each was
+// read from. ScanTerm reads no further than a term's last byte, so an entry
+// that begins with a known spelling shares its term: at, which append keeps.
+type spellings []spelled
+
+// maxSpellings caps the table. An answer spells as many terms as its query
+// has; a remote value may spell thousands, and past the cap each parses
+// into a term of its own, so an entry is tried against at most this many.
+const maxSpellings = 16
+
+type spelled struct {
+	text string
+	at   *query.Term
+	term query.Term
+}
+
+// scan reads the term at the front of src; the value holds at most hint.
+func (sp *spellings) scan(src string, hint int) (*query.Term, string, error) {
+	for _, e := range *sp {
+		if strings.HasPrefix(src, e.text) {
+			return e.at, src[len(e.text):], nil
+		}
+	}
+	t, after, err := query.ScanTerm(src)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(*sp) == maxSpellings {
+		own := new(query.Term)
+		*own = t
+		return own, after, nil
+	}
+	if *sp == nil {
+		*sp = make(spellings, 0, min(max(hint, 4), maxSpellings))
+	}
+	*sp = append(*sp, spelled{text: src[:len(src)-len(after)], term: t})
+	e := &(*sp)[len(*sp)-1]
+	e.at = &e.term
+	return e.at, after, nil
 }
 
 // nextToken splits one whitespace-delimited token off the front of s,

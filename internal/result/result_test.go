@@ -1,17 +1,26 @@
 package result
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
 	"starts/internal/query"
 	"starts/internal/soif"
 )
+
+// bodyTerm is (body-of-text "text"), as a TermStat points at it.
+func bodyTerm(text string) *query.Term {
+	t := query.NewTerm(attr.FieldBodyOfText, lang.L(text))
+	return &t
+}
 
 // source1Doc reconstructs the SQRDocument of the paper's Example 8.
 func source1Doc() *Document {
@@ -24,8 +33,8 @@ func source1Doc() *Document {
 			{attr.FieldAuthor, "Jeffrey D. Ullman"},
 		},
 		TermStats: []TermStat{
-			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("distributed")), Freq: 10, Weight: 0.31, DocFreq: 190},
-			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("databases")), Freq: 15, Weight: 0.51, DocFreq: 232},
+			{Term: bodyTerm("distributed"), Freq: 10, Weight: 0.31, DocFreq: 190},
+			{Term: bodyTerm("databases"), Freq: 15, Weight: 0.51, DocFreq: 232},
 		},
 		Size:  248,
 		Count: 10213,
@@ -43,8 +52,8 @@ func source2Doc() *Document {
 			{attr.FieldAuthor, "Avi Silberschatz, Mike Stonebraker, Jeff Ullman"},
 		},
 		TermStats: []TermStat{
-			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("distributed")), Freq: 20, Weight: 0.12, DocFreq: 901},
-			{Term: query.NewTerm(attr.FieldBodyOfText, lang.L("databases")), Freq: 34, Weight: 0.15, DocFreq: 788},
+			{Term: bodyTerm("distributed"), Freq: 20, Weight: 0.12, DocFreq: 901},
+			{Term: bodyTerm("databases"), Freq: 34, Weight: 0.15, DocFreq: 788},
 		},
 		Size:  125,
 		Count: 9031,
@@ -176,6 +185,103 @@ func TestParseTermStatsMultiline(t *testing.T) {
 	}
 }
 
+// TestTermStatSize pins an entry at a term pointer and three numbers: an
+// answer holds docs × terms of them.
+func TestTermStatSize(t *testing.T) {
+	if got := unsafe.Sizeof(TermStat{}); got > 32 {
+		t.Errorf("a TermStat is %d bytes, want at most 32", got)
+	}
+}
+
+// TestDecodedTermsShareBySpelling: across an answer's documents, entries
+// that spell their term alike point at one term, and spellings that
+// differ in case, modifiers or weight are distinct terms, each exactly as
+// spelled. The first document reports two terms, so the later ones add
+// more than the first allocation holds.
+func TestDecodedTermsShareBySpelling(t *testing.T) {
+	spellings := []string{
+		`(body-of-text "Databases")`,
+		`(body-of-text "databases")`,
+		`(body-of-text stem "databases")`,
+		`(body-of-text "databases" 0.5)`,
+		`"databases"`,
+		`(title "databases")`,
+	}
+	var objs []*soif.Object
+	for _, n := range []int{2, len(spellings), len(spellings)} {
+		var lines []string
+		for _, sp := range spellings[:n] {
+			lines = append(lines, sp+" 1 0.5 2")
+		}
+		objs = append(objs, soif.New(DocumentType).Add("RawScore", "1").Add("TermStats", strings.Join(lines, "\n")))
+	}
+	i := -1
+	docs, err := decodeDocs(len(objs), func() (*soif.Object, error) { i++; return objs[i], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms []*query.Term // each spelling's, where it first appears
+	for _, d := range docs {
+		for j, st := range d.TermStats {
+			if j == len(terms) {
+				terms = append(terms, st.Term)
+			}
+			if st.Term != terms[j] {
+				t.Errorf("%s: entry %v does not share the term of its first occurrence", spellings[j], st)
+			}
+		}
+	}
+	for j, sp := range spellings {
+		want, _, err := query.ScanTerm(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*terms[j], want) {
+			t.Errorf("%s decodes to %+v, want %+v", sp, *terms[j], want)
+		}
+		for k := range j {
+			if terms[k] == terms[j] {
+				t.Errorf("%s shares its term with %s", sp, spellings[k])
+			}
+		}
+	}
+}
+
+// TestManyDistinctSpellingsParseEach: a remote value may spell thousands
+// of distinct terms. The table files only the first maxSpellings, so an
+// entry is tried against at most that many before it is parsed into a term
+// of its own, and decoding stays linear in the entries.
+func TestManyDistinctSpellingsParseEach(t *testing.T) {
+	const n = 40000
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, "(body-of-text \"t%d\") 1 0.5 2\n", i)
+	}
+	var terms spellings
+	start := time.Now()
+	stats, err := appendTermStats(nil, b.String(), &terms)
+	took := time.Since(start)
+	if err != nil || len(stats) != n {
+		t.Fatalf("%d entries, %v", len(stats), err)
+	}
+	t.Logf("%d distinct terms decoded in %v, %d filed", n, took, len(terms))
+	if len(terms) > maxSpellings {
+		t.Errorf("the table filed %d spellings, want at most %d", len(terms), maxSpellings)
+	}
+	seen := map[*query.Term]bool{}
+	for i, st := range stats {
+		if want := fmt.Sprintf("t%d", i); st.Term.Value.Text != want || seen[st.Term] {
+			t.Fatalf("entry %d: %v (shared: %v), want its own term %q", i, st.Term, seen[st.Term], want)
+		}
+		seen[st.Term] = true
+	}
+	// A quadratic scan makes n²/2 = 8·10⁸ prefix checks here: seconds,
+	// where a linear one takes milliseconds, under -race too.
+	if took > 3*time.Second {
+		t.Errorf("decoding %d distinct terms took %v", n, took)
+	}
+}
+
 func TestParseTermStatsErrors(t *testing.T) {
 	bad := []string{
 		`(title "x") 1 0.5`,      // missing docfreq
@@ -262,7 +368,7 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		n := r.Intn(4)
 		for i := 0; i < n; i++ {
 			d.TermStats = append(d.TermStats, TermStat{
-				Term:    query.NewTerm(attr.FieldBodyOfText, lang.L("t"+string(rune('a'+i)))),
+				Term:    bodyTerm("t" + string(rune('a'+i))),
 				Freq:    r.Intn(100),
 				Weight:  float64(r.Intn(100)) / 100,
 				DocFreq: r.Intn(10000),
