@@ -390,6 +390,60 @@ func TestSearchAllocBudget(t *testing.T) {
 	}
 }
 
+// TestFilterOnlySearchStopsAtMaxDocs: without a ranking every score is 0,
+// so under a sort on score alone a Boolean source's answer is its first
+// max-docs matches in id order, and the walk stops there. Filters
+// matching from hundreds to thousands of documents return the exhaustive
+// engine's answer, and each search allocates under one bound: they read
+// about 6.5 KB, where keeping every match took 56 to 126 KB.
+func TestFilterOnlySearchStopsAtMaxDocs(t *testing.T) {
+	const budget = 8192 // bytes a search allocates, whatever it matches
+	docs := diffUniverse(1000)
+	cursors, err := NewWithDocs(NewBooleanConfig(), docs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewBooleanConfig()
+	cfg.Exhaustive = true
+	oracle, err := NewWithDocs(cfg, docs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, filter := range []string{
+		`((body-of-text "database") and (body-of-text "query"))`,
+		`(body-of-text "database")`,
+		`((body-of-text "database") or (body-of-text "patient"))`,
+	} {
+		q, err := query.ParseFilter(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := query.New()
+		all.Filter, all.MaxResults = q, len(docs)
+		every, err := oracle.Search(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(every.Documents) <= query.DefaultMaxResults {
+			t.Fatalf("%s matches %d documents, want more than %d", filter, len(every.Documents), query.DefaultMaxResults)
+		}
+		qq := query.New()
+		qq.Filter = q
+		requireSameAnswer(t, cursors, oracle, qq, filter)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cursors.Search(qq); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%-60s %5d matches, %5d bytes", filter, len(every.Documents), bytes)
+		if bytes > budget {
+			t.Errorf("%s: a search matching %d documents allocated %d bytes, budget %d", filter, len(every.Documents), bytes, budget)
+		}
+	}
+}
+
 // TestSearchAllocationBudget pins what one search allocates, by query
 // shape, over a 2 000-document source: the block-pruned path of a pure
 // ranking, the cursors under a filter, and a phrase. A search allocates

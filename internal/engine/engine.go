@@ -326,6 +326,16 @@ type search struct {
 	key     [128]byte // the terms, printed one after another
 }
 
+// scoreOnly reports whether a sort orders by score alone.
+func scoreOnly(keys []query.SortKey) bool {
+	for _, k := range keys {
+		if k.Field != query.ScoreSortField {
+			return false
+		}
+	}
+	return true
+}
+
 // scoredDoc pairs a document with its combined score.
 type scoredDoc struct {
 	id    int
@@ -369,6 +379,13 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 			return a.id - b.id
 		})
 	}
+	// Without a ranking every score is 0, and under a sort on score alone
+	// sortTop breaks the ties by ascending id, the order matches come in:
+	// the first max-docs matches are the answer.
+	enough := 0
+	if ranking == nil && scoreOnly(q.EffectiveSort()) {
+		enough = q.EffectiveMaxResults()
+	}
 	maxScore := 0.0
 	for id, ok := m.Next(); ok; id, ok = m.Next() {
 		sd := scoredDoc{id: id}
@@ -385,8 +402,8 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 		}
 		if best != nil {
 			best.Push(sd)
-		} else {
-			cands = append(cands, sd)
+		} else if cands = append(cands, sd); len(cands) == enough {
+			break
 		}
 	}
 	if best != nil {

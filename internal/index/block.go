@@ -103,67 +103,124 @@ type block struct {
 // uvarint at the head of its positions.
 const satFreq = 255
 
-// postingList is the per-term entry of a field index, as three arrays:
-// posting i is document docs[i], occurring freqs[i] times in it (see
-// satFreq), and pos holds every posting's positions, posting after
-// posting, each one's as uvarint deltas counted from 0. Only phrase and
-// proximity checks read positions, so only they decode them (listCursor);
-// everything else reads ids and frequencies in place. No posting owns any
-// storage of its own. Byte offsets into pos are 32-bit.
-type postingList struct {
-	docs   []int32 // ascending doc ids
+// arena holds the postings of one or more terms, term after term: posting
+// i is document docs[i], occurring freqs[i] times in it (see satFreq), and
+// pos holds every posting's positions, posting after posting, each one's
+// as uvarint deltas counted from 0. Only phrase and proximity checks read
+// positions, so only they decode them (listCursor); everything else reads
+// ids and frequencies in place. A term's blocks follow one another in
+// blocks, and fronts holds the list frontiers of the terms of two or more
+// blocks. Offsets into pos are 32-bit. Build packs each field's terms into
+// one arena, every array at its exact size; a term Add creates or extends
+// has an arena of its own (fieldIndex.extend).
+type arena struct {
+	docs   []int32 // ascending doc ids within a term
 	freqs  []uint8 // each posting's term frequency, saturating at satFreq
 	pos    []byte  // every posting's positions, ascending within a posting
 	blocks []block
-	// frontier is the list-wide Pareto frontier: the global upper bound
-	// WAND pivoting starts from.
-	frontier [listFrontierMax]tfLen
+	fronts [][listFrontierMax]tfLen
 }
 
-// note folds posting i, already in the arrays, into its block's and the
-// list's frontiers, opening the block at its first posting, whose
-// positions start at byte off of pos (off is read only then). Postings
-// must be noted in order; docLen==0 means "unknown" and keeps bounds
-// conservative.
-func (pl *postingList) note(i, off int, docLen int32) {
-	if i%blockSize == 0 {
-		pl.blocks = append(pl.blocks, block{posOff: uint32(off)})
-	}
-	b := &pl.blocks[i/blockSize]
-	b.maxDoc = pl.docs[i]
-	e := tfLen{freq: int32(pl.freq(i)), len: docLen}
-	pushFrontier(b.frontier[:], e)
-	pushFrontier(pl.frontier[:], e)
+// postingList is one term's postings, a view of its arena: the n postings
+// from docs[doc], the blocks from blocks[blk], and the list frontier WAND
+// pivoting starts from — fronts[fr-1], or for a list of one block (fr 0)
+// its block's: pushFrontier only merges into dominating pairs, so that is
+// as sound a bound. The slices it hands out are capped.
+type postingList struct {
+	a               *arena
+	doc, n, blk, fr uint32
 }
+
+// numBlocks returns how many blocks n postings take.
+func numBlocks(n int) int { return (n + blockSize - 1) / blockSize }
 
 // numDocs returns the posting count (= document frequency: each document
 // contributes one posting per term).
-func (pl *postingList) numDocs() int {
-	if pl == nil {
-		return 0
+func (pl *postingList) numDocs() int { return int(pl.n) }
+
+// docs, freqs and blocks return the list's part of its arena's arrays,
+// capped; block returns its block bi, and frontier its list frontier.
+func (pl *postingList) docs() []int32 { return pl.a.docs[pl.doc : pl.doc+pl.n : pl.doc+pl.n] }
+
+func (pl *postingList) freqs() []uint8 { return pl.a.freqs[pl.doc : pl.doc+pl.n : pl.doc+pl.n] }
+
+func (pl *postingList) blocks() []block {
+	hi := pl.blk + uint32(numBlocks(int(pl.n)))
+	return pl.a.blocks[pl.blk:hi:hi]
+}
+
+func (pl *postingList) block(bi int) *block { return &pl.a.blocks[int(pl.blk)+bi] }
+
+func (pl *postingList) frontier() []tfLen {
+	if pl.fr == 0 {
+		return pl.block(0).frontier[:]
 	}
-	return len(pl.docs)
+	return pl.a.fronts[pl.fr-1][:]
+}
+
+// posSpan returns where the list's positions lie in its arena's pos: from
+// its first block's offset to the next list's, or the end.
+func (pl *postingList) posSpan() (from, to int) {
+	if pl.n == 0 {
+		return 0, 0
+	}
+	from, to = int(pl.block(0).posOff), len(pl.a.pos)
+	if next := int(pl.blk) + numBlocks(int(pl.n)); next < len(pl.a.blocks) {
+		to = int(pl.a.blocks[next].posOff)
+	}
+	return from, to
+}
+
+// note folds posting i, already in the arena's docs and freqs, into its
+// block's frontier and the list's, opening the block at its first posting,
+// whose positions start at byte off of pos. The list must be its arena's
+// last. Postings must be noted in order; lens are the documents' token
+// counts (0, "unknown", keeps bounds conservative). When a second block
+// opens, the list frontier starts from the first block's postings.
+func (pl *postingList) note(i, off int, lens []int32) {
+	pl.n = uint32(i + 1)
+	if i%blockSize == 0 {
+		pl.a.blocks = append(pl.a.blocks, block{posOff: uint32(off)})
+	}
+	if i == blockSize {
+		pl.a.fronts = append(pl.a.fronts, [listFrontierMax]tfLen{})
+		pl.fr = uint32(len(pl.a.fronts))
+		for k := range blockSize {
+			pushFrontier(pl.frontier(), pl.pair(k, lens))
+		}
+	}
+	b, e := pl.block(i/blockSize), pl.pair(i, lens)
+	b.maxDoc = pl.docs()[i]
+	pushFrontier(b.frontier[:], e)
+	if pl.fr != 0 {
+		pushFrontier(pl.frontier(), e)
+	}
+}
+
+// pair returns posting i's (frequency, document length).
+func (pl *postingList) pair(i int, lens []int32) tfLen {
+	return tfLen{freq: int32(pl.freq(i)), len: lens[pl.docs()[i]]}
 }
 
 // freq returns posting i's term frequency: its freqs byte, unless that
 // saturates, and then the count at the head of its positions, found by
 // skipping from its block's first posting.
 func (pl *postingList) freq(i int) int {
-	if f := pl.freqs[i]; f < satFreq {
+	if f := pl.a.freqs[int(pl.doc)+i]; f < satFreq {
 		return int(f)
 	}
 	bi := i / blockSize
-	tf, _ := pl.head(i, pl.skip(bi*blockSize, int(pl.blocks[bi].posOff), i))
+	tf, _ := pl.head(i, pl.skip(bi*blockSize, int(pl.block(bi).posOff), i))
 	return tf
 }
 
 // head returns the term frequency of posting i, whose positions start at
 // byte off, and the offset of its first position's delta.
 func (pl *postingList) head(i, off int) (tf, first int) {
-	if f := pl.freqs[i]; f < satFreq {
+	if f := pl.a.freqs[int(pl.doc)+i]; f < satFreq {
 		return int(f), off
 	}
-	v, n := binary.Uvarint(pl.pos[off:])
+	v, n := binary.Uvarint(pl.a.pos[off:])
 	return int(v), off + n
 }
 
@@ -171,15 +228,15 @@ func (pl *postingList) head(i, off int) (tf, first int) {
 // posting j's (j <= i) start at off: past as many uvarints as postings j
 // to i-1 have positions, and the frequency heading each saturated one.
 func (pl *postingList) skip(j, off, i int) int {
-	n := 0
+	n, freqs := 0, pl.freqs()
 	for ; j < i; j++ {
-		if f := pl.freqs[j]; f < satFreq {
+		if f := freqs[j]; f < satFreq {
 			n += int(f)
 		} else {
-			n, off = pl.head(j, skipUvarints(pl.pos, off, n))
+			n, off = pl.head(j, skipUvarints(pl.a.pos, off, n))
 		}
 	}
-	return skipUvarints(pl.pos, off, n)
+	return skipUvarints(pl.a.pos, off, n)
 }
 
 // skipUvarints returns the offset past the n uvarints at p[off:]. A
@@ -205,14 +262,14 @@ func skipUvarints(p []byte, off, n int) int {
 // and returns it with the offset past them.
 func (pl *postingList) decode(dst []int32, i, off int) ([]int32, int) {
 	tf, off := pl.head(i, off)
-	n := len(dst)
+	n, pos := len(dst), pl.a.pos
 	dst = slices.Grow(dst, tf)[:n+tf]
 	p := uint64(0)
 	for k := n; k < len(dst); k++ {
-		if b := pl.pos[off]; b < 0x80 { // nearly every delta is one byte
+		if b := pos[off]; b < 0x80 { // nearly every delta is one byte
 			p, off = p+uint64(b), off+1
 		} else {
-			d, w := binary.Uvarint(pl.pos[off:])
+			d, w := binary.Uvarint(pos[off:])
 			p, off = p+d, off+w
 		}
 		dst[k] = int32(p)
@@ -221,19 +278,19 @@ func (pl *postingList) decode(dst []int32, i, off int) ([]int32, int) {
 }
 
 // appendPosting appends one posting's frequency and positions, which
-// must ascend, to the list's freqs and pos; the caller appends its id.
-func (pl *postingList) appendPosting(positions []int32) {
+// must ascend, to the arena's freqs and pos; the caller appends its id.
+func (a *arena) appendPosting(positions []int32) {
 	tf := len(positions)
-	pl.freqs = append(pl.freqs, uint8(min(tf, satFreq)))
+	a.freqs = append(a.freqs, uint8(min(tf, satFreq)))
 	if tf >= satFreq {
-		pl.pos = binary.AppendUvarint(pl.pos, uint64(tf))
+		a.pos = binary.AppendUvarint(a.pos, uint64(tf))
 	}
 	prev := int32(0)
 	for _, p := range positions {
 		if d := p - prev; d < 0x80 {
-			pl.pos = append(pl.pos, byte(d))
+			a.pos = append(a.pos, byte(d))
 		} else {
-			pl.pos = binary.AppendUvarint(pl.pos, uint64(d))
+			a.pos = binary.AppendUvarint(a.pos, uint64(d))
 		}
 		prev = p
 	}
@@ -242,7 +299,7 @@ func (pl *postingList) appendPosting(positions []int32) {
 // occurrences returns the sum of the list's term frequencies.
 func (pl *postingList) occurrences() int {
 	n := 0
-	for i := range pl.freqs {
+	for i := range int(pl.n) {
 		n += pl.freq(i)
 	}
 	return n
@@ -250,11 +307,9 @@ func (pl *postingList) occurrences() int {
 
 // find returns the index of the posting for one doc id.
 func (pl *postingList) find(id int) (int, bool) {
-	if pl == nil {
-		return 0, false
-	}
-	i := sort.Search(len(pl.docs), func(k int) bool { return int(pl.docs[k]) >= id })
-	return i, i < len(pl.docs) && int(pl.docs[i]) == id
+	docs := pl.docs()
+	i := sort.Search(len(docs), func(k int) bool { return int(docs[k]) >= id })
+	return i, i < len(docs) && int(docs[i]) == id
 }
 
 // listCursor walks one posting list in doc-id order; seek is a binary
@@ -274,8 +329,8 @@ type listCursor struct {
 }
 
 // posReader is a listCursor's position decoder: posting next's positions
-// start at byte off, and buf, reused from posting to posting, holds the
-// ones last decoded.
+// start at byte off (next is -1 before the first decode), and buf, reused
+// from posting to posting, holds the ones last decoded.
 type posReader struct {
 	next, off int
 	buf       []int32
@@ -289,7 +344,7 @@ func newListCursor(pl *postingList) listCursor {
 
 // done reports exhaustion.
 func (c *listCursor) done() bool {
-	return c.pl == nil || int(c.i) >= len(c.pl.docs)
+	return uint32(c.i) >= c.pl.n
 }
 
 // doc returns the current doc id, or maxDocID when exhausted.
@@ -297,13 +352,13 @@ func (c *listCursor) doc() int {
 	if c.done() {
 		return maxDocID
 	}
-	return int(c.pl.docs[c.i])
+	return int(c.pl.a.docs[int(c.pl.doc)+int(c.i)])
 }
 
 // freq returns the current posting's term frequency; only valid when
 // !done().
 func (c *listCursor) freq() int {
-	if f := c.pl.freqs[c.i]; f < satFreq {
+	if f := c.pl.a.freqs[int(c.pl.doc)+int(c.i)]; f < satFreq {
 		return int(f)
 	}
 	tf, _ := c.pl.head(int(c.i), c.offset())
@@ -325,11 +380,11 @@ func (c *listCursor) positions() []int32 {
 // the block's start.
 func (c *listCursor) offset() int {
 	if c.at == nil {
-		c.at = &posReader{buf: make([]int32, 0, 8)} // a few positions a posting, mostly
+		c.at = &posReader{next: -1, buf: make([]int32, 0, 8)} // a few positions a posting, mostly
 	}
 	r, i := c.at, int(c.i)
 	if lo := c.bi() * blockSize; r.next < lo || r.next > i {
-		r.next, r.off = lo, int(c.pl.blocks[c.bi()].posOff)
+		r.next, r.off = lo, int(c.pl.block(c.bi()).posOff)
 	}
 	r.off, r.next = c.pl.skip(r.next, r.off, i), i
 	return r.off
@@ -343,7 +398,7 @@ func (c *listCursor) curBlock() *block {
 	if c.done() {
 		return nil
 	}
-	return &c.pl.blocks[c.bi()]
+	return c.pl.block(c.bi())
 }
 
 // next advances one posting.
@@ -360,10 +415,11 @@ func (c *listCursor) seek(target int) {
 	if c.done() || c.doc() >= target {
 		return
 	}
-	hi := len(c.pl.docs)
+	docs := c.pl.docs()
+	hi := len(docs)
 	if target <= int(c.curBlock().maxDoc) {
 		hi = min(hi, (c.bi()+1)*blockSize)
 	}
-	lo, docs := int(c.i), c.pl.docs
+	lo := int(c.i)
 	c.i = int32(lo + sort.Search(hi-lo, func(k int) bool { return int(docs[lo+k]) >= target }))
 }

@@ -8,7 +8,7 @@ import (
 
 func buildList(t *testing.T, n int) *postingList {
 	t.Helper()
-	lists := map[string]*postingList{}
+	lists, lens := runs{}, make([]int32, 3*n)
 	var dp docPostings
 	for i := 0; i < n; i++ {
 		// Doc ids 3i leave gaps so seeks have absent targets; freq cycles
@@ -17,37 +17,39 @@ func buildList(t *testing.T, n int) *postingList {
 		for j := range toks {
 			toks[j] = text.Token{Text: "t", Pos: j}
 		}
-		dp.add(lists, int32(3*i), toks, nil)
-		dp.note(int32(10 + i%50))
+		lens[3*i] = int32(10 + i%50)
+		dp.add(int32(3*i), toks, lists.arena)
+		dp.note(lens)
 	}
-	return lists["t"]
+	pl := lists["t"].list()
+	return &pl
 }
 
 // blockPostings returns the range of posting indexes block bi covers.
 func blockPostings(pl *postingList, bi int) (lo, hi int) {
-	return bi * blockSize, min((bi+1)*blockSize, len(pl.docs))
+	return bi * blockSize, min((bi+1)*blockSize, len(pl.docs()))
 }
 
 func TestPostingListBlocksAndStats(t *testing.T) {
 	pl := buildList(t, 300)
-	if pl.numDocs() != 300 || len(pl.freqs) != 300 {
-		t.Fatalf("docs, freqs = %d, %d, want 300", pl.numDocs(), len(pl.freqs))
+	if pl.numDocs() != 300 || len(pl.freqs()) != 300 {
+		t.Fatalf("docs, freqs = %d, %d, want 300", pl.numDocs(), len(pl.freqs()))
 	}
 	wantBlocks := (300 + blockSize - 1) / blockSize
-	if len(pl.blocks) != wantBlocks {
-		t.Fatalf("blocks = %d, want %d", len(pl.blocks), wantBlocks)
+	if len(pl.blocks()) != wantBlocks {
+		t.Fatalf("blocks = %d, want %d", len(pl.blocks()), wantBlocks)
 	}
-	if maxFreq, minLen := peak(pl.frontier[:]); maxFreq != 5 || minLen != 10 {
+	if maxFreq, minLen := peak(pl.frontier()); maxFreq != 5 || minLen != 10 {
 		t.Errorf("list peak = (%d, %d), want (5, 10)", maxFreq, minLen)
 	}
 	prevMax := int32(-1)
 	total := 0
-	for bi, b := range pl.blocks {
+	for bi, b := range pl.blocks() {
 		lo, hi := blockPostings(pl, bi)
-		if pl.docs[lo] <= prevMax {
-			t.Fatalf("block %d range [%d,%d] overlaps previous max %d", bi, pl.docs[lo], b.maxDoc, prevMax)
+		if pl.docs()[lo] <= prevMax {
+			t.Fatalf("block %d range [%d,%d] overlaps previous max %d", bi, pl.docs()[lo], b.maxDoc, prevMax)
 		}
-		if b.maxDoc != pl.docs[hi-1] {
+		if b.maxDoc != pl.docs()[hi-1] {
 			t.Fatalf("block %d maxDoc %d disagrees with content", bi, b.maxDoc)
 		}
 		maxFreq, _ := peak(b.frontier[:])
@@ -123,27 +125,27 @@ func TestFrontierCoversPostings(t *testing.T) {
 		}
 		return false
 	}
-	if len(live(pl.frontier[:])) == 0 {
+	if len(live(pl.frontier())) == 0 {
 		t.Fatalf("list frontier empty")
 	}
-	for bi, b := range pl.blocks {
+	for bi, b := range pl.blocks() {
 		if len(live(b.frontier[:])) == 0 {
 			t.Fatalf("block %d frontier empty", bi)
 		}
 		lo, hi := blockPostings(pl, bi)
 		for i := lo; i < hi; i++ {
 			// buildList posting i has doc id 3i, docLen 10+i%50.
-			if int(pl.docs[i]) != 3*i {
-				t.Fatalf("posting %d is doc %d", i, pl.docs[i])
+			if int(pl.docs()[i]) != 3*i {
+				t.Fatalf("posting %d is doc %d", i, pl.docs()[i])
 			}
 			docLen := 10 + i%50
 			if !dominated(b.frontier[:], pl.freq(i), docLen) {
 				t.Fatalf("block %d frontier %v misses posting freq=%d len=%d",
 					bi, b.frontier, pl.freq(i), docLen)
 			}
-			if !dominated(pl.frontier[:], pl.freq(i), docLen) {
+			if !dominated(pl.frontier(), pl.freq(i), docLen) {
 				t.Fatalf("list frontier %v misses posting freq=%d len=%d",
-					pl.frontier, pl.freq(i), docLen)
+					pl.frontier(), pl.freq(i), docLen)
 			}
 		}
 	}
@@ -153,7 +155,7 @@ func TestPostingListFind(t *testing.T) {
 	pl := buildList(t, 300)
 	for _, id := range []int{0, 3, 297, 3 * 299} {
 		i, ok := pl.find(id)
-		if !ok || int(pl.docs[i]) != id {
+		if !ok || int(pl.docs()[i]) != id {
 			t.Errorf("find(%d) = %d, %v; want hit", id, i, ok)
 		}
 	}
@@ -161,13 +163,6 @@ func TestPostingListFind(t *testing.T) {
 		if _, ok := pl.find(id); ok {
 			t.Errorf("find(%d) hit; want miss", id)
 		}
-	}
-	var nilPL *postingList
-	if _, ok := nilPL.find(5); ok {
-		t.Error("nil list find hit")
-	}
-	if nilPL.numDocs() != 0 {
-		t.Error("nil list numDocs != 0")
 	}
 }
 
@@ -187,7 +182,7 @@ func TestListCursorSeek(t *testing.T) {
 	if c.doc() != 3*250 {
 		t.Fatalf("seek(750) doc = %d, want 750", c.doc())
 	}
-	if lo, _ := blockPostings(pl, c.bi()); c.curBlock() == nil || pl.docs[lo] > 3*250 || c.curBlock().maxDoc < 3*250 {
+	if lo, _ := blockPostings(pl, c.bi()); c.curBlock() == nil || pl.docs()[lo] > 3*250 || c.curBlock().maxDoc < 3*250 {
 		t.Fatalf("curBlock does not contain 750")
 	}
 	// Seeking backwards is a no-op.
@@ -207,19 +202,19 @@ func TestListCursorWalkMatchesIterate(t *testing.T) {
 	pl := buildList(t, 300)
 	i := 0
 	for c := newListCursor(pl); !c.done(); c.next() {
-		if i >= len(pl.docs) {
-			t.Fatalf("cursor walk passes the list's %d postings", len(pl.docs))
+		if i >= len(pl.docs()) {
+			t.Fatalf("cursor walk passes the list's %d postings", len(pl.docs()))
 		}
-		if c.doc() != int(pl.docs[i]) || c.freq() != 1+i%5 || len(c.positions()) != c.freq() {
+		if c.doc() != int(pl.docs()[i]) || c.freq() != 1+i%5 || len(c.positions()) != c.freq() {
 			t.Fatalf("posting %d: cursor doc %d freq %d positions %v, list doc %d freq %d",
-				i, c.doc(), c.freq(), c.positions(), pl.docs[i], 1+i%5)
+				i, c.doc(), c.freq(), c.positions(), pl.docs()[i], 1+i%5)
 		}
-		if c.curBlock() != &pl.blocks[i/blockSize] {
+		if c.curBlock() != pl.block(i/blockSize) {
 			t.Fatalf("posting %d: cursor in the wrong block", i)
 		}
 		i++
 	}
-	if i != len(pl.docs) {
-		t.Fatalf("cursor walk %d docs, list %d", i, len(pl.docs))
+	if i != len(pl.docs()) {
+		t.Fatalf("cursor walk %d docs, list %d", i, len(pl.docs()))
 	}
 }

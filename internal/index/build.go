@@ -13,16 +13,16 @@ import (
 	"starts/internal/text"
 )
 
-// errPositions is the failure of a term whose positions in one field
-// would pass the 32-bit byte offsets of its posting list.
+// errPositions is the failure of positions that would pass the 32-bit
+// byte offsets of their arena.
 var errPositions = errors.New("positions would pass 2^32-1 bytes")
 
 // chunkResult is one worker's analysis of a contiguous document range:
 // per text field (aligned with TextFields), each term's postings in the
-// range as a list without bounds — everything needed to merge
+// range as an arena without blocks — everything needed to merge
 // deterministically, nothing shared.
 type chunkResult struct {
-	runs   []map[string]*postingList
+	runs   []runs
 	counts []int32
 	err    error
 }
@@ -37,10 +37,10 @@ type chunkResult struct {
 // run on workers goroutines (default GOMAXPROCS), each keeping one memo of
 // the spellings it has normalized and one token buffer per field, so it
 // stems each distinct spelling once and allocates little per token; the
-// merge after them runs on one. It fails where Add would: a duplicate
-// linkage, or a collection that would overflow the postings' 32-bit ids
-// and offsets. The index keeps its own copy of the documents, their text
-// in one allocation.
+// merge after them runs on one. It fails where Add would — a duplicate
+// linkage, a collection past the postings' 32-bit ids — and where a
+// field's positions, all its terms' together, would pass 2³²−1 bytes. The
+// index keeps its own copy of the documents, their text in one allocation.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
 	if workers <= 0 {
@@ -109,30 +109,21 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		}
 		ix.counts = append(ix.counts, cr.counts...)
 	}
-	// Deterministic merge: a term's runs, concatenated in chunk order —
-	// ascending disjoint id ranges — are exactly the postings sequential
-	// Add would have appended, so the bounds noted over them come out
-	// identical to a sequential build's.
 	for fi, f := range TextFields {
-		runs := map[string][]*postingList{}
+		byTerm := map[string][]*arena{}
 		for _, cr := range results {
 			for term, r := range cr.runs[fi] {
-				runs[term] = append(runs[term], r)
+				byTerm[term] = append(byTerm[term], r)
 			}
 		}
-		if len(runs) == 0 {
+		if len(byTerm) == 0 {
 			continue
 		}
-		fx := newFieldIndex(a)
-		ix.fields[f] = fx
-		for term, rs := range runs {
-			pl, err := joinRuns(rs, ix.counts)
-			if err != nil {
-				return nil, fmt.Errorf("index: term %q in %s: %w", term, f, err)
-			}
-			fx.postings[term] = pl
-			fx.addVocab(term)
+		fx := newFieldIndex(a, len(byTerm))
+		if err := fx.pack(byTerm, ix.counts); err != nil {
+			return nil, fmt.Errorf("index: %s: %w", f, err)
 		}
+		ix.fields[f] = fx
 	}
 	return ix, nil
 }
@@ -140,9 +131,9 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 // analyzeChunk tokenizes recs[lo:hi] into private posting runs; memo is
 // the worker's own, kept across its chunks.
 func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo, hi int) *chunkResult {
-	cr := &chunkResult{runs: make([]map[string]*postingList, len(TextFields))}
+	cr := &chunkResult{runs: make([]runs, len(TextFields))}
 	for i := range cr.runs {
-		cr.runs[i] = map[string]*postingList{}
+		cr.runs[i] = runs{}
 	}
 	var dp docPostings
 	toksByField := make([][]text.Token, len(TextFields))
@@ -153,98 +144,119 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo
 			return cr
 		}
 		for i, toks := range toksByField {
-			dp.add(cr.runs[i], int32(id), toks, nil)
+			dp.add(int32(id), toks, cr.runs[i].arena)
 		}
 		cr.counts = append(cr.counts, int32(total))
 	}
 	return cr
 }
 
-// docPostings appends documents' postings to posting lists, one document
-// and field at a time, reusing its buffers from one to the next.
-type docPostings struct {
-	touched []*postingList // the lists the last add appended a posting to
-	starts  []int          // where each one's new posting starts in its pos
-	buf     []int32        // one posting's positions, being sorted
+// runs are one chunk's postings in one field, an arena per term; arena
+// makes a term's on its first token.
+type runs map[string]*arena
+
+func (r runs) arena(term string) *arena {
+	a := r[term]
+	if a == nil {
+		a = &arena{}
+		r[term] = a
+	}
+	return a
 }
 
-// add appends document id's tokens in one field to the posting lists of
-// their terms — the id once per list, the positions in token order,
-// sorted should the tokenizer not yield them ascending — creating the
-// lists of terms not seen before (reported to newTerm, when set). The
+// docPostings appends documents' postings to arenas of one term each, one
+// document and field at a time, reusing its buffers from one to the next.
+type docPostings struct {
+	touched []*arena // the arenas the last add appended a posting to
+	starts  []int    // where each one's new posting starts in its pos
+	buf     []int32  // one posting's positions, being sorted
+}
+
+// add appends document id's tokens in one field to the arenas of their
+// terms, which arena returns — the id once per arena, the positions in
+// token order, sorted should the tokenizer not yield them ascending. The
 // lists' bounds are the caller's to note.
-func (dp *docPostings) add(lists map[string]*postingList, id int32, toks []text.Token, newTerm func(string)) {
+func (dp *docPostings) add(id int32, toks []text.Token, arena func(term string) *arena) {
 	dp.touched, dp.starts = dp.touched[:0], dp.starts[:0]
 	for _, t := range toks {
-		pl := lists[t.Text]
-		if pl == nil {
-			pl = &postingList{}
-			lists[t.Text] = pl
-			if newTerm != nil {
-				newTerm(t.Text)
-			}
-		}
-		if n := len(pl.docs); n == 0 || pl.docs[n-1] != id {
-			pl.docs = append(pl.docs, id)
-			dp.touched = append(dp.touched, pl)
-			dp.starts = append(dp.starts, len(pl.pos))
+		a := arena(t.Text)
+		if n := len(a.docs); n == 0 || a.docs[n-1] != id {
+			a.docs = append(a.docs, id)
+			dp.touched = append(dp.touched, a)
+			dp.starts = append(dp.starts, len(a.pos))
 		}
 		// Four bytes a position until the field's last token: a saturated
 		// frequency heads the encoding, so nothing is encoded before the
 		// count is known.
-		pl.pos = binary.LittleEndian.AppendUint32(pl.pos, uint32(t.Pos))
+		a.pos = binary.LittleEndian.AppendUint32(a.pos, uint32(t.Pos))
 	}
-	for k, pl := range dp.touched {
+	for k, a := range dp.touched {
 		dp.buf = dp.buf[:0]
-		for raw := pl.pos[dp.starts[k]:]; len(raw) > 0; raw = raw[4:] {
+		for raw := a.pos[dp.starts[k]:]; len(raw) > 0; raw = raw[4:] {
 			dp.buf = append(dp.buf, int32(binary.LittleEndian.Uint32(raw)))
 		}
 		if !slices.IsSorted(dp.buf) {
 			slices.Sort(dp.buf)
 		}
-		pl.pos = pl.pos[:dp.starts[k]]
-		pl.appendPosting(dp.buf)
+		a.pos = a.pos[:dp.starts[k]]
+		a.appendPosting(dp.buf)
 	}
 }
 
 // note notes the postings the last add appended in their lists' bounds;
-// docLen is the document's token count.
-func (dp *docPostings) note(docLen int32) {
-	for k, pl := range dp.touched {
-		pl.note(len(pl.docs)-1, dp.starts[k], docLen)
+// lens are the documents' token counts.
+func (dp *docPostings) note(lens []int32) {
+	for k, a := range dp.touched {
+		pl := a.list()
+		pl.note(int(pl.n)-1, dp.starts[k], lens)
 	}
 }
 
-// joinRuns concatenates one term's chunk runs, in id order, into one list
-// whose arrays are each allocated once at their exact size, and notes its
-// bounds and block offsets; lens are the documents' token counts.
-// Positions count from their document's start, so the runs' bytes join
-// unchanged.
-func joinRuns(runs []*postingList, lens []int32) (*postingList, error) {
-	nd, nb := 0, 0
-	for _, r := range runs {
-		nd, nb = nd+len(r.docs), nb+len(r.pos)
+// pack lays the terms' chunk runs out in the packed arena, term after
+// term, every array allocated once at its exact size, and notes their
+// bounds; lens are the documents' token counts. A term's runs in chunk
+// order are exactly the postings sequential Add would have appended, so
+// the bounds come out identical to a sequential build's. Positions count
+// from their document's start, so the runs' bytes join unchanged.
+func (fi *fieldIndex) pack(byTerm map[string][]*arena, lens []int32) error {
+	nd, np, nb, nf := 0, 0, 0, 0
+	for _, rs := range byTerm {
+		n := 0
+		for _, r := range rs {
+			n, np = n+len(r.docs), np+len(r.pos)
+		}
+		nd, nb = nd+n, nb+numBlocks(n)
+		if n > blockSize {
+			nf++
+		}
 	}
-	if nb > math.MaxUint32 {
-		return nil, errPositions
+	if np > math.MaxUint32 {
+		return errPositions
 	}
-	pl := &postingList{
+	a := &fi.packed
+	*a = arena{
 		docs:   make([]int32, 0, nd),
 		freqs:  make([]uint8, 0, nd),
-		pos:    make([]byte, 0, nb),
-		blocks: make([]block, 0, (nd+blockSize-1)/blockSize),
+		pos:    make([]byte, 0, np),
+		blocks: make([]block, 0, nb),
+		fronts: make([][listFrontierMax]tfLen, 0, nf),
 	}
-	for _, r := range runs {
-		pl.docs = append(pl.docs, r.docs...)
-		pl.freqs = append(pl.freqs, r.freqs...)
-		pl.pos = append(pl.pos, r.pos...)
-	}
-	off := 0
-	for i, d := range pl.docs {
-		if i%blockSize == 0 && i > 0 {
-			off = pl.skip(i-blockSize, off, i)
+	for name, rs := range byTerm {
+		pl := postingList{a: a, doc: uint32(len(a.docs)), blk: uint32(len(a.blocks))}
+		off := len(a.pos)
+		for _, r := range rs {
+			a.docs = append(a.docs, r.docs...)
+			a.freqs = append(a.freqs, r.freqs...)
+			a.pos = append(a.pos, r.pos...)
 		}
-		pl.note(i, off, lens[d])
+		for i := range len(a.docs) - int(pl.doc) {
+			if i%blockSize == 0 && i > 0 {
+				off = pl.skip(i-blockSize, off, i)
+			}
+			pl.note(i, off, lens)
+		}
+		fi.terms[name] = termRecord{doc: pl.doc, n: pl.n, blk: pl.blk, fr: pl.fr}
+		fi.addVocab(name)
 	}
-	return pl, nil
+	return nil
 }

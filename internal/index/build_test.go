@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,21 +65,42 @@ func indexesEqual(t *testing.T, a, b *Index) {
 		if fb == nil {
 			t.Fatalf("field %q missing in second index", f)
 		}
-		if len(fa.postings) != len(fb.postings) {
-			t.Fatalf("field %q vocab size %d vs %d", f, len(fa.postings), len(fb.postings))
+		if len(fa.terms) != len(fb.terms) {
+			t.Fatalf("field %q vocab size %d vs %d", f, len(fa.terms), len(fb.terms))
 		}
-		for term, pa := range fa.postings {
-			pb := fb.postings[term]
-			if pb == nil {
+		for term := range fa.terms {
+			pa, _ := fa.lookup(term)
+			pb, ok := fb.lookup(term)
+			if !ok {
 				t.Fatalf("field %q term %q missing in second index", f, term)
 			}
-			// Ids, positions, list stats and frontier, and every block's
-			// bounds and frontier (slices compare by content, not capacity).
-			if !reflect.DeepEqual(pa, pb) {
-				t.Fatalf("field %q term %q lists differ:\n%+v\nvs\n%+v", f, term, *pa, *pb)
+			// Ids, positions, list frontier, and every block's bounds and
+			// frontier, wherever in its arena each list lies.
+			if la, lb := flatten(pa), flatten(pb); !reflect.DeepEqual(la, lb) {
+				t.Fatalf("field %q term %q lists differ:\n%+v\nvs\n%+v", f, term, la, lb)
 			}
 		}
 	}
+}
+
+// flatList is a posting list apart from where it lies in its arena: its
+// ids, frequencies and positions' bytes, its blocks with their offsets
+// counted from its first position, and its list-wide frontier.
+type flatList struct {
+	docs     []int32
+	freqs    []uint8
+	pos      []byte
+	blocks   []block
+	frontier []tfLen
+}
+
+func flatten(pl postingList) flatList {
+	blocks := slices.Clone(pl.blocks())
+	from, to := pl.posSpan()
+	for i := range blocks {
+		blocks[i].posOff -= uint32(from)
+	}
+	return flatList{slices.Clone(pl.docs()), slices.Clone(pl.freqs()), slices.Clone(pl.a.pos[from:to]), blocks, slices.Clone(pl.frontier())}
 }
 
 // TestBuildMatchesSequentialAdd asserts the tentpole determinism claim:
@@ -199,15 +221,15 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 			if fi == nil {
 				t.Fatalf("%s: no field %q", name, f)
 			}
-			if len(fi.postings) != len(want[f]) {
-				t.Fatalf("%s: field %q holds %d terms, want %d", name, f, len(fi.postings), len(want[f]))
+			if len(fi.terms) != len(want[f]) {
+				t.Fatalf("%s: field %q holds %d terms, want %d", name, f, len(fi.terms), len(want[f]))
 			}
 			for term, byDoc := range want[f] {
-				pl := fi.postings[term]
-				if pl == nil {
+				pl, ok := fi.lookup(term)
+				if !ok {
 					t.Fatalf("%s: %s/%s has no list", name, f, term)
 				}
-				if checkList(t, name+": "+string(f)+"/"+term, pl, byDoc, lens) {
+				if checkList(t, name+": "+string(f)+"/"+term, &pl, byDoc, lens) {
 					crossed = true
 				}
 			}
@@ -280,16 +302,16 @@ func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, 
 				bd.minLen = lens[id]
 			}
 		}
-		if !dominated(cur.frontier[:], c.freq(), lens[id]) || !dominated(pl.frontier[:], c.freq(), lens[id]) {
+		if !dominated(cur.frontier[:], c.freq(), lens[id]) || !dominated(pl.frontier(), c.freq(), lens[id]) {
 			t.Fatalf("%s: doc %d (freq %d, len %d) above frontiers %v / %v",
-				what, id, c.freq(), lens[id], cur.frontier, pl.frontier)
+				what, id, c.freq(), lens[id], cur.frontier, pl.frontier())
 		}
 	}
 	closeBlock()
 	if inList.n != len(byDoc) || pl.numDocs() != len(byDoc) {
 		t.Fatalf("%s: walked %d postings, numDocs %d, want %d", what, inList.n, pl.numDocs(), len(byDoc))
 	}
-	if maxFreq, minLen := peak(pl.frontier[:]); maxFreq != inList.maxFreq || minLen != inList.minLen {
+	if maxFreq, minLen := peak(pl.frontier()); maxFreq != inList.maxFreq || minLen != inList.minLen {
 		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, maxFreq, minLen, inList.maxFreq, inList.minLen)
 	}
 	return blocks > 1

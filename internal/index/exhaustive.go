@@ -163,12 +163,12 @@ func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opt
 	var slab []int32
 	chunk, posChunk := 4, 64
 	for _, term := range terms {
-		pl := fi.postings[term]
-		if pl == nil {
+		pl, ok := fi.lookup(term)
+		if !ok {
 			continue
 		}
-		off := 0
-		for i, d := range pl.docs {
+		off := int(pl.block(0).posOff)
+		for i, d := range pl.docs() {
 			if tf, _ := pl.head(i, off); cap(slab)-len(slab) < tf {
 				posChunk = min(2*posChunk, 4096)
 				slab = make([]int32, 0, max(posChunk, tf))

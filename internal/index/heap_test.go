@@ -34,18 +34,21 @@ func liveHeap() int64 {
 // the documents it was built from, and then drops the index's linkage map
 // and its document storage in turn, reading the heap each time.
 //
-// What stays is the posting arrays, blocks, lists and vocabulary maps: it
-// reads about 11.3 B a posting — 4 B of id, 1 B of frequency, about 1.2 B
-// of positions, the rest the lists, blocks and maps — and the budget
-// leaves room for the run's noise, not for the 4-byte position end offset
-// and 4-byte positions the lists held before (18.1 B). The
+// What stays is the posting arrays, blocks, term records and vocabulary
+// maps: it reads about 8.9 B a posting — 4 B of id, 1 B of frequency,
+// about 1.2 B of positions, the rest the blocks, records and maps — and
+// the budget leaves room for the run's noise, not for the four arrays and
+// 160-byte header each list owned before its field's were packed (about
+// 11 B),
+// nor for the 4-byte position end offset and 4-byte positions the lists
+// held before that (18.1 B). The
 // document storage less the documents' text is the record, the token
 // count and the side table: it reads about 44 B a document, where a kept
 // *Document, its separately allocated strings and its sort keys cost
 // about 360.
 func TestIndexHeapBudget(t *testing.T) {
 	const (
-		postingBudget = 12.0 // bytes per posting
+		postingBudget = 9.5  // bytes per posting
 		docBudget     = 48.0 // bytes per document beyond its text
 	)
 	heapDocs(20000, 40, 2000) // the generator's caches, filled before measuring
@@ -81,6 +84,83 @@ func TestIndexHeapBudget(t *testing.T) {
 	t.Logf("%d documents, %.0f B of text and %.1f B of heap besides each", docs, float64(textBytes)/float64(docs), perDoc)
 	if perDoc > docBudget {
 		t.Errorf("the index keeps %.1f B per document beyond its text, budget %.0f", perDoc, docBudget)
+	}
+}
+
+// indexHeap returns the live bytes of an index built by build over a
+// collection of one benchmark shape, with its documents and without (its
+// linkage map, records, side table, token counts and text dropped), and
+// its terms (one per field and term) and postings.
+func indexHeap(t *testing.T, docs, bodyWords, vocabWords int, build func([]*index.Document) (*index.Index, error)) (withDocs, postingsOnly int64, terms, postings int) {
+	t.Helper()
+	heapDocs(docs, bodyWords, vocabWords) // the generator's caches, filled before measuring
+	start := liveHeap()
+	ix, err := build(heapDocs(docs, bodyWords, vocabWords))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.VocabTerms(func(_ attr.Field, _ string, _, docFreq int) { terms, postings = terms+1, postings+docFreq })
+	withDocs = liveHeap() - start
+	index.ReleaseLinkages(ix)
+	index.ReleaseDocuments(ix)
+	postingsOnly = liveHeap() - start
+	runtime.KeepAlive(ix)
+	return withDocs, postingsOnly, terms, postings
+}
+
+func buildIndex(docs []*index.Document) (*index.Index, error) {
+	return index.Build(text.NewAnalyzer(), docs, 0)
+}
+
+func addIndex(docs []*index.Document) (*index.Index, error) {
+	ix := index.New(text.NewAnalyzer())
+	for _, d := range docs {
+		if _, err := ix.Add(d); err != nil {
+			return nil, err
+		}
+	}
+	return ix, nil
+}
+
+// TestIndexHeapPerTerm pins what a small source's index keeps per term,
+// the fixed cost a fleet of small sources pays once per term per source:
+// 500 documents of 80-word bodies over 400-word vocabularies, the cache
+// workloads' shape, about 13 postings a term. Build packs every field's
+// lists into four shared arrays and keeps a 20-byte record a term, a list
+// frontier only for the few lists of two or more blocks: it reads about
+// 303 B a term, its postings, block and vocabulary entries included. A
+// list that owned its four arrays and a 160-byte header read about 449.
+func TestIndexHeapPerTerm(t *testing.T) {
+	const budget = 330.0 // bytes per term
+	_, held, terms, postings := indexHeap(t, 500, 80, 400, buildIndex)
+	perTerm := float64(held) / float64(terms)
+	t.Logf("%d terms, %d postings, %.0f B of heap a term", terms, postings, perTerm)
+	if perTerm > budget {
+		t.Errorf("the index keeps %.0f B per term, budget %.0f", perTerm, budget)
+	}
+}
+
+// TestAddedIndexHeapBudget pins what an index built one Add at a time
+// holds, documents included: every term Add creates has arrays of its
+// own, as every term had before Build packed them, and must cost no more
+// than it did then. The budgets are a tenth over what such an index held
+// then: 1.25 MB for a cache-shaped source, 21.04 MB for a big-source one
+// (they read about 1.27 and 21.27 now).
+func TestAddedIndexHeapBudget(t *testing.T) {
+	for _, c := range []struct {
+		name                        string
+		docs, bodyWords, vocabWords int
+		budget                      float64 // MB
+	}{
+		{"cache", 500, 80, 400, 1.1 * 1.25},
+		{"big-source", 20000, 40, 2000, 1.1 * 21.04},
+	} {
+		held, _, _, _ := indexHeap(t, c.docs, c.bodyWords, c.vocabWords, addIndex)
+		mb := float64(held) / (1 << 20)
+		t.Logf("%s: %d documents added one at a time hold %.2f MB", c.name, c.docs, mb)
+		if mb > c.budget {
+			t.Errorf("%s: an index built by Add holds %.2f MB, budget %.2f", c.name, mb, c.budget)
+		}
 	}
 }
 

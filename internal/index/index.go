@@ -15,7 +15,9 @@ import (
 
 // fieldIndex holds the postings and auxiliary vocabularies of one field.
 type fieldIndex struct {
-	postings map[string]*postingList
+	terms  map[string]termRecord
+	packed arena    // the postings Build packed
+	own    []*arena // the arenas of the terms Add created or extended
 	// stems maps Porter stems to the vocabulary terms sharing them,
 	// honoring the stem modifier on engines that do not stem their index;
 	// nil on engines that do.
@@ -37,8 +39,8 @@ type fieldIndex struct {
 
 // newFieldIndex makes a field's index, with the vocabularies expandWord
 // reads under the analyzer's policy.
-func newFieldIndex(a *text.Analyzer) *fieldIndex {
-	fi := &fieldIndex{postings: map[string]*postingList{}, sounds: map[string][]string{}}
+func newFieldIndex(a *text.Analyzer, terms int) *fieldIndex {
+	fi := &fieldIndex{terms: make(map[string]termRecord, terms), sounds: map[string][]string{}}
 	if !a.Stemming {
 		fi.stems = map[string][]string{}
 	}
@@ -81,9 +83,10 @@ func New(a *text.Analyzer) *Index {
 // with the linkage of an existing document replaces nothing and fails:
 // documents are immutable once indexed. The index keeps a copy of the
 // document, not the document itself. Postings hold 32-bit ids and
-// offsets, so a document that would overflow them fails too: the 2³¹th
-// document, one of 2³¹ tokens or more, or one that could take a term's
-// positions in a field past 2³²−1 bytes.
+// offsets, so a document that would overflow them fails too, before
+// anything changes: the 2³¹th document, one of 2³¹ tokens or more, or one
+// that could take a term's positions in a field past 2³²−1 bytes (a term
+// Add extends has its own arena, so Build's limit on a field holds).
 func (ix *Index) Add(d *Document) (int, error) {
 	if err := d.Validate(); err != nil {
 		return 0, err
@@ -114,7 +117,8 @@ func (ix *Index) Add(d *Document) (int, error) {
 			// for each position: the field's tokens bound its positions.
 			most := binary.MaxVarintLen32 * (len(toksByField[i]) + 1)
 			for _, t := range toksByField[i] {
-				if pl := fi.postings[t.Text]; pl != nil && len(pl.pos) > math.MaxUint32-most {
+				pl, _ := fi.lookup(t.Text)
+				if from, to := pl.posSpan(); to-from > math.MaxUint32-most {
 					return 0, fmt.Errorf("index: term %q in %s: %w", t.Text, f, errPositions)
 				}
 			}
@@ -131,11 +135,11 @@ func (ix *Index) Add(d *Document) (int, error) {
 		}
 		fi := ix.fields[f]
 		if fi == nil {
-			fi = newFieldIndex(ix.analyzer)
+			fi = newFieldIndex(ix.analyzer, 0)
 			ix.fields[f] = fi
 		}
-		dp.add(fi.postings, int32(id), toksByField[i], fi.addVocab)
-		dp.note(int32(total))
+		dp.add(int32(id), toksByField[i], fi.extend)
+		dp.note(ix.counts)
 	}
 	return id, nil
 }
@@ -265,7 +269,8 @@ func (ix *Index) DocFreq(f attr.Field, term string) int {
 	if fi == nil {
 		return 0
 	}
-	return fi.postings[ix.analyzer.NormalizeTerm(term)].numDocs()
+	pl, _ := fi.lookup(ix.analyzer.NormalizeTerm(term))
+	return pl.numDocs()
 }
 
 // VocabTerms calls fn for every (field, term) with its posting statistics:
@@ -282,13 +287,13 @@ func (ix *Index) VocabTerms(fn func(f attr.Field, term string, postings, docFreq
 	sort.Slice(fields, func(i, j int) bool { return fields[i] < fields[j] })
 	for _, f := range fields {
 		fi := ix.fields[f]
-		terms := make([]string, 0, len(fi.postings))
-		for t := range fi.postings {
+		terms := make([]string, 0, len(fi.terms))
+		for t := range fi.terms {
 			terms = append(terms, t)
 		}
 		sort.Strings(terms)
 		for _, t := range terms {
-			pl := fi.postings[t]
+			pl, _ := fi.lookup(t)
 			fn(f, t, pl.occurrences(), pl.numDocs())
 		}
 	}
@@ -301,11 +306,59 @@ func (fi *fieldIndex) sortedVocab() []string {
 	defer fi.vocabMu.Unlock()
 	if !fi.vocabOK {
 		fi.vocab = fi.vocab[:0]
-		for t := range fi.postings {
+		for t := range fi.terms {
 			fi.vocab = append(fi.vocab, t)
 		}
 		sort.Strings(fi.vocab)
 		fi.vocabOK = true
 	}
 	return fi.vocab
+}
+
+// termRecord is a term's postingList in the packed arena, or, once Add
+// has given it an arena of its own, 1 + that arena's index in own.
+type termRecord struct{ doc, n, blk, fr, own uint32 }
+
+// lookup returns the view of a term's postings; false, and no postings,
+// for a term the field does not hold.
+func (fi *fieldIndex) lookup(name string) (postingList, bool) {
+	t, ok := fi.terms[name]
+	if t.own != 0 {
+		return fi.own[t.own-1].list(), true
+	}
+	return postingList{a: &fi.packed, doc: t.doc, n: t.n, blk: t.blk, fr: t.fr}, ok
+}
+
+// list returns the view of an arena of one term.
+func (a *arena) list() postingList {
+	return postingList{a: a, n: uint32(len(a.docs)), fr: uint32(len(a.fronts))}
+}
+
+// extend returns the arena of its own a term's next posting goes to: a
+// new one for a new term, and for a packed term a copy of its postings
+// with room to double, as append moves a full slice.
+func (fi *fieldIndex) extend(name string) *arena {
+	pl, ok := fi.lookup(name)
+	if ok && pl.a != &fi.packed {
+		return pl.a
+	}
+	a := &arena{}
+	if ok {
+		from, to := pl.posSpan()
+		a.docs = append(make([]int32, 0, 2*pl.n), pl.docs()...)
+		a.freqs = append(make([]uint8, 0, 2*pl.n), pl.freqs()...)
+		a.pos = append(make([]byte, 0, 2*(to-from)), fi.packed.pos[from:to]...)
+		a.blocks = append(a.blocks, pl.blocks()...)
+		for i := range a.blocks {
+			a.blocks[i].posOff -= uint32(from)
+		}
+		if pl.fr != 0 {
+			a.fronts = append(a.fronts, fi.packed.fronts[pl.fr-1])
+		}
+	} else {
+		fi.addVocab(name)
+	}
+	fi.own = append(fi.own, a)
+	fi.terms[name] = termRecord{own: uint32(len(fi.own))}
+	return a
 }

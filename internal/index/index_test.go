@@ -492,48 +492,98 @@ func TestDocumentHelpers(t *testing.T) {
 // lookups read too, and cuts its documents' Positions from chunks they
 // share, so nothing a lookup or its caller does to a result may show in
 // the index or in another document's result — not the merge of two
-// expansion terms or of two fields, not an append to the result.
+// expansion terms or of two fields, not an append to the result — over
+// an index Add built, one Build packed, and one Build packed and Add then
+// extended. That Add moves each packed term it extends into an arena of
+// its own and leaves the packed arena, and every other term, as it was.
 func TestLookupLeavesPostingsAlone(t *testing.T) {
-	ix := testIndex(t)
-	snapshot := func() map[string][]any {
-		all := map[string][]any{}
-		for f, fi := range ix.fields {
-			for word, pl := range fi.postings {
-				// Through the full capacity: an append through a view must
-				// not write past a list's length either.
-				all[string(f)+"/"+word] = []any{
-					slices.Clone(pl.docs[:cap(pl.docs)]), slices.Clone(pl.freqs[:cap(pl.freqs)]), slices.Clone(pl.pos[:cap(pl.pos)]),
+	added := testIndex(t)
+	var docs []*Document
+	for id := range added.NumDocs() {
+		d, err := added.Doc(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	built, err := Build(text.NewAnalyzer(), docs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended, err := Build(text.NewAnalyzer(), docs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, lists := arenas(extended), map[string]flatList{}
+	for f, fi := range extended.fields {
+		for word := range fi.terms {
+			pl, _ := fi.lookup(word)
+			lists[string(f)+"/"+word] = flatten(pl)
+		}
+	}
+	more := &Document{Linkage: "http://example.edu/more.ps", Title: "Distributed Databases", Body: "Deductive databases, again."}
+	if _, err := extended.Add(more); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for f, fi := range extended.fields {
+		for word, rec := range fi.terms {
+			pl, _ := fi.lookup(word)
+			if before, ok := lists[string(f)+"/"+word]; rec.own == 0 && !reflect.DeepEqual(flatten(pl), before) {
+				t.Errorf("%s/%s: a term the Add did not extend changed", f, word)
+			} else if ok && rec.own != 0 {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the Add moved no packed term out")
+	}
+	for f, fi := range extended.fields {
+		if !reflect.DeepEqual(arenaBytes(&fi.packed), packed[string(f)+"/0"]) {
+			t.Errorf("%s: the Add changed the packed arena", f)
+		}
+	}
+
+	for name, ix := range map[string]*Index{"Add": added, "Build": built, "Add after Build": extended} {
+		before := arenas(ix)
+		for _, src := range []string{
+			`(body-of-text "databases")`,
+			`(body-of-text right-truncation "d")`, // many expansion terms per document
+			`(any "database")`,                    // title and body merged
+			`(any right-truncation "d")`,
+		} {
+			m, err := ix.Lookup(term(t, src), defaultOpts())
+			if err != nil || len(m.Docs) == 0 {
+				t.Fatalf("%s: %s: %v, %v", name, src, m, err)
+			}
+			for id, info := range m.Docs {
+				if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) || slices.Contains(info.Positions, -1) {
+					t.Errorf("%s: %s: doc %d: freq %d, positions %v", name, src, id, info.Freq, info.Positions)
+				}
+				// The next document's first position, had the capacity not
+				// been clipped.
+				info.Positions = append(info.Positions, -1)
+			}
+			for id, info := range m.Docs {
+				if own := info.Positions[:len(info.Positions)-1]; slices.Contains(own, -1) {
+					t.Errorf("%s: %s: doc %d: another document's append shows in its positions %v", name, src, id, own)
 				}
 			}
 		}
-		return all
-	}
-	before := snapshot()
-	for _, src := range []string{
-		`(body-of-text "databases")`,
-		`(body-of-text right-truncation "d")`, // many expansion terms per document
-		`(any "database")`,                    // title and body merged
-		`(any right-truncation "d")`,
-	} {
-		m, err := ix.Lookup(term(t, src), defaultOpts())
-		if err != nil || len(m.Docs) == 0 {
-			t.Fatalf("%s: %v, %v", src, m, err)
-		}
-		for id, info := range m.Docs {
-			if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) || slices.Contains(info.Positions, -1) {
-				t.Errorf("%s: doc %d: freq %d, positions %v", src, id, info.Freq, info.Positions)
-			}
-			// The next document's first position, had the capacity not
-			// been clipped.
-			info.Positions = append(info.Positions, -1)
-		}
-		for id, info := range m.Docs {
-			if own := info.Positions[:len(info.Positions)-1]; slices.Contains(own, -1) {
-				t.Errorf("%s: doc %d: another document's append shows in its positions %v", src, id, own)
-			}
+		if after := arenas(ix); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: lookups changed the postings", name)
 		}
 	}
-	if after := snapshot(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("lookups changed the postings:\n%v\nwas\n%v", after, before)
+}
+
+// arenas copies every arena of an index, packed and own, by field.
+func arenas(ix *Index) map[string][]any {
+	all := map[string][]any{}
+	for f, fi := range ix.fields {
+		for i, a := range append([]*arena{&fi.packed}, fi.own...) {
+			all[fmt.Sprintf("%s/%d", f, i)] = arenaBytes(a)
+		}
 	}
+	return all
 }

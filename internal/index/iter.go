@@ -43,8 +43,8 @@ type Scratch struct {
 	toks  []text.Token // reused by each tokenization
 	vocab []string     // reused by each word's expansion
 	words []string
-	lists []*postingList
-	runs  [][]*postingList // a phrase's lists, word by word
+	lists []postingList
+	runs  [][]postingList // a phrase's lists, word by word
 	nodes []termNode
 	curs  []termCursor
 	iters []docIter
@@ -88,7 +88,7 @@ func (sc *Scratch) Tokens(a *text.Analyzer, value string) []text.Token {
 
 // termCursors returns one cursor per entry of lists, over that entry's
 // posting lists.
-func (sc *Scratch) termCursors(lists ...[]*postingList) []termCursor {
+func (sc *Scratch) termCursors(lists ...[]postingList) []termCursor {
 	tcs := take(&sc.curs, len(lists))
 	for i, l := range lists {
 		tc := &tcs[i]
@@ -96,8 +96,8 @@ func (sc *Scratch) termCursors(lists ...[]*postingList) []termCursor {
 		if len(l) > 1 {
 			tc.curs = make([]listCursor, 0, len(l))
 		}
-		for _, pl := range l {
-			tc.curs = append(tc.curs, newListCursor(pl))
+		for j := range l {
+			tc.curs = append(tc.curs, newListCursor(&l[j]))
 		}
 		tc.align()
 	}
@@ -135,7 +135,7 @@ type posIter struct {
 }
 
 // newPosIter takes each word's expansion lists in the field.
-func (sc *Scratch) newPosIter(lists [][]*postingList) *posIter {
+func (sc *Scratch) newPosIter(lists [][]postingList) *posIter {
 	p := &posIter{words: sc.termCursors(lists...), at: make([][]int32, len(lists))}
 	p.settle()
 	return p
@@ -368,8 +368,8 @@ func countDocs(it docIter) int {
 // cheap to make from then on. Which of its fields are set says what kind
 // of term it is; the zero node matches nothing.
 type termNode struct {
-	lists  []*postingList    // a one-word text term: the word's expansions in the term's fields
-	phrase [][]*postingList  // a phrase: each word's lists, field after field
+	lists  []postingList     // a one-word text term: the word's expansions in the term's fields
+	phrase [][]postingList   // a phrase: each word's lists, field after field
 	words  int               // a phrase's word count
 	inLang func(id int) bool // a text term's language check; nil when every document passes
 	pred   func(id int) bool // a field without postings: each document's test,
@@ -419,9 +419,9 @@ func (n *termNode) probe(id int) int {
 		return 0
 	}
 	tf := 0
-	for _, pl := range n.lists {
-		if i, found := pl.find(id); found {
-			tf += pl.freq(i)
+	for j := range n.lists {
+		if i, found := n.lists[j].find(id); found {
+			tf += n.lists[j].freq(i)
 		}
 	}
 	return tf
@@ -491,7 +491,7 @@ func (ix *Index) languageCheck(t query.Term, opts LookupOptions) func(id int) bo
 // phraseLists resolves each word of a value to its expansion lists in one
 // field, into dst; false when some word has none there, so the value
 // cannot match.
-func (ix *Index) phraseLists(sc *Scratch, dst [][]*postingList, f attr.Field, words []string, t query.Term, opts LookupOptions) bool {
+func (ix *Index) phraseLists(sc *Scratch, dst [][]postingList, f attr.Field, words []string, t query.Term, opts LookupOptions) bool {
 	for i, w := range words {
 		if dst[i] = ix.wordLists(sc, []attr.Field{f}, w, t, opts); len(dst[i]) == 0 {
 			return false

@@ -73,7 +73,7 @@ func (fi *fieldIndex) expandWord(dst []string, a *text.Analyzer, word string, t 
 			// fold map.
 			cands = fi.folds[strings.ToLower(norm)]
 		default:
-			if _, ok := fi.postings[norm]; ok {
+			if _, ok := fi.terms[norm]; ok {
 				cands = []string{norm}
 			}
 		}

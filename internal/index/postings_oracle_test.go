@@ -124,10 +124,11 @@ func seedInput(docs ...seedDoc) []byte {
 // FuzzPostingsMatchOracle builds the lists of "x" and "xy" over random
 // documents — frequencies 1 to 600, positions up to 2²⁹, tokens in or out
 // of order — the three ways an index builds them (Index.Add, Build's
-// chunk runs joined by joinRuns, and Add after Build) and reads every
-// posting back, through a walking and a seeking listCursor, termCursor
-// positions and the oracle's matchWord, against the layout the lists
-// replaced.
+// chunk runs packed by pack, and Add after Build, which moves each term
+// it extends out of the packed arena and must leave that arena as it
+// was) and reads every posting back, through a walking and a seeking
+// listCursor, termCursor positions and the oracle's matchWord, against
+// the layout the lists replaced.
 func FuzzPostingsMatchOracle(f *testing.F) {
 	zeros := func(n int) []uint64 { return make([]uint64, n) }
 	f.Add(seedInput(seedDoc{0, zeros(254)}, seedDoc{0, zeros(255)}, seedDoc{0, zeros(256)}))
@@ -159,55 +160,54 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 				}
 			}
 		}
+		a := text.NewAnalyzer()
 		var dp docPostings
-		add := func(lists map[string]*postingList, docs []fuzzDoc) map[string]*postingList {
+		add := func(fi *fieldIndex, docs []fuzzDoc) *fieldIndex {
 			for _, d := range docs {
-				dp.add(lists, d.id, d.toks, nil)
-				dp.note(lens[d.id])
+				dp.add(d.id, d.toks, fi.extend)
+				dp.note(lens)
 			}
-			return lists
+			return fi
 		}
-		build := func(docs []fuzzDoc) map[string]*postingList {
-			runs := map[string][]*postingList{}
+		build := func(docs []fuzzDoc) *fieldIndex {
+			byTerm := map[string][]*arena{}
 			for lo, size := 0, len(docs)/3+1; lo < len(docs); lo += size {
-				lists := map[string]*postingList{}
+				lists := runs{}
 				for _, d := range docs[lo:min(lo+size, len(docs))] {
-					dp.add(lists, d.id, d.toks, nil)
+					dp.add(d.id, d.toks, lists.arena)
 				}
 				for term, r := range lists {
-					runs[term] = append(runs[term], r)
+					byTerm[term] = append(byTerm[term], r)
 				}
 			}
-			lists := map[string]*postingList{}
-			for term, rs := range runs {
-				pl, err := joinRuns(rs, lens)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lists[term] = pl
+			fi := newFieldIndex(a, len(byTerm))
+			if err := fi.pack(byTerm, lens); err != nil {
+				t.Fatal(err)
 			}
-			return lists
+			return fi
 		}
 		half := len(docs) / 2
-		built := map[string]map[string]*postingList{
-			"Add":             add(map[string]*postingList{}, docs),
+		// Adds after a Build move the terms they extend out of the packed
+		// arena, whose bytes — the other term's too — stay as they were.
+		packed := build(docs[:half])
+		before := arenaBytes(&packed.packed)
+		built := map[string]*fieldIndex{
+			"Add":             add(newFieldIndex(a, 0), docs),
 			"Build":           build(docs),
-			"Add after Build": add(build(docs[:half]), docs[half:]),
+			"Add after Build": add(packed, docs[half:]),
 		}
-		a := text.NewAnalyzer()
-		for name, lists := range built {
+		if after := arenaBytes(&packed.packed); !reflect.DeepEqual(after, before) {
+			t.Fatal("Add after Build changed the packed arena")
+		}
+		for name, fi := range built {
 			for _, term := range terms {
-				if !reflect.DeepEqual(lists[term], built["Add"][term]) {
+				pl, _ := fi.lookup(term)
+				if want, _ := built["Add"].lookup(term); pl.numDocs() > 0 && !reflect.DeepEqual(flatten(pl), flatten(want)) {
 					t.Fatalf("%s: %q differs from sequential Add's list", name, term)
 				}
-				checkAgainst(t, name+" "+term, lists[term], oracle[term])
+				checkAgainst(t, name+" "+term, &pl, oracle[term])
 			}
-			checkMerged(t, name, lists, oracle)
-			fi := newFieldIndex(a)
-			for term, pl := range lists {
-				fi.postings[term] = pl
-				fi.addVocab(term)
-			}
+			checkMerged(t, name, fi, oracle)
 			for _, q := range []struct {
 				src, word string
 				terms     []string
@@ -277,11 +277,11 @@ func checkAgainst(t *testing.T, what string, pl *postingList, want *int32List) {
 
 // checkMerged walks the two lists as one word's expansions, a termCursor,
 // against the oracle's positions merged document by document.
-func checkMerged(t *testing.T, what string, lists map[string]*postingList, oracle map[string]*int32List) {
+func checkMerged(t *testing.T, what string, fi *fieldIndex, oracle map[string]*int32List) {
 	t.Helper()
-	var pls []*postingList
+	var pls []postingList
 	for _, term := range []string{"x", "xy"} {
-		if pl := lists[term]; pl != nil {
+		if pl, ok := fi.lookup(term); ok {
 			pls = append(pls, pl)
 		}
 	}
@@ -298,5 +298,14 @@ func checkMerged(t *testing.T, what string, lists map[string]*postingList, oracl
 	}
 	if tc.cur != maxDocID {
 		t.Fatalf("%s: term cursor reads doc %d past the last", what, tc.cur)
+	}
+}
+
+// arenaBytes copies an arena's arrays through their full capacity: an
+// append through a view must not write past a list's length either.
+func arenaBytes(a *arena) []any {
+	return []any{
+		slices.Clone(a.docs[:cap(a.docs)]), slices.Clone(a.freqs[:cap(a.freqs)]), slices.Clone(a.pos[:cap(a.pos)]),
+		slices.Clone(a.blocks[:cap(a.blocks)]), slices.Clone(a.fronts[:cap(a.fronts)]),
 	}
 }

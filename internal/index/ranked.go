@@ -197,11 +197,11 @@ func (s Snapshot) TopKRanked(sc *Scratch, plan RankPlan, opts LookupOptions) (do
 		switch {
 		case tc.df == 0:
 		case len(rl.lists) == 1:
-			tc.ub = frontierBound(rl.lists[0].frontier[:], &plan, tc.w, tc.df, n)
+			tc.ub = frontierBound(rl.lists[0].frontier(), &plan, tc.w, tc.df, n)
 		default:
 			maxF, minL := 0, math.MaxInt
-			for _, pl := range rl.lists {
-				f, l := peak(pl.frontier[:])
+			for i := range rl.lists {
+				f, l := peak(rl.lists[i].frontier())
 				maxF, minL = maxF+f, min(minL, l)
 			}
 			tc.ub = tc.w * plan.TermWeight(maxF, tc.df, n, minL)
@@ -328,7 +328,7 @@ func (tc *termCursor) matchFreq(id int) int {
 
 // wordLists resolves one word of a term's value to its posting lists: the
 // word's modifier expansions in each of fields.
-func (ix *Index) wordLists(sc *Scratch, fields []attr.Field, word string, t query.Term, opts LookupOptions) []*postingList {
+func (ix *Index) wordLists(sc *Scratch, fields []attr.Field, word string, t query.Term, opts LookupOptions) []postingList {
 	from := len(sc.lists)
 	for _, f := range fields {
 		fi := ix.fields[f]
@@ -337,7 +337,7 @@ func (ix *Index) wordLists(sc *Scratch, fields []attr.Field, word string, t quer
 		}
 		sc.vocab = fi.expandWord(sc.vocab[:0], ix.analyzer, word, t, opts)
 		for _, vt := range sc.vocab {
-			if pl := fi.postings[vt]; pl.numDocs() > 0 {
+			if pl, ok := fi.lookup(vt); ok {
 				sc.lists = append(sc.lists, pl)
 			}
 		}

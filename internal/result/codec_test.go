@@ -99,6 +99,40 @@ func TestDecodeAnswerAllocatesSlabsOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeAnswerReservesSlabsOnce: the first document's answer fields
+// and TermStats lines, counted before any is appended, size the field and
+// stats slabs for every document the header promised, so decoding a
+// 10-document Example 8 answer allocates each slab once. It read 39
+// allocations while the slabs were sized for the first document and then
+// grown for the rest (44 and 40 under -race, where the soif decoder's
+// slices.Grow allocates twice).
+func TestDecodeAnswerReservesSlabsOnce(t *testing.T) {
+	budget := 37.0
+	if raceBuild {
+		budget = 40
+	}
+	answer := paperAnswer()
+	answer.Documents = make([]*Document, 10)
+	for i := range answer.Documents {
+		answer.Documents[i] = source1Doc()
+	}
+	wire, err := answer.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	got := testing.AllocsPerRun(50, func() {
+		rd.Reset(wire)
+		if r, err := decodeResults(soif.NewDecoder(rd), nil); err != nil || len(r.Documents) != 10 {
+			t.Fatal(r, err)
+		}
+	})
+	t.Logf("%v allocations to decode 10 documents (budget %v)", got, budget)
+	if got > budget {
+		t.Errorf("decoding 10 documents allocates %v times, budget %v", got, budget)
+	}
+}
+
 // TestEncodeAnswerAllocatesNothingPerDocument: appending the terminal
 // stream frame of an answer into a buffer with room for it costs the same
 // few allocations for 20 documents as for 10 — nothing per document.

@@ -312,10 +312,10 @@ func headerFromSOIF(head *soif.Object) (*Results, error) {
 // slabs holds an answer's documents, answer fields and term statistics, a
 // slice each. A document's Fields and TermStats are capped views of the
 // slab as it stood when the document was added; the first document sizes
-// the slabs for the rest, as the query fixes their fields and terms. A
-// document whose Sources value repeats the last one parsed shares its
-// list, which is clipped: merging appends to a document's list, and an
-// append to a full slice copies it.
+// the slabs, once, for every document the header promised, as the query
+// fixes their fields and terms. A document whose Sources value repeats the
+// last one parsed shares its list, which is clipped: merging appends to a
+// document's list, and an append to a full slice copies it.
 type slabs struct {
 	docs    []Document
 	fields  []FieldValue
@@ -331,7 +331,10 @@ func (s *slabs) add(o *soif.Object) error {
 		return fmt.Errorf("expected @%s, found @%s", DocumentType, o.Type)
 	}
 	if len(s.docs) == 0 {
-		s.fields = make([]FieldValue, 0, len(o.Attrs))
+		fields, stats := slabHints(o)
+		n := cap(s.docs)
+		s.fields = make([]FieldValue, 0, max(fields, min(n*fields, maxDocsHint)))
+		s.stats = make([]TermStat, 0, max(stats, min(n*stats, maxDocsHint)))
 	}
 	var d Document
 	f0, s0 := len(s.fields), len(s.stats)
@@ -374,12 +377,26 @@ func (s *slabs) add(o *soif.Object) error {
 	if n := len(s.stats); n > s0 {
 		d.TermStats = s.stats[s0:n:n]
 	}
-	if s.docs = append(s.docs, d); len(s.docs) == 1 {
-		rest := cap(s.docs) - 1
-		s.fields = slices.Grow(s.fields, min(rest*len(d.Fields), maxDocsHint))
-		s.stats = slices.Grow(s.stats, min(rest*len(d.TermStats), maxDocsHint))
-	}
+	s.docs = append(s.docs, d)
 	return nil
+}
+
+// slabHints counts a document's answer fields and its TermStats entries,
+// as appendTermStats reserves for them: a line each, up to maxStatsHint.
+func slabHints(o *soif.Object) (fields, stats int) {
+	for _, a := range o.Attrs {
+		switch {
+		case strings.EqualFold(a.Name, "TermStats"):
+			if v := strings.TrimSpace(a.Value); v != "" {
+				stats = min(1+strings.Count(v, "\n"), maxStatsHint)
+			}
+		case !strings.EqualFold(a.Name, "Version") && !strings.EqualFold(a.Name, "RawScore") &&
+			!strings.EqualFold(a.Name, "Sources") && !strings.EqualFold(a.Name, "DocSize") &&
+			!strings.EqualFold(a.Name, "DocCount"):
+			fields++
+		}
+	}
+	return fields, stats
 }
 
 // maxStatsHint caps what ParseTermStats reserves on the strength of a

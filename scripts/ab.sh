@@ -11,7 +11,9 @@
 # the parent first on odd seeds and the working tree first on even ones.
 # Without --workload it runs all four workloads; --workload takes one name
 # or a space-separated list. --trace 1 runs the per-layer pass instead of
-# the end-to-end one.
+# the end-to-end one. Fewer than 10 pairs draws a warning: a claimed gain
+# needs the change better in at least 9 of 10 pairs, and one run's
+# setup_s alone can swing by a tenth.
 #
 # Every result file is kept under .ab/<time>-<parent>/ as
 # <side>-<workload>-<seed>.json, next to each run's output (.log). For
@@ -54,6 +56,9 @@ while [ $# -gt 0 ]; do
 	esac
 	shift 2
 done
+if [ "$pairs" -lt 10 ]; then
+	echo "ab.sh: warning: $pairs pairs; a claimed gain needs at least 10 (better in 9 of 10)" >&2
+fi
 
 parent=$(git -C "$root" rev-parse --verify "$parent_ref^{commit}")
 change=$(git -C "$root" rev-parse HEAD)
