@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-smoke ab prof-cold prof-wire prof-heap prof-cache prof-build prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-smoke ab prof-cold prof-wire prof-heap prof-cache prof-build prof-setup prof-search warm soak stress fuzz loc tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,17 @@ prof-build:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildIndex$$' -benchtime 10x -cpuprofile $(PROFDIR)/build.cpu \
 		-o $(PROFDIR)/index.test ./internal/index
 	$(GO) tool pprof -top $(PROFDIR)/index.test $(PROFDIR)/build.cpu | head -40
+
+# prof-setup is prof-build for the bulk of a whole big-source set-up:
+# BenchmarkSetup (internal/corpus: one universe of 2 sources of 20 000
+# documents generated, then each source's index built) with a CPU profile,
+# then the profile's top functions. The binary and the profile go to
+# PROFDIR.
+prof-setup:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkSetup$$' -benchtime 5x -cpuprofile $(PROFDIR)/setup.cpu \
+		-o $(PROFDIR)/corpus.test ./internal/corpus
+	$(GO) tool pprof -top $(PROFDIR)/corpus.test $(PROFDIR)/setup.cpu | head -40
 
 # prof-search attributes what one engine search allocates, by site:
 # BenchmarkEngineMix (internal/engine: one 20 000-document source, as the

@@ -74,18 +74,13 @@ func main() {
 				cfg = engine.NewBooleanConfig()
 			}
 		}
-		eng, err := starts.NewEngine(cfg)
+		eng, err := engine.NewWithDocs(cfg, spec.Docs, 0)
 		if err != nil {
-			log.Fatalf("startsd: %v", err)
+			log.Fatalf("startsd: indexing %s: %v", spec.ID, err)
 		}
 		src, err := starts.NewSource(spec.ID, eng)
 		if err != nil {
 			log.Fatalf("startsd: %v", err)
-		}
-		for _, d := range spec.Docs {
-			if err := src.Add(d); err != nil {
-				log.Fatalf("startsd: indexing %s: %v", spec.ID, err)
-			}
 		}
 		if err := res.Add(src); err != nil {
 			log.Fatalf("startsd: %v", err)

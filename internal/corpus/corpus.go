@@ -12,8 +12,8 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -151,7 +151,14 @@ type Generated struct {
 	Sources []SourceSpec
 }
 
-// Generate builds a deterministic universe from the config.
+// batchDocs is how many drawn documents a render worker takes at a time.
+const batchDocs = 256
+
+// Generate builds a deterministic universe from the config. The calling
+// goroutine draws every document in order, and only it reads the random
+// source; GOMAXPROCS workers render the drawn documents batch by batch,
+// so the output does not depend on how many there are. Every worker has
+// finished when Generate returns.
 func Generate(cfg Config) *Generated {
 	if cfg.NumSources <= 0 {
 		cfg.NumSources = 4
@@ -167,23 +174,46 @@ func Generate(cfg Config) *Generated {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	topics := TopicsWithVocab(cfg.VocabWords)
-	g := &Generated{Topics: topics}
-	vocabs := make([]zipfWords, len(topics))
+	g := &Generated{Topics: topics, Sources: make([]SourceSpec, cfg.NumSources)}
+	// Words are drawn as indices into one table: topic i's vocabulary from
+	// bases[i] on, then the general words.
+	var table []string
+	vocabs, bases := make([]zipf, len(topics)), make([]int32, len(topics)+1)
 	for i, t := range topics {
-		vocabs[i] = zipfWords{t.Words, harmonicCDF(len(t.Words))}
+		vocabs[i], bases[i] = zipfOf(len(t.Words)), int32(len(table))
+		table = append(table, t.Words...)
 	}
-
-	for si := 0; si < cfg.NumSources; si++ {
+	bases[len(topics)], table = int32(len(table)), append(table, generalWords...)
+	// A batch can wait for each worker, so drawing seldom waits for one.
+	batches := make(chan *drawn, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for range cap(batches) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range batches {
+				b.render(table)
+			}
+		}()
+	}
+	for si := range g.Sources {
 		ti := si % len(topics)
-		spec := SourceSpec{
-			ID:           fmt.Sprintf("src-%02d-%s", si, topics[ti].Name),
-			PrimaryTopic: topics[ti].Name,
+		spec := &g.Sources[si]
+		spec.ID, spec.PrimaryTopic = fmt.Sprintf("src-%02d-%s", si, topics[ti].Name), topics[ti].Name
+		spec.Docs = make([]*index.Document, cfg.DocsPerSource)
+		for lo := 0; lo < cfg.DocsPerSource; lo += batchDocs {
+			b := &drawn{spec: spec, lo: lo}
+			for di := lo; di < min(lo+batchDocs, cfg.DocsPerSource); di++ {
+				spec.Docs[di] = b.draw(rng, vocabs, bases, ti, cfg.BodyWords)
+				if !topics[ti].Language.IsZero() {
+					spec.Docs[di].Languages = []lang.Tag{topics[ti].Language}
+				}
+			}
+			batches <- b
 		}
-		for di := 0; di < cfg.DocsPerSource; di++ {
-			spec.Docs = append(spec.Docs, genDoc(rng, vocabs, ti, topics[ti].Language, spec.ID, di, cfg))
-		}
-		g.Sources = append(g.Sources, spec)
 	}
+	close(batches)
+	wg.Wait()
 	// Duplicate a fraction of each source's documents into the next
 	// source (same linkage: the same logical document held twice).
 	if cfg.Overlap > 0 && len(g.Sources) > 1 {
@@ -200,9 +230,72 @@ func Generate(cfg Config) *Generated {
 	return g
 }
 
-// titleCase upper-cases the first letter of each space-separated word.
-func titleCase(s string) string {
-	b := []byte(s)
+// drawn is a batch of a source's documents from Docs[lo] on, as drawn:
+// each one's title and then its body words, each run headed by its
+// length, as indices into the table.
+type drawn struct {
+	spec  *SourceSpec
+	lo    int
+	words []int32
+}
+
+// draw draws the batch's next document, whose primary topic is
+// vocabs[primary] — the draws the generator has always made, in order —
+// and returns it with its author and date; its words go to the batch.
+func (b *drawn) draw(rng *rand.Rand, vocabs []zipf, bases []int32, primary, bodyWords int) *index.Document {
+	pick := func(t int) int32 { return bases[t] + int32(vocabs[t].pick(rng)) }
+	n := 4 + rng.Intn(5)
+	for b.words = append(b.words, int32(n)); n > 0; n-- {
+		b.words = append(b.words, pick(primary))
+	}
+	n = bodyWords/2 + rng.Intn(bodyWords)
+	for b.words = append(b.words, int32(n)); n > 0; n-- {
+		switch r := rng.Float64(); {
+		case r < primaryBias:
+			b.words = append(b.words, pick(primary))
+		case r < primaryBias+0.2:
+			b.words = append(b.words, bases[len(vocabs)]+int32(rng.Intn(len(generalWords))))
+		default:
+			b.words = append(b.words, pick(rng.Intn(len(vocabs))))
+		}
+	}
+	return &index.Document{
+		Authors: []string{authorPool[rng.Intn(len(authorPool))]},
+		Date: time.Date(1990+rng.Intn(7), time.Month(1+rng.Intn(12)),
+			1+rng.Intn(28), 0, 0, 0, 0, time.UTC),
+	}
+}
+
+// render writes the text of the batch's documents, each one's linkage,
+// title and body in one string.
+func (b *drawn) render(table []string) {
+	var buf []byte
+	words := b.words
+	join := func() {
+		for i, w := range words[1 : 1+words[0]] {
+			if i > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = append(buf, table[w]...)
+		}
+		words = words[1+words[0]:]
+	}
+	for di := b.lo; len(words) > 0; di++ {
+		buf = fmt.Appendf(buf[:0], "http://%s/doc-%04d", b.spec.ID, di)
+		link := len(buf)
+		join()
+		titleCase(buf[link:])
+		title := len(buf)
+		join()
+		text := string(append(buf, '.'))
+		d := b.spec.Docs[di]
+		d.Linkage, d.Title, d.Body = text[:link], text[link:title], text[title:]
+	}
+}
+
+// titleCase upper-cases the first letter of each space-separated word,
+// in place.
+func titleCase(b []byte) {
 	up := true
 	for i, c := range b {
 		if c == ' ' {
@@ -214,78 +307,57 @@ func titleCase(s string) string {
 		}
 		up = false
 	}
-	return string(b)
 }
 
-// harmonicCDF caches the cumulative harmonic weights per vocabulary
-// size, so sampling is a binary search instead of an O(n) rebuild and
-// scan per pick. The cached prefix sums are accumulated left to right,
-// term by term — exactly the additions the previous incremental scan
-// performed — so every draw maps to the same word index as before.
+// harmonics caches a vocabulary size's sampler, so that a draw takes no
+// lock.
 var (
 	harmonicsMu sync.Mutex
-	harmonics   = map[int][]float64{}
+	harmonics   = map[int]zipf{}
 )
 
-func harmonicCDF(n int) []float64 {
+// zipfOf returns the sampler of n words. The prefix sums are accumulated
+// left to right, term by term — the additions the first, scanning sampler
+// made — so every draw maps to the word it always has.
+func zipfOf(n int) zipf {
 	harmonicsMu.Lock()
 	defer harmonicsMu.Unlock()
-	if c, ok := harmonics[n]; ok {
-		return c
-	}
-	c := make([]float64, n)
-	var acc float64
-	for i := 0; i < n; i++ {
-		acc += 1 / float64(i+1)
-		c[i] = acc
-	}
-	harmonics[n] = c
-	return c
-}
-
-// zipfWords is a vocabulary with its harmonic CDF, fetched once so that
-// a draw takes no lock.
-type zipfWords struct {
-	words []string
-	cum   []float64
-}
-
-// pick samples the i-th word with probability proportional to 1/(i+1).
-func (z zipfWords) pick(rng *rand.Rand) string {
-	n := len(z.cum)
-	i, _ := slices.BinarySearch(z.cum, rng.Float64()*z.cum[n-1])
-	return z.words[min(i, n-1)]
-}
-
-// genDoc draws document di of a source whose primary topic is
-// vocabs[primary].
-func genDoc(rng *rand.Rand, vocabs []zipfWords, primary int, language lang.Tag, sourceID string, di int, cfg Config) *index.Document {
-	title := make([]string, 4+rng.Intn(5))
-	for i := range title {
-		title[i] = vocabs[primary].pick(rng)
-	}
-	body := make([]string, cfg.BodyWords/2+rng.Intn(cfg.BodyWords))
-	for i := range body {
-		r := rng.Float64()
-		switch {
-		case r < primaryBias:
-			body[i] = vocabs[primary].pick(rng)
-		case r < primaryBias+0.2:
-			body[i] = generalWords[rng.Intn(len(generalWords))]
-		default:
-			body[i] = vocabs[rng.Intn(len(vocabs))].pick(rng)
+	z, ok := harmonics[n]
+	if !ok {
+		z = zipf{cum: make([]float64, n), guide: make([]int32, 2*n)}
+		var acc float64
+		for i := range z.cum {
+			acc += 1 / float64(i+1)
+			z.cum[i] = acc
 		}
+		for b := range z.guide {
+			i, _ := slices.BinarySearch(z.cum, float64(b)/float64(len(z.guide))*acc)
+			z.guide[b] = int32(min(i, n-1))
+		}
+		harmonics[n] = z
 	}
-	doc := &index.Document{
-		Linkage: fmt.Sprintf("http://%s/doc-%04d", sourceID, di),
-		Title:   titleCase(strings.Join(title, " ")),
-		Authors: []string{authorPool[rng.Intn(len(authorPool))]},
-		Body:    strings.Join(body, " ") + ".",
-		Date: time.Date(1990+rng.Intn(7), time.Month(1+rng.Intn(12)),
-			1+rng.Intn(28), 0, 0, 0, 0, time.UTC),
+	return z
+}
+
+// zipf samples the i-th of len(cum) words with probability proportional
+// to 1/(i+1): cum is the harmonic CDF, and guide[b] is where the search
+// for a draw in [b, b+1)/len(guide) starts.
+type zipf struct {
+	cum   []float64
+	guide []int32
+}
+
+// pick returns the index of the first word whose cumulative weight reaches
+// the draw, the one a binary search over cum finds: from the guide's start
+// it walks down, then up, so the guide only has to be close.
+func (z zipf) pick(rng *rand.Rand) int {
+	u := rng.Float64()
+	x, i := u*z.cum[len(z.cum)-1], int(z.guide[min(int(u*float64(len(z.guide))), len(z.guide)-1)])
+	for i > 0 && z.cum[i-1] >= x {
+		i--
 	}
-	if !language.IsZero() {
-		doc.Languages = []lang.Tag{language}
+	for i < len(z.cum)-1 && z.cum[i] < x {
+		i++
 	}
-	return doc
+	return i
 }

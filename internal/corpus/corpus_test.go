@@ -6,13 +6,156 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"starts/internal/index"
 	"starts/internal/lang"
+	"starts/internal/text"
 )
+
+// oracleGenerate is Generate as it was before drawing and rendering were
+// split: one goroutine draws and builds each document in turn, picking
+// words by binary search over the harmonic CDF.
+func oracleGenerate(cfg Config) *Generated {
+	if cfg.NumSources <= 0 {
+		cfg.NumSources = 4
+	}
+	if cfg.DocsPerSource <= 0 {
+		cfg.DocsPerSource = 100
+	}
+	if cfg.BodyWords <= 0 {
+		cfg.BodyWords = 80
+	}
+	if cfg.VocabWords <= 0 {
+		cfg.VocabWords = defaultVocabWords
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	topics := TopicsWithVocab(cfg.VocabWords)
+	g := &Generated{Topics: topics}
+	for si := 0; si < cfg.NumSources; si++ {
+		ti := si % len(topics)
+		spec := SourceSpec{
+			ID:           fmt.Sprintf("src-%02d-%s", si, topics[ti].Name),
+			PrimaryTopic: topics[ti].Name,
+		}
+		for di := 0; di < cfg.DocsPerSource; di++ {
+			spec.Docs = append(spec.Docs, genDoc(rng, topics, ti, spec.ID, di, cfg))
+		}
+		g.Sources = append(g.Sources, spec)
+	}
+	if cfg.Overlap > 0 && len(g.Sources) > 1 {
+		for si := range g.Sources {
+			next := &g.Sources[(si+1)%len(g.Sources)]
+			n := int(cfg.Overlap * float64(cfg.DocsPerSource))
+			for di := 0; di < n && di < len(g.Sources[si].Docs); di++ {
+				d := g.Sources[si].Docs[di]
+				cp := *d
+				next.Docs = append(next.Docs, &cp)
+			}
+		}
+	}
+	return g
+}
+
+// oraclePick samples the i-th word with probability proportional to
+// 1/(i+1) by binary search.
+func oraclePick(rng *rand.Rand, words []string) string {
+	cum := zipfOf(len(words)).cum
+	i, _ := slices.BinarySearch(cum, rng.Float64()*cum[len(cum)-1])
+	return words[min(i, len(cum)-1)]
+}
+
+// genDoc draws and builds document di of a source whose primary topic is
+// topics[primary].
+func genDoc(rng *rand.Rand, topics []Topic, primary int, sourceID string, di int, cfg Config) *index.Document {
+	title := make([]string, 4+rng.Intn(5))
+	for i := range title {
+		title[i] = oraclePick(rng, topics[primary].Words)
+	}
+	body := make([]string, cfg.BodyWords/2+rng.Intn(cfg.BodyWords))
+	for i := range body {
+		r := rng.Float64()
+		switch {
+		case r < primaryBias:
+			body[i] = oraclePick(rng, topics[primary].Words)
+		case r < primaryBias+0.2:
+			body[i] = generalWords[rng.Intn(len(generalWords))]
+		default:
+			body[i] = oraclePick(rng, topics[rng.Intn(len(topics))].Words)
+		}
+	}
+	tb := []byte(strings.Join(title, " "))
+	titleCase(tb)
+	doc := &index.Document{
+		Linkage: fmt.Sprintf("http://%s/doc-%04d", sourceID, di),
+		Title:   string(tb),
+		Authors: []string{authorPool[rng.Intn(len(authorPool))]},
+		Body:    strings.Join(body, " ") + ".",
+		Date: time.Date(1990+rng.Intn(7), time.Month(1+rng.Intn(12)),
+			1+rng.Intn(28), 0, 0, 0, 0, time.UTC),
+	}
+	if language := topics[primary].Language; !language.IsZero() {
+		doc.Languages = []lang.Tag{language}
+	}
+	return doc
+}
+
+// TestGenerateMatchesOracle holds Generate to the sequential generator it
+// replaced over random configurations — sizes that end batches early and
+// late, vocabularies from the curated head alone to past 2 000 words,
+// overlap or none — at one worker and at four: the same universe, field
+// for field, whatever renders it.
+func TestGenerateMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cfgs := []Config{{}, {DocsPerSource: batchDocs}, {DocsPerSource: batchDocs + 1, NumSources: 6, VocabWords: 2500}}
+	for range 12 {
+		cfgs = append(cfgs, Config{
+			Seed:          rng.Int63(),
+			NumSources:    1 + rng.Intn(7),
+			DocsPerSource: 1 + rng.Intn(3*batchDocs),
+			BodyWords:     rng.Intn(120),
+			VocabWords:    rng.Intn(3000),
+			Overlap:       []float64{0, 0, 0.1, 0.5}[rng.Intn(4)],
+		})
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, cfg := range cfgs {
+			if got, want := Generate(cfg), oracleGenerate(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("GOMAXPROCS %d: Generate(%+v) differs from the sequential generator", procs, cfg)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestZipfPickMatchesBinarySearch holds the guided pick to a binary search
+// over the harmonic CDF, draw for draw, at every vocabulary size up to
+// 300 and a few beyond.
+func TestZipfPickMatchesBinarySearch(t *testing.T) {
+	var sizes []int
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range append(sizes, 1999, 2000, 4096) {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = strconv.Itoa(i)
+		}
+		z := zipfOf(n)
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for range 2000 {
+			if got, want := words[z.pick(a)], oraclePick(b, words); got != want {
+				t.Fatalf("%d words: pick = %s, binary search %s", n, got, want)
+			}
+		}
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Config{Seed: 7, NumSources: 3, DocsPerSource: 20}
@@ -129,10 +272,10 @@ func TestZipfPickSkew(t *testing.T) {
 	for i := range words {
 		words[i] = fmt.Sprint(i)
 	}
-	z := zipfWords{words, harmonicCDF(len(words))}
+	z := zipfOf(len(words))
 	counts := make([]int, len(words))
 	for i := 0; i < 20000; i++ {
-		w, _ := strconv.Atoi(z.pick(rng))
+		w, _ := strconv.Atoi(words[z.pick(rng)])
 		counts[w]++
 	}
 	if counts[0] <= counts[10] || counts[10] <= counts[49] {
@@ -184,6 +327,7 @@ func TestGenerateGolden(t *testing.T) {
 	}{
 		{"defaults", Config{}, "d19e6a909f50a9b86a01917cbc3f665513286b20603af048635194e0a61600e2"},
 		{"vocab2000-overlap", Config{VocabWords: 2000, Overlap: 0.2}, "c59dd59f4a4eb85d59d542eef78f93131e0dce11b02e347e9506c73b8a23140b"},
+		{"big-source-shape", Config{Seed: 1, NumSources: 6, DocsPerSource: 300, BodyWords: 40, VocabWords: 2000}, "1e2af9fa72f55ec6893c0f4c3ff6cc2c12755bd51fb8ed161affdadd0127cb96"},
 	} {
 		h := sha256.New()
 		g := Generate(tc.cfg)
@@ -199,6 +343,59 @@ func TestGenerateGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%s: Generate digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestWorkloadGolden pins every query Workload draws over a 2 000-word
+// vocabulary: it samples through the same Zipf pick as Generate.
+func TestWorkloadGolden(t *testing.T) {
+	const want = "d4d0b4f3a6d11c57f1a5864467babc4fbcb73162dc8b32594a052ca37f3113e8"
+	g := Generate(Config{Seed: 1, NumSources: 5, DocsPerSource: 1, VocabWords: 2000})
+	h := sha256.New()
+	for _, wq := range Workload(g, WorkloadConfig{Seed: 2, NumQueries: 500}) {
+		fmt.Fprintf(h, "%q %q %s", wq.Topic, wq.Terms, wq.Query.Ranking)
+		if wq.Query.Filter != nil {
+			fmt.Fprintf(h, " %s", wq.Query.Filter)
+		}
+		fmt.Fprintln(h, wq.Query.MaxResults)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Workload digest = %s, want %s", got, want)
+	}
+}
+
+// bigSource is the big-source workload's universe: 2 sources of 20 000
+// documents of 40-word bodies over 2 000-word vocabularies.
+func bigSource(seed int64) Config {
+	return Config{Seed: seed, NumSources: 2, DocsPerSource: 20000, BodyWords: 40, VocabWords: 2000}
+}
+
+// generateSink and buildSink keep the benchmarks' last results alive.
+var (
+	generateSink *Generated
+	buildSink    *index.Index
+)
+
+// BenchmarkGenerate generates one big-source universe.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		generateSink = Generate(bigSource(int64(i)))
+	}
+}
+
+// BenchmarkSetup is the bulk of a big-source set-up: the universe
+// generated, then each source's index built (make prof-setup).
+func BenchmarkSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range Generate(bigSource(int64(i))).Sources {
+			ix, err := index.Build(text.NewAnalyzer(), s.Docs, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buildSink = ix
 		}
 	}
 }

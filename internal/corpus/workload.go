@@ -54,12 +54,12 @@ func Workload(g *Generated, cfg WorkloadConfig) []*WorkloadQuery {
 	var out []*WorkloadQuery
 	for i := 0; i < cfg.NumQueries; i++ {
 		topic := g.Topics[rng.Intn(len(g.Topics))]
-		vocab := zipfWords{topic.Words, harmonicCDF(len(topic.Words))}
+		vocab := zipfOf(len(topic.Words))
 		n := 1 + rng.Intn(cfg.MaxTerms)
 		seen := map[string]bool{}
 		var terms []string
 		for len(terms) < n {
-			w := vocab.pick(rng)
+			w := topic.Words[vocab.pick(rng)]
 			if !seen[w] {
 				seen[w] = true
 				terms = append(terms, w)

@@ -344,8 +344,9 @@ func FuzzSearchMatchesExhaustive(f *testing.F) {
 // a source the size of the benchmark's big ones, so that a match-set map
 // (or a pointer per matched document) coming back fails here and not in the
 // next benchmark run. The budgets stand a quarter above what the cursor
-// evaluator needs (8.8, 9.5, 9.5 and 8.0 KB in 20, 21, 20 and 34 objects;
-// 9.8, 12.6, 11.9 and 8.1 KB while every TermStats entry embedded its
+// evaluator needs (8.4, 9.1, 9.1 and 7.7 KB in 19, 20, 19 and 33 objects;
+// 8.9, 9.6, 9.6 and 8.1 KB while the search's ints took two chunks of the
+// scratch; 9.8, 12.6, 11.9 and 8.1 KB while every TermStats entry embedded its
 // term; 28, 29, 28 and 42 objects while the actual query rebuilt every
 // node). The twenty documents returned take about 5 KB of it, in a
 // handful of slabs; the query's term resolution and cursors take the
@@ -365,10 +366,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		op             string
 		bytes, objects uint64
 	}{
-		{"and", 10990, 25},
-		{"or", 11890, 27},
-		{"and-not", 11870, 25},
-		{"prox[3,F]", 10040, 43},
+		{"and", 10450, 24},
+		{"or", 11350, 25},
+		{"and-not", 11330, 24},
+		{"prox[3,F]", 9660, 42},
 	} {
 		q := mkQuery(t, "("+term(55)+" "+tc.op+" "+term(70)+")", ranking)
 		res, err := e.Search(q) // once unmeasured: the lazily sorted vocabulary and the like
@@ -466,8 +467,8 @@ func TestSearchAllocationBudget(t *testing.T) {
 		name, filter, ranking string
 		budget                float64
 	}{
-		{"ranking", "", "list(" + term(1) + " " + term(60) + " " + term(300) + ")", 22},                                         // 18; 23; before: 84
-		{"filtered", "(" + term(55) + " and " + term(70) + ")", "list(" + term(60) + " " + term(75) + " " + term(90) + ")", 23}, // 19; 27; before: 120
+		{"ranking", "", "list(" + term(1) + " " + term(60) + " " + term(300) + ")", 21},                                         // 17; 23; before: 84
+		{"filtered", "(" + term(55) + " and " + term(70) + ")", "list(" + term(60) + " " + term(75) + " " + term(90) + ")", 22}, // 18; 27; before: 120
 		{"phrase", "", `(body-of-text "` + w[0] + " " + w[1] + `")`, 70},                                                        // 58; 59; before: 105
 	} {
 		q := mkQuery(t, tc.filter, tc.ranking)

@@ -419,6 +419,7 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 	// frequencies back, so the returned documents are visited in id order;
 	// kept document k's land at tfs[k*nt:].
 	nt, nk := len(terms), len(kept)
+	s.sc.ReserveInts(nk*(nt+1) + nt + statsInts(nt, nk))
 	ints := s.sc.Ints(nk*(nt+1) + nt)
 	byID, tfs, dfs := ints[:nk], ints[nk:nk*(nt+1)], ints[nk*(nt+1):]
 	for k := range byID {
@@ -557,6 +558,10 @@ func reported(t *query.Term) *query.Term {
 	}
 	return &query.Term{Field: t.EffectiveField(), Value: t.Value}
 }
+
+// statsInts is how many ints termStats takes from the scratch for nt
+// ranking terms and nk kept documents.
+func statsInts(nt, nk int) int { return 2*nt + 1 + nk + 1 }
 
 // termStats assembles the TermStats reported with the kept documents, in
 // one slab sized exactly: kept document k's, from its per-term

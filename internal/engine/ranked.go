@@ -48,6 +48,9 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 	}
 	plan.K = q.EffectiveMaxResults()
 	plan.TermWeight = e.cfg.Scorer.TermWeight
+	// One chunk of ints for TopKRanked's frequencies and termStats.
+	nt, nk := len(plan.Terms), min(plan.K, snap.NumDocs())
+	s.sc.ReserveInts((1+nk)*nt + statsInts(nt, nk))
 	ranked, tfs, dfs, ok := snap.TopKRanked(s.sc, plan, opts)
 	if !ok {
 		return nil, nil, nil, false
@@ -70,7 +73,6 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 		}
 		kept = append(kept, scoredDoc{id: rd.ID, score: score})
 	}
-	nt := len(nodes)
 	stats, offs := e.termStats(s, snap, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, true
 }

@@ -34,10 +34,10 @@ type chunkResult struct {
 // block boundaries and sidecar stats: chunks cover contiguous id ranges
 // and are merged in range order, so postings stay ascending by doc id.
 // Analysis and appending postings — about two thirds of indexing CPU —
-// run on workers goroutines (default GOMAXPROCS), each keeping one memo of
-// the spellings it has normalized and one token buffer per field, so it
-// stems each distinct spelling once and allocates little per token; the
-// merge after them runs on one. It fails where Add would — a duplicate
+// run on workers goroutines (default GOMAXPROCS), each keeping per field a
+// memo from spelling to run and a token buffer, so it stems each distinct
+// spelling once, probes one map a token and allocates little per token;
+// the merge after them runs on one. It fails where Add would — a duplicate
 // linkage, a collection past the postings' 32-bit ids — and where a
 // field's positions, all its terms' together, would pass 2³²−1 bytes. The
 // index keeps its own copy of the documents, their text in one allocation.
@@ -85,14 +85,13 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			memo := map[string]string{}
 			for ci := range next {
 				lo := ci * chunkSize
 				hi := lo + chunkSize
 				if hi > len(docs) {
 					hi = len(docs)
 				}
-				results[ci] = analyzeChunk(a, memo, ix.recs, lo, hi)
+				results[ci] = analyzeChunk(a, ix.recs, lo, hi)
 			}
 		}()
 	}
@@ -128,23 +127,34 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	return ix, nil
 }
 
-// analyzeChunk tokenizes recs[lo:hi] into private posting runs; memo is
-// the worker's own, kept across its chunks.
-func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo, hi int) *chunkResult {
+// analyzeChunk tokenizes recs[lo:hi] into private posting runs.
+func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunkResult {
 	cr := &chunkResult{runs: make([]runs, len(TextFields))}
+	// A field's memo maps each spelling met so far straight to its term's
+	// run, so a token costs one map probe; its keys are views of the
+	// index's own text, which outlives them.
+	arenas := make([]func(spelling string) *arena, len(TextFields))
 	for i := range cr.runs {
-		cr.runs[i] = runs{}
+		r, memo := runs{}, map[string]*arena{}
+		cr.runs[i], arenas[i] = r, func(spelling string) *arena {
+			m := memo[spelling]
+			if m == nil {
+				m = r.arena(a.NormalizeTerm(spelling))
+				memo[spelling] = m
+			}
+			return m
+		}
 	}
 	var dp docPostings
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
-		total, err := analyzeDoc(a, memo, toksByField, &recs[id])
+		total, err := analyzeDoc(a.Tokenizer.Tokenize, toksByField, &recs[id])
 		if err != nil {
 			cr.err = err
 			return cr
 		}
 		for i, toks := range toksByField {
-			dp.add(int32(id), toks, cr.runs[i].arena)
+			dp.add(int32(id), toks, arenas[i])
 		}
 		cr.counts = append(cr.counts, int32(total))
 	}
@@ -152,14 +162,15 @@ func analyzeChunk(a *text.Analyzer, memo map[string]string, recs []docRecord, lo
 }
 
 // runs are one chunk's postings in one field, an arena per term; arena
-// makes a term's on its first token.
+// makes a term's on its first token, keyed by a copy of the term, so the
+// vocabulary does not keep the text it was read from.
 type runs map[string]*arena
 
 func (r runs) arena(term string) *arena {
 	a := r[term]
 	if a == nil {
 		a = &arena{}
-		r[term] = a
+		r[strings.Clone(term)] = a
 	}
 	return a
 }

@@ -182,7 +182,7 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 	lens := make([]int, len(docs))
 	for id, d := range docs {
 		for _, f := range TextFields {
-			toks := a.AnalyzeAll(nil, d.FieldText(f), nil)
+			toks := a.AnalyzeAll(nil, d.FieldText(f))
 			lens[id] += len(toks)
 			for _, tok := range toks {
 				if want[f] == nil {

@@ -166,10 +166,10 @@ func TestAddedIndexHeapBudget(t *testing.T) {
 
 // TestBuildAllocBudget pins what building an index allocates per token
 // of the fixed 2 000-document, 80-word collection, four workers: each
-// distinct spelling analyzed once per worker, tokens that are views of the
-// documents' text in per-worker buffers, so what is left is mostly the
-// posting arrays' growth. It reads about 0.6; the budget fails a return
-// to a copy, a stem or a slice per token (about 4.5).
+// distinct spelling analyzed once per worker and field, tokens that are
+// views of the documents' text in per-worker buffers, so what is left is
+// mostly the posting arrays' growth. It reads about 0.4; the budget fails
+// a return to a copy, a stem or a slice per token (about 4.5).
 func TestBuildAllocBudget(t *testing.T) {
 	const budget = 1.0 // allocations per token
 	docs := heapDocs(2000, 80, 400)

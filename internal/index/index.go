@@ -99,7 +99,7 @@ func (ix *Index) Add(d *Document) (int, error) {
 	b.Grow(textLen(d))
 	r, x := writeRecord(&b, d)
 	toksByField := make([][]text.Token, len(TextFields))
-	total, err := analyzeDoc(ix.analyzer, nil, toksByField, &r)
+	total, err := analyzeDoc(ix.analyzer.AnalyzeAll, toksByField, &r)
 	if err != nil {
 		return 0, err
 	}
@@ -146,13 +146,13 @@ func (ix *Index) Add(d *Document) (int, error) {
 
 // analyzeDoc tokenizes every indexed field of one stored document into
 // toks, one slice per field (aligned with TextFields), each refilled from
-// its start, and returns the total raw token count (AnalyzeAll keeps every
-// token the tokenizer yields). It touches only the analyzer and memo
-// (AnalyzeAll's; nil for none), so it runs outside the index lock.
-func analyzeDoc(a *text.Analyzer, memo map[string]string, toks [][]text.Token, r *docRecord) (int, error) {
+// its start, and returns the total raw token count: tokenize is the
+// analyzer's tokenizer, or AnalyzeAll, which keeps every token it yields.
+// It touches nothing of the index, so it runs outside the index lock.
+func analyzeDoc(tokenize func(dst []text.Token, s string) []text.Token, toks [][]text.Token, r *docRecord) (int, error) {
 	total := 0
 	for i, f := range TextFields {
-		toks[i] = a.AnalyzeAll(toks[i][:0], r.field(f), memo)
+		toks[i] = tokenize(toks[i][:0], r.field(f))
 		total += len(toks[i])
 	}
 	if total > math.MaxInt32 {

@@ -79,6 +79,10 @@ func (sc *Scratch) sizeFor(n, r int) {
 // Ints returns n zeroed ints, valid while the search holds its Scratch.
 func (sc *Scratch) Ints(n int) []int { return take(&sc.ints, n) }
 
+// ReserveInts makes room for n more ints in one chunk, so that the calls
+// to Ints they are for allocate once between them.
+func (sc *Scratch) ReserveInts(n int) { reserve(&sc.ints, n) }
+
 // Tokens tokenizes value into the scratch's token buffer, valid until the
 // next call.
 func (sc *Scratch) Tokens(a *text.Analyzer, value string) []text.Token {

@@ -139,12 +139,34 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 	}
 	straddle = append(straddle, seedDoc{4 | 8, []uint64{9, 3, 4, 254, 511, 1 << 15}}, seedDoc{8, make([]uint64, 600)})
 	f.Add(seedInput(straddle...))
+	// What every input shares: the analyzer and the two queries read back
+	// through matchWord, each with the oracle's terms it matches.
+	a := text.NewAnalyzer()
+	terms := []string{"x", "xy"}
+	type wordQuery struct {
+		word  string
+		term  query.Term
+		terms []string
+	}
+	var queries []wordQuery
+	for _, q := range []struct {
+		src, word string
+		terms     []string
+	}{
+		{`(body-of-text "xy")`, "xy", terms[1:]},
+		{`(body-of-text right-truncation "x")`, "x", terms},
+	} {
+		qt, _, err := query.ScanTerm(q.src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		queries = append(queries, wordQuery{q.word, qt, q.terms})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		docs := fuzzDocs(data)
 		if len(docs) == 0 {
 			return
 		}
-		terms := []string{"x", "xy"}
 		oracle := map[string]*int32List{"x": {}, "xy": {}}
 		lens := make([]int32, docs[len(docs)-1].id+1)
 		byTerm := map[string][]int32{}
@@ -160,7 +182,16 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 				}
 			}
 		}
-		a := text.NewAnalyzer()
+		// Each query's matches by document, once for every index read back.
+		wants := make([]map[int][]int32, len(queries))
+		for qi, q := range queries {
+			wants[qi] = map[int][]int32{}
+			for _, term := range q.terms {
+				for i, id := range oracle[term].docs {
+					wants[qi][int(id)] = mergePositions(wants[qi][int(id)], oracle[term].positions(i))
+				}
+			}
+		}
 		var dp docPostings
 		add := func(fi *fieldIndex, docs []fuzzDoc) *fieldIndex {
 			for _, d := range docs {
@@ -199,41 +230,29 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 		if after := arenaBytes(&packed.packed); !reflect.DeepEqual(after, before) {
 			t.Fatal("Add after Build changed the packed arena")
 		}
+		sequential := map[string]flatList{}
+		for _, term := range terms {
+			if pl, ok := built["Add"].lookup(term); ok {
+				sequential[term] = flatten(pl)
+			}
+		}
 		for name, fi := range built {
 			for _, term := range terms {
 				pl, _ := fi.lookup(term)
-				if want, _ := built["Add"].lookup(term); pl.numDocs() > 0 && !reflect.DeepEqual(flatten(pl), flatten(want)) {
+				if pl.numDocs() > 0 && name != "Add" && !reflect.DeepEqual(flatten(pl), sequential[term]) {
 					t.Fatalf("%s: %q differs from sequential Add's list", name, term)
 				}
 				checkAgainst(t, name+" "+term, &pl, oracle[term])
 			}
-			checkMerged(t, name, fi, oracle)
-			for _, q := range []struct {
-				src, word string
-				terms     []string
-			}{
-				{`(body-of-text "xy")`, "xy", terms[1:]},
-				{`(body-of-text right-truncation "x")`, "x", terms},
-			} {
-				want := map[int][]int32{}
-				for id := range lens {
-					for _, term := range q.terms {
-						if p := oracle[term].find(id); p != nil {
-							want[id] = mergePositions(want[id], p)
-						}
-					}
-				}
-				qt, _, err := query.ScanTerm(q.src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := fi.matchWord(a, q.word, qt, LookupOptions{})
+			checkMerged(t, name, fi, wants[1])
+			for qi, q := range queries {
+				got, want := fi.matchWord(a, q.word, q.term, LookupOptions{}), wants[qi]
 				if len(got) != len(want) {
-					t.Fatalf("%s: %s matches %d documents, want %d", name, q.src, len(got), len(want))
+					t.Fatalf("%s: %s matches %d documents, want %d", name, q.word, len(got), len(want))
 				}
 				for id, info := range got {
 					if info.Freq != len(want[id]) || !slices.Equal(info.Positions, want[id]) {
-						t.Fatalf("%s: %s: doc %d freq %d positions %v, want %v", name, q.src, id, info.Freq, info.Positions, want[id])
+						t.Fatalf("%s: %s: doc %d freq %d positions %v, want %v", name, q.word, id, info.Freq, info.Positions, want[id])
 					}
 				}
 			}
@@ -276,8 +295,8 @@ func checkAgainst(t *testing.T, what string, pl *postingList, want *int32List) {
 }
 
 // checkMerged walks the two lists as one word's expansions, a termCursor,
-// against the oracle's positions merged document by document.
-func checkMerged(t *testing.T, what string, fi *fieldIndex, oracle map[string]*int32List) {
+// against want, the oracle's positions of both merged by document.
+func checkMerged(t *testing.T, what string, fi *fieldIndex, want map[int][]int32) {
 	t.Helper()
 	var pls []postingList
 	for _, term := range []string{"x", "xy"} {
@@ -285,14 +304,10 @@ func checkMerged(t *testing.T, what string, fi *fieldIndex, oracle map[string]*i
 			pls = append(pls, pl)
 		}
 	}
-	docs := slices.Concat(oracle["x"].docs, oracle["xy"].docs)
-	slices.Sort(docs)
-	docs = slices.Compact(docs)
 	tc := &new(Scratch).termCursors(pls)[0]
-	for _, id := range docs {
-		want := mergePositions(oracle["x"].find(int(id)), oracle["xy"].find(int(id)))
-		if tc.cur != int(id) || tc.freqAt() != len(want) || !slices.Equal(tc.positions(), want) {
-			t.Fatalf("%s: term cursor at doc %d (freq %d), want doc %d at %v", what, tc.cur, tc.freqAt(), id, want)
+	for range want {
+		if tc.cur == maxDocID || tc.freqAt() != len(want[tc.cur]) || !slices.Equal(tc.positions(), want[tc.cur]) {
+			t.Fatalf("%s: term cursor at doc %d (freq %d), want %v there", what, tc.cur, tc.freqAt(), want[tc.cur])
 		}
 		tc.advance()
 	}

@@ -61,24 +61,11 @@ func (a *Analyzer) Analyze(text string) []Token {
 // AnalyzeAll is the index-time pipeline: Analyze without stop-word
 // elimination, since an index keeps its stop words for the queries that
 // turn elimination off. It appends the tokens to dst, as Tokenize does.
-// memo, when not nil, maps every raw spelling met so far to its term, so
-// NormalizeTerm runs once per distinct spelling; its entries are copies,
-// never views of text, which may be transient.
-func (a *Analyzer) AnalyzeAll(dst []Token, text string, memo map[string]string) []Token {
+func (a *Analyzer) AnalyzeAll(dst []Token, text string) []Token {
 	toks := a.Tokenizer.Tokenize(dst, text)
 	added := toks[len(dst):]
 	for i, t := range added {
-		if memo == nil {
-			added[i].Text = a.NormalizeTerm(t.Text)
-			continue
-		}
-		term, ok := memo[t.Text]
-		if !ok {
-			spelling := strings.Clone(t.Text)
-			term = a.NormalizeTerm(spelling)
-			memo[spelling] = term
-		}
-		added[i].Text = term
+		added[i].Text = a.NormalizeTerm(t.Text)
 	}
 	return toks
 }

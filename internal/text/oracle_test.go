@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"unicode"
-	"unsafe"
 )
 
 // oracleTokenize is the tokenizer SeparatorTokenizer.Tokenize replaced:
@@ -61,32 +60,6 @@ func FuzzTokenizeMatchesOracle(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestAnalyzeAllMemo runs the index-time pipeline with and without a
-// memo: the same tokens, and memo entries that are copies, not views of
-// the text they were met in.
-func TestAnalyzeAllMemo(t *testing.T) {
-	a := NewAnalyzer()
-	memo := map[string]string{}
-	for _, s := range []string{"Distributed databases, distributed Databases", "the databases of DATABASES"} {
-		text := strings.Clone(s)
-		got, want := a.AnalyzeAll(nil, text, memo), a.AnalyzeAll(nil, text, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("AnalyzeAll(%q) with memo = %v, without %v", text, got, want)
-		}
-		lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
-		for k, v := range memo {
-			for _, e := range []string{k, v} {
-				if p := uintptr(unsafe.Pointer(unsafe.StringData(e))); len(e) > 0 && p >= lo && p < lo+uintptr(len(text)) {
-					t.Errorf("memo entry %q -> %q is a view of %q", k, v, text)
-				}
-			}
-		}
-	}
-	if len(memo) != 7 || memo["Databases"] != "databas" {
-		t.Errorf("memo = %v", memo)
-	}
 }
 
 // oracleStem is the Stem that Stem replaced: it stems a fresh copy of the

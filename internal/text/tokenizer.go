@@ -49,33 +49,67 @@ func (t *SeparatorTokenizer) ID() string { return t.Name }
 // tokens, never at the edges, so "end." tokenizes to "end" even when "." is
 // kept for "Z39.50". A token is one contiguous run of text, so each is a
 // substring of text, never a copy; bytes that are not UTF-8 separate
-// tokens. ASCII is classified byte by byte, and only bytes from 0x80 up
-// are decoded as runes.
+// tokens. ASCII is classified through a table, and only bytes from 0x80
+// up are decoded as runes.
 func (t *SeparatorTokenizer) Tokenize(dst []Token, text string) []Token {
-	pos, start := 0, 0 // the next token's position; where the current run began
+	class := asciiClass
+	for i := range len(t.Keep) {
+		if c := t.Keep[i]; c < utf8.RuneSelf {
+			class[c] = keep
+		}
+	}
+	pos, lo, hi := 0, -1, 0 // the next token's position; the run's first unkept byte (-1 for none yet) and the end of its last unkept rune
 	for i := 0; i <= len(text); {
-		in, size := false, 1
+		c, size := sep, 1
 		switch {
 		case i == len(text): // the end of text closes the last run
 		case text[i] < utf8.RuneSelf:
-			c := text[i]
-			in = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte(t.Keep, c) >= 0
+			c = class[text[i]]
 		default:
 			var r rune
-			r, size = utf8.DecodeRuneInString(text[i:])
-			in = size > 1 && (unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(t.Keep, r))
-		}
-		if !in {
-			if word := strings.Trim(text[start:i], t.Keep); word != "" {
-				dst = append(dst, Token{Text: word, Pos: pos})
-				pos++
+			if r, size = utf8.DecodeRuneInString(text[i:]); size > 1 && strings.ContainsRune(t.Keep, r) {
+				c = keep
+			} else if size > 1 && (unicode.IsLetter(r) || unicode.IsDigit(r)) {
+				c = word
 			}
-			start = i + size
+		}
+		switch {
+		case c == word:
+			if lo < 0 {
+				lo = i
+			}
+			// The ASCII letters and digits that follow, in one loop.
+			for i += size; i < len(text) && text[i] < utf8.RuneSelf && class[text[i]] == word; i++ {
+			}
+			hi = i
+			continue
+		case c == sep && lo >= 0:
+			dst = append(dst, Token{Text: text[lo:hi], Pos: pos})
+			pos, lo = pos+1, -1
 		}
 		i += size
 	}
 	return dst
 }
+
+// A byte or rune either separates tokens, is kept inside them, or is a
+// letter or digit. A kept letter is kept: it is trimmed off a token's
+// edges like any kept rune.
+const (
+	sep uint8 = iota
+	keep
+	word
+)
+
+// asciiClass classifies ASCII for a tokenizer that keeps nothing.
+var asciiClass = func() (class [utf8.RuneSelf]uint8) {
+	for c := range class {
+		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
+			class[c] = word
+		}
+	}
+	return class
+}()
 
 var (
 	tokMu  sync.RWMutex
