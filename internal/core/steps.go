@@ -544,8 +544,7 @@ func (m *Metasearcher) merge(tr *obs.Trace, p *plan, outcomes []*SourceOutcome) 
 // published since. Sources declaring neither DateExpires nor DateChanged
 // contribute nothing; if no source declares anything, 0 is returned and
 // the cache falls back to its configured TTL. The cache clamps the result
-// to [qcache.TTLFloor, qcache.TTLCeiling], mirroring the server's
-// Cache-Control derivation for single sources.
+// to [qcache.TTLFloor, qcache.TTLCeiling].
 func answerTTL(sources []sourcePlan, now time.Time) time.Duration {
 	var min time.Duration
 	found := false

@@ -148,7 +148,7 @@ func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunkResult {
 	var dp docPostings
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
-		total, err := analyzeDoc(a.Tokenizer.Tokenize, toksByField, &recs[id])
+		total, err := analyzeDoc(a, toksByField, &recs[id])
 		if err != nil {
 			cr.err = err
 			return cr

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -182,16 +184,17 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 	lens := make([]int, len(docs))
 	for id, d := range docs {
 		for _, f := range TextFields {
-			toks := a.AnalyzeAll(nil, d.FieldText(f))
+			toks := a.Tokenizer.Tokenize(nil, d.FieldText(f))
 			lens[id] += len(toks)
 			for _, tok := range toks {
+				term := a.NormalizeTerm(tok.Text)
 				if want[f] == nil {
 					want[f] = map[string]map[int][]int{}
 				}
-				if want[f][tok.Text] == nil {
-					want[f][tok.Text] = map[int][]int{}
+				if want[f][term] == nil {
+					want[f][term] = map[int][]int{}
 				}
-				want[f][tok.Text][id] = append(want[f][tok.Text][id], tok.Pos)
+				want[f][term][id] = append(want[f][term][id], tok.Pos)
 			}
 		}
 	}
@@ -315,4 +318,43 @@ func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, 
 		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, maxFreq, minLen, inList.maxFreq, inList.minLen)
 	}
 	return blocks > 1
+}
+
+// TestAddOverflowChangesNothing: a document whose posting would take a
+// term's positions past 2³²−1 bytes fails, and fails before the index
+// changes — no record, linkage, token count, field, term or posting, in
+// the failing field or any other.
+func TestAddOverflowChangesNothing(t *testing.T) {
+	ix, err := Build(text.NewAnalyzer(), []*Document{
+		{Linkage: "http://t/0", Body: "alpha beta"},
+		{Linkage: "http://t/1", Body: "gamma alpha"},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stretch alpha's positions to the last byte an offset can name: the
+	// next list starts there.
+	fi := ix.fields[attr.FieldBodyOfText]
+	pl, _ := fi.lookup("alpha")
+	if next := int(pl.blk) + numBlocks(int(pl.n)); next < len(fi.packed.blocks) {
+		fi.packed.blocks[next].posOff = math.MaxUint32
+	} else {
+		fi.packed.blocks = append(fi.packed.blocks, block{posOff: math.MaxUint32})
+	}
+	state := func() []any {
+		return []any{len(ix.recs), slices.Clone(ix.counts), len(ix.byURL), len(ix.fields),
+			len(fi.terms), len(fi.own), arenaBytes(&fi.packed)}
+	}
+	before := state()
+	_, err = ix.Add(&Document{Linkage: "http://t/2", Title: "delta", Body: "beta delta alpha"})
+	if !errors.Is(err, errPositions) {
+		t.Fatalf("Add = %v, want %v", err, errPositions)
+	}
+	if after := state(); !reflect.DeepEqual(after, before) {
+		t.Errorf("a failed Add changed the index:\nbefore %v\nafter  %v", before, after)
+	}
+	// The stretched list's neighbour is garbage now: add only new terms.
+	if _, err := ix.Add(&Document{Linkage: "http://t/2", Title: "delta", Body: "delta epsilon"}); err != nil {
+		t.Errorf("Add without the full term = %v", err)
+	}
 }

@@ -212,3 +212,20 @@ func BenchmarkBuildIndex(b *testing.B) {
 		buildSink = ix
 	}
 }
+
+// BenchmarkIndexAdd adds 2 000 documents of 40-word bodies, big-source's
+// shape, one at a time into an empty index.
+func BenchmarkIndexAdd(b *testing.B) {
+	docs := heapDocs(2000, 40, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := index.New(text.NewAnalyzer())
+		for _, d := range docs {
+			if _, err := ix.Add(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		buildSink = ix
+	}
+}

@@ -99,9 +99,14 @@ func (ix *Index) Add(d *Document) (int, error) {
 	b.Grow(textLen(d))
 	r, x := writeRecord(&b, d)
 	toksByField := make([][]text.Token, len(TextFields))
-	total, err := analyzeDoc(ix.analyzer.AnalyzeAll, toksByField, &r)
+	total, err := analyzeDoc(ix.analyzer, toksByField, &r)
 	if err != nil {
 		return 0, err
+	}
+	for _, toks := range toksByField {
+		for j := range toks {
+			toks[j].Text = ix.analyzer.NormalizeTerm(toks[j].Text)
+		}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -145,14 +150,12 @@ func (ix *Index) Add(d *Document) (int, error) {
 }
 
 // analyzeDoc tokenizes every indexed field of one stored document into
-// toks, one slice per field (aligned with TextFields), each refilled from
-// its start, and returns the total raw token count: tokenize is the
-// analyzer's tokenizer, or AnalyzeAll, which keeps every token it yields.
-// It touches nothing of the index, so it runs outside the index lock.
-func analyzeDoc(tokenize func(dst []text.Token, s string) []text.Token, toks [][]text.Token, r *docRecord) (int, error) {
+// toks, one slice per field (aligned with TextFields) refilled from its
+// start, and returns the total token count; it needs no index lock.
+func analyzeDoc(a *text.Analyzer, toks [][]text.Token, r *docRecord) (int, error) {
 	total := 0
 	for i, f := range TextFields {
-		toks[i] = tokenize(toks[i][:0], r.field(f))
+		toks[i] = a.Tokenizer.Tokenize(toks[i][:0], r.field(f))
 		total += len(toks[i])
 	}
 	if total > math.MaxInt32 {

@@ -10,8 +10,7 @@ import (
 
 // Every entry lifetime a fill names is clamped to [TTLFloor, TTLCeiling]:
 // a source already past its DateExpires still caches briefly instead of
-// thrashing the fan-out, and the server clamps its Cache-Control max-age
-// to the same ceiling. An expired entry serves stale
+// thrashing the fan-out. An expired entry serves stale
 // (stale-while-revalidate) for staleTTLs times the cache's Config.TTL.
 const (
 	TTLFloor   = time.Second

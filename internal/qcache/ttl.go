@@ -3,8 +3,8 @@ package qcache
 import "time"
 
 // FreshFor derives how long content described by MBasic-1 freshness
-// metadata (Examples 10-12 of the paper) may serve fresh, mirroring HTTP
-// freshness the way the server's Cache-Control derivation does:
+// metadata (Examples 10-12 of the paper) may serve fresh — a merged
+// answer's cache lifetime, in core's answerTTL — the way HTTP does:
 //
 //   - DateExpires set: the time remaining until it (negative once past —
 //     callers clamp or revalidate);

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"starts/internal/client"
+	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
 	"starts/internal/soif"
+	"starts/internal/source"
 )
 
 // queryFunc is a Conn whose Query is a function; everything else — but
@@ -117,7 +121,7 @@ func TestOversizeRequestIs413(t *testing.T) {
 // TestNewEqualsNewConns is the differential behind New being a thin
 // constructor: a resource served by New and its sources served as
 // explicitly built LocalConns by NewConns answer every route with the
-// same status, the same validators and the same bytes — and the linkages
+// same status, the same content headers and the same bytes — and the linkages
 // both rewrite into the metadata are the source's own under the server's
 // base URL.
 func TestNewEqualsNewConns(t *testing.T) {
@@ -126,8 +130,6 @@ func TestNewEqualsNewConns(t *testing.T) {
 	var conns []client.Conn
 	for _, id := range res.SourceIDs() {
 		src, _ := res.Source(id)
-		// Past the one-day clamp, so max-age does not tick mid-test.
-		src.Expires = time.Now().Add(48 * time.Hour)
 		conns = append(conns, client.NewLocalConn(src, res))
 	}
 	viaNew, viaConns := New(res, base), NewConns(conns, base)
@@ -187,7 +189,7 @@ func TestNewEqualsNewConns(t *testing.T) {
 			if a.Code != b.Code {
 				t.Fatalf("status: New %d, NewConns %d", a.Code, b.Code)
 			}
-			for _, h := range []string{"ETag", "Cache-Control", "Content-Type", "Vary"} {
+			for _, h := range []string{"Content-Type", "Vary"} {
 				if a.Header().Get(h) != b.Header().Get(h) {
 					t.Errorf("%s: New %q, NewConns %q", h, a.Header().Get(h), b.Header().Get(h))
 				}
@@ -218,5 +220,101 @@ func TestNewEqualsNewConns(t *testing.T) {
 	servedRes := serve(viaNew, "GET", "/resource", "", "", "").Body.String()
 	if !strings.Contains(servedRes, at+"/metadata") {
 		t.Errorf("/resource does not name %s/metadata:\n%s", at, servedRes)
+	}
+}
+
+// countingConn counts every Conn call that reaches the embedded conn.
+type countingConn struct {
+	client.Conn
+	calls atomic.Int64
+}
+
+func (c *countingConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
+	c.calls.Add(1)
+	return c.Conn.Metadata(ctx)
+}
+
+func (c *countingConn) Summary(ctx context.Context) (*meta.ContentSummary, error) {
+	c.calls.Add(1)
+	return c.Conn.Summary(ctx)
+}
+
+func (c *countingConn) Sample(ctx context.Context) ([]*source.SampleEntry, error) {
+	c.calls.Add(1)
+	return c.Conn.Sample(ctx)
+}
+
+func (c *countingConn) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
+	c.calls.Add(1)
+	return c.Conn.Query(ctx, q)
+}
+
+// TestHarvestRoutesCallConnOnce: each GET route asks its conn exactly
+// once — a summary request does not also fetch the metadata, which for a
+// core.Broker conn would be a second harvest pass.
+func TestHarvestRoutesCallConnOnce(t *testing.T) {
+	_, res := startTestServer(t)
+	src, _ := res.Source("Source-1")
+	conn := &countingConn{Conn: client.NewLocalConn(src, res)}
+	srv := NewConns([]client.Conn{conn}, "http://starts.test")
+	for _, route := range []string{"metadata", "summary", "sample"} {
+		conn.calls.Store(0)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/sources/Source-1/"+route, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", route, rec.Code)
+		}
+		if n := conn.calls.Load(); n != 1 {
+			t.Errorf("%s: %d conn calls, want 1", route, n)
+		}
+	}
+}
+
+// TestNoCacheValidators: the harvest routes carry no HTTP cache
+// validators — freshness travels in the metadata's DateExpires — and a
+// request presenting If-None-Match gets a 200 with the full body. Vary
+// stays: it names the negotiated headers, which a shared cache must key on.
+func TestNoCacheValidators(t *testing.T) {
+	ts, res := startTestServer(t)
+	src, _ := res.Source("Source-1")
+	src.Expires = time.Now().Add(2 * time.Hour)
+	get := func(path, inm string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for _, route := range []string{"metadata", "summary"} {
+		path := "/sources/Source-1/" + route
+		_, want := get(path, "")
+		for _, inm := range []string{"", "*", `"0123456789abcdef"`} {
+			resp, body := get(path, inm)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) || len(want) == 0 {
+				t.Errorf("%s with If-None-Match %q: %d with %d bytes, want 200 with the %d-byte body",
+					route, inm, resp.StatusCode, len(body), len(want))
+			}
+			for _, h := range []string{"ETag", "Cache-Control"} {
+				if v := resp.Header.Get(h); v != "" {
+					t.Errorf("%s: %s = %q, want none", route, h, v)
+				}
+			}
+			if v := resp.Header.Get("Vary"); v != "Accept, Accept-Encoding" {
+				t.Errorf("%s: Vary = %q, want the negotiated headers", route, v)
+			}
+		}
 	}
 }

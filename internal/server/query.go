@@ -82,8 +82,7 @@ func (s *Server) countDocs(sp *obs.Span, source string, docs int) {
 // temporary). An admitted request records a trace (decode → search →
 // encode) into the /debug/last-traces ring. The answer is buffered
 // unless the request asks for a stream, so the conn's answer (or its
-// failure, as an HTTP status) is known before the response starts; as a
-// POST answer it carries no cache validators (RFC 9110 §13.1.2).
+// failure, as an HTTP status) is known before the response starts.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	conn, ok := s.conn(w, r)
 	if !ok {

@@ -28,8 +28,6 @@ package server
 
 import (
 	"compress/gzip"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -207,31 +205,34 @@ func wantsJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), JSONContentType)
 }
 
-// render puts a payload — SOIF text, or err if it could not be
-// marshaled — in the encoding the request asked for: the text itself by
-// default, JSON when Accept prefers it. The JSON is built from the text's
-// objects, so every route encodes SOIF one way.
-func render(r *http.Request, data []byte, err error) ([]byte, string, error) {
-	if err != nil || !wantsJSON(r) {
-		return data, ContentType, err
-	}
-	objs, err := soif.UnmarshalAll(data)
-	if err == nil {
-		data, err = soif.MarshalAllJSON(objs)
-	}
-	return data, JSONContentType, err
-}
-
 // gzipWriters recycles compressors across responses: a fresh
 // gzip.Writer allocates some 800 KB of compression state.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
-// deliver writes an already-marshaled payload, gzipping large responses
-// for clients that accept it. Content summaries in particular compress
-// extremely well (Go's default HTTP client sends Accept-Encoding: gzip
-// and decompresses transparently).
-func deliver(w http.ResponseWriter, r *http.Request, contentType string, data []byte) {
-	w.Header().Set("Content-Type", contentType)
+// writeSOIF delivers a payload — SOIF text, or err if it could not be
+// marshaled, which is a 500 — in the encoding the request asked for: the
+// text itself by default, JSON when Accept prefers it, built from the
+// text's objects so that every route encodes SOIF one way. Large
+// responses are gzipped for clients that accept it; content summaries in
+// particular compress extremely well (Go's default HTTP client sends
+// Accept-Encoding: gzip and decompresses transparently).
+func writeSOIF(w http.ResponseWriter, r *http.Request, data []byte, err error) {
+	ct := ContentType
+	if err == nil && wantsJSON(r) {
+		var objs []*soif.Object
+		if objs, err = soif.UnmarshalAll(data); err == nil {
+			data, err = soif.MarshalAllJSON(objs)
+		}
+		ct = JSONContentType
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ct)
+	// The representation varies with Accept (encoding) and
+	// Accept-Encoding (compression); a shared cache must key on both.
+	w.Header().Set("Vary", "Accept, Accept-Encoding")
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") && len(data) > 1024 {
 		w.Header().Set("Content-Encoding", "gzip")
 		gz := gzipWriters.Get().(*gzip.Writer)
@@ -242,87 +243,6 @@ func deliver(w http.ResponseWriter, r *http.Request, contentType string, data []
 		return
 	}
 	_, _ = w.Write(data)
-}
-
-// writeSOIF delivers a payload (see render) with no cache validators
-// (routes with no freshness metadata to derive them from, and the POST
-// query route); a marshaling error is a 500.
-func writeSOIF(w http.ResponseWriter, r *http.Request, data []byte, err error) {
-	data, ct, err := render(r, data, err)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	deliver(w, r, ct, data)
-}
-
-// writeCacheable delivers a payload (see render) with HTTP cache
-// validators: a strong content-hash ETag (of the selected encoding,
-// before compression) and a Cache-Control max-age derived from the
-// source's metadata expiry. A request presenting a matching If-None-Match
-// gets a bodyless 304 instead — the validator round-trip costs headers,
-// not a re-marshaled summary. A marshaling error is a 500.
-func writeCacheable(w http.ResponseWriter, r *http.Request, data []byte, err error, maxAge time.Duration) {
-	data, ct, err := render(r, data, err)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	sum := sha256.Sum256(data)
-	etag := `"` + hex.EncodeToString(sum[:16]) + `"`
-	h := w.Header()
-	h.Set("ETag", etag)
-	// The representation varies with Accept (encoding) and
-	// Accept-Encoding (compression); caches must key on both.
-	h.Set("Vary", "Accept, Accept-Encoding")
-	if secs := int(maxAge.Seconds()); secs > 0 {
-		h.Set("Cache-Control", "max-age="+strconv.Itoa(secs))
-	} else {
-		// No (or expired) freshness metadata: force revalidation, which
-		// the ETag makes cheap.
-		h.Set("Cache-Control", "no-cache")
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	deliver(w, r, ct, data)
-}
-
-// etagMatches reports whether an If-None-Match header value matches etag,
-// honoring the wildcard, comma-separated candidate lists, and weak
-// validators (RFC 9110's weak comparison suffices for 304s).
-func etagMatches(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// maxAge derives a Cache-Control lifetime from a conn's Metadata answer
-// with the same rule the query cache uses for its per-entry TTLs
-// (qcache.FreshFor): the time remaining until DateExpires, or a
-// heuristic tenth of the age since DateChanged when only that is set —
-// clamped to [0, qcache.TTLCeiling], the query cache's own ceiling.
-// Sources declaring neither, already past their expiry, or whose metadata
-// cannot be had right now get 0 (serve with revalidation, which the ETag
-// makes cheap).
-func maxAge(md *meta.SourceMeta, err error) time.Duration {
-	if err != nil {
-		return 0
-	}
-	d, ok := qcache.FreshFor(md.DateChanged, md.DateExpires, time.Now())
-	if !ok || d < 0 {
-		return 0
-	}
-	return min(d, qcache.TTLCeiling)
 }
 
 func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
@@ -345,7 +265,7 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	// side of the wire; every endpoint lives here.
 	served := m.ToSOIFAt(s.sourceURL(m.SourceID, "query"), s.sourceURL(m.SourceID, "summary"), s.sourceURL(m.SourceID, "sample"))
 	data, err := soif.Marshal(served)
-	writeCacheable(w, r, data, err, maxAge(m, nil))
+	writeSOIF(w, r, data, err)
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
@@ -359,7 +279,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, err := sum.Marshal()
-	writeCacheable(w, r, data, err, maxAge(conn.Metadata(r.Context())))
+	writeSOIF(w, r, data, err)
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {

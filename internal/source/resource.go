@@ -75,8 +75,8 @@ func (r *Resource) Search(target string, q *query.Query) (*result.Results, error
 			if prev, dup := byURL[url]; dup {
 				prev.Sources = append(prev.Sources, id)
 				if d.RawScore > prev.RawScore {
-					prev.RawScore = d.RawScore
-					prev.TermStats = d.TermStats
+					prev.RawScore, prev.TermStats = d.RawScore, d.TermStats
+					prev.Size, prev.Count = d.Size, d.Count // tf is over this length
 				}
 				continue
 			}

@@ -10,7 +10,6 @@ package source
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -170,22 +169,15 @@ func (s *Source) ContentSummary() *meta.ContentSummary {
 		FieldsQualified:   true,
 		NumDocs:           s.eng.Index().NumDocs(),
 	}
-	byField := map[attr.Field]*meta.SummaryGroup{}
-	var order []attr.Field
+	// VocabTerms yields field after field, each field's terms in order: the
+	// order a summary's groups and their vocabularies keep.
 	s.eng.Index().VocabTerms(func(f attr.Field, term string, postings, docFreq int) {
-		g := byField[f]
-		if g == nil {
-			g = &meta.SummaryGroup{Field: f}
-			byField[f] = g
-			order = append(order, f)
+		if n := len(c.Groups); n == 0 || c.Groups[n-1].Field != f {
+			c.Groups = append(c.Groups, meta.SummaryGroup{Field: f})
 		}
+		g := &c.Groups[len(c.Groups)-1]
 		g.Terms = append(g.Terms, meta.TermInfo{Term: term, Postings: postings, DocFreq: docFreq})
 	})
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, f := range order {
-		c.Groups = append(c.Groups, *byField[f])
-	}
-	c.SortTerms()
 	return c
 }
 
@@ -195,14 +187,9 @@ func (s *Source) ContentSummary() *meta.ContentSummary {
 // at. Metasearchers treat the source as a black box and study how its
 // (secret) ranker scores the known collection.
 func (s *Source) SampleResults() ([]*SampleEntry, error) {
-	probe, err := engine.New(s.eng.Config())
+	probe, err := engine.NewWithDocs(s.eng.Config(), SampleCollection(), 1)
 	if err != nil {
-		return nil, err
-	}
-	for _, d := range SampleCollection() {
-		if err := probe.Add(d); err != nil {
-			return nil, fmt.Errorf("source %s: indexing sample collection: %w", s.id, err)
-		}
+		return nil, fmt.Errorf("source %s: indexing sample collection: %w", s.id, err)
 	}
 	var out []*SampleEntry
 	for _, q := range SampleQueries() {

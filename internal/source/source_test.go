@@ -1,6 +1,7 @@
 package source
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -324,5 +325,58 @@ func TestFigure1Model(t *testing.T) {
 	}
 	if _, ok := r.Source("Source-2"); !ok {
 		t.Error("Source lookup failed")
+	}
+}
+
+// TestResourceSearchKeepsBestCopysLength: when a linkage held by two
+// sources takes the higher-scoring copy's score and term statistics, it
+// takes that copy's size and token count too, so every term frequency is
+// reported over the length it was counted in.
+func TestResourceSearchKeepsBestCopysLength(t *testing.T) {
+	long := &index.Document{
+		Linkage: "http://shared/doc", Title: "Shared survey",
+		Body: "Metasearchers choose sources. " + strings.Repeat("Sources hold documents about many other subjects. ", 40),
+	}
+	short := &index.Document{Linkage: "http://shared/doc", Title: "Shared survey", Body: "Metasearchers merge."}
+	r := NewResource()
+	s1 := newSource(t, "Source-1", engine.NewVectorConfig(), []*index.Document{long})
+	s2 := newSource(t, "Source-2", engine.NewVectorConfig(), []*index.Document{short})
+	for _, s := range []*Source{s1, s2} {
+		if err := r.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := query.New()
+	q.Ranking, _ = query.ParseRanking(`list((any "metasearchers"))`)
+	first, err := s1.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s2.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Documents) != 1 || len(second.Documents) != 1 {
+		t.Fatalf("answers hold %d and %d documents, want 1 each", len(first.Documents), len(second.Documents))
+	}
+	a, b := first.Documents[0], second.Documents[0]
+	if b.RawScore <= a.RawScore || a.Count == b.Count {
+		t.Fatalf("copies score %v, %v over %d, %d tokens: want the shorter second copy to score higher", a.RawScore, b.RawScore, a.Count, b.Count)
+	}
+	q.Sources = []string{"Source-2"}
+	res, err := r.Search("Source-1", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Documents) != 1 {
+		t.Fatalf("merged answer holds %d documents, want 1", len(res.Documents))
+	}
+	d := res.Documents[0]
+	if d.RawScore != b.RawScore || d.Size != b.Size || d.Count != b.Count {
+		t.Errorf("merged copy: score %v size %d count %d, want the second copy's %v, %d, %d",
+			d.RawScore, d.Size, d.Count, b.RawScore, b.Size, b.Count)
+	}
+	if len(d.TermStats) != 1 || len(b.TermStats) != 1 || d.TermStats[0] != b.TermStats[0] {
+		t.Errorf("merged copy's term statistics %v, want the second copy's %v", d.TermStats, b.TermStats)
 	}
 }

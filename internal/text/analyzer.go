@@ -57,15 +57,3 @@ func (a *Analyzer) Analyze(text string) []Token {
 	}
 	return out
 }
-
-// AnalyzeAll is the index-time pipeline: Analyze without stop-word
-// elimination, since an index keeps its stop words for the queries that
-// turn elimination off. It appends the tokens to dst, as Tokenize does.
-func (a *Analyzer) AnalyzeAll(dst []Token, text string) []Token {
-	toks := a.Tokenizer.Tokenize(dst, text)
-	added := toks[len(dst):]
-	for i, t := range added {
-		added[i].Text = a.NormalizeTerm(t.Text)
-	}
-	return toks
-}
