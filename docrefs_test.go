@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,8 +111,44 @@ func internalDecls(t *testing.T) map[string]*pkgDecls {
 	return pkgs
 }
 
+// testFuncs returns the names of every test, benchmark and fuzz target
+// in the tree, the benchmark's own module included.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	// testName is a test, benchmark or fuzz target's name, or a prefix of
+	// some (a -run pattern's), not preceded by a word character.
+	testName = regexp.MustCompile(`(?:^|[^\w])((?:Test|Benchmark|Fuzz)\w*)`)
 	// qualified is pkg.Name, optionally .Member, not preceded by a word
 	// character, a dot, a slash or a hyphen (a path or a longer selector).
 	qualified = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
@@ -119,15 +156,18 @@ var (
 	fileExts = map[string]bool{"go": true, "md": true, "json": true, "sh": true, "txt": true, "yml": true}
 )
 
-// TestDocReferences holds README.md and DESIGN.md to the code: every
-// backticked pkg.Name, where pkg is a package under internal/, names a
-// declaration of that package (tests included) — a package-level name or
-// a method — and a pkg.Type.Name names a method or field of that type. A
-// snake_case name is a benchmark metric (core.harvest_ms) and a file
-// extension a file name (index.go); neither is checked. EXPERIMENTS.md is
-// a record of what was measured when, and is not checked.
+// TestDocReferences holds README.md, DESIGN.md and the verify skill's
+// notes to the code: every backticked pkg.Name, where pkg is a package
+// under internal/, names a declaration of that package (tests included) —
+// a package-level name or a method — and a pkg.Type.Name names a method or
+// field of that type. A snake_case name is a benchmark metric
+// (core.harvest_ms) and a file extension a file name (index.go); neither
+// is checked. Every backticked Test…, Benchmark… or Fuzz… name names a
+// test function in the tree or is a prefix of one (`-run TestPaper`).
+// EXPERIMENTS.md is a record of what was measured when, and is not
+// checked.
 func TestDocReferences(t *testing.T) {
-	pkgs := internalDecls(t)
+	pkgs, tests := internalDecls(t), testFuncs(t)
 	isMethod := func(p *pkgDecls, name string) bool {
 		for _, m := range p.members {
 			if m[name] {
@@ -136,13 +176,18 @@ func TestDocReferences(t *testing.T) {
 		}
 		return false
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, m := range testName.FindAllStringSubmatch(span[1], -1) {
+					if !slices.ContainsFunc(tests, func(name string) bool { return strings.HasPrefix(name, m[1]) }) {
+						t.Errorf("%s:%d: `%s` names no test, benchmark or fuzz target", doc, i+1, m[1])
+					}
+				}
 				for _, m := range qualified.FindAllStringSubmatch(span[1], -1) {
 					pkg, name, member := m[1], m[2], m[3]
 					p := pkgs[pkg]

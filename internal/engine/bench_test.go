@@ -44,7 +44,8 @@ func benchEnginePair(b *testing.B, numDocs int) (fast, slow *Engine) {
 	}
 	exCfg := cfg
 	exCfg.Exhaustive = true
-	slowE := &Engine{cfg: exCfg, ix: fastE.ix}
+	slowE := &Engine{cfg: exCfg}
+	slowE.ix.Store(fastE.Index())
 	benchEngines.cache[numDocs] = [2]*Engine{fastE, slowE}
 	return fastE, slowE
 }
@@ -136,9 +137,8 @@ func BenchmarkEngineScale(b *testing.B) {
 // the engine previously always ran.
 func BenchmarkEngineSort(b *testing.B) {
 	fast, _ := benchEnginePair(b, 1_000_000)
-	snap := fast.ix.Snapshot()
-	defer snap.Close()
-	n := snap.NumDocs()
+	ix := fast.Index()
+	n := ix.NumDocs()
 	scored := make([]scoredDoc, n)
 	for i := range scored {
 		scored[i] = scoredDoc{id: i, score: float64((i * 2654435761) % 1000)}
@@ -150,7 +150,7 @@ func BenchmarkEngineSort(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(work, scored)
-			sortTop(snap, work, keys, max)
+			sortTop(ix, work, keys, max)
 		}
 	}
 	b.Run("heap-top20-1m", func(b *testing.B) { run(b, 20) })

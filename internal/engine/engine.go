@@ -5,6 +5,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"starts/internal/attr"
 	"starts/internal/index"
@@ -45,7 +47,8 @@ type Config struct {
 	// Native, when set, evaluates free-form-text terms: queries written
 	// in the engine's own (non-STARTS) query language, the escape hatch
 	// the Free-form-text field provides. It receives the native query
-	// string and the engine's index and returns the matching documents.
+	// string and the index the search reads and returns the matching
+	// documents.
 	Native func(native string, ix *index.Index) (map[int]bool, error)
 	// Exhaustive evaluates every query with the oracle (exhaustive.go):
 	// match sets and per-term maps over whole posting lists, every match
@@ -92,13 +95,20 @@ func NewBooleanConfig() Config {
 }
 
 // Engine executes STARTS queries over an index under a capability profile.
+// The index is immutable: Add queues documents, and the next read builds a
+// new index over the old one's documents and the queue.
 type Engine struct {
 	cfg Config
-	ix  *index.Index
+	ix  atomic.Pointer[index.Index]
+	// queued tells readers that Add has queued documents; mu guards the
+	// queue, its linkages and the build that empties it.
+	queued   atomic.Bool
+	mu       sync.Mutex
+	queue    []*index.Document
+	linkages map[string]bool // of the queued documents
 }
 
-// New returns an engine over a fresh index built with the config's
-// analyzer.
+// New returns an engine over an empty index under the config's analyzer.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Analyzer == nil {
 		return nil, fmt.Errorf("engine: config has no analyzer")
@@ -109,12 +119,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.QueryParts == "" {
 		return nil, fmt.Errorf("engine: config has no query parts")
 	}
-	return &Engine{cfg: cfg, ix: index.New(cfg.Analyzer)}, nil
+	e := &Engine{cfg: cfg, linkages: map[string]bool{}}
+	e.ix.Store(index.New(cfg.Analyzer))
+	return e, nil
 }
 
 // NewWithDocs returns an engine over an index built from docs with
 // parallel chunked construction (workers <= 0 means GOMAXPROCS). The
-// index is identical to one built by sequential Add calls.
+// index is the same whatever the number of workers, and the same as Add
+// calls over docs in order would give.
 func NewWithDocs(cfg Config, docs []*index.Document, workers int) (*Engine, error) {
 	e, err := New(cfg)
 	if err != nil {
@@ -124,20 +137,70 @@ func NewWithDocs(cfg Config, docs []*index.Document, workers int) (*Engine, erro
 	if err != nil {
 		return nil, err
 	}
-	e.ix = ix
+	e.ix.Store(ix)
 	return e, nil
 }
 
 // Config returns the engine's capability profile.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Index returns the engine's index, for loading documents.
-func (e *Engine) Index() *index.Index { return e.ix }
+// Index returns the engine's index, with every document Add has queued;
+// should building them in fail, the last index built.
+func (e *Engine) Index() *index.Index {
+	ix, _ := e.index()
+	return ix
+}
 
-// Add indexes a document.
+// Add queues a copy of a document for the next read to index. An invalid
+// document, or one whose linkage is already indexed or queued, fails at
+// once. A read after k Adds rebuilds the whole collection once: the index
+// holds its documents' text in one allocation and their postings packed,
+// so nothing can be added to it in place. Documents meant to go in
+// together cost least through NewWithDocs or one run of Adds before the
+// first read.
 func (e *Engine) Add(d *index.Document) error {
-	_, err := e.ix.Add(d)
-	return err
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.linkages[d.Linkage] || e.ix.Load().HasLinkage(d.Linkage) {
+		return fmt.Errorf("engine: document %q already added", d.Linkage)
+	}
+	c := *d
+	c.Authors, c.Languages, c.CrossRefs = slices.Clone(d.Authors), slices.Clone(d.Languages), slices.Clone(d.CrossRefs)
+	e.queue = append(e.queue, &c)
+	e.linkages[d.Linkage] = true
+	e.queued.Store(true)
+	return nil
+}
+
+// index returns the index with every queued document in it, building it
+// first when Add has queued any. A build that fails keeps the queue and
+// the last index built, and reports why.
+func (e *Engine) index() (*index.Index, error) {
+	if !e.queued.Load() {
+		return e.ix.Load(), nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.ix.Load()
+	if len(e.queue) == 0 {
+		return old, nil
+	}
+	docs := make([]*index.Document, old.NumDocs(), old.NumDocs()+len(e.queue))
+	for id := range docs {
+		docs[id], _ = old.Doc(id)
+	}
+	ix, err := index.Build(e.cfg.Analyzer, append(docs, e.queue...), 0)
+	if err != nil {
+		return old, fmt.Errorf("engine: indexing %d queued documents: %w", len(e.queue), err)
+	}
+	e.ix.Store(ix)
+	e.queue = nil
+	clear(e.linkages)
+	e.queued.Store(false)
+	return ix, nil
 }
 
 // SupportsField reports whether the engine recognizes a field (required
@@ -199,9 +262,18 @@ func (e *Engine) AllowsCombination(f attr.Field, m attr.Modifier) bool {
 // supports (the "actual query"), evaluates the filter, scores the ranking
 // expression, and assembles the STARTS result with term statistics. It
 // never fails on unsupported query features — those are ignored, per the
-// protocol — only on malformed input (e.g. an unparsable date).
+// protocol — only on malformed input (e.g. an unparsable date), or when
+// the documents Add queued cannot be indexed.
 func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	// One index answers the whole query — the rewrite's feedback
+	// expansion, the native handler, matches, document frequencies,
+	// collection size, lengths, the documents returned — however many
+	// documents are added while it runs.
+	ix, err := e.index()
+	if err != nil {
 		return nil, err
 	}
 	dropStop := q.DropStopWords || !e.cfg.TurnOffStopWords
@@ -213,7 +285,7 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	}
 
 	// Everything the search builds but does not return comes from s.
-	s := search{sc: new(index.Scratch)}
+	s := search{ix: ix, sc: new(index.Scratch)}
 
 	// Interpret term fields in the query's default attribute set (e.g.
 	// dc-1 "creator" resolves to the Basic-1 "author" this engine knows).
@@ -228,28 +300,21 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	if actualFilter == nil && actualRanking == nil {
 		return res, nil
 	}
-	if err := e.resolveNative(&opts, actualFilter, actualRanking); err != nil {
+	if err := e.resolveNative(ix, &opts, actualFilter, actualRanking); err != nil {
 		return nil, err
 	}
-
-	// One state of the index answers the whole query — matches, document
-	// frequencies, collection size, lengths, the documents returned —
-	// however many documents are added while it runs.
-	snap := e.ix.Snapshot()
-	defer snap.Close()
 
 	var kept []scoredDoc
 	var stats []result.TermStat // of kept document k: stats[offs[k]:offs[k+1]]
 	var offs []int              // nil without a ranking
-	var err error
 	if e.cfg.Exhaustive {
-		kept, stats, offs, err = e.searchExhaustive(snap, q, actualFilter, actualRanking, opts)
-	} else if fast, fastStats, fastOffs, ok := e.rankedFastPath(&s, snap, q, actualFilter, actualRanking, opts); ok {
+		kept, stats, offs, err = e.searchExhaustive(ix, q, actualFilter, actualRanking, opts)
+	} else if fast, fastStats, fastOffs, ok := e.rankedFastPath(&s, q, actualFilter, actualRanking, opts); ok {
 		// Pure ranking under the default sort: the same cursors plus a
 		// threshold find the answer without scoring every match.
 		kept, stats, offs = fast, fastStats, fastOffs
 	} else {
-		kept, stats, offs, err = e.searchCursors(&s, snap, q, actualFilter, actualRanking, opts)
+		kept, stats, offs, err = e.searchCursors(&s, q, actualFilter, actualRanking, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -265,12 +330,12 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 	for k, sd := range kept {
 		from := len(vals)
 		for _, f := range fields {
-			if v := snap.FieldText(sd.id, f); v != "" {
+			if v := ix.FieldText(sd.id, f); v != "" {
 				vals = append(vals, result.FieldValue{Field: f, Value: v})
 			}
 		}
 		d := &docs[k]
-		d.RawScore, d.Size, d.Count = round4(sd.score), snap.SizeKB(sd.id), snap.TokenCount(sd.id)
+		d.RawScore, d.Size, d.Count = round4(sd.score), ix.SizeKB(sd.id), ix.TokenCount(sd.id)
 		d.Fields = vals[from:len(vals):len(vals)]
 		if offs != nil && offs[k] < offs[k+1] { // a document that matched no term has none
 			d.TermStats = stats[offs[k]:offs[k+1]:offs[k+1]]
@@ -281,10 +346,9 @@ func (e *Engine) Search(q *query.Query) (*result.Results, error) {
 }
 
 // resolveNative evaluates the query's free-form-text terms through the
-// engine's native handler and points opts.Native at the results. It runs
-// before the index snapshot is taken: the handler is the deployment's own
-// code and reads the index through its locking methods.
-func (e *Engine) resolveNative(opts *index.LookupOptions, exprs ...query.Expr) error {
+// engine's native handler over ix, the index the search reads, and
+// points opts.Native at the results.
+func (e *Engine) resolveNative(ix *index.Index, opts *index.LookupOptions, exprs ...query.Expr) error {
 	if e.cfg.Native == nil {
 		return nil
 	}
@@ -297,7 +361,7 @@ func (e *Engine) resolveNative(opts *index.LookupOptions, exprs ...query.Expr) e
 			if t.EffectiveField() != attr.FieldFreeFormText || sets[t.Value.Text] != nil {
 				continue
 			}
-			set, err := e.cfg.Native(t.Value.Text, e.ix)
+			set, err := e.cfg.Native(t.Value.Text, ix)
 			if err != nil {
 				return fmt.Errorf("engine: native query: %w", err)
 			}
@@ -311,11 +375,13 @@ func (e *Engine) resolveNative(opts *index.LookupOptions, exprs ...query.Expr) e
 	return nil
 }
 
-// search is the working set of one Engine.Search: the index's scratch,
-// which also holds the engine's term numbers (Scratch.Ints), and the
-// engine's own small slices, which start in the arrays here. It lives and
-// dies with the search; only the answer outlives it.
+// search is the working set of one Engine.Search: the one index it reads,
+// the index's scratch, which also holds the engine's term numbers
+// (Scratch.Ints), and the engine's own small slices, which start in the
+// arrays here. It lives and dies with the search; only the answer
+// outlives it.
 type search struct {
+	ix      *index.Index
 	sc      *index.Scratch
 	nodes   [4]*query.TermExpr // the ranking's term nodes
 	terms   [4]query.Term      // and their terms
@@ -347,17 +413,18 @@ type scoredDoc struct {
 // documents in id order, the ranking terms' cursors follow it, and each
 // document is scored as it goes by. Nothing is kept per document but its
 // id and score.
-func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
+func (e *Engine) searchCursors(s *search, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
+	ix := s.ix
 	nodes := rankNodes(ranking, s.nodes[:0])
 	terms := s.terms[:0]
 	for _, nd := range nodes {
 		terms = append(terms, nd.Term)
 	}
-	m, err := snap.Match(s.sc, filter, terms, opts)
+	m, err := ix.Match(s.sc, filter, terms, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	n := snap.NumDocs()
+	n := ix.NumDocs()
 	weights := append(s.weights[:0], make([]float64, len(nodes))...)
 	weightOf := func(t *query.TermExpr) float64 {
 		for i, nd := range nodes {
@@ -390,7 +457,7 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 	for id, ok := m.Next(); ok; id, ok = m.Next() {
 		sd := scoredDoc{id: id}
 		if ranking != nil {
-			docLen := snap.TokenCount(id)
+			docLen := ix.TokenCount(id)
 			for i := range weights {
 				weights[i] = 0
 				if tf := m.Freq(i); tf > 0 {
@@ -409,7 +476,7 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 	if best != nil {
 		cands = best.Sorted()
 	}
-	kept := e.rankAndCut(snap, cands, maxScore, q, filter != nil, ranking != nil)
+	kept := e.rankAndCut(ix, cands, maxScore, q, filter != nil, ranking != nil)
 	if ranking == nil {
 		return kept, nil, nil, nil
 	}
@@ -434,7 +501,7 @@ func (e *Engine) searchCursors(s *search, snap index.Snapshot, q *query.Query, f
 			}
 		}
 	}
-	stats, offs := e.termStats(s, snap, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	stats, offs := e.termStats(s, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, nil
 }
 
@@ -515,7 +582,7 @@ func scoreExpr(expr query.Expr, weight func(*query.TermExpr) float64) float64 {
 // query (no filter) qualifies only documents that match at least one
 // ranking term; with a filter, the filter decides membership and a zero
 // score merely ranks last.
-func (e *Engine) rankAndCut(snap index.Snapshot, cands []scoredDoc, maxScore float64, q *query.Query, filtered, ranked bool) []scoredDoc {
+func (e *Engine) rankAndCut(ix *index.Index, cands []scoredDoc, maxScore float64, q *query.Query, filtered, ranked bool) []scoredDoc {
 	if ranked {
 		kept := cands[:0]
 		for _, sd := range cands {
@@ -527,7 +594,7 @@ func (e *Engine) rankAndCut(snap index.Snapshot, cands []scoredDoc, maxScore flo
 		}
 		cands = kept
 	}
-	return sortTop(snap, cands, q.EffectiveSort(), q.EffectiveMaxResults())
+	return sortTop(ix, cands, q.EffectiveSort(), q.EffectiveMaxResults())
 }
 
 // reportedTerms returns the term each term node's statistics report, or
@@ -568,7 +635,7 @@ func statsInts(nt, nk int) int { return 2*nt + 1 + nk + 1 }
 // frequencies tfsOf(k), are stats[offs[k]:offs[k+1]] — the terms of the
 // ranking's nodes in query order, a repeated term once, only those the
 // document matches. The entries of one term share its pointer.
-func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, nodes []*query.TermExpr, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
+func (e *Engine) termStats(s *search, kept []scoredDoc, nodes []*query.TermExpr, tfsOf func(k int) []int, dfs []int) (stats []result.TermStat, offs []int) {
 	terms := s.reportedTerms(nodes)
 	n := 0
 	for k := range kept {
@@ -580,13 +647,13 @@ func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, nod
 	}
 	stats, offs = make([]result.TermStat, 0, n), s.sc.Ints(len(kept) + 1)[:1]
 	for k, sd := range kept {
-		tfs, docLen := tfsOf(k), snap.TokenCount(sd.id)
+		tfs, docLen := tfsOf(k), s.ix.TokenCount(sd.id)
 		for i, term := range terms {
 			if term != nil && tfs[i] > 0 {
 				stats = append(stats, result.TermStat{
 					Term:    term,
 					Freq:    tfs[i],
-					Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], snap.NumDocs(), docLen)),
+					Weight:  round4(e.cfg.Scorer.TermWeight(tfs[i], dfs[i], s.ix.NumDocs(), docLen)),
 					DocFreq: dfs[i],
 				})
 			}
@@ -598,7 +665,7 @@ func (e *Engine) termStats(s *search, snap index.Snapshot, kept []scoredDoc, nod
 
 // sortableDoc pairs a result with its pre-fetched field texts, so
 // comparisons never look up documents or join field text. Fetching them
-// through Snapshot.FieldText also makes sorting safe against ids with no
+// through Index.FieldText also makes sorting safe against ids with no
 // document behind them: they sort on empty text and no date.
 type sortableDoc struct {
 	scoredDoc
@@ -619,7 +686,7 @@ const (
 // otherwise. Text compares folded (index.CompareFold), dates by UTC day,
 // neither allocating. The comparator ends with the ascending-id tiebreak,
 // so the order is total and deterministic regardless of input order.
-func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
+func sortTop(ix *index.Index, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
 	// Map each sort key to its slot among the pre-fetched field texts.
 	slot := make([]int, len(keys))
 	nf := 0
@@ -639,7 +706,7 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 		it := sortableDoc{scoredDoc: docs[di], vals: flat[di*nf : (di+1)*nf]}
 		for i, k := range keys {
 			if slot[i] >= 0 {
-				it.vals[slot[i]] = snap.FieldText(it.id, k.Field)
+				it.vals[slot[i]] = ix.FieldText(it.id, k.Field)
 			}
 		}
 		return it
@@ -651,7 +718,7 @@ func sortTop(snap index.Snapshot, docs []scoredDoc, keys []query.SortKey, max in
 			case scoreSlot:
 				c = cmp.Compare(a.score, b.score)
 			case dateSlot:
-				c = snap.CompareDates(a.id, b.id)
+				c = ix.CompareDates(a.id, b.id)
 			default:
 				c = index.CompareFold(a.vals[s], b.vals[s])
 			}

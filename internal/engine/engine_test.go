@@ -590,12 +590,11 @@ func TestDefaultAttributeSetResolution(t *testing.T) {
 }
 
 // TestSearchDuringAddAnswersOnePrefix is the regression test of the
-// one-snapshot rule: Search used to take the index lock once for the
-// filter, again for each ranking term, again for the collection size and
-// per document for lengths, so an Add in between mixed the match set of one
-// index state with the n, df and lengths of another. Every answer given
-// while documents are being added must be, whole, the answer at some prefix
-// of the adds.
+// one-index rule: a search reads one index for the filter, each ranking
+// term, the collection size and every document's length, so an Add in
+// between cannot mix the match set of one collection with the n, df and
+// lengths of another. Every answer given while documents are being added
+// must be, whole, the answer at some prefix of the adds.
 func TestSearchDuringAddAnswersOnePrefix(t *testing.T) {
 	const docs = 60
 	doc := func(i int) *index.Document {

@@ -7,7 +7,7 @@ package engine
 // differential and fuzz tests, which hold the cursor evaluator
 // (searchCursors, rankedFastPath) to it answer for answer. It shares with
 // the cursors what defines an answer rather than how to find it: the query
-// rewrite, scoreExpr, rankAndCut, and the index snapshot it runs under.
+// rewrite, scoreExpr, rankAndCut, and the one index it reads.
 
 import (
 	"starts/internal/index"
@@ -15,22 +15,22 @@ import (
 	"starts/internal/result"
 )
 
-func (e *Engine) searchExhaustive(snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
+func (e *Engine) searchExhaustive(ix *index.Index, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, error) {
 	// The filter match set; no (surviving) filter means every document
 	// qualifies.
-	matched := snap.AllDocs()
+	matched := ix.AllDocs()
 	if filter != nil {
-		set, err := snap.EvalFilter(filter, opts)
+		set, err := ix.EvalFilter(filter, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		matched = set
 	}
-	cands, maxScore, ev, err := e.scoreDocs(snap, matched, ranking, opts)
+	cands, maxScore, ev, err := e.scoreDocs(ix, matched, ranking, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	kept := e.rankAndCut(snap, cands, maxScore, q, filter != nil, ranking != nil)
+	kept := e.rankAndCut(ix, cands, maxScore, q, filter != nil, ranking != nil)
 	if ev == nil {
 		return kept, nil, nil, nil
 	}
@@ -46,7 +46,7 @@ func (e *Engine) searchExhaustive(snap index.Snapshot, q *query.Query, filter, r
 // scoreDocs computes each matched document's raw score for the ranking
 // expression and the highest of them. The returned evaluator assembles
 // TermStats for the documents that survive the answer specification.
-func (e *Engine) scoreDocs(snap index.Snapshot, matched map[int]bool, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, float64, *rankEvaluator, error) {
+func (e *Engine) scoreDocs(ix *index.Index, matched map[int]bool, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, float64, *rankEvaluator, error) {
 	out := make([]scoredDoc, 0, len(matched))
 	if ranking == nil {
 		for id := range matched {
@@ -54,7 +54,7 @@ func (e *Engine) scoreDocs(snap index.Snapshot, matched map[int]bool, ranking qu
 		}
 		return out, 0, nil, nil
 	}
-	ev, err := e.newRankEvaluator(snap, ranking, opts)
+	ev, err := e.newRankEvaluator(ix, ranking, opts)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -75,19 +75,19 @@ type rankEvaluator struct {
 	nodes       map[*query.TermExpr]*index.TermMatch
 	terms       []*query.Term      // as reported
 	termMatches []*index.TermMatch // termMatches[i] is terms[i]'s
-	snap        index.Snapshot
+	ix          *index.Index
 	scorer      Scorer
 }
 
-func (e *Engine) newRankEvaluator(snap index.Snapshot, ranking query.Expr, opts index.LookupOptions) (*rankEvaluator, error) {
-	ev := &rankEvaluator{nodes: map[*query.TermExpr]*index.TermMatch{}, snap: snap, scorer: e.cfg.Scorer}
+func (e *Engine) newRankEvaluator(ix *index.Index, ranking query.Expr, opts index.LookupOptions) (*rankEvaluator, error) {
+	ev := &rankEvaluator{nodes: map[*query.TermExpr]*index.TermMatch{}, ix: ix, scorer: e.cfg.Scorer}
 	byKey := map[string]*index.TermMatch{} // a repeated term is looked up once
 	for _, nd := range rankNodes(ranking, nil) {
 		key := nd.Term.String()
 		m, ok := byKey[key]
 		if !ok {
 			var err error
-			if m, err = snap.Lookup(nd.Term, opts); err != nil {
+			if m, err = ix.Lookup(nd.Term, opts); err != nil {
 				return nil, err
 			}
 			byKey[key] = m
@@ -112,7 +112,7 @@ func (ev *rankEvaluator) matchWeight(m *index.TermMatch, id int) float64 {
 	if info == nil {
 		return 0
 	}
-	return ev.scorer.TermWeight(info.Freq, m.DocFreq(), ev.snap.NumDocs(), ev.snap.TokenCount(id))
+	return ev.scorer.TermWeight(info.Freq, m.DocFreq(), ev.ix.NumDocs(), ev.ix.TokenCount(id))
 }
 
 // appendStats appends the TermStats reported with a result document.

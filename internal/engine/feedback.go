@@ -18,11 +18,11 @@ const FeedbackTerms = 10
 // passes an entire document as a term, asking for similar documents
 // (relevance feedback, §4.1.1). The engine extracts the FeedbackTerms most
 // distinctive words of the passed text — by term frequency in the text
-// times inverse document frequency in this collection — and substitutes a
-// weighted list of body-of-text terms, which then ranks documents by
-// similarity to the passed document. The expansion appears in the actual
+// times inverse document frequency in ix, the collection the search reads
+// — and substitutes a weighted list of body-of-text terms, which then
+// ranks documents by similarity to the passed document. The expansion appears in the actual
 // query the source echoes, so metasearchers see exactly what ran.
-func (e *Engine) expandDocumentText(t query.Term, opts index.LookupOptions) query.Expr {
+func (e *Engine) expandDocumentText(ix *index.Index, t query.Term, opts index.LookupOptions) query.Expr {
 	toks := e.cfg.Analyzer.Analyze(t.Value.Text)
 	if opts.DropStopWords {
 		kept := toks[:0]
@@ -44,10 +44,10 @@ func (e *Engine) expandDocumentText(t query.Term, opts index.LookupOptions) quer
 		word  string
 		score float64
 	}
-	n := e.ix.NumDocs()
+	n := ix.NumDocs()
 	var cands []cand
 	for w, f := range tf {
-		df := e.ix.DocFreq(attr.FieldBodyOfText, w)
+		df := ix.DocFreq(attr.FieldBodyOfText, w)
 		if df == 0 {
 			continue // words absent from the collection cannot match
 		}

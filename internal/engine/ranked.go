@@ -38,7 +38,7 @@ func (e *Engine) rawOrderIsFinal(q *query.Query) bool {
 // false when the query is not eligible — searchCursors evaluates it, as it
 // would an eligible one, to the identical answer (equal floats, equal
 // order, equal statistics).
-func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, bool) {
+func (e *Engine) rankedFastPath(s *search, q *query.Query, filter, ranking query.Expr, opts index.LookupOptions) ([]scoredDoc, []result.TermStat, []int, bool) {
 	if filter != nil || ranking == nil || !e.rawOrderIsFinal(q) {
 		return nil, nil, nil, false
 	}
@@ -49,9 +49,9 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 	plan.K = q.EffectiveMaxResults()
 	plan.TermWeight = e.cfg.Scorer.TermWeight
 	// One chunk of ints for TopKRanked's frequencies and termStats.
-	nt, nk := len(plan.Terms), min(plan.K, snap.NumDocs())
+	nt, nk := len(plan.Terms), min(plan.K, s.ix.NumDocs())
 	s.sc.ReserveInts((1+nk)*nt + statsInts(nt, nk))
-	ranked, tfs, dfs, ok := snap.TopKRanked(s.sc, plan, opts)
+	ranked, tfs, dfs, ok := s.ix.TopKRanked(s.sc, plan, opts)
 	if !ok {
 		return nil, nil, nil, false
 	}
@@ -73,7 +73,7 @@ func (e *Engine) rankedFastPath(s *search, snap index.Snapshot, q *query.Query, 
 		}
 		kept = append(kept, scoredDoc{id: rd.ID, score: score})
 	}
-	stats, offs := e.termStats(s, snap, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
+	stats, offs := e.termStats(s, kept, nodes, func(k int) []int { return tfs[k*nt : (k+1)*nt] }, dfs)
 	return kept, stats, offs, true
 }
 

@@ -135,10 +135,8 @@ func TestRankedFastPathMatchesExhaustiveWeighted(t *testing.T) {
 func TestRankedFastPathEligibility(t *testing.T) {
 	e := newEngine(t, NewVectorConfig())
 	opts := index.LookupOptions{DropStopWords: true, Stop: e.cfg.Analyzer.Stop}
-	snap := e.ix.Snapshot()
-	defer snap.Close()
 	takes := func(q *query.Query, filter, ranking query.Expr) bool {
-		_, _, _, ok := e.rankedFastPath(&search{sc: new(index.Scratch)}, snap, q, filter, ranking, opts)
+		_, _, _, ok := e.rankedFastPath(&search{ix: e.Index(), sc: new(index.Scratch)}, q, filter, ranking, opts)
 		return ok
 	}
 

@@ -37,7 +37,7 @@ func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOpt
 		if !ranking {
 			return nil
 		}
-		return e.expandDocumentText(t, opts)
+		return e.expandDocumentText(s.ix, t, opts)
 	}
 	// Strip unsupported modifiers and illegal combinations, keeping the
 	// term itself.

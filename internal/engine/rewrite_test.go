@@ -79,7 +79,7 @@ func (e *Engine) oracleRewriteTerm(s *search, te *query.TermExpr, opts index.Loo
 		if !ranking {
 			return nil
 		}
-		return e.expandDocumentText(t, opts)
+		return e.expandDocumentText(s.ix, t, opts)
 	}
 	var mods []attr.Modifier
 	for _, m := range t.Mods {
@@ -96,7 +96,7 @@ func (e *Engine) oracleRewriteTerm(s *search, te *query.TermExpr, opts index.Loo
 
 // oracleActualQuery is the actual query the oracle echoes for q at e.
 func oracleActualQuery(e *Engine, q *query.Query) (filter, ranking query.Expr) {
-	s := &search{sc: new(index.Scratch)}
+	s := &search{ix: e.Index(), sc: new(index.Scratch)}
 	opts := index.LookupOptions{DropStopWords: q.DropStopWords || !e.cfg.TurnOffStopWords}
 	filter, ranking = q.ResolveAttributeSet()
 	if e.cfg.QueryParts.SupportsFilter() {

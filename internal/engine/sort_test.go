@@ -14,11 +14,9 @@ import (
 	"starts/internal/query"
 )
 
-// sortTopOf runs sortTop under a snapshot of the engine's index.
+// sortTopOf runs sortTop over the engine's index.
 func sortTopOf(e *Engine, docs []scoredDoc, keys []query.SortKey, max int) []scoredDoc {
-	snap := e.ix.Snapshot()
-	defer snap.Close()
-	return sortTop(snap, docs, keys, max)
+	return sortTop(e.Index(), docs, keys, max)
 }
 
 func sortIDs(docs []scoredDoc) []int {

@@ -111,8 +111,8 @@ const satFreq = 255
 // ids and frequencies in place. A term's blocks follow one another in
 // blocks, and fronts holds the list frontiers of the terms of two or more
 // blocks. Offsets into pos are 32-bit. Build packs each field's terms into
-// one arena, every array at its exact size; a term Add creates or extends
-// has an arena of its own (fieldIndex.extend).
+// one arena, every array at its exact size; a chunk of its analysis
+// appends each term's postings to an arena of the term's own.
 type arena struct {
 	docs   []int32 // ascending doc ids within a term
 	freqs  []uint8 // each posting's term frequency, saturating at satFreq
@@ -138,16 +138,11 @@ func numBlocks(n int) int { return (n + blockSize - 1) / blockSize }
 // contributes one posting per term).
 func (pl *postingList) numDocs() int { return int(pl.n) }
 
-// docs, freqs and blocks return the list's part of its arena's arrays,
-// capped; block returns its block bi, and frontier its list frontier.
+// docs and freqs return the list's part of its arena's arrays, capped;
+// block returns its block bi, and frontier its list frontier.
 func (pl *postingList) docs() []int32 { return pl.a.docs[pl.doc : pl.doc+pl.n : pl.doc+pl.n] }
 
 func (pl *postingList) freqs() []uint8 { return pl.a.freqs[pl.doc : pl.doc+pl.n : pl.doc+pl.n] }
-
-func (pl *postingList) blocks() []block {
-	hi := pl.blk + uint32(numBlocks(int(pl.n)))
-	return pl.a.blocks[pl.blk:hi:hi]
-}
 
 func (pl *postingList) block(bi int) *block { return &pl.a.blocks[int(pl.blk)+bi] }
 
@@ -156,19 +151,6 @@ func (pl *postingList) frontier() []tfLen {
 		return pl.block(0).frontier[:]
 	}
 	return pl.a.fronts[pl.fr-1][:]
-}
-
-// posSpan returns where the list's positions lie in its arena's pos: from
-// its first block's offset to the next list's, or the end.
-func (pl *postingList) posSpan() (from, to int) {
-	if pl.n == 0 {
-		return 0, 0
-	}
-	from, to = int(pl.block(0).posOff), len(pl.a.pos)
-	if next := int(pl.blk) + numBlocks(int(pl.n)); next < len(pl.a.blocks) {
-		to = int(pl.a.blocks[next].posOff)
-	}
-	return from, to
 }
 
 // note folds posting i, already in the arena's docs and freqs, into its

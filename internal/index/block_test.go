@@ -19,9 +19,12 @@ func buildList(t *testing.T, n int) *postingList {
 		}
 		lens[3*i] = int32(10 + i%50)
 		dp.add(int32(3*i), toks, lists.arena)
-		dp.note(lens)
 	}
-	pl := lists["t"].list()
+	fi := newFieldIndex(text.NewAnalyzer(), 1)
+	if err := fi.pack(map[string][]*arena{"t": {lists["t"]}}, lens); err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := fi.lookup("t")
 	return &pl
 }
 

@@ -28,18 +28,19 @@ type chunkResult struct {
 }
 
 // Build constructs an index over a document collection with parallel
-// chunked analysis and a deterministic merge. Documents receive ids in
-// slice order, exactly as sequential Add calls would assign them, and
-// the merged posting lists are equal to a sequential build's, down to
-// block boundaries and sidecar stats: chunks cover contiguous id ranges
-// and are merged in range order, so postings stay ascending by doc id.
+// chunked analysis and a deterministic merge; it is the only way an index
+// gets documents. Documents receive ids in slice order, and the merged
+// posting lists are equal whatever the number of workers, down to block
+// boundaries and sidecar stats: chunks cover contiguous id ranges and are
+// merged in range order, so postings stay ascending by doc id.
 // Analysis and appending postings — about two thirds of indexing CPU —
 // run on workers goroutines (default GOMAXPROCS), each keeping per field a
 // memo from spelling to run and a token buffer, so it stems each distinct
 // spelling once, probes one map a token and allocates little per token;
-// the merge after them runs on one. It fails where Add would — a duplicate
-// linkage, a collection past the postings' 32-bit ids — and where a
-// field's positions, all its terms' together, would pass 2³²−1 bytes. The
+// the merge after them runs on one. It fails on an invalid document, a
+// duplicate linkage, a collection past the postings' 32-bit ids, a
+// document of 2³¹ tokens or more, and where a field's positions, all its
+// terms' together, would pass 2³²−1 bytes. The
 // index keeps its own copy of the documents, their text in one allocation.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
@@ -49,10 +50,8 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	if len(docs) > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %d documents, more than 2^31-1", len(docs))
 	}
-	// Validate identities up front so workers never see a bad document
-	// and duplicate linkage fails exactly like sequential Add; then copy
-	// the documents in, in id order, so that the records come out as
-	// sequential Adds make them.
+	// Validate identities up front so workers never see a bad document;
+	// then copy the documents in, in id order.
 	size := 0
 	for _, d := range docs {
 		if err := d.Validate(); err != nil {
@@ -186,7 +185,7 @@ type docPostings struct {
 // add appends document id's tokens in one field to the arenas of their
 // terms, which arena returns — the id once per arena, the positions in
 // token order, sorted should the tokenizer not yield them ascending. The
-// lists' bounds are the caller's to note.
+// lists' bounds are noted when pack lays them out.
 func (dp *docPostings) add(id int32, toks []text.Token, arena func(term string) *arena) {
 	dp.touched, dp.starts = dp.touched[:0], dp.starts[:0]
 	for _, t := range toks {
@@ -214,20 +213,11 @@ func (dp *docPostings) add(id int32, toks []text.Token, arena func(term string) 
 	}
 }
 
-// note notes the postings the last add appended in their lists' bounds;
-// lens are the documents' token counts.
-func (dp *docPostings) note(lens []int32) {
-	for k, a := range dp.touched {
-		pl := a.list()
-		pl.note(int(pl.n)-1, dp.starts[k], lens)
-	}
-}
-
 // pack lays the terms' chunk runs out in the packed arena, term after
 // term, every array allocated once at its exact size, and notes their
 // bounds; lens are the documents' token counts. A term's runs in chunk
-// order are exactly the postings sequential Add would have appended, so
-// the bounds come out identical to a sequential build's. Positions count
+// order are exactly its postings in id order, so the bounds come out
+// identical to a one-worker build's. Positions count
 // from their document's start, so the runs' bytes join unchanged.
 func (fi *fieldIndex) pack(byTerm map[string][]*arena, lens []int32) error {
 	nd, np, nb, nf := 0, 0, 0, 0

@@ -1,9 +1,7 @@
 package index
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -105,23 +103,22 @@ func flatten(pl postingList) flatList {
 	return flatList{slices.Clone(pl.docs()), slices.Clone(pl.freqs()), slices.Clone(pl.a.pos[from:to]), blocks, slices.Clone(pl.frontier())}
 }
 
-// TestBuildMatchesSequentialAdd asserts the tentpole determinism claim:
-// parallel chunked construction produces an index byte-for-byte
-// equivalent to sequential Add calls — same ids, same posting blocks,
-// same sidecar stats — for any worker count.
+// TestBuildMatchesSequentialAdd asserts the determinism claim: parallel
+// chunked construction produces an index byte-for-byte equivalent to the
+// sequential, one-worker build — same ids, same posting blocks, same
+// sidecar stats — for any worker count.
 func TestBuildMatchesSequentialAdd(t *testing.T) {
 	docs := genTestDocs(500)
-	seq := New(text.NewAnalyzer())
+	seq, err := Build(text.NewAnalyzer(), docs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, d := range docs {
-		id, err := seq.Add(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != i {
-			t.Fatalf("sequential id %d for doc %d", id, i)
+		if got := seq.document(i); got.Linkage != d.Linkage {
+			t.Fatalf("sequential doc %d is %q, want %q", i, got.Linkage, d.Linkage)
 		}
 	}
-	for _, workers := range []int{1, 2, 3, 8, 0} {
+	for _, workers := range []int{2, 3, 8, 0} {
 		par, err := Build(text.NewAnalyzer(), docs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -160,8 +157,8 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 // cursor: the ids, each one's frequency and positions. Every block is
 // held to the postings the cursor walked inside it: its maxDoc, a
 // frontier that dominates each of them and whose peak is their max tf and
-// min length; the list's own frontier to all of its postings. Build, sequential Add and Add after
-// Build each make the index, over lists that cross block boundaries.
+// min length; the list's own frontier to all of its postings, over lists
+// that cross block boundaries.
 func TestPostingsMatchTokenOracle(t *testing.T) {
 	docs := genTestDocs(700)
 	// Bodies repeated up to six times spread frequencies and lengths wide
@@ -169,10 +166,10 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 	for i, d := range docs {
 		d.Body = strings.Repeat(d.Body+" ", 1+i%6)
 	}
-	// In both halves of "Add after Build": a word 300 times, a frequency
-	// past what a posting's freqs byte holds, and a word at both ends of
-	// more than 2¹⁴ tokens, a position delta of three uvarint bytes (around
-	// a frequency of as many).
+	// Twice each: a word 300 times, a frequency past what a posting's freqs
+	// byte holds, and a word at both ends of more than 2¹⁴ tokens, a
+	// position delta of three uvarint bytes (around a frequency of as
+	// many).
 	for _, i := range []int{100, 400} {
 		docs[i].Body = strings.Repeat("echo ", 300)
 		docs[i+100].Body = "zulu " + strings.Repeat("yak ", 1<<14) + "zulu"
@@ -198,48 +195,31 @@ func TestPostingsMatchTokenOracle(t *testing.T) {
 			}
 		}
 	}
-	add := func(ix *Index, docs []*Document) *Index {
-		for _, d := range docs {
-			if _, err := ix.Add(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ix
+	ix, err := Build(a, docs, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	build := func(docs []*Document) *Index {
-		ix, err := Build(a, docs, 3)
-		if err != nil {
-			t.Fatal(err)
+	crossed := false
+	for _, f := range TextFields {
+		fi := ix.fields[f]
+		if fi == nil {
+			t.Fatalf("no field %q", f)
 		}
-		return ix
+		if len(fi.terms) != len(want[f]) {
+			t.Fatalf("field %q holds %d terms, want %d", f, len(fi.terms), len(want[f]))
+		}
+		for term, byDoc := range want[f] {
+			pl, ok := fi.lookup(term)
+			if !ok {
+				t.Fatalf("%s/%s has no list", f, term)
+			}
+			if checkList(t, string(f)+"/"+term, &pl, byDoc, lens) {
+				crossed = true
+			}
+		}
 	}
-	for name, ix := range map[string]*Index{
-		"Build":           build(docs),
-		"Add":             add(New(a), docs),
-		"Add after Build": add(build(docs[:301]), docs[301:]),
-	} {
-		crossed := false
-		for _, f := range TextFields {
-			fi := ix.fields[f]
-			if fi == nil {
-				t.Fatalf("%s: no field %q", name, f)
-			}
-			if len(fi.terms) != len(want[f]) {
-				t.Fatalf("%s: field %q holds %d terms, want %d", name, f, len(fi.terms), len(want[f]))
-			}
-			for term, byDoc := range want[f] {
-				pl, ok := fi.lookup(term)
-				if !ok {
-					t.Fatalf("%s: %s/%s has no list", name, f, term)
-				}
-				if checkList(t, name+": "+string(f)+"/"+term, &pl, byDoc, lens) {
-					crossed = true
-				}
-			}
-		}
-		if !crossed {
-			t.Fatalf("%s: no list crosses a block boundary", name)
-		}
+	if !crossed {
+		t.Fatal("no list crosses a block boundary")
 	}
 }
 
@@ -318,43 +298,4 @@ func checkList(t *testing.T, what string, pl *postingList, byDoc map[int][]int, 
 		t.Fatalf("%s: list bounds {%d %d}, postings say {%d %d}", what, maxFreq, minLen, inList.maxFreq, inList.minLen)
 	}
 	return blocks > 1
-}
-
-// TestAddOverflowChangesNothing: a document whose posting would take a
-// term's positions past 2³²−1 bytes fails, and fails before the index
-// changes — no record, linkage, token count, field, term or posting, in
-// the failing field or any other.
-func TestAddOverflowChangesNothing(t *testing.T) {
-	ix, err := Build(text.NewAnalyzer(), []*Document{
-		{Linkage: "http://t/0", Body: "alpha beta"},
-		{Linkage: "http://t/1", Body: "gamma alpha"},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stretch alpha's positions to the last byte an offset can name: the
-	// next list starts there.
-	fi := ix.fields[attr.FieldBodyOfText]
-	pl, _ := fi.lookup("alpha")
-	if next := int(pl.blk) + numBlocks(int(pl.n)); next < len(fi.packed.blocks) {
-		fi.packed.blocks[next].posOff = math.MaxUint32
-	} else {
-		fi.packed.blocks = append(fi.packed.blocks, block{posOff: math.MaxUint32})
-	}
-	state := func() []any {
-		return []any{len(ix.recs), slices.Clone(ix.counts), len(ix.byURL), len(ix.fields),
-			len(fi.terms), len(fi.own), arenaBytes(&fi.packed)}
-	}
-	before := state()
-	_, err = ix.Add(&Document{Linkage: "http://t/2", Title: "delta", Body: "beta delta alpha"})
-	if !errors.Is(err, errPositions) {
-		t.Fatalf("Add = %v, want %v", err, errPositions)
-	}
-	if after := state(); !reflect.DeepEqual(after, before) {
-		t.Errorf("a failed Add changed the index:\nbefore %v\nafter  %v", before, after)
-	}
-	// The stretched list's neighbour is garbage now: add only new terms.
-	if _, err := ix.Add(&Document{Linkage: "http://t/2", Title: "delta", Body: "delta epsilon"}); err != nil {
-		t.Errorf("Add without the full term = %v", err)
-	}
 }

@@ -42,14 +42,6 @@ func (m *TermMatch) DocFreq() int { return len(m.Docs) }
 // Lookup evaluates one atomic term against the index, honoring the term's
 // field and modifiers under the given options.
 func (ix *Index) Lookup(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	s := ix.Snapshot()
-	defer s.Close()
-	return s.Lookup(t, opts)
-}
-
-// Lookup is Index.Lookup within the snapshot.
-func (s Snapshot) Lookup(t query.Term, opts LookupOptions) (*TermMatch, error) {
-	ix := s.ix
 	if pred, err := ix.docPredicate(t); err != nil {
 		return nil, err
 	} else if pred != nil {
@@ -226,16 +218,9 @@ docs:
 // rewritten by the engine (stop-word-only terms stripped); a term that
 // still eliminates entirely under opts matches nothing.
 func (ix *Index) EvalFilter(e query.Expr, opts LookupOptions) (map[int]bool, error) {
-	s := ix.Snapshot()
-	defer s.Close()
-	return s.EvalFilter(e, opts)
-}
-
-// EvalFilter is Index.EvalFilter within the snapshot.
-func (s Snapshot) EvalFilter(e query.Expr, opts LookupOptions) (map[int]bool, error) {
 	switch n := e.(type) {
 	case *query.TermExpr:
-		m, err := s.Lookup(n.Term, opts)
+		m, err := ix.Lookup(n.Term, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -245,11 +230,11 @@ func (s Snapshot) EvalFilter(e query.Expr, opts LookupOptions) (map[int]bool, er
 		}
 		return set, nil
 	case *query.Bin:
-		l, err := s.EvalFilter(n.L, opts)
+		l, err := ix.EvalFilter(n.L, opts)
 		if err != nil {
 			return nil, err
 		}
-		r, err := s.EvalFilter(n.R, opts)
+		r, err := ix.EvalFilter(n.R, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +249,7 @@ func (s Snapshot) EvalFilter(e query.Expr, opts LookupOptions) (map[int]bool, er
 			return nil, fmt.Errorf("index: unknown operator %q", n.Op)
 		}
 	case *query.Prox:
-		return s.ix.evalProxLocked(n, opts)
+		return ix.evalProx(n, opts)
 	case *query.List:
 		return nil, fmt.Errorf("index: list operator reached filter evaluation")
 	default:
@@ -272,11 +257,11 @@ func (s Snapshot) EvalFilter(e query.Expr, opts LookupOptions) (map[int]bool, er
 	}
 }
 
-// evalProxLocked evaluates a proximity constraint. Proximity is positional
+// evalProx evaluates a proximity constraint. Proximity is positional
 // and therefore field-local: when both terms name concrete, different
 // fields the constraint cannot hold; "any"-field terms are tried in every
 // text field.
-func (ix *Index) evalProxLocked(p *query.Prox, opts LookupOptions) (map[int]bool, error) {
+func (ix *Index) evalProx(p *query.Prox, opts LookupOptions) (map[int]bool, error) {
 	fields, err := proxFields(p)
 	if err != nil {
 		return nil, err
@@ -341,15 +326,8 @@ func subtract(a, b map[int]bool) map[int]bool {
 // AllDocs returns the set of every document ID, the implicit filter result
 // of a query with no filter expression.
 func (ix *Index) AllDocs() map[int]bool {
-	s := ix.Snapshot()
-	defer s.Close()
-	return s.AllDocs()
-}
-
-// AllDocs is Index.AllDocs within the snapshot.
-func (s Snapshot) AllDocs() map[int]bool {
-	out := make(map[int]bool, len(s.ix.recs))
-	for id := range s.ix.recs {
+	out := make(map[int]bool, len(ix.recs))
+	for id := range ix.recs {
 		out[id] = true
 	}
 	return out

@@ -10,3 +10,22 @@ func ReleaseLinkages(ix *Index) { ix.byURL = nil }
 // side table, the token counts and, once the linkage map is gone too, the
 // text they hold.
 func ReleaseDocuments(ix *Index) { ix.recs, ix.extras, ix.counts = nil, nil, nil }
+
+// blocks returns the list's part of its arena's blocks, capped.
+func (pl *postingList) blocks() []block {
+	hi := pl.blk + uint32(numBlocks(int(pl.n)))
+	return pl.a.blocks[pl.blk:hi:hi]
+}
+
+// posSpan returns where the list's positions lie in its arena's pos: from
+// its first block's offset to the next list's, or the end.
+func (pl *postingList) posSpan() (from, to int) {
+	if pl.n == 0 {
+		return 0, 0
+	}
+	from, to = int(pl.block(0).posOff), len(pl.a.pos)
+	if next := int(pl.blk) + numBlocks(int(pl.n)); next < len(pl.a.blocks) {
+		to = int(pl.a.blocks[next].posOff)
+	}
+	return from, to
+}

@@ -28,9 +28,7 @@ func evalf(t *testing.T, ix *Index, src string) map[int]bool {
 func evalBoth(t *testing.T, ix *Index, e query.Expr, opts LookupOptions) (map[int]bool, error) {
 	t.Helper()
 	set, err := ix.EvalFilter(e, opts)
-	snap := ix.Snapshot()
-	defer snap.Close()
-	m, cerr := snap.Match(new(Scratch), e, nil, opts)
+	m, cerr := ix.Match(new(Scratch), e, nil, opts)
 	if (err == nil) != (cerr == nil) {
 		t.Fatalf("filter %v: oracle error %v, cursor error %v", e, err, cerr)
 	}
@@ -116,13 +114,9 @@ func TestProxFilter(t *testing.T) {
 func TestProxDistanceSemantics(t *testing.T) {
 	// Example 3: t1 prox[3,T] t2 means t1 followed by t2 with at most
 	// three words in between.
-	a := New(&text.Analyzer{Tokenizer: mustTok(t, "Acme-2")})
-	if _, err := a.Add(&Document{Linkage: "u1", Body: "alpha one two three beta"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Add(&Document{Linkage: "u2", Body: "alpha one two three four beta"}); err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, &text.Analyzer{Tokenizer: mustTok(t, "Acme-2")},
+		&Document{Linkage: "u1", Body: "alpha one two three beta"},
+		&Document{Linkage: "u2", Body: "alpha one two three four beta"})
 	e, err := query.ParseFilter(`((body-of-text "alpha") prox[3,T] (body-of-text "beta"))`)
 	if err != nil {
 		t.Fatal(err)

@@ -87,80 +87,41 @@ func TestIndexHeapBudget(t *testing.T) {
 	}
 }
 
-// indexHeap returns the live bytes of an index built by build over a
-// collection of one benchmark shape, with its documents and without (its
-// linkage map, records, side table, token counts and text dropped), and
-// its terms (one per field and term) and postings.
-func indexHeap(t *testing.T, docs, bodyWords, vocabWords int, build func([]*index.Document) (*index.Index, error)) (withDocs, postingsOnly int64, terms, postings int) {
+// indexHeap returns the live bytes of the postings of an index built over
+// a collection of one benchmark shape (its linkage map, records, side
+// table, token counts and text dropped), and its terms (one per field and
+// term) and postings.
+func indexHeap(t *testing.T, docs, bodyWords, vocabWords int) (postingsOnly int64, terms, postings int) {
 	t.Helper()
 	heapDocs(docs, bodyWords, vocabWords) // the generator's caches, filled before measuring
 	start := liveHeap()
-	ix, err := build(heapDocs(docs, bodyWords, vocabWords))
+	ix, err := index.Build(text.NewAnalyzer(), heapDocs(docs, bodyWords, vocabWords), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.VocabTerms(func(_ attr.Field, _ string, _, docFreq int) { terms, postings = terms+1, postings+docFreq })
-	withDocs = liveHeap() - start
 	index.ReleaseLinkages(ix)
 	index.ReleaseDocuments(ix)
 	postingsOnly = liveHeap() - start
 	runtime.KeepAlive(ix)
-	return withDocs, postingsOnly, terms, postings
-}
-
-func buildIndex(docs []*index.Document) (*index.Index, error) {
-	return index.Build(text.NewAnalyzer(), docs, 0)
-}
-
-func addIndex(docs []*index.Document) (*index.Index, error) {
-	ix := index.New(text.NewAnalyzer())
-	for _, d := range docs {
-		if _, err := ix.Add(d); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
+	return postingsOnly, terms, postings
 }
 
 // TestIndexHeapPerTerm pins what a small source's index keeps per term,
 // the fixed cost a fleet of small sources pays once per term per source:
 // 500 documents of 80-word bodies over 400-word vocabularies, the cache
 // workloads' shape, about 13 postings a term. Build packs every field's
-// lists into four shared arrays and keeps a 20-byte record a term, a list
+// lists into four shared arrays and keeps a 16-byte record a term, a list
 // frontier only for the few lists of two or more blocks: it reads about
 // 303 B a term, its postings, block and vocabulary entries included. A
 // list that owned its four arrays and a 160-byte header read about 449.
 func TestIndexHeapPerTerm(t *testing.T) {
 	const budget = 330.0 // bytes per term
-	_, held, terms, postings := indexHeap(t, 500, 80, 400, buildIndex)
+	held, terms, postings := indexHeap(t, 500, 80, 400)
 	perTerm := float64(held) / float64(terms)
 	t.Logf("%d terms, %d postings, %.0f B of heap a term", terms, postings, perTerm)
 	if perTerm > budget {
 		t.Errorf("the index keeps %.0f B per term, budget %.0f", perTerm, budget)
-	}
-}
-
-// TestAddedIndexHeapBudget pins what an index built one Add at a time
-// holds, documents included: every term Add creates has arrays of its
-// own, as every term had before Build packed them, and must cost no more
-// than it did then. The budgets are a tenth over what such an index held
-// then: 1.25 MB for a cache-shaped source, 21.04 MB for a big-source one
-// (they read about 1.27 and 21.27 now).
-func TestAddedIndexHeapBudget(t *testing.T) {
-	for _, c := range []struct {
-		name                        string
-		docs, bodyWords, vocabWords int
-		budget                      float64 // MB
-	}{
-		{"cache", 500, 80, 400, 1.1 * 1.25},
-		{"big-source", 20000, 40, 2000, 1.1 * 21.04},
-	} {
-		held, _, _, _ := indexHeap(t, c.docs, c.bodyWords, c.vocabWords, addIndex)
-		mb := float64(held) / (1 << 20)
-		t.Logf("%s: %d documents added one at a time hold %.2f MB", c.name, c.docs, mb)
-		if mb > c.budget {
-			t.Errorf("%s: an index built by Add holds %.2f MB, budget %.2f", c.name, mb, c.budget)
-		}
 	}
 }
 
@@ -180,11 +141,9 @@ func TestBuildAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	s := ix.Snapshot()
-	defer s.Close()
 	tokens := 0
-	for id := range s.NumDocs() {
-		tokens += s.TokenCount(id)
+	for id := range ix.NumDocs() {
+		tokens += ix.TokenCount(id)
 	}
 	perToken := float64(after.Mallocs-before.Mallocs) / float64(tokens)
 	t.Logf("%d tokens, %.2f allocations each", tokens, perToken)
@@ -208,23 +167,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 		ix, err := index.Build(text.NewAnalyzer(), docs, 0)
 		if err != nil {
 			b.Fatal(err)
-		}
-		buildSink = ix
-	}
-}
-
-// BenchmarkIndexAdd adds 2 000 documents of 40-word bodies, big-source's
-// shape, one at a time into an empty index.
-func BenchmarkIndexAdd(b *testing.B) {
-	docs := heapDocs(2000, 40, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix := index.New(text.NewAnalyzer())
-		for _, d := range docs {
-			if _, err := ix.Add(d); err != nil {
-				b.Fatal(err)
-			}
 		}
 		buildSink = ix
 	}

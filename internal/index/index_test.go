@@ -17,23 +17,22 @@ import (
 // (folding, stemming) analyzer.
 func testIndex(t *testing.T) *Index {
 	t.Helper()
-	ix := New(text.NewAnalyzer())
-	docs := []*Document{
-		{
+	return build(t, text.NewAnalyzer(),
+		&Document{
 			Linkage: "http://example.edu/dood.ps",
 			Title:   "A Comparison Between Deductive and Object-Oriented Database Systems",
 			Authors: []string{"Jeffrey D. Ullman"},
 			Body:    "Deductive databases and object-oriented databases are compared. Distributed evaluation of deductive databases remains open.",
 			Date:    time.Date(1995, 6, 1, 0, 0, 0, 0, time.UTC),
 		},
-		{
+		&Document{
 			Linkage: "http://example.edu/lagunita.ps",
 			Title:   "Database Research: Achievements and Opportunities",
 			Authors: []string{"Avi Silberschatz", "Mike Stonebraker", "Jeff Ullman"},
 			Body:    "Database research has delivered distributed databases, parallel databases and more. The distributed systems community contributed heavily.",
 			Date:    time.Date(1996, 9, 15, 0, 0, 0, 0, time.UTC),
 		},
-		{
+		&Document{
 			Linkage:   "http://example.edu/gloss.ps",
 			Title:     "The Effectiveness of GlOSS for the Text Database Discovery Problem",
 			Authors:   []string{"Luis Gravano", "Hector Garcia-Molina", "Anthony Tomasic"},
@@ -41,19 +40,22 @@ func testIndex(t *testing.T) *Index {
 			Date:      time.Date(1994, 5, 20, 0, 0, 0, 0, time.UTC),
 			CrossRefs: []string{"http://example.edu/dood.ps"},
 		},
-		{
+		&Document{
 			Linkage:   "http://example.edu/datos.ps",
 			Title:     "Búsqueda de datos distribuidos",
 			Authors:   []string{"Ana García"},
 			Body:      "Los sistemas distribuidos de bases de datos requieren búsqueda eficiente.",
 			Date:      time.Date(1996, 1, 10, 0, 0, 0, 0, time.UTC),
 			Languages: []lang.Tag{lang.Spanish},
-		},
-	}
-	for _, d := range docs {
-		if _, err := ix.Add(d); err != nil {
-			t.Fatalf("Add(%s): %v", d.Linkage, err)
-		}
+		})
+}
+
+// build builds an index over docs under the analyzer.
+func build(t *testing.T, a *text.Analyzer, docs ...*Document) *Index {
+	t.Helper()
+	ix, err := Build(a, docs, 0)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
 	}
 	return ix
 }
@@ -79,6 +81,7 @@ func defaultOpts() LookupOptions {
 	return LookupOptions{DropStopWords: true, Stop: text.EnglishStopWords(), DefaultLang: lang.EnglishUS}
 }
 
+// TestAddAndBasicLookup looks a word up in a built collection.
 func TestAddAndBasicLookup(t *testing.T) {
 	ix := testIndex(t)
 	if ix.NumDocs() != 4 {
@@ -99,16 +102,6 @@ func TestAddAndBasicLookup(t *testing.T) {
 	}
 }
 
-func TestAddRejectsDuplicatesAndInvalid(t *testing.T) {
-	ix := testIndex(t)
-	if _, err := ix.Add(&Document{Linkage: "http://example.edu/dood.ps"}); err == nil {
-		t.Error("duplicate linkage accepted")
-	}
-	if _, err := ix.Add(&Document{Title: "no url"}); err == nil {
-		t.Error("document without linkage accepted")
-	}
-}
-
 func TestDocAccessors(t *testing.T) {
 	ix := testIndex(t)
 	d, err := ix.Doc(0)
@@ -121,12 +114,10 @@ func TestDocAccessors(t *testing.T) {
 	if _, err := ix.Doc(-1); err == nil {
 		t.Error("Doc(-1) should fail")
 	}
-	snap := ix.Snapshot()
-	defer snap.Close()
-	if snap.TokenCount(0) == 0 {
+	if ix.TokenCount(0) == 0 {
 		t.Error("TokenCount(0) = 0")
 	}
-	if snap.TokenCount(99) != 0 {
+	if ix.TokenCount(99) != 0 {
 		t.Error("TokenCount(99) != 0")
 	}
 }
@@ -172,13 +163,7 @@ func TestStemmedEngineMatchesVariants(t *testing.T) {
 
 func TestStemModifierOnUnstemmedEngine(t *testing.T) {
 	a := &text.Analyzer{Tokenizer: mustTok(t, "Acme-2"), Stemming: false}
-	ix := New(a)
-	if _, err := ix.Add(&Document{Linkage: "u1", Title: "Database systems"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Add(&Document{Linkage: "u2", Title: "Databases everywhere"}); err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, a, &Document{Linkage: "u1", Title: "Database systems"}, &Document{Linkage: "u2", Title: "Databases everywhere"})
 	opts := defaultOpts()
 	// Without the modifier, exact matching only.
 	m, _ := ix.Lookup(term(t, `(title "database")`), opts)
@@ -229,13 +214,10 @@ func TestTruncationModifiers(t *testing.T) {
 
 func TestCaseSensitiveEngine(t *testing.T) {
 	a := &text.Analyzer{Tokenizer: mustTok(t, "Acme-2"), CaseSensitive: true}
-	ix := New(a)
-	if _, err := ix.Add(&Document{Linkage: "u1", Title: "The Who concert"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Add(&Document{Linkage: "u2", Title: "who is who"}); err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, a,
+		&Document{Linkage: "u1", Title: "The Who concert"},
+		&Document{Linkage: "u2", Title: "who is who"},
+		&Document{Linkage: "u3", Title: "ÉCOLE normale"})
 	opts := LookupOptions{DefaultLang: lang.EnglishUS}
 	// Default matching is case-insensitive even on a case-sensitive index.
 	m, _ := ix.Lookup(term(t, `(title "WHO")`), opts)
@@ -249,9 +231,6 @@ func TestCaseSensitiveEngine(t *testing.T) {
 	}
 	// A capital outside ASCII folds like any other: the fold map is keyed
 	// with the fold it is probed with.
-	if _, err := ix.Add(&Document{Linkage: "u3", Title: "ÉCOLE normale"}); err != nil {
-		t.Fatal(err)
-	}
 	for _, src := range []string{`(title "école")`, `(title "ÉCOLE")`, `(title "NORMALE")`, `(title case-sensitive "ÉCOLE")`} {
 		if m, err := ix.Lookup(term(t, src), opts); err != nil || len(m.Docs) != 1 || m.Docs[2] == nil {
 			t.Errorf("%s matches %v, %v; want u3", src, ids(m), err)
@@ -436,14 +415,9 @@ func TestNativeLookupAtIndexLevel(t *testing.T) {
 var errNative = fmt.Errorf("native backend down")
 
 func TestLinkageTypeLookup(t *testing.T) {
-	a := text.NewAnalyzer()
-	ix := New(a)
-	if _, err := ix.Add(&Document{Linkage: "u1", Title: "PostScript doc", LinkageType: "application/postscript"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Add(&Document{Linkage: "u2", Title: "HTML doc", LinkageType: "text/html"}); err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, text.NewAnalyzer(),
+		&Document{Linkage: "u1", Title: "PostScript doc", LinkageType: "application/postscript"},
+		&Document{Linkage: "u2", Title: "HTML doc", LinkageType: "text/html"})
 	m, err := ix.Lookup(term(t, `(linkage-type "text/html")`), LookupOptions{})
 	if err != nil || len(m.Docs) != 1 || m.Docs[1] == nil {
 		t.Errorf("linkage-type = %v, %v", ids(m), err)
@@ -492,98 +466,44 @@ func TestDocumentHelpers(t *testing.T) {
 // lookups read too, and cuts its documents' Positions from chunks they
 // share, so nothing a lookup or its caller does to a result may show in
 // the index or in another document's result — not the merge of two
-// expansion terms or of two fields, not an append to the result — over
-// an index Add built, one Build packed, and one Build packed and Add then
-// extended. That Add moves each packed term it extends into an arena of
-// its own and leaves the packed arena, and every other term, as it was.
+// expansion terms or of two fields, not an append to the result.
 func TestLookupLeavesPostingsAlone(t *testing.T) {
-	added := testIndex(t)
-	var docs []*Document
-	for id := range added.NumDocs() {
-		d, err := added.Doc(id)
-		if err != nil {
-			t.Fatal(err)
+	ix := testIndex(t)
+	before := arenas(ix)
+	for _, src := range []string{
+		`(body-of-text "databases")`,
+		`(body-of-text right-truncation "d")`, // many expansion terms per document
+		`(any "database")`,                    // title and body merged
+		`(any right-truncation "d")`,
+	} {
+		m, err := ix.Lookup(term(t, src), defaultOpts())
+		if err != nil || len(m.Docs) == 0 {
+			t.Fatalf("%s: %v, %v", src, m, err)
 		}
-		docs = append(docs, d)
-	}
-	built, err := Build(text.NewAnalyzer(), docs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extended, err := Build(text.NewAnalyzer(), docs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, lists := arenas(extended), map[string]flatList{}
-	for f, fi := range extended.fields {
-		for word := range fi.terms {
-			pl, _ := fi.lookup(word)
-			lists[string(f)+"/"+word] = flatten(pl)
+		for id, info := range m.Docs {
+			if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) || slices.Contains(info.Positions, -1) {
+				t.Errorf("%s: doc %d: freq %d, positions %v", src, id, info.Freq, info.Positions)
+			}
+			// The next document's first position, had the capacity not
+			// been clipped.
+			info.Positions = append(info.Positions, -1)
 		}
-	}
-	more := &Document{Linkage: "http://example.edu/more.ps", Title: "Distributed Databases", Body: "Deductive databases, again."}
-	if _, err := extended.Add(more); err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for f, fi := range extended.fields {
-		for word, rec := range fi.terms {
-			pl, _ := fi.lookup(word)
-			if before, ok := lists[string(f)+"/"+word]; rec.own == 0 && !reflect.DeepEqual(flatten(pl), before) {
-				t.Errorf("%s/%s: a term the Add did not extend changed", f, word)
-			} else if ok && rec.own != 0 {
-				moved++
+		for id, info := range m.Docs {
+			if own := info.Positions[:len(info.Positions)-1]; slices.Contains(own, -1) {
+				t.Errorf("%s: doc %d: another document's append shows in its positions %v", src, id, own)
 			}
 		}
 	}
-	if moved == 0 {
-		t.Fatal("the Add moved no packed term out")
-	}
-	for f, fi := range extended.fields {
-		if !reflect.DeepEqual(arenaBytes(&fi.packed), packed[string(f)+"/0"]) {
-			t.Errorf("%s: the Add changed the packed arena", f)
-		}
-	}
-
-	for name, ix := range map[string]*Index{"Add": added, "Build": built, "Add after Build": extended} {
-		before := arenas(ix)
-		for _, src := range []string{
-			`(body-of-text "databases")`,
-			`(body-of-text right-truncation "d")`, // many expansion terms per document
-			`(any "database")`,                    // title and body merged
-			`(any right-truncation "d")`,
-		} {
-			m, err := ix.Lookup(term(t, src), defaultOpts())
-			if err != nil || len(m.Docs) == 0 {
-				t.Fatalf("%s: %s: %v, %v", name, src, m, err)
-			}
-			for id, info := range m.Docs {
-				if info.Freq != len(info.Positions) || !slices.IsSorted(info.Positions) || slices.Contains(info.Positions, -1) {
-					t.Errorf("%s: %s: doc %d: freq %d, positions %v", name, src, id, info.Freq, info.Positions)
-				}
-				// The next document's first position, had the capacity not
-				// been clipped.
-				info.Positions = append(info.Positions, -1)
-			}
-			for id, info := range m.Docs {
-				if own := info.Positions[:len(info.Positions)-1]; slices.Contains(own, -1) {
-					t.Errorf("%s: %s: doc %d: another document's append shows in its positions %v", name, src, id, own)
-				}
-			}
-		}
-		if after := arenas(ix); !reflect.DeepEqual(after, before) {
-			t.Fatalf("%s: lookups changed the postings", name)
-		}
+	if after := arenas(ix); !reflect.DeepEqual(after, before) {
+		t.Fatal("lookups changed the postings")
 	}
 }
 
-// arenas copies every arena of an index, packed and own, by field.
-func arenas(ix *Index) map[string][]any {
-	all := map[string][]any{}
+// arenas copies every field's arena.
+func arenas(ix *Index) map[attr.Field][]any {
+	all := map[attr.Field][]any{}
 	for f, fi := range ix.fields {
-		for i, a := range append([]*arena{&fi.packed}, fi.own...) {
-			all[fmt.Sprintf("%s/%d", f, i)] = arenaBytes(a)
-		}
+		all[f] = arenaBytes(&fi.packed)
 	}
 	return all
 }

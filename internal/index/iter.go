@@ -630,17 +630,17 @@ type Matcher struct {
 // match, and with no filter the documents matching at least one of terms
 // do — any other document scores zero under every ranking operator. The
 // Matcher works in sc.
-func (s Snapshot) Match(sc *Scratch, filter query.Expr, terms []query.Term, opts LookupOptions) (Matcher, error) {
+func (ix *Index) Match(sc *Scratch, filter query.Expr, terms []query.Term, opts LookupOptions) (Matcher, error) {
 	sc.sizeFor(countTerms(filter)+len(terms), len(terms))
 	m := Matcher{sc: sc, nodes: take(&sc.nodes, len(terms)), terms: take(&sc.iters, len(terms)), probes: take(&sc.iters, len(terms))}
 	var err error
 	if filter != nil {
-		if m.driver, err = s.ix.filterIter(sc, filter, opts); err != nil {
+		if m.driver, err = ix.filterIter(sc, filter, opts); err != nil {
 			return m, err
 		}
 	}
 	for i, t := range terms {
-		if err = s.ix.resolveTerm(sc, &m.nodes[i], t, opts); err != nil {
+		if err = ix.resolveTerm(sc, &m.nodes[i], t, opts); err != nil {
 			return m, err
 		}
 		m.terms[i], m.probes[i] = m.nodes[i].iter(sc), m.nodes[i].iter(sc)

@@ -166,10 +166,9 @@ func (tc *termCursor) blockBound(plan *RankPlan, n int) float64 {
 // (language-filtered, merged across fields and modifier expansions), for
 // term stats: document i's at tfs[i·len(plan.Terms):], in plan order. dfs
 // holds the per-plan-term document frequencies. ok is false when some term has no block bounds to prune on (a phrase, a
-// field without postings, a free-form-text term): Snapshot.Match walks
+// field without postings, a free-form-text term): Index.Match walks
 // such a query instead.
-func (s Snapshot) TopKRanked(sc *Scratch, plan RankPlan, opts LookupOptions) (docs []RankedDoc, tfs, dfs []int, ok bool) {
-	ix := s.ix
+func (ix *Index) TopKRanked(sc *Scratch, plan RankPlan, opts LookupOptions) (docs []RankedDoc, tfs, dfs []int, ok bool) {
 	if plan.K <= 0 || plan.TermWeight == nil {
 		return nil, nil, nil, false
 	}

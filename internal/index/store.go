@@ -15,7 +15,7 @@ import (
 
 // docRecord is one stored document: its linkage, title, authors (joined
 // as Document.FieldText joins them) and body back to back in text, a view
-// of an allocation the index owns, one per Build or Add.
+// of the one allocation Build makes for the index's text.
 type docRecord struct {
 	text                string
 	title, author, body uint32 // where each field after the linkage starts in text
@@ -80,7 +80,7 @@ func writeRecord(b *strings.Builder, d *Document) (docRecord, docExtra) {
 }
 
 // addRecord stores a document's record and a copy of its side-table
-// entry. Callers hold the write lock (or own the index, as Build does).
+// entry.
 func (ix *Index) addRecord(r docRecord, x docExtra) {
 	if !x.equal(&noExtra) {
 		if n := len(ix.extras); n == 0 || !ix.extras[n-1].equal(&x) {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -48,46 +49,25 @@ func docsEqual(a, b *Document) bool {
 		slices.Equal(a.Languages, b.Languages) && slices.Equal(a.CrossRefs, b.CrossRefs)
 }
 
-// TestDocRoundTrip holds the index's document storage to its input: for
-// Build, Add and Add after Build, every Doc(id) equals the document
-// indexed (dates by Equal), and the snapshot's accessors answer what the
-// document's own methods do — even after the caller has changed the
-// documents it handed over.
+// TestDocRoundTrip holds the index's document storage to its input:
+// every Doc(id) equals the document indexed (dates by Equal), and the
+// index's accessors answer what the document's own methods do — even
+// after the caller has changed the documents it handed over.
 func TestDocRoundTrip(t *testing.T) {
-	a := text.NewAnalyzer()
-	add := func(ix *Index, docs []*Document) *Index {
-		for _, d := range docs {
-			if _, err := ix.Add(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ix
-	}
-	build := func(docs []*Document) *Index {
-		ix, err := Build(a, docs, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
 	fields := []attr.Field{
 		attr.FieldLinkage, attr.FieldLinkageType, attr.FieldTitle, attr.FieldAuthor, attr.FieldBodyOfText,
 		attr.FieldCrossReferenceLinkage, attr.FieldLanguages, attr.FieldDateLastModified, "no-such",
 	}
-	for _, how := range []string{"Build", "Add", "Add after Build"} {
+	for _, workers := range []int{1, 3} {
+		how := fmt.Sprintf("%d workers", workers)
 		docs := roundTripDocs()
 		want := make([]*Document, len(docs))
 		for i, d := range docs {
 			want[i] = cloneDoc(d)
 		}
-		var ix *Index
-		switch how {
-		case "Build":
-			ix = build(docs)
-		case "Add":
-			ix = add(New(a), docs)
-		default:
-			ix = add(build(docs[:5]), docs[5:])
+		ix, err := Build(text.NewAnalyzer(), docs, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
 		// Nothing the caller does to its documents reaches the index.
 		for _, d := range docs {
@@ -102,25 +82,23 @@ func TestDocRoundTrip(t *testing.T) {
 		if ix.recs[4].extra == 0 || ix.recs[4].extra != ix.recs[5].extra {
 			t.Errorf("%s: equal neighbours' side-table entries %d and %d, want one shared", how, ix.recs[4].extra, ix.recs[5].extra)
 		}
-		s := ix.Snapshot()
 		for id, w := range want {
 			got := ix.document(id)
 			if !docsEqual(got, w) {
 				t.Errorf("%s: Doc(%d) = %+v\nwant %+v", how, id, *got, *w)
 			}
 			for _, f := range fields {
-				if g, w := s.FieldText(id, f), w.FieldText(f); g != w {
+				if g, w := ix.FieldText(id, f), w.FieldText(f); g != w {
 					t.Errorf("%s: doc %d %s text %q, want %q", how, id, f, g, w)
 				}
 			}
-			if g, w := s.SizeKB(id), w.SizeKB(); g != w {
+			if g, w := ix.SizeKB(id), w.SizeKB(); g != w {
 				t.Errorf("%s: doc %d SizeKB %d, want %d", how, id, g, w)
 			}
 		}
-		if s.FieldText(len(want), attr.FieldTitle) != "" || s.SizeKB(-1) != 0 || s.CompareDates(-1, 0) >= 0 {
+		if ix.FieldText(len(want), attr.FieldTitle) != "" || ix.SizeKB(-1) != 0 || ix.CompareDates(-1, 0) >= 0 {
 			t.Errorf("%s: a missing document reads as non-empty", how)
 		}
-		s.Close()
 		if d, err := ix.Doc(0); err != nil || !docsEqual(d, want[0]) {
 			t.Errorf("%s: Index.Doc(0) = %+v, %v", how, d, err)
 		}

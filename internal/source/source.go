@@ -161,17 +161,17 @@ func (s *Source) Metadata() *meta.SourceMeta {
 // The flag bits reflect the engine's analyzer — a stemming engine can only
 // export stemmed words.
 func (s *Source) ContentSummary() *meta.ContentSummary {
-	cfg := s.eng.Config()
+	cfg, ix := s.eng.Config(), s.eng.Index() // one index: its N goes with its df
 	c := &meta.ContentSummary{
 		Stemming:          cfg.Analyzer.Stemming,
 		StopWordsIncluded: true, // the index keeps stop words
 		CaseSensitive:     cfg.Analyzer.CaseSensitive,
 		FieldsQualified:   true,
-		NumDocs:           s.eng.Index().NumDocs(),
+		NumDocs:           ix.NumDocs(),
 	}
 	// VocabTerms yields field after field, each field's terms in order: the
 	// order a summary's groups and their vocabularies keep.
-	s.eng.Index().VocabTerms(func(f attr.Field, term string, postings, docFreq int) {
+	ix.VocabTerms(func(f attr.Field, term string, postings, docFreq int) {
 		if n := len(c.Groups); n == 0 || c.Groups[n-1].Field != f {
 			c.Groups = append(c.Groups, meta.SummaryGroup{Field: f})
 		}

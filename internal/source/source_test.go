@@ -1,6 +1,7 @@
 package source
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +192,38 @@ func TestContentSummaryGeneration(t *testing.T) {
 	}
 	if back.TotalTerms() != c.TotalTerms() {
 		t.Errorf("summary round trip: %d != %d terms", back.TotalTerms(), c.TotalTerms())
+	}
+}
+
+// TestContentSummaryReadsOneIndex builds summaries while documents that
+// all hold one word are being added: each summary's N and that word's df
+// come from one collection, so they are equal.
+func TestContentSummaryReadsOneIndex(t *testing.T) {
+	s := newSource(t, "Source-1", engine.NewVectorConfig(), nil)
+	const docs = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range docs {
+			if err := s.Add(&index.Document{Linkage: fmt.Sprintf("http://x/%d", i), Body: "omega"}); err != nil {
+				t.Errorf("Add: %v", err)
+				return
+			}
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		c := s.ContentSummary()
+		if df := c.DocFreq(attr.FieldBodyOfText, lang.Tag{}, "omega"); df != c.NumDocs {
+			t.Fatalf("a summary of %d documents says %d hold the word they all hold", c.NumDocs, df)
+		}
+	}
+	if c := s.ContentSummary(); c.NumDocs != docs {
+		t.Errorf("NumDocs = %d after %d Adds", c.NumDocs, docs)
 	}
 }
 
