@@ -110,9 +110,9 @@ const satFreq = 255
 // positions, so only they decode them (listCursor); everything else reads
 // ids and frequencies in place. A term's blocks follow one another in
 // blocks, and fronts holds the list frontiers of the terms of two or more
-// blocks. Offsets into pos are 32-bit. Build packs each field's terms into
-// one arena, every array at its exact size; a chunk of its analysis
-// appends each term's postings to an arena of the term's own.
+// blocks. Offsets into pos are 32-bit. Build lays each field's terms out
+// in one arena, term after term, every array at its exact size, and its
+// chunks write their postings straight into it.
 type arena struct {
 	docs   []int32 // ascending doc ids within a term
 	freqs  []uint8 // each posting's term frequency, saturating at satFreq
@@ -153,29 +153,18 @@ func (pl *postingList) frontier() []tfLen {
 	return pl.a.fronts[pl.fr-1][:]
 }
 
-// note folds posting i, already in the arena's docs and freqs, into its
-// block's frontier and the list's, opening the block at its first posting,
-// whose positions start at byte off of pos. The list must be its arena's
-// last. Postings must be noted in order; lens are the documents' token
-// counts (0, "unknown", keeps bounds conservative). When a second block
-// opens, the list frontier starts from the first block's postings.
-func (pl *postingList) note(i, off int, lens []int32) {
-	pl.n = uint32(i + 1)
-	if i%blockSize == 0 {
-		pl.a.blocks = append(pl.a.blocks, block{posOff: uint32(off)})
-	}
-	if i == blockSize {
-		pl.a.fronts = append(pl.a.fronts, [listFrontierMax]tfLen{})
-		pl.fr = uint32(len(pl.a.fronts))
-		for k := range blockSize {
-			pushFrontier(pl.frontier(), pl.pair(k, lens))
+// note writes the list's blocks' bounds and frontiers and its list
+// frontier, folding in its postings in order; the arena's docs, freqs, pos
+// and every block's posOff already hold them. lens are the documents'
+// token counts (0, "unknown", keeps bounds conservative).
+func (pl *postingList) note(lens []int32) {
+	for i := range int(pl.n) {
+		b, e := pl.block(i/blockSize), pl.pair(i, lens)
+		b.maxDoc = pl.a.docs[int(pl.doc)+i]
+		pushFrontier(b.frontier[:], e)
+		if pl.fr != 0 {
+			pushFrontier(pl.frontier(), e)
 		}
-	}
-	b, e := pl.block(i/blockSize), pl.pair(i, lens)
-	b.maxDoc = pl.docs()[i]
-	pushFrontier(b.frontier[:], e)
-	if pl.fr != 0 {
-		pushFrontier(pl.frontier(), e)
 	}
 }
 
@@ -260,7 +249,8 @@ func (pl *postingList) decode(dst []int32, i, off int) ([]int32, int) {
 }
 
 // appendPosting appends one posting's frequency and positions, which
-// must ascend, to the arena's freqs and pos; the caller appends its id.
+// must ascend, to the arena's freqs and pos, postingBytes of them; the
+// caller writes its id.
 func (a *arena) appendPosting(positions []int32) {
 	tf := len(positions)
 	a.freqs = append(a.freqs, uint8(min(tf, satFreq)))
@@ -277,6 +267,28 @@ func (a *arena) appendPosting(positions []int32) {
 		prev = p
 	}
 }
+
+// postingBytes returns how many bytes appendPosting appends to pos for
+// one posting's positions.
+func postingBytes(positions []int32) int {
+	n := 0
+	if tf := len(positions); tf >= satFreq {
+		n = uvarintLen(uint64(tf))
+	}
+	prev := int32(0)
+	for _, p := range positions {
+		if d := p - prev; d < 0x80 {
+			n++
+		} else {
+			n += uvarintLen(uint64(d))
+		}
+		prev = p
+	}
+	return n
+}
+
+// uvarintLen returns the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // occurrences returns the sum of the list's term frequencies.
 func (pl *postingList) occurrences() int {

@@ -1,30 +1,33 @@
 package index
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"starts/internal/attr"
 	"starts/internal/text"
 )
 
+// buildList builds the list of "t" over 3n documents through Build: doc
+// ids 3i leave gaps so seeks have absent targets; freq cycles 1..5;
+// docLen cycles 10..59, the title's filler words making up the rest.
 func buildList(t *testing.T, n int) *postingList {
 	t.Helper()
-	lists, lens := runs{}, make([]int32, 3*n)
-	var dp docPostings
-	for i := 0; i < n; i++ {
-		// Doc ids 3i leave gaps so seeks have absent targets; freq cycles
-		// 1..5; docLen cycles 10..59.
-		toks := make([]text.Token, 1+i%5)
-		for j := range toks {
-			toks[j] = text.Token{Text: "t", Pos: j}
+	docs := make([]*Document, 3*n)
+	for id := range docs {
+		docs[id] = &Document{Linkage: fmt.Sprintf("http://t/%d", id)}
+		if i := id / 3; id%3 == 0 {
+			freq := 1 + i%5
+			docs[id].Body = strings.Repeat("t ", freq)
+			docs[id].Title = strings.Repeat("filler ", 10+i%50-freq)
 		}
-		lens[3*i] = int32(10 + i%50)
-		dp.add(int32(3*i), toks, lists.arena)
 	}
-	fi := newFieldIndex(text.NewAnalyzer(), 1)
-	if err := fi.pack(map[string][]*arena{"t": {lists["t"]}}, lens); err != nil {
+	ix, err := Build(text.NewAnalyzer(), docs, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pl, _ := fi.lookup("t")
+	pl, _ := ix.fields[attr.FieldBodyOfText].lookup("t")
 	return &pl
 }
 

@@ -1,12 +1,12 @@
 package index
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -17,30 +17,24 @@ import (
 // byte offsets of their arena.
 var errPositions = errors.New("positions would pass 2^32-1 bytes")
 
-// chunkResult is one worker's analysis of a contiguous document range:
-// per text field (aligned with TextFields), each term's postings in the
-// range as an arena without blocks — everything needed to merge
-// deterministically, nothing shared.
-type chunkResult struct {
-	runs   []runs
-	counts []int32
-	err    error
-}
-
 // Build constructs an index over a document collection with parallel
 // chunked analysis and a deterministic merge; it is the only way an index
-// gets documents. Documents receive ids in slice order, and the merged
-// posting lists are equal whatever the number of workers, down to block
-// boundaries and sidecar stats: chunks cover contiguous id ranges and are
-// merged in range order, so postings stay ascending by doc id.
-// Analysis and appending postings — about two thirds of indexing CPU —
-// run on workers goroutines (default GOMAXPROCS), each keeping per field a
-// memo from spelling to run and a token buffer, so it stems each distinct
-// spelling once, probes one map a token and allocates little per token;
-// the merge after them runs on one. It fails on an invalid document, a
-// duplicate linkage, a collection past the postings' 32-bit ids, a
-// document of 2³¹ tokens or more, and where a field's positions, all its
-// terms' together, would pass 2³²−1 bytes. The
+// gets documents. Documents receive ids in slice order, and the posting
+// lists are equal whatever the number of workers, down to block
+// boundaries and sidecar stats: chunks cover contiguous id ranges and
+// are merged in range order, so postings stay ascending by doc id. Every
+// posting is written once, at its final place. Up to workers goroutines
+// (default GOMAXPROCS), one a chunk, tokenize their range into a stream
+// per field of (term, position) pairs — each distinct spelling normalized
+// once, one map probe a token — counting-sort it by term and size each
+// term's postings. One goroutine then merges the chunks' vocabularies,
+// gives every term its offsets and allocates each field's arrays at their
+// exact size; the chunks encode their postings straight into them, and
+// workers over ranges of terms note the blocks' bounds and frontiers,
+// while one goroutine fills the term maps and vocabulary side tables. It
+// fails on an invalid document, a duplicate linkage, a collection past
+// the postings' 32-bit ids, a document of 2³¹ tokens or more, and where a
+// field's positions, all its terms' together, would pass 2³²−1 bytes. The
 // index keeps its own copy of the documents, their text in one allocation.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
@@ -62,6 +56,7 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	var b strings.Builder
 	b.Grow(size)
 	ix.recs = make([]docRecord, 0, len(docs))
+	ix.byURL = make(map[string]int, len(docs))
 	for i, d := range docs {
 		r, x := writeRecord(&b, d)
 		if _, dup := ix.byURL[r.linkage()]; dup {
@@ -71,193 +66,326 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 		ix.addRecord(r, x)
 	}
 
-	chunkSize := (len(docs) + workers - 1) / workers
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
+	chunkSize := max((len(docs)+workers-1)/workers, 1)
 	nChunks := (len(docs) + chunkSize - 1) / chunkSize
-	results := make([]*chunkResult, nChunks)
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				lo := ci * chunkSize
-				hi := lo + chunkSize
-				if hi > len(docs) {
-					hi = len(docs)
-				}
-				results[ci] = analyzeChunk(a, ix.recs, lo, hi)
-			}
-		}()
-	}
-	for ci := 0; ci < nChunks; ci++ {
-		next <- ci
-	}
-	close(next)
-	wg.Wait()
-
+	chunks := make([]*chunk, nChunks)
+	parallel(nChunks, func(ci int) {
+		chunks[ci] = analyzeChunk(a, ix.recs, ci*chunkSize, min((ci+1)*chunkSize, len(docs)))
+	})
 	ix.counts = make([]int32, 0, len(docs))
-	for _, cr := range results {
-		if cr.err != nil {
-			return nil, cr.err
+	for _, c := range chunks {
+		if c.err != nil {
+			return nil, c.err
 		}
-		ix.counts = append(ix.counts, cr.counts...)
+		ix.counts = append(ix.counts, c.counts...)
 	}
+	var layouts []*layout
 	for fi, f := range TextFields {
-		byTerm := map[string][]*arena{}
-		for _, cr := range results {
-			for term, r := range cr.runs[fi] {
-				byTerm[term] = append(byTerm[term], r)
-			}
-		}
-		if len(byTerm) == 0 {
-			continue
-		}
-		fx := newFieldIndex(a, len(byTerm))
-		if err := fx.pack(byTerm, ix.counts); err != nil {
+		l, err := layOut(a, chunks, fi)
+		if err != nil {
 			return nil, fmt.Errorf("index: %s: %w", f, err)
 		}
-		ix.fields[f] = fx
+		if l != nil {
+			ix.fields[f] = l.fx
+			layouts = append(layouts, l)
+		}
 	}
+
+	var vocab sync.WaitGroup
+	vocab.Add(1)
+	go func() {
+		defer vocab.Done()
+		for _, l := range layouts {
+			for g, name := range l.names {
+				l.fx.terms[name] = l.recs[g]
+				l.fx.addVocab(name)
+			}
+		}
+	}()
+	parallel(nChunks, func(ci int) {
+		for _, l := range layouts {
+			chunks[ci].fields[l.field].encode(l)
+		}
+	})
+	parallel(nChunks, func(w int) {
+		for _, l := range layouts {
+			l.note(w, nChunks, ix.counts)
+		}
+	})
+	vocab.Wait()
 	return ix, nil
 }
 
-// analyzeChunk tokenizes recs[lo:hi] into private posting runs.
-func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunkResult {
-	cr := &chunkResult{runs: make([]runs, len(TextFields))}
-	// A field's memo maps each spelling met so far straight to its term's
-	// run, so a token costs one map probe; its keys are views of the
-	// index's own text, which outlives them.
-	arenas := make([]func(spelling string) *arena, len(TextFields))
-	for i := range cr.runs {
-		r, memo := runs{}, map[string]*arena{}
-		cr.runs[i], arenas[i] = r, func(spelling string) *arena {
-			m := memo[spelling]
-			if m == nil {
-				m = r.arena(a.NormalizeTerm(spelling))
-				memo[spelling] = m
-			}
-			return m
-		}
+// parallel runs fn(0) to fn(n-1), each on a goroutine of its own, and
+// returns when all have.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
 	}
-	var dp docPostings
+	wg.Wait()
+}
+
+// chunk is one worker's analysis of a contiguous document range: per text
+// field (aligned with TextFields) its tokens sorted by term, and the
+// documents' token counts.
+type chunk struct {
+	fields []chunkField
+	counts []int32
+	err    error
+}
+
+// chunkField is one field's tokens of a chunk, sorted by term: term t,
+// terms[t], holds tokens from[t] to from[t+1]-1 of docs and pos, by
+// document, then in token order but each document's positions ascending.
+// postings[t] and bytes[t] count its postings in the chunk and their
+// encoded position bytes; layOut turns them into where these start in
+// the term's whole list, and notes the term's id in the field in ids[t].
+type chunkField struct {
+	terms     []string
+	from      []int
+	docs, pos []int32
+	postings  []uint32
+	bytes     []int
+	ids       []uint32
+}
+
+// termPos is one token of a field's stream: its term's id in the chunk,
+// and its position.
+type termPos struct {
+	term uint32
+	pos  int32
+}
+
+// tokenStream is one field's tokens of a chunk, in document and token
+// order; ends[k] is where document k of the chunk's end. Its memo maps
+// each spelling met so far straight to its term's id, so a token costs
+// one map probe; the memo's keys are views of the index's own text, which
+// outlives them. ids maps a term, a copy, to its id: spellings that
+// normalize alike share it.
+type tokenStream struct {
+	toks      []termPos
+	ends      []int
+	memo, ids map[string]uint32
+}
+
+// analyzeChunk tokenizes recs[lo:hi] and sorts each field's tokens by
+// term.
+func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunk {
+	c := &chunk{fields: make([]chunkField, len(TextFields)), counts: make([]int32, 0, hi-lo)}
+	streams := make([]tokenStream, len(TextFields))
+	for i, f := range TextFields {
+		// One token to every 4 bytes of text: a word and its separator take
+		// that much or more in every collection measured, so the stream
+		// grows only where words are shorter. The strict bound, one token
+		// to 2 bytes, zeroes five times what a big-source chunk needs.
+		size := 0
+		for id := lo; id < hi; id++ {
+			size += len(recs[id].field(f)) / 4
+		}
+		streams[i] = tokenStream{toks: make([]termPos, 0, size), ends: make([]int, 0, hi-lo), memo: map[string]uint32{}, ids: map[string]uint32{}}
+	}
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
 		total, err := analyzeDoc(a, toksByField, &recs[id])
 		if err != nil {
-			cr.err = err
-			return cr
+			c.err = err
+			return c
 		}
 		for i, toks := range toksByField {
-			dp.add(int32(id), toks, arenas[i])
-		}
-		cr.counts = append(cr.counts, int32(total))
-	}
-	return cr
-}
-
-// runs are one chunk's postings in one field, an arena per term; arena
-// makes a term's on its first token, keyed by a copy of the term, so the
-// vocabulary does not keep the text it was read from.
-type runs map[string]*arena
-
-func (r runs) arena(term string) *arena {
-	a := r[term]
-	if a == nil {
-		a = &arena{}
-		r[strings.Clone(term)] = a
-	}
-	return a
-}
-
-// docPostings appends documents' postings to arenas of one term each, one
-// document and field at a time, reusing its buffers from one to the next.
-type docPostings struct {
-	touched []*arena // the arenas the last add appended a posting to
-	starts  []int    // where each one's new posting starts in its pos
-	buf     []int32  // one posting's positions, being sorted
-}
-
-// add appends document id's tokens in one field to the arenas of their
-// terms, which arena returns — the id once per arena, the positions in
-// token order, sorted should the tokenizer not yield them ascending. The
-// lists' bounds are noted when pack lays them out.
-func (dp *docPostings) add(id int32, toks []text.Token, arena func(term string) *arena) {
-	dp.touched, dp.starts = dp.touched[:0], dp.starts[:0]
-	for _, t := range toks {
-		a := arena(t.Text)
-		if n := len(a.docs); n == 0 || a.docs[n-1] != id {
-			a.docs = append(a.docs, id)
-			dp.touched = append(dp.touched, a)
-			dp.starts = append(dp.starts, len(a.pos))
-		}
-		// Four bytes a position until the field's last token: a saturated
-		// frequency heads the encoding, so nothing is encoded before the
-		// count is known.
-		a.pos = binary.LittleEndian.AppendUint32(a.pos, uint32(t.Pos))
-	}
-	for k, a := range dp.touched {
-		dp.buf = dp.buf[:0]
-		for raw := a.pos[dp.starts[k]:]; len(raw) > 0; raw = raw[4:] {
-			dp.buf = append(dp.buf, int32(binary.LittleEndian.Uint32(raw)))
-		}
-		if !slices.IsSorted(dp.buf) {
-			slices.Sort(dp.buf)
-		}
-		a.pos = a.pos[:dp.starts[k]]
-		a.appendPosting(dp.buf)
-	}
-}
-
-// pack lays the terms' chunk runs out in the packed arena, term after
-// term, every array allocated once at its exact size, and notes their
-// bounds; lens are the documents' token counts. A term's runs in chunk
-// order are exactly its postings in id order, so the bounds come out
-// identical to a one-worker build's. Positions count
-// from their document's start, so the runs' bytes join unchanged.
-func (fi *fieldIndex) pack(byTerm map[string][]*arena, lens []int32) error {
-	nd, np, nb, nf := 0, 0, 0, 0
-	for _, rs := range byTerm {
-		n := 0
-		for _, r := range rs {
-			n, np = n+len(r.docs), np+len(r.pos)
-		}
-		nd, nb = nd+n, nb+numBlocks(n)
-		if n > blockSize {
-			nf++
-		}
-	}
-	if np > math.MaxUint32 {
-		return errPositions
-	}
-	a := &fi.packed
-	*a = arena{
-		docs:   make([]int32, 0, nd),
-		freqs:  make([]uint8, 0, nd),
-		pos:    make([]byte, 0, np),
-		blocks: make([]block, 0, nb),
-		fronts: make([][listFrontierMax]tfLen, 0, nf),
-	}
-	for name, rs := range byTerm {
-		pl := postingList{a: a, doc: uint32(len(a.docs)), blk: uint32(len(a.blocks))}
-		off := len(a.pos)
-		for _, r := range rs {
-			a.docs = append(a.docs, r.docs...)
-			a.freqs = append(a.freqs, r.freqs...)
-			a.pos = append(a.pos, r.pos...)
-		}
-		for i := range len(a.docs) - int(pl.doc) {
-			if i%blockSize == 0 && i > 0 {
-				off = pl.skip(i-blockSize, off, i)
+			s := &streams[i]
+			for _, t := range toks {
+				term, ok := s.memo[t.Text]
+				if !ok {
+					term = c.fields[i].term(a, s, t.Text)
+				}
+				s.toks = append(s.toks, termPos{term, int32(t.Pos)})
 			}
-			pl.note(i, off, lens)
+			s.ends = append(s.ends, len(s.toks))
 		}
-		fi.terms[name] = termRecord{doc: pl.doc, n: pl.n, blk: pl.blk, fr: pl.fr}
-		fi.addVocab(name)
+		c.counts = append(c.counts, int32(total))
 	}
-	return nil
+	for i, f := range TextFields {
+		// Each term holds a position byte at least: past 2³² of them, term
+		// ids would wrap.
+		if len(c.fields[i].terms) > math.MaxUint32 {
+			c.err = fmt.Errorf("index: %s: %w", f, errPositions)
+			return c
+		}
+		c.fields[i].invert(&streams[i], lo)
+	}
+	return c
+}
+
+// term returns the id of a spelling met for the first time, normalizing
+// it once, and notes it in the stream's memo: its term's id, or a new id
+// for a copy of the term.
+func (cf *chunkField) term(a *text.Analyzer, s *tokenStream, spelling string) uint32 {
+	name := a.NormalizeTerm(spelling)
+	t, ok := s.ids[name]
+	if !ok {
+		t, name = uint32(len(cf.terms)), strings.Clone(name)
+		cf.terms = append(cf.terms, name)
+		s.ids[name] = t
+	}
+	s.memo[spelling] = t
+	return t
+}
+
+// invert counting-sorts a field's stream by term into docs and pos,
+// stably, so each term's tokens stay in document and token order; then it
+// sorts each posting's positions, should the tokenizer not yield them
+// ascending, and sizes every term's postings. lo is the chunk's first
+// document.
+func (cf *chunkField) invert(s *tokenStream, lo int) {
+	nt := len(cf.terms)
+	cf.from = make([]int, nt+1)
+	for _, tp := range s.toks {
+		cf.from[tp.term+1]++
+	}
+	for t := range nt {
+		cf.from[t+1] += cf.from[t]
+	}
+	next := slices.Clone(cf.from[:nt])
+	cf.docs, cf.pos = make([]int32, len(s.toks)), make([]int32, len(s.toks))
+	k := 0
+	for d, end := range s.ends {
+		for ; k < end; k++ {
+			tp := s.toks[k]
+			j := next[tp.term]
+			next[tp.term]++
+			cf.docs[j], cf.pos[j] = int32(lo+d), tp.pos
+		}
+	}
+	cf.postings, cf.bytes, cf.ids = make([]uint32, nt), make([]int, nt), make([]uint32, nt)
+	for t := range nt {
+		for k, end := cf.from[t], cf.from[t+1]; k < end; {
+			p := cf.posting(k, end)
+			if pos := cf.pos[k:p]; !slices.IsSorted(pos) {
+				slices.Sort(pos)
+			}
+			cf.postings[t]++
+			cf.bytes[t] += postingBytes(cf.pos[k:p])
+			k = p
+		}
+	}
+}
+
+// posting returns the end of the posting whose tokens start at k, below
+// end: the next token of another document.
+func (cf *chunkField) posting(k, end int) int {
+	p := k + 1
+	for p < end && cf.docs[p] == cf.docs[k] {
+		p++
+	}
+	return p
+}
+
+// layout is one field's terms as Build lays them out in its arena: by id,
+// which numbers them in order of first occurrence in the collection, each
+// one's name, list record and where its positions start in the arena's
+// pos.
+type layout struct {
+	field int // the field's index in TextFields
+	fx    *fieldIndex
+	names []string
+	recs  []termRecord
+	pos   []int
+}
+
+// layOut merges the chunks' vocabularies of field fi, gives every term its
+// offsets and allocates the field's arena at its exact size; nil for a
+// field no document has a token in.
+func layOut(a *text.Analyzer, chunks []*chunk, fi int) (*layout, error) {
+	l := &layout{field: fi}
+	hint := 0
+	for _, c := range chunks {
+		hint = max(hint, len(c.fields[fi].terms))
+	}
+	ids := make(map[string]uint32, hint)
+	for _, c := range chunks {
+		cf := &c.fields[fi]
+		for t, name := range cf.terms {
+			g, ok := ids[name]
+			if !ok {
+				g = uint32(len(l.names))
+				ids[name] = g
+				l.names = append(l.names, name)
+				l.recs = append(l.recs, termRecord{})
+				l.pos = append(l.pos, 0)
+			}
+			// The term's totals so far are where the chunk's postings start.
+			cf.ids[t] = g
+			cf.postings[t], l.recs[g].n = l.recs[g].n, l.recs[g].n+cf.postings[t]
+			cf.bytes[t], l.pos[g] = l.pos[g], l.pos[g]+cf.bytes[t]
+		}
+	}
+	if len(l.names) == 0 {
+		return nil, nil
+	}
+	nd, np, nb, nf := 0, 0, 0, 0
+	for g := range l.recs {
+		r := &l.recs[g]
+		r.doc, r.blk = uint32(nd), uint32(nb)
+		if r.n > blockSize {
+			nf++
+			r.fr = uint32(nf)
+		}
+		nd, nb = nd+int(r.n), nb+numBlocks(int(r.n))
+		l.pos[g], np = np, np+l.pos[g]
+		// Every posting holds a position byte, so the bound on np bounds
+		// the uint32 offsets of docs and blocks too.
+		if np > math.MaxUint32 {
+			return nil, errPositions
+		}
+	}
+	l.fx = newFieldIndex(a, len(l.names))
+	l.fx.packed = arena{
+		docs:   make([]int32, nd),
+		freqs:  make([]uint8, nd),
+		pos:    make([]byte, np),
+		blocks: make([]block, nb),
+		fronts: make([][listFrontierMax]tfLen, nf),
+	}
+	return l, nil
+}
+
+// encode writes the chunk's postings in the field into the arena, each
+// term's where layOut placed them, and the offset of every block that
+// starts among them.
+func (cf *chunkField) encode(l *layout) {
+	a := &l.fx.packed
+	for t, g := range cf.ids {
+		r, i := l.recs[g], int(cf.postings[t]) // i: the list's posting the chunk's first is
+		off := l.pos[g] + cf.bytes[t]
+		w := arena{freqs: a.freqs[int(r.doc)+i : int(r.doc)+i], pos: a.pos[off:off]}
+		for k, end := cf.from[t], cf.from[t+1]; k < end; i++ {
+			p := cf.posting(k, end)
+			a.docs[int(r.doc)+i] = cf.docs[k]
+			if i%blockSize == 0 {
+				a.blocks[int(r.blk)+i/blockSize].posOff = uint32(off + len(w.pos))
+			}
+			w.appendPosting(cf.pos[k:p])
+			k = p
+		}
+	}
+}
+
+// note notes the blocks and frontiers of the w-th of n ranges of the
+// field's terms, ranges that hold about as many postings each; lens are
+// the documents' token counts.
+func (l *layout) note(w, n int, lens []int32) {
+	nd := len(l.fx.packed.docs)
+	start := func(w int) int {
+		return sort.Search(len(l.recs), func(g int) bool { return int(l.recs[g].doc) >= w*nd/n })
+	}
+	for g, end := start(w), start(w+1); g < end; g++ {
+		r := l.recs[g]
+		pl := postingList{a: &l.fx.packed, doc: r.doc, n: r.n, blk: r.blk, fr: r.fr}
+		pl.note(lens)
+	}
 }

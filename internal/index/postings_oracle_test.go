@@ -6,10 +6,14 @@ package index
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"starts/internal/attr"
 	"starts/internal/query"
 	"starts/internal/text"
 )
@@ -58,7 +62,8 @@ type fuzzDoc struct {
 // fuzzDocs reads documents off a fuzz input until it runs out. A document
 // is a header byte — bits 0–1 its id's gap from the last one's less one,
 // bit 2 its tokens in reverse, bit 3 each position's term from the low bit
-// of its delta (else every position is "x") — then a uvarint frequency, 1
+// of its delta (else every position is "x"), bit 4 no tokens at all, and
+// then nothing more of it — then a uvarint frequency, 1
 // plus its value mod 600, then a uvarint delta per position while the
 // input lasts (0 after): the first position is the first delta, each
 // next one the delta plus one past the last, none moved past 2²⁹ by a
@@ -79,6 +84,10 @@ func fuzzDocs(data []byte) []fuzzDoc {
 		h := data[0]
 		data = data[1:]
 		id += 1 + int32(h&3)
+		if h&16 != 0 {
+			docs = append(docs, fuzzDoc{id: id})
+			continue
+		}
 		d := fuzzDoc{id: id, toks: make([]text.Token, 1+next()%600)}
 		p := uint64(0)
 		for k := range d.toks {
@@ -113,6 +122,9 @@ func seedInput(docs ...seedDoc) []byte {
 	var b []byte
 	for _, d := range docs {
 		b = append(b, d.header)
+		if d.header&16 != 0 {
+			continue
+		}
 		b = binary.AppendUvarint(b, uint64(len(d.deltas)-1))
 		for _, v := range d.deltas {
 			b = binary.AppendUvarint(b, v)
@@ -121,11 +133,43 @@ func seedInput(docs ...seedDoc) []byte {
 	return b
 }
 
+// posTokenizer reads tokens written as "term@position", separated by
+// spaces, in the order written: a test tokenizer that can yield any
+// positions, in any order.
+type posTokenizer struct{}
+
+func (posTokenizer) ID() string { return "pos" }
+
+func (posTokenizer) Tokenize(dst []text.Token, s string) []text.Token {
+	for _, f := range strings.Fields(s) {
+		term, p, _ := strings.Cut(f, "@")
+		pos, _ := strconv.Atoi(p)
+		dst = append(dst, text.Token{Text: term, Pos: pos})
+	}
+	return dst
+}
+
+// posDocs returns documents 0 to n-1 for a posTokenizer, each one's body
+// the tokens body(id) gives.
+func posDocs(n int, body func(id int) []text.Token) []*Document {
+	docs := make([]*Document, n)
+	for id := range docs {
+		var b strings.Builder
+		for _, tok := range body(id) {
+			fmt.Fprintf(&b, "%s@%d ", tok.Text, tok.Pos)
+		}
+		docs[id] = &Document{Linkage: fmt.Sprintf("d%d", id), Body: b.String()}
+	}
+	return docs
+}
+
 // FuzzPostingsMatchOracle builds the lists of "x" and "xy" over random
 // documents — frequencies 1 to 600, positions up to 2²⁹, tokens in or out
-// of order — as Build does, its chunk runs packed by pack, from one chunk
-// and from three, which must pack to the same lists — and reads every
-// posting back, through a walking and a seeking
+// of order, documents without tokens — as the build Build replaced did,
+// its chunk runs packed by oraclePack from one chunk and from three, and
+// with Build on 1, 2, 3 and 8 workers; every list must equal the
+// one-chunk list, ids, frequencies, position bytes, blocks and frontier.
+// It reads every posting back, through a walking and a seeking
 // listCursor, termCursor positions and the oracle's matchWord, against
 // the layout the lists replaced.
 func FuzzPostingsMatchOracle(f *testing.F) {
@@ -138,9 +182,25 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 	}
 	straddle = append(straddle, seedDoc{4 | 8, []uint64{9, 3, 4, 254, 511, 1 << 15}}, seedDoc{8, make([]uint64, 600)})
 	f.Add(seedInput(straddle...))
-	// What every input shares: the analyzer and the two queries read back
+	// Lists of one block, of one past it and of one past two, their first
+	// posting saturated and alone at the top of every frontier; every
+	// position's term drawn, so "xy" is shorter.
+	for _, n := range []int{128, 129, 257} {
+		docs := make([]seedDoc, n)
+		for i := range docs {
+			docs[i] = seedDoc{8, []uint64{2, uint64(i % 2)}}
+		}
+		docs[0].deltas = zeros(300)
+		f.Add(seedInput(docs...))
+	}
+	// No tokens at all, and tokens out of order around empty documents.
+	f.Add(seedInput(seedDoc{16, nil}, seedDoc{16 | 3, nil}))
+	f.Add(seedInput(seedDoc{4 | 8, []uint64{5, 1, 8, 0, 130}}, seedDoc{16, nil}, seedDoc{4, []uint64{7, 7, 300, 2}}))
+	// What every input shares: the analyzers and the two queries read back
 	// through matchWord, each with the oracle's terms it matches.
 	a := text.NewAnalyzer()
+	posA := text.NewAnalyzer()
+	posA.Tokenizer = posTokenizer{}
 	terms := []string{"x", "xy"}
 	type wordQuery struct {
 		word  string
@@ -168,9 +228,10 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 		}
 		oracle := map[string]*int32List{"x": {}, "xy": {}}
 		lens := make([]int32, docs[len(docs)-1].id+1)
+		toks := make([][]text.Token, len(lens))
 		byTerm := map[string][]int32{}
 		for _, d := range docs {
-			lens[d.id] = int32(len(d.toks))
+			lens[d.id], toks[d.id] = int32(len(d.toks)), d.toks
 			clear(byTerm)
 			for _, tok := range d.toks {
 				byTerm[tok.Text] = append(byTerm[tok.Text], int32(tok.Pos))
@@ -191,7 +252,8 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 				}
 			}
 		}
-		// Build's analysis and pack, the documents in chunks of size.
+		// The replaced build's analysis and pack, the documents in chunks
+		// of size.
 		var dp docPostings
 		build := func(size int) *fieldIndex {
 			byTerm := map[string][]*arena{}
@@ -205,12 +267,27 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 				}
 			}
 			fi := newFieldIndex(a, len(byTerm))
-			if err := fi.pack(byTerm, lens); err != nil {
+			if err := fi.oraclePack(byTerm, lens); err != nil {
 				t.Fatal(err)
 			}
 			return fi
 		}
 		built := map[string]*fieldIndex{"one chunk": build(len(docs)), "three chunks": build(len(docs)/3 + 1)}
+		collection := posDocs(len(lens), func(id int) []text.Token { return toks[id] })
+		for _, workers := range []int{1, 2, 3, 8} {
+			ix, err := Build(posA, collection, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ix.counts, lens) {
+				t.Fatalf("Build on %d workers: token counts %v, want %v", workers, ix.counts, lens)
+			}
+			fi := ix.fields[attr.FieldBodyOfText]
+			if fi == nil {
+				fi = newFieldIndex(posA, 0) // no document has a token
+			}
+			built[fmt.Sprintf("Build on %d workers", workers)] = fi
+		}
 		for name, fi := range built {
 			for _, term := range terms {
 				pl, _ := fi.lookup(term)

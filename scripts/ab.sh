@@ -5,9 +5,10 @@
 #   scripts/ab.sh <parent-ref> [--workload W] [--pairs N] [--seconds S]
 #                              [--trace 0|1] [--seed K]
 #
-# The parent is checked out with `git worktree` into a temporary
-# directory, so each side builds its own bench/run.sh binary into its own
-# .bench_build. Pair i runs seed K+i-1 (K defaults to 1) once on each side,
+# The parent is cloned (`git clone --shared --no-checkout`, then checked
+# out detached) into a temporary directory, removed on exit, so each side
+# builds its own bench/run.sh binary into its own .bench_build and
+# nothing is written under the repository's .git. Pair i runs seed K+i-1 (K defaults to 1) once on each side,
 # the parent first on odd seeds and the working tree first on even ones.
 # Without --workload it runs all four workloads; --workload takes one name
 # or a space-separated list. --trace 1 runs the per-layer pass instead of
@@ -70,11 +71,11 @@ mkdir -p "$out"
 wt=$(mktemp -d "${TMPDIR:-/tmp}/ab-parent.XXXXXX")
 cleanup() {
 	chmod -R u+w "$wt" 2>/dev/null || true
-	git -C "$root" worktree remove --force "$wt" 2>/dev/null || rm -rf "$wt"
-	git -C "$root" worktree prune
+	rm -rf "$wt"
 }
 trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$wt" "$parent"
+git clone --quiet --shared --no-checkout "$root" "$wt"
+git -C "$wt" checkout --quiet --detach "$parent"
 
 file=result
 [ "$trace" = 1 ] && file=layers
