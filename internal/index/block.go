@@ -269,26 +269,22 @@ func (a *arena) appendPosting(positions []int32) {
 }
 
 // postingBytes returns how many bytes appendPosting appends to pos for
-// one posting's positions.
+// one posting's positions: a uvarint takes a byte per 7 bits.
 func postingBytes(positions []int32) int {
-	n := 0
+	n, prev := 0, int32(0)
 	if tf := len(positions); tf >= satFreq {
-		n = uvarintLen(uint64(tf))
+		n = (bits.Len(uint(tf)) + 6) / 7
 	}
-	prev := int32(0)
 	for _, p := range positions {
 		if d := p - prev; d < 0x80 {
 			n++
 		} else {
-			n += uvarintLen(uint64(d))
+			n += (bits.Len32(uint32(d)) + 6) / 7
 		}
 		prev = p
 	}
 	return n
 }
-
-// uvarintLen returns the length of v's uvarint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // occurrences returns the sum of the list's term frequencies.
 func (pl *postingList) occurrences() int {

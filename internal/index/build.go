@@ -17,25 +17,20 @@ import (
 // byte offsets of their arena.
 var errPositions = errors.New("positions would pass 2^32-1 bytes")
 
-// Build constructs an index over a document collection with parallel
-// chunked analysis and a deterministic merge; it is the only way an index
-// gets documents. Documents receive ids in slice order, and the posting
-// lists are equal whatever the number of workers, down to block
-// boundaries and sidecar stats: chunks cover contiguous id ranges and
-// are merged in range order, so postings stay ascending by doc id. Every
-// posting is written once, at its final place. Up to workers goroutines
-// (default GOMAXPROCS), one a chunk, tokenize their range into a stream
-// per field of (term, position) pairs — each distinct spelling normalized
-// once, one map probe a token — counting-sort it by term and size each
-// term's postings. One goroutine then merges the chunks' vocabularies,
+// Build constructs an index over a document collection; it is the only
+// way an index gets documents. Documents receive ids in slice order, and
+// the posting lists are equal whatever the number of workers (default
+// GOMAXPROCS), down to block boundaries and sidecar stats. Every posting
+// is written once, at its final place: a worker per chunk of contiguous
+// ids tokenizes it (one map probe a token, each distinct spelling
+// normalized once) and counting-sorts its tokens by term; one goroutine
 // gives every term its offsets and allocates each field's arrays at their
-// exact size; the chunks encode their postings straight into them, and
-// workers over ranges of terms note the blocks' bounds and frontiers,
-// while one goroutine fills the term maps and vocabulary side tables. It
-// fails on an invalid document, a duplicate linkage, a collection past
-// the postings' 32-bit ids, a document of 2³¹ tokens or more, and where a
-// field's positions, all its terms' together, would pass 2³²−1 bytes. The
-// index keeps its own copy of the documents, their text in one allocation.
+// exact size; the chunks encode their postings into them, in chunk order
+// within a term, and workers note the blocks' bounds. It fails on an
+// invalid document, a duplicate linkage, a collection past the postings'
+// 32-bit ids, a document of 2³¹ tokens or more, and where a field's
+// positions, all its terms' together, would pass 2³²−1 bytes. The index
+// keeps its own copy of the documents, their text in one allocation.
 func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 	ix := New(a)
 	if workers <= 0 {
@@ -68,16 +63,15 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 
 	chunkSize := max((len(docs)+workers-1)/workers, 1)
 	nChunks := (len(docs) + chunkSize - 1) / chunkSize
-	chunks := make([]*chunk, nChunks)
+	chunks, errs := make([][]chunkField, nChunks), make([]error, nChunks)
+	ix.counts = make([]int32, len(docs))
 	parallel(nChunks, func(ci int) {
-		chunks[ci] = analyzeChunk(a, ix.recs, ci*chunkSize, min((ci+1)*chunkSize, len(docs)))
+		chunks[ci], errs[ci] = analyzeChunk(a, ix, ci*chunkSize, min((ci+1)*chunkSize, len(docs)))
 	})
-	ix.counts = make([]int32, 0, len(docs))
-	for _, c := range chunks {
-		if c.err != nil {
-			return nil, c.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		ix.counts = append(ix.counts, c.counts...)
 	}
 	var layouts []*layout
 	for fi, f := range TextFields {
@@ -90,21 +84,18 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 			layouts = append(layouts, l)
 		}
 	}
-
-	var vocab sync.WaitGroup
-	vocab.Add(1)
-	go func() {
-		defer vocab.Done()
+	// One more goroutine fills the term maps and vocabulary side tables
+	// while the chunks encode.
+	parallel(nChunks+1, func(ci int) {
 		for _, l := range layouts {
+			if ci < nChunks {
+				chunks[ci][l.field].encode(l)
+				continue
+			}
 			for g, name := range l.names {
 				l.fx.terms[name] = l.recs[g]
 				l.fx.addVocab(name)
 			}
-		}
-	}()
-	parallel(nChunks, func(ci int) {
-		for _, l := range layouts {
-			chunks[ci].fields[l.field].encode(l)
 		}
 	})
 	parallel(nChunks, func(w int) {
@@ -112,7 +103,6 @@ func Build(a *text.Analyzer, docs []*Document, workers int) (*Index, error) {
 			l.note(w, nChunks, ix.counts)
 		}
 	})
-	vocab.Wait()
 	return ix, nil
 }
 
@@ -130,54 +120,39 @@ func parallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// chunk is one worker's analysis of a contiguous document range: per text
-// field (aligned with TextFields) its tokens sorted by term, and the
-// documents' token counts.
-type chunk struct {
-	fields []chunkField
-	counts []int32
-	err    error
-}
-
-// chunkField is one field's tokens of a chunk, sorted by term: term t,
-// terms[t], holds tokens from[t] to from[t+1]-1 of docs and pos, by
-// document, then in token order but each document's positions ascending.
-// postings[t] and bytes[t] count its postings in the chunk and their
-// encoded position bytes; layOut turns them into where these start in
-// the term's whole list, and notes the term's id in the field in ids[t].
+// chunkField is one field's tokens of a chunk. Analysis appends each to
+// toks, and ends[k] is where document lo+k's tokens end; memo maps each
+// spelling met so far straight to its term's id in the chunk, one map
+// probe a token, its keys views of the index's own text, and ids maps the
+// term, a copy, to the id. invert sorts the tokens by term: term t, terms[t],
+// holds tokens from[t] to from[t+1]-1 of docs and pos, by document, then
+// in token order but each document's positions ascending; postings[t]
+// and bytes[t] count its postings and their encoded position bytes.
+// layOut turns these into where they start in the term's whole list, and
+// notes the term's id in the field in field[t].
 type chunkField struct {
+	toks      []termPos
+	ends      []int
+	memo, ids map[string]uint32
 	terms     []string
 	from      []int
 	docs, pos []int32
 	postings  []uint32
 	bytes     []int
-	ids       []uint32
+	field     []uint32
 }
 
-// termPos is one token of a field's stream: its term's id in the chunk,
-// and its position.
+// termPos is one token: its term's id in the chunk, and its position.
 type termPos struct {
 	term uint32
 	pos  int32
 }
 
-// tokenStream is one field's tokens of a chunk, in document and token
-// order; ends[k] is where document k of the chunk's end. Its memo maps
-// each spelling met so far straight to its term's id, so a token costs
-// one map probe; the memo's keys are views of the index's own text, which
-// outlives them. ids maps a term, a copy, to its id: spellings that
-// normalize alike share it.
-type tokenStream struct {
-	toks      []termPos
-	ends      []int
-	memo, ids map[string]uint32
-}
-
-// analyzeChunk tokenizes recs[lo:hi] and sorts each field's tokens by
-// term.
-func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunk {
-	c := &chunk{fields: make([]chunkField, len(TextFields)), counts: make([]int32, 0, hi-lo)}
-	streams := make([]tokenStream, len(TextFields))
+// analyzeChunk tokenizes documents lo to hi-1, notes their token counts
+// and sorts each field's tokens by term: one chunkField a text field,
+// aligned with TextFields.
+func analyzeChunk(a *text.Analyzer, ix *Index, lo, hi int) ([]chunkField, error) {
+	cfs, recs := make([]chunkField, len(TextFields)), ix.recs
 	for i, f := range TextFields {
 		// One token to every 4 bytes of text: a word and its separator take
 		// that much or more in every collection measured, so the stream
@@ -187,90 +162,73 @@ func analyzeChunk(a *text.Analyzer, recs []docRecord, lo, hi int) *chunk {
 		for id := lo; id < hi; id++ {
 			size += len(recs[id].field(f)) / 4
 		}
-		streams[i] = tokenStream{toks: make([]termPos, 0, size), ends: make([]int, 0, hi-lo), memo: map[string]uint32{}, ids: map[string]uint32{}}
+		cfs[i] = chunkField{toks: make([]termPos, 0, size), ends: make([]int, 0, hi-lo), memo: map[string]uint32{}, ids: map[string]uint32{}}
 	}
 	toksByField := make([][]text.Token, len(TextFields))
 	for id := lo; id < hi; id++ {
 		total, err := analyzeDoc(a, toksByField, &recs[id])
 		if err != nil {
-			c.err = err
-			return c
+			return nil, err
 		}
 		for i, toks := range toksByField {
-			s := &streams[i]
-			for _, t := range toks {
-				term, ok := s.memo[t.Text]
+			cf := &cfs[i]
+			for _, tok := range toks {
+				t, ok := cf.memo[tok.Text]
 				if !ok {
-					term = c.fields[i].term(a, s, t.Text)
+					name := a.NormalizeTerm(tok.Text)
+					if t, ok = cf.ids[name]; !ok {
+						t, name = uint32(len(cf.terms)), strings.Clone(name)
+						cf.terms, cf.ids[name] = append(cf.terms, name), t
+					}
+					cf.memo[tok.Text] = t
 				}
-				s.toks = append(s.toks, termPos{term, int32(t.Pos)})
+				cf.toks = append(cf.toks, termPos{t, int32(tok.Pos)})
 			}
-			s.ends = append(s.ends, len(s.toks))
+			cf.ends = append(cf.ends, len(cf.toks))
 		}
-		c.counts = append(c.counts, int32(total))
+		ix.counts[id] = int32(total)
 	}
 	for i, f := range TextFields {
-		// Each term holds a position byte at least: past 2³² of them, term
-		// ids would wrap.
-		if len(c.fields[i].terms) > math.MaxUint32 {
-			c.err = fmt.Errorf("index: %s: %w", f, errPositions)
-			return c
+		if len(cfs[i].terms) > math.MaxUint32 { // ids would wrap
+			return nil, fmt.Errorf("index: %s: %w", f, errPositions)
 		}
-		c.fields[i].invert(&streams[i], lo)
+		cfs[i].invert(lo)
 	}
-	return c
+	return cfs, nil
 }
 
-// term returns the id of a spelling met for the first time, normalizing
-// it once, and notes it in the stream's memo: its term's id, or a new id
-// for a copy of the term.
-func (cf *chunkField) term(a *text.Analyzer, s *tokenStream, spelling string) uint32 {
-	name := a.NormalizeTerm(spelling)
-	t, ok := s.ids[name]
-	if !ok {
-		t, name = uint32(len(cf.terms)), strings.Clone(name)
-		cf.terms = append(cf.terms, name)
-		s.ids[name] = t
-	}
-	s.memo[spelling] = t
-	return t
-}
-
-// invert counting-sorts a field's stream by term into docs and pos,
-// stably, so each term's tokens stay in document and token order; then it
-// sorts each posting's positions, should the tokenizer not yield them
-// ascending, and sizes every term's postings. lo is the chunk's first
-// document.
-func (cf *chunkField) invert(s *tokenStream, lo int) {
+// invert counting-sorts the field's tokens by term into docs and pos,
+// stably, so each term's stay in document and token order, and drops the
+// stream and the memo; then it sorts each posting's positions, should the
+// tokenizer not yield them ascending, and sizes every term's postings.
+func (cf *chunkField) invert(lo int) {
 	nt := len(cf.terms)
 	cf.from = make([]int, nt+1)
-	for _, tp := range s.toks {
+	for _, tp := range cf.toks {
 		cf.from[tp.term+1]++
 	}
 	for t := range nt {
 		cf.from[t+1] += cf.from[t]
 	}
 	next := slices.Clone(cf.from[:nt])
-	cf.docs, cf.pos = make([]int32, len(s.toks)), make([]int32, len(s.toks))
+	cf.docs, cf.pos = make([]int32, len(cf.toks)), make([]int32, len(cf.toks))
 	k := 0
-	for d, end := range s.ends {
+	for d, end := range cf.ends {
 		for ; k < end; k++ {
-			tp := s.toks[k]
-			j := next[tp.term]
+			tp := cf.toks[k]
+			cf.docs[next[tp.term]], cf.pos[next[tp.term]] = int32(lo+d), tp.pos
 			next[tp.term]++
-			cf.docs[j], cf.pos[j] = int32(lo+d), tp.pos
 		}
 	}
-	cf.postings, cf.bytes, cf.ids = make([]uint32, nt), make([]int, nt), make([]uint32, nt)
+	cf.toks, cf.ends, cf.memo, cf.ids = nil, nil, nil, nil
+	cf.postings, cf.bytes, cf.field = make([]uint32, nt), make([]int, nt), make([]uint32, nt)
 	for t := range nt {
 		for k, end := cf.from[t], cf.from[t+1]; k < end; {
 			p := cf.posting(k, end)
 			if pos := cf.pos[k:p]; !slices.IsSorted(pos) {
 				slices.Sort(pos)
 			}
-			cf.postings[t]++
-			cf.bytes[t] += postingBytes(cf.pos[k:p])
-			k = p
+			cf.postings[t], cf.bytes[t], k = cf.postings[t]+1, cf.bytes[t]+postingBytes(cf.pos[k:p]), p
 		}
 	}
 }
@@ -300,15 +258,10 @@ type layout struct {
 // layOut merges the chunks' vocabularies of field fi, gives every term its
 // offsets and allocates the field's arena at its exact size; nil for a
 // field no document has a token in.
-func layOut(a *text.Analyzer, chunks []*chunk, fi int) (*layout, error) {
-	l := &layout{field: fi}
-	hint := 0
+func layOut(a *text.Analyzer, chunks [][]chunkField, fi int) (*layout, error) {
+	l, ids := &layout{field: fi}, map[string]uint32{}
 	for _, c := range chunks {
-		hint = max(hint, len(c.fields[fi].terms))
-	}
-	ids := make(map[string]uint32, hint)
-	for _, c := range chunks {
-		cf := &c.fields[fi]
+		cf := &c[fi]
 		for t, name := range cf.terms {
 			g, ok := ids[name]
 			if !ok {
@@ -319,7 +272,7 @@ func layOut(a *text.Analyzer, chunks []*chunk, fi int) (*layout, error) {
 				l.pos = append(l.pos, 0)
 			}
 			// The term's totals so far are where the chunk's postings start.
-			cf.ids[t] = g
+			cf.field[t] = g
 			cf.postings[t], l.recs[g].n = l.recs[g].n, l.recs[g].n+cf.postings[t]
 			cf.bytes[t], l.pos[g] = l.pos[g], l.pos[g]+cf.bytes[t]
 		}
@@ -359,7 +312,7 @@ func layOut(a *text.Analyzer, chunks []*chunk, fi int) (*layout, error) {
 // starts among them.
 func (cf *chunkField) encode(l *layout) {
 	a := &l.fx.packed
-	for t, g := range cf.ids {
+	for t, g := range cf.field {
 		r, i := l.recs[g], int(cf.postings[t]) // i: the list's posting the chunk's first is
 		off := l.pos[g] + cf.bytes[t]
 		w := arena{freqs: a.freqs[int(r.doc)+i : int(r.doc)+i], pos: a.pos[off:off]}
@@ -385,7 +338,6 @@ func (l *layout) note(w, n int, lens []int32) {
 	}
 	for g, end := start(w), start(w+1); g < end; g++ {
 		r := l.recs[g]
-		pl := postingList{a: &l.fx.packed, doc: r.doc, n: r.n, blk: r.blk, fr: r.fr}
-		pl.note(lens)
+		(&postingList{a: &l.fx.packed, doc: r.doc, n: r.n, blk: r.blk, fr: r.fr}).note(lens)
 	}
 }

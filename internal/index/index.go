@@ -28,7 +28,7 @@ type fieldIndex struct {
 	// matches; nil on case-folding indexes.
 	folds map[string][]string
 	// vocab is the sorted vocabulary, built lazily for truncation scans
-	// by the first reader to need it (concurrent readers may race to).
+	// by the first reader to need it; vocabOnce makes the others wait.
 	vocabOnce sync.Once
 	vocab     []string
 }
