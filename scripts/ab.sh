@@ -74,6 +74,9 @@ cleanup() {
 	rm -rf "$wt"
 }
 trap cleanup EXIT
+# bash runs no EXIT trap when a signal ends it: exit, so the clone goes.
+trap 'exit 130' INT
+trap 'exit 143' TERM
 git clone --quiet --shared --no-checkout "$root" "$wt"
 git -C "$wt" checkout --quiet --detach "$parent"
 
