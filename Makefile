@@ -79,12 +79,13 @@ prof-cold:
 # (internal/server: client.HTTPConn against a server over a LocalConn, one
 # ?stream=1 query, a 10-document answer), client and server halves in one
 # process, with every allocation sampled, then the profile's top sites by
-# bytes. The binary and the profile go to PROFDIR.
+# bytes and then by object count. The binary and the profile go to PROFDIR.
 prof-wire:
 	mkdir -p $(PROFDIR)
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamRoundTrip$$' -benchtime 3000x -memprofilerate 1 \
 		-memprofile $(PROFDIR)/wire.mem -o $(PROFDIR)/server.test ./internal/server
 	$(GO) tool pprof -top -sample_index=alloc_space $(PROFDIR)/server.test $(PROFDIR)/wire.mem | head -60
+	$(GO) tool pprof -top -sample_index=alloc_objects $(PROFDIR)/server.test $(PROFDIR)/wire.mem | head -60
 
 # prof-heap is the resident-memory counterpart: BenchmarkBuildIndex
 # (internal/index: one big-source collection, 20 000 documents of 40-word
@@ -173,12 +174,16 @@ stress:
 	$(call stress_run,50,TestCoalescedSearchOutlivesItsLeadersCancellation|TestSharedCallOutlivesItsLeadersDeadline|TestBreakerReleasedWhenCallSkipsWire|TestRefusedFastDrain|TestHungHarvestDegradesWithinTimeout,./internal/core/)
 
 # fuzz splits a budget of about ten seconds over the fuzz targets (go test
-# fuzzes one per run), target by target: the server's one request decoder, the
-# SOIF codec against the codec it replaced (internal/soif/oracle_test.go),
-# the stream frame decoder, the document decoder against the map
+# fuzzes one per run), target by target: the server's one request decoder
+# and its reading of ?stream= against url.ParseQuery's, the
+# SOIF codec against the codec it replaced (internal/soif/oracle_test.go)
+# and its run decoder against object-by-object decoding, the stream frame
+# decoder, the document decoder against the map
 # decoder it replaced and the appending frame encoders against the object
 # encoders they replaced (internal/result/oracle_test.go), the two entry
-# points of the expression parser behind them all, the cache fingerprint
+# points of the expression parser behind them all, the slab parser and
+# the @SQuery decoder against the ones they replaced
+# (internal/query/parse_oracle_test.go), the cache fingerprint
 # against the printer it replaced (internal/qcache/key_oracle_test.go),
 # the engine's cursor evaluator against its oracle
 # (internal/engine/exhaustive.go) and its actual query against the
@@ -197,20 +202,24 @@ stress:
 # Minimisation is capped at 100 runs per input: the default (60 s) spends
 # the whole budget shrinking the first interesting input it meets.
 FUZZ_TARGETS = \
-	internal/server:FuzzDecodeRequest:500ms \
-	internal/soif:FuzzSOIFRoundTrip:600ms \
-	internal/result:FuzzDecodeStreamItem:600ms \
-	internal/result:FuzzDocFromSOIFMatchesOracle:600ms \
+	internal/server:FuzzDecodeRequest:400ms \
+	internal/server:FuzzQueryFlagMatchesParseQuery:300ms \
+	internal/soif:FuzzSOIFRoundTrip:500ms \
+	internal/soif:FuzzDecodeRunMatchesDecode:400ms \
+	internal/result:FuzzDecodeStreamItem:500ms \
+	internal/result:FuzzDocFromSOIFMatchesOracle:500ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
-	internal/query:FuzzParseFilter:500ms \
-	internal/query:FuzzParseRanking:600ms \
-	internal/qcache:FuzzCanonicalMatchesOracle:600ms \
-	internal/engine:FuzzSearchMatchesExhaustive:1000ms \
-	internal/engine:FuzzSortMatchesKeyOracle:600ms \
-	internal/translate:FuzzForSourceMatchesOracle:600ms \
-	internal/meta:FuzzParseMeta:600ms \
-	internal/meta:FuzzParseSummary:600ms \
-	internal/text:FuzzTokenizeMatchesOracle:600ms \
+	internal/query:FuzzParseFilter:400ms \
+	internal/query:FuzzParseRanking:500ms \
+	internal/query:FuzzParseMatchesOracle:400ms \
+	internal/query:FuzzFromSOIFMatchesOracle:400ms \
+	internal/qcache:FuzzCanonicalMatchesOracle:500ms \
+	internal/engine:FuzzSearchMatchesExhaustive:800ms \
+	internal/engine:FuzzSortMatchesKeyOracle:500ms \
+	internal/translate:FuzzForSourceMatchesOracle:500ms \
+	internal/meta:FuzzParseMeta:500ms \
+	internal/meta:FuzzParseSummary:500ms \
+	internal/text:FuzzTokenizeMatchesOracle:500ms \
 	internal/text:FuzzStemMatchesOracle:400ms \
 	internal/index:FuzzPostingsMatchOracle:600ms \
 	internal/merge:FuzzMergeMatchesOracle:600ms

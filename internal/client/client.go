@@ -77,6 +77,9 @@ func Chain(conn Conn, mw ...Middleware) Conn {
 // maxResponseBytes bounds response bodies read from remote sources.
 const maxResponseBytes = 64 << 20
 
+// maxDrainBytes bounds what is read of an error body past its snippet.
+const maxDrainBytes = 64 << 10
+
 // Client fetches STARTS objects over HTTP.
 type Client struct {
 	hc *http.Client
@@ -144,8 +147,10 @@ func (c *Client) open(ctx context.Context, method, url string, body []byte) (io.
 	}
 	defer resp.Body.Close()
 	snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
-	// Drain the rest so the keep-alive connection is reusable.
-	_, _ = io.Copy(io.Discard, resp.Body)
+	// Drain what is left of a short body so the keep-alive connection is
+	// reusable; closing a longer one unread drops the connection instead,
+	// so a source streaming an endless error body cannot hold the call.
+	_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
 	return nil, &StatusError{
 		Method: method, URL: req.URL.String(),
 		StatusCode: resp.StatusCode, Status: resp.Status,
@@ -248,6 +253,7 @@ type HTTPConn struct {
 
 	mu     sync.Mutex
 	cached *meta.SourceMeta
+	stream string // StreamURL of cached's query URL
 }
 
 // NewHTTPConn returns a Conn for the source with the given metadata URL.
@@ -264,29 +270,35 @@ func (h *HTTPConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 	if err != nil {
 		return nil, err
 	}
+	stream := StreamURL(m.Linkage)
 	h.mu.Lock()
-	h.cached = m
+	h.cached, h.stream = m, stream
 	h.mu.Unlock()
 	return m, nil
 }
 
-// meta returns the metadata the last Metadata call fetched, fetching it
-// once if there is none yet. Freshness is not the conn's to judge: the
-// metasearcher re-harvests a source past its DateExpires, and that
-// explicit Metadata call is what moves the endpoint URLs.
-func (h *HTTPConn) meta(ctx context.Context) (*meta.SourceMeta, error) {
+// meta returns the metadata the last Metadata call fetched, and the
+// streaming query URL derived from it, fetching it once if there is none
+// yet. Freshness is not the conn's to judge: the metasearcher re-harvests
+// a source past its DateExpires, and that explicit Metadata call is what
+// moves the endpoint URLs.
+func (h *HTTPConn) meta(ctx context.Context) (*meta.SourceMeta, string, error) {
 	h.mu.Lock()
-	cached := h.cached
+	cached, stream := h.cached, h.stream
 	h.mu.Unlock()
 	if cached != nil {
-		return cached, nil
+		return cached, stream, nil
 	}
-	return h.Metadata(ctx)
+	m, err := h.Metadata(ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	return m, StreamURL(m.Linkage), nil
 }
 
 // Summary implements Conn.
 func (h *HTTPConn) Summary(ctx context.Context) (*meta.ContentSummary, error) {
-	m, err := h.meta(ctx)
+	m, _, err := h.meta(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +307,7 @@ func (h *HTTPConn) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 
 // Sample implements Conn.
 func (h *HTTPConn) Sample(ctx context.Context) ([]*source.SampleEntry, error) {
-	m, err := h.meta(ctx)
+	m, _, err := h.meta(ctx)
 	if err != nil {
 		return nil, err
 	}

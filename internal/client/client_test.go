@@ -297,3 +297,32 @@ func TestLocalConnWithoutResource(t *testing.T) {
 		t.Errorf("sources = %v", r.Sources)
 	}
 }
+
+// TestEndlessErrorBodyIsNotDrained: a source that answers 500 and then
+// streams its error body without end costs the call a bounded read, not
+// its deadline: past the snippet and a bounded drain the body is closed
+// unread, dropping the connection.
+func TestEndlessErrorBodyIsNotDrained(t *testing.T) {
+	chunk := []byte(strings.Repeat("overloaded ", 400))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := client.NewClient(nil).Metadata(ctx, ts.URL+"/meta")
+	took := time.Since(start)
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want a 500 *client.StatusError", err)
+	}
+	if took > time.Second {
+		t.Errorf("an endless error body held the call %v", took)
+	}
+}

@@ -59,8 +59,9 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 		return nil, err
 	}
 	defer rc.Close()
-	dec := soif.NewDecoder(io.LimitReader(rc, maxResponseBytes))
+	dec := soif.NewDecoder(rc)
 	defer dec.Release()
+	dec.Limit(maxResponseBytes)
 	var final *result.Results
 	for {
 		it, err := result.DecodeStreamItem(dec)
@@ -74,7 +75,7 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 			return nil, it.Err
 		}
 		if sink != nil {
-			if serr := sink(*it); serr != nil {
+			if serr := sink(it); serr != nil {
 				return final, serr
 			}
 		}
@@ -88,13 +89,14 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 	return final, nil
 }
 
-// QueryStream implements StreamConn over the wire.
+// QueryStream implements StreamConn over the wire, to the streaming URL
+// derived once from the fetched metadata.
 func (h *HTTPConn) QueryStream(ctx context.Context, q *query.Query, sink func(result.StreamItem) error) (*result.Results, error) {
-	m, err := h.meta(ctx)
+	_, url, err := h.meta(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return h.client.QueryStream(ctx, StreamURL(m.Linkage), q, sink)
+	return h.client.QueryStream(ctx, url, q, sink)
 }
 
 // QueryStream implements StreamConn for in-process sources: the whole

@@ -202,8 +202,9 @@ func Generate(cfg Config) *Generated {
 		spec.ID, spec.PrimaryTopic = fmt.Sprintf("src-%02d-%s", si, topics[ti].Name), topics[ti].Name
 		spec.Docs = make([]*index.Document, cfg.DocsPerSource)
 		for lo := 0; lo < cfg.DocsPerSource; lo += batchDocs {
-			b := &drawn{spec: spec, lo: lo}
-			for di := lo; di < min(lo+batchDocs, cfg.DocsPerSource); di++ {
+			hi := min(lo+batchDocs, cfg.DocsPerSource)
+			b := &drawn{spec: spec, lo: lo, words: make([]int32, 0, (hi-lo)*maxDrawnWords(cfg.BodyWords))}
+			for di := lo; di < hi; di++ {
 				spec.Docs[di] = b.draw(rng, vocabs, bases, ti, cfg.BodyWords)
 				if !topics[ti].Language.IsZero() {
 					spec.Docs[di].Languages = []lang.Tag{topics[ti].Language}
@@ -238,6 +239,11 @@ type drawn struct {
 	lo    int
 	words []int32
 }
+
+// maxDrawnWords is the most words draw appends for one document: a title
+// of at most 8 words, a body of fewer than 1.5 × bodyWords, and the two
+// length headers.
+func maxDrawnWords(bodyWords int) int { return 8 + bodyWords/2 + bodyWords + 2 }
 
 // draw draws the batch's next document, whose primary topic is
 // vocabs[primary] — the draws the generator has always made, in order —

@@ -134,6 +134,31 @@ func TestGenerateMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDrawFitsItsBatch: a batch's words, sized from maxDrawnWords, hold
+// every document draw can draw without growing, at body lengths from 1 to
+// 160 words.
+func TestDrawFitsItsBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	topics := TopicsWithVocab(0)
+	vocabs, bases := make([]zipf, len(topics)), make([]int32, len(topics)+1)
+	for i, tp := range topics {
+		vocabs[i], bases[i+1] = zipfOf(len(tp.Words)), bases[i]+int32(len(tp.Words))
+	}
+	for _, bodyWords := range []int{1, 2, 3, 40, 80, 81, 160} {
+		b := &drawn{spec: &SourceSpec{}, words: make([]int32, 0, batchDocs*maxDrawnWords(bodyWords))}
+		for range batchDocs {
+			before := len(b.words)
+			b.draw(rng, vocabs, bases, 0, bodyWords)
+			if n := len(b.words) - before; n > maxDrawnWords(bodyWords) {
+				t.Fatalf("body of %d words: a document drew %d words, past %d", bodyWords, n, maxDrawnWords(bodyWords))
+			}
+		}
+		if cap(b.words) != batchDocs*maxDrawnWords(bodyWords) {
+			t.Errorf("body of %d words: the batch grew to %d words", bodyWords, cap(b.words))
+		}
+	}
+}
+
 // TestZipfPickMatchesBinarySearch holds the guided pick to a binary search
 // over the harmonic CDF, draw for draw, at every vocabulary size up to
 // 300 and a few beyond.

@@ -33,17 +33,17 @@ func ParseTag(s string) (Tag, error) {
 	if s == "" {
 		return Tag{}, fmt.Errorf("lang: empty language tag")
 	}
-	parts := strings.SplitN(s, "-", 2)
-	t := Tag{Language: strings.ToLower(parts[0])}
-	if len(parts) == 2 {
-		t.Country = strings.ToUpper(parts[1])
+	language, country, hasCountry := strings.Cut(s, "-")
+	t := Tag{Language: strings.ToLower(language)}
+	if hasCountry {
+		t.Country = strings.ToUpper(country)
 	}
 	if err := validSubtag(t.Language); err != nil {
-		return Tag{}, fmt.Errorf("lang: invalid language subtag %q: %w", parts[0], err)
+		return Tag{}, fmt.Errorf("lang: invalid language subtag %q: %w", language, err)
 	}
-	if len(parts) == 2 {
+	if hasCountry {
 		if err := validSubtag(t.Country); err != nil {
-			return Tag{}, fmt.Errorf("lang: invalid country subtag %q: %w", parts[1], err)
+			return Tag{}, fmt.Errorf("lang: invalid country subtag %q: %w", country, err)
 		}
 	}
 	return t, nil

@@ -102,6 +102,62 @@ type parser struct {
 	src   string
 	pos   int
 	depth int // parseExpr calls in progress
+	// The parse's nodes and its lists' items, each kind carved from a slab
+	// of its own (take): a ranking list of terms is three allocations.
+	terms []TermExpr
+	lists []List
+	items []Expr
+	bins  []Bin
+	want  int // the first slabs' size: see reserve
+}
+
+// maxSlab caps the nodes a parse reserves on the strength of counting
+// quotes in its source, which comes off the wire; a parse that needs more
+// takes a slab twice the size of the last.
+const maxSlab = 32
+
+// take returns the next n elements of *slab, capped at n. A slab without
+// room for them is left to the elements already carved from it and a new
+// one made, of want, n or twice the last's capacity, whichever is most.
+func take[T any](slab *[]T, n, want int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(want, n, 2*cap(*slab)))
+	}
+	at := len(*slab)
+	*slab = (*slab)[:at+n]
+	return (*slab)[at : at+n : at+n]
+}
+
+// reserve is how many terms, and list items, the parse reserves room for
+// at first: the source's quotes bound its terms, each l-string opening
+// and closing with a pair, and a flat list has an item a term.
+func (p *parser) reserve() int {
+	if p.want == 0 {
+		p.want = min(max(1, (strings.Count(p.src, `"`)+strings.Count(p.src, "`"))/2), maxSlab)
+	}
+	return p.want
+}
+
+// newTerm returns a term node holding t.
+func (p *parser) newTerm(t Term) *TermExpr {
+	n := &take(&p.terms, 1, p.reserve())[0]
+	n.Term = t
+	return n
+}
+
+// newBin returns a binary node; a tree of n terms has n-1 of them.
+func (p *parser) newBin(op Op, l, r Expr) *Bin {
+	b := &take(&p.bins, 1, max(1, p.reserve()-1))[0]
+	*b = Bin{Op: op, L: l, R: r}
+	return b
+}
+
+// newList returns a list node holding a copy of items.
+func (p *parser) newList(items []Expr) *List {
+	l := &take(&p.lists, 1, 1)[0]
+	l.Items = take(&p.items, len(items), p.reserve())
+	copy(l.Items, items)
+	return l
 }
 
 func (p *parser) rest() string { return p.src[p.pos:] }
@@ -150,7 +206,7 @@ func (p *parser) parseExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &TermExpr{Term{Value: ls}}, nil
+		return p.newTerm(Term{Value: ls}), nil
 	case c == '(':
 		return p.parseParen()
 	case isWordStart(c):
@@ -179,7 +235,7 @@ func (p *parser) parseParen() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &TermExpr{t}, nil
+		return p.newTerm(t), nil
 	}
 	// Otherwise the paren wraps one or two sub-expressions.
 	left, err := p.parseExpr()
@@ -233,7 +289,7 @@ func (p *parser) finishBin(op Op, left Expr) (Expr, error) {
 	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
-	return &Bin{Op: op, L: left, R: right}, nil
+	return p.newBin(op, left, right), nil
 }
 
 // finishProx parses `[dist,ordered] right )` after `left prox`.
@@ -289,15 +345,16 @@ func (p *parser) parseList() (Expr, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
-	l := &List{}
+	var room [8]Expr // the items until the list closes, then a copy in its node
+	items := room[:0]
 	for {
 		p.skipSpace()
 		if p.peek() == ')' {
 			p.pos++
-			if len(l.Items) == 0 {
+			if len(items) == 0 {
 				return nil, fmt.Errorf("empty list() at offset %d", p.pos)
 			}
-			return l, nil
+			return p.newList(items), nil
 		}
 		if p.eof() {
 			return nil, fmt.Errorf("unterminated list()")
@@ -306,7 +363,7 @@ func (p *parser) parseList() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.Items = append(l.Items, item)
+		items = append(items, item)
 	}
 }
 

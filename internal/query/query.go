@@ -2,8 +2,10 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
@@ -71,15 +73,32 @@ const DefaultMaxResults = 20
 // New returns a query with the specification defaults: drop stop words,
 // Basic-1 attributes, en-US, answer fields title+linkage, sorted by score
 // descending.
-func New() *Query {
-	return &Query{
+func New() *Query { return new(Query).defaults(make([]attr.Field, 2), make([]SortKey, 1)) }
+
+// defaults sets q to New's query, its answer fields and sort key written
+// into fields and keys, and returns it.
+func (q *Query) defaults(fields []attr.Field, keys []SortKey) *Query {
+	*q = Query{
 		DropStopWords:   true,
 		DefaultAttrSet:  attr.SetBasic1,
 		DefaultLanguage: lang.EnglishUS,
-		AnswerFields:    []attr.Field{attr.FieldTitle, attr.FieldLinkage},
-		SortBy:          []SortKey{{Field: ScoreSortField}},
+		AnswerFields:    append(fields[:0:2], attr.FieldTitle, attr.FieldLinkage),
+		SortBy:          append(keys[:0:1], SortKey{Field: ScoreSortField}),
 		MaxResults:      DefaultMaxResults,
 	}
+	return q
+}
+
+// A block is a decoded query and, in the same allocation, room for two
+// answer fields and one sort key: the defaults, and what most queries
+// name. The query's slices are capped at their length, so an append by
+// their holder copies them instead of writing into the block. New does
+// not use one: a holder of a query's answer fields alone would keep the
+// whole block alive.
+type block struct {
+	q      Query
+	fields [2]attr.Field
+	keys   [1]SortKey
 }
 
 // EffectiveMaxResults returns MaxResults with the default applied.
@@ -213,7 +232,8 @@ func FromSOIF(o *soif.Object) (*Query, error) {
 	if !strings.EqualFold(o.Type, SQueryType) {
 		return nil, fmt.Errorf("query: expected @%s object, found @%s", SQueryType, o.Type)
 	}
-	q := New()
+	d := new(block)
+	q := d.q.defaults(d.fields[:], d.keys[:])
 	var err error
 	if v, ok := o.Get("FilterExpression"); ok {
 		if q.Filter, err = ParseFilter(v); err != nil {
@@ -242,14 +262,14 @@ func FromSOIF(o *soif.Object) (*Query, error) {
 		q.Sources = strings.Fields(v)
 	}
 	if v, ok := o.Get("AnswerFields"); ok {
-		names := strings.Fields(v)
-		q.AnswerFields = make([]attr.Field, 0, len(names))
-		for _, name := range names {
+		q.AnswerFields = d.fields[:0]
+		for name, rest := nextField(v); name != ""; name, rest = nextField(rest) {
 			q.AnswerFields = append(q.AnswerFields, attr.Normalize(attr.Field(name)))
 		}
+		q.AnswerFields = slices.Clip(q.AnswerFields)
 	}
 	if v, ok := o.Get("SortByFields"); ok {
-		if q.SortBy, err = parseSortKeys(v); err != nil {
+		if q.SortBy, err = appendSortKeys(d.keys[:0], v); err != nil {
 			return nil, err
 		}
 	}
@@ -281,24 +301,43 @@ func Parse(data []byte) (*Query, error) {
 // Marshal encodes the query to SOIF bytes: one allocation for most queries.
 func (q *Query) Marshal() ([]byte, error) { return q.AppendSOIF(make([]byte, 0, 512)) }
 
-func parseSortKeys(v string) ([]SortKey, error) {
-	fields := strings.Fields(v)
-	if len(fields)%2 != 0 {
+// appendSortKeys appends the field/direction pairs of a SortByFields value
+// to keys and returns them capped at their length.
+func appendSortKeys(keys []SortKey, v string) ([]SortKey, error) {
+	n := 0
+	for w, rest := nextField(v); w != ""; w, rest = nextField(rest) {
+		n++
+	}
+	if n%2 != 0 {
 		return nil, fmt.Errorf("query: SortByFields %q must be field/direction pairs", v)
 	}
-	keys := make([]SortKey, 0, len(fields)/2)
-	for i := 0; i < len(fields); i += 2 {
-		k := SortKey{Field: attr.Normalize(attr.Field(fields[i]))}
-		switch strings.ToLower(fields[i+1]) {
+	var field string
+	for w, rest := nextField(v); w != ""; w, rest = nextField(rest) {
+		if field == "" {
+			field = w
+			continue
+		}
+		k := SortKey{Field: attr.Normalize(attr.Field(field))}
+		switch strings.ToLower(w) {
 		case "a", "asc", "ascending":
 			k.Ascending = true
 		case "d", "desc", "descending":
 		default:
-			return nil, fmt.Errorf("query: sort direction %q must be a or d", fields[i+1])
+			return nil, fmt.Errorf("query: sort direction %q must be a or d", w)
 		}
-		keys = append(keys, k)
+		keys, field = append(keys, k), ""
 	}
-	return keys, nil
+	return slices.Clip(keys), nil
+}
+
+// nextField splits the first of s's words, as strings.Fields splits them,
+// off s; word is empty when s has none left.
+func nextField(s string) (word, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // TF prints a STARTS Boolean attribute value: T or F.

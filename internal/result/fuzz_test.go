@@ -118,14 +118,14 @@ func FuzzDecodeStreamItem(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
-			it  *StreamItem
+			it  StreamItem
 			err error
 		)
 		requireAllocBound(t, data, func() {
 			it, err = DecodeStreamItem(soif.NewDecoder(bytes.NewReader(data)))
 		})
 		if err != nil {
-			if it != nil {
+			if it.Docs != nil || it.Final != nil || it.Err != nil {
 				t.Fatalf("frame %+v alongside error %v", it, err)
 			}
 			return

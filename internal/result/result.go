@@ -325,6 +325,20 @@ type slabs struct {
 	srcList []string
 }
 
+// newSlabs returns the slabs of an answer whose header promised n
+// documents. The count is a claim: no slab reserves over maxDocsHint.
+func newSlabs(n int) slabs { return slabs{docs: make([]Document, 0, min(n, maxDocsHint))} }
+
+// documents points at every decoded document, now that their slab no
+// longer moves.
+func (s *slabs) documents() []*Document {
+	docs := make([]*Document, len(s.docs))
+	for i := range docs {
+		docs[i] = &s.docs[i]
+	}
+	return docs
+}
+
 // add decodes one @SQRDocument onto the slabs.
 func (s *slabs) add(o *soif.Object) error {
 	if !strings.EqualFold(o.Type, DocumentType) {

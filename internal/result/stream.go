@@ -89,46 +89,52 @@ func AppendStreamError(dst []byte, itemErr error) []byte {
 // mid-frame and no further frames can be trusted. An in-band server
 // failure is returned as a frame with Err set, not as a decode error.
 //
+// The frame is a value, and its headers and documents are decoded into
+// dec's own object (soif.Decoder.Next) in turn, the documents as one run
+// (soif.Decoder.DecodeRun). So a frame costs its header's text and what
+// its answer keeps: the answer header's text, one string per run of
+// documents, the answer's slabs and its term nodes.
+//
 // For compatibility with non-streaming servers, a stream whose first
 // object is a plain @SQResults header decodes as a single terminal
 // frame: the whole answer at once is a legal, if unhelpful, stream.
-func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
-	head, err := dec.Decode()
+func DecodeStreamItem(dec *soif.Decoder) (StreamItem, error) {
+	head, err := dec.Next()
 	if errors.Is(err, io.EOF) {
-		return nil, io.EOF
+		return StreamItem{}, io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("result: reading stream frame header: %w", err)
+		return StreamItem{}, fmt.Errorf("result: reading stream frame header: %w", err)
 	}
 	switch {
 	case strings.EqualFold(head.Type, ResultsType):
 		// The whole answer at once: its header is the frame.
 	case !strings.EqualFold(head.Type, StreamItemType):
-		return nil, fmt.Errorf("result: expected @%s frame, found @%s", StreamItemType, head.Type)
+		return StreamItem{}, fmt.Errorf("result: expected @%s frame, found @%s", StreamItemType, head.Type)
 	case head.Has("Error"):
-		return &StreamItem{Err: &StreamError{Message: head.GetDefault("Error", "")}}, nil
+		return StreamItem{Err: &StreamError{Message: head.GetDefault("Error", "")}}, nil
 	case head.Has("Final"):
 		head = nil // the answer's own header follows
 	default:
 		rank, err := count(head, "Rank")
 		if err != nil {
-			return nil, err
+			return StreamItem{}, err
 		}
 		n, err := count(head, "NumDocSOIFs")
 		if err != nil {
-			return nil, err
+			return StreamItem{}, err
 		}
-		docs, err := decodeDocs(n, into(dec, head))
+		docs, err := decodeDocRun(dec, head, n)
 		if err != nil {
-			return nil, fmt.Errorf("result: stream frame at rank %d: %w", rank, err)
+			return StreamItem{}, fmt.Errorf("result: stream frame at rank %d: %w", rank, err)
 		}
-		return &StreamItem{Rank: rank, Docs: docs}, nil
+		return StreamItem{Rank: rank, Docs: docs}, nil
 	}
 	r, err := decodeResults(dec, head)
 	if err != nil {
-		return nil, fmt.Errorf("result: terminal stream frame: %w", err)
+		return StreamItem{}, fmt.Errorf("result: terminal stream frame: %w", err)
 	}
-	return &StreamItem{Final: r}, nil
+	return StreamItem{Final: r}, nil
 }
 
 // count reads a frame's or header's attribute name, a non-negative integer
@@ -159,8 +165,7 @@ func decodeDocs(n int, next func() (*soif.Object, error)) ([]*Document, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// The header's count is a claim: no slab reserves over maxDocsHint.
-	s := slabs{docs: make([]Document, 0, min(n, maxDocsHint))}
+	s := newSlabs(n)
 	for i := 0; i < n; i++ {
 		o, err := next()
 		if err != nil {
@@ -170,27 +175,40 @@ func decodeDocs(n int, next func() (*soif.Object, error)) ([]*Document, error) {
 			return nil, fmt.Errorf("document %d: %w", i, err)
 		}
 	}
-	docs := make([]*Document, n) // now that their slab no longer moves
-	for i := range docs {
-		docs[i] = &s.docs[i]
-	}
-	return docs, nil
+	return s.documents(), nil
 }
 
-// into yields dec's objects one after another in o, each overwriting the
-// last: an answer decodes into one object and leaves one string per
-// document behind.
-func into(dec *soif.Decoder, o *soif.Object) func() (*soif.Object, error) {
-	return func() (*soif.Object, error) { return o, dec.DecodeInto(o) }
+// decodeDocRun is decodeDocs of dec's next n objects, each decoded into o
+// in turn as one run (soif.Decoder.DecodeRun): the documents' strings
+// share a string per run rather than having one each.
+func decodeDocRun(dec *soif.Decoder, o *soif.Object, n int) ([]*Document, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	s := newSlabs(n)
+	var addErr error
+	err := dec.DecodeRun(n, o, func(o *soif.Object) error {
+		if addErr = s.add(o); addErr != nil {
+			addErr = fmt.Errorf("document %d: %w", len(s.docs), addErr)
+		}
+		return addErr
+	})
+	switch {
+	case addErr != nil:
+		return nil, addErr
+	case err != nil:
+		return nil, fmt.Errorf("document %d of %d: %w", len(s.docs), n, err)
+	}
+	return s.documents(), nil
 }
 
 // decodeResults reads one answer: the @SQResults header — head, or the
 // next object when the caller has not read it yet — and the NumDocSOIFs
-// documents it promises, each decoded into head in turn.
+// documents it promises, decoded into head in turn as one run.
 func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	if head == nil {
-		head = new(soif.Object)
-		if err := dec.DecodeInto(head); err != nil {
+		var err error
+		if head, err = dec.Next(); err != nil {
 			return nil, fmt.Errorf("reading @%s header: %w", ResultsType, err)
 		}
 	}
@@ -202,7 +220,7 @@ func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Documents, err = decodeDocs(n, into(dec, head)); err != nil {
+	if r.Documents, err = decodeDocRun(dec, head, n); err != nil {
 		return nil, fmt.Errorf("result: %w", err)
 	}
 	return r, nil

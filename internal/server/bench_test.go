@@ -12,12 +12,13 @@ import (
 	"starts/internal/index"
 )
 
-// BenchmarkStreamRoundTrip is one streamed query across the wire with
-// both ends in this process: client.HTTPConn posts it to the ?stream=1
-// route of a server over a LocalConn, which answers with a 10-document
-// terminal frame that the client decodes. `make prof-wire` runs it with
-// every allocation sampled, to attribute what the wire codec costs.
-func BenchmarkStreamRoundTrip(b *testing.B) {
+// wireRoundTrip serves a 10-document source through NewConns over a
+// LocalConn and returns one streamed query across the wire to it, with
+// both ends in this process: client.HTTPConn posts the query to the
+// ?stream=1 route, which answers with one terminal frame that the client
+// decodes.
+func wireRoundTrip(tb testing.TB) func() {
+	tb.Helper()
 	date := time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)
 	docs := make([]*index.Document, 10)
 	for i := range docs {
@@ -26,21 +27,32 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 			Body: "Distributed database systems and distributed query processing " + n, Date: date}
 	}
 	ts := httptest.NewServer(http.NotFoundHandler())
-	ts.Config.Handler = NewConns([]client.Conn{client.NewLocalConn(mkStreamSource(b, "wire", docs), nil)}, ts.URL)
-	defer ts.Close()
+	ts.Config.Handler = NewConns([]client.Conn{client.NewLocalConn(mkStreamSource(tb, "wire", docs), nil)}, ts.URL)
+	tb.Cleanup(ts.Close)
 	ctx := context.Background()
-	conns, err := client.NewClient(nil).Discover(ctx, ts.URL+"/resource")
+	hc := client.NewClient(nil)
+	conns, err := hc.Discover(ctx, ts.URL+"/resource")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	conn := conns[0].(*client.HTTPConn)
-	q := rankingQuery(b, `list((body-of-text "distributed") (body-of-text "databases"))`)
+	q := rankingQuery(tb, `list((body-of-text "distributed") (body-of-text "databases"))`)
+	return func() {
+		r, err := conn.QueryStream(ctx, q, nil)
+		if err != nil || len(r.Documents) != len(docs) {
+			tb.Fatal(r, err)
+		}
+	}
+}
+
+// BenchmarkStreamRoundTrip is wireRoundTrip's one streamed query. `make
+// prof-wire` runs it with every allocation sampled, to attribute what the
+// wire codec costs.
+func BenchmarkStreamRoundTrip(b *testing.B) {
+	roundTrip := wireRoundTrip(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := conn.QueryStream(ctx, q, nil)
-		if err != nil || len(r.Documents) != len(docs) {
-			b.Fatal(r, err)
-		}
+		roundTrip()
 	}
 }

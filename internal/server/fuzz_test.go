@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"net/url"
 	"testing"
 )
 
@@ -74,4 +75,20 @@ func TestDecodeRequestSeeds(t *testing.T) {
 	if _, err := decodeRequest(bytes.NewReader([]byte(paperQuery[:len(paperQuery)/2])), false); err == nil {
 		t.Error("truncated paper query accepted")
 	}
+}
+
+// FuzzQueryFlagMatchesParseQuery: whatever the raw query, streamWanted's
+// reading of it says what the map url.ParseQuery builds of it says.
+func FuzzQueryFlagMatchesParseQuery(f *testing.F) {
+	for _, raw := range []string{"", "stream=1", "stream=", "stream", "a=b&stream=1", "stream=&stream=1",
+		"stream=1;x", "x;y&stream=1", "str%65am=1", "stream=%zz&stream=1", "stream=%2", "st+ream=1",
+		"%zz=1&stream=1", "&&stream=0", "stream=+", "stream=%20"} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		values, _ := url.ParseQuery(raw)
+		if got, want := queryFlag(raw, "stream"), values.Get("stream") != ""; got != want {
+			t.Fatalf("queryFlag(%q) = %v, url.ParseQuery says %v", raw, got, want)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,10 +26,13 @@ var errTooLarge = errors.New("request too large")
 // decodeRequest reads a body of at most maxQueryBytes as exactly one
 // @SQuery (asJSON, in the JSON encoding). STARTS carries one query per
 // request, so a second object is an error. A body past the bound is
-// errTooLarge.
+// errTooLarge. The decoder, its bounded reader and the object the query
+// is read from all come from the soif decoder pool.
 func decodeRequest(body io.Reader, asJSON bool) (*query.Query, error) {
-	lr := &io.LimitedReader{R: body, N: maxQueryBytes + 1}
-	q, err := decodeQuery(lr, asJSON)
+	dec := soif.NewDecoder(body)
+	defer dec.Release()
+	lr := dec.Limit(maxQueryBytes + 1)
+	q, err := decodeQuery(dec, lr, asJSON)
 	if err != nil {
 		// What broke may be the truncation itself; see whether the body
 		// overran before calling it malformed.
@@ -40,25 +44,28 @@ func decodeRequest(body io.Reader, asJSON bool) (*query.Query, error) {
 	return q, err
 }
 
-func decodeQuery(body io.Reader, asJSON bool) (*query.Query, error) {
-	obj := &soif.Object{}
+// decodeQuery reads the one query of a request body through dec, or, in
+// the JSON encoding, whole from body, dec's bounded reader.
+func decodeQuery(dec *soif.Decoder, body io.Reader, asJSON bool) (*query.Query, error) {
+	var obj *soif.Object
 	if asJSON {
 		data, err := io.ReadAll(body)
 		if err != nil {
 			return nil, err
 		}
+		obj = new(soif.Object)
 		if err := obj.UnmarshalJSON(data); err != nil {
 			return nil, fmt.Errorf("malformed query object: %w", err)
 		}
 	} else {
-		dec := soif.NewDecoder(body)
-		defer dec.Release()
-		if err := dec.DecodeInto(obj); err == io.EOF {
+		var err error
+		if obj, err = dec.Next(); err == io.EOF {
 			return nil, errors.New("empty request: body must carry one @SQuery")
 		} else if err != nil {
 			return nil, fmt.Errorf("malformed query object: %w", err)
 		}
-		if _, err := dec.Decode(); err != io.EOF {
+		// A second object would overwrite obj, but then there is no query.
+		if err := dec.DecodeInto(obj); err != io.EOF {
 			return nil, errors.New("the query route takes one @SQuery per request")
 		}
 	}
@@ -142,7 +149,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // @SQStreamItem response framing. JSON responses stay buffered: the JSON
 // rendering is a single document, not a frame stream.
 func streamWanted(r *http.Request) bool {
-	return r.URL.Query().Get("stream") != "" && !wantsJSON(r)
+	return queryFlag(r.URL.RawQuery, "stream") && !wantsJSON(r)
+}
+
+// queryFlag reports whether key's first value in the raw query is not
+// empty — r.URL.Query().Get(key) != "", read off the raw query instead
+// of a map of all of it. A pair url.ParseQuery drops (one holding a ';',
+// or a bad escape) is skipped here too.
+func queryFlag(raw, key string) bool {
+	for raw != "" {
+		var pair string
+		if pair, raw, _ = strings.Cut(raw, "&"); pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(k, "%+") {
+			var err error
+			if k, err = url.QueryUnescape(k); err != nil {
+				continue
+			}
+		}
+		if k != key {
+			continue
+		}
+		// Unescaping never empties a value, but a bad escape drops the pair.
+		if strings.Contains(v, "%") {
+			if _, err := url.QueryUnescape(v); err != nil {
+				continue
+			}
+		}
+		return v != ""
+	}
+	return false
 }
 
 // flushTo pushes buffered response bytes to the client now, when the
@@ -154,14 +192,28 @@ func flushTo(w http.ResponseWriter) {
 }
 
 // A frameWriter writes each frame of a framed response in one Write, from
-// one buffer, and flushes it. frameWriters recycles them; one whose buffer
-// grew past 64 KiB is left to the collector.
+// one buffer, and flushes it. frameWriters recycles them, each with its
+// sink bound once; one whose buffer grew past 64 KiB is left to the
+// collector.
 type frameWriter struct {
-	w   http.ResponseWriter
-	buf []byte
+	w    http.ResponseWriter
+	buf  []byte
+	sink func(result.StreamItem) error // fw.frame
 }
 
-var frameWriters = sync.Pool{New: func() any { return new(frameWriter) }}
+var frameWriters = sync.Pool{New: func() any {
+	fw := new(frameWriter)
+	fw.sink = fw.frame
+	return fw
+}}
+
+// frame writes one stream item as its frame.
+func (fw *frameWriter) frame(it result.StreamItem) error {
+	if it.Final != nil {
+		return fw.write(result.AppendStreamFinal(fw.buf[:0], it.Final))
+	}
+	return fw.write(result.AppendStreamDocs(fw.buf[:0], it.Rank, it.Docs))
+}
 
 // write sends frame, appended into fw.buf, unless appending it failed.
 func (fw *frameWriter) write(frame []byte, err error) error {
@@ -177,34 +229,26 @@ func (fw *frameWriter) write(frame []byte, err error) error {
 
 func (fw *frameWriter) release() {
 	if cap(fw.buf) <= 64<<10 {
-		*fw = frameWriter{buf: fw.buf[:0]}
+		fw.w, fw.buf = nil, fw.buf[:0]
 		frameWriters.Put(fw)
 	}
 }
 
 // streamQuery answers a ?stream=1 query with @SQStreamItem framing. The
-// HTTP preamble is committed and flushed before the search runs, so the
-// client sees time-to-first-byte immediately. A client.StreamConn drives
-// the frames itself — a core.Broker's each rank-stable slice is written
-// and flushed the moment its merge proves it final, an in-process
-// source's whole answer is one terminal frame — and any other conn
-// yields that one terminal frame once its Query returns. A failure
-// after the committed preamble is an in-band error frame, which
-// result.Parse and the stream decoder both surface as a
+// HTTP preamble (a 200, whatever follows) goes out with the first frame,
+// in its one flush: a leaf's whole answer is one write. A
+// client.StreamConn drives the frames itself — a core.Broker's each
+// rank-stable slice is written and flushed the moment its merge proves it
+// final, an in-process source's whole answer is one terminal frame — and
+// any other conn yields that one terminal frame once its Query returns. A
+// failure, before the first frame or after, is an in-band error frame,
+// which result.Parse and the stream decoder both surface as a
 // *result.StreamError.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, conn client.Conn, tr *obs.Trace, q *query.Query) {
 	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	flushTo(w)
 	fw := frameWriters.Get().(*frameWriter)
 	fw.w = w
 	defer fw.release()
-	sink := func(it result.StreamItem) error {
-		if it.Final != nil {
-			return fw.write(result.AppendStreamFinal(fw.buf[:0], it.Final))
-		}
-		return fw.write(result.AppendStreamDocs(fw.buf[:0], it.Rank, it.Docs))
-	}
 	qsp := tr.StartSpan("search")
 	qsp.SetSource(conn.SourceID())
 	var (
@@ -213,9 +257,9 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, conn client
 	)
 	if sc, ok := conn.(client.StreamConn); !ok {
 		if rr, err = client.Ask(r.Context(), conn, q); err == nil {
-			err = sink(result.StreamItem{Final: rr})
+			err = fw.sink(result.StreamItem{Final: rr})
 		}
-	} else if rr, err = sc.QueryStream(r.Context(), q, sink); err == nil && rr == nil {
+	} else if rr, err = sc.QueryStream(r.Context(), q, fw.sink); err == nil && rr == nil {
 		err = client.ErrNoResult
 	}
 	qsp.End(err)

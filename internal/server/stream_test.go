@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,7 +205,7 @@ func linkages(docs []*result.Document) []string {
 // TestConnServerInBandError: a failed query is an HTTP status on the
 // buffered route, whose response has not started, and an in-band
 // @SQStreamItem error object — a *result.StreamError at the client — on
-// the streamed one, whose preamble is committed before the search.
+// the streamed one, whose 200 goes out with the error frame.
 func TestConnServerInBandError(t *testing.T) {
 	src := mkStreamSource(t, "S", []*index.Document{
 		{Linkage: "http://s/1", Title: "doc", Body: "words", Date: time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)},
@@ -259,5 +261,62 @@ func TestConnServerStreamPlainConn(t *testing.T) {
 	}
 	if len(final.Documents) != 1 {
 		t.Fatalf("final = %v", linkages(final.Documents))
+	}
+}
+
+// flushCounter is a ResponseRecorder that counts its flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (w *flushCounter) Flush() {
+	w.flushes++
+	w.ResponseRecorder.Flush()
+}
+
+// TestStreamFlushes: a streamed answer flushes once per frame, the HTTP
+// preamble going out with the first: a leaf's whole answer, one terminal
+// frame, is one flush, and so is a failure before any frame, a 200 with
+// its in-band error frame; a core.Broker's frames are a flush each.
+func TestStreamFlushes(t *testing.T) {
+	date := time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)
+	leaf := func(id string) *client.LocalConn {
+		return client.NewLocalConn(mkStreamSource(t, id, []*index.Document{
+			{Linkage: "http://" + id + "/1", Title: "one", Body: "metasearch merging ranking", Date: date},
+			{Linkage: "http://" + id + "/2", Title: "two", Body: "metasearch selection", Date: date},
+		}), nil)
+	}
+	ms := core.New(core.Options{Timeout: 5 * time.Second, Merger: merge.RoundRobin{}})
+	t.Cleanup(ms.Close)
+	ms.Add(leaf("a"))
+	ms.Add(leaf("b"))
+	broker, err := ms.NewBroker("region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := &queryFunc{Conn: leaf("f"), query: func(context.Context, *query.Query) (*result.Results, error) {
+		return nil, errors.New("all members down")
+	}}
+	body := marshalQuery(t, rankQuery(t, `list((body-of-text "metasearch"))`))
+	for _, tc := range []struct {
+		conn   client.Conn
+		frames int // 0: one per flush, however many
+	}{{leaf("leaf"), 1}, {failing, 1}, {broker, 0}} {
+		srv := NewConns([]client.Conn{tc.conn}, "")
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		req := httptest.NewRequest(http.MethodPost, "/sources/"+tc.conn.SourceID()+"/query?stream=1", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentType)
+		srv.ServeHTTP(w, req)
+		frames := strings.Count(w.Body.String(), "@"+result.StreamItemType+"{")
+		if w.Code != http.StatusOK || frames == 0 {
+			t.Fatalf("%s: status %d, %d frames:\n%s", tc.conn.SourceID(), w.Code, frames, w.Body)
+		}
+		if tc.frames != 0 && frames != tc.frames {
+			t.Errorf("%s: %d frames, want %d", tc.conn.SourceID(), frames, tc.frames)
+		}
+		if w.flushes != frames {
+			t.Errorf("%s: %d flushes for %d frames", tc.conn.SourceID(), w.flushes, frames)
+		}
 	}
 }

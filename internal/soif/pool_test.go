@@ -88,7 +88,7 @@ func TestGrownDecoderIsNotPooled(t *testing.T) {
 		}
 		dec.Release()
 		for i := 0; i < 8; i++ {
-			p := decoderPool.Get().(*decoderBufs)
+			p := decoderPool.Get().(*Decoder)
 			if cap(p.buf) > maxPooled || cap(p.attrs) > maxPooled/32 {
 				t.Fatalf("@%s: the pool holds a %d-byte buffer and %d spans", o.Type, cap(p.buf), cap(p.attrs))
 			}

@@ -248,42 +248,58 @@ type Decoder struct {
 	// else the scan remembers is an offset from start.
 	start, pos int
 	attrs      []attrSpan
-	pooled     *decoderBufs // where buf and attrs go back to on Release
+	run        []runObject      // DecodeRun's objects as scanned
+	lr         io.LimitedReader // r, once Limit bounds it
+	obj        Object           // what Next decodes into
+	pooled     bool             // Release hands the decoder to the next NewDecoder
 }
 
 // attrSpan locates one attribute in the current object. A nameLo of -1 is
 // the Harvest header URL: no spelled name, and a value still to trim.
 type attrSpan struct{ nameLo, nameHi, valLo, valHi int }
 
-// decoderBufs is what a released Decoder leaves to the next NewDecoder:
-// its buffers, unless either grew past maxPooled bytes.
-type decoderBufs struct {
-	buf   []byte
-	attrs []attrSpan
-}
-
+// maxPooled bounds the read buffer, in bytes, and the span and attribute
+// slices, in bytes of their elements, of a decoder Release recycles.
 const maxPooled = 64 << 10
 
-var decoderPool = sync.Pool{New: func() any { return new(decoderBufs) }}
+var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 
-// NewDecoder returns a decoder reading from r, on a released decoder's
-// buffers if there is one. It reads ahead: bytes of r past the last
-// decoded object may have been consumed.
+// NewDecoder returns a decoder reading from r: a released one, buffers,
+// limited reader and Next's object included, if there is one. It reads
+// ahead: bytes of r past the last decoded object may have been consumed.
 func NewDecoder(r io.Reader) *Decoder {
-	p := decoderPool.Get().(*decoderBufs)
-	return &Decoder{r: r, buf: p.buf[:0], attrs: p.attrs[:0], pooled: p}
+	d := decoderPool.Get().(*Decoder)
+	d.r, d.pooled = r, true
+	return d
 }
 
-// Release hands the decoder's buffers to a later NewDecoder; the decoder
-// reads nothing more, and what it decoded is unaffected. Releasing twice,
-// or after an error, is safe.
+// Limit makes the decoder read at most n more bytes of its reader and
+// returns the io.LimitedReader it reads them through, whose N is what is
+// left of the bound. The reader is the decoder's own, so it comes from
+// the pool with it and is good until Release; call Limit before the first
+// Decode.
+func (d *Decoder) Limit(n int64) *io.LimitedReader {
+	d.lr = io.LimitedReader{R: d.r, N: n}
+	d.r = &d.lr
+	return &d.lr
+}
+
+// Release hands the decoder to a later NewDecoder, so the caller must not
+// use it again; what it decoded is unaffected, save Next's object, which
+// it clears. Releasing after an error is safe, and a second Release
+// before any NewDecoder does nothing.
 func (d *Decoder) Release() {
-	p := d.pooled
-	if p != nil && cap(d.buf) <= maxPooled && cap(d.attrs) <= maxPooled/int(unsafe.Sizeof(attrSpan{})) {
-		p.buf, p.attrs = d.buf[:0], d.attrs[:0]
-		decoderPool.Put(p)
+	if !d.pooled {
+		return
 	}
-	*d = Decoder{}
+	if cap(d.buf) > maxPooled || cap(d.attrs)*int(unsafe.Sizeof(attrSpan{})) > maxPooled ||
+		cap(d.run)*int(unsafe.Sizeof(runObject{})) > maxPooled || cap(d.obj.Attrs)*int(unsafe.Sizeof(Attribute{})) > maxPooled {
+		*d = Decoder{}
+		return
+	}
+	clear(d.obj.Attrs[:cap(d.obj.Attrs)])
+	*d = Decoder{buf: d.buf[:0], attrs: d.attrs[:0], run: d.run[:0], obj: Object{Attrs: d.obj.Attrs[:0]}}
+	decoderPool.Put(d)
 }
 
 // memDecoder returns a decoder over data, which it never writes to.
@@ -372,37 +388,103 @@ func (d *Decoder) Decode() (*Object, error) {
 	return o, nil
 }
 
+// Next is Decode into the decoder's own object, which the next call to
+// Next overwrites and Release clears: what a caller may keep of it is its
+// strings, never the object or its attribute slice.
+func (d *Decoder) Next() (*Object, error) {
+	if err := d.DecodeInto(&d.obj); err != nil {
+		return nil, err
+	}
+	return &d.obj, nil
+}
+
 // DecodeInto is Decode into o, whose attribute slice it reuses: o is
 // overwritten once the next object has been read whole, and left alone if
 // it cannot be.
 func (d *Decoder) DecodeInto(o *Object) error {
-	d.start = d.pos // the previous object is the caller's now
+	d.start, d.attrs = d.pos, d.attrs[:0] // the previous object is the caller's now
+	typeLo, typeHi, err := d.scan(true)
+	if err != nil {
+		return err
+	}
+	fill(o, string(d.buf[d.start:d.pos]), typeLo, typeHi, d.attrs)
+	return nil
+}
+
+// runBytes is about how much text DecodeRun copies out as one string.
+const runBytes = 16 << 10
+
+// runObject is one object of a run as scanned: its type's span and the
+// end of its attributes' spans in d.attrs.
+type runObject struct{ typeLo, typeHi, attrs int }
+
+// DecodeRun decodes the next n objects into o, handing each to yield
+// before the next overwrites it. Their text is copied out as one string
+// for every runBytes or so of it, not one per object, so an object's
+// strings are substrings of one its neighbours' are too: keeping any of
+// them keeps that whole string. An object that does not decode ends the
+// run with Decode's error once every object before it has been yielded;
+// an error from yield ends it at once.
+func (d *Decoder) DecodeRun(n int, o *Object, yield func(*Object) error) error {
+	for n > 0 {
+		d.start, d.attrs, d.run = d.pos, d.attrs[:0], d.run[:0]
+		var err error
+		end := 0 // of the last whole object, from start
+		for ; n > 0 && (len(d.run) == 0 || d.pos-d.start < runBytes); n-- {
+			var typeLo, typeHi int
+			if typeLo, typeHi, err = d.scan(len(d.run) == 0); err != nil {
+				break
+			}
+			d.run = append(d.run, runObject{typeLo, typeHi, len(d.attrs)})
+			end = d.pos - d.start
+		}
+		text, from := string(d.buf[d.start:d.start+end]), 0
+		for _, r := range d.run {
+			fill(o, text, r.typeLo, r.typeHi, d.attrs[from:r.attrs])
+			from = r.attrs
+			if yerr := yield(o); yerr != nil {
+				return yerr
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scan reads the object at the cursor, appending its attributes' spans to
+// d.attrs, and returns its type's span. The spans are offsets from start,
+// which moves to the object's '@' if it is the first of the text to copy
+// out; io.EOF is a clean end before the object starts.
+func (d *Decoder) scan(first bool) (typeLo, typeHi int, err error) {
 	c, err := d.skipSpace()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return io.EOF
+			return 0, 0, io.EOF
 		}
-		return fmt.Errorf("soif: reading object start: %w", err)
+		return 0, 0, fmt.Errorf("soif: reading object start: %w", err)
 	}
 	if c != '@' {
-		return fmt.Errorf("soif: expected '@' at object start, found %q", c)
+		return 0, 0, fmt.Errorf("soif: expected '@' at object start, found %q", c)
 	}
-	d.start, d.attrs = d.pos, d.attrs[:0]
+	if first {
+		d.start = d.pos
+	}
 	d.pos++
-	typeLo, typeHi, err := d.readTo('{')
-	if err != nil {
-		return fmt.Errorf("soif: reading template type: %w", err)
+	if typeLo, typeHi, err = d.readTo('{'); err != nil {
+		return 0, 0, fmt.Errorf("soif: reading template type: %w", err)
 	}
 	typ := func() []byte { return d.word(typeLo, typeHi) }
 	if err := validType(typ()); err != nil {
-		return err
+		return 0, 0, err
 	}
 	// Optional rest-of-line after '{' (Harvest puts a URL here; STARTS does
 	// not). A non-empty remainder becomes a pseudo attribute "URL" for
 	// Harvest compatibility.
 	lo, hi, err := d.readTo('\n')
 	if err != nil {
-		return fmt.Errorf("soif: reading template header: %w", err)
+		return 0, 0, fmt.Errorf("soif: reading template header: %w", err)
 	}
 	if len(d.word(lo, hi)) > 0 {
 		d.attrs = append(d.attrs, attrSpan{nameLo: -1, valLo: lo, valHi: hi})
@@ -411,16 +493,15 @@ func (d *Decoder) DecodeInto(o *Object) error {
 		// Each iteration parses either the closing '}' or one attribute.
 		c, err := d.skipSpace()
 		if err != nil {
-			return fmt.Errorf("soif: inside @%s: %w", typ(), err)
+			return 0, 0, fmt.Errorf("soif: inside @%s: %w", typ(), err)
 		}
 		if c == '}' {
 			d.pos++
-			d.object(o, typeLo, typeHi)
-			return nil
+			return typeLo, typeHi, nil
 		}
 		a, err := d.attribute(typ)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		d.attrs = append(d.attrs, a)
 	}
@@ -476,13 +557,12 @@ func (d *Decoder) attribute(typ func() []byte) (a attrSpan, err error) {
 	return a, nil
 }
 
-// object fills o with the scanned object: one string, and o's attribute
-// slice grown at most once.
-func (d *Decoder) object(o *Object, typeLo, typeHi int) {
-	text := string(d.buf[d.start:d.pos])
+// fill fills o with a scanned object whose spans are offsets into text:
+// o's attribute slice is grown at most once.
+func fill(o *Object, text string, typeLo, typeHi int, spans []attrSpan) {
 	o.Type = strings.TrimSpace(text[typeLo:typeHi])
-	o.Attrs = slices.Grow(o.Attrs[:0], len(d.attrs))
-	for _, a := range d.attrs {
+	o.Attrs = slices.Grow(o.Attrs[:0], len(spans))
+	for _, a := range spans {
 		if a.nameLo < 0 {
 			o.Attrs = append(o.Attrs, Attribute{Name: "URL", Value: strings.TrimSpace(text[a.valLo:a.valHi])})
 		} else {
