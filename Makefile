@@ -180,7 +180,8 @@ stress:
 # and its run decoder against object-by-object decoding, the stream frame
 # decoder, the document decoder against the map
 # decoder it replaced and the appending frame encoders against the object
-# encoders they replaced (internal/result/oracle_test.go), the two entry
+# encoders they replaced (internal/result/oracle_test.go), the
+# sample-results decoder against its encoder, the two entry
 # points of the expression parser behind them all, the slab parser and
 # the @SQuery decoder against the ones they replaced
 # (internal/query/parse_oracle_test.go), the cache fingerprint
@@ -207,8 +208,9 @@ FUZZ_TARGETS = \
 	internal/soif:FuzzSOIFRoundTrip:500ms \
 	internal/soif:FuzzDecodeRunMatchesDecode:400ms \
 	internal/result:FuzzDecodeStreamItem:500ms \
-	internal/result:FuzzDocFromSOIFMatchesOracle:500ms \
+	internal/result:FuzzDocFromSOIFMatchesOracle:200ms \
 	internal/result:FuzzFramesMatchOracle:400ms \
+	internal/source:FuzzParseSample:300ms \
 	internal/query:FuzzParseFilter:400ms \
 	internal/query:FuzzParseRanking:500ms \
 	internal/query:FuzzParseMatchesOracle:400ms \

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -152,6 +153,9 @@ var (
 	// qualified is pkg.Name, optionally .Member, not preceded by a word
 	// character, a dot, a slash or a hyphen (a path or a longer selector).
 	qualified = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	// pathLine is a path:line reference to a file of the tree, such as
+	// internal/result/stream.go:120, not preceded by a word character.
+	pathLine = regexp.MustCompile(`(?:^|[^\w./-])([\w./-]+\.(?:go|md|json|sh|txt|yml)):(\d+)`)
 	// fileExts are the "names" of file names such as index.go.
 	fileExts = map[string]bool{"go": true, "md": true, "json": true, "sh": true, "txt": true, "yml": true}
 )
@@ -164,8 +168,10 @@ var (
 // (core.harvest_ms) and a file extension a file name (index.go); neither
 // is checked. Every backticked Test…, Benchmark… or Fuzz… name names a
 // test function in the tree or is a prefix of one (`-run TestPaper`).
-// EXPERIMENTS.md is a record of what was measured when, and is not
-// checked.
+// Every path:line reference in README.md and DESIGN.md, backticked or
+// not, names a file of the tree (from the repository's root) that has
+// that line. EXPERIMENTS.md is a record of what was measured when, and is
+// not checked.
 func TestDocReferences(t *testing.T) {
 	pkgs, tests := internalDecls(t), testFuncs(t)
 	isMethod := func(p *pkgDecls, name string) bool {
@@ -182,6 +188,15 @@ func TestDocReferences(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range pathLine.FindAllStringSubmatch(line, -1) {
+				if doc == "README.md" || doc == "DESIGN.md" {
+					data, err := os.ReadFile(m[1])
+					n, _ := strconv.Atoi(m[2])
+					if lines := strings.Count(strings.TrimSuffix(string(data), "\n"), "\n") + 1; err != nil || n < 1 || n > lines {
+						t.Errorf("%s:%d: `%s:%s` is no line of the tree (%d lines, %v)", doc, i+1, m[1], m[2], lines, err)
+					}
+				}
+			}
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
 				for _, m := range testName.FindAllStringSubmatch(span[1], -1) {
 					if !slices.ContainsFunc(tests, func(name string) bool { return strings.HasPrefix(name, m[1]) }) {

@@ -104,13 +104,9 @@ func NewClient(httpClient *http.Client) *Client {
 	return &Client{hc: httpClient}
 }
 
+// get is one buffered round trip: open, then read the whole body.
 func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
-	return c.fetch(ctx, http.MethodGet, url, nil)
-}
-
-// fetch is one buffered round trip: open, then read the whole body.
-func (c *Client) fetch(ctx context.Context, method, url string, body []byte) ([]byte, error) {
-	rc, err := c.open(ctx, method, url, body)
+	rc, err := c.open(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -230,16 +226,10 @@ func (c *Client) Sample(ctx context.Context, url string) ([]*source.SampleEntry,
 }
 
 // Query submits a query to a source's query URL and decodes the results.
+// The buffered route's plain @SQResults body is read through the stream
+// decoder, as a one-frame stream: QueryStream with no sink.
 func (c *Client) Query(ctx context.Context, url string, q *query.Query) (*result.Results, error) {
-	body, err := q.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	data, err := c.fetch(ctx, http.MethodPost, url, body)
-	if err != nil {
-		return nil, err
-	}
-	return result.Parse(data)
+	return c.QueryStream(ctx, url, q, nil)
 }
 
 // HTTPConn is a Conn over a remote source whose endpoints were learned

@@ -46,9 +46,9 @@ func StreamURL(queryURL string) string {
 // the @SQStreamItem frames off the wire as the server flushes them, so
 // sink sees the first rank-stable documents while the source (or the
 // broker fan-out behind it) is still working on the rest. It returns
-// the terminal frame's complete answer. Unlike Query, the response body
-// is never buffered whole before decoding — that buffering is exactly
-// what streaming exists to avoid.
+// the terminal frame's complete answer, which ends the response. The
+// response body is never buffered whole before decoding — that buffering
+// is exactly what streaming exists to avoid.
 func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, sink func(result.StreamItem) error) (*result.Results, error) {
 	body, err := q.Marshal()
 	if err != nil {
@@ -62,31 +62,25 @@ func (c *Client) QueryStream(ctx context.Context, url string, q *query.Query, si
 	dec := soif.NewDecoder(rc)
 	defer dec.Release()
 	dec.Limit(maxResponseBytes)
-	var final *result.Results
 	for {
 		it, err := result.DecodeStreamItem(dec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		switch {
+		case err == io.EOF:
+			return nil, fmt.Errorf("client: streaming %s: response ended without a terminal answer", url)
+		case err != nil:
 			return nil, fmt.Errorf("client: streaming %s: %w", url, err)
-		}
-		if it.Err != nil {
+		case it.Err != nil:
 			return nil, it.Err
 		}
 		if sink != nil {
 			if serr := sink(it); serr != nil {
-				return final, serr
+				return it.Final, serr
 			}
 		}
 		if it.Final != nil {
-			final = it.Final
+			return it.Final, nil
 		}
 	}
-	if final == nil {
-		return nil, fmt.Errorf("client: streaming %s: response ended without a terminal answer", url)
-	}
-	return final, nil
 }
 
 // QueryStream implements StreamConn over the wire, to the streaming URL

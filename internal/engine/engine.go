@@ -28,10 +28,11 @@ type Config struct {
 	// QueryParts says whether filter and/or ranking expressions are
 	// accepted; the other kind is silently ignored, per Example 7.
 	QueryParts meta.QueryParts
-	// Fields lists the optional fields supported beyond the required
-	// ones.
+	// Fields lists the optional Basic-1 fields supported beyond the
+	// required ones; free-form-text is supported by Native instead.
 	Fields []attr.Field
-	// Mods lists the supported modifiers.
+	// Mods lists the supported Basic-1 modifiers; thesaurus is supported
+	// by Thesaurus, case-sensitive by a case-preserving Analyzer instead.
 	Mods []attr.Modifier
 	// IllegalCombos lists field-modifier pairs that are NOT legal even
 	// though field and modifier are individually supported (e.g. stemming
@@ -98,8 +99,9 @@ func NewBooleanConfig() Config {
 // The index is immutable: Add queues documents, and the next read builds a
 // new index over the old one's documents and the queue.
 type Engine struct {
-	cfg Config
-	ix  atomic.Pointer[index.Index]
+	cfg  Config
+	caps *meta.SourceMeta // profile(cfg)
+	ix   atomic.Pointer[index.Index]
 	// queued tells readers that Add has queued documents; mu guards the
 	// queue, its linkages and the build that empties it.
 	queued   atomic.Bool
@@ -119,7 +121,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.QueryParts == "" {
 		return nil, fmt.Errorf("engine: config has no query parts")
 	}
-	e := &Engine{cfg: cfg, linkages: map[string]bool{}}
+	e := &Engine{cfg: cfg, caps: profile(cfg), linkages: map[string]bool{}}
 	e.ix.Store(index.New(cfg.Analyzer))
 	return e, nil
 }
@@ -203,60 +205,54 @@ func (e *Engine) index() (*index.Index, error) {
 	return ix, nil
 }
 
-// SupportsField reports whether the engine recognizes a field (required
-// fields always).
-func (e *Engine) SupportsField(f attr.Field) bool {
-	f = attr.Normalize(f)
-	if f.IsRequired() {
-		return true
-	}
-	if f == attr.FieldFreeFormText {
-		return e.cfg.Native != nil
-	}
-	for _, sf := range e.cfg.Fields {
-		if attr.Normalize(sf) == f {
-			return true
+// profile is the MBasic-1 capability lists (Section 4.3.1) cfg amounts
+// to: the optional Basic-1 fields it supports, free-form-text only with a
+// Native handler; the Basic-1 modifiers, thesaurus only with a Thesaurus
+// and case-sensitive only (and always) on a case-preserving analyzer; and
+// every pairing of a recognized field with a supported modifier, less
+// IllegalCombos and comparisons other than = off the date field.
+func profile(cfg Config) *meta.SourceMeta {
+	m := &meta.SourceMeta{}
+	fields := attr.RequiredFields()
+	for _, fi := range attr.Basic1Fields() {
+		ok := slices.ContainsFunc(cfg.Fields, func(f attr.Field) bool { return attr.Normalize(f) == fi.Field })
+		if fi.Field == attr.FieldFreeFormText {
+			ok = cfg.Native != nil
+		}
+		if ok && !fi.Required {
+			m.FieldsSupported = append(m.FieldsSupported, meta.FieldSupport{Set: attr.SetBasic1, Field: fi.Field})
+			fields = append(fields, fi.Field)
 		}
 	}
-	return false
+	for _, mi := range attr.Basic1Modifiers() {
+		ok := slices.Contains(cfg.Mods, mi.Modifier)
+		switch mi.Modifier {
+		case attr.ModThesaurus:
+			ok = cfg.Thesaurus != nil
+		case attr.ModCaseSensitive:
+			ok = cfg.Analyzer.CaseSensitive
+		}
+		if ok {
+			m.ModifiersSupported = append(m.ModifiersSupported, meta.ModifierSupport{Set: attr.SetBasic1, Mod: mi.Modifier})
+		}
+	}
+	for _, f := range fields {
+		for _, ms := range m.ModifiersSupported {
+			if !slices.Contains(cfg.IllegalCombos[f], ms.Mod) && (!ms.Mod.IsComparison() || ms.Mod == attr.ModEQ || f == attr.FieldDateLastModified) {
+				m.Combinations = append(m.Combinations, meta.Combination{
+					Field: meta.FieldSupport{Set: attr.SetBasic1, Field: f},
+					Mod:   ms,
+				})
+			}
+		}
+	}
+	return m
 }
 
-// SupportsModifier reports whether the engine supports a modifier.
-func (e *Engine) SupportsModifier(m attr.Modifier) bool {
-	if m == attr.ModThesaurus {
-		return e.cfg.Thesaurus != nil
-	}
-	if m == attr.ModCaseSensitive {
-		// Only a case-preserving index can honor case-sensitive matching.
-		if !e.cfg.Analyzer.CaseSensitive {
-			return false
-		}
-	}
-	for _, sm := range e.cfg.Mods {
-		if sm == m {
-			return true
-		}
-	}
-	return m == attr.ModCaseSensitive && e.cfg.Analyzer.CaseSensitive
-}
-
-// AllowsCombination reports whether applying the modifier to the field is
-// legal at this engine.
-func (e *Engine) AllowsCombination(f attr.Field, m attr.Modifier) bool {
-	if !e.SupportsField(f) || !e.SupportsModifier(m) {
-		return false
-	}
-	for _, bad := range e.cfg.IllegalCombos[attr.Normalize(f)] {
-		if bad == m {
-			return false
-		}
-	}
-	// Comparisons only make sense on the date field.
-	if m.IsComparison() && m != attr.ModEQ {
-		return attr.Normalize(f) == attr.FieldDateLastModified
-	}
-	return true
-}
+// Capabilities returns the engine's FieldsSupported, ModifiersSupported and
+// Combinations, the lists its Config amounts to and rewrite asks. It is
+// read-only, and no other field of it is set.
+func (e *Engine) Capabilities() *meta.SourceMeta { return e.caps }
 
 // Search executes a query: it rewrites the query down to what the engine
 // supports (the "actual query"), evaluates the filter, scores the ranking

@@ -28,7 +28,7 @@ func (e *Engine) rewrite(s *search, expr query.Expr, opts index.LookupOptions, r
 // returned as it is.
 func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOptions, ranking bool) query.Expr {
 	t := te.Term
-	if !e.SupportsField(t.EffectiveField()) {
+	if !e.caps.SupportsField(t.EffectiveField()) {
 		return nil
 	}
 	if t.EffectiveField() == attr.FieldDocumentText {
@@ -41,9 +41,7 @@ func (e *Engine) rewriteTerm(s *search, te *query.TermExpr, opts index.LookupOpt
 	}
 	// Strip unsupported modifiers and illegal combinations, keeping the
 	// term itself.
-	t, stripped := t.KeepMods(func(m attr.Modifier) bool {
-		return e.SupportsModifier(m) && e.AllowsCombination(te.EffectiveField(), m)
-	})
+	t, stripped := t.KeepMods(func(m attr.Modifier) bool { return e.caps.AllowsCombination(te.EffectiveField(), m) })
 	if e.eliminated(s, t, opts) {
 		return nil
 	}

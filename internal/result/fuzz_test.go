@@ -3,6 +3,7 @@ package result
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +56,13 @@ func withCount(r *Results, count string) []byte {
 	return marshalAll(objs...)
 }
 
+// withoutCount is r's object stream with no NumDocSOIFs in its header.
+func withoutCount(r *Results) []byte {
+	objs := r.ToSOIF()
+	objs[0].Attrs = slices.DeleteFunc(objs[0].Attrs, func(a soif.Attribute) bool { return a.Name == "NumDocSOIFs" })
+	return marshalAll(objs...)
+}
+
 func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // stuffed is a document whose TermStats value is two entries and newlines
@@ -85,8 +93,8 @@ func requireAllocBound(t *testing.T, data []byte, decode func()) {
 var lies = []string{"3", "1000000", "4611686018427387904", "-1", "two"}
 
 // streamSeeds is the seed corpus of FuzzDecodeStreamItem: every kind of
-// frame, a plain answer, an object of the wrong type, lying counts and a
-// stuffed TermStats value.
+// frame, a plain answer, an object of the wrong type, lying and missing
+// counts, objects after an answer and a stuffed TermStats value.
 func streamSeeds() [][]byte {
 	answer := paperAnswer()
 	docs := marshalAll(answer.ToSOIF()[1:]...)
@@ -97,6 +105,11 @@ func streamSeeds() [][]byte {
 		head(StreamItemType, "Error", "merge failed"),
 		withCount(answer, "2"), // a plain answer is a legal stream
 		[]byte(paperQuery),
+		withoutCount(answer),
+		withCount(answer, "3"),
+		join(withCount(answer, "2"), docs),
+		join(withCount(answer, "2"), withCount(answer, "2")),
+		join(head(StreamItemType, "Final", "1"), withCount(answer, "2"), head(StreamItemType, "Error", "late")),
 	}
 	for _, lie := range lies {
 		seeds = append(seeds,
@@ -110,8 +123,8 @@ func streamSeeds() [][]byte {
 // returns (no panic, no allocation the bytes did not pay for — a lying
 // count fails at the first document that is not there); a frame is
 // documents at a rank, the final answer or an in-band error, never two of
-// them; and a decoded answer, encoded, decodes to an answer that encodes
-// to the same bytes.
+// them; Parse accepts exactly the plain answers it accepts; and a decoded
+// answer, encoded, decodes to an answer that encodes to the same bytes.
 func FuzzDecodeStreamItem(f *testing.F) {
 	for _, seed := range streamSeeds() {
 		f.Add(seed)
@@ -124,6 +137,13 @@ func FuzzDecodeStreamItem(f *testing.F) {
 		requireAllocBound(t, data, func() {
 			it, err = DecodeStreamItem(soif.NewDecoder(bytes.NewReader(data)))
 		})
+		// Parse gives a plain answer the stream decoder's verdict, and
+		// refuses anything else.
+		first, ferr := soif.NewDecoder(bytes.NewReader(data)).Decode()
+		plain := ferr == nil && strings.EqualFold(first.Type, ResultsType)
+		if _, perr := Parse(data); (perr == nil) != (err == nil && plain) {
+			t.Fatalf("Parse: %v; stream decoder: %v (a plain answer: %v)", perr, err, plain)
+		}
 		if err != nil {
 			if it.Docs != nil || it.Final != nil || it.Err != nil {
 				t.Fatalf("frame %+v alongside error %v", it, err)

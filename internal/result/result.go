@@ -8,6 +8,7 @@
 package result
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -239,43 +240,18 @@ func (d *Document) appendSOIF(dst []byte) ([]byte, error) {
 	return soif.AppendEnd(dst), nil
 }
 
-// Parse decodes a complete query result (header plus documents) from SOIF
-// bytes.
+// Parse decodes a complete query result from SOIF bytes: Decode's answer,
+// and nothing after it.
 func Parse(data []byte) (*Results, error) {
-	objs, err := soif.UnmarshalAll(data)
-	if err != nil {
-		return nil, err
-	}
-	return FromSOIF(objs)
+	dec := soif.NewDecoder(bytes.NewReader(data))
+	defer dec.Release()
+	return decodeAnswer(dec, nil)
 }
 
-// FromSOIF decodes a result from its SOIF objects. The first object must
-// be the @SQResults header; NumDocSOIFs must match the number of document
-// objects that follow.
-func FromSOIF(objs []*soif.Object) (*Results, error) {
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("result: empty result stream")
-	}
-	head := objs[0]
-	r, err := headerFromSOIF(head)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	if r.Documents, err = decodeDocs(len(objs)-1, func() (*soif.Object, error) { i++; return objs[i], nil }); err != nil {
-		return nil, fmt.Errorf("result: %w", err)
-	}
-	if head.Has("NumDocSOIFs") {
-		n, err := count(head, "NumDocSOIFs")
-		if err != nil {
-			return nil, err
-		}
-		if n != len(r.Documents) {
-			return nil, fmt.Errorf("result: header promises %d documents, stream carries %d", n, len(r.Documents))
-		}
-	}
-	return r, nil
-}
+// Decode reads the next query result from dec: an @SQResults header, which
+// must carry NumDocSOIFs, and the documents it promises, decoded as one
+// run. It leaves dec at the object after the last document.
+func Decode(dec *soif.Decoder) (*Results, error) { return decodeResults(dec, nil) }
 
 // headerFromSOIF decodes everything an @SQResults header says except how
 // many documents follow it.

@@ -215,8 +215,7 @@ func TestDecodedTermsShareBySpelling(t *testing.T) {
 		}
 		objs = append(objs, soif.New(DocumentType).Add("RawScore", "1").Add("TermStats", strings.Join(lines, "\n")))
 	}
-	i := -1
-	docs, err := decodeDocs(len(objs), func() (*soif.Object, error) { i++; return objs[i], nil })
+	docs, err := slabDocs(objs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,25 +299,25 @@ func TestParseTermStatsErrors(t *testing.T) {
 	}
 }
 
-func TestFromSOIFErrors(t *testing.T) {
-	if _, err := FromSOIF(nil); err == nil {
-		t.Error("empty stream accepted")
-	}
-	if _, err := FromSOIF([]*soif.Object{soif.New("SQuery")}); err == nil {
-		t.Error("wrong header type accepted")
-	}
-	// NumDocSOIFs mismatch.
-	head := soif.New(ResultsType)
-	head.Add("NumDocSOIFs", "2")
-	if _, err := FromSOIF([]*soif.Object{head}); err == nil {
-		t.Error("NumDocSOIFs mismatch accepted")
-	}
-	// Bad document payloads.
-	mkDoc := func(name, val string) []*soif.Object {
+// TestParseErrors: the bytes of every malformed answer fail to parse.
+func TestParseErrors(t *testing.T) {
+	// answer is a header promising count documents, then objs.
+	answer := func(count string, objs ...*soif.Object) []byte {
 		h := soif.New(ResultsType)
-		d := soif.New(DocumentType)
-		d.Add(name, val)
-		return []*soif.Object{h, d}
+		if count != "" {
+			h.Add("NumDocSOIFs", count)
+		}
+		return marshalAll(append([]*soif.Object{h}, objs...)...)
+	}
+	doc := func(name, val string) *soif.Object { return soif.New(DocumentType).Add(name, val) }
+	cases := map[string][]byte{
+		"empty stream":             nil,
+		"wrong header type":        marshalAll(soif.New("SQuery")),
+		"NumDocSOIFs mismatch":     answer("2"),
+		"no NumDocSOIFs":           answer("", doc("RawScore", "1")),
+		"non-document tail object": answer("1", soif.New("SQuery")),
+		"object after the answer":  answer("0", doc("RawScore", "1")),
+		"answer after the answer":  join(answer("0"), answer("0")),
 	}
 	for _, tc := range [][2]string{
 		{"RawScore", "high"},
@@ -326,13 +325,12 @@ func TestFromSOIFErrors(t *testing.T) {
 		{"DocCount", "lots"},
 		{"TermStats", "broken"},
 	} {
-		if _, err := FromSOIF(mkDoc(tc[0], tc[1])); err == nil {
-			t.Errorf("document with %s=%q accepted", tc[0], tc[1])
-		}
+		cases["document with "+tc[0]+"="+tc[1]] = answer("1", doc(tc[0], tc[1]))
 	}
-	// Non-document object in the tail.
-	if _, err := FromSOIF([]*soif.Object{soif.New(ResultsType), soif.New("SQuery")}); err == nil {
-		t.Error("non-document tail object accepted")
+	for name, data := range cases {
+		if _, err := Parse(data); err == nil {
+			t.Errorf("%s accepted:\n%s", name, data)
+		}
 	}
 }
 

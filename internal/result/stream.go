@@ -95,9 +95,10 @@ func AppendStreamError(dst []byte, itemErr error) []byte {
 // its answer keeps: the answer header's text, one string per run of
 // documents, the answer's slabs and its term nodes.
 //
-// For compatibility with non-streaming servers, a stream whose first
-// object is a plain @SQResults header decodes as a single terminal
-// frame: the whole answer at once is a legal, if unhelpful, stream.
+// A terminal frame's answer is read as Parse reads one and must end the
+// stream. So a plain @SQResults body, a non-streaming server's, decodes
+// as a single terminal frame: the whole answer at once is a legal, if
+// unhelpful, stream.
 func DecodeStreamItem(dec *soif.Decoder) (StreamItem, error) {
 	head, err := dec.Next()
 	if errors.Is(err, io.EOF) {
@@ -130,7 +131,7 @@ func DecodeStreamItem(dec *soif.Decoder) (StreamItem, error) {
 		}
 		return StreamItem{Rank: rank, Docs: docs}, nil
 	}
-	r, err := decodeResults(dec, head)
+	r, err := decodeAnswer(dec, head)
 	if err != nil {
 		return StreamItem{}, fmt.Errorf("result: terminal stream frame: %w", err)
 	}
@@ -159,28 +160,10 @@ func count(o *soif.Object, name string) (int, error) {
 // by append.
 const maxDocsHint = 1024
 
-// decodeDocs decodes the n documents a header promised, each as next
-// yields it, onto one answer's slabs.
-func decodeDocs(n int, next func() (*soif.Object, error)) ([]*Document, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	s := newSlabs(n)
-	for i := 0; i < n; i++ {
-		o, err := next()
-		if err != nil {
-			return nil, fmt.Errorf("document %d of %d: %w", i, n, err)
-		}
-		if err := s.add(o); err != nil {
-			return nil, fmt.Errorf("document %d: %w", i, err)
-		}
-	}
-	return s.documents(), nil
-}
-
-// decodeDocRun is decodeDocs of dec's next n objects, each decoded into o
-// in turn as one run (soif.Decoder.DecodeRun): the documents' strings
-// share a string per run rather than having one each.
+// decodeDocRun decodes dec's next n objects, the documents a header
+// promised, onto one answer's slabs, each decoded into o in turn as one
+// run (soif.Decoder.DecodeRun): the documents' strings share a string per
+// run rather than having one each.
 func decodeDocRun(dec *soif.Decoder, o *soif.Object, n int) ([]*Document, error) {
 	if n == 0 {
 		return nil, nil
@@ -222,6 +205,22 @@ func decodeResults(dec *soif.Decoder, head *soif.Object) (*Results, error) {
 	}
 	if r.Documents, err = decodeDocRun(dec, head, n); err != nil {
 		return nil, fmt.Errorf("result: %w", err)
+	}
+	return r, nil
+}
+
+// decodeAnswer is decodeResults of the answer that ends a stream: what
+// follows its last document must be the end of the input.
+func decodeAnswer(dec *soif.Decoder, head *soif.Object) (*Results, error) {
+	r, err := decodeResults(dec, head)
+	if err != nil {
+		return nil, err
+	}
+	switch o, err := dec.Next(); {
+	case err == nil:
+		return nil, fmt.Errorf("result: @%s after the answer", o.Type)
+	case !errors.Is(err, io.EOF):
+		return nil, fmt.Errorf("result: after the answer: %w", err)
 	}
 	return r, nil
 }

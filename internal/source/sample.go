@@ -1,9 +1,10 @@
 package source
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"starts/internal/index"
@@ -81,39 +82,28 @@ func SampleQueries() []*query.Query {
 }
 
 // ParseSample decodes a sample-results stream produced by AppendSample:
-// alternating @SQuery objects and @SQResults/@SQRDocument runs.
+// alternating @SQuery objects and answers, each read as result.Decode
+// reads one.
 func ParseSample(data []byte) ([]*SampleEntry, error) {
-	objs, err := soif.UnmarshalAll(data)
-	if err != nil {
-		return nil, err
-	}
+	dec := soif.NewDecoder(bytes.NewReader(data))
+	defer dec.Release()
 	var out []*SampleEntry
-	i := 0
-	for i < len(objs) {
-		if !strings.EqualFold(objs[i].Type, query.SQueryType) {
-			return nil, fmt.Errorf("source: sample stream: expected @SQuery at object %d, found @%s", i, objs[i].Type)
+	for {
+		o, err := dec.Next()
+		if errors.Is(err, io.EOF) && len(out) > 0 {
+			return out, nil
 		}
-		q, err := query.FromSOIF(objs[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("source: sample stream: entry %d: %w", len(out), err)
 		}
-		i++
-		if i >= len(objs) || !strings.EqualFold(objs[i].Type, result.ResultsType) {
-			return nil, errors.New("source: sample stream: query without results")
-		}
-		j := i + 1
-		for j < len(objs) && strings.EqualFold(objs[j].Type, result.DocumentType) {
-			j++
-		}
-		res, err := result.FromSOIF(objs[i:j])
+		q, err := query.FromSOIF(o)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("source: sample stream: entry %d: %w", len(out), err)
+		}
+		res, err := result.Decode(dec)
+		if err != nil {
+			return nil, fmt.Errorf("source: sample stream: results of entry %d: %w", len(out), err)
 		}
 		out = append(out, &SampleEntry{Query: q, Results: res})
-		i = j
 	}
-	if len(out) == 0 {
-		return nil, errors.New("source: empty sample stream")
-	}
-	return out, nil
 }

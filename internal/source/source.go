@@ -10,6 +10,7 @@ package source
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,8 +92,8 @@ func (s *Source) Search(q *query.Query) (*result.Results, error) {
 }
 
 // Metadata generates the source's MBasic-1 metadata object from the
-// engine's capability profile. Every required attribute of the paper's
-// table is populated.
+// engine's capability profile, copying its capability lists. Every
+// required attribute of the paper's table is populated.
 func (s *Source) Metadata() *meta.SourceMeta {
 	cfg := s.eng.Config()
 	m := &meta.SourceMeta{
@@ -111,41 +112,15 @@ func (s *Source) Metadata() *meta.SourceMeta {
 		StopWords:             cfg.Analyzer.Stop.Words(),
 	}
 	m.ScoreMin, m.ScoreMax = cfg.Scorer.Range()
-
-	// List every optional Basic-1 field the engine actually supports
-	// (including free-form-text, which depends on a native handler rather
-	// than the config's field list).
-	for _, fi := range attr.Basic1Fields() {
-		if fi.Required || !s.eng.SupportsField(fi.Field) {
-			continue
-		}
-		m.FieldsSupported = append(m.FieldsSupported, meta.FieldSupport{
-			Set: attr.SetBasic1, Field: fi.Field, Languages: s.Languages,
-		})
+	// The engine's capability lists, each supported field carrying the
+	// collection's languages.
+	caps := s.eng.Capabilities()
+	for _, fs := range caps.FieldsSupported {
+		fs.Languages = s.Languages
+		m.FieldsSupported = append(m.FieldsSupported, fs)
 	}
-	for _, mi := range attr.Basic1Modifiers() {
-		if s.eng.SupportsModifier(mi.Modifier) {
-			m.ModifiersSupported = append(m.ModifiersSupported, meta.ModifierSupport{
-				Set: attr.SetBasic1, Mod: mi.Modifier,
-			})
-		}
-	}
-	// Legal combinations across all recognized fields and supported
-	// modifiers.
-	fields := append([]attr.Field(nil), attr.RequiredFields()...)
-	for _, fs := range m.FieldsSupported {
-		fields = append(fields, fs.Field)
-	}
-	for _, f := range fields {
-		for _, ms := range m.ModifiersSupported {
-			if s.eng.AllowsCombination(f, ms.Mod) {
-				m.Combinations = append(m.Combinations, meta.Combination{
-					Field: meta.FieldSupport{Set: attr.SetBasic1, Field: attr.Normalize(f)},
-					Mod:   meta.ModifierSupport{Set: attr.SetBasic1, Mod: ms.Mod},
-				})
-			}
-		}
-	}
+	m.ModifiersSupported = slices.Clone(caps.ModifiersSupported)
+	m.Combinations = slices.Clone(caps.Combinations)
 	tags := s.Languages
 	if len(tags) == 0 {
 		tags = []lang.Tag{lang.EnglishUS}
