@@ -157,10 +157,13 @@ soak:
 # leader's cancellation, a joiner outliving its leader's deadline, one
 # breaker admission per shared call, and a queue fast-draining behind an
 # open circuit — and a hung harvest failing alone within the Timeout
-# (internal/core), so a scheduling-dependent regression shows up here as
-# a flake rather than in production. Each alternative of a line's pattern
-# must name a test, or the line fails instead of passing on zero tests.
-# About a minute and a half (the joiner test waits out real deadlines).
+# (internal/core), and twenty times a source's summaries built while
+# documents arrive and one index's shared summary harvested while
+# truncated searches scan it (internal/source), so a scheduling-dependent
+# regression shows up here as a flake rather than in production. Each
+# alternative of a line's pattern must name a test, or the line fails
+# instead of passing on zero tests. About two minutes (the joiner test
+# waits out real deadlines).
 define stress_run
 	@for alt in $$(echo '$(2)' | tr '|' ' '); do \
 		$(GO) test -list "$$alt" $(3) | grep -q '^Test' || { echo "stress: no test in $(3) matches $$alt"; exit 1; }; \
@@ -172,6 +175,7 @@ stress:
 	$(call stress_run,20,Test,./internal/dispatch/)
 	$(call stress_run,20,TestSearchesLeaveNoGoroutines|TestCancelAtEveryStage,./internal/core/)
 	$(call stress_run,50,TestCoalescedSearchOutlivesItsLeadersCancellation|TestSharedCallOutlivesItsLeadersDeadline|TestBreakerReleasedWhenCallSkipsWire|TestRefusedFastDrain|TestHungHarvestDegradesWithinTimeout,./internal/core/)
+	$(call stress_run,20,TestContentSummaryReadsOneIndex|TestConcurrentHarvestsShareOneSummary,./internal/source/)
 
 # fuzz splits a budget of about ten seconds over the fuzz targets (go test
 # fuzzes one per run), target by target: the server's one request decoder

@@ -13,7 +13,6 @@ import (
 
 	"starts/internal/attr"
 	"starts/internal/query"
-	"starts/internal/text"
 )
 
 // DocTermInfo is one document's match statistics for one query term.
@@ -121,7 +120,7 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 	// Per-word candidate posting lists, merged over modifier expansions.
 	perWord := make([]map[int]*DocTermInfo, len(words))
 	for i, w := range words {
-		perWord[i] = fi.matchWord(ix.analyzer, w, t, opts)
+		perWord[i] = ix.matchWord(fi, w, t, opts)
 	}
 	var merged map[int]*DocTermInfo
 	if len(words) == 1 {
@@ -140,10 +139,10 @@ func (ix *Index) lookupTextField(f attr.Field, t query.Term, opts LookupOptions)
 	return out, false, nil
 }
 
-// matchWord finds the posting lists matching one query word under the
-// term's modifiers and merges them into a doc→info map.
-func (fi *fieldIndex) matchWord(a *text.Analyzer, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
-	terms := fi.expandWord(nil, a, word, t, opts)
+// matchWord finds field fi's posting lists matching one query word under
+// the term's modifiers and merges them into a doc→info map.
+func (ix *Index) matchWord(fi *fieldIndex, word string, t query.Term, opts LookupOptions) map[int]*DocTermInfo {
+	terms := ix.expandWord(nil, fi, word, t, opts)
 	out := map[int]*DocTermInfo{}
 	// Infos and positions are cut from chunks that double up to 512 infos
 	// and 4 096 positions: one allocation per chunk, not per posting. A

@@ -11,6 +11,18 @@ func ReleaseLinkages(ix *Index) { ix.byURL = nil }
 // text they hold.
 func ReleaseDocuments(ix *Index) { ix.recs, ix.extras, ix.counts = nil, nil, nil }
 
+// Postings returns the index's terms (one per field and term) and
+// postings, walking its term maps: unlike Summary, it leaves nothing on the
+// index for a heap reading to count.
+func Postings(ix *Index) (terms, postings int) {
+	for _, fi := range ix.fields {
+		for _, r := range fi.terms {
+			terms, postings = terms+1, postings+int(r.n)
+		}
+	}
+	return terms, postings
+}
+
 // blocks returns the list's part of its arena's blocks, capped.
 func (pl *postingList) blocks() []block {
 	hi := pl.blk + uint32(numBlocks(int(pl.n)))

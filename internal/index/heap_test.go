@@ -67,8 +67,8 @@ func TestIndexHeapBudget(t *testing.T) {
 		}
 		return ix, n
 	}()
-	docs, postings := ix.NumDocs(), 0
-	ix.VocabTerms(func(_ attr.Field, _ string, _, docFreq int) { postings += docFreq })
+	docs := ix.NumDocs()
+	_, postings := index.Postings(ix)
 	index.ReleaseLinkages(ix)
 	withDocs := liveHeap()
 	index.ReleaseDocuments(ix)
@@ -99,7 +99,7 @@ func indexHeap(t *testing.T, docs, bodyWords, vocabWords int) (postingsOnly int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.VocabTerms(func(_ attr.Field, _ string, _, docFreq int) { terms, postings = terms+1, postings+docFreq })
+	terms, postings = index.Postings(ix)
 	index.ReleaseLinkages(ix)
 	index.ReleaseDocuments(ix)
 	postingsOnly = liveHeap() - start

@@ -4,11 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"starts/internal/attr"
+	"starts/internal/meta"
 	"starts/internal/text"
 )
 
@@ -27,10 +28,10 @@ type fieldIndex struct {
 	// case-sensitive indexes can still serve default (case-insensitive)
 	// matches; nil on case-folding indexes.
 	folds map[string][]string
-	// vocab is the sorted vocabulary, built lazily for truncation scans
-	// by the first reader to need it; vocabOnce makes the others wait.
-	vocabOnce sync.Once
-	vocab     []string
+	// vocab is the sorted vocabulary with each term's statistics: the
+	// field's group of the index's summary, and what truncation scans.
+	// Index.Summary fills it.
+	vocab []meta.TermInfo
 }
 
 // newFieldIndex makes a field's index, with the vocabularies expandWord
@@ -62,6 +63,10 @@ type Index struct {
 	// numTagged counts documents carrying explicit language tags; when
 	// zero, language filtering is a no-op the ranked fast path skips.
 	numTagged int
+	// summary is built by the first reader to need it (Summary);
+	// summaryOnce makes the others wait.
+	summaryOnce sync.Once
+	summary     *meta.ContentSummary
 }
 
 // New returns an empty index using the given analyzer: Build's start,
@@ -178,39 +183,38 @@ func (ix *Index) DocFreq(f attr.Field, term string) int {
 	return pl.numDocs()
 }
 
-// VocabTerms calls fn for every (field, term) with its posting statistics:
-// total postings (the term's occurrences, its frequencies summed) and
-// document frequency. Content summaries are built from
-// this walk. Iteration order is sorted by field then term.
-func (ix *Index) VocabTerms(fn func(f attr.Field, term string, postings, docFreq int)) {
-	fields := make([]attr.Field, 0, len(ix.fields))
-	for f := range ix.fields {
-		fields = append(fields, f)
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i] < fields[j] })
-	for _, f := range fields {
-		fi := ix.fields[f]
-		terms := make([]string, 0, len(fi.terms))
-		for t := range fi.terms {
-			terms = append(terms, t)
+// Summary returns the index's content summary (§4.3.1): one group per
+// field, its terms in order, each with its occurrences (its frequencies
+// summed) and document frequency, under the flag bits of the index's
+// analyzer. The first call builds it; every call returns that one
+// summary, which no caller may change.
+func (ix *Index) Summary() *meta.ContentSummary {
+	ix.summaryOnce.Do(func() {
+		c := &meta.ContentSummary{
+			Stemming:          ix.analyzer.Stemming,
+			StopWordsIncluded: true, // stop words are indexed
+			CaseSensitive:     ix.analyzer.CaseSensitive,
+			FieldsQualified:   true,
+			NumDocs:           ix.NumDocs(),
 		}
-		sort.Strings(terms)
-		for _, t := range terms {
-			pl, _ := fi.lookup(t)
-			fn(f, t, pl.occurrences(), pl.numDocs())
+		for f, fi := range ix.fields {
+			fi.vocab = make([]meta.TermInfo, 0, len(fi.terms))
+			for t := range fi.terms {
+				pl, _ := fi.lookup(t)
+				fi.vocab = append(fi.vocab, meta.TermInfo{Term: t, Postings: pl.occurrences(), DocFreq: pl.numDocs()})
+			}
+			slices.SortFunc(fi.vocab, func(a, b meta.TermInfo) int { return strings.Compare(a.Term, b.Term) })
+			c.Groups = append(c.Groups, meta.SummaryGroup{Field: f, Terms: fi.vocab})
 		}
-	}
+		slices.SortFunc(c.Groups, func(a, b meta.SummaryGroup) int { return strings.Compare(string(a.Field), string(b.Field)) })
+		ix.summary = c
+	})
+	return ix.summary
 }
 
-// sortedVocab returns the field's vocabulary, sorted, building it lazily.
-func (fi *fieldIndex) sortedVocab() []string {
-	fi.vocabOnce.Do(func() {
-		fi.vocab = make([]string, 0, len(fi.terms))
-		for t := range fi.terms {
-			fi.vocab = append(fi.vocab, t)
-		}
-		sort.Strings(fi.vocab)
-	})
+// vocab returns the field's sorted vocabulary, building the summary.
+func (ix *Index) vocab(fi *fieldIndex) []meta.TermInfo {
+	ix.Summary()
 	return fi.vocab
 }
 

@@ -355,15 +355,32 @@ func TestDocFreqAndVocab(t *testing.T) {
 	if df := ix.DocFreq(attr.FieldBodyOfText, "zebra"); df != 0 {
 		t.Errorf("DocFreq(zebra) = %d", df)
 	}
-	seen := 0
-	ix.VocabTerms(func(f attr.Field, term string, postings, docFreq int) {
-		seen++
-		if postings < docFreq || docFreq < 1 {
-			t.Errorf("%s/%s: postings %d < docfreq %d", f, term, postings, docFreq)
+	c := ix.Summary()
+	if ix.Summary() != c {
+		t.Error("a second Summary call returned another summary")
+	}
+	if c.NumDocs != ix.NumDocs() || !c.Stemming || !c.StopWordsIncluded || c.CaseSensitive || !c.FieldsQualified {
+		t.Errorf("summary of %d documents: NumDocs %d, flags stemming %v, stop words %v, case %v, fields %v",
+			ix.NumDocs(), c.NumDocs, c.Stemming, c.StopWordsIncluded, c.CaseSensitive, c.FieldsQualified)
+	}
+	if df := c.DocFreq(attr.FieldBodyOfText, lang.Tag{}, ix.analyzer.NormalizeTerm("databases")); df != 3 {
+		t.Errorf("summary DocFreq(databases) = %d", df)
+	}
+	if c.TotalTerms() == 0 {
+		t.Error("the summary lists no term")
+	}
+	for i, g := range c.Groups {
+		if i > 0 && c.Groups[i-1].Field >= g.Field {
+			t.Errorf("group %s follows group %s", g.Field, c.Groups[i-1].Field)
 		}
-	})
-	if seen == 0 {
-		t.Error("VocabTerms visited nothing")
+		for j, ti := range g.Terms {
+			if j > 0 && g.Terms[j-1].Term >= ti.Term {
+				t.Errorf("%s: %q follows %q", g.Field, ti.Term, g.Terms[j-1].Term)
+			}
+			if ti.Postings < ti.DocFreq || ti.DocFreq < 1 {
+				t.Errorf("%s/%s: postings %d < docfreq %d", g.Field, ti.Term, ti.Postings, ti.DocFreq)
+			}
+		}
 	}
 }
 

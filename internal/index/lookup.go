@@ -9,6 +9,7 @@ import (
 
 	"starts/internal/attr"
 	"starts/internal/lang"
+	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/text"
 )
@@ -44,45 +45,58 @@ func (ix *Index) termWords(sc *Scratch, t query.Term, opts LookupOptions) []stri
 	return words[:n]
 }
 
-// expandWord appends to dst the index vocabulary terms one query word
-// matches under the term's modifiers, each once: the expansion step the
-// cursors and the oracle share.
-func (fi *fieldIndex) expandWord(dst []string, a *text.Analyzer, word string, t query.Term, opts LookupOptions) []string {
-	from := len(dst)
+// expandWord appends to dst the terms of field fi's vocabulary one query
+// word matches under the term's modifiers, each once: the expansion step
+// the cursors and the oracle share.
+func (ix *Index) expandWord(dst []string, fi *fieldIndex, word string, t query.Term, opts LookupOptions) []string {
+	from, a := len(dst), ix.analyzer
 	expanded := []string{word}
 	if t.HasMod(attr.ModThesaurus) && opts.Thesaurus != nil {
 		expanded = opts.Thesaurus.Expand(word)
 	}
 	for _, w := range expanded {
 		norm := a.NormalizeTerm(w)
-		var cands []string
 		switch {
 		case t.HasMod(attr.ModStem) && !a.Stemming:
 			// Engine does not stem its index: expand via the stem map.
-			cands = fi.stems[text.Stem(norm)]
+			dst = append(dst, fi.stems[text.Stem(norm)]...)
 		case t.HasMod(attr.ModPhonetic):
 			if sx := text.Soundex(w); sx != "" {
-				cands = fi.sounds[sx]
+				dst = append(dst, fi.sounds[sx]...)
 			}
 		case t.HasMod(attr.ModRightTruncation):
-			cands = fi.prefixTerms(norm)
+			// The vocabulary's run of terms starting with norm.
+			vocab := ix.vocab(fi)
+			i, _ := slices.BinarySearchFunc(vocab, norm, func(ti meta.TermInfo, s string) int { return strings.Compare(ti.Term, s) })
+			for ; i < len(vocab) && strings.HasPrefix(vocab[i].Term, norm); i++ {
+				dst = append(dst, vocab[i].Term)
+			}
 		case t.HasMod(attr.ModLeftTruncation):
-			cands = fi.suffixTerms(norm)
+			for _, ti := range ix.vocab(fi) {
+				if strings.HasSuffix(ti.Term, norm) {
+					dst = append(dst, ti.Term)
+				}
+			}
 		case a.CaseSensitive && !t.HasMod(attr.ModCaseSensitive):
 			// Case-sensitive index, default (insensitive) match: use the
 			// fold map.
-			cands = fi.folds[strings.ToLower(norm)]
+			dst = append(dst, fi.folds[strings.ToLower(norm)]...)
 		default:
 			if _, ok := fi.terms[norm]; ok {
-				cands = []string{norm}
+				dst = append(dst, norm)
 			}
 		}
-		// Expansions are few: a linear scan dedupes them.
-		for _, c := range cands {
-			if !slices.Contains(dst[from:], c) {
-				dst = append(dst, c)
+	}
+	// One word's candidates are distinct; a thesaurus's words may share
+	// some, and each is kept once, where it first came.
+	if len(expanded) > 1 {
+		kept := dst[:from]
+		for _, c := range dst[from:] {
+			if !slices.Contains(kept[from:], c) {
+				kept = append(kept, c)
 			}
 		}
+		dst = kept
 	}
 	return dst
 }
@@ -94,27 +108,6 @@ func mergePositions(a, b []int32) []int32 {
 	merged := append(append(make([]int32, 0, len(a)+len(b)), a...), b...)
 	slices.Sort(merged)
 	return merged
-}
-
-// prefixTerms returns the vocabulary's run of terms starting with prefix.
-func (fi *fieldIndex) prefixTerms(prefix string) []string {
-	vocab := fi.sortedVocab()
-	i := sort.SearchStrings(vocab, prefix)
-	j := i
-	for j < len(vocab) && strings.HasPrefix(vocab[j], prefix) {
-		j++
-	}
-	return vocab[i:j:j]
-}
-
-func (fi *fieldIndex) suffixTerms(suffix string) []string {
-	var out []string
-	for _, t := range fi.sortedVocab() {
-		if strings.HasSuffix(t, suffix) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func containsInt(sorted []int32, x int32) bool {

@@ -289,6 +289,8 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 			built[fmt.Sprintf("Build on %d workers", workers)] = fi
 		}
 		for name, fi := range built {
+			// An index of the one field, for matchWord to read it through.
+			ix := &Index{analyzer: a, fields: map[attr.Field]*fieldIndex{attr.FieldBodyOfText: fi}}
 			for _, term := range terms {
 				pl, _ := fi.lookup(term)
 				one, _ := built["one chunk"].lookup(term)
@@ -299,7 +301,7 @@ func FuzzPostingsMatchOracle(f *testing.F) {
 			}
 			checkMerged(t, name, fi, wants[1])
 			for qi, q := range queries {
-				got, want := fi.matchWord(a, q.word, q.term, LookupOptions{}), wants[qi]
+				got, want := ix.matchWord(fi, q.word, q.term, LookupOptions{}), wants[qi]
 				if len(got) != len(want) {
 					t.Fatalf("%s: %s matches %d documents, want %d", name, q.word, len(got), len(want))
 				}

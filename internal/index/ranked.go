@@ -334,7 +334,7 @@ func (ix *Index) wordLists(sc *Scratch, fields []attr.Field, word string, t quer
 		if fi == nil {
 			continue
 		}
-		sc.vocab = fi.expandWord(sc.vocab[:0], ix.analyzer, word, t, opts)
+		sc.vocab = ix.expandWord(sc.vocab[:0], fi, word, t, opts)
 		for _, vt := range sc.vocab {
 			if pl, ok := fi.lookup(vt); ok {
 				sc.lists = append(sc.lists, pl)

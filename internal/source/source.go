@@ -10,11 +10,9 @@ package source
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
-	"starts/internal/attr"
 	"starts/internal/engine"
 	"starts/internal/index"
 	"starts/internal/lang"
@@ -92,8 +90,9 @@ func (s *Source) Search(q *query.Query) (*result.Results, error) {
 }
 
 // Metadata generates the source's MBasic-1 metadata object from the
-// engine's capability profile, copying its capability lists. Every
-// required attribute of the paper's table is populated.
+// engine's capability profile, sharing its modifier and combination
+// lists, which no caller may change. Every required attribute of the
+// paper's table is populated.
 func (s *Source) Metadata() *meta.SourceMeta {
 	cfg := s.eng.Config()
 	m := &meta.SourceMeta{
@@ -119,8 +118,7 @@ func (s *Source) Metadata() *meta.SourceMeta {
 		fs.Languages = s.Languages
 		m.FieldsSupported = append(m.FieldsSupported, fs)
 	}
-	m.ModifiersSupported = slices.Clone(caps.ModifiersSupported)
-	m.Combinations = slices.Clone(caps.Combinations)
+	m.ModifiersSupported, m.Combinations = caps.ModifiersSupported, caps.Combinations
 	tags := s.Languages
 	if len(tags) == 0 {
 		tags = []lang.Tag{lang.EnglishUS}
@@ -131,30 +129,13 @@ func (s *Source) Metadata() *meta.SourceMeta {
 	return m
 }
 
-// ContentSummary generates the source's content summary from its index:
-// one group per field, terms with total postings and document frequencies.
-// The flag bits reflect the engine's analyzer — a stemming engine can only
-// export stemmed words.
-func (s *Source) ContentSummary() *meta.ContentSummary {
-	cfg, ix := s.eng.Config(), s.eng.Index() // one index: its N goes with its df
-	c := &meta.ContentSummary{
-		Stemming:          cfg.Analyzer.Stemming,
-		StopWordsIncluded: true, // the index keeps stop words
-		CaseSensitive:     cfg.Analyzer.CaseSensitive,
-		FieldsQualified:   true,
-		NumDocs:           ix.NumDocs(),
-	}
-	// VocabTerms yields field after field, each field's terms in order: the
-	// order a summary's groups and their vocabularies keep.
-	ix.VocabTerms(func(f attr.Field, term string, postings, docFreq int) {
-		if n := len(c.Groups); n == 0 || c.Groups[n-1].Field != f {
-			c.Groups = append(c.Groups, meta.SummaryGroup{Field: f})
-		}
-		g := &c.Groups[len(c.Groups)-1]
-		g.Terms = append(g.Terms, meta.TermInfo{Term: term, Postings: postings, DocFreq: docFreq})
-	})
-	return c
-}
+// ContentSummary returns the source's content summary: its index's
+// (index.Index.Summary), one object shared by every caller, which none may
+// change. Its flag bits are those of the engine's analyzer, which built the
+// index: a stemming engine can only export stemmed words. An index never
+// changes after it is built; a source given more documents gets a new
+// index, and with it a new summary.
+func (s *Source) ContentSummary() *meta.ContentSummary { return s.eng.Index().Summary() }
 
 // SampleResults evaluates the canonical sample queries over the canonical
 // sample collection using this source's engine configuration, producing

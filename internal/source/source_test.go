@@ -227,6 +227,27 @@ func TestContentSummaryReadsOneIndex(t *testing.T) {
 	}
 }
 
+// TestContentSummaryBuiltOncePerIndex: a second harvest of an unchanged
+// source returns the summary the first built and allocates nothing; after
+// an Add, the next harvest gets a new summary with the new N, and the old
+// one still says what it said.
+func TestContentSummaryBuiltOncePerIndex(t *testing.T) {
+	s := newSource(t, "Source-1", engine.NewVectorConfig(), docsA())
+	c := s.ContentSummary()
+	if allocs := testing.AllocsPerRun(100, func() { s.ContentSummary() }); allocs != 0 {
+		t.Errorf("a second ContentSummary allocates %.0f times", allocs)
+	}
+	if s.ContentSummary() != c {
+		t.Error("a second ContentSummary returned another summary")
+	}
+	if err := s.Add(docsB()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if next := s.ContentSummary(); next == c || next.NumDocs != 3 || c.NumDocs != 2 {
+		t.Errorf("after an Add: summary of %d documents (the same one: %v), the old one of %d", next.NumDocs, next == c, c.NumDocs)
+	}
+}
+
 // TestSampleResults is experiment X8's substrate: every source produces
 // results for the same known collection and queries; incompatible scorers
 // produce incompatible scores for identical content.
