@@ -476,8 +476,6 @@ func BenchmarkCalibrationFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := merge.Fit(smp, ref); err != nil {
-			b.Fatal(err)
-		}
+		fit(b, smp, ref)
 	}
 }

@@ -295,11 +295,15 @@ func (h *HTTPConn) Summary(ctx context.Context) (*meta.ContentSummary, error) {
 	return h.client.Summary(ctx, m.ContentSummaryLinkage)
 }
 
-// Sample implements Conn.
+// Sample implements Conn. A source whose metadata names no
+// SampleDatabaseResults exports none, and no request is made.
 func (h *HTTPConn) Sample(ctx context.Context) ([]*source.SampleEntry, error) {
 	m, _, err := h.meta(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if m.SampleDatabaseResults == "" {
+		return nil, fmt.Errorf("client: source %s names no sample-database results", h.id)
 	}
 	return h.client.Sample(ctx, m.SampleDatabaseResults)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,8 +21,8 @@ import (
 // broker hierarchies: a higher-level metasearcher can harvest and query
 // this one exactly as it would any single source (the GlOSS companion
 // paper [8] studies precisely such hierarchies, and Harvest brokers
-// likewise feed other brokers). The broker's exported metadata advertises
-// a full-featured profile — members that support less are handled by the
+// likewise feed other brokers). The broker's exported capabilities are the
+// union of the members' — a member that supports less is handled by the
 // inner metasearcher's own translation — and its content summary is the
 // aggregation of the members' summaries.
 type Broker struct {
@@ -43,15 +44,23 @@ var _ client.Conn = (*Broker)(nil)
 func (b *Broker) SourceID() string { return b.id }
 
 // Metadata implements client.Conn: the broker accepts both query parts,
-// every optional text field, and the common modifiers; its score range is
-// unbounded because merged scores depend on the merge strategy.
+// and its fields, modifiers and pairings are the union of the harvested
+// members': one is listed when at least one member evaluates it, and
+// translation inside the broker serves the members that do not. Its score
+// range is unbounded because merged scores depend on the merge strategy.
+// It names no sample-database results: the broker has no engine to run
+// the sample queries over (Sample).
 func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 	// Harvested best effort, as a search harvests: a down member, or one
 	// past its DateExpires whose refresh fails, drops out of (or stays
 	// stale in) what the broker publishes instead of failing it for the
 	// whole region.
-	if _, err := b.ms.harvest(ctx); err != nil {
+	fleet, err := b.ms.harvest(ctx)
+	if err != nil {
 		return nil, err
+	}
+	some := func(says func(*meta.SourceMeta) bool) bool {
+		return slices.ContainsFunc(fleet.entries, func(e *entry) bool { return e != nil && says(e.meta) })
 	}
 	m := &meta.SourceMeta{
 		SourceID:              b.id,
@@ -63,34 +72,15 @@ func (b *Broker) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
 		TurnOffStopWords:      true,
 		Linkage:               "starts-broker://" + b.id + "/query",
 		ContentSummaryLinkage: "starts-broker://" + b.id + "/summary",
-		SampleDatabaseResults: "starts-broker://" + b.id + "/sample",
 	}
-	for _, fi := range attr.Basic1Fields() {
-		if fi.Required || fi.Field == attr.FieldFreeFormText {
-			continue
-		}
-		m.FieldsSupported = append(m.FieldsSupported, meta.FieldSupport{
-			Set: attr.SetBasic1, Field: fi.Field,
+	m.FieldsSupported, m.ModifiersSupported, m.Combinations = meta.Basic1Profile(
+		func(f attr.Field) bool { return some(func(md *meta.SourceMeta) bool { return md.SupportsField(f) }) },
+		func(mod attr.Modifier) bool {
+			return some(func(md *meta.SourceMeta) bool { return md.SupportsModifier(mod) })
+		},
+		func(f attr.Field, mod attr.Modifier) bool {
+			return some(func(md *meta.SourceMeta) bool { return md.AllowsCombination(f, mod) })
 		})
-	}
-	for _, mod := range []attr.Modifier{
-		attr.ModLT, attr.ModLE, attr.ModEQ, attr.ModGE, attr.ModGT, attr.ModNE,
-		attr.ModStem, attr.ModPhonetic, attr.ModRightTruncation, attr.ModLeftTruncation,
-	} {
-		m.ModifiersSupported = append(m.ModifiersSupported, meta.ModifierSupport{
-			Set: attr.SetBasic1, Mod: mod,
-		})
-		fields := append([]attr.Field{attr.FieldTitle, attr.FieldAny}, attr.FieldAuthor, attr.FieldBodyOfText)
-		if mod.IsComparison() && mod != attr.ModEQ {
-			fields = []attr.Field{attr.FieldDateLastModified}
-		}
-		for _, f := range fields {
-			m.Combinations = append(m.Combinations, meta.Combination{
-				Field: meta.FieldSupport{Set: attr.SetBasic1, Field: f},
-				Mod:   meta.ModifierSupport{Set: attr.SetBasic1, Mod: mod},
-			})
-		}
-	}
 	return m, nil
 }
 

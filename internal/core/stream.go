@@ -66,11 +66,10 @@ type StreamSink func(StreamEvent) error
 // streams most eagerly, raw-score and scaled-score emit what the
 // pending sources' declared ScoreRanges can no longer displace, and the
 // strategies without a merge.Feeder deliver everything in the terminal
-// event: term-stats, whose scores depend on every answer's statistics,
-// and sample-calibrated. Either way the
-// qcache contract is unchanged: the fully-merged answer is cached at
-// stream end, and cache hits and stale serves replay their shared answer
-// as one terminal event.
+// event, such as term-stats, whose scores depend on every answer's
+// statistics. Either way the qcache contract is unchanged: the
+// fully-merged answer is cached at stream end, and cache hits and stale
+// serves replay their shared answer as one terminal event.
 func (m *Metasearcher) SearchStream(ctx context.Context, q *query.Query, sink StreamSink, sopts ...SearchOption) (*Answer, error) {
 	return m.searchStream(ctx, q, sink, sopts...)
 }

@@ -213,39 +213,25 @@ func (e *Engine) index() (*index.Index, error) {
 // IllegalCombos and comparisons other than = off the date field.
 func profile(cfg Config) *meta.SourceMeta {
 	m := &meta.SourceMeta{}
-	fields := attr.RequiredFields()
-	for _, fi := range attr.Basic1Fields() {
-		ok := slices.ContainsFunc(cfg.Fields, func(f attr.Field) bool { return attr.Normalize(f) == fi.Field })
-		if fi.Field == attr.FieldFreeFormText {
-			ok = cfg.Native != nil
-		}
-		if ok && !fi.Required {
-			m.FieldsSupported = append(m.FieldsSupported, meta.FieldSupport{Set: attr.SetBasic1, Field: fi.Field})
-			fields = append(fields, fi.Field)
-		}
-	}
-	for _, mi := range attr.Basic1Modifiers() {
-		ok := slices.Contains(cfg.Mods, mi.Modifier)
-		switch mi.Modifier {
-		case attr.ModThesaurus:
-			ok = cfg.Thesaurus != nil
-		case attr.ModCaseSensitive:
-			ok = cfg.Analyzer.CaseSensitive
-		}
-		if ok {
-			m.ModifiersSupported = append(m.ModifiersSupported, meta.ModifierSupport{Set: attr.SetBasic1, Mod: mi.Modifier})
-		}
-	}
-	for _, f := range fields {
-		for _, ms := range m.ModifiersSupported {
-			if !slices.Contains(cfg.IllegalCombos[f], ms.Mod) && (!ms.Mod.IsComparison() || ms.Mod == attr.ModEQ || f == attr.FieldDateLastModified) {
-				m.Combinations = append(m.Combinations, meta.Combination{
-					Field: meta.FieldSupport{Set: attr.SetBasic1, Field: f},
-					Mod:   ms,
-				})
+	m.FieldsSupported, m.ModifiersSupported, m.Combinations = meta.Basic1Profile(
+		func(f attr.Field) bool {
+			if f == attr.FieldFreeFormText {
+				return cfg.Native != nil
 			}
-		}
-	}
+			return slices.ContainsFunc(cfg.Fields, func(cf attr.Field) bool { return attr.Normalize(cf) == f })
+		},
+		func(mod attr.Modifier) bool {
+			switch mod {
+			case attr.ModThesaurus:
+				return cfg.Thesaurus != nil
+			case attr.ModCaseSensitive:
+				return cfg.Analyzer.CaseSensitive
+			}
+			return slices.Contains(cfg.Mods, mod)
+		},
+		func(f attr.Field, mod attr.Modifier) bool {
+			return !slices.Contains(cfg.IllegalCombos[f], mod) && (!mod.IsComparison() || mod == attr.ModEQ || f == attr.FieldDateLastModified)
+		})
 	return m
 }
 

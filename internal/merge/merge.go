@@ -3,9 +3,10 @@
 // 3.2), so a metasearcher cannot compare raw scores. The strategies here
 // span the design space the paper discusses: naive raw-score merging (the
 // known-broken baseline), score normalization via the exported ScoreRange,
-// round-robin interleaving, recomputing scores from the TermStats that
-// STARTS requires sources to return (Example 9's approach), and
-// calibrating black-box rankers from their sample-database results.
+// round-robin interleaving, and recomputing scores from the TermStats
+// that STARTS requires sources to return (Example 9's approach).
+// Calibrating black-box rankers from their sample-database results is
+// measured in the paper tests (X8), not offered here.
 package merge
 
 import (

@@ -227,7 +227,7 @@ func TestTermStatsWeightedTerms(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{RawScore{}, Scaled{}, RoundRobin{}, TermStats{}, Calibrated{}} {
+	for _, s := range []Strategy{RawScore{}, Scaled{}, RoundRobin{}, TermStats{}} {
 		if s.Name() == "" {
 			t.Errorf("%T has empty name", s)
 		}

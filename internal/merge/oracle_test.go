@@ -91,21 +91,6 @@ func oracleRoundRobinMerge(q *query.Query, inputs []SourceResult) []*result.Docu
 	return oracleFuse(items, fuseLimit(q))
 }
 
-func oracleCalibratedMerge(c Calibrated, q *query.Query, inputs []SourceResult) []*result.Document {
-	var items []*oracleItem
-	for _, in := range inputs {
-		cal, ok := c.BySource[in.SourceID]
-		for _, d := range in.Results.Documents {
-			s := d.RawScore
-			if ok {
-				s = cal.Apply(s)
-			}
-			items = append(items, &oracleItem{doc: d, score: s, order: len(items)})
-		}
-	}
-	return oracleFuse(items, fuseLimit(q))
-}
-
 // oracleMerge is s's batch merge as it was.
 func oracleMerge(s Strategy, q *query.Query, inputs []SourceResult) []*result.Document {
 	switch s := s.(type) {
@@ -115,8 +100,6 @@ func oracleMerge(s Strategy, q *query.Query, inputs []SourceResult) []*result.Do
 		return oracleScaledMerge(q, inputs)
 	case RoundRobin:
 		return oracleRoundRobinMerge(q, inputs)
-	case Calibrated:
-		return oracleCalibratedMerge(s, q, inputs)
 	case TermStats:
 		return oracleTermStatsMerge(s, q, inputs)
 	}
@@ -402,11 +385,10 @@ func (b *fuzzBytes) next(n int) int {
 // have no metadata or a bounded, unbounded, inverted or empty score
 // range, answers that are empty, missing (a failed source) or drawn from
 // a small linkage pool (duplicates across and within sources) on a
-// coarse score grid (ties), term statistics in several spellings, and a
-// calibration per source with or without a fit. Building twice from the
-// same data gives independent copies, which merging needs because it
-// rewrites documents.
-func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
+// coarse score grid (ties), and term statistics in several spellings.
+// Building twice from the same data gives independent copies, which
+// merging needs because it rewrites documents.
+func fuzzMerge(data []byte) (*query.Query, scenario, []int) {
 	b := fuzzBytes(data)
 	spellings := []query.Term{
 		query.NewTerm(attr.FieldBodyOfText, lang.L("alpha")),
@@ -419,7 +401,6 @@ func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
 	q.Ranking, _ = query.ParseRanking(fmt.Sprintf(`list((body-of-text "alpha" %g) (body-of-text "BETA"))`, float64(1+b.next(4))/4))
 	q.MaxResults = b.next(6) // 0 is the default cap
 	ranges := [][2]float64{{0, 10}, {0, math.Inf(1)}, {8, 2}, {3, 3}}
-	cal := Calibrated{BySource: map[string]Calibration{}}
 	var sc scenario
 	nSrc, pool := 1+b.next(5), 1+b.next(12)
 	for s := 0; s < nSrc; s++ {
@@ -430,12 +411,6 @@ func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
 		}
 		if b.next(3) > 0 {
 			src.Summary = &meta.ContentSummary{NumDocs: 10 * b.next(40)}
-		}
-		switch b.next(3) {
-		case 1:
-			cal.BySource[id] = Calibration{Slope: float64(b.next(5)-2) / 2, Intercept: float64(b.next(3)) / 10, Samples: 2}
-		case 2:
-			cal.BySource[id] = Calibration{Intercept: 0.5, Samples: 2} // constant samples
 		}
 		sc.roster = append(sc.roster, src)
 		if b.next(6) == 0 {
@@ -462,7 +437,7 @@ func fuzzMerge(data []byte) (*query.Query, scenario, Calibrated, []int) {
 		j := i - b.next(i+1) // an inside-out shuffle
 		order[i], order[j] = order[j], i
 	}
-	return q, sc, cal, order
+	return q, sc, order
 }
 
 // inputsOf is a scenario's batch inputs: its answering sources in roster
@@ -483,10 +458,10 @@ func inputsOf(sc scenario) []SourceResult {
 // merge, fed in data's completion order, to its batch rank: the emitted
 // prefix is that rank's prefix pointer for pointer.
 func checkMergeMatchesOracle(t *testing.T, data []byte) {
-	q, _, cal, _ := fuzzMerge(data)
-	for _, strat := range []Strategy{RawScore{}, Scaled{}, RoundRobin{}, cal, TermStats{}, TermStats{LocalIDF: true}} {
-		_, mine, _, _ := fuzzMerge(data)
-		_, theirs, _, _ := fuzzMerge(data)
+	q, _, _ := fuzzMerge(data)
+	for _, strat := range []Strategy{RawScore{}, Scaled{}, RoundRobin{}, TermStats{}, TermStats{LocalIDF: true}} {
+		_, mine, _ := fuzzMerge(data)
+		_, theirs, _ := fuzzMerge(data)
 		got, want := strat.Merge(q, inputsOf(mine)), oracleMerge(strat, q, inputsOf(theirs))
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d documents, oracle %d: %v vs %v", strat.Name(), len(got), len(want), urls(got), urls(want))
@@ -497,7 +472,7 @@ func checkMergeMatchesOracle(t *testing.T, data []byte) {
 			}
 		}
 
-		_, streamed, _, order := fuzzMerge(data)
+		_, streamed, order := fuzzMerge(data)
 		inc := NewIncremental(strat, q, streamed.roster)
 		var prefix []*result.Document
 		for _, slot := range order {

@@ -76,15 +76,51 @@ func FuzzParseMeta(f *testing.F) {
 	})
 }
 
-// FuzzParseSummary is FuzzParseMeta for content summaries.
+// negativeSummaries are summaries with a negative NumDocs, postings
+// count or df, each of which a parse must refuse.
+func negativeSummaries(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, o := range []*soif.Object{
+		soif.New(SummaryType).Add("NumDocs", "-5"),
+		soif.New(SummaryType).Add("NumDocs", "3").Add("TermDocFreq", `"a" -3 1`),
+		soif.New(SummaryType).Add("NumDocs", "3").Add("TermDocFreq", `"a" 1 -7`),
+	} {
+		data, err := soif.Marshal(o)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+func TestParseSummaryRefusesNegativeCounts(t *testing.T) {
+	for _, data := range negativeSummaries(t) {
+		if c, err := ParseSummary(data); err == nil {
+			t.Errorf("accepted %s as %+v", data, c)
+		}
+	}
+}
+
+// FuzzParseSummary is FuzzParseMeta for content summaries; a summary it
+// accepts also has no negative count.
 func FuzzParseSummary(f *testing.F) {
-	for _, seed := range paperSeeds(f) {
+	for _, seed := range append(paperSeeds(f), negativeSummaries(f)...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ParseSummary(data)
 		if err != nil {
 			return
+		}
+		neg := c.NumDocs < 0
+		for _, g := range c.Groups {
+			for _, ti := range g.Terms {
+				neg = neg || ti.Postings < 0 || ti.DocFreq < 0
+			}
+		}
+		if neg {
+			t.Fatalf("accepted a negative count: %+v", c)
 		}
 		enc, err := c.Marshal()
 		if err != nil {

@@ -204,6 +204,38 @@ func (m *SourceMeta) compiled() *capabilities {
 	return m.caps.Load()
 }
 
+// Basic1Profile enumerates the MBasic-1 capability lists (Section 4.3.1)
+// three predicates amount to, in the paper's table order: each optional
+// Basic-1 field field accepts, each Basic-1 modifier mod accepts, then
+// each pairing combo accepts of a recognized field (required fields
+// first) with a listed modifier. Every Basic-1 capability profile is
+// built here.
+func Basic1Profile(field func(attr.Field) bool, mod func(attr.Modifier) bool, combo func(attr.Field, attr.Modifier) bool) ([]FieldSupport, []ModifierSupport, []Combination) {
+	var fs []FieldSupport
+	var ms []ModifierSupport
+	var cs []Combination
+	fields := attr.RequiredFields()
+	for _, fi := range attr.Basic1Fields() {
+		if !fi.Required && field(fi.Field) {
+			fs = append(fs, FieldSupport{Set: attr.SetBasic1, Field: fi.Field})
+			fields = append(fields, fi.Field)
+		}
+	}
+	for _, mi := range attr.Basic1Modifiers() {
+		if mod(mi.Modifier) {
+			ms = append(ms, ModifierSupport{Set: attr.SetBasic1, Mod: mi.Modifier})
+		}
+	}
+	for _, f := range fields {
+		for _, m := range ms {
+			if combo(f, m.Mod) {
+				cs = append(cs, Combination{Field: FieldSupport{Set: attr.SetBasic1, Field: f}, Mod: m})
+			}
+		}
+	}
+	return fs, ms, cs
+}
+
 // StopList returns the source's StopWords as a set.
 func (m *SourceMeta) StopList() *text.StopList { return m.compiled().stop }
 

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -205,7 +206,7 @@ func SummaryFromSOIF(o *soif.Object) (*ContentSummary, error) {
 				return nil, fmt.Errorf("meta: Fields: %w", err)
 			}
 		case "numdocs":
-			if c.NumDocs, err = strconv.Atoi(strings.TrimSpace(a.Value)); err != nil {
+			if c.NumDocs, err = count(strings.TrimSpace(a.Value)); err != nil {
 				return nil, fmt.Errorf("meta: NumDocs %q: %w", a.Value, err)
 			}
 		case "field":
@@ -248,18 +249,28 @@ func parseTermInfos(v string) ([]TermInfo, error) {
 		if tok, after = nextTok(after); tok == "" {
 			return nil, fmt.Errorf("meta: TermDocFreq entry %q is missing its postings count", ti.Term)
 		}
-		if ti.Postings, err = strconv.Atoi(tok); err != nil {
+		if ti.Postings, err = count(tok); err != nil {
 			return nil, fmt.Errorf("meta: TermDocFreq postings %q: %w", tok, err)
 		}
 		if tok, after = nextTok(after); tok == "" {
 			return nil, fmt.Errorf("meta: TermDocFreq entry %q is missing its document frequency", ti.Term)
 		}
-		if ti.DocFreq, err = strconv.Atoi(tok); err != nil {
+		if ti.DocFreq, err = count(tok); err != nil {
 			return nil, fmt.Errorf("meta: TermDocFreq docfreq %q: %w", tok, err)
 		}
 		out = append(out, ti)
 		rest = after
 	}
+}
+
+// count parses a summary's document or postings count, which a negative
+// number would carry into every N and df a metasearcher sums from it.
+func count(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = errors.New("negative count")
+	}
+	return n, err
 }
 
 func nextTok(s string) (tok, rest string) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,5 +139,68 @@ func TestConnServerBatchEndpoint(t *testing.T) {
 	}
 	if errs[1] != nil {
 		t.Fatalf("batch item 1: %v", errs[1])
+	}
+}
+
+// sampleCounter is an http.RoundTripper that counts requests for a
+// sample route.
+type sampleCounter struct{ n atomic.Int64 }
+
+func (c *sampleCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/sample") {
+		c.n.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestServedSampleURL: served metadata names the server's sample route
+// only for a conn whose own metadata names sample-database results. A
+// broker names none, so a harvester is never pointed at a route that
+// fails, and HTTPConn.Sample refuses it without a request; a served
+// source keeps its URL, and its samples come back.
+func TestServedSampleURL(t *testing.T) {
+	ctx := context.Background()
+	var counter sampleCounter
+	c := client.NewClient(&http.Client{Timeout: 5 * time.Second, Transport: &counter})
+	discover := func(url string) client.Conn {
+		t.Helper()
+		conns, err := c.Discover(ctx, url+"/resource")
+		if err != nil || len(conns) == 0 {
+			t.Fatalf("Discover %s: %v, %d conns", url, err, len(conns))
+		}
+		return conns[0]
+	}
+
+	broker := discover(regionalBroker(t, "region-s", "S-Src", []*index.Document{
+		{Linkage: "http://s/1", Title: "Databases", Body: "database systems", Date: time.Date(1995, 1, 1, 0, 0, 0, 0, time.UTC)},
+	}).URL)
+	md, err := broker.Metadata(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md.SampleDatabaseResults != "" {
+		t.Errorf("served broker names SampleDatabaseResults %q", md.SampleDatabaseResults)
+	}
+	if _, err := broker.Sample(ctx); err == nil {
+		t.Error("Sample of a broker that names no sample results succeeded")
+	}
+	if n := counter.n.Load(); n != 0 {
+		t.Errorf("Sample of a broker made %d sample requests, want 0", n)
+	}
+
+	ts, _ := startTestServer(t)
+	src := discover(ts.URL)
+	md, err = src.Metadata(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ts.URL + "/sources/" + src.SourceID() + "/sample"; md.SampleDatabaseResults != want {
+		t.Errorf("served source names SampleDatabaseResults %q, want %q", md.SampleDatabaseResults, want)
+	}
+	if entries, err := src.Sample(ctx); err != nil || len(entries) == 0 {
+		t.Errorf("served source's samples: %d entries, %v", len(entries), err)
+	}
+	if n := counter.n.Load(); n != 1 {
+		t.Errorf("%d sample requests, want the source's 1", n)
 	}
 }

@@ -262,8 +262,13 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	}
 	// The conn's own linkage (a source's starts:// or a core.Broker's
 	// starts-broker:// placeholders) is unreachable from the harvester's
-	// side of the wire; every endpoint lives here.
-	served := m.ToSOIFAt(s.sourceURL(m.SourceID, "query"), s.sourceURL(m.SourceID, "summary"), s.sourceURL(m.SourceID, "sample"))
+	// side of the wire; every endpoint lives here. A conn whose metadata
+	// names no sample results (a core.Broker) is published with none.
+	sample := ""
+	if m.SampleDatabaseResults != "" {
+		sample = s.sourceURL(m.SourceID, "sample")
+	}
+	served := m.ToSOIFAt(s.sourceURL(m.SourceID, "query"), s.sourceURL(m.SourceID, "summary"), sample)
 	data, err := soif.Marshal(served)
 	writeSOIF(w, r, data, err)
 }
